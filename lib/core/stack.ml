@@ -1,3 +1,5 @@
+type binding = Os_integrated | Static
+
 type service_spec = {
   service : Rpc.Interface.service_def;
   port : int;
@@ -36,6 +38,7 @@ type worker = {
   mutable starting : bool;
   mutable cpu_idx : int;
   mutable empty_cycles : int;
+  affinity : int option;  (* pinned core (Static binding), kept on respawn *)
 }
 
 type service_rt = {
@@ -57,9 +60,10 @@ type remote = {
 type t = {
   engine : Sim.Engine.t;
   cfg : Config.t;
+  binding : binding;
   kern : Osmodel.Kernel.t;
   ha : Coherence.Home_agent.t;
-  smirror : Sched_mirror.t;
+  smirror : Sched_mirror.t option;  (* [None] under a Static binding *)
   dmx : Demux.t;
   sched : Nic_sched.t;
   egress : Net.Frame.t -> unit;
@@ -107,6 +111,18 @@ let counters t = t.counters
 let config t = t.cfg
 let sanitizer t = t.sanitize
 
+let name_of_binding = function
+  | Os_integrated -> "lauberhorn"
+  | Static -> "ccnic-static"
+
+(* Whether the NIC believes the service's process is alive: the
+   mirror's push-lagged view, or, with no mirror (Static binding), the
+   kill itself. *)
+let nic_alive t sv =
+  match t.smirror with
+  | Some m -> Sched_mirror.pid_alive m ~pid:sv.sproc.Osmodel.Proc.pid
+  | None -> sv.sproc.Osmodel.Proc.alive
+
 (* Sanitizer probe at the moment a request is handed to a worker
    endpoint: the mirror must still believe the target pid alive —
    a dispatch after the death push landed would target a swept
@@ -115,9 +131,8 @@ let sanitize_dispatch t sv =
   match t.mwatch with
   | None -> ()
   | Some mw ->
-      let pid = sv.sproc.Osmodel.Proc.pid in
-      Sanitize.Mirror_watch.dispatch mw ~pid
-        ~alive:(Sched_mirror.pid_alive t.smirror ~pid)
+      Sanitize.Mirror_watch.dispatch mw ~pid:sv.sproc.Osmodel.Proc.pid
+        ~alive:(nic_alive t sv)
 
 let ctr t name = Sim.Counter.counter t.counters name
 
@@ -596,10 +611,10 @@ let dispatch_request t (entry : Demux.entry) frame
     Sim.Counter.incr (ctr t "duplicate_rpc_id");
     if t.fault_active then Telemetry.incr_fault t.telemetry "duplicate_rpc_id"
   end
-  else if not (Sched_mirror.pid_alive t.smirror ~pid:sv.sproc.Osmodel.Proc.pid)
-  then begin
+  else if not (nic_alive t sv) then begin
     (* The NIC believes the target process is dead (the death push has
-       landed): refuse on the wire rather than dispatch to a corpse. *)
+       landed, or the Static kill swept it): refuse on the wire rather
+       than dispatch to a corpse. *)
     Obs.Metrics.incr t.m_crash_nacks;
     if t.fault_active then Telemetry.incr_fault t.telemetry "crash_nack";
     nack t ~rpc_id
@@ -639,9 +654,12 @@ let dispatch_request t (entry : Demux.entry) frame
     (* With admission control armed the decision is taken once, before
        the arrival is accepted (so a Shed never occupies queue space);
        with it off, the decision is taken after delivery, exactly as
-       the pre-admission-control stack did. *)
+       the pre-admission-control stack did. A Static binding has no
+       admission control. *)
     let early_decision =
-      if t.cfg.Config.shed then Some (scale_decision t sv) else None
+      match t.binding with
+      | Os_integrated when t.cfg.Config.shed -> Some (scale_decision t sv)
+      | Os_integrated | Static -> None
     in
     match early_decision with
     | Some Nic_sched.Shed ->
@@ -763,7 +781,10 @@ let nic_rx t frame =
               | Ok args ->
                   let breakdown =
                     Pipeline.rx t.cfg
-                      ~sched_lookup:(Sched_mirror.lookup_cost t.smirror)
+                      ~sched_lookup:
+                        (match t.smirror with
+                        | Some m -> Sched_mirror.lookup_cost m
+                        | None -> 0)
                       ~fields:(Rpc.Value.field_count args)
                       ~arg_bytes:(Bytes.length wire.Rpc.Wire_format.body)
                   in
@@ -798,11 +819,7 @@ let on_endpoint_response t (resp : Message.response) =
          request from another machine may carry that machine's nested
          tag in its id — those take the normal wire-reply path below. *)
       Hashtbl.remove t.inflight resp.Message.resp_rpc_id;
-      (match Demux.lookup t.dmx ~port:app.reply_src.Net.Frame.port with
-      | Some e ->
-          Nic_sched.on_complete t.sched
-            ~service:e.Demux.service.Rpc.Interface.service_id
-      | None -> ());
+      Nic_sched.on_complete t.sched ~service:app.svc_id;
       let result =
         match
           Rpc.Codec.decode app.mdef.Rpc.Interface.response app.full_body
@@ -827,30 +844,24 @@ let on_endpoint_response t (resp : Message.response) =
   | Some (App app) ->
       Hashtbl.remove t.inflight resp.Message.resp_rpc_id;
       span_stage t ~rpc:resp.Message.resp_rpc_id "collect";
-      let service_id =
-        (* reply carries the same ids as the request *)
-        match Demux.lookup t.dmx ~port:app.reply_src.Net.Frame.port with
-        | Some e -> e.Demux.service.Rpc.Interface.service_id
-        | None -> -1
-      in
-      if service_id >= 0 then
-        Nic_sched.on_complete t.sched ~service:service_id;
+      Nic_sched.on_complete t.sched ~service:app.svc_id;
       (* Fidelity check: the inline prefix collected from the cache
          line must match the response body the handler produced. *)
       let prefix_ok =
         Net.Slice.is_prefix_of resp.Message.inline_body app.full_body
       in
       if not prefix_ok then Sim.Counter.incr (ctr t "response_corrupt");
-      if service_id >= 0 then
-        Telemetry.record t.telemetry ~service_id ~path:app.path
-          ~latency:(Sim.Engine.now t.engine - app.arrived)
-          ~bytes_in:app.arg_bytes
-          ~bytes_out:(Bytes.length app.full_body);
+      Telemetry.record t.telemetry ~service_id:app.svc_id ~path:app.path
+        ~latency:(Sim.Engine.now t.engine - app.arrived)
+        ~bytes_in:app.arg_bytes
+        ~bytes_out:(Bytes.length app.full_body);
       let reply =
         {
+          (* The reply carries the request's ids: clients pick the
+             response schema by (service, method). *)
           Rpc.Wire_format.rpc_id = resp.Message.resp_rpc_id;
-          service_id = (if service_id >= 0 then service_id else 0);
-          method_id = 0;
+          service_id = app.svc_id;
+          method_id = app.mdef.Rpc.Interface.method_id;
           kind =
             (if resp.Message.status = 0 then Rpc.Wire_format.Response
              else Rpc.Wire_format.Error_reply resp.Message.status);
@@ -975,9 +986,11 @@ let kill_service t ~service_id =
           sv.sproc.Osmodel.Proc.pname);
     Obs.Metrics.incr t.m_kills;
     if t.fault_active then Telemetry.incr_fault t.telemetry "kill";
-    (* Kernel-side only. The NIC's mirror learns after the push lag;
-       the teardown sweep runs when that push lands. *)
-    Osmodel.Kernel.kill t.kern sv.sproc
+    Osmodel.Kernel.kill t.kern sv.sproc;
+    (* The NIC's mirror learns after the push lag and the teardown
+       sweep runs when that push lands. With no mirror (Static) there
+       is no lag to model: the kill sweeps the NIC side at once. *)
+    match t.smirror with None -> sweep_dead_service t sv | Some _ -> ()
   end
 
 let restart_service t ~service_id =
@@ -995,8 +1008,8 @@ let restart_service t ~service_id =
         Hashtbl.remove t.parked_eps w.wthread.Osmodel.Proc.tid;
         let name = w.wthread.Osmodel.Proc.tname in
         let th =
-          Osmodel.Kernel.spawn t.kern sv.sproc ~name (fun () ->
-              worker_loop t sv w ())
+          Osmodel.Kernel.spawn t.kern sv.sproc ~name ?affinity:w.affinity
+            (fun () -> worker_loop t sv w ())
         in
         w.wthread <- th;
         w.cpu_idx <- 0;
@@ -1010,7 +1023,10 @@ let restart_service t ~service_id =
       sv.workers.(i).active <- true;
       sv.active_count <- sv.active_count + 1;
       Osmodel.Kernel.wake t.kern sv.workers.(i).wthread
-    done
+    done;
+    (* Limbo redelivery waits for the respawn push; with no mirror it
+       follows the restart directly. *)
+    match t.smirror with None -> drain_limbo t sv | Some _ -> ()
   end
 
 let on_handled t f = t.handled_hook <- Some f
@@ -1028,12 +1044,22 @@ let[@nondet_ok] fresh_code_ptrs n =
       let base = Int64.of_int (Atomic.fetch_and_add next_code_ptr 0x1000) in
       Int64.add base (Int64.of_int (i * 64)))
 
-let create engine ~cfg ~ncores ?kernel_costs
+let create engine ~cfg ~ncores ?kernel_costs ?(binding = Os_integrated)
     ?(mirror_mode = Sched_mirror.Push) ?(dispatchers = 2)
     ?(fault = Fault.Plan.none) ?metrics ?tracer ?sanitize ~services ~egress
     () =
   if List.is_empty services then invalid_arg "Stack.create: no services";
-  if dispatchers < 1 then invalid_arg "Stack.create: need a dispatcher";
+  (match binding with
+  | Os_integrated ->
+      if dispatchers < 1 then invalid_arg "Stack.create: need a dispatcher"
+  | Static ->
+      if
+        List.exists
+          (fun s -> s.min_workers < 1 || s.max_workers > 1)
+          services
+      then
+        invalid_arg
+          "Stack.create: a Static binding pins exactly one worker per service");
   let sanitize =
     match sanitize with
     | Some _ -> sanitize
@@ -1064,7 +1090,12 @@ let create engine ~cfg ~ncores ?kernel_costs
     Coherence.Home_agent.create engine cfg.Config.profile ?stage_delay
       ~timeout:cfg.Config.tryagain_timeout ()
   in
-  let smirror = Sched_mirror.create ~mode:mirror_mode cfg.Config.profile kern in
+  let smirror =
+    match binding with
+    | Os_integrated ->
+        Some (Sched_mirror.create ~mode:mirror_mode cfg.Config.profile kern)
+    | Static -> None
+  in
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
@@ -1079,13 +1110,14 @@ let create engine ~cfg ~ncores ?kernel_costs
     {
       engine;
       cfg;
+      binding;
       kern;
       ha;
       smirror;
       dmx = Demux.create ();
       sched = Nic_sched.create ~shed:cfg.Config.shed ();
       egress;
-      counters = Sim.Counter.group "lauberhorn";
+      counters = Sim.Counter.group (name_of_binding binding);
       inflight = Hashtbl.create 4096;
       services = Hashtbl.create 32;
       dispatchers = [||];
@@ -1093,7 +1125,7 @@ let create engine ~cfg ~ncores ?kernel_costs
       telemetry = Telemetry.create ~metrics ();
       metrics;
       tracer;
-      trk = Obs.Tracer.track tracer "lauberhorn";
+      trk = Obs.Tracer.track tracer (name_of_binding binding);
       trk_detail = Obs.Tracer.track tracer "nic-pipeline";
       fault_active = not (Fault.Plan.is_none fault);
       remotes = Hashtbl.create 16;
@@ -1117,8 +1149,10 @@ let create engine ~cfg ~ncores ?kernel_costs
   in
   (match sanitize with
   | None -> ()
-  | Some z ->
-      Sanitize.Coherence_watch.attach z ha;
+  | Some z -> Sanitize.Coherence_watch.attach z ha);
+  (match (sanitize, smirror) with
+  | None, _ | Some _, None -> ()
+  | Some z, Some smirror ->
       (* Render both sides of the scheduling state — per-core occupancy
          and per-service liveness — for the end-of-run convergence
          check. Compared only once no push is in flight. *)
@@ -1165,47 +1199,56 @@ let create engine ~cfg ~ncores ?kernel_costs
         ~on_response:(fun r -> on_endpoint_response t r)
         ()
     in
-    (match owner with
-    | None -> ()
-    | Some get_thread ->
+    (match (binding, owner) with
+    | Os_integrated, Some get_thread ->
         Endpoint.set_on_parked ep (fun () ->
             if park_would_starve t (get_thread ()) then begin
               Sim.Counter.incr (ctr t "park_self_kick");
               Endpoint.kick ep
-            end));
+            end)
+    | Static, _ | Os_integrated, None -> ());
     ep
   in
-  (* Dispatcher kernel threads. *)
-  let kproc = Osmodel.Kernel.new_process kern ~name:"kernel" in
-  t.dispatchers <-
-    Array.init dispatchers (fun i ->
-        let d_ref = ref None in
-        let dep =
-          new_endpoint
-            ~owner:(fun () ->
+  (* Dispatcher kernel threads: the OS channel, absent when Static. *)
+  (match binding with
+  | Static -> ()
+  | Os_integrated ->
+      let kproc = Osmodel.Kernel.new_process kern ~name:"kernel" in
+      t.dispatchers <-
+        Array.init dispatchers (fun i ->
+            let d_ref = ref None in
+            let dep =
+              new_endpoint
+                ~owner:(fun () ->
+                  match !d_ref with
+                  | Some d -> d.dthread
+                  | None -> invalid_arg "dispatcher not ready")
+                ()
+            in
+            let body () =
               match !d_ref with
-              | Some d -> d.dthread
-              | None -> invalid_arg "dispatcher not ready")
-            ()
-        in
-        let body () =
-          match !d_ref with
-          | Some d -> dispatcher_loop t d 0 ()
-          | None -> assert false
-        in
-        let dthread =
-          Osmodel.Kernel.spawn kern kproc
-            ~name:(Printf.sprintf "lauberhorn-disp%d" i) ~kernel_thread:true
-            body
-        in
-        let d = { dthread; dep } in
-        d_ref := Some d;
-        Hashtbl.replace t.parked_eps dthread.Osmodel.Proc.tid dep;
-        d);
-  (* Services and their workers. *)
-  List.iter
-    (fun sspec ->
+              | Some d -> dispatcher_loop t d 0 ()
+              | None -> assert false
+            in
+            let dthread =
+              Osmodel.Kernel.spawn kern kproc
+                ~name:(Printf.sprintf "lauberhorn-disp%d" i) ~kernel_thread:true
+                body
+            in
+            let d = { dthread; dep } in
+            d_ref := Some d;
+            Hashtbl.replace t.parked_eps dthread.Osmodel.Proc.tid dep;
+            d));
+  (* Services and their workers; Static pins each service's one worker
+     to a core, round-robin. *)
+  List.iteri
+    (fun i sspec ->
       let svc = sspec.service in
+      let affinity =
+        match binding with
+        | Static -> Some (i mod ncores)
+        | Os_integrated -> None
+      in
       let sproc =
         Osmodel.Kernel.new_process kern ~name:svc.Rpc.Interface.service_name
       in
@@ -1234,7 +1277,7 @@ let create engine ~cfg ~ncores ?kernel_costs
                 ~name:
                   (Printf.sprintf "%s-w%d" svc.Rpc.Interface.service_name
                      widx)
-                body
+                ?affinity body
             in
             let w =
               {
@@ -1246,6 +1289,7 @@ let create engine ~cfg ~ncores ?kernel_costs
                 starting = false;
                 cpu_idx = 0;
                 empty_cycles = 0;
+                affinity;
               }
             in
             w.wtx <-
@@ -1285,33 +1329,36 @@ let create engine ~cfg ~ncores ?kernel_costs
     services;
   (* Start dispatchers. *)
   Array.iter (fun d -> Osmodel.Kernel.wake kern d.dthread) t.dispatchers;
-  (* Crash lifecycle, as the NIC perceives it: the teardown sweep and
-     the limbo redelivery both run when the corresponding push lands,
-     not when the kernel-side event happens. *)
-  Sched_mirror.on_pid_dead smirror (fun pid ->
-      Hashtbl.iter
-        (fun _sid sv ->
-          if Int.equal sv.sproc.Osmodel.Proc.pid pid then
-            sweep_dead_service t sv)
-        t.services);
-  Sched_mirror.on_pid_respawn smirror (fun pid ->
-      Hashtbl.iter
-        (fun _sid sv ->
-          if Int.equal sv.sproc.Osmodel.Proc.pid pid then drain_limbo t sv)
-        t.services);
-  (* Preemption: a thread queued behind a parked occupant gets the core
-     via a TRYAGAIN kick (paper Â§5.1). *)
-  Osmodel.Kernel.on_wake_enqueue kern (fun ~core _th ->
-      match Osmodel.Kernel.current kern ~core with
-      | None -> ()
-      | Some occupant -> (
-          match
-            Hashtbl.find_opt t.parked_eps occupant.Osmodel.Proc.tid
-          with
-          | Some ep when Endpoint.parked ep ->
-              Sim.Counter.incr (ctr t "preempt_kick");
-              Endpoint.kick ep
-          | Some _ | None -> ()));
+  (match smirror with
+  | None -> ()  (* Static: no mirror hooks, no preemption kick *)
+  | Some smirror ->
+      (* Crash lifecycle, as the NIC perceives it: the teardown sweep and
+         the limbo redelivery both run when the corresponding push lands,
+         not when the kernel-side event happens. *)
+      Sched_mirror.on_pid_dead smirror (fun pid ->
+          Hashtbl.iter
+            (fun _sid sv ->
+              if Int.equal sv.sproc.Osmodel.Proc.pid pid then
+                sweep_dead_service t sv)
+            t.services);
+      Sched_mirror.on_pid_respawn smirror (fun pid ->
+          Hashtbl.iter
+            (fun _sid sv ->
+              if Int.equal sv.sproc.Osmodel.Proc.pid pid then drain_limbo t sv)
+            t.services);
+      (* Preemption: a thread queued behind a parked occupant gets the core
+         via a TRYAGAIN kick (paper §5.1). *)
+      Osmodel.Kernel.on_wake_enqueue kern (fun ~core _th ->
+          match Osmodel.Kernel.current kern ~core with
+          | None -> ()
+          | Some occupant -> (
+              match
+                Hashtbl.find_opt t.parked_eps occupant.Osmodel.Proc.tid
+              with
+              | Some ep when Endpoint.parked ep ->
+                  Sim.Counter.incr (ctr t "preempt_kick");
+                  Endpoint.kick ep
+              | Some _ | None -> ())));
   (* The MAC front end. *)
   let mac =
     Nic.Mac.create engine ~sink:(fun f -> nic_rx t f) ()
@@ -1376,13 +1423,18 @@ let endpoint_of t ~service_id ~worker =
   sv.workers.(worker).wep
 
 let driver t =
-  Harness.Driver.make ~name:"lauberhorn"
+  Harness.Driver.make ~name:(name_of_binding t.binding)
     ~ingress:(fun f -> ingress t f)
     ~kernel:t.kern ~counters:t.counters ~metrics:t.metrics
     ~describe:(fun () ->
-      Printf.sprintf "lauberhorn(%s, %d cores, timeout=%s)"
-        (prof t).Coherence.Interconnect.name
-        (Osmodel.Kernel.ncores t.kern)
-        (Format.asprintf "%a" Sim.Units.pp_duration
-           t.cfg.Config.tryagain_timeout))
+      let prof = (prof t).Coherence.Interconnect.name
+      and ncores = Osmodel.Kernel.ncores t.kern in
+      match t.binding with
+      | Os_integrated ->
+          Printf.sprintf "lauberhorn(%s, %d cores, timeout=%s)" prof ncores
+            (Format.asprintf "%a" Sim.Units.pp_duration
+               t.cfg.Config.tryagain_timeout)
+      | Static ->
+          Printf.sprintf "ccnic-static(%s, %d cores, %d services)" prof
+            ncores (Hashtbl.length t.services))
     ()

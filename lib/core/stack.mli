@@ -19,6 +19,35 @@
     deactivate, implementing NIC-driven core scaling. Large payloads
     fall back to DMA per the configured threshold. *)
 
+(** How services are bound to cores: the OS-integration switch.
+
+    [Static] is the CC-NIC/nanoPU-style ablation: a coherently-attached
+    NIC with the {e traditional} hardware/software split (paper §2:
+    such designs "deliver packets directly into the register file" but
+    "preserve the same hardware/software boundary ... this works well
+    when the workload is relatively static, can be bound to dedicated
+    cores, and is rarely idle"). It keeps the same CONTROL-line
+    delivery — parked loads, staged lines, fetch-exclusive response
+    collection, NACKs, crash limbo, the RX pipeline — and removes only
+    the OS integration:
+
+    - each service has one worker, pinned to core [i mod ncores] for
+      the [i]th service; an idle service still owns its core (parked,
+      not spinning) and colocated services share a core by TRYAGAIN
+      turns only;
+    - no kernel channel: no dispatcher threads, no ["kernel"] process;
+    - no kicks: neither the kernel's wake-enqueue preemption kick nor
+      the park-time self-kick;
+    - no scheduling-state mirror and no NIC-driven scaling or admission
+      control; a kill sweeps NIC state in the same step, with no push
+      lag, and a restart redelivers the limbo right away.
+
+    Its counter group, tracer track and driver are named
+    ["ccnic-static"]. Comparing it against [Os_integrated] in E6/E7
+    separates what the coherent interconnect buys (latency) from what
+    OS integration buys (flexibility under dynamic load). *)
+type binding = Os_integrated | Static
+
 type service_spec = {
   service : Rpc.Interface.service_def;
   port : int;
@@ -35,7 +64,7 @@ type t
 
 val create :
   Sim.Engine.t -> cfg:Config.t -> ncores:int ->
-  ?kernel_costs:Osmodel.Kernel.costs ->
+  ?kernel_costs:Osmodel.Kernel.costs -> ?binding:binding ->
   ?mirror_mode:Sched_mirror.mode -> ?dispatchers:int ->
   ?fault:Fault.Plan.t -> ?metrics:Obs.Metrics.t -> ?tracer:Obs.Tracer.t ->
   ?sanitize:Sanitize.t ->
@@ -44,6 +73,10 @@ val create :
     dispatcher kernel threads and service worker threads; services with
     [min_workers > 0] start with that many workers already parked
     (hot services). [dispatchers] defaults to 2.
+
+    [binding] defaults to [Os_integrated]. Under [Static],
+    [mirror_mode] and [dispatchers] are ignored and every spec must
+    have exactly one worker ([min_workers = max_workers = 1]).
 
     [fault] (default {!Fault.Plan.none}) arms the coherence choke
     point: fills are delayed per the plan's [fill_delay] knobs, forcing
@@ -68,14 +101,18 @@ val create :
     convergence plus swept-pid dispatch checks
     ({!Sanitize.Mirror_watch}). When absent and [cfg.sanitize] is set,
     the stack creates its own session (retrieve it with {!sanitizer}
-    and call {!Sanitize.finish} after the run). *)
+    and call {!Sanitize.finish} after the run).
+    @raise Invalid_argument if [services] is empty, if [dispatchers < 1]
+    under [Os_integrated], or if a spec has more or fewer than one
+    worker under [Static]. *)
 
 val ingress : t -> Net.Frame.t -> unit
 (** Connect as the wire's deliver callback. *)
 
 val kernel : t -> Osmodel.Kernel.t
 val home_agent : t -> Coherence.Home_agent.t
-val mirror : t -> Sched_mirror.t
+val mirror : t -> Sched_mirror.t option
+(** [None] under a [Static] binding. *)
 
 val sanitizer : t -> Sanitize.t option
 (** The attached sanitizer session, if any. *)
@@ -128,19 +165,23 @@ val kill_service : t -> service_id:int -> unit
     a limbo queue for redelivery, and subsequent arrivals are refused
     on the wire until a restart. During the stale window, dispatches
     can still land on the corpse; they are caught by the sweep — never
-    silently lost. No-op if already dead. *)
+    silently lost. Under [Static] there is no mirror and no stale
+    window: the sweep runs in the same step as the kill. No-op if
+    already dead. *)
 
 val restart_service : t -> service_id:int -> unit
 (** Bring a killed service back: same pid, fresh worker threads over
     the surviving endpoints, [min_workers] re-activated. When the
     respawn push lands at the NIC, limbo'd requests are redelivered
-    (counted as "requeues"). No-op if alive. *)
+    (counted as "requeues"); under [Static], right after the respawn.
+    Threads keep their core pinning. No-op if alive. *)
 
 val on_handled : t -> (unit -> unit) -> unit
 (** Register a callback invoked after each RPC handled by any worker
     (the server-fault injector's [crash_after_rpcs] trigger). *)
 
 val dispatcher_count : t -> int
+(** Dispatcher kernel threads; 0 under [Static]. *)
 
 val retire_dispatcher : t -> idx:int -> bool
 (** Send RETIRE to a parked dispatcher kernel thread: it leaves its CPU

@@ -98,25 +98,30 @@ let make_server ?(ncores = 8) ?(min_workers = 1) ?(max_workers = 2)
     | None -> egress
     | Some tap -> fun f -> tap f; egress f
   in
+  let lauberhorn_stack ~binding ?mirror_mode ~min_workers ~max_workers cfg =
+    let s =
+      Lauberhorn.Stack.create engine ~cfg ~ncores ~binding ?mirror_mode ~fault
+        ?metrics ?sanitize ~tracer
+        ~services:
+          (List.mapi
+             (fun i def ->
+               Lauberhorn.Stack.spec ~min_workers ~max_workers
+                 ~port:setup.Workload.Scenario.ports.(i) def)
+             setup.Workload.Scenario.defs)
+        ~egress ()
+    in
+    ( Lauberhorn.Stack.driver s,
+      (fun () -> ()),
+      (* [None] for the ablation: trace rings and the handled-RPC crash
+         trigger attach to Lauberhorn runs only. *)
+      (match binding with
+      | Lauberhorn.Stack.Os_integrated -> Some s
+      | Lauberhorn.Stack.Static -> None),
+      (fun ~service_id -> Lauberhorn.Stack.kill_service s ~service_id),
+      fun ~service_id -> Lauberhorn.Stack.restart_service s ~service_id )
+  in
   let driver, flush, lauberhorn, kill_service, restart_service =
     match flavour with
-    | Lauberhorn (cfg, mirror_mode) ->
-        let s =
-          Lauberhorn.Stack.create engine ~cfg ~ncores ~mirror_mode ~fault
-            ?metrics ?sanitize ~tracer
-            ~services:
-              (List.mapi
-                 (fun i def ->
-                   Lauberhorn.Stack.spec ~min_workers ~max_workers
-                     ~port:setup.Workload.Scenario.ports.(i) def)
-                 setup.Workload.Scenario.defs)
-            ~egress ()
-        in
-        ( Lauberhorn.Stack.driver s,
-          (fun () -> ()),
-          Some s,
-          (fun ~service_id -> Lauberhorn.Stack.kill_service s ~service_id),
-          fun ~service_id -> Lauberhorn.Stack.restart_service s ~service_id )
     | Linux profile ->
         let s =
           Baseline.Linux_stack.create engine ~profile ~ncores ~fault ?metrics
@@ -153,25 +158,13 @@ let make_server ?(ncores = 8) ?(min_workers = 1) ?(max_workers = 2)
           (fun ~service_id -> Baseline.Bypass_stack.kill_service s ~service_id),
           fun ~service_id ->
             Baseline.Bypass_stack.restart_service s ~service_id )
+    | Lauberhorn (cfg, mirror_mode) ->
+        lauberhorn_stack ~binding:Lauberhorn.Stack.Os_integrated ~mirror_mode
+          ~min_workers ~max_workers cfg
     | Static cfg ->
-        let s =
-          Lauberhorn.Static_stack.create engine ~cfg ~ncores ~fault ?metrics
-            ?sanitize ~tracer
-            ~services:
-              (List.mapi
-                 (fun i def ->
-                   Lauberhorn.Static_stack.spec
-                     ~port:setup.Workload.Scenario.ports.(i) def)
-                 setup.Workload.Scenario.defs)
-            ~egress ()
-        in
-        ( Lauberhorn.Static_stack.driver s,
-          (fun () -> ()),
-          None,
-          (fun ~service_id ->
-            Lauberhorn.Static_stack.kill_service s ~service_id),
-          fun ~service_id ->
-            Lauberhorn.Static_stack.restart_service s ~service_id )
+        (* The ablation keeps one pinned worker per service. *)
+        lauberhorn_stack ~binding:Lauberhorn.Stack.Static ~min_workers:1
+          ~max_workers:1 cfg
   in
   let driver =
     match tap with

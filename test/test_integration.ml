@@ -56,7 +56,7 @@ let run_stack ~stack ~ncores ~nservices ~rate ?(payload = 64) ?(zipf_s = 0.)
           Baseline.Linux_stack.counters s )
     | `Static ->
         let s =
-          Lauberhorn.Static_stack.create engine
+          Lauberhorn.Stack.create engine ~binding:Lauberhorn.Stack.Static
             ~cfg:
               (Lauberhorn.Config.with_timeout Lauberhorn.Config.enzian
                  (Sim.Units.us 50))
@@ -64,14 +64,14 @@ let run_stack ~stack ~ncores ~nservices ~rate ?(payload = 64) ?(zipf_s = 0.)
             ~services:
               (List.mapi
                  (fun i def ->
-                   Lauberhorn.Static_stack.spec
+                   Lauberhorn.Stack.spec
                      ~port:setup.Workload.Scenario.ports.(i) def)
                  setup.Workload.Scenario.defs)
             ~egress ()
         in
-        ( Lauberhorn.Static_stack.driver s,
-          Lauberhorn.Static_stack.kernel s,
-          Lauberhorn.Static_stack.counters s )
+        ( Lauberhorn.Stack.driver s,
+          Lauberhorn.Stack.kernel s,
+          Lauberhorn.Stack.counters s )
     | `Bypass ->
         let s =
           Baseline.Bypass_stack.create engine

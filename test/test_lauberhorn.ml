@@ -1017,6 +1017,130 @@ let test_stack_kill_restart_lifecycle () =
   checki "respawn counted" 1 (mv "respawns");
   checki "dead-window arrival refused" 1 (mv "crash_nacks")
 
+let test_stack_reply_echoes_method_id () =
+  (* Clients pick the response schema by (service, method): a reply to
+     kv method 1 must say method 1, or its Unit body is decoded with
+     method 0's schema and the call fails. *)
+  let engine = Sim.Engine.create () in
+  let client = ref None in
+  let stack =
+    Lauberhorn.Stack.create engine ~cfg:Lauberhorn.Config.enzian ~ncores:2
+      ~services:
+        [ Lauberhorn.Stack.spec ~port:7002 (Rpc.Interface.kv_service ~id:2 ()) ]
+      ~egress:(fun f ->
+        Option.iter (fun c -> Harness.Client.on_reply c f) !client)
+      ()
+  in
+  let c =
+    Harness.Client.create engine ~send:(Lauberhorn.Stack.ingress stack) ()
+  in
+  client := Some c;
+  Harness.Client.expect c ~service_id:2 ~method_id:0
+    (Rpc.Schema.Tuple [ Rpc.Schema.Bool; Rpc.Schema.Blob ]);
+  Harness.Client.expect c ~service_id:2 ~method_id:1 Rpc.Schema.Unit;
+  let got = ref None in
+  Harness.Client.call c ~service_id:2 ~method_id:1 ~port:7002
+    (Rpc.Value.Tuple
+       [ Rpc.Value.str "k"; Rpc.Value.Blob (Bytes.of_string "v") ])
+    (fun _ ->
+      Harness.Client.call c ~service_id:2 ~method_id:0 ~port:7002
+        (Rpc.Value.str "k") (fun v -> got := Some v));
+  Sim.Engine.run engine ~until:(Sim.Units.ms 2);
+  checki "both calls completed" 2 (Harness.Client.completed c);
+  checki "no decode errors" 0 (Harness.Client.errors c);
+  checkb "get sees the put" true
+    (match !got with
+    | Some (Rpc.Value.Tuple [ Rpc.Value.Bool true; Rpc.Value.Blob b ]) ->
+        Bytes.equal b (Bytes.of_string "v")
+    | Some _ | None -> false)
+
+let test_stack_static_binding () =
+  (* The ccnic-static ablation: no OS channel, no kicks, no mirror. *)
+  let engine = Sim.Engine.create () in
+  let replies = ref [] in
+  let egress f =
+    match Rpc.Wire_format.decode f.Net.Frame.payload with
+    | Ok w ->
+        replies :=
+          (w.Rpc.Wire_format.rpc_id, w.Rpc.Wire_format.kind,
+           Sim.Engine.now engine)
+          :: !replies
+    | Error _ -> ()
+  in
+  let create services =
+    Lauberhorn.Stack.create engine ~binding:Lauberhorn.Stack.Static
+      ~cfg:Lauberhorn.Config.enzian ~ncores:1 ~services ~egress ()
+  in
+  checkb "max_workers = 2 rejected" true
+    (match create [ echo_spec ~max_workers:2 ~port:7000 ~id:1 () ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  (* Two services pinned to one core; service 1's handler is slow
+     enough that a request is in the worker's hands at the kill. *)
+  let slow =
+    Rpc.Interface.service ~id:1 ~name:"slow"
+      [
+        Rpc.Interface.method_def ~id:0 ~name:"echo" ~request:Rpc.Schema.Blob
+          ~response:Rpc.Schema.Blob ~handler_time:(Sim.Units.us 20) Fun.id;
+      ]
+  in
+  let stack =
+    create
+      [ Lauberhorn.Stack.spec ~port:7000 slow; echo_spec ~port:7001 ~id:2 () ]
+  in
+  checki "no dispatcher threads" 0 (Lauberhorn.Stack.dispatcher_count stack);
+  checkb "no mirror" true (Option.is_none (Lauberhorn.Stack.mirror stack));
+  let driver = Lauberhorn.Stack.driver stack in
+  checkb "driver keeps the ablation's name" true
+    (String.equal driver.Harness.Driver.name "ccnic-static");
+  let recorder = Harness.Recorder.create engine in
+  let inject n ~svc =
+    Harness.Traffic.inject recorder driver ~rpc_id:(Int64.of_int n)
+      ~service_id:svc ~method_id:0 ~port:(6999 + svc)
+      (Rpc.Value.Blob (Bytes.of_string "x"))
+  in
+  for i = 1 to 40 do
+    ignore
+      (Sim.Engine.schedule_at engine ~at:(i * Sim.Units.us 5) (fun () ->
+           inject i ~svc:(1 + (i mod 2))))
+  done;
+  let kill_at = Sim.Units.ms 1 in
+  ignore
+    (Sim.Engine.schedule_at engine ~at:(kill_at - Sim.Units.us 5) (fun () ->
+         inject 99 ~svc:1));
+  ignore
+    (Sim.Engine.schedule_at engine ~at:kill_at (fun () ->
+         Lauberhorn.Stack.kill_service stack ~service_id:1;
+         inject 100 ~svc:1));
+  Sim.Engine.run engine ~until:(Sim.Units.ms 3);
+  let ctrs = Sim.Counter.to_list (Lauberhorn.Stack.counters stack) in
+  checki "all served before the kill" 40
+    (match List.assoc_opt "rpcs_handled" ctrs with Some n -> n | None -> 0);
+  checkb "no preempt kick" true
+    (Option.is_none (List.assoc_opt "preempt_kick" ctrs));
+  checkb "no park self-kick" true
+    (Option.is_none (List.assoc_opt "park_self_kick" ctrs));
+  (* No stale window: the kill sweeps the request the dead worker held,
+     and the arrival right after it is refused by the dispatch check;
+     both get err_dead within a transmit delay of the kill. *)
+  let nacked_at_once id =
+    match
+      List.find_opt (fun (rid, _, _) -> Int64.equal rid (Int64.of_int id))
+        !replies
+    with
+    | Some (_, Rpc.Wire_format.Error_reply code, at) ->
+        Int.equal code Rpc.Wire_format.err_dead
+        && at - kill_at < Sim.Units.us 2
+    | Some _ | None -> false
+  in
+  checkb "held request NACKed at the kill" true (nacked_at_once 99);
+  checkb "dead-window arrival NACKed at once" true (nacked_at_once 100);
+  let mv name =
+    Obs.Metrics.counter_value (Lauberhorn.Stack.metrics stack) name
+  in
+  checki "swept at the kill" 1 (mv "stale_dispatch_caught");
+  checki "refused at dispatch" 1 (mv "crash_nacks")
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1106,5 +1230,8 @@ let () =
             test_stack_tryagain_idle_traffic;
           Alcotest.test_case "kill/restart lifecycle" `Quick
             test_stack_kill_restart_lifecycle;
+          Alcotest.test_case "reply echoes method id" `Quick
+            test_stack_reply_echoes_method_id;
+          Alcotest.test_case "static binding" `Quick test_stack_static_binding;
         ] );
     ]
