@@ -14,57 +14,31 @@
 
 let bench_json_file = "BENCH_1.json"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.4f" f
-
 let write_bench_json rows =
+  let num f = if Float.is_finite f then Obs.Json.Float f else Obs.Json.Null in
+  let row (name, ns, r2) =
+    Obs.Json.Obj
+      [
+        ("name", Obs.Json.Str name);
+        ("ns_per_run", num ns);
+        ("r_square", num r2);
+      ]
+  in
+  let doc =
+    Obs.Json.Obj
+      [
+        ("schema", Obs.Json.Str "lauberhorn-microbench-v1");
+        ("unit", Obs.Json.Str "ns/run");
+        ("rows", Obs.Json.List (List.map row rows));
+      ]
+  in
   let oc = open_out bench_json_file in
-  output_string oc "{\n  \"schema\": \"lauberhorn-microbench-v1\",\n";
-  output_string oc "  \"unit\": \"ns/run\",\n  \"rows\": [\n";
-  List.iteri
-    (fun i (name, ns, r2) ->
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"ns_per_run\": %s, \"r_square\": %s}%s\n"
-        (json_escape name) (json_float ns) (json_float r2)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "  ]\n}\n";
+  output_string oc (Obs.Json.to_string doc);
+  output_char oc '\n';
   close_out oc;
   Format.printf "wrote %s (%d rows)@." bench_json_file (List.length rows)
 
-let sections =
-  [
-    ("fig2", Experiments.Fig2.run);
-    ("steps", Experiments.Steps.run);
-    ("dispatch", Experiments.Dispatch.run);
-    ("crossover", Experiments.Crossover.run);
-    ("tryagain", Experiments.Tryagain.run);
-    ("loadsweep", Experiments.Loadsweep.run);
-    ("dynamic", Experiments.Dynamic.run);
-    ("energy", Experiments.Energy.run);
-    ("scaling", Experiments.Scaling.run);
-    ("modelcheck", Experiments.Modelcheck.run);
-    ("encrypt", Experiments.Encrypt.run);
-    ("losssweep", Experiments.Losssweep.run);
-    ("trace", Experiments.Trace.run);
-    ("failover", Experiments.Failover.run);
-    ("parallel", Experiments.Parallel.run);
-    ("rack", Experiments.Rack.run);
-    ("micro", Micro.run);
-  ]
+let sections = Experiments.Sections.all @ [ ("micro", Micro.run) ]
 
 let () =
   let requested =

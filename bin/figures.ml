@@ -3,34 +3,11 @@
 
 open Cmdliner
 
-let sections =
-  [
-    ("fig2", Experiments.Fig2.run);
-    ("steps", Experiments.Steps.run);
-    ("dispatch", Experiments.Dispatch.run);
-    ("crossover", Experiments.Crossover.run);
-    ("tryagain", Experiments.Tryagain.run);
-    ("loadsweep", Experiments.Loadsweep.run);
-    ("dynamic", Experiments.Dynamic.run);
-    ("energy", Experiments.Energy.run);
-    ("scaling", Experiments.Scaling.run);
-    ("modelcheck", Experiments.Modelcheck.run);
-    ("encrypt", Experiments.Encrypt.run);
-    ("losssweep", Experiments.Losssweep.run);
-    ("trace", Experiments.Trace.run);
-    ("failover", Experiments.Failover.run);
-    ("parallel", Experiments.Parallel.run);
-    ("rack", Experiments.Rack.run);
-    ("obstrace", Experiments.Obstrace.run);
-    ("chaossoak", Experiments.Chaossoak.run);
-    ("steering", Experiments.Steering.run);
-  ]
-
 let section_arg =
-  let section_conv = Arg.enum sections in
+  let section_conv = Arg.enum Experiments.Sections.all in
   let doc =
     Printf.sprintf "Experiment to run: %s."
-      (String.concat ", " (List.map fst sections))
+      (String.concat ", " (List.map fst Experiments.Sections.all))
   in
   Arg.(non_empty & pos_all section_conv [] & info [] ~docv:"EXPERIMENT" ~doc)
 

@@ -94,7 +94,7 @@ let () =
   Format.printf "@.=== 4. The NIC hardware pipeline (Figure 3) ===@.";
   let cfg = Lauberhorn.Config.enzian in
   let breakdown =
-    Lauberhorn.Pipeline.rx cfg ~sched_lookup:0
+    Lauberhorn.Pipeline.rx cfg ~mirror_lookup:0
       ~fields:(Rpc.Value.field_count args)
       ~arg_bytes:(Rpc.Codec.encoded_size args)
   in

@@ -29,7 +29,6 @@ type t
 
 val create :
   ?domains:int ->
-  ?sched:Sim.Scheduler.kind ->
   ?host_link:Switch.port_conf ->
   ?uplink:Switch.port_conf ->
   ?host_links:Switch.port_conf array ->
@@ -45,9 +44,9 @@ val create :
     (default 1 µs latency, 100 ns tx) unless [host_links] gives a
     per-host array; [uplink] is the client-facing port (default 500 ns
     latency, 50 ns tx). [domains] defaults to
-    {!Sim.Shard_engine.env_domains}; [sched] picks every engine's
-    event-queue backend; [metrics] is handed to {!Switch.create} so
-    the switch counters land on a caller-owned registry.
+    {!Sim.Shard_engine.env_domains}; [metrics] is handed to
+    {!Switch.create} so the switch counters land on a caller-owned
+    registry.
 
     @raise Invalid_argument on [hosts < 1] or a mis-sized
     [host_links]. *)

@@ -11,7 +11,6 @@ type t = {
   encrypt : bool;
   shed : bool;
   sanitize : bool;
-  scheduler : Sim.Scheduler.kind;
 }
 
 let enzian =
@@ -28,7 +27,6 @@ let enzian =
     encrypt = false;
     shed = false;
     sanitize = false;
-    scheduler = Sim.Scheduler.Heap;
   }
 
 let modern =
@@ -41,7 +39,6 @@ let modern =
   }
 
 let with_encryption t encrypt = { t with encrypt }
-let with_scheduler t scheduler = { t with scheduler }
 let with_shed t shed = { t with shed }
 let with_sanitize t sanitize = { t with sanitize }
 

@@ -41,12 +41,6 @@ type t = {
           coherence generation discipline, event-loop monotonicity,
           scheduler-mirror convergence, pool accounting. Off by
           default — every hook is then [None] and costs one branch. *)
-  scheduler : Sim.Scheduler.kind;
-      (** Event-queue backend for engines the harness creates on this
-          config ({!Sim.Scheduler.Heap} by default). Both backends
-          produce byte-identical simulations; the wheel wins on
-          timer-dominated schedules. The [LAUBERHORN_SCHED]
-          environment variable overrides this at engine creation. *)
 }
 
 val enzian : t
@@ -61,7 +55,6 @@ val with_encryption : t -> bool -> t
 val with_dma_threshold : t -> int -> t
 val with_shed : t -> bool -> t
 val with_sanitize : t -> bool -> t
-val with_scheduler : t -> Sim.Scheduler.kind -> t
 
 val control_header_bytes : int
 (** Fixed header of a request CONTROL line (see {!Message}). *)

@@ -11,15 +11,15 @@ type breakdown = {
   parse : Sim.Units.duration;
   demux : Sim.Units.duration;
   deser : Sim.Units.duration;
-  sched_lookup : Sim.Units.duration;
+  mirror_lookup : Sim.Units.duration;
   total : Sim.Units.duration;
 }
 
 val rx :
-  Config.t -> sched_lookup:Sim.Units.duration -> fields:int ->
+  Config.t -> mirror_lookup:Sim.Units.duration -> fields:int ->
   arg_bytes:int -> breakdown
 (** Cost of turning a parsed frame's RPC body into a staged CONTROL
-    line image. [sched_lookup] comes from {!Sched_mirror.lookup_cost}.
+    line image. [mirror_lookup] comes from {!Sched_mirror.lookup_cost}.
     The per-byte unmarshal component streams at pipeline rate. *)
 
 val pp : Format.formatter -> breakdown -> unit

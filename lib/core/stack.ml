@@ -162,7 +162,7 @@ let pipeline_details t ~rpc (b : Pipeline.breakdown) ~decrypt =
     detail "parse" b.Pipeline.parse;
     detail "demux" b.Pipeline.demux;
     detail "hw_unmarshal" b.Pipeline.deser;
-    detail "sched_lookup" b.Pipeline.sched_lookup;
+    detail "sched_lookup" b.Pipeline.mirror_lookup;
     detail "decrypt" decrypt
   end
 let prof t = t.cfg.Config.profile
@@ -781,7 +781,7 @@ let nic_rx t frame =
               | Ok args ->
                   let breakdown =
                     Pipeline.rx t.cfg
-                      ~sched_lookup:
+                      ~mirror_lookup:
                         (match t.smirror with
                         | Some m -> Sched_mirror.lookup_cost m
                         | None -> 0)
@@ -934,9 +934,9 @@ let sweep_dead_service t sv =
       | None -> ()  (* cold activation of a now-dead worker *)
       | Some ((reply_src : Net.Frame.endpoint), (reply_dst : Net.Frame.endpoint))
         -> (
+          (* Telemetry's fault counters share [t.metrics], so this one
+             bump is also the fault-report count. *)
           Obs.Metrics.incr t.m_stale;
-          if t.fault_active then
-            Telemetry.incr_fault t.telemetry "stale_dispatch_caught";
           Nic_sched.on_complete t.sched ~service:sid;
           match nested_cont_of id with
           | Some cont

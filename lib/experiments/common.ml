@@ -61,22 +61,7 @@ let make_server ?(ncores = 8) ?(min_workers = 1) ?(max_workers = 2)
          flavour (the poll-mode stack where any lane serves any port)"
   | _ -> ());
   let engine =
-    match engine with
-    | Some e -> e
-    | None ->
-        (* Backend precedence: LAUBERHORN_SCHED, then the flavour's
-           config, then the heap. Either way the run is byte-identical;
-           only its wall-clock cost moves. *)
-        let sched =
-          match Sim.Scheduler.env_kind_opt () with
-          | Some k -> k
-          | None -> (
-              match flavour with
-              | Lauberhorn (cfg, _) | Static cfg ->
-                  cfg.Lauberhorn.Config.scheduler
-              | Linux _ | Bypass _ -> Sim.Scheduler.Heap)
-        in
-        Sim.Engine.create ~sched ()
+    match engine with Some e -> e | None -> Sim.Engine.create ()
   in
   let sanitize =
     match sanitize with

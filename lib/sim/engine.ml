@@ -1,19 +1,18 @@
 type t = {
   mutable clock : Units.time;
-  queue : (unit -> unit) Scheduler.t;
+  queue : (unit -> unit) Event_heap.t;
   mutable fired : int;
   mutable monitor : (Units.time -> unit) option;
 }
 
-type handle = (unit -> unit) Scheduler.handle
+type handle = (unit -> unit) Event_heap.handle
 
-let create ?sched () =
-  let kind = match sched with Some k -> k | None -> Scheduler.env_kind () in
-  { clock = 0; queue = Scheduler.create kind; fired = 0; monitor = None }
+let create () =
+  { clock = 0; queue = Event_heap.create (); fired = 0; monitor = None }
 
-let scheduler_kind t = Scheduler.kind t.queue
+let scheduler_kind _ = Scheduler.Heap
 let set_monitor t m = t.monitor <- m
-let validate t = Scheduler.validate t.queue
+let validate t = Event_heap.validate t.queue
 let now t = t.clock
 
 let[@hot_path] schedule_at t ~at f =
@@ -21,18 +20,18 @@ let[@hot_path] schedule_at t ~at f =
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %d is before now (%d)" at
          t.clock);
-  Scheduler.push t.queue ~time:at f
+  Event_heap.push t.queue ~time:at f
 
 let[@hot_path] schedule_after t ~after f =
   if after < 0 then invalid_arg "Engine.schedule_after: negative delay";
-  Scheduler.push t.queue ~time:(t.clock + after) f
+  Event_heap.push t.queue ~time:(t.clock + after) f
 
-let[@hot_path] cancel t h = Scheduler.cancel t.queue h
-let pending t = Scheduler.live_count t.queue
-let next_event_time t = Scheduler.peek_time t.queue
+let[@hot_path] cancel t h = Event_heap.cancel t.queue h
+let pending t = Event_heap.live_count t.queue
+let next_event_time t = Event_heap.peek_time t.queue
 
 let[@hot_path] step t =
-  match Scheduler.pop t.queue with
+  match Event_heap.pop t.queue with
   | None -> false
   | Some (time, f) ->
       (match t.monitor with None -> () | Some m -> m time);
@@ -46,7 +45,7 @@ let run ?until t =
     match until with
     | None -> true
     | Some limit -> (
-        match Scheduler.peek_time t.queue with
+        match Event_heap.peek_time t.queue with
         | None -> false
         | Some next -> next <= limit)
   in

@@ -12,16 +12,13 @@ type handle
 (** A scheduled event, usable for cancellation (e.g. timers that are
     disarmed when the awaited message arrives first). *)
 
-val create : ?sched:Scheduler.kind -> unit -> t
-(** A fresh engine with the clock at time 0 and an empty queue.
-
-    [sched] picks the event-queue backend; it defaults to
-    {!Scheduler.env_kind} (the [LAUBERHORN_SCHED] environment
-    variable, binary heap when unset). Both backends produce
-    byte-identical runs — the choice is purely a cost profile. *)
+val create : unit -> t
+(** A fresh engine with the clock at time 0 and an empty queue. The
+    queue is an {!Event_heap}. *)
 
 val scheduler_kind : t -> Scheduler.kind
-(** Which backend this engine's queue runs on. *)
+(** The engine's event queue, always [Heap]; kept for the benchmark
+    ledger, which prints it (see {!Scheduler}). *)
 
 val now : t -> Units.time
 (** Current simulated time. *)

@@ -1,6 +1,6 @@
-(* Re-exported so field access stays direct while the concrete record
-   lives in [Sched_entry], shared with the timing-wheel backend. *)
-type 'a entry = 'a Sched_entry.t = {
+(* [seq] is the insertion number that breaks timestamp ties FIFO; the
+   pair [(time, seq)] totally orders every entry the heap ever held. *)
+type 'a entry = {
   time : Units.time;
   seq : int;
   payload : 'a;

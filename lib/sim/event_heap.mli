@@ -14,10 +14,8 @@
 type 'a t
 (** Heap carrying payloads of type ['a]. *)
 
-type 'a handle = 'a Sched_entry.t
-(** Identifies a scheduled entry; used to cancel it. The concrete type
-    is shared with {!Timing_wheel} so {!Scheduler} can hand out one
-    handle type regardless of backend. *)
+type 'a handle
+(** Identifies a scheduled entry; used to cancel it. *)
 
 val create : unit -> 'a t
 

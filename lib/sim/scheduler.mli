@@ -1,47 +1,10 @@
-(** Pluggable event-queue backend for {!Engine}.
+(** The name of the engine's event queue.
 
-    Two backends with identical observable behaviour — pops come out in
-    [(time, insertion)] order from both — so swapping them changes the
-    cost profile, never the simulation output:
+    {!Engine} runs on one queue, the binary {!Event_heap}. This module
+    survives only so the benchmark ledger can print which queue a run
+    used ([Sim.Scheduler.kind_name (Sim.Engine.scheduler_kind e)]);
+    there is nothing to select. *)
 
-    - {b [Heap]} ({!Event_heap}): O(log n) push/pop, O(1) lazy cancel.
-      Robust default for mixed schedules.
-    - {b [Wheel]} ({!Timing_wheel}): O(1) push/cancel with a small
-      constant, amortised O(1) pop. Wins on timer-dominated schedules
-      (RPC timeout armed and cancelled per message) where the heap
-      pays log-depth sifts for entries that mostly never fire. *)
-
-type kind = Heap | Wheel
+type kind = Heap
 
 val kind_name : kind -> string
-
-val kind_of_string : string -> kind option
-
-val env_kind : unit -> kind
-(** Backend selected by the [LAUBERHORN_SCHED] environment variable
-    ([heap] | [wheel]); [Heap] when unset.
-
-    @raise Invalid_argument on an unrecognised value. *)
-
-val env_kind_opt : unit -> kind option
-(** As {!env_kind} but [None] when the variable is unset, so callers
-    with their own default (e.g. [Config.scheduler]) can tell "unset"
-    from an explicit [heap]. *)
-
-type 'a t
-
-type 'a handle = 'a Sched_entry.t
-(** One handle type across backends: the entry itself. *)
-
-val create : kind -> 'a t
-val kind : 'a t -> kind
-val is_empty : 'a t -> bool
-val live_count : 'a t -> int
-val push : 'a t -> time:Units.time -> 'a -> 'a handle
-val cancel : 'a t -> 'a handle -> unit
-val pop : 'a t -> (Units.time * 'a) option
-val peek_time : 'a t -> Units.time option
-
-val validate : 'a t -> (unit, string) result
-(** Backend structural self-check ({!Event_heap.validate} or
-    {!Timing_wheel.validate}). *)

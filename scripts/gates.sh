@@ -9,9 +9,7 @@
 #            generations, sched-mirror convergence) in fail-fast mode:
 #            zero trips, and the checkers observe without perturbing;
 #   shards   stepping through Shard_engine's conservative lookahead
-#            windows (LAUBERHORN_SHARDS=4) must not move the output;
-#   wheel    the timing-wheel scheduler must replay the heap's exact
-#            event order.
+#            windows (LAUBERHORN_SHARDS=4) must not move the output.
 #
 # Then every shipped steering program must pass the static verifier,
 # E16 (which asserts per-host identity across domain counts itself)
@@ -50,8 +48,6 @@ same() {
 san=LAUBERHORN_SANITIZE=1
 s1=LAUBERHORN_SHARDS=1
 s4=LAUBERHORN_SHARDS=4
-heap=LAUBERHORN_SCHED=heap
-wheel=LAUBERHORN_SCHED=wheel
 
 # gate      section    run A        run B        artefacts
 # -- twice
@@ -74,10 +70,6 @@ same        rack       "$s1 $san"   "$s4 $san"
 same        obstrace   "$s1"        "$s4"        E18_OUT_DIR
 same        chaossoak  "$s1 $san"   "$s4 $san"
 same        steering   "$s1 $san"   "$s4 $san"
-# -- wheel
-same        fig2       "$heap"      "$wheel"
-same        losssweep  "$heap"      "$wheel"
-same        failover   "$heap"      "$wheel"
 
 "$steer_verify"
 "$figures" parallel > "$a"

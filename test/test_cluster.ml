@@ -2,7 +2,7 @@
    and conservation contracts as QCheck properties, seeded control-plane
    lifecycle regressions, a full-stack kill-during-in-flight run on a
    two-host rack, and the rack-level determinism fuzz across domain
-   counts and scheduler backends. *)
+   counts. *)
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -342,14 +342,14 @@ let test_rack_kill_during_inflight () =
   checkb "victim alive at the end" true
     (Cluster.Control.alive r.Experiments.Rack.control ~host:victim)
 
-(* ---------- rack determinism across domains and schedulers ---------- *)
+(* ---------- rack determinism across domain counts ---------- *)
 
 (* A lightweight rack: echo devices (not full Lauberhorn hosts, to keep
-   60 cases x 6 configurations cheap) behind real Fabric wiring — the
+   60 cases x 4 domain counts cheap) behind real Fabric wiring — the
    switch, the lookahead matrix and the cross-shard posts are exactly
    the production paths. Digest = uplink delivery log + per-host rx
    counts + switch stats; must be byte-identical for every domain
-   count and for both scheduler backends. *)
+   count. *)
 type shot = { t : int; dst : int }
 
 let client_ep =
@@ -359,11 +359,11 @@ let client_ep =
     port = 7_777;
   }
 
-let run_light_rack ~domains ~sched ~hosts ~links plan =
+let run_light_rack ~domains ~hosts ~links plan =
   let host_links =
     Array.map (fun l -> { Cluster.Switch.latency = l; tx = 100 }) links
   in
-  let fabric = Cluster.Fabric.create ~domains ~sched ~host_links ~hosts () in
+  let fabric = Cluster.Fabric.create ~domains ~host_links ~hosts () in
   let master = Cluster.Fabric.master_engine fabric in
   let log = ref [] in
   let rx = Array.make hosts 0 in
@@ -426,7 +426,7 @@ let arb_rack_case =
 
 let qcheck_rack_determinism =
   QCheck.Test.make ~count:60
-    ~name:"rack runs byte-identical across domains and schedulers"
+    ~name:"rack runs byte-identical across domain counts"
     arb_rack_case
     (fun (hosts, link_list, raw) ->
       let links =
@@ -434,20 +434,11 @@ let qcheck_rack_determinism =
             List.nth link_list (h mod List.length link_list))
       in
       let plan = List.map (fun (t, dst) -> { t; dst }) raw in
-      let reference =
-        run_light_rack ~domains:1 ~sched:Sim.Scheduler.Heap ~hosts ~links plan
-      in
+      let reference = run_light_rack ~domains:1 ~hosts ~links plan in
       List.for_all
-        (fun (domains, sched) ->
-          String.equal reference
-            (run_light_rack ~domains ~sched ~hosts ~links plan))
-        [
-          (2, Sim.Scheduler.Heap);
-          (4, Sim.Scheduler.Heap);
-          (8, Sim.Scheduler.Heap);
-          (1, Sim.Scheduler.Wheel);
-          (4, Sim.Scheduler.Wheel);
-        ])
+        (fun domains ->
+          String.equal reference (run_light_rack ~domains ~hosts ~links plan))
+        [ 2; 4; 8 ])
 
 (* ---------- cross-shard span stitching (E18's invariant) ---------- *)
 
@@ -456,10 +447,10 @@ let qcheck_rack_determinism =
    uplink at seeded times. Returns whether every completed RPC's
    stitched stage chain tiles its measured latency exactly, plus a
    digest (completions, stitch verdicts, profiler report) that must be
-   byte-identical across domain counts and scheduler backends. *)
-let run_traced_rack ~domains ~sched ~hosts ~n_rpcs ~seed =
+   byte-identical across domain counts. *)
+let run_traced_rack ~domains ~hosts ~n_rpcs ~seed =
   let obs = Obs.Tracer.create () in
-  let rack = Experiments.Rack.make_rack ~domains ~sched ~obs ~hosts () in
+  let rack = Experiments.Rack.make_rack ~domains ~obs ~hosts () in
   let fabric = rack.Experiments.Rack.fabric in
   let prof = Obs.Profiler.create ~shards:(hosts + 1) in
   Obs.Profiler.install prof (Cluster.Fabric.shard fabric);
@@ -529,26 +520,20 @@ let arb_traced_case =
 let qcheck_stitching_exact_and_deterministic =
   QCheck.Test.make ~count:6
     ~name:
-      "traced racks stitch exactly and identically across domains/schedulers"
+      "traced racks stitch exactly and identically across domain counts"
     arb_traced_case
     (fun (hosts, n_rpcs, seed) ->
       let exact, reference =
-        run_traced_rack ~domains:1 ~sched:Sim.Scheduler.Heap ~hosts ~n_rpcs
-          ~seed
+        run_traced_rack ~domains:1 ~hosts ~n_rpcs ~seed
       in
       exact
       && List.for_all
-           (fun (domains, sched) ->
+           (fun domains ->
              let exact', digest =
-               run_traced_rack ~domains ~sched ~hosts ~n_rpcs ~seed
+               run_traced_rack ~domains ~hosts ~n_rpcs ~seed
              in
              exact' && String.equal reference digest)
-           [
-             (2, Sim.Scheduler.Heap);
-             (4, Sim.Scheduler.Heap);
-             (1, Sim.Scheduler.Wheel);
-             (4, Sim.Scheduler.Wheel);
-           ])
+           [ 2; 4 ])
 
 let qsuite name t = (name, [ QCheck_alcotest.to_alcotest t ])
 

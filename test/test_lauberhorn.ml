@@ -439,15 +439,15 @@ let nic_sched_shed_hysteresis_property =
 
 let test_pipeline_breakdown () =
   let b =
-    Lauberhorn.Pipeline.rx Lauberhorn.Config.enzian ~sched_lookup:0
+    Lauberhorn.Pipeline.rx Lauberhorn.Config.enzian ~mirror_lookup:0
       ~fields:4 ~arg_bytes:64
   in
   checki "total is sum"
     (b.Lauberhorn.Pipeline.parse + b.Lauberhorn.Pipeline.demux
-    + b.Lauberhorn.Pipeline.deser + b.Lauberhorn.Pipeline.sched_lookup)
+    + b.Lauberhorn.Pipeline.deser + b.Lauberhorn.Pipeline.mirror_lookup)
     b.Lauberhorn.Pipeline.total;
   let b2 =
-    Lauberhorn.Pipeline.rx Lauberhorn.Config.enzian ~sched_lookup:1_000
+    Lauberhorn.Pipeline.rx Lauberhorn.Config.enzian ~mirror_lookup:1_000
       ~fields:4 ~arg_bytes:64
   in
   checki "lookup adds" (b.Lauberhorn.Pipeline.total + 1_000)
@@ -1054,8 +1054,12 @@ let test_stack_reply_echoes_method_id () =
         Bytes.equal b (Bytes.of_string "v")
     | Some _ | None -> false)
 
-let test_stack_static_binding () =
-  (* The ccnic-static ablation: no OS channel, no kicks, no mirror. *)
+(* The ccnic-static ablation with a request in the worker's hands at a
+   kill: two services pinned to one core, 40 arrivals served, then one
+   arrival just before the kill (held by the slow worker) and one just
+   after it. Returns the stack, the kill instant and every reply as
+   (rpc_id, kind, sent_at). *)
+let run_static_kill ?fault () =
   let engine = Sim.Engine.create () in
   let replies = ref [] in
   let egress f =
@@ -1067,16 +1071,8 @@ let test_stack_static_binding () =
           :: !replies
     | Error _ -> ()
   in
-  let create services =
-    Lauberhorn.Stack.create engine ~binding:Lauberhorn.Stack.Static
-      ~cfg:Lauberhorn.Config.enzian ~ncores:1 ~services ~egress ()
-  in
-  checkb "max_workers = 2 rejected" true
-    (match create [ echo_spec ~max_workers:2 ~port:7000 ~id:1 () ] with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  (* Two services pinned to one core; service 1's handler is slow
-     enough that a request is in the worker's hands at the kill. *)
+  (* Service 1's handler is slow enough that a request is in the
+     worker's hands at the kill. *)
   let slow =
     Rpc.Interface.service ~id:1 ~name:"slow"
       [
@@ -1085,14 +1081,13 @@ let test_stack_static_binding () =
       ]
   in
   let stack =
-    create
-      [ Lauberhorn.Stack.spec ~port:7000 slow; echo_spec ~port:7001 ~id:2 () ]
+    Lauberhorn.Stack.create engine ~binding:Lauberhorn.Stack.Static ?fault
+      ~cfg:Lauberhorn.Config.enzian ~ncores:1
+      ~services:
+        [ Lauberhorn.Stack.spec ~port:7000 slow; echo_spec ~port:7001 ~id:2 () ]
+      ~egress ()
   in
-  checki "no dispatcher threads" 0 (Lauberhorn.Stack.dispatcher_count stack);
-  checkb "no mirror" true (Option.is_none (Lauberhorn.Stack.mirror stack));
   let driver = Lauberhorn.Stack.driver stack in
-  checkb "driver keeps the ablation's name" true
-    (String.equal driver.Harness.Driver.name "ccnic-static");
   let recorder = Harness.Recorder.create engine in
   let inject n ~svc =
     Harness.Traffic.inject recorder driver ~rpc_id:(Int64.of_int n)
@@ -1113,6 +1108,29 @@ let test_stack_static_binding () =
          Lauberhorn.Stack.kill_service stack ~service_id:1;
          inject 100 ~svc:1));
   Sim.Engine.run engine ~until:(Sim.Units.ms 3);
+  (stack, kill_at, !replies)
+
+let stack_metric stack name =
+  Obs.Metrics.counter_value (Lauberhorn.Stack.metrics stack) name
+
+let test_stack_static_binding () =
+  (* The ccnic-static ablation: no OS channel, no kicks, no mirror. *)
+  checkb "max_workers = 2 rejected" true
+    (match
+       Lauberhorn.Stack.create (Sim.Engine.create ())
+         ~binding:Lauberhorn.Stack.Static ~cfg:Lauberhorn.Config.enzian
+         ~ncores:1
+         ~services:[ echo_spec ~max_workers:2 ~port:7000 ~id:1 () ]
+         ~egress:ignore ()
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let stack, kill_at, replies = run_static_kill () in
+  checki "no dispatcher threads" 0 (Lauberhorn.Stack.dispatcher_count stack);
+  checkb "no mirror" true (Option.is_none (Lauberhorn.Stack.mirror stack));
+  checkb "driver keeps the ablation's name" true
+    (String.equal (Lauberhorn.Stack.driver stack).Harness.Driver.name
+       "ccnic-static");
   let ctrs = Sim.Counter.to_list (Lauberhorn.Stack.counters stack) in
   checki "all served before the kill" 40
     (match List.assoc_opt "rpcs_handled" ctrs with Some n -> n | None -> 0);
@@ -1126,7 +1144,7 @@ let test_stack_static_binding () =
   let nacked_at_once id =
     match
       List.find_opt (fun (rid, _, _) -> Int64.equal rid (Int64.of_int id))
-        !replies
+        replies
     with
     | Some (_, Rpc.Wire_format.Error_reply code, at) ->
         Int.equal code Rpc.Wire_format.err_dead
@@ -1135,11 +1153,17 @@ let test_stack_static_binding () =
   in
   checkb "held request NACKed at the kill" true (nacked_at_once 99);
   checkb "dead-window arrival NACKed at once" true (nacked_at_once 100);
-  let mv name =
-    Obs.Metrics.counter_value (Lauberhorn.Stack.metrics stack) name
-  in
-  checki "swept at the kill" 1 (mv "stale_dispatch_caught");
-  checki "refused at dispatch" 1 (mv "crash_nacks")
+  checki "swept at the kill" 1 (stack_metric stack "stale_dispatch_caught");
+  checki "refused at dispatch" 1 (stack_metric stack "crash_nacks")
+
+let test_stack_static_binding_fault_plan () =
+  (* Any non-identity plan switches on the stack's fault telemetry,
+     which shares the stack's metrics registry. The wire link is never
+     driven in this harness-free run, so the scenario is the fault-free
+     one, and the held request must still be counted once. *)
+  let fault = Fault.Plan.make ~wire:(Fault.Plan.link ~drop:0.5 ()) () in
+  let stack, _, _ = run_static_kill ~fault () in
+  checki "swept once" 1 (stack_metric stack "stale_dispatch_caught")
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -1233,5 +1257,7 @@ let () =
           Alcotest.test_case "reply echoes method id" `Quick
             test_stack_reply_echoes_method_id;
           Alcotest.test_case "static binding" `Quick test_stack_static_binding;
+          Alcotest.test_case "static binding under a fault plan" `Quick
+            test_stack_static_binding_fault_plan;
         ] );
     ]

@@ -264,12 +264,11 @@ let test_engine_step () =
   checkb "first step" true (Sim.Engine.step e);
   checkb "empty step" false (Sim.Engine.step e)
 
-(* [run ~until] boundary semantics, pinned for both scheduler backends:
-   an event exactly at the horizon fires; one strictly later stays
-   queued; and a cancelled entry neither fires nor counts as pending
-   after the run drains past it. *)
-let engine_until_boundary sched () =
-  let e = Sim.Engine.create ~sched () in
+(* [run ~until] boundary semantics: an event exactly at the horizon
+   fires; one strictly later stays queued; and a cancelled entry
+   neither fires nor counts as pending after the run drains past it. *)
+let test_engine_until_boundary () =
+  let e = Sim.Engine.create () in
   let fired = ref [] in
   ignore (Sim.Engine.schedule_at e ~at:100 (fun () -> fired := 100 :: !fired));
   ignore (Sim.Engine.schedule_at e ~at:101 (fun () -> fired := 101 :: !fired));
@@ -284,8 +283,8 @@ let engine_until_boundary sched () =
     [ 100; 101 ] (List.rev !fired);
   checki "queue drained" 0 (Sim.Engine.pending e)
 
-let engine_until_cancel_consistent sched () =
-  let e = Sim.Engine.create ~sched () in
+let test_engine_until_cancel_consistent () =
+  let e = Sim.Engine.create () in
   let fired = ref 0 in
   let h = Sim.Engine.schedule_at e ~at:50 (fun () -> incr fired) in
   ignore (Sim.Engine.schedule_at e ~at:60 (fun () -> incr fired));
@@ -294,93 +293,6 @@ let engine_until_cancel_consistent sched () =
   Sim.Engine.run e ~until:70;
   checki "only live event fired" 1 !fired;
   checki "pending empty after run" 0 (Sim.Engine.pending e)
-
-(* ---------- Timing wheel ---------- *)
-
-(* Drive the heap and wheel through the same schedule/cancel/pop script
-   and demand identical observable behaviour — the byte-identity
-   contract [LAUBERHORN_SCHED=wheel] relies on. *)
-let wheel_matches_heap =
-  QCheck.Test.make ~name:"timing wheel agrees with event heap" ~count:300
-    QCheck.(list_of_size (Gen.int_range 0 400) (pair (int_bound 3) small_nat))
-    (fun ops ->
-      let h = Sim.Event_heap.create () in
-      let w = Sim.Timing_wheel.create () in
-      let hh = ref [||] and wh = ref [||] in
-      let clock = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun (op, v) ->
-          match op with
-          | 0 | 1 ->
-              (* Mix short delays (level-0 churn) with long ones that
-                 exercise higher levels and the overflow vector. *)
-              let d =
-                if op = 0 then 1 + (v mod 300)
-                else 1 + ((v + 1) * 65_537)
-              in
-              let t = !clock + d in
-              hh := Array.append !hh [| Sim.Event_heap.push h ~time:t v |];
-              wh := Array.append !wh [| Sim.Timing_wheel.push w ~time:t v |]
-          | 2 -> (
-              match (Sim.Event_heap.pop h, Sim.Timing_wheel.pop w) with
-              | None, None -> ()
-              | Some (t, x), Some (t', x') when t = t' && x = x' -> clock := t
-              | _ -> ok := false)
-          | _ ->
-              if Array.length !hh > 0 then begin
-                let i = v mod Array.length !hh in
-                Sim.Event_heap.cancel h !hh.(i);
-                Sim.Timing_wheel.cancel w !wh.(i)
-              end)
-        ops;
-      !ok
-      && Sim.Event_heap.live_count h = Sim.Timing_wheel.live_count w
-      && Result.is_ok (Sim.Timing_wheel.validate w)
-      && (let rec drain () =
-            match (Sim.Event_heap.pop h, Sim.Timing_wheel.pop w) with
-            | None, None -> true
-            | Some (t, x), Some (t', x') when t = t' && x = x' -> drain ()
-            | _ -> false
-          in
-          drain ()))
-
-let test_wheel_fifo_ties () =
-  let w = Sim.Timing_wheel.create () in
-  ignore (Sim.Timing_wheel.push w ~time:10 "first");
-  ignore (Sim.Timing_wheel.push w ~time:10 "second");
-  ignore (Sim.Timing_wheel.push w ~time:10 "third");
-  let popped = ref [] in
-  let rec drain () =
-    match Sim.Timing_wheel.pop w with
-    | None -> ()
-    | Some (_, x) ->
-        popped := x :: !popped;
-        drain ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.string) "fifo ties"
-    [ "first"; "second"; "third" ]
-    (List.rev !popped)
-
-let test_wheel_overflow_migration () =
-  (* An entry beyond the 2^48 ns wheel span parks in the overflow
-     vector and must still pop in global order once reachable. *)
-  let w = Sim.Timing_wheel.create () in
-  let far = (1 lsl 48) + 17 in
-  ignore (Sim.Timing_wheel.push w ~time:far "far");
-  ignore (Sim.Timing_wheel.push w ~time:5 "near");
-  checkb "wheel invariants hold" true
-    (Result.is_ok (Sim.Timing_wheel.validate w));
-  checkb "near first"
-    true
-    (match Sim.Timing_wheel.pop w with Some (5, "near") -> true | _ -> false);
-  checkb "far second"
-    true
-    (match Sim.Timing_wheel.pop w with
-    | Some (t, "far") -> t = far
-    | _ -> false);
-  checkb "empty" true (Sim.Timing_wheel.is_empty w)
 
 (* ---------- RNG ---------- *)
 
@@ -615,21 +527,10 @@ let () =
             test_engine_past_raises;
           Alcotest.test_case "single step" `Quick test_engine_step;
           Alcotest.test_case "until boundary (heap)" `Quick
-            (engine_until_boundary Sim.Scheduler.Heap);
-          Alcotest.test_case "until boundary (wheel)" `Quick
-            (engine_until_boundary Sim.Scheduler.Wheel);
+            test_engine_until_boundary;
           Alcotest.test_case "cancel-then-run pending (heap)" `Quick
-            (engine_until_cancel_consistent Sim.Scheduler.Heap);
-          Alcotest.test_case "cancel-then-run pending (wheel)" `Quick
-            (engine_until_cancel_consistent Sim.Scheduler.Wheel);
+            test_engine_until_cancel_consistent;
         ] );
-      ( "timing_wheel",
-        [
-          Alcotest.test_case "fifo ties" `Quick test_wheel_fifo_ties;
-          Alcotest.test_case "overflow migration" `Quick
-            test_wheel_overflow_migration;
-        ]
-        @ qsuite [ wheel_matches_heap ] );
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
