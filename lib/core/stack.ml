@@ -77,12 +77,8 @@ type t = {
   tracer : Obs.Tracer.t;
   trk : int;  (* span track for the rpc stage chain *)
   trk_detail : int;  (* span track for NIC pipeline sub-intervals *)
-  fault_active : bool;
-      (* fault plan present: feed fault/recovery events into telemetry
-         (fault-free runs record nothing, keeping reports unchanged) *)
   remotes : (int, remote) Hashtbl.t;  (* service_id -> where it lives *)
   mutable address : Net.Frame.endpoint option;  (* our own identity *)
-  mutable trace : Sim.Trace.t option;
   nested_conts : Rpc.Value.t Rpc.Continuation.t;
       (* reply continuations for nested calls (paper section 6) *)
   mutable next_dispatch_id : int64;
@@ -135,11 +131,6 @@ let sanitize_dispatch t sv =
         ~alive:(nic_alive t sv)
 
 let ctr t name = Sim.Counter.counter t.counters name
-
-let emit t ~cat f =
-  match t.trace with
-  | Some trace -> Sim.Trace.emit trace ~time:(Sim.Engine.now t.engine) ~cat f
-  | None -> ()
 
 (* Close the stage running since this RPC's cursor at the current sim
    time. One branch when the tracer is disabled. *)
@@ -253,9 +244,6 @@ and park_worker t sv w =
 
 and worker_tryagain t sv w =
   Sim.Counter.incr (ctr t "worker_tryagain");
-  emit t ~cat:"tryagain" (fun () ->
-      Printf.sprintf "worker %s got TRYAGAIN (empty=%d)"
-        w.wthread.Osmodel.Proc.tname (w.empty_cycles + 1));
   w.empty_cycles <- w.empty_cycles + 1;
   if
     w.empty_cycles >= t.cfg.Config.tryagains_before_yield
@@ -428,8 +416,6 @@ let activate_worker t sv w =
        KERNEL_DISPATCH, the target process was dead. *)
     Sim.Counter.incr (ctr t "dispatch_to_dead")
   else if not w.active then begin
-    emit t ~cat:"activate" (fun () ->
-        Printf.sprintf "worker %s activated" w.wthread.Osmodel.Proc.tname);
     w.active <- true;
     sv.active_count <- sv.active_count + 1;
     Sim.Counter.incr (ctr t "worker_activate");
@@ -607,16 +593,13 @@ let dispatch_request t (entry : Demux.entry) frame
     service_rt t entry.Demux.service.Rpc.Interface.service_id
   in
   let rpc_id = wire.Rpc.Wire_format.rpc_id in
-  if Hashtbl.mem t.inflight rpc_id then begin
-    Sim.Counter.incr (ctr t "duplicate_rpc_id");
-    if t.fault_active then Telemetry.incr_fault t.telemetry "duplicate_rpc_id"
-  end
+  if Hashtbl.mem t.inflight rpc_id then
+    Sim.Counter.incr (ctr t "duplicate_rpc_id")
   else if not (nic_alive t sv) then begin
     (* The NIC believes the target process is dead (the death push has
        landed, or the Static kill swept it): refuse on the wire rather
        than dispatch to a corpse. *)
     Obs.Metrics.incr t.m_crash_nacks;
-    if t.fault_active then Telemetry.incr_fault t.telemetry "crash_nack";
     nack t ~rpc_id
       ~service_id:entry.Demux.service.Rpc.Interface.service_id
       ~src:(Net.Frame.dst_endpoint frame) ~dst:(Net.Frame.src_endpoint frame)
@@ -665,7 +648,6 @@ let dispatch_request t (entry : Demux.entry) frame
     | Some Nic_sched.Shed ->
         Obs.Metrics.incr t.m_sheds;
         Obs.Metrics.incr t.m_drop_shed;
-        if t.fault_active then Telemetry.incr_fault t.telemetry "shed";
         nack t ~rpc_id
           ~service_id:entry.Demux.service.Rpc.Interface.service_id
           ~src:(Net.Frame.dst_endpoint frame)
@@ -696,13 +678,6 @@ let dispatch_request t (entry : Demux.entry) frame
          });
     sanitize_dispatch t sv;
     if Endpoint.deliver w.wep msg then begin
-      emit t ~cat:"dispatch" (fun () ->
-          Format.asprintf "rpc %Ld -> svc %d worker %d (%s)" rpc_id
-            entry.Demux.service.Rpc.Interface.service_id w.widx
-            (match path with
-            | `Fast -> "fast"
-            | `Queued -> "queued"
-            | `Inactive -> "cold"));
       (match path with
       | `Fast -> Sim.Counter.incr (ctr t "fast_path")
       | `Queued -> Sim.Counter.incr (ctr t "queued_path")
@@ -730,19 +705,14 @@ let dispatch_request t (entry : Demux.entry) frame
     else begin
       Hashtbl.remove t.inflight rpc_id;
       Sim.Counter.incr (ctr t "nic_queue_drop");
-      Obs.Metrics.incr t.m_drop_full;
-      if t.fault_active then Telemetry.incr_fault t.telemetry "nic_queue_drop"
+      Obs.Metrics.incr t.m_drop_full
     end
   end
 
 let nic_rx t frame =
   Sim.Counter.incr (ctr t "rx_frames");
-  emit t ~cat:"rx" (fun () ->
-      Format.asprintf "frame %a" Net.Udp.pp frame.Net.Frame.udp);
   match Rpc.Wire_format.decode frame.Net.Frame.payload with
-  | Error _ ->
-      Sim.Counter.incr (ctr t "rx_bad_rpc");
-      if t.fault_active then Telemetry.incr_fault t.telemetry "rx_bad_rpc"
+  | Error _ -> Sim.Counter.incr (ctr t "rx_bad_rpc")
   | Ok wire
     when not (Rpc.Wire_format.is_request wire) -> (
       (* A response from a remote machine to one of our nested calls. *)
@@ -874,10 +844,6 @@ let on_endpoint_response t (resp : Message.response) =
         Net.Frame.make ~src:app.reply_src ~dst:app.reply_dst
           (Rpc.Wire_format.encode reply)
       in
-      emit t ~cat:"tx" (fun () ->
-          Format.asprintf "response %Ld (%dB body)"
-            resp.Message.resp_rpc_id
-            (Bytes.length app.full_body));
       let encrypt =
         if t.cfg.Config.encrypt then
           Crypto.cost Crypto.aes_gcm_nic
@@ -934,8 +900,6 @@ let sweep_dead_service t sv =
       | None -> ()  (* cold activation of a now-dead worker *)
       | Some ((reply_src : Net.Frame.endpoint), (reply_dst : Net.Frame.endpoint))
         -> (
-          (* Telemetry's fault counters share [t.metrics], so this one
-             bump is also the fault-report count. *)
           Obs.Metrics.incr t.m_stale;
           Nic_sched.on_complete t.sched ~service:sid;
           match nested_cont_of id with
@@ -962,10 +926,7 @@ let drain_limbo t sv =
     let msg = Queue.pop sv.limbo in
     let w, _path = choose_worker sv in
     sanitize_dispatch t sv;
-    if Endpoint.deliver w.wep msg then begin
-      Obs.Metrics.incr t.m_requeues;
-      if t.fault_active then Telemetry.incr_fault t.telemetry "requeue"
-    end
+    if Endpoint.deliver w.wep msg then Obs.Metrics.incr t.m_requeues
     else begin
       Obs.Metrics.incr t.m_crash_nacks;
       match Hashtbl.find_opt t.inflight msg.Message.rpc_id with
@@ -981,11 +942,7 @@ let drain_limbo t sv =
 let kill_service t ~service_id =
   let sv = service_rt t service_id in
   if sv.sproc.Osmodel.Proc.alive then begin
-    emit t ~cat:"crash" (fun () ->
-        Printf.sprintf "service %d (%s) crashed" service_id
-          sv.sproc.Osmodel.Proc.pname);
     Obs.Metrics.incr t.m_kills;
-    if t.fault_active then Telemetry.incr_fault t.telemetry "kill";
     Osmodel.Kernel.kill t.kern sv.sproc;
     (* The NIC's mirror learns after the push lag and the teardown
        sweep runs when that push lands. With no mirror (Static) there
@@ -996,9 +953,6 @@ let kill_service t ~service_id =
 let restart_service t ~service_id =
   let sv = service_rt t service_id in
   if not sv.sproc.Osmodel.Proc.alive then begin
-    emit t ~cat:"crash" (fun () ->
-        Printf.sprintf "service %d (%s) restarted" service_id
-          sv.sproc.Osmodel.Proc.pname);
     Obs.Metrics.incr t.m_respawns;
     Osmodel.Kernel.respawn t.kern sv.sproc;
     (* Fresh threads over the surviving endpoints (which the sweep left
@@ -1122,15 +1076,13 @@ let create engine ~cfg ~ncores ?kernel_costs ?(binding = Os_integrated)
       services = Hashtbl.create 32;
       dispatchers = [||];
       parked_eps = Hashtbl.create 64;
-      telemetry = Telemetry.create ~metrics ();
+      telemetry = Telemetry.create ();
       metrics;
       tracer;
       trk = Obs.Tracer.track tracer (name_of_binding binding);
       trk_detail = Obs.Tracer.track tracer "nic-pipeline";
-      fault_active = not (Fault.Plan.is_none fault);
       remotes = Hashtbl.create 16;
       address = None;
-      trace = None;
       nested_conts = Rpc.Continuation.create ();
       next_dispatch_id = Int64.shift_left 1L 62;
       mac = None;
@@ -1391,7 +1343,6 @@ let active_workers t ~service_id = (service_rt t service_id).active_count
 let telemetry t = t.telemetry
 let metrics t = t.metrics
 let tracer t = t.tracer
-let attach_trace t trace = t.trace <- Some trace
 let set_address t address = t.address <- Some address
 
 let add_remote_service t ~service_id ~server ~response_schema =

@@ -9,28 +9,9 @@ type svc = {
   mutable bytes_out : int;
 }
 
-type t = {
-  table : (int, svc) Hashtbl.t;
-  mutable total : int;
-  metrics : Obs.Metrics.t;
-      (* fault-injection and recovery events live here as counters;
-         all-zero (and absent from reports) on fault-free runs *)
-}
+type t = { table : (int, svc) Hashtbl.t; mutable total : int }
 
-let create ?metrics () =
-  let metrics =
-    match metrics with Some m -> m | None -> Obs.Metrics.create ()
-  in
-  { table = Hashtbl.create 32; total = 0; metrics }
-
-let metrics t = t.metrics
-
-let add_fault t name n =
-  if n <> 0 then Obs.Metrics.add (Obs.Metrics.counter t.metrics name) n
-
-let incr_fault t name = add_fault t name 1
-let fault_count t name = Obs.Metrics.counter_value t.metrics name
-let fault_counts t = Obs.Metrics.counters_list t.metrics
+let create () = { table = Hashtbl.create 32; total = 0 }
 
 let svc t service_id =
   match Hashtbl.find_opt t.table service_id with
@@ -80,20 +61,3 @@ let bytes t ~service_id =
   (s.bytes_in, s.bytes_out)
 
 let total_rpcs t = t.total
-
-let pp_report ppf t =
-  Format.fprintf ppf "NIC telemetry: %d RPCs across %d services" t.total
-    (Hashtbl.length t.table);
-  List.iter
-    (fun service_id ->
-      let s = get t service_id in
-      Format.fprintf ppf
-        "@\n  service %d: %a@\n    paths: fast=%d queued=%d cold=%d  bytes: in=%d out=%d"
-        service_id Sim.Histogram.pp_summary s.hist s.fast s.queued s.cold
-        s.bytes_in s.bytes_out)
-    (services t);
-  match fault_counts t with
-  | [] -> ()
-  | faults ->
-      Format.fprintf ppf "@\n  faults:";
-      List.iter (fun (k, v) -> Format.fprintf ppf " %s=%d" k v) faults

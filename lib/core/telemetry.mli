@@ -5,7 +5,9 @@
     Because the NIC sees both the arrival and the response of every
     RPC, it can measure true end-system latency per service with zero
     CPU cost — no application instrumentation, no sampling daemon. The
-    stack feeds this module at dispatch and at response collection. *)
+    stack feeds this module at dispatch and at response collection.
+    Fault and recovery events are not counted here: the stack counts
+    each once on its {!Obs.Metrics} registry. *)
 
 type path = Fast | Queued | Cold
 (** How a request was dispatched: straight into a parked load, queued
@@ -13,12 +15,7 @@ type path = Fast | Queued | Cold
 
 type t
 
-val create : ?metrics:Obs.Metrics.t -> unit -> t
-(** [metrics] is the registry fault counters are registered on — pass
-    the stack's shared registry so fault events surface alongside the
-    NIC's drop gauges; defaults to a private one. *)
-
-val metrics : t -> Obs.Metrics.t
+val create : unit -> t
 
 val record :
   t -> service_id:int -> path:path -> latency:Sim.Units.duration ->
@@ -38,21 +35,3 @@ val bytes : t -> service_id:int -> int * int
 (** [(in, out)] payload bytes. *)
 
 val total_rpcs : t -> int
-
-(** {1 Fault and recovery accounting}
-
-    Named counters the stacks feed when a fault plan is active:
-    rejected frames, queue drops, deferred fills, TRYAGAIN recoveries,
-    client retries. They register on the {!Obs.Metrics} registry the
-    telemetry was created with. Fault-free runs record nothing here,
-    so reports are unchanged. *)
-
-val incr_fault : t -> string -> unit
-val add_fault : t -> string -> int -> unit
-val fault_count : t -> string -> int
-val fault_counts : t -> (string * int) list
-(** Sorted by name. *)
-
-val pp_report : Format.formatter -> t -> unit
-(** Multi-line per-service report (plus the fault section when any
-    fault counter is nonzero). *)

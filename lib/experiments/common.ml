@@ -97,8 +97,8 @@ let make_server ?(ncores = 8) ?(min_workers = 1) ?(max_workers = 2)
     in
     ( Lauberhorn.Stack.driver s,
       (fun () -> ()),
-      (* [None] for the ablation: trace rings and the handled-RPC crash
-         trigger attach to Lauberhorn runs only. *)
+      (* [None] for the ablation: the handled-RPC crash trigger
+         attaches to Lauberhorn runs only. *)
       (match binding with
       | Lauberhorn.Stack.Os_integrated -> Some s
       | Lauberhorn.Stack.Static -> None),

@@ -41,12 +41,6 @@ let traced_ping_pong flavour =
   in
   let server = Common.make_server ~ncores:4 ~engine ~tap flavour setup in
   Obs.Tracer.enable server.Common.tracer;
-  let sim_trace = Sim.Trace.create () in
-  (match server.Common.lauberhorn with
-  | Some s ->
-      Sim.Trace.enable sim_trace;
-      Lauberhorn.Stack.attach_trace s sim_trace
-  | None -> ());
   let completions = ref [] in
   let remaining = ref rtts in
   let next = ref 0 in
@@ -64,7 +58,7 @@ let traced_ping_pong flavour =
              (fun () -> fire ())));
   fire ();
   Common.run_to engine ~until:(Sim.Units.s 2);
-  (server, pcap, sim_trace, List.rev !completions)
+  (server, pcap, List.rev !completions)
 
 (* Per-stage totals in first-seen chain order. *)
 let aggregate_stages tracer completions =
@@ -96,21 +90,21 @@ let exact_sum_check tracer completions =
       if sum = latency then bad else bad + 1)
     0 completions
 
-let export_and_verify ~name server pcap sim_trace =
+let export_and_verify ~name server pcap =
   let dir = out_dir () in
   let base = "e14_" ^ sanitize name in
   let tracer = server.Common.tracer in
-  let sim =
-    if Sim.Trace.emitted sim_trace > 0 then [ ("sim-trace", sim_trace) ]
-    else []
+  let json =
+    Obs.Export.trace_events ~process:("lauberhorn-sim/" ^ name) tracer
   in
-  let json = Obs.Export.trace_events ~process:("lauberhorn-sim/" ^ name) ~sim
-      tracer in
   let json_file = Filename.concat dir (base ^ ".trace.json") in
-  Obs.Export.write_file ~process:("lauberhorn-sim/" ^ name) ~sim tracer
-    ~file:json_file;
+  let text = Obs.Json.to_string json in
+  let oc = open_out json_file in
+  output_string oc text;
+  output_char oc '\n';
+  close_out oc;
   let parse_verdict =
-    match Obs.Json.parse (Obs.Json.to_string json) with
+    match Obs.Json.parse text with
     | Ok v when Obs.Json.equal v json -> "strict parse + roundtrip ok"
     | Ok _ -> "PARSE MISMATCH"
     | Error e -> "PARSE ERROR: " ^ e
@@ -155,12 +149,12 @@ let run () =
   let results =
     List.map
       (fun (name, flavour) ->
-        let server, pcap, sim_trace, completions = traced_ping_pong flavour in
-        (name, server, pcap, sim_trace, completions))
+        let server, pcap, completions = traced_ping_pong flavour in
+        (name, server, pcap, completions))
       flavours
   in
   List.iter
-    (fun (name, server, _, _, completions) ->
+    (fun (name, server, _, completions) ->
       let tracer = server.Common.tracer in
       let n = List.length completions in
       let total_lat =
@@ -189,8 +183,7 @@ let run () =
   Format.printf "@.";
   Common.note "exports (to $E14_OUT_DIR, default the working directory):";
   List.iter
-    (fun (name, server, pcap, sim_trace, _) ->
-      export_and_verify ~name server pcap sim_trace)
+    (fun (name, server, pcap, _) -> export_and_verify ~name server pcap)
     results;
   Common.note
     "open the .trace.json files in Perfetto (ui.perfetto.dev) or";

@@ -114,8 +114,10 @@ let narrow r ~len =
 let remaining_slice r =
   Slice.make r.rbuf ~off:r.rpos ~len:(r.rlimit - r.rpos)
 
+(* [n > remaining], not [rpos + n > rlimit]: a wire-supplied [n] near
+   [max_int] must not overflow past the check. *)
 let check_read r n =
-  if r.rpos + n > r.rlimit then
+  if n > r.rlimit - r.rpos then
     fail "read of %d bytes at %d exceeds limit %d" n r.rpos r.rlimit
 
 let read_u8 r =

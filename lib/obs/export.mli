@@ -1,38 +1,25 @@
 (** Chrome trace-event / Perfetto JSON export.
 
-    Renders a {!Tracer}'s spans (and optionally {!Sim.Trace} rings) as
-    a trace-event JSON object loadable by [ui.perfetto.dev] or
-    [chrome://tracing]. Timestamps are emitted in microseconds with
-    nanosecond precision (three decimals); events appear in global
-    sequence order, so a fixed-seed run exports byte-identical JSON. *)
-
-val trace_events :
-  ?process:string ->
-  ?sim:(string * Sim.Trace.t) list ->
-  Tracer.t ->
-  Json.t
-(** The full document: thread/process-name metadata, one ["X"]
-    (complete) event per closed interval/detail span, one ["i"]
-    (instant) event per instant span. Open spans (RPCs still in
-    flight, superseded retransmit roots) are skipped. Each [sim] pair
-    [(track_label, trace)] contributes its retained {!Sim.Trace}
-    entries as instant events on an extra track, ordered by their own
-    sequence numbers. *)
+    Renders {!Tracer} spans as a trace-event JSON object loadable by
+    [ui.perfetto.dev] or [chrome://tracing]. Timestamps are emitted in
+    microseconds with nanosecond precision (three decimals); events
+    appear in global sequence order, so a fixed-seed run exports
+    byte-identical JSON. *)
 
 val multi_trace_events : (string * Tracer.t) list -> Json.t
-(** A multi-process document for a stitched rack trace: each
-    [(label, tracer)] plane renders as its own process (pid = list
-    position + 1, process name = label) with the tracer's tracks as
-    threads — one plane per host, plus the switch/uplink and control
-    planes. Spans keep their cross-plane trace/parent ids in [args],
-    so one RPC's causal tree reads across processes in the viewer. *)
+(** The full document: process/thread-name metadata, one ["X"]
+    (complete) event per closed interval/detail span, one ["i"]
+    (instant) event per instant span. Open spans (RPCs still in
+    flight, superseded retransmit roots) are skipped.
 
-val to_string :
-  ?process:string -> ?sim:(string * Sim.Trace.t) list -> Tracer.t -> string
+    Each [(label, tracer)] plane renders as its own process (pid =
+    list position + 1, process name = label) with the tracer's tracks
+    as threads — for a stitched rack trace, one plane per host plus
+    the switch/uplink and control planes. Spans keep their cross-plane
+    trace/parent ids in [args], so one RPC's causal tree reads across
+    processes in the viewer. *)
 
-val write_file :
-  ?process:string ->
-  ?sim:(string * Sim.Trace.t) list ->
-  Tracer.t ->
-  file:string ->
-  unit
+val trace_events : ?process:string -> Tracer.t -> Json.t
+(** [trace_events ~process tracer] is
+    [multi_trace_events [ (process, tracer) ]]: a single-process
+    document, pid 1. [process] defaults to ["lauberhorn-sim"]. *)

@@ -80,21 +80,14 @@ let scalar = function
   | Derived fn -> Some (fn ())
   | Hist _ -> None
 
-let collect ?(keep_zero = false) t keep =
+let to_list ?(keep_zero = false) t =
   Hashtbl.fold
     (fun name m acc ->
-      if not (keep m) then acc
-      else
-        match scalar m with
-        | Some v when v <> 0 || keep_zero -> (name, v) :: acc
-        | Some _ | None -> acc)
+      match scalar m with
+      | Some v when v <> 0 || keep_zero -> (name, v) :: acc
+      | Some _ | None -> acc)
     t.tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let to_list ?keep_zero t = collect ?keep_zero t (fun _ -> true)
-
-let counters_list ?keep_zero t =
-  collect ?keep_zero t (function Counter _ -> true | _ -> false)
 
 (* Deterministic aggregation: fold [src] into [dst] in sorted-name
    order, so merging per-shard registries in a fixed shard order

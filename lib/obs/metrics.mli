@@ -2,8 +2,8 @@
 
     One typed registry per server stack absorbs what used to be
     scattered, string-keyed counter plumbing: NIC drop/overflow
-    counts, coherence-fault counters, telemetry fault events and pool
-    accounting all register here and are exported through one
+    counts, coherence-fault counters, the stack's kill/NACK/requeue/shed
+    counters and pool accounting all register here and are exported through one
     interface (assoc lists for reports, JSON for tooling).
 
     Four metric kinds:
@@ -68,10 +68,6 @@ val to_list : ?keep_zero:bool -> t -> (string * int) list
     unless [keep_zero] — absent and zero are indistinguishable to
     report code, and dropping keeps fault-free reports free of fault
     counters. *)
-
-val counters_list : ?keep_zero:bool -> t -> (string * int) list
-(** Like {!to_list} but counters only (the fault-event section of a
-    report, without the derived NIC gauges). *)
 
 val to_json : t -> Json.t
 (** Every metric, sorted by name. Scalars export as numbers;

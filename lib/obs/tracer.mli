@@ -12,9 +12,8 @@
     recorder-measured end-system latency — the invariant experiment
     E14 checks.
 
-    Disabled (the default), every emission is a single load-and-branch
-    — the same discipline as {!Sim.Trace}'s unforced thunks, cheap
-    enough to leave compiled into every hot path. *)
+    Disabled (the default), every emission is a single load-and-branch,
+    cheap enough to leave compiled into every hot path. *)
 
 type t
 

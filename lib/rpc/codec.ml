@@ -80,6 +80,13 @@ let encode v =
   write_value w v;
   Net.Buf.contents w
 
+(* A length prefix. Varints up to 2^64 - 1 decode, so a hostile one can
+   land negative after [Int64.to_int]. *)
+let read_length r =
+  let n = Int64.to_int (read_varint r) in
+  if n < 0 then raise (Decode_error Truncated);
+  n
+
 let rec read_value (s : Schema.t) r : Value.t =
   match s with
   | Schema.Unit -> Value.Unit
@@ -87,17 +94,14 @@ let rec read_value (s : Schema.t) r : Value.t =
   | Schema.Int -> Value.Int (unzigzag (read_varint r))
   | Schema.Float -> Value.Float (Int64.float_of_bits (Net.Buf.read_u64 r))
   | Schema.Str ->
-      let n = Int64.to_int (read_varint r) in
-      Value.Str (Bytes.to_string (Net.Buf.read_bytes r ~len:n))
-  | Schema.Blob ->
-      let n = Int64.to_int (read_varint r) in
-      Value.Blob (Net.Buf.read_bytes r ~len:n)
+      Value.Str (Bytes.to_string (Net.Buf.read_bytes r ~len:(read_length r)))
+  | Schema.Blob -> Value.Blob (Net.Buf.read_bytes r ~len:(read_length r))
   | Schema.List elt ->
-      let n = Int64.to_int (read_varint r) in
+      let n = read_length r in
       (* Elements may be zero-width (unit), so the remaining byte count
          cannot bound [n]; cap it to keep hostile lengths from
          allocating unbounded lists before the inevitable failure. *)
-      if n < 0 || n > 16_777_216 then raise (Decode_error Truncated);
+      if n > 16_777_216 then raise (Decode_error Truncated);
       Value.List (List.init n (fun _ -> read_value elt r))
   | Schema.Tuple ss -> Value.Tuple (List.map (fun s -> read_value s r) ss)
 

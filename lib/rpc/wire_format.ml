@@ -59,7 +59,6 @@ type error =
   | Bad_magic of int
   | Bad_version of int
   | Bad_kind of int
-  | Bad_body_length of int
 
 let decode b =
   if Bytes.length b < header_size then Error Truncated
@@ -94,11 +93,8 @@ let decode b =
                 if has_ctx then Some (Net.Buf.read_bytes r ~len:ctx_size)
                 else None
               in
-              let body_len = Net.Buf.remaining r in
-              if body_len < 0 then Error (Bad_body_length body_len)
-              else
-                let body = Net.Buf.read_bytes r ~len:body_len in
-                Ok { rpc_id; service_id; method_id; kind; ctx; body }
+              let body = Net.Buf.read_bytes r ~len:(Net.Buf.remaining r) in
+              Ok { rpc_id; service_id; method_id; kind; ctx; body }
       end
     end
   end
@@ -133,4 +129,3 @@ let pp_error ppf = function
   | Bad_magic m -> Format.fprintf ppf "bad magic 0x%04x" m
   | Bad_version v -> Format.fprintf ppf "bad version %d" v
   | Bad_kind k -> Format.fprintf ppf "bad kind tag %d" k
-  | Bad_body_length l -> Format.fprintf ppf "bad body length %d" l

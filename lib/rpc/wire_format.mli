@@ -52,7 +52,6 @@ type error =
   | Bad_magic of int
   | Bad_version of int
   | Bad_kind of int
-  | Bad_body_length of int
 
 val decode : bytes -> (t, error) result
 

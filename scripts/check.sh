@@ -1,11 +1,12 @@
 #!/bin/sh
 # One-command gate: `dune build @check` (build, simlint, the full test
-# suite, and every output-identity gate in scripts/gates.sh), then the
+# suite, and every output-identity gate in scripts/gates.sh — which
+# already runs and diffs every experiment section), then the
 # machine-readable lint surface — `simlint --json` must emit a
-# well-formed, here empty, findings array — and the benchmark harness,
-# which rewrites BENCH_1.json from the micro rows.
+# well-formed, here empty, findings array — and the Bechamel micro
+# rows, which rewrite BENCH_1.json.
 set -eu
 cd "$(dirname "$0")/.."
 dune build @check
 test "$(dune exec bin/simlint_cli.exe -- --json lib 2>/dev/null)" = "[]"
-dune exec bench/main.exe
+dune exec bench/main.exe -- micro

@@ -317,6 +317,63 @@ let test_lossy_runs_complete () =
         (Lauberhorn.Config.enzian, Lauberhorn.Sched_mirror.Push);
     ]
 
+(* Nothing reachable from the wire may raise: a request whose Blob
+   length prefix is hostile (negative after [Int64.to_int], or max_int
+   so that the end offset overflows) is one counted [rx_bad_args] drop
+   on every server flavour. *)
+let test_hostile_length_prefix () =
+  let flavours =
+    [
+      Experiments.Common.Lauberhorn
+        (Lauberhorn.Config.enzian, Lauberhorn.Sched_mirror.Push);
+      Experiments.Common.Static Lauberhorn.Config.enzian;
+      Experiments.Common.Linux Coherence.Interconnect.pcie_enzian;
+      Experiments.Common.Bypass Coherence.Interconnect.pcie_enzian;
+    ]
+  in
+  let bodies =
+    [
+      "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01";
+      "\xff\xff\xff\xff\xff\xff\xff\xff\x3f";
+    ]
+  in
+  List.iter
+    (fun flavour ->
+      List.iter
+        (fun body ->
+          let setup = Workload.Scenario.echo_fleet ~n:1 () in
+          let server = Experiments.Common.make_server ~ncores:4 flavour setup in
+          let wire =
+            {
+              Rpc.Wire_format.rpc_id = 1L;
+              service_id = Workload.Scenario.service_id_of setup ~service_idx:0;
+              method_id = 0;
+              kind = Rpc.Wire_format.Request;
+              ctx = None;
+              body = Bytes.of_string body;
+            }
+          in
+          let frame =
+            Net.Frame.make
+              ~src:(Harness.Traffic.client_endpoint ())
+              ~dst:
+                (Harness.Traffic.server_endpoint
+                   ~port:(Workload.Scenario.port_of setup ~service_idx:0))
+              (Rpc.Wire_format.encode wire)
+          in
+          let driver = server.Experiments.Common.driver in
+          driver.Harness.Driver.ingress frame;
+          Sim.Engine.run server.Experiments.Common.engine
+            ~until:(Sim.Units.ms 1);
+          checki
+            (Experiments.Common.flavour_name flavour ^ ": one rx_bad_args")
+            1
+            (Sim.Counter.value
+               (Sim.Counter.counter driver.Harness.Driver.counters
+                  "rx_bad_args")))
+        bodies)
+    flavours
+
 let () =
   Alcotest.run "integration"
     [
@@ -338,5 +395,10 @@ let () =
             test_static_ablation;
           Alcotest.test_case "lossy runs complete (E13)" `Slow
             test_lossy_runs_complete;
+        ] );
+      ( "robustness",
+        [
+          Alcotest.test_case "hostile length prefix is a counted drop" `Quick
+            test_hostile_length_prefix;
         ] );
     ]

@@ -944,10 +944,14 @@ let test_stack_telemetry () =
     (abs (client_p50 - nic_p50) < Sim.Units.us 1)
 
 let test_stack_tracing () =
+  (* Paper section 6: the NIC sees arrival and response, so the stack's
+     tracer decomposes the end-system latency into its stage chain. *)
   let env = make_stack ~services:[ echo_spec ~port:7000 ~id:1 () ] () in
-  let trace = Sim.Trace.create () in
-  Sim.Trace.enable trace;
-  Lauberhorn.Stack.attach_trace env.stack trace;
+  let tracer = Lauberhorn.Stack.tracer env.stack in
+  Obs.Tracer.enable tracer;
+  let latency = ref None in
+  Harness.Recorder.on_complete env.recorder (fun ~rpc_id:_ ~latency:l ->
+      latency := Some l);
   ignore
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
@@ -955,21 +959,15 @@ let test_stack_tracing () =
            ~service_id:1 ~method_id:0 ~port:7000
            (Rpc.Value.Blob (Bytes.make 24 'z'))));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 2);
-  let cats = List.map (fun (_, c, _) -> c) (Sim.Trace.entries trace) in
-  let has c = List.mem c cats in
-  checkb "rx traced" true (has "rx");
-  checkb "dispatch traced" true (has "dispatch");
-  checkb "tx traced" true (has "tx");
-  (* Events are time-ordered: rx before tx. *)
-  let idx c =
-    let rec go i = function
-      | [] -> -1
-      | x :: rest -> if x = c then i else go (i + 1) rest
-    in
-    go 0 cats
-  in
-  checkb "rx before dispatch before tx" true
-    (idx "rx" < idx "dispatch" && idx "dispatch" < idx "tx")
+  let chain = Obs.Tracer.stages_of tracer ~rpc:9L in
+  check
+    (Alcotest.list Alcotest.string)
+    "rx to tx stage chain"
+    [ "mac"; "nic_pipeline"; "queue"; "handler"; "collect"; "tx" ]
+    (List.map (fun (s : Obs.Span.t) -> s.Obs.Span.name) chain);
+  check (Alcotest.option Alcotest.int) "stages sum to the measured latency"
+    !latency
+    (Some (List.fold_left (fun acc s -> acc + Obs.Span.duration s) 0 chain))
 
 let test_stack_tryagain_idle_traffic () =
   (* An idle stack parks its workers; with a 1 ms timeout and a 50 ms
@@ -1157,13 +1155,18 @@ let test_stack_static_binding () =
   checki "refused at dispatch" 1 (stack_metric stack "crash_nacks")
 
 let test_stack_static_binding_fault_plan () =
-  (* Any non-identity plan switches on the stack's fault telemetry,
-     which shares the stack's metrics registry. The wire link is never
-     driven in this harness-free run, so the scenario is the fault-free
-     one, and the held request must still be counted once. *)
+  (* The wire link is never driven in this harness-free run, so a plan
+     that only faults the wire leaves the scenario fault-free: the held
+     request is counted once, and every event lands on the same
+     counters, once, as without the plan. *)
   let fault = Fault.Plan.make ~wire:(Fault.Plan.link ~drop:0.5 ()) () in
   let stack, _, _ = run_static_kill ~fault () in
-  checki "swept once" 1 (stack_metric stack "stale_dispatch_caught")
+  checki "swept once" 1 (stack_metric stack "stale_dispatch_caught");
+  let plain, _, _ = run_static_kill () in
+  let all s = Obs.Metrics.to_list ~keep_zero:true (Lauberhorn.Stack.metrics s) in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "same metrics with and without the plan" (all plain) (all stack)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 

@@ -268,8 +268,6 @@ let test_metrics_registry () =
     (List.assoc "derived" (Obs.Metrics.to_list m) = 13);
   checkb "keep_zero keeps the zero counter" true
     (List.mem_assoc "zero" (Obs.Metrics.to_list ~keep_zero:true m));
-  checkb "counters_list is counters only" true
-    (Obs.Metrics.counters_list m = [ ("events", 5) ]);
   (match Obs.Metrics.to_json m with
   | Obs.Json.Obj fields ->
       checkb "json is sorted by name" true
@@ -464,32 +462,13 @@ let test_multi_export () =
         (pids = [ Obs.Json.Int 1; Obs.Json.Int 2; Obs.Json.Int 3 ])
   | _ -> Alcotest.fail "export has no traceEvents array"
 
-(* --- sim trace sequence numbers ------------------------------------ *)
-
-let test_sim_trace_seq () =
-  let tr = Sim.Trace.create ~capacity:8 () in
-  Sim.Trace.enable tr;
-  for i = 1 to 20 do
-    Sim.Trace.emit tr ~time:i ~cat:"t" (fun () -> string_of_int i)
-  done;
-  checki "emitted counts past wrap" 20 (Sim.Trace.emitted tr);
-  let entries = Sim.Trace.entries_seq tr in
-  checki "ring keeps the most recent" 8 (List.length entries);
-  let seqs = List.map (fun (s, _, _, _) -> s) entries in
-  checkb "seqs are the last emissions, in order" true
-    (seqs = [ 12; 13; 14; 15; 16; 17; 18; 19 ]);
-  Sim.Trace.clear tr;
-  checki "clear resets the emission count" 0 (Sim.Trace.emitted tr)
-
 (* --- the attribution invariant on real stacks ---------------------- *)
 
 (* E14's core claim as a test: on every flavour, with tracing enabled,
    each completed RPC's stage durations sum EXACTLY to the recorder's
    end-system latency, and both exporters roundtrip. *)
 let test_attribution flavour () =
-  let server, pcap, _sim_trace, completions =
-    Experiments.Trace.traced_ping_pong flavour
-  in
+  let server, pcap, completions = Experiments.Trace.traced_ping_pong flavour in
   let tracer = server.Experiments.Common.tracer in
   checki "all RPCs completed" Experiments.Trace.rtts
     (List.length completions);
@@ -561,9 +540,6 @@ let () =
             test_skip_to_stitching;
           Alcotest.test_case "multi-plane export" `Quick test_multi_export;
         ] );
-      ( "sim-trace",
-        [ Alcotest.test_case "seq survives ring wrap" `Quick test_sim_trace_seq ]
-      );
       ( "attribution",
         [
           Alcotest.test_case "lauberhorn stages sum exactly" `Quick

@@ -127,10 +127,28 @@ let test_codec_error_cases () =
   (* Truncated string length. *)
   let w = Net.Buf.writer 4 in
   Rpc.Codec.write_varint w 100L;
-  match Rpc.Codec.decode Rpc.Schema.Str (Net.Buf.contents w) with
+  (match Rpc.Codec.decode Rpc.Schema.Str (Net.Buf.contents w) with
   | Error Rpc.Codec.Truncated -> ()
   | Error e -> Alcotest.failf "wrong error: %a" Rpc.Codec.pp_error e
-  | Ok _ -> Alcotest.fail "accepted truncated string"
+  | Ok _ -> Alcotest.fail "accepted truncated string");
+  (* Hostile length prefixes: one that is negative after
+     [Int64.to_int], and one (max_int) whose end offset overflows. *)
+  List.iter
+    (fun (schema, hex) ->
+      let body =
+        Bytes.init (String.length hex / 2) (fun i ->
+            Char.chr (int_of_string ("0x" ^ String.sub hex (2 * i) 2)))
+      in
+      match Rpc.Codec.decode schema body with
+      | Error Rpc.Codec.Truncated -> ()
+      | Error e -> Alcotest.failf "%s: wrong error: %a" hex Rpc.Codec.pp_error e
+      | Ok _ -> Alcotest.failf "%s: accepted a hostile length" hex)
+    [
+      (Rpc.Schema.Str, "ffffffffffffffffff01");
+      (Rpc.Schema.Blob, "ffffffffffffffffff01");
+      (Rpc.Schema.Str, "ffffffffffffffff3f");
+      (Rpc.Schema.Blob, "ffffffffffffffff3f");
+    ]
 
 let codec_roundtrip_property =
   QCheck.Test.make ~name:"codec decode∘encode = id on conforming values"
