@@ -1,6 +1,6 @@
 type svc_stats = {
   mutable rate : float;  (* arrivals/s, EWMA *)
-  mutable last_arrival : Sim.Units.time option;
+  mutable last_arrival : Sim.Units.time;  (* [no_arrival] before the first *)
   mutable accepted : int;
   mutable completed : int;
   mutable shedding : bool;  (* admission-control state (hysteretic) *)
@@ -15,6 +15,8 @@ type t = {
   shed_lo : int;
   table : (int, svc_stats) Hashtbl.t;
 }
+
+let no_arrival = min_int
 
 let create ?(ewma_tau = Sim.Units.us 100) ?(hi_watermark = 4)
     ?(target_util = 0.7) ?(shed = false) ?(shed_hi = 16) ?(shed_lo = 4) () =
@@ -38,7 +40,7 @@ let stats t service =
   | Some s -> s
   | None ->
       let s =
-        { rate = 0.; last_arrival = None; accepted = 0; completed = 0;
+        { rate = 0.; last_arrival = no_arrival; accepted = 0; completed = 0;
           shedding = false }
       in
       Hashtbl.add t.table service s;
@@ -47,16 +49,15 @@ let stats t service =
 let on_arrival t ~service ~now =
   let s = stats t service in
   s.accepted <- s.accepted + 1;
-  (match s.last_arrival with
-  | None -> ()
-  | Some prev ->
-      let dt = Sim.Units.to_float_s (max 1 (now - prev)) in
-      let inst = 1. /. dt in
-      (* Time-constant EWMA: weight decays with the gap length, so idle
-         periods pull the estimate down. *)
-      let alpha = 1. -. exp (-.dt /. t.ewma_tau) in
-      s.rate <- s.rate +. (alpha *. (inst -. s.rate)));
-  s.last_arrival <- Some now
+  if not (Int.equal s.last_arrival no_arrival) then begin
+    let dt = Sim.Units.to_float_s (max 1 (now - s.last_arrival)) in
+    let inst = 1. /. dt in
+    (* Time-constant EWMA: weight decays with the gap length, so idle
+       periods pull the estimate down. *)
+    let alpha = 1. -. exp (-.dt /. t.ewma_tau) in
+    s.rate <- s.rate +. (alpha *. (inst -. s.rate))
+  end;
+  s.last_arrival <- now
 
 let on_complete t ~service =
   let s = stats t service in

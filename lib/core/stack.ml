@@ -300,14 +300,7 @@ and worker_handle t sv w (r : Message.request) =
 
 (* This machine's own network identity (for outbound nested calls). *)
 and self_address t =
-  match t.address with
-  | Some a -> a
-  | None ->
-      {
-        Net.Frame.mac = Net.Mac_addr.of_string "02:00:00:00:00:01";
-        ip = Net.Ip_addr.of_string "10.0.0.1";
-        port = 0;
-      }
+  match t.address with Some a -> a | None -> Harness.Traffic.server_address
 
 (* Assemble a nested-request frame and emit it: hairpin through our own
    MAC for local services, out the egress (the wire) for remote ones. *)
@@ -1322,15 +1315,15 @@ let ingress t frame =
   (* Tracing on: open the RPC's root span at the instant the request
      frame hits the NIC — the same sim time the harness stamps
      note_sent, so the root span IS the measured end-system latency.
-     The wire-format decode is only paid when tracing. *)
+     The header peek is only paid when tracing. *)
   if Obs.Tracer.is_enabled t.tracer then begin
-    match Rpc.Wire_format.decode frame.Net.Frame.payload with
-    | Ok w when Rpc.Wire_format.is_request w ->
-        Obs.Tracer.rpc_begin t.tracer ~rpc:w.Rpc.Wire_format.rpc_id
+    match Rpc.Wire_format.peek frame.Net.Frame.payload with
+    | Ok ({ Rpc.Wire_format.kind = Rpc.Wire_format.Request; _ } as h) ->
+        Obs.Tracer.rpc_begin t.tracer ~rpc:h.Rpc.Wire_format.rpc_id
           ~track:t.trk (Sim.Engine.now t.engine);
-        (match w.Rpc.Wire_format.ctx with
+        (match h.Rpc.Wire_format.ctx with
         | Some c ->
-            Obs.Tracer.set_context t.tracer ~rpc:w.Rpc.Wire_format.rpc_id c
+            Obs.Tracer.set_context t.tracer ~rpc:h.Rpc.Wire_format.rpc_id c
         | None -> ())
     | Ok _ | Error _ -> ()
   end;

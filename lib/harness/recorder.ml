@@ -36,13 +36,14 @@ let complete_by_id t ~rpc_id =
       | Some f -> f ~rpc_id ~latency
       | None -> ())
 
+(* Only the header is read: the body is never looked at. *)
 let egress t frame =
-  match Rpc.Wire_format.decode frame.Net.Frame.payload with
+  match Rpc.Wire_format.peek frame.Net.Frame.payload with
   | Error _ -> t.n_unmatched <- t.n_unmatched + 1
-  | Ok msg -> (
-      match msg.Rpc.Wire_format.kind with
+  | Ok h -> (
+      match h.Rpc.Wire_format.kind with
       | Rpc.Wire_format.Response | Rpc.Wire_format.Error_reply _ ->
-          complete_by_id t ~rpc_id:msg.Rpc.Wire_format.rpc_id
+          complete_by_id t ~rpc_id:h.Rpc.Wire_format.rpc_id
       | Rpc.Wire_format.Request -> t.n_unmatched <- t.n_unmatched + 1)
 
 let latencies t = t.hist

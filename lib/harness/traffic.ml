@@ -1,22 +1,27 @@
+(* Addresses are parsed once, at module initialisation. *)
+let client_base_ip = Net.Ip_addr.to_int (Net.Ip_addr.of_string "10.0.1.1")
+
 let client_endpoint ?(idx = 0) () =
   {
     Net.Frame.mac =
       Net.Mac_addr.of_int64 (Int64.of_int (0x02_00_00_00_00_10 + idx));
-    ip = Net.Ip_addr.of_int (Net.Ip_addr.to_int (Net.Ip_addr.of_string "10.0.1.1") + idx);
+    ip = Net.Ip_addr.of_int (client_base_ip + idx);
     port = 40_000 + (idx mod 20_000);
   }
 
-let server_endpoint ~port =
+let default_client = client_endpoint ()
+
+let server_address =
   {
     Net.Frame.mac = Net.Mac_addr.of_string "02:00:00:00:00:01";
     ip = Net.Ip_addr.of_string "10.0.0.1";
-    port;
+    port = 0;
   }
 
+let server_endpoint ~port = { server_address with Net.Frame.port }
+
 let request_frame ~rpc_id ~service_id ~method_id ~port ?client args =
-  let client =
-    match client with Some c -> c | None -> client_endpoint ()
-  in
+  let client = match client with Some c -> c | None -> default_client in
   let msg = Rpc.Wire_format.request ~rpc_id ~service_id ~method_id args in
   Net.Frame.make ~src:client ~dst:(server_endpoint ~port)
     (Rpc.Wire_format.encode msg)

@@ -3,8 +3,13 @@
 val client_endpoint : ?idx:int -> unit -> Net.Frame.endpoint
 (** A synthetic client NIC identity ([idx] varies MAC/IP/port). *)
 
+val server_address : Net.Frame.endpoint
+(** The default server identity (MAC 02:00:00:00:00:01, IP 10.0.0.1),
+    with port 0. Every server without an address of its own is this
+    one. *)
+
 val server_endpoint : port:int -> Net.Frame.endpoint
-(** The server's identity on the given UDP service port. *)
+(** {!server_address} on the given UDP service port. *)
 
 val request_frame :
   rpc_id:int64 -> service_id:int -> method_id:int -> port:int ->

@@ -92,7 +92,8 @@ let[@hot_path] parse_slice s =
              Udp.read_slice sub ~src_ip:ip.Ipv4.src ~dst_ip:ip.Ipv4.dst
            with
           | Error e -> Error (Udp_error e)
-          | Ok (udp, payload) -> Ok (({ eth; ip; udp; payload } [@alloc_ok]) : view))
+          | Ok (udp, payload) ->
+              (Ok ({ eth; ip; udp; payload } : view) [@alloc_ok]))
 
 let of_view (v : view) : t =
   { eth = v.eth; ip = v.ip; udp = v.udp; payload = Slice.to_bytes v.payload }

@@ -39,6 +39,30 @@ let varint_size v =
   in
   go v 1
 
+(* The same varints for a length, an [int] that is never negative,
+   without boxing: [write_length w n] writes the bytes of
+   [write_varint w (Int64.of_int n)]. *)
+let[@hot_path] rec write_length w n =
+  if n < 0x80 then Net.Buf.write_u8 w n
+  else begin
+    Net.Buf.write_u8 w (n land 0x7f lor 0x80);
+    write_length w (n lsr 7)
+  end
+
+let[@hot_path] rec length_size n =
+  if n < 0x80 then 1 else 1 + length_size (n lsr 7)
+
+(* [Int64.to_int (read_varint r)], raising what it raises. [to_int]
+   keeps the low 63 bits, so a tenth byte (shift 63) adds nothing. *)
+let[@hot_path] rec read_varint_from r acc shift count =
+  if count > 10 then raise (Decode_error Overlong_varint);
+  let b = Net.Buf.read_u8 r in
+  let acc = if shift < 63 then acc lor ((b land 0x7f) lsl shift) else acc in
+  if b land 0x80 = 0 then acc
+  else read_varint_from r acc (shift + 7) (count + 1)
+
+let[@hot_path] read_varint_int r = read_varint_from r 0 0 1
+
 let rec encoded_size (v : Value.t) =
   match v with
   | Value.Unit -> 0
@@ -47,14 +71,14 @@ let rec encoded_size (v : Value.t) =
   | Value.Float _ -> 8
   | Value.Str s ->
       let n = String.length s in
-      varint_size (Int64.of_int n) + n
+      length_size n + n
   | Value.Blob b ->
       let n = Bytes.length b in
-      varint_size (Int64.of_int n) + n
+      length_size n + n
   | Value.List vs ->
       List.fold_left
         (fun acc v -> acc + encoded_size v)
-        (varint_size (Int64.of_int (List.length vs)))
+        (length_size (List.length vs))
         vs
   | Value.Tuple vs -> List.fold_left (fun acc v -> acc + encoded_size v) 0 vs
 
@@ -65,25 +89,26 @@ let rec write_value w (v : Value.t) =
   | Value.Int i -> write_varint w (zigzag i)
   | Value.Float f -> Net.Buf.write_u64 w (Int64.bits_of_float f)
   | Value.Str s ->
-      write_varint w (Int64.of_int (String.length s));
+      write_length w (String.length s);
       Net.Buf.write_string w s
   | Value.Blob b ->
-      write_varint w (Int64.of_int (Bytes.length b));
+      write_length w (Bytes.length b);
       Net.Buf.write_bytes w b
   | Value.List vs ->
-      write_varint w (Int64.of_int (List.length vs));
+      write_length w (List.length vs);
       List.iter (write_value w) vs
   | Value.Tuple vs -> List.iter (write_value w) vs
 
+(* [encoded_size] is exact, so the writer's buffer is the encoding. *)
 let encode v =
   let w = Net.Buf.writer (encoded_size v) in
   write_value w v;
-  Net.Buf.contents w
+  Net.Buf.filled w
 
 (* A length prefix. Varints up to 2^64 - 1 decode, so a hostile one can
    land negative after [Int64.to_int]. *)
-let read_length r =
-  let n = Int64.to_int (read_varint r) in
+let[@hot_path] read_length r =
+  let n = read_varint_int r in
   if n < 0 then raise (Decode_error Truncated);
   n
 
@@ -94,7 +119,9 @@ let rec read_value (s : Schema.t) r : Value.t =
   | Schema.Int -> Value.Int (unzigzag (read_varint r))
   | Schema.Float -> Value.Float (Int64.float_of_bits (Net.Buf.read_u64 r))
   | Schema.Str ->
-      Value.Str (Bytes.to_string (Net.Buf.read_bytes r ~len:(read_length r)))
+      (* [read_bytes] returns a fresh copy that nothing else holds. *)
+      Value.Str
+        (Bytes.unsafe_to_string (Net.Buf.read_bytes r ~len:(read_length r)))
   | Schema.Blob -> Value.Blob (Net.Buf.read_bytes r ~len:(read_length r))
   | Schema.List elt ->
       let n = read_length r in

@@ -28,4 +28,18 @@ val pp_error : Format.formatter -> error -> unit
 val write_varint : Net.Buf.writer -> int64 -> unit
 val read_varint : Net.Buf.reader -> int64
 (** Exposed for tests. [read_varint] raises [Net.Buf.Out_of_bounds] on
-    truncation and [Failure] on a varint longer than 10 bytes. *)
+    truncation and [Decode_error Overlong_varint] on a varint longer
+    than 10 bytes. *)
+
+exception Decode_error of error
+
+val write_length : Net.Buf.writer -> int -> unit
+(** The length-prefix path, without boxing: for [n >= 0],
+    [write_length w n] writes exactly [write_varint w (Int64.of_int n)]. *)
+
+val length_size : int -> int
+(** Bytes {!write_length} writes. *)
+
+val read_varint_int : Net.Buf.reader -> int
+(** [Int64.to_int (read_varint r)] without boxing, raising exactly what
+    [read_varint] raises on every input. *)

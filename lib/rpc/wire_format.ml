@@ -1,5 +1,13 @@
 type kind = Request | Response | Error_reply of int
 
+type header = {
+  kind : kind;
+  rpc_id : int64;
+  service_id : int;
+  method_id : int;
+  ctx : bytes option;
+}
+
 type t = {
   rpc_id : int64;
   service_id : int;
@@ -60,7 +68,7 @@ type error =
   | Bad_version of int
   | Bad_kind of int
 
-let decode b =
+let peek b =
   if Bytes.length b < header_size then Error Truncated
   else begin
     let r = Net.Buf.reader b in
@@ -93,11 +101,27 @@ let decode b =
                 if has_ctx then Some (Net.Buf.read_bytes r ~len:ctx_size)
                 else None
               in
-              let body = Net.Buf.read_bytes r ~len:(Net.Buf.remaining r) in
-              Ok { rpc_id; service_id; method_id; kind; ctx; body }
+              Ok ({ kind; rpc_id; service_id; method_id; ctx } : header)
       end
     end
   end
+
+let decode b =
+  match peek b with
+  | Error _ as e -> e
+  | Ok (h : header) ->
+      let off =
+        header_size + match h.ctx with Some _ -> ctx_size | None -> 0
+      in
+      Ok
+        {
+          rpc_id = h.rpc_id;
+          service_id = h.service_id;
+          method_id = h.method_id;
+          kind = h.kind;
+          ctx = h.ctx;
+          body = Bytes.sub b off (Bytes.length b - off);
+        }
 
 let request ?ctx ~rpc_id ~service_id ~method_id v =
   { rpc_id; service_id; method_id; kind = Request; ctx; body = Codec.encode v }

@@ -9,6 +9,16 @@ type kind =
   | Response
   | Error_reply of int  (** Carries an application error code. *)
 
+type header = {
+  kind : kind;
+  rpc_id : int64;
+  service_id : int;
+  method_id : int;
+  ctx : bytes option;
+}
+(** A message without its body, as {!peek} reads it. Declared before
+    {!t}, so an unannotated [m.rpc_id] still names {!t}'s field. *)
+
 type t = {
   rpc_id : int64;  (** Matches a response to its request. *)
   service_id : int;
@@ -54,6 +64,11 @@ type error =
   | Bad_kind of int
 
 val decode : bytes -> (t, error) result
+
+val peek : bytes -> (header, error) result
+(** Parse the header (and trace context) alone, without copying the
+    body: [decode] is [peek] plus the body, so the two answer the same
+    error on every input and agree on every header field. *)
 
 val request :
   ?ctx:bytes -> rpc_id:int64 -> service_id:int -> method_id:int -> Value.t -> t

@@ -31,31 +31,29 @@ let pending t = Event_heap.live_count t.queue
 let next_event_time t = Event_heap.peek_time t.queue
 
 let[@hot_path] step t =
-  match Event_heap.pop t.queue with
-  | None -> false
-  | Some (time, f) ->
-      (match t.monitor with None -> () | Some m -> m time);
-      t.clock <- time;
-      t.fired <- t.fired + 1;
-      f ();
-      true
+  let time = Event_heap.min_time t.queue in
+  if Int.equal time Event_heap.no_time then false
+  else begin
+    let f = Event_heap.take t.queue in
+    (match t.monitor with None -> () | Some m -> m time);
+    t.clock <- time;
+    t.fired <- t.fired + 1;
+    f ();
+    true
+  end
 
 let run ?until t =
-  let continue () =
-    match until with
-    | None -> true
-    | Some limit -> (
-        match Event_heap.peek_time t.queue with
-        | None -> false
-        | Some next -> next <= limit)
-  in
-  while continue () && step t do
-    ()
-  done;
-  (* Advance the clock to the horizon so that rate computations over
-     [0, until] are well defined even if the queue drained early. *)
-  match until with
-  | Some limit when t.clock < limit -> t.clock <- limit
-  | Some _ | None -> ()
+  (match until with
+  | None -> while step t do () done
+  | Some limit ->
+      let due () =
+        let next = Event_heap.min_time t.queue in
+        (not (Int.equal next Event_heap.no_time)) && next <= limit
+      in
+      while due () && step t do () done;
+      (* Advance the clock to the horizon so that rate computations
+         over [0, until] are well defined even if the queue drained
+         early. *)
+      if t.clock < limit then t.clock <- limit)
 
 let events_processed t = t.fired

@@ -55,7 +55,11 @@ let[@hot_path] rec sift_down t i =
     sift_down t !smallest
   end
 
+let no_time = min_int
+
 let[@hot_path] push t ~time payload =
+  if Int.equal time no_time then
+    invalid_arg "Event_heap.push: time is Event_heap.no_time";
   let e = ({ time; seq = t.next_seq; payload; cancelled = false } [@alloc_ok]) in
   t.next_seq <- t.next_seq + 1;
   if Int.equal t.size (Array.length t.arr) then begin
@@ -64,7 +68,7 @@ let[@hot_path] push t ~time payload =
       | Some s -> s
       | None ->
           let s = ({ time = 0; seq = -1; payload; cancelled = true } [@alloc_ok]) in
-          t.sentinel <- Some s;
+          t.sentinel <- (Some s [@alloc_ok]);
           s
     in
     let cap = max 64 (2 * Array.length t.arr) in
@@ -116,19 +120,34 @@ let[@hot_path] pop_root t =
   if t.size > 0 then sift_down t 0;
   e
 
-(* Discard cancelled entries as they surface; only live pops touch
-   [live]. A popped entry is marked cancelled so a later [cancel] on
-   its handle is a genuine no-op. *)
-let[@hot_path] rec pop t =
-  if t.size = 0 then None
-  else
-    let e = pop_root t in
-    if e.cancelled then pop t
-    else begin
-      e.cancelled <- true;
-      t.live <- t.live - 1;
-      Some ((e.time, e.payload) [@alloc_ok])
-    end
+(* Cancelled entries are discarded as they surface at the root; only
+   a live take touches [live]. A taken entry is marked cancelled so a
+   later [cancel] on its handle is a genuine no-op. *)
+let[@hot_path] rec min_time t =
+  if t.size = 0 then no_time
+  else if t.arr.(0).cancelled then begin
+    ignore (pop_root t);
+    min_time t
+  end
+  else t.arr.(0).time
+
+let[@hot_path] rec take t =
+  if t.size = 0 then invalid_arg "Event_heap.take: no live entry";
+  let e = pop_root t in
+  if e.cancelled then take t
+  else begin
+    e.cancelled <- true;
+    t.live <- t.live - 1;
+    e.payload
+  end
+
+let pop t =
+  let time = min_time t in
+  if Int.equal time no_time then None else Some (time, take t)
+
+let peek_time t =
+  let time = min_time t in
+  if Int.equal time no_time then None else Some time
 
 (* Structural self-check for sanitizer builds: the array prefix
    [0, size) must satisfy the heap order (parent not later than either
@@ -168,13 +187,3 @@ let validate t =
                t.live !live)
         else Ok ()
   end
-
-let[@hot_path] rec peek_time t =
-  if t.size = 0 then None
-  else
-    let e = t.arr.(0) in
-    if e.cancelled then begin
-      ignore (pop_root t);
-      peek_time t
-    end
-    else Some e.time

@@ -25,18 +25,35 @@ val is_empty : 'a t -> bool
 val live_count : 'a t -> int
 (** Number of scheduled entries not yet popped or cancelled. *)
 
+val no_time : Units.time
+(** What {!min_time} answers for a heap with no live entry ([min_int]).
+    {!push} refuses it, so it never names a real entry's time. *)
+
 val push : 'a t -> time:Units.time -> 'a -> 'a handle
-(** Schedule a payload at the given time; returns a cancellation handle. *)
+(** Schedule a payload at the given time; returns a cancellation handle.
+
+    @raise Invalid_argument if [time] is {!no_time}. *)
 
 val cancel : 'a t -> 'a handle -> unit
 (** Cancel a scheduled entry. Cancelling an already-popped or
     already-cancelled entry is a no-op. *)
 
+val min_time : 'a t -> Units.time
+(** Timestamp of the earliest live entry, or {!no_time} if none is
+    live. Cancelled entries found at the root are dropped on the way.
+    Allocates nothing. *)
+
+val take : 'a t -> 'a
+(** Remove the earliest live entry and return its payload; its time is
+    what {!min_time} answered just before. Allocates nothing.
+
+    @raise Invalid_argument if no live entry remains. *)
+
 val pop : 'a t -> (Units.time * 'a) option
-(** Remove and return the earliest live entry, or [None] if empty. *)
+(** {!min_time} then {!take}, or [None] if empty. *)
 
 val peek_time : 'a t -> Units.time option
-(** Timestamp of the earliest live entry without removing it. *)
+(** {!min_time} as an option: [None] if empty. *)
 
 val validate : 'a t -> (unit, string) result
 (** Structural self-check: heap order over the stored prefix and

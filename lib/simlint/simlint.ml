@@ -306,6 +306,25 @@ let rec arity_of (e : expression) =
   | Pexp_newtype (_, body) -> arity_of body
   | _ -> 0
 
+(* Constants, and constructors or tuples built only from them, are
+   structured constants the compiler allocates once, statically. *)
+let rec is_static (e : expression) =
+  match e.pexp_desc with
+  | Pexp_constant _ | Pexp_construct (_, None) | Pexp_variant (_, None) ->
+      true
+  | Pexp_construct (_, Some a) | Pexp_variant (_, Some a) -> is_static a
+  | Pexp_tuple es -> List.for_all is_static es
+  | _ -> false
+
+(* The innermost argument of nested constructors, which were reported
+   with the outermost one. *)
+let rec inner_of_constructs (e : expression) =
+  match e.pexp_desc with
+  | (Pexp_construct (_, Some a) | Pexp_variant (_, Some a))
+    when not (has_attr "alloc_ok" e.pexp_attributes) ->
+      inner_of_constructs a
+  | _ -> e
+
 let rec check_hot ctx (e : expression) =
   let loc = e.pexp_loc in
   if has_attr "alloc_ok" e.pexp_attributes then ()
@@ -328,6 +347,14 @@ let rec check_hot ctx (e : expression) =
         report ctx ~loc ~rule:"hot-path"
           "list cell construction allocates in a [@hot_path] body";
         check_hot ctx arg
+    | Pexp_construct ({ Location.txt = Longident.Lident "Error"; _ }, _) ->
+        ()  (* an [Error] result is an error path, like [raise] *)
+    | Pexp_construct (_, Some arg) | Pexp_variant (_, Some arg)
+      when not (is_static arg) ->
+        report ctx ~loc ~rule:"hot-path"
+          "constructor with a computed argument ([Some x], [Ok x], ...) \
+           allocates in a [@hot_path] body";
+        check_hot ctx (inner_of_constructs arg)
     | Pexp_apply ({ pexp_desc = Pexp_ident { Location.txt = lid; _ }; _ }, _)
       when is_error_path lid ->
         ()  (* error paths may allocate their diagnostics *)

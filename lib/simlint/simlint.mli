@@ -15,13 +15,15 @@
       [Option.is_none], …).
     - {b hot-path} (everywhere): the body of a [let f ... = e
       [@@hot_path]] binding must not construct: anonymous closures,
-      tuples, records, list cells, strings/bytes (the
+      tuples, records, list cells, constructors with a computed
+      argument ([Some x], [Ok x]; static ones like [Some 1] are
+      preallocated), strings/bytes (the
       [^]/[String.*]/[Bytes.*]/[*printf] builders), and must not
       partially apply a function defined in the same file. Named local
       [let]-bound helpers are allowed (closed local functions are
       statically allocated). An expression wrapped [(e [@alloc_ok])] is
       exempt, as is everything under [raise]/[invalid_arg]/[failwith]
-      (error paths may allocate).
+      and an [Error _] result (error paths may allocate).
     - {b pool-discipline} (everywhere): a top-level binding that calls
       [Pool.acquire] must also call [Pool.release] lexically, or carry
       an [[@ownership_transfer]] annotation (on the binding or on the

@@ -76,6 +76,71 @@ let test_recorder_observer () =
   Harness.Recorder.complete_by_id r ~rpc_id:3L;
   checkb "observer fired" true (!seen = [ (3L, 0) ])
 
+(* Allocation budgets of the harness's per-RPC calls, in minor words
+   per call on a 64-byte request, flushed with [Gc.minor] as in
+   test_net's budget. The budgets are the measured counts: the default
+   server and client addresses are parsed once, not per call, and
+   [egress] reads the reply's header without copying its body. *)
+let words_per_call ~n f =
+  for _ = 1 to 100 do f () done;
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do f () done;
+  Gc.minor ();
+  (Gc.minor_words () -. before) /. float n
+
+let payload_64b = Rpc.Value.Blob (Bytes.make 64 'w')
+
+let test_request_frame_allocation_budget () =
+  let budget = 62. in
+  List.iter
+    (fun (what, client) ->
+      let words =
+        words_per_call ~n:10_000 (fun () ->
+            ignore
+              (Harness.Traffic.request_frame ~rpc_id:7L ~service_id:1
+                 ~method_id:0 ~port:7000 ?client payload_64b))
+      in
+      checkb
+        (Printf.sprintf "%s: %.1f words/frame <= %.0f" what words budget)
+        true (words <= budget))
+    [
+      ("given client", Some (Harness.Traffic.client_endpoint ~idx:3 ()));
+      ("default client", None);
+    ]
+
+let test_recorder_allocation_budget () =
+  let budget = 26. in
+  let e = Sim.Engine.create () in
+  let r = Harness.Recorder.create e in
+  let frames =
+    Array.init 1000 (fun i ->
+        Net.Frame.make
+          ~src:(Harness.Traffic.server_endpoint ~port:7000)
+          ~dst:(Harness.Traffic.client_endpoint ())
+          (Rpc.Wire_format.encode
+             {
+               Rpc.Wire_format.rpc_id = Int64.of_int i;
+               service_id = 1;
+               method_id = 0;
+               kind = Rpc.Wire_format.Response;
+               ctx = None;
+               body = Rpc.Codec.encode payload_64b;
+             }))
+  in
+  let k = ref 0 in
+  let words =
+    words_per_call ~n:10_000 (fun () ->
+        let i = !k mod 1000 in
+        incr k;
+        Harness.Recorder.note_sent r ~rpc_id:(Int64.of_int i);
+        Harness.Recorder.egress r frames.(i))
+  in
+  checki "every reply matched" 10_100 (Harness.Recorder.completed r);
+  checkb
+    (Printf.sprintf "note_sent+egress: %.1f words/RPC <= %.0f" words budget)
+    true (words <= budget)
+
 let test_client_retransmission_over_lossy_link () =
   (* End-to-end robustness: a client with retransmission behind a 20%%-
      lossy wire in both directions still completes every call. *)
@@ -156,6 +221,8 @@ let () =
         [
           Alcotest.test_case "frames parse back" `Quick
             test_traffic_frames_parse_back;
+          Alcotest.test_case "request_frame allocation budget" `Quick
+            test_request_frame_allocation_budget;
         ] );
       ( "recorder",
         [
@@ -164,6 +231,8 @@ let () =
           Alcotest.test_case "unmatched and duplicates" `Quick
             test_recorder_unmatched_and_duplicates;
           Alcotest.test_case "observer" `Quick test_recorder_observer;
+          Alcotest.test_case "allocation budget" `Quick
+            test_recorder_allocation_budget;
         ] );
       ( "client",
         [

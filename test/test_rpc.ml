@@ -86,7 +86,16 @@ let test_varint_edges () =
   in
   List.iter
     (fun v -> check Alcotest.int64 "varint" v (roundtrip v))
-    [ 0L; 1L; 127L; 128L; 300L; Int64.max_int; -1L (* encodes as 2^64-1 *) ]
+    [ 0L; 1L; 127L; 128L; 300L; Int64.max_int; -1L (* encodes as 2^64-1 *) ];
+  (* The unboxed length path reads the same ints, including values past
+     [max_int] that [Int64.to_int] wraps negative. *)
+  List.iter
+    (fun v ->
+      let w = Net.Buf.writer 10 in
+      Rpc.Codec.write_varint w v;
+      checki "varint as int" (Int64.to_int v)
+        (Rpc.Codec.read_varint_int (Net.Buf.reader (Net.Buf.contents w))))
+    [ 0L; 127L; 128L; Int64.of_int max_int; Int64.max_int; Int64.min_int; -1L ]
 
 let test_codec_roundtrip_known () =
   let s =
@@ -161,6 +170,48 @@ let codec_roundtrip_property =
       | Ok v' -> Rpc.Value.equal v v'
       | Error _ -> false)
 
+(* The unboxed length path against the [Int64] one. Inputs are 1-11
+   bytes with every continuation bit set but (usually) the last, so
+   they cover complete varints of each length, truncated ones, the
+   tenth byte at shift 63, values negative after [Int64.to_int], and
+   the overlong eleventh byte. Both paths must give the same value and
+   leave the reader at the same position, or raise the same error. *)
+let read_outcome read b =
+  let r = Net.Buf.reader b in
+  match read r with
+  | n -> Ok (n, Net.Buf.reader_pos r)
+  | exception Rpc.Codec.Decode_error e -> Error (Some e)
+  | exception Net.Buf.Out_of_bounds _ -> Error None
+
+let varint_int_path_property =
+  QCheck.Test.make
+    ~name:"read_varint_int = Int64.to_int (read_varint r) on 1-11 bytes"
+    ~count:2000 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Sim.Rng.create ~seed in
+      let len = 1 + Sim.Rng.int rng ~bound:11 in
+      let b =
+        Bytes.init len (fun i ->
+            let x = Sim.Rng.int rng ~bound:256 in
+            let last_continues = Sim.Rng.int rng ~bound:4 = 0 in
+            Char.chr
+              (if i < len - 1 || last_continues then x lor 0x80
+               else x land 0x7f))
+      in
+      read_outcome (fun r -> Int64.to_int (Rpc.Codec.read_varint r)) b
+      = read_outcome Rpc.Codec.read_varint_int b)
+
+let write_length_property =
+  QCheck.Test.make ~name:"write_length n = write_varint (Int64.of_int n)"
+    ~count:1000 QCheck.int
+    (fun x ->
+      let n = x land max_int in
+      let w64 = Net.Buf.writer 10 and w = Net.Buf.writer 10 in
+      Rpc.Codec.write_varint w64 (Int64.of_int n);
+      Rpc.Codec.write_length w n;
+      Bytes.equal (Net.Buf.contents w64) (Net.Buf.contents w)
+      && Rpc.Codec.length_size n = Net.Buf.writer_pos w)
+
 (* ---------- Wire format ---------- *)
 
 let test_wire_format_roundtrip () =
@@ -203,6 +254,65 @@ let test_wire_format_errors () =
   match Rpc.Wire_format.decode b2 with
   | Error (Rpc.Wire_format.Bad_kind 9) -> ()
   | _ -> Alcotest.fail "bad kind accepted"
+
+(* [peek] against [decode] on well-formed frames of every kind, with
+   and without a trace context, and on the same frames cut short,
+   bit-flipped (often in the header) or replaced by random bytes: the
+   same error, or the same kind, ids and context. *)
+let random_wire_bytes rng n =
+  Bytes.init n (fun _ -> Char.chr (Sim.Rng.int rng ~bound:256))
+
+let mangled_frame rng =
+  let kind =
+    match Sim.Rng.int rng ~bound:3 with
+    | 0 -> Rpc.Wire_format.Request
+    | 1 -> Rpc.Wire_format.Response
+    | _ -> Rpc.Wire_format.Error_reply (Sim.Rng.int rng ~bound:0x10000)
+  in
+  let ctx =
+    if Sim.Rng.int rng ~bound:2 = 0 then None
+    else Some (random_wire_bytes rng Rpc.Wire_format.ctx_size)
+  in
+  let b =
+    Rpc.Wire_format.encode
+      {
+        Rpc.Wire_format.rpc_id = Sim.Rng.bits64 rng;
+        service_id = Sim.Rng.int rng ~bound:1_000_000;
+        method_id = Sim.Rng.int rng ~bound:0x10000;
+        kind;
+        ctx;
+        body = random_wire_bytes rng (Sim.Rng.int rng ~bound:40);
+      }
+  in
+  let len = Bytes.length b in
+  match Sim.Rng.int rng ~bound:4 with
+  | 0 -> b
+  | 1 -> Bytes.sub b 0 (Sim.Rng.int rng ~bound:(len + 1))
+  | 2 ->
+      for _ = 0 to Sim.Rng.int rng ~bound:3 do
+        let bit = Sim.Rng.int rng ~bound:(8 * min len 40) in
+        let i = bit / 8 in
+        Bytes.set b i
+          (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))))
+      done;
+      b
+  | _ -> random_wire_bytes rng (Sim.Rng.int rng ~bound:64)
+
+let peek_agrees_with_decode =
+  QCheck.Test.make ~name:"wire peek agrees with decode" ~count:2000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let b = mangled_frame (Sim.Rng.create ~seed) in
+      match (Rpc.Wire_format.peek b, Rpc.Wire_format.decode b) with
+      | Ok h, Ok m ->
+          h.Rpc.Wire_format.kind = m.Rpc.Wire_format.kind
+          && Int64.equal h.Rpc.Wire_format.rpc_id m.Rpc.Wire_format.rpc_id
+          && h.Rpc.Wire_format.service_id = m.Rpc.Wire_format.service_id
+          && h.Rpc.Wire_format.method_id = m.Rpc.Wire_format.method_id
+          && Option.equal Bytes.equal h.Rpc.Wire_format.ctx
+               m.Rpc.Wire_format.ctx
+      | Error e, Error e' -> e = e'
+      | Ok _, Error _ | Error _, Ok _ -> false)
 
 (* ---------- Interface / registry ---------- *)
 
@@ -387,14 +497,20 @@ let () =
             test_codec_encoded_size_matches;
           Alcotest.test_case "error cases" `Quick test_codec_error_cases;
         ]
-        @ qsuite [ codec_roundtrip_property ] );
+        @ qsuite
+            [
+              codec_roundtrip_property;
+              varint_int_path_property;
+              write_length_property;
+            ] );
       ( "wire_format",
         [
           Alcotest.test_case "roundtrip" `Quick test_wire_format_roundtrip;
           Alcotest.test_case "response ids" `Quick
             test_wire_format_response_preserves_ids;
           Alcotest.test_case "errors" `Quick test_wire_format_errors;
-        ] );
+        ]
+        @ qsuite [ peek_agrees_with_decode ] );
       ( "interface",
         [
           Alcotest.test_case "echo" `Quick test_echo_service;

@@ -96,6 +96,25 @@ let test_heap_growth () =
     (List.init 1000 (fun i -> i))
     (drain_values h)
 
+let test_heap_min_time_and_take () =
+  let h = Sim.Event_heap.create () in
+  checki "empty heap answers no_time" Sim.Event_heap.no_time
+    (Sim.Event_heap.min_time h);
+  checkb "take on empty raises" true
+    (try ignore (Sim.Event_heap.take h); false
+     with Invalid_argument _ -> true);
+  checkb "push refuses no_time" true
+    (try ignore (Sim.Event_heap.push h ~time:Sim.Event_heap.no_time "x"); false
+     with Invalid_argument _ -> true);
+  let a = Sim.Event_heap.push h ~time:0 "a" in
+  ignore (Sim.Event_heap.push h ~time:max_int "b");
+  checki "time 0 is a real time" 0 (Sim.Event_heap.min_time h);
+  Sim.Event_heap.cancel h a;
+  checki "cancelled root dropped" max_int (Sim.Event_heap.min_time h);
+  check Alcotest.string "take" "b" (Sim.Event_heap.take h);
+  checki "drained" Sim.Event_heap.no_time (Sim.Event_heap.min_time h);
+  checki "no live entry" 0 (Sim.Event_heap.live_count h)
+
 let heap_sorts_any_input =
   QCheck.Test.make ~name:"event_heap pops in nondecreasing time order"
     ~count:200
@@ -293,6 +312,58 @@ let test_engine_until_cancel_consistent () =
   Sim.Engine.run e ~until:70;
   checki "only live event fired" 1 !fired;
   checki "pending empty after run" 0 (Sim.Engine.pending e)
+
+(* The engine's per-event path allocates nothing. A scheduled no-op
+   event costs its push, the 5-word entry that doubles as the cancel
+   handle, and 0 words when [step] or [run] fires it. [Gc.minor] flushes
+   before each reading, as in test_net's budget. *)
+let noop () = ()
+
+let minor_words_during f =
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor ();
+  Gc.minor_words () -. before
+
+let test_engine_step_allocates_nothing () =
+  let e = Sim.Engine.create () in
+  let n = 10_000 in
+  let schedule () =
+    for i = 1 to n do
+      ignore (Sim.Engine.schedule_after e ~after:(i mod 97) noop)
+    done
+  in
+  (* Warm-up: grow the heap array to its final capacity. *)
+  schedule ();
+  Sim.Engine.run e;
+  let push_words = minor_words_during schedule in
+  let step_words =
+    minor_words_during (fun () -> while Sim.Engine.step e do () done)
+  in
+  checki "all fired" (2 * n) (Sim.Engine.events_processed e);
+  checkb
+    (Printf.sprintf "push: %.3f words/event = 5" (push_words /. float n))
+    true
+    (Float.abs ((push_words /. float n) -. 5.) < 0.01);
+  (* The measurement itself may box a float or two; 64 words over
+     10k events rounds to 0 words per event. *)
+  checkb
+    (Printf.sprintf "step: %.0f words over %d events" step_words n)
+    true (step_words <= 64.);
+  (* [run ~until] over a queue with cancelled roots: the loop test
+     drops them without allocating either. *)
+  let handles =
+    Array.init n (fun i ->
+        Sim.Engine.schedule_after e ~after:(1 + (i mod 97)) noop)
+  in
+  Array.iteri (fun i h -> if i mod 3 = 0 then Sim.Engine.cancel e h) handles;
+  let until = Sim.Engine.now e + 50 in
+  let run_words = minor_words_during (fun () -> Sim.Engine.run e ~until) in
+  checkb
+    (Printf.sprintf "run ~until: %.0f words over %d events" run_words n)
+    true (run_words <= 64.);
+  checki "clock at horizon" until (Sim.Engine.now e)
 
 (* ---------- RNG ---------- *)
 
@@ -492,6 +563,8 @@ let () =
             test_heap_cancel_after_pop;
           Alcotest.test_case "compaction preserves order" `Quick
             test_heap_compaction_preserves_order;
+          Alcotest.test_case "min_time and take" `Quick
+            test_heap_min_time_and_take;
         ]
         @ qsuite
             [
@@ -515,6 +588,8 @@ let () =
             test_engine_until_boundary;
           Alcotest.test_case "cancel-then-run pending (heap)" `Quick
             test_engine_until_cancel_consistent;
+          Alcotest.test_case "step allocates nothing" `Quick
+            test_engine_step_allocates_nothing;
         ] );
       ( "rng",
         [

@@ -168,6 +168,21 @@ let test_hot_error_path_exempt () =
   in
   checki "error path exempt" 0 (List.length fs)
 
+let test_hot_constructor_argument () =
+  (* [Some (t, p)] under an [@alloc_ok] tuple still allocated the
+     [Some]; a computed constructor argument is now a finding of its
+     own, reported once for a nest. Static arguments and [Error]
+     results (an error path) are not. *)
+  let fs =
+    lint ~path:"lib/sim/fast.ml"
+      "let[@hot_path] f t p = Some ((t, p) [@alloc_ok])
+       let[@hot_path] g x = Ok (Some x)
+       let[@hot_path] h x = if x then Some 1 else Some (Ok ())
+       let[@hot_path] k x = if x > 0 then Error (`Bad x) else Ok ()
+"
+  in
+  checki "one finding per computed constructor nest" 2 (count "hot-path" fs)
+
 let test_hot_untagged_ignored () =
   let fs =
     lint ~path:"lib/net/slow.ml" "let f xs = List.map (fun x -> x + 1) xs\n"
@@ -406,6 +421,7 @@ let () =
           tc "optional args are not partial" test_hot_optional_args_not_partial;
           tc "[@alloc_ok] escape" test_hot_alloc_ok_escape;
           tc "error paths exempt" test_hot_error_path_exempt;
+          tc "computed constructor argument" test_hot_constructor_argument;
           tc "untagged unrestricted" test_hot_untagged_ignored;
         ] );
       ( "pool-discipline",
