@@ -70,8 +70,7 @@ let test_sharded_stepping =
          let e = Sim.Engine.create () in
          periodic_chain e;
          let t =
-           Sim.Shard_engine.create ~domains:1 ~lookahead:(Sim.Units.us 50)
-             [| e |]
+           Sim.Shard_engine.create ~lookahead:(Sim.Units.us 50) [| e |]
          in
          Sim.Shard_engine.run t ~until:100_000))
 
@@ -86,8 +85,7 @@ let test_sharded_stepping_profiled =
          let e = Sim.Engine.create () in
          periodic_chain e;
          let t =
-           Sim.Shard_engine.create ~domains:1 ~lookahead:(Sim.Units.us 50)
-             [| e |]
+           Sim.Shard_engine.create ~lookahead:(Sim.Units.us 50) [| e |]
          in
          let prof = Obs.Profiler.create ~shards:1 in
          Obs.Profiler.install prof t;

@@ -3,8 +3,8 @@
    topology; the invariant maintained here is that every cross-shard
    hand-off goes through Shard_engine.post with exactly the wire
    latency the lookahead matrix promises, so the conservative windows
-   are as wide as the topology allows and the byte-identical-for-any-
-   domain-count contract holds for whole racks. *)
+   are as wide as the topology allows and the merge-order determinism
+   contract holds for whole racks. *)
 
 type t = {
   hosts : int;
@@ -15,13 +15,8 @@ type t = {
   uplink_conf : Switch.port_conf;
   host_ingress : (Net.Frame.t -> unit) option array;
   mutable uplink_ingress : (Net.Frame.t -> unit) option;
-  (* per-host so each cell is only ever touched by its own shard *)
-  n_undeliverable : int array;
-  mutable n_undeliverable_uplink : int;
-  (* wire-fault losses, one cell per posting shard (hosts + 1): each is
-     only ever touched by the domain running that shard — the same
-     ownership discipline as the outboxes, which is what keeps counted
-     wire drops deterministic under any LAUBERHORN_SHARDS *)
+  mutable n_undeliverable : int;
+  (* wire-fault losses, one cell per posting shard (hosts + 1) *)
   n_link_drops : int array;
 }
 
@@ -41,7 +36,7 @@ let default_host_link =
 let default_uplink =
   { Switch.latency = Sim.Units.ns 500; tx = Sim.Units.ns 50 }
 
-let create ?domains ?(host_link = default_host_link)
+let create ?(host_link = default_host_link)
     ?(uplink = default_uplink) ?host_links ?cap_in ?cap_out ?fwd_delay
     ?metrics ~hosts () =
   if hosts < 1 then invalid_arg "Fabric.create: hosts < 1";
@@ -71,10 +66,9 @@ let create ?domains ?(host_link = default_host_link)
             else if i < hosts then l i
             else l j))
   in
-  let shard = Sim.Shard_engine.create_matrix ?domains ~latency engines in
+  let shard = Sim.Shard_engine.create_matrix ~latency engines in
   let master = engines.(hosts) in
   let host_ingress = Array.make hosts None in
-  let n_undeliverable = Array.make hosts 0 in
   let t_ref = ref None in
   let deliver ~port frame =
     let t = match !t_ref with Some t -> t | None -> assert false in
@@ -84,16 +78,14 @@ let create ?domains ?(host_link = default_host_link)
         (fun () ->
           match t.host_ingress.(port) with
           | Some ingress -> ingress frame
-          | None ->
-              t.n_undeliverable.(port) <- t.n_undeliverable.(port) + 1)
+          | None -> t.n_undeliverable <- t.n_undeliverable + 1)
     else
       ignore
         (Sim.Engine.schedule_after master ~after:uplink.Switch.latency
            (fun () ->
              match t.uplink_ingress with
              | Some ingress -> ingress frame
-             | None ->
-                 t.n_undeliverable_uplink <- t.n_undeliverable_uplink + 1))
+             | None -> t.n_undeliverable <- t.n_undeliverable + 1))
   in
   let route frame =
     let ip = Net.Ip_addr.to_int frame.Net.Frame.ip.Net.Ipv4.dst in
@@ -115,8 +107,7 @@ let create ?domains ?(host_link = default_host_link)
       uplink_conf = uplink;
       host_ingress;
       uplink_ingress = None;
-      n_undeliverable;
-      n_undeliverable_uplink = 0;
+      n_undeliverable = 0;
       n_link_drops = Array.make n 0;
     }
   in
@@ -160,8 +151,8 @@ let post_to_master t ~host fn =
 (* The per-pair wire fault seam: [cut] (a pure function of shard ids
    and time — in practice a Fault.Plan flap/partition schedule compiled
    by Fault.Rack_chaos) decides, per post, whether the wire eats the
-   message; the fabric counts the loss in the posting shard's own cell
-   before swallowing it, so nothing is silent and nothing is shared. *)
+   message; the fabric counts the loss in the posting shard's cell
+   before swallowing it, so nothing is silent. *)
 let set_link_fault t cut =
   match cut with
   | None -> Sim.Shard_engine.set_wire_fault t.shard None
@@ -181,8 +172,7 @@ let link_drops_total t = Array.fold_left ( + ) 0 t.n_link_drops
 
 let run t ~until = Sim.Shard_engine.run t.shard ~until
 
-let undeliverable t =
-  Array.fold_left ( + ) t.n_undeliverable_uplink t.n_undeliverable
+let undeliverable t = t.n_undeliverable
 
 let windows_run t = Sim.Shard_engine.windows_run t.shard
 let messages_merged t = Sim.Shard_engine.messages_merged t.shard

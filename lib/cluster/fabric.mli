@@ -28,7 +28,6 @@
 type t
 
 val create :
-  ?domains:int ->
   ?host_link:Switch.port_conf ->
   ?uplink:Switch.port_conf ->
   ?host_links:Switch.port_conf array ->
@@ -43,8 +42,7 @@ val create :
     shard engine and the switch. [host_link] is every host port's wire
     (default 1 µs latency, 100 ns tx) unless [host_links] gives a
     per-host array; [uplink] is the client-facing port (default 500 ns
-    latency, 50 ns tx). [domains] defaults to
-    {!Sim.Shard_engine.env_domains}; [metrics] is handed to
+    latency, 50 ns tx). [metrics] is handed to
     {!Switch.create} so the switch counters land on a caller-owned
     registry.
 
@@ -111,4 +109,4 @@ val messages_merged : t -> int
 
 val events_processed : t -> int
 (** Total events fired across every shard (for the events-per-window
-    parallelism measure). *)
+    measure). *)

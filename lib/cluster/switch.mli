@@ -14,7 +14,7 @@
     simulated instant are collected and served in ascending ingress-
     port order regardless of the event-schedule order that delivered
     them — this mirrors (and composes with) {!Sim.Shard_engine}'s
-    barrier merge, which orders same-time cross-shard messages by
+    window merge, which orders same-time cross-shard messages by
     source shard. Ties never fall back to engine sequence numbers, so
     the contract survives any event-injection order. The pair is
     unique per frame on any physical script — a serialized wire
@@ -136,7 +136,7 @@ val set_hooks : t -> hooks option -> unit
     Every predicate must be a pure function of its arguments (a plan
     schedule, never shared mutable state), so delivery and loss order
     remain a function of [(arrival-time, ingress port)] and chaos runs
-    stay byte-identical across [LAUBERHORN_SHARDS]. [None] — the
+    stay byte-identical run to run. [None] — the
     default for each seam — costs one load-and-branch on its consulting
     path; with no seam armed the switch's behaviour and its metrics
     snapshot are byte-identical to the pre-seam model (the fault-loss

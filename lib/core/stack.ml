@@ -981,15 +981,15 @@ let on_handled t f = t.handled_hook <- Some f
 (* ---------- Construction --------------------------------------------- *)
 
 (* Process-wide so every service across every simulated host gets a
-   distinct fake code page; atomic so stacks built for different
-   shards can never tear it. Shard setup runs on the coordinator in
-   shard order, so the assignment stays deterministic. *)
-let[@nondet_ok] next_code_ptr = Atomic.make 0x4000_0000
+   distinct fake code page. Hosts are built in a fixed order, so the
+   assignment is deterministic. *)
+let next_code_ptr = ref 0x4000_0000
 
-let[@nondet_ok] fresh_code_ptrs n =
+let fresh_code_ptrs n =
   Array.init n (fun i ->
-      let base = Int64.of_int (Atomic.fetch_and_add next_code_ptr 0x1000) in
-      Int64.add base (Int64.of_int (i * 64)))
+      let base = !next_code_ptr in
+      next_code_ptr := base + 0x1000;
+      Int64.add (Int64.of_int base) (Int64.of_int (i * 64)))
 
 let create engine ~cfg ~ncores ?kernel_costs ?(binding = Os_integrated)
     ?(mirror_mode = Sched_mirror.Push) ?(dispatchers = 2)

@@ -23,8 +23,8 @@
    choke point that ate it (wire cuts, crossbar partitions, wedged
    ports, bounded queues) — zero silent losses. The digest (client
    shape, switch stats, fault counters, the merged metrics snapshot)
-   is machine-independent; check.sh diffs it across a double run and
-   across LAUBERHORN_SHARDS=1/4. *)
+   is machine-independent; scripts/gates.sh diffs it across a double
+   run and with the sanitizers armed. *)
 
 let hosts = 8
 let rate = 400_000.

@@ -198,26 +198,26 @@ type measurement = {
   counters : (string * int) list;
 }
 
-(* [LAUBERHORN_SHARDS>1] (or a forced test override) routes whole-run
-   stepping through the sharded engine: the harness's single engine
-   becomes a one-shard PDES instance executed as barrier-delimited
-   conservative windows instead of one long [Engine.run]. The
-   simulation is byte-identical either way — CI diffs the two — so
-   this seam proves the windowed stepping discipline on every
-   pre-existing experiment, not just E16. *)
-let forced_shards = ref None
-let set_forced_shards n = forced_shards := n
-
-let shards_enabled () =
-  match !forced_shards with
-  | Some n -> n
-  | None -> Sim.Shard_engine.env_domains ()
+(* [LAUBERHORN_SHARDS>1] routes whole-run stepping through the sharded
+   engine: the harness's single engine becomes a one-shard PDES
+   instance stepped in conservative windows instead of one long
+   [Engine.run]. The simulation is byte-identical either way — the
+   gates diff the two — so this seam proves the windowed stepping
+   discipline on every single-engine experiment. *)
+let env_shards () =
+  match Sys.getenv_opt "LAUBERHORN_SHARDS" with
+  | None | Some "" -> 1
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some n when n >= 1 && n <= 64 -> n
+      | Some _ | None ->
+          invalid_arg
+            (Printf.sprintf "LAUBERHORN_SHARDS=%s: expected 1..64" s))
 
 let run_to engine ~until =
-  if shards_enabled () > 1 then
+  if env_shards () > 1 then
     let t =
-      Sim.Shard_engine.create ~domains:1 ~lookahead:(Sim.Units.us 50)
-        [| engine |]
+      Sim.Shard_engine.create ~lookahead:(Sim.Units.us 50) [| engine |]
     in
     Sim.Shard_engine.run t ~until
   else Sim.Engine.run engine ~until

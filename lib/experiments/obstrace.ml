@@ -14,13 +14,13 @@
    for every completed RPC.
 
    Alongside, the Shard_engine profiler records per-shard window
-   occupancy (events/window, idle windows = pure barrier wait, outbox
-   depth) and every registry — eight host stacks, the switch, the
-   control plane, the profiler — merges into one rack-wide snapshot in
-   fixed (shard, name) order. Everything printed is a pure function of
-   the simulation: the whole digest, with tracing and profiling armed,
-   is byte-identical for any LAUBERHORN_SHARDS (asserted in-run for
-   1/2/4 and diffed 1-vs-4 by scripts/check.sh, artefacts included).
+   occupancy (events/window, idle windows with no event, outbox depth)
+   and every registry — eight host stacks, the switch, the control
+   plane, the profiler — merges into one rack-wide snapshot in fixed
+   (shard, name) order. Everything printed is a pure function of the
+   simulation: the whole digest, with tracing and profiling armed, is
+   byte-identical run to run (scripts/gates.sh double-runs it and
+   re-runs it under the sanitizers, artefacts included).
 
    Artefacts land in $E18_OUT_DIR (default artifacts/): a multi-track
    Perfetto trace (one process per host plane + the master plane's
@@ -33,7 +33,6 @@ let rate = 200_000.
 let horizon = Sim.Units.ms 5
 let drain = Sim.Units.ms 10
 let seed = 1818
-let domain_sweep = [ 1; 2; 4 ]
 
 let out_dir () =
   let dir =
@@ -60,9 +59,9 @@ let host_planes rack =
        (fun h s -> (Printf.sprintf "host%d" h, s.Common.tracer))
        rack.Rack.servers)
 
-let traced_run ?domains () =
+let traced_run () =
   let obs = Obs.Tracer.create () in
-  let rack = Rack.make_rack ?domains ~obs ~hosts () in
+  let rack = Rack.make_rack ~obs ~hosts () in
   let prof = Obs.Profiler.create ~shards:(hosts + 1) in
   Obs.Profiler.install prof (Cluster.Fabric.shard rack.Rack.fabric);
   let sw = Cluster.Fabric.switch rack.Rack.fabric in
@@ -276,30 +275,11 @@ let run () =
   Common.note
     "%d hosts at %s, tracing + profiling armed on every shard" hosts
     (Common.rate_str rate);
-  (* part (a): the armed rack is still byte-identical across domain
-     counts — tracing, profiling and aggregation included *)
-  let reference = ref None in
-  List.iter
-    (fun domains ->
-      let r = traced_run ~domains () in
-      let digest = String.concat "\n  " (digest_lines r) in
-      let windows = Cluster.Fabric.windows_run r.rack.Rack.fabric in
-      let events = Cluster.Fabric.events_processed r.rack.Rack.fabric in
-      Common.note "domains=%d windows=%d events/window=%d" domains windows
-        (if windows = 0 then 0 else events / windows);
-      match !reference with
-      | None ->
-          reference := Some digest;
-          Common.note "%s" ("armed rack:\n  " ^ digest)
-      | Some d ->
-          Common.note "identical to domains=1: %b" (String.equal d digest))
-    domain_sweep;
-  (* part (b): the environment's domain count (LAUBERHORN_SHARDS) —
-     the run scripts/check.sh diffs 1-vs-4 and double-runs, with the
-     artefacts included in the comparison *)
   let r = traced_run () in
-  Common.note "";
-  Common.note "env-domains run (LAUBERHORN_SHARDS decides):";
+  let windows = Cluster.Fabric.windows_run r.rack.Rack.fabric in
+  let events = Cluster.Fabric.events_processed r.rack.Rack.fabric in
+  Common.note "windows=%d events/window=%d" windows
+    (if windows = 0 then 0 else events / windows);
   Common.note "%s" ("armed rack:\n  " ^ String.concat "\n  " (digest_lines r));
   Common.note "";
   Common.note "exports (to $E18_OUT_DIR, default artifacts/):";

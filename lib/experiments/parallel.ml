@@ -1,5 +1,5 @@
-(* E16 — parallel scaling: the sharded conservative-PDES engine over a
-   rack of Lauberhorn hosts, 1/2/4/8 domains, E6-style load sweep.
+(* E16 — the sharded conservative-PDES engine over a rack of
+   Lauberhorn hosts, E6-style load sweep.
 
    Eight simulated hosts, each a full Lauberhorn stack (own engine,
    NIC pipeline, scheduler mirror, recorder). Hosts exchange a quarter
@@ -9,18 +9,10 @@
    {!Sim.Shard_engine.post}. Responses route back over the same wire,
    so remote RPCs pay two hops on top of end-system latency.
 
-   The experiment's two claims, printed as diffable stdout:
-
-   - determinism: per-host result lines are byte-identical for every
-     domain count (the digest table repeats per domain count and must
-     not vary);
-   - scaling: wall-clock per run for each domain count. Wall-clock is
-     host noise, not simulation output, so it goes to stderr — stdout
-     stays byte-stable for CI diffing. On a single-core CI box the
-     speedup is ~1x (domains time-slice one core); the windows/events
-     ratio printed per run is the machine-independent parallelism
-     measure (events per window = work available to spread across
-     domains). *)
+   Stdout carries the per-host results and the window counts (events
+   per window is the work each window-boundary merge is spread over);
+   the gates diff it against a committed snapshot. Wall-clock per run
+   is host noise, not simulation output, so it goes to stderr. *)
 
 let hosts = 8
 let wire = Sim.Units.us 2 (* rack wire one-way latency = lookahead *)
@@ -28,7 +20,6 @@ let remote_frac = 0.25
 let horizon = Sim.Units.ms 15
 let drain = Sim.Units.ms 10
 let rates = [ 100_000.; 300_000. ]
-let domain_counts = [ 1; 2; 4; 8 ]
 
 type host_result = {
   sent : int;
@@ -38,12 +29,11 @@ type host_result = {
   events : int;
 }
 
-(* One full rack run: fresh engines, stacks and arrival schedules, so
-   every domain count simulates the identical workload from scratch.
+(* One full rack run: fresh engines, stacks and arrival schedules.
    Returns per-host results plus (windows, merged messages). *)
-let rack_run ~rate ~domains () =
+let rack_run ~rate () =
   let engines = Array.init hosts (fun _ -> Sim.Engine.create ()) in
-  let shard = Sim.Shard_engine.create ~domains ~lookahead:wire engines in
+  let shard = Sim.Shard_engine.create ~lookahead:wire engines in
   let servers = Array.make hosts None in
   let server h =
     match servers.(h) with
@@ -78,8 +68,8 @@ let rack_run ~rate ~domains () =
   let port = Workload.Scenario.port_of setup ~service_idx:0 in
   Array.iteri
     (fun h engine ->
-      (* per-host seed: arrival streams are independent of both the
-         domain count and the other hosts *)
+      (* per-host seed: arrival streams are independent of the other
+         hosts *)
       let rng = Sim.Rng.create ~seed:(1000 + h) in
       Workload.Arrivals.open_loop engine rng ~rate_per_s:rate ~until:horizon
         (fun ~seq ->
@@ -134,52 +124,34 @@ let host_line h r =
   Printf.sprintf "host%d sent=%d done=%d p50=%s p99=%s events=%d" h r.sent
     r.completed (Common.ns r.p50) (Common.ns r.p99) r.events
 
-(* Wall-clock is measured for the scaling report only; it never
-   reaches stdout, which must stay byte-identical across machines and
-   domain counts. *)
+(* Wall-clock is measured for the stderr report only; it never reaches
+   stdout, which must stay byte-identical across machines. *)
 let[@nondet_ok] wallclock f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
 let run () =
-  Common.section
-    "E16: parallel scaling — sharded PDES rack, 1/2/4/8 domains";
+  Common.section "E16: sharded PDES rack — 8 hosts, conservative windows";
   List.iter
     (fun rate ->
       Common.note "offered load %s per host, %d hosts, %.0f%% remote"
         (Common.rate_str rate) hosts (100. *. remote_frac);
-      let reference = ref None in
-      List.iter
-        (fun domains ->
-          let (per_host, windows, merged), secs =
-            wallclock (fun () -> rack_run ~rate ~domains ())
-          in
-          let lines =
-            String.concat "\n  "
-              (Array.to_list (Array.mapi host_line per_host))
-          in
-          let events =
-            Array.fold_left (fun a r -> a + r.events) 0 per_host
-          in
-          Common.note "domains=%d windows=%d merged=%d events/window=%d"
-            domains windows merged
-            (if windows = 0 then 0 else events / windows);
-          (match !reference with
-          | None ->
-              reference := Some lines;
-              Common.note "%s" ("per-host:\n  " ^ lines)
-          | Some ref_lines ->
-              Common.note "per-host output identical to domains=1: %b"
-                (String.equal ref_lines lines));
-          (* stderr: machine-local wall clock, outside the diffed
-             stream *)
-          Printf.eprintf "  [e16] rate=%s domains=%d wall=%.2fs\n%!"
-            (Common.rate_str rate) domains secs)
-        domain_counts)
+      let (per_host, windows, merged), secs =
+        wallclock (fun () -> rack_run ~rate ())
+      in
+      let events = Array.fold_left (fun a r -> a + r.events) 0 per_host in
+      Common.note "windows=%d merged=%d events/window=%d" windows merged
+        (if windows = 0 then 0 else events / windows);
+      Common.note "%s"
+        ("per-host:\n  "
+        ^ String.concat "\n  " (Array.to_list (Array.mapi host_line per_host))
+        );
+      (* stderr: machine-local wall clock, outside the diffed stream *)
+      Printf.eprintf "  [e16] rate=%s wall=%.2fs\n%!" (Common.rate_str rate)
+        secs)
     rates;
   Common.note
-    "paper expectation: per-host results byte-identical for every domain";
-  Common.note
-    "count (conservative lookahead = wire latency); wall-clock scaling";
-  Common.note "is reported on stderr and depends on available cores."
+    "paper expectation: per-host results are a pure function of the seeds";
+  Common.note "(conservative lookahead = wire latency); wall-clock is";
+  Common.note "reported on stderr, outside the diffed stream."

@@ -14,11 +14,8 @@
    conservative window width equals the shortest link.
 
    Part (a), load sweep: an 8-host rack at two rack-wide offered loads,
-   run at 1/2/4/8 domains. Per-host handled counts, switch counters and
-   the client's latency quantiles must be byte-identical for every
-   domain count — the digest lines repeat and are compared in-run. A
-   16-host point then runs at the environment's domain count
-   (LAUBERHORN_SHARDS), which is what scripts/check.sh diffs 1-vs-4.
+   then a 16-host point. Each prints per-host handled counts, switch
+   counters and the client's latency quantiles.
 
    Part (b), failure + re-steering: kill host 3's service mid-sweep and
    respawn it. The health-check marks the host dead within one probe
@@ -32,7 +29,7 @@
    death.
 
    Wall-clock never appears on stdout; events/window is the
-   machine-independent parallelism measure, exactly as in E16. *)
+   machine-independent window-occupancy measure, exactly as in E16. *)
 
 let sweep_hosts = 8
 let big_hosts = 16
@@ -43,7 +40,6 @@ let handler_time = Sim.Units.ns 500
 let horizon = Sim.Units.ms 10
 let sweep_drain = Sim.Units.ms 10
 let rates = [ 200_000.; 600_000. ] (* rack-wide offered load *)
-let domain_counts = [ 1; 2; 4; 8 ]
 
 (* ---------- one rack instance ---------- *)
 
@@ -69,8 +65,8 @@ type rack = {
 }
 
 (* Build N Lauberhorn hosts on a fabric, register them with the master,
-   and wire a steering client behind the uplink. Deterministic for any
-   domain count: all cross-shard traffic rides Fabric posts.
+   and wire a steering client behind the uplink. Deterministic: all
+   cross-shard traffic rides Fabric posts.
 
    [obs], when given, arms the cross-fabric tracing plane (E18): the
    tracer lives on the master shard and records the client-side chain —
@@ -82,11 +78,17 @@ type rack = {
    causal tree per RPC whose stages tile [send, reply] exactly. All
    emission happens on the owning shard (host tracers on host shards,
    the master tracer on master-shard events only), so arming changes no
-   timing and breaks no determinism. *)
+   timing and breaks no determinism.
+
+   [domains] is a leftover label: the rack runs in one domain, and any
+   other value is refused. *)
 let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
-  let fabric =
-    Cluster.Fabric.create ?domains ~host_link ~uplink ?metrics ~hosts ()
-  in
+  (match domains with
+  | None | Some 1 -> ()
+  | Some d ->
+      invalid_arg
+        (Printf.sprintf "Rack.make_rack: %d domains (only 1 is supported)" d));
+  let fabric = Cluster.Fabric.create ~host_link ~uplink ?metrics ~hosts () in
   let master = Cluster.Fabric.master_engine fabric in
   let setup = Workload.Scenario.echo_fleet ~n:1 ~handler_time () in
   let service_port = Workload.Scenario.port_of setup ~service_idx:0 in
@@ -445,10 +447,10 @@ let digest_lines rack =
             (Array.map string_of_int (Cluster.Control.steered rack.control))));
   ]
 
-(* ---------- part (a): load sweep across domain counts ---------- *)
+(* ---------- part (a): load sweep ---------- *)
 
-let sweep_run ~rate ~domains =
-  let rack = make_rack ~domains ~hosts:sweep_hosts () in
+let sweep_run ~rate =
+  let rack = make_rack ~hosts:sweep_hosts () in
   setup_arrivals rack ~rate ~seed:1717;
   Cluster.Fabric.run rack.fabric ~until:(horizon + sweep_drain);
   finish rack;
@@ -461,30 +463,20 @@ let run_sweep () =
     (fun rate ->
       Common.note "rack load %s over %d hosts, RR balancer, probes every %s"
         (Common.rate_str rate) sweep_hosts (Common.ns probe_period);
-      let reference = ref None in
-      List.iter
-        (fun domains ->
-          let digest, windows, events = sweep_run ~rate ~domains in
-          Common.note "domains=%d windows=%d events/window=%d" domains windows
-            (if windows = 0 then 0 else events / windows);
-          match !reference with
-          | None ->
-              reference := Some digest;
-              Common.note "%s" ("rack:\n  " ^ digest)
-          | Some d ->
-              Common.note "identical to domains=1: %b" (String.equal d digest))
-        domain_counts)
+      let digest, windows, events = sweep_run ~rate in
+      Common.note "windows=%d events/window=%d" windows
+        (if windows = 0 then 0 else events / windows);
+      Common.note "%s" ("rack:\n  " ^ digest))
     rates
 
 let run_big () =
   let rack = make_rack ~hosts:big_hosts () in
-  (* no ~domains: LAUBERHORN_SHARDS decides — the check.sh 1-vs-4 gate *)
   setup_arrivals rack ~rate:400_000. ~seed:1718;
   Cluster.Fabric.run rack.fabric ~until:(horizon + sweep_drain);
   finish rack;
   let windows = Cluster.Fabric.windows_run rack.fabric in
   let events = Cluster.Fabric.events_processed rack.fabric in
-  Common.note "%d-host rack at %s (domains from env): windows=%d events/window=%d"
+  Common.note "%d-host rack at %s: windows=%d events/window=%d"
     big_hosts (Common.rate_str 400_000.) windows
     (if windows = 0 then 0 else events / windows);
   Common.note "%s" ("rack:\n  " ^ String.concat "\n  " (digest_lines rack))
@@ -621,8 +613,8 @@ let run () =
   Common.note "";
   run_failure ();
   Common.note
-    "paper expectation: per-host results byte-identical for every domain";
+    "paper expectation: per-host results are a pure function of the seeds;";
   Common.note
-    "count; a host death is detected within a probe period, steered around,";
+    "a host death is detected within a probe period, steered around,";
   Common.note
     "and every in-flight RPC resolves to a reply or an explicit reject."

@@ -17,8 +17,7 @@
 
    Part (b), rack: the same verified affinity program installed on
    every bypass host of a 4-host fabric; per-host per-lane counters
-   and client-side completions, byte-identical for any
-   LAUBERHORN_SHARDS (CI diffs 1 vs 4). *)
+   and client-side completions. *)
 
 let handler_time = Sim.Units.ns 500
 let nlanes = 8

@@ -74,10 +74,9 @@ val server_fault_is_none : server_fault -> bool
 (** {2 Cluster-level fault classes}
 
     Rack faults are pure schedules: every predicate below is a pure
-    function of the plan and a simulated time, so any shard (or any
-    domain) consulting one at any moment computes the same answer
-    without shared mutable state — the property that keeps chaos runs
-    byte-identical across [LAUBERHORN_SHARDS]. *)
+    function of the plan and a simulated time, so any shard consulting
+    one at any moment computes the same answer without shared mutable
+    state — a fault is a property of the plan, never of event order. *)
 
 type window = { starts : Sim.Units.time; until : Sim.Units.time }
 (** A half-open interval [\[starts, until)] of simulated time. *)

@@ -4,7 +4,7 @@
    partition windows, per-port wedge windows, brownout windows — and
    installs them on the fabric wire slot, the switch, and the control
    plane. Everything installed is a pure function of simulated time,
-   so an armed rack stays byte-identical across LAUBERHORN_SHARDS.
+   so an armed rack stays byte-identical run to run.
 
    Injection topology:
    - link flaps and Master-plane partitions cut the per-pair shard

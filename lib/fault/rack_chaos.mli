@@ -22,7 +22,7 @@
     ([fault_link_drops], [switch_port_drops], [switch_partition_drops],
     [ctl_master_restarts], [ctl_epoch_rejections]) — nothing is
     silent, and every predicate is a pure function of simulated time,
-    so armed runs stay byte-identical across [LAUBERHORN_SHARDS]. *)
+    so armed runs stay byte-identical run to run. *)
 
 type t
 

@@ -1,18 +1,16 @@
 (* Per-shard PDES profiler: the callee behind
-   Sim.Shard_engine.set_profiler. Every cell is indexed by shard and
-   written only by the domain running that shard inside a window (the
-   barrier provides the happens-before edges, exactly as for the
-   engines), and only sim-time-deterministic quantities are recorded —
-   so the report is byte-identical for any LAUBERHORN_SHARDS value. *)
+   Sim.Shard_engine.set_profiler. Every cell is indexed by shard, and
+   only sim-time-deterministic quantities are recorded — so the report
+   is byte-identical run to run. *)
 
 type t = {
   shards : int;
   windows : int array;  (* windows this shard executed *)
-  idle : int array;  (* windows with zero events: pure barrier wait *)
+  idle : int array;  (* windows with zero events *)
   events_total : int array;
   posted_total : int array;
   events : Sim.Histogram.t array;  (* events per window *)
-  posted : Sim.Histogram.t array;  (* outbox depth at the barrier *)
+  posted : Sim.Histogram.t array;  (* outbox depth at window end *)
 }
 
 let create ~shards =
@@ -50,7 +48,7 @@ let hmax h =
 
 (* Lookahead-window utilization in percent: the fraction of this
    shard's windows in which it had any events to run; its complement
-   is the barrier-wait occupancy. Integer arithmetic only. *)
+   is the idle-window share. Integer arithmetic only. *)
 let utilization_pct t shard =
   if t.windows.(shard) = 0 then 0
   else 100 * (t.windows.(shard) - t.idle.(shard)) / t.windows.(shard)

@@ -1,12 +1,11 @@
 (** The per-shard PDES profiler.
 
     Record, per shard of a {!Sim.Shard_engine} run: how many
-    conservative windows it executed, how many were idle (zero events
-    — pure barrier wait), the events-per-window and outbox-depth
-    distributions, and the lookahead-window utilization. All counters
-    are deterministic functions of the simulation (sim-time only, as
-    E16 established for wall-clock), so {!report_lines} is
-    byte-identical across [LAUBERHORN_SHARDS=1..N].
+    conservative windows it executed, how many were idle (zero
+    events), the events-per-window and outbox-depth distributions, and
+    the lookahead-window utilization. All counters are deterministic
+    functions of the simulation (sim-time only, never wall-clock), so
+    {!report_lines} is byte-identical run to run.
 
     Zero-cost when not installed: the engine's hook slot defaults to
     [None] (one load-and-branch per shard-window). Install only from a
@@ -29,7 +28,7 @@ val shards : t -> int
 
 val utilization_pct : t -> int -> int
 (** Percent of the shard's windows with at least one event; the
-    complement is its barrier-wait occupancy. *)
+    complement is its idle-window share. *)
 
 val report_lines : t -> string list
 (** One deterministic line per shard, in shard order: window/idle

@@ -39,10 +39,11 @@ val cancel : t -> handle -> unit
 val pending : t -> int
 (** Number of scheduled events not yet fired or cancelled. *)
 
-val next_event_time : t -> Units.time option
-(** Timestamp of the earliest pending event, or [None] when the queue
-    is drained. The sharded engine uses this to compute the global
-    minimum next-event time that anchors each conservative window. *)
+val next_event_time : t -> Units.time
+(** Timestamp of the earliest pending event, or {!Event_heap.no_time}
+    when the queue is drained. Allocates nothing. The sharded engine
+    uses this to compute the global minimum next-event time that
+    anchors each conservative window. *)
 
 val run : ?until:Units.time -> t -> unit
 (** Process events in time order until the queue drains, or until the

@@ -1,5 +1,5 @@
-(* Domain-sharded conservative PDES over an array of per-shard
-   engines.
+(* Conservative PDES over an array of per-shard engines, stepped in one
+   domain.
 
    The model: each shard (a simulated host, or an isolated pipeline
    stage) owns a private {!Engine} and shares no mutable simulation
@@ -9,41 +9,27 @@
    conservative-PDES contract, with the lookahead equal to the
    inter-shard wire latency.
 
-   Execution proceeds in barrier-synchronized windows:
+   Execution proceeds in windows:
 
    {v
      a  = min over shards of next pending event time
      window = [a, a + lookahead - 1]          (inclusive)
-     every shard runs its own events inside the window, in parallel
-     barrier; deliver posted messages; repeat
+     every shard runs its own events inside the window, in shard order
+     deliver posted messages; repeat
    v}
 
    Safety: any message posted during a window has delivery time
    [>= sender clock + lookahead > a + lookahead - 1], i.e. strictly
    beyond the window — so no shard can receive, during a window, a
    message that should have preempted an event it already ran. This is
-   why windows need no rollback and the engine stays deterministic.
-   It also guarantees progress: each window advances the global clock
-   floor by at least one lookahead.
+   why windows need no rollback. It also guarantees progress: each
+   window advances the global clock floor by at least one lookahead.
 
-   Determinism, the stronger property this repo leans on: the output
-   is byte-identical for ANY domain count, including 1.
-
-   - Within a shard, events run on that shard's engine in (time, seq)
-     order; which OS thread hosts the engine is invisible to it.
-   - Cross-shard messages are collected at the barrier and delivered
-     by the coordinator alone, ordered by [(delivery time, source
-     shard, posting order)]. Each per-source outbox is appended only
-     by the domain running that source, so the posting order is the
-     source's deterministic execution order, and the merged order is a
-     pure function of the simulation — not of thread scheduling.
-   - Delivery = [Engine.schedule_at] in merged order, so destination
-     tie-break seqs are assigned identically every run.
-
-   The barrier discipline (coordinator writes control fields only
-   between a done-wait and the next start-wait, workers read them only
-   after the start-wait) makes the plain mutable fields data-race
-   free; the barrier's mutex provides the happens-before edges. *)
+   Determinism: within a shard, events run on that shard's engine in
+   (time, seq) order. Cross-shard messages are collected per source
+   and delivered between windows in [(delivery time, source shard,
+   posting order)] order, by [Engine.schedule_at] in merged order, so
+   destination tie-break seqs are a pure function of the simulation. *)
 
 type outbox_item = {
   at : Units.time;
@@ -62,76 +48,43 @@ type t = {
          minimum entry of the latency matrix *)
   latency : Units.duration array array option;
       (* per-pair wire latencies; [None] means uniform [lookahead] *)
-  domains : int;
-  (* per-source outboxes, reverse posting order; outbox.(s) is written
-     only by the domain currently running shard [s], and drained by
-     the coordinator at barriers *)
+  (* per-source outboxes, reverse posting order; drained by [merge]
+     between windows *)
   outbox : outbox_item list array;
   mutable windows : int;
   mutable merged : int;
-  (* window control block, written by the coordinator between barrier
-     epochs (see the module comment for the discipline) *)
-  mutable window_end : Units.time;
-  mutable stop : bool;
   (* per-(shard, window) profiler hook; [None] (the default) costs one
-     load-and-branch per shard-window. Invoked by whichever domain
-     runs the shard, with sim-time-deterministic arguments only — the
-     callee owns per-shard storage (see Obs.Profiler). *)
+     load-and-branch per shard-window *)
   mutable profiler : probe option;
   (* wire-fault seam; [None] (the default) costs one load-and-branch
-     per post. Consulted by the posting domain, so the predicate must
-     be a pure function of (src, dst, at) — typically a Fault.Plan
-     schedule — and any counting it does must live in per-src storage
-     touched only by the posting domain (the outbox discipline). *)
+     per post *)
   mutable wire_fault : (src:int -> dst:int -> at:Units.time -> bool) option;
 }
 
-let env_domains () =
-  match Sys.getenv_opt "LAUBERHORN_SHARDS" with
-  | None | Some "" -> 1
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 1 && n <= 64 -> n
-      | Some _ | None ->
-          invalid_arg
-            (Printf.sprintf "LAUBERHORN_SHARDS=%s: expected 1..64" s))
-
-let make ?domains ~lookahead ~latency engines =
+let make ~lookahead ~latency engines =
   if Array.length engines = 0 then
     invalid_arg "Shard_engine.create: no shards";
   if lookahead <= 0 then
     invalid_arg "Shard_engine.create: lookahead must be positive";
-  let n = Array.length engines in
-  let domains =
-    match domains with
-    | None -> min n (env_domains ())
-    | Some d when d >= 1 -> min n d
-    | Some d ->
-        invalid_arg (Printf.sprintf "Shard_engine.create: %d domains" d)
-  in
   {
     engines;
     lookahead;
     latency;
-    domains;
-    outbox = Array.make n [];
+    outbox = Array.make (Array.length engines) [];
     windows = 0;
     merged = 0;
-    window_end = 0;
-    stop = false;
     profiler = None;
     wire_fault = None;
   }
 
-let create ?domains ~lookahead engines =
-  make ?domains ~lookahead ~latency:None engines
+let create ~lookahead engines = make ~lookahead ~latency:None engines
 
 (* Per-pair lookahead: the window width is the matrix minimum — the
    rack's shortest link bounds how far any shard may safely run ahead —
    while each post is validated against its own pair's latency, so a
    model bug on a long link is caught even when it clears the global
    minimum. *)
-let create_matrix ?domains ~latency engines =
+let create_matrix ~latency engines =
   let n = Array.length engines in
   if n = 0 then invalid_arg "Shard_engine.create_matrix: no shards";
   if not (Int.equal (Array.length latency) n) then
@@ -152,10 +105,9 @@ let create_matrix ?domains ~latency engines =
           if l < !min_latency then min_latency := l)
         row)
     latency;
-  make ?domains ~lookahead:!min_latency ~latency:(Some latency) engines
+  make ~lookahead:!min_latency ~latency:(Some latency) engines
 
 let shards t = Array.length t.engines
-let domains t = t.domains
 let set_profiler t p = t.profiler <- p
 let set_wire_fault t f = t.wire_fault <- f
 let lookahead t = t.lookahead
@@ -167,7 +119,7 @@ let messages_merged t = t.merged
    time [at]. The conservative contract demands [at] be at least one
    lookahead past the source's clock; violating it would let a window
    deliver into its own past, so it is rejected loudly. Must be called
-   from [src]'s own events (or from the coordinator before [run]). *)
+   from [src]'s own events (or before [run]). *)
 let post t ~src ~dst ~at fn =
   let n = Array.length t.engines in
   if src < 0 || src >= n then invalid_arg "Shard_engine.post: bad src";
@@ -189,8 +141,7 @@ let post t ~src ~dst ~at fn =
   (* The wire-fault seam: a cut wire swallows the message *after* the
      lookahead contract is enforced, so chaos runs still catch model
      bugs. The hook observes (and may count) the drop; dropping here —
-     before the outbox — keeps faulted posts invisible to the merge
-     order, which is what makes the cut deterministic per shard count. *)
+     before the outbox — keeps faulted posts out of the merge order. *)
   let dropped =
     match t.wire_fault with None -> false | Some f -> f ~src ~dst ~at
   in
@@ -198,7 +149,7 @@ let post t ~src ~dst ~at fn =
 
 (* Deliver every outboxed message, in an order that is a pure function
    of the simulation state: sort by (delivery time, source shard),
-   stable over each source's posting order. Coordinator only. *)
+   stable over each source's posting order. *)
 let merge t =
   let items = ref [] in
   for s = Array.length t.outbox - 1 downto 0 do
@@ -223,134 +174,64 @@ let merge t =
           ignore (Engine.schedule_at t.engines.(it.dst) ~at:it.at it.fn))
         arr
 
+(* Earliest pending event across all shards (delivered messages only),
+   or [Event_heap.no_time] when every queue is drained. Allocates
+   nothing. *)
 let next_event_time t =
-  let best = ref (-1) in
-  Array.iter
-    (fun e ->
-      match Engine.next_event_time e with
-      | Some tm when !best < 0 || tm < !best -> best := tm
-      | Some _ | None -> ())
-    t.engines;
-  if !best < 0 then None else Some !best
+  let best = ref Event_heap.no_time in
+  for i = 0 to Array.length t.engines - 1 do
+    let tm = Engine.next_event_time t.engines.(i) in
+    if (not (Int.equal tm Event_heap.no_time))
+       && (Int.equal !best Event_heap.no_time || tm < !best)
+    then best := tm
+  done;
+  !best
 
-(* Run the shards owned by [worker] — indices ≡ worker (mod domains) —
-   up to the current window end, in ascending shard order. *)
-let run_owned t worker =
-  let d = t.domains in
-  let limit = t.window_end in
-  let n = Array.length t.engines in
-  let i = ref worker in
-  while !i < n do
-    (match t.profiler with
-    | None -> Engine.run t.engines.(!i) ~until:limit
+(* Run every shard, in ascending shard order, up to [limit]. *)
+let run_window t limit =
+  for i = 0 to Array.length t.engines - 1 do
+    let e = t.engines.(i) in
+    match t.profiler with
+    | None -> Engine.run e ~until:limit
     | Some probe ->
-        let e = t.engines.(!i) in
         let before = Engine.events_processed e in
         Engine.run e ~until:limit;
         (* the outbox was drained at the window's merge, so its length
            here is exactly what this shard posted this window *)
-        probe ~shard:!i ~window_end:limit
+        probe ~shard:i ~window_end:limit
           ~events:(Engine.events_processed e - before)
-          ~posted:(List.length t.outbox.(!i)));
-    i := !i + d
+          ~posted:(List.length t.outbox.(i))
   done
 
-(* One coordinator pass: deliver messages, find the next window, set
-   the control block. Returns [false] when the simulation is complete
-   up to [until] (all clocks advanced to the horizon). *)
+(* Deliver messages and return the next window's (inclusive) end. When
+   nothing is left before the horizon, the window fills every clock to
+   [until], exactly like a plain [Engine.run]. *)
 let plan_window t ~until =
   merge t;
-  match next_event_time t with
-  | Some a when a <= until ->
-      (* cap at the horizon: the run must not execute past [until] *)
-      let window_end = min (a + t.lookahead - 1) until in
-      t.window_end <- window_end;
-      t.windows <- t.windows + 1;
-      true
-  | Some _ | None ->
-      (* drained (or nothing left before the horizon): fill every
-         clock to the horizon, exactly like a plain [Engine.run] *)
-      t.window_end <- until;
-      t.windows <- t.windows + 1;
-      true
+  t.windows <- t.windows + 1;
+  let a = next_event_time t in
+  if (not (Int.equal a Event_heap.no_time)) && a <= until then
+    (* cap at the horizon: the run must not execute past [until] *)
+    min (a + t.lookahead - 1) until
+  else until
 
-(* Completion check separate from [plan_window]: the final
-   clock-filling window must still be executed by the workers. Events
-   scheduled beyond the horizon stay queued — exactly as a plain
+(* Events scheduled beyond the horizon stay queued — exactly as a plain
    [Engine.run ~until] leaves them — so completion only demands that
-   nothing at or before [until] remains, in a queue or in flight. *)
+   every clock reached [until] and nothing at or before it remains, in
+   a queue or in flight. *)
 let complete t ~until =
-  Array.for_all (fun e -> Engine.now e >= until) t.engines
-  && (match next_event_time t with None -> true | Some a -> a > until)
-  && Array.for_all (fun l -> match l with [] -> true | _ :: _ -> false)
-       t.outbox
-
-(* Sequential reference: the coordinator itself runs every shard,
-   window by window, in shard order. The parallel path below produces
-   byte-identical output; this one exists so [domains = 1] costs no
-   thread machinery and serves as the determinism oracle. *)
-let run_sequential t ~until =
-  let continue = ref true in
-  while !continue do
-    ignore (plan_window t ~until);
-    run_owned t 0;
-    if complete t ~until then continue := false
-  done
-
-exception Worker_failed of int * exn
-
-(* Parallel path: [domains] worker domains, one of which is driven by
-   the caller's domain after it finishes coordinating. Two barrier
-   epochs per window: one releasing the workers into the window, one
-   collecting them before the coordinator touches shared state. A
-   worker that trips an exception records it, then keeps honouring
-   barrier epochs doing no work (never abandons the protocol —
-   abandoning would deadlock the rest) until the coordinator notices,
-   raises the stop flag, and every domain exits at the next epoch. *)
-let[@nondet_ok] run_parallel t ~until =
-  let d = t.domains in
-  let barrier = Barrier.create (d + 1) in
-  let failures = Array.make d None in
-  let worker w =
-    let continue = ref true in
-    while !continue do
-      Barrier.await barrier (* start epoch: window is planned *);
-      if t.stop then continue := false
-      else begin
-        (try run_owned t w
-         with e -> if Option.is_none failures.(w) then failures.(w) <- Some e);
-        Barrier.await barrier (* done epoch: window fully executed *)
-      end
-    done
-  in
-  let handles = Array.init d (fun w -> Domain.spawn (fun () -> worker w)) in
-  let first_failure () =
-    let r = ref None in
-    Array.iteri
-      (fun w f ->
-        match (f, !r) with
-        | Some e, None -> r := Some (w, e)
-        | (Some _ | None), _ -> ())
-      failures;
-    !r
-  in
-  let continue = ref true in
-  while !continue do
-    ignore (plan_window t ~until);
-    Barrier.await barrier (* release workers into the window *);
-    Barrier.await barrier (* wait for the window to complete *);
-    if Option.is_some (first_failure ()) || complete t ~until then
-      continue := false
+  let clocks_done = ref true and outboxes_empty = ref true in
+  for i = 0 to Array.length t.engines - 1 do
+    if Engine.now t.engines.(i) < until then clocks_done := false;
+    match t.outbox.(i) with [] -> () | _ :: _ -> outboxes_empty := false
   done;
-  t.stop <- true;
-  Barrier.await barrier (* final epoch: workers observe stop and exit *);
-  Array.iter Domain.join handles;
-  t.stop <- false;
-  match first_failure () with
-  | Some (w, e) ->
-      (* lowest worker index wins so the report is stable run-to-run *)
-      raise (Worker_failed (w, e))
-  | None -> ()
+  let a = next_event_time t in
+  !clocks_done && !outboxes_empty
+  && (Int.equal a Event_heap.no_time || a > until)
 
 let run t ~until =
-  if t.domains = 1 then run_sequential t ~until else run_parallel t ~until
+  let continue = ref true in
+  while !continue do
+    run_window t (plan_window t ~until);
+    if complete t ~until then continue := false
+  done

@@ -106,7 +106,7 @@ type ctx = {
   (* character offsets of =/<> uses exempted by a literal operand *)
   exempt : (int, unit) Hashtbl.t;
   (* [@nondet_ok] character spans: deliberate, reviewed nondeterminism
-     (domain-parallelism machinery, wall-clock reporting) *)
+     (wall-clock reporting) *)
   mutable nondet_ok : (int * int) list;
   (* spans in which observability hooks may be installed: any
      if/match whose scrutinee consults a Config, plus explicit
@@ -164,9 +164,8 @@ let nondet_diagnosis lid =
     :: _ ->
       Some
         (Printf.sprintf
-           "%s.* is thread-scheduling-dependent; simulation parallelism must \
-            go through Sim.Shard_engine's deterministic windows — mark \
-            deliberate machinery [@nondet_ok]"
+           "%s.* is thread-scheduling-dependent and banned in lib/, which \
+            runs in one domain"
            (List.hd (lid_parts lid)))
   | "Random" :: rest -> (
       match rest with

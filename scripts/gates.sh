@@ -8,13 +8,13 @@
 #            (pool discipline, event-loop monotonicity, coherence
 #            generations, sched-mirror convergence) in fail-fast mode:
 #            zero trips, and the checkers observe without perturbing;
-#   shards   stepping through Shard_engine's conservative lookahead
-#            windows (LAUBERHORN_SHARDS=4) must not move the output.
+#   shards   stepping a section's single engine through Shard_engine's
+#            conservative lookahead windows (LAUBERHORN_SHARDS=4) must
+#            not move the output.
 #
 # Then every shipped steering program must pass the static verifier,
-# E16 (which asserts per-host identity across domain counts itself)
-# must run clean, and every section with a test/baseline snapshot must
-# reproduce it byte for byte.
+# and every section with a test/baseline snapshot must reproduce it
+# byte for byte.
 #
 # Usage, from the repository root (or from _build/default, as the
 # @check alias does):
@@ -62,17 +62,16 @@ same        steering   ""           ""
 same        fig2       ""           "$san"
 same        losssweep  ""           "$san"
 same        failover   ""           "$san"
+same        rack       ""           "$san"
+same        obstrace   ""           "$san"       E18_OUT_DIR
+same        chaossoak  ""           "$san"
 # -- shards
 same        fig2       "$s1"        "$s4 $san"
 same        losssweep  "$s1"        "$s4 $san"
 same        failover   "$s1"        "$s4 $san"
-same        rack       "$s1 $san"   "$s4 $san"
-same        obstrace   "$s1"        "$s4"        E18_OUT_DIR
-same        chaossoak  "$s1 $san"   "$s4 $san"
 same        steering   "$s1 $san"   "$s4 $san"
 
 "$steer_verify"
-"$figures" parallel > "$a"
 
 for f in test/baseline/*.txt; do
   "$figures" "$(basename "$f" .txt)" > "$a" 2>/dev/null

@@ -1,14 +1,13 @@
-(* Tests for the domain-sharded conservative-PDES engine: windowing
-   semantics, the lookahead contract, and the headline determinism
-   property — byte-identical output for any domain count. *)
+(* Tests for the sharded conservative-PDES engine: windowing
+   semantics, the lookahead contract, and the delivery contract — every
+   cross-shard post lands on its destination at exactly its time. *)
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 
 let la = Sim.Units.us 2 (* lookahead used throughout *)
 
-(* Per-shard logs: each is appended only by the domain running that
-   shard, so logging is data-race free and fully ordered per shard. *)
+(* Per-shard logs, appended by that shard's own events. *)
 type logs = (int * string) list array (* (time, tag) newest-first *)
 
 let note (logs : logs) engines s tag () =
@@ -17,7 +16,7 @@ let note (logs : logs) engines s tag () =
 let test_pingpong () =
   let engines = Array.init 2 (fun _ -> Sim.Engine.create ()) in
   let logs = Array.make 2 [] in
-  let t = Sim.Shard_engine.create ~domains:1 ~lookahead:la engines in
+  let t = Sim.Shard_engine.create ~lookahead:la engines in
   (* shard 0 fires locally at 1000, posts a reply request to shard 1;
      shard 1 receives it and posts back; three hops in total *)
   let rec hop s at hops () =
@@ -37,7 +36,7 @@ let test_pingpong () =
 
 let test_lookahead_violation_raises () =
   let engines = Array.init 2 (fun _ -> Sim.Engine.create ()) in
-  let t = Sim.Shard_engine.create ~domains:1 ~lookahead:la engines in
+  let t = Sim.Shard_engine.create ~lookahead:la engines in
   checkb "post under lookahead rejected" true
     (try
        Sim.Shard_engine.post t ~src:0 ~dst:1 ~at:(la - 1) (fun () -> ());
@@ -51,7 +50,7 @@ let test_lookahead_violation_raises () =
 
 let test_clock_fill_and_reuse () =
   let engines = Array.init 3 (fun _ -> Sim.Engine.create ()) in
-  let t = Sim.Shard_engine.create ~domains:1 ~lookahead:la engines in
+  let t = Sim.Shard_engine.create ~lookahead:la engines in
   let fired = ref 0 in
   ignore (Sim.Engine.schedule_at engines.(1) ~at:500 (fun () -> incr fired));
   Sim.Shard_engine.run t ~until:10_000;
@@ -68,7 +67,7 @@ let test_clock_fill_and_reuse () =
    window. *)
 let test_pending_beyond_horizon () =
   let engines = Array.init 2 (fun _ -> Sim.Engine.create ()) in
-  let t = Sim.Shard_engine.create ~domains:1 ~lookahead:la engines in
+  let t = Sim.Shard_engine.create ~lookahead:la engines in
   let fired = ref 0 in
   ignore (Sim.Engine.schedule_at engines.(0) ~at:100 (fun () -> incr fired));
   ignore (Sim.Engine.schedule_at engines.(0) ~at:99_999 (fun () -> incr fired));
@@ -91,7 +90,7 @@ let test_matrix_lookahead () =
       [| Sim.Units.us 2; Sim.Units.us 2 |];
     |]
   in
-  let t = Sim.Shard_engine.create_matrix ~domains:1 ~latency engines in
+  let t = Sim.Shard_engine.create_matrix ~latency engines in
   checki "window width is the matrix minimum" (Sim.Units.us 2)
     (Sim.Shard_engine.lookahead t);
   (* the regression that motivates per-pair validation: a post that
@@ -121,7 +120,7 @@ let test_matrix_shape_raises () =
   let engines = Array.init 2 (fun _ -> Sim.Engine.create ()) in
   let raises latency =
     try
-      ignore (Sim.Shard_engine.create_matrix ~domains:1 ~latency engines);
+      ignore (Sim.Shard_engine.create_matrix ~latency engines);
       false
     with Invalid_argument _ -> true
   in
@@ -130,22 +129,9 @@ let test_matrix_shape_raises () =
   checkb "non-positive latency rejected" true
     (raises [| [| la; 0 |]; [| la; la |] |])
 
-let test_worker_exception_parallel () =
-  let engines = Array.init 2 (fun _ -> Sim.Engine.create ()) in
-  let t = Sim.Shard_engine.create ~domains:2 ~lookahead:la engines in
-  ignore
-    (Sim.Engine.schedule_at engines.(1) ~at:100 (fun () -> failwith "boom"));
-  checkb "worker failure surfaces" true
-    (try
-       Sim.Shard_engine.run t ~until:1_000;
-       false
-     with Sim.Shard_engine.Worker_failed (_, Failure m) -> String.equal m "boom")
+(* ---------- the delivery contract ---------- *)
 
-(* ---------- determinism across domain counts ---------- *)
-
-(* A static per-shard plan, generated up front so every run of the
-   same plan is the same simulation regardless of thread scheduling.
-   Each op schedules an event at [at] on [shard] that either logs,
+(* A static per-shard plan, generated up front. Each op schedules an event at [at] on [shard] that either logs,
    arms a timer, cancels a previously armed timer, or posts a logging
    closure to another shard one lookahead (plus [delta]) ahead. *)
 type op = {
@@ -156,16 +142,15 @@ type op = {
   delta : int;
 }
 
-let run_plan ?latency ~shards ~domains (plan : op list) :
-    (int * string) list array =
+let run_plan ?latency ~shards (plan : op list) : (int * string) list array =
   let engines = Array.init shards (fun _ -> Sim.Engine.create ()) in
   let logs = Array.make shards [] in
   let t =
     match latency with
-    | None -> Sim.Shard_engine.create ~domains ~lookahead:la engines
-    | Some m -> Sim.Shard_engine.create_matrix ~domains ~latency:m engines
+    | None -> Sim.Shard_engine.create ~lookahead:la engines
+    | Some m -> Sim.Shard_engine.create_matrix ~latency:m engines
   in
-  (* per-shard timer tables: touched only by the owning shard *)
+  (* per-shard timer tables *)
   let timers = Array.init shards (fun _ -> Hashtbl.create 16) in
   List.iteri
     (fun i op ->
@@ -198,6 +183,22 @@ let run_plan ?latency ~shards ~domains (plan : op list) :
   Sim.Shard_engine.run t ~until:(Sim.Units.ms 2);
   Array.map List.rev logs
 
+let op_gen shards =
+  QCheck.Gen.(
+    map
+      (fun (shard, at, kind, arg, delta) -> { shard; at; kind; arg; delta })
+      (tup5 (int_bound (shards - 1))
+         (map (fun x -> 10 + x) (int_bound 50_000))
+         (int_bound 3) (int_bound 7) (int_bound 300)))
+
+let pp_plan plan =
+  String.concat " "
+    (List.map
+       (fun o ->
+         Printf.sprintf "(s%d@%d k%d a%d d%d)" o.shard o.at o.kind o.arg
+           o.delta)
+       plan)
+
 let pp_logs logs =
   String.concat ";"
     (Array.to_list
@@ -208,39 +209,13 @@ let pp_logs logs =
                  (List.map (fun (t, tag) -> Printf.sprintf "%d@%s" t tag) l)))
           logs))
 
-let op_gen shards =
-  QCheck.Gen.(
-    map
-      (fun (shard, at, kind, arg, delta) -> { shard; at; kind; arg; delta })
-      (tup5 (int_bound (shards - 1))
-         (map (fun x -> 10 + x) (int_bound 50_000))
-         (int_bound 3) (int_bound 7) (int_bound 300)))
-
 let arb_plan shards =
-  QCheck.make
-    ~print:(fun plan ->
-      String.concat " "
-        (List.map
-           (fun o ->
-             Printf.sprintf "(s%d@%d k%d a%d d%d)" o.shard o.at o.kind o.arg
-               o.delta)
-           plan))
+  QCheck.make ~print:pp_plan
     QCheck.Gen.(list_size (int_range 1 60) (op_gen shards))
 
-let qcheck_determinism =
-  QCheck.Test.make ~count:60
-    ~name:"sharded runs are identical for any domain count" (arb_plan 4)
-    (fun plan ->
-      let ref_logs = run_plan ~shards:4 ~domains:1 plan in
-      let ref_s = pp_logs ref_logs in
-      List.for_all
-        (fun domains ->
-          String.equal ref_s (pp_logs (run_plan ~shards:4 ~domains plan)))
-        [ 2; 3; 4 ])
-
-(* Same property under a random asymmetric latency matrix: posts pay
-   each pair's own wire latency, the window is the matrix minimum, and
-   the output still cannot depend on the domain count. *)
+(* A random asymmetric latency matrix (every entry at least [la]) and a
+   plan: posts pay each pair's own wire latency and the window is the
+   matrix minimum. *)
 let arb_matrix_plan shards =
   QCheck.make
     ~print:(fun (m, plan) ->
@@ -252,12 +227,7 @@ let arb_matrix_plan shards =
                    String.concat ","
                      (Array.to_list (Array.map string_of_int row)))
                  m)))
-        (String.concat " "
-           (List.map
-              (fun o ->
-                Printf.sprintf "(s%d@%d k%d a%d d%d)" o.shard o.at o.kind
-                  o.arg o.delta)
-              plan)))
+        (pp_plan plan))
     QCheck.Gen.(
       pair
         (array_size (return shards)
@@ -265,17 +235,60 @@ let arb_matrix_plan shards =
               (map (fun x -> la + x) (int_bound (3 * la)))))
         (list_size (int_range 1 40) (op_gen shards)))
 
+let rec non_decreasing = function
+  | (a, _) :: ((b, _) :: _ as rest) -> a <= b && non_decreasing rest
+  | [ _ ] | [] -> true
+
+(* Every posted [msg<i>] is logged exactly once, on its destination
+   shard, at exactly its delivery time (the poster's clock plus the
+   pair's wire plus [delta]); and each shard's log is non-decreasing
+   in time. *)
+let on_contract ?latency ~shards plan logs =
+  let wire s d = match latency with None -> la | Some m -> m.(s).(d) in
+  let expected =
+    List.concat
+      (List.mapi
+         (fun i op ->
+           if op.kind = 3 then
+             let dst = op.arg mod shards in
+             [ (dst, op.at + wire op.shard dst + op.delta,
+                Printf.sprintf "msg%d" i) ]
+           else [])
+         plan)
+  in
+  let delivered =
+    List.concat
+      (Array.to_list
+         (Array.mapi
+            (fun s l ->
+              List.filter_map
+                (fun (t, tag) ->
+                  if String.starts_with ~prefix:"msg" tag then Some (s, t, tag)
+                  else None)
+                l)
+            logs))
+  in
+  List.sort compare delivered = List.sort compare expected
+  && Array.for_all non_decreasing logs
+
+(* Two runs of the same plan log the same timeline, and that timeline
+   honours the delivery contract. *)
+let deterministic_on_contract ?latency ~shards plan =
+  let logs = run_plan ?latency ~shards plan in
+  String.equal (pp_logs logs) (pp_logs (run_plan ?latency ~shards plan))
+  && on_contract ?latency ~shards plan logs
+
+let qcheck_determinism =
+  QCheck.Test.make ~count:60
+    ~name:"sharded runs are identical for every repeat and land posts on time"
+    (arb_plan 4)
+    (fun plan -> deterministic_on_contract ~shards:4 plan)
+
 let qcheck_matrix_determinism =
   QCheck.Test.make ~count:30
-    ~name:"matrix-lookahead runs are identical for any domain count"
+    ~name:"matrix-lookahead runs are identical for every repeat and land posts on time"
     (arb_matrix_plan 4)
-    (fun (latency, plan) ->
-      let ref_s = pp_logs (run_plan ~latency ~shards:4 ~domains:1 plan) in
-      List.for_all
-        (fun domains ->
-          String.equal ref_s
-            (pp_logs (run_plan ~latency ~shards:4 ~domains plan)))
-        [ 2; 4 ])
+    (fun (latency, plan) -> deterministic_on_contract ~latency ~shards:4 plan)
 
 let qsuite name t = (name, [ QCheck_alcotest.to_alcotest t ])
 
@@ -291,8 +304,6 @@ let () =
             test_clock_fill_and_reuse;
           Alcotest.test_case "pending beyond horizon" `Quick
             test_pending_beyond_horizon;
-          Alcotest.test_case "worker exception surfaces" `Quick
-            test_worker_exception_parallel;
           Alcotest.test_case "matrix lookahead contract" `Quick
             test_matrix_lookahead;
           Alcotest.test_case "matrix shape validation" `Quick

@@ -41,9 +41,9 @@ let test_nondet_allowed_in_fault () =
     (count "nondeterminism" (lint ~path:"lib/fault/plan.ml" src))
 
 let test_nondet_domain_flagged () =
-  (* Raw parallelism primitives are thread-scheduling-dependent: any
-     direct use outside the deliberately-marked Shard_engine machinery
-     must fire the nondeterminism rule. *)
+  (* Raw parallelism primitives are thread-scheduling-dependent, and
+     lib/ runs in one domain: any direct use must fire the
+     nondeterminism rule. *)
   let fs =
     lint ~path:"lib/core/thing.ml"
       "let spawn f = Domain.spawn f\n\
