@@ -28,8 +28,8 @@ let test_event_heap =
 
 (* Timer-dominated workload: the retransmit-timer pattern where almost
    every armed timer is cancelled before it fires (ack arrives first).
-   8192 arms, half cancelled, half fire; the cancelled half is reclaimed
-   by the heap's lazy-cancel compaction. *)
+   8192 arms, half cancelled, half fire; each cancel removes its entry
+   from the heap at once. *)
 let test_timer_churn_heap =
   Test.make ~name:"timer arm+cancel x8192 (heap)"
     (Staged.stage (fun () ->

@@ -10,15 +10,56 @@ type sanitizer_event =
     }
   | Reset of { line : line_id; new_gen : int }
 
-type parked = {
-  callback : fill -> unit;
-  timer : Sim.Engine.handle;
-}
+(* A FIFO of in-flight transactions of one kind. Every transaction of
+   a kind crosses the interconnect with the agent's constant latency
+   for that kind, so they land in issue order (the engine breaks a tie
+   on the instant by scheduling order), and the agent's one event
+   closure per kind pops the oldest. Several can be in flight on one
+   line: a load request issued before a [reset_line] still travels
+   beside the respawned thread's new one. Vacated cells hold [empty],
+   so a delivered callback or image is not retained. *)
+module Fifo = struct
+  type 'a t = {
+    mutable buf : 'a array;
+    mutable head : int;
+    mutable len : int;
+    empty : 'a;
+  }
+
+  let create empty = { buf = [||]; head = 0; len = 0; empty }
+
+  let push q v =
+    let cap = Array.length q.buf in
+    if Int.equal q.len cap then begin
+      let bigger = Array.make (max 8 (2 * cap)) q.empty in
+      for i = 0 to q.len - 1 do
+        bigger.(i) <- q.buf.((q.head + i) land (cap - 1))
+      done;
+      q.buf <- bigger;
+      q.head <- 0
+    end;
+    q.buf.((q.head + q.len) land (Array.length q.buf - 1)) <- v;
+    q.len <- q.len + 1
+
+  let pop q =
+    if Int.equal q.len 0 then invalid_arg "Home_agent: no transaction in flight";
+    let v = q.buf.(q.head) in
+    q.buf.(q.head) <- q.empty;
+    q.head <- (q.head + 1) land (Array.length q.buf - 1);
+    q.len <- q.len - 1;
+    v
+end
+
+let no_fill_callback (_ : fill) = ()
+let no_fetch_callback (_ : bytes option) = ()
+let nop () = ()
 
 type line = {
   id : line_id;
-  mutable staged : bytes option;
-  mutable parked : parked option;
+  mutable staged : fill;  (* [Tryagain] when no data is staged *)
+  mutable parked : fill -> unit;  (* [no_fill_callback] when none is *)
+  mutable timer : Sim.Engine.handle;  (* the parked load's timeout *)
+  mutable timeout_fires : unit -> unit;  (* built once, by [alloc_line] *)
   mutable cpu_copy : bytes option;  (* last CPU store, until fetched *)
   mutable on_load : (served:bool -> unit) option;
   mutable on_store : (bytes -> unit) option;
@@ -35,6 +76,26 @@ type t = {
       (* fault injection: per-stage extra interconnect latency *)
   mutable lines : line array;
   mutable n_lines : int;
+  (* In flight, oldest first: load requests (line, loader, line
+     generation at issue), fill responses (line, loader, fill,
+     generation at issue), store releases (line, image) and
+     fetch-exclusives (line, collector). *)
+  req_line : int Fifo.t;
+  req_k : (fill -> unit) Fifo.t;
+  req_gen : int Fifo.t;
+  resp_line : int Fifo.t;
+  resp_k : (fill -> unit) Fifo.t;
+  resp_fill : fill Fifo.t;
+  resp_gen : int Fifo.t;
+  store_line : int Fifo.t;
+  store_data : bytes Fifo.t;
+  fetch_line : int Fifo.t;
+  fetch_k : (bytes option -> unit) Fifo.t;
+  (* The event closures for each kind, built once by [create]. *)
+  mutable request_lands : unit -> unit;
+  mutable response_lands : unit -> unit;
+  mutable store_lands : unit -> unit;
+  mutable fetch_lands : unit -> unit;
   mutable loads : int;
   mutable fills : int;
   mutable tryagains : int;
@@ -46,45 +107,164 @@ type t = {
   mutable sanitizer : (sanitizer_event -> unit) option;
 }
 
-let create engine prof ?stage_delay ~timeout () =
-  if timeout <= 0 then invalid_arg "Home_agent.create: non-positive timeout";
-  {
-    engine;
-    prof;
-    timeout;
-    stage_delay;
-    lines = Array.init 16 (fun i ->
-        { id = i; staged = None; parked = None; cpu_copy = None;
-          on_load = None; on_store = None; gen = 0 });
-    n_lines = 0;
-    loads = 0;
-    fills = 0;
-    tryagains = 0;
-    stores = 0;
-    fetchx = 0;
-    delayed_stages = 0;
-    line_resets = 0;
-    stale_loads = 0;
-    sanitizer = None;
-  }
-
 let profile t = t.prof
 let engine t = t.engine
 let set_sanitizer t f = t.sanitizer <- f
+let is_parked ln = ln.parked != no_fill_callback
+
+(* Send a fill (real or TRYAGAIN) back to the loader [k]. *)
+let respond t ln k fill =
+  (match fill with
+  | Data _ -> t.fills <- t.fills + 1
+  | Tryagain -> t.tryagains <- t.tryagains + 1);
+  Fifo.push t.resp_line ln.id;
+  Fifo.push t.resp_k k;
+  Fifo.push t.resp_fill fill;
+  Fifo.push t.resp_gen ln.gen;
+  ignore
+    (Sim.Engine.schedule_after t.engine ~after:t.prof.Interconnect.load_response
+       t.response_lands)
+
+let response_lands t () =
+  let ln = t.lines.(Fifo.pop t.resp_line) in
+  let k = Fifo.pop t.resp_k in
+  let fill = Fifo.pop t.resp_fill in
+  let gen_at_issue = Fifo.pop t.resp_gen in
+  (match t.sanitizer with
+  | None -> ()
+  | Some observe ->
+      observe
+        (Fill
+           {
+             line = ln.id;
+             gen_at_issue;
+             gen_now = ln.gen;
+             tryagain = (match fill with Tryagain -> true | Data _ -> false);
+           }));
+  k fill
+
+(* Take the parked load off the line, disarming its timeout. *)
+let unpark t ln =
+  let k = ln.parked in
+  ln.parked <- no_fill_callback;
+  Sim.Engine.cancel t.engine ln.timer;
+  ln.timer <- Sim.Engine.no_handle;
+  k
+
+let complete_parked t ln fill =
+  if is_parked ln then respond t ln (unpark t ln) fill
+
+let timeout_fires t ln () =
+  if is_parked ln then begin
+    let k = ln.parked in
+    ln.parked <- no_fill_callback;
+    ln.timer <- Sim.Engine.no_handle;
+    respond t ln k Tryagain
+  end
+
+(* A load miss reaches the home agent. *)
+let request_lands t () =
+  let ln = t.lines.(Fifo.pop t.req_line) in
+  let k = Fifo.pop t.req_k in
+  let gen = Fifo.pop t.req_gen in
+  if not (Int.equal ln.gen gen) then
+    (* The line was reset while this load request was on the
+       interconnect: the loader's process is gone, so the request dies
+       at the directory instead of parking. *)
+    t.stale_loads <- t.stale_loads + 1
+  else
+    match ln.staged with
+    | Data _ as fill ->
+        ln.staged <- Tryagain;
+        respond t ln k fill;
+        (match ln.on_load with Some f -> f ~served:true | None -> ())
+    | Tryagain ->
+        if is_parked ln then
+          invalid_arg
+            (Printf.sprintf
+               "Home_agent.cpu_load: line %d already has a parked load" ln.id);
+        ln.timer <-
+          Sim.Engine.schedule_after t.engine ~after:t.timeout ln.timeout_fires;
+        ln.parked <- k;
+        (match ln.on_load with Some f -> f ~served:false | None -> ())
+
+let store_lands t () =
+  let ln = t.lines.(Fifo.pop t.store_line) in
+  let data = Fifo.pop t.store_data in
+  match ln.on_store with Some f -> f data | None -> ()
+
+let fetch_lands t () =
+  let ln = t.lines.(Fifo.pop t.fetch_line) in
+  let k = Fifo.pop t.fetch_k in
+  let data = ln.cpu_copy in
+  ln.cpu_copy <- None;
+  k data
+
+let create engine prof ?stage_delay ~timeout () =
+  if timeout <= 0 then invalid_arg "Home_agent.create: non-positive timeout";
+  let t =
+    {
+      engine;
+      prof;
+      timeout;
+      stage_delay;
+      lines = [||];
+      n_lines = 0;
+      req_line = Fifo.create 0;
+      req_k = Fifo.create no_fill_callback;
+      req_gen = Fifo.create 0;
+      resp_line = Fifo.create 0;
+      resp_k = Fifo.create no_fill_callback;
+      resp_fill = Fifo.create Tryagain;
+      resp_gen = Fifo.create 0;
+      store_line = Fifo.create 0;
+      store_data = Fifo.create Bytes.empty;
+      fetch_line = Fifo.create 0;
+      fetch_k = Fifo.create no_fetch_callback;
+      request_lands = nop;
+      response_lands = nop;
+      store_lands = nop;
+      fetch_lands = nop;
+      loads = 0;
+      fills = 0;
+      tryagains = 0;
+      stores = 0;
+      fetchx = 0;
+      delayed_stages = 0;
+      line_resets = 0;
+      stale_loads = 0;
+      sanitizer = None;
+    }
+  in
+  t.request_lands <- request_lands t;
+  t.response_lands <- response_lands t;
+  t.store_lands <- store_lands t;
+  t.fetch_lands <- fetch_lands t;
+  t
 
 let alloc_line t =
-  if Int.equal t.n_lines (Array.length t.lines) then begin
-    let bigger =
-      Array.init (2 * t.n_lines) (fun i ->
-          if i < t.n_lines then t.lines.(i)
-          else
-            { id = i; staged = None; parked = None; cpu_copy = None;
-              on_load = None; on_store = None; gen = 0 })
-    in
+  let id = t.n_lines in
+  let ln =
+    {
+      id;
+      staged = Tryagain;
+      parked = no_fill_callback;
+      timer = Sim.Engine.no_handle;
+      timeout_fires = nop;
+      cpu_copy = None;
+      on_load = None;
+      on_store = None;
+      gen = 0;
+    }
+  in
+  ln.timeout_fires <- timeout_fires t ln;
+  if Int.equal id (Array.length t.lines) then begin
+    let bigger = Array.make (max 16 (2 * id)) ln in
+    Array.blit t.lines 0 bigger 0 id;
     t.lines <- bigger
   end;
-  let id = t.n_lines in
-  t.n_lines <- t.n_lines + 1;
+  t.lines.(id) <- ln;
+  t.n_lines <- id + 1;
   id
 
 let line t id =
@@ -95,71 +275,20 @@ let line t id =
 let set_on_load t id f = (line t id).on_load <- Some f
 let set_on_store t id f = (line t id).on_store <- Some f
 
-let respond t ln k fill =
-  (match fill with
-  | Data _ -> t.fills <- t.fills + 1
-  | Tryagain -> t.tryagains <- t.tryagains + 1);
-  let gen_at_issue = ln.gen in
-  ignore
-    (Sim.Engine.schedule_after t.engine ~after:t.prof.Interconnect.load_response
-       (fun () ->
-         (match t.sanitizer with
-         | None -> ()
-         | Some observe ->
-             observe
-               (Fill
-                  {
-                    line = ln.id;
-                    gen_at_issue;
-                    gen_now = ln.gen;
-                    tryagain =
-                      (match fill with Tryagain -> true | Data _ -> false);
-                  }));
-         k fill))
-
-let complete_parked t ln fill =
-  match ln.parked with
-  | None -> ()
-  | Some p ->
-      ln.parked <- None;
-      Sim.Engine.cancel t.engine p.timer;
-      respond t ln p.callback fill
-
 let cpu_load t id k =
   let ln = line t id in
   t.loads <- t.loads + 1;
-  let gen = ln.gen in
   (* The miss takes load_request to reach the home agent. *)
+  Fifo.push t.req_line ln.id;
+  Fifo.push t.req_k k;
+  Fifo.push t.req_gen ln.gen;
   ignore
     (Sim.Engine.schedule_after t.engine ~after:t.prof.Interconnect.load_request
-       (fun () ->
-         if not (Int.equal ln.gen gen) then
-           (* The line was reset while this load request was on the
-              interconnect: the loader's process is gone, so the
-              request dies at the directory instead of parking. *)
-           t.stale_loads <- t.stale_loads + 1
-         else
-         match ln.staged with
-         | Some data ->
-             ln.staged <- None;
-             respond t ln k (Data data);
-             (match ln.on_load with Some f -> f ~served:true | None -> ())
-         | None ->
-             if Option.is_some ln.parked then
-               invalid_arg
-                 (Printf.sprintf
-                    "Home_agent.cpu_load: line %d already has a parked load"
-                    id);
-             let timer =
-               Sim.Engine.schedule_after t.engine ~after:t.timeout (fun () ->
-                   match ln.parked with
-                   | None -> ()
-                   | Some p ->
-                       ln.parked <- None;
-                       respond t ln p.callback Tryagain)
-             in
-             ln.parked <- Some { callback = k; timer };
-             (match ln.on_load with Some f -> f ~served:false | None -> ())))
+       t.request_lands)
+
+let apply_stage t ln data =
+  let fill = Data data in
+  if is_parked ln then complete_parked t ln fill else ln.staged <- fill
 
 let stage t id data =
   let ln = line t id in
@@ -167,16 +296,11 @@ let stage t id data =
     invalid_arg
       (Printf.sprintf "Home_agent.stage: %d bytes exceeds line size %d"
          (Bytes.length data) t.prof.Interconnect.cache_line_bytes);
-  let apply () =
-    match ln.parked with
-    | Some _ -> complete_parked t ln (Data data)
-    | None -> ln.staged <- Some data
-  in
   match t.stage_delay with
-  | None -> apply ()
+  | None -> apply_stage t ln data
   | Some f ->
       let d = f () in
-      if d <= 0 then apply ()
+      if d <= 0 then apply_stage t ln data
       else begin
         (* A delayed interconnect fill: while it is in flight the
            parked load's timeout may win the race and answer Tryagain
@@ -184,11 +308,15 @@ let stage t id data =
            fill exists for. The data still lands when the transfer
            completes (staged, or filling the re-parked load). *)
         t.delayed_stages <- t.delayed_stages + 1;
-        ignore (Sim.Engine.schedule_after t.engine ~after:d apply)
+        ignore
+          (Sim.Engine.schedule_after t.engine ~after:d (fun () ->
+               apply_stage t ln data))
       end
 
-let stage_pending t id = Option.is_some (line t id).staged
-let load_parked t id = Option.is_some (line t id).parked
+let stage_pending t id =
+  match (line t id).staged with Data _ -> true | Tryagain -> false
+
+let load_parked t id = is_parked (line t id)
 
 let kick t id =
   let ln = line t id in
@@ -196,16 +324,14 @@ let kick t id =
 
 let reset_line t id =
   let ln = line t id in
-  (match ln.parked with
-  | None -> ()
-  | Some p ->
-      (* Drop the parked load without answering it: the loader is dead
-         and its continuation must never fire. *)
-      ln.parked <- None;
-      Sim.Engine.cancel t.engine p.timer;
-      t.line_resets <- t.line_resets + 1);
+  if is_parked ln then begin
+    (* Drop the parked load without answering it: the loader is dead
+       and its continuation must never fire. *)
+    let (_loader : fill -> unit) = unpark t ln in
+    t.line_resets <- t.line_resets + 1
+  end;
   ln.gen <- ln.gen + 1;
-  ln.staged <- None;
+  ln.staged <- Tryagain;
   ln.cpu_copy <- None;
   match t.sanitizer with
   | None -> ()
@@ -215,20 +341,20 @@ let cpu_store t id data =
   let ln = line t id in
   t.stores <- t.stores + 1;
   ln.cpu_copy <- Some data;
+  Fifo.push t.store_line ln.id;
+  Fifo.push t.store_data data;
   ignore
     (Sim.Engine.schedule_after t.engine
-       ~after:t.prof.Interconnect.store_release (fun () ->
-         match ln.on_store with Some f -> f data | None -> ()))
+       ~after:t.prof.Interconnect.store_release t.store_lands)
 
 let fetch_exclusive t id k =
   let ln = line t id in
   t.fetchx <- t.fetchx + 1;
+  Fifo.push t.fetch_line ln.id;
+  Fifo.push t.fetch_k k;
   ignore
     (Sim.Engine.schedule_after t.engine
-       ~after:t.prof.Interconnect.fetch_exclusive (fun () ->
-         let data = ln.cpu_copy in
-         ln.cpu_copy <- None;
-         k data))
+       ~after:t.prof.Interconnect.fetch_exclusive t.fetch_lands)
 
 let loads t = t.loads
 let fills t = t.fills

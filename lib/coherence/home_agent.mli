@@ -17,7 +17,12 @@
     has written with a fetch-exclusive (used to collect RPC responses).
 
     All latencies come from the {!Interconnect.profile}. Transaction
-    counts are exposed for the polling-overhead experiment (E5). *)
+    counts are exposed for the polling-overhead experiment (E5).
+
+    Each kind of transaction has one latency, so transactions in flight
+    land in the order they were issued: they wait in one FIFO per kind,
+    and each kind's event closure (and each line's timeout) is built
+    once, so a load, fill, store or fetch schedules no fresh closure. *)
 
 type t
 

@@ -49,7 +49,7 @@ let extra_response_delay t (resp : Message.response) =
     Coherence.Interconnect.dma_transfer (prof t) ~bytes:rest
   else aux_stream_delay t ~lines:resp.Message.resp_aux_count
 
-let stage_now t (msg, kernel_dispatch) =
+let stage_now t msg ~kernel_dispatch =
   let line = t.ctrl.(t.cur) in
   t.cur <- 1 - t.cur;
   t.outstanding <- t.outstanding + 1;
@@ -73,14 +73,14 @@ let stage_now t (msg, kernel_dispatch) =
 let rec try_deliver t =
   if t.outstanding < 2 then
     match Queue.take_opt t.pending with
-    | Some msg ->
-        stage_now t msg;
+    | Some (msg, kernel_dispatch) ->
+        stage_now t msg ~kernel_dispatch;
         try_deliver t
     | None -> ()
 
 let deliver ?(kernel_dispatch = false) t msg =
   if t.outstanding < 2 && Queue.is_empty t.pending then begin
-    stage_now t (msg, kernel_dispatch);
+    stage_now t msg ~kernel_dispatch;
     true
   end
   else if Queue.length t.pending < t.cfg.Config.nic_queue_depth then begin

@@ -1,5 +1,9 @@
+(* An all-float record is stored flat, so updating the EWMA boxes no
+   float (a float field of a mixed record would, on every arrival). *)
+type ewma = { mutable per_s : float }
+
 type svc_stats = {
-  mutable rate : float;  (* arrivals/s, EWMA *)
+  rate : ewma;  (* arrivals/s *)
   mutable last_arrival : Sim.Units.time;  (* [no_arrival] before the first *)
   mutable accepted : int;
   mutable completed : int;
@@ -18,6 +22,10 @@ type t = {
 
 let no_arrival = min_int
 
+(* [Sim.Units.to_float_s], inlined here: a call across the library
+   boundary returns its float boxed, once per arrival. *)
+let[@inline] seconds d = float_of_int d /. 1_000_000_000.
+
 let create ?(ewma_tau = Sim.Units.us 100) ?(hi_watermark = 4)
     ?(target_util = 0.7) ?(shed = false) ?(shed_hi = 16) ?(shed_lo = 4) () =
   if ewma_tau <= 0 then invalid_arg "Nic_sched.create: non-positive tau";
@@ -35,13 +43,20 @@ let create ?(ewma_tau = Sim.Units.us 100) ?(hi_watermark = 4)
     table = Hashtbl.create 32;
   }
 
+(* [Hashtbl.find] rather than [find_opt]: the per-arrival lookup
+   allocates no option. *)
 let stats t service =
-  match Hashtbl.find_opt t.table service with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.table service with
+  | s -> s
+  | exception Not_found ->
       let s =
-        { rate = 0.; last_arrival = no_arrival; accepted = 0; completed = 0;
-          shedding = false }
+        {
+          rate = { per_s = 0. };
+          last_arrival = no_arrival;
+          accepted = 0;
+          completed = 0;
+          shedding = false;
+        }
       in
       Hashtbl.add t.table service s;
       s
@@ -50,12 +65,12 @@ let on_arrival t ~service ~now =
   let s = stats t service in
   s.accepted <- s.accepted + 1;
   if not (Int.equal s.last_arrival no_arrival) then begin
-    let dt = Sim.Units.to_float_s (max 1 (now - s.last_arrival)) in
+    let dt = seconds (max 1 (now - s.last_arrival)) in
     let inst = 1. /. dt in
     (* Time-constant EWMA: weight decays with the gap length, so idle
        periods pull the estimate down. *)
     let alpha = 1. -. exp (-.dt /. t.ewma_tau) in
-    s.rate <- s.rate +. (alpha *. (inst -. s.rate))
+    s.rate.per_s <- s.rate.per_s +. (alpha *. (inst -. s.rate.per_s))
   end;
   s.last_arrival <- now
 
@@ -63,7 +78,7 @@ let on_complete t ~service =
   let s = stats t service in
   s.completed <- s.completed + 1
 
-let rate t ~service = (stats t service).rate
+let rate t ~service = (stats t service).rate.per_s
 let outstanding t ~service =
   let s = stats t service in
   s.accepted - s.completed
@@ -86,8 +101,8 @@ let decide t ~service ~queue_depth ~workers ~handler_time =
   else if queue_depth > t.hi_watermark then Add_worker
   else if workers > 1 then begin
     (* Would one fewer worker still sit below the utilisation target? *)
-    let per_req = Sim.Units.to_float_s handler_time in
-    let util_with = s.rate *. per_req /. float_of_int (workers - 1) in
+    let per_req = seconds handler_time in
+    let util_with = s.rate.per_s *. per_req /. float_of_int (workers - 1) in
     if util_with < t.target_util *. 0.5 && queue_depth = 0 then
       Release_worker
     else Steady

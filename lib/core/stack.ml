@@ -39,7 +39,34 @@ type worker = {
   mutable cpu_idx : int;
   mutable empty_cycles : int;
   affinity : int option;  (* pinned core (Static binding), kept on respawn *)
+  (* The worker loop's continuations, built once per worker (the fill
+     callback once per worker thread), and the state they share: *)
+  mutable fill_th : Osmodel.Proc.thread;  (* the thread [on_fill] judges *)
+  mutable on_fill : Coherence.Home_agent.fill -> unit;
+  mutable req : Message.request;  (* the request in hand ... *)
+  mutable hand : inflight;  (* ... and its [App] entry *)
+  mutable run_handler : unit -> unit;  (* after the handler's CPU time *)
+  mutable finish : Rpc.Value.t -> unit;  (* the handler's result *)
+  mutable loop : unit -> unit;  (* re-park *)
 }
+
+let no_request =
+  {
+    Message.rpc_id = 0L;
+    service_id = 0;
+    method_id = 0;
+    code_ptr = 0L;
+    data_ptr = 0L;
+    total_args = 0;
+    inline_args = Net.Slice.empty;
+    aux_count = 0;
+    via_dma = false;
+  }
+
+let nop () = ()
+let no_hand = Dispatch_ack { svc_id = -1; widx = -1 }
+let no_fill (_ : Coherence.Home_agent.fill) = ()
+let no_result (_ : Rpc.Value.t) = ()
 
 type service_rt = {
   sspec : service_spec;
@@ -218,29 +245,37 @@ let rec worker_loop t sv w () = park_worker t sv w
 and park_worker t sv w =
   (* Bind the thread at park time: if the process is killed while this
      load is parked and later restarted, the fill completion must be
-     judged against the thread that parked, not the respawned one. *)
+     judged against the thread that parked, not the respawned one. So
+     the fill callback captures its thread, and a restart's new thread
+     gets a new one. *)
   let th = w.wthread in
+  if w.fill_th != th then begin
+    w.fill_th <- th;
+    w.on_fill <- worker_fill t sv w th
+  end;
   Osmodel.Kernel.stall_begin t.kern th;
   Coherence.Home_agent.cpu_load t.ha
     (Endpoint.ctrl_line w.wep w.cpu_idx)
-    (fun fill ->
-      if Osmodel.Proc.is_exited th then
-        (* Killed while parked; the kill already closed the stall and
-           the teardown sweep owns whatever this fill carried. *)
-        ()
-      else begin
-      Osmodel.Kernel.stall_end t.kern th;
-      match fill with
-      | Coherence.Home_agent.Tryagain -> worker_tryagain t sv w
-      | Coherence.Home_agent.Data line -> (
-          w.empty_cycles <- 0;
-          match Message.decode line with
-          | Ok (Message.Request r) -> worker_handle t sv w r
-          | Ok (Message.Tryagain | Message.Retire | Message.Kernel_dispatch _)
-          | Error _ ->
-              Sim.Counter.incr (ctr t "worker_bad_line");
-              worker_loop t sv w ())
-      end)
+    w.on_fill
+
+and worker_fill t sv w th fill =
+  if Osmodel.Proc.is_exited th then
+    (* Killed while parked; the kill already closed the stall and the
+       teardown sweep owns whatever this fill carried. *)
+    ()
+  else begin
+    Osmodel.Kernel.stall_end t.kern th;
+    match fill with
+    | Coherence.Home_agent.Tryagain -> worker_tryagain t sv w
+    | Coherence.Home_agent.Data line -> (
+        w.empty_cycles <- 0;
+        match Message.decode line with
+        | Ok (Message.Request r) -> worker_handle t sv w r
+        | Ok (Message.Tryagain | Message.Retire | Message.Kernel_dispatch _)
+        | Error _ ->
+            Sim.Counter.incr (ctr t "worker_bad_line");
+            worker_loop t sv w ())
+  end
 
 and worker_tryagain t sv w =
   Sim.Counter.incr (ctr t "worker_tryagain");
@@ -265,38 +300,54 @@ and worker_tryagain t sv w =
   else
     (* The paper's user-mode loop: a TRYAGAIN sends the process into
        the kernel (schedule()); it re-parks if nothing else runs. *)
-    Osmodel.Kernel.yield t.kern w.wthread (fun () -> worker_loop t sv w ())
+    Osmodel.Kernel.yield t.kern w.wthread w.loop
 
 and worker_handle t sv w (r : Message.request) =
-  match Hashtbl.find_opt t.inflight r.Message.rpc_id with
-  | None | Some (Dispatch_ack _) ->
+  match Hashtbl.find t.inflight r.Message.rpc_id with
+  | Dispatch_ack _ | (exception Not_found) ->
       Sim.Counter.incr (ctr t "worker_orphan_request");
       worker_loop t sv w ()
-  | Some (App app) ->
+  | App app as hand ->
       span_stage t ~rpc:r.Message.rpc_id "queue";
       let dma_read =
         if r.Message.via_dma then mem_read_cost r.Message.total_args else 0
       in
       let work = app.mdef.Rpc.Interface.handler_time + dma_read in
-      let finish result =
-        span_stage t ~rpc:r.Message.rpc_id "handler";
-        let body = Rpc.Codec.encode result in
-        app.full_body <- body;
-        respond_line t w ~rpc_id:r.Message.rpc_id ~status:0 ~body;
-        w.cpu_idx <- 1 - w.cpu_idx;
-        Sim.Counter.incr (ctr t "rpcs_handled");
-        (match t.handled_hook with Some f -> f () | None -> ());
-        worker_loop t sv w ()
-      in
+      w.req <- r;
+      w.hand <- hand;
       Osmodel.Kernel.run_for t.kern w.wthread ~kind:Osmodel.Cpu_account.User
-        work (fun () ->
-          match app.mdef.Rpc.Interface.nested with
-          | None -> finish (app.mdef.Rpc.Interface.execute app.args)
-          | Some h ->
-              let call ~service_id ~method_id v k =
-                nested_call t w ~service_id ~method_id v k
-              in
-              h ~call app.args ~done_:finish)
+        work w.run_handler
+
+(* [w.hand] is always an [App] while a handler runs: only
+   [worker_handle] sets it, and only the continuations it starts read
+   it. *)
+and worker_run_handler t w () =
+  match w.hand with
+  | App app -> (
+      match app.mdef.Rpc.Interface.nested with
+      | None -> w.finish (app.mdef.Rpc.Interface.execute app.args)
+      | Some h ->
+          let call ~service_id ~method_id v k =
+            nested_call t w ~service_id ~method_id v k
+          in
+          h ~call app.args ~done_:w.finish)
+  | Dispatch_ack _ -> invalid_arg "Stack: worker handler without a request"
+
+and worker_finish t sv w result =
+  match w.hand with
+  | App app ->
+      let rpc_id = w.req.Message.rpc_id in
+      w.req <- no_request;
+      w.hand <- no_hand;
+      span_stage t ~rpc:rpc_id "handler";
+      let body = Rpc.Codec.encode result in
+      app.full_body <- body;
+      respond_line t w ~rpc_id ~status:0 ~body;
+      w.cpu_idx <- 1 - w.cpu_idx;
+      Sim.Counter.incr (ctr t "rpcs_handled");
+      (match t.handled_hook with Some f -> f () | None -> ());
+      worker_loop t sv w ()
+  | Dispatch_ack _ -> invalid_arg "Stack: worker finished without a request"
 
 (* This machine's own network identity (for outbound nested calls). *)
 and self_address t =
@@ -519,28 +570,28 @@ let request_worker_activation t sv w =
 
 (* ---------- NIC receive pipeline and dispatch ------------------------ *)
 
-let choose_worker sv =
-  (* Prefer a parked active worker (zero-latency handoff), then the
-     least-loaded active worker, then an inactive one (needs a slow-path
-     activation). *)
-  let best_parked = ref None and best_active = ref None in
-  Array.iter
-    (fun w ->
-      if w.active then begin
-        if Endpoint.parked w.wep && Option.is_none !best_parked then
-          best_parked := Some w;
-        let load = Endpoint.in_flight w.wep + Endpoint.queue_depth w.wep in
-        match !best_active with
-        | Some (_, l) when l <= load -> ()
-        | Some _ | None -> best_active := Some (w, load)
-      end)
-    sv.workers;
-  match !best_parked with
-  | Some w -> (w, `Fast)
-  | None -> (
-      match !best_active with
-      | Some (w, _) -> (w, `Queued)
-      | None -> (sv.workers.(0), `Inactive))
+(* Prefer a parked active worker (zero-latency handoff), then the
+   least-loaded active worker (the first on ties), then an inactive one
+   (needs a slow-path activation): the index of the first of these. *)
+let rec pick_worker ws i best best_load =
+  if i >= Array.length ws then if best >= 0 then best else 0
+  else begin
+    let w = ws.(i) in
+    if w.active && Endpoint.parked w.wep then i
+    else begin
+      let load = Endpoint.in_flight w.wep + Endpoint.queue_depth w.wep in
+      if w.active && load < best_load then pick_worker ws (i + 1) i load
+      else pick_worker ws (i + 1) best best_load
+    end
+  end
+
+let choose_worker sv = sv.workers.(pick_worker sv.workers 0 (-1) max_int)
+
+(* How a request reaches the worker [choose_worker] picked. *)
+let path_to w =
+  if not w.active then Telemetry.Cold
+  else if Endpoint.parked w.wep then Telemetry.Fast
+  else Telemetry.Queued
 
 let scale_decision t sv =
   let service = sv.sspec.service.Rpc.Interface.service_id in
@@ -580,8 +631,10 @@ let nack t ~rpc_id ~service_id ~src ~dst ~code =
          Obs.Tracer.rpc_end t.tracer ~rpc:rpc_id (Sim.Engine.now t.engine);
          t.egress frame))
 
+(* The request's body is the frame's payload from [body_off] on. *)
 let dispatch_request t (entry : Demux.entry) frame
-    (wire : Rpc.Wire_format.t) (mdef : Rpc.Interface.method_def) args =
+    (wire : Rpc.Wire_format.header) ~body_off
+    (mdef : Rpc.Interface.method_def) args =
   let sv =
     service_rt t entry.Demux.service.Rpc.Interface.service_id
   in
@@ -599,8 +652,8 @@ let dispatch_request t (entry : Demux.entry) frame
       ~code:Rpc.Wire_format.err_dead
   end
   else begin
-    let body = wire.Rpc.Wire_format.body in
-    let arg_bytes = Bytes.length body in
+    let payload = frame.Net.Frame.payload in
+    let arg_bytes = Bytes.length payload - body_off in
     let window = Config.endpoint_window t.cfg in
     let via_dma =
       arg_bytes > t.cfg.Config.dma_threshold || arg_bytes > window
@@ -622,7 +675,7 @@ let dispatch_request t (entry : Demux.entry) frame
           Demux.code_ptr entry ~method_id:mdef.Rpc.Interface.method_id;
         data_ptr = entry.Demux.data_ptr;
         total_args = arg_bytes;
-        inline_args = Net.Slice.make body ~off:0 ~len:inline_len;
+        inline_args = Net.Slice.make payload ~off:body_off ~len:inline_len;
         aux_count;
         via_dma;
       }
@@ -651,7 +704,8 @@ let dispatch_request t (entry : Demux.entry) frame
     Nic_sched.on_arrival t.sched
       ~service:entry.Demux.service.Rpc.Interface.service_id
       ~now:(Sim.Engine.now t.engine);
-    let w, path = choose_worker sv in
+    let w = choose_worker sv in
+    let path = path_to w in
     Hashtbl.replace t.inflight rpc_id
       (App
          {
@@ -663,18 +717,14 @@ let dispatch_request t (entry : Demux.entry) frame
            full_body = Bytes.empty;
            arrived = Sim.Engine.now t.engine;
            arg_bytes;
-           path =
-             (match path with
-             | `Fast -> Telemetry.Fast
-             | `Queued -> Telemetry.Queued
-             | `Inactive -> Telemetry.Cold);
+           path;
          });
     sanitize_dispatch t sv;
     if Endpoint.deliver w.wep msg then begin
       (match path with
-      | `Fast -> Sim.Counter.incr (ctr t "fast_path")
-      | `Queued -> Sim.Counter.incr (ctr t "queued_path")
-      | `Inactive ->
+      | Telemetry.Fast -> Sim.Counter.incr (ctr t "fast_path")
+      | Telemetry.Queued -> Sim.Counter.incr (ctr t "queued_path")
+      | Telemetry.Cold ->
           Sim.Counter.incr (ctr t "cold_path");
           request_worker_activation t sv w);
       (* NIC-driven scale-up when queues build. *)
@@ -702,30 +752,15 @@ let dispatch_request t (entry : Demux.entry) frame
     end
   end
 
+(* The body is decoded in place, from [Wire_format.body_offset] to the
+   end of the payload: the request's arguments and a nested reply are
+   never copied out of the frame. *)
 let nic_rx t frame =
   Sim.Counter.incr (ctr t "rx_frames");
-  match Rpc.Wire_format.decode frame.Net.Frame.payload with
+  let payload = frame.Net.Frame.payload in
+  match Rpc.Wire_format.peek payload with
   | Error _ -> Sim.Counter.incr (ctr t "rx_bad_rpc")
-  | Ok wire
-    when not (Rpc.Wire_format.is_request wire) -> (
-      (* A response from a remote machine to one of our nested calls. *)
-      match nested_cont_of wire.Rpc.Wire_format.rpc_id with
-      | Some cont -> (
-          match
-            Hashtbl.find_opt t.remotes wire.Rpc.Wire_format.service_id
-          with
-          | Some r -> (
-              match
-                Rpc.Codec.decode r.response_schema wire.Rpc.Wire_format.body
-              with
-              | Ok v ->
-                  Sim.Counter.incr (ctr t "nested_remote_replies");
-                  if not (Rpc.Continuation.fire t.nested_conts cont v) then
-                    Sim.Counter.incr (ctr t "nested_orphan_reply")
-              | Error _ -> Sim.Counter.incr (ctr t "nested_bad_reply"))
-          | None -> Sim.Counter.incr (ctr t "rx_stray_response"))
-      | None -> Sim.Counter.incr (ctr t "rx_stray_response"))
-  | Ok wire -> (
+  | Ok ({ Rpc.Wire_format.kind = Rpc.Wire_format.Request; _ } as wire) -> (
       span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id "mac";
       match Demux.lookup t.dmx ~port:frame.Net.Frame.udp.Net.Udp.dst_port with
       | None -> Sim.Counter.incr (ctr t "rx_no_service")
@@ -736,9 +771,11 @@ let nic_rx t frame =
           with
           | None -> Sim.Counter.incr (ctr t "rx_no_method")
           | Some mdef -> (
+              let body_off = Rpc.Wire_format.body_offset wire in
+              let arg_bytes = Bytes.length payload - body_off in
               match
-                Rpc.Codec.decode mdef.Rpc.Interface.request
-                  wire.Rpc.Wire_format.body
+                Rpc.Codec.decode_sub mdef.Rpc.Interface.request payload
+                  ~pos:body_off ~len:arg_bytes
               with
               | Error _ -> Sim.Counter.incr (ctr t "rx_bad_args")
               | Ok args ->
@@ -749,7 +786,7 @@ let nic_rx t frame =
                         | Some m -> Sched_mirror.lookup_cost m
                         | None -> 0)
                       ~fields:(Rpc.Value.field_count args)
-                      ~arg_bytes:(Bytes.length wire.Rpc.Wire_format.body)
+                      ~arg_bytes
                   in
                   let decrypt =
                     if t.cfg.Config.encrypt then
@@ -765,16 +802,38 @@ let nic_rx t frame =
                            breakdown ~decrypt;
                          span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id
                            "nic_pipeline";
-                         dispatch_request t entry frame wire mdef args)))))
+                         dispatch_request t entry frame wire ~body_off mdef
+                           args)))))
+  | Ok wire -> (
+      (* A response from a remote machine to one of our nested calls. *)
+      match nested_cont_of wire.Rpc.Wire_format.rpc_id with
+      | Some cont -> (
+          match
+            Hashtbl.find_opt t.remotes wire.Rpc.Wire_format.service_id
+          with
+          | Some r -> (
+              let pos = Rpc.Wire_format.body_offset wire in
+              match
+                Rpc.Codec.decode_sub r.response_schema payload ~pos
+                  ~len:(Bytes.length payload - pos)
+              with
+              | Ok v ->
+                  Sim.Counter.incr (ctr t "nested_remote_replies");
+                  if not (Rpc.Continuation.fire t.nested_conts cont v) then
+                    Sim.Counter.incr (ctr t "nested_orphan_reply")
+              | Error _ -> Sim.Counter.incr (ctr t "nested_bad_reply"))
+          | None -> Sim.Counter.incr (ctr t "rx_stray_response"))
+      | None -> Sim.Counter.incr (ctr t "rx_stray_response"))
 
 (* ---------- Response collection and egress --------------------------- *)
 
+(* [Hashtbl.find] rather than [find_opt] here and in [worker_handle]:
+   the two per-RPC lookups of the in-flight table allocate no option. *)
 let on_endpoint_response t (resp : Message.response) =
-  match Hashtbl.find_opt t.inflight resp.Message.resp_rpc_id with
-  | None -> Sim.Counter.incr (ctr t "orphan_response")
-  | Some (Dispatch_ack _) ->
-      Hashtbl.remove t.inflight resp.Message.resp_rpc_id
-  | Some (App app)
+  match Hashtbl.find t.inflight resp.Message.resp_rpc_id with
+  | exception Not_found -> Sim.Counter.incr (ctr t "orphan_response")
+  | Dispatch_ack _ -> Hashtbl.remove t.inflight resp.Message.resp_rpc_id
+  | App app
     when Option.is_some (nested_cont_of resp.Message.resp_rpc_id)
          && Net.Ip_addr.equal app.reply_dst.Net.Frame.ip
               (self_address t).Net.Frame.ip ->
@@ -804,7 +863,7 @@ let on_endpoint_response t (resp : Message.response) =
            ~after:(prof t).Coherence.Interconnect.load_response (fun () ->
              if not (Rpc.Continuation.fire t.nested_conts cont result) then
                Sim.Counter.incr (ctr t "nested_orphan_reply")))
-  | Some (App app) ->
+  | App app ->
       Hashtbl.remove t.inflight resp.Message.resp_rpc_id;
       span_stage t ~rpc:resp.Message.resp_rpc_id "collect";
       Nic_sched.on_complete t.sched ~service:app.svc_id;
@@ -917,7 +976,7 @@ let drain_limbo t sv =
   let sid = sv.sspec.service.Rpc.Interface.service_id in
   while not (Queue.is_empty sv.limbo) do
     let msg = Queue.pop sv.limbo in
-    let w, _path = choose_worker sv in
+    let w = choose_worker sv in
     sanitize_dispatch t sv;
     if Endpoint.deliver w.wep msg then Obs.Metrics.incr t.m_requeues
     else begin
@@ -1235,8 +1294,19 @@ let create engine ~cfg ~ncores ?kernel_costs ?(binding = Os_integrated)
                 cpu_idx = 0;
                 empty_cycles = 0;
                 affinity;
+                fill_th = wthread;
+                on_fill = no_fill;
+                req = no_request;
+                hand = no_hand;
+                run_handler = nop;
+                finish = no_result;
+                loop = nop;
               }
             in
+            w.on_fill <- worker_fill t sv w wthread;
+            w.run_handler <- worker_run_handler t w;
+            w.finish <- worker_finish t sv w;
+            w.loop <- worker_loop t sv w;
             w.wtx <-
               Some
                 (Tx_endpoint.create ha cfg ~id:(Endpoint.id wep)

@@ -144,8 +144,11 @@ let call_id ?timeout ?(retries = 3) ?(backoff = 1.) ?(max_timeout = max_int)
 let call ?timeout ?retries t ~service_id ~method_id ~port args k =
   ignore (call_id ?timeout ?retries t ~service_id ~method_id ~port args k)
 
+(* The reply's header is peeked and its body decoded in place, from
+   [Wire_format.body_offset] to the end of the payload. *)
 let on_reply t frame =
-  match Rpc.Wire_format.decode frame.Net.Frame.payload with
+  let payload = frame.Net.Frame.payload in
+  match Rpc.Wire_format.peek payload with
   | Error _ -> ()
   | Ok msg -> (
       match msg.Rpc.Wire_format.kind with
@@ -176,13 +179,15 @@ let on_reply t frame =
             let key =
               (msg.Rpc.Wire_format.service_id, msg.Rpc.Wire_format.method_id)
             in
+            let pos = Rpc.Wire_format.body_offset msg in
+            let len = Bytes.length payload - pos in
             let value =
               match Hashtbl.find_opt t.schemas key with
               | Some schema -> (
-                  match Rpc.Codec.decode schema msg.Rpc.Wire_format.body with
+                  match Rpc.Codec.decode_sub schema payload ~pos ~len with
                   | Ok v -> Some v
                   | Error _ -> None)
-              | None -> Some (Rpc.Value.Blob msg.Rpc.Wire_format.body)
+              | None -> Some (Rpc.Value.Blob (Bytes.sub payload pos len))
             in
             (match value with
             | Some v ->

@@ -32,8 +32,11 @@ type core = {
   mutable running : Proc.thread option;
   mutable need_resched : bool;
   mutable last_pid : int;
-  mutable stall_start : Sim.Units.time option;
+  mutable stall_start : Sim.Units.time;  (* [not_stalled] when not *)
 }
+
+(* [stall_start] of a core not stalled on a memory load. *)
+let not_stalled = min_int
 
 type hook =
   core:int -> prev:Proc.thread option -> next:Proc.thread option -> unit
@@ -180,7 +183,7 @@ let create engine ~ncores ?(costs = default_costs) ?(work_stealing = true) ()
           running = None;
           need_resched = false;
           last_pid = -1;
-          stall_start = None;
+          stall_start = not_stalled;
         })
   in
   let t =
@@ -203,6 +206,32 @@ let create engine ~ncores ?(costs = default_costs) ?(work_stealing = true) ()
   Array.iter (fun c -> start_ticks t c) cores;
   t
 
+let preempt t c th k =
+  c.need_resched <- false;
+  th.Proc.resume <- Some k;
+  th.Proc.state <- Proc.Ready;
+  Runqueue.enqueue c.rq th;
+  c.running <- None;
+  fire_hooks t c.cid ~prev:(Some th) ~next:None;
+  dispatch t c
+
+(* The end of a thread's [run_for] segment: the thread's one
+   [seg_end] closure, so a segment allocates no event closure. *)
+let segment_end t th () =
+  let k = th.Proc.seg_k in
+  th.Proc.seg_k <- Proc.no_segment;
+  match th.Proc.state with
+  | Proc.Exited ->
+      (* Killed mid-segment: the continuation dies with the thread (the
+         core was already released by [kill]). *)
+      ()
+  | Proc.Ready | Proc.Running _ | Proc.Blocked ->
+      let c = t.cores.(th.Proc.seg_core) in
+      Cpu_account.charge c.acct th.Proc.seg_kind th.Proc.seg_d;
+      if c.need_resched && not (Runqueue.is_empty c.rq) then
+        preempt t c th k
+      else k ()
+
 let new_process t ~name =
   let pid = t.next_pid in
   t.next_pid <- t.next_pid + 1;
@@ -213,6 +242,7 @@ let spawn t proc ~name ?affinity ?(kernel_thread = false) body =
   t.next_tid <- t.next_tid + 1;
   let th = Proc.make_thread ~tid ~name ~proc ?affinity ~kernel_thread () in
   th.Proc.resume <- Some body;
+  th.Proc.seg_end <- segment_end t th;
   th
 
 let pick_wake_core t th =
@@ -277,12 +307,13 @@ let kill t proc =
             th.Proc.resume <- None
         | Proc.Running cid ->
             let c = core t cid in
-            (match (c.running, c.stall_start) with
-            | Some cur, Some start when cur == th ->
-                c.stall_start <- None;
+            (match c.running with
+            | Some cur
+              when cur == th && not (Int.equal c.stall_start not_stalled) ->
                 Cpu_account.charge c.acct Cpu_account.Stall
-                  (Sim.Engine.now t.engine - start)
-            | _ -> ());
+                  (Sim.Engine.now t.engine - c.stall_start);
+                c.stall_start <- not_stalled
+            | Some _ | None -> ());
             th.Proc.state <- Proc.Exited;
             th.Proc.resume <- None;
             (match c.running with
@@ -304,30 +335,18 @@ let respawn t proc =
     List.iter (fun h -> h proc) t.proc_respawn_hooks
   end
 
-let preempt t c th k =
-  c.need_resched <- false;
-  th.Proc.resume <- Some k;
-  th.Proc.state <- Proc.Ready;
-  Runqueue.enqueue c.rq th;
-  c.running <- None;
-  fire_hooks t c.cid ~prev:(Some th) ~next:None;
-  dispatch t c
-
 let run_for t th ~kind d k =
   if d < 0 then invalid_arg "Kernel.run_for: negative duration";
   let c = running_core t th in
-  ignore
-    (Sim.Engine.schedule_after t.engine ~after:d (fun () ->
-         match th.Proc.state with
-         | Proc.Exited ->
-             (* Killed mid-segment: the continuation dies with the
-                thread (the core was already released by [kill]). *)
-             ()
-         | Proc.Ready | Proc.Running _ | Proc.Blocked ->
-             Cpu_account.charge c.acct kind d;
-             if c.need_resched && not (Runqueue.is_empty c.rq) then
-               preempt t c th k
-             else k ()))
+  if th.Proc.seg_k != Proc.no_segment then
+    invalid_arg
+      (Printf.sprintf "Kernel.run_for: thread %d already has a segment in flight"
+         th.Proc.tid);
+  th.Proc.seg_k <- k;
+  th.Proc.seg_d <- d;
+  th.Proc.seg_kind <- kind;
+  th.Proc.seg_core <- c.cid;
+  ignore (Sim.Engine.schedule_after t.engine ~after:d th.Proc.seg_end)
 
 let yield t th k =
   let c = running_core t th in
@@ -355,18 +374,17 @@ let sleep t th d k =
 
 let stall_begin t th =
   let c = running_core t th in
-  if c.stall_start <> None then
+  if not (Int.equal c.stall_start not_stalled) then
     invalid_arg "Kernel.stall_begin: core already stalled";
-  c.stall_start <- Some (Sim.Engine.now t.engine)
+  c.stall_start <- Sim.Engine.now t.engine
 
 let stall_end t th =
   let c = running_core t th in
-  match c.stall_start with
-  | None -> invalid_arg "Kernel.stall_end: core not stalled"
-  | Some start ->
-      c.stall_start <- None;
-      Cpu_account.charge c.acct Cpu_account.Stall
-        (Sim.Engine.now t.engine - start)
+  if Int.equal c.stall_start not_stalled then
+    invalid_arg "Kernel.stall_end: core not stalled";
+  Cpu_account.charge c.acct Cpu_account.Stall
+    (Sim.Engine.now t.engine - c.stall_start);
+  c.stall_start <- not_stalled
 
 let run_irq t ?core:cid ~cost handler =
   let c =

@@ -102,7 +102,11 @@ val run_for :
   (unit -> unit) -> unit
 (** Execute for a duration, charging the core, then continue — unless a
     reschedule is pending, in which case the thread is preempted and the
-    continuation runs at its next dispatch. *)
+    continuation runs at its next dispatch. The segment lives in the
+    thread's [seg_*] fields and ends on its one [seg_end] event, so a
+    segment allocates no event closure.
+    @raise Invalid_argument if the thread already has a segment in
+    flight. *)
 
 val yield : t -> Proc.thread -> (unit -> unit) -> unit
 (** Voluntarily give up the core (syscall cost applies). Continues

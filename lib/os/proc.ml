@@ -18,7 +18,14 @@ and thread = {
   mutable last_core : int option;
   mutable kernel_thread : bool;
   mutable quantum_start : Sim.Units.time;
+  mutable seg_k : unit -> unit;
+  mutable seg_d : Sim.Units.duration;
+  mutable seg_kind : Cpu_account.kind;
+  mutable seg_core : int;
+  mutable seg_end : unit -> unit;
 }
+
+let no_segment () = ()
 
 let make_process ~pid ~name =
   { pid; pname = name; thread_count = 0; alive = true; members = [] }
@@ -36,6 +43,11 @@ let make_thread ~tid ~name ~proc ?affinity ?(kernel_thread = false) () =
       last_core = None;
       kernel_thread;
       quantum_start = 0;
+      seg_k = no_segment;
+      seg_d = 0;
+      seg_kind = Cpu_account.User;
+      seg_core = -1;
+      seg_end = no_segment;
     }
   in
   proc.members <- th :: proc.members;

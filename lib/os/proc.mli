@@ -36,7 +36,19 @@ and thread = {
           are eligible for RETIRE (paper §5.2). *)
   mutable quantum_start : Sim.Units.time;
       (** When the thread last started running (quantum accounting). *)
+  mutable seg_k : unit -> unit;
+      (** The continuation of the {!Kernel.run_for} segment in flight,
+          or {!no_segment}. *)
+  mutable seg_d : Sim.Units.duration;  (** The segment's duration. *)
+  mutable seg_kind : Cpu_account.kind;  (** What the segment charges. *)
+  mutable seg_core : int;  (** The core the segment runs on. *)
+  mutable seg_end : unit -> unit;
+      (** The segment-end event, built once by {!Kernel.spawn}. *)
 }
+
+val no_segment : unit -> unit
+(** The [seg_k] and [seg_end] of a thread with no segment in flight
+    (compared physically). *)
 
 val make_process : pid:int -> name:string -> process
 

@@ -138,13 +138,15 @@ let decode_partial s r =
   | exception Decode_error e -> Error e
   | exception Net.Buf.Out_of_bounds _ -> Error Truncated
 
-let decode s b =
-  let r = Net.Buf.reader b in
+let decode_sub s b ~pos ~len =
+  let r = Net.Buf.sub_reader b ~pos ~len in
   match decode_partial s r with
   | Error _ as e -> e
   | Ok v ->
       let rest = Net.Buf.remaining r in
       if rest = 0 then Ok v else Error (Trailing_bytes rest)
+
+let decode s b = decode_sub s b ~pos:0 ~len:(Bytes.length b)
 
 let pp_error ppf = function
   | Truncated -> Format.pp_print_string ppf "truncated value"

@@ -18,6 +18,12 @@ type error = Truncated | Trailing_bytes of int | Overlong_varint
 val decode : Schema.t -> bytes -> (Value.t, error) result
 (** Decode a complete buffer; trailing bytes are an error. *)
 
+val decode_sub :
+  Schema.t -> bytes -> pos:int -> len:int -> (Value.t, error) result
+(** [decode_sub s b ~pos ~len] is [decode s (Bytes.sub b pos len)]
+    without the copy: decode the range in place.
+    @raise Net.Buf.Out_of_bounds if the range is outside [b]. *)
+
 val decode_partial : Schema.t -> Net.Buf.reader -> (Value.t, error) result
 (** Decode one value, leaving the reader after it. *)
 

@@ -106,13 +106,14 @@ let peek b =
     end
   end
 
+let body_offset (h : header) =
+  header_size + match h.ctx with Some _ -> ctx_size | None -> 0
+
 let decode b =
   match peek b with
   | Error _ as e -> e
   | Ok (h : header) ->
-      let off =
-        header_size + match h.ctx with Some _ -> ctx_size | None -> 0
-      in
+      let off = body_offset h in
       Ok
         {
           rpc_id = h.rpc_id;

@@ -70,6 +70,11 @@ val peek : bytes -> (header, error) result
     body: [decode] is [peek] plus the body, so the two answer the same
     error on every input and agree on every header field. *)
 
+val body_offset : header -> int
+(** Where the body starts in the bytes {!peek} read: the body is the
+    rest of the buffer from there. With {!Codec.decode_sub} this
+    decodes the body in place, as [decode] then [Codec.decode] would. *)
+
 val request :
   ?ctx:bytes -> rpc_id:int64 -> service_id:int -> method_id:int -> Value.t -> t
 (** Build a request carrying the encoded value. *)

@@ -4,10 +4,12 @@ type group = { label : string; tbl : (string, t) Hashtbl.t }
 let group label = { label; tbl = Hashtbl.create 16 }
 let group_label g = g.label
 
+(* [Hashtbl.find] rather than [find_opt]: a lookup of an existing
+   counter, the per-event case, allocates no option. *)
 let counter g name =
-  match Hashtbl.find_opt g.tbl name with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find g.tbl name with
+  | c -> c
+  | exception Not_found ->
       let c = { cname = name; v = 0 } in
       Hashtbl.add g.tbl name c;
       c

@@ -7,6 +7,8 @@ type t = {
 
 type handle = (unit -> unit) Event_heap.handle
 
+let no_handle = Event_heap.no_handle
+
 let create () =
   { clock = 0; queue = Event_heap.create (); fired = 0; monitor = None }
 

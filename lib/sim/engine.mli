@@ -10,7 +10,12 @@ type t
 
 type handle
 (** A scheduled event, usable for cancellation (e.g. timers that are
-    disarmed when the awaited message arrives first). *)
+    disarmed when the awaited message arrives first). An immediate
+    value: holding one allocates nothing. *)
+
+val no_handle : handle
+(** Names no event; {!cancel} ignores it. For fields that hold "no
+    timer armed". *)
 
 val create : unit -> t
 (** A fresh engine with the clock at time 0 and an empty queue. The
@@ -34,7 +39,8 @@ val schedule_after : t -> after:Units.duration -> (unit -> unit) -> handle
     @raise Invalid_argument if [after] is negative. *)
 
 val cancel : t -> handle -> unit
-(** Disarm a scheduled event; no-op if already fired or cancelled. *)
+(** Disarm a scheduled event; no-op if already fired or cancelled, or
+    if the handle is {!no_handle}. *)
 
 val pending : t -> int
 (** Number of scheduled events not yet fired or cancelled. *)

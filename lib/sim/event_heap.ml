@@ -1,145 +1,178 @@
 (* [seq] is the insertion number that breaks timestamp ties FIFO; the
-   pair [(time, seq)] totally orders every entry the heap ever held. *)
-type 'a entry = {
-  time : Units.time;
-  seq : int;
-  payload : 'a;
-  mutable cancelled : bool;
-}
+   pair [(time, seq)] totally orders every entry the heap ever held.
 
-type 'a handle = 'a entry
+   The heap proper is three parallel int arrays indexed by heap
+   position: [time], [seq] and the [slot] that holds the entry's
+   payload. [pos] maps a slot back to its heap position (-1 while the
+   slot is free) and [free] is a stack of free slots. A handle packs
+   [seq] above [slot_bits] bits of slot; since a seq is never reused, a
+   handle whose slot now holds another entry does not match it. *)
+type 'a handle = int
 
-(* Entries are stored unboxed in [arr.(0 .. size-1)] — no [option]
-   wrapper, no separate handle record: the entry itself is the
-   cancellation handle (one allocation per push instead of three).
-   Slots at [size] and beyond hold [sentinel], a permanently-cancelled
-   dummy entry created from the first push, so vacated slots do not
-   retain popped payloads. *)
 type 'a t = {
-  mutable arr : 'a entry array;
+  mutable time : int array;
+  mutable seq : int array;
+  mutable slot : int array;
   mutable size : int;
+  mutable payload : 'a array;
+  mutable pos : int array;
+  mutable free : int array;
+  mutable nfree : int;
   mutable next_seq : int;
-  mutable live : int;
-  mutable sentinel : 'a entry option;
+  mutable filler : 'a option;
+      (* the first payload ever pushed: fills the slots the payload
+         array does not use, so a vacated slot drops its payload *)
 }
 
-let create () =
-  { arr = [||]; size = 0; next_seq = 0; live = 0; sentinel = None }
+let slot_bits = 24
+let slot_mask = (1 lsl slot_bits) - 1
+let max_slots = 1 lsl slot_bits
 
-let is_empty t = t.live = 0
-let live_count t = t.live
-
-let[@hot_path] entry_lt a b = a.time < b.time || (Int.equal a.time b.time && a.seq < b.seq)
-
-let[@hot_path] swap t i j =
-  let tmp = t.arr.(i) in
-  t.arr.(i) <- t.arr.(j);
-  t.arr.(j) <- tmp
-
-let[@hot_path] rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if entry_lt t.arr.(i) t.arr.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let[@hot_path] rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && entry_lt t.arr.(l) t.arr.(!smallest) then smallest := l;
-  if r < t.size && entry_lt t.arr.(r) t.arr.(!smallest) then smallest := r;
-  if not (Int.equal !smallest i) then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
+(* Handles stay non-negative: [seq lsl slot_bits] fits below [max_int]. *)
+let max_seq = 1 lsl (62 - slot_bits)
+let no_handle = -1
 let no_time = min_int
 
-let[@hot_path] push t ~time payload =
+let create () =
+  {
+    time = [||];
+    seq = [||];
+    slot = [||];
+    size = 0;
+    payload = [||];
+    pos = [||];
+    free = [||];
+    nfree = 0;
+    next_seq = 0;
+    filler = None;
+  }
+
+let is_empty t = Int.equal t.size 0
+let live_count t = t.size
+
+let[@hot_path] before time seq time' seq' =
+  time < time' || (Int.equal time time' && seq < seq')
+
+let[@hot_path] set t i time seq slot =
+  t.time.(i) <- time;
+  t.seq.(i) <- seq;
+  t.slot.(i) <- slot;
+  t.pos.(slot) <- i
+
+(* Move the entry at heap position [src] to [dst]. *)
+let[@hot_path] move t ~src ~dst = set t dst t.time.(src) t.seq.(src) t.slot.(src)
+
+(* Settle the entry [(time, seq, slot)] into the hole at [i], moving
+   parents down (sift_up) or smaller children up (sift_down). *)
+let[@hot_path] rec sift_up t i time seq slot =
+  if i > 0 then begin
+    let p = (i - 1) / 2 in
+    if before time seq t.time.(p) t.seq.(p) then begin
+      move t ~src:p ~dst:i;
+      sift_up t p time seq slot
+    end
+    else set t i time seq slot
+  end
+  else set t i time seq slot
+
+let[@hot_path] rec sift_down t i time seq slot =
+  let l = (2 * i) + 1 in
+  if l >= t.size then set t i time seq slot
+  else begin
+    let r = l + 1 in
+    let c =
+      if r < t.size && before t.time.(r) t.seq.(r) t.time.(l) t.seq.(l) then r
+      else l
+    in
+    if before t.time.(c) t.seq.(c) time seq then begin
+      move t ~src:c ~dst:i;
+      sift_down t c time seq slot
+    end
+    else set t i time seq slot
+  end
+
+(* Grow every array to twice its capacity, pushing the new slots onto
+   the (empty) free stack lowest-first. Runs only when no slot is free. *)
+let grow t v =
+  let old = Array.length t.pos in
+  if old >= max_slots then
+    invalid_arg "Event_heap.push: more than 2^24 pending entries";
+  let cap = if Int.equal old 0 then 16 else min max_slots (2 * old) in
+  let filler =
+    match t.filler with
+    | Some f -> f
+    | None ->
+        t.filler <- Some v;
+        v
+  in
+  let ints a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  t.time <- ints t.time 0;
+  t.seq <- ints t.seq 0;
+  t.slot <- ints t.slot 0;
+  t.pos <- ints t.pos (-1);
+  let payload = Array.make cap filler in
+  Array.blit t.payload 0 payload 0 old;
+  t.payload <- payload;
+  t.free <- Array.make cap 0;
+  for k = 0 to cap - old - 1 do
+    t.free.(k) <- cap - 1 - k
+  done;
+  t.nfree <- cap - old
+
+let[@hot_path] push t ~time v =
   if Int.equal time no_time then
     invalid_arg "Event_heap.push: time is Event_heap.no_time";
-  let e = ({ time; seq = t.next_seq; payload; cancelled = false } [@alloc_ok]) in
-  t.next_seq <- t.next_seq + 1;
-  if Int.equal t.size (Array.length t.arr) then begin
-    let s =
-      match t.sentinel with
-      | Some s -> s
-      | None ->
-          let s = ({ time = 0; seq = -1; payload; cancelled = true } [@alloc_ok]) in
-          t.sentinel <- (Some s [@alloc_ok]);
-          s
-    in
-    let cap = max 64 (2 * Array.length t.arr) in
-    let arr = Array.make cap s in
-    Array.blit t.arr 0 arr 0 t.size;
-    t.arr <- arr
-  end;
-  t.arr.(t.size) <- e;
-  t.size <- t.size + 1;
-  t.live <- t.live + 1;
-  sift_up t (t.size - 1);
-  e
+  if t.next_seq >= max_seq then
+    invalid_arg "Event_heap.push: handle sequence exhausted";
+  if Int.equal t.nfree 0 then grow t v;
+  t.nfree <- t.nfree - 1;
+  let slot = t.free.(t.nfree) in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  t.payload.(slot) <- v;
+  let i = t.size in
+  t.size <- i + 1;
+  sift_up t i time seq slot;
+  (seq lsl slot_bits) lor slot
 
-(* In-place filter of cancelled entries followed by Floyd heapify:
-   O(size), amortised free because it runs only when cancelled entries
-   are the majority and halves [size] at least. *)
-let compact t =
-  let old_size = t.size in
-  let n = ref 0 in
-  for i = 0 to old_size - 1 do
-    let e = t.arr.(i) in
-    if not e.cancelled then begin
-      t.arr.(!n) <- e;
-      incr n
-    end
-  done;
-  (match t.sentinel with
-  | Some s -> Array.fill t.arr !n (old_size - !n) s
-  | None -> ());
-  t.size <- !n;
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done
+(* Delete the entry at heap position [i] and free its slot: the last
+   entry fills the hole and settles up or down from there. *)
+let[@hot_path] remove_at t i =
+  let slot = t.slot.(i) in
+  let last = t.size - 1 in
+  t.size <- last;
+  if i < last then begin
+    let time = t.time.(last) and seq = t.seq.(last) and s = t.slot.(last) in
+    let p = (i - 1) / 2 in
+    if i > 0 && before time seq t.time.(p) t.seq.(p) then
+      sift_up t i time seq s
+    else sift_down t i time seq s
+  end;
+  t.pos.(slot) <- -1;
+  (match t.filler with Some f -> t.payload.(slot) <- f | None -> ());
+  t.free.(t.nfree) <- slot;
+  t.nfree <- t.nfree + 1
 
 let[@hot_path] cancel t h =
-  if not h.cancelled then begin
-    h.cancelled <- true;
-    t.live <- t.live - 1;
-    if t.size >= 64 && 2 * (t.size - t.live) > t.size then compact t
+  if h >= 0 then begin
+    let slot = h land slot_mask in
+    if slot < Array.length t.pos then begin
+      let i = t.pos.(slot) in
+      if i >= 0 && Int.equal t.seq.(i) (h lsr slot_bits) then remove_at t i
+    end
   end
 
-let[@hot_path] pop_root t =
-  let e = t.arr.(0) in
-  t.size <- t.size - 1;
-  t.arr.(0) <- t.arr.(t.size);
-  (match t.sentinel with
-  | Some s -> t.arr.(t.size) <- s
-  | None -> ());
-  if t.size > 0 then sift_down t 0;
-  e
+let[@hot_path] min_time t = if Int.equal t.size 0 then no_time else t.time.(0)
 
-(* Cancelled entries are discarded as they surface at the root; only
-   a live take touches [live]. A taken entry is marked cancelled so a
-   later [cancel] on its handle is a genuine no-op. *)
-let[@hot_path] rec min_time t =
-  if t.size = 0 then no_time
-  else if t.arr.(0).cancelled then begin
-    ignore (pop_root t);
-    min_time t
-  end
-  else t.arr.(0).time
-
-let[@hot_path] rec take t =
-  if t.size = 0 then invalid_arg "Event_heap.take: no live entry";
-  let e = pop_root t in
-  if e.cancelled then take t
-  else begin
-    e.cancelled <- true;
-    t.live <- t.live - 1;
-    e.payload
-  end
+let[@hot_path] take t =
+  if Int.equal t.size 0 then invalid_arg "Event_heap.take: no pending entry";
+  let v = t.payload.(t.slot.(0)) in
+  remove_at t 0;
+  v
 
 let pop t =
   let time = min_time t in
@@ -149,41 +182,34 @@ let peek_time t =
   let time = min_time t in
   if Int.equal time no_time then None else Some time
 
-(* Structural self-check for sanitizer builds: the array prefix
-   [0, size) must satisfy the heap order (parent not later than either
-   child) and the cancelled-entry bookkeeping must agree with [live].
-   O(size); never called on the hot path. *)
+(* Structural self-check for sanitizer builds: the pending prefix
+   [0, size) satisfies the heap order, every pending entry's slot
+   points back at its position, and the free stack holds exactly the
+   other slots. O(capacity); never called on the hot path. *)
 let validate t =
-  if t.size > Array.length t.arr then
-    Error
-      (Printf.sprintf "Event_heap: size %d exceeds capacity %d" t.size
-         (Array.length t.arr))
+  let cap = Array.length t.pos in
+  let fail fmt = Printf.ksprintf (fun s -> Error ("Event_heap: " ^ s)) fmt in
+  if t.size > cap then fail "size %d exceeds capacity %d" t.size cap
+  else if not (Int.equal (t.size + t.nfree) cap) then
+    fail "%d pending + %d free slots <> capacity %d" t.size t.nfree cap
   else begin
     let err = ref None in
+    let note e = if Option.is_none !err then err := Some e in
     for i = 1 to t.size - 1 do
-      if Option.is_none !err then begin
-        let parent = (i - 1) / 2 in
-        if entry_lt t.arr.(i) t.arr.(parent) then
-          err :=
-            Some
-              (Printf.sprintf
-                 "Event_heap: order violated at slot %d (t=%d seq=%d) vs \
-                  parent %d (t=%d seq=%d)"
-                 i t.arr.(i).time t.arr.(i).seq parent t.arr.(parent).time
-                 t.arr.(parent).seq)
-      end
+      let p = (i - 1) / 2 in
+      if before t.time.(i) t.seq.(i) t.time.(p) t.seq.(p) then
+        note
+          (Printf.sprintf
+             "order violated at %d (t=%d seq=%d) vs parent %d (t=%d seq=%d)" i
+             t.time.(i) t.seq.(i) p t.time.(p) t.seq.(p))
     done;
-    match !err with
-    | Some e -> Error e
-    | None ->
-        let live = ref 0 in
-        for i = 0 to t.size - 1 do
-          if not t.arr.(i).cancelled then incr live
-        done;
-        if not (Int.equal !live t.live) then
-          Error
-            (Printf.sprintf
-               "Event_heap: live count drifted (%d stored, %d counted)"
-               t.live !live)
-        else Ok ()
+    for i = 0 to t.size - 1 do
+      if not (Int.equal t.pos.(t.slot.(i)) i) then
+        note (Printf.sprintf "slot %d does not point back at %d" t.slot.(i) i)
+    done;
+    for k = 0 to t.nfree - 1 do
+      if t.pos.(t.free.(k)) >= 0 then
+        note (Printf.sprintf "free slot %d is in the heap" t.free.(k))
+    done;
+    match !err with Some e -> fail "%s" e | None -> Ok ()
   end

@@ -1,15 +1,18 @@
-(** Binary min-heap of timestamped events with O(log n) insert/pop and
-    O(1) cancellation.
+(** Binary min-heap of timestamped events with O(log n) insert, pop and
+    cancellation, and no allocation per event.
 
     Ties on the timestamp are broken by insertion order, so the simulation
     is deterministic: two events scheduled for the same instant fire in
-    the order they were scheduled. Cancellation is lazy — a cancelled
-    entry stays in the heap until it surfaces or until cancelled entries
-    become the majority, at which point the heap compacts in place.
+    the order they were scheduled.
 
-    Entries are stored unboxed (no [option] wrapper); a push performs
-    exactly one allocation, the entry itself, which doubles as the
-    cancellation handle. *)
+    The heap orders [(time, seq, slot)] triples held in parallel [int]
+    arrays; a payload lives in its slot, and freed slots are reused. A
+    handle is an [int] that packs the slot with the entry's [seq], so a
+    handle outlives its entry safely: cancelling it after the entry was
+    taken or cancelled — even once the slot holds another entry — is a
+    no-op. Cancellation removes the entry at once. Once the arrays have
+    grown to the peak number of pending entries, {!push}, {!cancel},
+    {!min_time} and {!take} allocate nothing. *)
 
 type 'a t
 (** Heap carrying payloads of type ['a]. *)
@@ -19,35 +22,39 @@ type 'a handle
 
 val create : unit -> 'a t
 
+val no_handle : 'a handle
+(** A handle that names no entry: {!cancel} ignores it. For fields that
+    hold "no timer armed". *)
+
 val is_empty : 'a t -> bool
-(** True when no live (non-cancelled) entry remains. *)
+(** True when no entry is pending. *)
 
 val live_count : 'a t -> int
-(** Number of scheduled entries not yet popped or cancelled. *)
+(** Number of scheduled entries not yet taken or cancelled. *)
 
 val no_time : Units.time
-(** What {!min_time} answers for a heap with no live entry ([min_int]).
-    {!push} refuses it, so it never names a real entry's time. *)
+(** What {!min_time} answers for an empty heap ([min_int]). {!push}
+    refuses it, so it never names a real entry's time. *)
 
 val push : 'a t -> time:Units.time -> 'a -> 'a handle
 (** Schedule a payload at the given time; returns a cancellation handle.
 
-    @raise Invalid_argument if [time] is {!no_time}. *)
+    @raise Invalid_argument if [time] is {!no_time}, if more than
+    2{^ 24} entries would be pending at once, or once 2{^ 38} entries
+    have been pushed (handles never wrap). *)
 
 val cancel : 'a t -> 'a handle -> unit
-(** Cancel a scheduled entry. Cancelling an already-popped or
-    already-cancelled entry is a no-op. *)
+(** Remove a scheduled entry now. Cancelling a taken or already
+    cancelled entry, or {!no_handle}, is a no-op. *)
 
 val min_time : 'a t -> Units.time
-(** Timestamp of the earliest live entry, or {!no_time} if none is
-    live. Cancelled entries found at the root are dropped on the way.
-    Allocates nothing. *)
+(** Timestamp of the earliest entry, or {!no_time} if none is pending. *)
 
 val take : 'a t -> 'a
-(** Remove the earliest live entry and return its payload; its time is
-    what {!min_time} answered just before. Allocates nothing.
+(** Remove the earliest entry and return its payload; its time is what
+    {!min_time} answered just before.
 
-    @raise Invalid_argument if no live entry remains. *)
+    @raise Invalid_argument if no entry is pending. *)
 
 val pop : 'a t -> (Units.time * 'a) option
 (** {!min_time} then {!take}, or [None] if empty. *)
@@ -56,6 +63,7 @@ val peek_time : 'a t -> Units.time option
 (** {!min_time} as an option: [None] if empty. *)
 
 val validate : 'a t -> (unit, string) result
-(** Structural self-check: heap order over the stored prefix and
-    agreement between the cancelled flags and {!live_count}. O(n);
-    meant for sanitizer builds and tests, not the hot path. *)
+(** Structural self-check: heap order over the pending prefix, and
+    agreement between the heap positions, the slot index and the free
+    slots. O(n); meant for sanitizer builds and tests, not the hot
+    path. *)

@@ -3,7 +3,7 @@ type t = {
   sub_bucket_count : int;
   counts : int array;
   mutable total : int;
-  mutable sum : float;
+  mutable sum : int;  (* exact; [mean] converts it once *)
   mutable min_v : int;
   mutable max_v : int;
 }
@@ -22,7 +22,7 @@ let create ?(sub_bucket_bits = 5) () =
     sub_bucket_count;
     counts = Array.make (num_indices sub_bucket_count) 0;
     total = 0;
-    sum = 0.;
+    sum = 0;
     min_v = max_int;
     max_v = 0;
   }
@@ -53,7 +53,7 @@ let record_n t v ~n =
   if n > 0 then begin
     t.counts.(index_of t v) <- t.counts.(index_of t v) + n;
     t.total <- t.total + n;
-    t.sum <- t.sum +. (float_of_int v *. float_of_int n);
+    t.sum <- t.sum + (v * n);
     if v < t.min_v then t.min_v <- v;
     if v > t.max_v then t.max_v <- v
   end
@@ -69,7 +69,8 @@ let max_value t =
   if t.total = 0 then invalid_arg "Histogram.max_value: empty";
   t.max_v
 
-let mean t = if t.total = 0 then 0. else t.sum /. float_of_int t.total
+let mean t =
+  if t.total = 0 then 0. else float_of_int t.sum /. float_of_int t.total
 
 let quantile t q =
   if t.total = 0 then invalid_arg "Histogram.quantile: empty";
@@ -93,7 +94,7 @@ let merge_into ~src ~dst =
     (fun i c -> if c > 0 then dst.counts.(i) <- dst.counts.(i) + c)
     src.counts;
   dst.total <- dst.total + src.total;
-  dst.sum <- dst.sum +. src.sum;
+  dst.sum <- dst.sum + src.sum;
   if src.total > 0 then begin
     if src.min_v < dst.min_v then dst.min_v <- src.min_v;
     if src.max_v > dst.max_v then dst.max_v <- src.max_v
@@ -102,7 +103,7 @@ let merge_into ~src ~dst =
 let clear t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.total <- 0;
-  t.sum <- 0.;
+  t.sum <- 0;
   t.min_v <- max_int;
   t.max_v <- 0
 

@@ -25,7 +25,9 @@ val max_value : t -> int
 (** @raise Invalid_argument on an empty histogram. *)
 
 val mean : t -> float
-(** Arithmetic mean of recorded values (0 on empty histogram). *)
+(** Arithmetic mean of recorded values (0 on empty histogram). The sum
+    behind it is an exact [int], so recording boxes no float; the mean
+    is exact while the sum stays below 2{^ 53}. *)
 
 val quantile : t -> float -> int
 (** [quantile t q] with [q] in [0, 1]: an upper bound on the value at

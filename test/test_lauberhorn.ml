@@ -1170,6 +1170,47 @@ let test_stack_static_binding_fault_plan () =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* The allocation budget of one Lauberhorn RPC, set up as perfbench's
+   host_64b workload: Config.enzian with a push mirror, 4 cores, up to
+   3 workers, 64 B requests at 400k requests/s through
+   [Common.make_server]. About 2k RPCs run after set-up, and every minor
+   word the run allocates is charged to the RPCs it completes. The
+   figure is exact for a seed, and the budget is it plus 2%. Before the
+   event path stopped allocating its own bookkeeping (the int-handle
+   event heap, event closures built once per line, thread and worker),
+   this run took 601.5 words per RPC and perfbench's host_64b 599.6. *)
+let rpc_words_budget = 409.9 *. 1.02
+
+let test_rpc_allocation_budget () =
+  let setup =
+    Workload.Scenario.echo_fleet ~n:1 ~handler_time:(Sim.Units.ns 500) ()
+  in
+  let server =
+    Experiments.Common.make_server ~ncores:4 ~max_workers:3
+      (Experiments.Common.Lauberhorn
+         (Lauberhorn.Config.enzian, Lauberhorn.Sched_mirror.Push))
+      setup
+  in
+  let engine = server.Experiments.Common.engine in
+  let horizon = Sim.Units.ms 5 in
+  Workload.Arrivals.open_loop engine (Sim.Rng.create ~seed:1)
+    ~rate_per_s:400_000. ~until:horizon (fun ~seq ->
+      Experiments.Common.inject_blob server ~seq ~service_idx:0 ~bytes:64);
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  Sim.Engine.run engine ~until:(horizon + Sim.Units.ms 1);
+  let words = Gc.minor_words () -. before in
+  let recorder = server.Experiments.Common.recorder in
+  let completed = Harness.Recorder.completed recorder in
+  checki "every RPC completed" (Harness.Recorder.sent recorder) completed;
+  checkb "about 2k RPCs" true (completed > 1_800);
+  let per_rpc = words /. float_of_int completed in
+  checkb
+    (Printf.sprintf "%.1f minor words per RPC <= %.1f" per_rpc
+       rpc_words_budget)
+    true
+    (per_rpc <= rpc_words_budget)
+
 let () =
   Alcotest.run "lauberhorn"
     [
@@ -1228,6 +1269,8 @@ let () =
         [
           Alcotest.test_case "echo end to end" `Quick
             test_stack_echo_end_to_end;
+          Alcotest.test_case "rpc allocation budget" `Quick
+            test_rpc_allocation_budget;
           Alcotest.test_case "payload fidelity" `Quick
             test_stack_response_payload_fidelity;
           Alcotest.test_case "cold start slow path" `Quick

@@ -262,7 +262,7 @@ let test_wire_format_errors () =
 let random_wire_bytes rng n =
   Bytes.init n (fun _ -> Char.chr (Sim.Rng.int rng ~bound:256))
 
-let mangled_frame rng =
+let mangled_frame ?body rng =
   let kind =
     match Sim.Rng.int rng ~bound:3 with
     | 0 -> Rpc.Wire_format.Request
@@ -281,7 +281,10 @@ let mangled_frame rng =
         method_id = Sim.Rng.int rng ~bound:0x10000;
         kind;
         ctx;
-        body = random_wire_bytes rng (Sim.Rng.int rng ~bound:40);
+        body =
+          (match body with
+          | Some body -> body rng
+          | None -> random_wire_bytes rng (Sim.Rng.int rng ~bound:40));
       }
   in
   let len = Bytes.length b in
@@ -311,6 +314,52 @@ let peek_agrees_with_decode =
           && h.Rpc.Wire_format.method_id = m.Rpc.Wire_format.method_id
           && Option.equal Bytes.equal h.Rpc.Wire_format.ctx
                m.Rpc.Wire_format.ctx
+      | Error e, Error e' -> e = e'
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* The in-place decode ([peek], then [Codec.decode_sub] over the body
+   range) against [decode] then [Codec.decode] on the same frames, half
+   of whose bodies are a real encoding of the schema before mangling:
+   the same wire error, the same codec error (trailing bytes included),
+   or equal values. *)
+let body_schema =
+  Rpc.Schema.Tuple [ Rpc.Schema.Int; Rpc.Schema.Str; Rpc.Schema.List Rpc.Schema.Int ]
+
+let schema_body rng =
+  if Sim.Rng.int rng ~bound:2 = 0 then
+    random_wire_bytes rng (Sim.Rng.int rng ~bound:40)
+  else
+    Rpc.Codec.encode
+      (Rpc.Schema.arbitrary body_schema rng
+         ~size_hint:(Sim.Rng.int rng ~bound:40))
+
+let decode_in_place_agrees =
+  QCheck.Test.make ~name:"in-place body decode agrees with decode" ~count:2000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let b = mangled_frame ~body:schema_body (Sim.Rng.create ~seed) in
+      let in_place =
+        match Rpc.Wire_format.peek b with
+        | Error e -> Error (`Wire e)
+        | Ok h -> (
+            let pos = Rpc.Wire_format.body_offset h in
+            match
+              Rpc.Codec.decode_sub body_schema b ~pos
+                ~len:(Bytes.length b - pos)
+            with
+            | Ok v -> Ok v
+            | Error e -> Error (`Codec e))
+      in
+      let copied =
+        match Rpc.Wire_format.decode b with
+        | Error e -> Error (`Wire e)
+        | Ok m -> (
+            match Rpc.Codec.decode body_schema m.Rpc.Wire_format.body with
+            | Ok v -> Ok v
+            | Error e -> Error (`Codec e))
+      in
+      match (in_place, copied) with
+      | Ok v, Ok v' -> Rpc.Value.equal v v'
       | Error e, Error e' -> e = e'
       | Ok _, Error _ | Error _, Ok _ -> false)
 
@@ -510,7 +559,7 @@ let () =
             test_wire_format_response_preserves_ids;
           Alcotest.test_case "errors" `Quick test_wire_format_errors;
         ]
-        @ qsuite [ peek_agrees_with_decode ] );
+        @ qsuite [ peek_agrees_with_decode; decode_in_place_agrees ] );
       ( "interface",
         [
           Alcotest.test_case "echo" `Quick test_echo_service;
