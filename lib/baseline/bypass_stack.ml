@@ -69,39 +69,43 @@ let rec poll_loop t p () =
          us and we back-charge the spin window. *)
       p.spin_since <- Some (Sim.Engine.now t.engine)
 
+(* The header is read and the arguments decoded in place: nothing is
+   copied out of the frame. *)
 and handle t p frame =
   let drop counter =
     Sim.Counter.incr (ctr t counter);
     poll_loop t p ()
   in
-  match Rpc.Wire_format.decode frame.Net.Frame.payload with
+  let payload = frame.Net.Frame.payload in
+  match Rpc.Wire_format.check payload with
   | Error _ -> drop "rx_bad_rpc"
-  | Ok wire -> (
+  | Ok () -> (
+      let rpc_id = Rpc.Wire_format.rpc_id payload in
       (* DMA delivery + poll-loop spin + per-packet rx cost. *)
-      span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id "poll_rx";
-      match
-        Hashtbl.find_opt t.by_port frame.Net.Frame.udp.Net.Udp.dst_port
-      with
-      | None -> drop "rx_no_service"
-      | Some sspec -> (
+      span_stage t ~rpc:rpc_id "poll_rx";
+      match Hashtbl.find t.by_port frame.Net.Frame.udp.Net.Udp.dst_port with
+      | exception Not_found -> drop "rx_no_service"
+      | sspec -> (
           match
-            Rpc.Interface.find_method sspec.service
-              wire.Rpc.Wire_format.method_id
+            Rpc.Interface.method_by_id sspec.service
+              (Rpc.Wire_format.method_id payload)
           with
-          | None -> drop "rx_no_method"
-          | Some mdef -> (
+          | exception Not_found -> drop "rx_no_method"
+          | mdef -> (
+              let pos = Rpc.Wire_format.body_offset payload in
+              let arg_bytes = Bytes.length payload - pos in
               match
-                Rpc.Codec.decode mdef.Rpc.Interface.request
-                  wire.Rpc.Wire_format.body
+                Rpc.Codec.decode_sub mdef.Rpc.Interface.request payload ~pos
+                  ~len:arg_bytes
               with
               | Error _ -> drop "rx_bad_args"
-              | Ok args -> execute t p frame wire mdef args)))
+              | Ok args -> execute t p frame ~rpc_id ~arg_bytes mdef args)))
 
-and execute t p frame (wire : Rpc.Wire_format.t) mdef args =
+and execute t p frame ~rpc_id ~arg_bytes mdef args =
   let deser =
     Rpc.Deser_cost.cost Rpc.Deser_cost.software
       ~fields:(Rpc.Value.field_count args)
-      ~bytes:(Bytes.length wire.Rpc.Wire_format.body)
+      ~bytes:arg_bytes
   in
   let work = deser + mdef.Rpc.Interface.handler_time in
   charge_user t p work;
@@ -110,7 +114,7 @@ and execute t p frame (wire : Rpc.Wire_format.t) mdef args =
     (Sim.Engine.schedule_after t.engine ~after:work (fun () ->
          if th.Osmodel.Proc.state = Osmodel.Proc.Exited then ()
          else begin
-         span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id "app";
+         span_stage t ~rpc:rpc_id "app";
          let result = mdef.Rpc.Interface.execute args in
          let body = Rpc.Codec.encode result in
          let marshal =
@@ -124,13 +128,14 @@ and execute t p frame (wire : Rpc.Wire_format.t) mdef args =
            (Sim.Engine.schedule_after t.engine ~after:marshal (fun () ->
                 if th.Osmodel.Proc.state = Osmodel.Proc.Exited then ()
                 else begin
+                let request = frame.Net.Frame.payload in
                 let reply =
                   {
-                    Rpc.Wire_format.rpc_id = wire.Rpc.Wire_format.rpc_id;
-                    service_id = wire.Rpc.Wire_format.service_id;
-                    method_id = wire.Rpc.Wire_format.method_id;
+                    Rpc.Wire_format.rpc_id;
+                    service_id = Rpc.Wire_format.service_id request;
+                    method_id = Rpc.Wire_format.method_id request;
                     kind = Rpc.Wire_format.Response;
-                    ctx = wire.Rpc.Wire_format.ctx;
+                    ctx = Rpc.Wire_format.ctx request;
                     body;
                   }
                 in
@@ -141,12 +146,11 @@ and execute t p frame (wire : Rpc.Wire_format.t) mdef args =
                     (Rpc.Wire_format.encode reply)
                 in
                 Sim.Counter.incr (ctr t "tx_frames");
-                span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id "marshal";
-                let rpc = wire.Rpc.Wire_format.rpc_id in
+                span_stage t ~rpc:rpc_id "marshal";
                 Nic.Dma_nic.transmit (nic t) out
                   ~via:(fun f ->
-                    span_stage t ~rpc "tx_dma";
-                    Obs.Tracer.rpc_end t.tracer ~rpc
+                    span_stage t ~rpc:rpc_id "tx_dma";
+                    Obs.Tracer.rpc_end t.tracer ~rpc:rpc_id
                       (Sim.Engine.now t.engine);
                     t.egress f);
                 Sim.Counter.incr (ctr t "rpcs_handled");
@@ -295,11 +299,12 @@ let create engine ~profile ~ncores ?pollers ?kernel_costs
 
 let ingress t frame =
   if Obs.Tracer.is_enabled t.tracer then begin
-    match Rpc.Wire_format.decode frame.Net.Frame.payload with
-    | Ok w when w.Rpc.Wire_format.kind = Rpc.Wire_format.Request ->
-        Obs.Tracer.rpc_begin t.tracer ~rpc:w.Rpc.Wire_format.rpc_id
+    let payload = frame.Net.Frame.payload in
+    match Rpc.Wire_format.check payload with
+    | Ok () when Rpc.Wire_format.is_request payload ->
+        Obs.Tracer.rpc_begin t.tracer ~rpc:(Rpc.Wire_format.rpc_id payload)
           ~track:t.trk (Sim.Engine.now t.engine)
-    | Ok _ | Error _ -> ()
+    | Ok () | Error _ -> ()
   end;
   Nic.Dma_nic.rx_from_wire (nic t) frame
 

@@ -38,12 +38,13 @@ let span_stage t ~rpc name =
   Obs.Tracer.stage t.tracer ~rpc ~track:t.trk ~name (Sim.Engine.now t.engine)
 
 (* Stage boundaries inside the kernel path see only the frame; the
-   wire-format decode to recover the RPC id is paid only when the
-   tracer is on. *)
+   header read to recover the RPC id is paid only when the tracer is
+   on. *)
 let span_stage_frame t frame name =
   if Obs.Tracer.is_enabled t.tracer then
-    match Rpc.Wire_format.decode frame.Net.Frame.payload with
-    | Ok w -> span_stage t ~rpc:w.Rpc.Wire_format.rpc_id name
+    let payload = frame.Net.Frame.payload in
+    match Rpc.Wire_format.check payload with
+    | Ok () -> span_stage t ~rpc:(Rpc.Wire_format.rpc_id payload) name
     | Error _ -> ()
 
 let nic t =
@@ -113,24 +114,31 @@ let rec server_loop t rt th () =
       in
       Osmodel.Kernel.run_for t.kern th ~kind:Osmodel.Cpu_account.Kernel
         copy_cost (fun () ->
-          match Rpc.Wire_format.decode payload with
+          match Rpc.Wire_format.check payload with
           | Error _ ->
               Sim.Counter.incr (ctr t "rx_bad_rpc");
               server_loop t rt th ()
-          | Ok wire -> handle_rpc t rt th frame wire))
+          | Ok () -> handle_rpc t rt th frame))
 
-and handle_rpc t rt th frame (wire : Rpc.Wire_format.t) =
+(* The header is read and the arguments decoded in place. *)
+and handle_rpc t rt th frame =
+  let payload = frame.Net.Frame.payload in
+  let rpc_id = Rpc.Wire_format.rpc_id payload in
   (* Socket wait + wakeup + recv copy + header decode. *)
-  span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id "socket";
+  span_stage t ~rpc:rpc_id "socket";
   match
-    Rpc.Interface.find_method rt.sspec.service wire.Rpc.Wire_format.method_id
+    Rpc.Interface.method_by_id rt.sspec.service
+      (Rpc.Wire_format.method_id payload)
   with
-  | None ->
+  | exception Not_found ->
       Sim.Counter.incr (ctr t "rx_no_method");
       server_loop t rt th ()
-  | Some mdef -> (
+  | mdef -> (
+      let pos = Rpc.Wire_format.body_offset payload in
+      let arg_bytes = Bytes.length payload - pos in
       match
-        Rpc.Codec.decode mdef.Rpc.Interface.request wire.Rpc.Wire_format.body
+        Rpc.Codec.decode_sub mdef.Rpc.Interface.request payload ~pos
+          ~len:arg_bytes
       with
       | Error _ ->
           Sim.Counter.incr (ctr t "rx_bad_args");
@@ -139,7 +147,7 @@ and handle_rpc t rt th frame (wire : Rpc.Wire_format.t) =
           let deser_cost =
             Rpc.Deser_cost.cost Rpc.Deser_cost.software
               ~fields:(Rpc.Value.field_count args)
-              ~bytes:(Bytes.length wire.Rpc.Wire_format.body)
+              ~bytes:arg_bytes
           in
           Osmodel.Kernel.run_for t.kern th ~kind:Osmodel.Cpu_account.User
             (deser_cost + mdef.Rpc.Interface.handler_time) (fun () ->
@@ -152,11 +160,11 @@ and handle_rpc t rt th frame (wire : Rpc.Wire_format.t) =
               in
               Osmodel.Kernel.run_for t.kern th
                 ~kind:Osmodel.Cpu_account.User marshal_cost (fun () ->
-                  send_reply t rt th frame wire body)))
+                  send_reply t rt th frame ~rpc_id body)))
 
-and send_reply t rt th frame wire body =
+and send_reply t rt th frame ~rpc_id body =
   (* Deserialize + handler + marshal, all user time. *)
-  span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id "app";
+  span_stage t ~rpc:rpc_id "app";
   let send_cost =
     t.sw.Costs.send_path
     + int_of_float
@@ -166,13 +174,14 @@ and send_reply t rt th frame wire body =
   in
   Osmodel.Kernel.run_for t.kern th ~kind:Osmodel.Cpu_account.Kernel send_cost
     (fun () ->
+      let request = frame.Net.Frame.payload in
       let reply =
         {
-          Rpc.Wire_format.rpc_id = wire.Rpc.Wire_format.rpc_id;
-          service_id = wire.Rpc.Wire_format.service_id;
-          method_id = wire.Rpc.Wire_format.method_id;
+          Rpc.Wire_format.rpc_id;
+          service_id = Rpc.Wire_format.service_id request;
+          method_id = Rpc.Wire_format.method_id request;
           kind = Rpc.Wire_format.Response;
-          ctx = wire.Rpc.Wire_format.ctx;
+          ctx = Rpc.Wire_format.ctx request;
           body;
         }
       in
@@ -183,12 +192,11 @@ and send_reply t rt th frame wire body =
           (Rpc.Wire_format.encode reply)
       in
       Sim.Counter.incr (ctr t "tx_frames");
-      span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id "send";
-      let rpc = wire.Rpc.Wire_format.rpc_id in
+      span_stage t ~rpc:rpc_id "send";
       Nic.Dma_nic.transmit (nic t) out
         ~via:(fun f ->
-          span_stage t ~rpc "tx_dma";
-          Obs.Tracer.rpc_end t.tracer ~rpc (Sim.Engine.now t.engine);
+          span_stage t ~rpc:rpc_id "tx_dma";
+          Obs.Tracer.rpc_end t.tracer ~rpc:rpc_id (Sim.Engine.now t.engine);
           t.egress f);
       server_loop t rt th ())
 
@@ -322,11 +330,12 @@ let create engine ~profile ~ncores ?kernel_costs ?(sw_costs = Costs.default)
 
 let ingress t frame =
   if Obs.Tracer.is_enabled t.tracer then begin
-    match Rpc.Wire_format.decode frame.Net.Frame.payload with
-    | Ok w when w.Rpc.Wire_format.kind = Rpc.Wire_format.Request ->
-        Obs.Tracer.rpc_begin t.tracer ~rpc:w.Rpc.Wire_format.rpc_id
+    let payload = frame.Net.Frame.payload in
+    match Rpc.Wire_format.check payload with
+    | Ok () when Rpc.Wire_format.is_request payload ->
+        Obs.Tracer.rpc_begin t.tracer ~rpc:(Rpc.Wire_format.rpc_id payload)
           ~track:t.trk (Sim.Engine.now t.engine)
-    | Ok _ | Error _ -> ()
+    | Ok () | Error _ -> ()
   end;
   Nic.Dma_nic.rx_from_wire (nic t) frame
 

@@ -16,7 +16,7 @@ let bind t ~port entry =
   Hashtbl.add t.by_port port entry
 
 let unbind t ~port = Hashtbl.remove t.by_port port
-let lookup t ~port = Hashtbl.find_opt t.by_port port
+let find t ~port = Hashtbl.find t.by_port port
 
 let lookup_service t ~service_id =
   Hashtbl.fold

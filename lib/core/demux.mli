@@ -23,7 +23,10 @@ val bind : t -> port:int -> entry -> unit
 (** @raise Invalid_argument if the port is already bound. *)
 
 val unbind : t -> port:int -> unit
-val lookup : t -> port:int -> entry option
+val find : t -> port:int -> entry
+(** The entry bound to the port, without an option on the hot path.
+    @raise Not_found if the port is not bound. *)
+
 val lookup_service : t -> service_id:int -> entry option
 
 val port_of_service : t -> service_id:int -> int option

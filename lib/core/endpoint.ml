@@ -3,7 +3,9 @@ type t = {
   cfg : Config.t;
   eid : int;
   ctrl : Coherence.Home_agent.line_id array;
-  on_response : Message.response -> unit;
+  on_response : bytes -> unit;
+  fetched : (bytes option -> unit) array;
+      (* the fetch-exclusive callback of each CONTROL line *)
   mutable on_parked : (unit -> unit) option;
   pending : (Message.request * bool) Queue.t;  (* request, kernel_dispatch *)
   mutable cur : int;
@@ -41,13 +43,13 @@ let extra_request_delay t (msg : Message.request) =
     aux_stream_delay t ~lines:msg.Message.aux_count
   else 0
 
-let extra_response_delay t (resp : Message.response) =
-  let inline = Net.Slice.length resp.Message.inline_body in
-  let rest = resp.Message.total_len - inline in
+let extra_response_delay t line =
+  let total_len = Message.response_total_len line in
+  let rest = total_len - Message.response_inline_len line in
   if rest <= 0 then 0
-  else if resp.Message.total_len > t.cfg.Config.dma_threshold then
+  else if total_len > t.cfg.Config.dma_threshold then
     Coherence.Interconnect.dma_transfer (prof t) ~bytes:rest
-  else aux_stream_delay t ~lines:resp.Message.resp_aux_count
+  else aux_stream_delay t ~lines:(Message.response_aux_count line)
 
 let stage_now t msg ~kernel_dispatch =
   let line = t.ctrl.(t.cur) in
@@ -92,38 +94,40 @@ let deliver ?(kernel_dispatch = false) t msg =
     false
   end
 
-let collect t c =
-  Coherence.Home_agent.fetch_exclusive t.ha t.ctrl.(c) (fun data ->
-      match data with
-      | None ->
-          invalid_arg
-            (Printf.sprintf
-               "Endpoint %d: fetch-exclusive found no response in line %d"
-               t.eid c)
-      | Some bytes -> (
-          match Message.decode_response bytes with
-          | Error e ->
-              invalid_arg
-                (Printf.sprintf "Endpoint %d: bad response line: %s" t.eid e)
-          | Ok resp ->
-              let finish () =
-                t.outstanding <- t.outstanding - 1;
-                t.n_responses <- t.n_responses + 1;
-                t.on_response resp;
-                try_deliver t
-              in
-              let delay = extra_response_delay t resp in
-              if delay = 0 then finish ()
-              else
-                ignore
-                  (Sim.Engine.schedule_after (engine t) ~after:delay finish)))
+let finish t line =
+  t.outstanding <- t.outstanding - 1;
+  t.n_responses <- t.n_responses + 1;
+  t.on_response line;
+  try_deliver t
+
+(* A CONTROL line's fetch-exclusive callback: the response line is read
+   in place and handed on whole. *)
+let fetched t c data =
+  match data with
+  | None ->
+      invalid_arg
+        (Printf.sprintf
+           "Endpoint %d: fetch-exclusive found no response in line %d" t.eid
+           c)
+  | Some line ->
+      if not (Message.response_ok line) then
+        invalid_arg
+          (Printf.sprintf "Endpoint %d: bad response line in line %d" t.eid c);
+      let delay = extra_response_delay t line in
+      if delay = 0 then finish t line
+      else
+        ignore
+          (Sim.Engine.schedule_after (engine t) ~after:delay (fun () ->
+               finish t line))
 
 let on_ctrl_load t j ~served =
-  (match Queue.peek_opt t.to_collect with
-  | Some c when Int.equal c (1 - j) ->
-      ignore (Queue.pop t.to_collect);
-      collect t c
-  | Some _ | None -> ());
+  if
+    (not (Queue.is_empty t.to_collect))
+    && Int.equal (Queue.peek t.to_collect) (1 - j)
+  then begin
+    let c = Queue.pop t.to_collect in
+    Coherence.Home_agent.fetch_exclusive t.ha t.ctrl.(c) t.fetched.(c)
+  end;
   if not served then begin
     (match t.on_parked with Some f -> f () | None -> ());
     try_deliver t
@@ -175,6 +179,7 @@ let create ha cfg ~id ~on_response () =
         [| Coherence.Home_agent.alloc_line ha;
            Coherence.Home_agent.alloc_line ha |];
       on_response;
+      fetched = Array.make 2 ignore;
       on_parked = None;
       pending = Queue.create ();
       cur = 0;
@@ -185,6 +190,8 @@ let create ha cfg ~id ~on_response () =
       n_dropped = 0;
     }
   in
+  t.fetched.(0) <- fetched t 0;
+  t.fetched.(1) <- fetched t 1;
   Coherence.Home_agent.set_on_load ha t.ctrl.(0) (fun ~served ->
       on_ctrl_load t 0 ~served);
   Coherence.Home_agent.set_on_load ha t.ctrl.(1) (fun ~served ->

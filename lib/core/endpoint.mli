@@ -18,9 +18,11 @@ type t
 
 val create :
   Coherence.Home_agent.t -> Config.t -> id:int ->
-  on_response:(Message.response -> unit) -> unit -> t
+  on_response:(bytes -> unit) -> unit -> t
 (** [on_response] fires when a response line (plus any aux/DMA payload
-    time) has been collected from the CPU cache. *)
+    time) has been collected from the CPU cache. It gets the line image,
+    which {!Message.response_ok} accepts, to read in place with the
+    [Message.response_*] readers. *)
 
 val id : t -> int
 

@@ -78,81 +78,167 @@ let encode ~line_bytes t =
   | Tryagain -> single_tag_line ~line_bytes tag_tryagain
   | Retire -> single_tag_line ~line_bytes tag_retire
 
-let encode_response ~line_bytes (r : response) =
+(* The response line header, in order: tag u8, flags u8, status u16,
+   inline length u16, aux count u16, total length u32, rpc id u64; the
+   inline body follows. [write_response] writes it and the readers
+   below read it at these offsets. *)
+let off_status = 2
+let off_resp_inline_len = 4
+let off_resp_aux = 6
+let off_total_len = 8
+let off_resp_rpc_id = 12
+
+let[@hot_path] write_response ~line_bytes ~rpc_id ~status ~total_len
+    ~aux_count body ~off ~len =
   let cap = response_inline_capacity ~line_bytes in
-  if Net.Slice.length r.inline_body > cap then
+  if len > cap then
     invalid_arg
       (Printf.sprintf
-         "Message.encode_response: %d inline bytes > capacity %d"
-         (Net.Slice.length r.inline_body) cap);
+         "Message.write_response: %d inline bytes > capacity %d" len cap);
   let w = Net.Buf.writer line_bytes in
   Net.Buf.write_u8 w tag_response;
   Net.Buf.write_u8 w 0;
-  Net.Buf.write_u16 w r.status;
-  Net.Buf.write_u16 w (Net.Slice.length r.inline_body);
-  Net.Buf.write_u16 w r.resp_aux_count;
-  Net.Buf.write_u32 w r.total_len;
-  Net.Buf.write_u64 w r.resp_rpc_id;
-  Net.Buf.write_slice w r.inline_body;
+  Net.Buf.write_u16 w status;
+  Net.Buf.write_u16 w len;
+  Net.Buf.write_u16 w aux_count;
+  Net.Buf.write_u32 w total_len;
+  Net.Buf.write_u64 w rpc_id;
+  Net.Buf.write_sub w body ~off ~len;
   Net.Buf.write_zeros w (line_bytes - Net.Buf.writer_pos w);
   Net.Buf.filled w
 
-let decode_request_body r =
-  let flags = Net.Buf.read_u8 r in
-  let aux_count = Net.Buf.read_u16 r in
-  let service_id = Net.Buf.read_u32 r in
-  let method_id = Net.Buf.read_u16 r in
-  let inline_len = Net.Buf.read_u16 r in
-  let total_args = Net.Buf.read_u32 r in
-  let rpc_id = Net.Buf.read_u64 r in
-  let code_ptr = Net.Buf.read_u64 r in
-  let data_ptr = Net.Buf.read_u64 r in
-  let inline_args = Net.Buf.read_slice r ~len:inline_len in
+(* The request line header, in order: tag u8, flags u8, aux count u16,
+   service u32, method u16, inline length u16, total args u32, rpc id
+   u64, code pointer u64, data pointer u64; the inline arguments
+   follow. [encode_request_body] writes it and the readers below read
+   it at these offsets. *)
+let off_flags = 1
+let off_aux = 2
+let off_service = 4
+let off_method = 8
+let off_inline_len = 10
+let off_total_args = 12
+let off_rpc_id = 16
+let off_code_ptr = 24
+let off_data_ptr = 32
+
+(* The readers are total: a field beyond the end of the line reads as
+   zero, and [kind] and [response_ok] say whether the line is whole. *)
+let[@hot_path] u8 b off =
+  if off < Bytes.length b then Bytes.get_uint8 b off else 0
+
+let[@hot_path] u16 b off =
+  if off + 2 <= Bytes.length b then Bytes.get_uint16_be b off else 0
+
+let[@hot_path] u32 b off =
+  if off + 4 <= Bytes.length b then
+    Int32.to_int (Bytes.get_int32_be b off) land 0xffff_ffff
+  else 0
+
+let[@hot_path] u64 b off =
+  if off + 8 <= Bytes.length b then Bytes.get_int64_be b off else 0L
+
+type kind =
+  | Request_line
+  | Kernel_dispatch_line
+  | Tryagain_line
+  | Retire_line
+  | Bad_line
+
+(* An empty line reads tag 0, which is no tag: [Bad_line]. *)
+let[@hot_path] kind b =
+  let tag = u8 b 0 in
+  if Int.equal tag tag_request || Int.equal tag tag_kernel_dispatch then
+    if request_header_bytes + u16 b off_inline_len > Bytes.length b then
+      Bad_line
+    else if Int.equal tag tag_request then Request_line
+    else Kernel_dispatch_line
+  else if Int.equal tag tag_tryagain then Tryagain_line
+  else if Int.equal tag tag_retire then Retire_line
+  else Bad_line
+
+let[@hot_path] request_rpc_id b = u64 b off_rpc_id
+let[@hot_path] request_total_args b = u32 b off_total_args
+let[@hot_path] request_via_dma b = u8 b off_flags land flag_via_dma <> 0
+
+let request_inline_args b =
+  let len = u16 b off_inline_len in
+  if request_header_bytes + len <= Bytes.length b then
+    Net.Slice.make b ~off:request_header_bytes ~len
+  else Net.Slice.empty
+
+let[@hot_path] response_ok b =
+  Int.equal (u8 b 0) tag_response
+  && response_header_bytes + u16 b off_resp_inline_len <= Bytes.length b
+
+let[@hot_path] response_rpc_id b = u64 b off_resp_rpc_id
+let[@hot_path] response_status b = u16 b off_status
+let[@hot_path] response_total_len b = u32 b off_total_len
+let[@hot_path] response_inline_len b = u16 b off_resp_inline_len
+let[@hot_path] response_aux_count b = u16 b off_resp_aux
+
+let response_inline_body b =
+  let len = response_inline_len b in
+  if response_header_bytes + len <= Bytes.length b then
+    Net.Slice.make b ~off:response_header_bytes ~len
+  else Net.Slice.empty
+
+let[@hot_path] rec same_prefix line body i len =
+  i >= len
+  || Char.equal
+       (Bytes.get line (response_header_bytes + i))
+       (Bytes.get body i)
+     && same_prefix line body (i + 1) len
+
+let[@hot_path] response_inline_is_prefix_of b body =
+  let len = response_inline_len b in
+  response_header_bytes + len <= Bytes.length b
+  && len <= Bytes.length body
+  && same_prefix b body 0 len
+
+let decode_request b =
   {
-    rpc_id;
-    service_id;
-    method_id;
-    code_ptr;
-    data_ptr;
-    total_args;
-    inline_args;
-    aux_count;
-    via_dma = flags land flag_via_dma <> 0;
+    rpc_id = request_rpc_id b;
+    service_id = u32 b off_service;
+    method_id = u16 b off_method;
+    code_ptr = u64 b off_code_ptr;
+    data_ptr = u64 b off_data_ptr;
+    total_args = request_total_args b;
+    inline_args = request_inline_args b;
+    aux_count = u16 b off_aux;
+    via_dma = request_via_dma b;
   }
 
+let truncated b =
+  Error (Printf.sprintf "truncated line: %d bytes" (Bytes.length b))
+
 let decode b =
-  match
-    let r = Net.Buf.reader b in
-    let tag = Net.Buf.read_u8 r in
-    if Int.equal tag tag_request then Ok (Request (decode_request_body r))
-    else if Int.equal tag tag_kernel_dispatch then
-      Ok (Kernel_dispatch (decode_request_body r))
-    else if Int.equal tag tag_tryagain then Ok Tryagain
-    else if Int.equal tag tag_retire then Ok Retire
-    else Error (Printf.sprintf "unknown control-line tag %d" tag)
-  with
-  | result -> result
-  | exception Net.Buf.Out_of_bounds msg -> Error ("truncated line: " ^ msg)
+  match kind b with
+  | Request_line -> Ok (Request (decode_request b))
+  | Kernel_dispatch_line -> Ok (Kernel_dispatch (decode_request b))
+  | Tryagain_line -> Ok Tryagain
+  | Retire_line -> Ok Retire
+  | Bad_line ->
+      let tag = u8 b 0 in
+      if
+        Bytes.length b < 1
+        || Int.equal tag tag_request || Int.equal tag tag_kernel_dispatch
+      then truncated b
+      else Error (Printf.sprintf "unknown control-line tag %d" tag)
 
 let decode_response b =
-  match
-    let r = Net.Buf.reader b in
-    let tag = Net.Buf.read_u8 r in
-    if not (Int.equal tag tag_response) then
-      Error (Printf.sprintf "not a response line (tag %d)" tag)
-    else begin
-      let _flags = Net.Buf.read_u8 r in
-      let status = Net.Buf.read_u16 r in
-      let inline_len = Net.Buf.read_u16 r in
-      let resp_aux_count = Net.Buf.read_u16 r in
-      let total_len = Net.Buf.read_u32 r in
-      let resp_rpc_id = Net.Buf.read_u64 r in
-      let inline_body = Net.Buf.read_slice r ~len:inline_len in
-      Ok { resp_rpc_id; status; total_len; inline_body; resp_aux_count }
-    end
-  with
-  | result -> result
-  | exception Net.Buf.Out_of_bounds msg -> Error ("truncated line: " ^ msg)
+  if response_ok b then
+    Ok
+      {
+        resp_rpc_id = response_rpc_id b;
+        status = response_status b;
+        total_len = response_total_len b;
+        inline_body = response_inline_body b;
+        resp_aux_count = response_aux_count b;
+      }
+  else if Bytes.length b >= 1 && not (Int.equal (u8 b 0) tag_response) then
+    Error (Printf.sprintf "not a response line (tag %d)" (u8 b 0))
+  else truncated b
 
 let equal_request (a : request) (b : request) =
   Int64.equal a.rpc_id b.rpc_id

@@ -54,16 +54,62 @@ val encode : line_bytes:int -> t -> bytes
     @raise Invalid_argument if inline bytes exceed capacity or fields
     are out of range. *)
 
-val encode_response : line_bytes:int -> response -> bytes
+val write_response :
+  line_bytes:int -> rpc_id:int64 -> status:int -> total_len:int ->
+  aux_count:int -> bytes -> off:int -> len:int -> bytes
+(** Render a response line (length exactly [line_bytes]) from its
+    fields, the inline body being [len] bytes of the buffer from [off]:
+    no response record, no slice. {!decode_response} reads it back.
+    @raise Invalid_argument if the inline bytes exceed capacity or a
+    field is out of range. *)
+
+(** {1 Reading lines in place}
+
+    The CPU and the NIC read a line's fields where they lie. {!kind}
+    and {!response_ok} say whether a line is whole; the field readers
+    read one field each and allocate nothing (an [int64] result is
+    boxed once per call, so read an rpc id once). {!decode} and
+    {!decode_response} are defined over these readers, so there is one
+    definition of each layout. Every reader is total: on a line that
+    is not whole it answers some value but never raises. *)
+
+type kind =
+  | Request_line
+  | Kernel_dispatch_line
+  | Tryagain_line
+  | Retire_line
+  | Bad_line  (** Exactly the lines {!decode} rejects. *)
+
+val kind : bytes -> kind
+(** What {!decode} makes of a line, without building it. *)
+
+val request_rpc_id : bytes -> int64
+val request_total_args : bytes -> int
+val request_via_dma : bytes -> bool
+
+val response_ok : bytes -> bool
+(** {!decode_response} accepts the line. *)
+
+val response_rpc_id : bytes -> int64
+val response_status : bytes -> int
+val response_total_len : bytes -> int
+val response_inline_len : bytes -> int
+val response_aux_count : bytes -> int
+
+val response_inline_is_prefix_of : bytes -> bytes -> bool
+(** [response_inline_is_prefix_of line body], on a line {!response_ok}
+    accepts: the line's inline bytes are a prefix of [body], as
+    [Net.Slice.is_prefix_of] answers on the decoded [inline_body], but
+    without the slice. *)
 
 val decode : bytes -> (t, string) result
-(** Decode a line the CPU just loaded. The inline bytes of the result
-    are a zero-copy view into [b]; they stay valid only while the line
-    image is not overwritten. *)
+(** Decode a line the CPU just loaded: {!kind}, then the readers. The
+    inline bytes of the result are a zero-copy view into [b]; they stay
+    valid only while the line image is not overwritten. *)
 
 val decode_response : bytes -> (response, string) result
-(** Decode a line the NIC just fetched back. Same aliasing rule as
-    {!decode}. *)
+(** Decode a line the NIC just fetched back: {!response_ok}, then the
+    readers. Same aliasing rule as {!decode}. *)
 
 val equal : t -> t -> bool
 (** Content equality: inline slices are compared by contents, not by

@@ -6,18 +6,21 @@ type breakdown = {
   total : Sim.Units.duration;
 }
 
+let deser (cfg : Config.t) ~fields ~arg_bytes =
+  Rpc.Deser_cost.cost cfg.Config.deser ~fields ~bytes:arg_bytes
+
+let total (cfg : Config.t) ~mirror_lookup ~fields ~arg_bytes =
+  cfg.Config.parse_delay + cfg.Config.demux_delay
+  + deser cfg ~fields ~arg_bytes
+  + mirror_lookup
+
 let rx (cfg : Config.t) ~mirror_lookup ~fields ~arg_bytes =
-  let deser =
-    Rpc.Deser_cost.cost cfg.Config.deser ~fields ~bytes:arg_bytes
-  in
-  let parse = cfg.Config.parse_delay in
-  let demux = cfg.Config.demux_delay in
   {
-    parse;
-    demux;
-    deser;
+    parse = cfg.Config.parse_delay;
+    demux = cfg.Config.demux_delay;
+    deser = deser cfg ~fields ~arg_bytes;
     mirror_lookup;
-    total = parse + demux + deser + mirror_lookup;
+    total = total cfg ~mirror_lookup ~fields ~arg_bytes;
   }
 
 let pp ppf b =

@@ -15,6 +15,12 @@ type breakdown = {
   total : Sim.Units.duration;
 }
 
+val total :
+  Config.t -> mirror_lookup:Sim.Units.duration -> fields:int ->
+  arg_bytes:int -> Sim.Units.duration
+(** The pipeline's whole cost, [(rx ...).total], without building the
+    breakdown: the untraced receive path needs only this. *)
+
 val rx :
   Config.t -> mirror_lookup:Sim.Units.duration -> fields:int ->
   arg_bytes:int -> breakdown

@@ -43,25 +43,12 @@ type worker = {
      callback once per worker thread), and the state they share: *)
   mutable fill_th : Osmodel.Proc.thread;  (* the thread [on_fill] judges *)
   mutable on_fill : Coherence.Home_agent.fill -> unit;
-  mutable req : Message.request;  (* the request in hand ... *)
+  mutable req_id : int64;  (* the rpc id of the request in hand ... *)
   mutable hand : inflight;  (* ... and its [App] entry *)
   mutable run_handler : unit -> unit;  (* after the handler's CPU time *)
   mutable finish : Rpc.Value.t -> unit;  (* the handler's result *)
   mutable loop : unit -> unit;  (* re-park *)
 }
-
-let no_request =
-  {
-    Message.rpc_id = 0L;
-    service_id = 0;
-    method_id = 0;
-    code_ptr = 0L;
-    data_ptr = 0L;
-    total_args = 0;
-    inline_args = Net.Slice.empty;
-    aux_count = 0;
-    via_dma = false;
-  }
 
 let nop () = ()
 let no_hand = Dispatch_ack { svc_id = -1; widx = -1 }
@@ -164,10 +151,26 @@ let ctr t name = Sim.Counter.counter t.counters name
 let span_stage t ~rpc name =
   Obs.Tracer.stage t.tracer ~rpc ~track:t.trk ~name (Sim.Engine.now t.engine)
 
+let mirror_lookup t =
+  match t.smirror with Some m -> Sched_mirror.lookup_cost m | None -> 0
+
+(* The NIC's AES-GCM pass over a frame, when encryption is on. *)
+let crypto_cost t frame =
+  if t.cfg.Config.encrypt then
+    Crypto.cost Crypto.aes_gcm_nic ~bytes:(Net.Frame.wire_size frame)
+  else 0
+
 (* Detail spans decomposing the NIC pipeline stage, emitted at the
-   moment the pipeline completes (they reach back from now). *)
-let pipeline_details t ~rpc (b : Pipeline.breakdown) ~decrypt =
+   moment the pipeline completes (they reach back from now). Only a
+   traced run builds the breakdown. *)
+let pipeline_details t ~rpc frame ~body_off args =
   if Obs.Tracer.is_enabled t.tracer then begin
+    let b =
+      Pipeline.rx t.cfg ~mirror_lookup:(mirror_lookup t)
+        ~fields:(Rpc.Value.field_count args)
+        ~arg_bytes:(Bytes.length frame.Net.Frame.payload - body_off)
+    in
+    let decrypt = crypto_cost t frame in
     let stop = Sim.Engine.now t.engine in
     let seg = ref (stop - b.Pipeline.total - decrypt) in
     let detail name d =
@@ -221,24 +224,18 @@ let park_would_starve t th =
   | Osmodel.Proc.Ready | Osmodel.Proc.Blocked | Osmodel.Proc.Exited -> false
 
 let respond_line t w ~rpc_id ~status ~body =
-  let cap = Message.response_inline_capacity ~line_bytes:(line_bytes t) in
-  let inline_len = min cap (Bytes.length body) in
-  let rest = Bytes.length body - inline_len in
-  let resp_aux_count =
-    if rest <= 0 then 0 else (rest + line_bytes t - 1) / line_bytes t
-  in
-  let resp =
-    {
-      Message.resp_rpc_id = rpc_id;
-      status;
-      total_len = Bytes.length body;
-      inline_body = Net.Slice.make body ~off:0 ~len:inline_len;
-      resp_aux_count;
-    }
+  let line_bytes = line_bytes t in
+  let total_len = Bytes.length body in
+  let cap = Message.response_inline_capacity ~line_bytes in
+  let len = Int.min cap total_len in
+  let rest = total_len - len in
+  let aux_count =
+    if rest <= 0 then 0 else (rest + line_bytes - 1) / line_bytes
   in
   Coherence.Home_agent.cpu_store t.ha
     (Endpoint.ctrl_line w.wep w.cpu_idx)
-    (Message.encode_response ~line_bytes:(line_bytes t) resp)
+    (Message.write_response ~line_bytes ~rpc_id ~status ~total_len
+       ~aux_count body ~off:0 ~len)
 
 let rec worker_loop t sv w () = park_worker t sv w
 
@@ -269,10 +266,10 @@ and worker_fill t sv w th fill =
     | Coherence.Home_agent.Tryagain -> worker_tryagain t sv w
     | Coherence.Home_agent.Data line -> (
         w.empty_cycles <- 0;
-        match Message.decode line with
-        | Ok (Message.Request r) -> worker_handle t sv w r
-        | Ok (Message.Tryagain | Message.Retire | Message.Kernel_dispatch _)
-        | Error _ ->
+        match Message.kind line with
+        | Message.Request_line -> worker_handle t sv w line
+        | Message.Kernel_dispatch_line | Message.Tryagain_line
+        | Message.Retire_line | Message.Bad_line ->
             Sim.Counter.incr (ctr t "worker_bad_line");
             worker_loop t sv w ())
   end
@@ -302,18 +299,22 @@ and worker_tryagain t sv w =
        the kernel (schedule()); it re-parks if nothing else runs. *)
     Osmodel.Kernel.yield t.kern w.wthread w.loop
 
-and worker_handle t sv w (r : Message.request) =
-  match Hashtbl.find t.inflight r.Message.rpc_id with
+(* The worker reads the three fields it uses straight from the line. *)
+and worker_handle t sv w line =
+  let rpc_id = Message.request_rpc_id line in
+  match Hashtbl.find t.inflight rpc_id with
   | Dispatch_ack _ | (exception Not_found) ->
       Sim.Counter.incr (ctr t "worker_orphan_request");
       worker_loop t sv w ()
   | App app as hand ->
-      span_stage t ~rpc:r.Message.rpc_id "queue";
+      span_stage t ~rpc:rpc_id "queue";
       let dma_read =
-        if r.Message.via_dma then mem_read_cost r.Message.total_args else 0
+        if Message.request_via_dma line then
+          mem_read_cost (Message.request_total_args line)
+        else 0
       in
       let work = app.mdef.Rpc.Interface.handler_time + dma_read in
-      w.req <- r;
+      w.req_id <- rpc_id;
       w.hand <- hand;
       Osmodel.Kernel.run_for t.kern w.wthread ~kind:Osmodel.Cpu_account.User
         work w.run_handler
@@ -336,8 +337,8 @@ and worker_run_handler t w () =
 and worker_finish t sv w result =
   match w.hand with
   | App app ->
-      let rpc_id = w.req.Message.rpc_id in
-      w.req <- no_request;
+      let rpc_id = w.req_id in
+      w.req_id <- 0L;
       w.hand <- no_hand;
       span_stage t ~rpc:rpc_id "handler";
       let body = Rpc.Codec.encode result in
@@ -498,14 +499,9 @@ and park_dispatcher t d idx =
                   (* Follow the line protocol: ack into the same line,
                      then monitor the other one. *)
                   let ack =
-                    Message.encode_response ~line_bytes:(line_bytes t)
-                      {
-                        Message.resp_rpc_id = r.Message.rpc_id;
-                        status = 0;
-                        total_len = 0;
-                        inline_body = Net.Slice.empty;
-                        resp_aux_count = 0;
-                      }
+                    Message.write_response ~line_bytes:(line_bytes t)
+                      ~rpc_id:r.Message.rpc_id ~status:0 ~total_len:0
+                      ~aux_count:0 Bytes.empty ~off:0 ~len:0
                   in
                   Coherence.Home_agent.cpu_store t.ha
                     (Endpoint.ctrl_line d.dep idx) ack;
@@ -632,13 +628,11 @@ let nack t ~rpc_id ~service_id ~src ~dst ~code =
          t.egress frame))
 
 (* The request's body is the frame's payload from [body_off] on. *)
-let dispatch_request t (entry : Demux.entry) frame
-    (wire : Rpc.Wire_format.header) ~body_off
+let dispatch_request t (entry : Demux.entry) frame ~rpc_id ~body_off
     (mdef : Rpc.Interface.method_def) args =
   let sv =
     service_rt t entry.Demux.service.Rpc.Interface.service_id
   in
-  let rpc_id = wire.Rpc.Wire_format.rpc_id in
   if Hashtbl.mem t.inflight rpc_id then
     Sim.Counter.incr (ctr t "duplicate_rpc_id")
   else if not (nic_alive t sv) then begin
@@ -752,95 +746,86 @@ let dispatch_request t (entry : Demux.entry) frame
     end
   end
 
-(* The body is decoded in place, from [Wire_format.body_offset] to the
-   end of the payload: the request's arguments and a nested reply are
-   never copied out of the frame. *)
+(* The header is read in place and the body decoded in place, from
+   [Wire_format.body_offset] to the end of the payload: the request's
+   arguments and a nested reply are never copied out of the frame. *)
 let nic_rx t frame =
   Sim.Counter.incr (ctr t "rx_frames");
   let payload = frame.Net.Frame.payload in
-  match Rpc.Wire_format.peek payload with
+  match Rpc.Wire_format.check payload with
   | Error _ -> Sim.Counter.incr (ctr t "rx_bad_rpc")
-  | Ok ({ Rpc.Wire_format.kind = Rpc.Wire_format.Request; _ } as wire) -> (
-      span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id "mac";
-      match Demux.lookup t.dmx ~port:frame.Net.Frame.udp.Net.Udp.dst_port with
-      | None -> Sim.Counter.incr (ctr t "rx_no_service")
-      | Some entry -> (
-          match
-            Rpc.Interface.find_method entry.Demux.service
-              wire.Rpc.Wire_format.method_id
-          with
-          | None -> Sim.Counter.incr (ctr t "rx_no_method")
-          | Some mdef -> (
-              let body_off = Rpc.Wire_format.body_offset wire in
-              let arg_bytes = Bytes.length payload - body_off in
-              match
-                Rpc.Codec.decode_sub mdef.Rpc.Interface.request payload
-                  ~pos:body_off ~len:arg_bytes
-              with
-              | Error _ -> Sim.Counter.incr (ctr t "rx_bad_args")
-              | Ok args ->
-                  let breakdown =
-                    Pipeline.rx t.cfg
-                      ~mirror_lookup:
-                        (match t.smirror with
-                        | Some m -> Sched_mirror.lookup_cost m
-                        | None -> 0)
-                      ~fields:(Rpc.Value.field_count args)
-                      ~arg_bytes
-                  in
-                  let decrypt =
-                    if t.cfg.Config.encrypt then
-                      Crypto.cost Crypto.aes_gcm_nic
-                        ~bytes:(Net.Frame.wire_size frame)
-                    else 0
-                  in
-                  ignore
-                    (Sim.Engine.schedule_after t.engine
-                       ~after:(breakdown.Pipeline.total + decrypt)
-                       (fun () ->
-                         pipeline_details t ~rpc:wire.Rpc.Wire_format.rpc_id
-                           breakdown ~decrypt;
-                         span_stage t ~rpc:wire.Rpc.Wire_format.rpc_id
-                           "nic_pipeline";
-                         dispatch_request t entry frame wire ~body_off mdef
-                           args)))))
-  | Ok wire -> (
-      (* A response from a remote machine to one of our nested calls. *)
-      match nested_cont_of wire.Rpc.Wire_format.rpc_id with
-      | Some cont -> (
-          match
-            Hashtbl.find_opt t.remotes wire.Rpc.Wire_format.service_id
-          with
-          | Some r -> (
-              let pos = Rpc.Wire_format.body_offset wire in
-              match
-                Rpc.Codec.decode_sub r.response_schema payload ~pos
-                  ~len:(Bytes.length payload - pos)
-              with
-              | Ok v ->
-                  Sim.Counter.incr (ctr t "nested_remote_replies");
-                  if not (Rpc.Continuation.fire t.nested_conts cont v) then
-                    Sim.Counter.incr (ctr t "nested_orphan_reply")
-              | Error _ -> Sim.Counter.incr (ctr t "nested_bad_reply"))
-          | None -> Sim.Counter.incr (ctr t "rx_stray_response"))
-      | None -> Sim.Counter.incr (ctr t "rx_stray_response"))
+  | Ok () ->
+      let rpc_id = Rpc.Wire_format.rpc_id payload in
+      if Rpc.Wire_format.is_request payload then begin
+        span_stage t ~rpc:rpc_id "mac";
+        match Demux.find t.dmx ~port:frame.Net.Frame.udp.Net.Udp.dst_port with
+        | exception Not_found -> Sim.Counter.incr (ctr t "rx_no_service")
+        | entry -> (
+            match
+              Rpc.Interface.method_by_id entry.Demux.service
+                (Rpc.Wire_format.method_id payload)
+            with
+            | exception Not_found -> Sim.Counter.incr (ctr t "rx_no_method")
+            | mdef -> (
+                let body_off = Rpc.Wire_format.body_offset payload in
+                let arg_bytes = Bytes.length payload - body_off in
+                match
+                  Rpc.Codec.decode_sub mdef.Rpc.Interface.request payload
+                    ~pos:body_off ~len:arg_bytes
+                with
+                | Error _ -> Sim.Counter.incr (ctr t "rx_bad_args")
+                | Ok args ->
+                    let delay =
+                      Pipeline.total t.cfg ~mirror_lookup:(mirror_lookup t)
+                        ~fields:(Rpc.Value.field_count args) ~arg_bytes
+                      + crypto_cost t frame
+                    in
+                    ignore
+                      (Sim.Engine.schedule_after t.engine ~after:delay
+                         (fun () ->
+                           pipeline_details t ~rpc:rpc_id frame ~body_off args;
+                           span_stage t ~rpc:rpc_id "nic_pipeline";
+                           dispatch_request t entry frame ~rpc_id ~body_off
+                             mdef args))))
+      end
+      else
+        (* A response from a remote machine to one of our nested calls. *)
+        match nested_cont_of rpc_id with
+        | Some cont -> (
+            match
+              Hashtbl.find_opt t.remotes (Rpc.Wire_format.service_id payload)
+            with
+            | Some r -> (
+                let pos = Rpc.Wire_format.body_offset payload in
+                match
+                  Rpc.Codec.decode_sub r.response_schema payload ~pos
+                    ~len:(Bytes.length payload - pos)
+                with
+                | Ok v ->
+                    Sim.Counter.incr (ctr t "nested_remote_replies");
+                    if not (Rpc.Continuation.fire t.nested_conts cont v) then
+                      Sim.Counter.incr (ctr t "nested_orphan_reply")
+                | Error _ -> Sim.Counter.incr (ctr t "nested_bad_reply"))
+            | None -> Sim.Counter.incr (ctr t "rx_stray_response"))
+        | None -> Sim.Counter.incr (ctr t "rx_stray_response")
 
 (* ---------- Response collection and egress --------------------------- *)
 
 (* [Hashtbl.find] rather than [find_opt] here and in [worker_handle]:
    the two per-RPC lookups of the in-flight table allocate no option. *)
-let on_endpoint_response t (resp : Message.response) =
-  match Hashtbl.find t.inflight resp.Message.resp_rpc_id with
+let on_endpoint_response t line =
+  let rpc_id = Message.response_rpc_id line in
+  match Hashtbl.find t.inflight rpc_id with
   | exception Not_found -> Sim.Counter.incr (ctr t "orphan_response")
-  | Dispatch_ack _ -> Hashtbl.remove t.inflight resp.Message.resp_rpc_id
+  | Dispatch_ack _ -> Hashtbl.remove t.inflight rpc_id
   | App app
-    when Option.is_some (nested_cont_of resp.Message.resp_rpc_id)
+    when Option.is_some (nested_cont_of rpc_id)
          && Net.Ip_addr.equal app.reply_dst.Net.Frame.ip
               (self_address t).Net.Frame.ip ->
       (* A reply to one of OUR nested calls, hairpinned locally. A
          request from another machine may carry that machine's nested
          tag in its id — those take the normal wire-reply path below. *)
-      Hashtbl.remove t.inflight resp.Message.resp_rpc_id;
+      Hashtbl.remove t.inflight rpc_id;
       Nic_sched.on_complete t.sched ~service:app.svc_id;
       let result =
         match
@@ -852,9 +837,7 @@ let on_endpoint_response t (resp : Message.response) =
             Rpc.Value.Unit
       in
       let cont =
-        match nested_cont_of resp.Message.resp_rpc_id with
-        | Some c -> c
-        | None -> assert false
+        match nested_cont_of rpc_id with Some c -> c | None -> assert false
       in
       (* Reply delivery to the waiting worker's reply end-point: one
          coherent fill. *)
@@ -864,31 +847,29 @@ let on_endpoint_response t (resp : Message.response) =
              if not (Rpc.Continuation.fire t.nested_conts cont result) then
                Sim.Counter.incr (ctr t "nested_orphan_reply")))
   | App app ->
-      Hashtbl.remove t.inflight resp.Message.resp_rpc_id;
-      span_stage t ~rpc:resp.Message.resp_rpc_id "collect";
+      Hashtbl.remove t.inflight rpc_id;
+      span_stage t ~rpc:rpc_id "collect";
       Nic_sched.on_complete t.sched ~service:app.svc_id;
       (* Fidelity check: the inline prefix collected from the cache
          line must match the response body the handler produced. *)
-      let prefix_ok =
-        Net.Slice.is_prefix_of resp.Message.inline_body app.full_body
-      in
-      if not prefix_ok then Sim.Counter.incr (ctr t "response_corrupt");
+      if not (Message.response_inline_is_prefix_of line app.full_body) then
+        Sim.Counter.incr (ctr t "response_corrupt");
       Telemetry.record t.telemetry ~service_id:app.svc_id ~path:app.path
         ~latency:(Sim.Engine.now t.engine - app.arrived)
         ~bytes_in:app.arg_bytes
         ~bytes_out:(Bytes.length app.full_body);
+      let status = Message.response_status line in
       let reply =
         {
           (* The reply carries the request's ids: clients pick the
              response schema by (service, method). *)
-          Rpc.Wire_format.rpc_id = resp.Message.resp_rpc_id;
+          Rpc.Wire_format.rpc_id;
           service_id = app.svc_id;
           method_id = app.mdef.Rpc.Interface.method_id;
           kind =
-            (if resp.Message.status = 0 then Rpc.Wire_format.Response
-             else Rpc.Wire_format.Error_reply resp.Message.status);
-          ctx =
-            Obs.Tracer.context_of t.tracer ~rpc:resp.Message.resp_rpc_id;
+            (if Int.equal status 0 then Rpc.Wire_format.Response
+             else Rpc.Wire_format.Error_reply status);
+          ctx = Obs.Tracer.context_of t.tracer ~rpc:rpc_id;
           body = app.full_body;
         }
       in
@@ -896,19 +877,13 @@ let on_endpoint_response t (resp : Message.response) =
         Net.Frame.make ~src:app.reply_src ~dst:app.reply_dst
           (Rpc.Wire_format.encode reply)
       in
-      let encrypt =
-        if t.cfg.Config.encrypt then
-          Crypto.cost Crypto.aes_gcm_nic
-            ~bytes:(Net.Frame.wire_size frame)
-        else 0
-      in
       ignore
-        (Sim.Engine.schedule_after t.engine ~after:(tx_mac_delay + encrypt)
+        (Sim.Engine.schedule_after t.engine
+           ~after:(tx_mac_delay + crypto_cost t frame)
            (fun () ->
              Sim.Counter.incr (ctr t "tx_frames");
-             span_stage t ~rpc:resp.Message.resp_rpc_id "tx";
-             Obs.Tracer.rpc_end t.tracer ~rpc:resp.Message.resp_rpc_id
-               (Sim.Engine.now t.engine);
+             span_stage t ~rpc:rpc_id "tx";
+             Obs.Tracer.rpc_end t.tracer ~rpc:rpc_id (Sim.Engine.now t.engine);
              t.egress frame))
 
 (* ---------- Crash/restart lifecycle ---------------------------------- *)
@@ -1296,7 +1271,7 @@ let create engine ~cfg ~ncores ?kernel_costs ?(binding = Os_integrated)
                 affinity;
                 fill_th = wthread;
                 on_fill = no_fill;
-                req = no_request;
+                req_id = 0L;
                 hand = no_hand;
                 run_handler = nop;
                 finish = no_result;

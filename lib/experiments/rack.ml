@@ -168,61 +168,63 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
       let sw = Cluster.Fabric.switch fabric in
       let tc = Obs.Tracer.track tr "switch" in
       let lat p = (Cluster.Switch.port_conf sw p).Cluster.Switch.latency in
-      let decode frame = Rpc.Wire_format.decode frame.Net.Frame.payload in
+      (* Each hook reads the frame's RPC header in place. *)
+      let rpc_frame frame =
+        Result.is_ok (Rpc.Wire_format.check frame.Net.Frame.payload)
+      in
+      let rpc_id frame = Rpc.Wire_format.rpc_id frame.Net.Frame.payload in
+      let is_request frame =
+        Rpc.Wire_format.is_request frame.Net.Frame.payload
+      in
       Cluster.Switch.set_hooks sw
         (Some
            {
              Cluster.Switch.on_ingress =
                (fun ~port ~time frame ->
-                 match decode frame with
-                 | Error _ -> ()
-                 | Ok m ->
-                     let rpc = m.Rpc.Wire_format.rpc_id in
-                     if Rpc.Wire_format.is_request m then begin
-                       if port = uplink_port then
-                         Obs.Tracer.stage tr ~rpc ~track:tc
-                           ~name:"uplink_wire" time
-                     end
-                     else if port < uplink_port then begin
-                       (* the interval since the cursor belongs to the
-                          serving host's own tracer: skip to the
-                          instant the reply left the host, then charge
-                          the host wire *)
-                       Obs.Tracer.skip_to tr ~rpc (time - lat port);
-                       Obs.Tracer.stage tr ~rpc ~track:tc
-                         ~name:"wire_from_host" time
-                     end);
+                 if rpc_frame frame then begin
+                   let rpc = rpc_id frame in
+                   if is_request frame then begin
+                     if port = uplink_port then
+                       Obs.Tracer.stage tr ~rpc ~track:tc ~name:"uplink_wire"
+                         time
+                   end
+                   else if port < uplink_port then begin
+                     (* the interval since the cursor belongs to the
+                        serving host's own tracer: skip to the instant
+                        the reply left the host, then charge the host
+                        wire *)
+                     Obs.Tracer.skip_to tr ~rpc (time - lat port);
+                     Obs.Tracer.stage tr ~rpc ~track:tc ~name:"wire_from_host"
+                       time
+                   end
+                 end);
              on_forward =
                (fun ~port:_ ~dst:_ ~time frame ->
-                 match decode frame with
-                 | Error _ -> ()
-                 | Ok m ->
-                     let rpc = m.Rpc.Wire_format.rpc_id in
-                     let name =
-                       if Rpc.Wire_format.is_request m then "switch_rx"
-                       else "switch_rx_rsp"
-                     in
-                     Obs.Tracer.stage tr ~rpc ~track:tc ~name time);
+                 if rpc_frame frame then begin
+                   let name =
+                     if is_request frame then "switch_rx" else "switch_rx_rsp"
+                   in
+                   Obs.Tracer.stage tr ~rpc:(rpc_id frame) ~track:tc ~name time
+                 end);
              on_transmit =
                (fun ~port ~time frame ->
-                 match decode frame with
-                 | Error _ -> ()
-                 | Ok m ->
-                     let rpc = m.Rpc.Wire_format.rpc_id in
-                     if Rpc.Wire_format.is_request m then begin
-                       if port < uplink_port then begin
-                         Obs.Tracer.stage tr ~rpc ~track:tc ~name:"switch_tx"
-                           time;
-                         Obs.Tracer.stage_until tr ~rpc ~track:tc
-                           ~name:"wire_to_host" ~stop:(time + lat port)
-                       end
-                     end
-                     else if port = uplink_port then begin
-                       Obs.Tracer.stage tr ~rpc ~track:tc
-                         ~name:"switch_tx_rsp" time;
+                 if rpc_frame frame then begin
+                   let rpc = rpc_id frame in
+                   if is_request frame then begin
+                     if port < uplink_port then begin
+                       Obs.Tracer.stage tr ~rpc ~track:tc ~name:"switch_tx"
+                         time;
                        Obs.Tracer.stage_until tr ~rpc ~track:tc
-                         ~name:"uplink_back" ~stop:(time + lat uplink_port)
-                     end);
+                         ~name:"wire_to_host" ~stop:(time + lat port)
+                     end
+                   end
+                   else if port = uplink_port then begin
+                     Obs.Tracer.stage tr ~rpc ~track:tc ~name:"switch_tx_rsp"
+                       time;
+                     Obs.Tracer.stage_until tr ~rpc ~track:tc
+                       ~name:"uplink_back" ~stop:(time + lat uplink_port)
+                   end
+                 end);
            }));
   (* The steering send path: pin each rpc_id to a balancer-picked host
      at first transmission; a retransmit re-pins only if the master now
@@ -238,11 +240,12 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
   let pins : (int, int64 * int) Hashtbl.t = Hashtbl.create 4096 in
   let pin_key id = Int64.to_int (Int64.logand id 0xF_FFFFL) in
   let send frame =
-    match Rpc.Wire_format.decode frame.Net.Frame.payload with
+    let request = frame.Net.Frame.payload in
+    match Rpc.Wire_format.check request with
     | Error _ -> ()
-    | Ok msg -> (
+    | Ok () -> (
         let r = match !rack_ref with Some r -> r | None -> assert false in
-        let rpc_id = msg.Rpc.Wire_format.rpc_id in
+        let rpc_id = Rpc.Wire_format.rpc_id request in
         let target =
           match Hashtbl.find_opt pins (pin_key rpc_id) with
           | Some (id, h)
@@ -271,7 +274,7 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
         | Some h ->
             let payload =
               match obs with
-              | None -> frame.Net.Frame.payload
+              | None -> request
               | Some tr ->
                   (* open the causal root at first transmission and
                      carry the trace context inside the frame, across
@@ -286,15 +289,19 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
                     | Some r -> r
                     | None -> 0
                   in
-                  Rpc.Wire_format.encode
-                    (Rpc.Wire_format.with_ctx msg
-                       (Some
-                          (Obs.Context.to_bytes
-                             {
-                               Obs.Context.trace = rpc_id;
-                               parent;
-                               origin = uplink_port;
-                             })))
+                  let ctx =
+                    Obs.Context.to_bytes
+                      {
+                        Obs.Context.trace = rpc_id;
+                        parent;
+                        origin = uplink_port;
+                      }
+                  in
+                  (match Rpc.Wire_format.decode request with
+                  | Ok msg ->
+                      Rpc.Wire_format.encode
+                        (Rpc.Wire_format.with_ctx msg (Some ctx))
+                  | Error _ -> request)
             in
             let dst =
               Cluster.Fabric.host_endpoint fabric h
@@ -312,11 +319,12 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
     | Some tr -> (
         (* reply back at the client: close the causal root at the same
            instant the client's latency sample is taken *)
-        match Rpc.Wire_format.decode frame.Net.Frame.payload with
-        | Ok m when not (Rpc.Wire_format.is_request m) ->
-            Obs.Tracer.rpc_end tr ~rpc:m.Rpc.Wire_format.rpc_id
+        let reply = frame.Net.Frame.payload in
+        match Rpc.Wire_format.check reply with
+        | Ok () when not (Rpc.Wire_format.is_request reply) ->
+            Obs.Tracer.rpc_end tr ~rpc:(Rpc.Wire_format.rpc_id reply)
               (Sim.Engine.now master)
-        | Ok _ | Error _ -> ()));
+        | Ok () | Error _ -> ()));
     Harness.Client.on_reply client frame
   in
   Cluster.Fabric.connect_uplink fabric uplink_rx;

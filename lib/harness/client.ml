@@ -28,9 +28,15 @@ let rpc_id_of ~epoch ~cont =
     (Int64.shift_left (Int64.of_int epoch) cont_bits)
     (Int64.of_int cont)
 
-let split_rpc_id id =
-  ( Int64.to_int (Int64.shift_right_logical id cont_bits),
-    Int64.to_int (Int64.logand id (Int64.of_int ((1 lsl cont_bits) - 1))) )
+let cont_of_rpc_id id =
+  Int64.to_int (Int64.logand id (Int64.of_int ((1 lsl cont_bits) - 1)))
+
+(* Whether [id] names the call its continuation slot holds now. *)
+let current t id =
+  match Hashtbl.find t.epochs (cont_of_rpc_id id) with
+  | epoch ->
+      Int.equal epoch (Int64.to_int (Int64.shift_right_logical id cont_bits))
+  | exception Not_found -> false
 
 let create engine ~send ?endpoint ?(seed = 0x7e7) ?(retry_budget = max_int)
     ?metrics () =
@@ -144,18 +150,19 @@ let call_id ?timeout ?(retries = 3) ?(backoff = 1.) ?(max_timeout = max_int)
 let call ?timeout ?retries t ~service_id ~method_id ~port args k =
   ignore (call_id ?timeout ?retries t ~service_id ~method_id ~port args k)
 
-(* The reply's header is peeked and its body decoded in place, from
-   [Wire_format.body_offset] to the end of the payload. *)
+(* The reply's header is read in place and its body decoded in place,
+   from [Wire_format.body_offset] to the end of the payload. *)
 let on_reply t frame =
   let payload = frame.Net.Frame.payload in
-  match Rpc.Wire_format.peek payload with
+  match Rpc.Wire_format.check payload with
   | Error _ -> ()
-  | Ok msg -> (
-      match msg.Rpc.Wire_format.kind with
+  | Ok () -> (
+      let id = Rpc.Wire_format.rpc_id payload in
+      let cont = cont_of_rpc_id id in
+      match Rpc.Wire_format.kind payload with
       | Rpc.Wire_format.Request -> ()
       | Rpc.Wire_format.Error_reply code ->
-          let epoch, cont = split_rpc_id msg.Rpc.Wire_format.rpc_id in
-          if Hashtbl.find_opt t.epochs cont = Some epoch then
+          if current t id then
             if Rpc.Wire_format.retriable_error code then
               (* An explicit transport-level reject (shed under
                  overload, dead service): keep the call armed — the
@@ -169,31 +176,29 @@ let on_reply t frame =
               Hashtbl.remove t.epochs cont;
               ignore (Rpc.Continuation.cancel t.continuations cont)
             end
-      | Rpc.Wire_format.Response ->
-          let epoch, cont = split_rpc_id msg.Rpc.Wire_format.rpc_id in
-          if Hashtbl.find_opt t.epochs cont <> Some epoch then
+      | Rpc.Wire_format.Response -> (
+          if not (current t id) then
             (* A duplicate, or a late response to an abandoned (and
                possibly recycled) id: drop it. *)
             t.duplicates <- t.duplicates + 1
           else
-            let key =
-              (msg.Rpc.Wire_format.service_id, msg.Rpc.Wire_format.method_id)
-            in
-            let pos = Rpc.Wire_format.body_offset msg in
+            let pos = Rpc.Wire_format.body_offset payload in
             let len = Bytes.length payload - pos in
-            let value =
-              match Hashtbl.find_opt t.schemas key with
-              | Some schema -> (
-                  match Rpc.Codec.decode_sub schema payload ~pos ~len with
-                  | Ok v -> Some v
-                  | Error _ -> None)
-              | None -> Some (Rpc.Value.Blob (Bytes.sub payload pos len))
+            let key =
+              ( Rpc.Wire_format.service_id payload,
+                Rpc.Wire_format.method_id payload )
             in
-            (match value with
-            | Some v ->
+            let value =
+              match Hashtbl.find t.schemas key with
+              | schema -> Rpc.Codec.decode_sub schema payload ~pos ~len
+              | exception Not_found ->
+                  Ok (Rpc.Value.Blob (Bytes.sub payload pos len))
+            in
+            match value with
+            | Ok v ->
                 if Rpc.Continuation.fire t.continuations cont v then
                   t.completed <- t.completed + 1
-            | None ->
+            | Error _ ->
                 t.errors <- t.errors + 1;
                 Hashtbl.remove t.epochs cont;
                 ignore (Rpc.Continuation.cancel t.continuations cont)))

@@ -25,9 +25,9 @@ let note_sent t ~rpc_id =
   t.n_sent <- t.n_sent + 1
 
 let complete_by_id t ~rpc_id =
-  match Hashtbl.find_opt t.sent_at rpc_id with
-  | None -> t.n_unmatched <- t.n_unmatched + 1
-  | Some t0 ->
+  match Hashtbl.find t.sent_at rpc_id with
+  | exception Not_found -> t.n_unmatched <- t.n_unmatched + 1
+  | t0 ->
       Hashtbl.remove t.sent_at rpc_id;
       let latency = Sim.Engine.now t.engine - t0 in
       Sim.Histogram.record t.hist latency;
@@ -36,15 +36,15 @@ let complete_by_id t ~rpc_id =
       | Some f -> f ~rpc_id ~latency
       | None -> ())
 
-(* Only the header is read: the body is never looked at. *)
+(* Only the header is read, in place: the body is never looked at. *)
 let egress t frame =
-  match Rpc.Wire_format.peek frame.Net.Frame.payload with
+  let payload = frame.Net.Frame.payload in
+  match Rpc.Wire_format.check payload with
   | Error _ -> t.n_unmatched <- t.n_unmatched + 1
-  | Ok h -> (
-      match h.Rpc.Wire_format.kind with
-      | Rpc.Wire_format.Response | Rpc.Wire_format.Error_reply _ ->
-          complete_by_id t ~rpc_id:h.Rpc.Wire_format.rpc_id
-      | Rpc.Wire_format.Request -> t.n_unmatched <- t.n_unmatched + 1)
+  | Ok () ->
+      if Rpc.Wire_format.is_request payload then
+        t.n_unmatched <- t.n_unmatched + 1
+      else complete_by_id t ~rpc_id:(Rpc.Wire_format.rpc_id payload)
 
 let latencies t = t.hist
 let sent t = t.n_sent

@@ -57,6 +57,13 @@ let write_string w s =
   Bytes.blit_string s 0 w.wbuf w.wpos n;
   w.wpos <- w.wpos + n
 
+let write_sub w b ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length b then
+    invalid_arg "Buf.write_sub: range outside the source";
+  check_write w len;
+  Bytes.blit b off w.wbuf w.wpos len;
+  w.wpos <- w.wpos + len
+
 let write_slice w s =
   let n = Slice.length s in
   check_write w n;

@@ -37,6 +37,10 @@ val write_u64 : writer -> int64 -> unit
 val write_bytes : writer -> bytes -> unit
 val write_string : writer -> string -> unit
 
+val write_sub : writer -> bytes -> off:int -> len:int -> unit
+(** Blit [len] bytes of [b] from [off] (one copy, into the writer).
+    @raise Invalid_argument if the range is outside [b]. *)
+
 val write_slice : writer -> Slice.t -> unit
 (** Blit a slice's contents (one copy, into the writer). *)
 

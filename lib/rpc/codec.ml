@@ -82,7 +82,7 @@ let rec encoded_size (v : Value.t) =
         vs
   | Value.Tuple vs -> List.fold_left (fun acc v -> acc + encoded_size v) 0 vs
 
-let rec write_value w (v : Value.t) =
+let rec write w (v : Value.t) =
   match v with
   | Value.Unit -> ()
   | Value.Bool b -> Net.Buf.write_u8 w (if b then 1 else 0)
@@ -96,13 +96,13 @@ let rec write_value w (v : Value.t) =
       Net.Buf.write_bytes w b
   | Value.List vs ->
       write_length w (List.length vs);
-      List.iter (write_value w) vs
-  | Value.Tuple vs -> List.iter (write_value w) vs
+      List.iter (write w) vs
+  | Value.Tuple vs -> List.iter (write w) vs
 
 (* [encoded_size] is exact, so the writer's buffer is the encoding. *)
 let encode v =
   let w = Net.Buf.writer (encoded_size v) in
-  write_value w v;
+  write w v;
   Net.Buf.filled w
 
 (* A length prefix. Varints up to 2^64 - 1 decode, so a hostile one can

@@ -13,6 +13,11 @@ val encode : Value.t -> bytes
 val encoded_size : Value.t -> int
 (** Exact size [Bytes.length (encode v)] without materializing. *)
 
+val write : Net.Buf.writer -> Value.t -> unit
+(** Write [encode v] at the writer's position, without the
+    intermediate buffer: a message encoder sizes its buffer with
+    {!encoded_size} and writes the value straight into it. *)
+
 type error = Truncated | Trailing_bytes of int | Overlong_varint
 
 val decode : Schema.t -> bytes -> (Value.t, error) result

@@ -27,8 +27,14 @@ let service ~id ~name methods =
     invalid_arg ("Interface.service: duplicate method ids in " ^ name);
   { service_id = id; service_name = name; methods }
 
+let rec method_in id = function
+  | [] -> raise Not_found
+  | m :: rest -> if Int.equal m.method_id id then m else method_in id rest
+
+let method_by_id s id = method_in id s.methods
+
 let find_method s id =
-  List.find_opt (fun m -> m.method_id = id) s.methods
+  match method_by_id s id with m -> Some m | exception Not_found -> None
 
 let method_def ~id ~name ~request ~response ?(handler_time = Sim.Units.ns 500)
     ?nested execute =

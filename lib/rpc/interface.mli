@@ -42,6 +42,11 @@ val service : id:int -> name:string -> method_def list -> service_def
 
 val find_method : service_def -> int -> method_def option
 
+val method_by_id : service_def -> int -> method_def
+(** {!find_method} without the option (or a closure): what a receive
+    path calls per request.
+    @raise Not_found for an unknown method id. *)
+
 val method_def :
   id:int -> name:string -> request:Schema.t -> response:Schema.t ->
   ?handler_time:Sim.Units.duration -> ?nested:nested_handler ->

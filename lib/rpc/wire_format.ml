@@ -37,29 +37,52 @@ let retriable_error = function
   | _ -> false
 
 let kind_tag = function Request -> 0 | Response -> 1 | Error_reply _ -> 2
-let is_request t = match t.kind with Request -> true | Response | Error_reply _ -> false
 let err_code = function Error_reply c -> c | Request | Response -> 0
 
-let encode t =
-  let ctx_len =
-    match t.ctx with
-    | None -> 0
-    | Some c ->
-        if Bytes.length c <> ctx_size then
-          invalid_arg "Wire_format.encode: context must be ctx_size bytes";
-        ctx_size
-  in
-  let w = Net.Buf.writer (header_size + ctx_len + Bytes.length t.body) in
+(* The fixed header, in order: magic u16, version u8, kind tag u8 (with
+   [ctx_flag]), error code u16, method u16, service u32, rpc id u64.
+   [write_header] writes it and the readers below read it at these
+   offsets; [peek] and [decode] are built on the readers. *)
+let off_version = 2
+let off_tag = 3
+let off_code = 4
+let off_method = 6
+let off_service = 8
+let off_rpc_id = 12
+
+let write_header w ~kind ~ctx ~rpc_id ~service_id ~method_id =
   Net.Buf.write_u16 w magic;
   Net.Buf.write_u8 w version;
   Net.Buf.write_u8 w
-    (kind_tag t.kind lor match t.ctx with Some _ -> ctx_flag | None -> 0);
-  Net.Buf.write_u16 w (err_code t.kind);
-  Net.Buf.write_u16 w t.method_id;
-  Net.Buf.write_u32 w t.service_id;
-  Net.Buf.write_u64 w t.rpc_id;
-  (match t.ctx with None -> () | Some c -> Net.Buf.write_bytes w c);
+    (kind_tag kind lor match ctx with Some _ -> ctx_flag | None -> 0);
+  Net.Buf.write_u16 w (err_code kind);
+  Net.Buf.write_u16 w method_id;
+  Net.Buf.write_u32 w service_id;
+  Net.Buf.write_u64 w rpc_id;
+  match ctx with None -> () | Some c -> Net.Buf.write_bytes w c
+
+let ctx_len = function
+  | None -> 0
+  | Some c ->
+      if Bytes.length c <> ctx_size then
+        invalid_arg "Wire_format.encode: context must be ctx_size bytes";
+      ctx_size
+
+let encode t =
+  let w =
+    Net.Buf.writer (header_size + ctx_len t.ctx + Bytes.length t.body)
+  in
+  write_header w ~kind:t.kind ~ctx:t.ctx ~rpc_id:t.rpc_id
+    ~service_id:t.service_id ~method_id:t.method_id;
   Net.Buf.write_bytes w t.body;
+  Net.Buf.filled w
+
+let encode_request ?ctx ~rpc_id ~service_id ~method_id v =
+  let w =
+    Net.Buf.writer (header_size + ctx_len ctx + Codec.encoded_size v)
+  in
+  write_header w ~kind:Request ~ctx ~rpc_id ~service_id ~method_id;
+  Codec.write w v;
   Net.Buf.filled w
 
 type error =
@@ -68,59 +91,86 @@ type error =
   | Bad_version of int
   | Bad_kind of int
 
-let peek b =
-  if Bytes.length b < header_size then Error Truncated
+(* Every reader is total: on a buffer shorter than the header it answers
+   a zero rather than raising. [check] is defined over them. *)
+let[@hot_path] has_header b = Bytes.length b >= header_size
+
+let[@hot_path] rpc_id b =
+  if has_header b then Bytes.get_int64_be b off_rpc_id else 0L
+
+let[@hot_path] service_id b =
+  if has_header b then
+    Int32.to_int (Bytes.get_int32_be b off_service) land 0xffff_ffff
+  else 0
+
+let[@hot_path] method_id b =
+  if has_header b then Bytes.get_uint16_be b off_method else 0
+
+let[@hot_path] tag b =
+  if has_header b then Bytes.get_uint8 b off_tag land lnot ctx_flag else 0
+
+let[@hot_path] is_request b = Int.equal (tag b) 0
+
+(* Only an error reply's kind carries a value, so only it allocates. *)
+let[@hot_path] kind b =
+  match tag b with
+  | 0 -> Request
+  | 1 -> Response
+  | _ ->
+      (Error_reply (if has_header b then Bytes.get_uint16_be b off_code else 0)
+      [@alloc_ok])
+
+let[@hot_path] has_ctx b =
+  has_header b && Bytes.get_uint8 b off_tag land ctx_flag <> 0
+
+let[@hot_path] body_offset b =
+  if has_ctx b then header_size + ctx_size else header_size
+
+let[@hot_path] check b =
+  if not (has_header b) then Error Truncated
   else begin
-    let r = Net.Buf.reader b in
-    let m = Net.Buf.read_u16 r in
-    if m <> magic then Error (Bad_magic m)
-    else begin
-      let v = Net.Buf.read_u8 r in
-      if v <> version then Error (Bad_version v)
-      else begin
-        let tag_byte = Net.Buf.read_u8 r in
-        let has_ctx = tag_byte land ctx_flag <> 0 in
-        let tag = tag_byte land lnot ctx_flag in
-        let code = Net.Buf.read_u16 r in
-        let method_id = Net.Buf.read_u16 r in
-        let service_id = Net.Buf.read_u32 r in
-        let rpc_id = Net.Buf.read_u64 r in
-        let kind =
-          match tag with
-          | 0 -> Some Request
-          | 1 -> Some Response
-          | 2 -> Some (Error_reply code)
-          | _ -> None
-        in
-        match kind with
-        | None -> Error (Bad_kind tag)
-        | Some kind ->
-            if has_ctx && Net.Buf.remaining r < ctx_size then Error Truncated
-            else
-              let ctx =
-                if has_ctx then Some (Net.Buf.read_bytes r ~len:ctx_size)
-                else None
-              in
-              Ok ({ kind; rpc_id; service_id; method_id; ctx } : header)
-      end
-    end
+    let m = Bytes.get_uint16_be b 0 in
+    let v = Bytes.get_uint8 b off_version in
+    let tag = tag b in
+    if not (Int.equal m magic) then Error (Bad_magic m)
+    else if not (Int.equal v version) then Error (Bad_version v)
+    else if tag > 2 then Error (Bad_kind tag)
+    else if has_ctx b && Bytes.length b < header_size + ctx_size then
+      Error Truncated
+    else Ok ()
   end
 
-let body_offset (h : header) =
-  header_size + match h.ctx with Some _ -> ctx_size | None -> 0
+let ctx b =
+  if has_ctx b && Bytes.length b >= header_size + ctx_size then
+    Some (Bytes.sub b header_size ctx_size)
+  else None
+
+let peek b =
+  match check b with
+  | Error e -> Error e
+  | Ok () ->
+      Ok
+        ({
+           kind = kind b;
+           rpc_id = rpc_id b;
+           service_id = service_id b;
+           method_id = method_id b;
+           ctx = ctx b;
+         }
+          : header)
 
 let decode b =
-  match peek b with
-  | Error _ as e -> e
-  | Ok (h : header) ->
-      let off = body_offset h in
+  match check b with
+  | Error e -> Error e
+  | Ok () ->
+      let off = body_offset b in
       Ok
         {
-          rpc_id = h.rpc_id;
-          service_id = h.service_id;
-          method_id = h.method_id;
-          kind = h.kind;
-          ctx = h.ctx;
+          rpc_id = rpc_id b;
+          service_id = service_id b;
+          method_id = method_id b;
+          kind = kind b;
+          ctx = ctx b;
           body = Bytes.sub b off (Bytes.length b - off);
         }
 

@@ -46,10 +46,6 @@ val err_dead : int
     request arrived or while it held the request. Retriable — the
     process may be restarted. *)
 
-val is_request : t -> bool
-(** The message's kind is [Request] (typed stand-in for a polymorphic
-    kind compare). *)
-
 val retriable_error : int -> bool
 (** Whether an [Error_reply] code is a transport-level NACK the client
     should treat as retriable ({!err_shed}, {!err_dead}) rather than a
@@ -57,23 +53,58 @@ val retriable_error : int -> bool
 
 val encode : t -> bytes
 
+val encode_request :
+  ?ctx:bytes -> rpc_id:int64 -> service_id:int -> method_id:int -> Value.t ->
+  bytes
+(** [encode (request ?ctx ~rpc_id ~service_id ~method_id v)] with the
+    value's {!Codec} encoding written straight into the message buffer:
+    one allocation, no intermediate body. Shares {!encode}'s header
+    writer. *)
+
 type error =
   | Truncated
   | Bad_magic of int
   | Bad_version of int
   | Bad_kind of int
 
-val decode : bytes -> (t, error) result
+(** {1 Reading in place}
+
+    The header is read where it lies: {!check} validates a buffer and
+    the field readers read one field each, allocating nothing (an
+    [int64] result is boxed once per call, so read [rpc_id] once).
+    {!peek} and {!decode} are defined over these readers, so there is
+    one definition of the layout. Every reader is total: on a buffer
+    {!check} rejects it answers some value but never raises. *)
+
+val check : bytes -> (unit, error) result
+(** [Ok ()] exactly when {!peek} (and {!decode}) succeed, else their
+    error. *)
+
+val rpc_id : bytes -> int64
+val service_id : bytes -> int
+val method_id : bytes -> int
+
+val kind : bytes -> kind
+(** Allocates only for an [Error_reply]. *)
+
+val is_request : bytes -> bool
+(** The kind is [Request]. *)
+
+val ctx : bytes -> bytes option
+(** A copy of the trace context, when the header carries one. *)
+
+val body_offset : bytes -> int
+(** Where the body starts: the body is the rest of the buffer from
+    there. With {!Codec.decode_sub} this decodes the body in place, as
+    [decode] then [Codec.decode] would. *)
 
 val peek : bytes -> (header, error) result
-(** Parse the header (and trace context) alone, without copying the
-    body: [decode] is [peek] plus the body, so the two answer the same
-    error on every input and agree on every header field. *)
+(** {!check}, then the readers into a header: [decode] without the
+    body, so the two answer the same error on every input and agree on
+    every header field. *)
 
-val body_offset : header -> int
-(** Where the body starts in the bytes {!peek} read: the body is the
-    rest of the buffer from there. With {!Codec.decode_sub} this
-    decodes the body in place, as [decode] then [Codec.decode] would. *)
+val decode : bytes -> (t, error) result
+(** {!peek} plus a copy of the body. *)
 
 val request :
   ?ctx:bytes -> rpc_id:int64 -> service_id:int -> method_id:int -> Value.t -> t

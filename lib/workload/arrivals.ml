@@ -3,16 +3,16 @@ let open_loop_trace engine rng ~interarrival ~until fire =
   | Ok () -> ()
   | Error e -> invalid_arg ("Arrivals.open_loop_trace: " ^ e));
   let seq = ref 0 in
+  (* One arrival event closure for the whole run, not one per arrival. *)
   let rec next () =
     let gap = Dist.sample_int interarrival rng in
     let at = Sim.Engine.now engine + max 1 gap in
-    if at <= until then
-      ignore
-        (Sim.Engine.schedule_at engine ~at (fun () ->
-             let s = !seq in
-             incr seq;
-             fire ~seq:s;
-             next ()))
+    if at <= until then ignore (Sim.Engine.schedule_at engine ~at arrive)
+  and arrive () =
+    let s = !seq in
+    incr seq;
+    fire ~seq:s;
+    next ()
   in
   next ()
 

@@ -78,9 +78,11 @@ let test_recorder_observer () =
 
 (* Allocation budgets of the harness's per-RPC calls, in minor words
    per call on a 64-byte request, flushed with [Gc.minor] as in
-   test_net's budget. The budgets are the measured counts: the default
-   server and client addresses are parsed once, not per call, and
-   [egress] reads the reply's header without copying its body. *)
+   test_net's budget. The budgets are the measured counts plus 2: the
+   default server and client addresses are parsed once, not per call,
+   the request is encoded straight into the frame's payload, and
+   [egress] reads the reply's header in place, building no header
+   record. *)
 let words_per_call ~n f =
   for _ = 1 to 100 do f () done;
   Gc.minor ();
@@ -92,7 +94,7 @@ let words_per_call ~n f =
 let payload_64b = Rpc.Value.Blob (Bytes.make 64 'w')
 
 let test_request_frame_allocation_budget () =
-  let budget = 62. in
+  let budget = 42. in
   List.iter
     (fun (what, client) ->
       let words =
@@ -110,7 +112,7 @@ let test_request_frame_allocation_budget () =
     ]
 
 let test_recorder_allocation_budget () =
-  let budget = 26. in
+  let budget = 12. in
   let e = Sim.Engine.create () in
   let r = Harness.Recorder.create e in
   let frames =

@@ -76,21 +76,17 @@ let test_message_markers () =
     ]
 
 let test_message_response_roundtrip () =
-  let resp =
-    {
-      Lauberhorn.Message.resp_rpc_id = 99L;
-      status = 2;
-      total_len = 1000;
-      inline_body = Net.Slice.of_string "xyz";
-      resp_aux_count = 8;
-    }
+  let line =
+    Lauberhorn.Message.write_response ~line_bytes:128 ~rpc_id:99L ~status:2
+      ~total_len:1000 ~aux_count:8 (Bytes.of_string "..xyz.") ~off:2 ~len:3
   in
-  let line = Lauberhorn.Message.encode_response ~line_bytes:128 resp in
+  checki "line-sized" 128 (Bytes.length line);
   match Lauberhorn.Message.decode_response line with
   | Ok r ->
       check Alcotest.int64 "id" 99L r.Lauberhorn.Message.resp_rpc_id;
       checki "status" 2 r.Lauberhorn.Message.status;
       checki "total" 1000 r.Lauberhorn.Message.total_len;
+      checki "aux" 8 r.Lauberhorn.Message.resp_aux_count;
       check Alcotest.string "inline" "xyz"
         (Net.Slice.to_string r.Lauberhorn.Message.inline_body)
   | Error e -> Alcotest.fail e
@@ -131,12 +127,161 @@ let message_roundtrip_property =
             via_dma;
           }
       in
-      match
-        Lauberhorn.Message.decode
-          (Lauberhorn.Message.encode ~line_bytes:128 msg)
-      with
+      let line = Lauberhorn.Message.encode ~line_bytes:128 msg in
+      (match Lauberhorn.Message.decode line with
       | Ok m -> Lauberhorn.Message.equal m msg
       | Error _ -> false)
+      (* and the in-place readers read what was staged *)
+      && Lauberhorn.Message.kind line = Lauberhorn.Message.Request_line
+      && Int64.equal
+           (Lauberhorn.Message.request_rpc_id line)
+           (Int64.of_int service_id)
+      && Lauberhorn.Message.request_total_args line = String.length inline
+      && Bool.equal (Lauberhorn.Message.request_via_dma line) via_dma)
+
+(* The line readers against [decode] and [decode_response] on request,
+   KERNEL_DISPATCH, TRYAGAIN, RETIRE and response lines of 64 or 128
+   bytes, kept whole, cut short, bit-flipped or replaced by random bytes
+   ([Wire_gen.mangle], as the RPC frames of test_rpc), and on every cut
+   of the whole line. Every reader runs on every input, so none may
+   raise. [kind] is [Bad_line] exactly when
+   [decode] fails and [response_ok] exactly when [decode_response]
+   succeeds; on a line they accept, each field reader reads what the
+   decoded record holds, and the in-place prefix check answers what
+   [Net.Slice.is_prefix_of] does on the decoded inline body. *)
+let random_line rng =
+  let line_bytes = if Sim.Rng.int rng ~bound:2 = 0 then 64 else 128 in
+  let inline cap =
+    Net.Slice.of_bytes
+      (Wire_gen.random_wire_bytes rng (Sim.Rng.int rng ~bound:(cap + 1)))
+  in
+  (* a response body read from the middle of a larger buffer *)
+  let pad = Sim.Rng.int rng ~bound:8 in
+  let request () =
+    {
+      Lauberhorn.Message.rpc_id = Sim.Rng.bits64 rng;
+      service_id = Sim.Rng.int rng ~bound:1_000_000;
+      method_id = Sim.Rng.int rng ~bound:0x10000;
+      code_ptr = Sim.Rng.bits64 rng;
+      data_ptr = Sim.Rng.bits64 rng;
+      total_args = Sim.Rng.int rng ~bound:100_000;
+      inline_args =
+        inline (Lauberhorn.Message.request_inline_capacity ~line_bytes);
+      aux_count = Sim.Rng.int rng ~bound:100;
+      via_dma = Sim.Rng.int rng ~bound:2 = 0;
+    }
+  in
+  let encode = Lauberhorn.Message.encode ~line_bytes in
+  match Sim.Rng.int rng ~bound:5 with
+  | 0 -> encode (Lauberhorn.Message.Request (request ()))
+  | 1 -> encode (Lauberhorn.Message.Kernel_dispatch (request ()))
+  | 2 -> encode Lauberhorn.Message.Tryagain
+  | 3 -> encode Lauberhorn.Message.Retire
+  | _ ->
+      let body =
+        inline (Lauberhorn.Message.response_inline_capacity ~line_bytes)
+      in
+      let len = Net.Slice.length body in
+      let buf = Bytes.make (pad + len + pad) 'p' in
+      Net.Slice.blit body buf ~dst_off:pad;
+      Lauberhorn.Message.write_response ~line_bytes
+        ~rpc_id:(Sim.Rng.bits64 rng)
+        ~status:(Sim.Rng.int rng ~bound:0x10000)
+        ~total_len:(Sim.Rng.int rng ~bound:100_000)
+        ~aux_count:(Sim.Rng.int rng ~bound:100)
+        buf ~off:pad ~len
+
+(* Every cut of a line, the boundary cases included. *)
+let cuts b = List.init (Bytes.length b) (fun n -> Bytes.sub b 0 n)
+
+(* A line cut short decodes exactly when the cut keeps the line's
+   header and inline bytes (the tag alone for TRYAGAIN and RETIRE), and
+   then to what the whole line decodes to. *)
+let line_cut_agrees ~orig line =
+  let module M = Lauberhorn.Message in
+  let n = Bytes.length line in
+  (not (Wire_gen.is_cut ~orig line))
+  ||
+  match (M.decode orig, M.decode_response orig) with
+  | Ok ((M.Request r | M.Kernel_dispatch r) as o), _ -> (
+      let whole = M.request_header_bytes + Net.Slice.length r.M.inline_args in
+      match M.decode line with
+      | Ok m -> n >= whole && M.equal m o
+      | Error _ -> n < whole)
+  | Ok ((M.Tryagain | M.Retire) as o), _ -> (
+      match M.decode line with
+      | Ok m -> n >= 1 && M.equal m o
+      | Error _ -> n < 1)
+  | Error _, Ok o -> (
+      let whole = M.response_header_bytes + Net.Slice.length o.M.inline_body in
+      match M.decode_response line with
+      | Ok m -> n >= whole && M.equal_response m o
+      | Error _ -> n < whole)
+  | Error _, Error _ -> false
+
+(* The readers of one line against [decode] and [decode_response]. *)
+let line_readers_agree_on rng line =
+  let module M = Lauberhorn.Message in
+  let kind = M.kind line
+  and rpc_id = M.request_rpc_id line
+  and total_args = M.request_total_args line
+  and via_dma = M.request_via_dma line
+  and ok = M.response_ok line
+  and resp_rpc_id = M.response_rpc_id line
+  and status = M.response_status line
+  and total_len = M.response_total_len line
+  and inline_len = M.response_inline_len line
+  and aux_count = M.response_aux_count line in
+  (* defined only on lines [response_ok] accepts, but total *)
+  ignore
+    (M.response_inline_is_prefix_of line
+       (Wire_gen.random_wire_bytes rng (Sim.Rng.int rng ~bound:110)));
+  (match (M.decode line, kind) with
+  | Ok (M.Request r), M.Request_line
+  | Ok (M.Kernel_dispatch r), M.Kernel_dispatch_line ->
+      Int64.equal r.M.rpc_id rpc_id
+      && r.M.total_args = total_args
+      && Bool.equal r.M.via_dma via_dma
+  | Ok M.Tryagain, M.Tryagain_line | Ok M.Retire, M.Retire_line -> true
+  | Error _, M.Bad_line -> true
+  | Ok _, _ | Error _, _ -> false)
+  &&
+  match M.decode_response line with
+  | Error _ -> not ok
+  | Ok r ->
+      let inline = r.M.inline_body in
+      let body = Net.Slice.to_bytes inline in
+      let flipped = Bytes.copy body in
+      if Bytes.length flipped > 0 then
+        Bytes.set flipped 0 (Char.chr (Char.code (Bytes.get flipped 0) lxor 1));
+      ok
+      && Int64.equal r.M.resp_rpc_id resp_rpc_id
+      && r.M.status = status
+      && r.M.total_len = total_len
+      && Net.Slice.length inline = inline_len
+      && r.M.resp_aux_count = aux_count
+      && List.for_all
+           (fun b ->
+             Bool.equal
+               (M.response_inline_is_prefix_of line b)
+               (Net.Slice.is_prefix_of inline b))
+           [
+             body;
+             Bytes.cat body (Bytes.make 3 'x');
+             flipped;
+             Bytes.sub body 0 (Bytes.length body / 2);
+           ]
+
+let line_readers_agree =
+  QCheck.Test.make ~name:"line readers agree with decode" ~count:2000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Sim.Rng.create ~seed in
+      let orig = random_line rng in
+      let line = Wire_gen.mangle rng (Bytes.copy orig) in
+      List.for_all
+        (fun l -> line_readers_agree_on rng l && line_cut_agrees ~orig l)
+        (line :: cuts orig))
 
 (* ---------- Endpoint protocol ---------- *)
 
@@ -156,7 +301,10 @@ let make_ep ?(cfg = Lauberhorn.Config.enzian) () =
   let responses = ref [] in
   let ep =
     Lauberhorn.Endpoint.create ha cfg ~id:0
-      ~on_response:(fun r -> responses := r :: !responses)
+      ~on_response:(fun line ->
+        match Lauberhorn.Message.decode_response line with
+        | Ok r -> responses := r :: !responses
+        | Error e -> Alcotest.fail e)
       ()
   in
   { engine; ha; ep; responses }
@@ -175,14 +323,8 @@ let req id =
   }
 
 let resp_line ~line_bytes id =
-  Lauberhorn.Message.encode_response ~line_bytes
-    {
-      Lauberhorn.Message.resp_rpc_id = Int64.of_int id;
-      status = 0;
-      total_len = 2;
-      inline_body = Net.Slice.of_string "ok";
-      resp_aux_count = 0;
-    }
+  Lauberhorn.Message.write_response ~line_bytes ~rpc_id:(Int64.of_int id)
+    ~status:0 ~total_len:2 ~aux_count:0 (Bytes.of_string "ok") ~off:0 ~len:2
 
 (* Drive the CPU side of an endpoint like a worker loop would: load,
    handle for [work] ns, store a response, flip, load the other line,
@@ -1178,8 +1320,11 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
    figure is exact for a seed, and the budget is it plus 2%. Before the
    event path stopped allocating its own bookkeeping (the int-handle
    event heap, event closures built once per line, thread and worker),
-   this run took 601.5 words per RPC and perfbench's host_64b 599.6. *)
-let rpc_words_budget = 409.9 *. 1.02
+   this run took 601.5 words per RPC and perfbench's host_64b 599.6.
+   Before RPC headers and CONTROL lines were read in place (no header,
+   request or response record per message) it took 409.9, and
+   perfbench's host_64b 401.1. *)
+let rpc_words_budget = 270.9 *. 1.02
 
 let test_rpc_allocation_budget () =
   let setup =
@@ -1231,7 +1376,7 @@ let () =
           Alcotest.test_case "capacity enforced" `Quick
             test_message_capacity_enforced;
         ]
-        @ qsuite [ message_roundtrip_property ] );
+        @ qsuite [ message_roundtrip_property; line_readers_agree ] );
       ( "endpoint",
         [
           Alcotest.test_case "fast path" `Quick test_endpoint_fast_path_single;

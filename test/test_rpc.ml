@@ -219,6 +219,16 @@ let test_wire_format_roundtrip () =
     Rpc.Wire_format.request ~rpc_id:99L ~service_id:7 ~method_id:2
       (Rpc.Value.str "payload")
   in
+  (* The value-carrying encoder writes the same bytes as [encode] of
+     the request message, with and without a trace context. *)
+  List.iter
+    (fun ctx ->
+      checkb "encode_request = encode (request ...)" true
+        (Bytes.equal
+           (Rpc.Wire_format.encode_request ?ctx ~rpc_id:99L ~service_id:7
+              ~method_id:2 (Rpc.Value.str "payload"))
+           (Rpc.Wire_format.encode (Rpc.Wire_format.with_ctx msg ctx))))
+    [ None; Some (Bytes.make Rpc.Wire_format.ctx_size 'c') ];
   match Rpc.Wire_format.decode (Rpc.Wire_format.encode msg) with
   | Ok m ->
       check Alcotest.int64 "rpc_id" 99L m.Rpc.Wire_format.rpc_id;
@@ -251,61 +261,89 @@ let test_wire_format_errors () =
   | _ -> Alcotest.fail "bad magic accepted");
   let b2 = Rpc.Wire_format.encode msg in
   Bytes.set b2 3 '\009';
-  match Rpc.Wire_format.decode b2 with
+  (match Rpc.Wire_format.decode b2 with
   | Error (Rpc.Wire_format.Bad_kind 9) -> ()
-  | _ -> Alcotest.fail "bad kind accepted"
+  | _ -> Alcotest.fail "bad kind accepted");
+  (* the first tag past Error_reply, with and without the context flag *)
+  List.iter
+    (fun tag_byte ->
+      Bytes.set b2 3 (Char.chr tag_byte);
+      match Rpc.Wire_format.check b2 with
+      | Error (Rpc.Wire_format.Bad_kind 3) -> ()
+      | _ -> Alcotest.fail "kind tag 3 accepted")
+    [ 3; 0x83 ]
 
 (* [peek] against [decode] on well-formed frames of every kind, with
-   and without a trace context, and on the same frames cut short,
-   bit-flipped (often in the header) or replaced by random bytes: the
-   same error, or the same kind, ids and context. *)
-let random_wire_bytes rng n =
-  Bytes.init n (fun _ -> Char.chr (Sim.Rng.int rng ~bound:256))
+   and without a trace context, and on the same frames cut short (often
+   below the header size), bit-flipped (often in the header) or replaced
+   by random bytes: the same error, or the same kind, ids and context.
+   The in-place readers are run on every input, so none may raise, and
+   must agree with [peek]: [check] answers its error, and on a frame it
+   accepts every field reader reads what [peek] does. *)
+let readers_agree_with_peek b =
+  let rpc_id = Rpc.Wire_format.rpc_id b
+  and service_id = Rpc.Wire_format.service_id b
+  and method_id = Rpc.Wire_format.method_id b
+  and kind = Rpc.Wire_format.kind b
+  and is_request = Rpc.Wire_format.is_request b
+  and ctx = Rpc.Wire_format.ctx b
+  and body_offset = Rpc.Wire_format.body_offset b in
+  match (Rpc.Wire_format.check b, Rpc.Wire_format.peek b) with
+  | Ok (), Ok h ->
+      kind = h.Rpc.Wire_format.kind
+      && Bool.equal is_request
+           (h.Rpc.Wire_format.kind = Rpc.Wire_format.Request)
+      && Int64.equal rpc_id h.Rpc.Wire_format.rpc_id
+      && service_id = h.Rpc.Wire_format.service_id
+      && method_id = h.Rpc.Wire_format.method_id
+      && Option.equal Bytes.equal ctx h.Rpc.Wire_format.ctx
+      && body_offset
+         = Rpc.Wire_format.header_size
+           + (if Option.is_some ctx then Rpc.Wire_format.ctx_size else 0)
+      && body_offset <= Bytes.length b
+  | Error e, Error e' -> e = e'
+  | Ok (), Error _ | Error _, Ok _ -> false
 
-let mangled_frame ?body rng =
-  let kind =
-    match Sim.Rng.int rng ~bound:3 with
-    | 0 -> Rpc.Wire_format.Request
-    | 1 -> Rpc.Wire_format.Response
-    | _ -> Rpc.Wire_format.Error_reply (Sim.Rng.int rng ~bound:0x10000)
-  in
-  let ctx =
-    if Sim.Rng.int rng ~bound:2 = 0 then None
-    else Some (random_wire_bytes rng Rpc.Wire_format.ctx_size)
-  in
-  let b =
-    Rpc.Wire_format.encode
-      {
-        Rpc.Wire_format.rpc_id = Sim.Rng.bits64 rng;
-        service_id = Sim.Rng.int rng ~bound:1_000_000;
-        method_id = Sim.Rng.int rng ~bound:0x10000;
-        kind;
-        ctx;
-        body =
-          (match body with
-          | Some body -> body rng
-          | None -> random_wire_bytes rng (Sim.Rng.int rng ~bound:40));
-      }
-  in
-  let len = Bytes.length b in
-  match Sim.Rng.int rng ~bound:4 with
-  | 0 -> b
-  | 1 -> Bytes.sub b 0 (Sim.Rng.int rng ~bound:(len + 1))
-  | 2 ->
-      for _ = 0 to Sim.Rng.int rng ~bound:3 do
-        let bit = Sim.Rng.int rng ~bound:(8 * min len 40) in
-        let i = bit / 8 in
-        Bytes.set b i
-          (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))))
-      done;
-      b
-  | _ -> random_wire_bytes rng (Sim.Rng.int rng ~bound:64)
+(* A frame cut short keeps its header exactly when the cut keeps the
+   fixed header and the trace context the frame was encoded with; it
+   then decodes to the original header and a prefix of its body. *)
+let cut_agrees ~orig b =
+  (not (Wire_gen.is_cut ~orig b))
+  ||
+  match (Rpc.Wire_format.decode orig, Rpc.Wire_format.decode b) with
+  | Ok o, cut -> (
+      let need =
+        Rpc.Wire_format.header_size
+        + if Option.is_some o.Rpc.Wire_format.ctx then Rpc.Wire_format.ctx_size
+          else 0
+      in
+      let n = Bytes.length b in
+      match cut with
+      | Ok m ->
+          n >= need
+          && m.Rpc.Wire_format.kind = o.Rpc.Wire_format.kind
+          && Int64.equal m.Rpc.Wire_format.rpc_id o.Rpc.Wire_format.rpc_id
+          && m.Rpc.Wire_format.service_id = o.Rpc.Wire_format.service_id
+          && m.Rpc.Wire_format.method_id = o.Rpc.Wire_format.method_id
+          && Option.equal Bytes.equal m.Rpc.Wire_format.ctx
+               o.Rpc.Wire_format.ctx
+          && Bytes.equal m.Rpc.Wire_format.body
+               (Bytes.sub o.Rpc.Wire_format.body 0 (n - need))
+      | Error Rpc.Wire_format.Truncated -> n < need
+      | Error _ -> false)
+  | Error _, _ -> false
 
 let peek_agrees_with_decode =
   QCheck.Test.make ~name:"wire peek agrees with decode" ~count:2000
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let b = mangled_frame (Sim.Rng.create ~seed) in
+      let rng = Sim.Rng.create ~seed in
+      let orig = Wire_gen.frame rng in
+      let b = Wire_gen.mangle rng (Bytes.copy orig) in
+      List.for_all
+        (fun b -> readers_agree_with_peek b && cut_agrees ~orig b)
+        (b :: List.init (Bytes.length orig) (fun n -> Bytes.sub orig 0 n))
+      &&
       match (Rpc.Wire_format.peek b, Rpc.Wire_format.decode b) with
       | Ok h, Ok m ->
           h.Rpc.Wire_format.kind = m.Rpc.Wire_format.kind
@@ -327,7 +365,7 @@ let body_schema =
 
 let schema_body rng =
   if Sim.Rng.int rng ~bound:2 = 0 then
-    random_wire_bytes rng (Sim.Rng.int rng ~bound:40)
+    Wire_gen.random_wire_bytes rng (Sim.Rng.int rng ~bound:40)
   else
     Rpc.Codec.encode
       (Rpc.Schema.arbitrary body_schema rng
@@ -337,12 +375,12 @@ let decode_in_place_agrees =
   QCheck.Test.make ~name:"in-place body decode agrees with decode" ~count:2000
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let b = mangled_frame ~body:schema_body (Sim.Rng.create ~seed) in
+      let b = Wire_gen.mangled_frame ~body:schema_body (Sim.Rng.create ~seed) in
       let in_place =
         match Rpc.Wire_format.peek b with
         | Error e -> Error (`Wire e)
-        | Ok h -> (
-            let pos = Rpc.Wire_format.body_offset h in
+        | Ok _ -> (
+            let pos = Rpc.Wire_format.body_offset b in
             match
               Rpc.Codec.decode_sub body_schema b ~pos
                 ~len:(Bytes.length b - pos)
