@@ -1,22 +1,26 @@
-(* lauberhorn-figures: regenerate a single experiment by id (the bench
-   executable runs them all; this gives scripted access to one). *)
+(* lauberhorn-figures: regenerate the experiments of the reproduction by
+   id, in the order given, or every section in [Sections.all] order when
+   none is named. *)
 
 open Cmdliner
 
 let section_arg =
   let section_conv = Arg.enum Experiments.Sections.all in
   let doc =
-    Printf.sprintf "Experiment to run: %s."
+    Printf.sprintf "Experiment to run: %s. Runs every one when none is given."
       (String.concat ", " (List.map fst Experiments.Sections.all))
   in
-  Arg.(non_empty & pos_all section_conv [] & info [] ~docv:"EXPERIMENT" ~doc)
+  Arg.(value & pos_all section_conv [] & info [] ~docv:"EXPERIMENT" ~doc)
 
 let run fns =
+  let fns =
+    match fns with [] -> List.map snd Experiments.Sections.all | _ -> fns
+  in
   List.iter (fun f -> f ()) fns;
   0
 
 let cmd =
-  let doc = "regenerate one figure/experiment of the reproduction" in
+  let doc = "regenerate the figures and experiments of the reproduction" in
   Cmd.v (Cmd.info "lauberhorn-figures" ~doc) Term.(const run $ section_arg)
 
 let () = exit (Cmd.eval' cmd)

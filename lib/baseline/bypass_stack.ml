@@ -13,7 +13,6 @@ type t = {
   engine : Sim.Engine.t;
   kern : Osmodel.Kernel.t;
   mutable nic : Nic.Dma_nic.t option;
-  sw : Costs.t;
   by_port : (int, service_spec) Hashtbl.t;
   port_to_poller : (int, int) Hashtbl.t;
   mutable pollers : poller array;
@@ -27,9 +26,10 @@ type t = {
   trk : int;
 }
 
+(* The one software cost table. *)
+let sw = Costs.default
+
 let kernel t = t.kern
-let metrics t = t.metrics
-let tracer t = t.tracer
 
 let span_stage t ~rpc name =
   Obs.Tracer.stage t.tracer ~rpc ~track:t.trk ~name (Sim.Engine.now t.engine)
@@ -53,7 +53,7 @@ let charge_user t p cost =
 let rec poll_loop t p () =
   match Nic.Dma_nic.consume (nic t) ~queue:p.pidx Net.Frame.of_view with
   | Some frame ->
-      let rx = t.sw.Costs.poll_rx_per_packet + t.sw.Costs.bypass_demux in
+      let rx = sw.Costs.poll_rx_per_packet + sw.Costs.bypass_demux in
       charge_user t p rx;
       (* Capture the thread identity: if the process crashes while this
          packet is in flight, the continuation must die with it (the
@@ -121,7 +121,7 @@ and execute t p frame ~rpc_id ~arg_bytes mdef args =
            Rpc.Deser_cost.cost Rpc.Deser_cost.software_marshal
              ~fields:(Rpc.Value.field_count result)
              ~bytes:(Bytes.length body)
-           + t.sw.Costs.doorbell
+           + sw.Costs.doorbell
          in
          charge_user t p marshal;
          ignore
@@ -168,30 +168,25 @@ let resume_from_spin t p () =
       let spun = Sim.Engine.now t.engine - start in
       (* Round up to whole poll iterations — the packet waits for the
          current ring check to come around. *)
-      let iters = 1 + (spun / max 1 t.sw.Costs.poll_iteration) in
+      let iters = 1 + (spun / max 1 sw.Costs.poll_iteration) in
       Osmodel.Cpu_account.charge
         (Osmodel.Kernel.account t.kern ~core:p.core)
         Osmodel.Cpu_account.Spin
-        (iters * t.sw.Costs.poll_iteration);
+        (iters * sw.Costs.poll_iteration);
       let th = p.pthread in
       ignore
-        (Sim.Engine.schedule_after t.engine ~after:t.sw.Costs.poll_iteration
+        (Sim.Engine.schedule_after t.engine ~after:sw.Costs.poll_iteration
            (fun () ->
              if th.Osmodel.Proc.state <> Osmodel.Proc.Exited then
                poll_loop t p ()))
 
-let create engine ~profile ~ncores ?pollers ?kernel_costs
-    ?(sw_costs = Costs.default) ?(fault = Fault.Plan.none) ?metrics ?tracer
-    ?sanitize ?steering ~services ~egress () =
+let create engine ~profile ~ncores ?pollers ?(fault = Fault.Plan.none)
+    ?metrics ?tracer ?sanitize ?steering ~services ~egress () =
   if services = [] then invalid_arg "Bypass_stack.create: no services";
   let npollers = match pollers with Some n -> n | None -> ncores in
   if npollers < 1 || npollers > ncores then
     invalid_arg "Bypass_stack.create: pollers out of [1, ncores]";
-  let kern =
-    match kernel_costs with
-    | Some costs -> Osmodel.Kernel.create engine ~ncores ~costs ()
-    | None -> Osmodel.Kernel.create engine ~ncores ()
-  in
+  let kern = Osmodel.Kernel.create engine ~ncores () in
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
@@ -203,7 +198,6 @@ let create engine ~profile ~ncores ?pollers ?kernel_costs
       engine;
       kern;
       nic = None;
-      sw = sw_costs;
       by_port = Hashtbl.create 64;
       port_to_poller = Hashtbl.create 64;
       pollers = [||];
@@ -249,6 +243,9 @@ let create engine ~profile ~ncores ?pollers ?kernel_costs
   (* Static service -> poller assignment, round robin. *)
   List.iteri
     (fun i sspec ->
+      if Hashtbl.mem t.by_port sspec.port then
+        invalid_arg
+          (Printf.sprintf "Bypass_stack.create: port %d taken" sspec.port);
       Hashtbl.replace t.by_port sspec.port sspec;
       Hashtbl.replace t.port_to_poller sspec.port (i mod npollers))
     services;

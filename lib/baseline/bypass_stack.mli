@@ -23,16 +23,18 @@ type t
 
 val create :
   Sim.Engine.t -> profile:Coherence.Interconnect.profile -> ncores:int ->
-  ?pollers:int -> ?kernel_costs:Osmodel.Kernel.costs -> ?sw_costs:Costs.t ->
-  ?fault:Fault.Plan.t -> ?metrics:Obs.Metrics.t -> ?tracer:Obs.Tracer.t ->
-  ?sanitize:Sanitize.t -> ?steering:Nic.Steer_verify.verified ->
-  services:service_spec list -> egress:(Net.Frame.t -> unit) -> unit -> t
-(** [pollers] defaults to [ncores]. [fault] (default {!Fault.Plan.none})
-    is forwarded to the DMA NIC as in {!Linux_stack.create}, with its
-    drop/pool gauges on [metrics]. [tracer] collects the per-RPC stage
-    chain poll_rx → app → marshal → tx_dma (summing exactly to the
-    measured latency). Services are assigned to pollers round-robin;
-    the assignment is static for the stack's lifetime.
+  ?pollers:int -> ?fault:Fault.Plan.t -> ?metrics:Obs.Metrics.t ->
+  ?tracer:Obs.Tracer.t -> ?sanitize:Sanitize.t ->
+  ?steering:Nic.Steer_verify.verified -> services:service_spec list ->
+  egress:(Net.Frame.t -> unit) -> unit -> t
+(** The kernel runs with its default costs and the software path with
+    {!Costs.default}. [pollers] defaults to [ncores]. [fault] (default
+    {!Fault.Plan.none}) is forwarded to the DMA NIC as in
+    {!Linux_stack.create}, with its drop/pool gauges on [metrics].
+    [tracer] collects the per-RPC stage chain poll_rx → app → marshal →
+    tx_dma (summing exactly to the measured latency). Services are
+    assigned to pollers round-robin; the assignment is static for the
+    stack's lifetime.
 
     [steering] replaces the default port→poller flow director with a
     statically verified application-defined steering program
@@ -40,14 +42,13 @@ val create :
     the NIC pipeline and per-lane counters land on [metrics]. Any
     poller can serve any service port, so cross-lane steering (e.g.
     key-hash affinity) trades the rigid static assignment for cache
-    locality. *)
+    locality.
+    @raise Invalid_argument if [services] is empty, if two specs share
+    a port, or if [pollers] is outside [1, ncores]. *)
 
-val ingress : t -> Net.Frame.t -> unit
 val kernel : t -> Osmodel.Kernel.t
 val nic : t -> Nic.Dma_nic.t
 val counters : t -> Sim.Counter.group
-val metrics : t -> Obs.Metrics.t
-val tracer : t -> Obs.Tracer.t
 val poller_of_port : t -> port:int -> int
 
 val flush_spin : t -> unit

@@ -19,7 +19,6 @@ type t = {
   engine : Sim.Engine.t;
   kern : Osmodel.Kernel.t;
   mutable nic : Nic.Dma_nic.t option;
-  sw : Costs.t;
   by_port : (int, service_rt) Hashtbl.t;
   egress : Net.Frame.t -> unit;
   counters : Sim.Counter.group;
@@ -30,9 +29,10 @@ type t = {
   trk : int;
 }
 
+(* The one software cost table. *)
+let sw = Costs.default
+
 let kernel t = t.kern
-let metrics t = t.metrics
-let tracer t = t.tracer
 
 let span_stage t ~rpc name =
   Obs.Tracer.stage t.tracer ~rpc ~track:t.trk ~name (Sim.Engine.now t.engine)
@@ -71,7 +71,7 @@ let rec napi t ~core ~queue ~budget () =
   with
   | None -> Nic.Dma_nic.unmask_irq (nic t) ~queue
   | Some delivery ->
-      let cost = t.sw.Costs.softirq_per_packet + t.sw.Costs.socket_demux in
+      let cost = sw.Costs.softirq_per_packet + sw.Costs.socket_demux in
       Osmodel.Cpu_account.charge
         (Osmodel.Kernel.account t.kern ~core)
         Osmodel.Cpu_account.Kernel cost;
@@ -109,7 +109,7 @@ let rec server_loop t rt th () =
       let copy_cost =
         int_of_float
           (Float.round
-             (t.sw.Costs.recv_copy_per_byte
+             (sw.Costs.recv_copy_per_byte
              *. float_of_int (Bytes.length payload)))
       in
       Osmodel.Kernel.run_for t.kern th ~kind:Osmodel.Cpu_account.Kernel
@@ -166,11 +166,11 @@ and send_reply t rt th frame ~rpc_id body =
   (* Deserialize + handler + marshal, all user time. *)
   span_stage t ~rpc:rpc_id "app";
   let send_cost =
-    t.sw.Costs.send_path
+    sw.Costs.send_path
     + int_of_float
         (Float.round
-           (t.sw.Costs.send_copy_per_byte *. float_of_int (Bytes.length body)))
-    + t.sw.Costs.doorbell
+           (sw.Costs.send_copy_per_byte *. float_of_int (Bytes.length body)))
+    + sw.Costs.doorbell
   in
   Osmodel.Kernel.run_for t.kern th ~kind:Osmodel.Cpu_account.Kernel send_cost
     (fun () ->
@@ -255,16 +255,10 @@ let restart_service t ~service_id =
       spawn_server_threads t rt proc
   | Some _ | None -> ()
 
-let create engine ~profile ~ncores ?kernel_costs ?(sw_costs = Costs.default)
-    ?nic_config ?(fault = Fault.Plan.none) ?metrics ?tracer ?sanitize
-    ~services ~egress
-    () =
+let create engine ~profile ~ncores ?(fault = Fault.Plan.none) ?metrics
+    ?tracer ?sanitize ~services ~egress () =
   if services = [] then invalid_arg "Linux_stack.create: no services";
-  let kern =
-    match kernel_costs with
-    | Some costs -> Osmodel.Kernel.create engine ~ncores ~costs ()
-    | None -> Osmodel.Kernel.create engine ~ncores ()
-  in
+  let kern = Osmodel.Kernel.create engine ~ncores () in
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
@@ -276,7 +270,6 @@ let create engine ~profile ~ncores ?kernel_costs ?(sw_costs = Costs.default)
       engine;
       kern;
       nic = None;
-      sw = sw_costs;
       by_port = Hashtbl.create 64;
       egress;
       counters = Sim.Counter.group "linux";
@@ -287,9 +280,7 @@ let create engine ~profile ~ncores ?kernel_costs ?(sw_costs = Costs.default)
       trk = Obs.Tracer.track tracer "linux";
     }
   in
-  let nic_config =
-    match nic_config with Some c -> c | None -> Nic.Dma_nic.default_config
-  in
+  let nic_config = Nic.Dma_nic.default_config in
   let dnic =
     Nic.Dma_nic.create engine profile ~config:nic_config ~fault ~metrics
       ~on_rx_interrupt:(fun ~queue -> on_rx_interrupt t ~queue)

@@ -24,23 +24,21 @@ type t
 
 val create :
   Sim.Engine.t -> profile:Coherence.Interconnect.profile -> ncores:int ->
-  ?kernel_costs:Osmodel.Kernel.costs -> ?sw_costs:Costs.t ->
-  ?nic_config:Nic.Dma_nic.config -> ?fault:Fault.Plan.t ->
-  ?metrics:Obs.Metrics.t -> ?tracer:Obs.Tracer.t ->
-  ?sanitize:Sanitize.t ->
-  services:service_spec list ->
+  ?fault:Fault.Plan.t -> ?metrics:Obs.Metrics.t -> ?tracer:Obs.Tracer.t ->
+  ?sanitize:Sanitize.t -> services:service_spec list ->
   egress:(Net.Frame.t -> unit) -> unit -> t
-(** [fault] (default {!Fault.Plan.none}) is forwarded to the DMA NIC
+(** The kernel runs with its default costs, the software path with
+    {!Costs.default} and the NIC with {!Nic.Dma_nic.default_config}.
+
+    [fault] (default {!Fault.Plan.none}) is forwarded to the DMA NIC
     (forced completion drops, DMA corruption caught by the driver's
     checksum validation); fault and pool gauges register on [metrics]
     (default a fresh registry).
 
     [tracer] (default a fresh, disabled tracer) collects the per-RPC
     stage chain nic_irq → socket → app → send → tx_dma, opened at
-    {!ingress} and closed when the response hits the wire; stage
+    ingress and closed when the response hits the wire; stage
     durations sum exactly to the measured end-system latency. *)
-
-val ingress : t -> Net.Frame.t -> unit
 
 val kill_service : t -> service_id:int -> unit
 (** Crash the service's process. The client gets {e no} transport-level
@@ -56,8 +54,5 @@ val restart_service : t -> service_id:int -> unit
     @raise Invalid_argument on an unknown service. *)
 
 val kernel : t -> Osmodel.Kernel.t
-val nic : t -> Nic.Dma_nic.t
 val counters : t -> Sim.Counter.group
-val metrics : t -> Obs.Metrics.t
-val tracer : t -> Obs.Tracer.t
 val driver : t -> Harness.Driver.t

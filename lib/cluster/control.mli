@@ -99,12 +99,7 @@ val set_shedding : t -> host:int -> bool -> unit
     rejecting): it stays alive and keeps being probed, but {!pick}
     steers new connections elsewhere. *)
 
-val state : t -> host:int -> state
 val alive : t -> host:int -> bool
-val shedding : t -> host:int -> bool
-
-val steerable : t -> host:int -> bool
-(** [Alive] and not shedding. *)
 
 val pick : t -> int option
 (** The load balancer: the next steerable host, round-robin; [None]

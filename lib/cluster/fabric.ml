@@ -16,8 +16,7 @@ type t = {
   host_ingress : (Net.Frame.t -> unit) option array;
   mutable uplink_ingress : (Net.Frame.t -> unit) option;
   mutable n_undeliverable : int;
-  (* wire-fault losses, one cell per posting shard (hosts + 1) *)
-  n_link_drops : int array;
+  mutable n_link_drops : int;  (* wire-fault losses *)
 }
 
 let base_ip = Net.Ip_addr.to_int (Net.Ip_addr.of_string "10.0.2.1")
@@ -37,8 +36,8 @@ let default_uplink =
   { Switch.latency = Sim.Units.ns 500; tx = Sim.Units.ns 50 }
 
 let create ?(host_link = default_host_link)
-    ?(uplink = default_uplink) ?host_links ?cap_in ?cap_out ?fwd_delay
-    ?metrics ~hosts () =
+    ?(uplink = default_uplink) ?host_links ?cap_in ?cap_out ?metrics
+    ~hosts () =
   if hosts < 1 then invalid_arg "Fabric.create: hosts < 1";
   let links =
     match host_links with
@@ -95,7 +94,7 @@ let create ?(host_link = default_host_link)
   let switch =
     Switch.create master
       ~ports:(Array.append links [| uplink |])
-      ?cap_in ?cap_out ?fwd_delay ?metrics ~route ~deliver ()
+      ?cap_in ?cap_out ?metrics ~route ~deliver ()
   in
   let t =
     {
@@ -108,7 +107,7 @@ let create ?(host_link = default_host_link)
       host_ingress;
       uplink_ingress = None;
       n_undeliverable = 0;
-      n_link_drops = Array.make n 0;
+      n_link_drops = 0;
     }
   in
   t_ref := Some t;
@@ -151,8 +150,8 @@ let post_to_master t ~host fn =
 (* The per-pair wire fault seam: [cut] (a pure function of shard ids
    and time — in practice a Fault.Plan flap/partition schedule compiled
    by Fault.Rack_chaos) decides, per post, whether the wire eats the
-   message; the fabric counts the loss in the posting shard's cell
-   before swallowing it, so nothing is silent. *)
+   message; the fabric counts the loss before swallowing it, so
+   nothing is silent. *)
 let set_link_fault t cut =
   match cut with
   | None -> Sim.Shard_engine.set_wire_fault t.shard None
@@ -162,13 +161,12 @@ let set_link_fault t cut =
            (fun ~src ~dst ~at ->
              cut ~src ~dst ~at
              && begin
-                  t.n_link_drops.(src) <- t.n_link_drops.(src) + 1;
+                  t.n_link_drops <- t.n_link_drops + 1;
                   true
                 end))
 [@@fault_seam]
 
-let link_drops t = Array.copy t.n_link_drops
-let link_drops_total t = Array.fold_left ( + ) 0 t.n_link_drops
+let link_drops_total t = t.n_link_drops
 
 let run t ~until = Sim.Shard_engine.run t.shard ~until
 

@@ -33,7 +33,6 @@ val create :
   ?host_links:Switch.port_conf array ->
   ?cap_in:int ->
   ?cap_out:int ->
-  ?fwd_delay:Sim.Units.duration ->
   ?metrics:Obs.Metrics.t ->
   hosts:int ->
   unit ->
@@ -42,7 +41,8 @@ val create :
     shard engine and the switch. [host_link] is every host port's wire
     (default 1 µs latency, 100 ns tx) unless [host_links] gives a
     per-host array; [uplink] is the client-facing port (default 500 ns
-    latency, 50 ns tx). [metrics] is handed to
+    latency, 50 ns tx). The switch forwards with its default
+    [fwd_delay]. [metrics] is handed to
     {!Switch.create} so the switch counters land on a caller-owned
     registry.
 
@@ -89,18 +89,14 @@ val set_link_fault :
     answers whether the [src]→[dst] wire (shard indices; [hosts] is
     the switch/master shard) eats a message delivered at [at]. Every
     swallowed post — frame or control closure; they cross the same
-    wires — is counted in the posting shard's {!link_drops} cell,
-    never silent. The predicate must be a pure function of its
+    wires — is counted in {!link_drops_total}, never silent. The predicate must be a pure function of its
     arguments (a {!Fault.Plan} schedule); [Fault.Rack_chaos] is the
     intended installer — simlint's [fault-seam] rule flags any other
     installation inside [lib/]. [None] — the default — keeps the post
     path at one load-and-branch. *)
 
-val link_drops : t -> int array
-(** Per-posting-shard wire-fault losses ([hosts + 1] cells; the last
-    is the switch/master shard's outbound wires). *)
-
 val link_drops_total : t -> int
+(** Messages eaten at cut wires so far. *)
 
 val run : t -> until:Sim.Units.time -> unit
 val undeliverable : t -> int

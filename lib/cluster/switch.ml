@@ -63,17 +63,14 @@ type t = {
   (* per-egress-port occupancy and transmitter busy-until *)
   out_len : int array;
   out_busy : Sim.Units.time array;
-  (* counters: scalars live on the Obs.Metrics registry (the stats
-     record is a view); per-port arrays stay for steering visibility *)
+  (* counters live on the Obs.Metrics registry (the stats record is a
+     view) *)
   metrics : Obs.Metrics.t;
   c_ingressed : Obs.Metrics.counter;
   c_delivered : Obs.Metrics.counter;
   c_unroutable : Obs.Metrics.counter;
   c_drop_in : Obs.Metrics.counter;
   c_drop_out : Obs.Metrics.counter;
-  n_forwarded : int array;
-  n_drop_in : int array;
-  n_drop_out : int array;
   (* per-port pcap taps and the tracing hooks; None = disarmed, one
      load-and-branch on the hot paths *)
   taps : Obs.Pcap.t option array;
@@ -90,8 +87,6 @@ type t = {
      switch leaves the metrics snapshot untouched *)
   mutable c_port_drops : Obs.Metrics.counter option;
   mutable c_partition_drops : Obs.Metrics.counter option;
-  n_port_drops : int array;
-  n_partitioned : int array;
 }
 
 let create engine ~ports ?(cap_in = 64) ?(cap_out = 64)
@@ -129,9 +124,6 @@ let create engine ~ports ?(cap_in = 64) ?(cap_out = 64)
     c_unroutable = Obs.Metrics.counter metrics "switch_unroutable";
     c_drop_in = Obs.Metrics.counter metrics "switch_drop_in";
     c_drop_out = Obs.Metrics.counter metrics "switch_drop_out";
-    n_forwarded = Array.make n 0;
-    n_drop_in = Array.make n 0;
-    n_drop_out = Array.make n 0;
     taps = Array.make n None;
     hooks = None;
     wedge = None;
@@ -139,8 +131,6 @@ let create engine ~ports ?(cap_in = 64) ?(cap_out = 64)
     partition = None;
     c_port_drops = None;
     c_partition_drops = None;
-    n_port_drops = Array.make n 0;
-    n_partitioned = Array.make n 0;
   }
 
 let ports t = Array.length t.ports
@@ -163,12 +153,10 @@ let egress_enqueue t ~port frame =
   if t.out_len.(port) >= t.cap_out then begin
     match t.wedge with
     | Some f when f ~port ~at:(Sim.Engine.now t.engine) <> None ->
-        t.n_port_drops.(port) <- t.n_port_drops.(port) + 1;
         (match t.c_port_drops with
         | Some c -> Obs.Metrics.incr c
         | None -> ())
     | Some _ | None ->
-        t.n_drop_out.(port) <- t.n_drop_out.(port) + 1;
         Obs.Metrics.incr t.c_drop_out
   end
   else begin
@@ -186,7 +174,6 @@ let egress_enqueue t ~port frame =
       (Sim.Engine.schedule_at t.engine ~at:finish (fun () ->
            t.out_len.(port) <- t.out_len.(port) - 1;
            Obs.Metrics.incr t.c_delivered;
-           t.n_forwarded.(port) <- t.n_forwarded.(port) + 1;
            (match t.taps.(port) with
            | Some cap -> Obs.Pcap.add_frame cap ~time:finish frame
            | None -> ());
@@ -229,7 +216,6 @@ let rec kick t p =
                match t.partition with
                | Some cut when cut ~src:p ~dst:o ~at:(Sim.Engine.now t.engine)
                  ->
-                   t.n_partitioned.(p) <- t.n_partitioned.(p) + 1;
                    (match t.c_partition_drops with
                    | Some c -> Obs.Metrics.incr c
                    | None -> ())
@@ -251,7 +237,6 @@ let sweep t () =
   Array.iter
     (fun (p, frame) ->
       if Queue.length t.in_q.(p) >= t.cap_in then begin
-        t.n_drop_in.(p) <- t.n_drop_in.(p) + 1;
         Obs.Metrics.incr t.c_drop_in
       end
       else begin
@@ -290,11 +275,6 @@ let stats t =
     partition_drops = opt_value t.c_partition_drops;
   }
 
-let forwarded t = Array.copy t.n_forwarded
-let dropped_in t = Array.copy t.n_drop_in
-let dropped_out t = Array.copy t.n_drop_out
-let port_dropped t = Array.copy t.n_port_drops
-let partition_dropped t = Array.copy t.n_partitioned
 let metrics t = t.metrics
 
 let tap t ~port writer =

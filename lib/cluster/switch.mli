@@ -99,18 +99,6 @@ val ports : t -> int
 val port_conf : t -> int -> port_conf
 val stats : t -> stats
 
-val forwarded : t -> int array
-(** Per-egress-port delivered-frame counts (steering visibility). *)
-
-val dropped_in : t -> int array
-val dropped_out : t -> int array
-
-val port_dropped : t -> int array
-(** Per-egress-port wedged-overflow losses. *)
-
-val partition_dropped : t -> int array
-(** Per-ingress-port partition-cut losses. *)
-
 val metrics : t -> Obs.Metrics.t
 (** The registry behind {!stats} (the one passed to {!create}, or the
     switch's private one). *)

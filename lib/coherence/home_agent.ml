@@ -99,15 +99,11 @@ type t = {
   mutable loads : int;
   mutable fills : int;
   mutable tryagains : int;
-  mutable stores : int;
-  mutable fetchx : int;
   mutable delayed_stages : int;
-  mutable line_resets : int;
   mutable stale_loads : int;
   mutable sanitizer : (sanitizer_event -> unit) option;
 }
 
-let profile t = t.prof
 let engine t = t.engine
 let set_sanitizer t f = t.sanitizer <- f
 let is_parked ln = ln.parked != no_fill_callback
@@ -228,10 +224,7 @@ let create engine prof ?stage_delay ~timeout () =
       loads = 0;
       fills = 0;
       tryagains = 0;
-      stores = 0;
-      fetchx = 0;
       delayed_stages = 0;
-      line_resets = 0;
       stale_loads = 0;
       sanitizer = None;
     }
@@ -324,12 +317,9 @@ let kick t id =
 
 let reset_line t id =
   let ln = line t id in
-  if is_parked ln then begin
-    (* Drop the parked load without answering it: the loader is dead
-       and its continuation must never fire. *)
-    let (_loader : fill -> unit) = unpark t ln in
-    t.line_resets <- t.line_resets + 1
-  end;
+  (* Drop any parked load without answering it: the loader is dead and
+     its continuation must never fire. *)
+  if is_parked ln then ignore (unpark t ln : fill -> unit);
   ln.gen <- ln.gen + 1;
   ln.staged <- Tryagain;
   ln.cpu_copy <- None;
@@ -339,7 +329,6 @@ let reset_line t id =
 
 let cpu_store t id data =
   let ln = line t id in
-  t.stores <- t.stores + 1;
   ln.cpu_copy <- Some data;
   Fifo.push t.store_line ln.id;
   Fifo.push t.store_data data;
@@ -349,7 +338,6 @@ let cpu_store t id data =
 
 let fetch_exclusive t id k =
   let ln = line t id in
-  t.fetchx <- t.fetchx + 1;
   Fifo.push t.fetch_line ln.id;
   Fifo.push t.fetch_k k;
   ignore
@@ -359,8 +347,5 @@ let fetch_exclusive t id k =
 let loads t = t.loads
 let fills t = t.fills
 let tryagains t = t.tryagains
-let stores t = t.stores
-let fetch_exclusives t = t.fetchx
 let delayed_stages t = t.delayed_stages
-let line_resets t = t.line_resets
 let stale_loads t = t.stale_loads

@@ -45,7 +45,6 @@ val create :
     misbehaviour the paper's recovery structure exists for. [None]
     (the default) leaves {!stage} synchronous and costs nothing. *)
 
-val profile : t -> Interconnect.profile
 val engine : t -> Sim.Engine.t
 
 (** {1 Sanitizer hook} *)
@@ -127,14 +126,9 @@ val fetch_exclusive : t -> line_id -> (bytes option -> unit) -> unit
 val loads : t -> int
 val fills : t -> int
 val tryagains : t -> int
-val stores : t -> int
-val fetch_exclusives : t -> int
 
 val delayed_stages : t -> int
 (** Fills deferred by the [stage_delay] fault hook. *)
-
-val line_resets : t -> int
-(** Parked loads discarded by {!reset_line} (crash teardown). *)
 
 val stale_loads : t -> int
 (** In-flight load requests that landed after a {!reset_line} of their

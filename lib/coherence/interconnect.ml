@@ -118,10 +118,3 @@ let dma_transfer p ~bytes =
   in
   p.dma_write + stream
 
-let pp ppf p =
-  Format.fprintf ppf
-    "%s: line=%dB rtt=%a fetchx=%a mmio_r=%a dma_w=%a bw=%.0fGb/s irq=%a"
-    p.name p.cache_line_bytes Sim.Units.pp_duration (coherent_rtt p)
-    Sim.Units.pp_duration p.fetch_exclusive Sim.Units.pp_duration p.mmio_read
-    Sim.Units.pp_duration p.dma_write p.dma_bandwidth_gbps
-    Sim.Units.pp_duration p.interrupt_latency

@@ -67,4 +67,3 @@ val line_transfer : profile -> bytes:int -> Sim.Units.duration
 val dma_transfer : profile -> bytes:int -> Sim.Units.duration
 (** Latency component + streaming time of a DMA of [bytes]. *)
 
-val pp : Format.formatter -> profile -> unit

@@ -36,11 +36,6 @@ type t = {
           the wire ({!Nic_sched.Shed}) instead of queueing them to a
           silent SRAM drop. Off by default — the paper's base design —
           so pre-existing experiments are untouched. *)
-  sanitize : bool;
-      (** Attach the runtime sanitizers ({!Sanitize}) to the stack:
-          coherence generation discipline, event-loop monotonicity,
-          scheduler-mirror convergence, pool accounting. Off by
-          default — every hook is then [None] and costs one branch. *)
 }
 
 val enzian : t
@@ -54,10 +49,6 @@ val with_timeout : t -> Sim.Units.duration -> t
 val with_encryption : t -> bool -> t
 val with_dma_threshold : t -> int -> t
 val with_shed : t -> bool -> t
-val with_sanitize : t -> bool -> t
-
-val control_header_bytes : int
-(** Fixed header of a request CONTROL line (see {!Message}). *)
 
 val inline_capacity : t -> int
 (** Argument bytes carried in the first CONTROL line. *)

@@ -22,17 +22,12 @@ val create : unit -> t
 val bind : t -> port:int -> entry -> unit
 (** @raise Invalid_argument if the port is already bound. *)
 
-val unbind : t -> port:int -> unit
 val find : t -> port:int -> entry
 (** The entry bound to the port, without an option on the hot path.
     @raise Not_found if the port is not bound. *)
 
-val lookup_service : t -> service_id:int -> entry option
-
 val port_of_service : t -> service_id:int -> int option
 (** Reverse lookup: the UDP port a service is bound to. *)
-
-val entries : t -> (int * entry) list
 
 val code_ptr : entry -> method_id:int -> int64
 (** @raise Invalid_argument for an unknown method id. *)

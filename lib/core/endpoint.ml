@@ -16,8 +16,6 @@ type t = {
   mutable n_dropped : int;
 }
 
-let id t = t.eid
-
 let ctrl_line t i =
   if i <> 0 && i <> 1 then invalid_arg "Endpoint.ctrl_line: index not 0/1";
   t.ctrl.(i)

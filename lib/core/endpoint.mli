@@ -24,8 +24,6 @@ val create :
     which {!Message.response_ok} accepts, to read in place with the
     [Message.response_*] readers. *)
 
-val id : t -> int
-
 val ctrl_line : t -> int -> Coherence.Home_agent.line_id
 (** The two CONTROL lines, index 0 and 1 (CPU side loads these). *)
 

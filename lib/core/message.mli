@@ -115,7 +115,6 @@ val equal : t -> t -> bool
 (** Content equality: inline slices are compared by contents, not by
     backing buffer identity. *)
 
-val equal_request : request -> request -> bool
 val equal_response : response -> response -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -11,9 +11,7 @@ type svc_stats = {
 }
 
 type t = {
-  ewma_tau : float;  (* seconds *)
   hi_watermark : int;
-  target_util : float;
   shed : bool;
   shed_hi : int;
   shed_lo : int;
@@ -26,17 +24,17 @@ let no_arrival = min_int
    boundary returns its float boxed, once per arrival. *)
 let[@inline] seconds d = float_of_int d /. 1_000_000_000.
 
-let create ?(ewma_tau = Sim.Units.us 100) ?(hi_watermark = 4)
-    ?(target_util = 0.7) ?(shed = false) ?(shed_hi = 16) ?(shed_lo = 4) () =
-  if ewma_tau <= 0 then invalid_arg "Nic_sched.create: non-positive tau";
-  if target_util <= 0. || target_util > 1. then
-    invalid_arg "Nic_sched.create: target_util out of (0,1]";
+(* The rate-averaging constant, in seconds, and the per-worker
+   utilisation a scale-down must stay under. *)
+let ewma_tau = seconds (Sim.Units.us 100)
+let target_util = 0.7
+
+let create ?(hi_watermark = 4) ?(shed = false) ?(shed_hi = 16) ?(shed_lo = 4)
+    () =
   if shed && (shed_lo < 0 || shed_hi <= shed_lo) then
     invalid_arg "Nic_sched.create: need 0 <= shed_lo < shed_hi";
   {
-    ewma_tau = Sim.Units.to_float_s ewma_tau;
     hi_watermark;
-    target_util;
     shed;
     shed_hi;
     shed_lo;
@@ -69,7 +67,7 @@ let on_arrival t ~service ~now =
     let inst = 1. /. dt in
     (* Time-constant EWMA: weight decays with the gap length, so idle
        periods pull the estimate down. *)
-    let alpha = 1. -. exp (-.dt /. t.ewma_tau) in
+    let alpha = 1. -. exp (-.dt /. ewma_tau) in
     s.rate.per_s <- s.rate.per_s +. (alpha *. (inst -. s.rate.per_s))
   end;
   s.last_arrival <- now
@@ -103,10 +101,9 @@ let decide t ~service ~queue_depth ~workers ~handler_time =
     (* Would one fewer worker still sit below the utilisation target? *)
     let per_req = seconds handler_time in
     let util_with = s.rate.per_s *. per_req /. float_of_int (workers - 1) in
-    if util_with < t.target_util *. 0.5 && queue_depth = 0 then
+    if util_with < target_util *. 0.5 && queue_depth = 0 then
       Release_worker
     else Steady
   end
   else Steady
 
-let services_tracked t = Hashtbl.length t.table

@@ -15,11 +15,11 @@
 type t
 
 val create :
-  ?ewma_tau:Sim.Units.duration -> ?hi_watermark:int ->
-  ?target_util:float -> ?shed:bool -> ?shed_hi:int -> ?shed_lo:int ->
-  unit -> t
-(** Defaults: 100 µs rate-averaging constant, scale up when more than 4
-    requests queue, aim below 70% per-worker utilisation.
+  ?hi_watermark:int -> ?shed:bool -> ?shed_hi:int -> ?shed_lo:int -> unit ->
+  t
+(** The rate averages over 100 µs and a scale-down aims below 70%
+    per-worker utilisation. Scale up when more than [hi_watermark]
+    (default 4) requests queue.
 
     [shed] (default [false]) arms admission control: a service whose
     endpoint backlog reaches [shed_hi] (default 16) starts shedding —
@@ -28,7 +28,7 @@ val create :
     the gate flapping at a constant arrival rate. With [shed] off the
     decision space is exactly the pre-admission-control one.
     @raise Invalid_argument unless [0 <= shed_lo < shed_hi] (when
-    [shed] is on) and the other parameters are in range. *)
+    [shed] is on). *)
 
 val on_arrival : t -> service:int -> now:Sim.Units.time -> unit
 val on_complete : t -> service:int -> unit
@@ -56,4 +56,3 @@ val decide :
     takes precedence over scaling decisions; the hysteretic shed state
     is updated as a side effect of this call. *)
 
-val services_tracked : t -> int

@@ -89,8 +89,6 @@ let create ~mode prof kernel =
                  land_respawn ())));
   t
 
-let mode t = t.mmode
-
 let lookup_cost t =
   match t.mmode with
   | Push -> 0

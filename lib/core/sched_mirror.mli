@@ -17,8 +17,6 @@ val create :
 (** Installs a context-switch hook on the kernel (Push mode applies the
     update after the push latency; Query mode keeps no copy). *)
 
-val mode : t -> mode
-
 val lookup_cost : t -> Sim.Units.duration
 (** NIC-side cost of consulting the scheduling state at dispatch time:
     0 in [Push] mode, one MMIO read in [Query] mode. *)

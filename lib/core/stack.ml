@@ -109,7 +109,6 @@ type t = {
   m_sheds : Obs.Metrics.counter;
   m_drop_full : Obs.Metrics.counter;
   m_drop_shed : Obs.Metrics.counter;
-  sanitize : Sanitize.t option;
   mutable mwatch : Sanitize.Mirror_watch.watch option;
       (* installed after [t] exists (its closures render [t]'s state) *)
 }
@@ -118,8 +117,6 @@ let kernel t = t.kern
 let home_agent t = t.ha
 let mirror t = t.smirror
 let counters t = t.counters
-let config t = t.cfg
-let sanitizer t = t.sanitize
 
 let name_of_binding = function
   | Os_integrated -> "lauberhorn"
@@ -1025,14 +1022,15 @@ let fresh_code_ptrs n =
       next_code_ptr := base + 0x1000;
       Int64.add (Int64.of_int base) (Int64.of_int (i * 64)))
 
-let create engine ~cfg ~ncores ?kernel_costs ?(binding = Os_integrated)
-    ?(mirror_mode = Sched_mirror.Push) ?(dispatchers = 2)
-    ?(fault = Fault.Plan.none) ?metrics ?tracer ?sanitize ~services ~egress
-    () =
+(* Dispatcher kernel threads under [Os_integrated]. *)
+let n_dispatchers = 2
+
+let create engine ~cfg ~ncores ?(binding = Os_integrated)
+    ?(mirror_mode = Sched_mirror.Push) ?(fault = Fault.Plan.none) ?metrics
+    ?tracer ?sanitize ~services ~egress () =
   if List.is_empty services then invalid_arg "Stack.create: no services";
   (match binding with
-  | Os_integrated ->
-      if dispatchers < 1 then invalid_arg "Stack.create: need a dispatcher"
+  | Os_integrated -> ()
   | Static ->
       if
         List.exists
@@ -1041,17 +1039,7 @@ let create engine ~cfg ~ncores ?kernel_costs ?(binding = Os_integrated)
       then
         invalid_arg
           "Stack.create: a Static binding pins exactly one worker per service");
-  let sanitize =
-    match sanitize with
-    | Some _ -> sanitize
-    | None ->
-        if cfg.Config.sanitize then Some (Sanitize.create engine) else None
-  in
-  let kern =
-    match kernel_costs with
-    | Some costs -> Osmodel.Kernel.create engine ~ncores ~costs ()
-    | None -> Osmodel.Kernel.create engine ~ncores ()
-  in
+  let kern = Osmodel.Kernel.create engine ~ncores () in
   let stage_delay =
     (* The coherence choke point: with probability [fill_delay] a fill
        stays in flight for [fill_delay_ns] — longer than the TRYAGAIN
@@ -1122,7 +1110,6 @@ let create engine ~cfg ~ncores ?kernel_costs ?(binding = Os_integrated)
       m_sheds = Obs.Metrics.counter metrics "sheds";
       m_drop_full = Obs.Metrics.counter metrics "drop_full";
       m_drop_shed = Obs.Metrics.counter metrics "drop_shed";
-      sanitize;
       mwatch = None;
     }
   in
@@ -1194,7 +1181,7 @@ let create engine ~cfg ~ncores ?kernel_costs ?(binding = Os_integrated)
   | Os_integrated ->
       let kproc = Osmodel.Kernel.new_process kern ~name:"kernel" in
       t.dispatchers <-
-        Array.init dispatchers (fun i ->
+        Array.init n_dispatchers (fun i ->
             let d_ref = ref None in
             let dep =
               new_endpoint
@@ -1284,7 +1271,7 @@ let create engine ~cfg ~ncores ?kernel_costs ?(binding = Os_integrated)
             w.loop <- worker_loop t sv w;
             w.wtx <-
               Some
-                (Tx_endpoint.create ha cfg ~id:(Endpoint.id wep)
+                (Tx_endpoint.create ha cfg
                    ~on_line:(fun image -> on_tx_line t image)
                    ());
             w_ref := Some w;
@@ -1404,12 +1391,6 @@ let resume_dispatcher t ~idx =
   match d.dthread.Osmodel.Proc.state with
   | Osmodel.Proc.Blocked -> Osmodel.Kernel.wake t.kern d.dthread
   | Osmodel.Proc.Ready | Osmodel.Proc.Running _ | Osmodel.Proc.Exited -> ()
-
-let endpoint_of t ~service_id ~worker =
-  let sv = service_rt t service_id in
-  if worker < 0 || worker >= Array.length sv.workers then
-    invalid_arg "Stack.endpoint_of: no such worker";
-  sv.workers.(worker).wep
 
 let driver t =
   Harness.Driver.make ~name:(name_of_binding t.binding)

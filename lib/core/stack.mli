@@ -63,20 +63,18 @@ val spec :
 type t
 
 val create :
-  Sim.Engine.t -> cfg:Config.t -> ncores:int ->
-  ?kernel_costs:Osmodel.Kernel.costs -> ?binding:binding ->
-  ?mirror_mode:Sched_mirror.mode -> ?dispatchers:int ->
-  ?fault:Fault.Plan.t -> ?metrics:Obs.Metrics.t -> ?tracer:Obs.Tracer.t ->
-  ?sanitize:Sanitize.t ->
+  Sim.Engine.t -> cfg:Config.t -> ncores:int -> ?binding:binding ->
+  ?mirror_mode:Sched_mirror.mode -> ?fault:Fault.Plan.t ->
+  ?metrics:Obs.Metrics.t -> ?tracer:Obs.Tracer.t -> ?sanitize:Sanitize.t ->
   services:service_spec list -> egress:(Net.Frame.t -> unit) -> unit -> t
-(** Builds kernel, home agent, endpoints, demux table, mirror,
-    dispatcher kernel threads and service worker threads; services with
-    [min_workers > 0] start with that many workers already parked
-    (hot services). [dispatchers] defaults to 2.
+(** Builds kernel (default costs), home agent, endpoints, demux table,
+    mirror, two dispatcher kernel threads and service worker threads;
+    services with [min_workers > 0] start with that many workers
+    already parked (hot services).
 
-    [binding] defaults to [Os_integrated]. Under [Static],
-    [mirror_mode] and [dispatchers] are ignored and every spec must
-    have exactly one worker ([min_workers = max_workers = 1]).
+    [binding] defaults to [Os_integrated]. Under [Static], there are
+    no dispatchers, [mirror_mode] is ignored and every spec must have
+    exactly one worker ([min_workers = max_workers = 1]).
 
     [fault] (default {!Fault.Plan.none}) arms the coherence choke
     point: fills are delayed per the plan's [fill_delay] knobs, forcing
@@ -100,12 +98,9 @@ val create :
     [sanitize] attaches the runtime sanitizers: home-agent generation
     discipline ({!Sanitize.Coherence_watch}) and scheduler-mirror
     convergence plus swept-pid dispatch checks
-    ({!Sanitize.Mirror_watch}). When absent and [cfg.sanitize] is set,
-    the stack creates its own session (retrieve it with {!sanitizer}
-    and call {!Sanitize.finish} after the run).
-    @raise Invalid_argument if [services] is empty, if [dispatchers < 1]
-    under [Os_integrated], or if a spec has more or fewer than one
-    worker under [Static]. *)
+    ({!Sanitize.Mirror_watch}).
+    @raise Invalid_argument if [services] is empty, or if a spec has
+    more or fewer than one worker under [Static]. *)
 
 val ingress : t -> Net.Frame.t -> unit
 (** Connect as the wire's deliver callback. *)
@@ -115,17 +110,10 @@ val home_agent : t -> Coherence.Home_agent.t
 val mirror : t -> Sched_mirror.t option
 (** [None] under a [Static] binding. *)
 
-val sanitizer : t -> Sanitize.t option
-(** The attached sanitizer session, if any. *)
-
-
 val counters : t -> Sim.Counter.group
-val config : t -> Config.t
 
 val active_workers : t -> service_id:int -> int
 (** Currently active (scheduled or parked) workers of a service. *)
-
-val endpoint_of : t -> service_id:int -> worker:int -> Endpoint.t
 
 val telemetry : t -> Telemetry.t
 (** NIC-gathered per-service statistics (paper §6). *)

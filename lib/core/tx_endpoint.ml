@@ -1,13 +1,11 @@
 type t = {
   ha : Coherence.Home_agent.t;
-  eid : int;
   line_bytes : int;
   lines : Coherence.Home_agent.line_id array;
   on_line : bytes -> unit;
   mutable cur : int;
   mutable inflight : int;
   waiting : (bytes * (unit -> unit)) Queue.t;
-  mutable n_sends : int;
   mutable n_stalls : int;
 }
 
@@ -15,7 +13,6 @@ let store_now t image accepted =
   let line = t.lines.(t.cur) in
   t.cur <- 1 - t.cur;
   t.inflight <- t.inflight + 1;
-  t.n_sends <- t.n_sends + 1;
   Coherence.Home_agent.cpu_store t.ha line image;
   accepted ()
 
@@ -26,11 +23,10 @@ let on_store t (_ : bytes) =
   | Some (image, accepted) -> store_now t image accepted
   | None -> ()
 
-let create ha cfg ~id ~on_line () =
+let create ha cfg ~on_line () =
   let t =
     {
       ha;
-      eid = id;
       line_bytes =
         cfg.Config.profile.Coherence.Interconnect.cache_line_bytes;
       lines =
@@ -40,7 +36,6 @@ let create ha cfg ~id ~on_line () =
       cur = 0;
       inflight = 0;
       waiting = Queue.create ();
-      n_sends = 0;
       n_stalls = 0;
     }
   in
@@ -51,8 +46,6 @@ let create ha cfg ~id ~on_line () =
           on_store t image))
     t.lines;
   t
-
-let id t = t.eid
 
 let cpu_send t image ~accepted =
   if Bytes.length image > t.line_bytes then
@@ -66,5 +59,4 @@ let cpu_send t image ~accepted =
   end
 
 let in_flight t = t.inflight
-let sends t = t.n_sends
 let backpressure_stalls t = t.n_stalls

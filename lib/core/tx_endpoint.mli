@@ -12,11 +12,8 @@
 type t
 
 val create :
-  Coherence.Home_agent.t -> Config.t -> id:int ->
-  on_line:(bytes -> unit) -> unit -> t
+  Coherence.Home_agent.t -> Config.t -> on_line:(bytes -> unit) -> unit -> t
 (** [on_line] is the NIC-side consumer of each stored line image. *)
-
-val id : t -> int
 
 val cpu_send : t -> bytes -> accepted:(unit -> unit) -> unit
 (** Store a line image from the CPU side. [accepted] fires when the
@@ -27,6 +24,5 @@ val cpu_send : t -> bytes -> accepted:(unit -> unit) -> unit
 val in_flight : t -> int
 (** Stores issued whose lines the NIC has not yet consumed (≤ 2). *)
 
-val sends : t -> int
 val backpressure_stalls : t -> int
 (** Sends that had to wait for a free TX line. *)

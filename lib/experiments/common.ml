@@ -222,12 +222,16 @@ let run_to engine ~until =
     Sim.Shard_engine.run t ~until
   else Sim.Engine.run engine ~until
 
-let measure ?(drain = Sim.Units.ms 10) ~name ~horizon server =
+(* Run [server] to [horizon + drain], close its sanitizer session and
+   measure what [recorder] saw: latency quantiles over [horizon]'s
+   completions, the CPU ledger summed over cores, and the stack's
+   counters. *)
+let finish_run ~recorder ~name ~horizon ~drain server =
   run_to server.engine ~until:(horizon + drain);
   server.flush ();
   (match server.sanitize with None -> () | Some z -> Sanitize.finish z);
-  let h = Harness.Recorder.latencies server.recorder in
-  let completed = Harness.Recorder.completed server.recorder in
+  let h = Harness.Recorder.latencies recorder in
+  let completed = Harness.Recorder.completed recorder in
   let acct =
     Osmodel.Cpu_account.merge
       (Osmodel.Kernel.accounts server.driver.Harness.Driver.kernel)
@@ -235,7 +239,7 @@ let measure ?(drain = Sim.Units.ms 10) ~name ~horizon server =
   let q p = if completed = 0 then 0 else Sim.Histogram.quantile h p in
   {
     name;
-    sent = Harness.Recorder.sent server.recorder;
+    sent = Harness.Recorder.sent recorder;
     completed;
     p50 = q 0.5;
     p90 = q 0.9;
@@ -252,6 +256,9 @@ let measure ?(drain = Sim.Units.ms 10) ~name ~horizon server =
       Sim.Counter.to_list server.driver.Harness.Driver.counters
       @ Obs.Metrics.to_list server.driver.Harness.Driver.metrics;
   }
+
+let measure ?(drain = Sim.Units.ms 10) ~name ~horizon server =
+  finish_run ~recorder:server.recorder ~name ~horizon ~drain server
 
 let counter m name =
   match List.assoc_opt name m.counters with Some v -> v | None -> 0
@@ -316,41 +323,15 @@ let lossy_run_full ?(ncores = 4) ?(nservices = 1) ?(min_workers = 1)
         ~method_id:0
         ~port:(Workload.Scenario.port_of setup ~service_idx)
         (Rpc.Value.Blob (Bytes.make payload 'w')));
-  run_to engine ~until:(horizon + drain);
-  server.flush ();
-  (match server.sanitize with None -> () | Some z -> Sanitize.finish z);
-  let recorder = Harness.Chaos.recorder chaos in
-  let h = Harness.Recorder.latencies recorder in
-  let completed = Harness.Recorder.completed recorder in
-  let acct =
-    Osmodel.Cpu_account.merge
-      (Osmodel.Kernel.accounts server.driver.Harness.Driver.kernel)
-  in
-  let q p = if completed = 0 then 0 else Sim.Histogram.quantile h p in
   let m =
-    {
-      name = flavour_name flavour;
-      sent = Harness.Recorder.sent recorder;
-      completed;
-      p50 = q 0.5;
-      p90 = q 0.9;
-      p99 = q 0.99;
-      mean = Sim.Histogram.mean h;
-      max = (if completed = 0 then 0 else Sim.Histogram.max_value h);
-      throughput = float_of_int completed /. Sim.Units.to_float_s horizon;
-      user_ns = Osmodel.Cpu_account.charged acct Osmodel.Cpu_account.User;
-      kernel_ns = Osmodel.Cpu_account.charged acct Osmodel.Cpu_account.Kernel;
-      spin_ns = Osmodel.Cpu_account.charged acct Osmodel.Cpu_account.Spin;
-      stall_ns = Osmodel.Cpu_account.charged acct Osmodel.Cpu_account.Stall;
-      window = horizon + drain;
-      counters =
-        Sim.Counter.to_list server.driver.Harness.Driver.counters
-        @ Obs.Metrics.to_list server.driver.Harness.Driver.metrics
-        @ Harness.Chaos.stats chaos
-        @ [ ("timeline_digest", Harness.Chaos.timeline_digest chaos) ];
-    }
+    finish_run ~recorder:(Harness.Chaos.recorder chaos)
+      ~name:(flavour_name flavour) ~horizon ~drain server
   in
-  (m, chaos)
+  let extra =
+    Harness.Chaos.stats chaos
+    @ [ ("timeline_digest", Harness.Chaos.timeline_digest chaos) ]
+  in
+  ({ m with counters = m.counters @ extra }, chaos)
 
 let lossy_run ?ncores ?nservices ?min_workers ?max_workers ?payload
     ?handler_time ?seed ?horizon ?drain ?timeout ?retries ?backoff

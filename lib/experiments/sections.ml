@@ -1,7 +1,7 @@
 (* Every experiment section by id, in DESIGN.md's index order. The one
-   table both front ends read: bin/figures.exe runs the sections named
-   on its command line, bench/main.exe runs these plus its own [micro]
-   rows. *)
+   table bin/figures.exe reads: it runs the sections named on its
+   command line, or all of them in this order. Each id has a snapshot
+   in test/baseline. *)
 
 let all =
   [

@@ -8,8 +8,8 @@
     re-scheduled through the engine with a seeded extra delay.
 
     All RNG draws are guarded on the corresponding probability being
-    positive: a {!Plan.perfect_link} injector is pass-through and
-    consumes no randomness. *)
+    positive: an injector with no faults is pass-through and consumes
+    no randomness. *)
 
 type t
 
@@ -30,24 +30,5 @@ val flip_checksummed : Sim.Rng.t -> ip_payload_len:int -> Net.Slice.t -> unit
     validation rejects the frame deterministically. Shared with the
     DMA-corruption injector in [Nic.Dma_nic]. *)
 
-(** Counters (all monotonic): *)
-
-val seen : t -> int
-val delivered : t -> int
-val dropped : t -> int  (** probabilistic drops *)
-
-val scripted_drops : t -> int  (** [drop_nth] drops *)
-
-val corrupt_rejected : t -> int
-(** corrupted frames the receiver-side checksums rejected (these never
-    reach [deliver]) *)
-
-val corrupt_delivered : t -> int
-(** corrupted frames that survived validation — kept as a tripwire;
-    with {!flip_checksummed} this stays 0 *)
-
-val duplicated : t -> int
-val reordered : t -> int
-
 val counters : t -> prefix:string -> (string * int) list
-(** All counters as [(prefix ^ name, value)] pairs. *)
+(** All counters (monotonic) as [(prefix ^ name, value)] pairs. *)

@@ -183,15 +183,6 @@ let make ?(seed = 0x5eed) ?(wire = perfect_link) ?(nic = perfect_link)
   if fill_delay_ns < 0 then invalid_arg "Fault.Plan: negative fill_delay_ns";
   { seed; wire; nic; fill_delay; fill_delay_ns; server; cluster }
 
-let link_is_perfect l =
-  l.drop = 0. && l.duplicate = 0. && l.corrupt = 0. && l.reorder = 0.
-  && l.drop_nth = []
-
-let is_none t =
-  link_is_perfect t.wire && link_is_perfect t.nic && t.fill_delay = 0.
-  && server_fault_is_none t.server
-  && cluster_is_none t.cluster
-
 let derived_seed t ~salt = t.seed + (salt * 0x61c88647)
 let derived_rng t ~salt = Sim.Rng.create ~seed:(derived_seed t ~salt)
 

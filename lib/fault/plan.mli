@@ -24,9 +24,6 @@ type link = {
 }
 (** Faults applied to one directed link. *)
 
-val perfect_link : link
-(** No faults. *)
-
 val link :
   ?drop:float ->
   ?duplicate:float ->
@@ -67,9 +64,6 @@ val server_fault :
     [true]. With neither trigger given the spec is inert.
     @raise Invalid_argument on negative times or a non-positive RPC
     count. *)
-
-val server_fault_is_none : server_fault -> bool
-(** No trigger armed — the injector is a no-op. *)
 
 (** {2 Cluster-level fault classes}
 
@@ -196,9 +190,6 @@ val make :
   unit ->
   t
 (** @raise Invalid_argument on out-of-range probabilities/delays. *)
-
-val link_is_perfect : link -> bool
-val is_none : t -> bool
 
 val derived_seed : t -> salt:int -> int
 (** A per-injector seed decorrelated from the root seed. Injectors at

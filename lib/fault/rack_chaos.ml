@@ -21,12 +21,7 @@
    - the master crash/restart is scheduled on the master engine
      against Control.crash / Control.restart. *)
 
-type t = {
-  armed : bool;
-  metrics : Obs.Metrics.t;
-  fabric : Cluster.Fabric.t option;
-  c_flaps : Obs.Metrics.counter option;
-}
+type t = { c_flaps : Obs.Metrics.counter option }
 
 let windows_hit ws at = List.exists (fun w -> Plan.in_window w at) ws
 
@@ -38,15 +33,12 @@ let host_in planes h =
 let master_in planes =
   List.exists (function Plan.Master -> true | Plan.Host _ -> false) planes
 
-let disarmed metrics =
-  { armed = false; metrics; fabric = None; c_flaps = None }
-
 let arm ~plan ~fabric ~control ?metrics () =
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
   let cl = plan.Plan.cluster in
-  if Plan.cluster_is_none cl then disarmed metrics
+  if Plan.cluster_is_none cl then { c_flaps = None }
   else begin
     let hosts = Cluster.Fabric.hosts fabric in
     let master_engine = Cluster.Fabric.master_engine fabric in
@@ -160,16 +152,9 @@ let arm ~plan ~fabric ~control ?metrics () =
         Some c
       end
     in
-    { armed = true; metrics; fabric = Some fabric; c_flaps }
+    { c_flaps }
   end
-
-let armed t = t.armed
-let metrics t = t.metrics
 
 let link_flaps t =
   match t.c_flaps with Some c -> Obs.Metrics.value c | None -> 0
 
-let link_drops t =
-  match t.fabric with
-  | Some f -> Cluster.Fabric.link_drops_total f
-  | None -> 0

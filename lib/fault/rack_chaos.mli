@@ -40,14 +40,6 @@ val arm :
     fault-free plan leaves any shared registry untouched. Call once
     per rack, before [run]. *)
 
-val armed : t -> bool
-(** [false] iff the plan's cluster section was empty. *)
-
-val metrics : t -> Obs.Metrics.t
-
 val link_flaps : t -> int
 (** Flap down-edges that have occurred so far (simulated time). *)
 
-val link_drops : t -> int
-(** Messages eaten at cut wires so far (from the fabric's per-shard
-    counters). *)

@@ -47,6 +47,5 @@ let on_handled t () =
     | Some _ | None -> ()
   end
 
-let is_none t = Plan.server_fault_is_none t.spec
 let crashes t = t.crashes
 let restarts t = t.restarts

@@ -26,8 +26,5 @@ val on_handled : t -> unit -> unit
 (** Report one server-handled RPC (hook this into the stack's handled
     callback). Drives the [crash_after_rpcs] trigger. *)
 
-val is_none : t -> bool
-(** Whether the underlying spec has no trigger armed. *)
-
 val crashes : t -> int
 val restarts : t -> int

@@ -67,8 +67,6 @@ val duplicates : t -> int
 val budget_exhausted : t -> int
 (** Calls abandoned specifically because the retry budget ran out. *)
 
-val retry_budget_left : t -> int
-
 val expect : t -> service_id:int -> method_id:int -> Rpc.Schema.t -> unit
 (** Register the response schema of a method (clients know the IDL). *)
 

@@ -36,9 +36,6 @@ type action =
   | Sweep  (** Dead-pid sweep NACKs packets queued during staleness. *)
   | Strand  (** No-fallback dispatch against a converged-dead mirror. *)
 
-val pp_state : Format.formatter -> state -> unit
-val pp_action : Format.formatter -> action -> unit
-
 type step = { action : action option; state : state }
 
 val check :

@@ -118,9 +118,6 @@ let narrow r ~len =
     fail "narrow of %d bytes at %d exceeds limit %d" len r.rpos r.rlimit;
   { rbuf = r.rbuf; rlimit = r.rpos + len; rpos = r.rpos }
 
-let remaining_slice r =
-  Slice.make r.rbuf ~off:r.rpos ~len:(r.rlimit - r.rpos)
-
 (* [n > remaining], not [rpos + n > rlimit]: a wire-supplied [n] near
    [max_int] must not overflow past the check. *)
 let check_read r n =
@@ -164,11 +161,6 @@ let read_slice r ~len =
   let s = Slice.make r.rbuf ~off:r.rpos ~len in
   r.rpos <- r.rpos + len;
   s
-
-let skip r ~len =
-  if len < 0 then invalid_arg "Buf.skip: negative length";
-  check_read r len;
-  r.rpos <- r.rpos + len
 
 let expect_end r =
   if remaining r <> 0 then fail "%d trailing bytes after parse" (remaining r)

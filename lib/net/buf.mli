@@ -84,9 +84,6 @@ val narrow : reader -> len:int -> reader
     original reader is not advanced). Replaces [sub_reader] +
     [Bytes.sub] in zero-copy parsers. *)
 
-val remaining_slice : reader -> Slice.t
-(** Zero-copy view of the unread bytes. *)
-
 val read_u8 : reader -> int
 val read_u16 : reader -> int
 val read_u32 : reader -> int
@@ -95,8 +92,6 @@ val read_bytes : reader -> len:int -> bytes
 
 val read_slice : reader -> len:int -> Slice.t
 (** Like {!read_bytes} but returns a view instead of a copy. *)
-
-val skip : reader -> len:int -> unit
 
 val expect_end : reader -> unit
 (** @raise Out_of_bounds if unread bytes remain (trailing-garbage

@@ -16,7 +16,7 @@ type t = {
   payload : bytes;
 }
 
-let make ~src ~dst ?(ttl = 64) ?(identification = 0) payload : t =
+let make ~src ~dst payload : t =
   let payload_len = Bytes.length payload in
   {
     eth =
@@ -28,8 +28,8 @@ let make ~src ~dst ?(ttl = 64) ?(identification = 0) payload : t =
     ip =
       {
         Ipv4.dscp = 0;
-        identification;
-        ttl;
+        identification = 0;
+        ttl = 64;
         protocol = Ipv4.protocol_udp;
         src = src.ip;
         dst = dst.ip;
@@ -108,16 +108,6 @@ let src_endpoint (t : t) =
 
 let dst_endpoint (t : t) =
   { mac = t.eth.Ethernet.dst; ip = t.ip.Ipv4.dst; port = t.udp.Udp.dst_port }
-
-let view_src_endpoint (v : view) =
-  { mac = v.eth.Ethernet.src; ip = v.ip.Ipv4.src; port = v.udp.Udp.src_port }
-
-let view_dst_endpoint (v : view) =
-  { mac = v.eth.Ethernet.dst; ip = v.ip.Ipv4.dst; port = v.udp.Udp.dst_port }
-
-let pp ppf (t : t) =
-  Format.fprintf ppf "%a | %a | %a | %d payload bytes" Ethernet.pp t.eth
-    Ipv4.pp t.ip Udp.pp t.udp (Bytes.length t.payload)
 
 let pp_error ppf = function
   | Not_ipv4 et -> Format.fprintf ppf "not IPv4 (ethertype 0x%04x)" et

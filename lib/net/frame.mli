@@ -27,10 +27,9 @@ type t = {
 (** An owning frame. Defined after {!view} so unannotated field
     accesses default here. *)
 
-val make :
-  src:endpoint -> dst:endpoint -> ?ttl:int -> ?identification:int ->
-  bytes -> t
-(** A frame carrying the given UDP payload. *)
+val make : src:endpoint -> dst:endpoint -> bytes -> t
+(** A frame carrying the given UDP payload, with TTL 64 and IP
+    identification 0. *)
 
 val wire_size : t -> int
 (** Bytes occupying the wire once encoded (after minimum-size padding,
@@ -66,7 +65,4 @@ val of_view : view -> t
 
 val src_endpoint : t -> endpoint
 val dst_endpoint : t -> endpoint
-val view_src_endpoint : view -> endpoint
-val view_dst_endpoint : view -> endpoint
-val pp : Format.formatter -> t -> unit
 val pp_error : Format.formatter -> error -> unit

@@ -24,9 +24,6 @@ let to_string t =
     ((t lsr 8) land 0xff)
     (t land 0xff)
 
-let localhost = of_string "127.0.0.1"
-let any = 0
-
 let in_subnet t ~network ~prefix_len =
   if prefix_len < 0 || prefix_len > 32 then
     invalid_arg "Ip_addr.in_subnet: prefix_len out of [0,32]";
@@ -38,5 +35,4 @@ let in_subnet t ~network ~prefix_len =
 let write w t = Buf.write_u32 w t
 let read r = Buf.read_u32 r
 let equal = Int.equal
-let compare = Int.compare
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -12,8 +12,6 @@ val of_string : string -> t
 (** Parse dotted quad ["10.0.0.1"]. @raise Invalid_argument on syntax. *)
 
 val to_string : t -> string
-val localhost : t
-val any : t
 
 val in_subnet : t -> network:t -> prefix_len:int -> bool
 (** Whether the address falls inside [network/prefix_len]. *)
@@ -21,5 +19,4 @@ val in_subnet : t -> network:t -> prefix_len:int -> bool
 val write : Buf.writer -> t -> unit
 val read : Buf.reader -> t
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

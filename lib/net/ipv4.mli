@@ -14,7 +14,6 @@ val header_size : int
 (** 20 bytes (IHL 5). *)
 
 val protocol_udp : int
-val protocol_tcp : int
 
 val write : Buf.writer -> t -> unit
 (** Emits the header with a correct header checksum. *)

@@ -8,8 +8,6 @@ let of_int64 v =
     invalid_arg "Mac_addr.of_int64: more than 48 bits";
   Int64.to_int v
 
-let to_int64 t = Int64.of_int t
-
 let of_string s =
   let parts = String.split_on_char ':' s in
   if List.length parts <> 6 then
@@ -42,5 +40,4 @@ let read r =
   (hi lsl 32) lor lo
 
 let equal = Int.equal
-let compare = Int.compare
 let pp ppf t = Format.pp_print_string ppf (to_string t)

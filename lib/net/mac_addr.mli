@@ -7,8 +7,6 @@ val of_int64 : int64 -> t
 (** Low 48 bits are used; high bits must be zero.
     @raise Invalid_argument otherwise. *)
 
-val to_int64 : t -> int64
-
 val of_string : string -> t
 (** Parse ["aa:bb:cc:dd:ee:ff"]. @raise Invalid_argument on syntax. *)
 
@@ -22,5 +20,4 @@ val is_multicast : t -> bool
 val write : Buf.writer -> t -> unit
 val read : Buf.reader -> t
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

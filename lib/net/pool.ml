@@ -36,7 +36,6 @@ let create ?(prealloc = 0) ~buffer_bytes () =
   t.created <- prealloc;
   t
 
-let buffer_bytes t = t.buffer_bytes
 let set_monitor t m = t.monitor <- m
 
 let[@hot_path] acquire t =
@@ -84,7 +83,3 @@ let idle t = t.top
 let created t = t.created
 let high_water t = t.high_water
 
-let pp ppf t =
-  Format.fprintf ppf
-    "pool(%dB: %d created, %d idle, %d outstanding, hw=%d)" t.buffer_bytes
-    t.created t.top (outstanding t) t.high_water

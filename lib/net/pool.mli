@@ -22,8 +22,6 @@ val create : ?prealloc:int -> buffer_bytes:int -> unit -> t
 (** A pool handing out buffers of exactly [buffer_bytes], with
     [prealloc] of them allocated up front (default 0). *)
 
-val buffer_bytes : t -> int
-
 val set_monitor : t -> monitor option -> unit
 (** Install (or clear) the monitor. With [None] — the default — the
     hot path pays a single branch per acquire/release. *)
@@ -57,4 +55,3 @@ val created : t -> int
 val high_water : t -> int
 (** Maximum simultaneous outstanding buffers observed. *)
 
-val pp : Format.formatter -> t -> unit

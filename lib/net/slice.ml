@@ -10,7 +10,6 @@ let[@hot_path] make base ~off ~len =
 let of_bytes b = { base = b; off = 0; len = Bytes.length b }
 let empty = { base = Bytes.empty; off = 0; len = 0 }
 let[@hot_path] length t = t.len
-let is_empty t = t.len = 0
 
 let[@hot_path] get t i =
   if i < 0 || i >= t.len then invalid_arg "Slice.get: index out of bounds";
@@ -43,8 +42,6 @@ let[@hot_path] equal a b =
   in
   go 0
 
-let equal_bytes t b = equal t (of_bytes b)
-
 let[@hot_path] is_prefix_of t b =
   Bytes.length b >= t.len
   &&
@@ -55,4 +52,3 @@ let[@hot_path] is_prefix_of t b =
   in
   go 0
 
-let pp ppf t = Format.fprintf ppf "slice[%d..%d)" t.off (t.off + t.len)

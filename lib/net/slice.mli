@@ -21,7 +21,6 @@ val of_string : string -> t
 
 val empty : t
 val length : t -> int
-val is_empty : t -> bool
 
 val get : t -> int -> char
 (** Byte at slice-relative index. *)
@@ -40,9 +39,6 @@ val blit : t -> bytes -> dst_off:int -> unit
 val equal : t -> t -> bool
 (** Content equality, no allocation. *)
 
-val equal_bytes : t -> bytes -> bool
-
 val is_prefix_of : t -> bytes -> bool
 (** True when the slice's contents equal a prefix of [b]. *)
 
-val pp : Format.formatter -> t -> unit

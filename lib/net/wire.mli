@@ -19,21 +19,14 @@ val create :
     and counted, the rare survivors are delivered corrupted, exactly as
     a real link would. [seed] makes the impairments reproducible. *)
 
-val overhead_bytes : int
-(** Per-frame preamble + SFD + FCS + inter-packet gap (24 bytes). *)
-
 val serialization_delay : gbps:float -> bytes:int -> Sim.Units.duration
-(** Time for [bytes + overhead_bytes] at the given rate. *)
+(** Time for [bytes] plus the 24-byte per-frame preamble, SFD, FCS and
+    inter-packet gap at the given rate. *)
 
 val transmit : t -> Frame.t -> unit
 (** Enqueue a frame for transmission now. *)
 
 val frames_sent : t -> int
-val bytes_sent : t -> int
-(** Cumulative wire bytes, including per-frame overhead. *)
-
-val busy_until : t -> Sim.Units.time
-(** Time at which the transmitter becomes free. *)
 
 val frames_lost : t -> int
 val frames_corrupted : t -> int

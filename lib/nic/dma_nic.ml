@@ -235,4 +235,3 @@ let interrupts_fired t =
 let interrupts_suppressed t =
   Array.fold_left (fun acc q -> acc + Msix.suppressed q.msix) 0 t.queues
 
-let iommu t = t.iommu

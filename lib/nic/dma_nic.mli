@@ -110,4 +110,3 @@ val rx_corrupt_dropped : t -> int
 
 val interrupts_fired : t -> int
 val interrupts_suppressed : t -> int
-val iommu : t -> Iommu.t option

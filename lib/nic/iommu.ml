@@ -1,8 +1,9 @@
+let page_size = 4096
+
 type t = {
   iotlb_entries : int;
   hit_cost : Sim.Units.duration;
   walk_cost : Sim.Units.duration;
-  page_size : int;
   mapped : (int, unit) Hashtbl.t;  (* page number -> mapped *)
   iotlb : (int, int) Hashtbl.t;  (* page number -> last-use stamp *)
   mutable stamp : int;
@@ -11,15 +12,12 @@ type t = {
   mutable faults : int;
 }
 
-let create ?(iotlb_entries = 64) ?(hit_cost = 20) ?(walk_cost = 250)
-    ?(page_size = 4096) () =
+let create ?(iotlb_entries = 64) ?(hit_cost = 20) ?(walk_cost = 250) () =
   if iotlb_entries <= 0 then invalid_arg "Iommu.create: iotlb_entries <= 0";
-  if page_size <= 0 then invalid_arg "Iommu.create: page_size <= 0";
   {
     iotlb_entries;
     hit_cost;
     walk_cost;
-    page_size;
     mapped = Hashtbl.create 256;
     iotlb = Hashtbl.create 64;
     stamp = 0;
@@ -28,20 +26,20 @@ let create ?(iotlb_entries = 64) ?(hit_cost = 20) ?(walk_cost = 250)
     faults = 0;
   }
 
-let pages t ~iova ~len =
+let pages ~iova ~len =
   if len <= 0 then invalid_arg "Iommu: non-positive length";
-  let first = iova / t.page_size and last = (iova + len - 1) / t.page_size in
+  let first = iova / page_size and last = (iova + len - 1) / page_size in
   List.init (last - first + 1) (fun i -> first + i)
 
 let map t ~iova ~len =
-  List.iter (fun p -> Hashtbl.replace t.mapped p ()) (pages t ~iova ~len)
+  List.iter (fun p -> Hashtbl.replace t.mapped p ()) (pages ~iova ~len)
 
 let unmap t ~iova ~len =
   List.iter
     (fun p ->
       Hashtbl.remove t.mapped p;
       Hashtbl.remove t.iotlb p)
-    (pages t ~iova ~len)
+    (pages ~iova ~len)
 
 let evict_lru t =
   if Hashtbl.length t.iotlb >= t.iotlb_entries then begin
@@ -59,7 +57,7 @@ let evict_lru t =
   end
 
 let translate_opt t ~iova =
-  let page = iova / t.page_size in
+  let page = iova / page_size in
   if not (Hashtbl.mem t.mapped page) then begin
     t.faults <- t.faults + 1;
     None

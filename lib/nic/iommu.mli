@@ -10,7 +10,7 @@ type t
 
 val create :
   ?iotlb_entries:int -> ?hit_cost:Sim.Units.duration ->
-  ?walk_cost:Sim.Units.duration -> ?page_size:int -> unit -> t
+  ?walk_cost:Sim.Units.duration -> unit -> t
 (** Defaults: 64-entry IOTLB, 20 ns hit, 250 ns 4-level walk, 4 KiB
     pages, LRU replacement. *)
 

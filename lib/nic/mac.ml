@@ -2,31 +2,14 @@ type t = {
   engine : Sim.Engine.t;
   pipeline_delay : Sim.Units.duration;
   sink : Net.Frame.t -> unit;
-  mutable frames : int;
-  mutable bytes : int;
-  mutable errors : int;
 }
 
 let create engine ?(pipeline_delay = 300) ~sink () =
   if pipeline_delay < 0 then invalid_arg "Mac.create: negative delay";
-  { engine; pipeline_delay; sink; frames = 0; bytes = 0; errors = 0 }
+  { engine; pipeline_delay; sink }
 
 let rx t frame =
-  t.frames <- t.frames + 1;
-  t.bytes <- t.bytes + Net.Frame.wire_size frame;
   ignore
     (Sim.Engine.schedule_after t.engine ~after:t.pipeline_delay (fun () ->
          t.sink frame))
 
-(* Byte-level ingress: validate in place over the caller's buffer —
-   headers and checksums are checked without copying, and malformed
-   frames are dropped here (the FCS/parse stage of a real MAC) without
-   ever materialising a frame. *)
-let rx_slice t slice =
-  match Net.Frame.parse_slice slice with
-  | Error _ -> t.errors <- t.errors + 1
-  | Ok v -> rx t (Net.Frame.of_view v)
-
-let frames t = t.frames
-let bytes t = t.bytes
-let rx_errors t = t.errors

@@ -1,8 +1,7 @@
 (** Ethernet MAC receive block shared by all NIC models.
 
     Prices the fixed per-frame hardware pipeline between the wire and
-    the NIC's packet logic (PCS/MAC, FCS check, buffering) and counts
-    traffic. *)
+    the NIC's packet logic (PCS/MAC, FCS check, buffering). *)
 
 type t
 
@@ -17,16 +16,3 @@ val rx : t -> Net.Frame.t -> unit
 (** Frame arriving from the wire; reaches the sink after the pipeline
     delay. *)
 
-val rx_slice : t -> Net.Slice.t -> unit
-(** Byte-level ingress: parse and validate the wire bytes in place
-    (zero-copy header/checksum checks) and feed the frame to {!rx};
-    malformed frames are counted in {!rx_errors} and dropped, as a real
-    MAC drops bad-FCS frames before the packet logic sees them. The
-    slice is not retained: the frame detaches from the buffer before
-    the pipeline delay is scheduled. *)
-
-val frames : t -> int
-val bytes : t -> int
-
-val rx_errors : t -> int
-(** Malformed ingress frames dropped by {!rx_slice}. *)

@@ -13,7 +13,6 @@ type 'a t = {
   mutable tail : int;  (* next consume position *)
   mutable drops : int;
   mutable produced : int;
-  mutable consumed : int;
   mutable notify : (unit -> unit) option;
 }
 
@@ -30,11 +29,9 @@ let create ~size =
     tail = 0;
     drops = 0;
     produced = 0;
-    consumed = 0;
     notify = None;
   }
 
-let size t = t.capacity
 let occupancy t = t.head - t.tail
 let is_empty t = t.head = t.tail
 let is_full t = occupancy t = t.capacity
@@ -58,12 +55,10 @@ let consume t =
   else begin
     let v = t.slots.(t.tail land t.mask) in
     t.tail <- t.tail + 1;
-    t.consumed <- t.consumed + 1;
     Some v
   end
 
 let peek t = if is_empty t then None else Some t.slots.(t.tail land t.mask)
 let drops t = t.drops
 let produced t = t.produced
-let consumed t = t.consumed
 let on_produce t f = t.notify <- Some f

@@ -11,10 +11,7 @@ type 'a t
 val create : size:int -> 'a t
 (** @raise Invalid_argument unless [size] is a positive power of two. *)
 
-val size : 'a t -> int
 val occupancy : 'a t -> int
-val is_empty : 'a t -> bool
-val is_full : 'a t -> bool
 
 val produce : 'a t -> 'a -> bool
 (** Hardware side: write a completed descriptor. Returns [false] (drop)
@@ -29,7 +26,6 @@ val drops : 'a t -> int
 (** Number of rejected [produce] calls (ring-full drops). *)
 
 val produced : 'a t -> int
-val consumed : 'a t -> int
 
 val on_produce : 'a t -> (unit -> unit) -> unit
 (** Callback after each successful [produce] — lets poll-mode consumers

@@ -1,4 +1,4 @@
-type t = { key : string; queues : int; indirection : int array }
+type t = { key : string; indirection : int array }
 
 let default_key =
   "\x6d\x5a\x56\xda\x25\x5b\x0e\xc2\x41\x67\x25\x3d\x43\xa3\x8f\xb0\
@@ -11,7 +11,7 @@ let create ?(key = default_key) ~queues () =
   (* 128-entry indirection table, round-robin initialised (the common
      driver default). *)
   let indirection = Array.init 128 (fun i -> i mod queues) in
-  { key; queues; indirection }
+  { key; indirection }
 
 let key_window key ~bit =
   (* 32-bit window of the key starting at bit offset [bit]. *)

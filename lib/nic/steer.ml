@@ -31,17 +31,6 @@ let pp_field fmt = function
   | Length -> Format.pp_print_string fmt "length"
   | Payload i -> Format.fprintf fmt "payload[%d]" i
 
-let pp_target fmt = function
-  | Queue q -> Format.fprintf fmt "queue %d" q
-  | Worker w -> Format.fprintf fmt "worker %d" w
-  | Hash_lane { key; lanes; base } ->
-      Format.fprintf fmt "hash(%a) into %d lane(s) at %d"
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ",")
-           pp_field)
-        key lanes base
-  | Rss -> Format.pp_print_string fmt "rss"
-
 (* Field width in bytes when gathered into a hash key. *)
 let field_width = function
   | Src_ip | Dst_ip -> 4
@@ -154,6 +143,8 @@ let key_affinity ?(name = "key_affinity") ~key_off ~key_len ~lanes () =
     on_dead = None;
   }
 
+(* Payloads up to [fast_cutoff] bytes hash across the [fast_lanes] fast
+   lanes; bigger requests go to [slow_queue]. *)
 let size_split ?(fast_cutoff = 128) ~fast_lanes ~slow_queue () =
   {
     name = "size_split";
@@ -174,6 +165,8 @@ let size_split ?(fast_cutoff = 128) ~fast_lanes ~slow_queue () =
     on_dead = None;
   }
 
+(* Datagrams for the latency-critical [port] get a dedicated lane;
+   everything else falls back to RSS. *)
 let priority_lanes ~port ~queue =
   {
     name = "priority_lanes";

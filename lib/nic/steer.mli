@@ -14,8 +14,8 @@
     coincide.
 
     Supported policies: key-hash affinity for caches ({!key_affinity}),
-    size-based fast/slow split ({!size_split}), priority lanes for
-    latency-critical ports ({!priority_lanes}), and fallback-to-RSS
+    a size-based fast/slow split and priority lanes for
+    latency-critical ports (both in {!builtins}), and fallback-to-RSS
     ({!rss_all}). *)
 
 (** Header or payload-prefix field a guard may test.  [Payload i] reads
@@ -66,13 +66,8 @@ val key_width : field list -> int
     1 per payload byte). *)
 
 val pp_field : Format.formatter -> field -> unit
-val pp_target : Format.formatter -> target -> unit
 
 (** {2 Evaluation} *)
-
-val field_value : Net.Frame.t -> field -> int
-
-val matches : Net.Frame.t -> guard -> bool
 
 val eval :
   rss:(Net.Frame.t -> int) ->
@@ -108,14 +103,6 @@ val key_affinity : ?name:string -> key_off:int -> key_len:int -> lanes:int -> un
 (** Key-hash affinity: hash [key_len] payload bytes at [key_off] with
     {!Rss.hash} into [lanes] lanes, so all requests for one key share a
     lane (cache locality). *)
-
-val size_split : ?fast_cutoff:int -> fast_lanes:int -> slow_queue:int -> unit -> t
-(** Payloads up to [fast_cutoff] bytes (default 128) hash across the
-    [fast_lanes] fast lanes; bigger requests go to [slow_queue]. *)
-
-val priority_lanes : port:int -> queue:int -> t
-(** Datagrams for the latency-critical [port] get a dedicated lane;
-    everything else falls back to RSS. *)
 
 val builtins : t list
 (** All shipped programs, as verified by [bin/steer_verify] at build

@@ -58,9 +58,6 @@ val verify : env:env -> Steer.t -> (verified, string list) result
 (** All diagnostics, each actionable: the offending rule/target, and a
     witness packet for totality violations. *)
 
-val static_cost : Steer.t -> int
-(** The cost {!verify} would compute (exposed for reports/benches). *)
-
 val install :
   ?metrics:Obs.Metrics.t ->
   ?alive:(int -> bool) ->

@@ -27,5 +27,3 @@ let of_bytes b =
     let origin = Net.Buf.read_u32 r in
     Some { trace; parent; origin }
 
-let pp ppf c =
-  Format.fprintf ppf "trace=%Ld parent=%d origin=%d" c.trace c.parent c.origin

@@ -23,4 +23,3 @@ val to_bytes : t -> bytes
 val of_bytes : bytes -> t option
 (** [None] unless the input is exactly {!size} bytes. *)
 
-val pp : Format.formatter -> t -> unit

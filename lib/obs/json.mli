@@ -15,11 +15,9 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_buffer : Buffer.t -> t -> unit
+val to_string : t -> string
 (** Compact (single-line) rendering. Floats are printed with enough
     digits to round-trip; [Int] prints without a decimal point. *)
-
-val to_string : t -> string
 
 val parse : string -> (t, string) result
 (** Strict whole-document parse: leading/trailing whitespace is

@@ -1,5 +1,5 @@
-type counter = { cname : string; mutable cv : int }
-type gauge = { gname : string; mutable gv : int }
+type counter = { mutable cv : int }
+type gauge = { mutable gv : int }
 
 type metric =
   | Counter of counter
@@ -33,7 +33,7 @@ let register t name make match_existing =
 let counter t name =
   match
     register t name
-      (fun () -> Counter { cname = name; cv = 0 })
+      (fun () -> Counter { cv = 0 })
       (function Counter _ -> true | _ -> false)
   with
   | Counter c -> c
@@ -42,7 +42,7 @@ let counter t name =
 let gauge t name =
   match
     register t name
-      (fun () -> Gauge { gname = name; gv = 0 })
+      (fun () -> Gauge { gv = 0 })
       (function Gauge _ -> true | _ -> false)
   with
   | Gauge g -> g
@@ -142,7 +142,3 @@ let to_json t =
   in
   Json.Obj fields
 
-let pp ppf t =
-  List.iter
-    (fun (name, v) -> Format.fprintf ppf "@\n  %s: %d" name v)
-    (to_list ~keep_zero:true t)

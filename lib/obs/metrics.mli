@@ -73,5 +73,3 @@ val to_json : t -> Json.t
 (** Every metric, sorted by name. Scalars export as numbers;
     histograms as [{count, mean, p50, p90, p99, max}]. *)
 
-val pp : Format.formatter -> t -> unit
-(** One ["  name: value"] line per scalar metric (zeros kept). *)

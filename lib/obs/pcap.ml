@@ -3,11 +3,11 @@
 let magic_ns = 0xa1b23c4d
 let linktype_ethernet = 1
 
-type t = {
-  snaplen : int;
-  buf : Buffer.t;  (* records only; header prepended at [to_bytes] *)
-  mutable nrecords : int;
-}
+(* Stored frame bytes are truncated to this, as in real captures. *)
+let snaplen = 65535
+
+(* Records only; the header is prepended at [to_bytes]. *)
+type t = { buf : Buffer.t }
 
 let add_u32 b v =
   Buffer.add_char b (Char.chr (v land 0xff));
@@ -19,22 +19,17 @@ let add_u16 b v =
   Buffer.add_char b (Char.chr (v land 0xff));
   Buffer.add_char b (Char.chr ((v lsr 8) land 0xff))
 
-let create ?(snaplen = 65535) () =
-  if snaplen <= 0 then invalid_arg "Pcap.create: snaplen must be positive";
-  { snaplen; buf = Buffer.create 4096; nrecords = 0 }
+let create () = { buf = Buffer.create 4096 }
 
 let add_frame t ~time frame =
   let bytes = Net.Frame.encode frame in
   let orig_len = Bytes.length bytes in
-  let incl_len = min orig_len t.snaplen in
+  let incl_len = min orig_len snaplen in
   add_u32 t.buf (time / 1_000_000_000);
   add_u32 t.buf (time mod 1_000_000_000);
   add_u32 t.buf incl_len;
   add_u32 t.buf orig_len;
-  Buffer.add_subbytes t.buf bytes 0 incl_len;
-  t.nrecords <- t.nrecords + 1
-
-let count t = t.nrecords
+  Buffer.add_subbytes t.buf bytes 0 incl_len
 
 let to_bytes t =
   let header = Buffer.create 24 in
@@ -47,7 +42,7 @@ let to_bytes t =
   (* thiszone *)
   add_u32 header 0;
   (* sigfigs *)
-  add_u32 header t.snaplen;
+  add_u32 header snaplen;
   add_u32 header linktype_ethernet;
   Buffer.add_buffer header t.buf;
   Buffer.to_bytes header

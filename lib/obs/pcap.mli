@@ -10,14 +10,12 @@
 
 type t
 
-val create : ?snaplen:int -> unit -> t
-(** An empty capture; [snaplen] (default 65535) truncates stored
-    frame bytes, as in real captures. *)
+val create : unit -> t
+(** An empty capture; stored frame bytes are truncated to a snaplen of
+    65535, as in real captures. *)
 
 val add_frame : t -> time:Sim.Units.time -> Net.Frame.t -> unit
 (** Append one frame stamped at the given simulated time. *)
-
-val count : t -> int
 
 val to_bytes : t -> bytes
 (** Global header followed by the records, append order preserved. *)

@@ -38,8 +38,6 @@ let install t shard_engine =
     invalid_arg "Profiler.install: shard count mismatch";
   Sim.Shard_engine.set_profiler shard_engine (Some (probe t))
 
-let shards t = t.shards
-
 let q h p =
   if Sim.Histogram.count h = 0 then 0 else Sim.Histogram.quantile h p
 

@@ -17,18 +17,9 @@ type t
 val create : shards:int -> t
 (** @raise Invalid_argument on a non-positive shard count. *)
 
-val probe : t -> Sim.Shard_engine.probe
-(** The raw hook (exposed for tests). *)
-
 val install : t -> Sim.Shard_engine.t -> unit
-(** [Sim.Shard_engine.set_profiler] with {!probe}.
+(** [Sim.Shard_engine.set_profiler] with this profiler's probe.
     @raise Invalid_argument on a shard-count mismatch. *)
-
-val shards : t -> int
-
-val utilization_pct : t -> int -> int
-(** Percent of the shard's windows with at least one event; the
-    complement is its idle-window share. *)
 
 val report_lines : t -> string list
 (** One deterministic line per shard, in shard order: window/idle

@@ -19,15 +19,3 @@ let duration s =
   if s.kind = Instant || not (is_closed s) then 0
   else s.end_time - s.start_time
 
-let pp ppf s =
-  match s.kind with
-  | Instant ->
-      Format.fprintf ppf "[%a] !%s rpc=%Ld #%d" Sim.Units.pp_time
-        s.start_time s.name s.trace_id s.seq
-  | Interval | Detail ->
-      Format.fprintf ppf "[%a..%s] %s rpc=%Ld #%d" Sim.Units.pp_time
-        s.start_time
-        (if is_closed s then
-           Format.asprintf "%a" Sim.Units.pp_time s.end_time
-         else "open")
-        s.name s.trace_id s.seq

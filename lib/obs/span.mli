@@ -31,4 +31,3 @@ val is_closed : t -> bool
 val duration : t -> Sim.Units.duration
 (** 0 for open intervals and instants. *)
 
-val pp : Format.formatter -> t -> unit

@@ -39,7 +39,6 @@ let create () =
   }
 
 let enable t = t.enabled <- true
-let disable t = t.enabled <- false
 let is_enabled t = t.enabled
 
 let track t name =
@@ -201,9 +200,3 @@ let stages_of t ~rpc =
 
 let span_count t = t.n
 
-let clear t =
-  Array.fill t.spans 0 t.n dummy_span;
-  t.n <- 0;
-  t.seq <- 0;
-  Hashtbl.reset t.cursors;
-  Hashtbl.reset t.ctxs

@@ -20,7 +20,6 @@ type t
 val create : unit -> t
 
 val enable : t -> unit
-val disable : t -> unit
 val is_enabled : t -> bool
 
 val track : t -> string -> int
@@ -79,7 +78,7 @@ val set_context : t -> rpc:int64 -> bytes -> unit
 
 val context_of : t -> rpc:int64 -> bytes option
 (** The noted context, if any; always [None] while disabled. Cleared
-    by {!rpc_end} and {!clear}. *)
+    by {!rpc_end}. *)
 
 val detail :
   t ->
@@ -114,5 +113,3 @@ val stages_of : t -> rpc:int64 -> Span.t list
     {!instant} spans excluded). *)
 
 val span_count : t -> int
-val clear : t -> unit
-(** Drop all spans and cursors; tracks and enablement survive. *)

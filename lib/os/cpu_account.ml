@@ -50,13 +50,3 @@ let reset t =
   t.spin <- 0;
   t.stall <- 0
 
-let pp_kind ppf = function
-  | User -> Format.pp_print_string ppf "user"
-  | Kernel -> Format.pp_print_string ppf "kernel"
-  | Spin -> Format.pp_print_string ppf "spin"
-  | Stall -> Format.pp_print_string ppf "stall"
-
-let pp ppf t =
-  Format.fprintf ppf "user=%a kernel=%a spin=%a stall=%a"
-    Sim.Units.pp_duration t.user Sim.Units.pp_duration t.kernel
-    Sim.Units.pp_duration t.spin Sim.Units.pp_duration t.stall

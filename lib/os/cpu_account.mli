@@ -36,5 +36,3 @@ val merge : t list -> t
 (** Fresh ledger holding the sums (whole-machine view). *)
 
 val reset : t -> unit
-val pp : Format.formatter -> t -> unit
-val pp_kind : Format.formatter -> kind -> unit

@@ -45,14 +45,12 @@ type t = {
   engine : Sim.Engine.t;
   kcosts : costs;
   cores : core array;
-  work_stealing : bool;
   mutable next_pid : int;
   mutable next_tid : int;
   mutable hooks : hook list;
   mutable wake_hooks : (core:int -> Proc.thread -> unit) list;
   mutable proc_exit_hooks : (Proc.process -> unit) list;
   mutable proc_respawn_hooks : (Proc.process -> unit) list;
-  mutable ctx_switches : int;
   mutable kills : int;
   mutable irq_rr : int;
 }
@@ -77,7 +75,7 @@ let rec dispatch t c =
       let next =
         match Runqueue.pop c.rq with
         | Some th -> Some th
-        | None -> if t.work_stealing then steal t c else None
+        | None -> steal t c
       in
       match next with
       | None -> ()
@@ -93,7 +91,6 @@ let rec dispatch t c =
           th.Proc.quantum_start <- Sim.Engine.now t.engine + switch_cost;
           if not th.Proc.kernel_thread then
             c.last_pid <- th.Proc.proc.Proc.pid;
-          t.ctx_switches <- t.ctx_switches + 1;
           Cpu_account.charge c.acct Cpu_account.Kernel switch_cost;
           fire_hooks t c.cid ~prev:None ~next:(Some th);
           let resume =
@@ -171,8 +168,7 @@ let start_ticks t c =
   ignore
     (Sim.Engine.schedule_after t.engine ~after:t.kcosts.timer_tick_period tick)
 
-let create engine ~ncores ?(costs = default_costs) ?(work_stealing = true) ()
-    =
+let create engine ~ncores ?(costs = default_costs) () =
   if ncores <= 0 then invalid_arg "Kernel.create: need at least one core";
   let cores =
     Array.init ncores (fun cid ->
@@ -191,14 +187,12 @@ let create engine ~ncores ?(costs = default_costs) ?(work_stealing = true) ()
       engine;
       kcosts = costs;
       cores;
-      work_stealing;
       next_pid = 1;
       next_tid = 1;
       hooks = [];
       wake_hooks = [];
       proc_exit_hooks = [];
       proc_respawn_hooks = [];
-      ctx_switches = 0;
       kills = 0;
       irq_rr = 0;
     }
@@ -415,10 +409,6 @@ let send_ipi t ~core:cid k =
 let current t ~core:cid = (core t cid).running
 let core_is_idle t ~core:cid = (core t cid).running = None
 
-let idle_cores t =
-  Array.to_list t.cores
-  |> List.filter_map (fun c -> if c.running = None then Some c.cid else None)
-
 let runqueue_length t ~core:cid = Runqueue.length (core t cid).rq
 
 let total_runnable_waiting t =
@@ -433,5 +423,4 @@ let on_process_exit t h = t.proc_exit_hooks <- t.proc_exit_hooks @ [ h ]
 let on_process_respawn t h =
   t.proc_respawn_hooks <- t.proc_respawn_hooks @ [ h ]
 
-let context_switches t = t.ctx_switches
 let kills t = t.kills

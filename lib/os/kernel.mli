@@ -32,18 +32,13 @@ type costs = {
   quantum : Sim.Units.duration;  (** Timeslice before tick preemption. *)
 }
 
-val default_costs : costs
-(** Linux-flavoured numbers on a server CPU: 1.3 µs process switch,
-    500 ns thread switch, 300 ns syscall, 500 ns wake, 800 ns IPI
-    delivery, 1 ms tick, 5 ms quantum. *)
-
 type t
 
-val create :
-  Sim.Engine.t -> ncores:int -> ?costs:costs -> ?work_stealing:bool ->
-  unit -> t
-(** [work_stealing] (default true) lets an idle core pull unpinned
-    threads from the longest other queue. *)
+val create : Sim.Engine.t -> ncores:int -> ?costs:costs -> unit -> t
+(** [costs] defaults to Linux-flavoured numbers on a server CPU: 1.3 µs
+    process switch, 500 ns thread switch, 300 ns syscall, 500 ns wake,
+    800 ns IPI delivery, 1 ms tick, 5 ms quantum. An idle core pulls
+    unpinned threads from the longest other queue (work stealing). *)
 
 val engine : t -> Sim.Engine.t
 val ncores : t -> int
@@ -141,7 +136,6 @@ val send_ipi : t -> core:int -> (unit -> unit) -> unit
 
 val current : t -> core:int -> Proc.thread option
 val core_is_idle : t -> core:int -> bool
-val idle_cores : t -> int list
 val runqueue_length : t -> core:int -> int
 val total_runnable_waiting : t -> int
 val account : t -> core:int -> Cpu_account.t
@@ -162,5 +156,3 @@ val on_wake_enqueue : t -> (core:int -> Proc.thread -> unit) -> unit
     the NIC answers it with TRYAGAIN, which makes the occupant enter
     the kernel and yield (paper §5.1's clean descheduling point). *)
 
-val context_switches : t -> int
-(** Total dispatches that changed the running thread. *)

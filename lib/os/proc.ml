@@ -53,14 +53,6 @@ let make_thread ~tid ~name ~proc ?affinity ?(kernel_thread = false) () =
   proc.members <- th :: proc.members;
   th
 
-let live_members p =
-  List.filter (fun th -> th.state <> Exited) p.members
-
-let is_runnable t =
-  match t.state with
-  | Ready | Running _ -> true
-  | Blocked | Exited -> false
-
 let is_exited t = match t.state with Exited -> true | _ -> false
 
 let state_name = function
@@ -69,6 +61,3 @@ let state_name = function
   | Blocked -> "blocked"
   | Exited -> "exited"
 
-let pp_thread ppf t =
-  Format.fprintf ppf "%s/%s(tid=%d,%s)" t.proc.pname t.tname t.tid
-    (state_name t.state)

@@ -24,6 +24,3 @@ let rec pop t =
 let length t = Queue.length t.q
 let is_empty t = Queue.is_empty t.q
 
-let clear t =
-  Queue.clear t.q;
-  Hashtbl.reset t.present

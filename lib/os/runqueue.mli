@@ -18,4 +18,3 @@ val length : t -> int
     it until popped); cheap, used for load balancing heuristics. *)
 
 val is_empty : t -> bool
-val clear : t -> unit

@@ -20,5 +20,4 @@ val recv : 'a t -> Proc.thread -> ('a -> unit) -> unit
 (** Blocking receive from the calling thread's context. *)
 
 val depth : 'a t -> int
-val waiters : 'a t -> int
 val enqueued : 'a t -> int

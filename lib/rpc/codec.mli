@@ -29,9 +29,6 @@ val decode_sub :
     without the copy: decode the range in place.
     @raise Net.Buf.Out_of_bounds if the range is outside [b]. *)
 
-val decode_partial : Schema.t -> Net.Buf.reader -> (Value.t, error) result
-(** Decode one value, leaving the reader after it. *)
-
 val pp_error : Format.formatter -> error -> unit
 
 (**/**)

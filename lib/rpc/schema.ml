@@ -58,15 +58,3 @@ let rec arbitrary s rng ~size_hint =
       let per = max 0 (size_hint / n) in
       Value.Tuple (List.map (fun s -> arbitrary s rng ~size_hint:per) ss)
 
-let rec pp ppf = function
-  | Unit -> Format.pp_print_string ppf "unit"
-  | Bool -> Format.pp_print_string ppf "bool"
-  | Int -> Format.pp_print_string ppf "int"
-  | Float -> Format.pp_print_string ppf "float"
-  | Str -> Format.pp_print_string ppf "string"
-  | Blob -> Format.pp_print_string ppf "blob"
-  | List elt -> Format.fprintf ppf "%a list" pp elt
-  | Tuple ss ->
-      Format.fprintf ppf "(@[%a@])"
-        (Format.pp_print_list ~pp_sep:(fun p () -> Format.fprintf p " *@ ") pp)
-        ss

@@ -27,4 +27,3 @@ val arbitrary : t -> Sim.Rng.t -> size_hint:int -> Value.t
     roughly [size_hint] bytes. Used by workload generation and
     property tests. *)
 
-val pp : Format.formatter -> t -> unit

@@ -33,16 +33,6 @@ let rec field_count = function
   | List vs | Tuple vs ->
       List.fold_left (fun acc v -> acc + field_count v) 0 vs
 
-let rec byte_weight = function
-  | Unit -> 0
-  | Bool _ -> 1
-  | Int _ -> 4
-  | Float _ -> 8
-  | Str s -> 2 + String.length s
-  | Blob b -> 2 + Bytes.length b
-  | List vs | Tuple vs ->
-      List.fold_left (fun acc v -> acc + byte_weight v) 2 vs
-
 let rec pp ppf = function
   | Unit -> Format.pp_print_string ppf "()"
   | Bool b -> Format.pp_print_bool ppf b
@@ -61,4 +51,3 @@ let rec pp ppf = function
 
 let int i = Int (Int64.of_int i)
 let str s = Str s
-let tuple vs = Tuple vs

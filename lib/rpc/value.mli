@@ -21,14 +21,9 @@ val field_count : t -> int
     scalars count 1, containers count the sum of their elements (an
     empty container counts 1 for its length field). *)
 
-val byte_weight : t -> int
-(** Approximate serialized size in bytes (used by cost models; the
-    exact size comes from {!Codec.encode}). *)
-
 val pp : Format.formatter -> t -> unit
 
 (** Convenience constructors. *)
 
 val int : int -> t
 val str : string -> t
-val tuple : t list -> t

@@ -27,8 +27,6 @@ let create ?(mode = Raise) engine =
     finished = false;
   }
 
-let mode t = t.smode
-
 let report t ~checker detail =
   let v = { checker; detail; at = Sim.Engine.now t.engine } in
   t.recorded <- v :: t.recorded;
@@ -186,12 +184,6 @@ module Coherence_watch = struct
                        %d after %d)"
                       line new_gen prev)
                else Hashtbl.replace gens line new_gen)))
-
-  let check_directory z d =
-    tick z;
-    match Coherence.Directory.check_invariants d with
-    | Ok () -> ()
-    | Error e -> report z ~checker:"directory" e
 end
 
 module Mirror_watch = struct

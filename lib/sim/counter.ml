@@ -1,8 +1,7 @@
-type t = { cname : string; mutable v : int }
+type t = { mutable v : int }
 type group = { label : string; tbl : (string, t) Hashtbl.t }
 
 let group label = { label; tbl = Hashtbl.create 16 }
-let group_label g = g.label
 
 (* [Hashtbl.find] rather than [find_opt]: a lookup of an existing
    counter, the per-event case, allocates no option. *)
@@ -10,14 +9,13 @@ let counter g name =
   match Hashtbl.find g.tbl name with
   | c -> c
   | exception Not_found ->
-      let c = { cname = name; v = 0 } in
+      let c = { v = 0 } in
       Hashtbl.add g.tbl name c;
       c
 
 let incr c = c.v <- c.v + 1
 let add c n = c.v <- c.v + n
 let value c = c.v
-let name c = c.cname
 let reset_group g = Hashtbl.iter (fun _ c -> c.v <- 0) g.tbl
 
 let to_list g =

@@ -10,15 +10,12 @@ type t
 val group : string -> group
 (** A fresh, empty group with the given label. *)
 
-val group_label : group -> string
-
 val counter : group -> string -> t
 (** Find-or-create the counter [name] inside the group. *)
 
 val incr : t -> unit
 val add : t -> int -> unit
 val value : t -> int
-val name : t -> string
 
 val reset_group : group -> unit
 (** Zero every counter in the group. *)

@@ -1,6 +1,8 @@
+(* 32 linear sub-buckets per octave. *)
+let sub_bucket_bits = 5
+let sub_bucket_count = 1 lsl sub_bucket_bits
+
 type t = {
-  sub_bucket_bits : int;
-  sub_bucket_count : int;
   counts : int array;
   mutable total : int;
   mutable sum : int;  (* exact; [mean] converts it once *)
@@ -8,19 +10,13 @@ type t = {
   mutable max_v : int;
 }
 
-let num_indices sub_bucket_count =
-  (* Octave 0 holds [sub_bucket_count] linear buckets; each further
-     octave adds [sub_bucket_count / 2]. 62 octaves cover any [int]. *)
-  sub_bucket_count + (62 * (sub_bucket_count / 2))
+(* Octave 0 holds [sub_bucket_count] linear buckets; each further
+   octave adds [sub_bucket_count / 2]. 62 octaves cover any [int]. *)
+let num_indices = sub_bucket_count + (62 * (sub_bucket_count / 2))
 
-let create ?(sub_bucket_bits = 5) () =
-  if sub_bucket_bits < 1 || sub_bucket_bits > 16 then
-    invalid_arg "Histogram.create: sub_bucket_bits out of [1,16]";
-  let sub_bucket_count = 1 lsl sub_bucket_bits in
+let create () =
   {
-    sub_bucket_bits;
-    sub_bucket_count;
-    counts = Array.make (num_indices sub_bucket_count) 0;
+    counts = Array.make num_indices 0;
     total = 0;
     sum = 0;
     min_v = max_int;
@@ -32,17 +28,17 @@ let bit_length v =
   let rec go v acc = if v = 0 then acc else go (v lsr 1) (acc + 1) in
   go v 0
 
-let index_of t v =
-  if v < t.sub_bucket_count then v
+let index_of v =
+  if v < sub_bucket_count then v
   else
-    let octave = bit_length v - t.sub_bucket_bits in
+    let octave = bit_length v - sub_bucket_bits in
     let sub = v lsr octave in
-    (octave * (t.sub_bucket_count / 2)) + sub
+    (octave * (sub_bucket_count / 2)) + sub
 
-let upper_bound_of_index t i =
-  if i < t.sub_bucket_count then i
+let upper_bound_of_index i =
+  if i < sub_bucket_count then i
   else
-    let half = t.sub_bucket_count / 2 in
+    let half = sub_bucket_count / 2 in
     let octave = (i / half) - 1 in
     let sub = i - (octave * half) in
     ((sub + 1) lsl octave) - 1
@@ -51,7 +47,7 @@ let record_n t v ~n =
   if v < 0 then invalid_arg "Histogram.record: negative value";
   if n < 0 then invalid_arg "Histogram.record_n: negative count";
   if n > 0 then begin
-    t.counts.(index_of t v) <- t.counts.(index_of t v) + n;
+    t.counts.(index_of v) <- t.counts.(index_of v) + n;
     t.total <- t.total + n;
     t.sum <- t.sum + (v * n);
     if v < t.min_v then t.min_v <- v;
@@ -82,14 +78,12 @@ let quantile t q =
     if i >= Array.length t.counts then t.max_v
     else
       let acc = acc + t.counts.(i) in
-      if acc >= rank then min (upper_bound_of_index t i) t.max_v
+      if acc >= rank then min (upper_bound_of_index i) t.max_v
       else go (i + 1) acc
   in
   go 0 0
 
 let merge_into ~src ~dst =
-  if not (Int.equal src.sub_bucket_bits dst.sub_bucket_bits) then
-    invalid_arg "Histogram.merge_into: differing sub_bucket_bits";
   Array.iteri
     (fun i c -> if c > 0 then dst.counts.(i) <- dst.counts.(i) + c)
     src.counts;

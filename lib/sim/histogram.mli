@@ -7,9 +7,9 @@
 
 type t
 
-val create : ?sub_bucket_bits:int -> unit -> t
-(** [create ()] uses 32 sub-buckets per octave (~3% worst-case relative
-    error). [sub_bucket_bits] must be in [1, 16]. *)
+val create : unit -> t
+(** An empty histogram with 32 sub-buckets per octave (~3% worst-case
+    relative error). *)
 
 val record : t -> int -> unit
 (** Record one value. Negative values raise [Invalid_argument]. *)
@@ -35,8 +35,7 @@ val quantile : t -> float -> int
     @raise Invalid_argument on an empty histogram or out-of-range [q]. *)
 
 val merge_into : src:t -> dst:t -> unit
-(** Add all of [src]'s recordings into [dst]. Histograms must share the
-    same [sub_bucket_bits]. *)
+(** Add all of [src]'s recordings into [dst]. *)
 
 val clear : t -> unit
 

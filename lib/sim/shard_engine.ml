@@ -111,7 +111,6 @@ let shards t = Array.length t.engines
 let set_profiler t p = t.profiler <- p
 let set_wire_fault t f = t.wire_fault <- f
 let lookahead t = t.lookahead
-let engine t i = t.engines.(i)
 let windows_run t = t.windows
 let messages_merged t = t.merged
 

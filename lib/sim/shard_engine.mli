@@ -51,10 +51,6 @@ val lookahead : t -> Units.duration
 (** The conservative window width: the [create] lookahead, or the
     minimum entry of the [create_matrix] latency matrix. *)
 
-val engine : t -> int -> Engine.t
-(** The shard's private engine (for scheduling its local events and
-    reading its clock). *)
-
 val post :
   t -> src:int -> dst:int -> at:Units.time -> (unit -> unit) -> unit
 (** Send a closure from shard [src] to run on shard [dst] at absolute

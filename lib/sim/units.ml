@@ -19,13 +19,11 @@ let ns_of_cycles f c =
   if f.ghz <= 0. then invalid_arg "Units.ns_of_cycles: non-positive freq";
   int_of_float (Float.round (c /. f.ghz))
 
-let pp_time ppf t =
+let pp_duration ppf t =
   if t < 1_000 then Format.fprintf ppf "%dns" t
   else if t < 1_000_000 then Format.fprintf ppf "%.2fus" (to_float_us t)
   else if t < 1_000_000_000 then Format.fprintf ppf "%.2fms" (to_float_ms t)
   else Format.fprintf ppf "%.2fs" (to_float_s t)
-
-let pp_duration = pp_time
 
 let pp_rate ppf r =
   if Float.abs r >= 1e9 then Format.fprintf ppf "%.2fG/s" (r /. 1e9)

@@ -45,12 +45,9 @@ val cycles_of_ns : freq -> duration -> float
 val ns_of_cycles : freq -> float -> duration
 (** Duration taken by the given number of cycles, rounded to nearest ns. *)
 
-val pp_time : Format.formatter -> time -> unit
-(** Render a time with an adaptive unit: ["382ns"], ["12.40us"],
-    ["3.50ms"], ["1.20s"]. *)
-
 val pp_duration : Format.formatter -> duration -> unit
-(** Same rendering as {!pp_time}, for spans. *)
+(** Render with an adaptive unit: ["382ns"], ["12.40us"], ["3.50ms"],
+    ["1.20s"]. *)
 
 val pp_rate : Format.formatter -> float -> unit
 (** Render an events-per-second rate: ["1.25M/s"], ["830.0k/s"]. *)

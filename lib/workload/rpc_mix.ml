@@ -4,8 +4,6 @@ let small_rpc_sizes =
   Dist.Bimodal
     (0.98, Dist.Lognormal (log 200., 0.8), Dist.Pareto (8_192., 1.3))
 
-let tiny_rpc_sizes = Dist.Constant 64.
-
 let sample_args rng ~schema ~size =
   let target = Dist.sample_int size rng in
   Rpc.Schema.arbitrary schema rng ~size_hint:target

@@ -10,8 +10,11 @@ let echo_like ~id ~name ~handler_time =
         ~response:Rpc.Schema.Blob ~handler_time (fun v -> v);
     ]
 
-let echo_fleet ~n ?(handler_time = Sim.Units.ns 500) ?(base_port = 7_000)
-    ?(base_id = 100) () =
+(* Service [i] of a fleet has id [base_id + i] on port [base_port + i]. *)
+let base_id = 100
+let base_port = 7_000
+
+let echo_fleet ~n ?(handler_time = Sim.Units.ns 500) () =
   if n <= 0 then invalid_arg "Scenario.echo_fleet: n <= 0";
   {
     defs =
@@ -22,7 +25,7 @@ let echo_fleet ~n ?(handler_time = Sim.Units.ns 500) ?(base_port = 7_000)
     ports = Array.init n (fun i -> base_port + i);
   }
 
-let mixed_fleet ~n ?(base_port = 7_000) ?(base_id = 100) rng =
+let mixed_fleet ~n rng =
   if n <= 0 then invalid_arg "Scenario.mixed_fleet: n <= 0";
   let handler_time () =
     let u = Sim.Rng.float rng in

@@ -3,10 +3,8 @@
 # suite, and every output-identity gate in scripts/gates.sh — which
 # already runs and diffs every experiment section), then the
 # machine-readable lint surface — `simlint --json` must emit a
-# well-formed, here empty, findings array — and the Bechamel micro
-# rows, which rewrite BENCH_1.json.
+# well-formed, here empty, findings array.
 set -eu
 cd "$(dirname "$0")/.."
 dune build @check
 test "$(dune exec bin/simlint_cli.exe -- --json lib 2>/dev/null)" = "[]"
-dune exec bench/main.exe -- micro

@@ -183,6 +183,39 @@ let test_bypass_no_interrupts () =
   checki "no interrupts ever" 0
     (Nic.Dma_nic.interrupts_fired (Baseline.Bypass_stack.nic stack))
 
+(* Both baseline stacks refuse a second service on a taken port, as
+   [Demux.bind] does on the Lauberhorn side, rather than silently
+   dropping the first. *)
+let test_duplicate_port_rejected () =
+  let engine = Sim.Engine.create () in
+  let egress _ = () in
+  let profile = Coherence.Interconnect.pcie_enzian in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  checkb "bypass rejects" true
+    (raises (fun () ->
+         Baseline.Bypass_stack.create engine ~profile ~ncores:2 ~egress
+           ~services:
+             [
+               Baseline.Bypass_stack.spec ~port:7000
+                 (Rpc.Interface.echo_service ~id:1);
+               Baseline.Bypass_stack.spec ~port:7000
+                 (Rpc.Interface.echo_service ~id:2);
+             ]
+           ()));
+  checkb "linux rejects" true
+    (raises (fun () ->
+         Baseline.Linux_stack.create engine ~profile ~ncores:2 ~egress
+           ~services:
+             [
+               Baseline.Linux_stack.spec ~port:7000
+                 (Rpc.Interface.echo_service ~id:1);
+               Baseline.Linux_stack.spec ~port:7000
+                 (Rpc.Interface.echo_service ~id:2);
+             ]
+           ()))
+
 let () =
   Alcotest.run "baseline"
     [
@@ -208,5 +241,7 @@ let () =
           Alcotest.test_case "head-of-line blocking" `Quick
             test_bypass_hol_blocking_on_shared_poller;
           Alcotest.test_case "no interrupts" `Quick test_bypass_no_interrupts;
+          Alcotest.test_case "duplicate port rejected" `Quick
+            test_duplicate_port_rejected;
         ] );
     ]

@@ -63,85 +63,6 @@ let test_crossover_band () =
   checkb "16KiB: dma wins" false (line_faster 16384);
   checkb "64KiB: dma wins" false (line_faster 65536)
 
-(* ---------- Directory ---------- *)
-
-let test_directory_read_then_write () =
-  let d = Coherence.Directory.create () in
-  let tx = Coherence.Directory.read d ~line:1 ~agent:0 in
-  checkb "cold read misses clean" true
-    (tx.Coherence.Directory.latency = Coherence.Directory.Miss_clean);
-  let tx2 = Coherence.Directory.read d ~line:1 ~agent:0 in
-  checkb "second read hits" true
-    (tx2.Coherence.Directory.latency = Coherence.Directory.Hit);
-  let tx3 = Coherence.Directory.write d ~line:1 ~agent:1 in
-  check (Alcotest.list Alcotest.int) "invalidates sharer" [ 0 ]
-    tx3.Coherence.Directory.invalidated;
-  checkb "modified by 1" true
-    (Coherence.Directory.state d ~line:1 = Coherence.Directory.Modified 1)
-
-let test_directory_dirty_read () =
-  let d = Coherence.Directory.create () in
-  ignore (Coherence.Directory.write d ~line:5 ~agent:2);
-  let tx = Coherence.Directory.read d ~line:5 ~agent:0 in
-  checkb "writeback needed" true
-    (tx.Coherence.Directory.writeback_from = Some 2);
-  checkb "now shared" true
-    (match Coherence.Directory.state d ~line:5 with
-    | Coherence.Directory.Shared [ 0; 2 ] -> true
-    | _ -> false)
-
-let test_directory_evict () =
-  let d = Coherence.Directory.create () in
-  ignore (Coherence.Directory.read d ~line:1 ~agent:0);
-  ignore (Coherence.Directory.read d ~line:1 ~agent:1);
-  Coherence.Directory.evict d ~line:1 ~agent:0;
-  checkb "one sharer left" true
-    (Coherence.Directory.holders d ~line:1 = [ 1 ]);
-  Coherence.Directory.evict d ~line:1 ~agent:1;
-  checkb "invalid" true
-    (Coherence.Directory.state d ~line:1 = Coherence.Directory.Invalid)
-
-let test_directory_lines_held_by () =
-  let d = Coherence.Directory.create () in
-  ignore (Coherence.Directory.read d ~line:3 ~agent:0);
-  ignore (Coherence.Directory.write d ~line:9 ~agent:0);
-  check (Alcotest.list Alcotest.int) "held" [ 3; 9 ]
-    (Coherence.Directory.lines_held_by d ~agent:0)
-
-let directory_invariants_hold =
-  QCheck.Test.make
-    ~name:"directory invariants hold under random op sequences" ~count:300
-    QCheck.(list (triple (int_bound 2) (int_bound 4) (int_bound 3)))
-    (fun ops ->
-      let d = Coherence.Directory.create () in
-      List.iter
-        (fun (op, line, agent) ->
-          match op with
-          | 0 -> ignore (Coherence.Directory.read d ~line ~agent)
-          | 1 -> ignore (Coherence.Directory.write d ~line ~agent)
-          | _ -> Coherence.Directory.evict d ~line ~agent)
-        ops;
-      Coherence.Directory.check_invariants d = Ok ())
-
-let directory_single_writer =
-  QCheck.Test.make ~name:"at most one modified owner per line" ~count:300
-    QCheck.(list (triple bool (int_bound 3) (int_bound 3)))
-    (fun ops ->
-      let d = Coherence.Directory.create () in
-      List.iter
-        (fun (w, line, agent) ->
-          if w then ignore (Coherence.Directory.write d ~line ~agent)
-          else ignore (Coherence.Directory.read d ~line ~agent))
-        ops;
-      List.for_all
-        (fun line ->
-          match Coherence.Directory.state d ~line with
-          | Coherence.Directory.Modified _ ->
-              List.length (Coherence.Directory.holders d ~line) = 1
-          | Coherence.Directory.Shared sharers -> sharers <> []
-          | Coherence.Directory.Invalid -> true)
-        [ 0; 1; 2; 3 ])
-
 (* ---------- Home agent ---------- *)
 
 let make_ha ?(timeout = Sim.Units.ms 15) () =
@@ -266,8 +187,6 @@ let test_ha_oversized_stage_rejected () =
        false
      with Invalid_argument _ -> true)
 
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
-
 let () =
   Alcotest.run "coherence"
     [
@@ -281,16 +200,6 @@ let () =
             test_dma_transfer_scales;
           Alcotest.test_case "crossover band" `Quick test_crossover_band;
         ] );
-      ( "directory",
-        [
-          Alcotest.test_case "read then write" `Quick
-            test_directory_read_then_write;
-          Alcotest.test_case "dirty read" `Quick test_directory_dirty_read;
-          Alcotest.test_case "evict" `Quick test_directory_evict;
-          Alcotest.test_case "lines held by" `Quick
-            test_directory_lines_held_by;
-        ]
-        @ qsuite [ directory_invariants_hold; directory_single_writer ] );
       ( "home_agent",
         [
           Alcotest.test_case "staged then load" `Quick

@@ -374,6 +374,24 @@ let test_hostile_length_prefix () =
         bodies)
     flavours
 
+(* Every experiment section is gated: the ids in [Sections.all] are
+   unique and are exactly the snapshots in test/baseline, which the
+   check gate byte-diffs against each section's output. *)
+let test_every_section_has_a_snapshot () =
+  let ids = List.map fst Experiments.Sections.all in
+  let sorted = List.sort String.compare ids in
+  checki "section ids are unique"
+    (List.length ids)
+    (List.length (List.sort_uniq String.compare ids));
+  let snapshots =
+    Sys.readdir "baseline" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".txt")
+    |> List.map Filename.chop_extension
+    |> List.sort String.compare
+  in
+  Alcotest.(check (list string)) "sections = test/baseline snapshots"
+    sorted snapshots
+
 let () =
   Alcotest.run "integration"
     [
@@ -400,5 +418,10 @@ let () =
         [
           Alcotest.test_case "hostile length prefix is a counted drop" `Quick
             test_hostile_length_prefix;
+        ] );
+      ( "sections",
+        [
+          Alcotest.test_case "every section has a snapshot" `Quick
+            test_every_section_has_a_snapshot;
         ] );
     ]

@@ -894,7 +894,7 @@ let test_tx_endpoint_backpressure () =
   in
   let consumed = ref [] in
   let tx =
-    Lauberhorn.Tx_endpoint.create ha Lauberhorn.Config.enzian ~id:0
+    Lauberhorn.Tx_endpoint.create ha Lauberhorn.Config.enzian
       ~on_line:(fun b -> consumed := Bytes.to_string b :: !consumed)
       ()
   in

@@ -1,6 +1,6 @@
 (* Tests for the RPC framework: values, schemas, the wire codec, the
-   RPC header, service interfaces, the registry, deserialization cost
-   model, and reply continuations. *)
+   RPC header, service interfaces, the deserialization cost model, and
+   reply continuations. *)
 
 let check = Alcotest.check
 let checki = Alcotest.check Alcotest.int
@@ -401,7 +401,7 @@ let decode_in_place_agrees =
       | Error e, Error e' -> e = e'
       | Ok _, Error _ | Error _, Ok _ -> false)
 
-(* ---------- Interface / registry ---------- *)
+(* ---------- Interface ---------- *)
 
 let test_echo_service () =
   let svc = Rpc.Interface.echo_service ~id:4 in
@@ -447,24 +447,6 @@ let test_service_duplicate_methods_rejected () =
        ignore (Rpc.Interface.service ~id:1 ~name:"dup" [ m; m ]);
        false
      with Invalid_argument _ -> true)
-
-let test_registry () =
-  let r = Rpc.Registry.create () in
-  let svc = Rpc.Interface.echo_service ~id:9 in
-  Rpc.Registry.register r ~port:8080 svc;
-  checkb "by port" true (Rpc.Registry.lookup_port r ~port:8080 <> None);
-  checkb "by id" true (Rpc.Registry.lookup_service r ~service_id:9 <> None);
-  checkb "method" true
-    (Rpc.Registry.lookup_method r ~service_id:9 ~method_id:0 <> None);
-  checki "gen" 1 (Rpc.Registry.generation r);
-  checkb "port clash" true
-    (try
-       Rpc.Registry.register r ~port:8080 (Rpc.Interface.echo_service ~id:10);
-       false
-     with Invalid_argument _ -> true);
-  Rpc.Registry.unregister r ~port:8080;
-  checkb "gone" true (Rpc.Registry.lookup_port r ~port:8080 = None);
-  checki "gen bumped" 2 (Rpc.Registry.generation r)
 
 (* ---------- Deser cost ---------- *)
 
@@ -606,7 +588,6 @@ let () =
           Alcotest.test_case "kv store" `Quick test_kv_service;
           Alcotest.test_case "duplicate methods rejected" `Quick
             test_service_duplicate_methods_rejected;
-          Alcotest.test_case "registry" `Quick test_registry;
         ] );
       ( "deser_cost",
         [

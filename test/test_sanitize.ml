@@ -226,18 +226,6 @@ let test_coherence_stale_fill_caught () =
   Sim.Engine.run engine ~until:(ms 1);
   checkb "stale fill diagnosed" true (has_detail z "reset_line")
 
-let test_directory_invariants_checked () =
-  let engine = Sim.Engine.create () in
-  let z = collector engine in
-  let dir = Coherence.Directory.create () in
-  ignore (Coherence.Directory.read dir ~line:0 ~agent:1);
-  ignore (Coherence.Directory.read dir ~line:0 ~agent:2);
-  ignore (Coherence.Directory.write dir ~line:1 ~agent:0);
-  let before = Z.checks_run z in
-  Z.Coherence_watch.check_directory z dir;
-  checkb "directory check counted" true (Z.checks_run z > before);
-  checki "well-formed directory clean" 0 (List.length (Z.violations z))
-
 (* --- scheduler-mirror sanitizer ------------------------------------ *)
 
 let test_mirror_divergence_caught () =
@@ -364,7 +352,6 @@ let () =
         [
           tc "clean protocol" test_coherence_clean_protocol;
           tc "stale fill across reset caught" test_coherence_stale_fill_caught;
-          tc "directory invariants" test_directory_invariants_checked;
         ] );
       ( "mirror",
         [
