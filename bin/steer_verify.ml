@@ -1,6 +1,6 @@
 (* Build-time steering-program gate: verify every shipped program under
    the default NIC environment. Any rejection is a build error — wired
-   into `dune build @check` and scripts/check.sh. *)
+   into `dune build @check` (scripts/gates.sh). *)
 
 let () =
   let env = Nic.Steer_verify.default_env in

@@ -89,21 +89,23 @@ let () =
     (c "fast_path");
   (* NIC-side telemetry (paper section 6): per-service stats measured
      by the NIC itself, zero CPU cost. Show the three hottest. *)
-  let tel = Lauberhorn.Stack.telemetry stack in
+  let stats sid = Lauberhorn.Stack.service_stats stack ~service_id:sid in
   let hottest =
-    Lauberhorn.Telemetry.services tel
+    List.map (fun def -> def.Rpc.Interface.service_id) setup.Workload.Scenario.defs
+    |> List.sort Int.compare
     |> List.map (fun sid ->
-           (sid, Sim.Histogram.count (Lauberhorn.Telemetry.latency tel ~service_id:sid)))
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
+           (sid, Sim.Histogram.count (stats sid).Lauberhorn.Stack.latency))
+    |> List.stable_sort (fun (_, a) (_, b) -> Int.compare b a)
     |> List.filteri (fun i _ -> i < 3)
   in
   Format.printf "@.  NIC telemetry, three hottest functions:@.";
   List.iter
     (fun (sid, n) ->
-      let fast, queued, cold = Lauberhorn.Telemetry.path_counts tel ~service_id:sid in
+      let s = stats sid in
       Format.printf "    service %d: %d invocations (fast=%d queued=%d cold=%d) %a@."
-        sid n fast queued cold Sim.Histogram.pp_summary
-        (Lauberhorn.Telemetry.latency tel ~service_id:sid))
+        sid n s.Lauberhorn.Stack.fast s.Lauberhorn.Stack.queued
+        s.Lauberhorn.Stack.cold Sim.Histogram.pp_summary
+        s.Lauberhorn.Stack.latency)
     hottest;
   Format.printf
     "@.Cold invocations pay one kernel dispatch (wake + context switch);@.";

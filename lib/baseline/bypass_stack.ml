@@ -388,7 +388,4 @@ let driver t =
   Harness.Driver.make ~name:"bypass"
     ~ingress:(fun f -> ingress t f)
     ~kernel:t.kern ~counters:t.counters ~metrics:t.metrics
-    ~describe:(fun () ->
-      Printf.sprintf "bypass(%d pollers, %d services)"
-        (Array.length t.pollers) (Hashtbl.length t.by_port))
     ()

@@ -334,8 +334,4 @@ let driver t =
   Harness.Driver.make ~name:"linux"
     ~ingress:(fun f -> ingress t f)
     ~kernel:t.kern ~counters:t.counters ~metrics:t.metrics
-    ~describe:(fun () ->
-      Printf.sprintf "linux(%d cores, %d services)"
-        (Osmodel.Kernel.ncores t.kern)
-        (Hashtbl.length t.by_port))
     ()

@@ -32,10 +32,11 @@ type t = {
       (** Inline AES-GCM on every frame through the NIC pipeline
           (§6). Adds {!Crypto.aes_gcm_nic} time per packet, no CPU. *)
   shed : bool;
-      (** NIC admission control: overloaded services NACK arrivals on
-          the wire ({!Nic_sched.Shed}) instead of queueing them to a
-          silent SRAM drop. Off by default — the paper's base design —
-          so pre-existing experiments are untouched. *)
+      (** NIC admission control: a service whose backlog reaches 16
+          NACKs arrivals on the wire ({!Nic_sched.Shed}) until it drains
+          to 4, instead of queueing them to a silent SRAM drop. Off by
+          default — the paper's base design — so pre-existing
+          experiments are untouched. A [Static] stack never sheds. *)
 }
 
 val enzian : t

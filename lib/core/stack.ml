@@ -12,21 +12,34 @@ let spec ?(min_workers = 1) ?(max_workers = 1) ~port service =
     invalid_arg "Stack.spec: inconsistent worker bounds";
   { service; port; min_workers; max_workers }
 
+(* How a request reached its worker: straight into a parked load,
+   queued behind a busy worker, or through the kernel (Figure 5). *)
+type path = Fast | Queued | Cold
+
+type service_stats = {
+  latency : Sim.Histogram.t;
+  mutable fast : int;
+  mutable queued : int;
+  mutable cold : int;
+  mutable bytes_in : int;
+  mutable bytes_out : int;
+}
+
 type inflight =
   | App of {
       mdef : Rpc.Interface.method_def;
       args : Rpc.Value.t;
-      svc_id : int;  (* owning service, for the crash-teardown sweep *)
+      sv : service_rt;  (* owning service *)
       reply_src : Net.Frame.endpoint;  (* server side *)
       reply_dst : Net.Frame.endpoint;  (* client side *)
       mutable full_body : bytes;  (* response bytes beyond the line *)
       arrived : Sim.Units.time;
       arg_bytes : int;
-      path : Telemetry.path;
+      path : path;
     }
   | Dispatch_ack of { svc_id : int; widx : int }
 
-type worker = {
+and worker = {
   widx : int;
   mutable wthread : Osmodel.Proc.thread;
       (* replaced on process restart (the endpoint survives, the
@@ -50,19 +63,25 @@ type worker = {
   mutable loop : unit -> unit;  (* re-park *)
 }
 
-let nop () = ()
-let no_hand = Dispatch_ack { svc_id = -1; widx = -1 }
-let no_fill (_ : Coherence.Home_agent.fill) = ()
-let no_result (_ : Rpc.Value.t) = ()
-
-type service_rt = {
+(* The NIC's one record per service: its workers, its admission gate
+   and its section 6 statistics. *)
+and service_rt = {
   sspec : service_spec;
   sproc : Osmodel.Proc.process;
   mutable workers : worker array;
   mutable active_count : int;
   limbo : Message.request Queue.t;
       (* NIC-SRAM survivors of a crash, redelivered on restart *)
+  gate : Nic_sched.gate;
+  stats : service_stats;  (* recorded at response collection *)
 }
+
+let nop () = ()
+let no_hand = Dispatch_ack { svc_id = -1; widx = -1 }
+let no_fill (_ : Coherence.Home_agent.fill) = ()
+let no_result (_ : Rpc.Value.t) = ()
+
+let service_id_of sv = sv.sspec.service.Rpc.Interface.service_id
 
 type dispatcher = { dthread : Osmodel.Proc.thread; dep : Endpoint.t }
 
@@ -79,14 +98,12 @@ type t = {
   ha : Coherence.Home_agent.t;
   smirror : Sched_mirror.t option;  (* [None] under a Static binding *)
   dmx : Demux.t;
-  sched : Nic_sched.t;
   egress : Net.Frame.t -> unit;
   counters : Sim.Counter.group;
   inflight : (int64, inflight) Hashtbl.t;
   services : (int, service_rt) Hashtbl.t;
   mutable dispatchers : dispatcher array;
   parked_eps : (int, Endpoint.t) Hashtbl.t;  (* tid -> endpoint *)
-  telemetry : Telemetry.t;
   metrics : Obs.Metrics.t;
   tracer : Obs.Tracer.t;
   trk : int;  (* span track for the rpc stage chain *)
@@ -202,10 +219,12 @@ let nested_cont_of rpc_id =
   then Some (Int64.to_int (Int64.logand rpc_id 0xffff_ffffL))
   else None
 
+(* [Hashtbl.find] rather than [find_opt]: the per-RPC lookup allocates
+   no option. *)
 let service_rt t service_id =
-  match Hashtbl.find_opt t.services service_id with
-  | Some rt -> rt
-  | None ->
+  match Hashtbl.find t.services service_id with
+  | sv -> sv
+  | exception Not_found ->
       invalid_arg (Printf.sprintf "Stack: unknown service %d" service_id)
 
 (* ---------- Worker (CPU user-mode loop, Figure 4/5 left side) -------- *)
@@ -538,12 +557,11 @@ let request_worker_activation t sv w =
         t.next_dispatch_id <- Int64.add id 1L;
         Hashtbl.replace t.inflight id
           (Dispatch_ack
-             { svc_id = sv.sspec.service.Rpc.Interface.service_id;
-               widx = w.widx });
+             { svc_id = service_id_of sv; widx = w.widx });
         let msg =
           {
             Message.rpc_id = id;
-            service_id = sv.sspec.service.Rpc.Interface.service_id;
+            service_id = service_id_of sv;
             method_id = w.widx;
             code_ptr = 0L;
             data_ptr = 0L;
@@ -582,24 +600,17 @@ let choose_worker sv = sv.workers.(pick_worker sv.workers 0 (-1) max_int)
 
 (* How a request reaches the worker [choose_worker] picked. *)
 let path_to w =
-  if not w.active then Telemetry.Cold
-  else if Endpoint.parked w.wep then Telemetry.Fast
-  else Telemetry.Queued
+  if not w.active then Cold
+  else if Endpoint.parked w.wep then Fast
+  else Queued
 
 let scale_decision t sv =
-  let service = sv.sspec.service.Rpc.Interface.service_id in
   let queue_depth =
     Array.fold_left
       (fun acc w -> acc + Endpoint.queue_depth w.wep)
       0 sv.workers
   in
-  let handler_time =
-    match sv.sspec.service.Rpc.Interface.methods with
-    | m :: _ -> m.Rpc.Interface.handler_time
-    | [] -> Sim.Units.ns 500
-  in
-  Nic_sched.decide t.sched ~service ~queue_depth ~workers:sv.active_count
-    ~handler_time
+  Nic_sched.decide sv.gate ~shed:t.cfg.Config.shed ~queue_depth
 
 let tx_mac_delay = Sim.Units.ns 200
 
@@ -627,9 +638,8 @@ let nack t ~rpc_id ~service_id ~src ~dst ~code =
 (* The request's body is the frame's payload from [body_off] on. *)
 let dispatch_request t (entry : Demux.entry) frame ~rpc_id ~body_off
     (mdef : Rpc.Interface.method_def) args =
-  let sv =
-    service_rt t entry.Demux.service.Rpc.Interface.service_id
-  in
+  let service_id = entry.Demux.service.Rpc.Interface.service_id in
+  let sv = service_rt t service_id in
   if Hashtbl.mem t.inflight rpc_id then
     Sim.Counter.incr (ctr t "duplicate_rpc_id")
   else if not (nic_alive t sv) then begin
@@ -637,9 +647,8 @@ let dispatch_request t (entry : Demux.entry) frame ~rpc_id ~body_off
        landed, or the Static kill swept it): refuse on the wire rather
        than dispatch to a corpse. *)
     Obs.Metrics.incr t.m_crash_nacks;
-    nack t ~rpc_id
-      ~service_id:entry.Demux.service.Rpc.Interface.service_id
-      ~src:(Net.Frame.dst_endpoint frame) ~dst:(Net.Frame.src_endpoint frame)
+    nack t ~rpc_id ~service_id ~src:(Net.Frame.dst_endpoint frame)
+      ~dst:(Net.Frame.src_endpoint frame)
       ~code:Rpc.Wire_format.err_dead
   end
   else begin
@@ -660,7 +669,7 @@ let dispatch_request t (entry : Demux.entry) frame ~rpc_id ~body_off
     let msg =
       {
         Message.rpc_id;
-        service_id = entry.Demux.service.Rpc.Interface.service_id;
+        service_id;
         method_id = mdef.Rpc.Interface.method_id;
         code_ptr =
           Demux.code_ptr entry ~method_id:mdef.Rpc.Interface.method_id;
@@ -685,16 +694,10 @@ let dispatch_request t (entry : Demux.entry) frame ~rpc_id ~body_off
     | Some Nic_sched.Shed ->
         Obs.Metrics.incr t.m_sheds;
         Obs.Metrics.incr t.m_drop_shed;
-        nack t ~rpc_id
-          ~service_id:entry.Demux.service.Rpc.Interface.service_id
-          ~src:(Net.Frame.dst_endpoint frame)
+        nack t ~rpc_id ~service_id ~src:(Net.Frame.dst_endpoint frame)
           ~dst:(Net.Frame.src_endpoint frame)
           ~code:Rpc.Wire_format.err_shed
-    | Some (Nic_sched.Steady | Nic_sched.Add_worker | Nic_sched.Release_worker)
-    | None ->
-    Nic_sched.on_arrival t.sched
-      ~service:entry.Demux.service.Rpc.Interface.service_id
-      ~now:(Sim.Engine.now t.engine);
+    | Some (Nic_sched.Steady | Nic_sched.Add_worker) | None ->
     let w = choose_worker sv in
     let path = path_to w in
     Hashtbl.replace t.inflight rpc_id
@@ -702,7 +705,7 @@ let dispatch_request t (entry : Demux.entry) frame ~rpc_id ~body_off
          {
            mdef;
            args;
-           svc_id = entry.Demux.service.Rpc.Interface.service_id;
+           sv;
            reply_src = Net.Frame.dst_endpoint frame;
            reply_dst = Net.Frame.src_endpoint frame;
            full_body = Bytes.empty;
@@ -713,9 +716,9 @@ let dispatch_request t (entry : Demux.entry) frame ~rpc_id ~body_off
     sanitize_dispatch t sv;
     if Endpoint.deliver w.wep msg then begin
       (match path with
-      | Telemetry.Fast -> Sim.Counter.incr (ctr t "fast_path")
-      | Telemetry.Queued -> Sim.Counter.incr (ctr t "queued_path")
-      | Telemetry.Cold ->
+      | Fast -> Sim.Counter.incr (ctr t "fast_path")
+      | Queued -> Sim.Counter.incr (ctr t "queued_path")
+      | Cold ->
           Sim.Counter.incr (ctr t "cold_path");
           request_worker_activation t sv w);
       (* NIC-driven scale-up when queues build. *)
@@ -734,7 +737,7 @@ let dispatch_request t (entry : Demux.entry) frame ~rpc_id ~body_off
           | Some w when sv.active_count < sv.sspec.max_workers ->
               request_worker_activation t sv w
           | Some _ | None -> ())
-      | Nic_sched.Release_worker | Nic_sched.Steady | Nic_sched.Shed -> ()
+      | Nic_sched.Steady | Nic_sched.Shed -> ()
     end
     else begin
       Hashtbl.remove t.inflight rpc_id;
@@ -823,7 +826,6 @@ let on_endpoint_response t line =
          request from another machine may carry that machine's nested
          tag in its id — those take the normal wire-reply path below. *)
       Hashtbl.remove t.inflight rpc_id;
-      Nic_sched.on_complete t.sched ~service:app.svc_id;
       let result =
         match
           Rpc.Codec.decode app.mdef.Rpc.Interface.response app.full_body
@@ -846,22 +848,25 @@ let on_endpoint_response t line =
   | App app ->
       Hashtbl.remove t.inflight rpc_id;
       span_stage t ~rpc:rpc_id "collect";
-      Nic_sched.on_complete t.sched ~service:app.svc_id;
       (* Fidelity check: the inline prefix collected from the cache
          line must match the response body the handler produced. *)
       if not (Message.response_inline_is_prefix_of line app.full_body) then
         Sim.Counter.incr (ctr t "response_corrupt");
-      Telemetry.record t.telemetry ~service_id:app.svc_id ~path:app.path
-        ~latency:(Sim.Engine.now t.engine - app.arrived)
-        ~bytes_in:app.arg_bytes
-        ~bytes_out:(Bytes.length app.full_body);
+      let st = app.sv.stats in
+      Sim.Histogram.record st.latency (Sim.Engine.now t.engine - app.arrived);
+      (match app.path with
+      | Fast -> st.fast <- st.fast + 1
+      | Queued -> st.queued <- st.queued + 1
+      | Cold -> st.cold <- st.cold + 1);
+      st.bytes_in <- st.bytes_in + app.arg_bytes;
+      st.bytes_out <- st.bytes_out + Bytes.length app.full_body;
       let status = Message.response_status line in
       let reply =
         {
           (* The reply carries the request's ids: clients pick the
              response schema by (service, method). *)
           Rpc.Wire_format.rpc_id;
-          service_id = app.svc_id;
+          service_id = service_id_of app.sv;
           method_id = app.mdef.Rpc.Interface.method_id;
           kind =
             (if Int.equal status 0 then Rpc.Wire_format.Response
@@ -892,7 +897,7 @@ let on_endpoint_response t line =
    parked on) the CONTROL lines was in the dead process's hands and is
    NACKed from the in-flight table — caught, never silently lost. *)
 let sweep_dead_service t sv =
-  let sid = sv.sspec.service.Rpc.Interface.service_id in
+  let sid = service_id_of sv in
   let limbo_ids = Hashtbl.create 16 in
   Array.iter
     (fun w ->
@@ -910,8 +915,9 @@ let sweep_dead_service t sv =
   Hashtbl.iter
     (fun id entry ->
       match entry with
-      | App { svc_id; reply_src; reply_dst; _ }
-        when Int.equal svc_id sid && not (Hashtbl.mem limbo_ids id) ->
+      | App { sv = owner; reply_src; reply_dst; _ }
+        when Int.equal (service_id_of owner) sid
+             && not (Hashtbl.mem limbo_ids id) ->
           doomed := (id, Some (reply_src, reply_dst)) :: !doomed
       | Dispatch_ack d when Int.equal d.svc_id sid ->
           doomed := (id, None) :: !doomed
@@ -925,7 +931,6 @@ let sweep_dead_service t sv =
       | Some ((reply_src : Net.Frame.endpoint), (reply_dst : Net.Frame.endpoint))
         -> (
           Obs.Metrics.incr t.m_stale;
-          Nic_sched.on_complete t.sched ~service:sid;
           match nested_cont_of id with
           | Some cont
             when Net.Ip_addr.equal reply_dst.Net.Frame.ip
@@ -945,7 +950,7 @@ let sweep_dead_service t sv =
    that raced the restart hit the duplicate-id suppression instead of
    double-executing. *)
 let drain_limbo t sv =
-  let sid = sv.sspec.service.Rpc.Interface.service_id in
+  let sid = service_id_of sv in
   while not (Queue.is_empty sv.limbo) do
     let msg = Queue.pop sv.limbo in
     let w = choose_worker sv in
@@ -956,7 +961,6 @@ let drain_limbo t sv =
       match Hashtbl.find_opt t.inflight msg.Message.rpc_id with
       | Some (App a) ->
           Hashtbl.remove t.inflight msg.Message.rpc_id;
-          Nic_sched.on_complete t.sched ~service:sid;
           nack t ~rpc_id:msg.Message.rpc_id ~service_id:sid ~src:a.reply_src
             ~dst:a.reply_dst ~code:Rpc.Wire_format.err_dead
       | Some (Dispatch_ack _) | None -> ()
@@ -1084,14 +1088,12 @@ let create engine ~cfg ~ncores ?(binding = Os_integrated)
       ha;
       smirror;
       dmx = Demux.create ();
-      sched = Nic_sched.create ~shed:cfg.Config.shed ();
       egress;
       counters = Sim.Counter.group (name_of_binding binding);
       inflight = Hashtbl.create 4096;
       services = Hashtbl.create 32;
       dispatchers = [||];
       parked_eps = Hashtbl.create 64;
-      telemetry = Telemetry.create ();
       metrics;
       tracer;
       trk = Obs.Tracer.track tracer (name_of_binding binding);
@@ -1219,8 +1221,23 @@ let create engine ~cfg ~ncores ?(binding = Os_integrated)
         Osmodel.Kernel.new_process kern ~name:svc.Rpc.Interface.service_name
       in
       let sv =
-        { sspec; sproc; workers = [||]; active_count = 0;
-          limbo = Queue.create () }
+        {
+          sspec;
+          sproc;
+          workers = [||];
+          active_count = 0;
+          limbo = Queue.create ();
+          gate = Nic_sched.gate ();
+          stats =
+            {
+              latency = Sim.Histogram.create ();
+              fast = 0;
+              queued = 0;
+              cold = 0;
+              bytes_in = 0;
+              bytes_out = 0;
+            };
+        }
       in
       let workers =
         Array.init sspec.max_workers (fun widx ->
@@ -1365,7 +1382,7 @@ let ingress t frame =
 
 let active_workers t ~service_id = (service_rt t service_id).active_count
 
-let telemetry t = t.telemetry
+let service_stats t ~service_id = (service_rt t service_id).stats
 let metrics t = t.metrics
 let tracer t = t.tracer
 let set_address t address = t.address <- Some address
@@ -1396,15 +1413,4 @@ let driver t =
   Harness.Driver.make ~name:(name_of_binding t.binding)
     ~ingress:(fun f -> ingress t f)
     ~kernel:t.kern ~counters:t.counters ~metrics:t.metrics
-    ~describe:(fun () ->
-      let prof = (prof t).Coherence.Interconnect.name
-      and ncores = Osmodel.Kernel.ncores t.kern in
-      match t.binding with
-      | Os_integrated ->
-          Printf.sprintf "lauberhorn(%s, %d cores, timeout=%s)" prof ncores
-            (Format.asprintf "%a" Sim.Units.pp_duration
-               t.cfg.Config.tryagain_timeout)
-      | Static ->
-          Printf.sprintf "ccnic-static(%s, %d cores, %d services)" prof
-            ncores (Hashtbl.length t.services))
     ()

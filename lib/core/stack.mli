@@ -115,8 +115,25 @@ val counters : t -> Sim.Counter.group
 val active_workers : t -> service_id:int -> int
 (** Currently active (scheduled or parked) workers of a service. *)
 
-val telemetry : t -> Telemetry.t
-(** NIC-gathered per-service statistics (paper §6). *)
+(** NIC-gathered statistics of one local service (paper §6: "support
+    for tracing, debugging, and statistics presents interesting
+    properties for further close integration with the OS"). The NIC
+    sees both the arrival and the response of every RPC, so it measures
+    end-system latency per service at no CPU cost. Each request served
+    over the wire is recorded once, when its response is collected;
+    nested calls hairpinned back to this machine are not. *)
+type service_stats = private {
+  latency : Sim.Histogram.t;  (** End-system latency as the NIC saw it. *)
+  mutable fast : int;  (** Delivered straight into a parked load. *)
+  mutable queued : int;  (** Queued behind a busy worker. *)
+  mutable cold : int;  (** Through the kernel (Figure 5). *)
+  mutable bytes_in : int;  (** Argument payload bytes. *)
+  mutable bytes_out : int;  (** Response payload bytes. *)
+}
+
+val service_stats : t -> service_id:int -> service_stats
+(** The live record the stack updates.
+    @raise Invalid_argument for a service this stack does not host. *)
 
 val metrics : t -> Obs.Metrics.t
 (** The unified metrics registry this stack exports through. *)

@@ -257,6 +257,19 @@ let finish_run ~recorder ~name ~horizon ~drain server =
       @ Obs.Metrics.to_list server.driver.Harness.Driver.metrics;
   }
 
+(* [finish_run] of a run driven through [chaos]: latency as its client
+   saw it, with its stats and timeline digest among the counters. *)
+let finish_chaos_run chaos ~name ~horizon ~drain server =
+  let m =
+    finish_run ~recorder:(Harness.Chaos.recorder chaos) ~name ~horizon ~drain
+      server
+  in
+  let extra =
+    Harness.Chaos.stats chaos
+    @ [ ("timeline_digest", Harness.Chaos.timeline_digest chaos) ]
+  in
+  { m with counters = m.counters @ extra }
+
 let measure ?(drain = Sim.Units.ms 10) ~name ~horizon server =
   finish_run ~recorder:server.recorder ~name ~horizon ~drain server
 
@@ -323,15 +336,9 @@ let lossy_run_full ?(ncores = 4) ?(nservices = 1) ?(min_workers = 1)
         ~method_id:0
         ~port:(Workload.Scenario.port_of setup ~service_idx)
         (Rpc.Value.Blob (Bytes.make payload 'w')));
-  let m =
-    finish_run ~recorder:(Harness.Chaos.recorder chaos)
-      ~name:(flavour_name flavour) ~horizon ~drain server
-  in
-  let extra =
-    Harness.Chaos.stats chaos
-    @ [ ("timeline_digest", Harness.Chaos.timeline_digest chaos) ]
-  in
-  ({ m with counters = m.counters @ extra }, chaos)
+  ( finish_chaos_run chaos ~name:(flavour_name flavour) ~horizon ~drain
+      server,
+    chaos )
 
 let lossy_run ?ncores ?nservices ?min_workers ?max_workers ?payload
     ?handler_time ?seed ?horizon ?drain ?timeout ?retries ?backoff

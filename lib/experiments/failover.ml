@@ -32,8 +32,9 @@
    retries; with it on, the NIC fails fast and the latency tail of
    what *is* admitted stays bounded.
 
-   Deterministic under fixed seeds: scripts/check.sh runs this section
-   twice and requires byte-identical output. *)
+   Deterministic under fixed seeds: scripts/gates.sh, under
+   `dune build @check`, runs this section twice and requires
+   byte-identical output. *)
 
 let service_idx = 0
 
@@ -56,20 +57,14 @@ type crash_result = {
   window_completions : int;  (* completions inside the outage window *)
 }
 
-let run_crash ?(shed = false) ~server_fault flavour =
+(* [sanitize] builds the run's sanitizer session on its engine; by
+   default [LAUBERHORN_SANITIZE] decides, as for every section. *)
+let run_crash ?sanitize ~server_fault flavour =
   let setup =
     Workload.Scenario.echo_fleet ~n:1 ~handler_time:(Sim.Units.ns 500) ()
   in
   let service_id = Workload.Scenario.service_id_of setup ~service_idx in
   let plan = Fault.Plan.make ~seed:15 ~server:server_fault () in
-  let flavour =
-    (* Part (a) exercises shedding only where asked; the flag lives in
-       the Lauberhorn config. *)
-    match flavour with
-    | Common.Lauberhorn (cfg, mode) when shed ->
-        Common.Lauberhorn (Lauberhorn.Config.with_shed cfg true, mode)
-    | f -> f
-  in
   let engine = Sim.Engine.create () in
   let metrics = Obs.Metrics.create () in
   let chaos =
@@ -78,6 +73,7 @@ let run_crash ?(shed = false) ~server_fault flavour =
   in
   let server =
     Common.make_server ~ncores:4 ~engine ~fault:plan ~metrics
+      ?sanitize:(Option.map (fun f -> f engine) sanitize)
       ~egress:(Harness.Chaos.egress chaos) flavour setup
   in
   Harness.Chaos.connect chaos server.Common.driver;
@@ -97,38 +93,9 @@ let run_crash ?(shed = false) ~server_fault flavour =
       Harness.Chaos.call chaos ~service_id ~method_id:0
         ~port:(Workload.Scenario.port_of setup ~service_idx)
         (Rpc.Value.Blob (Bytes.make 64 'w')));
-  Common.run_to engine ~until:(horizon + drain);
-  server.Common.flush ();
-  let recorder = Harness.Chaos.recorder chaos in
-  let h = Harness.Recorder.latencies recorder in
-  let completed = Harness.Recorder.completed recorder in
-  let q p = if completed = 0 then 0 else Sim.Histogram.quantile h p in
-  let acct =
-    Osmodel.Cpu_account.merge
-      (Osmodel.Kernel.accounts server.Common.driver.Harness.Driver.kernel)
-  in
   let m =
-    {
-      Common.name = Common.flavour_name flavour;
-      sent = Harness.Recorder.sent recorder;
-      completed;
-      p50 = q 0.5;
-      p90 = q 0.9;
-      p99 = q 0.99;
-      mean = Sim.Histogram.mean h;
-      max = (if completed = 0 then 0 else Sim.Histogram.max_value h);
-      throughput = float_of_int completed /. Sim.Units.to_float_s horizon;
-      user_ns = Osmodel.Cpu_account.charged acct Osmodel.Cpu_account.User;
-      kernel_ns = Osmodel.Cpu_account.charged acct Osmodel.Cpu_account.Kernel;
-      spin_ns = Osmodel.Cpu_account.charged acct Osmodel.Cpu_account.Spin;
-      stall_ns = Osmodel.Cpu_account.charged acct Osmodel.Cpu_account.Stall;
-      window = horizon + drain;
-      counters =
-        Sim.Counter.to_list server.Common.driver.Harness.Driver.counters
-        @ Obs.Metrics.to_list server.Common.driver.Harness.Driver.metrics
-        @ Harness.Chaos.stats chaos
-        @ [ ("timeline_digest", Harness.Chaos.timeline_digest chaos) ];
-    }
+    Common.finish_chaos_run chaos ~name:(Common.flavour_name flavour) ~horizon
+      ~drain server
   in
   let timeline = Harness.Chaos.timeline chaos in
   let restart_time = crash_at + downtime in
@@ -188,27 +155,8 @@ let run_overload ~shed ~mult =
       Harness.Chaos.call chaos ~service_id ~method_id:0
         ~port:(Workload.Scenario.port_of setup ~service_idx)
         (Rpc.Value.Blob (Bytes.make 64 'w')));
-  Common.run_to engine ~until:(overload_horizon + overload_drain);
-  let recorder = Harness.Chaos.recorder chaos in
-  let h = Harness.Recorder.latencies recorder in
-  let completed = Harness.Recorder.completed recorder in
-  let q p = if completed = 0 then 0 else Sim.Histogram.quantile h p in
-  let stats = Harness.Chaos.stats chaos in
-  let stat name =
-    match List.assoc_opt name stats with Some v -> v | None -> 0
-  in
-  let metric name =
-    Obs.Metrics.counter_value server.Common.driver.Harness.Driver.metrics name
-  in
-  ( completed,
-    Harness.Recorder.sent recorder,
-    q 0.5,
-    q 0.99,
-    stat "rejected",
-    stat "retransmits",
-    stat "abandoned",
-    metric "sheds",
-    metric "drop_full" )
+  Common.finish_chaos_run chaos ~name:"overload" ~horizon:overload_horizon
+    ~drain:overload_drain server
 
 (* ---------- the report ---------- *)
 
@@ -330,16 +278,16 @@ let run () =
         "on p99"; "on sheds"; "on rejected";
       ]
     (List.map
-       (fun (mult, (c0, s0, _, p99_0, _, _, _, _, drop0), (c1, s1, _, p99_1, rej1, _, _, sheds1, _)) ->
+       (fun (mult, off, on_) ->
          [
            Printf.sprintf "%.1fx" mult;
-           Printf.sprintf "%d/%d" c0 s0;
-           Common.ns p99_0;
-           string_of_int drop0;
-           Printf.sprintf "%d/%d" c1 s1;
-           Common.ns p99_1;
-           string_of_int sheds1;
-           string_of_int rej1;
+           Printf.sprintf "%d/%d" off.Common.completed off.Common.sent;
+           Common.ns off.Common.p99;
+           string_of_int (Common.counter off "drop_full");
+           Printf.sprintf "%d/%d" on_.Common.completed on_.Common.sent;
+           Common.ns on_.Common.p99;
+           string_of_int (Common.counter on_ "sheds");
+           string_of_int (Common.counter on_ "rejected");
          ])
        rows);
   (* Shape: below capacity the shed watermark is never reached, so
@@ -349,16 +297,17 @@ let run () =
      shedding keeps the latency tail of admitted requests no worse
      than the silent-drop tail, and the rejects are explicit instead
      of silent. *)
-  let _, (c0h, s0h, _, _, _, _, _, _, _), (c1h, s1h, _, _, _, _, _, _, _) =
-    List.hd rows
+  let _, off_h, on_h = List.hd rows in
+  let below_identical =
+    off_h.Common.completed = on_h.Common.completed
+    && off_h.Common.sent = on_h.Common.sent
   in
-  let below_identical = c0h = c1h && s0h = s1h in
-  let _, (_, _, _, p99_off2, _, _, _, _, _), (_, _, _, p99_on2, rej2, _, _, sheds2, _)
-      =
-    List.nth rows 2
-  in
+  let _, off2, on2 = List.nth rows 2 in
+  let p99_off2 = off2.Common.p99 and p99_on2 = on2.Common.p99 in
   let tail_bounded = p99_on2 <= p99_off2 in
-  let explicit_rejects = sheds2 > 0 && rej2 > 0 in
+  let explicit_rejects =
+    Common.counter on2 "sheds" > 0 && Common.counter on2 "rejected" > 0
+  in
   Common.note
     "paper expectation: admission control converts silent SRAM drops into";
   Common.note

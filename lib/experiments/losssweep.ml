@@ -11,7 +11,8 @@
    price of loss is visible in p99 long before goodput collapses.
 
    The whole sweep is deterministic: same seeds, same plan, same
-   numbers (scripts/check.sh runs it twice and diffs). *)
+   numbers (scripts/gates.sh, under `dune build @check`, runs it twice
+   and diffs). *)
 
 let losses = [ 0.0; 0.01; 0.05; 0.1 ]
 let rate = 100_000.

@@ -4,14 +4,10 @@ type t = {
   kernel : Osmodel.Kernel.t;
   counters : Sim.Counter.group;
   metrics : Obs.Metrics.t;
-  describe : unit -> string;
 }
 
-let make ~name ~ingress ~kernel ~counters ?metrics ?describe () =
+let make ~name ~ingress ~kernel ~counters ?metrics () =
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
-  let describe =
-    match describe with Some f -> f | None -> fun () -> name
-  in
-  { name; ingress; kernel; counters; metrics; describe }
+  { name; ingress; kernel; counters; metrics }

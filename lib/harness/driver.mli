@@ -18,12 +18,9 @@ type t = {
           runs leave the fault counters at zero, and zero-valued
           scalars are dropped from {!Obs.Metrics.to_list}, so faultless
           reports are unchanged. *)
-  describe : unit -> string;
-      (** One-line configuration summary for reports. *)
 }
 
 val make :
   name:string -> ingress:(Net.Frame.t -> unit) -> kernel:Osmodel.Kernel.t ->
-  counters:Sim.Counter.group -> ?metrics:Obs.Metrics.t ->
-  ?describe:(unit -> string) -> unit -> t
+  counters:Sim.Counter.group -> ?metrics:Obs.Metrics.t -> unit -> t
 (** [metrics] defaults to a fresh empty registry. *)

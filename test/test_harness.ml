@@ -145,33 +145,34 @@ let test_recorder_allocation_budget () =
 
 let test_client_retransmission_over_lossy_link () =
   (* End-to-end robustness: a client with retransmission behind a 20%%-
-     lossy wire in both directions still completes every call. *)
+     lossy link in both directions still completes every call. The
+     loss is a seeded fault injector in front of each wire. *)
   let engine = Sim.Engine.create () in
+  let lossy ~seed ~deliver =
+    let wire =
+      Net.Wire.create engine ~gbps:100. ~propagation:(Sim.Units.ns 500)
+        ~deliver ()
+    in
+    Fault.Link.create engine ~plan:(Fault.Plan.link ~drop:0.2 ())
+      ~rng:(Sim.Rng.create ~seed) ~deliver:(Net.Wire.transmit wire) ()
+  in
   let client = ref None in
   let to_client =
-    Net.Wire.create engine ~gbps:100. ~propagation:(Sim.Units.ns 500)
-      ~loss:0.2 ~seed:11
-      ~deliver:(fun f ->
+    lossy ~seed:11 ~deliver:(fun f ->
         match !client with Some c -> Harness.Client.on_reply c f | None -> ())
-      ()
   in
   let stack =
     Lauberhorn.Stack.create engine ~cfg:Lauberhorn.Config.enzian ~ncores:4
       ~services:
         [ Lauberhorn.Stack.spec ~port:7000 (Rpc.Interface.echo_service ~id:1) ]
-      ~egress:(fun f -> Net.Wire.transmit to_client f)
+      ~egress:(Fault.Link.send to_client)
       ()
   in
   let to_server =
-    Net.Wire.create engine ~gbps:100. ~propagation:(Sim.Units.ns 500)
-      ~loss:0.2 ~seed:12
-      ~deliver:(fun f -> Lauberhorn.Stack.ingress stack f)
-      ()
+    lossy ~seed:12 ~deliver:(fun f -> Lauberhorn.Stack.ingress stack f)
   in
   let c =
-    Harness.Client.create engine
-      ~send:(fun f -> Net.Wire.transmit to_server f)
-      ()
+    Harness.Client.create engine ~send:(Fault.Link.send to_server) ()
   in
   client := Some c;
   let done_count = ref 0 in
@@ -189,7 +190,8 @@ let test_client_retransmission_over_lossy_link () =
   checki "all complete despite loss" 200 !done_count;
   checki "nothing abandoned" 0 (Harness.Client.abandoned c);
   checkb "retransmissions happened" true (Harness.Client.retransmits c > 20);
-  checkb "wire dropped frames" true (Net.Wire.frames_lost to_server > 20)
+  checkb "link dropped frames" true
+    (List.assoc "dropped" (Fault.Link.counters to_server ~prefix:"") > 20)
 
 let test_client_abandons_when_server_unreachable () =
   let engine = Sim.Engine.create () in
@@ -202,19 +204,6 @@ let test_client_abandons_when_server_unreachable () =
   checki "abandoned" 1 (Harness.Client.abandoned c);
   checki "retried twice" 2 (Harness.Client.retransmits c);
   checki "slot released" 0 (Harness.Client.outstanding c)
-
-let test_driver_describe () =
-  let e = Sim.Engine.create () in
-  let k = Osmodel.Kernel.create e ~ncores:1 () in
-  let d =
-    Harness.Driver.make ~name:"x"
-      ~ingress:(fun _ -> ())
-      ~kernel:k
-      ~counters:(Sim.Counter.group "x")
-      ()
-  in
-  Alcotest.check Alcotest.string "default describe" "x"
-    (d.Harness.Driver.describe ())
 
 let () =
   Alcotest.run "harness"
@@ -243,6 +232,4 @@ let () =
           Alcotest.test_case "abandons unreachable server" `Quick
             test_client_abandons_when_server_unreachable;
         ] );
-      ( "driver",
-        [ Alcotest.test_case "describe" `Quick test_driver_describe ] );
     ]

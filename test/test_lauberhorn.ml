@@ -495,45 +495,17 @@ let test_mirror_query_costs_mmio () =
 (* ---------- Nic_sched ---------- *)
 
 let test_nic_sched_scale_up_on_queue () =
-  let s = Lauberhorn.Nic_sched.create ~hi_watermark:4 () in
-  checkb "queue above watermark" true
-    (Lauberhorn.Nic_sched.decide s ~service:1 ~queue_depth:5 ~workers:1
-       ~handler_time:500
-    = Lauberhorn.Nic_sched.Add_worker);
-  checkb "steady below" true
-    (Lauberhorn.Nic_sched.decide s ~service:1 ~queue_depth:1 ~workers:1
-       ~handler_time:500
-    = Lauberhorn.Nic_sched.Steady)
-
-let test_nic_sched_rate_estimation () =
-  let s = Lauberhorn.Nic_sched.create () in
-  (* 1 arrival per microsecond = 1M/s. *)
-  for i = 1 to 200 do
-    Lauberhorn.Nic_sched.on_arrival s ~service:7 ~now:(i * Sim.Units.us 1)
-  done;
-  let rate = Lauberhorn.Nic_sched.rate s ~service:7 in
-  checkb "rate near 1M/s" true (rate > 0.5e6 && rate < 2e6);
-  Lauberhorn.Nic_sched.on_complete s ~service:7;
-  checki "outstanding" 199 (Lauberhorn.Nic_sched.outstanding s ~service:7)
-
-let test_nic_sched_release_when_idle () =
-  let s = Lauberhorn.Nic_sched.create () in
-  (* Two sparse arrivals: rate ~ tiny; with 2 workers, release one. *)
-  Lauberhorn.Nic_sched.on_arrival s ~service:2 ~now:0;
-  Lauberhorn.Nic_sched.on_arrival s ~service:2 ~now:(Sim.Units.ms 10);
-  checkb "release" true
-    (Lauberhorn.Nic_sched.decide s ~service:2 ~queue_depth:0 ~workers:2
-       ~handler_time:500
-    = Lauberhorn.Nic_sched.Release_worker)
+  let d depth =
+    Lauberhorn.Nic_sched.decide (Lauberhorn.Nic_sched.gate ()) ~shed:false
+      ~queue_depth:depth
+  in
+  checkb "queue above watermark" true (d 5 = Lauberhorn.Nic_sched.Add_worker);
+  checkb "steady at watermark" true (d 4 = Lauberhorn.Nic_sched.Steady);
+  checkb "steady below" true (d 1 = Lauberhorn.Nic_sched.Steady)
 
 let test_nic_sched_shed_hysteresis () =
-  let s =
-    Lauberhorn.Nic_sched.create ~shed:true ~shed_hi:16 ~shed_lo:4 ()
-  in
-  let d depth =
-    Lauberhorn.Nic_sched.decide s ~service:1 ~queue_depth:depth ~workers:1
-      ~handler_time:500
-  in
+  let g = Lauberhorn.Nic_sched.gate () in
+  let d depth = Lauberhorn.Nic_sched.decide g ~shed:true ~queue_depth:depth in
   (* In the band but below the high watermark: never sheds, and a
      constant arrival rate gives a constant decision — no flapping. *)
   let first = d 10 in
@@ -549,13 +521,7 @@ let test_nic_sched_shed_hysteresis () =
   done;
   (* Only draining to the low watermark clears it. *)
   checkb "clears at lo" true (d 4 <> Lauberhorn.Nic_sched.Shed);
-  checkb "stays clear in band" true (d 10 <> Lauberhorn.Nic_sched.Shed);
-  (* Watermark validation. *)
-  checkb "inverted watermarks rejected" true
-    (try
-       ignore (Lauberhorn.Nic_sched.create ~shed:true ~shed_hi:4 ~shed_lo:8 ());
-       false
-     with Invalid_argument _ -> true)
+  checkb "stays clear in band" true (d 10 <> Lauberhorn.Nic_sched.Shed)
 
 let nic_sched_shed_hysteresis_property =
   QCheck.Test.make
@@ -563,14 +529,11 @@ let nic_sched_shed_hysteresis_property =
     ~count:300
     QCheck.(pair bool (list (int_bound 32)))
     (fun (shed, depths) ->
-      let s = Lauberhorn.Nic_sched.create ~shed ~shed_hi:16 ~shed_lo:4 () in
+      let g = Lauberhorn.Nic_sched.gate () in
       let shedding = ref false in
       List.for_all
         (fun depth ->
-          let d =
-            Lauberhorn.Nic_sched.decide s ~service:1 ~queue_depth:depth
-              ~workers:1 ~handler_time:500
-          in
+          let d = Lauberhorn.Nic_sched.decide g ~shed ~queue_depth:depth in
           (if shed then
              if !shedding then (if depth <= 4 then shedding := false)
              else if depth >= 16 then shedding := true);
@@ -1065,17 +1028,20 @@ let test_stack_telemetry () =
              (Rpc.Value.Blob (Bytes.make 48 't'))))
   done;
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 5);
-  let tel = Lauberhorn.Stack.telemetry env.stack in
-  checki "all recorded" 50 (Lauberhorn.Telemetry.total_rpcs tel);
-  check (Alcotest.list Alcotest.int) "one service" [ 1 ]
-    (Lauberhorn.Telemetry.services tel);
-  let fast, queued, cold = Lauberhorn.Telemetry.path_counts tel ~service_id:1 in
-  checki "paths sum" 50 (fast + queued + cold);
-  checkb "mostly fast" true (fast > 25);
-  let bytes_in, bytes_out = Lauberhorn.Telemetry.bytes tel ~service_id:1 in
-  checkb "bytes tracked" true (bytes_in > 0 && bytes_out > 0);
-  let h = Lauberhorn.Telemetry.latency tel ~service_id:1 in
-  checki "histogram count" 50 (Sim.Histogram.count h);
+  let st = Lauberhorn.Stack.service_stats env.stack ~service_id:1 in
+  let h = st.Lauberhorn.Stack.latency in
+  checki "all recorded" 50 (Sim.Histogram.count h);
+  checki "paths sum" 50
+    (st.Lauberhorn.Stack.fast + st.Lauberhorn.Stack.queued
+   + st.Lauberhorn.Stack.cold);
+  checkb "mostly fast" true (st.Lauberhorn.Stack.fast > 25);
+  checkb "bytes tracked" true
+    (st.Lauberhorn.Stack.bytes_in > 0 && st.Lauberhorn.Stack.bytes_out > 0);
+  checkb "unknown service rejected" true
+    (try
+       ignore (Lauberhorn.Stack.service_stats env.stack ~service_id:9);
+       false
+     with Invalid_argument _ -> true);
   (* The NIC-side latency must agree with the client-observed latency
      up to the TX MAC delay. *)
   let nic_p50 = Sim.Histogram.quantile h 0.5 in
@@ -1084,6 +1050,56 @@ let test_stack_telemetry () =
   in
   checkb "nic view close to client view" true
     (abs (client_p50 - nic_p50) < Sim.Units.us 1)
+
+(* The per-service statistics and the stack-wide counters count the
+   same RPCs: on a fault-free, drained run with no nested calls, the
+   per-service fast/queued/cold sums equal the stack's path counters,
+   and the per-service latency counts sum to every handled RPC. *)
+let test_stack_stats_agree_with_counters () =
+  let ids = [ 1; 2; 3 ] in
+  let env =
+    make_stack
+      ~cfg:
+        (Lauberhorn.Config.with_timeout Lauberhorn.Config.enzian
+           (Sim.Units.us 100))
+      ~ncores:4
+      ~services:
+        (List.map
+           (fun id ->
+             echo_spec ~min_workers:0 ~max_workers:2 ~port:(7000 + id) ~id ())
+           ids)
+      ()
+  in
+  let rng = Sim.Rng.create ~seed:5 in
+  Workload.Arrivals.open_loop env.sengine rng ~rate_per_s:400_000.
+    ~until:(Sim.Units.ms 2) (fun ~seq ->
+      let id = 1 + Sim.Rng.int rng ~bound:3 in
+      Harness.Traffic.inject env.recorder env.driver ~rpc_id:(Int64.of_int seq)
+        ~service_id:id ~method_id:0 ~port:(7000 + id)
+        (Rpc.Value.Blob (Bytes.make 32 's')));
+  Sim.Engine.run env.sengine ~until:(Sim.Units.ms 20);
+  let c name =
+    Sim.Counter.value
+      (Sim.Counter.counter (Lauberhorn.Stack.counters env.stack) name)
+  in
+  let sum f =
+    List.fold_left
+      (fun acc id ->
+        acc + f (Lauberhorn.Stack.service_stats env.stack ~service_id:id))
+      0 ids
+  in
+  let completed = Harness.Recorder.completed env.recorder in
+  checki "drained" (Harness.Recorder.sent env.recorder) completed;
+  checkb "every path taken" true
+    (c "fast_path" > 0 && c "queued_path" > 0 && c "cold_path" > 0);
+  checki "fast" (c "fast_path") (sum (fun s -> s.Lauberhorn.Stack.fast));
+  checki "queued" (c "queued_path") (sum (fun s -> s.Lauberhorn.Stack.queued));
+  checki "cold" (c "cold_path") (sum (fun s -> s.Lauberhorn.Stack.cold));
+  let recorded =
+    sum (fun s -> Sim.Histogram.count s.Lauberhorn.Stack.latency)
+  in
+  checki "latency counts = rpcs_handled" (c "rpcs_handled") recorded;
+  checki "rpcs_handled = completed" completed (c "rpcs_handled")
 
 let test_stack_tracing () =
   (* Paper section 6: the NIC sees arrival and response, so the stack's
@@ -1400,10 +1416,6 @@ let () =
         [
           Alcotest.test_case "scale up on queue" `Quick
             test_nic_sched_scale_up_on_queue;
-          Alcotest.test_case "rate estimation" `Quick
-            test_nic_sched_rate_estimation;
-          Alcotest.test_case "release when idle" `Quick
-            test_nic_sched_release_when_idle;
           Alcotest.test_case "shed hysteresis" `Quick
             test_nic_sched_shed_hysteresis;
         ]
@@ -1434,6 +1446,8 @@ let () =
             test_stack_retire_and_resume_dispatcher;
           Alcotest.test_case "telemetry (section 6)" `Quick
             test_stack_telemetry;
+          Alcotest.test_case "per-service stats agree with counters" `Quick
+            test_stack_stats_agree_with_counters;
           Alcotest.test_case "tx endpoint backpressure" `Quick
             test_tx_endpoint_backpressure;
           Alcotest.test_case "nested uses tx lines" `Quick

@@ -376,38 +376,6 @@ let test_wire_serialization_delay () =
   (* 1500B + 24B overhead at 100 Gb/s = 1524*8/100 = 121.92 -> 122ns *)
   checki "delay" 122 (Net.Wire.serialization_delay ~gbps:100. ~bytes:1500)
 
-let test_wire_loss_and_corruption () =
-  let e = Sim.Engine.create () in
-  let delivered = ref 0 in
-  let lossy =
-    Net.Wire.create e ~gbps:100. ~propagation:10 ~loss:0.5 ~seed:7
-      ~deliver:(fun _ -> incr delivered)
-      ()
-  in
-  let frame = Net.Frame.make ~src:(ep ()) ~dst:(ep ~last:2 ()) (Bytes.make 32 'x') in
-  for _ = 1 to 1000 do
-    Net.Wire.transmit lossy frame
-  done;
-  Sim.Engine.run e;
-  checki "loss accounting" 1000 (!delivered + Net.Wire.frames_lost lossy);
-  checkb "roughly half lost" true
-    (Net.Wire.frames_lost lossy > 400 && Net.Wire.frames_lost lossy < 600);
-  (* Corruption: the checksums catch essentially all single-byte flips
-     inside the headers; flips in padding can survive. *)
-  let delivered2 = ref 0 in
-  let noisy =
-    Net.Wire.create e ~gbps:100. ~propagation:10 ~corruption:1.0 ~seed:8
-      ~deliver:(fun _ -> incr delivered2)
-      ()
-  in
-  for _ = 1 to 200 do
-    Net.Wire.transmit noisy frame
-  done;
-  Sim.Engine.run e;
-  checki "all accounted" 200 (!delivered2 + Net.Wire.frames_corrupted noisy);
-  checkb "most flips detected and dropped" true
-    (Net.Wire.frames_corrupted noisy > 100)
-
 let test_wire_delivery_and_queueing () =
   let e = Sim.Engine.create () in
   let arrivals = ref [] in
@@ -489,7 +457,5 @@ let () =
             test_wire_serialization_delay;
           Alcotest.test_case "delivery and queueing" `Quick
             test_wire_delivery_and_queueing;
-          Alcotest.test_case "loss and corruption" `Quick
-            test_wire_loss_and_corruption;
         ] );
     ]

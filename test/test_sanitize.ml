@@ -324,6 +324,30 @@ let test_kill_restart_sanitizer_clean () =
   let z = sanitized_lossy ~seed:42 ~flavour:lauberhorn ~kill:true () in
   assert_clean "lauberhorn kill/restart under loss" z
 
+(* E15's crash run closes its sanitizer session: the end-of-run checks
+   (mirror convergence, pool leaks, heap validation) run once the run
+   drains, and they come back clean. *)
+let test_failover_crash_finishes_sanitizer () =
+  let session = ref None and finished = ref false in
+  let sanitize engine =
+    let z = collector engine in
+    Z.on_finish z (fun () -> finished := true);
+    session := Some z;
+    z
+  in
+  let r =
+    Experiments.Failover.run_crash ~sanitize
+      ~server_fault:
+        (P.server_fault ~crash_at:Experiments.Failover.crash_at
+           ~downtime:Experiments.Failover.downtime ())
+      lauberhorn
+  in
+  checki "crashed once" 1 r.Experiments.Failover.crashes;
+  checkb "finish checks ran" true !finished;
+  match !session with
+  | Some z -> assert_clean "E15 lauberhorn crash" z
+  | None -> Alcotest.fail "no sanitizer session"
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   let q t = QCheck_alcotest.to_alcotest t in
@@ -369,5 +393,7 @@ let () =
                "seeded lossy linux runs are sanitizer-clean");
           tc "kill/restart under loss stays clean"
             test_kill_restart_sanitizer_clean;
+          tc "E15 crash run finishes its session"
+            test_failover_crash_finishes_sanitizer;
         ] );
     ]
