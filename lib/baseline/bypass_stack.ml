@@ -1,3 +1,14 @@
+(* Receive path: a poller takes a descriptor from its NIC queue with
+   [Dma_nic.consume] and decodes the request inside the callback,
+   straight from the pooled receive buffer (header read in place,
+   arguments decoded in place), so no copy of the frame is made and the
+   buffer goes back to the pool at once. What survives is a [request]
+   carrying only what the handler and the reply need. The per-packet
+   rx cost then elapses; the counters and the poll_rx span fire after
+   it, as the packet's processing completes on the core. The reply is
+   encoded in one pass, the result written straight into the message
+   buffer. *)
+
 type service_spec = { service : Rpc.Interface.service_def; port : int }
 
 let spec ~port service = { service; port }
@@ -9,11 +20,33 @@ type poller = {
   mutable spin_since : Sim.Units.time option;
 }
 
+(* A request decoded inside [Dma_nic.consume]'s callback: its ids and
+   trace context for the reply header, the two endpoints, and the
+   decoded arguments. Nothing in it aliases the receive buffer. *)
+type request = {
+  rpc_id : int64;
+  service_id : int;
+  method_id : int;
+  ctx : bytes option;
+  client : Net.Frame.endpoint;
+  server : Net.Frame.endpoint;
+  mdef : Rpc.Interface.method_def;
+  args : Rpc.Value.t;
+  arg_bytes : int;
+}
+
+(* What the callback makes of a descriptor. [Drop] names the counter. *)
+type rx =
+  | Bad_rpc
+  | Drop of { rpc_id : int64; counter : string }
+  | Request of request
+
 type t = {
   engine : Sim.Engine.t;
   kern : Osmodel.Kernel.t;
   mutable nic : Nic.Dma_nic.t option;
   by_port : (int, service_spec) Hashtbl.t;
+  rx_decode : Net.Frame.view -> rx;  (* built once, applied per descriptor *)
   port_to_poller : (int, int) Hashtbl.t;
   mutable pollers : poller array;
   mutable proc : Osmodel.Proc.process option;
@@ -47,80 +80,101 @@ let charge_user t p cost =
     (Osmodel.Kernel.account t.kern ~core:p.core)
     Osmodel.Cpu_account.User cost
 
+(* Decode a received frame where it lies in the pooled buffer. The
+   header is checked and read in place and the arguments decoded from
+   the payload slice, so nothing of the buffer outlives the callback. *)
+let decode_rx by_port (v : Net.Frame.view) =
+  let b = v.payload.Net.Slice.base
+  and off = v.payload.Net.Slice.off
+  and len = v.payload.Net.Slice.len in
+  match Rpc.Wire_format.check_sub b ~off ~len with
+  | Error _ -> Bad_rpc
+  | Ok () -> (
+      let rpc_id = Rpc.Wire_format.rpc_id_sub b ~off ~len in
+      match Hashtbl.find by_port v.udp.Net.Udp.dst_port with
+      | exception Not_found -> Drop { rpc_id; counter = "rx_no_service" }
+      | sspec -> (
+          let method_id = Rpc.Wire_format.method_id_sub b ~off ~len in
+          match Rpc.Interface.method_by_id sspec.service method_id with
+          | exception Not_found -> Drop { rpc_id; counter = "rx_no_method" }
+          | mdef -> (
+              let pos = Rpc.Wire_format.body_offset_sub b ~off ~len in
+              let arg_bytes = len - pos in
+              match
+                Rpc.Codec.decode_sub mdef.Rpc.Interface.request b
+                  ~pos:(off + pos) ~len:arg_bytes
+              with
+              | Error _ -> Drop { rpc_id; counter = "rx_bad_args" }
+              | Ok args ->
+                  Request
+                    {
+                      rpc_id;
+                      service_id = Rpc.Wire_format.service_id_sub b ~off ~len;
+                      method_id;
+                      ctx = Rpc.Wire_format.ctx_sub b ~off ~len;
+                      client = Net.Frame.view_src_endpoint v;
+                      server = Net.Frame.view_dst_endpoint v;
+                      mdef;
+                      args;
+                      arg_bytes;
+                    })))
+
 (* Run-to-completion handling of one frame on the poller's core. The
    poller thread owns its core outright, so we charge its ledger
    directly and sequence work with engine delays. *)
 let rec poll_loop t p () =
-  match Nic.Dma_nic.consume (nic t) ~queue:p.pidx Net.Frame.of_view with
-  | Some frame ->
-      let rx = sw.Costs.poll_rx_per_packet + sw.Costs.bypass_demux in
-      charge_user t p rx;
+  match Nic.Dma_nic.consume (nic t) ~queue:p.pidx t.rx_decode with
+  | Some rx ->
+      let cost = sw.Costs.poll_rx_per_packet + sw.Costs.bypass_demux in
+      charge_user t p cost;
       (* Capture the thread identity: if the process crashes while this
          packet is in flight, the continuation must die with it (the
          frame is already consumed from the ring, so it is simply lost —
          bypass gives the client no transport-level crash signal). *)
       let th = p.pthread in
       ignore
-        (Sim.Engine.schedule_after t.engine ~after:rx (fun () ->
+        (Sim.Engine.schedule_after t.engine ~after:cost (fun () ->
              if th.Osmodel.Proc.state <> Osmodel.Proc.Exited then
-               handle t p frame))
+               handle t p rx))
   | None ->
       (* Park the (simulated) spin: the ring's produce callback resumes
          us and we back-charge the spin window. *)
       p.spin_since <- Some (Sim.Engine.now t.engine)
 
-(* The header is read and the arguments decoded in place: nothing is
-   copied out of the frame. *)
-and handle t p frame =
+and handle t p rx =
   let drop counter =
     Sim.Counter.incr (ctr t counter);
     poll_loop t p ()
   in
-  let payload = frame.Net.Frame.payload in
-  match Rpc.Wire_format.check payload with
-  | Error _ -> drop "rx_bad_rpc"
-  | Ok () -> (
-      let rpc_id = Rpc.Wire_format.rpc_id payload in
+  match rx with
+  | Bad_rpc -> drop "rx_bad_rpc"
+  | Drop { rpc_id; counter } ->
       (* DMA delivery + poll-loop spin + per-packet rx cost. *)
       span_stage t ~rpc:rpc_id "poll_rx";
-      match Hashtbl.find t.by_port frame.Net.Frame.udp.Net.Udp.dst_port with
-      | exception Not_found -> drop "rx_no_service"
-      | sspec -> (
-          match
-            Rpc.Interface.method_by_id sspec.service
-              (Rpc.Wire_format.method_id payload)
-          with
-          | exception Not_found -> drop "rx_no_method"
-          | mdef -> (
-              let pos = Rpc.Wire_format.body_offset payload in
-              let arg_bytes = Bytes.length payload - pos in
-              match
-                Rpc.Codec.decode_sub mdef.Rpc.Interface.request payload ~pos
-                  ~len:arg_bytes
-              with
-              | Error _ -> drop "rx_bad_args"
-              | Ok args -> execute t p frame ~rpc_id ~arg_bytes mdef args)))
+      drop counter
+  | Request r ->
+      span_stage t ~rpc:r.rpc_id "poll_rx";
+      execute t p r
 
-and execute t p frame ~rpc_id ~arg_bytes mdef args =
+and execute t p r =
   let deser =
     Rpc.Deser_cost.cost Rpc.Deser_cost.software
-      ~fields:(Rpc.Value.field_count args)
-      ~bytes:arg_bytes
+      ~fields:(Rpc.Value.field_count r.args)
+      ~bytes:r.arg_bytes
   in
-  let work = deser + mdef.Rpc.Interface.handler_time in
+  let work = deser + r.mdef.Rpc.Interface.handler_time in
   charge_user t p work;
   let th = p.pthread in
   ignore
     (Sim.Engine.schedule_after t.engine ~after:work (fun () ->
          if th.Osmodel.Proc.state = Osmodel.Proc.Exited then ()
          else begin
-         span_stage t ~rpc:rpc_id "app";
-         let result = mdef.Rpc.Interface.execute args in
-         let body = Rpc.Codec.encode result in
+         span_stage t ~rpc:r.rpc_id "app";
+         let result = r.mdef.Rpc.Interface.execute r.args in
          let marshal =
            Rpc.Deser_cost.cost Rpc.Deser_cost.software_marshal
              ~fields:(Rpc.Value.field_count result)
-             ~bytes:(Bytes.length body)
+             ~bytes:(Rpc.Codec.encoded_size result)
            + sw.Costs.doorbell
          in
          charge_user t p marshal;
@@ -128,29 +182,19 @@ and execute t p frame ~rpc_id ~arg_bytes mdef args =
            (Sim.Engine.schedule_after t.engine ~after:marshal (fun () ->
                 if th.Osmodel.Proc.state = Osmodel.Proc.Exited then ()
                 else begin
-                let request = frame.Net.Frame.payload in
-                let reply =
-                  {
-                    Rpc.Wire_format.rpc_id;
-                    service_id = Rpc.Wire_format.service_id request;
-                    method_id = Rpc.Wire_format.method_id request;
-                    kind = Rpc.Wire_format.Response;
-                    ctx = Rpc.Wire_format.ctx request;
-                    body;
-                  }
-                in
                 let out =
-                  Net.Frame.make
-                    ~src:(Net.Frame.dst_endpoint frame)
-                    ~dst:(Net.Frame.src_endpoint frame)
-                    (Rpc.Wire_format.encode reply)
+                  Net.Frame.make ~src:r.server ~dst:r.client
+                    (Rpc.Wire_format.encode_value
+                       ~kind:Rpc.Wire_format.Response ?ctx:r.ctx
+                       ~rpc_id:r.rpc_id ~service_id:r.service_id
+                       ~method_id:r.method_id result)
                 in
                 Sim.Counter.incr (ctr t "tx_frames");
-                span_stage t ~rpc:rpc_id "marshal";
+                span_stage t ~rpc:r.rpc_id "marshal";
                 Nic.Dma_nic.transmit (nic t) out
                   ~via:(fun f ->
-                    span_stage t ~rpc:rpc_id "tx_dma";
-                    Obs.Tracer.rpc_end t.tracer ~rpc:rpc_id
+                    span_stage t ~rpc:r.rpc_id "tx_dma";
+                    Obs.Tracer.rpc_end t.tracer ~rpc:r.rpc_id
                       (Sim.Engine.now t.engine);
                     t.egress f);
                 Sim.Counter.incr (ctr t "rpcs_handled");
@@ -193,12 +237,14 @@ let create engine ~profile ~ncores ?pollers ?(fault = Fault.Plan.none)
   let tracer =
     match tracer with Some tr -> tr | None -> Obs.Tracer.create ()
   in
+  let by_port = Hashtbl.create 64 in
   let t =
     {
       engine;
       kern;
       nic = None;
-      by_port = Hashtbl.create 64;
+      by_port;
+      rx_decode = decode_rx by_port;
       port_to_poller = Hashtbl.create 64;
       pollers = [||];
       proc = None;

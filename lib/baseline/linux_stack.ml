@@ -152,44 +152,40 @@ and handle_rpc t rt th frame =
           Osmodel.Kernel.run_for t.kern th ~kind:Osmodel.Cpu_account.User
             (deser_cost + mdef.Rpc.Interface.handler_time) (fun () ->
               let result = mdef.Rpc.Interface.execute args in
-              let body = Rpc.Codec.encode result in
+              let body_bytes = Rpc.Codec.encoded_size result in
               let marshal_cost =
                 Rpc.Deser_cost.cost Rpc.Deser_cost.software_marshal
                   ~fields:(Rpc.Value.field_count result)
-                  ~bytes:(Bytes.length body)
+                  ~bytes:body_bytes
               in
               Osmodel.Kernel.run_for t.kern th
                 ~kind:Osmodel.Cpu_account.User marshal_cost (fun () ->
-                  send_reply t rt th frame ~rpc_id body)))
+                  send_reply t rt th frame ~rpc_id ~body_bytes result)))
 
-and send_reply t rt th frame ~rpc_id body =
+(* The reply is encoded in one pass when the send path has run: the
+   result is written straight into the message buffer. *)
+and send_reply t rt th frame ~rpc_id ~body_bytes result =
   (* Deserialize + handler + marshal, all user time. *)
   span_stage t ~rpc:rpc_id "app";
   let send_cost =
     sw.Costs.send_path
     + int_of_float
         (Float.round
-           (sw.Costs.send_copy_per_byte *. float_of_int (Bytes.length body)))
+           (sw.Costs.send_copy_per_byte *. float_of_int body_bytes))
     + sw.Costs.doorbell
   in
   Osmodel.Kernel.run_for t.kern th ~kind:Osmodel.Cpu_account.Kernel send_cost
     (fun () ->
       let request = frame.Net.Frame.payload in
-      let reply =
-        {
-          Rpc.Wire_format.rpc_id;
-          service_id = Rpc.Wire_format.service_id request;
-          method_id = Rpc.Wire_format.method_id request;
-          kind = Rpc.Wire_format.Response;
-          ctx = Rpc.Wire_format.ctx request;
-          body;
-        }
-      in
       let out =
         Net.Frame.make
           ~src:(Net.Frame.dst_endpoint frame)
           ~dst:(Net.Frame.src_endpoint frame)
-          (Rpc.Wire_format.encode reply)
+          (Rpc.Wire_format.encode_value ~kind:Rpc.Wire_format.Response
+             ?ctx:(Rpc.Wire_format.ctx request) ~rpc_id
+             ~service_id:(Rpc.Wire_format.service_id request)
+             ~method_id:(Rpc.Wire_format.method_id request)
+             result)
       in
       Sim.Counter.incr (ctr t "tx_frames");
       span_stage t ~rpc:rpc_id "send";

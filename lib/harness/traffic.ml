@@ -23,7 +23,8 @@ let server_endpoint ~port = { server_address with Net.Frame.port }
 let request_frame ~rpc_id ~service_id ~method_id ~port ?client args =
   let client = match client with Some c -> c | None -> default_client in
   Net.Frame.make ~src:client ~dst:(server_endpoint ~port)
-    (Rpc.Wire_format.encode_request ~rpc_id ~service_id ~method_id args)
+    (Rpc.Wire_format.encode_value ~kind:Rpc.Wire_format.Request ~rpc_id
+       ~service_id ~method_id args)
 
 let inject recorder (driver : Driver.t) ~rpc_id ~service_id ~method_id ~port
     ?client args =

@@ -109,6 +109,12 @@ let src_endpoint (t : t) =
 let dst_endpoint (t : t) =
   { mac = t.eth.Ethernet.dst; ip = t.ip.Ipv4.dst; port = t.udp.Udp.dst_port }
 
+let view_src_endpoint (v : view) =
+  { mac = v.eth.Ethernet.src; ip = v.ip.Ipv4.src; port = v.udp.Udp.src_port }
+
+let view_dst_endpoint (v : view) =
+  { mac = v.eth.Ethernet.dst; ip = v.ip.Ipv4.dst; port = v.udp.Udp.dst_port }
+
 let pp_error ppf = function
   | Not_ipv4 et -> Format.fprintf ppf "not IPv4 (ethertype 0x%04x)" et
   | Not_udp p -> Format.fprintf ppf "not UDP (protocol %d)" p

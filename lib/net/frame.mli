@@ -65,4 +65,12 @@ val of_view : view -> t
 
 val src_endpoint : t -> endpoint
 val dst_endpoint : t -> endpoint
+
+val view_src_endpoint : view -> endpoint
+(** A view's source, read from its headers: nothing in it aliases the
+    backing buffer, so it outlives the view. *)
+
+val view_dst_endpoint : view -> endpoint
+(** A view's destination, as {!view_src_endpoint}. *)
+
 val pp_error : Format.formatter -> error -> unit

@@ -44,6 +44,9 @@ type t = {
          nothing. *)
 }
 
+(* The pool's base class and the IOVA stride of a ring slot. A larger
+   frame takes a buffer from a larger pool class but keeps its slot's
+   IOVA, so the IOTLB sees the same addresses for every frame size. *)
 let buffer_bytes = 2048
 
 let queue t q =
@@ -75,14 +78,11 @@ let rx_frame t frame =
   ignore
     (Sim.Engine.schedule_after t.engine ~after:total (fun () ->
          (* DMA completion: the wire bytes land in a pooled receive
-            buffer and the descriptor carries a view of them — the
-            driver parses in place and returns the buffer at consume.
-            Jumbo frames that exceed the posted buffer size get a
-            one-off allocation outside the pool. *)
-         let size = Net.Frame.wire_size frame in
+            buffer of the smallest size class that holds them, and the
+            descriptor carries a view of them — the driver parses in
+            place and returns the buffer at consume. *)
          let buf =
-           if size <= buffer_bytes then Net.Pool.acquire t.pool
-           else Bytes.create size
+           Net.Pool.acquire t.pool ~len:(Net.Frame.wire_size frame)
          in
          let slice = Net.Frame.encode_into frame buf in
          if
@@ -93,7 +93,7 @@ let rx_frame t frame =
               stage — a counted tail drop that must release its pooled
               buffer like any other rejection. *)
            t.fault_dropped <- t.fault_dropped + 1;
-           if Bytes.length buf = buffer_bytes then Net.Pool.release t.pool buf
+           Net.Pool.release t.pool buf
          end
          else begin
            if
@@ -109,8 +109,7 @@ let rx_frame t frame =
              t.delivered <- t.delivered + 1;
              Msix.raise_event q.msix
            end
-           else if Bytes.length buf = buffer_bytes then
-             Net.Pool.release t.pool buf
+           else Net.Pool.release t.pool buf
          end))
 
 let create engine prof ?(config = default_config) ?(fault = Fault.Plan.none)
@@ -194,18 +193,14 @@ let rec consume t ~queue:q f =
   match Ring.consume (queue t q).ring with
   | None -> None
   | Some slice -> (
-      let release () =
-        let buf = slice.Net.Slice.base in
-        if Bytes.length buf = buffer_bytes then Net.Pool.release t.pool buf
-      in
       match Net.Frame.parse_slice slice with
       | Ok view ->
           let result = f view in
-          release ();
+          Net.Pool.release t.pool slice.Net.Slice.base;
           Some result
       | Error _ ->
           t.corrupt_dropped <- t.corrupt_dropped + 1;
-          release ();
+          Net.Pool.release t.pool slice.Net.Slice.base;
           consume t ~queue:q f)
 
 let pool t = t.pool

@@ -70,23 +70,30 @@ val nqueues : t -> int
 
 val rx_ring : t -> queue:int -> Net.Slice.t Ring.t
 (** Completed receive descriptors — each a view of the wire bytes DMAed
-    into a pooled receive buffer. Prefer {!consume}, which parses in
-    place and recycles the buffer; consuming the ring directly makes
-    the caller responsible for returning pool-sized buffers via
-    {!pool}. *)
+    into a receive buffer from {!pool}. Every frame gets a pooled
+    buffer, of the smallest size class that holds it. Prefer
+    {!consume}, which parses in place and recycles the buffer;
+    consuming the ring directly makes the caller responsible for
+    returning each view's buffer via {!pool}. *)
 
 val consume : t -> queue:int -> (Net.Frame.view -> 'a) -> 'a option
 (** Take the oldest completed descriptor, parse its bytes in place, and
     apply the callback to the zero-copy view. The backing buffer is
     released back to the pool when the callback returns, so the view
-    (and its payload slice) must not escape the callback — copy
-    ({!Net.Frame.of_view}) anything that must outlive it. [None] when
-    the ring is empty — never "bad frame": descriptors whose bytes fail
+    (and its payload slice) must not escape the callback: decode or
+    copy what must outlive it inside the callback. [None] when the
+    ring is empty — never "bad frame": descriptors whose bytes fail
     checksum validation (DMA corruption) are counted
     ({!rx_corrupt_dropped}), their buffers released, and skipped. *)
 
 val pool : t -> Net.Pool.t
-(** The shared receive-buffer pool (for accounting/diagnostics). *)
+(** The one receive-buffer pool behind every queue, all size classes
+    included (for accounting, diagnostics and [Sanitize.Pool_watch]).
+    Its base class is 2048-byte buffers, [ring_size] of them
+    preallocated; larger frames draw from the larger classes. The
+    simulated IOVA of a descriptor stays [slot * 2048] within its
+    queue's region whatever the class, so the IOTLB model sees the
+    same addresses for every frame size. *)
 
 val mask_irq : t -> queue:int -> unit
 val unmask_irq : t -> queue:int -> unit

@@ -1,11 +1,17 @@
 let page_size = 4096
 
+(* The running minimum of an LRU scan, kept outside the IOTLB's table
+   so the scan allocates nothing. *)
+type lru_scan = { mutable page : int; mutable oldest : int }
+
 type t = {
   iotlb_entries : int;
   hit_cost : Sim.Units.duration;
   walk_cost : Sim.Units.duration;
   mapped : (int, unit) Hashtbl.t;  (* page number -> mapped *)
   iotlb : (int, int) Hashtbl.t;  (* page number -> last-use stamp *)
+  scan : lru_scan;
+  visit : int -> int -> unit;  (* [Hashtbl.iter] step of the scan, built once *)
   mutable stamp : int;
   mutable hits : int;
   mutable misses : int;
@@ -14,12 +20,21 @@ type t = {
 
 let create ?(iotlb_entries = 64) ?(hit_cost = 20) ?(walk_cost = 250) () =
   if iotlb_entries <= 0 then invalid_arg "Iommu.create: iotlb_entries <= 0";
+  if hit_cost < 0 || walk_cost < 0 then invalid_arg "Iommu.create: negative cost";
+  let scan = { page = 0; oldest = max_int } in
   {
     iotlb_entries;
     hit_cost;
     walk_cost;
     mapped = Hashtbl.create 256;
     iotlb = Hashtbl.create 64;
+    scan;
+    visit =
+      (fun p stamp ->
+        if stamp < scan.oldest then begin
+          scan.page <- p;
+          scan.oldest <- stamp
+        end);
     stamp = 0;
     hits = 0;
     misses = 0;
@@ -41,47 +56,46 @@ let unmap t ~iova ~len =
       Hashtbl.remove t.iotlb p)
     (pages ~iova ~len)
 
-let evict_lru t =
+(* Stamps are unique, so the least-recently-used page is the one with
+   the smallest stamp, whatever order the table is walked in. *)
+let[@hot_path] evict_lru t =
   if Hashtbl.length t.iotlb >= t.iotlb_entries then begin
-    let oldest =
-      Hashtbl.fold
-        (fun p stamp acc ->
-          match acc with
-          | Some (_, s) when s <= stamp -> acc
-          | Some _ | None -> Some (p, stamp))
-        t.iotlb None
-    in
-    match oldest with
-    | Some (p, _) -> Hashtbl.remove t.iotlb p
-    | None -> ()
+    t.scan.oldest <- max_int;
+    Hashtbl.iter t.visit t.iotlb;
+    Hashtbl.remove t.iotlb t.scan.page
   end
 
-let translate_opt t ~iova =
+(* The cost of one access, or [-1] on a fault (counted). *)
+let[@hot_path] lookup t ~iova =
   let page = iova / page_size in
   if not (Hashtbl.mem t.mapped page) then begin
     t.faults <- t.faults + 1;
-    None
+    -1
   end
   else begin
     t.stamp <- t.stamp + 1;
     if Hashtbl.mem t.iotlb page then begin
       t.hits <- t.hits + 1;
       Hashtbl.replace t.iotlb page t.stamp;
-      Some t.hit_cost
+      t.hit_cost
     end
     else begin
       t.misses <- t.misses + 1;
       evict_lru t;
       Hashtbl.replace t.iotlb page t.stamp;
-      Some (t.walk_cost + t.hit_cost)
+      t.walk_cost + t.hit_cost
     end
   end
 
-let translate t ~iova =
-  match translate_opt t ~iova with
-  | Some cost -> cost
-  | None ->
-      invalid_arg (Printf.sprintf "Iommu.translate: DMA fault at 0x%x" iova)
+let translate_opt t ~iova =
+  let cost = lookup t ~iova in
+  if cost < 0 then None else Some cost
+
+let[@hot_path] translate t ~iova =
+  let cost = lookup t ~iova in
+  if cost < 0 then
+    invalid_arg (Printf.sprintf "Iommu.translate: DMA fault at 0x%x" iova);
+  cost
 
 let hits t = t.hits
 let misses t = t.misses

@@ -77,11 +77,11 @@ let encode t =
   Net.Buf.write_bytes w t.body;
   Net.Buf.filled w
 
-let encode_request ?ctx ~rpc_id ~service_id ~method_id v =
+let encode_value ~kind ?ctx ~rpc_id ~service_id ~method_id v =
   let w =
     Net.Buf.writer (header_size + ctx_len ctx + Codec.encoded_size v)
   in
-  write_header w ~kind:Request ~ctx ~rpc_id ~service_id ~method_id;
+  write_header w ~kind ~ctx ~rpc_id ~service_id ~method_id;
   Codec.write w v;
   Net.Buf.filled w
 
@@ -91,24 +91,57 @@ type error =
   | Bad_version of int
   | Bad_kind of int
 
-(* Every reader is total: on a buffer shorter than the header it answers
-   a zero rather than raising. [check] is defined over them. *)
-let[@hot_path] has_header b = Bytes.length b >= header_size
+(* Every reader reads a message at [b[off, off+len)] and is total: on a
+   range shorter than the header it answers a zero rather than raising,
+   and it reads no byte outside the range. [check_sub] is defined over
+   them, and the whole-buffer readers below read through them at offset
+   0 over the whole buffer. *)
+let[@hot_path] has_header len = len >= header_size
 
-let[@hot_path] rpc_id b =
-  if has_header b then Bytes.get_int64_be b off_rpc_id else 0L
+let[@hot_path] rpc_id_sub b ~off ~len =
+  if has_header len then Bytes.get_int64_be b (off + off_rpc_id) else 0L
 
-let[@hot_path] service_id b =
-  if has_header b then
-    Int32.to_int (Bytes.get_int32_be b off_service) land 0xffff_ffff
+let[@hot_path] service_id_sub b ~off ~len =
+  if has_header len then
+    Int32.to_int (Bytes.get_int32_be b (off + off_service)) land 0xffff_ffff
   else 0
 
-let[@hot_path] method_id b =
-  if has_header b then Bytes.get_uint16_be b off_method else 0
+let[@hot_path] method_id_sub b ~off ~len =
+  if has_header len then Bytes.get_uint16_be b (off + off_method) else 0
 
-let[@hot_path] tag b =
-  if has_header b then Bytes.get_uint8 b off_tag land lnot ctx_flag else 0
+let[@hot_path] tag_sub b ~off ~len =
+  if has_header len then Bytes.get_uint8 b (off + off_tag) land lnot ctx_flag
+  else 0
 
+let[@hot_path] has_ctx_sub b ~off ~len =
+  has_header len && Bytes.get_uint8 b (off + off_tag) land ctx_flag <> 0
+
+let[@hot_path] body_offset_sub b ~off ~len =
+  if has_ctx_sub b ~off ~len then header_size + ctx_size else header_size
+
+let[@hot_path] check_sub b ~off ~len =
+  if not (has_header len) then Error Truncated
+  else begin
+    let m = Bytes.get_uint16_be b off in
+    let v = Bytes.get_uint8 b (off + off_version) in
+    let tag = tag_sub b ~off ~len in
+    if not (Int.equal m magic) then Error (Bad_magic m)
+    else if not (Int.equal v version) then Error (Bad_version v)
+    else if tag > 2 then Error (Bad_kind tag)
+    else if has_ctx_sub b ~off ~len && len < header_size + ctx_size then
+      Error Truncated
+    else Ok ()
+  end
+
+let ctx_sub b ~off ~len =
+  if has_ctx_sub b ~off ~len && len >= header_size + ctx_size then
+    Some (Bytes.sub b (off + header_size) ctx_size)
+  else None
+
+let[@hot_path] rpc_id b = rpc_id_sub b ~off:0 ~len:(Bytes.length b)
+let[@hot_path] service_id b = service_id_sub b ~off:0 ~len:(Bytes.length b)
+let[@hot_path] method_id b = method_id_sub b ~off:0 ~len:(Bytes.length b)
+let[@hot_path] tag b = tag_sub b ~off:0 ~len:(Bytes.length b)
 let[@hot_path] is_request b = Int.equal (tag b) 0
 
 (* Only an error reply's kind carries a value, so only it allocates. *)
@@ -117,33 +150,14 @@ let[@hot_path] kind b =
   | 0 -> Request
   | 1 -> Response
   | _ ->
-      (Error_reply (if has_header b then Bytes.get_uint16_be b off_code else 0)
+      (Error_reply
+         (if has_header (Bytes.length b) then Bytes.get_uint16_be b off_code
+          else 0)
       [@alloc_ok])
 
-let[@hot_path] has_ctx b =
-  has_header b && Bytes.get_uint8 b off_tag land ctx_flag <> 0
-
-let[@hot_path] body_offset b =
-  if has_ctx b then header_size + ctx_size else header_size
-
-let[@hot_path] check b =
-  if not (has_header b) then Error Truncated
-  else begin
-    let m = Bytes.get_uint16_be b 0 in
-    let v = Bytes.get_uint8 b off_version in
-    let tag = tag b in
-    if not (Int.equal m magic) then Error (Bad_magic m)
-    else if not (Int.equal v version) then Error (Bad_version v)
-    else if tag > 2 then Error (Bad_kind tag)
-    else if has_ctx b && Bytes.length b < header_size + ctx_size then
-      Error Truncated
-    else Ok ()
-  end
-
-let ctx b =
-  if has_ctx b && Bytes.length b >= header_size + ctx_size then
-    Some (Bytes.sub b header_size ctx_size)
-  else None
+let[@hot_path] body_offset b = body_offset_sub b ~off:0 ~len:(Bytes.length b)
+let[@hot_path] check b = check_sub b ~off:0 ~len:(Bytes.length b)
+let ctx b = ctx_sub b ~off:0 ~len:(Bytes.length b)
 
 let peek b =
   match check b with

@@ -53,13 +53,13 @@ val retriable_error : int -> bool
 
 val encode : t -> bytes
 
-val encode_request :
-  ?ctx:bytes -> rpc_id:int64 -> service_id:int -> method_id:int -> Value.t ->
-  bytes
-(** [encode (request ?ctx ~rpc_id ~service_id ~method_id v)] with the
-    value's {!Codec} encoding written straight into the message buffer:
-    one allocation, no intermediate body. Shares {!encode}'s header
-    writer. *)
+val encode_value :
+  kind:kind -> ?ctx:bytes -> rpc_id:int64 -> service_id:int -> method_id:int ->
+  Value.t -> bytes
+(** [encode] of the message of that kind whose body is the value's
+    {!Codec} encoding, with the value written straight into the message
+    buffer: one allocation, no intermediate body. Shares {!encode}'s
+    header writer. The body is {!Codec.encoded_size} bytes. *)
 
 type error =
   | Truncated
@@ -97,6 +97,24 @@ val body_offset : bytes -> int
 (** Where the body starts: the body is the rest of the buffer from
     there. With {!Codec.decode_sub} this decodes the body in place, as
     [decode] then [Codec.decode] would. *)
+
+(** {2 At an offset}
+
+    The same readers over a message lying at [b[off, off+len)] inside
+    a larger buffer, such as a frame's payload slice in a pooled
+    receive buffer. Each answers what its whole-buffer form answers on
+    [Bytes.sub b off len], reads no byte outside the range and never
+    raises; the whole-buffer forms are these at [~off:0 ~len:(Bytes.length b)].
+    The range must lie within [b]. *)
+
+val check_sub : bytes -> off:int -> len:int -> (unit, error) result
+val rpc_id_sub : bytes -> off:int -> len:int -> int64
+val service_id_sub : bytes -> off:int -> len:int -> int
+val method_id_sub : bytes -> off:int -> len:int -> int
+val ctx_sub : bytes -> off:int -> len:int -> bytes option
+
+val body_offset_sub : bytes -> off:int -> len:int -> int
+(** Relative to [off]: the body is [b[off + body_offset_sub, off + len)]. *)
 
 val peek : bytes -> (header, error) result
 (** {!check}, then the readers into a header: [decode] without the

@@ -305,9 +305,9 @@ let test_slice_views () =
 let test_pool_accounting () =
   let p = Net.Pool.create ~prealloc:2 ~buffer_bytes:64 () in
   checki "prealloc idle" 2 (Net.Pool.idle p);
-  let a = Net.Pool.acquire p in
-  let b = Net.Pool.acquire p in
-  let c = Net.Pool.acquire p in
+  let a = Net.Pool.acquire p ~len:64 in
+  let b = Net.Pool.acquire p ~len:64 in
+  let c = Net.Pool.acquire p ~len:64 in
   checki "grew once drained" 3 (Net.Pool.created p);
   checki "outstanding" 3 (Net.Pool.outstanding p);
   Net.Pool.release p a;
@@ -316,7 +316,7 @@ let test_pool_accounting () =
   checki "balanced at drain" 0 (Net.Pool.outstanding p);
   checki "idle after" 3 (Net.Pool.idle p);
   checki "high water" 3 (Net.Pool.high_water p);
-  let d = Net.Pool.acquire p in
+  let d = Net.Pool.acquire p ~len:64 in
   Net.Pool.release p d;
   checki "steady state reuses buffers" 3 (Net.Pool.created p);
   checkb "wrong size rejected" true
@@ -324,6 +324,36 @@ let test_pool_accounting () =
      with Invalid_argument _ -> true);
   checkb "over-release rejected" true
     (try Net.Pool.release p (Bytes.create 64); false
+     with Invalid_argument _ -> true)
+
+(* A request is served from the smallest class that holds it: class k
+   is [buffer_bytes * 2^k] bytes. Each class reuses its own buffers,
+   only the base class is preallocated, and a buffer of no class size
+   (or of a class never acquired from) is refused on release. *)
+let test_pool_size_classes () =
+  let p = Net.Pool.create ~prealloc:1 ~buffer_bytes:64 () in
+  let sizes = List.map (fun len -> Bytes.length (Net.Pool.acquire p ~len))
+      [ 0; 64; 65; 128; 129; 1000 ] in
+  check Alcotest.(list int) "class sizes" [ 64; 64; 128; 128; 256; 1024 ] sizes;
+  checki "only the first base buffer was preallocated" 6 (Net.Pool.created p);
+  checki "outstanding across classes" 6 (Net.Pool.outstanding p);
+  let big = Net.Pool.acquire p ~len:3000 in
+  checki "class 6 (4096B)" 4096 (Bytes.length big);
+  Net.Pool.release p big;
+  checkb "the same buffer comes back from its class" true
+    (Net.Pool.acquire p ~len:2049 == big);
+  Net.Pool.release p big;
+  checkb "a buffer of no class size rejected" true
+    (try Net.Pool.release p (Bytes.create 96); false
+     with Invalid_argument _ -> true);
+  checkb "over-release of a larger class rejected" true
+    (try Net.Pool.release p (Bytes.create 4096); false
+     with Invalid_argument _ -> true);
+  checkb "a class beyond any acquired rejected" true
+    (try Net.Pool.release p (Bytes.create 8192); false
+     with Invalid_argument _ -> true);
+  checkb "negative length rejected" true
+    (try ignore (Net.Pool.acquire p ~len:(-1)); false
      with Invalid_argument _ -> true)
 
 (* The zero-allocation claim of the hot path: a pooled
@@ -336,7 +366,7 @@ let test_pooled_roundtrip_allocation_budget () =
   let pool = Net.Pool.create ~prealloc:4 ~buffer_bytes:2048 () in
   let sink = ref 0 in
   let round frame =
-    let buf = Net.Pool.acquire pool in
+    let buf = Net.Pool.acquire pool ~len:(Net.Frame.wire_size frame) in
     let s = Net.Frame.encode_into frame buf in
     (match Net.Frame.parse_slice s with
     | Ok v -> sink := !sink + Net.Slice.length v.Net.Frame.payload
@@ -450,6 +480,7 @@ let () =
           Alcotest.test_case "pool accounting" `Quick test_pool_accounting;
           Alcotest.test_case "allocation budget" `Quick
             test_pooled_roundtrip_allocation_budget;
+          Alcotest.test_case "pool size classes" `Quick test_pool_size_classes;
         ] );
       ( "wire",
         [

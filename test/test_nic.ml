@@ -180,7 +180,7 @@ let test_msix_mask_latches () =
 
 (* ---------- DMA NIC ---------- *)
 
-let sample_frame ?(dst_port = 53) () =
+let sample_frame ?(dst_port = 53) ?(payload_bytes = 64) () =
   let src =
     {
       Net.Frame.mac = Net.Mac_addr.of_string "02:00:00:00:00:0a";
@@ -195,7 +195,7 @@ let sample_frame ?(dst_port = 53) () =
       port = dst_port;
     }
   in
-  Net.Frame.make ~src ~dst (Bytes.make 64 'x')
+  Net.Frame.make ~src ~dst (Bytes.make payload_bytes 'x')
 
 let test_dma_nic_rx_to_ring_and_interrupt () =
   let e = Sim.Engine.create () in
@@ -310,6 +310,76 @@ let test_dma_nic_corrupt_descriptors_skipped () =
   checki "all descriptors rejected" 5 (Nic.Dma_nic.rx_corrupt_dropped nic);
   checki "no leaked buffers" 0 (Net.Pool.outstanding (Nic.Dma_nic.pool nic))
 
+(* Frames larger than the 2048-byte base buffer draw from the pool's
+   larger size classes like every other frame: each DMA completion
+   acquires a pooled buffer, and a completion drop, a ring drop, a
+   rejected descriptor or a consume returns it. Over 1,000 frames of
+   4, 9 and 60 KiB the pool grows only to what one burst holds. The
+   same holds when the fault plan drops every completion or corrupts
+   every descriptor. *)
+let test_dma_nic_large_frames_pooled () =
+  let ring_size = 16 and burst = 9 in
+  let sizes = [| 4096; 9 * 1024; 60 * 1024 |] in
+  List.iter
+    (fun (label, nic_link) ->
+      let e = Sim.Engine.create () in
+      let nic =
+        Nic.Dma_nic.create e Coherence.Interconnect.pcie_modern
+          ~config:
+            {
+              Nic.Dma_nic.default_config with
+              Nic.Dma_nic.nqueues = 1;
+              ring_size;
+              coalesce_interval = 0;
+            }
+          ~fault:(Fault.Plan.make ~seed:3 ~nic:nic_link ())
+          ~on_rx_interrupt:(fun ~queue:_ -> ())
+          ()
+      in
+      let pool = Nic.Dma_nic.pool nic in
+      let consumed = ref 0 in
+      let rec drain () =
+        match
+          Nic.Dma_nic.consume nic ~queue:0 (fun v ->
+              Net.Slice.length v.Net.Frame.payload)
+        with
+        | Some len ->
+            checkb (label ^ ": payload intact") true
+              (Array.exists (Int.equal len) sizes);
+            incr consumed;
+            drain ()
+        | None -> ()
+      in
+      for i = 0 to 999 do
+        Nic.Dma_nic.rx_from_wire nic
+          (sample_frame ~payload_bytes:sizes.(i mod Array.length sizes) ());
+        if i mod burst = burst - 1 then begin
+          Sim.Engine.run e;
+          drain ()
+        end
+      done;
+      Sim.Engine.run e;
+      drain ();
+      let delivered = Nic.Dma_nic.rx_delivered nic in
+      checki (label ^ ": acquired = delivered + dropped")
+        (Net.Pool.acquired pool)
+        (delivered + Nic.Dma_nic.rx_dropped nic
+        + Nic.Dma_nic.rx_fault_dropped nic);
+      checki (label ^ ": delivered = consumed + rejected") delivered
+        (!consumed + Nic.Dma_nic.rx_corrupt_dropped nic);
+      checki (label ^ ": nothing outstanding after the drain") 0
+        (Net.Pool.outstanding pool);
+      checkb
+        (Printf.sprintf "%s: created %d <= base prealloc + one burst" label
+           (Net.Pool.created pool))
+        true
+        (Net.Pool.created pool <= ring_size + burst))
+    [
+      ("no faults", Fault.Plan.link ());
+      ("drop=1.0", Fault.Plan.link ~drop:1.0 ());
+      ("corrupt=1.0", Fault.Plan.link ~corrupt:1.0 ());
+    ]
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -356,5 +426,7 @@ let () =
             test_dma_nic_ring_overflow_no_leak;
           Alcotest.test_case "corrupt descriptors skipped" `Quick
             test_dma_nic_corrupt_descriptors_skipped;
+          Alcotest.test_case "large frames are pooled" `Quick
+            test_dma_nic_large_frames_pooled;
         ] );
     ]

@@ -220,15 +220,19 @@ let test_wire_format_roundtrip () =
       (Rpc.Value.str "payload")
   in
   (* The value-carrying encoder writes the same bytes as [encode] of
-     the request message, with and without a trace context. *)
+     the message, for every kind, with and without a trace context. *)
   List.iter
-    (fun ctx ->
-      checkb "encode_request = encode (request ...)" true
-        (Bytes.equal
-           (Rpc.Wire_format.encode_request ?ctx ~rpc_id:99L ~service_id:7
-              ~method_id:2 (Rpc.Value.str "payload"))
-           (Rpc.Wire_format.encode (Rpc.Wire_format.with_ctx msg ctx))))
-    [ None; Some (Bytes.make Rpc.Wire_format.ctx_size 'c') ];
+    (fun kind ->
+      List.iter
+        (fun ctx ->
+          checkb "encode_value = encode { body = Codec.encode v }" true
+            (Bytes.equal
+               (Rpc.Wire_format.encode_value ~kind ?ctx ~rpc_id:99L
+                  ~service_id:7 ~method_id:2 (Rpc.Value.str "payload"))
+               (Rpc.Wire_format.encode
+                  { (Rpc.Wire_format.with_ctx msg ctx) with kind })))
+        [ None; Some (Bytes.make Rpc.Wire_format.ctx_size 'c') ])
+    Rpc.Wire_format.[ Request; Response; Error_reply 0xff02 ];
   match Rpc.Wire_format.decode (Rpc.Wire_format.encode msg) with
   | Ok m ->
       check Alcotest.int64 "rpc_id" 99L m.Rpc.Wire_format.rpc_id;
@@ -400,6 +404,70 @@ let decode_in_place_agrees =
       | Ok v, Ok v' -> Rpc.Value.equal v v'
       | Error e, Error e' -> e = e'
       | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* The offset readers over a message placed inside junk bytes answer
+   exactly what the whole-buffer readers answer on the message alone.
+   Each message is placed twice, in junk whose every byte differs
+   between the two placements, so a reader that strayed outside
+   [off, off+len) would see different bytes. The messages are a
+   [Wire_gen] frame mangled (truncated, bit-flipped or random) and
+   every cut of the original. *)
+let whole_answers b =
+  let open Rpc.Wire_format in
+  let body =
+    match check b with
+    | Error _ -> None
+    | Ok () ->
+        let pos = body_offset b in
+        Some (Rpc.Codec.decode_sub body_schema b ~pos ~len:(Bytes.length b - pos))
+  in
+  (check b, rpc_id b, service_id b, method_id b, ctx b, body_offset b, body)
+
+let sub_answers b ~off ~len =
+  let open Rpc.Wire_format in
+  let body =
+    match check_sub b ~off ~len with
+    | Error _ -> None
+    | Ok () ->
+        let pos = body_offset_sub b ~off ~len in
+        Some (Rpc.Codec.decode_sub body_schema b ~pos:(off + pos) ~len:(len - pos))
+  in
+  ( check_sub b ~off ~len,
+    rpc_id_sub b ~off ~len,
+    service_id_sub b ~off ~len,
+    method_id_sub b ~off ~len,
+    ctx_sub b ~off ~len,
+    body_offset_sub b ~off ~len,
+    body )
+
+let offset_readers_agree =
+  QCheck.Test.make ~name:"wire offset readers agree with whole-buffer readers"
+    ~count:500
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Sim.Rng.create ~seed in
+      let orig = Wire_gen.frame ~body:schema_body rng in
+      let mangled = Wire_gen.mangle rng (Bytes.copy orig) in
+      List.for_all
+        (fun msg ->
+          let len = Bytes.length msg in
+          let off = Sim.Rng.int rng ~bound:48 in
+          let junk =
+            Wire_gen.random_wire_bytes rng (off + len + Sim.Rng.int rng ~bound:48)
+          in
+          let placed flip =
+            let b =
+              Bytes.map
+                (fun c -> if flip then Char.chr (255 - Char.code c) else c)
+                junk
+            in
+            Bytes.blit msg 0 b off len;
+            b
+          in
+          let expected = whole_answers msg in
+          sub_answers (placed false) ~off ~len = expected
+          && sub_answers (placed true) ~off ~len = expected)
+        (mangled :: List.init (Bytes.length orig) (fun n -> Bytes.sub orig 0 n)))
 
 (* ---------- Interface ---------- *)
 
@@ -579,7 +647,12 @@ let () =
             test_wire_format_response_preserves_ids;
           Alcotest.test_case "errors" `Quick test_wire_format_errors;
         ]
-        @ qsuite [ peek_agrees_with_decode; decode_in_place_agrees ] );
+        @ qsuite
+            [
+              peek_agrees_with_decode;
+              decode_in_place_agrees;
+              offset_readers_agree;
+            ] );
       ( "interface",
         [
           Alcotest.test_case "echo" `Quick test_echo_service;

@@ -78,8 +78,8 @@ let test_pool_clean_lifecycle () =
   let z = collector engine in
   let pool = Net.Pool.create ~buffer_bytes:64 () in
   let w = Z.Pool_watch.attach z pool in
-  let b1 = Net.Pool.acquire pool in
-  let b2 = Net.Pool.acquire pool in
+  let b1 = Net.Pool.acquire pool ~len:64 in
+  let b2 = Net.Pool.acquire pool ~len:64 in
   checki "two outstanding" 2 (Z.Pool_watch.outstanding w);
   Net.Pool.release pool b1;
   Net.Pool.release pool b2;
@@ -92,8 +92,8 @@ let test_pool_double_release_caught () =
   let z = collector engine in
   let pool = Net.Pool.create ~buffer_bytes:64 () in
   let _w = Z.Pool_watch.attach z pool in
-  let b1 = Net.Pool.acquire pool in
-  let _b2 = Net.Pool.acquire pool in
+  let b1 = Net.Pool.acquire pool ~len:64 in
+  let _b2 = Net.Pool.acquire pool ~len:64 in
   Net.Pool.release pool b1;
   Net.Pool.release pool b1;
   (* double release of b1 *)
@@ -104,7 +104,7 @@ let test_pool_poisoning_detects_use_after_release () =
   let z = collector engine in
   let pool = Net.Pool.create ~buffer_bytes:64 () in
   let w = Z.Pool_watch.attach z pool in
-  let b = Net.Pool.acquire pool in
+  let b = Net.Pool.acquire pool ~len:64 in
   Bytes.fill b 0 (Bytes.length b) 'A';
   let stale_view = Net.Slice.of_bytes b in
   Z.Pool_watch.assert_live w stale_view;
@@ -115,12 +115,99 @@ let test_pool_poisoning_detects_use_after_release () =
   Z.Pool_watch.assert_live w stale_view;
   checkb "use-after-release diagnosed" true (has_detail z "use-after-release")
 
+(* The same for a frame past the 2048-byte base buffer: the DMA NIC
+   takes it into a larger pool class, and a view kept past its
+   [consume] (the misuse [Dma_nic.consume] forbids) reads as poison. *)
+let test_pool_large_class_use_after_release () =
+  let engine = Sim.Engine.create () in
+  let z = collector engine in
+  let nic =
+    Nic.Dma_nic.create engine Coherence.Interconnect.pcie_enzian
+      ~config:{ Nic.Dma_nic.default_config with Nic.Dma_nic.nqueues = 1 }
+      ~on_rx_interrupt:(fun ~queue:_ -> ())
+      ()
+  in
+  let w = Z.Pool_watch.attach z (Nic.Dma_nic.pool nic) in
+  Nic.Dma_nic.rx_from_wire nic
+    (Harness.Traffic.request_frame ~rpc_id:1L ~service_id:1 ~method_id:0
+       ~port:7000 (Rpc.Value.Blob (Bytes.make 9000 'b')));
+  Sim.Engine.run engine;
+  match Nic.Dma_nic.consume nic ~queue:0 (fun v -> v.Net.Frame.payload) with
+  | None -> Alcotest.fail "the frame was not delivered"
+  | Some kept ->
+      checkb "held in a large-class buffer" true
+        (Bytes.length kept.Net.Slice.base > 2048);
+      checki "its buffer went back at consume" 0 (Z.Pool_watch.outstanding w);
+      Z.Pool_watch.assert_live w kept;
+      checkb "use-after-release diagnosed" true
+        (has_detail z "use-after-release")
+
+(* Byte-exact 4 KiB and 60 KiB echoes through the bypass stack with the
+   pool and event-loop sanitizers on. Each request is decoded straight
+   out of a large-class receive buffer and that buffer is recycled at
+   once; every reply's blob must still equal its request's. *)
+let test_bypass_large_echo_clean () =
+  let engine = Sim.Engine.create () in
+  let z = collector engine in
+  Z.Engine_watch.attach z engine;
+  let recorder = Harness.Recorder.create engine in
+  let replies = ref [] in
+  let stack =
+    Baseline.Bypass_stack.create engine
+      ~profile:Coherence.Interconnect.pcie_enzian ~ncores:2 ~sanitize:z
+      ~services:
+        [ Baseline.Bypass_stack.spec ~port:7000 (Rpc.Interface.echo_service ~id:1) ]
+      ~egress:(fun f ->
+        replies := f :: !replies;
+        Harness.Recorder.egress recorder f)
+      ()
+  in
+  let driver = Baseline.Bypass_stack.driver stack in
+  let rng = Sim.Rng.create ~seed:5 in
+  let sent =
+    List.mapi
+      (fun i size ->
+        ( Int64.of_int (i + 1),
+          Bytes.init size (fun _ -> Char.chr (Sim.Rng.int rng ~bound:256)) ))
+      [ 4096; 60 * 1024; 4096; 60 * 1024; 60 * 1024; 4096 ]
+  in
+  List.iteri
+    (fun i (rpc_id, blob) ->
+      ignore
+        (Sim.Engine.schedule_after engine ~after:(us (5 * (i + 1))) (fun () ->
+             Harness.Traffic.inject recorder driver ~rpc_id ~service_id:1
+               ~method_id:0 ~port:7000 (Rpc.Value.Blob (Bytes.copy blob)))))
+    sent;
+  Sim.Engine.run engine ~until:(ms 2);
+  checki "all echoed" (List.length sent) (Harness.Recorder.completed recorder);
+  checki "one reply each" (List.length sent) (List.length !replies);
+  List.iter
+    (fun (f : Net.Frame.t) ->
+      match Rpc.Wire_format.decode f.Net.Frame.payload with
+      | Error e -> Alcotest.failf "reply header: %a" Rpc.Wire_format.pp_error e
+      | Ok m -> (
+          match Rpc.Codec.decode Rpc.Schema.Blob m.Rpc.Wire_format.body with
+          | Ok (Rpc.Value.Blob got) ->
+              checkb
+                (Printf.sprintf "rpc %Ld: reply blob = request blob"
+                   m.Rpc.Wire_format.rpc_id)
+                true
+                (Bytes.equal got (List.assoc m.Rpc.Wire_format.rpc_id sent))
+          | Ok _ | Error _ -> Alcotest.fail "reply body is not a blob"))
+    !replies;
+  let pool = Nic.Dma_nic.pool (Baseline.Bypass_stack.nic stack) in
+  checki "every request took a pooled buffer" (List.length sent)
+    (Net.Pool.acquired pool);
+  checki "and gave it back" 0 (Net.Pool.outstanding pool);
+  Z.finish z;
+  assert_clean "bypass large echo" z
+
 let test_pool_leak_caught_and_in_flight_excused () =
   let engine = Sim.Engine.create () in
   let z = collector engine in
   let pool = Net.Pool.create ~buffer_bytes:64 () in
   let _w = Z.Pool_watch.attach z pool in
-  let _leaked = Net.Pool.acquire pool in
+  let _leaked = Net.Pool.acquire pool ~len:64 in
   Z.finish z;
   checkb "leak diagnosed at finish" true (has_detail z "leak");
   (* The same shape with the buffer legitimately parked (e.g. in a NIC
@@ -129,7 +216,7 @@ let test_pool_leak_caught_and_in_flight_excused () =
   let z2 = collector engine2 in
   let pool2 = Net.Pool.create ~buffer_bytes:64 () in
   let _w2 = Z.Pool_watch.attach z2 ~in_flight:(fun () -> 1) pool2 in
-  let _parked = Net.Pool.acquire pool2 in
+  let _parked = Net.Pool.acquire pool2 ~len:64 in
   Z.finish z2;
   assert_clean "parked buffer is not a leak" z2
 
@@ -366,6 +453,8 @@ let () =
             test_pool_poisoning_detects_use_after_release;
           tc "leak caught, ring-parked excused"
             test_pool_leak_caught_and_in_flight_excused;
+          tc "large-class use-after-release via poisoning"
+            test_pool_large_class_use_after_release;
         ] );
       ( "engine",
         [
@@ -395,5 +484,7 @@ let () =
             test_kill_restart_sanitizer_clean;
           tc "E15 crash run finishes its session"
             test_failover_crash_finishes_sanitizer;
+          tc "bypass 4 KiB and 60 KiB echo byte-exact and clean"
+            test_bypass_large_echo_clean;
         ] );
     ]
