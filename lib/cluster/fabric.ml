@@ -65,7 +65,7 @@ let create ?(host_link = default_host_link)
             else if i < hosts then l i
             else l j))
   in
-  let shard = Sim.Shard_engine.create_matrix ~latency engines in
+  let shard = Sim.Shard_engine.create ~latency engines in
   let master = engines.(hosts) in
   let host_ingress = Array.make hosts None in
   let t_ref = ref None in
@@ -114,7 +114,6 @@ let create ?(host_link = default_host_link)
   t
 
 let hosts t = t.hosts
-let shard t = t.shard
 let switch t = t.switch
 let host_engine t h = t.engines.(h)
 let master_engine t = t.engines.(t.hosts)

@@ -5,7 +5,7 @@
     services live there untouched); shard [hosts] owns the switch and —
     by convention — the rack's master control plane and clients hanging
     off the switch's uplink port. The shard lookahead is the per-pair
-    wire-latency matrix ({!Sim.Shard_engine.create_matrix}): host [h] ↔
+    wire-latency matrix ({!Sim.Shard_engine.create}): host [h] ↔
     switch is port [h]'s wire latency, host ↔ host is the two-link sum
     (no frame crosses the rack in less than a switch traversal), so the
     conservative window width is exactly the shortest link.
@@ -50,7 +50,6 @@ val create :
     [host_links]. *)
 
 val hosts : t -> int
-val shard : t -> Sim.Shard_engine.t
 val switch : t -> Switch.t
 val host_engine : t -> int -> Sim.Engine.t
 val master_engine : t -> Sim.Engine.t

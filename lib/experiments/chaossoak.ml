@@ -216,6 +216,6 @@ let run () =
     "paper expectation: hours of faults and not one silent loss — every";
   Common.note
     "drop is a counter, every call resolves, and the whole transcript is";
-  Common.note "byte-identical for any shard count.";
+  Common.note "byte-identical run to run and with the sanitizers armed.";
   if not (calls_conserved && frames_conserved && silent_free) then
     failwith "E19: conservation violated"

@@ -198,36 +198,12 @@ type measurement = {
   counters : (string * int) list;
 }
 
-(* [LAUBERHORN_SHARDS>1] routes whole-run stepping through the sharded
-   engine: the harness's single engine becomes a one-shard PDES
-   instance stepped in conservative windows instead of one long
-   [Engine.run]. The simulation is byte-identical either way — the
-   gates diff the two — so this seam proves the windowed stepping
-   discipline on every single-engine experiment. *)
-let env_shards () =
-  match Sys.getenv_opt "LAUBERHORN_SHARDS" with
-  | None | Some "" -> 1
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 1 && n <= 64 -> n
-      | Some _ | None ->
-          invalid_arg
-            (Printf.sprintf "LAUBERHORN_SHARDS=%s: expected 1..64" s))
-
-let run_to engine ~until =
-  if env_shards () > 1 then
-    let t =
-      Sim.Shard_engine.create ~lookahead:(Sim.Units.us 50) [| engine |]
-    in
-    Sim.Shard_engine.run t ~until
-  else Sim.Engine.run engine ~until
-
 (* Run [server] to [horizon + drain], close its sanitizer session and
    measure what [recorder] saw: latency quantiles over [horizon]'s
    completions, the CPU ledger summed over cores, and the stack's
    counters. *)
 let finish_run ~recorder ~name ~horizon ~drain server =
-  run_to server.engine ~until:(horizon + drain);
+  Sim.Engine.run server.engine ~until:(horizon + drain);
   server.flush ();
   (match server.sanitize with None -> () | Some z -> Sanitize.finish z);
   let h = Harness.Recorder.latencies recorder in

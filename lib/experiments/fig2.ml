@@ -32,7 +32,7 @@ let ping_pong flavour =
           (Sim.Engine.schedule_after server.Common.engine
              ~after:(2 * propagation) (fun () -> fire ())));
   fire ();
-  Common.run_to server.Common.engine ~until:(Sim.Units.s 2);
+  Sim.Engine.run server.Common.engine ~until:(Sim.Units.s 2);
   let h = Harness.Recorder.latencies server.Common.recorder in
   ( Harness.Recorder.completed server.Common.recorder,
     Sim.Histogram.quantile h 0.5,

@@ -1,5 +1,5 @@
-(* E18 — rack-scale observability: cross-fabric causal tracing,
-   per-shard PDES profiling, deterministic metrics aggregation.
+(* E18 — rack-scale observability: cross-fabric causal tracing and
+   deterministic metrics aggregation.
 
    E14 showed one host attributing its end-system latency to pipeline
    stages with zero application instrumentation; E17 put N such hosts
@@ -13,14 +13,12 @@
    Obs.Stitch reassembles post-run; exactness is re-verified in-run
    for every completed RPC.
 
-   Alongside, the Shard_engine profiler records per-shard window
-   occupancy (events/window, idle windows with no event, outbox depth)
-   and every registry — eight host stacks, the switch, the control
-   plane, the profiler — merges into one rack-wide snapshot in fixed
+   Alongside, every registry — eight host stacks, the switch, the
+   control plane — merges into one rack-wide snapshot in fixed
    (shard, name) order. Everything printed is a pure function of the
-   simulation: the whole digest, with tracing and profiling armed, is
-   byte-identical run to run (scripts/gates.sh double-runs it and
-   re-runs it under the sanitizers, artefacts included).
+   simulation: the whole digest, with tracing armed, is byte-identical
+   run to run (scripts/gates.sh double-runs it and re-runs it under
+   the sanitizers, artefacts included).
 
    Artefacts land in $E18_OUT_DIR (default artifacts/): a multi-track
    Perfetto trace (one process per host plane + the master plane's
@@ -46,7 +44,6 @@ let out_dir () =
 type run = {
   rack : Rack.rack;
   obs : Obs.Tracer.t;
-  prof : Obs.Profiler.t;
   completions : (int64 * int) list; (* (rpc_id, latency), completion order *)
   stitches : Obs.Stitch.t list;
   pcap_uplink : Obs.Pcap.t;
@@ -62,8 +59,6 @@ let host_planes rack =
 let traced_run () =
   let obs = Obs.Tracer.create () in
   let rack = Rack.make_rack ~obs ~hosts () in
-  let prof = Obs.Profiler.create ~shards:(hosts + 1) in
-  Obs.Profiler.install prof (Cluster.Fabric.shard rack.Rack.fabric);
   let sw = Cluster.Fabric.switch rack.Rack.fabric in
   let pcap_uplink = Obs.Pcap.create () in
   let pcap_host0 = Obs.Pcap.create () in
@@ -109,7 +104,6 @@ let traced_run () =
   {
     rack;
     obs;
-    prof;
     completions = List.rev !completions;
     stitches;
     pcap_uplink;
@@ -167,7 +161,6 @@ let merged_metrics r =
   Obs.Metrics.merge_into
     ~src:(Cluster.Control.metrics r.rack.Rack.control)
     ~dst:merged;
-  Obs.Profiler.merge_into_metrics r.prof merged;
   merged
 
 let metrics_checksum m =
@@ -206,7 +199,6 @@ let digest_lines r =
   in
   Rack.digest_lines r.rack
   @ (stitch_line :: stage_lines)
-  @ Obs.Profiler.report_lines r.prof
   @ [ metrics_line ]
 
 (* ---------- artefact export + self-check ---------- *)
@@ -270,10 +262,8 @@ let export_and_verify r =
 
 let run () =
   Common.section
-    "E18: rack-scale observability — stitched traces, shard profiler, \
-     merged metrics";
-  Common.note
-    "%d hosts at %s, tracing + profiling armed on every shard" hosts
+    "E18: rack-scale observability — stitched traces, merged metrics";
+  Common.note "%d hosts at %s, tracing armed on every shard" hosts
     (Common.rate_str rate);
   let r = traced_run () in
   let windows = Cluster.Fabric.windows_run r.rack.Rack.fabric in

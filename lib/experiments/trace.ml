@@ -57,7 +57,7 @@ let traced_ping_pong flavour =
           (Sim.Engine.schedule_after engine ~after:(2 * propagation)
              (fun () -> fire ())));
   fire ();
-  Common.run_to engine ~until:(Sim.Units.s 2);
+  Sim.Engine.run engine ~until:(Sim.Units.s 2);
   (server, pcap, List.rev !completions)
 
 (* Per-stage totals in first-seen chain order. *)

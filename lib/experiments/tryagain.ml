@@ -20,7 +20,7 @@ let idle_traffic timeout =
            Lauberhorn.Sched_mirror.Push ))
       setup
   in
-  Common.run_to server.Common.engine ~until:idle_window;
+  Sim.Engine.run server.Common.engine ~until:idle_window;
   match server.Common.lauberhorn with
   | Some stack ->
       let ha = Lauberhorn.Stack.home_agent stack in

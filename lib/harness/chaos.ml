@@ -15,7 +15,7 @@ type t = {
 
 let create engine ~plan ?(timeout = Sim.Units.us 200) ?(retries = 20)
     ?(backoff = 2.) ?(max_timeout = Sim.Units.ms 2) ?(jitter = 0.25)
-    ?(retry_budget = max_int) ?metrics () =
+    ?metrics () =
   let target = ref (fun (_ : Net.Frame.t) -> ()) in
   let forward =
     Fault.Link.create engine ~plan:plan.Fault.Plan.wire
@@ -27,7 +27,7 @@ let create engine ~plan ?(timeout = Sim.Units.us 200) ?(retries = 20)
     Client.create engine
       ~send:(fun f -> Fault.Link.send forward f)
       ~seed:(Fault.Plan.derived_seed plan ~salt:2)
-      ~retry_budget ?metrics ()
+      ?metrics ()
   in
   let backward =
     Fault.Link.create engine ~plan:plan.Fault.Plan.wire
@@ -89,7 +89,6 @@ let stats t =
     ("retransmits", Client.retransmits t.client);
     ("abandoned", Client.abandoned t.client);
     ("duplicates_suppressed", Client.duplicates t.client);
-    ("budget_exhausted", Client.budget_exhausted t.client);
   ]
   (* Appended only when nonzero, matching the registry convention that
      fault-free reports stay free of fault counters. *)

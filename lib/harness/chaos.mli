@@ -1,7 +1,7 @@
 (** A lossy-network client harness.
 
     Wraps a {!Client} (with the full retry policy: exponential backoff,
-    seeded jitter, retry budget, duplicate suppression) behind a pair of
+    seeded jitter, duplicate suppression) behind a pair of
     {!Fault.Link}s — one per direction between the client and the
     server's MAC — and a {!Recorder} measuring retry-inflated latency.
 
@@ -20,12 +20,11 @@ val create :
   ?backoff:float ->
   ?max_timeout:Sim.Units.duration ->
   ?jitter:float ->
-  ?retry_budget:int ->
   ?metrics:Obs.Metrics.t ->
   unit ->
   t
 (** Defaults: 200 us initial timeout, 20 retries, backoff 2.0 capped at
-    2 ms, jitter 0.25, unlimited budget. [metrics] is forwarded to
+    2 ms, jitter 0.25. [metrics] is forwarded to
     {!Client.create} so the client's tallies export as [client_*]
     derived gauges alongside the server's. *)
 

@@ -16,8 +16,6 @@ type t = {
   mutable abandoned : int;
   mutable duplicates : int;
   mutable rejected : int;
-  mutable retry_budget : int;
-  mutable budget_exhausted : int;
 }
 
 (* rpc_id = epoch << 20 | continuation id. *)
@@ -38,12 +36,10 @@ let current t id =
       Int.equal epoch (Int64.to_int (Int64.shift_right_logical id cont_bits))
   | exception Not_found -> false
 
-let create engine ~send ?endpoint ?(seed = 0x7e7) ?(retry_budget = max_int)
-    ?metrics () =
+let create engine ~send ?endpoint ?(seed = 0x7e7) ?metrics () =
   let endpoint =
     match endpoint with Some e -> e | None -> Traffic.client_endpoint ()
   in
-  if retry_budget < 0 then invalid_arg "Client.create: negative retry_budget";
   let t =
     {
       engine;
@@ -61,8 +57,6 @@ let create engine ~send ?endpoint ?(seed = 0x7e7) ?(retry_budget = max_int)
       abandoned = 0;
       duplicates = 0;
       rejected = 0;
-      retry_budget;
-      budget_exhausted = 0;
     }
   in
   (match metrics with
@@ -74,9 +68,7 @@ let create engine ~send ?endpoint ?(seed = 0x7e7) ?(retry_budget = max_int)
       Obs.Metrics.derive m "client_retransmits" (fun () -> t.retransmits);
       Obs.Metrics.derive m "client_abandoned" (fun () -> t.abandoned);
       Obs.Metrics.derive m "client_rejected" (fun () -> t.rejected);
-      Obs.Metrics.derive m "client_duplicates" (fun () -> t.duplicates);
-      Obs.Metrics.derive m "client_budget_exhausted" (fun () ->
-          t.budget_exhausted));
+      Obs.Metrics.derive m "client_duplicates" (fun () -> t.duplicates));
   t
 
 let expect t ~service_id ~method_id schema =
@@ -130,15 +122,12 @@ let call_id ?timeout ?(retries = 3) ?(backoff = 1.) ?(max_timeout = max_int)
         ignore
           (Sim.Engine.schedule_after t.engine ~after:wait (fun () ->
                if not !done_flag then
-                 if attempts_left > 0 && t.retry_budget > 0 then begin
+                 if attempts_left > 0 then begin
                    t.retransmits <- t.retransmits + 1;
-                   t.retry_budget <- t.retry_budget - 1;
                    t.send (frame ());
                    arm (attempts_left - 1) (min max_timeout (grow base backoff))
                  end
                  else begin
-                   if attempts_left > 0 then
-                     t.budget_exhausted <- t.budget_exhausted + 1;
                    t.abandoned <- t.abandoned + 1;
                    Hashtbl.remove t.epochs cont;
                    ignore (Rpc.Continuation.cancel t.continuations cont)
@@ -212,4 +201,3 @@ let retransmits t = t.retransmits
 let abandoned t = t.abandoned
 let duplicates t = t.duplicates
 let rejected t = t.rejected
-let budget_exhausted t = t.budget_exhausted

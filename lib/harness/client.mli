@@ -11,16 +11,14 @@ type t
 
 val create :
   Sim.Engine.t -> send:(Net.Frame.t -> unit) ->
-  ?endpoint:Net.Frame.endpoint -> ?seed:int -> ?retry_budget:int ->
-  ?metrics:Obs.Metrics.t -> unit -> t
+  ?endpoint:Net.Frame.endpoint -> ?seed:int -> ?metrics:Obs.Metrics.t ->
+  unit -> t
 (** [seed] feeds the backoff-jitter stream (drawn from only when a call
-    uses [jitter > 0]). [retry_budget] caps the total number of
-    retransmissions across all calls (default: unlimited); once spent,
-    timed-out calls are abandoned instead of retried.
+    uses [jitter > 0]).
 
     With [metrics], the client's tallies register as [client_*] derived
     gauges (sent, completed, errors, retransmits, abandoned, rejected,
-    duplicates, budget_exhausted) so experiment reports carry them
+    duplicates) so experiment reports carry them
     uniformly with the server-side counters. *)
 
 val call :
@@ -51,7 +49,7 @@ val sent : t -> int
 
 val retransmits : t -> int
 val abandoned : t -> int
-(** Calls given up after exhausting retries (or the retry budget). *)
+(** Calls given up after exhausting retries. *)
 
 val rejected : t -> int
 (** Explicit transport-level rejects received ({!Rpc.Wire_format}
@@ -63,9 +61,6 @@ val rejected : t -> int
 val duplicates : t -> int
 (** Response frames suppressed by rpc-id/epoch matching: duplicates of
     an already-completed call, or late replies to abandoned ids. *)
-
-val budget_exhausted : t -> int
-(** Calls abandoned specifically because the retry budget ran out. *)
 
 val expect : t -> service_id:int -> method_id:int -> Rpc.Schema.t -> unit
 (** Register the response schema of a method (clients know the IDL). *)

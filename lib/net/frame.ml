@@ -68,32 +68,35 @@ let encode t =
   buf
 
 type error =
+  | Runt
   | Not_ipv4 of int
   | Not_udp of int
   | Ip_error of Ipv4.error
   | Udp_error of Udp.error
 
 let[@hot_path] parse_slice s =
-  let r = Buf.reader_of_slice s in
-  let eth = Ethernet.read r in
-  if not (Int.equal eth.Ethernet.ethertype Ethernet.ethertype_ipv4) then
-    Error (Not_ipv4 eth.Ethernet.ethertype)
+  if Slice.length s < Ethernet.header_size then Error Runt
   else
-    match Ipv4.read r with
-    | Error e -> Error (Ip_error e)
-    | Ok ip ->
-        if not (Int.equal ip.Ipv4.protocol Ipv4.protocol_udp) then
-          Error (Not_udp ip.Ipv4.protocol)
-        else
-          (* Restrict the view to the IP payload so Ethernet padding is
-             not mistaken for UDP data. *)
-          let sub = Buf.narrow r ~len:ip.Ipv4.payload_len in
-          (match
-             Udp.read_slice sub ~src_ip:ip.Ipv4.src ~dst_ip:ip.Ipv4.dst
-           with
-          | Error e -> Error (Udp_error e)
-          | Ok (udp, payload) ->
-              (Ok ({ eth; ip; udp; payload } : view) [@alloc_ok]))
+    let r = Buf.reader_of_slice s in
+    let eth = Ethernet.read r in
+    if not (Int.equal eth.Ethernet.ethertype Ethernet.ethertype_ipv4) then
+      Error (Not_ipv4 eth.Ethernet.ethertype)
+    else
+      match Ipv4.read r with
+      | Error e -> Error (Ip_error e)
+      | Ok ip ->
+          if not (Int.equal ip.Ipv4.protocol Ipv4.protocol_udp) then
+            Error (Not_udp ip.Ipv4.protocol)
+          else
+            (* Restrict the view to the IP payload so Ethernet padding is
+               not mistaken for UDP data. *)
+            let sub = Buf.narrow r ~len:ip.Ipv4.payload_len in
+            (match
+               Udp.read_slice sub ~src_ip:ip.Ipv4.src ~dst_ip:ip.Ipv4.dst
+             with
+            | Error e -> Error (Udp_error e)
+            | Ok (udp, payload) ->
+                (Ok ({ eth; ip; udp; payload } : view) [@alloc_ok]))
 
 let of_view (v : view) : t =
   { eth = v.eth; ip = v.ip; udp = v.udp; payload = Slice.to_bytes v.payload }
@@ -116,6 +119,8 @@ let view_dst_endpoint (v : view) =
   { mac = v.eth.Ethernet.dst; ip = v.ip.Ipv4.dst; port = v.udp.Udp.dst_port }
 
 let pp_error ppf = function
+  | Runt ->
+      Format.pp_print_string ppf "runt frame (shorter than the Ethernet header)"
   | Not_ipv4 et -> Format.fprintf ppf "not IPv4 (ethertype 0x%04x)" et
   | Not_udp p -> Format.fprintf ppf "not UDP (protocol %d)" p
   | Ip_error e -> Ipv4.pp_error ppf e

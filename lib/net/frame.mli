@@ -46,6 +46,7 @@ val encode : t -> bytes
 (** [encode_into] a fresh exactly-sized buffer. *)
 
 type error =
+  | Runt  (** shorter than the 14-byte Ethernet header *)
   | Not_ipv4 of int
   | Not_udp of int
   | Ip_error of Ipv4.error
@@ -55,7 +56,8 @@ val parse_slice : Slice.t -> (view, error) result
 (** Parse and validate wire bytes without copying the payload: headers
     are verified in place and the view's payload aliases the input.
     Ethernet minimum-size padding is tolerated and stripped (the IP
-    total length is authoritative). *)
+    total length is authoritative). Never raises: every malformed input,
+    a runt shorter than the Ethernet header included, is an [Error]. *)
 
 val parse : bytes -> (t, error) result
 (** [parse_slice] + {!of_view}: parse into an owning frame. *)

@@ -1,8 +1,7 @@
 (* Constant-memory streaming moments (Welford's algorithm). The chaos
    soak records millions of latencies; keeping them would defeat the
    constant-memory contract, so this carries exactly five words of
-   state per stream and combines pairwise (Chan et al.) so per-shard
-   streams can be merged deterministically after a run. *)
+   state per stream. *)
 
 type t = {
   mutable count : int;
@@ -39,34 +38,6 @@ let min_value t =
 let max_value t =
   if t.count = 0 then invalid_arg "Online.max_value: empty stream";
   t.max_v
-
-let merge_into ~src ~dst =
-  if src.count > 0 then begin
-    if dst.count = 0 then begin
-      dst.count <- src.count;
-      dst.mean <- src.mean;
-      dst.m2 <- src.m2;
-      dst.min_v <- src.min_v;
-      dst.max_v <- src.max_v
-    end
-    else begin
-      let n1 = float_of_int dst.count and n2 = float_of_int src.count in
-      let n = n1 +. n2 in
-      let d = src.mean -. dst.mean in
-      dst.m2 <- dst.m2 +. src.m2 +. (d *. d *. n1 *. n2 /. n);
-      dst.mean <- dst.mean +. (d *. n2 /. n);
-      dst.count <- dst.count + src.count;
-      if src.min_v < dst.min_v then dst.min_v <- src.min_v;
-      if src.max_v > dst.max_v then dst.max_v <- src.max_v
-    end
-  end
-
-let clear t =
-  t.count <- 0;
-  t.mean <- 0.;
-  t.m2 <- 0.;
-  t.min_v <- max_int;
-  t.max_v <- min_int
 
 let pp_summary ppf t =
   if t.count = 0 then Format.fprintf ppf "n=0"

@@ -4,11 +4,7 @@
     second moment, min, max — updated in O(1) per sample, so an
     hours-long soak over millions of samples observes latency without
     growing. Pairs with {!Sim.Histogram} (constant-memory quantiles);
-    this module is the cheaper exact-moments half.
-
-    Merging ({!merge_into}) uses the pairwise-combination update, so
-    per-shard streams merged in a fixed order produce the same result
-    every run. *)
+    this module is the cheaper exact-moments half. *)
 
 type t
 
@@ -28,12 +24,6 @@ val min_value : t -> int
 
 val max_value : t -> int
 (** @raise Invalid_argument on an empty stream. *)
-
-val merge_into : src:t -> dst:t -> unit
-(** Fold [src]'s stream into [dst] as if its samples had been recorded
-    there ([src] is left untouched). *)
-
-val clear : t -> unit
 
 val pp_summary : Format.formatter -> t -> unit
 (** One line: count, mean, stddev, min, max. *)

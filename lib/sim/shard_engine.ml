@@ -1,13 +1,13 @@
 (* Conservative PDES over an array of per-shard engines, stepped in one
    domain.
 
-   The model: each shard (a simulated host, or an isolated pipeline
-   stage) owns a private {!Engine} and shares no mutable simulation
-   state with any other shard. The only inter-shard channel is
-   {!post}, which carries a closure across the wire with a delivery
-   time at least [lookahead] past the sender's clock — the classic
-   conservative-PDES contract, with the lookahead equal to the
-   inter-shard wire latency.
+   The model: each shard (a rack host, or the rack's switch) owns a
+   private {!Engine} and shares no mutable simulation state with any
+   other shard. The only inter-shard channel is {!post}, which carries
+   a closure across the wire with a delivery time at least the
+   [src]→[dst] wire latency past the sender's clock — the classic
+   conservative-PDES contract. The window width [lookahead] is the
+   smallest such latency.
 
    Execution proceeds in windows:
 
@@ -38,77 +38,55 @@ type outbox_item = {
   fn : unit -> unit;
 }
 
-type probe =
-  shard:int -> window_end:Units.time -> events:int -> posted:int -> unit
-
 type t = {
   engines : Engine.t array;
-  lookahead : Units.duration;
-      (* conservative window width: the uniform lookahead, or the
-         minimum entry of the latency matrix *)
-  latency : Units.duration array array option;
-      (* per-pair wire latencies; [None] means uniform [lookahead] *)
+  latency : Units.duration array array;  (* per-pair wire latencies *)
+  lookahead : Units.duration;  (* window width: the matrix minimum *)
   (* per-source outboxes, reverse posting order; drained by [merge]
      between windows *)
   outbox : outbox_item list array;
   mutable windows : int;
   mutable merged : int;
-  (* per-(shard, window) profiler hook; [None] (the default) costs one
-     load-and-branch per shard-window *)
-  mutable profiler : probe option;
   (* wire-fault seam; [None] (the default) costs one load-and-branch
      per post *)
   mutable wire_fault : (src:int -> dst:int -> at:Units.time -> bool) option;
 }
-
-let make ~lookahead ~latency engines =
-  if Array.length engines = 0 then
-    invalid_arg "Shard_engine.create: no shards";
-  if lookahead <= 0 then
-    invalid_arg "Shard_engine.create: lookahead must be positive";
-  {
-    engines;
-    lookahead;
-    latency;
-    outbox = Array.make (Array.length engines) [];
-    windows = 0;
-    merged = 0;
-    profiler = None;
-    wire_fault = None;
-  }
-
-let create ~lookahead engines = make ~lookahead ~latency:None engines
 
 (* Per-pair lookahead: the window width is the matrix minimum — the
    rack's shortest link bounds how far any shard may safely run ahead —
    while each post is validated against its own pair's latency, so a
    model bug on a long link is caught even when it clears the global
    minimum. *)
-let create_matrix ~latency engines =
+let create ~latency engines =
   let n = Array.length engines in
-  if n = 0 then invalid_arg "Shard_engine.create_matrix: no shards";
+  if n = 0 then invalid_arg "Shard_engine.create: no shards";
   if not (Int.equal (Array.length latency) n) then
-    invalid_arg "Shard_engine.create_matrix: latency matrix is not NxN";
+    invalid_arg "Shard_engine.create: latency matrix is not NxN";
   let min_latency = ref max_int in
   Array.iteri
     (fun s row ->
       if not (Int.equal (Array.length row) n) then
-        invalid_arg "Shard_engine.create_matrix: latency matrix is not NxN";
+        invalid_arg "Shard_engine.create: latency matrix is not NxN";
       Array.iteri
         (fun d l ->
           if l <= 0 then
             invalid_arg
               (Printf.sprintf
-                 "Shard_engine.create_matrix: latency.(%d).(%d) = %d must be \
-                  positive"
+                 "Shard_engine.create: latency.(%d).(%d) = %d must be positive"
                  s d l);
           if l < !min_latency then min_latency := l)
         row)
     latency;
-  make ~lookahead:!min_latency ~latency:(Some latency) engines
+  {
+    engines;
+    latency;
+    lookahead = !min_latency;
+    outbox = Array.make n [];
+    windows = 0;
+    merged = 0;
+    wire_fault = None;
+  }
 
-let shards t = Array.length t.engines
-let set_profiler t p = t.profiler <- p
 let set_wire_fault t f = t.wire_fault <- f
 let lookahead t = t.lookahead
 let windows_run t = t.windows
@@ -123,11 +101,7 @@ let post t ~src ~dst ~at fn =
   let n = Array.length t.engines in
   if src < 0 || src >= n then invalid_arg "Shard_engine.post: bad src";
   if dst < 0 || dst >= n then invalid_arg "Shard_engine.post: bad dst";
-  let pair_lookahead =
-    match t.latency with
-    | None -> t.lookahead
-    | Some m -> m.(src).(dst)
-  in
+  let pair_lookahead = t.latency.(src).(dst) in
   let horizon = Engine.now t.engines.(src) + pair_lookahead in
   if at < horizon then
     invalid_arg
@@ -189,17 +163,7 @@ let next_event_time t =
 (* Run every shard, in ascending shard order, up to [limit]. *)
 let run_window t limit =
   for i = 0 to Array.length t.engines - 1 do
-    let e = t.engines.(i) in
-    match t.profiler with
-    | None -> Engine.run e ~until:limit
-    | Some probe ->
-        let before = Engine.events_processed e in
-        Engine.run e ~until:limit;
-        (* the outbox was drained at the window's merge, so its length
-           here is exactly what this shard posted this window *)
-        probe ~shard:i ~window_end:limit
-          ~events:(Engine.events_processed e - before)
-          ~posted:(List.length t.outbox.(i))
+    Engine.run t.engines.(i) ~until:limit
   done
 
 (* Deliver messages and return the next window's (inclusive) end. When

@@ -1,14 +1,15 @@
 (** Conservative parallel discrete-event simulation, stepped in one
     domain.
 
-    Partitions a simulation into fixed shards — one {!Engine} per
-    simulated host or isolated pipeline stage — and runs them in
-    conservative windows of width [lookahead] (the inter-shard wire
-    latency). Shards share no simulation state; the only inter-shard
-    channel is {!post}, whose delivery time must be at least one
-    lookahead past the sender's clock. That contract makes every window
+    Partitions a simulation into fixed shards — one {!Engine} per rack
+    host, plus the switch's — and runs them in conservative windows of
+    width [lookahead] (the shortest inter-shard wire latency). Shards
+    share no simulation state; the only inter-shard channel is
+    {!post}, whose delivery time must be at least its pair's wire
+    latency past the sender's clock. That contract makes every window
     safe to run without rollback, and makes each window advance the
-    global clock floor by at least one lookahead.
+    global clock floor by at least one lookahead. [Cluster.Fabric] is
+    the one user.
 
     {b Determinism contract}: cross-shard messages are merged between
     windows in [(delivery time, source shard, posting order)] order, so
@@ -22,46 +23,35 @@
 
 type t
 
-val create : lookahead:Units.duration -> Engine.t array -> t
-(** Wrap the given per-shard engines. [lookahead] is the conservative
-    window width — the minimum inter-shard latency the simulation
-    guarantees.
-
-    @raise Invalid_argument on an empty shard array or a non-positive
-    lookahead. *)
-
-val create_matrix : latency:Units.duration array array -> Engine.t array -> t
-(** Like {!create}, but with a per-pair wire-latency matrix:
-    [latency.(s).(d)] is the minimum delivery delay of a message posted
-    from shard [s] to shard [d] (the [s]→[d] wire latency; the diagonal
-    governs self-posts). The conservative window width — reported by
-    {!lookahead} — is the matrix minimum: the rack's shortest link
-    bounds how far any shard may safely run ahead. {!post}, however,
-    validates each message against its own pair's latency, so on an
-    asymmetric topology a delivery that undercuts its link's latency is
-    rejected even when it clears the global minimum — with a uniform
-    lookahead such a violation would pass silently.
+val create : latency:Units.duration array array -> Engine.t array -> t
+(** Wrap the given per-shard engines with a per-pair wire-latency
+    matrix: [latency.(s).(d)] is the minimum delivery delay of a
+    message posted from shard [s] to shard [d] (the [s]→[d] wire
+    latency; the diagonal governs self-posts). The conservative window
+    width — reported by {!lookahead} — is the matrix minimum: the
+    rack's shortest link bounds how far any shard may safely run
+    ahead. {!post}, however, validates each message against its own
+    pair's latency, so on an asymmetric topology a delivery that
+    undercuts its link's latency is rejected even when it clears the
+    global minimum.
 
     @raise Invalid_argument on an empty shard array, a non-square
     matrix, or a non-positive entry. *)
 
-val shards : t -> int
-
 val lookahead : t -> Units.duration
-(** The conservative window width: the [create] lookahead, or the
-    minimum entry of the [create_matrix] latency matrix. *)
+(** The conservative window width: the minimum entry of the latency
+    matrix. *)
 
 val post :
   t -> src:int -> dst:int -> at:Units.time -> (unit -> unit) -> unit
 (** Send a closure from shard [src] to run on shard [dst] at absolute
-    time [at]. Call only from [src]'s own events, or from the
-    before {!run}. Delivery happens at the end of the current window;
+    time [at]. Call only from [src]'s own events, or before
+    {!run}. Delivery happens at the end of the current window;
     ordering across all posts is deterministic.
 
     @raise Invalid_argument if [at] is earlier than [src]'s clock plus
-    the [src]→[dst] lookahead — the uniform one, or the pair's entry in
-    the {!create_matrix} latency matrix (the conservative contract) —
-    or on a bad shard index. *)
+    the [src]→[dst] entry of the latency matrix (the conservative
+    contract), or on a bad shard index. *)
 
 val run : t -> until:Units.time -> unit
 (** Run every shard up to and including [until], window by window.
@@ -76,22 +66,6 @@ val windows_run : t -> int
 
 val messages_merged : t -> int
 (** Cross-shard messages delivered between windows so far. *)
-
-type probe =
-  shard:int -> window_end:Units.time -> events:int -> posted:int -> unit
-(** Per-(shard, window) profiler hook: after a shard finishes a
-    window, the hook observes how many events it ran ([events]) and
-    how many cross-shard messages it posted ([posted]) in that window,
-    plus the window's end time. Every argument is a deterministic
-    function of the simulation — never of wall-clock — so profiler
-    output is byte-identical run to run. *)
-
-val set_profiler : t -> probe option -> unit
-(** Install (or clear) the profiler hook. [None] — the default — costs
-    one load-and-branch per shard-window. [Obs.Profiler] is the
-    intended callee. Install only from a [Config]-gated (or otherwise
-    explicitly armed) path, never unconditionally; simlint enforces
-    this within [lib/]. *)
 
 val set_wire_fault :
   t -> (src:int -> dst:int -> at:Units.time -> bool) option -> unit

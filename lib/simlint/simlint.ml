@@ -380,16 +380,14 @@ let rec check_hot ctx (e : expression) =
 
 (* ---------- rule: observability hook gating ---------- *)
 
-(* Hook-installation entry points of the tracing/profiling plane. The
+(* Hook-installation entry points of the tracing plane. The
    disarmed slots cost one load-and-branch on hot paths, so arming one
    from inside lib/sim or lib/cluster must be conditional on a Config
    consultation (or carry a reviewed [@obs_gated] mark) — an
    unconditional install would falsify the "zero-cost when off" claim
    for every user of the library. *)
 let obs_hook_diagnosis lid =
-  if is_mod_fn lid ~m:"Shard_engine" ~fn:"set_profiler" then
-    Some "Shard_engine.set_profiler"
-  else if is_mod_fn lid ~m:"Switch" ~fn:"set_hooks" then
+  if is_mod_fn lid ~m:"Switch" ~fn:"set_hooks" then
     Some "Switch.set_hooks"
   else if is_mod_fn lid ~m:"Switch" ~fn:"tap" then Some "Switch.tap"
   else if is_mod_fn lid ~m:"Tracer" ~fn:"enable" then Some "Tracer.enable"

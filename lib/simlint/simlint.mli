@@ -30,8 +30,8 @@
       acquire expression) documenting that the buffer escapes to
       another owner.
     - {b obs-gating} ([lib/sim], [lib/cluster]): installing an
-      observability hook — [Shard_engine.set_profiler],
-      [Switch.set_hooks], [Switch.tap], [Tracer.enable] — must happen
+      observability hook — [Switch.set_hooks], [Switch.tap],
+      [Tracer.enable] — must happen
       under an [if]/[match] whose condition consults a [Config], or be
       explicitly marked [[@obs_gated]]. The disarmed slots are one
       load-and-branch on hot paths; an unconditional install inside

@@ -7,10 +7,7 @@
 #   sanitize LAUBERHORN_SANITIZE=1 arms the runtime protocol sanitizers
 #            (pool discipline, event-loop monotonicity, coherence
 #            generations, sched-mirror convergence) in fail-fast mode:
-#            zero trips, and the checkers observe without perturbing;
-#   shards   stepping a section's single engine through Shard_engine's
-#            conservative lookahead windows (LAUBERHORN_SHARDS=4) must
-#            not move the output.
+#            zero trips, and the checkers observe without perturbing.
 #
 # Then every shipped steering program must pass the static verifier,
 # and every section with a test/baseline snapshot must reproduce it
@@ -46,8 +43,6 @@ same() {
 }
 
 san=LAUBERHORN_SANITIZE=1
-s1=LAUBERHORN_SHARDS=1
-s4=LAUBERHORN_SHARDS=4
 
 # gate      section    run A        run B        artefacts
 # -- twice
@@ -64,12 +59,9 @@ same        losssweep  ""           "$san"
 same        failover   ""           "$san"
 same        rack       ""           "$san"
 same        obstrace   ""           "$san"       E18_OUT_DIR
+same        parallel   ""           "$san"
 same        chaossoak  ""           "$san"
-# -- shards
-same        fig2       "$s1"        "$s4 $san"
-same        losssweep  "$s1"        "$s4 $san"
-same        failover   "$s1"        "$s4 $san"
-same        steering   "$s1 $san"   "$s4 $san"
+same        steering   ""           "$san"
 
 "$steer_verify"
 

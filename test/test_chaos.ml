@@ -317,28 +317,12 @@ let test_online_moments () =
   checkf "stddev" 2.0 (Obs.Online.stddev s);
   checki "min" 5 (Obs.Online.min_value s);
   checki "max" 9 (Obs.Online.max_value s);
-  Obs.Online.clear s;
-  checki "cleared" 0 (Obs.Online.count s);
-  checkf "empty mean" 0.0 (Obs.Online.mean s);
+  let e = Obs.Online.create () in
+  checki "empty count" 0 (Obs.Online.count e);
+  checkf "empty mean" 0.0 (Obs.Online.mean e);
   checkb "empty min raises" true
-    (try Obs.Online.min_value s |> ignore; false
+    (try Obs.Online.min_value e |> ignore; false
      with Invalid_argument _ -> true)
-
-let test_online_merge_matches_combined () =
-  let xs = [ 3; 1; 4; 1; 5; 9; 2; 6 ] and ys = [ 5; 3; 5; 8; 9; 7 ] in
-  let a = Obs.Online.create () and b = Obs.Online.create () in
-  let both = Obs.Online.create () in
-  List.iter (Obs.Online.record a) xs;
-  List.iter (Obs.Online.record b) ys;
-  List.iter (Obs.Online.record both) (xs @ ys);
-  Obs.Online.merge_into ~src:b ~dst:a;
-  checki "merged count" (Obs.Online.count both) (Obs.Online.count a);
-  let close = Alcotest.check (Alcotest.float 1e-6) in
-  close "merged mean" (Obs.Online.mean both) (Obs.Online.mean a);
-  close "merged variance" (Obs.Online.variance both) (Obs.Online.variance a);
-  checki "merged min" (Obs.Online.min_value both) (Obs.Online.min_value a);
-  checki "merged max" (Obs.Online.max_value both) (Obs.Online.max_value a);
-  checki "src untouched" (List.length ys) (Obs.Online.count b)
 
 (* ---------- chaos racks: determinism + conservation ---------- *)
 
@@ -657,7 +641,6 @@ let () =
       ( "online stats",
         [
           tc "moments" test_online_moments;
-          tc "merge = combined" test_online_merge_matches_combined;
         ] );
       ( "chaos rack",
         [

@@ -272,6 +272,34 @@ let parse_slice_matches_parse =
       | Error _, Error _ -> true
       | _ -> false)
 
+(* Totality: whatever bytes arrive — any prefix of an encoded frame,
+   after up to three byte mutations — [parse_slice] answers [Ok] or
+   [Error] and never raises; a cut shorter than the Ethernet header is
+   [Error Runt]. *)
+let parse_slice_total =
+  QCheck.Test.make ~name:"parse_slice never raises on cut or mutated frames"
+    ~count:300
+    QCheck.(
+      pair (string_of_size (Gen.int_range 0 128))
+        (list_of_size (Gen.int_range 0 3) (pair small_nat (int_bound 255))))
+    (fun (s, muts) ->
+      let wire =
+        Net.Frame.encode
+          (Net.Frame.make ~src:(ep ~last:1 ()) ~dst:(ep ~last:2 ())
+             (Bytes.of_string s))
+      in
+      let n = Bytes.length wire in
+      List.iter (fun (i, v) -> Bytes.set_uint8 wire (i mod n) v) muts;
+      List.for_all
+        (fun len ->
+          match Net.Frame.parse_slice (Net.Slice.make wire ~off:0 ~len) with
+          | Error Net.Frame.Runt -> len < Net.Ethernet.header_size
+          | Ok _ | Error _ -> len >= Net.Ethernet.header_size
+          | exception e ->
+              QCheck.Test.fail_reportf "cut %d raised %s" len
+                (Printexc.to_string e))
+        (List.init (n + 1) Fun.id))
+
 let test_frame_rejects_non_ipv4 () =
   let f = Net.Frame.make ~src:(ep ()) ~dst:(ep ~last:2 ()) (Bytes.create 4) in
   let b = Net.Frame.encode f in
@@ -472,7 +500,9 @@ let () =
           Alcotest.test_case "rejects non-ipv4" `Quick
             test_frame_rejects_non_ipv4;
         ]
-        @ qsuite [ frame_roundtrip_any_payload; parse_slice_matches_parse ]
+        @ qsuite
+            [ frame_roundtrip_any_payload; parse_slice_matches_parse;
+              parse_slice_total ]
       );
       ( "slice_pool",
         [

@@ -7,6 +7,11 @@ let checkb = Alcotest.check Alcotest.bool
 
 let la = Sim.Units.us 2 (* lookahead used throughout *)
 
+(* One shard engine over [engines] whose every wire is [la] long. *)
+let uniform engines =
+  let n = Array.length engines in
+  Sim.Shard_engine.create ~latency:(Array.make_matrix n n la) engines
+
 (* Per-shard logs, appended by that shard's own events. *)
 type logs = (int * string) list array (* (time, tag) newest-first *)
 
@@ -16,7 +21,7 @@ let note (logs : logs) engines s tag () =
 let test_pingpong () =
   let engines = Array.init 2 (fun _ -> Sim.Engine.create ()) in
   let logs = Array.make 2 [] in
-  let t = Sim.Shard_engine.create ~lookahead:la engines in
+  let t = uniform engines in
   (* shard 0 fires locally at 1000, posts a reply request to shard 1;
      shard 1 receives it and posts back; three hops in total *)
   let rec hop s at hops () =
@@ -36,7 +41,7 @@ let test_pingpong () =
 
 let test_lookahead_violation_raises () =
   let engines = Array.init 2 (fun _ -> Sim.Engine.create ()) in
-  let t = Sim.Shard_engine.create ~lookahead:la engines in
+  let t = uniform engines in
   checkb "post under lookahead rejected" true
     (try
        Sim.Shard_engine.post t ~src:0 ~dst:1 ~at:(la - 1) (fun () -> ());
@@ -50,7 +55,7 @@ let test_lookahead_violation_raises () =
 
 let test_clock_fill_and_reuse () =
   let engines = Array.init 3 (fun _ -> Sim.Engine.create ()) in
-  let t = Sim.Shard_engine.create ~lookahead:la engines in
+  let t = uniform engines in
   let fired = ref 0 in
   ignore (Sim.Engine.schedule_at engines.(1) ~at:500 (fun () -> incr fired));
   Sim.Shard_engine.run t ~until:10_000;
@@ -67,7 +72,7 @@ let test_clock_fill_and_reuse () =
    window. *)
 let test_pending_beyond_horizon () =
   let engines = Array.init 2 (fun _ -> Sim.Engine.create ()) in
-  let t = Sim.Shard_engine.create ~lookahead:la engines in
+  let t = uniform engines in
   let fired = ref 0 in
   ignore (Sim.Engine.schedule_at engines.(0) ~at:100 (fun () -> incr fired));
   ignore (Sim.Engine.schedule_at engines.(0) ~at:99_999 (fun () -> incr fired));
@@ -90,7 +95,7 @@ let test_matrix_lookahead () =
       [| Sim.Units.us 2; Sim.Units.us 2 |];
     |]
   in
-  let t = Sim.Shard_engine.create_matrix ~latency engines in
+  let t = Sim.Shard_engine.create ~latency engines in
   checki "window width is the matrix minimum" (Sim.Units.us 2)
     (Sim.Shard_engine.lookahead t);
   (* the regression that motivates per-pair validation: a post that
@@ -120,7 +125,7 @@ let test_matrix_shape_raises () =
   let engines = Array.init 2 (fun _ -> Sim.Engine.create ()) in
   let raises latency =
     try
-      ignore (Sim.Shard_engine.create_matrix ~latency engines);
+      ignore (Sim.Shard_engine.create ~latency engines);
       false
     with Invalid_argument _ -> true
   in
@@ -147,8 +152,8 @@ let run_plan ?latency ~shards (plan : op list) : (int * string) list array =
   let logs = Array.make shards [] in
   let t =
     match latency with
-    | None -> Sim.Shard_engine.create ~lookahead:la engines
-    | Some m -> Sim.Shard_engine.create_matrix ~latency:m engines
+    | None -> uniform engines
+    | Some m -> Sim.Shard_engine.create ~latency:m engines
   in
   (* per-shard timer tables *)
   let timers = Array.init shards (fun _ -> Hashtbl.create 16) in

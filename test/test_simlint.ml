@@ -221,7 +221,7 @@ let test_obs_unconditional_install () =
   (* Arming a hook with no Config consultation in lib/sim or
      lib/cluster must fire — the disarmed slot's zero cost is a
      library-wide claim. *)
-  let src = "let arm eng p = Sim.Shard_engine.set_profiler eng (Some p)\n" in
+  let src = "let arm sw h = Cluster.Switch.set_hooks sw (Some h)\n" in
   checki "flagged in lib/sim" 1
     (count "obs-gating" (lint ~path:"lib/sim/boot.ml" src));
   let src2 = "let arm sw h = Cluster.Switch.set_hooks sw (Some h)\n" in
@@ -231,8 +231,8 @@ let test_obs_unconditional_install () =
 let test_obs_config_gated_ok () =
   let fs =
     lint ~path:"lib/sim/boot.ml"
-      "let arm cfg eng p =\n\
-      \  if cfg.Config.profile then Sim.Shard_engine.set_profiler eng (Some p)\n"
+      "let arm cfg sw h =\n\
+      \  if cfg.Config.trace then Cluster.Switch.set_hooks sw (Some h)\n"
   in
   checki "Config-gated install clean" 0 (count "obs-gating" fs)
 
@@ -249,7 +249,7 @@ let test_obs_config_match_gated_ok () =
 let test_obs_gated_attr_escape () =
   let fs =
     lint ~path:"lib/sim/boot.ml"
-      "let[@obs_gated] arm eng p = Sim.Shard_engine.set_profiler eng (Some p)\n\
+      "let[@obs_gated] arm sw h = Cluster.Switch.set_hooks sw (Some h)\n\
        let bad sw cap = Cluster.Switch.tap sw ~port:0 cap\n"
   in
   checki "only the unmarked install flagged" 1 (count "obs-gating" fs)
@@ -266,7 +266,7 @@ let test_obs_tap_and_enable_flagged () =
 let test_obs_rule_scoped_to_sim_cluster () =
   (* Experiments, harness and tests install hooks freely — the rule is
      about the library's always-on paths. *)
-  let src = "let arm eng p = Sim.Shard_engine.set_profiler eng (Some p)\n" in
+  let src = "let arm sw h = Cluster.Switch.set_hooks sw (Some h)\n" in
   checki "not applied in lib/experiments" 0
     (count "obs-gating" (lint ~path:"lib/experiments/e.ml" src));
   checki "not applied in test/" 0
