@@ -10,45 +10,12 @@ type sanitizer_event =
     }
   | Reset of { line : line_id; new_gen : int }
 
-(* A FIFO of in-flight transactions of one kind. Every transaction of
-   a kind crosses the interconnect with the agent's constant latency
-   for that kind, so they land in issue order (the engine breaks a tie
-   on the instant by scheduling order), and the agent's one event
-   closure per kind pops the oldest. Several can be in flight on one
-   line: a load request issued before a [reset_line] still travels
-   beside the respawned thread's new one. Vacated cells hold [empty],
-   so a delivered callback or image is not retained. *)
-module Fifo = struct
-  type 'a t = {
-    mutable buf : 'a array;
-    mutable head : int;
-    mutable len : int;
-    empty : 'a;
-  }
-
-  let create empty = { buf = [||]; head = 0; len = 0; empty }
-
-  let push q v =
-    let cap = Array.length q.buf in
-    if Int.equal q.len cap then begin
-      let bigger = Array.make (max 8 (2 * cap)) q.empty in
-      for i = 0 to q.len - 1 do
-        bigger.(i) <- q.buf.((q.head + i) land (cap - 1))
-      done;
-      q.buf <- bigger;
-      q.head <- 0
-    end;
-    q.buf.((q.head + q.len) land (Array.length q.buf - 1)) <- v;
-    q.len <- q.len + 1
-
-  let pop q =
-    if Int.equal q.len 0 then invalid_arg "Home_agent: no transaction in flight";
-    let v = q.buf.(q.head) in
-    q.buf.(q.head) <- q.empty;
-    q.head <- (q.head + 1) land (Array.length q.buf - 1);
-    q.len <- q.len - 1;
-    v
-end
+(* The in-flight transactions of each kind wait in a [Sim.Fifo]. Every
+   transaction of a kind crosses the interconnect with the agent's
+   constant latency for that kind, so they land in issue order, and the
+   agent's one event closure per kind pops the oldest. Several can be
+   in flight on one line: a load request issued before a [reset_line]
+   still travels beside the respawned thread's new one. *)
 
 let no_fill_callback (_ : fill) = ()
 let no_fetch_callback (_ : bytes option) = ()
@@ -80,17 +47,17 @@ type t = {
      generation at issue), fill responses (line, loader, fill,
      generation at issue), store releases (line, image) and
      fetch-exclusives (line, collector). *)
-  req_line : int Fifo.t;
-  req_k : (fill -> unit) Fifo.t;
-  req_gen : int Fifo.t;
-  resp_line : int Fifo.t;
-  resp_k : (fill -> unit) Fifo.t;
-  resp_fill : fill Fifo.t;
-  resp_gen : int Fifo.t;
-  store_line : int Fifo.t;
-  store_data : bytes Fifo.t;
-  fetch_line : int Fifo.t;
-  fetch_k : (bytes option -> unit) Fifo.t;
+  req_line : int Sim.Fifo.t;
+  req_k : (fill -> unit) Sim.Fifo.t;
+  req_gen : int Sim.Fifo.t;
+  resp_line : int Sim.Fifo.t;
+  resp_k : (fill -> unit) Sim.Fifo.t;
+  resp_fill : fill Sim.Fifo.t;
+  resp_gen : int Sim.Fifo.t;
+  store_line : int Sim.Fifo.t;
+  store_data : bytes Sim.Fifo.t;
+  fetch_line : int Sim.Fifo.t;
+  fetch_k : (bytes option -> unit) Sim.Fifo.t;
   (* The event closures for each kind, built once by [create]. *)
   mutable request_lands : unit -> unit;
   mutable response_lands : unit -> unit;
@@ -113,19 +80,19 @@ let respond t ln k fill =
   (match fill with
   | Data _ -> t.fills <- t.fills + 1
   | Tryagain -> t.tryagains <- t.tryagains + 1);
-  Fifo.push t.resp_line ln.id;
-  Fifo.push t.resp_k k;
-  Fifo.push t.resp_fill fill;
-  Fifo.push t.resp_gen ln.gen;
+  Sim.Fifo.push t.resp_line ln.id;
+  Sim.Fifo.push t.resp_k k;
+  Sim.Fifo.push t.resp_fill fill;
+  Sim.Fifo.push t.resp_gen ln.gen;
   ignore
     (Sim.Engine.schedule_after t.engine ~after:t.prof.Interconnect.load_response
        t.response_lands)
 
 let response_lands t () =
-  let ln = t.lines.(Fifo.pop t.resp_line) in
-  let k = Fifo.pop t.resp_k in
-  let fill = Fifo.pop t.resp_fill in
-  let gen_at_issue = Fifo.pop t.resp_gen in
+  let ln = t.lines.(Sim.Fifo.pop t.resp_line) in
+  let k = Sim.Fifo.pop t.resp_k in
+  let fill = Sim.Fifo.pop t.resp_fill in
+  let gen_at_issue = Sim.Fifo.pop t.resp_gen in
   (match t.sanitizer with
   | None -> ()
   | Some observe ->
@@ -160,9 +127,9 @@ let timeout_fires t ln () =
 
 (* A load miss reaches the home agent. *)
 let request_lands t () =
-  let ln = t.lines.(Fifo.pop t.req_line) in
-  let k = Fifo.pop t.req_k in
-  let gen = Fifo.pop t.req_gen in
+  let ln = t.lines.(Sim.Fifo.pop t.req_line) in
+  let k = Sim.Fifo.pop t.req_k in
+  let gen = Sim.Fifo.pop t.req_gen in
   if not (Int.equal ln.gen gen) then
     (* The line was reset while this load request was on the
        interconnect: the loader's process is gone, so the request dies
@@ -185,13 +152,13 @@ let request_lands t () =
         (match ln.on_load with Some f -> f ~served:false | None -> ())
 
 let store_lands t () =
-  let ln = t.lines.(Fifo.pop t.store_line) in
-  let data = Fifo.pop t.store_data in
+  let ln = t.lines.(Sim.Fifo.pop t.store_line) in
+  let data = Sim.Fifo.pop t.store_data in
   match ln.on_store with Some f -> f data | None -> ()
 
 let fetch_lands t () =
-  let ln = t.lines.(Fifo.pop t.fetch_line) in
-  let k = Fifo.pop t.fetch_k in
+  let ln = t.lines.(Sim.Fifo.pop t.fetch_line) in
+  let k = Sim.Fifo.pop t.fetch_k in
   let data = ln.cpu_copy in
   ln.cpu_copy <- None;
   k data
@@ -206,17 +173,17 @@ let create engine prof ?stage_delay ~timeout () =
       stage_delay;
       lines = [||];
       n_lines = 0;
-      req_line = Fifo.create 0;
-      req_k = Fifo.create no_fill_callback;
-      req_gen = Fifo.create 0;
-      resp_line = Fifo.create 0;
-      resp_k = Fifo.create no_fill_callback;
-      resp_fill = Fifo.create Tryagain;
-      resp_gen = Fifo.create 0;
-      store_line = Fifo.create 0;
-      store_data = Fifo.create Bytes.empty;
-      fetch_line = Fifo.create 0;
-      fetch_k = Fifo.create no_fetch_callback;
+      req_line = Sim.Fifo.create 0;
+      req_k = Sim.Fifo.create no_fill_callback;
+      req_gen = Sim.Fifo.create 0;
+      resp_line = Sim.Fifo.create 0;
+      resp_k = Sim.Fifo.create no_fill_callback;
+      resp_fill = Sim.Fifo.create Tryagain;
+      resp_gen = Sim.Fifo.create 0;
+      store_line = Sim.Fifo.create 0;
+      store_data = Sim.Fifo.create Bytes.empty;
+      fetch_line = Sim.Fifo.create 0;
+      fetch_k = Sim.Fifo.create no_fetch_callback;
       request_lands = nop;
       response_lands = nop;
       store_lands = nop;
@@ -272,9 +239,9 @@ let cpu_load t id k =
   let ln = line t id in
   t.loads <- t.loads + 1;
   (* The miss takes load_request to reach the home agent. *)
-  Fifo.push t.req_line ln.id;
-  Fifo.push t.req_k k;
-  Fifo.push t.req_gen ln.gen;
+  Sim.Fifo.push t.req_line ln.id;
+  Sim.Fifo.push t.req_k k;
+  Sim.Fifo.push t.req_gen ln.gen;
   ignore
     (Sim.Engine.schedule_after t.engine ~after:t.prof.Interconnect.load_request
        t.request_lands)
@@ -330,16 +297,16 @@ let reset_line t id =
 let cpu_store t id data =
   let ln = line t id in
   ln.cpu_copy <- Some data;
-  Fifo.push t.store_line ln.id;
-  Fifo.push t.store_data data;
+  Sim.Fifo.push t.store_line ln.id;
+  Sim.Fifo.push t.store_data data;
   ignore
     (Sim.Engine.schedule_after t.engine
        ~after:t.prof.Interconnect.store_release t.store_lands)
 
 let fetch_exclusive t id k =
   let ln = line t id in
-  Fifo.push t.fetch_line ln.id;
-  Fifo.push t.fetch_k k;
+  Sim.Fifo.push t.fetch_line ln.id;
+  Sim.Fifo.push t.fetch_k k;
   ignore
     (Sim.Engine.schedule_after t.engine
        ~after:t.prof.Interconnect.fetch_exclusive t.fetch_lands)

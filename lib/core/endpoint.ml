@@ -7,9 +7,15 @@ type t = {
   fetched : (bytes option -> unit) array;
       (* the fetch-exclusive callback of each CONTROL line *)
   mutable on_parked : (unit -> unit) option;
+  requests : bytes array;  (* the NIC's image of each CONTROL line ... *)
+  responses : bytes array;  (* ... and the CPU's, written in place *)
   pending : (Message.request * bool) Queue.t;  (* request, kernel_dispatch *)
   mutable cur : int;
-  to_collect : int Queue.t;
+  (* The lines whose responses are still to collect, oldest first. Lines
+     are staged alternately, so this queue of at most two is its head
+     and its length. *)
+  mutable collect_head : int;
+  mutable to_collect : int;
   mutable outstanding : int;
   mutable n_delivered : int;
   mutable n_responses : int;
@@ -49,21 +55,22 @@ let extra_response_delay t line =
     Coherence.Interconnect.dma_transfer (prof t) ~bytes:rest
   else aux_stream_delay t ~lines:(Message.response_aux_count line)
 
+let line_image (cfg : Config.t) =
+  Bytes.make cfg.Config.profile.Coherence.Interconnect.cache_line_bytes '\000'
+
 let stage_now t msg ~kernel_dispatch =
-  let line = t.ctrl.(t.cur) in
-  t.cur <- 1 - t.cur;
+  let c = t.cur in
+  let line = t.ctrl.(c) in
+  t.cur <- 1 - c;
   t.outstanding <- t.outstanding + 1;
   t.n_delivered <- t.n_delivered + 1;
-  Queue.add (1 - t.cur) t.to_collect;
+  if Int.equal t.to_collect 0 then t.collect_head <- c;
+  t.to_collect <- t.to_collect + 1;
   let delay = extra_request_delay t msg in
-  let envelope =
-    if kernel_dispatch then Message.Kernel_dispatch msg
-    else Message.Request msg
-  in
-  let image =
-    Message.encode
-      ~line_bytes:(prof t).Coherence.Interconnect.cache_line_bytes envelope
-  in
+  (* Line [c]'s last request was read when its response was written, so
+     its image is free to overwrite. *)
+  let image = t.requests.(c) in
+  Message.encode_request_into image ~kernel_dispatch msg;
   if delay = 0 then Coherence.Home_agent.stage t.ha line image
   else
     ignore
@@ -99,7 +106,9 @@ let finish t line =
   try_deliver t
 
 (* A CONTROL line's fetch-exclusive callback: the response line is read
-   in place and handed on whole. *)
+   in place and handed on whole. A response held back for its aux lines
+   or DMA is copied first: the CPU may write its next response into the
+   same image before this one is finished. *)
 let fetched t c data =
   match data with
   | None ->
@@ -113,23 +122,29 @@ let fetched t c data =
           (Printf.sprintf "Endpoint %d: bad response line in line %d" t.eid c);
       let delay = extra_response_delay t line in
       if delay = 0 then finish t line
-      else
+      else begin
+        let held = Bytes.copy line in
         ignore
           (Sim.Engine.schedule_after (engine t) ~after:delay (fun () ->
-               finish t line))
+               finish t held))
+      end
 
 let on_ctrl_load t j ~served =
-  if
-    (not (Queue.is_empty t.to_collect))
-    && Int.equal (Queue.peek t.to_collect) (1 - j)
-  then begin
-    let c = Queue.pop t.to_collect in
+  let c = t.collect_head in
+  if t.to_collect > 0 && Int.equal c (1 - j) then begin
+    t.collect_head <- 1 - c;
+    t.to_collect <- t.to_collect - 1;
     Coherence.Home_agent.fetch_exclusive t.ha t.ctrl.(c) t.fetched.(c)
   end;
   if not served then begin
     (match t.on_parked with Some f -> f () | None -> ());
     try_deliver t
   end
+
+let response_image t i =
+  if i <> 0 && i <> 1 then
+    invalid_arg "Endpoint.response_image: index not 0/1";
+  t.responses.(i)
 
 let set_on_parked t f = t.on_parked <- Some f
 let parked t = Coherence.Home_agent.load_parked t.ha t.ctrl.(t.cur)
@@ -156,7 +171,15 @@ let reset t =
   Queue.clear t.pending;
   Coherence.Home_agent.reset_line t.ha t.ctrl.(0);
   Coherence.Home_agent.reset_line t.ha t.ctrl.(1);
-  Queue.clear t.to_collect;
+  (* Fresh images: a stage or fill still in flight keeps the bytes it
+     left with, and cannot be overwritten by the restarted process's
+     traffic. *)
+  for i = 0 to 1 do
+    t.requests.(i) <- line_image t.cfg;
+    t.responses.(i) <- line_image t.cfg
+  done;
+  t.collect_head <- 0;
+  t.to_collect <- 0;
   t.cur <- 0;
   t.outstanding <- 0;
   requeue
@@ -179,9 +202,12 @@ let create ha cfg ~id ~on_response () =
       on_response;
       fetched = Array.make 2 ignore;
       on_parked = None;
+      requests = Array.init 2 (fun _ -> line_image cfg);
+      responses = Array.init 2 (fun _ -> line_image cfg);
       pending = Queue.create ();
       cur = 0;
-      to_collect = Queue.create ();
+      collect_head = 0;
+      to_collect = 0;
       outstanding = 0;
       n_delivered = 0;
       n_responses = 0;

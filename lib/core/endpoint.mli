@@ -11,7 +11,8 @@
     endpoint; beyond that, requests wait in a bounded NIC SRAM queue.
 
     CONTROL lines carry real encoded {!Message} images through the
-    {!Coherence.Home_agent}; auxiliary-line traffic is priced on the
+    {!Coherence.Home_agent}, written in place into one request and one
+    response image per line; auxiliary-line traffic is priced on the
     interconnect profile without materialising each line. *)
 
 type t
@@ -26,6 +27,14 @@ val create :
 
 val ctrl_line : t -> int -> Coherence.Home_agent.line_id
 (** The two CONTROL lines, index 0 and 1 (CPU side loads these). *)
+
+val response_image : t -> int -> bytes
+(** The buffer the CPU writes its response for CONTROL line 0 or 1
+    into (with {!Message.write_response_into}) before storing it to
+    that line. The NIC writes each request the same way, into a
+    request image of its own per line. {!reset} replaces all four
+    images, so bytes still in flight across a crash are never
+    overwritten. *)
 
 val deliver : ?kernel_dispatch:bool -> t -> Message.request -> bool
 (** NIC delivers a request: stages it into the current CONTROL line if

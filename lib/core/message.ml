@@ -38,80 +38,10 @@ let tag_kernel_dispatch = 5
 
 let flag_via_dma = 0x01
 
-let encode_request_body ~line_bytes ~tag (r : request) =
-  let cap = request_inline_capacity ~line_bytes in
-  if Net.Slice.length r.inline_args > cap then
-    invalid_arg
-      (Printf.sprintf "Message.encode: %d inline bytes > capacity %d"
-         (Net.Slice.length r.inline_args) cap);
-  let w = Net.Buf.writer line_bytes in
-  Net.Buf.write_u8 w tag;
-  Net.Buf.write_u8 w (if r.via_dma then flag_via_dma else 0);
-  Net.Buf.write_u16 w r.aux_count;
-  Net.Buf.write_u32 w r.service_id;
-  Net.Buf.write_u16 w r.method_id;
-  Net.Buf.write_u16 w (Net.Slice.length r.inline_args);
-  Net.Buf.write_u32 w r.total_args;
-  Net.Buf.write_u64 w r.rpc_id;
-  Net.Buf.write_u64 w r.code_ptr;
-  Net.Buf.write_u64 w r.data_ptr;
-  Net.Buf.write_slice w r.inline_args;
-  (* Pad the line image to full size without a scratch buffer, then
-     hand back the writer's own buffer — the image is exactly one
-     allocation. *)
-  Net.Buf.write_zeros w (line_bytes - Net.Buf.writer_pos w);
-  Net.Buf.filled w
-
-let single_tag_line ~line_bytes tag =
-  let w = Net.Buf.writer line_bytes in
-  Net.Buf.write_u8 w tag;
-  Net.Buf.write_zeros w (line_bytes - 1);
-  Net.Buf.filled w
-
-let encode ~line_bytes t =
-  if line_bytes < request_header_bytes then
-    invalid_arg "Message.encode: line too small for header";
-  match t with
-  | Request r -> encode_request_body ~line_bytes ~tag:tag_request r
-  | Kernel_dispatch r ->
-      encode_request_body ~line_bytes ~tag:tag_kernel_dispatch r
-  | Tryagain -> single_tag_line ~line_bytes tag_tryagain
-  | Retire -> single_tag_line ~line_bytes tag_retire
-
-(* The response line header, in order: tag u8, flags u8, status u16,
-   inline length u16, aux count u16, total length u32, rpc id u64; the
-   inline body follows. [write_response] writes it and the readers
-   below read it at these offsets. *)
-let off_status = 2
-let off_resp_inline_len = 4
-let off_resp_aux = 6
-let off_total_len = 8
-let off_resp_rpc_id = 12
-
-let[@hot_path] write_response ~line_bytes ~rpc_id ~status ~total_len
-    ~aux_count body ~off ~len =
-  let cap = response_inline_capacity ~line_bytes in
-  if len > cap then
-    invalid_arg
-      (Printf.sprintf
-         "Message.write_response: %d inline bytes > capacity %d" len cap);
-  let w = Net.Buf.writer line_bytes in
-  Net.Buf.write_u8 w tag_response;
-  Net.Buf.write_u8 w 0;
-  Net.Buf.write_u16 w status;
-  Net.Buf.write_u16 w len;
-  Net.Buf.write_u16 w aux_count;
-  Net.Buf.write_u32 w total_len;
-  Net.Buf.write_u64 w rpc_id;
-  Net.Buf.write_sub w body ~off ~len;
-  Net.Buf.write_zeros w (line_bytes - Net.Buf.writer_pos w);
-  Net.Buf.filled w
-
 (* The request line header, in order: tag u8, flags u8, aux count u16,
    service u32, method u16, inline length u16, total args u32, rpc id
    u64, code pointer u64, data pointer u64; the inline arguments
-   follow. [encode_request_body] writes it and the readers below read
-   it at these offsets. *)
+   follow. *)
 let off_flags = 1
 let off_aux = 2
 let off_service = 4
@@ -121,6 +51,94 @@ let off_total_args = 12
 let off_rpc_id = 16
 let off_code_ptr = 24
 let off_data_ptr = 32
+
+(* The response line header, in order: tag u8, flags u8, status u16,
+   inline length u16, aux count u16, total length u32, rpc id u64; the
+   inline body follows. *)
+let off_status = 2
+let off_resp_inline_len = 4
+let off_resp_aux = 6
+let off_total_len = 8
+let off_resp_rpc_id = 12
+
+(* The writers below and the readers after them place each field at
+   these offsets. A writer checks each value's range, as [Net.Buf]'s
+   writers do, and writes the whole line: the inline bytes, then zeros
+   to the end, so a reused line keeps nothing of what it held. *)
+let[@hot_path] set_u8 b off v =
+  if v < 0 || v > 0xff then invalid_arg "Message: u8 field out of range";
+  Bytes.set_uint8 b off v
+
+let[@hot_path] set_u16 b off v =
+  if v < 0 || v > 0xffff then invalid_arg "Message: u16 field out of range";
+  Bytes.set_uint16_be b off v
+
+let[@hot_path] set_u32 b off v =
+  if v < 0 || v > 0xffff_ffff then
+    invalid_arg "Message: u32 field out of range";
+  Bytes.set_int32_be b off (Int32.of_int v)
+
+let[@hot_path] zero_from b off = Bytes.fill b off (Bytes.length b - off) '\000'
+
+let[@hot_path] encode_request_into line ~kernel_dispatch (r : request) =
+  let len = Net.Slice.length r.inline_args in
+  let cap = request_inline_capacity ~line_bytes:(Bytes.length line) in
+  if len > cap then
+    invalid_arg
+      (Printf.sprintf "Message.encode: %d inline bytes > capacity %d" len cap);
+  set_u8 line 0 (if kernel_dispatch then tag_kernel_dispatch else tag_request);
+  set_u8 line off_flags (if r.via_dma then flag_via_dma else 0);
+  set_u16 line off_aux r.aux_count;
+  set_u32 line off_service r.service_id;
+  set_u16 line off_method r.method_id;
+  set_u16 line off_inline_len len;
+  set_u32 line off_total_args r.total_args;
+  Bytes.set_int64_be line off_rpc_id r.rpc_id;
+  Bytes.set_int64_be line off_code_ptr r.code_ptr;
+  Bytes.set_int64_be line off_data_ptr r.data_ptr;
+  Net.Slice.blit r.inline_args line ~dst_off:request_header_bytes;
+  zero_from line (request_header_bytes + len)
+
+let encode ~line_bytes t =
+  if line_bytes < request_header_bytes then
+    invalid_arg "Message.encode: line too small for header";
+  let line = Bytes.create line_bytes in
+  (match t with
+  | Request r -> encode_request_into line ~kernel_dispatch:false r
+  | Kernel_dispatch r -> encode_request_into line ~kernel_dispatch:true r
+  | Tryagain ->
+      zero_from line 0;
+      set_u8 line 0 tag_tryagain
+  | Retire ->
+      zero_from line 0;
+      set_u8 line 0 tag_retire);
+  line
+
+let[@hot_path] write_response_into line ~rpc_id ~status ~total_len ~aux_count
+    body ~off ~len =
+  let cap = response_inline_capacity ~line_bytes:(Bytes.length line) in
+  if len > cap then
+    invalid_arg
+      (Printf.sprintf
+         "Message.write_response: %d inline bytes > capacity %d" len cap);
+  if off < 0 || len < 0 || off + len > Bytes.length body then
+    invalid_arg "Message.write_response: range outside the body";
+  set_u8 line 0 tag_response;
+  set_u8 line 1 0;
+  set_u16 line off_status status;
+  set_u16 line off_resp_inline_len len;
+  set_u16 line off_resp_aux aux_count;
+  set_u32 line off_total_len total_len;
+  Bytes.set_int64_be line off_resp_rpc_id rpc_id;
+  Bytes.blit body off line response_header_bytes len;
+  zero_from line (response_header_bytes + len)
+
+let write_response ~line_bytes ~rpc_id ~status ~total_len ~aux_count body
+    ~off ~len =
+  let line = Bytes.create line_bytes in
+  write_response_into line ~rpc_id ~status ~total_len ~aux_count body ~off
+    ~len;
+  line
 
 (* The readers are total: a field beyond the end of the line reads as
    zero, and [kind] and [response_ok] say whether the line is whole. *)

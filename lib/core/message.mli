@@ -50,18 +50,32 @@ val request_inline_capacity : line_bytes:int -> int
 val response_inline_capacity : line_bytes:int -> int
 
 val encode : line_bytes:int -> t -> bytes
-(** Render into one line image (length exactly [line_bytes]).
+(** Render into a fresh line image (length exactly [line_bytes]): the
+    [_into] writers over a new buffer.
     @raise Invalid_argument if inline bytes exceed capacity or fields
     are out of range. *)
+
+val encode_request_into : bytes -> kernel_dispatch:bool -> request -> unit
+(** Render a REQUEST line, or with [kernel_dispatch] a KERNEL_DISPATCH
+    line, over the whole of a caller's line buffer, the way the NIC
+    writes a prepared CONTROL line: every byte is rewritten, so the
+    buffer may be reused. Allocates nothing.
+    @raise Invalid_argument as {!encode}. *)
 
 val write_response :
   line_bytes:int -> rpc_id:int64 -> status:int -> total_len:int ->
   aux_count:int -> bytes -> off:int -> len:int -> bytes
-(** Render a response line (length exactly [line_bytes]) from its
-    fields, the inline body being [len] bytes of the buffer from [off]:
-    no response record, no slice. {!decode_response} reads it back.
-    @raise Invalid_argument if the inline bytes exceed capacity or a
-    field is out of range. *)
+(** {!write_response_into} a fresh line of [line_bytes]. *)
+
+val write_response_into :
+  bytes -> rpc_id:int64 -> status:int -> total_len:int -> aux_count:int ->
+  bytes -> off:int -> len:int -> unit
+(** [write_response_into line ... body ~off ~len] renders a response
+    line over the whole of [line] from its fields, the inline body
+    being [len] bytes of [body] from [off]: no response record, no
+    slice, no allocation. {!decode_response} reads it back.
+    @raise Invalid_argument if the inline bytes exceed capacity, lie
+    outside [body], or a field is out of range. *)
 
 (** {1 Reading lines in place}
 

@@ -30,8 +30,7 @@ type inflight =
       mdef : Rpc.Interface.method_def;
       args : Rpc.Value.t;
       sv : service_rt;  (* owning service *)
-      reply_src : Net.Frame.endpoint;  (* server side *)
-      reply_dst : Net.Frame.endpoint;  (* client side *)
+      request : Net.Frame.t;  (* the reply swaps its headers *)
       mutable full_body : bytes;  (* response bytes beyond the line *)
       arrived : Sim.Units.time;
       arg_bytes : int;
@@ -248,10 +247,10 @@ let respond_line t w ~rpc_id ~status ~body =
   let aux_count =
     if rest <= 0 then 0 else (rest + line_bytes - 1) / line_bytes
   in
-  Coherence.Home_agent.cpu_store t.ha
-    (Endpoint.ctrl_line w.wep w.cpu_idx)
-    (Message.write_response ~line_bytes ~rpc_id ~status ~total_len
-       ~aux_count body ~off:0 ~len)
+  let line = Endpoint.response_image w.wep w.cpu_idx in
+  Message.write_response_into line ~rpc_id ~status ~total_len ~aux_count body
+    ~off:0 ~len;
+  Coherence.Home_agent.cpu_store t.ha (Endpoint.ctrl_line w.wep w.cpu_idx) line
 
 let rec worker_loop t sv w () = park_worker t sv w
 
@@ -514,11 +513,10 @@ and park_dispatcher t d idx =
                       Sim.Counter.incr (ctr t "dispatcher_orphan"));
                   (* Follow the line protocol: ack into the same line,
                      then monitor the other one. *)
-                  let ack =
-                    Message.write_response ~line_bytes:(line_bytes t)
-                      ~rpc_id:r.Message.rpc_id ~status:0 ~total_len:0
-                      ~aux_count:0 Bytes.empty ~off:0 ~len:0
-                  in
+                  let ack = Endpoint.response_image d.dep idx in
+                  Message.write_response_into ack ~rpc_id:r.Message.rpc_id
+                    ~status:0 ~total_len:0 ~aux_count:0 Bytes.empty ~off:0
+                    ~len:0;
                   Coherence.Home_agent.cpu_store t.ha
                     (Endpoint.ctrl_line d.dep idx) ack;
                   Osmodel.Kernel.yield t.kern d.dthread (fun () ->
@@ -617,18 +615,13 @@ let tx_mac_delay = Sim.Units.ns 200
 (* An explicit transport-level reject on the wire (Error_reply): the
    client sees why its request did not complete instead of inferring a
    silent drop from a timeout. *)
-let nack t ~rpc_id ~service_id ~src ~dst ~code =
-  let reply =
-    {
-      Rpc.Wire_format.rpc_id;
-      service_id;
-      method_id = 0;
-      kind = Rpc.Wire_format.Error_reply code;
-      ctx = Obs.Tracer.context_of t.tracer ~rpc:rpc_id;
-      body = Bytes.empty;
-    }
+let nack t ~rpc_id ~service_id ~request ~code =
+  let frame =
+    Net.Frame.reply_to request
+      (Rpc.Wire_format.encode_body ~kind:(Rpc.Wire_format.Error_reply code)
+         ?ctx:(Obs.Tracer.context_of t.tracer ~rpc:rpc_id)
+         ~rpc_id ~service_id ~method_id:0 Bytes.empty)
   in
-  let frame = Net.Frame.make ~src ~dst (Rpc.Wire_format.encode reply) in
   ignore
     (Sim.Engine.schedule_after t.engine ~after:tx_mac_delay (fun () ->
          Sim.Counter.incr (ctr t "tx_frames");
@@ -647,9 +640,7 @@ let dispatch_request t (entry : Demux.entry) frame ~rpc_id ~body_off
        landed, or the Static kill swept it): refuse on the wire rather
        than dispatch to a corpse. *)
     Obs.Metrics.incr t.m_crash_nacks;
-    nack t ~rpc_id ~service_id ~src:(Net.Frame.dst_endpoint frame)
-      ~dst:(Net.Frame.src_endpoint frame)
-      ~code:Rpc.Wire_format.err_dead
+    nack t ~rpc_id ~service_id ~request:frame ~code:Rpc.Wire_format.err_dead
   end
   else begin
     let payload = frame.Net.Frame.payload in
@@ -694,8 +685,7 @@ let dispatch_request t (entry : Demux.entry) frame ~rpc_id ~body_off
     | Some Nic_sched.Shed ->
         Obs.Metrics.incr t.m_sheds;
         Obs.Metrics.incr t.m_drop_shed;
-        nack t ~rpc_id ~service_id ~src:(Net.Frame.dst_endpoint frame)
-          ~dst:(Net.Frame.src_endpoint frame)
+        nack t ~rpc_id ~service_id ~request:frame
           ~code:Rpc.Wire_format.err_shed
     | Some (Nic_sched.Steady | Nic_sched.Add_worker) | None ->
     let w = choose_worker sv in
@@ -706,8 +696,7 @@ let dispatch_request t (entry : Demux.entry) frame ~rpc_id ~body_off
            mdef;
            args;
            sv;
-           reply_src = Net.Frame.dst_endpoint frame;
-           reply_dst = Net.Frame.src_endpoint frame;
+           request = frame;
            full_body = Bytes.empty;
            arrived = Sim.Engine.now t.engine;
            arg_bytes;
@@ -820,7 +809,7 @@ let on_endpoint_response t line =
   | Dispatch_ack _ -> Hashtbl.remove t.inflight rpc_id
   | App app
     when Option.is_some (nested_cont_of rpc_id)
-         && Net.Ip_addr.equal app.reply_dst.Net.Frame.ip
+         && Net.Ip_addr.equal app.request.Net.Frame.ip.Net.Ipv4.src
               (self_address t).Net.Frame.ip ->
       (* A reply to one of OUR nested calls, hairpinned locally. A
          request from another machine may carry that machine's nested
@@ -861,23 +850,17 @@ let on_endpoint_response t line =
       st.bytes_in <- st.bytes_in + app.arg_bytes;
       st.bytes_out <- st.bytes_out + Bytes.length app.full_body;
       let status = Message.response_status line in
-      let reply =
-        {
-          (* The reply carries the request's ids: clients pick the
-             response schema by (service, method). *)
-          Rpc.Wire_format.rpc_id;
-          service_id = service_id_of app.sv;
-          method_id = app.mdef.Rpc.Interface.method_id;
-          kind =
-            (if Int.equal status 0 then Rpc.Wire_format.Response
-             else Rpc.Wire_format.Error_reply status);
-          ctx = Obs.Tracer.context_of t.tracer ~rpc:rpc_id;
-          body = app.full_body;
-        }
-      in
+      (* The reply carries the request's ids: clients pick the response
+         schema by (service, method). *)
       let frame =
-        Net.Frame.make ~src:app.reply_src ~dst:app.reply_dst
-          (Rpc.Wire_format.encode reply)
+        Net.Frame.reply_to app.request
+          (Rpc.Wire_format.encode_body
+             ~kind:
+               (if Int.equal status 0 then Rpc.Wire_format.Response
+                else Rpc.Wire_format.Error_reply status)
+             ?ctx:(Obs.Tracer.context_of t.tracer ~rpc:rpc_id)
+             ~rpc_id ~service_id:(service_id_of app.sv)
+             ~method_id:app.mdef.Rpc.Interface.method_id app.full_body)
       in
       ignore
         (Sim.Engine.schedule_after t.engine
@@ -915,10 +898,10 @@ let sweep_dead_service t sv =
   Hashtbl.iter
     (fun id entry ->
       match entry with
-      | App { sv = owner; reply_src; reply_dst; _ }
+      | App { sv = owner; request; _ }
         when Int.equal (service_id_of owner) sid
              && not (Hashtbl.mem limbo_ids id) ->
-          doomed := (id, Some (reply_src, reply_dst)) :: !doomed
+          doomed := (id, Some request) :: !doomed
       | Dispatch_ack d when Int.equal d.svc_id sid ->
           doomed := (id, None) :: !doomed
       | App _ | Dispatch_ack _ -> ())
@@ -928,12 +911,11 @@ let sweep_dead_service t sv =
       Hashtbl.remove t.inflight id;
       match entry with
       | None -> ()  (* cold activation of a now-dead worker *)
-      | Some ((reply_src : Net.Frame.endpoint), (reply_dst : Net.Frame.endpoint))
-        -> (
+      | Some request -> (
           Obs.Metrics.incr t.m_stale;
           match nested_cont_of id with
           | Some cont
-            when Net.Ip_addr.equal reply_dst.Net.Frame.ip
+            when Net.Ip_addr.equal request.Net.Frame.ip.Net.Ipv4.src
                    (self_address t).Net.Frame.ip ->
               (* Hairpinned nested call into the dead service: unblock
                  the waiting caller rather than NACK our own wire. *)
@@ -941,7 +923,7 @@ let sweep_dead_service t sv =
                 not (Rpc.Continuation.fire t.nested_conts cont Rpc.Value.Unit)
               then Sim.Counter.incr (ctr t "nested_orphan_reply")
           | Some _ | None ->
-              nack t ~rpc_id:id ~service_id:sid ~src:reply_src ~dst:reply_dst
+              nack t ~rpc_id:id ~service_id:sid ~request
                 ~code:Rpc.Wire_format.err_dead))
     !doomed
 
@@ -961,8 +943,8 @@ let drain_limbo t sv =
       match Hashtbl.find_opt t.inflight msg.Message.rpc_id with
       | Some (App a) ->
           Hashtbl.remove t.inflight msg.Message.rpc_id;
-          nack t ~rpc_id:msg.Message.rpc_id ~service_id:sid ~src:a.reply_src
-            ~dst:a.reply_dst ~code:Rpc.Wire_format.err_dead
+          nack t ~rpc_id:msg.Message.rpc_id ~service_id:sid ~request:a.request
+            ~code:Rpc.Wire_format.err_dead
       | Some (Dispatch_ack _) | None -> ()
     end
   done

@@ -39,6 +39,36 @@ let make ~src ~dst payload : t =
     payload;
   }
 
+(* [make ~src:(dst_endpoint r) ~dst:(src_endpoint r)], without the two
+   endpoint records. *)
+let reply_to (r : t) payload : t =
+  let payload_len = Bytes.length payload in
+  {
+    eth =
+      {
+        Ethernet.dst = r.eth.Ethernet.src;
+        src = r.eth.Ethernet.dst;
+        ethertype = Ethernet.ethertype_ipv4;
+      };
+    ip =
+      {
+        Ipv4.dscp = 0;
+        identification = 0;
+        ttl = 64;
+        protocol = Ipv4.protocol_udp;
+        src = r.ip.Ipv4.dst;
+        dst = r.ip.Ipv4.src;
+        payload_len = Udp.header_size + payload_len;
+      };
+    udp =
+      {
+        Udp.src_port = r.udp.Udp.dst_port;
+        dst_port = r.udp.Udp.src_port;
+        payload_len;
+      };
+    payload;
+  }
+
 let unpadded_size (t : t) =
   Ethernet.header_size + Ipv4.header_size + Udp.header_size
   + Bytes.length t.payload

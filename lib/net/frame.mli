@@ -31,6 +31,11 @@ val make : src:endpoint -> dst:endpoint -> bytes -> t
 (** A frame carrying the given UDP payload, with TTL 64 and IP
     identification 0. *)
 
+val reply_to : t -> bytes -> t
+(** [reply_to r p] is the frame carrying [p] back to [r]'s sender:
+    [make ~src:(dst_endpoint r) ~dst:(src_endpoint r) p], with no
+    endpoint record built on the way. *)
+
 val wire_size : t -> int
 (** Bytes occupying the wire once encoded (after minimum-size padding,
     excluding preamble/FCS/IPG — those are accounted by {!Wire}). *)

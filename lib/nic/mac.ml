@@ -2,14 +2,36 @@ type t = {
   engine : Sim.Engine.t;
   pipeline_delay : Sim.Units.duration;
   sink : Net.Frame.t -> unit;
+  in_flight : Net.Frame.t Sim.Fifo.t;
+  mutable emit : unit -> unit;
 }
+
+(* What a vacated ring slot holds. *)
+let no_frame =
+  let nobody =
+    { Net.Frame.mac = Net.Mac_addr.broadcast; ip = Net.Ip_addr.of_int 0;
+      port = 0 }
+  in
+  Net.Frame.make ~src:nobody ~dst:nobody Bytes.empty
+
+(* Every frame takes the same delay, so frames leave in the order they
+   arrived: each event pops the oldest. *)
+let emit t () = t.sink (Sim.Fifo.pop t.in_flight)
 
 let create engine ?(pipeline_delay = 300) ~sink () =
   if pipeline_delay < 0 then invalid_arg "Mac.create: negative delay";
-  { engine; pipeline_delay; sink }
+  let t =
+    {
+      engine;
+      pipeline_delay;
+      sink;
+      in_flight = Sim.Fifo.create no_frame;
+      emit = ignore;
+    }
+  in
+  t.emit <- emit t;
+  t
 
 let rx t frame =
-  ignore
-    (Sim.Engine.schedule_after t.engine ~after:t.pipeline_delay (fun () ->
-         t.sink frame))
-
+  Sim.Fifo.push t.in_flight frame;
+  ignore (Sim.Engine.schedule_after t.engine ~after:t.pipeline_delay t.emit)

@@ -68,14 +68,15 @@ let ctx_len = function
         invalid_arg "Wire_format.encode: context must be ctx_size bytes";
       ctx_size
 
-let encode t =
-  let w =
-    Net.Buf.writer (header_size + ctx_len t.ctx + Bytes.length t.body)
-  in
-  write_header w ~kind:t.kind ~ctx:t.ctx ~rpc_id:t.rpc_id
-    ~service_id:t.service_id ~method_id:t.method_id;
-  Net.Buf.write_bytes w t.body;
+let encode_body ~kind ?ctx ~rpc_id ~service_id ~method_id body =
+  let w = Net.Buf.writer (header_size + ctx_len ctx + Bytes.length body) in
+  write_header w ~kind ~ctx ~rpc_id ~service_id ~method_id;
+  Net.Buf.write_bytes w body;
   Net.Buf.filled w
+
+let encode t =
+  encode_body ~kind:t.kind ?ctx:t.ctx ~rpc_id:t.rpc_id
+    ~service_id:t.service_id ~method_id:t.method_id t.body
 
 let encode_value ~kind ?ctx ~rpc_id ~service_id ~method_id v =
   let w =

@@ -52,6 +52,13 @@ val retriable_error : int -> bool
     terminal application error. *)
 
 val encode : t -> bytes
+(** {!encode_body} of the message's fields. *)
+
+val encode_body :
+  kind:kind -> ?ctx:bytes -> rpc_id:int64 -> service_id:int -> method_id:int ->
+  bytes -> bytes
+(** The message of those fields whose body is the given bytes, written
+    without building a {!t}. *)
 
 val encode_value :
   kind:kind -> ?ctx:bytes -> rpc_id:int64 -> service_id:int -> method_id:int ->

@@ -679,6 +679,59 @@ let test_stack_large_payload_dma_fallback () =
     (Sim.Histogram.max_value (Harness.Recorder.latencies env.recorder)
     > Sim.Units.us 3)
 
+(* A large response is held on the NIC for its DMA while the small
+   response behind it is collected at once; that frees a credit, the
+   third request is staged into the large one's line, and the worker
+   writes the third response into the same line image before the first
+   is finished. The NIC must finish the large response from what it
+   fetched: each reply answers its own request, with its own body. *)
+let test_stack_held_response_survives_line_reuse () =
+  let engine = Sim.Engine.create () in
+  let replies = ref [] in
+  let egress f =
+    match Rpc.Wire_format.decode f.Net.Frame.payload with
+    | Ok w ->
+        replies :=
+          (w.Rpc.Wire_format.rpc_id, Bytes.length w.Rpc.Wire_format.body)
+          :: !replies
+    | Error _ -> ()
+  in
+  let stack =
+    Lauberhorn.Stack.create engine ~cfg:Lauberhorn.Config.enzian ~ncores:2
+      ~services:[ echo_spec ~port:7000 ~id:1 () ] ~egress ()
+  in
+  let driver = Lauberhorn.Stack.driver stack in
+  let recorder = Harness.Recorder.create engine in
+  (* The small requests arrive while the large one is in the worker's
+     hands, 10 us after it: its 64 KiB response then takes about 6 us
+     of DMA after it is fetched, and the third response is written
+     within 3 us of that fetch. *)
+  let blob size = Rpc.Value.Blob (Bytes.make size 'b') in
+  let sizes = [ (1, 65_536, 0); (2, 8, 10); (3, 8, 10) ] in
+  List.iter
+    (fun (n, size, after) ->
+      ignore
+        (Sim.Engine.schedule_at engine ~at:(Sim.Units.us (10 + after))
+           (fun () ->
+             Harness.Traffic.inject recorder driver ~rpc_id:(Int64.of_int n)
+               ~service_id:1 ~method_id:0 ~port:7000 (blob size))))
+    sizes;
+  Sim.Engine.run engine ~until:(Sim.Units.ms 2);
+  let ctr name =
+    Sim.Counter.value
+      (Sim.Counter.counter (Lauberhorn.Stack.counters stack) name)
+  in
+  checki "no orphan response" 0 (ctr "orphan_response");
+  checki "no corrupt response" 0 (ctr "response_corrupt");
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int64 Alcotest.int))
+    "each reply answers its request with its own body"
+    (List.map
+       (fun (n, size, _) ->
+         (Int64.of_int n, Rpc.Codec.encoded_size (blob size)))
+       sizes)
+    (List.sort compare !replies)
+
 let test_stack_scale_up_under_burst () =
   let env =
     make_stack
@@ -1269,6 +1322,69 @@ let run_static_kill ?fault () =
 let stack_metric stack name =
   Obs.Metrics.counter_value (Lauberhorn.Stack.metrics stack) name
 
+(* A request staged just before a kill stays in flight across the
+   kill and the restart: every coherence fill is held 100 us on the
+   interconnect, and the death push resets the worker's lines long
+   before that. The restarted worker parks on line 0, and the next
+   request is written into line 0's image while the first is still on
+   its way. The stale fill must then land with the bytes it left with:
+   it names an RPC the sweep already NACKed, so the worker drops it as
+   an orphan, and the new request is handled once, from its own fill.
+   Had the reset kept the old images, the stale fill would carry the
+   new request, and nothing would be counted as an orphan. *)
+let test_stack_stale_fill_keeps_its_bytes () =
+  let engine = Sim.Engine.create () in
+  let replies = ref [] in
+  let egress f =
+    match Rpc.Wire_format.decode f.Net.Frame.payload with
+    | Ok w ->
+        replies :=
+          (w.Rpc.Wire_format.rpc_id, w.Rpc.Wire_format.kind) :: !replies
+    | Error _ -> ()
+  in
+  let fault =
+    Fault.Plan.make ~fill_delay:1.0 ~fill_delay_ns:(Sim.Units.us 100) ()
+  in
+  let stack =
+    Lauberhorn.Stack.create engine ~fault ~cfg:Lauberhorn.Config.enzian
+      ~ncores:2 ~services:[ echo_spec ~port:7000 ~id:1 () ] ~egress ()
+  in
+  let driver = Lauberhorn.Stack.driver stack in
+  let recorder = Harness.Recorder.create engine in
+  let at t f = ignore (Sim.Engine.schedule_at engine ~at:t f) in
+  let inject n () =
+    Harness.Traffic.inject recorder driver ~rpc_id:(Int64.of_int n)
+      ~service_id:1 ~method_id:0 ~port:7000
+      (Rpc.Value.Blob (Bytes.of_string "x"))
+  in
+  at (Sim.Units.us 10) (inject 1);
+  at (Sim.Units.us 20) (fun () ->
+      Lauberhorn.Stack.kill_service stack ~service_id:1);
+  at (Sim.Units.us 40) (fun () ->
+      Lauberhorn.Stack.restart_service stack ~service_id:1);
+  at (Sim.Units.us 60) (inject 2);
+  Sim.Engine.run engine ~until:(Sim.Units.ms 2);
+  let ctrs = Sim.Counter.to_list (Lauberhorn.Stack.counters stack) in
+  let ctr name = Option.value ~default:0 (List.assoc_opt name ctrs) in
+  checki "the stale fill is one orphan" 1 (ctr "worker_orphan_request");
+  checki "one request handled" 1 (ctr "rpcs_handled");
+  checki "the staged request was NACKed" 1
+    (stack_metric stack "stale_dispatch_caught");
+  let reply_kinds id =
+    List.filter_map
+      (fun (rid, kind) -> if Int64.equal rid id then Some kind else None)
+      !replies
+  in
+  checkb "rpc 1: one err_dead NACK" true
+    (match reply_kinds 1L with
+    | [ Rpc.Wire_format.Error_reply code ] ->
+        Int.equal code Rpc.Wire_format.err_dead
+    | _ -> false);
+  checkb "rpc 2: one response" true
+    (match reply_kinds 2L with
+    | [ Rpc.Wire_format.Response ] -> true
+    | _ -> false)
+
 let test_stack_static_binding () =
   (* The ccnic-static ablation: no OS channel, no kicks, no mirror. *)
   checkb "max_workers = 2 rejected" true
@@ -1339,8 +1455,11 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
    this run took 601.5 words per RPC and perfbench's host_64b 599.6.
    Before RPC headers and CONTROL lines were read in place (no header,
    request or response record per message) it took 409.9, and
-   perfbench's host_64b 401.1. *)
-let rpc_words_budget = 270.9 *. 1.02
+   perfbench's host_64b 401.1. Before CONTROL lines were written in
+   place, the MAC kept one event closure and replies were built from
+   the request frame, it took 266.9, and perfbench's host_64b 258.1;
+   it now takes 198.8. *)
+let rpc_words_budget = 198.8 *. 1.02
 
 let test_rpc_allocation_budget () =
   let setup =
@@ -1434,6 +1553,8 @@ let () =
             test_stack_cold_start_uses_slow_path;
           Alcotest.test_case "dma fallback" `Quick
             test_stack_large_payload_dma_fallback;
+          Alcotest.test_case "a held response survives line reuse" `Quick
+            test_stack_held_response_survives_line_reuse;
           Alcotest.test_case "scale up under burst" `Quick
             test_stack_scale_up_under_burst;
           Alcotest.test_case "many services share cores" `Quick
@@ -1464,5 +1585,7 @@ let () =
           Alcotest.test_case "static binding" `Quick test_stack_static_binding;
           Alcotest.test_case "static binding under a fault plan" `Quick
             test_stack_static_binding_fault_plan;
+          Alcotest.test_case "a stale fill keeps its bytes across a restart"
+            `Quick test_stack_stale_fill_keeps_its_bytes;
         ] );
     ]

@@ -252,6 +252,36 @@ let frame_roundtrip_any_payload =
       | Error _ -> false)
 
 
+(* [reply_to] swaps the request's headers as [make] would from the
+   request's two endpoints: the same frame, and the same bytes. *)
+let reply_to_is_make_swapped =
+  let endpoint =
+    QCheck.Gen.(
+      map3
+        (fun mac ip port ->
+          {
+            Net.Frame.mac = Net.Mac_addr.of_int64 (Int64.of_int mac);
+            ip = Net.Ip_addr.of_int ip;
+            port;
+          })
+        (int_bound 0xffff_ffff_ffff) (int_bound 0xffff_ffff)
+        (int_bound 0xffff))
+  in
+  let payload =
+    QCheck.Gen.(map Bytes.of_string (string_size (int_range 0 200)))
+  in
+  QCheck.Test.make ~name:"reply_to is make with the endpoints swapped"
+    ~count:300
+    (QCheck.make QCheck.Gen.(quad endpoint endpoint payload payload))
+    (fun (src, dst, req, rep) ->
+      let r = Net.Frame.make ~src ~dst req in
+      let a = Net.Frame.reply_to r rep in
+      let b =
+        Net.Frame.make ~src:(Net.Frame.dst_endpoint r)
+          ~dst:(Net.Frame.src_endpoint r) rep
+      in
+      a = b && Bytes.equal (Net.Frame.encode a) (Net.Frame.encode b))
+
 let parse_slice_matches_parse =
   QCheck.Test.make ~name:"parse_slice at any offset agrees with parse"
     ~count:200
@@ -501,8 +531,8 @@ let () =
             test_frame_rejects_non_ipv4;
         ]
         @ qsuite
-            [ frame_roundtrip_any_payload; parse_slice_matches_parse;
-              parse_slice_total ]
+            [ frame_roundtrip_any_payload; reply_to_is_make_swapped;
+              parse_slice_matches_parse; parse_slice_total ]
       );
       ( "slice_pool",
         [

@@ -380,6 +380,57 @@ let test_dma_nic_large_frames_pooled () =
       ("corrupt=1.0", Fault.Plan.link ~corrupt:1.0 ());
     ]
 
+(* ---------- MAC ---------- *)
+
+(* Bursts of frames arrive at random instants, many more at once than
+   the MAC's ring starts with room for, and often while the previous
+   burst is still in the pipeline. Each frame reaches the sink once, in
+   arrival order, exactly [pipeline_delay] after it arrived, and costs
+   the engine one event. *)
+let mac_ring_property =
+  QCheck.Test.make ~name:"MAC delivers each frame once, in order, on time"
+    ~count:200
+    QCheck.(
+      pair (int_bound 1_000)
+        (list_of_size (Gen.int_range 1 12)
+           (pair (int_bound 600) (int_range 1 40))))
+    (fun (delay, bursts) ->
+      let engine = Sim.Engine.create () in
+      let got = ref [] in
+      let mac =
+        Nic.Mac.create engine ~pipeline_delay:delay
+          ~sink:(fun f -> got := (f, Sim.Engine.now engine) :: !got)
+          ()
+      in
+      let ep port =
+        { Net.Frame.mac = Net.Mac_addr.broadcast; ip = Net.Ip_addr.of_int 1;
+          port }
+      in
+      let sent = ref [] in
+      let at = ref 0 in
+      List.iter
+        (fun (gap, n) ->
+          at := !at + gap;
+          let frames =
+            List.init n (fun i ->
+                Net.Frame.make ~src:(ep i) ~dst:(ep 0) (Bytes.make 8 'f'))
+          in
+          let t = !at in
+          sent := !sent @ List.map (fun f -> (f, t + delay)) frames;
+          ignore
+            (Sim.Engine.schedule_at engine ~at:t (fun () ->
+                 List.iter (Nic.Mac.rx mac) frames)))
+        bursts;
+      Sim.Engine.run engine;
+      let got = List.rev !got in
+      List.length got = List.length !sent
+      && List.for_all2
+           (fun (f, t) (f', t') -> f == f' && Int.equal t t')
+           !sent got
+      && Int.equal
+           (Sim.Engine.events_processed engine)
+           (List.length bursts + List.length !sent))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -394,6 +445,7 @@ let () =
           Alcotest.test_case "notify" `Quick test_ring_notify;
         ]
         @ qsuite [ ring_fifo_property ] );
+      ("mac", qsuite [ mac_ring_property ]);
       ( "iommu",
         [
           Alcotest.test_case "hit/miss/fault" `Quick test_iommu_hit_miss_fault;

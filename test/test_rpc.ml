@@ -337,6 +337,36 @@ let cut_agrees ~orig b =
       | Error _ -> false)
   | Error _, _ -> false
 
+(* [encode_body] writes what [encode] writes for the record of the same
+   fields, with and without a trace context, and [decode] reads those
+   fields back. *)
+let encode_body_is_encode =
+  QCheck.Test.make ~name:"encode_body agrees with encode" ~count:500
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Sim.Rng.create ~seed in
+      match Rpc.Wire_format.decode (Wire_gen.frame rng) with
+      | Error _ -> false
+      | Ok m ->
+          List.for_all
+            (fun ctx ->
+              let m = Rpc.Wire_format.with_ctx m ctx in
+              let b =
+                Rpc.Wire_format.encode_body ~kind:m.Rpc.Wire_format.kind ?ctx
+                  ~rpc_id:m.Rpc.Wire_format.rpc_id
+                  ~service_id:m.Rpc.Wire_format.service_id
+                  ~method_id:m.Rpc.Wire_format.method_id m.Rpc.Wire_format.body
+              in
+              Bytes.equal b (Rpc.Wire_format.encode m)
+              &&
+              match Rpc.Wire_format.decode b with
+              | Ok d -> d = m
+              | Error _ -> false)
+            [
+              None;
+              Some (Wire_gen.random_wire_bytes rng Rpc.Wire_format.ctx_size);
+            ])
+
 let peek_agrees_with_decode =
   QCheck.Test.make ~name:"wire peek agrees with decode" ~count:2000
     QCheck.(int_bound 1_000_000)
@@ -649,6 +679,7 @@ let () =
         ]
         @ qsuite
             [
+              encode_body_is_encode;
               peek_agrees_with_decode;
               decode_in_place_agrees;
               offset_readers_agree;
