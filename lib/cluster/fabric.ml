@@ -86,10 +86,12 @@ let create ?(host_link = default_host_link)
              | Some ingress -> ingress frame
              | None -> t.n_undeliverable <- t.n_undeliverable + 1))
   in
+  (* one option per port, built here so routing allocates nothing *)
+  let ports = Array.init n Option.some in
   let route frame =
     let ip = Net.Ip_addr.to_int frame.Net.Frame.ip.Net.Ipv4.dst in
-    if ip >= base_ip && ip < base_ip + hosts then Some (ip - base_ip)
-    else Some hosts (* everything else exits via the uplink *)
+    if ip >= base_ip && ip < base_ip + hosts then ports.(ip - base_ip)
+    else ports.(hosts) (* everything else exits via the uplink *)
   in
   let switch =
     Switch.create master

@@ -11,16 +11,21 @@
 
     {b Determinism contract}: the delivery order is a pure function of
     each frame's [(arrival time, ingress port)]. Arrivals sharing one
-    simulated instant are collected and served in ascending ingress-
-    port order regardless of the event-schedule order that delivered
-    them — this mirrors (and composes with) {!Sim.Shard_engine}'s
-    window merge, which orders same-time cross-shard messages by
-    source shard. Ties never fall back to engine sequence numbers, so
-    the contract survives any event-injection order. The pair is
-    unique per frame on any physical script — a serialized wire
-    delivers at most one frame per instant per port; feeding two
-    same-instant frames into one port falls back to {!ingress} call
-    order.
+    simulated instant are staged per ingress port and admitted in
+    ascending port order, regardless of the event-schedule order that
+    delivered them — this mirrors (and composes with)
+    {!Sim.Shard_engine}'s window merge, which orders same-time
+    cross-shard messages by source shard. Ties never fall back to
+    engine sequence numbers, so the contract survives any
+    event-injection order. The pair is unique per frame on any
+    physical script — a serialized wire delivers at most one frame per
+    instant per port; feeding two same-instant frames into one port
+    falls back to {!ingress} call order.
+
+    {b Cost}: a frame's path through the switch allocates nothing. Its
+    events are closures built at {!create} (one sweep per instant, one
+    crossbar completion and one transmit completion per port), and
+    the frames wait in per-port FIFOs.
 
     {b No silent loss}: every frame that enters is either delivered or
     counted — ingress-queue overflow, egress-queue overflow, unroutable
@@ -80,7 +85,9 @@ val create :
 (** [cap_in]/[cap_out] bound the per-port ingress/egress queues in
     frames (defaults 64); [fwd_delay] is the crossbar's per-frame
     forwarding time (default 300 ns). [route] maps a frame to its
-    output port ([None] counts as unroutable). [deliver] fires on the
+    output port ([None], or a port out of range, counts as
+    unroutable); it runs once per frame, so a [route] that answers
+    preallocated options keeps the frame path allocation-free. [deliver] fires on the
     switch's engine at transmit-complete time. [metrics] is the
     registry the scalar counters ([switch_ingressed],
     [switch_delivered], [switch_drop_in], [switch_drop_out],

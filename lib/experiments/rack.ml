@@ -231,86 +231,102 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
      believes the pinned host is dead (the LB resets the connection).
      The frame is re-addressed to the host's own endpoint, which is
      what the switch routes on. *)
-  (* Keyed by the client's continuation slot (the low bits of the
-     rpc_id), which the client recycles when a call completes or is
-     abandoned — so the table is bounded by peak outstanding calls, not
-     total calls issued, and an hours-long soak holds constant memory.
-     The full rpc_id stored alongside disambiguates a recycled slot: a
-     stale entry steers exactly like a missing one. *)
-  let pins : (int, int64 * int) Hashtbl.t = Hashtbl.create 4096 in
-  let pin_key id = Int64.to_int (Int64.logand id 0xF_FFFFL) in
+  (* The pins are two [int] arrays indexed by the client's continuation
+     slot (the low bits of the rpc_id), which the client recycles when
+     a call completes, fails or is abandoned — so they are bounded by
+     peak outstanding calls, not total calls issued, and an hours-long
+     soak holds constant memory. [pin_ids] holds the full rpc_id of the
+     slot's pinned call (0, which no rpc_id is, when none) and
+     disambiguates a recycled slot: a stale entry steers exactly like
+     a missing one. *)
+  let pin_ids = ref (Array.make 64 0) in
+  let pin_hosts = ref (Array.make 64 0) in
+  let pin h ~slot ~id =
+    if slot >= Array.length !pin_ids then begin
+      let len = max (slot + 1) (2 * Array.length !pin_ids) in
+      let grow a = Array.append a (Array.make (len - Array.length a) 0) in
+      pin_ids := grow !pin_ids;
+      pin_hosts := grow !pin_hosts
+    end;
+    !pin_ids.(slot) <- id;
+    !pin_hosts.(slot) <- h
+  in
+  let pinned ~slot ~id =
+    slot < Array.length !pin_ids && Int.equal !pin_ids.(slot) id
+  in
+  let host_eps =
+    Array.init hosts (fun h ->
+        Cluster.Fabric.host_endpoint fabric h ~port:service_port)
+  in
   let send frame =
     let request = frame.Net.Frame.payload in
     match Rpc.Wire_format.check request with
     | Error _ -> ()
-    | Ok () -> (
+    | Ok () ->
         let r = match !rack_ref with Some r -> r | None -> assert false in
         let rpc_id = Rpc.Wire_format.rpc_id request in
+        let id = Int64.to_int rpc_id in
+        let slot = id land 0xF_FFFF in
         let target =
-          match Hashtbl.find_opt pins (pin_key rpc_id) with
-          | Some (id, h)
-            when id = rpc_id && Cluster.Control.alive r.control ~host:h ->
-              Some h
-          | Some (id, _) when id = rpc_id ->
+          if pinned ~slot ~id then begin
+            let h = !pin_hosts.(slot) in
+            if Cluster.Control.alive r.control ~host:h then h
+            else
               (* pinned host died: re-steer the retry *)
-              let p = Cluster.Control.pick r.control in
-              (match p with
+              match Cluster.Control.pick r.control with
               | Some h ->
                   r.resteered <- r.resteered + 1;
-                  Hashtbl.replace pins (pin_key rpc_id) (rpc_id, h)
-              | None -> ());
-              p
-          | Some _ | None ->
-              (* first transmission (or a slot recycled from a finished
-                 call, which is the same thing) *)
-              let p = Cluster.Control.pick r.control in
-              (match p with
-              | Some h -> Hashtbl.replace pins (pin_key rpc_id) (rpc_id, h)
-              | None -> r.unsteered <- r.unsteered + 1);
-              p
+                  pin h ~slot ~id;
+                  h
+              | None -> -1
+          end
+          else
+            (* first transmission (or a slot recycled from a finished
+               call, which is the same thing) *)
+            match Cluster.Control.pick r.control with
+            | Some h ->
+                pin h ~slot ~id;
+                h
+            | None ->
+                r.unsteered <- r.unsteered + 1;
+                -1
         in
-        match target with
-        | None -> () (* counted; the retry timer will try again *)
-        | Some h ->
-            let payload =
-              match obs with
-              | None -> request
-              | Some tr ->
-                  (* open the causal root at first transmission and
-                     carry the trace context inside the frame, across
-                     the switch, to the serving host's tracer *)
-                  let now = Sim.Engine.now master in
-                  if not (Obs.Tracer.is_open tr ~rpc:rpc_id) then
-                    Obs.Tracer.rpc_begin tr ~rpc:rpc_id
-                      ~track:(Obs.Tracer.track tr "client")
-                      now;
-                  let parent =
-                    match Obs.Tracer.root_of tr ~rpc:rpc_id with
-                    | Some r -> r
-                    | None -> 0
-                  in
-                  let ctx =
-                    Obs.Context.to_bytes
-                      {
-                        Obs.Context.trace = rpc_id;
-                        parent;
-                        origin = uplink_port;
-                      }
-                  in
-                  (match Rpc.Wire_format.decode request with
-                  | Ok msg ->
-                      Rpc.Wire_format.encode
-                        (Rpc.Wire_format.with_ctx msg (Some ctx))
-                  | Error _ -> request)
-            in
-            let dst =
-              Cluster.Fabric.host_endpoint fabric h
-                ~port:frame.Net.Frame.udp.Net.Udp.dst_port
-            in
-            Cluster.Fabric.uplink_send fabric
-              (Net.Frame.make
-                 ~src:(Net.Frame.src_endpoint frame)
-                 ~dst payload))
+        (* with no steerable host nothing is sent; the call's retry
+           timer will try again *)
+        if target >= 0 then begin
+          let frame =
+            match obs with
+            | None -> frame
+            | Some tr ->
+                (* open the causal root at first transmission and
+                   carry the trace context inside the frame, across
+                   the switch, to the serving host's tracer *)
+                let now = Sim.Engine.now master in
+                if not (Obs.Tracer.is_open tr ~rpc:rpc_id) then
+                  Obs.Tracer.rpc_begin tr ~rpc:rpc_id
+                    ~track:(Obs.Tracer.track tr "client")
+                    now;
+                let parent =
+                  match Obs.Tracer.root_of tr ~rpc:rpc_id with
+                  | Some r -> r
+                  | None -> 0
+                in
+                let ctx =
+                  Obs.Context.to_bytes
+                    { Obs.Context.trace = rpc_id; parent; origin = uplink_port }
+                in
+                (match Rpc.Wire_format.decode request with
+                | Ok msg ->
+                    Net.Frame.make
+                      ~src:(Net.Frame.src_endpoint frame)
+                      ~dst:(Net.Frame.dst_endpoint frame)
+                      (Rpc.Wire_format.encode
+                         (Rpc.Wire_format.with_ctx msg (Some ctx)))
+                | Error _ -> frame)
+          in
+          Cluster.Fabric.uplink_send fabric
+            (Net.Frame.redirect frame ~dst:host_eps.(target))
+        end
   in
   let client = Harness.Client.create master ~send ?metrics () in
   let uplink_rx frame =

@@ -3,9 +3,11 @@ type t = {
   send : Net.Frame.t -> unit;
   endpoint : Net.Frame.endpoint;
   continuations : Rpc.Value.t Rpc.Continuation.t;
-  epochs : (int, int) Hashtbl.t;
-      (* continuation id -> epoch: a recycled id must not accept a late
-         response meant for its previous owner (ABA) *)
+  mutable epochs : int array;
+      (* continuation id -> the epoch of the call holding it, 0 when
+         free: a recycled id must not accept a late response meant for
+         its previous owner (ABA), and a call's timer acts only while
+         its slot still holds its epoch *)
   mutable next_epoch : int;
   schemas : (int * int, Rpc.Schema.t) Hashtbl.t;
   rng : Sim.Rng.t;  (* backoff jitter; only drawn when jitter > 0 *)
@@ -16,6 +18,24 @@ type t = {
   mutable abandoned : int;
   mutable duplicates : int;
   mutable rejected : int;
+}
+
+(* A call with a timeout: its retry state, and its timer closure,
+   built once and re-armed for every wait. *)
+type call = {
+  client : t;
+  cont : int;
+  epoch : int;
+  service_id : int;
+  method_id : int;
+  port : int;
+  args : Rpc.Value.t;
+  backoff : float;
+  max_timeout : Sim.Units.duration;
+  jitter : float;
+  mutable attempts_left : int;
+  mutable base : Sim.Units.duration;
+  mutable timer : unit -> unit;
 }
 
 (* rpc_id = epoch << 20 | continuation id. *)
@@ -31,10 +51,13 @@ let cont_of_rpc_id id =
 
 (* Whether [id] names the call its continuation slot holds now. *)
 let current t id =
-  match Hashtbl.find t.epochs (cont_of_rpc_id id) with
-  | epoch ->
-      Int.equal epoch (Int64.to_int (Int64.shift_right_logical id cont_bits))
-  | exception Not_found -> false
+  let cont = cont_of_rpc_id id in
+  cont < Array.length t.epochs
+  && Int.equal t.epochs.(cont)
+       (Int64.to_int (Int64.shift_right_logical id cont_bits))
+
+(* Free [cont]: its call completed, failed or was abandoned. *)
+let retire t cont = t.epochs.(cont) <- 0
 
 let create engine ~send ?endpoint ?(seed = 0x7e7) ?metrics () =
   let endpoint =
@@ -46,7 +69,7 @@ let create engine ~send ?endpoint ?(seed = 0x7e7) ?metrics () =
       send;
       endpoint;
       continuations = Rpc.Continuation.create ();
-      epochs = Hashtbl.create 64;
+      epochs = Array.make 64 0;
       next_epoch = 1;
       schemas = Hashtbl.create 16;
       rng = Sim.Rng.create ~seed;
@@ -80,61 +103,86 @@ let grow base backoff =
   let next = float_of_int base *. backoff in
   if next > 1e15 then 1_000_000_000_000_000 else int_of_float (Float.round next)
 
+(* Wait out the current base, shrunk by the jitter draw. *)
+let[@hot_path] arm c =
+  let t = c.client in
+  let wait =
+    if c.jitter > 0. then
+      max 1
+        (int_of_float
+           (float_of_int c.base *. (1. -. (c.jitter *. Sim.Rng.float t.rng))))
+    else c.base
+  in
+  ignore (Sim.Engine.schedule_after t.engine ~after:wait c.timer)
+
+(* A timer of a call whose slot no longer holds its epoch (the call
+   completed or failed) fires as a no-op. *)
+let[@hot_path] on_timer c () =
+  let t = c.client in
+  if Int.equal t.epochs.(c.cont) c.epoch then
+    if c.attempts_left > 0 then begin
+      t.retransmits <- t.retransmits + 1;
+      t.send
+        (Traffic.request_frame
+           ~rpc_id:(rpc_id_of ~epoch:c.epoch ~cont:c.cont)
+           ~service_id:c.service_id ~method_id:c.method_id ~port:c.port
+           ~client:t.endpoint c.args);
+      c.attempts_left <- c.attempts_left - 1;
+      c.base <- min c.max_timeout (grow c.base c.backoff);
+      arm c
+    end
+    else begin
+      t.abandoned <- t.abandoned + 1;
+      retire t c.cont;
+      ignore (Rpc.Continuation.cancel t.continuations c.cont)
+    end
+
 let call_id ?timeout ?(retries = 3) ?(backoff = 1.) ?(max_timeout = max_int)
     ?(jitter = 0.) t ~service_id ~method_id ~port args k =
   if backoff < 1. then invalid_arg "Client.call: backoff < 1";
   if jitter < 0. || jitter >= 1. then
     invalid_arg "Client.call: jitter out of [0,1)";
   if max_timeout <= 0 then invalid_arg "Client.call: non-positive max_timeout";
-  let done_flag = ref false in
-  let cont_ref = ref (-1) in
-  let cont =
-    Rpc.Continuation.alloc t.continuations (fun v ->
-        done_flag := true;
-        Hashtbl.remove t.epochs !cont_ref;
-        k v)
-  in
-  cont_ref := cont;
+  let cont = Rpc.Continuation.alloc t.continuations k in
   if cont >= 1 lsl cont_bits then
     invalid_arg "Client.call: too many outstanding calls";
+  if cont >= Array.length t.epochs then begin
+    let bigger = Array.make (max (cont + 1) (2 * Array.length t.epochs)) 0 in
+    Array.blit t.epochs 0 bigger 0 (Array.length t.epochs);
+    t.epochs <- bigger
+  end;
   let epoch = t.next_epoch in
   t.next_epoch <- t.next_epoch + 1;
-  Hashtbl.replace t.epochs cont epoch;
-  let frame () =
-    Traffic.request_frame
-      ~rpc_id:(rpc_id_of ~epoch ~cont)
-      ~service_id ~method_id ~port ~client:t.endpoint args
-  in
+  t.epochs.(cont) <- epoch;
+  let rpc_id = rpc_id_of ~epoch ~cont in
   t.sent <- t.sent + 1;
-  t.send (frame ());
+  t.send
+    (Traffic.request_frame ~rpc_id ~service_id ~method_id ~port
+       ~client:t.endpoint args);
   (match timeout with
   | None -> ()
   | Some timeout ->
       if timeout <= 0 then invalid_arg "Client.call: non-positive timeout";
-      let rec arm attempts_left base =
-        let wait =
-          if jitter > 0. then
-            max 1
-              (int_of_float
-                 (float_of_int base *. (1. -. (jitter *. Sim.Rng.float t.rng))))
-          else base
-        in
-        ignore
-          (Sim.Engine.schedule_after t.engine ~after:wait (fun () ->
-               if not !done_flag then
-                 if attempts_left > 0 then begin
-                   t.retransmits <- t.retransmits + 1;
-                   t.send (frame ());
-                   arm (attempts_left - 1) (min max_timeout (grow base backoff))
-                 end
-                 else begin
-                   t.abandoned <- t.abandoned + 1;
-                   Hashtbl.remove t.epochs cont;
-                   ignore (Rpc.Continuation.cancel t.continuations cont)
-                 end))
+      let c =
+        {
+          client = t;
+          cont;
+          epoch;
+          service_id;
+          method_id;
+          port;
+          args;
+          backoff;
+          max_timeout;
+          jitter;
+          attempts_left = retries;
+          base = timeout;
+          timer = ignore;
+        }
       in
-      arm retries timeout);
-  rpc_id_of ~epoch ~cont
+      c.timer <- on_timer c;
+      arm c);
+  rpc_id
 
 let call ?timeout ?retries t ~service_id ~method_id ~port args k =
   ignore (call_id ?timeout ?retries t ~service_id ~method_id ~port args k)
@@ -162,7 +210,7 @@ let on_reply t frame =
               t.rejected <- t.rejected + 1
             else begin
               t.errors <- t.errors + 1;
-              Hashtbl.remove t.epochs cont;
+              retire t cont;
               ignore (Rpc.Continuation.cancel t.continuations cont)
             end
       | Rpc.Wire_format.Response -> (
@@ -185,11 +233,14 @@ let on_reply t frame =
             in
             match value with
             | Ok v ->
+                (* retired first: the continuation may issue a call
+                   that reuses the slot *)
+                retire t cont;
                 if Rpc.Continuation.fire t.continuations cont v then
                   t.completed <- t.completed + 1
             | Error _ ->
                 t.errors <- t.errors + 1;
-                Hashtbl.remove t.epochs cont;
+                retire t cont;
                 ignore (Rpc.Continuation.cancel t.continuations cont)))
 
 let outstanding t = Rpc.Continuation.live t.continuations

@@ -31,7 +31,11 @@ val call :
 
     With [timeout] set, the request is retransmitted (same RPC id, so
     at-least-once with server-side idempotence left to the service) up
-    to [retries] times (default 3) before the call is abandoned. *)
+    to [retries] times (default 3) before the call is abandoned. The
+    call's timer stops once the call completes, fails ({!errors}) or
+    is abandoned; so once nothing is {!outstanding},
+    [completed + errors + abandoned = sent]. A stopped timer's pending
+    event still fires, as a no-op. *)
 
 val call_id :
   ?timeout:Sim.Units.duration -> ?retries:int -> ?backoff:float ->

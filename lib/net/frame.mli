@@ -36,6 +36,16 @@ val reply_to : t -> bytes -> t
     [make ~src:(dst_endpoint r) ~dst:(src_endpoint r) p], with no
     endpoint record built on the way. *)
 
+val redirect : t -> dst:endpoint -> t
+(** [redirect f ~dst] is [f] re-addressed to [dst]: the frame
+    [make ~src:(src_endpoint f) ~dst f.payload] would be, for an [f]
+    that {!make} built, but sharing [f]'s payload, its source and, when
+    [dst.port] is [f]'s destination port, its UDP header. *)
+
+val empty : t
+(** A frame with zero addresses and no payload: what a vacated slot of
+    a {!Sim.Fifo} of frames holds. *)
+
 val wire_size : t -> int
 (** Bytes occupying the wire once encoded (after minimum-size padding,
     excluding preamble/FCS/IPG — those are accounted by {!Wire}). *)

@@ -6,14 +6,6 @@ type t = {
   mutable emit : unit -> unit;
 }
 
-(* What a vacated ring slot holds. *)
-let no_frame =
-  let nobody =
-    { Net.Frame.mac = Net.Mac_addr.broadcast; ip = Net.Ip_addr.of_int 0;
-      port = 0 }
-  in
-  Net.Frame.make ~src:nobody ~dst:nobody Bytes.empty
-
 (* Every frame takes the same delay, so frames leave in the order they
    arrived: each event pops the oldest. *)
 let emit t () = t.sink (Sim.Fifo.pop t.in_flight)
@@ -25,7 +17,7 @@ let create engine ?(pipeline_delay = 300) ~sink () =
       engine;
       pipeline_delay;
       sink;
-      in_flight = Sim.Fifo.create no_frame;
+      in_flight = Sim.Fifo.create Net.Frame.empty;
       emit = ignore;
     }
   in

@@ -27,3 +27,5 @@ let pop q =
   q.head <- (q.head + 1) land (Array.length q.buf - 1);
   q.len <- q.len - 1;
   v
+
+let length q = q.len

@@ -20,3 +20,6 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a
 (** The oldest value.
     @raise Invalid_argument if the ring is empty. *)
+
+val length : 'a t -> int
+(** The number of values held. *)

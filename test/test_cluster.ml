@@ -140,6 +140,110 @@ let qcheck_switch_counts_drops =
            + st.Cluster.Switch.drop_out
       && List.length (List.sort_uniq compare tags) = List.length tags)
 
+(* A reference model of the switch, on its own little event queue
+   (ties broken by scheduling order, as in [Sim.Engine]): each
+   instant's arrivals are collected into a batch and admitted by a
+   stable sort on ingress port, ingress queues are FIFO and serve one
+   frame per [fwd_delay] (300 ns), and each egress port serializes one
+   frame per its [tx]. Destinations at or past [nports] are
+   unroutable. It returns the switch's delivery log and counters. *)
+let model_switch ~cap_in ~cap_out ~nports arrivals =
+  let q = ref [] and seq = ref 0 and now = ref 0 in
+  let before (t1, s1, _) (t2, s2, _) = compare (t1, s1) (t2, s2) in
+  let at time f =
+    incr seq;
+    q := List.merge before !q [ (time, !seq, f) ]
+  in
+  let log = ref [] and batch = ref [] and armed = ref false in
+  let ingressed = ref 0 and delivered = ref 0 and drop_in = ref 0 in
+  let drop_out = ref 0 and unroutable = ref 0 in
+  let in_q = Array.init nports (fun _ -> Queue.create ()) in
+  let busy = Array.make nports false and out_n = Array.make nports 0 in
+  let free_at = Array.make nports 0 in
+  let rec kick p =
+    if (not busy.(p)) && not (Queue.is_empty in_q.(p)) then begin
+      busy.(p) <- true;
+      at (!now + 300) (fun () ->
+          let a = Queue.pop in_q.(p) in
+          if a.dst >= nports then incr unroutable
+          else if out_n.(a.dst) >= cap_out then incr drop_out
+          else begin
+            out_n.(a.dst) <- out_n.(a.dst) + 1;
+            let fin = max free_at.(a.dst) !now + 100 + (10 * a.dst) in
+            free_at.(a.dst) <- fin;
+            at fin (fun () ->
+                out_n.(a.dst) <- out_n.(a.dst) - 1;
+                incr delivered;
+                log := (fin, a.dst, Printf.sprintf "f%d" a.id) :: !log)
+          end;
+          busy.(p) <- false;
+          kick p)
+    end
+  in
+  let sweep () =
+    armed := false;
+    let sorted =
+      List.stable_sort (fun a b -> compare a.port b.port) (List.rev !batch)
+    in
+    batch := [];
+    List.iter
+      (fun a ->
+        if Queue.length in_q.(a.port) >= cap_in then incr drop_in
+        else (Queue.push a in_q.(a.port); kick a.port))
+      sorted
+  in
+  List.iter
+    (fun a ->
+      at a.at (fun () ->
+          incr ingressed;
+          batch := a :: !batch;
+          if not !armed then (armed := true; at !now sweep)))
+    arrivals;
+  let rec run () =
+    match !q with
+    | [] -> ()
+    | (time, _, f) :: rest -> q := rest; now := time; f (); run ()
+  in
+  run ();
+  ( List.rev !log,
+    (!ingressed, !delivered, !drop_in, !drop_out, !unroutable) )
+
+(* The switch agrees with the model, frame for frame and counter for
+   counter, on scripts crowded with same-instant arrivals (a 50 ns time
+   grid, several frames per port and instant) and queues of 1–3
+   frames. *)
+let qcheck_switch_matches_model =
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 2 5) (int_range 1 3) (int_range 1 3)
+        (list_size (int_range 1 60)
+           (tup3 (map (fun x -> 10 + (50 * x)) (int_bound 30))
+              (int_bound 7) (int_bound 7))))
+  in
+  let print (nports, cap_in, cap_out, l) =
+    Printf.sprintf "ports=%d cap_in=%d cap_out=%d %s" nports cap_in cap_out
+      (String.concat " "
+         (List.map (fun (at, p, d) -> Printf.sprintf "(%d:%d>%d)" at p d) l))
+  in
+  QCheck.Test.make ~count:300 ~name:"switch matches its reference model"
+    (QCheck.make ~print gen)
+    (fun (nports, cap_in, cap_out, raw) ->
+      let arrivals =
+        List.mapi
+          (fun i (at, p, d) ->
+            { at; port = p mod nports; dst = d mod (nports + 1); id = i })
+          raw
+      in
+      let log, st = run_switch ~cap_in ~cap_out ~nports arrivals in
+      let model_log, model_stats =
+        model_switch ~cap_in ~cap_out ~nports arrivals
+      in
+      String.equal (pp_log log) (pp_log model_log)
+      && model_stats
+         = Cluster.Switch.
+             ( st.ingressed, st.delivered, st.drop_in, st.drop_out,
+               st.unroutable ))
+
 (* Seeded regression pinning the tie-break itself: three frames enter
    at the same instant on ports 2, 1, 0 (injected in that order, all
    bound for port 0) and must come out 0, 1, 2. *)
@@ -509,6 +613,48 @@ let qcheck_stitching_exact =
 
 let qsuite name t = (name, [ QCheck_alcotest.to_alcotest t ])
 
+(* ---------- the rack's allocation budget ---------- *)
+
+(* Minor words per completed RPC of an 8-host rack whose client arms a
+   retry timer per call (perfbench's [rack_retry] on a 3 ms horizon):
+   the exact figure, measured once, plus 2%. It holds the switch's
+   frame path, the client's per-call record and the steering send
+   free of allocation that stands for no hardware. *)
+let rack_words_budget = 334.8 *. 1.02
+
+let test_rack_allocation_budget () =
+  let rack = Experiments.Rack.make_rack ~hosts:8 () in
+  let fabric = rack.Experiments.Rack.fabric in
+  let master = Cluster.Fabric.master_engine fabric in
+  let setup = rack.Experiments.Rack.servers.(0).Experiments.Common.setup in
+  let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
+  let value = Rpc.Value.Blob (Bytes.make 64 'w') in
+  let replies = ref 0 in
+  let horizon = Sim.Units.ms 3 in
+  Workload.Arrivals.open_loop master (Sim.Rng.create ~seed:1)
+    ~rate_per_s:1_600_000. ~until:horizon (fun ~seq:_ ->
+      ignore
+        (Harness.Client.call_id ~timeout:(Sim.Units.us 200) ~retries:8
+           ~backoff:1.5 ~max_timeout:(Sim.Units.ms 2) ~jitter:0.25
+           rack.Experiments.Rack.client ~service_id ~method_id:0
+           ~port:rack.Experiments.Rack.service_port value (fun _ ->
+             incr replies)));
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  Cluster.Fabric.run fabric ~until:(horizon + Sim.Units.ms 1);
+  let words = Gc.minor_words () -. before in
+  let client = rack.Experiments.Rack.client in
+  let completed = Harness.Client.completed client in
+  checki "every RPC completed" (Harness.Client.sent client) completed;
+  checki "every reply reached its continuation" completed !replies;
+  checkb "about 4.8k RPCs" true (completed > 4_500);
+  let per_rpc = words /. float_of_int completed in
+  checkb
+    (Printf.sprintf "%.1f minor words per RPC <= %.1f" per_rpc
+       rack_words_budget)
+    true
+    (per_rpc <= rack_words_budget)
+
 let () =
   Alcotest.run "cluster"
     [
@@ -522,6 +668,7 @@ let () =
       qsuite "switch order determinism" qcheck_switch_order_deterministic;
       qsuite "switch conservation" qcheck_switch_conserves_ample;
       qsuite "switch overflow accounting" qcheck_switch_counts_drops;
+      qsuite "switch reference model" qcheck_switch_matches_model;
       ( "control",
         [
           Alcotest.test_case "death detected within one probe period" `Quick
@@ -535,6 +682,11 @@ let () =
         [
           Alcotest.test_case "kill during in-flight RPCs" `Quick
             test_rack_kill_during_inflight;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "rack words per RPC budget" `Quick
+            test_rack_allocation_budget;
         ] );
       qsuite "rack determinism" qcheck_rack_determinism;
       qsuite "stitching" qcheck_stitching_exact;

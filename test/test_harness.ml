@@ -205,6 +205,68 @@ let test_client_abandons_when_server_unreachable () =
   checki "retried twice" 2 (Harness.Client.retransmits c);
   checki "slot released" 0 (Harness.Client.outstanding c)
 
+(* A call that fails stops its timer. Call A (timeout 100 us, 2
+   retries) gets a non-retriable Error_reply 7 at 10 us, which frees
+   its slot; call B reuses slot 0 at 50 us (timeout 1 ms, no retries)
+   and is never answered. A's timer must not retransmit A, abandon it a
+   second time, or cancel B: B stays outstanding until its own timeout
+   at 1050 us, and every call is counted exactly once. *)
+let test_client_failed_call_stops_its_timer () =
+  let engine = Sim.Engine.create () in
+  let client = ref None in
+  let first_id = ref 0L in
+  (* the server answers every transmission of the first call it sees,
+     and nothing else *)
+  let send frame =
+    let req = frame.Net.Frame.payload in
+    let rpc_id = Rpc.Wire_format.rpc_id req in
+    if Int64.equal !first_id 0L then first_id := rpc_id;
+    if Int64.equal rpc_id !first_id then
+      let reply =
+        Net.Frame.reply_to frame
+          (Rpc.Wire_format.encode_body ~kind:(Rpc.Wire_format.Error_reply 7)
+             ~rpc_id ~service_id:(Rpc.Wire_format.service_id req)
+             ~method_id:(Rpc.Wire_format.method_id req) Bytes.empty)
+      in
+      ignore
+        (Sim.Engine.schedule_after engine ~after:(Sim.Units.us 10) (fun () ->
+             match !client with
+             | Some c -> Harness.Client.on_reply c reply
+             | None -> ()))
+  in
+  let c = Harness.Client.create engine ~send () in
+  client := Some c;
+  let replied = ref 0 in
+  ignore
+    (Harness.Client.call_id c ~timeout:(Sim.Units.us 100) ~retries:2
+       ~service_id:1 ~method_id:0 ~port:7000 Rpc.Value.Unit (fun _ ->
+         incr replied));
+  let second_id = ref 0L in
+  ignore
+    (Sim.Engine.schedule_at engine ~at:(Sim.Units.us 50) (fun () ->
+         second_id :=
+           Harness.Client.call_id c ~timeout:(Sim.Units.ms 1) ~retries:0
+             ~service_id:1 ~method_id:0 ~port:7000 Rpc.Value.Unit (fun _ ->
+               incr replied)));
+  Sim.Engine.run engine ~until:(Sim.Units.us 1000);
+  checki "slot 0 reused"
+    (Int64.to_int (Int64.logand !first_id 0xF_FFFFL))
+    (Int64.to_int (Int64.logand !second_id 0xF_FFFFL));
+  checki "call B still outstanding before its timeout" 1
+    (Harness.Client.outstanding c);
+  checki "no abandon before B's timeout" 0 (Harness.Client.abandoned c);
+  Sim.Engine.run engine ~until:(Sim.Units.ms 5);
+  checki "sent" 2 (Harness.Client.sent c);
+  checki "errors" 1 (Harness.Client.errors c);
+  checki "the failed call is not retransmitted" 0
+    (Harness.Client.retransmits c);
+  checki "abandoned once, at B's own timeout" 1 (Harness.Client.abandoned c);
+  checki "no reply" 0 !replied;
+  checki "completed + errors + abandoned = sent" (Harness.Client.sent c)
+    (Harness.Client.completed c + Harness.Client.errors c
+   + Harness.Client.abandoned c);
+  checki "nothing outstanding" 0 (Harness.Client.outstanding c)
+
 let () =
   Alcotest.run "harness"
     [
@@ -231,5 +293,7 @@ let () =
             test_client_retransmission_over_lossy_link;
           Alcotest.test_case "abandons unreachable server" `Quick
             test_client_abandons_when_server_unreachable;
+          Alcotest.test_case "a failed call stops its timer" `Quick
+            test_client_failed_call_stops_its_timer;
         ] );
     ]
