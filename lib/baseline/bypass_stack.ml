@@ -1,13 +1,12 @@
 (* Receive path: a poller takes a descriptor from its NIC queue with
-   [Dma_nic.consume] and decodes the request inside the callback,
-   straight from the pooled receive buffer (header read in place,
-   arguments decoded in place), so no copy of the frame is made and the
-   buffer goes back to the pool at once. What survives is a [request]
-   carrying only what the handler and the reply need. The per-packet
-   rx cost then elapses; the counters and the poll_rx span fire after
-   it, as the packet's processing completes on the core. The reply is
-   encoded in one pass, the result written straight into the message
-   buffer. *)
+   [Dma_nic.consume] and decodes the request inside the callback with
+   [Rx.decode], straight from the pooled receive buffer, so no copy of
+   the frame is made and the buffer goes back to the pool at once. What
+   survives carries only what the handler and the reply need. The
+   per-packet rx cost then elapses; the counters and the poll_rx span
+   fire after it, as the packet's processing completes on the core. The
+   reply is encoded in one pass, the result written straight into the
+   message buffer. *)
 
 type service_spec = { service : Rpc.Interface.service_def; port : int }
 
@@ -20,34 +19,17 @@ type poller = {
   mutable spin_since : Sim.Units.time option;
 }
 
-(* A request decoded inside [Dma_nic.consume]'s callback: its ids and
-   trace context for the reply header, the two endpoints, and the
-   decoded arguments. Nothing in it aliases the receive buffer. *)
-type request = {
-  rpc_id : int64;
-  service_id : int;
-  method_id : int;
-  ctx : bytes option;
-  client : Net.Frame.endpoint;
-  server : Net.Frame.endpoint;
-  mdef : Rpc.Interface.method_def;
-  args : Rpc.Value.t;
-  arg_bytes : int;
-}
-
-(* What the callback makes of a descriptor. [Drop] names the counter. *)
-type rx =
-  | Bad_rpc
-  | Drop of { rpc_id : int64; counter : string }
-  | Request of request
+(* A service port's entry in the flow table: the service and the
+   poller that statically owns it. *)
+type binding = { service : Rpc.Interface.service_def; poller : int }
 
 type t = {
   engine : Sim.Engine.t;
   kern : Osmodel.Kernel.t;
   mutable nic : Nic.Dma_nic.t option;
-  by_port : (int, service_spec) Hashtbl.t;
-  rx_decode : Net.Frame.view -> rx;  (* built once, applied per descriptor *)
-  port_to_poller : (int, int) Hashtbl.t;
+  by_port : (int, binding) Hashtbl.t;
+  rx_decode : Net.Frame.view -> binding Rx.t;
+      (* built once, applied per descriptor *)
   mutable pollers : poller array;
   mutable proc : Osmodel.Proc.process option;
   egress : Net.Frame.t -> unit;
@@ -80,45 +62,6 @@ let charge_user t p cost =
     (Osmodel.Kernel.account t.kern ~core:p.core)
     Osmodel.Cpu_account.User cost
 
-(* Decode a received frame where it lies in the pooled buffer. The
-   header is checked and read in place and the arguments decoded from
-   the payload slice, so nothing of the buffer outlives the callback. *)
-let decode_rx by_port (v : Net.Frame.view) =
-  let b = v.payload.Net.Slice.base
-  and off = v.payload.Net.Slice.off
-  and len = v.payload.Net.Slice.len in
-  match Rpc.Wire_format.check_sub b ~off ~len with
-  | Error _ -> Bad_rpc
-  | Ok () -> (
-      let rpc_id = Rpc.Wire_format.rpc_id_sub b ~off ~len in
-      match Hashtbl.find by_port v.udp.Net.Udp.dst_port with
-      | exception Not_found -> Drop { rpc_id; counter = "rx_no_service" }
-      | sspec -> (
-          let method_id = Rpc.Wire_format.method_id_sub b ~off ~len in
-          match Rpc.Interface.method_by_id sspec.service method_id with
-          | exception Not_found -> Drop { rpc_id; counter = "rx_no_method" }
-          | mdef -> (
-              let pos = Rpc.Wire_format.body_offset_sub b ~off ~len in
-              let arg_bytes = len - pos in
-              match
-                Rpc.Codec.decode_sub mdef.Rpc.Interface.request b
-                  ~pos:(off + pos) ~len:arg_bytes
-              with
-              | Error _ -> Drop { rpc_id; counter = "rx_bad_args" }
-              | Ok args ->
-                  Request
-                    {
-                      rpc_id;
-                      service_id = Rpc.Wire_format.service_id_sub b ~off ~len;
-                      method_id;
-                      ctx = Rpc.Wire_format.ctx_sub b ~off ~len;
-                      client = Net.Frame.view_src_endpoint v;
-                      server = Net.Frame.view_dst_endpoint v;
-                      mdef;
-                      args;
-                      arg_bytes;
-                    })))
-
 (* Run-to-completion handling of one frame on the poller's core. The
    poller thread owns its core outright, so we charge its ledger
    directly and sequence work with engine delays. *)
@@ -134,8 +77,7 @@ let rec poll_loop t p () =
       let th = p.pthread in
       ignore
         (Sim.Engine.schedule_after t.engine ~after:cost (fun () ->
-             if th.Osmodel.Proc.state <> Osmodel.Proc.Exited then
-               handle t p rx))
+             if not (Osmodel.Proc.is_exited th) then handle t p rx))
   | None ->
       (* Park the (simulated) spin: the ring's produce callback resumes
          us and we back-charge the spin window. *)
@@ -147,16 +89,16 @@ and handle t p rx =
     poll_loop t p ()
   in
   match rx with
-  | Bad_rpc -> drop "rx_bad_rpc"
-  | Drop { rpc_id; counter } ->
+  | Rx.Bad_rpc -> drop "rx_bad_rpc"
+  | Rx.Drop { rpc_id; counter } ->
       (* DMA delivery + poll-loop spin + per-packet rx cost. *)
       span_stage t ~rpc:rpc_id "poll_rx";
       drop counter
-  | Request r ->
+  | Rx.Request r ->
       span_stage t ~rpc:r.rpc_id "poll_rx";
       execute t p r
 
-and execute t p r =
+and execute t p (r : binding Rx.request) =
   let deser =
     Rpc.Deser_cost.cost Rpc.Deser_cost.software
       ~fields:(Rpc.Value.field_count r.args)
@@ -167,7 +109,7 @@ and execute t p r =
   let th = p.pthread in
   ignore
     (Sim.Engine.schedule_after t.engine ~after:work (fun () ->
-         if th.Osmodel.Proc.state = Osmodel.Proc.Exited then ()
+         if Osmodel.Proc.is_exited th then ()
          else begin
          span_stage t ~rpc:r.rpc_id "app";
          let result = r.mdef.Rpc.Interface.execute r.args in
@@ -180,15 +122,9 @@ and execute t p r =
          charge_user t p marshal;
          ignore
            (Sim.Engine.schedule_after t.engine ~after:marshal (fun () ->
-                if th.Osmodel.Proc.state = Osmodel.Proc.Exited then ()
+                if Osmodel.Proc.is_exited th then ()
                 else begin
-                let out =
-                  Net.Frame.make ~src:r.server ~dst:r.client
-                    (Rpc.Wire_format.encode_value
-                       ~kind:Rpc.Wire_format.Response ?ctx:r.ctx
-                       ~rpc_id:r.rpc_id ~service_id:r.service_id
-                       ~method_id:r.method_id result)
-                in
+                let out = Rx.reply r result in
                 Sim.Counter.incr (ctr t "tx_frames");
                 span_stage t ~rpc:r.rpc_id "marshal";
                 Nic.Dma_nic.transmit (nic t) out
@@ -203,7 +139,7 @@ and execute t p r =
          end))
 
 let resume_from_spin t p () =
-  if p.pthread.Osmodel.Proc.state = Osmodel.Proc.Exited then ()
+  if Osmodel.Proc.is_exited p.pthread then ()
   else
   match p.spin_since with
   | None -> ()
@@ -221,12 +157,18 @@ let resume_from_spin t p () =
       ignore
         (Sim.Engine.schedule_after t.engine ~after:sw.Costs.poll_iteration
            (fun () ->
-             if th.Osmodel.Proc.state <> Osmodel.Proc.Exited then
-               poll_loop t p ()))
+             if not (Osmodel.Proc.is_exited th) then poll_loop t p ()))
+
+let hosts t ~service_id =
+  Hashtbl.fold
+    (fun _ b acc ->
+      acc || Int.equal b.service.Rpc.Interface.service_id service_id)
+    t.by_port false
 
 let create engine ~profile ~ncores ?pollers ?(fault = Fault.Plan.none)
     ?metrics ?tracer ?sanitize ?steering ~services ~egress () =
-  if services = [] then invalid_arg "Bypass_stack.create: no services";
+  if List.is_empty services then
+    invalid_arg "Bypass_stack.create: no services";
   let npollers = match pollers with Some n -> n | None -> ncores in
   if npollers < 1 || npollers > ncores then
     invalid_arg "Bypass_stack.create: pollers out of [1, ncores]";
@@ -244,8 +186,7 @@ let create engine ~profile ~ncores ?pollers ?(fault = Fault.Plan.none)
       kern;
       nic = None;
       by_port;
-      rx_decode = decode_rx by_port;
-      port_to_poller = Hashtbl.create 64;
+      rx_decode = Rx.decode by_port (fun b -> b.service);
       pollers = [||];
       proc = None;
       egress;
@@ -279,12 +220,7 @@ let create engine ~profile ~ncores ?pollers ?(fault = Fault.Plan.none)
   | Some z ->
       ignore
         (Sanitize.Pool_watch.attach z ~name:"bypass-rx-pool"
-           ~in_flight:(fun () ->
-             let occ = ref 0 in
-             for q = 0 to npollers - 1 do
-               occ := !occ + Nic.Ring.occupancy (Nic.Dma_nic.rx_ring dnic ~queue:q)
-             done;
-             !occ)
+           ~in_flight:(fun () -> Nic.Dma_nic.rx_pending dnic)
            (Nic.Dma_nic.pool dnic)));
   (* Static service -> poller assignment, round robin. *)
   List.iteri
@@ -292,8 +228,12 @@ let create engine ~profile ~ncores ?pollers ?(fault = Fault.Plan.none)
       if Hashtbl.mem t.by_port sspec.port then
         invalid_arg
           (Printf.sprintf "Bypass_stack.create: port %d taken" sspec.port);
-      Hashtbl.replace t.by_port sspec.port sspec;
-      Hashtbl.replace t.port_to_poller sspec.port (i mod npollers))
+      let id = sspec.service.Rpc.Interface.service_id in
+      if hosts t ~service_id:id then
+        invalid_arg
+          (Printf.sprintf "Bypass_stack.create: service id %d taken" id);
+      Hashtbl.add t.by_port sspec.port
+        { service = sspec.service; poller = i mod npollers })
     services;
   (match steering with
   | Some verified ->
@@ -306,12 +246,9 @@ let create engine ~profile ~ncores ?pollers ?(fault = Fault.Plan.none)
          reviewed — total (default queue 0), in-range by construction
          (poller index mod npollers), zero per-packet cost charged. *)
       (Nic.Dma_nic.set_steering dnic (fun frame ->
-           match
-             Hashtbl.find_opt t.port_to_poller
-               frame.Net.Frame.udp.Net.Udp.dst_port
-           with
-           | Some q -> q
-           | None -> 0)
+           match Hashtbl.find t.by_port frame.Net.Frame.udp.Net.Udp.dst_port with
+           | b -> b.poller
+           | exception Not_found -> 0)
        [@steer_seam]));
   (* Spawn pinned poller threads. *)
   let proc = Osmodel.Kernel.new_process kern ~name:"bypass-app" in
@@ -341,14 +278,7 @@ let create engine ~profile ~ncores ?pollers ?(fault = Fault.Plan.none)
   t
 
 let ingress t frame =
-  if Obs.Tracer.is_enabled t.tracer then begin
-    let payload = frame.Net.Frame.payload in
-    match Rpc.Wire_format.check payload with
-    | Ok () when Rpc.Wire_format.is_request payload ->
-        Obs.Tracer.rpc_begin t.tracer ~rpc:(Rpc.Wire_format.rpc_id payload)
-          ~track:t.trk (Sim.Engine.now t.engine)
-    | Ok () | Error _ -> ()
-  end;
+  Rx.open_span t.tracer ~track:t.trk (Sim.Engine.now t.engine) frame;
   Nic.Dma_nic.rx_from_wire (nic t) frame
 
 let flush_spin t =
@@ -369,13 +299,7 @@ let flush_spin t =
     t.pollers
 
 let check_service t ~service_id =
-  let known =
-    Hashtbl.fold
-      (fun _ s acc ->
-        acc || s.service.Rpc.Interface.service_id = service_id)
-      t.by_port false
-  in
-  if not known then
+  if not (hosts t ~service_id) then
     invalid_arg
       (Printf.sprintf "Bypass_stack: unknown service %d" service_id)
 
@@ -426,9 +350,10 @@ let restart_service t ~service_id =
   end
 
 let poller_of_port t ~port =
-  match Hashtbl.find_opt t.port_to_poller port with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Bypass_stack: unknown port %d" port)
+  match Hashtbl.find t.by_port port with
+  | b -> b.poller
+  | exception Not_found ->
+      invalid_arg (Printf.sprintf "Bypass_stack: unknown port %d" port)
 
 let driver t =
   Harness.Driver.make ~name:"bypass"

@@ -10,10 +10,14 @@ let spec ?(threads = 2) ~port service =
 
 type service_rt = {
   sspec : service_spec;
-  socket : Net.Frame.t Osmodel.Socket.t;
+  socket : datagram Osmodel.Socket.t;
   mutable sproc : Osmodel.Proc.process option;
       (* retained for crash/restart (threads are reachable through it) *)
 }
+
+(* What the softirq leaves in a socket: the frame as [Rx.decode] made
+   it, and the payload length that recvfrom's copy is charged for. *)
+and datagram = { rx : service_rt Rx.t; payload_len : int }
 
 type t = {
   engine : Sim.Engine.t;
@@ -37,16 +41,6 @@ let kernel t = t.kern
 let span_stage t ~rpc name =
   Obs.Tracer.stage t.tracer ~rpc ~track:t.trk ~name (Sim.Engine.now t.engine)
 
-(* Stage boundaries inside the kernel path see only the frame; the
-   header read to recover the RPC id is paid only when the tracer is
-   on. *)
-let span_stage_frame t frame name =
-  if Obs.Tracer.is_enabled t.tracer then
-    let payload = frame.Net.Frame.payload in
-    match Rpc.Wire_format.check payload with
-    | Ok () -> span_stage t ~rpc:(Rpc.Wire_format.rpc_id payload) name
-    | Error _ -> ()
-
 let nic t =
   match t.nic with
   | Some n -> n
@@ -57,18 +51,25 @@ let ctr t name = Sim.Counter.counter t.counters name
 
 let napi_budget = 64
 
+(* The socket a descriptor goes to, and what it carries. The frame is
+   decoded where it lies in the pooled buffer, which is recycled before
+   the softirq delay elapses. A request goes to its service's socket; a
+   frame that is not one still goes to the socket its port is bound
+   to, whose thread drops it after the copy. A frame to an unbound
+   port has no socket. *)
+let datagram t (v : Net.Frame.view) =
+  let payload_len = v.Net.Frame.payload.Net.Slice.len in
+  match Rx.decode t.by_port (fun rt -> rt.sspec.service) v with
+  | Rx.Request r as rx -> Some (r.Rx.sv, { rx; payload_len })
+  | (Rx.Bad_rpc | Rx.Drop _) as rx -> (
+      match Hashtbl.find t.by_port v.Net.Frame.udp.Net.Udp.dst_port with
+      | rt -> Some (rt, { rx; payload_len })
+      | exception Not_found -> None)
+
 (* NAPI poll in softirq context on [core]: drain the ring with a
-   budget, charging kernel time per packet; unmask when empty. The
-   descriptor's bytes are parsed in place and its pooled buffer is
-   recycled before the softirq delay elapses, so only frames with a
-   registered consumer are copied out of the ring. *)
+   budget, charging kernel time per packet; unmask when empty. *)
 let rec napi t ~core ~queue ~budget () =
-  match
-    Nic.Dma_nic.consume (nic t) ~queue (fun v ->
-        match Hashtbl.find_opt t.by_port v.Net.Frame.udp.Net.Udp.dst_port with
-        | None -> None
-        | Some rt -> Some (rt, Net.Frame.of_view v))
-  with
+  match Nic.Dma_nic.consume (nic t) ~queue (datagram t) with
   | None -> Nic.Dma_nic.unmask_irq (nic t) ~queue
   | Some delivery ->
       let cost = sw.Costs.softirq_per_packet + sw.Costs.socket_demux in
@@ -79,11 +80,14 @@ let rec napi t ~core ~queue ~budget () =
         (Sim.Engine.schedule_after t.engine ~after:cost (fun () ->
              (match delivery with
              | None -> Sim.Counter.incr (ctr t "rx_no_service")
-             | Some (rt, frame) ->
+             | Some (rt, d) ->
                  (* MAC + DMA + interrupt + softirq, attributed at the
                     moment the frame reaches its socket. *)
-                 span_stage_frame t frame "nic_irq";
-                 Osmodel.Socket.enqueue rt.socket frame);
+                 (match d.rx with
+                 | Rx.Request { Rx.rpc_id; _ } | Rx.Drop { rpc_id; _ } ->
+                     span_stage t ~rpc:rpc_id "nic_irq"
+                 | Rx.Bad_rpc -> ());
+                 Osmodel.Socket.enqueue rt.socket d);
              if budget > 1 then napi t ~core ~queue ~budget:(budget - 1) ()
              else begin
                (* Budget exhausted: ksoftirqd would take over; model as
@@ -104,67 +108,50 @@ let on_rx_interrupt t ~queue =
 (* One blocking server thread: recvfrom -> unmarshal -> handler ->
    marshal -> sendto -> doorbell -> NIC TX. *)
 let rec server_loop t rt th () =
-  Osmodel.Socket.recv rt.socket th (fun frame ->
-      let payload = frame.Net.Frame.payload in
+  Osmodel.Socket.recv rt.socket th (fun d ->
       let copy_cost =
         int_of_float
           (Float.round
-             (sw.Costs.recv_copy_per_byte
-             *. float_of_int (Bytes.length payload)))
+             (sw.Costs.recv_copy_per_byte *. float_of_int d.payload_len))
       in
       Osmodel.Kernel.run_for t.kern th ~kind:Osmodel.Cpu_account.Kernel
         copy_cost (fun () ->
-          match Rpc.Wire_format.check payload with
-          | Error _ ->
+          match d.rx with
+          | Rx.Bad_rpc ->
               Sim.Counter.incr (ctr t "rx_bad_rpc");
               server_loop t rt th ()
-          | Ok () -> handle_rpc t rt th frame))
+          | Rx.Drop { rpc_id; counter } ->
+              (* Socket wait + wakeup + recv copy + header decode. *)
+              span_stage t ~rpc:rpc_id "socket";
+              Sim.Counter.incr (ctr t counter);
+              server_loop t rt th ()
+          | Rx.Request r ->
+              span_stage t ~rpc:r.Rx.rpc_id "socket";
+              handle_rpc t rt th r))
 
-(* The header is read and the arguments decoded in place. *)
-and handle_rpc t rt th frame =
-  let payload = frame.Net.Frame.payload in
-  let rpc_id = Rpc.Wire_format.rpc_id payload in
-  (* Socket wait + wakeup + recv copy + header decode. *)
-  span_stage t ~rpc:rpc_id "socket";
-  match
-    Rpc.Interface.method_by_id rt.sspec.service
-      (Rpc.Wire_format.method_id payload)
-  with
-  | exception Not_found ->
-      Sim.Counter.incr (ctr t "rx_no_method");
-      server_loop t rt th ()
-  | mdef -> (
-      let pos = Rpc.Wire_format.body_offset payload in
-      let arg_bytes = Bytes.length payload - pos in
-      match
-        Rpc.Codec.decode_sub mdef.Rpc.Interface.request payload ~pos
-          ~len:arg_bytes
-      with
-      | Error _ ->
-          Sim.Counter.incr (ctr t "rx_bad_args");
-          server_loop t rt th ()
-      | Ok args ->
-          let deser_cost =
-            Rpc.Deser_cost.cost Rpc.Deser_cost.software
-              ~fields:(Rpc.Value.field_count args)
-              ~bytes:arg_bytes
-          in
-          Osmodel.Kernel.run_for t.kern th ~kind:Osmodel.Cpu_account.User
-            (deser_cost + mdef.Rpc.Interface.handler_time) (fun () ->
-              let result = mdef.Rpc.Interface.execute args in
-              let body_bytes = Rpc.Codec.encoded_size result in
-              let marshal_cost =
-                Rpc.Deser_cost.cost Rpc.Deser_cost.software_marshal
-                  ~fields:(Rpc.Value.field_count result)
-                  ~bytes:body_bytes
-              in
-              Osmodel.Kernel.run_for t.kern th
-                ~kind:Osmodel.Cpu_account.User marshal_cost (fun () ->
-                  send_reply t rt th frame ~rpc_id ~body_bytes result)))
+and handle_rpc t rt th (r : service_rt Rx.request) =
+  let deser_cost =
+    Rpc.Deser_cost.cost Rpc.Deser_cost.software
+      ~fields:(Rpc.Value.field_count r.Rx.args)
+      ~bytes:r.Rx.arg_bytes
+  in
+  let mdef = r.Rx.mdef in
+  Osmodel.Kernel.run_for t.kern th ~kind:Osmodel.Cpu_account.User
+    (deser_cost + mdef.Rpc.Interface.handler_time) (fun () ->
+      let result = mdef.Rpc.Interface.execute r.Rx.args in
+      let body_bytes = Rpc.Codec.encoded_size result in
+      let marshal_cost =
+        Rpc.Deser_cost.cost Rpc.Deser_cost.software_marshal
+          ~fields:(Rpc.Value.field_count result)
+          ~bytes:body_bytes
+      in
+      Osmodel.Kernel.run_for t.kern th ~kind:Osmodel.Cpu_account.User
+        marshal_cost (fun () -> send_reply t rt th r ~body_bytes result))
 
 (* The reply is encoded in one pass when the send path has run: the
    result is written straight into the message buffer. *)
-and send_reply t rt th frame ~rpc_id ~body_bytes result =
+and send_reply t rt th r ~body_bytes result =
+  let rpc_id = r.Rx.rpc_id in
   (* Deserialize + handler + marshal, all user time. *)
   span_stage t ~rpc:rpc_id "app";
   let send_cost =
@@ -176,17 +163,7 @@ and send_reply t rt th frame ~rpc_id ~body_bytes result =
   in
   Osmodel.Kernel.run_for t.kern th ~kind:Osmodel.Cpu_account.Kernel send_cost
     (fun () ->
-      let request = frame.Net.Frame.payload in
-      let out =
-        Net.Frame.make
-          ~src:(Net.Frame.dst_endpoint frame)
-          ~dst:(Net.Frame.src_endpoint frame)
-          (Rpc.Wire_format.encode_value ~kind:Rpc.Wire_format.Response
-             ?ctx:(Rpc.Wire_format.ctx request) ~rpc_id
-             ~service_id:(Rpc.Wire_format.service_id request)
-             ~method_id:(Rpc.Wire_format.method_id request)
-             result)
-      in
+      let out = Rx.reply r result in
       Sim.Counter.incr (ctr t "tx_frames");
       span_stage t ~rpc:rpc_id "send";
       Nic.Dma_nic.transmit (nic t) out
@@ -220,14 +197,16 @@ let spawn_server_threads t rt proc =
    owns the socket buffer) and in-handler requests vanish with the
    process — clients discover the crash only by timeout. That silence
    is the baseline the NACKing stacks are contrasted against. *)
+let find_service t ~service_id =
+  Hashtbl.fold
+    (fun _port rt found ->
+      if Int.equal rt.sspec.service.Rpc.Interface.service_id service_id then
+        Some rt
+      else found)
+    t.by_port None
+
 let service_rt_by_id t ~service_id =
-  let found = ref None in
-  Hashtbl.iter
-    (fun _port rt ->
-      if rt.sspec.service.Rpc.Interface.service_id = service_id then
-        found := Some rt)
-    t.by_port;
-  match !found with
+  match find_service t ~service_id with
   | Some rt -> rt
   | None ->
       invalid_arg (Printf.sprintf "Linux_stack: unknown service %d" service_id)
@@ -253,7 +232,8 @@ let restart_service t ~service_id =
 
 let create engine ~profile ~ncores ?(fault = Fault.Plan.none) ?metrics
     ?tracer ?sanitize ~services ~egress () =
-  if services = [] then invalid_arg "Linux_stack.create: no services";
+  if List.is_empty services then
+    invalid_arg "Linux_stack.create: no services";
   let kern = Osmodel.Kernel.create engine ~ncores () in
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
@@ -276,9 +256,8 @@ let create engine ~profile ~ncores ?(fault = Fault.Plan.none) ?metrics
       trk = Obs.Tracer.track tracer "linux";
     }
   in
-  let nic_config = Nic.Dma_nic.default_config in
   let dnic =
-    Nic.Dma_nic.create engine profile ~config:nic_config ~fault ~metrics
+    Nic.Dma_nic.create engine profile ~fault ~metrics
       ~on_rx_interrupt:(fun ~queue -> on_rx_interrupt t ~queue)
       ()
   in
@@ -290,12 +269,7 @@ let create engine ~profile ~ncores ?(fault = Fault.Plan.none) ?metrics
          accounted, not leaked. *)
       ignore
         (Sanitize.Pool_watch.attach z ~name:"linux-rx-pool"
-           ~in_flight:(fun () ->
-             let occ = ref 0 in
-             for q = 0 to nic_config.Nic.Dma_nic.nqueues - 1 do
-               occ := !occ + Nic.Ring.occupancy (Nic.Dma_nic.rx_ring dnic ~queue:q)
-             done;
-             !occ)
+           ~in_flight:(fun () -> Nic.Dma_nic.rx_pending dnic)
            (Nic.Dma_nic.pool dnic)));
   List.iter
     (fun sspec ->
@@ -305,6 +279,10 @@ let create engine ~profile ~ncores ?(fault = Fault.Plan.none) ?metrics
       if Hashtbl.mem t.by_port sspec.port then
         invalid_arg
           (Printf.sprintf "Linux_stack.create: port %d taken" sspec.port);
+      let id = sspec.service.Rpc.Interface.service_id in
+      if Option.is_some (find_service t ~service_id:id) then
+        invalid_arg
+          (Printf.sprintf "Linux_stack.create: service id %d taken" id);
       Hashtbl.add t.by_port sspec.port rt;
       let proc =
         Osmodel.Kernel.new_process kern
@@ -316,14 +294,7 @@ let create engine ~profile ~ncores ?(fault = Fault.Plan.none) ?metrics
   t
 
 let ingress t frame =
-  if Obs.Tracer.is_enabled t.tracer then begin
-    let payload = frame.Net.Frame.payload in
-    match Rpc.Wire_format.check payload with
-    | Ok () when Rpc.Wire_format.is_request payload ->
-        Obs.Tracer.rpc_begin t.tracer ~rpc:(Rpc.Wire_format.rpc_id payload)
-          ~track:t.trk (Sim.Engine.now t.engine)
-    | Ok () | Error _ -> ()
-  end;
+  Rx.open_span t.tracer ~track:t.trk (Sim.Engine.now t.engine) frame;
   Nic.Dma_nic.rx_from_wire (nic t) frame
 
 let driver t =

@@ -41,8 +41,8 @@ val create :
     shard engine and the switch. [host_link] is every host port's wire
     (default 1 µs latency, 100 ns tx) unless [host_links] gives a
     per-host array; [uplink] is the client-facing port (default 500 ns
-    latency, 50 ns tx). The switch forwards with its default
-    [fwd_delay]. [metrics] is handed to
+    latency, 50 ns tx). The switch forwards one frame per port per
+    300 ns. [metrics] is handed to
     {!Switch.create} so the switch counters land on a caller-owned
     registry.
 

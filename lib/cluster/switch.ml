@@ -16,7 +16,7 @@
 
    Downstream of admission everything is FIFO, so the (arrival-time,
    port) order is preserved: each ingress queue serves heads in order,
-   one per [fwd_delay]; same-instant crossbar completions reach the
+   one per [fwd_delay] (300 ns); same-instant crossbar completions reach the
    egress queues in admission order; each egress transmitter
    serializes one frame per [tx] and fires [deliver] at transmit
    complete. Every loss path is counted, never silent.
@@ -61,7 +61,6 @@ type t = {
   ports : port_conf array;
   cap_in : int;
   cap_out : int;
-  fwd_delay : Sim.Units.duration;
   route : Net.Frame.t -> int option;
   deliver : port:int -> Net.Frame.t -> unit;
   (* this instant's arrivals, per ingress port, awaiting the sweep *)
@@ -158,6 +157,9 @@ let[@hot_path] egress_enqueue t ~port frame =
     ignore (Sim.Engine.schedule_at t.engine ~at:finish t.transmit.(port))
   end
 
+(* The crossbar's per-frame forwarding time. *)
+let fwd_delay = Sim.Units.ns 300
+
 (* Crossbar service of one ingress port: forward the head-of-line
    frame after [fwd_delay], then keep going while the queue is
    non-empty. The head stays queued (occupying its slot) until its
@@ -173,7 +175,7 @@ let[@hot_path] kick t p =
       match t.brownout with None -> now | Some f -> past_windows f now
     in
     ignore
-      (Sim.Engine.schedule_at t.engine ~at:(start + t.fwd_delay)
+      (Sim.Engine.schedule_at t.engine ~at:(start + fwd_delay)
          t.forward.(p))
   end
 
@@ -239,13 +241,12 @@ let[@hot_path] ingress t ~port frame =
     ignore (Sim.Engine.schedule_at t.engine ~at:now t.sweep)
   end
 
-let create engine ~ports ?(cap_in = 64) ?(cap_out = 64)
-    ?(fwd_delay = Sim.Units.ns 300) ?metrics ~route ~deliver () =
+let create engine ~ports ?(cap_in = 64) ?(cap_out = 64) ?metrics ~route
+    ~deliver () =
   let n = Array.length ports in
   if n = 0 then invalid_arg "Switch.create: no ports";
   if cap_in <= 0 || cap_out <= 0 then
     invalid_arg "Switch.create: non-positive queue capacity";
-  if fwd_delay <= 0 then invalid_arg "Switch.create: non-positive fwd_delay";
   Array.iter
     (fun p ->
       if p.tx <= 0 || p.latency <= 0 then
@@ -261,7 +262,6 @@ let create engine ~ports ?(cap_in = 64) ?(cap_out = 64)
       ports;
       cap_in;
       cap_out;
-      fwd_delay;
       route;
       deliver;
       staged = fifos ();

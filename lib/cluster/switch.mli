@@ -4,7 +4,7 @@
     switch, each behind a wire with its own latency and a per-frame
     serialization (transmit) time. A frame entering at {!ingress}
     traverses: a finite per-port ingress FIFO, a crossbar that forwards
-    one head-of-line frame per port per [fwd_delay], the routed output
+    one head-of-line frame per port per 300 ns, the routed output
     port's finite egress FIFO, and finally that port's transmitter —
     at which point [deliver] fires and the caller carries the frame
     over the port's wire (e.g. across a {!Sim.Shard_engine} boundary).
@@ -76,15 +76,14 @@ val create :
   ports:port_conf array ->
   ?cap_in:int ->
   ?cap_out:int ->
-  ?fwd_delay:Sim.Units.duration ->
   ?metrics:Obs.Metrics.t ->
   route:(Net.Frame.t -> int option) ->
   deliver:(port:int -> Net.Frame.t -> unit) ->
   unit ->
   t
 (** [cap_in]/[cap_out] bound the per-port ingress/egress queues in
-    frames (defaults 64); [fwd_delay] is the crossbar's per-frame
-    forwarding time (default 300 ns). [route] maps a frame to its
+    frames (defaults 64); the crossbar forwards one frame per port per
+    300 ns. [route] maps a frame to its
     output port ([None], or a port out of range, counts as
     unroutable); it runs once per frame, so a [route] that answers
     preallocated options keeps the frame path allocation-free. [deliver] fires on the

@@ -62,11 +62,15 @@ and worker = {
   mutable loop : unit -> unit;  (* re-park *)
 }
 
-(* The NIC's one record per service: its workers, its admission gate
-   and its section 6 statistics. *)
+(* The NIC's one record per service, registered by the kernel and
+   found by destination port: what dispatch needs (the schemas, the
+   per-method code pointers and the data pointer), its workers, its
+   admission gate and its section 6 statistics. *)
 and service_rt = {
   sspec : service_spec;
   sproc : Osmodel.Proc.process;
+  code_ptrs : int64 array;  (* indexed by method id *)
+  data_ptr : int64;
   mutable workers : worker array;
   mutable active_count : int;
   limbo : Message.request Queue.t;
@@ -96,11 +100,11 @@ type t = {
   kern : Osmodel.Kernel.t;
   ha : Coherence.Home_agent.t;
   smirror : Sched_mirror.t option;  (* [None] under a Static binding *)
-  dmx : Demux.t;
+  by_port : (int, service_rt) Hashtbl.t;  (* the NIC's dispatch table *)
   egress : Net.Frame.t -> unit;
   counters : Sim.Counter.group;
   inflight : (int64, inflight) Hashtbl.t;
-  services : (int, service_rt) Hashtbl.t;
+  services : (int, service_rt) Hashtbl.t;  (* by service id *)
   mutable dispatchers : dispatcher array;
   parked_eps : (int, Endpoint.t) Hashtbl.t;  (* tid -> endpoint *)
   metrics : Obs.Metrics.t;
@@ -218,8 +222,8 @@ let nested_cont_of rpc_id =
   then Some (Int64.to_int (Int64.logand rpc_id 0xffff_ffffL))
   else None
 
-(* [Hashtbl.find] rather than [find_opt]: the per-RPC lookup allocates
-   no option. *)
+(* A local service by id, off the request path ([nic_rx] finds a
+   request's service once, by port). *)
 let service_rt t service_id =
   match Hashtbl.find t.services service_id with
   | sv -> sv
@@ -400,9 +404,9 @@ and tx_emit t ~cont ~service_id ~method_id ~dst body =
 and on_tx_line t image =
   match Message.decode image with
   | Ok (Message.Request r) -> (
-      match Demux.port_of_service t.dmx ~service_id:r.Message.service_id with
-      | None -> Sim.Counter.incr (ctr t "tx_line_no_service")
-      | Some port ->
+      match Hashtbl.find t.services r.Message.service_id with
+      | exception Not_found -> Sim.Counter.incr (ctr t "tx_line_no_service")
+      | sv ->
           Sim.Counter.incr (ctr t "tx_line_sends");
           let cont =
             match nested_cont_of r.Message.rpc_id with
@@ -411,7 +415,7 @@ and on_tx_line t image =
           in
           tx_emit t ~cont ~service_id:r.Message.service_id
             ~method_id:r.Message.method_id
-            ~dst:{ (self_address t) with Net.Frame.port }
+            ~dst:{ (self_address t) with Net.Frame.port = sv.sspec.port }
             (Net.Slice.to_bytes r.Message.inline_args))
   | Ok (Message.Kernel_dispatch _ | Message.Tryagain | Message.Retire)
   | Error _ ->
@@ -424,8 +428,8 @@ and on_tx_line t image =
    6: "rapidly create a dedicated end-point for an RPC reply"). *)
 and nested_call t w ~service_id ~method_id v k =
   let dst =
-    match Demux.port_of_service t.dmx ~service_id with
-    | Some port -> Some { (self_address t) with Net.Frame.port }
+    match Hashtbl.find_opt t.services service_id with
+    | Some sv -> Some { (self_address t) with Net.Frame.port = sv.sspec.port }
     | None -> (
         match Hashtbl.find_opt t.remotes service_id with
         | Some r -> Some r.server
@@ -629,10 +633,9 @@ let nack t ~rpc_id ~service_id ~request ~code =
          t.egress frame))
 
 (* The request's body is the frame's payload from [body_off] on. *)
-let dispatch_request t (entry : Demux.entry) frame ~rpc_id ~body_off
+let dispatch_request t sv frame ~rpc_id ~body_off
     (mdef : Rpc.Interface.method_def) args =
-  let service_id = entry.Demux.service.Rpc.Interface.service_id in
-  let sv = service_rt t service_id in
+  let service_id = service_id_of sv in
   if Hashtbl.mem t.inflight rpc_id then
     Sim.Counter.incr (ctr t "duplicate_rpc_id")
   else if not (nic_alive t sv) then begin
@@ -662,9 +665,8 @@ let dispatch_request t (entry : Demux.entry) frame ~rpc_id ~body_off
         Message.rpc_id;
         service_id;
         method_id = mdef.Rpc.Interface.method_id;
-        code_ptr =
-          Demux.code_ptr entry ~method_id:mdef.Rpc.Interface.method_id;
-        data_ptr = entry.Demux.data_ptr;
+        code_ptr = sv.code_ptrs.(mdef.Rpc.Interface.method_id);
+        data_ptr = sv.data_ptr;
         total_args = arg_bytes;
         inline_args = Net.Slice.make payload ~off:body_off ~len:inline_len;
         aux_count;
@@ -747,11 +749,11 @@ let nic_rx t frame =
       let rpc_id = Rpc.Wire_format.rpc_id payload in
       if Rpc.Wire_format.is_request payload then begin
         span_stage t ~rpc:rpc_id "mac";
-        match Demux.find t.dmx ~port:frame.Net.Frame.udp.Net.Udp.dst_port with
+        match Hashtbl.find t.by_port frame.Net.Frame.udp.Net.Udp.dst_port with
         | exception Not_found -> Sim.Counter.incr (ctr t "rx_no_service")
-        | entry -> (
+        | sv -> (
             match
-              Rpc.Interface.method_by_id entry.Demux.service
+              Rpc.Interface.method_by_id sv.sspec.service
                 (Rpc.Wire_format.method_id payload)
             with
             | exception Not_found -> Sim.Counter.incr (ctr t "rx_no_method")
@@ -774,8 +776,8 @@ let nic_rx t frame =
                          (fun () ->
                            pipeline_details t ~rpc:rpc_id frame ~body_off args;
                            span_stage t ~rpc:rpc_id "nic_pipeline";
-                           dispatch_request t entry frame ~rpc_id ~body_off
-                             mdef args))))
+                           dispatch_request t sv frame ~rpc_id ~body_off mdef
+                             args))))
       end
       else
         (* A response from a remote machine to one of our nested calls. *)
@@ -1069,7 +1071,7 @@ let create engine ~cfg ~ncores ?(binding = Os_integrated)
       kern;
       ha;
       smirror;
-      dmx = Demux.create ();
+      by_port = Hashtbl.create 64;
       egress;
       counters = Sim.Counter.group (name_of_binding binding);
       inflight = Hashtbl.create 4096;
@@ -1194,6 +1196,12 @@ let create engine ~cfg ~ncores ?(binding = Os_integrated)
   List.iteri
     (fun i sspec ->
       let svc = sspec.service in
+      if Hashtbl.mem t.by_port sspec.port then
+        invalid_arg (Printf.sprintf "Stack.create: port %d taken" sspec.port);
+      if Hashtbl.mem t.services svc.Rpc.Interface.service_id then
+        invalid_arg
+          (Printf.sprintf "Stack.create: service id %d taken"
+             svc.Rpc.Interface.service_id);
       let affinity =
         match binding with
         | Static -> Some (i mod ncores)
@@ -1206,6 +1214,13 @@ let create engine ~cfg ~ncores ?(binding = Os_integrated)
         {
           sspec;
           sproc;
+          code_ptrs =
+            fresh_code_ptrs
+              (List.fold_left
+                 (fun acc m -> max acc (m.Rpc.Interface.method_id + 1))
+                 1 svc.Rpc.Interface.methods);
+          data_ptr =
+            Int64.of_int (0x7000_0000 + (sproc.Osmodel.Proc.pid * 0x10000));
           workers = [||];
           active_count = 0;
           limbo = Queue.create ();
@@ -1278,24 +1293,8 @@ let create engine ~cfg ~ncores ?(binding = Os_integrated)
             w)
       in
       sv.workers <- workers;
-      let code_ptrs =
-        fresh_code_ptrs
-          (List.fold_left
-             (fun acc m -> max acc (m.Rpc.Interface.method_id + 1))
-             1 svc.Rpc.Interface.methods)
-      in
-      let data_ptr =
-        Int64.of_int (0x7000_0000 + (sproc.Osmodel.Proc.pid * 0x10000))
-      in
-      Hashtbl.replace t.services svc.Rpc.Interface.service_id sv;
-      Demux.bind t.dmx ~port:sspec.port
-        {
-          Demux.service = svc;
-          pid = sproc.Osmodel.Proc.pid;
-          endpoint = workers.(0).wep;
-          code_ptrs;
-          data_ptr;
-        };
+      Hashtbl.add t.services svc.Rpc.Interface.service_id sv;
+      Hashtbl.add t.by_port sspec.port sv;
       (* Hot services start with min_workers already parked. *)
       for i = 0 to sspec.min_workers - 1 do
         workers.(i).active <- true;
@@ -1370,7 +1369,7 @@ let tracer t = t.tracer
 let set_address t address = t.address <- Some address
 
 let add_remote_service t ~service_id ~server ~response_schema =
-  if Option.is_some (Demux.port_of_service t.dmx ~service_id) then
+  if Hashtbl.mem t.services service_id then
     invalid_arg "Stack.add_remote_service: service is local";
   Hashtbl.replace t.remotes service_id { server; response_schema }
 let dispatcher_count t = Array.length t.dispatchers

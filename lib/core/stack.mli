@@ -67,10 +67,11 @@ val create :
   ?mirror_mode:Sched_mirror.mode -> ?fault:Fault.Plan.t ->
   ?metrics:Obs.Metrics.t -> ?tracer:Obs.Tracer.t -> ?sanitize:Sanitize.t ->
   services:service_spec list -> egress:(Net.Frame.t -> unit) -> unit -> t
-(** Builds kernel (default costs), home agent, endpoints, demux table,
-    mirror, two dispatcher kernel threads and service worker threads;
-    services with [min_workers > 0] start with that many workers
-    already parked (hot services).
+(** Builds kernel (default costs), home agent, endpoints, the NIC's
+    dispatch table (one record per service, found by port), mirror,
+    two dispatcher kernel threads and service worker threads; services
+    with [min_workers > 0] start with that many workers already parked
+    (hot services).
 
     [binding] defaults to [Os_integrated]. Under [Static], there are
     no dispatchers, [mirror_mode] is ignored and every spec must have
@@ -99,8 +100,9 @@ val create :
     discipline ({!Sanitize.Coherence_watch}) and scheduler-mirror
     convergence plus swept-pid dispatch checks
     ({!Sanitize.Mirror_watch}).
-    @raise Invalid_argument if [services] is empty, or if a spec has
-    more or fewer than one worker under [Static]. *)
+    @raise Invalid_argument if [services] is empty, if two specs share
+    a port or a service id, or if a spec has more or fewer than one
+    worker under [Static]. *)
 
 val ingress : t -> Net.Frame.t -> unit
 (** Connect as the wire's deliver callback. *)

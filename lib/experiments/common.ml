@@ -51,9 +51,9 @@ let sanitize_env_enabled () =
    frame crossing the server's edge — ingress requests and egress
    responses — e.g. for pcap capture. The server's tracer starts
    disabled; enable it to collect per-RPC stage spans. *)
-let make_server ?(ncores = 8) ?(min_workers = 1) ?(max_workers = 2)
-    ?(linux_threads = 2) ?engine ?(fault = Fault.Plan.none) ?egress ?tap
-    ?metrics ?sanitize ?steering flavour setup =
+let make_server ?(ncores = 8) ?(min_workers = 1) ?(max_workers = 2) ?engine
+    ?(fault = Fault.Plan.none) ?egress ?tap ?metrics ?sanitize ?steering
+    flavour setup =
   (match (steering, flavour) with
   | Some _, (Lauberhorn _ | Linux _ | Static _) ->
       invalid_arg
@@ -114,7 +114,7 @@ let make_server ?(ncores = 8) ?(min_workers = 1) ?(max_workers = 2)
             ~services:
               (List.mapi
                  (fun i def ->
-                   Baseline.Linux_stack.spec ~threads:linux_threads
+                   Baseline.Linux_stack.spec
                      ~port:setup.Workload.Scenario.ports.(i) def)
                  setup.Workload.Scenario.defs)
             ~egress ()

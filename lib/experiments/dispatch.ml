@@ -9,8 +9,11 @@
    same fast path when the NIC cannot mirror scheduling state and must
    query the host per dispatch. *)
 
-let one_shot_latency ?(spacing = Sim.Units.ms 1) ?(shots = 200) ~min_workers
-    ~cfg mirror_mode =
+(* 200 one-shot requests, 1 ms apart. *)
+let spacing = Sim.Units.ms 1
+let shots = 200
+
+let one_shot_latency ~min_workers ~cfg mirror_mode =
   let setup = Workload.Scenario.echo_fleet ~n:1 () in
   let server =
     Common.make_server ~ncores:4 ~min_workers
@@ -27,7 +30,7 @@ let one_shot_latency ?(spacing = Sim.Units.ms 1) ?(shots = 200) ~min_workers
   let m = Common.measure ~name:"lauberhorn" ~horizon server in
   (m, server)
 
-let linux_one_shot ?(spacing = Sim.Units.ms 1) ?(shots = 200) () =
+let linux_one_shot () =
   let setup = Workload.Scenario.echo_fleet ~n:1 () in
   let server =
     Common.make_server ~ncores:4

@@ -9,7 +9,7 @@ type t = {
          its previous owner (ABA), and a call's timer acts only while
          its slot still holds its epoch *)
   mutable next_epoch : int;
-  schemas : (int * int, Rpc.Schema.t) Hashtbl.t;
+  schemas : (int, Rpc.Schema.t) Hashtbl.t;  (* keyed by [schema_key] *)
   rng : Sim.Rng.t;  (* backoff jitter; only drawn when jitter > 0 *)
   mutable sent : int;
   mutable completed : int;
@@ -59,15 +59,12 @@ let current t id =
 (* Free [cont]: its call completed, failed or was abandoned. *)
 let retire t cont = t.epochs.(cont) <- 0
 
-let create engine ~send ?endpoint ?(seed = 0x7e7) ?metrics () =
-  let endpoint =
-    match endpoint with Some e -> e | None -> Traffic.client_endpoint ()
-  in
+let create engine ~send ?(seed = 0x7e7) ?metrics () =
   let t =
     {
       engine;
       send;
-      endpoint;
+      endpoint = Traffic.client_endpoint ();
       continuations = Rpc.Continuation.create ();
       epochs = Array.make 64 0;
       next_epoch = 1;
@@ -94,8 +91,14 @@ let create engine ~send ?endpoint ?(seed = 0x7e7) ?metrics () =
       Obs.Metrics.derive m "client_duplicates" (fun () -> t.duplicates));
   t
 
+(* One int per (service, method): method ids are u16 on the wire, so
+   the reply path's lookup allocates no tuple. *)
+let schema_key ~service_id ~method_id = (service_id lsl 16) lor method_id
+
 let expect t ~service_id ~method_id schema =
-  Hashtbl.replace t.schemas (service_id, method_id) schema
+  if method_id < 0 || method_id > 0xffff then
+    invalid_arg "Client.expect: method id outside u16";
+  Hashtbl.replace t.schemas (schema_key ~service_id ~method_id) schema
 
 (* Exponential growth saturates well below max_int so the float->int
    conversion stays exact-enough and never overflows. *)
@@ -222,8 +225,9 @@ let on_reply t frame =
             let pos = Rpc.Wire_format.body_offset payload in
             let len = Bytes.length payload - pos in
             let key =
-              ( Rpc.Wire_format.service_id payload,
-                Rpc.Wire_format.method_id payload )
+              schema_key
+                ~service_id:(Rpc.Wire_format.service_id payload)
+                ~method_id:(Rpc.Wire_format.method_id payload)
             in
             let value =
               match Hashtbl.find t.schemas key with

@@ -11,9 +11,8 @@ type t
 
 val create :
   Sim.Engine.t -> send:(Net.Frame.t -> unit) ->
-  ?endpoint:Net.Frame.endpoint -> ?seed:int -> ?metrics:Obs.Metrics.t ->
-  unit -> t
-(** [seed] feeds the backoff-jitter stream (drawn from only when a call
+  ?seed:int -> ?metrics:Obs.Metrics.t -> unit -> t
+(** Calls come from {!Traffic.client_endpoint}. [seed] feeds the backoff-jitter stream (drawn from only when a call
     uses [jitter > 0]).
 
     With [metrics], the client's tallies register as [client_*] derived
@@ -67,7 +66,8 @@ val duplicates : t -> int
     an already-completed call, or late replies to abandoned ids. *)
 
 val expect : t -> service_id:int -> method_id:int -> Rpc.Schema.t -> unit
-(** Register the response schema of a method (clients know the IDL). *)
+(** Register the response schema of a method (clients know the IDL).
+    @raise Invalid_argument if [method_id] does not fit the wire's u16. *)
 
 val on_reply : t -> Net.Frame.t -> unit
 (** Connect to the server's egress: filters and consumes responses

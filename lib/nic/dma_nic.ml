@@ -182,6 +182,9 @@ let rss_queue t frame = Rss.queue_of_frame t.rss frame
 let nqueues t = Array.length t.queues
 let rx_ring t ~queue:q = (queue t q).ring
 
+let rx_pending t =
+  Array.fold_left (fun n q -> n + Ring.occupancy q.ring) 0 t.queues
+
 (* Driver-side receive: parse the oldest descriptor's bytes in place,
    hand the zero-copy view to [f], then return the buffer to the pool
    before the view can escape misuse (the view is only valid inside

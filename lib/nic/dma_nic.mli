@@ -76,6 +76,10 @@ val rx_ring : t -> queue:int -> Net.Slice.t Ring.t
     consuming the ring directly makes the caller responsible for
     returning each view's buffer via {!pool}. *)
 
+val rx_pending : t -> int
+(** Completed receive descriptors not yet consumed, over every queue:
+    the pool buffers the rings hold. *)
+
 val consume : t -> queue:int -> (Net.Frame.view -> 'a) -> 'a option
 (** Take the oldest completed descriptor, parse its bytes in place, and
     apply the callback to the zero-copy view. The backing buffer is

@@ -143,9 +143,10 @@ let key_affinity ?(name = "key_affinity") ~key_off ~key_len ~lanes () =
     on_dead = None;
   }
 
-(* Payloads up to [fast_cutoff] bytes hash across the [fast_lanes] fast
-   lanes; bigger requests go to [slow_queue]. *)
-let size_split ?(fast_cutoff = 128) ~fast_lanes ~slow_queue () =
+(* Payloads up to 128 bytes hash across the [fast_lanes] fast lanes;
+   bigger requests go to [slow_queue]. *)
+let size_split ~fast_lanes ~slow_queue () =
+  let fast_cutoff = 128 in
   {
     name = "size_split";
     rules =

@@ -3,7 +3,8 @@
 
     [recv] charges one syscall and blocks the calling thread when the
     queue is empty; [enqueue] (kernel context) wakes the oldest waiter.
-    Payloads are type-parametric ([Net.Frame.t] in the Linux baseline). *)
+    Payloads are type-parametric (the decoded datagram in the Linux
+    baseline). *)
 
 type 'a t
 

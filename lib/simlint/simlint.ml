@@ -43,7 +43,8 @@ let rules_for_path path =
     let poly_compare =
       in_lib
       && (has_segment path "core" || has_segment path "coherence"
-         || has_segment path "net" || has_segment path "sim")
+         || has_segment path "net" || has_segment path "sim"
+         || has_segment path "baseline" || has_segment path "harness")
     in
     let obs_gating =
       in_lib && (has_segment path "sim" || has_segment path "cluster")
@@ -641,8 +642,8 @@ let check_structure ctx (str : structure) =
   let it = { Ast_iterator.default_iterator with expr; structure_item } in
   it.structure it str
 
-let check_source ?rules ~path source =
-  let rules = match rules with Some r -> r | None -> rules_for_path path in
+let check_source ~path source =
+  let rules = rules_for_path path in
   if Filename.check_suffix path ".mli" then []
   else begin
     let lexbuf = Lexing.from_string source in
@@ -673,7 +674,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let check_file ?rules path = check_source ?rules ~path (read_file path)
+let check_file path = check_source ~path (read_file path)
 
 let rec walk acc path =
   if Sys.is_directory path then begin

@@ -7,7 +7,7 @@
       any [self_init]), [Unix.*], [Sys.time], randomized hash tables.
       Seeded randomness belongs in [lib/fault] plans and [Sim.Rng].
     - {b polymorphic-compare} ([lib/core], [lib/coherence], [lib/net],
-      [lib/sim]): no structural [=]/[<>]/[compare]/[Hashtbl.hash], and
+      [lib/sim], [lib/baseline], [lib/harness]): no structural [=]/[<>]/[compare]/[Hashtbl.hash], and
       no [List.mem]/[List.assoc]-family calls that smuggle one in.
       Comparison against a literal constant ([0], ['c'], [1L], [true])
       is exempt — the compiler specializes those to immediate
@@ -70,20 +70,10 @@ type finding = {
 
 val pp_finding : Format.formatter -> finding -> unit
 
-type rules = {
-  nondet : bool;
-  poly_compare : bool;
-  hot_path : bool;
-  pool : bool;
-  obs_gating : bool;
-  fault_seam : bool;
-  steer_seam : bool;
-}
-
-val check_source : ?rules:rules -> path:string -> string -> finding list
-(** Lint one compilation unit given as a string. [rules] defaults to
-    the rule set the project applies at [path] (see module doc).
-    Findings come back in source order.
+val check_source : path:string -> string -> finding list
+(** Lint one compilation unit given as a string, with the rule set the
+    project applies at [path] (see module doc). Findings come back in
+    source order.
     @raise Syntaxerr.Error (or other parser exceptions) on unparsable
     input. *)
 

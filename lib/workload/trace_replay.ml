@@ -54,11 +54,10 @@ let save ~path events =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (to_csv events))
 
-let synthesize rng ~duration ~rate_per_s ~services ?(zipf_s = 0.) ?sizes () =
+let synthesize rng ~duration ~rate_per_s ~services ?(zipf_s = 0.) () =
   if rate_per_s <= 0. then
     invalid_arg "Trace_replay.synthesize: rate <= 0";
   if services <= 0 then invalid_arg "Trace_replay.synthesize: services <= 0";
-  let sizes = match sizes with Some s -> s | None -> Rpc_mix.small_rpc_sizes in
   let mean_gap = 1e9 /. rate_per_s in
   let rec go now acc =
     let gap = max 1 (int_of_float (Sim.Rng.exponential rng ~mean:mean_gap)) in
@@ -69,7 +68,7 @@ let synthesize rng ~duration ~rate_per_s ~services ?(zipf_s = 0.) ?sizes () =
         if zipf_s > 0. then Dist.zipf rng ~n:services ~s:zipf_s
         else Sim.Rng.int rng ~bound:services
       in
-      let bytes = Dist.sample_int sizes rng in
+      let bytes = Dist.sample_int Rpc_mix.small_rpc_sizes rng in
       go now ({ at = now; service_idx; bytes } :: acc)
   in
   go 0 []

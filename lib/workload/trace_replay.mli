@@ -33,10 +33,9 @@ val save : path:string -> event list -> unit
 
 val synthesize :
   Sim.Rng.t -> duration:Sim.Units.duration -> rate_per_s:float ->
-  services:int -> ?zipf_s:float -> ?sizes:Dist.t -> unit -> event list
+  services:int -> ?zipf_s:float -> unit -> event list
 (** Generate a trace with Poisson arrivals, optional Zipf service
-    popularity, and the given size distribution (default
-    {!Rpc_mix.small_rpc_sizes}). *)
+    popularity, and sizes drawn from {!Rpc_mix.small_rpc_sizes}. *)
 
 val replay :
   Sim.Engine.t -> ?offset:Sim.Units.duration -> event list ->

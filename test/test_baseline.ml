@@ -183,37 +183,49 @@ let test_bypass_no_interrupts () =
   checki "no interrupts ever" 0
     (Nic.Dma_nic.interrupts_fired (Baseline.Bypass_stack.nic stack))
 
-(* Both baseline stacks refuse a second service on a taken port, as
-   [Demux.bind] does on the Lauberhorn side, rather than silently
-   dropping the first. *)
+(* All three stacks refuse a second service on a taken port or a
+   taken service id, rather than silently keeping one of the two. *)
 let test_duplicate_port_rejected () =
   let engine = Sim.Engine.create () in
   let egress _ = () in
   let profile = Coherence.Interconnect.pcie_enzian in
-  let raises f =
-    match f () with _ -> false | exception Invalid_argument _ -> true
+  let rejects name mk =
+    List.iter
+      (fun (case, (port2, id2)) ->
+        let services =
+          [ (7000, Rpc.Interface.echo_service ~id:1);
+            (port2, Rpc.Interface.echo_service ~id:id2) ]
+        in
+        checkb (name ^ " rejects a taken " ^ case) true
+          (match mk services with
+          | () -> false
+          | exception Invalid_argument _ -> true))
+      [ ("port", (7000, 2)); ("service id", (7001, 1)) ]
   in
-  checkb "bypass rejects" true
-    (raises (fun () ->
-         Baseline.Bypass_stack.create engine ~profile ~ncores:2 ~egress
+  rejects "bypass" (fun services ->
+      ignore
+        (Baseline.Bypass_stack.create engine ~profile ~ncores:2 ~egress
            ~services:
-             [
-               Baseline.Bypass_stack.spec ~port:7000
-                 (Rpc.Interface.echo_service ~id:1);
-               Baseline.Bypass_stack.spec ~port:7000
-                 (Rpc.Interface.echo_service ~id:2);
-             ]
+             (List.map
+                (fun (port, svc) -> Baseline.Bypass_stack.spec ~port svc)
+                services)
            ()));
-  checkb "linux rejects" true
-    (raises (fun () ->
-         Baseline.Linux_stack.create engine ~profile ~ncores:2 ~egress
+  rejects "linux" (fun services ->
+      ignore
+        (Baseline.Linux_stack.create engine ~profile ~ncores:2 ~egress
            ~services:
-             [
-               Baseline.Linux_stack.spec ~port:7000
-                 (Rpc.Interface.echo_service ~id:1);
-               Baseline.Linux_stack.spec ~port:7000
-                 (Rpc.Interface.echo_service ~id:2);
-             ]
+             (List.map
+                (fun (port, svc) -> Baseline.Linux_stack.spec ~port svc)
+                services)
+           ()));
+  rejects "lauberhorn" (fun services ->
+      ignore
+        (Lauberhorn.Stack.create engine ~cfg:Lauberhorn.Config.enzian
+           ~ncores:2 ~egress
+           ~services:
+             (List.map
+                (fun (port, svc) -> Lauberhorn.Stack.spec ~port svc)
+                services)
            ()))
 
 let () =

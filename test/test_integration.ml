@@ -317,11 +317,12 @@ let test_lossy_runs_complete () =
         (Lauberhorn.Config.enzian, Lauberhorn.Sched_mirror.Push);
     ]
 
-(* Nothing reachable from the wire may raise: a request whose Blob
-   length prefix is hostile (negative after [Int64.to_int], or max_int
-   so that the end offset overflows) is one counted [rx_bad_args] drop
-   on every server flavour. *)
-let test_hostile_length_prefix () =
+(* Nothing reachable from the wire may raise: every malformed request
+   is exactly one named drop, with the same name on every server
+   flavour. A Blob length prefix that is hostile (negative after
+   [Int64.to_int], or max_int so that the end offset overflows) is an
+   [rx_bad_args]. *)
+let test_malformed_requests_are_named_drops () =
   let flavours =
     [
       Experiments.Common.Lauberhorn
@@ -331,23 +332,34 @@ let test_hostile_length_prefix () =
       Experiments.Common.Bypass Coherence.Interconnect.pcie_enzian;
     ]
   in
-  let bodies =
+  let drops = [ "rx_bad_rpc"; "rx_no_service"; "rx_no_method"; "rx_bad_args" ] in
+  let bad_magic b =
+    Bytes.set b 0 '\x00';
+    b
+  in
+  (* (case, expected drop, port offset, method id, body, mangling) *)
+  let cases =
     [
-      "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01";
-      "\xff\xff\xff\xff\xff\xff\xff\xff\x3f";
+      ("bad magic", "rx_bad_rpc", 0, 0, "\x01\x00", bad_magic);
+      ("unknown method", "rx_no_method", 0, 9, "\x01\x00", Fun.id);
+      ("unbound port", "rx_no_service", 1000, 0, "\x01\x00", Fun.id);
+      ( "negative length prefix", "rx_bad_args", 0, 0,
+        "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", Fun.id );
+      ( "overflowing length prefix", "rx_bad_args", 0, 0,
+        "\xff\xff\xff\xff\xff\xff\xff\xff\x3f", Fun.id );
     ]
   in
   List.iter
     (fun flavour ->
       List.iter
-        (fun body ->
+        (fun (case, expected, port_offset, method_id, body, mangle) ->
           let setup = Workload.Scenario.echo_fleet ~n:1 () in
           let server = Experiments.Common.make_server ~ncores:4 flavour setup in
           let wire =
             {
               Rpc.Wire_format.rpc_id = 1L;
               service_id = Workload.Scenario.service_id_of setup ~service_idx:0;
-              method_id = 0;
+              method_id;
               kind = Rpc.Wire_format.Request;
               ctx = None;
               body = Bytes.of_string body;
@@ -358,20 +370,26 @@ let test_hostile_length_prefix () =
               ~src:(Harness.Traffic.client_endpoint ())
               ~dst:
                 (Harness.Traffic.server_endpoint
-                   ~port:(Workload.Scenario.port_of setup ~service_idx:0))
-              (Rpc.Wire_format.encode wire)
+                   ~port:
+                     (Workload.Scenario.port_of setup ~service_idx:0
+                     + port_offset))
+              (mangle (Rpc.Wire_format.encode wire))
           in
           let driver = server.Experiments.Common.driver in
           driver.Harness.Driver.ingress frame;
           Sim.Engine.run server.Experiments.Common.engine
             ~until:(Sim.Units.ms 1);
-          checki
-            (Experiments.Common.flavour_name flavour ^ ": one rx_bad_args")
-            1
-            (Sim.Counter.value
-               (Sim.Counter.counter driver.Harness.Driver.counters
-                  "rx_bad_args")))
-        bodies)
+          List.iter
+            (fun drop ->
+              checki
+                (Printf.sprintf "%s, %s: %s"
+                   (Experiments.Common.flavour_name flavour)
+                   case drop)
+                (if String.equal drop expected then 1 else 0)
+                (Sim.Counter.value
+                   (Sim.Counter.counter driver.Harness.Driver.counters drop)))
+            drops)
+        cases)
     flavours
 
 (* Every experiment section is gated: the ids in [Sections.all] are
@@ -416,8 +434,8 @@ let () =
         ] );
       ( "robustness",
         [
-          Alcotest.test_case "hostile length prefix is a counted drop" `Quick
-            test_hostile_length_prefix;
+          Alcotest.test_case "malformed requests are named drops" `Quick
+            test_malformed_requests_are_named_drops;
         ] );
       ( "sections",
         [

@@ -105,12 +105,16 @@ let test_poly_list_mem () =
   checki "List.mem flagged" 1 (count "polymorphic-compare" fs)
 
 let test_poly_scoped_to_core_dirs () =
-  (* The poly rule applies to lib/{core,coherence,net,sim} only. *)
+  (* The poly rule applies to lib/{core,coherence,net,sim,baseline,
+     harness} only. *)
   let src = "let same a b = a = b\n" in
-  checki "not applied in lib/harness" 0
-    (count "polymorphic-compare" (lint ~path:"lib/harness/chaos.ml" src));
-  checki "applied in lib/net" 1
-    (count "polymorphic-compare" (lint ~path:"lib/net/frame.ml" src))
+  checki "not applied in lib/experiments" 0
+    (count "polymorphic-compare" (lint ~path:"lib/experiments/fig2.ml" src));
+  List.iter
+    (fun path ->
+      checki ("applied in " ^ path) 1
+        (count "polymorphic-compare" (lint ~path src)))
+    [ "lib/net/frame.ml"; "lib/baseline/linux_stack.ml"; "lib/harness/chaos.ml" ]
 
 (* --- hot-path allocation discipline -------------------------------- *)
 
