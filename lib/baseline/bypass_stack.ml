@@ -16,8 +16,13 @@ type poller = {
   pidx : int;
   core : int;
   mutable pthread : Osmodel.Proc.thread;
-  mutable spin_since : Sim.Units.time option;
+  mutable spin_since : Sim.Units.time;
+      (* when the poller parked on an empty ring; [not_spinning] while
+         it is busy or dead *)
 }
+
+(* Simulated time is never negative. *)
+let not_spinning = -1
 
 (* A service port's entry in the flow table: the service and the
    poller that statically owns it. *)
@@ -81,7 +86,7 @@ let rec poll_loop t p () =
   | None ->
       (* Park the (simulated) spin: the ring's produce callback resumes
          us and we back-charge the spin window. *)
-      p.spin_since <- Some (Sim.Engine.now t.engine)
+      p.spin_since <- Sim.Engine.now t.engine
 
 and handle t p rx =
   let drop counter =
@@ -139,25 +144,23 @@ and execute t p (r : binding Rx.request) =
          end))
 
 let resume_from_spin t p () =
-  if Osmodel.Proc.is_exited p.pthread then ()
-  else
-  match p.spin_since with
-  | None -> ()
-  | Some start ->
-      p.spin_since <- None;
-      let spun = Sim.Engine.now t.engine - start in
-      (* Round up to whole poll iterations — the packet waits for the
-         current ring check to come around. *)
-      let iters = 1 + (spun / max 1 sw.Costs.poll_iteration) in
-      Osmodel.Cpu_account.charge
-        (Osmodel.Kernel.account t.kern ~core:p.core)
-        Osmodel.Cpu_account.Spin
-        (iters * sw.Costs.poll_iteration);
-      let th = p.pthread in
-      ignore
-        (Sim.Engine.schedule_after t.engine ~after:sw.Costs.poll_iteration
-           (fun () ->
-             if not (Osmodel.Proc.is_exited th) then poll_loop t p ()))
+  let start = p.spin_since in
+  if Osmodel.Proc.is_exited p.pthread || Int.equal start not_spinning then ()
+  else begin
+    p.spin_since <- not_spinning;
+    let spun = Sim.Engine.now t.engine - start in
+    (* Round up to whole poll iterations — the packet waits for the
+       current ring check to come around. *)
+    let iters = 1 + (spun / max 1 sw.Costs.poll_iteration) in
+    Osmodel.Cpu_account.charge
+      (Osmodel.Kernel.account t.kern ~core:p.core)
+      Osmodel.Cpu_account.Spin
+      (iters * sw.Costs.poll_iteration);
+    let th = p.pthread in
+    ignore
+      (Sim.Engine.schedule_after t.engine ~after:sw.Costs.poll_iteration
+         (fun () -> if not (Osmodel.Proc.is_exited th) then poll_loop t p ()))
+  end
 
 let hosts t ~service_id =
   Hashtbl.fold
@@ -266,7 +269,7 @@ let create engine ~profile ~ncores ?pollers ?(fault = Fault.Plan.none)
             ~name:(Printf.sprintf "poller%d" pidx)
             ~affinity:pidx body
         in
-        let p = { pidx; core = pidx; pthread; spin_since = None } in
+        let p = { pidx; core = pidx; pthread; spin_since = not_spinning } in
         p_ref := Some p;
         p);
   Array.iter
@@ -287,15 +290,13 @@ let flush_spin t =
   let now = Sim.Engine.now t.engine in
   Array.iter
     (fun p ->
-      match p.spin_since with
-      | None -> ()
-      | Some start ->
-          if now > start then begin
-            Osmodel.Cpu_account.charge
-              (Osmodel.Kernel.account t.kern ~core:p.core)
-              Osmodel.Cpu_account.Spin (now - start);
-            p.spin_since <- Some now
-          end)
+      let start = p.spin_since in
+      if (not (Int.equal start not_spinning)) && now > start then begin
+        Osmodel.Cpu_account.charge
+          (Osmodel.Kernel.account t.kern ~core:p.core)
+          Osmodel.Cpu_account.Spin (now - start);
+        p.spin_since <- now
+      end)
     t.pollers
 
 let check_service t ~service_id =
@@ -320,7 +321,7 @@ let kill_service t ~service_id =
     (* Close every open spin window first so the CPU ledgers account
        the time actually spent spinning before the crash. *)
     flush_spin t;
-    Array.iter (fun p -> p.spin_since <- None) t.pollers;
+    Array.iter (fun p -> p.spin_since <- not_spinning) t.pollers;
     Osmodel.Kernel.kill t.kern proc;
     Obs.Metrics.incr t.m_kills
   end
@@ -344,7 +345,7 @@ let restart_service t ~service_id =
             (fun () -> poll_loop t p ())
         in
         p.pthread <- pthread;
-        p.spin_since <- None;
+        p.spin_since <- not_spinning;
         Osmodel.Kernel.wake t.kern pthread)
       t.pollers
   end

@@ -3,8 +3,9 @@ type 'sv request = {
   rpc_id : int64;
   service_id : int;
   ctx : bytes option;
-  client : Net.Frame.endpoint;
-  server : Net.Frame.endpoint;
+  eth : Net.Ethernet.t;
+  ip : Net.Ipv4.t;
+  udp : Net.Udp.t;
   mdef : Rpc.Interface.method_def;
   args : Rpc.Value.t;
   arg_bytes : int;
@@ -46,15 +47,16 @@ let decode by_port service (v : Net.Frame.view) =
                       rpc_id;
                       service_id = Rpc.Wire_format.service_id_sub b ~off ~len;
                       ctx = Rpc.Wire_format.ctx_sub b ~off ~len;
-                      client = Net.Frame.view_src_endpoint v;
-                      server = Net.Frame.view_dst_endpoint v;
+                      eth = v.eth;
+                      ip = v.ip;
+                      udp = v.udp;
                       mdef;
                       args;
                       arg_bytes;
                     })))
 
 let reply r result =
-  Net.Frame.make ~src:r.server ~dst:r.client
+  Net.Frame.reply_to ~eth:r.eth ~ip:r.ip ~udp:r.udp
     (Rpc.Wire_format.encode_value ~kind:Rpc.Wire_format.Response ?ctx:r.ctx
        ~rpc_id:r.rpc_id ~service_id:r.service_id
        ~method_id:r.mdef.Rpc.Interface.method_id result)

@@ -11,8 +11,11 @@ type 'sv request = {
   rpc_id : int64;
   service_id : int;  (** As the header names it; the reply echoes it. *)
   ctx : bytes option;  (** The trace context, for the reply header. *)
-  client : Net.Frame.endpoint;
-  server : Net.Frame.endpoint;
+  eth : Net.Ethernet.t;
+  ip : Net.Ipv4.t;
+  udp : Net.Udp.t;
+      (** The request's headers, which the reply swaps. They are the
+          view's own records and do not alias the buffer. *)
   mdef : Rpc.Interface.method_def;
   args : Rpc.Value.t;
   arg_bytes : int;
@@ -33,8 +36,9 @@ val decode :
     [service], and decodes the arguments. Never raises. *)
 
 val reply : 'sv request -> Rpc.Value.t -> Net.Frame.t
-(** The response: the request's endpoints swapped, its ids and trace
-    context in the header, the result encoded straight into it. *)
+(** The response: the request's headers swapped by
+    {!Net.Frame.reply_to}, its ids and trace context in the RPC header,
+    the result encoded straight into it. *)
 
 val open_span :
   Obs.Tracer.t -> track:int -> Sim.Units.time -> Net.Frame.t -> unit

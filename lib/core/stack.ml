@@ -621,7 +621,8 @@ let tx_mac_delay = Sim.Units.ns 200
    silent drop from a timeout. *)
 let nack t ~rpc_id ~service_id ~request ~code =
   let frame =
-    Net.Frame.reply_to request
+    Net.Frame.reply_to ~eth:request.Net.Frame.eth ~ip:request.Net.Frame.ip
+      ~udp:request.Net.Frame.udp
       (Rpc.Wire_format.encode_body ~kind:(Rpc.Wire_format.Error_reply code)
          ?ctx:(Obs.Tracer.context_of t.tracer ~rpc:rpc_id)
          ~rpc_id ~service_id ~method_id:0 Bytes.empty)
@@ -855,7 +856,8 @@ let on_endpoint_response t line =
       (* The reply carries the request's ids: clients pick the response
          schema by (service, method). *)
       let frame =
-        Net.Frame.reply_to app.request
+        Net.Frame.reply_to ~eth:app.request.Net.Frame.eth
+          ~ip:app.request.Net.Frame.ip ~udp:app.request.Net.Frame.udp
           (Rpc.Wire_format.encode_body
              ~kind:
                (if Int.equal status 0 then Rpc.Wire_format.Response

@@ -39,15 +39,15 @@ let make ~src ~dst payload : t =
     payload;
   }
 
-(* [make ~src:(dst_endpoint r) ~dst:(src_endpoint r)], without the two
-   endpoint records. *)
-let reply_to (r : t) payload : t =
+(* [make] from the two endpoints the headers name, swapped, without
+   building the endpoint records. *)
+let reply_to ~(eth : Ethernet.t) ~(ip : Ipv4.t) ~(udp : Udp.t) payload : t =
   let payload_len = Bytes.length payload in
   {
     eth =
       {
-        Ethernet.dst = r.eth.Ethernet.src;
-        src = r.eth.Ethernet.dst;
+        Ethernet.dst = eth.Ethernet.src;
+        src = eth.Ethernet.dst;
         ethertype = Ethernet.ethertype_ipv4;
       };
     ip =
@@ -56,14 +56,14 @@ let reply_to (r : t) payload : t =
         identification = 0;
         ttl = 64;
         protocol = Ipv4.protocol_udp;
-        src = r.ip.Ipv4.dst;
-        dst = r.ip.Ipv4.src;
+        src = ip.Ipv4.dst;
+        dst = ip.Ipv4.src;
         payload_len = Udp.header_size + payload_len;
       };
     udp =
       {
-        Udp.src_port = r.udp.Udp.dst_port;
-        dst_port = r.udp.Udp.src_port;
+        Udp.src_port = udp.Udp.dst_port;
+        dst_port = udp.Udp.src_port;
         payload_len;
       };
     payload;
@@ -158,12 +158,6 @@ let src_endpoint (t : t) =
 
 let dst_endpoint (t : t) =
   { mac = t.eth.Ethernet.dst; ip = t.ip.Ipv4.dst; port = t.udp.Udp.dst_port }
-
-let view_src_endpoint (v : view) =
-  { mac = v.eth.Ethernet.src; ip = v.ip.Ipv4.src; port = v.udp.Udp.src_port }
-
-let view_dst_endpoint (v : view) =
-  { mac = v.eth.Ethernet.dst; ip = v.ip.Ipv4.dst; port = v.udp.Udp.dst_port }
 
 let pp_error ppf = function
   | Runt ->

@@ -31,8 +31,10 @@ val make : src:endpoint -> dst:endpoint -> bytes -> t
 (** A frame carrying the given UDP payload, with TTL 64 and IP
     identification 0. *)
 
-val reply_to : t -> bytes -> t
-(** [reply_to r p] is the frame carrying [p] back to [r]'s sender:
+val reply_to : eth:Ethernet.t -> ip:Ipv4.t -> udp:Udp.t -> bytes -> t
+(** [reply_to ~eth ~ip ~udp p] is the frame carrying [p] back to the
+    sender of a request with those headers (a frame's or a view's):
+    for a request [r], [reply_to ~eth:r.eth ~ip:r.ip ~udp:r.udp p] is
     [make ~src:(dst_endpoint r) ~dst:(src_endpoint r) p], with no
     endpoint record built on the way. *)
 
@@ -82,12 +84,5 @@ val of_view : view -> t
 
 val src_endpoint : t -> endpoint
 val dst_endpoint : t -> endpoint
-
-val view_src_endpoint : view -> endpoint
-(** A view's source, read from its headers: nothing in it aliases the
-    backing buffer, so it outlives the view. *)
-
-val view_dst_endpoint : view -> endpoint
-(** A view's destination, as {!view_src_endpoint}. *)
 
 val pp_error : Format.formatter -> error -> unit

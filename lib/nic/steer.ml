@@ -37,7 +37,8 @@ let field_width = function
   | Src_port | Dst_port | Length -> 2
   | Payload _ -> 1
 
-let field_value (f : Net.Frame.t) = function
+let[@hot_path] field_value (f : Net.Frame.t) field =
+  match field with
   | Src_ip -> Net.Ip_addr.to_int f.Net.Frame.ip.Net.Ipv4.src
   | Dst_ip -> Net.Ip_addr.to_int f.Net.Frame.ip.Net.Ipv4.dst
   | Src_port -> f.Net.Frame.udp.Net.Udp.src_port
@@ -47,37 +48,38 @@ let field_value (f : Net.Frame.t) = function
       let p = f.Net.Frame.payload in
       if i >= 0 && i < Bytes.length p then Char.code (Bytes.get p i) else 0
 
-let matches frame guard =
-  List.for_all
-    (fun { field; lo; hi } ->
+let[@hot_path] rec matches frame guard =
+  match guard with
+  | [] -> true
+  | { field; lo; hi } :: rest ->
       let v = field_value frame field in
-      lo <= v && v <= hi)
-    guard
+      lo <= v && v <= hi && matches frame rest
 
-(* Gather the key fields of a Hash_lane into [scratch] (big-endian per
-   field, fields in declaration order) and return the byte count. *)
-let gather_key frame key scratch =
-  let off = ref 0 in
-  List.iter
-    (fun field ->
+(* Gather the key fields of a Hash_lane into [scratch] from byte [off]
+   on (big-endian per field, fields in declaration order) and return
+   the offset just past them. *)
+let[@hot_path] rec gather_key frame key scratch off =
+  match key with
+  | [] -> off
+  | field :: rest ->
       let v = field_value frame field in
       let w = field_width field in
       for i = 0 to w - 1 do
-        Bytes.set scratch (!off + i)
+        Bytes.set scratch (off + i)
           (Char.chr ((v lsr (8 * (w - 1 - i))) land 0xff))
       done;
-      off := !off + w)
-    key;
-  !off
+      gather_key frame rest scratch (off + w)
 
 let key_width key = List.fold_left (fun a f -> a + field_width f) 0 key
 
-let rec resolve ~rss ~alive ~worker_lane ~on_dead ~scratch frame = function
+let[@hot_path] rec resolve ~rss ~alive ~worker_lane ~on_dead ~scratch frame
+    target =
+  match target with
   | Queue q -> q
   | Rss -> rss frame
   | Hash_lane { key; lanes; base } ->
-      let n = gather_key frame key scratch in
-      base + (Rss.hash (Bytes.sub scratch 0 n) mod lanes)
+      let n = gather_key frame key scratch 0 in
+      base + (Rss.hash_prefix scratch ~len:n mod lanes)
   | Worker w ->
       if alive w then worker_lane w
       else (
@@ -112,21 +114,23 @@ let eval ~rss ?(alive = fun _ -> true) ?(worker_lane = fun w -> w) t frame =
   in
   resolve ~rss ~alive ~worker_lane ~on_dead:t.on_dead ~scratch frame target
 
+(* The target of the first rule in [rules] from [i] on whose guard
+   [frame] satisfies, else [t]'s default. *)
+let[@hot_path] rec first_match t rules frame i =
+  if i >= Array.length rules then
+    match t.default with
+    | Some d -> d
+    | None ->
+        failwith (Printf.sprintf "Steer: %s: packet matched no rule" t.name)
+  else if matches frame rules.(i).guard then rules.(i).target
+  else first_match t rules frame (i + 1)
+
 let compile ~rss ?(alive = fun _ -> true) ?(worker_lane = fun w -> w) t =
   let scratch = Bytes.create (max 1 (max_key_width t)) in
   let rules = Array.of_list t.rules in
   fun frame ->
-    let rec first i =
-      if i >= Array.length rules then
-        match t.default with
-        | Some d -> d
-        | None ->
-            failwith
-              (Printf.sprintf "Steer: %s: packet matched no rule" t.name)
-      else if matches frame rules.(i).guard then rules.(i).target
-      else first (i + 1)
-    in
-    resolve ~rss ~alive ~worker_lane ~on_dead:t.on_dead ~scratch frame (first 0)
+    resolve ~rss ~alive ~worker_lane ~on_dead:t.on_dead ~scratch frame
+      (first_match t rules frame 0)
 
 (* --- shipped programs ------------------------------------------------ *)
 

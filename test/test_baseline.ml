@@ -228,6 +228,76 @@ let test_duplicate_port_rejected () =
                 services)
            ()))
 
+(* The allocation budget of one kernel-bypass RPC, set up as
+   perfbench's bypass_4k workload: 4 pollers on 4 cores behind the
+   verified rss_all steering program, one echo service with a 500 ns
+   handler, 4 KiB requests from 64 client flows at 200k requests/s.
+   About 2k RPCs run after set-up, and every minor word the run
+   allocates, arrivals included, is charged to the RPCs it completes.
+   The figure is exact for a seed, and the budget is it plus 2%.
+   Before the RSS hash was table-driven, steering ran without a
+   per-frame closure, requests kept their headers instead of two
+   endpoint records and a parked poller stopped boxing its start time,
+   this run took 360.7 words per RPC and perfbench's bypass_4k 364.1;
+   it now takes 217.0, and perfbench's bypass_4k 220.1. *)
+let bypass_words_budget = 217.0 *. 1.02
+
+let test_bypass_rpc_allocation_budget () =
+  let setup =
+    Workload.Scenario.echo_fleet ~n:1 ~handler_time:(Sim.Units.ns 500) ()
+  in
+  let port = Workload.Scenario.port_of setup ~service_idx:0 in
+  let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
+  let rss_all =
+    let env =
+      {
+        Nic.Steer_verify.queues = 4;
+        workers = 4;
+        payload_prefix = 0;
+        cost_budget = 500;
+      }
+    in
+    match Nic.Steer_verify.verify ~env Nic.Steer.rss_all with
+    | Ok v -> v
+    | Error ds -> Alcotest.failf "rss_all rejected: %s" (String.concat "; " ds)
+  in
+  let engine = Sim.Engine.create () in
+  let recorder = Harness.Recorder.create engine in
+  let stack =
+    Baseline.Bypass_stack.create engine
+      ~profile:Coherence.Interconnect.pcie_enzian ~ncores:4 ~steering:rss_all
+      ~services:
+        [ Baseline.Bypass_stack.spec ~port (List.hd setup.Workload.Scenario.defs) ]
+      ~egress:(Harness.Recorder.egress recorder)
+      ()
+  in
+  let driver = Baseline.Bypass_stack.driver stack in
+  let clients =
+    Array.init 64 (fun idx -> Harness.Traffic.client_endpoint ~idx ())
+  in
+  let flow_rng = Sim.Rng.create ~seed:2 in
+  let value = Rpc.Value.Blob (Bytes.make 4096 'w') in
+  let horizon = Sim.Units.ms 10 in
+  Workload.Arrivals.open_loop engine (Sim.Rng.create ~seed:1)
+    ~rate_per_s:200_000. ~until:horizon (fun ~seq ->
+      Harness.Traffic.inject recorder driver ~rpc_id:(Int64.of_int seq)
+        ~service_id ~method_id:0 ~port
+        ~client:clients.(Sim.Rng.int flow_rng ~bound:64)
+        value);
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  Sim.Engine.run engine ~until:(horizon + Sim.Units.ms 1);
+  let words = Gc.minor_words () -. before in
+  let completed = Harness.Recorder.completed recorder in
+  checki "every RPC completed" (Harness.Recorder.sent recorder) completed;
+  checkb "about 2k RPCs" true (completed > 1_800);
+  let per_rpc = words /. float_of_int completed in
+  checkb
+    (Printf.sprintf "%.1f minor words per RPC <= %.1f" per_rpc
+       bypass_words_budget)
+    true
+    (per_rpc <= bypass_words_budget)
+
 let () =
   Alcotest.run "baseline"
     [
@@ -255,5 +325,7 @@ let () =
           Alcotest.test_case "no interrupts" `Quick test_bypass_no_interrupts;
           Alcotest.test_case "duplicate port rejected" `Quick
             test_duplicate_port_rejected;
+          Alcotest.test_case "rpc allocation budget" `Quick
+            test_bypass_rpc_allocation_budget;
         ] );
     ]

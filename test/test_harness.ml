@@ -223,7 +223,8 @@ let test_client_failed_call_stops_its_timer () =
     if Int64.equal !first_id 0L then first_id := rpc_id;
     if Int64.equal rpc_id !first_id then
       let reply =
-        Net.Frame.reply_to frame
+        Net.Frame.reply_to ~eth:frame.Net.Frame.eth ~ip:frame.Net.Frame.ip
+          ~udp:frame.Net.Frame.udp
           (Rpc.Wire_format.encode_body ~kind:(Rpc.Wire_format.Error_reply 7)
              ~rpc_id ~service_id:(Rpc.Wire_format.service_id req)
              ~method_id:(Rpc.Wire_format.method_id req) Bytes.empty)

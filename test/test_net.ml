@@ -275,7 +275,10 @@ let reply_to_is_make_swapped =
     (QCheck.make QCheck.Gen.(quad endpoint endpoint payload payload))
     (fun (src, dst, req, rep) ->
       let r = Net.Frame.make ~src ~dst req in
-      let a = Net.Frame.reply_to r rep in
+      let a =
+        Net.Frame.reply_to ~eth:r.Net.Frame.eth ~ip:r.Net.Frame.ip
+          ~udp:r.Net.Frame.udp rep
+      in
       let b =
         Net.Frame.make ~src:(Net.Frame.dst_endpoint r)
           ~dst:(Net.Frame.src_endpoint r) rep

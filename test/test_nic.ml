@@ -138,6 +138,30 @@ let test_toeplitz_zero_input () =
   checki "zero input hashes to 0" 0
     (Nic.Rss.toeplitz_hash ~key:Nic.Rss.default_key (Bytes.make 12 '\000'))
 
+(* The IPv4-with-ports verification vectors of Microsoft's RSS
+   specification ("Verifying the RSS Hash Calculation"), under its
+   default key: destination, source, hash. The hash input is src_ip,
+   dst_ip, src_port, dst_port. *)
+let ms_rss_vectors =
+  [
+    ("161.142.100.80", 1766, "66.9.149.187", 2794, 0x51ccc178);
+    ("65.69.140.83", 4739, "199.92.111.2", 14230, 0xc626b0ea);
+    ("12.22.207.184", 38024, "24.19.198.95", 12898, 0x5c2b394a);
+    ("209.142.163.6", 2217, "38.27.205.30", 48228, 0xafc7327f);
+    ("202.188.127.2", 1303, "153.39.163.191", 44251, 0x10e828a2);
+  ]
+
+let test_rss_spec_vectors () =
+  let rss = Nic.Rss.create ~queues:4 () in
+  List.iter
+    (fun (dst, dst_port, src, src_port, expected) ->
+      checki
+        (Printf.sprintf "%s:%d -> %s:%d" src src_port dst dst_port)
+        expected
+        (Nic.Rss.hash_flow rss ~src_ip:(Net.Ip_addr.of_string src)
+           ~dst_ip:(Net.Ip_addr.of_string dst) ~src_port ~dst_port))
+    ms_rss_vectors
+
 (* ---------- MSI-X ---------- *)
 
 let test_msix_immediate_then_moderated () =
@@ -459,6 +483,8 @@ let () =
           Alcotest.test_case "key dependence" `Quick test_rss_key_dependence;
           Alcotest.test_case "toeplitz zero input" `Quick
             test_toeplitz_zero_input;
+          Alcotest.test_case "microsoft spec vectors" `Quick
+            test_rss_spec_vectors;
         ] );
       ( "msix",
         [

@@ -212,13 +212,82 @@ let compile_eval_equiv =
               Nic.Steer.compile ~rss p f = Nic.Steer.eval ~rss p f)
         Nic.Steer.builtins)
 
+(* The bitwise Toeplitz hash as the RSS spec defines it, the library's
+   implementation before it became table-driven: for every set input
+   bit, XOR in the 32-bit key window starting at that bit's offset,
+   reading zero bytes past the key's end. The reference side of the
+   properties below. *)
+let bitwise_toeplitz ~key data =
+  let window bit =
+    let byte = bit / 8 and shift = bit mod 8 in
+    let b i =
+      if byte + i < String.length key then Char.code key.[byte + i] else 0
+    in
+    let forty =
+      Int64.logor
+        (Int64.shift_left (Int64.of_int (b 0)) 32)
+        (Int64.of_int ((b 1 lsl 24) lor (b 2 lsl 16) lor (b 3 lsl 8) lor b 4))
+    in
+    Int64.to_int
+      (Int64.logand (Int64.shift_right_logical forty (8 - shift)) 0xffff_ffffL)
+  in
+  let acc = ref 0 in
+  for i = 0 to Bytes.length data - 1 do
+    let byte = Char.code (Bytes.get data i) in
+    for bit = 0 to 7 do
+      if byte land (0x80 lsr bit) <> 0 then
+        acc := !acc lxor window ((i * 8) + bit)
+    done
+  done;
+  !acc land 0xffff_ffff
+
+let bytes_arb ~max =
+  QCheck.make
+    ~print:(fun b -> String.escaped (Bytes.to_string b))
+    QCheck.Gen.(map Bytes.of_string (string_size (int_range 0 max)))
+
 let rss_hash_pure =
   QCheck.Test.make ~name:"Rss.hash = toeplitz under the default key"
+    ~count:300 (bytes_arb ~max:48)
+    (fun b ->
+      Nic.Rss.hash b = bitwise_toeplitz ~key:Nic.Rss.default_key b
+      && Nic.Rss.hash_prefix b ~len:(Bytes.length b) = Nic.Rss.hash b)
+
+(* Keys of 40 to 52 bytes and inputs of up to 48, so some inputs run
+   past the key's end, where the windows are zero. *)
+let rss_tables_match_bitwise =
+  QCheck.Test.make ~name:"toeplitz_hash = bitwise reference under random keys"
     ~count:300
-    QCheck.(list_of_size Gen.(int_range 0 40) (int_bound 255))
-    (fun bytes ->
-      let b = Bytes.of_string (String.init (List.length bytes) (fun i -> Char.chr (List.nth bytes i))) in
-      Nic.Rss.hash b = Nic.Rss.toeplitz_hash ~key:Nic.Rss.default_key b)
+    (QCheck.pair
+       (QCheck.make
+          ~print:(fun k -> String.escaped k)
+          QCheck.Gen.(string_size (int_range 40 52)))
+       (bytes_arb ~max:48))
+    (fun (key, b) ->
+      Nic.Rss.toeplitz_hash ~key b = bitwise_toeplitz ~key b
+      && Nic.Rss.toeplitz_hash ~key:Nic.Rss.default_key b
+         = bitwise_toeplitz ~key:Nic.Rss.default_key b)
+
+(* The canonical 12-byte RSS tuple: src_ip, dst_ip, src_port, dst_port,
+   big-endian. *)
+let flow_tuple ~sip ~dip ~sp ~dp =
+  let b = Bytes.create 12 in
+  let be32 off v =
+    Bytes.set b off (Char.chr ((v lsr 24) land 0xff));
+    Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xff));
+    Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xff));
+    Bytes.set b (off + 3) (Char.chr (v land 0xff))
+  and be16 off v =
+    Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
+    Bytes.set b (off + 1) (Char.chr (v land 0xff))
+  in
+  be32 0 sip; be32 4 dip; be16 8 sp; be16 10 dp;
+  b
+
+let flow_arb =
+  QCheck.(
+    quad (int_bound 0xffff_ffff) (int_bound 0xffff_ffff) (int_bound 0xffff)
+      (int_bound 0xffff))
 
 let rss_hash_flow_agree =
   (* hash_flow over the canonical 12-byte RSS tuple is exactly
@@ -226,23 +295,169 @@ let rss_hash_flow_agree =
      Toeplitz. *)
   let t = Nic.Rss.create ~queues:8 () in
   QCheck.Test.make ~name:"hash_flow = Rss.hash of the canonical tuple"
-    ~count:300
-    QCheck.(quad (int_bound 0xffffff) (int_bound 0xffffff) (int_bound 0xffff) (int_bound 0xffff))
+    ~count:300 flow_arb
     (fun (sip, dip, sp, dp) ->
       let src_ip = Net.Ip_addr.of_int sip and dst_ip = Net.Ip_addr.of_int dip in
-      let b = Bytes.create 12 in
-      let be32 off v =
-        Bytes.set b off (Char.chr ((v lsr 24) land 0xff));
-        Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xff));
-        Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xff));
-        Bytes.set b (off + 3) (Char.chr (v land 0xff))
-      and be16 off v =
-        Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-        Bytes.set b (off + 1) (Char.chr (v land 0xff))
-      in
-      be32 0 sip; be32 4 dip; be16 8 sp; be16 10 dp;
       Nic.Rss.hash_flow t ~src_ip ~dst_ip ~src_port:sp ~dst_port:dp
-      = Nic.Rss.hash b)
+      = Nic.Rss.hash (flow_tuple ~sip ~dip ~sp ~dp))
+
+let rss_hash_flow_bitwise =
+  QCheck.Test.make ~name:"hash_flow = bitwise reference under random keys"
+    ~count:300
+    (QCheck.pair
+       (QCheck.make
+          ~print:(fun k -> String.escaped k)
+          QCheck.Gen.(string_size (int_range 40 52)))
+       flow_arb)
+    (fun (key, (sip, dip, sp, dp)) ->
+      let t = Nic.Rss.create ~key ~queues:8 () in
+      let src_ip = Net.Ip_addr.of_int sip and dst_ip = Net.Ip_addr.of_int dip in
+      Nic.Rss.hash_flow t ~src_ip ~dst_ip ~src_port:sp ~dst_port:dp
+      = bitwise_toeplitz ~key (flow_tuple ~sip ~dip ~sp ~dp))
+
+(* --- steering reads of short payloads are total -------------------- *)
+
+(* Every verified program that reads the payload: the shipped ones,
+   plus a guard on the first and last prefix bytes and a key hashed
+   over the whole prefix. *)
+let payload_programs =
+  let prefix = env.Nic.Steer_verify.payload_prefix in
+  let last = prefix - 1 in
+  let reads_payload (p : Nic.Steer.t) =
+    let in_key = function
+      | Nic.Steer.Hash_lane { key; _ } ->
+          List.exists (function Nic.Steer.Payload _ -> true | _ -> false) key
+      | _ -> false
+    in
+    let in_target = function Some tg -> in_key tg | None -> false in
+    List.exists
+      (fun (r : Nic.Steer.rule) ->
+        in_key r.target
+        || List.exists
+             (fun (a : Nic.Steer.atom) ->
+               match a.field with Nic.Steer.Payload _ -> true | _ -> false)
+             r.guard)
+      p.rules
+    || in_target p.default || in_target p.on_dead
+  in
+  let fixtures =
+    [
+      prog ~default:Nic.Steer.Rss "payload_guards"
+        [
+          rule
+            [ atom (Nic.Steer.Payload 0) 0 127; atom (Nic.Steer.Payload last) 0 127 ]
+            (Nic.Steer.Hash_lane
+               { key = [ Nic.Steer.Payload 0; Nic.Steer.Payload last ]; lanes = 2; base = 0 });
+          rule [ atom (Nic.Steer.Payload 0) 128 255 ] (Queue 3);
+        ];
+      Nic.Steer.key_affinity ~name:"whole_prefix" ~key_off:0 ~key_len:prefix
+        ~lanes:4 ();
+    ]
+  in
+  List.map
+    (fun p ->
+      match Nic.Steer_verify.verify ~env p with
+      | Ok v -> Nic.Steer_verify.program v
+      | Error ds ->
+          failwith
+            (Printf.sprintf "fixture %s rejected:\n%s" p.Nic.Steer.name
+               (String.concat "\n" ds)))
+    (List.filter reads_payload Nic.Steer.builtins @ fixtures)
+
+let payload_frame ~src_port payload =
+  let f = mk_frame ~src_port ~len:0 () in
+  Net.Frame.make ~src:(Net.Frame.src_endpoint f) ~dst:(Net.Frame.dst_endpoint f)
+    payload
+
+(* A payload cut to 0 ... prefix bytes, or a longer one with some bytes
+   flipped. *)
+let short_payload_gen =
+  let prefix = env.Nic.Steer_verify.payload_prefix in
+  QCheck.Gen.(
+    oneof
+      [
+        map Bytes.of_string (string_size (int_range 0 prefix));
+        map2
+          (fun base flips ->
+            let b = Bytes.of_string base in
+            List.iter
+              (fun (i, x) ->
+                let i = i mod Bytes.length b in
+                Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x)))
+              flips;
+            b)
+          (string_size (int_range prefix (2 * prefix)))
+          (list_size (int_range 1 8) (pair nat (int_range 1 255)));
+      ])
+
+let short_payloads_total =
+  let rss_tbl = Nic.Rss.create ~queues:4 () in
+  let rss = Nic.Rss.queue_of_frame rss_tbl in
+  let compiled = List.map (fun p -> (p, Nic.Steer.compile ~rss p)) payload_programs in
+  QCheck.Test.make
+    ~name:"compiled steering is total and = eval on short or flipped payloads"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (sp, b) ->
+         Printf.sprintf "src_port=%d payload=%S" sp (Bytes.to_string b))
+       QCheck.Gen.(pair (int_bound 0xffff) short_payload_gen))
+    (fun (src_port, payload) ->
+      let f = payload_frame ~src_port payload in
+      List.for_all
+        (fun (p, c) ->
+          match c f with
+          | lane -> lane = Nic.Steer.eval ~rss p f
+          | exception e ->
+              QCheck.Test.fail_reportf "%s raised %s" p.Nic.Steer.name
+                (Printexc.to_string e))
+        compiled)
+
+(* --- the per-frame path allocates nothing -------------------------- *)
+
+(* Frames of every payload length from 0 to 255 bytes (both sides of
+   size_split's cutoff, and short and long of key_affinity's key), over
+   varied flows. *)
+let alloc_frames =
+  Array.init 256 (fun i ->
+      mk_frame ~src_ip:(0x0a000000 + (i * 7919)) ~src_port:(1024 + (i * 31))
+        ~dst_port:(if i mod 5 = 0 then 7_000 else 7_001 + i)
+        ~len:i ~fill:(Char.chr (i land 0xff)) ())
+
+(* Minor words per frame of [f] over [alloc_frames], flushed with
+   [Gc.minor] as in test_sim's engine budget. *)
+let words_per_frame f =
+  let n = Array.length alloc_frames and rounds = 40 in
+  for i = 0 to n - 1 do ignore (Sys.opaque_identity (f alloc_frames.(i))) done;
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    for i = 0 to n - 1 do
+      ignore (Sys.opaque_identity (f alloc_frames.(i)))
+    done
+  done;
+  Gc.minor ();
+  (Gc.minor_words () -. before, n * rounds)
+
+(* The measurement itself may box a float or two: 64 words over 10k
+   frames rounds to 0 words per frame. *)
+let check_no_alloc name f =
+  let words, frames = words_per_frame f in
+  checkb
+    (Printf.sprintf "%s: %.0f words over %d frames" name words frames)
+    true (words <= 64.)
+
+let test_rss_allocates_nothing () =
+  let rss_tbl = Nic.Rss.create ~queues:4 () in
+  check_no_alloc "Rss.queue_of_frame" (Nic.Rss.queue_of_frame rss_tbl)
+
+let test_compiled_programs_allocate_nothing () =
+  let rss_tbl = Nic.Rss.create ~queues:4 () in
+  let rss = Nic.Rss.queue_of_frame rss_tbl in
+  (* rss_all, key_affinity, size_split and priority_lanes *)
+  checki "four shipped programs" 4 (List.length Nic.Steer.builtins);
+  List.iter
+    (fun p -> check_no_alloc p.Nic.Steer.name (Nic.Steer.compile ~rss p))
+    Nic.Steer.builtins
 
 (* --- eval totality oracle ------------------------------------------ *)
 
@@ -353,7 +568,18 @@ let () =
       ( "semantics",
         Alcotest.test_case "eval is the totality oracle" `Quick
           test_eval_rejects_double_match
-        :: qsuite [ compile_eval_equiv; rss_hash_pure; rss_hash_flow_agree ] );
+        :: qsuite
+             [
+               compile_eval_equiv; rss_hash_pure; rss_tables_match_bitwise;
+               rss_hash_flow_agree; rss_hash_flow_bitwise; short_payloads_total;
+             ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "Rss.queue_of_frame allocates nothing" `Quick
+            test_rss_allocates_nothing;
+          Alcotest.test_case "compiled programs allocate nothing" `Quick
+            test_compiled_programs_allocate_nothing;
+        ] );
       ( "nic",
         [
           Alcotest.test_case "install charges verified cost" `Quick
