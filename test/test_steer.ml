@@ -573,7 +573,7 @@ let () =
                compile_eval_equiv; rss_hash_pure; rss_tables_match_bitwise;
                rss_hash_flow_agree; rss_hash_flow_bitwise; short_payloads_total;
              ] );
-      ( "allocation",
+      ( "alloc",
         [
           Alcotest.test_case "Rss.queue_of_frame allocates nothing" `Quick
             test_rss_allocates_nothing;
