@@ -40,11 +40,9 @@ let aux_stream_delay t ~lines =
          (float_of_int (p.Coherence.Interconnect.cache_line_bytes * 8)
          /. p.Coherence.Interconnect.coherent_bandwidth_gbps))
 
-let extra_request_delay t (msg : Message.request) =
-  if msg.Message.via_dma then
-    Coherence.Interconnect.dma_transfer (prof t) ~bytes:msg.Message.total_args
-  else if msg.Message.aux_count > 0 then
-    aux_stream_delay t ~lines:msg.Message.aux_count
+let extra_request_delay t ~via_dma ~total_args ~aux_count =
+  if via_dma then Coherence.Interconnect.dma_transfer (prof t) ~bytes:total_args
+  else if aux_count > 0 then aux_stream_delay t ~lines:aux_count
   else 0
 
 let extra_response_delay t line =
@@ -58,7 +56,9 @@ let extra_response_delay t line =
 let line_image (cfg : Config.t) =
   Bytes.make cfg.Config.profile.Coherence.Interconnect.cache_line_bytes '\000'
 
-let stage_now t msg ~kernel_dispatch =
+(* Stage a request, given by its fields, into the current CONTROL line. *)
+let stage_now t ~kernel_dispatch ~rpc_id ~service_id ~method_id ~code_ptr
+    ~data_ptr ~total_args ~aux_count ~via_dma args ~off ~len =
   let c = t.cur in
   let line = t.ctrl.(c) in
   t.cur <- 1 - c;
@@ -66,31 +66,40 @@ let stage_now t msg ~kernel_dispatch =
   t.n_delivered <- t.n_delivered + 1;
   if Int.equal t.to_collect 0 then t.collect_head <- c;
   t.to_collect <- t.to_collect + 1;
-  let delay = extra_request_delay t msg in
+  let delay = extra_request_delay t ~via_dma ~total_args ~aux_count in
   (* Line [c]'s last request was read when its response was written, so
      its image is free to overwrite. *)
   let image = t.requests.(c) in
-  Message.encode_request_into image ~kernel_dispatch msg;
+  Message.write_request_into image ~kernel_dispatch ~rpc_id ~service_id
+    ~method_id ~code_ptr ~data_ptr ~total_args ~aux_count ~via_dma args ~off
+    ~len;
   if delay = 0 then Coherence.Home_agent.stage t.ha line image
   else
     ignore
       (Sim.Engine.schedule_after (engine t) ~after:delay (fun () ->
            Coherence.Home_agent.stage t.ha line image))
 
+let stage_msg t (msg : Message.request) ~kernel_dispatch =
+  let a = msg.Message.inline_args in
+  stage_now t ~kernel_dispatch ~rpc_id:msg.Message.rpc_id
+    ~service_id:msg.Message.service_id ~method_id:msg.Message.method_id
+    ~code_ptr:msg.Message.code_ptr ~data_ptr:msg.Message.data_ptr
+    ~total_args:msg.Message.total_args ~aux_count:msg.Message.aux_count
+    ~via_dma:msg.Message.via_dma a.Net.Slice.base ~off:a.Net.Slice.off
+    ~len:a.Net.Slice.len
+
 let rec try_deliver t =
   if t.outstanding < 2 then
     match Queue.take_opt t.pending with
     | Some (msg, kernel_dispatch) ->
-        stage_now t msg ~kernel_dispatch;
+        stage_msg t msg ~kernel_dispatch;
         try_deliver t
     | None -> ()
 
-let deliver ?(kernel_dispatch = false) t msg =
-  if t.outstanding < 2 && Queue.is_empty t.pending then begin
-    stage_now t msg ~kernel_dispatch;
-    true
-  end
-  else if Queue.length t.pending < t.cfg.Config.nic_queue_depth then begin
+let can_stage t = t.outstanding < 2 && Queue.is_empty t.pending
+
+let enqueue t msg ~kernel_dispatch =
+  if Queue.length t.pending < t.cfg.Config.nic_queue_depth then begin
     Queue.add (msg, kernel_dispatch) t.pending;
     true
   end
@@ -98,6 +107,35 @@ let deliver ?(kernel_dispatch = false) t msg =
     t.n_dropped <- t.n_dropped + 1;
     false
   end
+
+let deliver ?(kernel_dispatch = false) t msg =
+  if can_stage t then begin
+    stage_msg t msg ~kernel_dispatch;
+    true
+  end
+  else enqueue t msg ~kernel_dispatch
+
+(* A request record is built only when the request must wait in SRAM. *)
+let[@hot_path] deliver_request t ~rpc_id ~service_id ~method_id ~code_ptr
+    ~data_ptr ~total_args ~aux_count ~via_dma args ~off ~len =
+  if can_stage t then begin
+    stage_now t ~kernel_dispatch:false ~rpc_id ~service_id ~method_id
+      ~code_ptr ~data_ptr ~total_args ~aux_count ~via_dma args ~off ~len;
+    true
+  end
+  else
+    enqueue t ~kernel_dispatch:false
+      ({
+         Message.rpc_id;
+         service_id;
+         method_id;
+         code_ptr;
+         data_ptr;
+         total_args;
+         inline_args = Net.Slice.make args ~off ~len;
+         aux_count;
+         via_dma;
+       } [@alloc_ok])
 
 let finish t line =
   t.outstanding <- t.outstanding - 1;

@@ -45,6 +45,17 @@ val deliver : ?kernel_dispatch:bool -> t -> Message.request -> bool
     as a KERNEL_DISPATCH envelope for dispatcher endpoints (default
     plain REQUEST). *)
 
+val deliver_request :
+  t -> rpc_id:int64 -> service_id:int -> method_id:int -> code_ptr:int64 ->
+  data_ptr:int64 -> total_args:int -> aux_count:int -> via_dma:bool ->
+  bytes -> off:int -> len:int -> bool
+(** [deliver] of the plain REQUEST with those fields, whose inline
+    arguments are [len] bytes of the buffer from [off]. A request staged
+    at once is written straight into its line image
+    ({!Message.write_request_into}), with no request record; one that
+    must wait in NIC SRAM is queued as a record, with its inline
+    arguments a view of the buffer. *)
+
 val set_on_parked : t -> (unit -> unit) -> unit
 (** Fires whenever a CPU load parks on the current CONTROL line with
     nothing to deliver — the "a core is polling here" signal consumed

@@ -80,24 +80,35 @@ let[@hot_path] set_u32 b off v =
 
 let[@hot_path] zero_from b off = Bytes.fill b off (Bytes.length b - off) '\000'
 
-let[@hot_path] encode_request_into line ~kernel_dispatch (r : request) =
-  let len = Net.Slice.length r.inline_args in
+let[@hot_path] write_request_into line ~kernel_dispatch ~rpc_id ~service_id
+    ~method_id ~code_ptr ~data_ptr ~total_args ~aux_count ~via_dma args ~off
+    ~len =
   let cap = request_inline_capacity ~line_bytes:(Bytes.length line) in
   if len > cap then
     invalid_arg
       (Printf.sprintf "Message.encode: %d inline bytes > capacity %d" len cap);
+  if off < 0 || len < 0 || off + len > Bytes.length args then
+    invalid_arg "Message.write_request: range outside the arguments";
   set_u8 line 0 (if kernel_dispatch then tag_kernel_dispatch else tag_request);
-  set_u8 line off_flags (if r.via_dma then flag_via_dma else 0);
-  set_u16 line off_aux r.aux_count;
-  set_u32 line off_service r.service_id;
-  set_u16 line off_method r.method_id;
+  set_u8 line off_flags (if via_dma then flag_via_dma else 0);
+  set_u16 line off_aux aux_count;
+  set_u32 line off_service service_id;
+  set_u16 line off_method method_id;
   set_u16 line off_inline_len len;
-  set_u32 line off_total_args r.total_args;
-  Bytes.set_int64_be line off_rpc_id r.rpc_id;
-  Bytes.set_int64_be line off_code_ptr r.code_ptr;
-  Bytes.set_int64_be line off_data_ptr r.data_ptr;
-  Net.Slice.blit r.inline_args line ~dst_off:request_header_bytes;
+  set_u32 line off_total_args total_args;
+  Bytes.set_int64_be line off_rpc_id rpc_id;
+  Bytes.set_int64_be line off_code_ptr code_ptr;
+  Bytes.set_int64_be line off_data_ptr data_ptr;
+  Bytes.blit args off line request_header_bytes len;
   zero_from line (request_header_bytes + len)
+
+let encode_request_into line ~kernel_dispatch (r : request) =
+  let a = r.inline_args in
+  write_request_into line ~kernel_dispatch ~rpc_id:r.rpc_id
+    ~service_id:r.service_id ~method_id:r.method_id ~code_ptr:r.code_ptr
+    ~data_ptr:r.data_ptr ~total_args:r.total_args ~aux_count:r.aux_count
+    ~via_dma:r.via_dma a.Net.Slice.base ~off:a.Net.Slice.off
+    ~len:a.Net.Slice.len
 
 let encode ~line_bytes t =
   if line_bytes < request_header_bytes then
@@ -201,18 +212,19 @@ let response_inline_body b =
     Net.Slice.make b ~off:response_header_bytes ~len
   else Net.Slice.empty
 
-let[@hot_path] rec same_prefix line body i len =
+let[@hot_path] rec same_prefix line body off i len =
   i >= len
   || Char.equal
        (Bytes.get line (response_header_bytes + i))
-       (Bytes.get body i)
-     && same_prefix line body (i + 1) len
+       (Bytes.get body (off + i))
+     && same_prefix line body off (i + 1) len
 
-let[@hot_path] response_inline_is_prefix_of b body =
+let[@hot_path] response_inline_is_prefix_of b body ~off =
   let len = response_inline_len b in
   response_header_bytes + len <= Bytes.length b
-  && len <= Bytes.length body
-  && same_prefix b body 0 len
+  && off >= 0
+  && off + len <= Bytes.length body
+  && same_prefix b body off 0 len
 
 let decode_request b =
   {

@@ -55,12 +55,19 @@ val encode : line_bytes:int -> t -> bytes
     @raise Invalid_argument if inline bytes exceed capacity or fields
     are out of range. *)
 
-val encode_request_into : bytes -> kernel_dispatch:bool -> request -> unit
-(** Render a REQUEST line, or with [kernel_dispatch] a KERNEL_DISPATCH
-    line, over the whole of a caller's line buffer, the way the NIC
-    writes a prepared CONTROL line: every byte is rewritten, so the
-    buffer may be reused. Allocates nothing.
-    @raise Invalid_argument as {!encode}. *)
+val write_request_into :
+  bytes -> kernel_dispatch:bool -> rpc_id:int64 -> service_id:int ->
+  method_id:int -> code_ptr:int64 -> data_ptr:int64 -> total_args:int ->
+  aux_count:int -> via_dma:bool -> bytes -> off:int -> len:int -> unit
+(** [write_request_into line ... args ~off ~len] renders a REQUEST line,
+    or with [kernel_dispatch] a KERNEL_DISPATCH line, over the whole of
+    a caller's line buffer from its fields, the way the NIC writes a
+    prepared CONTROL line: every byte is rewritten, so the buffer may be
+    reused. The inline arguments are [len] bytes of [args] from [off].
+    No request record, no slice, no allocation. {!encode} of a request
+    is this writer over the record's fields.
+    @raise Invalid_argument if the inline bytes exceed capacity, lie
+    outside [args], or a field is out of range. *)
 
 val write_response :
   line_bytes:int -> rpc_id:int64 -> status:int -> total_len:int ->
@@ -110,11 +117,13 @@ val response_total_len : bytes -> int
 val response_inline_len : bytes -> int
 val response_aux_count : bytes -> int
 
-val response_inline_is_prefix_of : bytes -> bytes -> bool
-(** [response_inline_is_prefix_of line body], on a line {!response_ok}
-    accepts: the line's inline bytes are a prefix of [body], as
-    [Net.Slice.is_prefix_of] answers on the decoded [inline_body], but
-    without the slice. *)
+val response_inline_is_prefix_of : bytes -> bytes -> off:int -> bool
+(** [response_inline_is_prefix_of line body ~off], on a line
+    {!response_ok} accepts: the line's inline bytes are a prefix of
+    [body] from [off] (of [Bytes.sub body off (Bytes.length body - off)]),
+    as [Net.Slice.is_prefix_of] answers on the decoded [inline_body],
+    but without the slice or the copy. False when [off] lies outside
+    [body]. *)
 
 val decode : bytes -> (t, string) result
 (** Decode a line the CPU just loaded: {!kind}, then the readers. The

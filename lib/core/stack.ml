@@ -31,7 +31,10 @@ type inflight =
       args : Rpc.Value.t;
       sv : service_rt;  (* owning service *)
       request : Net.Frame.t;  (* the reply swaps its headers *)
-      mutable full_body : bytes;  (* response bytes beyond the line *)
+      mutable reply : bytes;
+          (* the reply's wire payload: room for its RPC header, then
+             the handler's encoded result from [body_off] on *)
+      mutable body_off : int;
       arrived : Sim.Units.time;
       arg_bytes : int;
       path : path;
@@ -88,6 +91,35 @@ let service_id_of sv = sv.sspec.service.Rpc.Interface.service_id
 
 type dispatcher = { dthread : Osmodel.Proc.thread; dep : Endpoint.t }
 
+(* The NIC pipeline and the transmit path hold each frame in a slot of a
+   per-stack pool: a mutable record whose event closure is built once,
+   when the slot is made. The pipeline's delays vary per frame, so
+   slots fire in any order. A slot re-reads the rpc id and body offset
+   from its frame's header (a mutable [int64] field would box on every
+   store), and a firing slot clears its frame and returns to the pool
+   before it dispatches or transmits. *)
+type rx_slot = {
+  mutable rx_frame : Net.Frame.t;
+  mutable rx_sv : service_rt;
+  mutable rx_mdef : Rpc.Interface.method_def;
+  mutable rx_args : Rpc.Value.t;
+  rx_fire : unit -> unit;
+}
+
+type tx_slot = {
+  mutable tx_frame : Net.Frame.t;
+  mutable tx_stage : bool;  (* close the "tx" stage: a reply, not a NACK *)
+  tx_fire : unit -> unit;
+}
+
+(* A pool's free slots, a stack in an array: taking or releasing a slot
+   allocates nothing once the array has grown to the pool's peak. *)
+type 'a slots = { mutable free : 'a array; mutable nfree : int }
+
+let no_frame =
+  Net.Frame.make ~src:Harness.Traffic.server_address
+    ~dst:Harness.Traffic.server_address Bytes.empty
+
 type remote = {
   server : Net.Frame.endpoint;  (* remote machine + service port *)
   response_schema : Rpc.Schema.t;
@@ -115,6 +147,8 @@ type t = {
   mutable address : Net.Frame.endpoint option;  (* our own identity *)
   nested_conts : Rpc.Value.t Rpc.Continuation.t;
       (* reply continuations for nested calls (paper section 6) *)
+  rx_slots : rx_slot slots;  (* the NIC pipeline's frames in flight *)
+  tx_slots : tx_slot slots;  (* frames between collection and the wire *)
   mutable next_dispatch_id : int64;
   mutable mac : Nic.Mac.t option;
   mutable handled_hook : (unit -> unit) option;
@@ -242,9 +276,10 @@ let park_would_starve t th =
       Osmodel.Kernel.runqueue_length t.kern ~core:cid > 0
   | Osmodel.Proc.Ready | Osmodel.Proc.Blocked | Osmodel.Proc.Exited -> false
 
-let respond_line t w ~rpc_id ~status ~body =
+(* The response body is [reply] from [off] on. *)
+let respond_line t w ~rpc_id ~status reply ~off =
   let line_bytes = line_bytes t in
-  let total_len = Bytes.length body in
+  let total_len = Bytes.length reply - off in
   let cap = Message.response_inline_capacity ~line_bytes in
   let len = Int.min cap total_len in
   let rest = total_len - len in
@@ -252,8 +287,8 @@ let respond_line t w ~rpc_id ~status ~body =
     if rest <= 0 then 0 else (rest + line_bytes - 1) / line_bytes
   in
   let line = Endpoint.response_image w.wep w.cpu_idx in
-  Message.write_response_into line ~rpc_id ~status ~total_len ~aux_count body
-    ~off:0 ~len;
+  Message.write_response_into line ~rpc_id ~status ~total_len ~aux_count reply
+    ~off ~len;
   Coherence.Home_agent.cpu_store t.ha (Endpoint.ctrl_line w.wep w.cpu_idx) line
 
 let rec worker_loop t sv w () = park_worker t sv w
@@ -360,9 +395,17 @@ and worker_finish t sv w result =
       w.req_id <- 0L;
       w.hand <- no_hand;
       span_stage t ~rpc:rpc_id "handler";
-      let body = Rpc.Codec.encode result in
-      app.full_body <- body;
-      respond_line t w ~rpc_id ~status:0 ~body;
+      (* The result is encoded once, behind room for the reply's RPC
+         header, which collection writes in place: the buffer is the
+         reply's payload. *)
+      let off =
+        Rpc.Wire_format.header_room
+          (Obs.Tracer.context_of t.tracer ~rpc:rpc_id)
+      in
+      let reply = Rpc.Codec.encode_at off result in
+      app.reply <- reply;
+      app.body_off <- off;
+      respond_line t w ~rpc_id ~status:0 reply ~off;
       w.cpu_idx <- 1 - w.cpu_idx;
       Sim.Counter.incr (ctr t "rpcs_handled");
       (match t.handled_hook with Some f -> f () | None -> ());
@@ -616,6 +659,53 @@ let scale_decision t sv =
 
 let tx_mac_delay = Sim.Units.ns 200
 
+let grow_slots p s =
+  let n = Array.length p.free in
+  let a = Array.make (Int.max 8 (2 * n)) s in
+  Array.blit p.free 0 a 0 n;
+  p.free <- a
+
+let[@hot_path] release p s =
+  if Int.equal p.nfree (Array.length p.free) then grow_slots p s;
+  p.free.(p.nfree) <- s;
+  p.nfree <- p.nfree + 1
+
+(* The frame leaves for the wire. The rpc id is read back from its
+   header only for the tracer. *)
+let[@hot_path] fire_tx t s =
+  let frame = s.tx_frame in
+  let stage = s.tx_stage in
+  s.tx_frame <- no_frame;
+  release t.tx_slots s;
+  Sim.Counter.incr (ctr t "tx_frames");
+  if Obs.Tracer.is_enabled t.tracer then begin
+    let rpc = Rpc.Wire_format.rpc_id frame.Net.Frame.payload in
+    if stage then span_stage t ~rpc "tx";
+    Obs.Tracer.rpc_end t.tracer ~rpc (Sim.Engine.now t.engine)
+  end;
+  t.egress frame
+
+let new_tx_slot t frame ~stage =
+  let rec s =
+    { tx_frame = frame; tx_stage = stage; tx_fire = (fun () -> fire_tx t s) }
+  in
+  s
+
+(* Put [frame] on the wire [after] from now, through a transmit slot. *)
+let[@hot_path] transmit t ~after ~stage frame =
+  let p = t.tx_slots in
+  let s =
+    if p.nfree > 0 then begin
+      p.nfree <- p.nfree - 1;
+      let s = p.free.(p.nfree) in
+      s.tx_frame <- frame;
+      s.tx_stage <- stage;
+      s
+    end
+    else new_tx_slot t frame ~stage
+  in
+  ignore (Sim.Engine.schedule_after t.engine ~after s.tx_fire)
+
 (* An explicit transport-level reject on the wire (Error_reply): the
    client sees why its request did not complete instead of inferring a
    silent drop from a timeout. *)
@@ -627,11 +717,7 @@ let nack t ~rpc_id ~service_id ~request ~code =
          ?ctx:(Obs.Tracer.context_of t.tracer ~rpc:rpc_id)
          ~rpc_id ~service_id ~method_id:0 Bytes.empty)
   in
-  ignore
-    (Sim.Engine.schedule_after t.engine ~after:tx_mac_delay (fun () ->
-         Sim.Counter.incr (ctr t "tx_frames");
-         Obs.Tracer.rpc_end t.tracer ~rpc:rpc_id (Sim.Engine.now t.engine);
-         t.egress frame))
+  transmit t ~after:tx_mac_delay ~stage:false frame
 
 (* The request's body is the frame's payload from [body_off] on. *)
 let dispatch_request t sv frame ~rpc_id ~body_off
@@ -661,19 +747,6 @@ let dispatch_request t sv frame ~rpc_id ~body_off
         let rest = arg_bytes - inline_len in
         if rest <= 0 then 0 else (rest + line_bytes t - 1) / line_bytes t
     in
-    let msg =
-      {
-        Message.rpc_id;
-        service_id;
-        method_id = mdef.Rpc.Interface.method_id;
-        code_ptr = sv.code_ptrs.(mdef.Rpc.Interface.method_id);
-        data_ptr = sv.data_ptr;
-        total_args = arg_bytes;
-        inline_args = Net.Slice.make payload ~off:body_off ~len:inline_len;
-        aux_count;
-        via_dma;
-      }
-    in
     (* With admission control armed the decision is taken once, before
        the arrival is accepted (so a Shed never occupies queue space);
        with it off, the decision is taken after delivery, exactly as
@@ -700,13 +773,20 @@ let dispatch_request t sv frame ~rpc_id ~body_off
            args;
            sv;
            request = frame;
-           full_body = Bytes.empty;
+           reply = Bytes.empty;
+           body_off = 0;
            arrived = Sim.Engine.now t.engine;
            arg_bytes;
            path;
          });
     sanitize_dispatch t sv;
-    if Endpoint.deliver w.wep msg then begin
+    let method_id = mdef.Rpc.Interface.method_id in
+    if
+      Endpoint.deliver_request w.wep ~rpc_id ~service_id ~method_id
+        ~code_ptr:sv.code_ptrs.(method_id) ~data_ptr:sv.data_ptr
+        ~total_args:arg_bytes ~aux_count ~via_dma payload ~off:body_off
+        ~len:inline_len
+    then begin
       (match path with
       | Fast -> Sim.Counter.incr (ctr t "fast_path")
       | Queued -> Sim.Counter.incr (ctr t "queued_path")
@@ -738,6 +818,52 @@ let dispatch_request t sv frame ~rpc_id ~body_off
     end
   end
 
+(* A pipeline slot fires: the frame's header is read again, the slot
+   goes back to its pool, and the request is dispatched. *)
+let[@hot_path] fire_rx t s =
+  let frame = s.rx_frame in
+  let sv = s.rx_sv in
+  let mdef = s.rx_mdef in
+  let args = s.rx_args in
+  s.rx_frame <- no_frame;
+  s.rx_args <- Rpc.Value.Unit;
+  release t.rx_slots s;
+  let payload = frame.Net.Frame.payload in
+  let rpc_id = Rpc.Wire_format.rpc_id payload in
+  let body_off = Rpc.Wire_format.body_offset payload in
+  pipeline_details t ~rpc:rpc_id frame ~body_off args;
+  span_stage t ~rpc:rpc_id "nic_pipeline";
+  dispatch_request t sv frame ~rpc_id ~body_off mdef args
+
+let new_rx_slot t frame sv mdef args =
+  let rec s =
+    {
+      rx_frame = frame;
+      rx_sv = sv;
+      rx_mdef = mdef;
+      rx_args = args;
+      rx_fire = (fun () -> fire_rx t s);
+    }
+  in
+  s
+
+(* The NIC pipeline takes [after] for this frame, through a slot. *)
+let[@hot_path] arm_rx t ~after frame sv mdef args =
+  let p = t.rx_slots in
+  let s =
+    if p.nfree > 0 then begin
+      p.nfree <- p.nfree - 1;
+      let s = p.free.(p.nfree) in
+      s.rx_frame <- frame;
+      s.rx_sv <- sv;
+      s.rx_mdef <- mdef;
+      s.rx_args <- args;
+      s
+    end
+    else new_rx_slot t frame sv mdef args
+  in
+  ignore (Sim.Engine.schedule_after t.engine ~after s.rx_fire)
+
 (* The header is read in place and the body decoded in place, from
    [Wire_format.body_offset] to the end of the payload: the request's
    arguments and a nested reply are never copied out of the frame. *)
@@ -747,9 +873,9 @@ let nic_rx t frame =
   match Rpc.Wire_format.check payload with
   | Error _ -> Sim.Counter.incr (ctr t "rx_bad_rpc")
   | Ok () ->
-      let rpc_id = Rpc.Wire_format.rpc_id payload in
       if Rpc.Wire_format.is_request payload then begin
-        span_stage t ~rpc:rpc_id "mac";
+        if Obs.Tracer.is_enabled t.tracer then
+          span_stage t ~rpc:(Rpc.Wire_format.rpc_id payload) "mac";
         match Hashtbl.find t.by_port frame.Net.Frame.udp.Net.Udp.dst_port with
         | exception Not_found -> Sim.Counter.incr (ctr t "rx_no_service")
         | sv -> (
@@ -772,17 +898,11 @@ let nic_rx t frame =
                         ~fields:(Rpc.Value.field_count args) ~arg_bytes
                       + crypto_cost t frame
                     in
-                    ignore
-                      (Sim.Engine.schedule_after t.engine ~after:delay
-                         (fun () ->
-                           pipeline_details t ~rpc:rpc_id frame ~body_off args;
-                           span_stage t ~rpc:rpc_id "nic_pipeline";
-                           dispatch_request t sv frame ~rpc_id ~body_off mdef
-                             args))))
+                    arm_rx t ~after:delay frame sv mdef args))
       end
       else
         (* A response from a remote machine to one of our nested calls. *)
-        match nested_cont_of rpc_id with
+        match nested_cont_of (Rpc.Wire_format.rpc_id payload) with
         | Some cont -> (
             match
               Hashtbl.find_opt t.remotes (Rpc.Wire_format.service_id payload)
@@ -820,7 +940,9 @@ let on_endpoint_response t line =
       Hashtbl.remove t.inflight rpc_id;
       let result =
         match
-          Rpc.Codec.decode app.mdef.Rpc.Interface.response app.full_body
+          Rpc.Codec.decode_sub app.mdef.Rpc.Interface.response app.reply
+            ~pos:app.body_off
+            ~len:(Bytes.length app.reply - app.body_off)
         with
         | Ok v -> v
         | Error _ ->
@@ -842,7 +964,8 @@ let on_endpoint_response t line =
       span_stage t ~rpc:rpc_id "collect";
       (* Fidelity check: the inline prefix collected from the cache
          line must match the response body the handler produced. *)
-      if not (Message.response_inline_is_prefix_of line app.full_body) then
+      let reply = app.reply and off = app.body_off in
+      if not (Message.response_inline_is_prefix_of line reply ~off) then
         Sim.Counter.incr (ctr t "response_corrupt");
       let st = app.sv.stats in
       Sim.Histogram.record st.latency (Sim.Engine.now t.engine - app.arrived);
@@ -851,29 +974,35 @@ let on_endpoint_response t line =
       | Queued -> st.queued <- st.queued + 1
       | Cold -> st.cold <- st.cold + 1);
       st.bytes_in <- st.bytes_in + app.arg_bytes;
-      st.bytes_out <- st.bytes_out + Bytes.length app.full_body;
+      st.bytes_out <- st.bytes_out + (Bytes.length reply - off);
       let status = Message.response_status line in
+      let kind =
+        if Int.equal status 0 then Rpc.Wire_format.Response
+        else Rpc.Wire_format.Error_reply status
+      in
+      let ctx = Obs.Tracer.context_of t.tracer ~rpc:rpc_id in
       (* The reply carries the request's ids: clients pick the response
-         schema by (service, method). *)
+         schema by (service, method). Its header goes into the room
+         [worker_finish] left, unless the trace context came or went
+         since: then the body is copied behind a header that fits. *)
+      let service_id = service_id_of app.sv in
+      let method_id = app.mdef.Rpc.Interface.method_id in
+      let payload =
+        if Int.equal (Rpc.Wire_format.header_room ctx) off then begin
+          Rpc.Wire_format.write_header_into ~kind ?ctx ~rpc_id ~service_id
+            ~method_id reply;
+          reply
+        end
+        else
+          Rpc.Wire_format.encode_body ~kind ?ctx ~rpc_id ~service_id
+            ~method_id
+            (Bytes.sub reply off (Bytes.length reply - off))
+      in
       let frame =
         Net.Frame.reply_to ~eth:app.request.Net.Frame.eth
-          ~ip:app.request.Net.Frame.ip ~udp:app.request.Net.Frame.udp
-          (Rpc.Wire_format.encode_body
-             ~kind:
-               (if Int.equal status 0 then Rpc.Wire_format.Response
-                else Rpc.Wire_format.Error_reply status)
-             ?ctx:(Obs.Tracer.context_of t.tracer ~rpc:rpc_id)
-             ~rpc_id ~service_id:(service_id_of app.sv)
-             ~method_id:app.mdef.Rpc.Interface.method_id app.full_body)
+          ~ip:app.request.Net.Frame.ip ~udp:app.request.Net.Frame.udp payload
       in
-      ignore
-        (Sim.Engine.schedule_after t.engine
-           ~after:(tx_mac_delay + crypto_cost t frame)
-           (fun () ->
-             Sim.Counter.incr (ctr t "tx_frames");
-             span_stage t ~rpc:rpc_id "tx";
-             Obs.Tracer.rpc_end t.tracer ~rpc:rpc_id (Sim.Engine.now t.engine);
-             t.egress frame))
+      transmit t ~after:(tx_mac_delay + crypto_cost t frame) ~stage:true frame
 
 (* ---------- Crash/restart lifecycle ---------------------------------- *)
 
@@ -1087,6 +1216,8 @@ let create engine ~cfg ~ncores ?(binding = Os_integrated)
       remotes = Hashtbl.create 16;
       address = None;
       nested_conts = Rpc.Continuation.create ();
+      rx_slots = { free = [||]; nfree = 0 };
+      tx_slots = { free = [||]; nfree = 0 };
       next_dispatch_id = Int64.shift_left 1L 62;
       mac = None;
       handled_hook = None;

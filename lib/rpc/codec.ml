@@ -99,11 +99,15 @@ let rec write w (v : Value.t) =
       List.iter (write w) vs
   | Value.Tuple vs -> List.iter (write w) vs
 
-(* [encoded_size] is exact, so the writer's buffer is the encoding. *)
-let encode v =
-  let w = Net.Buf.writer (encoded_size v) in
+(* [encoded_size] is exact, so the writer's buffer is the room and the
+   encoding. *)
+let encode_at room v =
+  let w = Net.Buf.writer (room + encoded_size v) in
+  Net.Buf.write_zeros w room;
   write w v;
   Net.Buf.filled w
+
+let encode v = encode_at 0 v
 
 (* A length prefix. Varints up to 2^64 - 1 decode, so a hostile one can
    land negative after [Int64.to_int]. *)
@@ -132,19 +136,16 @@ let rec read_value (s : Schema.t) r : Value.t =
       Value.List (List.init n (fun _ -> read_value elt r))
   | Schema.Tuple ss -> Value.Tuple (List.map (fun s -> read_value s r) ss)
 
-let decode_partial s r =
-  match read_value s r with
-  | v -> Ok v
-  | exception Decode_error e -> Error e
-  | exception Net.Buf.Out_of_bounds _ -> Error Truncated
-
+(* One [Ok] per decode: the value is checked for trailing bytes before
+   it is wrapped. *)
 let decode_sub s b ~pos ~len =
   let r = Net.Buf.sub_reader b ~pos ~len in
-  match decode_partial s r with
-  | Error _ as e -> e
-  | Ok v ->
+  match read_value s r with
+  | v ->
       let rest = Net.Buf.remaining r in
       if rest = 0 then Ok v else Error (Trailing_bytes rest)
+  | exception Decode_error e -> Error e
+  | exception Net.Buf.Out_of_bounds _ -> Error Truncated
 
 let decode s b = decode_sub s b ~pos:0 ~len:(Bytes.length b)
 

@@ -10,6 +10,11 @@ val encode : Value.t -> bytes
 (** @raise Invalid_argument if called on a value that could not have
     come from any schema (never happens for conforming values). *)
 
+val encode_at : int -> Value.t -> bytes
+(** [encode_at room v] is [room] zero bytes followed by [encode v], in
+    one buffer: room in front of the encoding for a message header,
+    written later in place. [encode v] is [encode_at 0 v]. *)
+
 val encoded_size : Value.t -> int
 (** Exact size [Bytes.length (encode v)] without materializing. *)
 

@@ -41,7 +41,7 @@ let err_code = function Error_reply c -> c | Request | Response -> 0
 
 (* The fixed header, in order: magic u16, version u8, kind tag u8 (with
    [ctx_flag]), error code u16, method u16, service u32, rpc id u64.
-   [write_header] writes it and the readers below read it at these
+   [write_header_into] writes it and the readers below read it at these
    offsets; [peek] and [decode] are built on the readers. *)
 let off_version = 2
 let off_tag = 3
@@ -50,41 +50,53 @@ let off_method = 6
 let off_service = 8
 let off_rpc_id = 12
 
-let write_header w ~kind ~ctx ~rpc_id ~service_id ~method_id =
-  Net.Buf.write_u16 w magic;
-  Net.Buf.write_u8 w version;
-  Net.Buf.write_u8 w
-    (kind_tag kind lor match ctx with Some _ -> ctx_flag | None -> 0);
-  Net.Buf.write_u16 w (err_code kind);
-  Net.Buf.write_u16 w method_id;
-  Net.Buf.write_u32 w service_id;
-  Net.Buf.write_u64 w rpc_id;
-  match ctx with None -> () | Some c -> Net.Buf.write_bytes w c
-
-let ctx_len = function
-  | None -> 0
+let header_room = function
+  | None -> header_size
   | Some c ->
       if Bytes.length c <> ctx_size then
         invalid_arg "Wire_format.encode: context must be ctx_size bytes";
-      ctx_size
+      header_size + ctx_size
+
+(* The range checks are [Net.Buf.write_u16]'s and [write_u32]'s, with
+   their messages, so an out-of-range field raises here exactly what it
+   raises through a writer. *)
+let[@hot_path] set_u16 b off v =
+  if v < 0 || v > 0xffff then invalid_arg "Buf.write_u16: value out of range";
+  Bytes.set_uint16_be b off v
+
+let[@hot_path] set_u32 b off v =
+  if v < 0 || v > 0xffff_ffff then
+    invalid_arg "Buf.write_u32: value out of range";
+  Bytes.set_int32_be b off (Int32.of_int v)
+
+let[@hot_path] write_header_into ~kind ?ctx ~rpc_id ~service_id ~method_id b =
+  if Bytes.length b < header_room ctx then
+    invalid_arg "Wire_format.write_header_into: no room for the header";
+  Bytes.set_uint16_be b 0 magic;
+  Bytes.set_uint8 b off_version version;
+  Bytes.set_uint8 b off_tag
+    (kind_tag kind lor match ctx with Some _ -> ctx_flag | None -> 0);
+  set_u16 b off_code (err_code kind);
+  set_u16 b off_method method_id;
+  set_u32 b off_service service_id;
+  Bytes.set_int64_be b off_rpc_id rpc_id;
+  match ctx with None -> () | Some c -> Bytes.blit c 0 b header_size ctx_size
 
 let encode_body ~kind ?ctx ~rpc_id ~service_id ~method_id body =
-  let w = Net.Buf.writer (header_size + ctx_len ctx + Bytes.length body) in
-  write_header w ~kind ~ctx ~rpc_id ~service_id ~method_id;
-  Net.Buf.write_bytes w body;
-  Net.Buf.filled w
+  let room = header_room ctx in
+  let b = Bytes.create (room + Bytes.length body) in
+  write_header_into ~kind ?ctx ~rpc_id ~service_id ~method_id b;
+  Bytes.blit body 0 b room (Bytes.length body);
+  b
 
 let encode t =
   encode_body ~kind:t.kind ?ctx:t.ctx ~rpc_id:t.rpc_id
     ~service_id:t.service_id ~method_id:t.method_id t.body
 
 let encode_value ~kind ?ctx ~rpc_id ~service_id ~method_id v =
-  let w =
-    Net.Buf.writer (header_size + ctx_len ctx + Codec.encoded_size v)
-  in
-  write_header w ~kind ~ctx ~rpc_id ~service_id ~method_id;
-  Codec.write w v;
-  Net.Buf.filled w
+  let b = Codec.encode_at (header_room ctx) v in
+  write_header_into ~kind ?ctx ~rpc_id ~service_id ~method_id b;
+  b
 
 type error =
   | Truncated

@@ -51,6 +51,22 @@ val retriable_error : int -> bool
     should treat as retriable ({!err_shed}, {!err_dead}) rather than a
     terminal application error. *)
 
+val header_room : bytes option -> int
+(** Bytes in front of a message's body: {!header_size}, plus
+    {!ctx_size} with a trace context.
+    @raise Invalid_argument if the context is not {!ctx_size} bytes. *)
+
+val write_header_into :
+  kind:kind -> ?ctx:bytes -> rpc_id:int64 -> service_id:int -> method_id:int ->
+  bytes -> unit
+(** Write the header of those fields (and the context) over the first
+    {!header_room} bytes of a buffer whose body already follows them, as
+    {!encode_body} would lay them out. Allocates nothing.
+    @raise Invalid_argument if the buffer is shorter than the room, if
+    the context is not {!ctx_size} bytes, or on a method id or error
+    code outside u16 or a service id outside u32, as
+    [Net.Buf.write_u16] and [write_u32] raise. *)
+
 val encode : t -> bytes
 (** {!encode_body} of the message's fields. *)
 
@@ -65,8 +81,9 @@ val encode_value :
   Value.t -> bytes
 (** [encode] of the message of that kind whose body is the value's
     {!Codec} encoding, with the value written straight into the message
-    buffer: one allocation, no intermediate body. Shares {!encode}'s
-    header writer. The body is {!Codec.encoded_size} bytes. *)
+    buffer ({!Codec.encode_at} past the {!header_room}): one buffer, no
+    intermediate body. Shares {!encode}'s header writer. The body is
+    {!Codec.encoded_size} bytes. *)
 
 type error =
   | Truncated

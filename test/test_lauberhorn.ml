@@ -235,7 +235,8 @@ let line_readers_agree_on rng line =
   (* defined only on lines [response_ok] accepts, but total *)
   ignore
     (M.response_inline_is_prefix_of line
-       (Wire_gen.random_wire_bytes rng (Sim.Rng.int rng ~bound:110)));
+       (Wire_gen.random_wire_bytes rng (Sim.Rng.int rng ~bound:110))
+       ~off:(Sim.Rng.int rng ~bound:120 - 5));
   (match (M.decode line, kind) with
   | Ok (M.Request r), M.Request_line
   | Ok (M.Kernel_dispatch r), M.Kernel_dispatch_line ->
@@ -262,9 +263,13 @@ let line_readers_agree_on rng line =
       && r.M.resp_aux_count = aux_count
       && List.for_all
            (fun b ->
-             Bool.equal
-               (M.response_inline_is_prefix_of line b)
-               (Net.Slice.is_prefix_of inline b))
+             (* At offset 0, and behind 5 bytes of room at offset 5. *)
+             let roomy = Bytes.cat (Bytes.make 5 'r') b in
+             let want = Net.Slice.is_prefix_of inline b in
+             Bool.equal (M.response_inline_is_prefix_of line b ~off:0) want
+             && Bool.equal
+                  (M.response_inline_is_prefix_of line roomy ~off:5)
+                  want)
            [
              body;
              Bytes.cat body (Bytes.make 3 'x');
@@ -731,6 +736,185 @@ let test_stack_held_response_survives_line_reuse () =
          (Int64.of_int n, Rpc.Codec.encoded_size (blob size)))
        sizes)
     (List.sort compare !replies)
+
+(* Requests of 60 KiB, 2 KiB and 64 B arrive back to back with
+   encryption on, so each frame's NIC pipeline (decrypt included) and
+   each reply's transmit take times that grow with its size: the later,
+   smaller frames overtake the larger ones, and pipeline and transmit
+   slots are taken and released out of order. Service 1 is killed
+   mid-run, so its dead-service NACKs are in flight beside service 2's
+   replies. Each client sends from its own port. Every reply must go
+   back to its own request's port with that request's id and body, and
+   every NACK must name its own request. *)
+let test_stack_recycled_slots_keep_their_frames () =
+  let engine = Sim.Engine.create () in
+  let answers = ref [] in
+  let egress f =
+    match Rpc.Wire_format.decode f.Net.Frame.payload with
+    | Ok w -> answers := (f.Net.Frame.udp.Net.Udp.dst_port, w) :: !answers
+    | Error e ->
+        Alcotest.failf "undecodable frame: %a" Rpc.Wire_format.pp_error e
+  in
+  let cfg = Lauberhorn.Config.with_encryption Lauberhorn.Config.enzian true in
+  let stack =
+    Lauberhorn.Stack.create engine ~cfg ~ncores:4
+      ~services:
+        [
+          echo_spec ~max_workers:2 ~port:7001 ~id:1 ();
+          echo_spec ~max_workers:2 ~port:7002 ~id:2 ();
+        ]
+      ~egress ()
+  in
+  let driver = Lauberhorn.Stack.driver stack in
+  let recorder = Harness.Recorder.create engine in
+  let sent = Hashtbl.create 64 in
+  let client_port id = 40_000 + id in
+  let send id ~svc size () =
+    let body = Bytes.init size (fun i -> Char.chr (((id * 31) + i) land 0xff)) in
+    Hashtbl.replace sent (Int64.of_int id) (svc, body);
+    Harness.Traffic.inject recorder driver ~rpc_id:(Int64.of_int id)
+      ~service_id:svc ~method_id:0 ~port:(7000 + svc)
+      ~client:
+        { (Harness.Traffic.client_endpoint ()) with
+          Net.Frame.port = client_port id }
+      (Rpc.Value.Blob body)
+  in
+  let sizes = [ 61_440; 2_048; 64 ] in
+  let round_at r = Sim.Units.us (10 + (30 * r)) in
+  for r = 0 to 7 do
+    List.iteri
+      (fun k (svc, size) ->
+        let id = 1 + (r * 6) + k in
+        ignore
+          (Sim.Engine.schedule_at engine
+             ~at:(round_at r + (k * Sim.Units.ns 50))
+             (send id ~svc size)))
+      (List.concat_map (fun svc -> List.map (fun size -> (svc, size)) sizes)
+         [ 1; 2 ])
+  done;
+  ignore
+    (Sim.Engine.schedule_at engine ~at:(round_at 4 + Sim.Units.us 1) (fun () ->
+         Lauberhorn.Stack.kill_service stack ~service_id:1));
+  Sim.Engine.run engine ~until:(Sim.Units.ms 5);
+  let in_egress_order = List.rev !answers in
+  let ids =
+    List.map (fun (_, w) -> Int64.to_int w.Rpc.Wire_format.rpc_id)
+      in_egress_order
+  in
+  checki "no request answered twice" (List.length ids)
+    (List.length (List.sort_uniq Int.compare ids));
+  checkb "answers left out of request order" true
+    (not (List.equal Int.equal ids (List.sort Int.compare ids)));
+  let kinds = ref (0, 0) in
+  List.iter
+    (fun (dst_port, w) ->
+      let id = w.Rpc.Wire_format.rpc_id in
+      let svc, body =
+        match Hashtbl.find_opt sent id with
+        | Some s -> s
+        | None -> Alcotest.failf "answer to rpc %Ld, never sent" id
+      in
+      let name = Printf.sprintf "rpc %Ld" id in
+      checki (name ^ ": to its own client port")
+        (client_port (Int64.to_int id)) dst_port;
+      checki (name ^ ": its own service") svc w.Rpc.Wire_format.service_id;
+      checki (name ^ ": its own method") 0 w.Rpc.Wire_format.method_id;
+      match w.Rpc.Wire_format.kind with
+      | Rpc.Wire_format.Response ->
+          let replies, nacks = !kinds in
+          kinds := (replies + 1, nacks);
+          checkb (name ^ ": its own body") true
+            (match
+               Rpc.Codec.decode Rpc.Schema.Blob w.Rpc.Wire_format.body
+             with
+            | Ok (Rpc.Value.Blob b) -> Bytes.equal b body
+            | Ok _ | Error _ -> false)
+      | Rpc.Wire_format.Error_reply code ->
+          let replies, nacks = !kinds in
+          kinds := (replies, nacks + 1);
+          checki (name ^ ": a dead-service NACK") Rpc.Wire_format.err_dead
+            code;
+          checki (name ^ ": NACKs only the killed service") 1 svc;
+          checki (name ^ ": an empty NACK body") 0
+            (Bytes.length w.Rpc.Wire_format.body)
+      | Rpc.Wire_format.Request -> Alcotest.failf "%s: a request on egress" name)
+    in_egress_order;
+  let replies, nacks = !kinds in
+  checkb "NACKs were sent" true (nacks > 0);
+  checkb "service 1 replied before the kill" true (replies > 24);
+  let svc2 =
+    List.filter
+      (fun (_, w) ->
+        Int.equal w.Rpc.Wire_format.service_id 2
+        && w.Rpc.Wire_format.kind = Rpc.Wire_format.Response)
+      in_egress_order
+  in
+  checki "service 2 answered every request" 24 (List.length svc2);
+  let is_nack (_, w) =
+    match w.Rpc.Wire_format.kind with
+    | Rpc.Wire_format.Error_reply _ -> true
+    | Rpc.Wire_format.Response | Rpc.Wire_format.Request -> false
+  in
+  (* After the first NACK, some reply, and after it another NACK. *)
+  let rec after_nack = function
+    | [] -> []
+    | a :: rest -> if is_nack a then rest else after_nack rest
+  in
+  let rec reply_then_nack = function
+    | [] -> false
+    | a :: rest -> if is_nack a then reply_then_nack rest else List.exists is_nack rest
+  in
+  checkb "a reply leaves between two NACKs" true
+    (reply_then_nack (after_nack in_egress_order));
+  let counter name =
+    Sim.Counter.value
+      (Sim.Counter.counter (Lauberhorn.Stack.counters stack) name)
+  in
+  checki "no corrupt response" 0 (counter "response_corrupt");
+  checki "every answer was transmitted" (List.length ids) (counter "tx_frames")
+
+(* A reply's header is written into the room its worker left in front
+   of the encoded result, sized by the trace context known then. A
+   context noted after the result was encoded (here from the handled
+   hook, between the worker's finish and the response's collection) no
+   longer fits that room: the body is copied behind a header that holds
+   the context, and the reply still carries its own id and body. *)
+let test_stack_late_context_reaches_the_reply () =
+  let engine = Sim.Engine.create () in
+  let tracer = Obs.Tracer.create () in
+  Obs.Tracer.enable tracer;
+  let frames = ref [] in
+  let stack =
+    Lauberhorn.Stack.create engine ~tracer ~cfg:Lauberhorn.Config.enzian
+      ~ncores:2 ~services:[ echo_spec ~port:7000 ~id:1 () ]
+      ~egress:(fun f -> frames := f :: !frames)
+      ()
+  in
+  let ctx = Bytes.make Rpc.Wire_format.ctx_size 'c' in
+  Lauberhorn.Stack.on_handled stack (fun () ->
+      Obs.Tracer.set_context tracer ~rpc:7L ctx);
+  let body = Bytes.of_string "late context" in
+  let recorder = Harness.Recorder.create engine in
+  ignore
+    (Sim.Engine.schedule_at engine ~at:(Sim.Units.us 10) (fun () ->
+         Harness.Traffic.inject recorder (Lauberhorn.Stack.driver stack)
+           ~rpc_id:7L ~service_id:1 ~method_id:0 ~port:7000
+           (Rpc.Value.Blob body)));
+  Sim.Engine.run engine ~until:(Sim.Units.ms 1);
+  match !frames with
+  | [ f ] -> (
+      match Rpc.Wire_format.decode f.Net.Frame.payload with
+      | Ok w ->
+          check Alcotest.int64 "its own id" 7L w.Rpc.Wire_format.rpc_id;
+          checkb "a response" true
+            (w.Rpc.Wire_format.kind = Rpc.Wire_format.Response);
+          checkb "the late context" true
+            (Option.equal Bytes.equal w.Rpc.Wire_format.ctx (Some ctx));
+          checkb "its own body" true
+            (Bytes.equal w.Rpc.Wire_format.body
+               (Rpc.Codec.encode (Rpc.Value.Blob body)))
+      | Error e -> Alcotest.failf "reply: %a" Rpc.Wire_format.pp_error e)
+  | fs -> Alcotest.failf "%d frames on egress, expected 1" (List.length fs)
 
 let test_stack_scale_up_under_burst () =
   let env =
@@ -1457,9 +1641,12 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
    request or response record per message) it took 409.9, and
    perfbench's host_64b 401.1. Before CONTROL lines were written in
    place, the MAC kept one event closure and replies were built from
-   the request frame, it took 266.9, and perfbench's host_64b 258.1;
-   it now takes 198.8. *)
-let rpc_words_budget = 198.8 *. 1.02
+   the request frame, it took 266.9, and perfbench's host_64b 258.1.
+   Before the NIC pipeline and transmit path kept their frames in
+   recycled slots, requests were staged from their fields and each
+   reply was encoded once into its wire payload, it took 198.8, and
+   perfbench's host_64b 190.1; it now takes 157.5. *)
+let rpc_words_budget = 157.5 *. 1.02
 
 let test_rpc_allocation_budget () =
   let setup =
@@ -1587,5 +1774,9 @@ let () =
             test_stack_static_binding_fault_plan;
           Alcotest.test_case "a stale fill keeps its bytes across a restart"
             `Quick test_stack_stale_fill_keeps_its_bytes;
+          Alcotest.test_case "recycled slots keep their own frames" `Quick
+            test_stack_recycled_slots_keep_their_frames;
+          Alcotest.test_case "a late trace context reaches the reply" `Quick
+            test_stack_late_context_reaches_the_reply;
         ] );
     ]

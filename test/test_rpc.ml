@@ -367,6 +367,91 @@ let encode_body_is_encode =
               Some (Wire_gen.random_wire_bytes rng Rpc.Wire_format.ctx_size);
             ])
 
+(* The header as a [Net.Buf] writer lays it out, field by field:
+   [encode_body] before the header was written in place. *)
+let writer_encode_body ~kind ?ctx ~rpc_id ~service_id ~method_id body =
+  let ctx_bytes = match ctx with Some c -> Bytes.length c | None -> 0 in
+  let w =
+    Net.Buf.writer
+      (Rpc.Wire_format.header_size + ctx_bytes + Bytes.length body)
+  in
+  let tag, code =
+    match kind with
+    | Rpc.Wire_format.Request -> (0, 0)
+    | Rpc.Wire_format.Response -> (1, 0)
+    | Rpc.Wire_format.Error_reply c -> (2, c)
+  in
+  Net.Buf.write_u16 w 0x4c42;
+  Net.Buf.write_u8 w 1;
+  Net.Buf.write_u8 w (tag lor if Option.is_some ctx then 0x80 else 0);
+  Net.Buf.write_u16 w code;
+  Net.Buf.write_u16 w method_id;
+  Net.Buf.write_u32 w service_id;
+  Net.Buf.write_u64 w rpc_id;
+  Option.iter (Net.Buf.write_bytes w) ctx;
+  Net.Buf.write_bytes w body;
+  Net.Buf.filled w
+
+(* A u16 or u32 field value, out of range one time in six. *)
+let field rng ~max =
+  match Sim.Rng.int rng ~bound:6 with
+  | 0 -> (
+      match Sim.Rng.int rng ~bound:3 with
+      | 0 -> -1 - Sim.Rng.int rng ~bound:3
+      | 1 -> max + 1 + Sim.Rng.int rng ~bound:3
+      | _ -> max)
+  | _ -> Sim.Rng.int rng ~bound:(max + 1)
+
+let outcome f =
+  match f () with
+  | b -> Ok b
+  | exception Invalid_argument m -> Error m
+
+(* [write_header_into] over a buffer whose body already sits behind
+   [header_room] bytes of reserved room gives exactly [encode_body]'s
+   bytes, which are the field-by-field writer's, for every kind, with
+   and without a trace context; on a method id, service id or error
+   code out of range all three raise the same [Invalid_argument]. *)
+let header_in_place_is_encode_body =
+  QCheck.Test.make ~name:"in-place header = encode_body" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Sim.Rng.create ~seed in
+      let kind =
+        match Sim.Rng.int rng ~bound:3 with
+        | 0 -> Rpc.Wire_format.Request
+        | 1 -> Rpc.Wire_format.Response
+        | _ -> Rpc.Wire_format.Error_reply (field rng ~max:0xffff)
+      in
+      let ctx =
+        if Sim.Rng.int rng ~bound:2 = 0 then None
+        else Some (Wire_gen.random_wire_bytes rng Rpc.Wire_format.ctx_size)
+      in
+      let rpc_id = Sim.Rng.bits64 rng in
+      let service_id = field rng ~max:0xffff_ffff in
+      let method_id = field rng ~max:0xffff in
+      let body = Wire_gen.random_wire_bytes rng (Sim.Rng.int rng ~bound:80) in
+      let room = Rpc.Wire_format.header_room ctx in
+      let in_place () =
+        (* The room starts as junk: every byte of it is written. *)
+        let b = Wire_gen.random_wire_bytes rng (room + Bytes.length body) in
+        Bytes.blit body 0 b room (Bytes.length body);
+        Rpc.Wire_format.write_header_into ~kind ?ctx ~rpc_id ~service_id
+          ~method_id b;
+        b
+      in
+      let want =
+        outcome (fun () ->
+            writer_encode_body ~kind ?ctx ~rpc_id ~service_id ~method_id body)
+      in
+      let same = Result.equal ~ok:Bytes.equal ~error:String.equal in
+      same (outcome in_place) want
+      && same
+           (outcome (fun () ->
+                Rpc.Wire_format.encode_body ~kind ?ctx ~rpc_id ~service_id
+                  ~method_id body))
+           want)
+
 let peek_agrees_with_decode =
   QCheck.Test.make ~name:"wire peek agrees with decode" ~count:2000
     QCheck.(int_bound 1_000_000)
@@ -683,6 +768,7 @@ let () =
               peek_agrees_with_decode;
               decode_in_place_agrees;
               offset_readers_agree;
+              header_in_place_is_encode_body;
             ] );
       ( "interface",
         [
