@@ -12,6 +12,29 @@ type service_spec = { service : Rpc.Interface.service_def; port : int }
 
 let spec ~port service = { service; port }
 
+(* A service port's entry in the flow table: the service and the
+   poller that statically owns it. *)
+type binding = { service : Rpc.Interface.service_def; poller : int }
+
+(* A packet in a poller's hands, from the rx cost to the doorbell, or a
+   pending spin resume, rides a slot of its poller's pool whose stage
+   closures are built once, when the slot is made. The slot keeps the
+   thread that took it: if the process crashes while the packet is in
+   flight, every later stage finds that thread exited, frees the slot
+   and does nothing else (the frame is already consumed from the ring,
+   so it is simply lost — bypass gives the client no transport-level
+   crash signal). The poller's current thread would not do: after a
+   restart it is the new, live one. *)
+type packet = {
+  mutable th : Osmodel.Proc.thread;  (* the thread that took the slot *)
+  mutable rx : binding Rx.t;
+  mutable result : Rpc.Value.t;  (* the handler's, while it is marshalled *)
+  after_rx : unit -> unit;  (* the per-packet rx cost has elapsed *)
+  after_handler : unit -> unit;  (* deserialisation and the handler *)
+  after_marshal : unit -> unit;  (* marshalling and the doorbell *)
+  after_spin : unit -> unit;  (* a spin resume's poll iteration *)
+}
+
 type poller = {
   pidx : int;
   core : int;
@@ -19,14 +42,11 @@ type poller = {
   mutable spin_since : Sim.Units.time;
       (* when the poller parked on an empty ring; [not_spinning] while
          it is busy or dead *)
+  packets : packet Sim.Slot_pool.t;
 }
 
 (* Simulated time is never negative. *)
 let not_spinning = -1
-
-(* A service port's entry in the flow table: the service and the
-   poller that statically owns it. *)
-type binding = { service : Rpc.Interface.service_def; poller : int }
 
 type t = {
   engine : Sim.Engine.t;
@@ -67,83 +87,137 @@ let charge_user t p cost =
     (Osmodel.Kernel.account t.kern ~core:p.core)
     Osmodel.Cpu_account.User cost
 
+(* Clear a slot and give it back to its poller's pool. *)
+let[@hot_path] free p s =
+  s.rx <- Rx.Bad_rpc;
+  s.result <- Rpc.Value.Unit;
+  Sim.Slot_pool.release p.packets s
+
+let request s =
+  match s.rx with
+  | Rx.Request r -> r
+  | Rx.Bad_rpc | Rx.Drop _ -> invalid_arg "Bypass_stack: no request in slot"
+
 (* Run-to-completion handling of one frame on the poller's core. The
    poller thread owns its core outright, so we charge its ledger
    directly and sequence work with engine delays. *)
-let rec poll_loop t p () =
+let[@hot_path] rec poll_loop t p =
   match Nic.Dma_nic.consume (nic t) ~queue:p.pidx t.rx_decode with
   | Some rx ->
       let cost = sw.Costs.poll_rx_per_packet + sw.Costs.bypass_demux in
       charge_user t p cost;
-      (* Capture the thread identity: if the process crashes while this
-         packet is in flight, the continuation must die with it (the
-         frame is already consumed from the ring, so it is simply lost —
-         bypass gives the client no transport-level crash signal). *)
-      let th = p.pthread in
-      ignore
-        (Sim.Engine.schedule_after t.engine ~after:cost (fun () ->
-             if not (Osmodel.Proc.is_exited th) then handle t p rx))
+      let s = take_packet t p in
+      s.rx <- rx;
+      ignore (Sim.Engine.schedule_after t.engine ~after:cost s.after_rx)
   | None ->
       (* Park the (simulated) spin: the ring's produce callback resumes
          us and we back-charge the spin window. *)
       p.spin_since <- Sim.Engine.now t.engine
 
-and handle t p rx =
-  let drop counter =
-    Sim.Counter.incr (ctr t counter);
-    poll_loop t p ()
-  in
-  match rx with
-  | Rx.Bad_rpc -> drop "rx_bad_rpc"
-  | Rx.Drop { rpc_id; counter } ->
-      (* DMA delivery + poll-loop spin + per-packet rx cost. *)
-      span_stage t ~rpc:rpc_id "poll_rx";
-      drop counter
-  | Rx.Request r ->
-      span_stage t ~rpc:r.rpc_id "poll_rx";
-      execute t p r
+(* The per-packet rx cost has elapsed: DMA delivery + poll-loop spin +
+   per-packet rx cost close the poll_rx stage. *)
+and[@hot_path] rx_done t p s =
+  if Osmodel.Proc.is_exited s.th then free p s
+  else
+    match s.rx with
+    | Rx.Bad_rpc ->
+        free p s;
+        drop t p "rx_bad_rpc"
+    | Rx.Drop { rpc_id; counter } ->
+        free p s;
+        span_stage t ~rpc:rpc_id "poll_rx";
+        drop t p counter
+    | Rx.Request r ->
+        span_stage t ~rpc:r.rpc_id "poll_rx";
+        let deser =
+          Rpc.Deser_cost.cost Rpc.Deser_cost.software
+            ~fields:(Rpc.Value.field_count r.args)
+            ~bytes:r.arg_bytes
+        in
+        let work = deser + r.mdef.Rpc.Interface.handler_time in
+        charge_user t p work;
+        ignore
+          (Sim.Engine.schedule_after t.engine ~after:work s.after_handler)
 
-and execute t p (r : binding Rx.request) =
-  let deser =
-    Rpc.Deser_cost.cost Rpc.Deser_cost.software
-      ~fields:(Rpc.Value.field_count r.args)
-      ~bytes:r.arg_bytes
-  in
-  let work = deser + r.mdef.Rpc.Interface.handler_time in
-  charge_user t p work;
-  let th = p.pthread in
-  ignore
-    (Sim.Engine.schedule_after t.engine ~after:work (fun () ->
-         if Osmodel.Proc.is_exited th then ()
-         else begin
-         span_stage t ~rpc:r.rpc_id "app";
-         let result = r.mdef.Rpc.Interface.execute r.args in
-         let marshal =
-           Rpc.Deser_cost.cost Rpc.Deser_cost.software_marshal
-             ~fields:(Rpc.Value.field_count result)
-             ~bytes:(Rpc.Codec.encoded_size result)
-           + sw.Costs.doorbell
-         in
-         charge_user t p marshal;
-         ignore
-           (Sim.Engine.schedule_after t.engine ~after:marshal (fun () ->
-                if Osmodel.Proc.is_exited th then ()
-                else begin
-                let out = Rx.reply r result in
-                Sim.Counter.incr (ctr t "tx_frames");
-                span_stage t ~rpc:r.rpc_id "marshal";
-                Nic.Dma_nic.transmit (nic t) out
-                  ~via:(fun f ->
-                    span_stage t ~rpc:r.rpc_id "tx_dma";
-                    Obs.Tracer.rpc_end t.tracer ~rpc:r.rpc_id
-                      (Sim.Engine.now t.engine);
-                    t.egress f);
-                Sim.Counter.incr (ctr t "rpcs_handled");
-                poll_loop t p ()
-                end))
-         end))
+and[@hot_path] drop t p counter =
+  Sim.Counter.incr (ctr t counter);
+  poll_loop t p
 
-let resume_from_spin t p () =
+(* Deserialisation and the handler's time have elapsed: run it, and
+   marshal its result. *)
+and[@hot_path] handled t p s =
+  if Osmodel.Proc.is_exited s.th then free p s
+  else begin
+    let r = request s in
+    span_stage t ~rpc:r.rpc_id "app";
+    let result = r.mdef.Rpc.Interface.execute r.args in
+    let marshal =
+      Rpc.Deser_cost.cost Rpc.Deser_cost.software_marshal
+        ~fields:(Rpc.Value.field_count result)
+        ~bytes:(Rpc.Codec.encoded_size result)
+      + sw.Costs.doorbell
+    in
+    charge_user t p marshal;
+    s.result <- result;
+    ignore (Sim.Engine.schedule_after t.engine ~after:marshal s.after_marshal)
+  end
+
+(* Marshalling and the doorbell are done: the reply goes to the NIC and
+   the poller takes its next packet. *)
+and[@hot_path] marshalled t p s =
+  if Osmodel.Proc.is_exited s.th then free p s
+  else begin
+    let r = request s in
+    let result = s.result in
+    free p s;
+    let out = Rx.reply r result in
+    Sim.Counter.incr (ctr t "tx_frames");
+    span_stage t ~rpc:r.rpc_id "marshal";
+    let via =
+      if Obs.Tracer.is_enabled t.tracer then
+        (fun f ->
+          span_stage t ~rpc:r.rpc_id "tx_dma";
+          Obs.Tracer.rpc_end t.tracer ~rpc:r.rpc_id (Sim.Engine.now t.engine);
+          t.egress f)
+        [@alloc_ok]  (* tracing only *)
+      else t.egress
+    in
+    Nic.Dma_nic.transmit (nic t) out ~via;
+    Sim.Counter.incr (ctr t "rpcs_handled");
+    poll_loop t p
+  end
+
+(* A spin resume's poll iteration has elapsed. *)
+and[@hot_path] spun t p s =
+  let th = s.th in
+  free p s;
+  if not (Osmodel.Proc.is_exited th) then poll_loop t p
+
+and[@hot_path] take_packet t p =
+  let s =
+    if Sim.Slot_pool.is_empty p.packets then new_packet t p
+    else Sim.Slot_pool.take p.packets
+  in
+  s.th <- p.pthread;
+  s
+
+and new_packet t p =
+  let rec s =
+    {
+      th = p.pthread;
+      rx = Rx.Bad_rpc;
+      result = Rpc.Value.Unit;
+      after_rx = (fun () -> rx_done t p s);
+      after_handler = (fun () -> handled t p s);
+      after_marshal = (fun () -> marshalled t p s);
+      after_spin = (fun () -> spun t p s);
+    }
+  in
+  s
+
+(* The ring's produce callback: a parked poller resumes after the
+   current poll iteration comes around. *)
+let[@hot_path] resume_from_spin t p =
   let start = p.spin_since in
   if Osmodel.Proc.is_exited p.pthread || Int.equal start not_spinning then ()
   else begin
@@ -156,10 +230,10 @@ let resume_from_spin t p () =
       (Osmodel.Kernel.account t.kern ~core:p.core)
       Osmodel.Cpu_account.Spin
       (iters * sw.Costs.poll_iteration);
-    let th = p.pthread in
+    let s = take_packet t p in
     ignore
       (Sim.Engine.schedule_after t.engine ~after:sw.Costs.poll_iteration
-         (fun () -> if not (Osmodel.Proc.is_exited th) then poll_loop t p ()))
+         s.after_spin)
   end
 
 let hosts t ~service_id =
@@ -261,7 +335,7 @@ let create engine ~profile ~ncores ?pollers ?(fault = Fault.Plan.none)
         let p_ref = ref None in
         let body () =
           match !p_ref with
-          | Some p -> poll_loop t p ()
+          | Some p -> poll_loop t p
           | None -> assert false
         in
         let pthread =
@@ -269,13 +343,21 @@ let create engine ~profile ~ncores ?pollers ?(fault = Fault.Plan.none)
             ~name:(Printf.sprintf "poller%d" pidx)
             ~affinity:pidx body
         in
-        let p = { pidx; core = pidx; pthread; spin_since = not_spinning } in
+        let p =
+          {
+            pidx;
+            core = pidx;
+            pthread;
+            spin_since = not_spinning;
+            packets = Sim.Slot_pool.create ();
+          }
+        in
         p_ref := Some p;
         p);
   Array.iter
     (fun p ->
       let ring = Nic.Dma_nic.rx_ring dnic ~queue:p.pidx in
-      Nic.Ring.on_produce ring (fun () -> resume_from_spin t p ());
+      Nic.Ring.on_produce ring (fun () -> resume_from_spin t p);
       Osmodel.Kernel.wake kern p.pthread)
     t.pollers;
   t
@@ -342,7 +424,7 @@ let restart_service t ~service_id =
           Osmodel.Kernel.spawn t.kern proc
             ~name:(Printf.sprintf "poller%d" p.pidx)
             ~affinity:p.core
-            (fun () -> poll_loop t p ())
+            (fun () -> poll_loop t p)
         in
         p.pthread <- pthread;
         p.spin_since <- not_spinning;

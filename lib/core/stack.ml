@@ -92,9 +92,9 @@ let service_id_of sv = sv.sspec.service.Rpc.Interface.service_id
 type dispatcher = { dthread : Osmodel.Proc.thread; dep : Endpoint.t }
 
 (* The NIC pipeline and the transmit path hold each frame in a slot of a
-   per-stack pool: a mutable record whose event closure is built once,
-   when the slot is made. The pipeline's delays vary per frame, so
-   slots fire in any order. A slot re-reads the rpc id and body offset
+   per-stack [Sim.Slot_pool]: a mutable record whose event closure is
+   built once, when the slot is made. The pipeline's delays vary per
+   frame, so slots fire in any order. A slot re-reads the rpc id and body offset
    from its frame's header (a mutable [int64] field would box on every
    store), and a firing slot clears its frame and returns to the pool
    before it dispatches or transmits. *)
@@ -111,10 +111,6 @@ type tx_slot = {
   mutable tx_stage : bool;  (* close the "tx" stage: a reply, not a NACK *)
   tx_fire : unit -> unit;
 }
-
-(* A pool's free slots, a stack in an array: taking or releasing a slot
-   allocates nothing once the array has grown to the pool's peak. *)
-type 'a slots = { mutable free : 'a array; mutable nfree : int }
 
 let no_frame =
   Net.Frame.make ~src:Harness.Traffic.server_address
@@ -147,8 +143,10 @@ type t = {
   mutable address : Net.Frame.endpoint option;  (* our own identity *)
   nested_conts : Rpc.Value.t Rpc.Continuation.t;
       (* reply continuations for nested calls (paper section 6) *)
-  rx_slots : rx_slot slots;  (* the NIC pipeline's frames in flight *)
-  tx_slots : tx_slot slots;  (* frames between collection and the wire *)
+  rx_slots : rx_slot Sim.Slot_pool.t;
+      (* the NIC pipeline's frames in flight *)
+  tx_slots : tx_slot Sim.Slot_pool.t;
+      (* frames between collection and the wire *)
   mutable next_dispatch_id : int64;
   mutable mac : Nic.Mac.t option;
   mutable handled_hook : (unit -> unit) option;
@@ -659,24 +657,13 @@ let scale_decision t sv =
 
 let tx_mac_delay = Sim.Units.ns 200
 
-let grow_slots p s =
-  let n = Array.length p.free in
-  let a = Array.make (Int.max 8 (2 * n)) s in
-  Array.blit p.free 0 a 0 n;
-  p.free <- a
-
-let[@hot_path] release p s =
-  if Int.equal p.nfree (Array.length p.free) then grow_slots p s;
-  p.free.(p.nfree) <- s;
-  p.nfree <- p.nfree + 1
-
 (* The frame leaves for the wire. The rpc id is read back from its
    header only for the tracer. *)
 let[@hot_path] fire_tx t s =
   let frame = s.tx_frame in
   let stage = s.tx_stage in
   s.tx_frame <- no_frame;
-  release t.tx_slots s;
+  Sim.Slot_pool.release t.tx_slots s;
   Sim.Counter.incr (ctr t "tx_frames");
   if Obs.Tracer.is_enabled t.tracer then begin
     let rpc = Rpc.Wire_format.rpc_id frame.Net.Frame.payload in
@@ -695,14 +682,13 @@ let new_tx_slot t frame ~stage =
 let[@hot_path] transmit t ~after ~stage frame =
   let p = t.tx_slots in
   let s =
-    if p.nfree > 0 then begin
-      p.nfree <- p.nfree - 1;
-      let s = p.free.(p.nfree) in
+    if Sim.Slot_pool.is_empty p then new_tx_slot t frame ~stage
+    else begin
+      let s = Sim.Slot_pool.take p in
       s.tx_frame <- frame;
       s.tx_stage <- stage;
       s
     end
-    else new_tx_slot t frame ~stage
   in
   ignore (Sim.Engine.schedule_after t.engine ~after s.tx_fire)
 
@@ -827,7 +813,7 @@ let[@hot_path] fire_rx t s =
   let args = s.rx_args in
   s.rx_frame <- no_frame;
   s.rx_args <- Rpc.Value.Unit;
-  release t.rx_slots s;
+  Sim.Slot_pool.release t.rx_slots s;
   let payload = frame.Net.Frame.payload in
   let rpc_id = Rpc.Wire_format.rpc_id payload in
   let body_off = Rpc.Wire_format.body_offset payload in
@@ -851,16 +837,15 @@ let new_rx_slot t frame sv mdef args =
 let[@hot_path] arm_rx t ~after frame sv mdef args =
   let p = t.rx_slots in
   let s =
-    if p.nfree > 0 then begin
-      p.nfree <- p.nfree - 1;
-      let s = p.free.(p.nfree) in
+    if Sim.Slot_pool.is_empty p then new_rx_slot t frame sv mdef args
+    else begin
+      let s = Sim.Slot_pool.take p in
       s.rx_frame <- frame;
       s.rx_sv <- sv;
       s.rx_mdef <- mdef;
       s.rx_args <- args;
       s
     end
-    else new_rx_slot t frame sv mdef args
   in
   ignore (Sim.Engine.schedule_after t.engine ~after s.rx_fire)
 
@@ -1216,8 +1201,8 @@ let create engine ~cfg ~ncores ?(binding = Os_integrated)
       remotes = Hashtbl.create 16;
       address = None;
       nested_conts = Rpc.Continuation.create ();
-      rx_slots = { free = [||]; nfree = 0 };
-      tx_slots = { free = [||]; nfree = 0 };
+      rx_slots = Sim.Slot_pool.create ();
+      tx_slots = Sim.Slot_pool.create ();
       next_dispatch_id = Int64.shift_left 1L 62;
       mac = None;
       handled_hook = None;

@@ -22,7 +22,7 @@ let server_endpoint ~port = { server_address with Net.Frame.port }
 
 let request_frame ~rpc_id ~service_id ~method_id ~port ?client args =
   let client = match client with Some c -> c | None -> default_client in
-  Net.Frame.make ~src:client ~dst:(server_endpoint ~port)
+  Net.Frame.make_to_port ~src:client ~dst:server_address ~port
     (Rpc.Wire_format.encode_value ~kind:Rpc.Wire_format.Request ~rpc_id
        ~service_id ~method_id args)
 

@@ -16,7 +16,7 @@ type t = {
   payload : bytes;
 }
 
-let make ~src ~dst payload : t =
+let make_to_port ~src ~dst ~port payload : t =
   let payload_len = Bytes.length payload in
   {
     eth =
@@ -35,9 +35,11 @@ let make ~src ~dst payload : t =
         dst = dst.ip;
         payload_len = Udp.header_size + payload_len;
       };
-    udp = { Udp.src_port = src.port; dst_port = dst.port; payload_len };
+    udp = { Udp.src_port = src.port; dst_port = port; payload_len };
     payload;
   }
+
+let make ~src ~dst payload = make_to_port ~src ~dst ~port:dst.port payload
 
 (* [make] from the two endpoints the headers name, swapped, without
    building the endpoint records. *)

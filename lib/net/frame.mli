@@ -31,6 +31,10 @@ val make : src:endpoint -> dst:endpoint -> bytes -> t
 (** A frame carrying the given UDP payload, with TTL 64 and IP
     identification 0. *)
 
+val make_to_port : src:endpoint -> dst:endpoint -> port:int -> bytes -> t
+(** [make_to_port ~src ~dst ~port p] is [make ~src ~dst:{ dst with port } p],
+    with no endpoint record built: [dst]'s own port is not read. *)
+
 val reply_to : eth:Ethernet.t -> ip:Ipv4.t -> udp:Udp.t -> bytes -> t
 (** [reply_to ~eth ~ip ~udp p] is the frame carrying [p] back to the
     sender of a request with those headers (a frame's or a view's):

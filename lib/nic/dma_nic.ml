@@ -23,6 +23,24 @@ type queue = {
   buf_base : int;  (* synthetic IOVA region for this queue's buffers *)
 }
 
+(* A frame in flight inside the NIC, in a slot whose completion
+   closure is built once, when the slot is made: receive DMA into the
+   host, or transmit DMA out of it. Each frame's delay depends on its
+   size and, on receive, its IOTLB lookup, so completions fire in any
+   order. A firing slot clears what it holds and goes back to its pool
+   before it completes. *)
+type rx_slot = {
+  mutable rx_frame : Net.Frame.t;
+  mutable rx_queue : int;
+  rx_fire : unit -> unit;
+}
+
+type tx_slot = {
+  mutable tx_frame : Net.Frame.t;
+  mutable tx_via : Net.Frame.t -> unit;
+  tx_fire : unit -> unit;
+}
+
 type t = {
   engine : Sim.Engine.t;
   prof : Coherence.Interconnect.profile;
@@ -42,6 +60,8 @@ type t = {
       (* statically verified per-packet cost of the installed steering
          program (ns); 0 when steering is off — the off path charges
          nothing. *)
+  rx_slots : rx_slot Sim.Slot_pool.t;
+  tx_slots : tx_slot Sim.Slot_pool.t;
 }
 
 (* The pool's base class and the IOVA stride of a ring slot. A larger
@@ -53,6 +73,54 @@ let queue t q =
   if q < 0 || q >= Array.length t.queues then
     invalid_arg (Printf.sprintf "Dma_nic: no queue %d" q);
   t.queues.(q)
+
+(* DMA completion: the wire bytes land in a pooled receive buffer of
+   the smallest size class that holds them, and the descriptor carries
+   a view of them — the driver parses in place and returns the buffer
+   at consume. *)
+let[@hot_path] rx_dma_done t s =
+  let frame = s.rx_frame in
+  let q = t.queues.(s.rx_queue) in
+  s.rx_frame <- Net.Frame.empty;
+  Sim.Slot_pool.release t.rx_slots s;
+  let buf = Net.Pool.acquire t.pool ~len:(Net.Frame.wire_size frame) in
+  let slice = Net.Frame.encode_into frame buf in
+  if
+    t.fault.Fault.Plan.drop > 0.
+    && Sim.Rng.float t.frng < t.fault.Fault.Plan.drop
+  then begin
+    (* Injected completion fault: the frame vanishes at the DMA stage —
+       a counted tail drop that must release its pooled buffer like any
+       other rejection. *)
+    t.fault_dropped <- t.fault_dropped + 1;
+    Net.Pool.release t.pool buf
+  end
+  else begin
+    if
+      t.fault.Fault.Plan.corrupt > 0.
+      && Sim.Rng.float t.frng < t.fault.Fault.Plan.corrupt
+    then
+      (* DMA corruption: the descriptor's bytes are damaged in host
+         memory; the driver's in-place parse (checksums) rejects it at
+         [consume]. *)
+      Fault.Link.flip_checksummed t.frng
+        ~ip_payload_len:frame.Net.Frame.ip.Net.Ipv4.payload_len slice;
+    if Ring.produce q.ring slice then begin
+      t.delivered <- t.delivered + 1;
+      Msix.raise_event q.msix
+    end
+    else Net.Pool.release t.pool buf
+  end
+
+let new_rx_slot t =
+  let rec s =
+    {
+      rx_frame = Net.Frame.empty;
+      rx_queue = 0;
+      rx_fire = (fun () -> rx_dma_done t s);
+    }
+  in
+  s
 
 (* Receive-path hardware steps for one frame. *)
 let rx_frame t frame =
@@ -75,42 +143,13 @@ let rx_frame t frame =
   in
   let steer_cost = match t.steering with Some _ -> t.steering_cost | None -> 0 in
   let total = steer_cost + translate_cost + payload_dma + t.cfg.descriptor_write in
-  ignore
-    (Sim.Engine.schedule_after t.engine ~after:total (fun () ->
-         (* DMA completion: the wire bytes land in a pooled receive
-            buffer of the smallest size class that holds them, and the
-            descriptor carries a view of them — the driver parses in
-            place and returns the buffer at consume. *)
-         let buf =
-           Net.Pool.acquire t.pool ~len:(Net.Frame.wire_size frame)
-         in
-         let slice = Net.Frame.encode_into frame buf in
-         if
-           t.fault.Fault.Plan.drop > 0.
-           && Sim.Rng.float t.frng < t.fault.Fault.Plan.drop
-         then begin
-           (* Injected completion fault: the frame vanishes at the DMA
-              stage — a counted tail drop that must release its pooled
-              buffer like any other rejection. *)
-           t.fault_dropped <- t.fault_dropped + 1;
-           Net.Pool.release t.pool buf
-         end
-         else begin
-           if
-             t.fault.Fault.Plan.corrupt > 0.
-             && Sim.Rng.float t.frng < t.fault.Fault.Plan.corrupt
-           then
-             (* DMA corruption: the descriptor's bytes are damaged in
-                host memory; the driver's in-place parse (checksums)
-                rejects it at [consume]. *)
-             Fault.Link.flip_checksummed t.frng
-               ~ip_payload_len:frame.Net.Frame.ip.Net.Ipv4.payload_len slice;
-           if Ring.produce q.ring slice then begin
-             t.delivered <- t.delivered + 1;
-             Msix.raise_event q.msix
-           end
-           else Net.Pool.release t.pool buf
-         end))
+  let s =
+    if Sim.Slot_pool.is_empty t.rx_slots then new_rx_slot t
+    else Sim.Slot_pool.take t.rx_slots
+  in
+  s.rx_frame <- frame;
+  s.rx_queue <- qi;
+  ignore (Sim.Engine.schedule_after t.engine ~after:total s.rx_fire)
 
 let create engine prof ?(config = default_config) ?(fault = Fault.Plan.none)
     ?metrics ~on_rx_interrupt () =
@@ -157,6 +196,8 @@ let create engine prof ?(config = default_config) ?(fault = Fault.Plan.none)
       corrupt_dropped = 0;
       steering = None;
       steering_cost = 0;
+      rx_slots = Sim.Slot_pool.create ();
+      tx_slots = Sim.Slot_pool.create ();
     }
   in
   sink_ref := (fun f -> rx_frame t f);
@@ -210,6 +251,27 @@ let pool t = t.pool
 let mask_irq t ~queue:q = Msix.mask (queue t q).msix
 let unmask_irq t ~queue:q = Msix.unmask (queue t q).msix
 
+let no_via (_ : Net.Frame.t) = ()
+
+(* Transmit completion: the frame reaches the wire. *)
+let[@hot_path] tx_dma_done t s =
+  let frame = s.tx_frame in
+  let via = s.tx_via in
+  s.tx_frame <- Net.Frame.empty;
+  s.tx_via <- no_via;
+  Sim.Slot_pool.release t.tx_slots s;
+  via frame
+
+let new_tx_slot t =
+  let rec s =
+    {
+      tx_frame = Net.Frame.empty;
+      tx_via = no_via;
+      tx_fire = (fun () -> tx_dma_done t s);
+    }
+  in
+  s
+
 let transmit t frame ~via =
   (* Descriptor fetch, then payload DMA read, then the wire. *)
   let cost =
@@ -217,7 +279,13 @@ let transmit t frame ~via =
     + Coherence.Interconnect.dma_transfer t.prof
         ~bytes:(Net.Frame.wire_size frame)
   in
-  ignore (Sim.Engine.schedule_after t.engine ~after:cost (fun () -> via frame))
+  let s =
+    if Sim.Slot_pool.is_empty t.tx_slots then new_tx_slot t
+    else Sim.Slot_pool.take t.tx_slots
+  in
+  s.tx_frame <- frame;
+  s.tx_via <- via;
+  ignore (Sim.Engine.schedule_after t.engine ~after:cost s.tx_fire)
 
 let rx_delivered t = t.delivered
 

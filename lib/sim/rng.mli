@@ -17,14 +17,20 @@ val split : t -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val bits53 : t -> int
+(** The top 53 bits of the next {!bits64} output, in [\[0, 2^53)].
+    Unlike {!bits64} and {!float}, whose results are boxed on their
+    way out of this module, it allocates nothing. *)
+
 val float : t -> float
-(** Uniform in [\[0, 1)]. *)
+(** Uniform in [\[0, 1)]: [float_of_int (bits53 t) *. 0x1p-53]. *)
 
 val int : t -> bound:int -> int
-(** Uniform in [\[0, bound)]. @raise Invalid_argument if [bound <= 0]. *)
+(** Uniform in [\[0, bound)]. Allocates nothing.
+    @raise Invalid_argument if [bound <= 0]. *)
 
 val bool : t -> bool
-(** Fair coin. *)
+(** Fair coin. Allocates nothing. *)
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean.

@@ -18,7 +18,18 @@ let rec sample t rng =
   | Bimodal (p, a, b) ->
       if Sim.Rng.float rng < p then sample a rng else sample b rng
 
-let sample_int t rng = max 0 (int_of_float (Float.round (sample t rng)))
+(* The exponential case, which every open-loop arrival draws, is
+   [Rng.exponential] written out over [Rng.bits53]: the same draw, bit
+   for bit, but no [float] crosses a module boundary, where it would be
+   boxed. *)
+let[@hot_path] sample_int t rng =
+  match t with
+  | Exponential mean ->
+      if mean <= 0. then invalid_arg "Dist.sample_int: non-positive mean";
+      let u = 1. -. (float_of_int (Sim.Rng.bits53 rng) *. 0x1.0p-53) in
+      Int.max 0 (int_of_float (Float.round (-.mean *. log u)))
+  | Constant _ | Uniform _ | Lognormal _ | Pareto _ | Bimodal _ ->
+      Int.max 0 (int_of_float (Float.round (sample t rng)))
 
 let rec mean = function
   | Constant c -> c

@@ -530,6 +530,97 @@ let test_rng_shuffle_permutes () =
     (List.sort compare (Array.to_list arr));
   checkb "actually moved" false (arr = orig)
 
+(* The first 8 outputs of fixed seeds and of a split child, captured
+   before the state was unboxed: the streams every seeded run draws
+   from must not move. *)
+let pinned_streams =
+  [
+    ( "seed 0",
+      (fun () -> Sim.Rng.create ~seed:0),
+      [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL;
+        0xF88BB8A8724C81ECL; 0x1B39896A51A8749BL; 0x53CB9F0C747EA2EAL;
+        0x2C829ABE1F4532E1L; 0xC584133AC916AB3CL ] );
+    ( "seed 1",
+      (fun () -> Sim.Rng.create ~seed:1),
+      [ 0xBFEF8030DDC2D772L; 0x5F552CE482F2AA47L; 0x70335FC3DAF3D8A7L;
+        0xF440FE3B62C79D2CL; 0x33BA2F29E7C168BBL; 0x98843F48A94B7866L;
+        0x74AD4C24D41A25F8L; 0x2F9A1F13648EAB6EL ] );
+    ( "seed 0x5eed",
+      (fun () -> Sim.Rng.create ~seed:0x5eed),
+      [ 0x2B2D01EBED8DCAB4L; 0xDBFF40F40DB76A7BL; 0xDB50A1A7BE10249EL;
+        0x84029A5C351A99D9L; 0x295D88DF0A6FA395L; 0x27E172AC4CD60950L;
+        0xE2AF269A811DF45AL; 0xF6A032AE9EB02125L ] );
+    ( "split child of seed 1",
+      (fun () -> Sim.Rng.split (Sim.Rng.create ~seed:1)),
+      [ 0x55C55969ED403149L; 0xFB85AF9C9A7E41F1L; 0x56DB6C9436996A50L;
+        0x78C9556278914D82L; 0x1369FD87FDB9D8FBL; 0x9F24E7B0CAA5E727L;
+        0xCD7A1C84D4A6130FL; 0x05EB7E636E2D94A1L ] );
+    ( "seed 1 after a split",
+      (fun () ->
+        let r = Sim.Rng.create ~seed:1 in
+        ignore (Sim.Rng.split r);
+        r),
+      [ 0x5F552CE482F2AA47L; 0x70335FC3DAF3D8A7L; 0xF440FE3B62C79D2CL;
+        0x33BA2F29E7C168BBL; 0x98843F48A94B7866L; 0x74AD4C24D41A25F8L;
+        0x2F9A1F13648EAB6EL; 0x509A840D44BEEDBDL ] );
+  ]
+
+let test_rng_pinned_streams () =
+  List.iter
+    (fun (name, make, expected) ->
+      let r = make () in
+      let got = List.map (fun _ -> Sim.Rng.bits64 r) expected in
+      check (Alcotest.list Alcotest.int64) name expected got)
+    pinned_streams
+
+let rng_float_is_bits53 =
+  QCheck.Test.make ~name:"float r = float_of_int (bits53 r) *. 0x1p-53"
+    ~count:200
+    QCheck.(pair int (int_bound 64))
+    (fun (seed, skip) ->
+      let a = Sim.Rng.create ~seed and b = Sim.Rng.create ~seed in
+      for _ = 1 to skip do
+        ignore (Sim.Rng.bits64 a);
+        ignore (Sim.Rng.bits64 b)
+      done;
+      List.for_all
+        (fun _ ->
+          Float.equal (Sim.Rng.float a)
+            (float_of_int (Sim.Rng.bits53 b) *. 0x1p-53))
+        (List.init 16 Fun.id))
+
+(* A draw that returns an [int] or a [bool] allocates nothing: the
+   state is unboxed. Each reading is taken against the same loop with
+   no draw in it, so what the measurement boxes itself cancels. *)
+let test_rng_draws_allocate_nothing () =
+  let n = 10_240 in
+  let r = Sim.Rng.create ~seed:9 in
+  let interarrival = Workload.Dist.Exponential 5_000. in
+  let words_of draw =
+    minor_words_during (fun () ->
+        for _ = 1 to n do
+          draw ()
+        done)
+  in
+  let base = words_of ignore in
+  List.iter
+    (fun (name, draw) ->
+      let words = words_of draw -. base in
+      checkb
+        (Printf.sprintf "%s: %.0f words over %d draws" name words n)
+        true
+        (Float.equal words 0.))
+    [
+      ( "Rng.int",
+        fun () -> ignore (Sys.opaque_identity (Sim.Rng.int r ~bound:7)) );
+      ("Rng.bool", fun () -> ignore (Sys.opaque_identity (Sim.Rng.bool r)));
+      ("Rng.bits53", fun () -> ignore (Sys.opaque_identity (Sim.Rng.bits53 r)));
+      ( "Dist.sample_int (Exponential _)",
+        fun () ->
+          ignore
+            (Sys.opaque_identity (Workload.Dist.sample_int interarrival r)) );
+    ]
+
 (* ---------- Histogram ---------- *)
 
 let test_histogram_basics () =
@@ -697,7 +788,11 @@ let () =
             test_rng_gaussian_moments;
           Alcotest.test_case "shuffle permutes" `Quick
             test_rng_shuffle_permutes;
-        ] );
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned_streams;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
+        ]
+        @ qsuite [ rng_float_is_bits53 ] );
       ( "histogram",
         [
           Alcotest.test_case "basics" `Quick test_histogram_basics;
