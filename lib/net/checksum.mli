@@ -4,16 +4,18 @@
     the data viewed as big-endian 16-bit words, with an odd trailing
     byte padded with zero. *)
 
-val ones_complement_sum : ?init:int -> bytes -> pos:int -> len:int -> int
+val ones_complement_sum : init:int -> bytes -> pos:int -> len:int -> int
 (** Folded 16-bit one's-complement sum of a byte range, seeded with
-    [init] (default 0). Composable: feed the result of one range as the
-    [init] of the next (pseudo-header then payload). Processes 8 bytes
-    per iteration as four unchecked native-endian 16-bit lane loads
-    (RFC 1071's byte-order invariance), allocation-free; the sub-word
-    tail uses the checked byte loop. *)
+    [init]. Composable: feed the result of one range as the [init] of
+    the next (pseudo-header then payload). Reads 32 bytes per iteration
+    as four unchecked native-endian 64-bit loads, each split into its
+    32-bit halves (RFC 1071's byte-order invariance), and allocates
+    nothing; a tail of fewer than 32 bytes uses the checked byte loop.
+    Exact for ranges shorter than 4 GiB. [init] is required rather than
+    optional, so a call allocates no [Some]. *)
 
 val ones_complement_sum_bytewise :
-  ?init:int -> bytes -> pos:int -> len:int -> int
+  init:int -> bytes -> pos:int -> len:int -> int
 (** The straightforward 2-bytes-per-iteration sum. Same result as
     {!ones_complement_sum}; kept as the reference implementation the
     word-wide path is property-tested against. *)
@@ -24,7 +26,7 @@ val finish : int -> int
     applied by the UDP encoder. *)
 
 val compute : bytes -> pos:int -> len:int -> int
-(** [finish (ones_complement_sum b ~pos ~len)]. *)
+(** [finish (ones_complement_sum ~init:0 b ~pos ~len)]. *)
 
 val verify : bytes -> pos:int -> len:int -> bool
 (** True when the range (with its embedded checksum field) sums to the

@@ -100,9 +100,10 @@ let rec write w (v : Value.t) =
   | Value.Tuple vs -> List.iter (write w) vs
 
 (* [encoded_size] is exact, so the writer's buffer is the room and the
-   encoding. *)
+   encoding. The buffer is not zero-filled first: the room and the value
+   overwrite every byte, and [Net.Buf.filled] fails unless they did. *)
 let encode_at room v =
-  let w = Net.Buf.writer (room + encoded_size v) in
+  let w = Net.Buf.writer_over (Bytes.create (room + encoded_size v)) in
   Net.Buf.write_zeros w room;
   write w v;
   Net.Buf.filled w

@@ -120,8 +120,8 @@ let test_checksum_odd_length () =
 
 let test_checksum_composable () =
   let b = Bytes.of_string "\x01\x02\x03\x04\x05\x06" in
-  let whole = Net.Checksum.ones_complement_sum b ~pos:0 ~len:6 in
-  let part1 = Net.Checksum.ones_complement_sum b ~pos:0 ~len:2 in
+  let whole = Net.Checksum.ones_complement_sum ~init:0 b ~pos:0 ~len:6 in
+  let part1 = Net.Checksum.ones_complement_sum ~init:0 b ~pos:0 ~len:2 in
   let part2 = Net.Checksum.ones_complement_sum ~init:part1 b ~pos:2 ~len:4 in
   checki "composable" whole part2
 
@@ -141,20 +141,72 @@ let checksum_verifies_after_embedding =
 
 
 (* The word-wide fast path must agree with the 2-byte reference on
-   every buffer, offset, length, and seed. *)
+   every length up to past the largest UDP segment, at every start
+   alignment modulo the 8-byte word, and for every seed a pseudo-header
+   sum can take (it exceeds 0xffff). The bytes are random, all-ones
+   (every half-word at its maximum, the most carries) or zero. *)
 let checksum_word_matches_bytewise =
+  let gen =
+    QCheck.Gen.(
+      quad
+        (frequency
+           [ (4, int_range 0 200); (3, int_range 0 4200);
+             (1, int_range 0 (70 * 1024)) ])
+        (int_range 0 7)
+        (int_range 0 (1 lsl 20))
+        (pair (frequency [ (6, return `Random); (1, return `Ones);
+                           (1, return `Zero) ])
+           (int_range 0 0x3fff_ffff)))
+  in
+  let print (len, align, init, (_, seed)) =
+    Printf.sprintf "len=%d align=%d init=%d seed=%d" len align init seed
+  in
   QCheck.Test.make ~name:"word-wide checksum matches bytewise reference"
-    ~count:1000
-    QCheck.(
-      quad (string_of_size (Gen.int_range 0 4096)) small_nat small_nat
-        small_nat)
-    (fun (s, off_seed, len_seed, init) ->
-      let b = Bytes.of_string s in
-      let n = Bytes.length b in
-      let pos = if n = 0 then 0 else off_seed mod (n + 1) in
-      let len = if n = pos then 0 else len_seed mod (n - pos + 1) in
-      Net.Checksum.ones_complement_sum ~init b ~pos ~len
-      = Net.Checksum.ones_complement_sum_bytewise ~init b ~pos ~len)
+    ~count:1000 (QCheck.make ~print gen)
+    (fun (len, align, init, (fill, seed)) ->
+      (* Bytes after the range too: a read past its end would change
+         the sum. *)
+      let b = Bytes.create (align + len + 7) in
+      (match fill with
+      | `Random ->
+          let r = Sim.Rng.create ~seed in
+          Bytes.iteri
+            (fun i _ -> Bytes.set_uint8 b i (Sim.Rng.int r ~bound:256))
+            b
+      | `Ones -> Bytes.fill b 0 (Bytes.length b) '\xff'
+      | `Zero -> Bytes.fill b 0 (Bytes.length b) '\000');
+      Net.Checksum.ones_complement_sum ~init b ~pos:align ~len
+      = Net.Checksum.ones_complement_sum_bytewise ~init b ~pos:align ~len)
+
+let minor_words_during f =
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor ();
+  Gc.minor_words () -. before
+
+(* The per-byte hot path of every frame: no [Some] for the seed and no
+   boxed 64-bit load. Measured against the same loop without the call,
+   so only the sum's own words count. *)
+let test_checksum_allocates_nothing () =
+  let n = 10_240 in
+  let b = Bytes.make 4096 '\x5a' in
+  let words_of sum =
+    minor_words_during (fun () ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (sum b))
+        done)
+  in
+  (* Not a constant: a [Some] of a constant would be a static block. *)
+  let init = Sys.opaque_identity 0x1_2345 in
+  let words =
+    words_of (fun b ->
+        Net.Checksum.ones_complement_sum ~init b ~pos:0 ~len:4096)
+    -. words_of (fun b -> Bytes.length b)
+  in
+  checkb
+    (Printf.sprintf "%.0f words over %d sums of 4 KiB" words n)
+    true (Float.equal words 0.)
 
 (* ---------- IPv4 / UDP / Frame ---------- *)
 
@@ -365,6 +417,82 @@ let parse_slice_total =
                 (Printexc.to_string e))
         (List.init (n + 1) Fun.id))
 
+(* Error detection: flipping any one bit of the IPv4 header or of the
+   UDP segment of a frame encoded into a pool buffer makes
+   [parse_slice] fail. A single flip moves a one's-complement sum by
+   +-2^k, never by a multiple of 0xffff, so the only flips that may
+   parse are two the protocol itself allows:
+   - RFC 768: one that turns a nonzero UDP checksum field into 0,
+     which means "no checksum";
+   - one that shortens the UDP length field, so the segment ends
+     earlier: it parses exactly when the shorter segment checksums
+     (the reference sum says so), once in about 65,535. *)
+let single_bit_flip_detected =
+  let ip_off = Net.Ethernet.header_size in
+  let udp_off = ip_off + Net.Ipv4.header_size in
+  let src = ep ~port:5555 ~last:1 () and dst = ep ~port:80 ~last:2 () in
+  let pseudo_header_sum udp_len =
+    let halves ip =
+      let v = Net.Ip_addr.to_int ip in
+      (v lsr 16) + (v land 0xffff)
+    in
+    halves src.Net.Frame.ip + halves dst.Net.Frame.ip
+    + Net.Ipv4.protocol_udp + udp_len
+  in
+  let pool = Net.Pool.create ~prealloc:1 ~buffer_bytes:8192 () in
+  QCheck.Test.make ~name:"a single flipped header or segment bit is caught"
+    ~count:8
+    QCheck.(pair (oneofl [ 64; 4096 ]) (int_bound 0x3fff_ffff))
+    (fun (size, seed) ->
+      let r = Sim.Rng.create ~seed in
+      let payload =
+        Bytes.init size (fun _ -> Char.chr (Sim.Rng.int r ~bound:256))
+      in
+      let frame = Net.Frame.make ~src ~dst payload in
+      let buf = Net.Pool.acquire pool ~len:(Net.Frame.wire_size frame) in
+      let wire = Net.Frame.encode_into frame buf in
+      let udp_len = Net.Udp.header_size + size in
+      let may_parse () =
+        let flipped_len = Bytes.get_uint16_be buf (udp_off + 4) in
+        Int.equal (Bytes.get_uint16_be buf (udp_off + 6)) 0
+        || flipped_len >= Net.Udp.header_size
+           && flipped_len < udp_len
+           && Int.equal
+                (Net.Checksum.ones_complement_sum_bytewise
+                   ~init:(pseudo_header_sum flipped_len) buf ~pos:udp_off
+                   ~len:flipped_len)
+                0xffff
+      in
+      let flip bit =
+        let i = bit / 8 in
+        Bytes.set_uint8 buf i (Bytes.get_uint8 buf i lxor (1 lsl (bit mod 8)))
+      in
+      let caught bit =
+        flip bit;
+        let ok =
+          match Net.Frame.parse_slice wire with
+          | Error _ -> true
+          | Ok _ -> may_parse ()
+          | exception e ->
+              QCheck.Test.fail_reportf "bit %d raised %s" bit
+                (Printexc.to_string e)
+        in
+        flip bit;
+        if not ok then
+          QCheck.Test.fail_reportf "flipping bit %d of a %d B frame parsed"
+            bit size;
+        ok
+      in
+      let intact = Result.is_ok (Net.Frame.parse_slice wire) in
+      let all_caught =
+        List.for_all caught
+          (List.init
+             ((udp_off + udp_len - ip_off) * 8)
+             (fun k -> (ip_off * 8) + k))
+      in
+      Net.Pool.release pool buf;
+      intact && all_caught)
+
 let test_frame_rejects_non_ipv4 () =
   let f = Net.Frame.make ~src:(ep ()) ~dst:(ep ~last:2 ()) (Bytes.create 4) in
   let b = Net.Frame.encode f in
@@ -547,6 +675,8 @@ let () =
             test_checksum_rfc1071_example;
           Alcotest.test_case "odd length" `Quick test_checksum_odd_length;
           Alcotest.test_case "composable" `Quick test_checksum_composable;
+          Alcotest.test_case "a 4 KiB sum allocates nothing" `Quick
+            test_checksum_allocates_nothing;
         ]
         @ qsuite
             [ checksum_verifies_after_embedding;
@@ -568,7 +698,8 @@ let () =
         @ qsuite
             [ frame_roundtrip_any_payload; reply_to_is_make_swapped;
               redirect_is_make_readdressed;
-              parse_slice_matches_parse; parse_slice_total ]
+              parse_slice_matches_parse; parse_slice_total;
+              single_bit_flip_detected ]
       );
       ( "slice_pool",
         [

@@ -230,6 +230,82 @@ let prop_pcap_roundtrip =
                        payload)
                expected recs)
 
+(* Totality of the capture reader and of the frame parser behind it: a
+   capture with bytes overwritten, record-header fields (lengths among
+   them) set to hostile 32-bit values, and then cut anywhere or not at
+   all, is read without raising. Every record slice lies inside the
+   input, and every frame [parse_slice] accepts from it has its payload
+   inside that record. *)
+let prop_pcap_mutated_total =
+  let hostile = [ 0; 1; 15; 16; 60; 0xffff; 0x7fff_ffff; 0xffff_ffff ] in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (1 -- 6) (0 -- 4200))
+        (list_size (0 -- 4)
+           (oneof
+              [ map2 (fun at v -> `Byte (at, v)) (0 -- 0xffff) (0 -- 255);
+                map3
+                  (fun record field v -> `Field (record, field, v))
+                  (0 -- 5) (0 -- 3)
+                  (oneof [ oneofl hostile; 0 -- 0x3fff_ffff ]) ]))
+        (opt (0 -- 0xffff)))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"pcap records and their frames are total on mutated captures"
+    (QCheck.make gen) (fun (sizes, muts, cut) ->
+      let pcap = Obs.Pcap.create () in
+      let src = endpoint 0x1111 0x0a000001 7000 in
+      let dst = endpoint 0x2222 0x0a000002 7001 in
+      (* Each record's header offset: the 24-byte global header, then
+         16 bytes of record header before each frame's bytes. *)
+      let headers =
+        List.mapi
+          (fun i size ->
+            let frame = Net.Frame.make ~src ~dst (Bytes.make size 'p') in
+            Obs.Pcap.add_frame pcap ~time:(i * 1_000) frame;
+            Net.Frame.wire_size frame)
+          sizes
+        |> List.fold_left
+             (fun (at, acc) len -> (at + 16 + len, at :: acc))
+             (24, [])
+        |> snd |> List.rev |> Array.of_list
+      in
+      let whole = Obs.Pcap.to_bytes pcap in
+      let n = Bytes.length whole in
+      List.iter
+        (function
+          | `Byte (at, v) -> Bytes.set_uint8 whole (at mod n) v
+          | `Field (record, field, v) ->
+              let header = headers.(record mod Array.length headers) in
+              Bytes.set_int32_le whole (header + (4 * field)) (Int32.of_int v))
+        muts;
+      let len = match cut with None -> n | Some c -> c mod (n + 1) in
+      let input = Bytes.sub whole 0 len in
+      let within (s : Net.Slice.t) ~off ~len =
+        s.Net.Slice.base == input
+        && s.Net.Slice.off >= off
+        && s.Net.Slice.off + s.Net.Slice.len <= off + len
+      in
+      match Obs.Pcap.records input with
+      | exception e ->
+          QCheck.Test.fail_reportf "records raised %s" (Printexc.to_string e)
+      | Error _ -> true
+      | Ok recs ->
+          List.for_all
+            (fun (_, (slice : Net.Slice.t)) ->
+              within slice ~off:0 ~len
+              &&
+              match Net.Frame.parse_slice slice with
+              | exception e ->
+                  QCheck.Test.fail_reportf "parse_slice raised %s"
+                    (Printexc.to_string e)
+              | Error _ -> true
+              | Ok view ->
+                  within view.Net.Frame.payload ~off:slice.Net.Slice.off
+                    ~len:slice.Net.Slice.len)
+            recs)
+
 let test_pcap_rejects_truncation () =
   let pcap = Obs.Pcap.create () in
   let src = endpoint 1 2 3 and dst = endpoint 4 5 6 in
@@ -524,7 +600,7 @@ let () =
       ( "pcap",
         Alcotest.test_case "rejects truncation and bad magic" `Quick
           test_pcap_rejects_truncation
-        :: qsuite [ prop_pcap_roundtrip ] );
+        :: qsuite [ prop_pcap_roundtrip; prop_pcap_mutated_total ] );
       ( "metrics",
         [
           Alcotest.test_case "registry semantics" `Quick test_metrics_registry;
