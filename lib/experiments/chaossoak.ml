@@ -151,7 +151,7 @@ let run () =
   Common.note "%d hosts at %s for %s (+%s drain), probes every %s, leases %s"
     hosts (Common.rate_str rate) (Common.ns horizon) (Common.ns drain)
     (Common.ns probe_period) (Common.ns lease_timeout);
-  Common.note "%s" ("rack:\n  " ^ String.concat "\n  " (Rack.digest_lines rack));
+  Common.note_lines "rack" (Rack.digest_lines rack);
   Common.note "latency online: %s"
     (Format.asprintf "%a" Obs.Online.pp_summary online);
   let re_registrations =

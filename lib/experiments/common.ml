@@ -198,14 +198,18 @@ type measurement = {
   counters : (string * int) list;
 }
 
-(* Run [server] to [horizon + drain], close its sanitizer session and
-   measure what [recorder] saw: latency quantiles over [horizon]'s
-   completions, the CPU ledger summed over cores, and the stack's
-   counters. *)
+(* Close [server] once its run is over: finalize its ledgers, then run
+   its sanitizer session's end-of-run checks. *)
+let close server =
+  server.flush ();
+  Option.iter Sanitize.finish server.sanitize
+
+(* Run [server] to [horizon + drain], close it and measure what
+   [recorder] saw: latency quantiles over [horizon]'s completions, the
+   CPU ledger summed over cores, and the stack's counters. *)
 let finish_run ~recorder ~name ~horizon ~drain server =
   Sim.Engine.run server.engine ~until:(horizon + drain);
-  server.flush ();
-  (match server.sanitize with None -> () | Some z -> Sanitize.finish z);
+  close server;
   let h = Harness.Recorder.latencies recorder in
   let completed = Harness.Recorder.completed recorder in
   let acct =
@@ -279,10 +283,8 @@ let open_loop_run ?(ncores = 8) ?(nservices = 1) ?(min_workers = 1)
    chaos harness — requests and replies cross seeded fault links, the
    client retries with exponential backoff, and latency is measured
    client-side (so it includes retransmission delays). The plan also
-   arms the stack-side choke points via [make_server ~fault]. Returns
-   the measurement plus the chaos harness for counter/timeline
-   inspection. *)
-let lossy_run_full ?(ncores = 4) ?(nservices = 1) ?(min_workers = 1)
+   arms the stack-side choke points via [make_server ~fault]. *)
+let lossy_run ?(ncores = 4) ?(nservices = 1) ?(min_workers = 1)
     ?(max_workers = 2) ?(payload = 64) ?(handler_time = Sim.Units.ns 500)
     ?(seed = 42) ?(horizon = Sim.Units.ms 10) ?(drain = Sim.Units.ms 60)
     ?(timeout = Sim.Units.us 200) ?(retries = 20) ?(backoff = 1.5)
@@ -312,17 +314,7 @@ let lossy_run_full ?(ncores = 4) ?(nservices = 1) ?(min_workers = 1)
         ~method_id:0
         ~port:(Workload.Scenario.port_of setup ~service_idx)
         (Rpc.Value.Blob (Bytes.make payload 'w')));
-  ( finish_chaos_run chaos ~name:(flavour_name flavour) ~horizon ~drain
-      server,
-    chaos )
-
-let lossy_run ?ncores ?nservices ?min_workers ?max_workers ?payload
-    ?handler_time ?seed ?horizon ?drain ?timeout ?retries ?backoff
-    ?max_timeout ?jitter ~rate ~plan flavour =
-  fst
-    (lossy_run_full ?ncores ?nservices ?min_workers ?max_workers ?payload
-       ?handler_time ?seed ?horizon ?drain ?timeout ?retries ?backoff
-       ?max_timeout ?jitter ~rate ~plan flavour)
+  finish_chaos_run chaos ~name:(flavour_name flavour) ~horizon ~drain server
 
 (* A replayed-trace run over [nservices] echo services. *)
 let replay_run ?(ncores = 8) ?(min_workers = 1) ?(max_workers = 2)
@@ -348,12 +340,80 @@ let replay_run ?(ncores = 8) ?(min_workers = 1) ?(max_workers = 2)
   in
   measure ~name:(flavour_name flavour) ~horizon server
 
+(* ---------- Artefacts ---------- *)
+
+(* The directory named by the environment variable [var] (default
+   artifacts/), created along with any missing parents. *)
+let artefact_dir var =
+  let rec mkdir_p dir =
+    if not (Sys.file_exists dir) then begin
+      mkdir_p (Filename.dirname dir);
+      Sys.mkdir dir 0o755
+    end
+  in
+  let dir = Option.value (Sys.getenv_opt var) ~default:"artifacts" in
+  mkdir_p dir;
+  dir
+
+(* The self-check on [text] as the rendering of [json]: it must parse
+   strictly and give [json] back. *)
+let json_verdict json text =
+  match Obs.Json.parse text with
+  | Ok v when Obs.Json.equal v json -> "strict parse + roundtrip ok"
+  | Ok _ -> "PARSE MISMATCH"
+  | Error e -> "PARSE ERROR: " ^ e
+
+(* Write [json] to [file] on one line; returns its self-check verdict. *)
+let write_json ~file json =
+  let text = Obs.Json.to_string json in
+  let oc = open_out file in
+  output_string oc text;
+  output_char oc '\n';
+  close_out oc;
+  json_verdict json text
+
+(* The self-check on a capture: it must read back, and every frame in
+   it must re-parse. *)
+let pcap_verdict capture =
+  match Obs.Pcap.records capture with
+  | Error e -> "PCAP ERROR: " ^ e
+  | Ok recs ->
+      if
+        List.for_all
+          (fun (_, slice) -> Result.is_ok (Net.Frame.parse_slice slice))
+          recs
+      then Printf.sprintf "%d frames, all re-parse ok" (List.length recs)
+      else "PCAP REPARSE FAILURE"
+
+(* Write [pcap] to [file]; returns its self-check verdict. *)
+let write_pcap ~file pcap =
+  Obs.Pcap.write_file pcap ~file;
+  pcap_verdict (Obs.Pcap.to_bytes pcap)
+
+(* Sums [(key, amount)] pairs per key, keys in first-seen order. *)
+let totals pairs =
+  let order = ref [] in
+  let sums = Hashtbl.create 16 in
+  List.iter
+    (fun (key, amount) ->
+      match Hashtbl.find_opt sums key with
+      | Some sum -> sum := !sum + amount
+      | None ->
+          Hashtbl.add sums key (ref amount);
+          order := key :: !order)
+    pairs;
+  List.rev_map (fun key -> (key, !(Hashtbl.find sums key))) !order
+
 (* ---------- Report formatting ---------- *)
 
 let section title =
   Format.printf "@.%s@.%s@." title (String.make (String.length title) '=')
 
 let note fmt = Format.printf ("  " ^^ fmt ^^ "@.")
+
+(* [title] and its [lines] as one note, the lines indented under it. *)
+let note_lines title lines =
+  note "%s" (title ^ ":\n  " ^ String.concat "\n  " lines)
 
 let table ~header rows =
   let widths =

@@ -13,44 +13,27 @@
 let spacing = Sim.Units.ms 1
 let shots = 200
 
-let one_shot_latency ~min_workers ~cfg mirror_mode =
+(* The one-shot series on [flavour]; [min_workers] matters to the
+   Lauberhorn flavours only. *)
+let one_shot_latency ~min_workers flavour =
   let setup = Workload.Scenario.echo_fleet ~n:1 () in
-  let server =
-    Common.make_server ~ncores:4 ~min_workers
-      (Common.Lauberhorn (cfg, mirror_mode))
-      setup
-  in
+  let server = Common.make_server ~ncores:4 ~min_workers flavour setup in
   for i = 1 to shots do
     ignore
       (Sim.Engine.schedule_at server.Common.engine
          ~at:(i * spacing)
          (fun () -> Common.inject_blob server ~seq:i ~service_idx:0 ~bytes:64))
   done;
-  let horizon = (shots + 2) * spacing in
-  let m = Common.measure ~name:"lauberhorn" ~horizon server in
-  (m, server)
-
-let linux_one_shot () =
-  let setup = Workload.Scenario.echo_fleet ~n:1 () in
-  let server =
-    Common.make_server ~ncores:4
-      (Common.Linux Coherence.Interconnect.pcie_enzian)
-      setup
-  in
-  for i = 1 to shots do
-    ignore
-      (Sim.Engine.schedule_at server.Common.engine
-         ~at:(i * spacing)
-         (fun () -> Common.inject_blob server ~seq:i ~service_idx:0 ~bytes:64))
-  done;
-  Common.measure ~name:"linux" ~horizon:((shots + 2) * spacing) server
+  Common.measure ~name:(Common.flavour_name flavour)
+    ~horizon:((shots + 2) * spacing) server
 
 let run () =
   Common.section "E3 (Figure 5): dispatch paths — hot, cold, Linux loop";
   (* Hot: worker resident and parked between 1 ms-spaced shots. *)
-  let hot, hot_server =
-    one_shot_latency ~min_workers:1 ~cfg:Lauberhorn.Config.enzian
-      Lauberhorn.Sched_mirror.Push
+  let hot =
+    one_shot_latency ~min_workers:1
+      (Common.Lauberhorn
+         (Lauberhorn.Config.enzian, Lauberhorn.Sched_mirror.Push))
   in
   (* Cold: workers deactivate between shots (short TRYAGAIN timeout so
      the idle worker leaves its core well inside the 1 ms spacing; the
@@ -58,15 +41,20 @@ let run () =
   let cold_cfg =
     Lauberhorn.Config.with_timeout Lauberhorn.Config.enzian (Sim.Units.us 50)
   in
-  let cold, cold_server =
-    one_shot_latency ~min_workers:0 ~cfg:cold_cfg Lauberhorn.Sched_mirror.Push
+  let cold =
+    one_shot_latency ~min_workers:0
+      (Common.Lauberhorn (cold_cfg, Lauberhorn.Sched_mirror.Push))
   in
   (* Ablation: no scheduling-state mirror; NIC queries the host. *)
-  let query, _ =
-    one_shot_latency ~min_workers:1 ~cfg:Lauberhorn.Config.enzian
-      Lauberhorn.Sched_mirror.Query
+  let query =
+    one_shot_latency ~min_workers:1
+      (Common.Lauberhorn
+         (Lauberhorn.Config.enzian, Lauberhorn.Sched_mirror.Query))
   in
-  let linux = linux_one_shot () in
+  let linux =
+    one_shot_latency ~min_workers:1
+      (Common.Linux Coherence.Interconnect.pcie_enzian)
+  in
   Common.table
     ~header:[ "dispatch path"; "completed"; "p50"; "p99"; "fast/cold counts" ]
     [
@@ -105,8 +93,6 @@ let run () =
         "--";
       ];
     ];
-  ignore hot_server;
-  ignore cold_server;
   Common.note
     "paper expectation: hot path needs no kernel at all; the cold path";
   Common.note

@@ -130,33 +130,12 @@ let overload_horizon = Sim.Units.ms 2
 let overload_drain = Sim.Units.ms 20
 
 let run_overload ~shed ~mult =
-  let setup =
-    Workload.Scenario.echo_fleet ~n:1 ~handler_time:overload_handler ()
-  in
-  let service_id = Workload.Scenario.service_id_of setup ~service_idx in
-  let plan = Fault.Plan.make ~seed:15 () in
-  let cfg = Lauberhorn.Config.with_shed Lauberhorn.Config.enzian shed in
-  let engine = Sim.Engine.create () in
-  let metrics = Obs.Metrics.create () in
-  let chaos =
-    Harness.Chaos.create engine ~plan ~timeout:(Sim.Units.us 200) ~retries:5
-      ~backoff:2. ~max_timeout:(Sim.Units.ms 2) ~jitter:0.25 ~metrics ()
-  in
-  let server =
-    Common.make_server ~ncores:4 ~max_workers:2 ~engine ~fault:plan ~metrics
-      ~egress:(Harness.Chaos.egress chaos)
-      (Common.Lauberhorn (cfg, Lauberhorn.Sched_mirror.Push))
-      setup
-  in
-  Harness.Chaos.connect chaos server.Common.driver;
-  let rng = Sim.Rng.create ~seed:42 in
-  Workload.Arrivals.open_loop engine rng ~rate_per_s:(capacity *. mult)
-    ~until:overload_horizon (fun ~seq:_ ->
-      Harness.Chaos.call chaos ~service_id ~method_id:0
-        ~port:(Workload.Scenario.port_of setup ~service_idx)
-        (Rpc.Value.Blob (Bytes.make 64 'w')));
-  Common.finish_chaos_run chaos ~name:"overload" ~horizon:overload_horizon
-    ~drain:overload_drain server
+  Common.lossy_run ~ncores:4 ~max_workers:2 ~handler_time:overload_handler
+    ~horizon:overload_horizon ~drain:overload_drain ~retries:5 ~backoff:2.
+    ~rate:(capacity *. mult) ~plan:(Fault.Plan.make ~seed:15 ())
+    (Common.Lauberhorn
+       ( Lauberhorn.Config.with_shed Lauberhorn.Config.enzian shed,
+         Lauberhorn.Sched_mirror.Push ))
 
 (* ---------- the report ---------- *)
 

@@ -32,13 +32,6 @@ let horizon = Sim.Units.ms 5
 let drain = Sim.Units.ms 10
 let seed = 1818
 
-let out_dir () =
-  let dir =
-    match Sys.getenv_opt "E18_OUT_DIR" with Some d -> d | None -> "artifacts"
-  in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  dir
-
 (* ---------- one traced rack run ---------- *)
 
 type run = {
@@ -130,23 +123,18 @@ let attribution_mismatches r =
 (* Per-stage totals in first-seen chain order, tagged with the plane
    kind ("fabric" for the master plane, "host" for any host's). *)
 let aggregate_stages r =
-  let order = ref [] in
-  let totals = Hashtbl.create 16 in
-  List.iter
-    (fun (s : Obs.Stitch.t) ->
-      List.iter
-        (fun (st : Obs.Stitch.stage) ->
-          let plane = if st.Obs.Stitch.plane = "" then "fabric" else "host" in
-          let key = (plane, st.Obs.Stitch.span.Obs.Span.name) in
-          if not (Hashtbl.mem totals key) then begin
-            Hashtbl.add totals key (ref 0);
-            order := key :: !order
-          end;
-          let cell = Hashtbl.find totals key in
-          cell := !cell + Obs.Span.duration st.Obs.Stitch.span)
-        s.Obs.Stitch.stages)
-    r.stitches;
-  List.rev_map (fun key -> (key, !(Hashtbl.find totals key))) !order
+  Common.totals
+    (List.concat_map
+       (fun (s : Obs.Stitch.t) ->
+         List.map
+           (fun (st : Obs.Stitch.stage) ->
+             let plane =
+               if st.Obs.Stitch.plane = "" then "fabric" else "host"
+             in
+             ( (plane, st.Obs.Stitch.span.Obs.Span.name),
+               Obs.Span.duration st.Obs.Stitch.span ))
+           s.Obs.Stitch.stages)
+       r.stitches)
 
 let merged_metrics r =
   let merged = Obs.Metrics.create () in
@@ -204,19 +192,11 @@ let digest_lines r =
 (* ---------- artefact export + self-check ---------- *)
 
 let export_and_verify r =
-  let dir = out_dir () in
+  let dir = Common.artefact_dir "E18_OUT_DIR" in
   let planes = ("rack-fabric", r.obs) :: host_planes r.rack in
-  let json = Obs.Export.multi_trace_events planes in
   let json_file = Filename.concat dir "e18_rack.trace.json" in
-  let oc = open_out json_file in
-  output_string oc (Obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  let parse_verdict =
-    match Obs.Json.parse (Obs.Json.to_string json) with
-    | Ok v when Obs.Json.equal v json -> "strict parse + roundtrip ok"
-    | Ok _ -> "PARSE MISMATCH"
-    | Error e -> "PARSE ERROR: " ^ e
+  let verdict =
+    Common.write_json ~file:json_file (Obs.Export.multi_trace_events planes)
   in
   Common.note "%s: %d planes, %d spans (%s)"
     (Filename.basename json_file)
@@ -224,38 +204,20 @@ let export_and_verify r =
     (List.fold_left
        (fun acc (_, tr) -> acc + Obs.Tracer.span_count tr)
        0 planes)
-    parse_verdict;
+    verdict;
   let merged = merged_metrics r in
   let metrics_file = Filename.concat dir "e18_metrics.json" in
-  let mjson = Obs.Metrics.to_json merged in
-  let oc = open_out metrics_file in
-  output_string oc (Obs.Json.to_string mjson);
-  output_char oc '\n';
-  close_out oc;
+  (* the metrics line reports the entry count; the trace line above
+     carries this section's JSON verdict *)
+  ignore (Common.write_json ~file:metrics_file (Obs.Metrics.to_json merged));
   Common.note "%s: %d metrics (merged in fixed shard order)"
     (Filename.basename metrics_file)
     (List.length (Obs.Metrics.to_list ~keep_zero:true merged));
   List.iter
     (fun (tag, pcap) ->
       let file = Filename.concat dir (Printf.sprintf "e18_%s.pcap" tag) in
-      Obs.Pcap.write_file pcap ~file;
-      let verdict =
-        match Obs.Pcap.records (Obs.Pcap.to_bytes pcap) with
-        | Error e -> "PCAP ERROR: " ^ e
-        | Ok recs ->
-            let parsed =
-              List.for_all
-                (fun (_, slice) ->
-                  match Net.Frame.parse_slice slice with
-                  | Ok _ -> true
-                  | Error _ -> false)
-                recs
-            in
-            if parsed then
-              Printf.sprintf "%d frames, all re-parse ok" (List.length recs)
-            else "PCAP REPARSE FAILURE"
-      in
-      Common.note "%s: %s" (Filename.basename file) verdict)
+      Common.note "%s: %s" (Filename.basename file)
+        (Common.write_pcap ~file pcap))
     [ ("uplink", r.pcap_uplink); ("host0", r.pcap_host0) ]
 
 (* ---------- the experiment ---------- *)
@@ -266,11 +228,8 @@ let run () =
   Common.note "%d hosts at %s, tracing armed on every shard" hosts
     (Common.rate_str rate);
   let r = traced_run () in
-  let windows = Cluster.Fabric.windows_run r.rack.Rack.fabric in
-  let events = Cluster.Fabric.events_processed r.rack.Rack.fabric in
-  Common.note "windows=%d events/window=%d" windows
-    (if windows = 0 then 0 else events / windows);
-  Common.note "%s" ("armed rack:\n  " ^ String.concat "\n  " (digest_lines r));
+  Common.note "%s" (Rack.occupancy r.rack);
+  Common.note_lines "armed rack" (digest_lines r);
   Common.note "";
   Common.note "exports (to $E18_OUT_DIR, default artifacts/):";
   export_and_verify r;

@@ -29,7 +29,7 @@
    death.
 
    Wall-clock never appears on stdout; events/window is the
-   machine-independent window-occupancy measure, exactly as in E16. *)
+   machine-independent window-occupancy measure. *)
 
 let sweep_hosts = 8
 let big_hosts = 16
@@ -432,14 +432,7 @@ let setup_arrivals ?(timeout = None) rack ~rate ~seed =
                  Sim.Histogram.record rack.latencies
                    (Sim.Engine.now master - t0))))
 
-let finish rack =
-  Array.iter
-    (fun s ->
-      s.Common.flush ();
-      match s.Common.sanitize with
-      | None -> ()
-      | Some z -> Sanitize.finish z)
-    rack.servers
+let finish rack = Array.iter Common.close rack.servers
 
 let quantile rack p =
   if Harness.Client.completed rack.client = 0 then 0
@@ -473,37 +466,36 @@ let digest_lines rack =
 
 (* ---------- part (a): load sweep ---------- *)
 
-let sweep_run ~rate =
-  let rack = make_rack ~hosts:sweep_hosts () in
-  setup_arrivals rack ~rate ~seed:1717;
+let load_run ~hosts ~rate ~seed =
+  let rack = make_rack ~hosts () in
+  setup_arrivals rack ~rate ~seed;
   Cluster.Fabric.run rack.fabric ~until:(horizon + sweep_drain);
   finish rack;
+  rack
+
+(* Window occupancy, the machine-independent measure of how much work
+   each conservative window carries. *)
+let occupancy rack =
   let windows = Cluster.Fabric.windows_run rack.fabric in
-  let events = Cluster.Fabric.events_processed rack.fabric in
-  (String.concat "\n  " (digest_lines rack), windows, events)
+  Printf.sprintf "windows=%d events/window=%d" windows
+    (if windows = 0 then 0
+     else Cluster.Fabric.events_processed rack.fabric / windows)
 
 let run_sweep () =
   List.iter
     (fun rate ->
       Common.note "rack load %s over %d hosts, RR balancer, probes every %s"
         (Common.rate_str rate) sweep_hosts (Common.ns probe_period);
-      let digest, windows, events = sweep_run ~rate in
-      Common.note "windows=%d events/window=%d" windows
-        (if windows = 0 then 0 else events / windows);
-      Common.note "%s" ("rack:\n  " ^ digest))
+      let rack = load_run ~hosts:sweep_hosts ~rate ~seed:1717 in
+      Common.note "%s" (occupancy rack);
+      Common.note_lines "rack" (digest_lines rack))
     rates
 
 let run_big () =
-  let rack = make_rack ~hosts:big_hosts () in
-  setup_arrivals rack ~rate:400_000. ~seed:1718;
-  Cluster.Fabric.run rack.fabric ~until:(horizon + sweep_drain);
-  finish rack;
-  let windows = Cluster.Fabric.windows_run rack.fabric in
-  let events = Cluster.Fabric.events_processed rack.fabric in
-  Common.note "%d-host rack at %s: windows=%d events/window=%d"
-    big_hosts (Common.rate_str 400_000.) windows
-    (if windows = 0 then 0 else events / windows);
-  Common.note "%s" ("rack:\n  " ^ String.concat "\n  " (digest_lines rack))
+  let rack = load_run ~hosts:big_hosts ~rate:400_000. ~seed:1718 in
+  Common.note "%d-host rack at %s: %s" big_hosts (Common.rate_str 400_000.)
+    (occupancy rack);
+  Common.note_lines "rack" (digest_lines rack)
 
 (* ---------- part (b): host failure, detection, re-steering ---------- *)
 
@@ -596,7 +588,7 @@ let run_failure () =
     ((Cluster.Control.steered rack.control).(victim)
      > rack.steered_at_rereg.(victim))
     shed_host !shed_steered_during;
-  Common.note "%s" ("rack:\n  " ^ String.concat "\n  " (digest_lines rack));
+  Common.note_lines "rack" (digest_lines rack);
   let sent = Harness.Client.sent c in
   let completed = Harness.Client.completed c in
   let abandoned = Harness.Client.abandoned c in

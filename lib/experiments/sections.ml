@@ -19,7 +19,6 @@ let all =
     ("losssweep", Losssweep.run);
     ("trace", Trace.run);
     ("failover", Failover.run);
-    ("parallel", Parallel.run);
     ("rack", Rack.run);
     ("obstrace", Obstrace.run);
     ("chaossoak", Chaossoak.run);

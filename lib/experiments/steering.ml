@@ -267,7 +267,7 @@ let run_rack () =
         (key_blob key)
         (fun _ -> ()));
   Cluster.Fabric.run fabric ~until:(horizon + drain);
-  Array.iter (fun s -> s.Common.flush ()) servers;
+  Array.iter Common.close servers;
   Common.note "%d hosts x %d lanes, %s keyed calls via the uplink" rack_hosts
     rack_lanes (Common.rate_str rate);
   let digest = ref 0 in

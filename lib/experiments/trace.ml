@@ -19,13 +19,6 @@ let rtts = 64
 let payload = 64
 let propagation = Sim.Units.ns 500
 
-let out_dir () =
-  let dir =
-    match Sys.getenv_opt "E14_OUT_DIR" with Some d -> d | None -> "artifacts"
-  in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  dir
-
 let sanitize name =
   String.map (function '/' | ' ' -> '-' | c -> c) name
 
@@ -58,25 +51,18 @@ let traced_ping_pong flavour =
              (fun () -> fire ())));
   fire ();
   Sim.Engine.run engine ~until:(Sim.Units.s 2);
+  Common.close server;
   (server, pcap, List.rev !completions)
 
 (* Per-stage totals in first-seen chain order. *)
 let aggregate_stages tracer completions =
-  let order = ref [] in
-  let totals = Hashtbl.create 8 in
-  List.iter
-    (fun (rpc, _) ->
-      List.iter
-        (fun (s : Obs.Span.t) ->
-          if not (Hashtbl.mem totals s.Obs.Span.name) then begin
-            Hashtbl.add totals s.Obs.Span.name (ref 0);
-            order := s.Obs.Span.name :: !order
-          end;
-          let r = Hashtbl.find totals s.Obs.Span.name in
-          r := !r + Obs.Span.duration s)
-        (Obs.Tracer.stages_of tracer ~rpc))
-    completions;
-  List.rev_map (fun name -> (name, !(Hashtbl.find totals name))) !order
+  Common.totals
+    (List.concat_map
+       (fun (rpc, _) ->
+         List.map
+           (fun s -> (s.Obs.Span.name, Obs.Span.duration s))
+           (Obs.Tracer.stages_of tracer ~rpc))
+       completions)
 
 let exact_sum_check tracer completions =
   List.fold_left
@@ -91,46 +77,20 @@ let exact_sum_check tracer completions =
     0 completions
 
 let export_and_verify ~name server pcap =
-  let dir = out_dir () in
+  let dir = Common.artefact_dir "E14_OUT_DIR" in
   let base = "e14_" ^ sanitize name in
   let tracer = server.Common.tracer in
-  let json =
-    Obs.Export.trace_events ~process:("lauberhorn-sim/" ^ name) tracer
-  in
   let json_file = Filename.concat dir (base ^ ".trace.json") in
-  let text = Obs.Json.to_string json in
-  let oc = open_out json_file in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
-  let parse_verdict =
-    match Obs.Json.parse text with
-    | Ok v when Obs.Json.equal v json -> "strict parse + roundtrip ok"
-    | Ok _ -> "PARSE MISMATCH"
-    | Error e -> "PARSE ERROR: " ^ e
+  let json_verdict =
+    Common.write_json ~file:json_file
+      (Obs.Export.trace_events ~process:("lauberhorn-sim/" ^ name) tracer)
   in
   let pcap_file = Filename.concat dir (base ^ ".pcap") in
-  Obs.Pcap.write_file pcap ~file:pcap_file;
-  let pcap_verdict =
-    match Obs.Pcap.records (Obs.Pcap.to_bytes pcap) with
-    | Error e -> "PCAP ERROR: " ^ e
-    | Ok recs ->
-        let parsed =
-          List.for_all
-            (fun (_, slice) ->
-              match Net.Frame.parse_slice slice with
-              | Ok _ -> true
-              | Error _ -> false)
-            recs
-        in
-        if parsed then
-          Printf.sprintf "%d frames, all re-parse ok" (List.length recs)
-        else "PCAP REPARSE FAILURE"
-  in
+  let pcap_verdict = Common.write_pcap ~file:pcap_file pcap in
   Common.note "%s: %d spans -> %s (%s)" name
     (Obs.Tracer.span_count tracer)
     (Filename.basename json_file)
-    parse_verdict;
+    json_verdict;
   Common.note "%s: %s (%s)" name (Filename.basename pcap_file) pcap_verdict
 
 let flavours =

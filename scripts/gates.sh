@@ -34,7 +34,7 @@ same() {
     env $2 "$4=$da" "$figures" "$1" > "$a"
     env $3 "$4=$db" "$figures" "$1" > "$b"
     diff "$a" "$b"
-    for f in "$da"/*; do diff "$f" "$db/$(basename "$f")"; done
+    diff -r "$da" "$db"
   else
     env $2 "$figures" "$1" > "$a"
     env $3 "$figures" "$1" > "$b"
@@ -56,10 +56,10 @@ same        steering   ""           ""
 # -- sanitize
 same        fig2       ""           "$san"
 same        losssweep  ""           "$san"
+same        trace      ""           "$san"       E14_OUT_DIR
 same        failover   ""           "$san"
 same        rack       ""           "$san"
 same        obstrace   ""           "$san"       E18_OUT_DIR
-same        parallel   ""           "$san"
 same        chaossoak  ""           "$san"
 same        steering   ""           "$san"
 

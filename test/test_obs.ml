@@ -584,6 +584,62 @@ let test_disabled_tracer_stays_empty () =
   checks "tracks registered even while disabled" "linux"
     (Obs.Tracer.track_name server.Experiments.Common.tracer 0)
 
+(* --- the sections' artefact writers -------------------------------- *)
+
+(* An output directory whose parent does not exist is created whole,
+   and both writers land their files in it with a passing verdict. *)
+let test_artefact_dir_missing_parent () =
+  let root = Filename.temp_dir "artefacts" "" in
+  let dir = Filename.concat (Filename.concat root "nx") "a" in
+  Unix.putenv "E14_OUT_DIR" dir;
+  checks "the variable names the directory" dir
+    (Experiments.Common.artefact_dir "E14_OUT_DIR");
+  checkb "directory and its parent created" true
+    (Sys.file_exists dir && Sys.is_directory dir);
+  let json = Obs.Json.Obj [ ("a", Obs.Json.Int 1) ] in
+  let json_file = Filename.concat dir "x.json" in
+  checks "json verdict" "strict parse + roundtrip ok"
+    (Experiments.Common.write_json ~file:json_file json);
+  let ic = open_in json_file in
+  let line = input_line ic in
+  close_in ic;
+  checks "json written on one line" (Obs.Json.to_string json) line;
+  let pcap = Obs.Pcap.create () in
+  Obs.Pcap.add_frame pcap ~time:1
+    (Net.Frame.make ~src:(endpoint 1 2 3) ~dst:(endpoint 4 5 6)
+       (Bytes.create 64));
+  let pcap_file = Filename.concat dir "x.pcap" in
+  checks "pcap verdict" "1 frames, all re-parse ok"
+    (Experiments.Common.write_pcap ~file:pcap_file pcap);
+  List.iter Sys.remove [ json_file; pcap_file ];
+  List.iter Sys.rmdir [ dir; Filename.dirname dir; root ]
+
+(* The verdicts' failure branches. The renderer round-trips every
+   value, so the mismatch case pairs a value with a text that is not
+   its rendering. *)
+let test_artefact_verdict_failures () =
+  let v = Obs.Json.Int 1 in
+  checks "mismatch" "PARSE MISMATCH" (Experiments.Common.json_verdict v "2");
+  checkb "parse error" true
+    (String.starts_with ~prefix:"PARSE ERROR: "
+       (Experiments.Common.json_verdict v "{"));
+  let pcap = Obs.Pcap.create () in
+  Obs.Pcap.add_frame pcap ~time:42
+    (Net.Frame.make ~src:(endpoint 1 2 3) ~dst:(endpoint 4 5 6)
+       (Bytes.create 64));
+  let whole = Obs.Pcap.to_bytes pcap in
+  (* one record whose frame is cut to 20 bytes: the capture reads back,
+     the frame does not re-parse *)
+  let kept = 20 in
+  let truncated = Bytes.sub whole 0 (24 + 16 + kept) in
+  Bytes.set_int32_le truncated (24 + 8) (Int32.of_int kept);
+  checks "truncated frame" "PCAP REPARSE FAILURE"
+    (Experiments.Common.pcap_verdict truncated);
+  checkb "truncated capture" true
+    (String.starts_with ~prefix:"PCAP ERROR: "
+       (Experiments.Common.pcap_verdict
+          (Bytes.sub whole 0 (Bytes.length whole - 3))))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -633,5 +689,12 @@ let () =
                (Experiments.Common.Bypass Coherence.Interconnect.pcie_enzian));
           Alcotest.test_case "tracing off leaves no trace" `Quick
             test_disabled_tracer_stays_empty;
+        ] );
+      ( "artefacts",
+        [
+          Alcotest.test_case "output directory with a missing parent" `Quick
+            test_artefact_dir_missing_parent;
+          Alcotest.test_case "verdicts report failures" `Quick
+            test_artefact_verdict_failures;
         ] );
     ]
