@@ -29,28 +29,6 @@ let test_value_field_count () =
 
 (* ---------- Schema ---------- *)
 
-let schema_of_depth rng =
-  let rec go depth =
-    if depth = 0 then
-      match Sim.Rng.int rng ~bound:6 with
-      | 0 -> Rpc.Schema.Unit
-      | 1 -> Rpc.Schema.Bool
-      | 2 -> Rpc.Schema.Int
-      | 3 -> Rpc.Schema.Float
-      | 4 -> Rpc.Schema.Str
-      | _ -> Rpc.Schema.Blob
-    else
-      match Sim.Rng.int rng ~bound:3 with
-      | 0 -> Rpc.Schema.List (go (depth - 1))
-      | 1 ->
-          Rpc.Schema.Tuple
-            (List.init
-               (1 + Sim.Rng.int rng ~bound:3)
-               (fun _ -> go (depth - 1)))
-      | _ -> go 0
-  in
-  go 2
-
 let test_schema_conforms () =
   let s = Rpc.Schema.Tuple [ Rpc.Schema.Int; Rpc.Schema.Str ] in
   checkb "conforming" true
@@ -63,7 +41,7 @@ let test_schema_conforms () =
 let test_schema_default_conforms () =
   let rng = Sim.Rng.create ~seed:1 in
   for _ = 1 to 100 do
-    let s = schema_of_depth rng in
+    let s = Wire_gen.schema_of_depth rng in
     checkb "default conforms" true
       (Rpc.Schema.conforms (Rpc.Schema.default s) s)
   done
@@ -71,7 +49,7 @@ let test_schema_default_conforms () =
 let test_schema_arbitrary_conforms () =
   let rng = Sim.Rng.create ~seed:2 in
   for _ = 1 to 100 do
-    let s = schema_of_depth rng in
+    let s = Wire_gen.schema_of_depth rng in
     let v = Rpc.Schema.arbitrary s rng ~size_hint:64 in
     checkb "arbitrary conforms" true (Rpc.Schema.conforms v s)
   done
@@ -117,7 +95,7 @@ let test_codec_roundtrip_known () =
 let test_codec_encoded_size_matches () =
   let rng = Sim.Rng.create ~seed:3 in
   for _ = 1 to 200 do
-    let s = schema_of_depth rng in
+    let s = Wire_gen.schema_of_depth rng in
     let v = Rpc.Schema.arbitrary s rng ~size_hint:40 in
     checki "size prediction"
       (Bytes.length (Rpc.Codec.encode v))
@@ -164,7 +142,7 @@ let codec_roundtrip_property =
     ~count:500 QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Sim.Rng.create ~seed in
-      let s = schema_of_depth rng in
+      let s = Wire_gen.schema_of_depth rng in
       let v = Rpc.Schema.arbitrary s rng ~size_hint:80 in
       match Rpc.Codec.decode s (Rpc.Codec.encode v) with
       | Ok v' -> Rpc.Value.equal v v'

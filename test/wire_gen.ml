@@ -1,6 +1,7 @@
 (* Random, truncated and bit-flipped wire inputs, shared by the codec
    totality properties of test_rpc (RPC frames) and test_lauberhorn
-   (CONTROL lines). *)
+   (CONTROL lines), and random schemas, shared by test_rpc and the
+   cross-stack oracle of test_integration. *)
 
 let random_wire_bytes rng n =
   Bytes.init n (fun _ -> Char.chr (Sim.Rng.int rng ~bound:256))
@@ -55,3 +56,26 @@ let mangled_frame ?body rng = mangle rng (frame ?body rng)
 let is_cut ~orig b =
   let n = Bytes.length b in
   n < Bytes.length orig && Bytes.equal b (Bytes.sub orig 0 n)
+
+(* A random schema of nesting depth up to 2. *)
+let schema_of_depth rng =
+  let rec go depth =
+    if depth = 0 then
+      match Sim.Rng.int rng ~bound:6 with
+      | 0 -> Rpc.Schema.Unit
+      | 1 -> Rpc.Schema.Bool
+      | 2 -> Rpc.Schema.Int
+      | 3 -> Rpc.Schema.Float
+      | 4 -> Rpc.Schema.Str
+      | _ -> Rpc.Schema.Blob
+    else
+      match Sim.Rng.int rng ~bound:3 with
+      | 0 -> Rpc.Schema.List (go (depth - 1))
+      | 1 ->
+          Rpc.Schema.Tuple
+            (List.init
+               (1 + Sim.Rng.int rng ~bound:3)
+               (fun _ -> go (depth - 1)))
+      | _ -> go 0
+  in
+  go 2
