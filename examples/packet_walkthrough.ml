@@ -108,7 +108,7 @@ let () =
       ~line_bytes:cfg.Lauberhorn.Config.profile.Coherence.Interconnect.cache_line_bytes
       (Lauberhorn.Message.Request
          {
-           Lauberhorn.Message.rpc_id = 7L;
+           Lauberhorn.Message.rpc_id = 7;
            service_id = 2;
            method_id = 0;
            code_ptr = 0x4000_2000L;

@@ -20,7 +20,7 @@ let run_stack name make_driver =
   Workload.Arrivals.open_loop engine rng ~rate_per_s:rate ~until:horizon
     (fun ~seq ->
       let args = Rpc.Value.Blob (Bytes.make 64 'x') in
-      Harness.Traffic.inject recorder driver ~rpc_id:(Int64.of_int seq)
+      Harness.Traffic.inject recorder driver ~rpc_id:seq
         ~service_id:1 ~method_id:0 ~port args);
   Sim.Engine.run engine ~until:(horizon + Sim.Units.ms 5);
   let h = Harness.Recorder.latencies recorder in

@@ -1,6 +1,6 @@
 type 'sv request = {
   sv : 'sv;
-  rpc_id : int64;
+  rpc_id : int;
   service_id : int;
   ctx : bytes option;
   eth : Net.Ethernet.t;
@@ -13,7 +13,7 @@ type 'sv request = {
 
 type 'sv t =
   | Bad_rpc
-  | Drop of { rpc_id : int64; counter : string }
+  | Drop of { rpc_id : int; counter : string }
   | Request of 'sv request
 
 let decode by_port service (v : Net.Frame.view) =

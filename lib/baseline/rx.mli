@@ -8,7 +8,7 @@
 
 type 'sv request = {
   sv : 'sv;  (** What the destination port is bound to. *)
-  rpc_id : int64;
+  rpc_id : int;
   service_id : int;  (** As the header names it; the reply echoes it. *)
   ctx : bytes option;  (** The trace context, for the reply header. *)
   eth : Net.Ethernet.t;
@@ -23,7 +23,7 @@ type 'sv request = {
 
 type 'sv t =
   | Bad_rpc  (** The header does not check. *)
-  | Drop of { rpc_id : int64; counter : string }
+  | Drop of { rpc_id : int; counter : string }
       (** A well-formed header the stack cannot serve, named by its
           counter: [rx_no_service], [rx_no_method] or [rx_bad_args]. *)
   | Request of 'sv request

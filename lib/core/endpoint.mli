@@ -46,7 +46,7 @@ val deliver : ?kernel_dispatch:bool -> t -> Message.request -> bool
     plain REQUEST). *)
 
 val deliver_request :
-  t -> rpc_id:int64 -> service_id:int -> method_id:int -> code_ptr:int64 ->
+  t -> rpc_id:int -> service_id:int -> method_id:int -> code_ptr:int64 ->
   data_ptr:int64 -> total_args:int -> aux_count:int -> via_dma:bool ->
   bytes -> off:int -> len:int -> bool
 (** [deliver] of the plain REQUEST with those fields, whose inline

@@ -1,5 +1,5 @@
 type request = {
-  rpc_id : int64;
+  rpc_id : int;
   service_id : int;
   method_id : int;
   code_ptr : int64;
@@ -11,7 +11,7 @@ type request = {
 }
 
 type response = {
-  resp_rpc_id : int64;
+  resp_rpc_id : int;
   status : int;
   total_len : int;
   inline_body : Net.Slice.t;
@@ -96,7 +96,7 @@ let[@hot_path] write_request_into line ~kernel_dispatch ~rpc_id ~service_id
   set_u16 line off_method method_id;
   set_u16 line off_inline_len len;
   set_u32 line off_total_args total_args;
-  Bytes.set_int64_be line off_rpc_id rpc_id;
+  Bytes.set_int64_be line off_rpc_id (Int64.of_int rpc_id);
   Bytes.set_int64_be line off_code_ptr code_ptr;
   Bytes.set_int64_be line off_data_ptr data_ptr;
   Bytes.blit args off line request_header_bytes len;
@@ -140,7 +140,7 @@ let[@hot_path] write_response_into line ~rpc_id ~status ~total_len ~aux_count
   set_u16 line off_resp_inline_len len;
   set_u16 line off_resp_aux aux_count;
   set_u32 line off_total_len total_len;
-  Bytes.set_int64_be line off_resp_rpc_id rpc_id;
+  Bytes.set_int64_be line off_resp_rpc_id (Int64.of_int rpc_id);
   Bytes.blit body off line response_header_bytes len;
   zero_from line (response_header_bytes + len)
 
@@ -167,6 +167,12 @@ let[@hot_path] u32 b off =
 let[@hot_path] u64 b off =
   if off + 8 <= Bytes.length b then Bytes.get_int64_be b off else 0L
 
+(* An id field: the u64 an [int] id was written as, read back whole
+   without boxing. *)
+let[@hot_path] id b off =
+  if off + 8 <= Bytes.length b then Int64.to_int (Bytes.get_int64_be b off)
+  else 0
+
 type kind =
   | Request_line
   | Kernel_dispatch_line
@@ -186,7 +192,7 @@ let[@hot_path] kind b =
   else if Int.equal tag tag_retire then Retire_line
   else Bad_line
 
-let[@hot_path] request_rpc_id b = u64 b off_rpc_id
+let[@hot_path] request_rpc_id b = id b off_rpc_id
 let[@hot_path] request_total_args b = u32 b off_total_args
 let[@hot_path] request_via_dma b = u8 b off_flags land flag_via_dma <> 0
 
@@ -200,7 +206,7 @@ let[@hot_path] response_ok b =
   Int.equal (u8 b 0) tag_response
   && response_header_bytes + u16 b off_resp_inline_len <= Bytes.length b
 
-let[@hot_path] response_rpc_id b = u64 b off_resp_rpc_id
+let[@hot_path] response_rpc_id b = id b off_resp_rpc_id
 let[@hot_path] response_status b = u16 b off_status
 let[@hot_path] response_total_len b = u32 b off_total_len
 let[@hot_path] response_inline_len b = u16 b off_resp_inline_len
@@ -271,7 +277,7 @@ let decode_response b =
   else truncated b
 
 let equal_request (a : request) (b : request) =
-  Int64.equal a.rpc_id b.rpc_id
+  Int.equal a.rpc_id b.rpc_id
   && Int.equal a.service_id b.service_id
   && Int.equal a.method_id b.method_id
   && Int64.equal a.code_ptr b.code_ptr
@@ -282,7 +288,7 @@ let equal_request (a : request) (b : request) =
   && Bool.equal a.via_dma b.via_dma
 
 let equal_response (a : response) (b : response) =
-  Int64.equal a.resp_rpc_id b.resp_rpc_id
+  Int.equal a.resp_rpc_id b.resp_rpc_id
   && Int.equal a.status b.status
   && Int.equal a.total_len b.total_len
   && Net.Slice.equal a.inline_body b.inline_body
@@ -298,13 +304,13 @@ let equal a b =
 let pp ppf = function
   | Request r ->
       Format.fprintf ppf
-        "request id=%Ld svc=%d mth=%d code=0x%Lx args=%d/%d aux=%d%s"
+        "request id=%d svc=%d mth=%d code=0x%Lx args=%d/%d aux=%d%s"
         r.rpc_id r.service_id r.method_id r.code_ptr
         (Net.Slice.length r.inline_args)
         r.total_args r.aux_count
         (if r.via_dma then " via-dma" else "")
   | Kernel_dispatch r ->
-      Format.fprintf ppf "kernel-dispatch svc=%d id=%Ld" r.service_id
+      Format.fprintf ppf "kernel-dispatch svc=%d id=%d" r.service_id
         r.rpc_id
   | Tryagain -> Format.pp_print_string ppf "tryagain"
   | Retire -> Format.pp_print_string ppf "retire"

@@ -13,7 +13,9 @@
     header delivered coherently. *)
 
 type request = {
-  rpc_id : int64;
+  rpc_id : int;
+      (** A wire id, or a negative id of the NIC's own (a worker
+          activation): written as a u64 and read back exactly. *)
   service_id : int;
   method_id : int;
   code_ptr : int64;  (** VA of the handler's first instruction. *)
@@ -25,7 +27,7 @@ type request = {
 }
 
 type response = {
-  resp_rpc_id : int64;
+  resp_rpc_id : int;
   status : int;  (** 0 = success; else application error code. *)
   total_len : int;
   inline_body : Net.Slice.t;
@@ -56,7 +58,7 @@ val encode : line_bytes:int -> t -> bytes
     are out of range. *)
 
 val write_request_into :
-  bytes -> kernel_dispatch:bool -> rpc_id:int64 -> service_id:int ->
+  bytes -> kernel_dispatch:bool -> rpc_id:int -> service_id:int ->
   method_id:int -> code_ptr:int64 -> data_ptr:int64 -> total_args:int ->
   aux_count:int -> via_dma:bool -> bytes -> off:int -> len:int -> unit
 (** [write_request_into line ... args ~off ~len] renders a REQUEST line,
@@ -70,12 +72,12 @@ val write_request_into :
     outside [args], or a field is out of range. *)
 
 val write_response :
-  line_bytes:int -> rpc_id:int64 -> status:int -> total_len:int ->
+  line_bytes:int -> rpc_id:int -> status:int -> total_len:int ->
   aux_count:int -> bytes -> off:int -> len:int -> bytes
 (** {!write_response_into} a fresh line of [line_bytes]. *)
 
 val write_response_into :
-  bytes -> rpc_id:int64 -> status:int -> total_len:int -> aux_count:int ->
+  bytes -> rpc_id:int -> status:int -> total_len:int -> aux_count:int ->
   bytes -> off:int -> len:int -> unit
 (** [write_response_into line ... body ~off ~len] renders a response
     line over the whole of [line] from its fields, the inline body
@@ -88,8 +90,7 @@ val write_response_into :
 
     The CPU and the NIC read a line's fields where they lie. {!kind}
     and {!response_ok} say whether a line is whole; the field readers
-    read one field each and allocate nothing (an [int64] result is
-    boxed once per call, so read an rpc id once). {!decode} and
+    read one field each and allocate nothing. {!decode} and
     {!decode_response} are defined over these readers, so there is one
     definition of each layout. Every reader is total: on a line that
     is not whole it answers some value but never raises. *)
@@ -104,14 +105,14 @@ type kind =
 val kind : bytes -> kind
 (** What {!decode} makes of a line, without building it. *)
 
-val request_rpc_id : bytes -> int64
+val request_rpc_id : bytes -> int
 val request_total_args : bytes -> int
 val request_via_dma : bytes -> bool
 
 val response_ok : bytes -> bool
 (** {!decode_response} accepts the line. *)
 
-val response_rpc_id : bytes -> int64
+val response_rpc_id : bytes -> int
 val response_status : bytes -> int
 val response_total_len : bytes -> int
 val response_inline_len : bytes -> int

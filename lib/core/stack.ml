@@ -58,7 +58,7 @@ and worker = {
      callback once per worker thread), and the state they share: *)
   mutable fill_th : Osmodel.Proc.thread;  (* the thread [on_fill] judges *)
   mutable on_fill : Coherence.Home_agent.fill -> unit;
-  mutable req_id : int64;  (* the rpc id of the request in hand ... *)
+  mutable req_id : int;  (* the rpc id of the request in hand ... *)
   mutable hand : inflight;  (* ... and its [App] entry *)
   mutable run_handler : unit -> unit;  (* after the handler's CPU time *)
   mutable finish : Rpc.Value.t -> unit;  (* the handler's result *)
@@ -131,7 +131,8 @@ type t = {
   by_port : (int, service_rt) Hashtbl.t;  (* the NIC's dispatch table *)
   egress : Net.Frame.t -> unit;
   counters : Sim.Counter.group;
-  inflight : (int64, inflight) Hashtbl.t;
+  inflight : inflight Sim.Int_table.t;
+      (* by rpc id: a wire id, or a negative worker-activation id *)
   services : (int, service_rt) Hashtbl.t;  (* by service id *)
   mutable dispatchers : dispatcher array;
   parked_eps : (int, Endpoint.t) Hashtbl.t;  (* tid -> endpoint *)
@@ -147,7 +148,7 @@ type t = {
       (* the NIC pipeline's frames in flight *)
   tx_slots : tx_slot Sim.Slot_pool.t;
       (* frames between collection and the wire *)
-  mutable next_dispatch_id : int64;
+  mutable next_dispatch_id : int;  (* negative: never a wire id *)
   mutable mac : Nic.Mac.t option;
   mutable handled_hook : (unit -> unit) option;
       (* per-handled-RPC callback (server fault injector) *)
@@ -242,17 +243,13 @@ let line_bytes t = (prof t).Coherence.Interconnect.cache_line_bytes
 let mem_read_cost bytes = 100 + (bytes / 25)
 
 (* Nested-call reply ids live in their own tag range so responses can
-   be routed to the waiting worker instead of the wire. *)
-let nested_tag = Int64.shift_left 1L 61
+   be routed to the waiting worker instead of the wire. Worker
+   activations use the negative ids, which no wire id is. *)
+let nested_tag = 1 lsl 61
 
-let nested_rpc_id cont = Int64.logor nested_tag (Int64.of_int cont)
-
-let nested_cont_of rpc_id =
-  if
-    Int64.logand rpc_id nested_tag <> 0L
-    && Int64.logand rpc_id (Int64.shift_left 1L 62) = 0L
-  then Some (Int64.to_int (Int64.logand rpc_id 0xffff_ffffL))
-  else None
+let nested_rpc_id cont = nested_tag lor cont
+let is_nested rpc_id = rpc_id >= 0 && rpc_id land nested_tag <> 0
+let nested_cont rpc_id = rpc_id land 0xffff_ffff
 
 (* A local service by id, off the request path ([nic_rx] finds a
    request's service once, by port). *)
@@ -354,7 +351,7 @@ and worker_tryagain t sv w =
 (* The worker reads the three fields it uses straight from the line. *)
 and worker_handle t sv w line =
   let rpc_id = Message.request_rpc_id line in
-  match Hashtbl.find t.inflight rpc_id with
+  match Sim.Int_table.find t.inflight rpc_id with
   | Dispatch_ack _ | (exception Not_found) ->
       Sim.Counter.incr (ctr t "worker_orphan_request");
       worker_loop t sv w ()
@@ -390,7 +387,7 @@ and worker_finish t sv w result =
   match w.hand with
   | App app ->
       let rpc_id = w.req_id in
-      w.req_id <- 0L;
+      w.req_id <- 0;
       w.hand <- no_hand;
       span_stage t ~rpc:rpc_id "handler";
       (* The result is encoded once, behind room for the reply's RPC
@@ -449,11 +446,8 @@ and on_tx_line t image =
       | exception Not_found -> Sim.Counter.incr (ctr t "tx_line_no_service")
       | sv ->
           Sim.Counter.incr (ctr t "tx_line_sends");
-          let cont =
-            match nested_cont_of r.Message.rpc_id with
-            | Some c -> c
-            | None -> 0
-          in
+          let id = r.Message.rpc_id in
+          let cont = if is_nested id then nested_cont id else 0 in
           tx_emit t ~cont ~service_id:r.Message.service_id
             ~method_id:r.Message.method_id
             ~dst:{ (self_address t) with Net.Frame.port = sv.sspec.port }
@@ -550,11 +544,11 @@ and park_dispatcher t d idx =
               Osmodel.Kernel.run_for t.kern d.dthread
                 ~kind:Osmodel.Cpu_account.Kernel dispatch_handling_cost
                 (fun () ->
-                  (match Hashtbl.find_opt t.inflight r.Message.rpc_id with
-                  | Some (Dispatch_ack { svc_id; widx }) ->
+                  (match Sim.Int_table.find t.inflight r.Message.rpc_id with
+                  | Dispatch_ack { svc_id; widx } ->
                       let sv = service_rt t svc_id in
                       activate_worker t sv sv.workers.(widx)
-                  | Some (App _) | None ->
+                  | App _ | (exception Not_found) ->
                       Sim.Counter.incr (ctr t "dispatcher_orphan"));
                   (* Follow the line protocol: ack into the same line,
                      then monitor the other one. *)
@@ -597,8 +591,8 @@ let request_worker_activation t sv w =
     | Some d ->
         w.starting <- true;
         let id = t.next_dispatch_id in
-        t.next_dispatch_id <- Int64.add id 1L;
-        Hashtbl.replace t.inflight id
+        t.next_dispatch_id <- id - 1;
+        Sim.Int_table.replace t.inflight id
           (Dispatch_ack
              { svc_id = service_id_of sv; widx = w.widx });
         let msg =
@@ -616,7 +610,7 @@ let request_worker_activation t sv w =
         in
         Sim.Counter.incr (ctr t "slow_path_dispatch");
         if not (Endpoint.deliver ~kernel_dispatch:true d.dep msg) then begin
-          Hashtbl.remove t.inflight id;
+          Sim.Int_table.remove t.inflight id;
           w.starting <- false;
           Sim.Counter.incr (ctr t "dispatch_dropped")
         end
@@ -709,7 +703,7 @@ let nack t ~rpc_id ~service_id ~request ~code =
 let dispatch_request t sv frame ~rpc_id ~body_off
     (mdef : Rpc.Interface.method_def) args =
   let service_id = service_id_of sv in
-  if Hashtbl.mem t.inflight rpc_id then
+  if Sim.Int_table.mem t.inflight rpc_id then
     Sim.Counter.incr (ctr t "duplicate_rpc_id")
   else if not (nic_alive t sv) then begin
     (* The NIC believes the target process is dead (the death push has
@@ -752,7 +746,7 @@ let dispatch_request t sv frame ~rpc_id ~body_off
     | Some (Nic_sched.Steady | Nic_sched.Add_worker) | None ->
     let w = choose_worker sv in
     let path = path_to w in
-    Hashtbl.replace t.inflight rpc_id
+    Sim.Int_table.replace t.inflight rpc_id
       (App
          {
            mdef;
@@ -798,7 +792,7 @@ let dispatch_request t sv frame ~rpc_id ~body_off
       | Nic_sched.Steady | Nic_sched.Shed -> ()
     end
     else begin
-      Hashtbl.remove t.inflight rpc_id;
+      Sim.Int_table.remove t.inflight rpc_id;
       Sim.Counter.incr (ctr t "nic_queue_drop");
       Obs.Metrics.incr t.m_drop_full
     end
@@ -887,42 +881,45 @@ let nic_rx t frame =
       end
       else
         (* A response from a remote machine to one of our nested calls. *)
-        match nested_cont_of (Rpc.Wire_format.rpc_id payload) with
-        | Some cont -> (
-            match
-              Hashtbl.find_opt t.remotes (Rpc.Wire_format.service_id payload)
-            with
-            | Some r -> (
-                let pos = Rpc.Wire_format.body_offset payload in
-                match
-                  Rpc.Codec.decode_sub r.response_schema payload ~pos
-                    ~len:(Bytes.length payload - pos)
-                with
-                | Ok v ->
-                    Sim.Counter.incr (ctr t "nested_remote_replies");
-                    if not (Rpc.Continuation.fire t.nested_conts cont v) then
-                      Sim.Counter.incr (ctr t "nested_orphan_reply")
-                | Error _ -> Sim.Counter.incr (ctr t "nested_bad_reply"))
-            | None -> Sim.Counter.incr (ctr t "rx_stray_response"))
-        | None -> Sim.Counter.incr (ctr t "rx_stray_response")
+        let id = Rpc.Wire_format.rpc_id payload in
+        if not (is_nested id) then
+          Sim.Counter.incr (ctr t "rx_stray_response")
+        else begin
+          let cont = nested_cont id in
+          match
+            Hashtbl.find_opt t.remotes (Rpc.Wire_format.service_id payload)
+          with
+          | Some r -> (
+              let pos = Rpc.Wire_format.body_offset payload in
+              match
+                Rpc.Codec.decode_sub r.response_schema payload ~pos
+                  ~len:(Bytes.length payload - pos)
+              with
+              | Ok v ->
+                  Sim.Counter.incr (ctr t "nested_remote_replies");
+                  if not (Rpc.Continuation.fire t.nested_conts cont v) then
+                    Sim.Counter.incr (ctr t "nested_orphan_reply")
+              | Error _ -> Sim.Counter.incr (ctr t "nested_bad_reply"))
+          | None -> Sim.Counter.incr (ctr t "rx_stray_response")
+        end
 
 (* ---------- Response collection and egress --------------------------- *)
 
-(* [Hashtbl.find] rather than [find_opt] here and in [worker_handle]:
-   the two per-RPC lookups of the in-flight table allocate no option. *)
+(* The per-RPC lookups of the in-flight table, here and in
+   [worker_handle], allocate nothing. *)
 let on_endpoint_response t line =
   let rpc_id = Message.response_rpc_id line in
-  match Hashtbl.find t.inflight rpc_id with
+  match Sim.Int_table.find t.inflight rpc_id with
   | exception Not_found -> Sim.Counter.incr (ctr t "orphan_response")
-  | Dispatch_ack _ -> Hashtbl.remove t.inflight rpc_id
+  | Dispatch_ack _ -> Sim.Int_table.remove t.inflight rpc_id
   | App app
-    when Option.is_some (nested_cont_of rpc_id)
+    when is_nested rpc_id
          && Net.Ip_addr.equal app.request.Net.Frame.ip.Net.Ipv4.src
               (self_address t).Net.Frame.ip ->
       (* A reply to one of OUR nested calls, hairpinned locally. A
          request from another machine may carry that machine's nested
          tag in its id — those take the normal wire-reply path below. *)
-      Hashtbl.remove t.inflight rpc_id;
+      Sim.Int_table.remove t.inflight rpc_id;
       let result =
         match
           Rpc.Codec.decode_sub app.mdef.Rpc.Interface.response app.reply
@@ -934,9 +931,7 @@ let on_endpoint_response t line =
             Sim.Counter.incr (ctr t "nested_bad_reply");
             Rpc.Value.Unit
       in
-      let cont =
-        match nested_cont_of rpc_id with Some c -> c | None -> assert false
-      in
+      let cont = nested_cont rpc_id in
       (* Reply delivery to the waiting worker's reply end-point: one
          coherent fill. *)
       ignore
@@ -945,7 +940,7 @@ let on_endpoint_response t line =
              if not (Rpc.Continuation.fire t.nested_conts cont result) then
                Sim.Counter.incr (ctr t "nested_orphan_reply")))
   | App app ->
-      Hashtbl.remove t.inflight rpc_id;
+      Sim.Int_table.remove t.inflight rpc_id;
       span_stage t ~rpc:rpc_id "collect";
       (* Fidelity check: the inline prefix collected from the cache
          line must match the response body the handler produced. *)
@@ -996,15 +991,16 @@ let on_endpoint_response t line =
    NIC-SRAM queue contents survive into the service's limbo queue for
    redelivery after restart; whatever was already staged into (or
    parked on) the CONTROL lines was in the dead process's hands and is
-   NACKed from the in-flight table — caught, never silently lost. *)
+   NACKed from the in-flight table — caught, never silently lost —
+   in ascending rpc id order, whatever order the table holds them in. *)
 let sweep_dead_service t sv =
   let sid = service_id_of sv in
-  let limbo_ids = Hashtbl.create 16 in
+  let limbo_ids = Sim.Int_table.create ~dummy:() 16 in
   Array.iter
     (fun w ->
       List.iter
         (fun ((msg : Message.request), _kernel_dispatch) ->
-          Hashtbl.replace limbo_ids msg.Message.rpc_id ();
+          Sim.Int_table.replace limbo_ids msg.Message.rpc_id ();
           Queue.add msg sv.limbo)
         (Endpoint.reset w.wep);
       w.active <- false;
@@ -1012,38 +1008,43 @@ let sweep_dead_service t sv =
       w.empty_cycles <- 0)
     sv.workers;
   sv.active_count <- 0;
-  let doomed = ref [] in
-  Hashtbl.iter
-    (fun id entry ->
-      match entry with
-      | App { sv = owner; request; _ }
-        when Int.equal (service_id_of owner) sid
-             && not (Hashtbl.mem limbo_ids id) ->
-          doomed := (id, Some request) :: !doomed
-      | Dispatch_ack d when Int.equal d.svc_id sid ->
-          doomed := (id, None) :: !doomed
-      | App _ | Dispatch_ack _ -> ())
-    t.inflight;
+  let doomed =
+    Sim.Int_table.fold
+      (fun id entry acc ->
+        match entry with
+        | App { sv = owner; request; _ }
+          when Int.equal (service_id_of owner) sid
+               && not (Sim.Int_table.mem limbo_ids id) ->
+            (id, Some request) :: acc
+        | Dispatch_ack d when Int.equal d.svc_id sid -> (id, None) :: acc
+        | App _ | Dispatch_ack _ -> acc)
+      t.inflight []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  in
   List.iter
     (fun (id, entry) ->
-      Hashtbl.remove t.inflight id;
+      Sim.Int_table.remove t.inflight id;
       match entry with
       | None -> ()  (* cold activation of a now-dead worker *)
       | Some request -> (
           Obs.Metrics.incr t.m_stale;
-          match nested_cont_of id with
-          | Some cont
-            when Net.Ip_addr.equal request.Net.Frame.ip.Net.Ipv4.src
-                   (self_address t).Net.Frame.ip ->
-              (* Hairpinned nested call into the dead service: unblock
-                 the waiting caller rather than NACK our own wire. *)
-              if
-                not (Rpc.Continuation.fire t.nested_conts cont Rpc.Value.Unit)
-              then Sim.Counter.incr (ctr t "nested_orphan_reply")
-          | Some _ | None ->
-              nack t ~rpc_id:id ~service_id:sid ~request
-                ~code:Rpc.Wire_format.err_dead))
-    !doomed
+          if
+            is_nested id
+            && Net.Ip_addr.equal request.Net.Frame.ip.Net.Ipv4.src
+                 (self_address t).Net.Frame.ip
+          then begin
+            (* Hairpinned nested call into the dead service: unblock
+               the waiting caller rather than NACK our own wire. *)
+            if
+              not
+                (Rpc.Continuation.fire t.nested_conts (nested_cont id)
+                   Rpc.Value.Unit)
+            then Sim.Counter.incr (ctr t "nested_orphan_reply")
+          end
+          else
+            nack t ~rpc_id:id ~service_id:sid ~request
+              ~code:Rpc.Wire_format.err_dead))
+    doomed
 
 (* Redeliver the crash survivors once the NIC learns the process is
    back. Their in-flight entries were retained, so client retransmits
@@ -1058,12 +1059,12 @@ let drain_limbo t sv =
     if Endpoint.deliver w.wep msg then Obs.Metrics.incr t.m_requeues
     else begin
       Obs.Metrics.incr t.m_crash_nacks;
-      match Hashtbl.find_opt t.inflight msg.Message.rpc_id with
-      | Some (App a) ->
-          Hashtbl.remove t.inflight msg.Message.rpc_id;
+      match Sim.Int_table.find t.inflight msg.Message.rpc_id with
+      | App a ->
+          Sim.Int_table.remove t.inflight msg.Message.rpc_id;
           nack t ~rpc_id:msg.Message.rpc_id ~service_id:sid ~request:a.request
             ~code:Rpc.Wire_format.err_dead
-      | Some (Dispatch_ack _) | None -> ()
+      | Dispatch_ack _ | (exception Not_found) -> ()
     end
   done
 
@@ -1190,7 +1191,8 @@ let create engine ~cfg ~ncores ?(binding = Os_integrated)
       by_port = Hashtbl.create 64;
       egress;
       counters = Sim.Counter.group (name_of_binding binding);
-      inflight = Hashtbl.create 4096;
+      (* two arrays of 2048 words: the footprint of a 4096-bucket Hashtbl *)
+      inflight = Sim.Int_table.create ~dummy:no_hand 2048;
       services = Hashtbl.create 32;
       dispatchers = [||];
       parked_eps = Hashtbl.create 64;
@@ -1203,7 +1205,7 @@ let create engine ~cfg ~ncores ?(binding = Os_integrated)
       nested_conts = Rpc.Continuation.create ();
       rx_slots = Sim.Slot_pool.create ();
       tx_slots = Sim.Slot_pool.create ();
-      next_dispatch_id = Int64.shift_left 1L 62;
+      next_dispatch_id = -1;
       mac = None;
       handled_hook = None;
       m_kills = Obs.Metrics.counter metrics "kills";
@@ -1390,7 +1392,7 @@ let create engine ~cfg ~ncores ?(binding = Os_integrated)
                 affinity;
                 fill_th = wthread;
                 on_fill = no_fill;
-                req_id = 0L;
+                req_id = 0;
                 hand = no_hand;
                 run_handler = nop;
                 finish = no_result;

@@ -37,7 +37,7 @@ let seed = 1818
 type run = {
   rack : Rack.rack;
   obs : Obs.Tracer.t;
-  completions : (int64 * int) list; (* (rpc_id, latency), completion order *)
+  completions : (int * int) list; (* (rpc_id, latency), completion order *)
   stitches : Obs.Stitch.t list;
   pcap_uplink : Obs.Pcap.t;
   pcap_host0 : Obs.Pcap.t;
@@ -68,15 +68,16 @@ let traced_run () =
   Workload.Arrivals.open_loop master rng ~rate_per_s:rate ~until:horizon
     (fun ~seq:_ ->
       let t0 = Sim.Engine.now master in
-      let id = ref 0L in
+      let id = ref 0 in
       id :=
-        Harness.Client.call_id rack.Rack.client ~service_id ~method_id:0
-          ~port:rack.Rack.service_port
-          (Rpc.Value.Blob (Bytes.make 64 'w'))
-          (fun _ ->
-            let latency = Sim.Engine.now master - t0 in
-            Sim.Histogram.record rack.Rack.latencies latency;
-            completions := (!id, latency) :: !completions));
+        Int64.to_int
+          (Harness.Client.call_id rack.Rack.client ~service_id ~method_id:0
+             ~port:rack.Rack.service_port
+             (Rpc.Value.Blob (Bytes.make 64 'w'))
+             (fun _ ->
+               let latency = Sim.Engine.now master - t0 in
+               Sim.Histogram.record rack.Rack.latencies latency;
+               completions := (!id, latency) :: !completions)));
   Cluster.Fabric.run rack.Rack.fabric ~until:(horizon + drain);
   Rack.finish rack;
   (* control-plane track: lifecycle transitions as instants on the
@@ -106,7 +107,7 @@ let traced_run () =
 (* ---------- digest: every observable, machine-independent ---------- *)
 
 let find_stitch r id =
-  List.find_opt (fun (s : Obs.Stitch.t) -> Int64.equal s.Obs.Stitch.trace id)
+  List.find_opt (fun (s : Obs.Stitch.t) -> Int.equal s.Obs.Stitch.trace id)
     r.stitches
 
 (* The rack-scale E14 invariant, checked per RPC against the client's

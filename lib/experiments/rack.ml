@@ -264,8 +264,7 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
     | Error _ -> ()
     | Ok () ->
         let r = match !rack_ref with Some r -> r | None -> assert false in
-        let rpc_id = Rpc.Wire_format.rpc_id request in
-        let id = Int64.to_int rpc_id in
+        let id = Rpc.Wire_format.rpc_id request in
         let slot = id land 0xF_FFFF in
         let target =
           if pinned ~slot ~id then begin
@@ -302,18 +301,18 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
                    carry the trace context inside the frame, across
                    the switch, to the serving host's tracer *)
                 let now = Sim.Engine.now master in
-                if not (Obs.Tracer.is_open tr ~rpc:rpc_id) then
-                  Obs.Tracer.rpc_begin tr ~rpc:rpc_id
+                if not (Obs.Tracer.is_open tr ~rpc:id) then
+                  Obs.Tracer.rpc_begin tr ~rpc:id
                     ~track:(Obs.Tracer.track tr "client")
                     now;
                 let parent =
-                  match Obs.Tracer.root_of tr ~rpc:rpc_id with
+                  match Obs.Tracer.root_of tr ~rpc:id with
                   | Some r -> r
                   | None -> 0
                 in
                 let ctx =
                   Obs.Context.to_bytes
-                    { Obs.Context.trace = rpc_id; parent; origin = uplink_port }
+                    { Obs.Context.trace = id; parent; origin = uplink_port }
                 in
                 (match Rpc.Wire_format.decode request with
                 | Ok msg ->

@@ -133,7 +133,7 @@ let run_config ~horizon ~rate prog =
       let key = Workload.Dist.zipf rng ~n:nkeys ~s:zipf_s in
       let flow = Sim.Rng.int rng ~bound:nflows in
       Harness.Traffic.inject server.Common.recorder server.Common.driver
-        ~rpc_id:(Int64.of_int seq) ~service_id ~method_id:0 ~port:service_port
+        ~rpc_id:seq ~service_id ~method_id:0 ~port:service_port
         ~client:(Harness.Traffic.client_endpoint ~idx:flow ())
         (key_blob key));
   let m =

@@ -43,7 +43,7 @@ let traced_ping_pong flavour =
   in
   Harness.Recorder.on_complete server.Common.recorder
     (fun ~rpc_id ~latency ->
-      completions := (rpc_id, latency) :: !completions;
+      completions := (Int64.to_int rpc_id, latency) :: !completions;
       decr remaining;
       if !remaining > 0 then
         ignore
@@ -141,7 +141,7 @@ let run () =
         (if mismatches = 0 then "  [exact]" else "  [ATTRIBUTION GAP]"))
     results;
   Format.printf "@.";
-  Common.note "exports (to $E14_OUT_DIR, default the working directory):";
+  Common.note "exports (to $E14_OUT_DIR, default artifacts/):";
   List.iter
     (fun (name, server, pcap, _) -> export_and_verify ~name server pcap)
     results;

@@ -10,7 +10,7 @@ type t = {
   backoff : float;
   max_timeout : Sim.Units.duration;
   jitter : float;
-  mutable timeline_rev : (Sim.Units.time * int64 * Sim.Units.duration) list;
+  mutable timeline_rev : (Sim.Units.time * int * Sim.Units.duration) list;
 }
 
 let create engine ~plan ?(timeout = Sim.Units.us 200) ?(retries = 20)
@@ -53,22 +53,24 @@ let create engine ~plan ?(timeout = Sim.Units.us 200) ?(retries = 20)
   in
   Recorder.on_complete recorder (fun ~rpc_id ~latency ->
       t.timeline_rev <-
-        (Sim.Engine.now engine, rpc_id, latency) :: t.timeline_rev);
+        (Sim.Engine.now engine, Int64.to_int rpc_id, latency)
+        :: t.timeline_rev);
   t
 
 let connect t (driver : Driver.t) = t.target := driver.Driver.ingress
 let egress t frame = Fault.Link.send t.backward frame
 
 let call t ~service_id ~method_id ~port args =
-  let id_ref = ref 0L in
+  let id_ref = ref 0 in
   let rpc_id =
-    Client.call_id t.client ~timeout:t.timeout ~retries:t.retries
-      ~backoff:t.backoff ~max_timeout:t.max_timeout ~jitter:t.jitter
-      ~service_id ~method_id ~port args (fun _ ->
-        Recorder.complete_by_id t.recorder ~rpc_id:!id_ref)
+    Int64.to_int
+      (Client.call_id t.client ~timeout:t.timeout ~retries:t.retries
+         ~backoff:t.backoff ~max_timeout:t.max_timeout ~jitter:t.jitter
+         ~service_id ~method_id ~port args (fun _ ->
+           Recorder.complete_by_id t.recorder ~rpc_id:!id_ref))
   in
   id_ref := rpc_id;
-  Recorder.note_sent t.recorder ~rpc_id
+  Recorder.stamp t.recorder ~rpc_id
 
 let client t = t.client
 let recorder t = t.recorder
@@ -78,7 +80,7 @@ let timeline_digest t =
   List.fold_left
     (fun h (at, id, lat) ->
       let h = ((h * 1_000_003) + at) land max_int in
-      let h = ((h * 1_000_003) + Int64.to_int id) land max_int in
+      let h = ((h * 1_000_003) + id) land max_int in
       ((h * 1_000_003) + lat) land max_int)
     0x1505 (timeline t)
 

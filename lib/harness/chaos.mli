@@ -45,7 +45,7 @@ val call :
 val client : t -> Client.t
 val recorder : t -> Recorder.t
 
-val timeline : t -> (Sim.Units.time * int64 * Sim.Units.duration) list
+val timeline : t -> (Sim.Units.time * int * Sim.Units.duration) list
 (** Completions in order: (completion time, rpc_id, latency). *)
 
 val timeline_digest : t -> int

@@ -41,20 +41,14 @@ type call = {
 (* rpc_id = epoch << 20 | continuation id. *)
 let cont_bits = 20
 
-let rpc_id_of ~epoch ~cont =
-  Int64.logor
-    (Int64.shift_left (Int64.of_int epoch) cont_bits)
-    (Int64.of_int cont)
-
-let cont_of_rpc_id id =
-  Int64.to_int (Int64.logand id (Int64.of_int ((1 lsl cont_bits) - 1)))
+let rpc_id_of ~epoch ~cont = (epoch lsl cont_bits) lor cont
+let cont_of_rpc_id id = id land ((1 lsl cont_bits) - 1)
 
 (* Whether [id] names the call its continuation slot holds now. *)
 let current t id =
   let cont = cont_of_rpc_id id in
   cont < Array.length t.epochs
-  && Int.equal t.epochs.(cont)
-       (Int64.to_int (Int64.shift_right_logical id cont_bits))
+  && Int.equal t.epochs.(cont) (id lsr cont_bits)
 
 (* Free [cont]: its call completed, failed or was abandoned. *)
 let retire t cont = t.epochs.(cont) <- 0
@@ -126,7 +120,7 @@ let[@hot_path] on_timer c () =
     if c.attempts_left > 0 then begin
       t.retransmits <- t.retransmits + 1;
       t.send
-        (Traffic.request_frame
+        (Traffic.request
            ~rpc_id:(rpc_id_of ~epoch:c.epoch ~cont:c.cont)
            ~service_id:c.service_id ~method_id:c.method_id ~port:c.port
            ~client:t.endpoint c.args);
@@ -160,8 +154,8 @@ let call_id ?timeout ?(retries = 3) ?(backoff = 1.) ?(max_timeout = max_int)
   let rpc_id = rpc_id_of ~epoch ~cont in
   t.sent <- t.sent + 1;
   t.send
-    (Traffic.request_frame ~rpc_id ~service_id ~method_id ~port
-       ~client:t.endpoint args);
+    (Traffic.request ~rpc_id ~service_id ~method_id ~port ~client:t.endpoint
+       args);
   (match timeout with
   | None -> ()
   | Some timeout ->
@@ -185,7 +179,7 @@ let call_id ?timeout ?(retries = 3) ?(backoff = 1.) ?(max_timeout = max_int)
       in
       c.timer <- on_timer c;
       arm c);
-  rpc_id
+  Int64.of_int rpc_id
 
 let call ?timeout ?retries t ~service_id ~method_id ~port args k =
   ignore (call_id ?timeout ?retries t ~service_id ~method_id ~port args k)

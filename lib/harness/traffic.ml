@@ -20,16 +20,19 @@ let server_address =
 
 let server_endpoint ~port = { server_address with Net.Frame.port }
 
-let request_frame ~rpc_id ~service_id ~method_id ~port ?client args =
+let request ~rpc_id ~service_id ~method_id ~port ?client args =
   let client = match client with Some c -> c | None -> default_client in
   Net.Frame.make_to_port ~src:client ~dst:server_address ~port
     (Rpc.Wire_format.encode_value ~kind:Rpc.Wire_format.Request ~rpc_id
        ~service_id ~method_id args)
 
+let request_frame ~rpc_id ~service_id ~method_id ~port ?client args =
+  request
+    ~rpc_id:(Rpc.Wire_format.rpc_id_of_int64 rpc_id)
+    ~service_id ~method_id ~port ?client args
+
 let inject recorder (driver : Driver.t) ~rpc_id ~service_id ~method_id ~port
     ?client args =
-  let frame =
-    request_frame ~rpc_id ~service_id ~method_id ~port ?client args
-  in
-  Recorder.note_sent recorder ~rpc_id;
+  let frame = request ~rpc_id ~service_id ~method_id ~port ?client args in
+  Recorder.stamp recorder ~rpc_id;
   driver.Driver.ingress frame

@@ -11,14 +11,21 @@ val server_address : Net.Frame.endpoint
 val server_endpoint : port:int -> Net.Frame.endpoint
 (** {!server_address} on the given UDP service port. *)
 
+val request :
+  rpc_id:int -> service_id:int -> method_id:int -> port:int ->
+  ?client:Net.Frame.endpoint -> Rpc.Value.t -> Net.Frame.t
+(** A complete request frame from client to server carrying the encoded
+    arguments.
+    @raise Invalid_argument on a negative rpc id. *)
+
 val request_frame :
   rpc_id:int64 -> service_id:int -> method_id:int -> port:int ->
   ?client:Net.Frame.endpoint -> Rpc.Value.t -> Net.Frame.t
-(** A complete request frame from client to server carrying the encoded
-    arguments. *)
+(** {!request} of an id given as the wire's [int64], converted once.
+    @raise Invalid_argument if the id lies outside [[0, 2^62)]. *)
 
 val inject :
-  Recorder.t -> Driver.t -> rpc_id:int64 -> service_id:int ->
+  Recorder.t -> Driver.t -> rpc_id:int -> service_id:int ->
   method_id:int -> port:int -> ?client:Net.Frame.endpoint -> Rpc.Value.t ->
   unit
 (** Stamp the recorder and deliver the frame to the driver's ingress. *)

@@ -9,7 +9,7 @@
     after the run, from per-shard tracers, in {!Stitch}. *)
 
 type t = {
-  trace : int64;  (** Trace (= RPC) id the carried spans belong to. *)
+  trace : int;  (** Trace (= RPC) id the carried spans belong to. *)
   parent : int;  (** Root span id on the origin's tracer. *)
   origin : int;  (** Origin host index (uplink planes use [hosts]). *)
 }
@@ -18,8 +18,10 @@ val size : int
 (** Encoded size: 16 bytes. *)
 
 val to_bytes : t -> bytes
-(** @raise Invalid_argument when [parent] or [origin] exceeds u32. *)
+(** @raise Invalid_argument when [parent] or [origin] exceeds u32, or
+    on a negative [trace]. *)
 
 val of_bytes : bytes -> t option
-(** [None] unless the input is exactly {!size} bytes. *)
+(** [None] unless the input is exactly {!size} bytes and its trace id
+    lies in [[0, 2^62)], the range of a wire rpc id. *)
 

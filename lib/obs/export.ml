@@ -27,7 +27,7 @@ let span_event ~pid (s : Span.t) =
   let args =
     Json.Obj
       [
-        ("rpc", Json.Str (Int64.to_string s.Span.trace_id));
+        ("rpc", Json.Str (string_of_int s.Span.trace_id));
         ("seq", Json.Int s.Span.seq);
         ("span", Json.Int s.Span.id);
         ("parent", Json.Int s.Span.parent);

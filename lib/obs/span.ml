@@ -3,7 +3,7 @@ type kind = Interval | Detail | Instant
 type t = {
   id : int;
   parent : int;
-  trace_id : int64;
+  trace_id : int;
   track : int;
   name : string;
   kind : kind;

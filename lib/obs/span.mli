@@ -15,7 +15,7 @@ type kind =
 type t = {
   id : int;  (** Unique within a tracer, > 0. *)
   parent : int;  (** Parent span id; {!no_parent} for roots. *)
-  trace_id : int64;  (** The RPC this span belongs to; 0L if none. *)
+  trace_id : int;  (** The RPC this span belongs to; 0 if none. *)
   track : int;  (** Track index (see {!Tracer.track}). *)
   name : string;
   kind : kind;

@@ -8,7 +8,7 @@
 type stage = { plane : string; span : Span.t }
 
 type t = {
-  trace : int64;
+  trace : int;
   root : Span.t;
   stages : stage list;
   contiguous : bool;
@@ -39,7 +39,7 @@ let assemble ~root:root_tracer ~parts =
   List.iter
     (fun (s : Span.t) -> Hashtbl.replace roots s.Span.trace_id s)
     (Tracer.roots root_tracer);
-  let stages_of_trace : (int64, stage list) Hashtbl.t = Hashtbl.create 256 in
+  let stages_of_trace : (int, stage list) Hashtbl.t = Hashtbl.create 256 in
   List.iter
     (fun (plane, tracer) ->
       List.iter
@@ -57,7 +57,7 @@ let assemble ~root:root_tracer ~parts =
         (Tracer.spans tracer))
     (("", root_tracer) :: parts);
   let traces =
-    List.sort Int64.compare
+    List.sort Int.compare
       (Hashtbl.fold (fun trace _ acc -> trace :: acc) roots [])
   in
   List.map

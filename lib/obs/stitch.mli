@@ -17,7 +17,7 @@ type stage = { plane : string;  (** Label of the tracer that emitted it. *)
                span : Span.t }
 
 type t = {
-  trace : int64;
+  trace : int;
   root : Span.t;  (** The origin plane's root: end-to-end latency. *)
   stages : stage list;  (** All planes' stages in time order. *)
   contiguous : bool;

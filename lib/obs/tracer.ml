@@ -7,17 +7,17 @@ type t = {
   mutable seq : int;
   mutable tracks : string array;
   mutable ntracks : int;
-  cursors : (int64, cursor) Hashtbl.t;
+  cursors : (int, cursor) Hashtbl.t;
   (* opaque per-RPC trace contexts (Context.to_bytes) noted at ingress
      so the reply path can echo them onto the wire *)
-  ctxs : (int64, bytes) Hashtbl.t;
+  ctxs : (int, bytes) Hashtbl.t;
 }
 
 let dummy_span =
   {
     Span.id = 0;
     parent = 0;
-    trace_id = 0L;
+    trace_id = 0;
     track = 0;
     name = "";
     kind = Span.Instant;
@@ -150,7 +150,7 @@ let detail t ~rpc ~track ~name ~start ~stop =
           (emit t ~parent:c.root_id ~trace_id:rpc ~track ~name
              ~kind:Span.Detail ~start ~stop)
 
-let instant t ?(rpc = 0L) ~track ~name time =
+let instant t ?(rpc = 0) ~track ~name time =
   if t.enabled then
     let parent =
       match Hashtbl.find_opt t.cursors rpc with

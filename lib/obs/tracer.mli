@@ -36,13 +36,13 @@ val tracks : t -> string list
     All emission is a no-op (one branch) while the tracer is
     disabled. *)
 
-val rpc_begin : t -> rpc:int64 -> track:int -> Sim.Units.time -> unit
+val rpc_begin : t -> rpc:int -> track:int -> Sim.Units.time -> unit
 (** Open the RPC's root span and set its stage cursor. Re-beginning an
     RPC id (a retransmit reaching the server twice) replaces the
     cursor; the superseded root stays open and is skipped by exports. *)
 
 val stage :
-  t -> rpc:int64 -> track:int -> name:string -> Sim.Units.time -> unit
+  t -> rpc:int -> track:int -> name:string -> Sim.Units.time -> unit
 (** Close the stage running since the RPC's cursor: emits the interval
     [cursor, time] as a child of the root span and advances the cursor
     to [time]. No-op for an RPC with no open root (e.g. a nested call
@@ -50,7 +50,7 @@ val stage :
 
 val stage_until :
   t ->
-  rpc:int64 ->
+  rpc:int ->
   track:int ->
   name:string ->
   stop:Sim.Units.time ->
@@ -60,29 +60,29 @@ val stage_until :
     (transmit time + link latency) can be attributed without an event
     on the receiving side. The cursor advances to [stop]. *)
 
-val skip_to : t -> rpc:int64 -> Sim.Units.time -> unit
+val skip_to : t -> rpc:int -> Sim.Units.time -> unit
 (** Move the RPC's cursor to [time] without emitting a span: the
     elapsed interval belongs to another shard's tracer (e.g. the
     served host's stack), which records it against the same trace id.
     {!Stitch} verifies the remote chain fills the gap exactly. *)
 
-val is_open : t -> rpc:int64 -> bool
+val is_open : t -> rpc:int -> bool
 (** The RPC has an open root (and the tracer is enabled). *)
 
-val root_of : t -> rpc:int64 -> int option
+val root_of : t -> rpc:int -> int option
 (** The open root span's id — the value carried as [Context.parent]. *)
 
-val set_context : t -> rpc:int64 -> bytes -> unit
+val set_context : t -> rpc:int -> bytes -> unit
 (** Note the RPC's wire trace context (opaque {!Context} bytes) so the
     reply path can echo it. No-op while disabled. *)
 
-val context_of : t -> rpc:int64 -> bytes option
+val context_of : t -> rpc:int -> bytes option
 (** The noted context, if any; always [None] while disabled. Cleared
     by {!rpc_end}. *)
 
 val detail :
   t ->
-  rpc:int64 ->
+  rpc:int ->
   track:int ->
   name:string ->
   start:Sim.Units.time ->
@@ -94,10 +94,10 @@ val detail :
     own track. *)
 
 val instant :
-  t -> ?rpc:int64 -> track:int -> name:string -> Sim.Units.time -> unit
+  t -> ?rpc:int -> track:int -> name:string -> Sim.Units.time -> unit
 (** A point event (drop, retry, fault). *)
 
-val rpc_end : t -> rpc:int64 -> Sim.Units.time -> unit
+val rpc_end : t -> rpc:int -> Sim.Units.time -> unit
 (** Close the RPC's root span at [time] and retire its cursor. *)
 
 (** {1 Inspection} *)
@@ -108,7 +108,7 @@ val spans : t -> Span.t list
 val roots : t -> Span.t list
 (** Closed root spans (one per completed traced RPC), in order. *)
 
-val stages_of : t -> rpc:int64 -> Span.t list
+val stages_of : t -> rpc:int -> Span.t list
 (** The closed stage chain of one RPC, in order ({!detail} and
     {!instant} spans excluded). *)
 

@@ -2,14 +2,14 @@ type kind = Request | Response | Error_reply of int
 
 type header = {
   kind : kind;
-  rpc_id : int64;
+  rpc_id : int;
   service_id : int;
   method_id : int;
   ctx : bytes option;
 }
 
 type t = {
-  rpc_id : int64;
+  rpc_id : int;
   service_id : int;
   method_id : int;
   kind : kind;
@@ -72,6 +72,7 @@ let[@hot_path] set_u32 b off v =
 let[@hot_path] write_header_into ~kind ?ctx ~rpc_id ~service_id ~method_id b =
   if Bytes.length b < header_room ctx then
     invalid_arg "Wire_format.write_header_into: no room for the header";
+  if rpc_id < 0 then invalid_arg "Wire_format.write_header_into: negative rpc id";
   Bytes.set_uint16_be b 0 magic;
   Bytes.set_uint8 b off_version version;
   Bytes.set_uint8 b off_tag
@@ -79,7 +80,7 @@ let[@hot_path] write_header_into ~kind ?ctx ~rpc_id ~service_id ~method_id b =
   set_u16 b off_code (err_code kind);
   set_u16 b off_method method_id;
   set_u32 b off_service service_id;
-  Bytes.set_int64_be b off_rpc_id rpc_id;
+  Bytes.set_int64_be b off_rpc_id (Int64.of_int rpc_id);
   match ctx with None -> () | Some c -> Bytes.blit c 0 b header_size ctx_size
 
 let encode_body ~kind ?ctx ~rpc_id ~service_id ~method_id body =
@@ -103,6 +104,7 @@ type error =
   | Bad_magic of int
   | Bad_version of int
   | Bad_kind of int
+  | Bad_rpc_id
 
 (* Every reader reads a message at [b[off, off+len)] and is total: on a
    range shorter than the header it answers a zero rather than raising,
@@ -111,8 +113,20 @@ type error =
    0 over the whole buffer. *)
 let[@hot_path] has_header len = len >= header_size
 
+(* The id is read as the low 63 bits of its u64: exact for every id
+   [check_sub] accepts, whose top two bits are clear. *)
 let[@hot_path] rpc_id_sub b ~off ~len =
-  if has_header len then Bytes.get_int64_be b (off + off_rpc_id) else 0L
+  if has_header len then Int64.to_int (Bytes.get_int64_be b (off + off_rpc_id))
+  else 0
+
+let rpc_id_of_int64 id =
+  if Int64.compare id 0L < 0 || Int64.compare id (Int64.of_int max_int) > 0
+  then invalid_arg "Wire_format.rpc_id_of_int64: outside [0, 2^62)";
+  Int64.to_int id
+
+(* The id's top two bits, in its first (most significant) byte. *)
+let[@hot_path] id_in_range b ~off =
+  Int.equal (Bytes.get_uint8 b (off + off_rpc_id) land 0xc0) 0
 
 let[@hot_path] service_id_sub b ~off ~len =
   if has_header len then
@@ -143,6 +157,7 @@ let[@hot_path] check_sub b ~off ~len =
     else if tag > 2 then Error (Bad_kind tag)
     else if has_ctx_sub b ~off ~len && len < header_size + ctx_size then
       Error Truncated
+    else if not (id_in_range b ~off) then Error Bad_rpc_id
     else Ok ()
   end
 
@@ -222,7 +237,7 @@ let pp_kind ppf = function
   | Error_reply c -> Format.fprintf ppf "error(%d)" c
 
 let pp ppf t =
-  Format.fprintf ppf "rpc %s id=%Ld svc=%d mth=%d body=%dB"
+  Format.fprintf ppf "rpc %s id=%d svc=%d mth=%d body=%dB"
     (Format.asprintf "%a" pp_kind t.kind)
     t.rpc_id t.service_id t.method_id (Bytes.length t.body)
 
@@ -231,3 +246,4 @@ let pp_error ppf = function
   | Bad_magic m -> Format.fprintf ppf "bad magic 0x%04x" m
   | Bad_version v -> Format.fprintf ppf "bad version %d" v
   | Bad_kind k -> Format.fprintf ppf "bad kind tag %d" k
+  | Bad_rpc_id -> Format.pp_print_string ppf "rpc id outside [0, 2^62)"

@@ -11,7 +11,7 @@ type kind =
 
 type header = {
   kind : kind;
-  rpc_id : int64;
+  rpc_id : int;
   service_id : int;
   method_id : int;
   ctx : bytes option;
@@ -20,7 +20,10 @@ type header = {
     {!t}, so an unannotated [m.rpc_id] still names {!t}'s field. *)
 
 type t = {
-  rpc_id : int64;  (** Matches a response to its request. *)
+  rpc_id : int;
+      (** Matches a response to its request. A u64 on the wire, but
+          every id a frame may carry lies in [[0, 2^62)], so in memory
+          it is an immediate [int] ({!check} rejects any other). *)
   service_id : int;
   method_id : int;
   kind : kind;
@@ -57,13 +60,13 @@ val header_room : bytes option -> int
     @raise Invalid_argument if the context is not {!ctx_size} bytes. *)
 
 val write_header_into :
-  kind:kind -> ?ctx:bytes -> rpc_id:int64 -> service_id:int -> method_id:int ->
+  kind:kind -> ?ctx:bytes -> rpc_id:int -> service_id:int -> method_id:int ->
   bytes -> unit
 (** Write the header of those fields (and the context) over the first
     {!header_room} bytes of a buffer whose body already follows them, as
     {!encode_body} would lay them out. Allocates nothing.
     @raise Invalid_argument if the buffer is shorter than the room, if
-    the context is not {!ctx_size} bytes, or on a method id or error
+    the context is not {!ctx_size} bytes, on a negative rpc id, or on a method id or error
     code outside u16 or a service id outside u32, as
     [Net.Buf.write_u16] and [write_u32] raise. *)
 
@@ -71,13 +74,13 @@ val encode : t -> bytes
 (** {!encode_body} of the message's fields. *)
 
 val encode_body :
-  kind:kind -> ?ctx:bytes -> rpc_id:int64 -> service_id:int -> method_id:int ->
+  kind:kind -> ?ctx:bytes -> rpc_id:int -> service_id:int -> method_id:int ->
   bytes -> bytes
 (** The message of those fields whose body is the given bytes, written
     without building a {!t}. *)
 
 val encode_value :
-  kind:kind -> ?ctx:bytes -> rpc_id:int64 -> service_id:int -> method_id:int ->
+  kind:kind -> ?ctx:bytes -> rpc_id:int -> service_id:int -> method_id:int ->
   Value.t -> bytes
 (** [encode] of the message of that kind whose body is the value's
     {!Codec} encoding, with the value written straight into the message
@@ -90,12 +93,12 @@ type error =
   | Bad_magic of int
   | Bad_version of int
   | Bad_kind of int
+  | Bad_rpc_id  (** The id's top two bits are not both clear. *)
 
 (** {1 Reading in place}
 
     The header is read where it lies: {!check} validates a buffer and
-    the field readers read one field each, allocating nothing (an
-    [int64] result is boxed once per call, so read [rpc_id] once).
+    the field readers read one field each, allocating nothing.
     {!peek} and {!decode} are defined over these readers, so there is
     one definition of the layout. Every reader is total: on a buffer
     {!check} rejects it answers some value but never raises. *)
@@ -104,9 +107,14 @@ val check : bytes -> (unit, error) result
 (** [Ok ()] exactly when {!peek} (and {!decode}) succeed, else their
     error. *)
 
-val rpc_id : bytes -> int64
+val rpc_id : bytes -> int
 val service_id : bytes -> int
 val method_id : bytes -> int
+
+val rpc_id_of_int64 : int64 -> int
+(** A wire id given as an [int64], in memory.
+    @raise Invalid_argument if it lies outside [[0, 2^62)], where
+    {!check} would reject it. *)
 
 val kind : bytes -> kind
 (** Allocates only for an [Error_reply]. *)
@@ -132,7 +140,7 @@ val body_offset : bytes -> int
     The range must lie within [b]. *)
 
 val check_sub : bytes -> off:int -> len:int -> (unit, error) result
-val rpc_id_sub : bytes -> off:int -> len:int -> int64
+val rpc_id_sub : bytes -> off:int -> len:int -> int
 val service_id_sub : bytes -> off:int -> len:int -> int
 val method_id_sub : bytes -> off:int -> len:int -> int
 val ctx_sub : bytes -> off:int -> len:int -> bytes option
@@ -149,7 +157,7 @@ val decode : bytes -> (t, error) result
 (** {!peek} plus a copy of the body. *)
 
 val request :
-  ?ctx:bytes -> rpc_id:int64 -> service_id:int -> method_id:int -> Value.t -> t
+  ?ctx:bytes -> rpc_id:int -> service_id:int -> method_id:int -> Value.t -> t
 (** Build a request carrying the encoded value. *)
 
 val response : of_:t -> Value.t -> t

@@ -30,7 +30,7 @@ let test_linux_echo_end_to_end () =
   let engine, recorder, stack, driver = make_linux () in
   ignore
     (Sim.Engine.schedule_after engine ~after:(Sim.Units.us 10) (fun () ->
-         inject recorder driver ~rpc_id:1L ~port:7000
+         inject recorder driver ~rpc_id:1 ~port:7000
            (Rpc.Value.Blob (Bytes.of_string "linux-path"))));
   Sim.Engine.run engine ~until:(Sim.Units.ms 2);
   checki "completed" 1 (Harness.Recorder.completed recorder);
@@ -50,7 +50,7 @@ let test_linux_many_requests_all_complete () =
       (Sim.Engine.schedule_at engine
          ~at:(Sim.Units.us 10 + (i * Sim.Units.us 3))
          (fun () ->
-           inject recorder driver ~rpc_id:(Int64.of_int i) ~port:7000
+           inject recorder driver ~rpc_id:i ~port:7000
              (Rpc.Value.Blob (Bytes.make 64 'x'))))
   done;
   Sim.Engine.run engine ~until:(Sim.Units.ms 20);
@@ -60,7 +60,7 @@ let test_linux_unknown_port_dropped () =
   let engine, recorder, stack, driver = make_linux () in
   ignore
     (Sim.Engine.schedule_after engine ~after:(Sim.Units.us 10) (fun () ->
-         Harness.Traffic.inject recorder driver ~rpc_id:1L ~service_id:1
+         Harness.Traffic.inject recorder driver ~rpc_id:1 ~service_id:1
            ~method_id:0 ~port:9999 (Rpc.Value.Blob (Bytes.make 8 'x'))));
   Sim.Engine.run engine ~until:(Sim.Units.ms 2);
   checki "not completed" 0 (Harness.Recorder.completed recorder);
@@ -79,7 +79,7 @@ let test_linux_interrupt_coalescing_under_load () =
       (Sim.Engine.schedule_at engine
          ~at:(Sim.Units.us 10 + (i * Sim.Units.us 5))
          (fun () ->
-           inject recorder driver ~rpc_id:(Int64.of_int i) ~port:7000
+           inject recorder driver ~rpc_id:i ~port:7000
              (Rpc.Value.Blob (Bytes.make 32 'x'))))
   done;
   Sim.Engine.run engine ~until:(Sim.Units.ms 10);
@@ -112,7 +112,7 @@ let test_bypass_echo_end_to_end () =
   let engine, recorder, _stack, driver = make_bypass () in
   ignore
     (Sim.Engine.schedule_after engine ~after:(Sim.Units.us 10) (fun () ->
-         inject recorder driver ~rpc_id:1L ~port:7000
+         inject recorder driver ~rpc_id:1 ~port:7000
            (Rpc.Value.Blob (Bytes.of_string "bypass"))));
   Sim.Engine.run engine ~until:(Sim.Units.ms 2);
   checki "completed" 1 (Harness.Recorder.completed recorder);
@@ -125,7 +125,7 @@ let test_bypass_spin_accounting () =
   (* One request at t=100us: the poller spins for the first 100us. *)
   ignore
     (Sim.Engine.schedule_at engine ~at:(Sim.Units.us 100) (fun () ->
-         inject recorder driver ~rpc_id:1L ~port:7000
+         inject recorder driver ~rpc_id:1 ~port:7000
            (Rpc.Value.Blob (Bytes.make 16 'x'))));
   Sim.Engine.run engine ~until:(Sim.Units.ms 1);
   let acct = Osmodel.Kernel.account (Baseline.Bypass_stack.kernel stack) ~core:0 in
@@ -157,12 +157,12 @@ let test_bypass_hol_blocking_on_shared_poller () =
   for i = 1 to 50 do
     ignore
       (Sim.Engine.schedule_at engine ~at:(Sim.Units.us 10) (fun () ->
-           inject recorder driver ~rpc_id:(Int64.of_int i) ~port:7000
+           inject recorder driver ~rpc_id:i ~port:7000
              (Rpc.Value.Blob (Bytes.make 64 'a'))))
   done;
   ignore
     (Sim.Engine.schedule_at engine ~at:(Sim.Units.us 11) (fun () ->
-         Harness.Traffic.inject recorder driver ~rpc_id:1000L ~service_id:2
+         Harness.Traffic.inject recorder driver ~rpc_id:1000 ~service_id:2
            ~method_id:0 ~port:7001 (Rpc.Value.Blob (Bytes.make 64 'b'))));
   Sim.Engine.run engine ~until:(Sim.Units.ms 5);
   checki "all complete" 51 (Harness.Recorder.completed recorder);
@@ -175,7 +175,7 @@ let test_bypass_no_interrupts () =
       (Sim.Engine.schedule_at engine
          ~at:(Sim.Units.us 10 + (i * Sim.Units.us 2))
          (fun () ->
-           inject recorder driver ~rpc_id:(Int64.of_int i) ~port:7000
+           inject recorder driver ~rpc_id:i ~port:7000
              (Rpc.Value.Blob (Bytes.make 16 'x'))))
   done;
   Sim.Engine.run engine ~until:(Sim.Units.ms 2);
@@ -200,7 +200,7 @@ type stale_run = {
   st_completed : int;
   st_outstanding : int;
   st_unmatched : int;
-  st_answers : (int64 * int * Sim.Units.time * string) list;
+  st_answers : (int * int * Sim.Units.time * string) list;
       (* rpc id, poller, departure, body; in departure order *)
   st_violations : string list;
   st_pool_checks : int;
@@ -246,7 +246,7 @@ let stale_scenario ?tracer ?kill_at () =
   let send ~at ~rpc ~service =
     ignore
       (Sim.Engine.schedule_at engine ~at (fun () ->
-           Harness.Traffic.inject recorder driver ~rpc_id:(Int64.of_int rpc)
+           Harness.Traffic.inject recorder driver ~rpc_id:rpc
              ~service_id:service ~method_id:0 ~port:(6999 + service)
              (Rpc.Value.Blob (stale_body rpc))))
   in
@@ -295,7 +295,7 @@ let test_bypass_stale_stage_dies_with_thread () =
     match
       List.find_opt
         (fun (sp : Obs.Span.t) -> String.equal sp.Obs.Span.name name)
-        (Obs.Tracer.stages_of tracer ~rpc:(Int64.of_int rpc))
+        (Obs.Tracer.stages_of tracer ~rpc:rpc)
     with
     | Some sp -> sp.Obs.Span.end_time
     | None -> Alcotest.failf "request %d has no %s stage" rpc name
@@ -336,18 +336,18 @@ let test_bypass_stale_stage_dies_with_thread () =
       List.iter
         (fun (id, _, _, body) ->
           if Hashtbl.mem seen id then
-            Alcotest.failf "%s: request %Ld answered twice" name id;
+            Alcotest.failf "%s: request %d answered twice" name id;
           Hashtbl.add seen id ();
           Alcotest.check Alcotest.string
-            (what "request %Ld carries its own body" id)
-            (Bytes.to_string (stale_body (Int64.to_int id)))
+            (what "request %d carries its own body" id)
+            (Bytes.to_string (stale_body id))
             body)
         r.st_answers;
       Option.iter
         (fun rpc ->
           checkb (what "request %d, lost in the crash, stays unanswered" rpc)
             false
-            (Hashtbl.mem seen (Int64.of_int rpc)))
+            (Hashtbl.mem seen rpc))
         lost;
       for poller = 0 to 1 do
         let times =
@@ -437,9 +437,11 @@ let test_duplicate_port_rejected () =
    draws no longer box the generator's state and request frames no
    longer build a server endpoint record, it took 149.1 (152.0). Since
    the checksum's seed is a required argument rather than an optional
-   one, so a UDP encode and a UDP verify build no [Some], it takes
-   145.1, and perfbench's bypass_4k 148.0. *)
-let bypass_words_budget = 145.1 *. 1.02
+   one, so a UDP encode and a UDP verify build no [Some], it took
+   145.1 (148.0). Since rpc ids are immediate ints and the recorder's
+   send stamps sit in a [Sim.Int_table], it takes 132.1, and
+   perfbench's bypass_4k 141.0. *)
+let bypass_words_budget = 132.1 *. 1.02
 
 let test_bypass_rpc_allocation_budget () =
   let setup =
@@ -479,7 +481,7 @@ let test_bypass_rpc_allocation_budget () =
   let horizon = Sim.Units.ms 10 in
   Workload.Arrivals.open_loop engine (Sim.Rng.create ~seed:1)
     ~rate_per_s:200_000. ~until:horizon (fun ~seq ->
-      Harness.Traffic.inject recorder driver ~rpc_id:(Int64.of_int seq)
+      Harness.Traffic.inject recorder driver ~rpc_id:seq
         ~service_id ~method_id:0 ~port
         ~client:clients.(Sim.Rng.int flow_rng ~bound:64)
         value);

@@ -15,7 +15,7 @@ let test_traffic_frames_parse_back () =
   | Ok f -> (
       match Rpc.Wire_format.decode f.Net.Frame.payload with
       | Ok w ->
-          Alcotest.check Alcotest.int64 "rpc id" 5L w.Rpc.Wire_format.rpc_id;
+          checki "rpc id" 5 w.Rpc.Wire_format.rpc_id;
           checki "service" 2 w.Rpc.Wire_format.service_id;
           checkb "is request" true
             (w.Rpc.Wire_format.kind = Rpc.Wire_format.Request)
@@ -49,7 +49,7 @@ let test_recorder_latency_measurement () =
   Harness.Recorder.note_sent r ~rpc_id:1L;
   ignore
     (Sim.Engine.schedule_after e ~after:(Sim.Units.us 7) (fun () ->
-         Harness.Recorder.egress r (response_frame ~rpc_id:1L)));
+         Harness.Recorder.egress r (response_frame ~rpc_id:1)));
   Sim.Engine.run e;
   checki "completed" 1 (Harness.Recorder.completed r);
   checki "latency" (Sim.Units.us 7)
@@ -60,9 +60,9 @@ let test_recorder_unmatched_and_duplicates () =
   let e = Sim.Engine.create () in
   let r = Harness.Recorder.create e in
   Harness.Recorder.note_sent r ~rpc_id:1L;
-  Harness.Recorder.egress r (response_frame ~rpc_id:99L) (* unknown id *);
-  Harness.Recorder.egress r (response_frame ~rpc_id:1L);
-  Harness.Recorder.egress r (response_frame ~rpc_id:1L) (* duplicate *);
+  Harness.Recorder.egress r (response_frame ~rpc_id:99) (* unknown id *);
+  Harness.Recorder.egress r (response_frame ~rpc_id:1);
+  Harness.Recorder.egress r (response_frame ~rpc_id:1) (* duplicate *);
   checki "completed once" 1 (Harness.Recorder.completed r);
   checki "unmatched counted" 2 (Harness.Recorder.unmatched r)
 
@@ -73,7 +73,7 @@ let test_recorder_observer () =
   Harness.Recorder.on_complete r (fun ~rpc_id ~latency ->
       seen := (rpc_id, latency) :: !seen);
   Harness.Recorder.note_sent r ~rpc_id:3L;
-  Harness.Recorder.complete_by_id r ~rpc_id:3L;
+  Harness.Recorder.complete_by_id r ~rpc_id:3;
   checkb "observer fired" true (!seen = [ (3L, 0) ])
 
 (* Allocation budgets of the harness's per-RPC calls, in minor words
@@ -82,7 +82,11 @@ let test_recorder_observer () =
    default server and client addresses are parsed once, not per call,
    the request is encoded straight into the frame's payload, and
    [egress] reads the reply's header in place, building no header
-   record. *)
+   record. The recorder's 3 words per RPC are the caller's own
+   [Int64.of_int] of the id it passes to [note_sent]: the send stamps
+   sit in a [Sim.Int_table], so neither the stamp nor the reply's
+   lookup allocates (they took 10 words, a bucket cell and a boxed id,
+   when the stamps were an [int64]-keyed [Hashtbl]). *)
 let words_per_call ~n f =
   for _ = 1 to 100 do f () done;
   Gc.minor ();
@@ -112,7 +116,7 @@ let test_request_frame_allocation_budget () =
     ]
 
 let test_recorder_allocation_budget () =
-  let budget = 12. in
+  let budget = 5. in
   let e = Sim.Engine.create () in
   let r = Harness.Recorder.create e in
   let frames =
@@ -122,7 +126,7 @@ let test_recorder_allocation_budget () =
           ~dst:(Harness.Traffic.client_endpoint ())
           (Rpc.Wire_format.encode
              {
-               Rpc.Wire_format.rpc_id = Int64.of_int i;
+               Rpc.Wire_format.rpc_id = i;
                service_id = 1;
                method_id = 0;
                kind = Rpc.Wire_format.Response;
@@ -214,14 +218,14 @@ let test_client_abandons_when_server_unreachable () =
 let test_client_failed_call_stops_its_timer () =
   let engine = Sim.Engine.create () in
   let client = ref None in
-  let first_id = ref 0L in
+  let first_id = ref 0 in
   (* the server answers every transmission of the first call it sees,
      and nothing else *)
   let send frame =
     let req = frame.Net.Frame.payload in
     let rpc_id = Rpc.Wire_format.rpc_id req in
-    if Int64.equal !first_id 0L then first_id := rpc_id;
-    if Int64.equal rpc_id !first_id then
+    if Int.equal !first_id 0 then first_id := rpc_id;
+    if Int.equal rpc_id !first_id then
       let reply =
         Net.Frame.reply_to ~eth:frame.Net.Frame.eth ~ip:frame.Net.Frame.ip
           ~udp:frame.Net.Frame.udp
@@ -242,17 +246,16 @@ let test_client_failed_call_stops_its_timer () =
     (Harness.Client.call_id c ~timeout:(Sim.Units.us 100) ~retries:2
        ~service_id:1 ~method_id:0 ~port:7000 Rpc.Value.Unit (fun _ ->
          incr replied));
-  let second_id = ref 0L in
+  let second_id = ref 0 in
   ignore
     (Sim.Engine.schedule_at engine ~at:(Sim.Units.us 50) (fun () ->
          second_id :=
-           Harness.Client.call_id c ~timeout:(Sim.Units.ms 1) ~retries:0
-             ~service_id:1 ~method_id:0 ~port:7000 Rpc.Value.Unit (fun _ ->
-               incr replied)));
+           Int64.to_int
+             (Harness.Client.call_id c ~timeout:(Sim.Units.ms 1) ~retries:0
+                ~service_id:1 ~method_id:0 ~port:7000 Rpc.Value.Unit (fun _ ->
+                  incr replied))));
   Sim.Engine.run engine ~until:(Sim.Units.us 1000);
-  checki "slot 0 reused"
-    (Int64.to_int (Int64.logand !first_id 0xF_FFFFL))
-    (Int64.to_int (Int64.logand !second_id 0xF_FFFFL));
+  checki "slot 0 reused" (!first_id land 0xF_FFFF) (!second_id land 0xF_FFFF);
   checki "call B still outstanding before its timeout" 1
     (Harness.Client.outstanding c);
   checki "no abandon before B's timeout" 0 (Harness.Client.abandoned c);

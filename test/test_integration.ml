@@ -103,7 +103,7 @@ let run_stack ~stack ~ncores ~nservices ~rate ?(payload = 64) ?(zipf_s = 0.)
       in
       let svc = pick.Workload.Rpc_mix.service_idx in
       Harness.Traffic.inject recorder driver
-        ~rpc_id:(Int64.of_int seq)
+        ~rpc_id:seq
         ~service_id:(Workload.Scenario.service_id_of setup ~service_idx:svc)
         ~method_id:0
         ~port:(Workload.Scenario.port_of setup ~service_idx:svc)
@@ -357,7 +357,7 @@ let test_malformed_requests_are_named_drops () =
           let server = Experiments.Common.make_server ~ncores:4 flavour setup in
           let wire =
             {
-              Rpc.Wire_format.rpc_id = 1L;
+              Rpc.Wire_format.rpc_id = 1;
               service_id = Workload.Scenario.service_id_of setup ~service_idx:0;
               method_id;
               kind = Rpc.Wire_format.Request;
@@ -400,7 +400,9 @@ let test_malformed_requests_are_named_drops () =
    each step's replies (rpc id, kind and body bytes) and the named drop
    counters it moved. Steps run one at a time, each to quiescence, so
    a counter that moves belongs to its step, and each frame of a step
-   ends in a reply or in exactly one named drop. *)
+   ends in a reply or in exactly one named drop. Some steps write
+   hostile 64-bit ids straight into the header bytes; [id_edge_holds]
+   says what every flavour must answer to those. *)
 
 let oracle_flavours =
   [
@@ -462,7 +464,7 @@ let oracle_setup schema =
 
 let oracle_frame ?(port = oracle_port) ~id ~method_id body =
   let payload =
-    Rpc.Wire_format.encode_body ~kind:Rpc.Wire_format.Request ~rpc_id:0L
+    Rpc.Wire_format.encode_body ~kind:Rpc.Wire_format.Request ~rpc_id:0
       ~service_id:oracle_service ~method_id body
   in
   set_wire_id payload id;
@@ -611,8 +613,26 @@ let oracle_case seed =
   in
   (schema, steps)
 
+(* What every flavour must answer to an id at the edge of the range:
+   outside [0, 2^62) a named [rx_bad_rpc] drop that neither raises nor
+   answers (or disturbs) the in-range call it would truncate to, and at
+   2^62 - 1 a reply carrying that id. *)
+let id_edge_holds step o =
+  let replied_to id =
+    match o.replies with
+    | [ (rid, "response", _) ] -> Int64.equal rid id
+    | _ -> false
+  in
+  match (step.what, step.frames) with
+  | Hostile_id, _ -> o.replies = [] && o.drops = [ "rx_bad_rpc" ]
+  | Alias, [ _; valid ] ->
+      o.drops = [ "rx_bad_rpc" ]
+      && replied_to (wire_id valid.Net.Frame.payload)
+  | Max_id, _ -> o.drops = [] && replied_to (Int64.pred id_range)
+  | _ -> true
+
 let qcheck_cross_stack_oracle =
-  QCheck.Test.make ~count:40 ~name:"every flavour answers every step alike"
+  QCheck.Test.make ~count:40 ~name:"every flavour answers alike"
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
     (fun seed ->
       let schema, steps = oracle_case seed in
@@ -632,6 +652,9 @@ let qcheck_cross_stack_oracle =
                   "%s, step %d (%s): %d frames but [%s]" name i
                   (step_name step.what) (List.length step.frames)
                   (pp_outcome o);
+              if not (id_edge_holds step o) then
+                QCheck.Test.fail_reportf "%s, step %d (%s): [%s]" name i
+                  (step_name step.what) (pp_outcome o);
               if o <> r then
                 QCheck.Test.fail_reportf
                   "%s, step %d (%s): [%s], but %s answers [%s]" name i
@@ -687,7 +710,7 @@ let () =
           Alcotest.test_case "malformed requests are named drops" `Quick
             test_malformed_requests_are_named_drops;
         ] );
-      ( "differential",
+      ( "oracle",
         [
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 0x0dd |])

@@ -31,7 +31,7 @@ let test_config_updates_validate () =
 
 let sample_request ?(inline = Net.Slice.of_string "abc") () =
   {
-    Lauberhorn.Message.rpc_id = 77L;
+    Lauberhorn.Message.rpc_id = 77;
     service_id = 3;
     method_id = 1;
     code_ptr = 0x4000_1234L;
@@ -48,7 +48,7 @@ let test_message_request_roundtrip () =
   checki "line-sized" 128 (Bytes.length line);
   match Lauberhorn.Message.decode line with
   | Ok (Lauberhorn.Message.Request r) ->
-      check Alcotest.int64 "rpc_id" 77L r.Lauberhorn.Message.rpc_id;
+      check Alcotest.int "rpc_id" 77 r.Lauberhorn.Message.rpc_id;
       checki "service" 3 r.Lauberhorn.Message.service_id;
       check Alcotest.int64 "code_ptr" 0x4000_1234L
         r.Lauberhorn.Message.code_ptr;
@@ -77,13 +77,13 @@ let test_message_markers () =
 
 let test_message_response_roundtrip () =
   let line =
-    Lauberhorn.Message.write_response ~line_bytes:128 ~rpc_id:99L ~status:2
+    Lauberhorn.Message.write_response ~line_bytes:128 ~rpc_id:99 ~status:2
       ~total_len:1000 ~aux_count:8 (Bytes.of_string "..xyz.") ~off:2 ~len:3
   in
   checki "line-sized" 128 (Bytes.length line);
   match Lauberhorn.Message.decode_response line with
   | Ok r ->
-      check Alcotest.int64 "id" 99L r.Lauberhorn.Message.resp_rpc_id;
+      check Alcotest.int "id" 99 r.Lauberhorn.Message.resp_rpc_id;
       checki "status" 2 r.Lauberhorn.Message.status;
       checki "total" 1000 r.Lauberhorn.Message.total_len;
       checki "aux" 8 r.Lauberhorn.Message.resp_aux_count;
@@ -116,7 +116,7 @@ let message_roundtrip_property =
       let msg =
         Lauberhorn.Message.Request
           {
-            Lauberhorn.Message.rpc_id = Int64.of_int service_id;
+            Lauberhorn.Message.rpc_id = service_id;
             service_id;
             method_id = 0;
             code_ptr = 1L;
@@ -133,9 +133,7 @@ let message_roundtrip_property =
       | Error _ -> false)
       (* and the in-place readers read what was staged *)
       && Lauberhorn.Message.kind line = Lauberhorn.Message.Request_line
-      && Int64.equal
-           (Lauberhorn.Message.request_rpc_id line)
-           (Int64.of_int service_id)
+      && Int.equal (Lauberhorn.Message.request_rpc_id line) service_id
       && Lauberhorn.Message.request_total_args line = String.length inline
       && Bool.equal (Lauberhorn.Message.request_via_dma line) via_dma)
 
@@ -159,7 +157,7 @@ let random_line rng =
   let pad = Sim.Rng.int rng ~bound:8 in
   let request () =
     {
-      Lauberhorn.Message.rpc_id = Sim.Rng.bits64 rng;
+      Lauberhorn.Message.rpc_id = Int64.to_int (Sim.Rng.bits64 rng);
       service_id = Sim.Rng.int rng ~bound:1_000_000;
       method_id = Sim.Rng.int rng ~bound:0x10000;
       code_ptr = Sim.Rng.bits64 rng;
@@ -185,7 +183,7 @@ let random_line rng =
       let buf = Bytes.make (pad + len + pad) 'p' in
       Net.Slice.blit body buf ~dst_off:pad;
       Lauberhorn.Message.write_response ~line_bytes
-        ~rpc_id:(Sim.Rng.bits64 rng)
+        ~rpc_id:(Int64.to_int (Sim.Rng.bits64 rng))
         ~status:(Sim.Rng.int rng ~bound:0x10000)
         ~total_len:(Sim.Rng.int rng ~bound:100_000)
         ~aux_count:(Sim.Rng.int rng ~bound:100)
@@ -240,7 +238,7 @@ let line_readers_agree_on rng line =
   (match (M.decode line, kind) with
   | Ok (M.Request r), M.Request_line
   | Ok (M.Kernel_dispatch r), M.Kernel_dispatch_line ->
-      Int64.equal r.M.rpc_id rpc_id
+      Int.equal r.M.rpc_id rpc_id
       && r.M.total_args = total_args
       && Bool.equal r.M.via_dma via_dma
   | Ok M.Tryagain, M.Tryagain_line | Ok M.Retire, M.Retire_line -> true
@@ -256,7 +254,7 @@ let line_readers_agree_on rng line =
       if Bytes.length flipped > 0 then
         Bytes.set flipped 0 (Char.chr (Char.code (Bytes.get flipped 0) lxor 1));
       ok
-      && Int64.equal r.M.resp_rpc_id resp_rpc_id
+      && Int.equal r.M.resp_rpc_id resp_rpc_id
       && r.M.status = status
       && r.M.total_len = total_len
       && Net.Slice.length inline = inline_len
@@ -316,7 +314,7 @@ let make_ep ?(cfg = Lauberhorn.Config.enzian) () =
 
 let req id =
   {
-    Lauberhorn.Message.rpc_id = Int64.of_int id;
+    Lauberhorn.Message.rpc_id = id;
     service_id = 1;
     method_id = 0;
     code_ptr = 0x4000L;
@@ -328,7 +326,7 @@ let req id =
   }
 
 let resp_line ~line_bytes id =
-  Lauberhorn.Message.write_response ~line_bytes ~rpc_id:(Int64.of_int id)
+  Lauberhorn.Message.write_response ~line_bytes ~rpc_id:id
     ~status:0 ~total_len:2 ~aux_count:0 (Bytes.of_string "ok") ~off:0 ~len:2
 
 (* Drive the CPU side of an endpoint like a worker loop would: load,
@@ -348,14 +346,14 @@ let cpu_loop env ~work =
             match Lauberhorn.Message.decode line with
             | Ok (Lauberhorn.Message.Request r) ->
                 handled :=
-                  Int64.to_int r.Lauberhorn.Message.rpc_id :: !handled;
+                  r.Lauberhorn.Message.rpc_id :: !handled;
                 ignore
                   (Sim.Engine.schedule_after env.engine ~after:work
                      (fun () ->
                        Coherence.Home_agent.cpu_store env.ha
                          (Lauberhorn.Endpoint.ctrl_line env.ep idx)
                          (resp_line ~line_bytes
-                            (Int64.to_int r.Lauberhorn.Message.rpc_id));
+                            (r.Lauberhorn.Message.rpc_id));
                        go (1 - idx)))
             | Ok _ | Error _ -> Alcotest.fail "bad line"))
   in
@@ -375,7 +373,7 @@ let test_endpoint_fast_path_single () =
   checki "one response" 1 (List.length !(env.responses));
   (match !(env.responses) with
   | [ r ] ->
-      check Alcotest.int64 "response id" 1L r.Lauberhorn.Message.resp_rpc_id;
+      check Alcotest.int "response id" 1 r.Lauberhorn.Message.resp_rpc_id;
       check Alcotest.string "response body from real line" "ok"
         (Net.Slice.to_string r.Lauberhorn.Message.inline_body)
   | _ -> Alcotest.fail "responses");
@@ -596,7 +594,7 @@ let test_stack_echo_end_to_end () =
   ignore
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
-         Harness.Traffic.inject env.recorder env.driver ~rpc_id:42L
+         Harness.Traffic.inject env.recorder env.driver ~rpc_id:42
            ~service_id:1 ~method_id:0 ~port:7000 (Rpc.Value.Blob payload)));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 2);
   (match !seen with
@@ -627,7 +625,7 @@ let test_stack_response_payload_fidelity () =
   let fire v =
     incr next;
     Harness.Traffic.inject env.recorder env.driver
-      ~rpc_id:(Int64.of_int !next) ~service_id:9 ~method_id:0 ~port:7009
+      ~rpc_id:!next ~service_id:9 ~method_id:0 ~port:7009
       (Rpc.Value.int v)
   in
   ignore
@@ -655,7 +653,7 @@ let test_stack_cold_start_uses_slow_path () =
   ignore
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
-         Harness.Traffic.inject env.recorder env.driver ~rpc_id:1L
+         Harness.Traffic.inject env.recorder env.driver ~rpc_id:1
            ~service_id:1 ~method_id:0 ~port:7000
            (Rpc.Value.Blob (Bytes.make 32 'c'))));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 5);
@@ -675,7 +673,7 @@ let test_stack_large_payload_dma_fallback () =
   ignore
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
-         Harness.Traffic.inject env.recorder env.driver ~rpc_id:1L
+         Harness.Traffic.inject env.recorder env.driver ~rpc_id:1
            ~service_id:1 ~method_id:0 ~port:7000
            (Rpc.Value.Blob (Bytes.make 16_384 'B'))));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 5);
@@ -718,7 +716,7 @@ let test_stack_held_response_survives_line_reuse () =
       ignore
         (Sim.Engine.schedule_at engine ~at:(Sim.Units.us (10 + after))
            (fun () ->
-             Harness.Traffic.inject recorder driver ~rpc_id:(Int64.of_int n)
+             Harness.Traffic.inject recorder driver ~rpc_id:n
                ~service_id:1 ~method_id:0 ~port:7000 (blob size))))
     sizes;
   Sim.Engine.run engine ~until:(Sim.Units.ms 2);
@@ -729,11 +727,11 @@ let test_stack_held_response_survives_line_reuse () =
   checki "no orphan response" 0 (ctr "orphan_response");
   checki "no corrupt response" 0 (ctr "response_corrupt");
   check
-    (Alcotest.list (Alcotest.pair Alcotest.int64 Alcotest.int))
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
     "each reply answers its request with its own body"
     (List.map
        (fun (n, size, _) ->
-         (Int64.of_int n, Rpc.Codec.encoded_size (blob size)))
+         (n, Rpc.Codec.encoded_size (blob size)))
        sizes)
     (List.sort compare !replies)
 
@@ -746,6 +744,55 @@ let test_stack_held_response_survives_line_reuse () =
    replies. Each client sends from its own port. Every reply must go
    back to its own request's port with that request's id and body, and
    every NACK must name its own request. *)
+(* The kill sweep NACKs the calls the dead process held in ascending
+   rpc id order, whatever order the in-flight table keeps them in. Six
+   workers each hold one slow call, whose ids arrive out of order, when
+   the service is killed. *)
+let test_stack_kill_nacks_in_id_order () =
+  let engine = Sim.Engine.create () in
+  let nacks = ref [] in
+  let egress f =
+    let p = f.Net.Frame.payload in
+    match Rpc.Wire_format.kind p with
+    | Rpc.Wire_format.Error_reply code
+      when Int.equal code Rpc.Wire_format.err_dead ->
+        nacks := Rpc.Wire_format.rpc_id p :: !nacks
+    | _ -> ()
+  in
+  let slow =
+    Rpc.Interface.service ~id:1 ~name:"slow"
+      [
+        Rpc.Interface.method_def ~id:0 ~name:"slow" ~request:Rpc.Schema.Blob
+          ~response:Rpc.Schema.Blob ~handler_time:(Sim.Units.us 50) Fun.id;
+      ]
+  in
+  let stack =
+    Lauberhorn.Stack.create engine ~cfg:Lauberhorn.Config.enzian ~ncores:8
+      ~services:
+        [ Lauberhorn.Stack.spec ~min_workers:6 ~max_workers:6 ~port:7000 slow ]
+      ~egress ()
+  in
+  let driver = Lauberhorn.Stack.driver stack in
+  let recorder = Harness.Recorder.create engine in
+  let ids = [ 4242; 17; 1 lsl 40; 905; 3; 77_777 ] in
+  List.iteri
+    (fun i id ->
+      ignore
+        (Sim.Engine.schedule_at engine
+           ~at:(Sim.Units.us 10 + (i * Sim.Units.ns 100))
+           (fun () ->
+             Harness.Traffic.inject recorder driver ~rpc_id:id ~service_id:1
+               ~method_id:0 ~port:7000 (Rpc.Value.Blob (Bytes.make 8 'k')))))
+    ids;
+  ignore
+    (Sim.Engine.schedule_at engine ~at:(Sim.Units.us 20) (fun () ->
+         Lauberhorn.Stack.kill_service stack ~service_id:1));
+  Sim.Engine.run engine ~until:(Sim.Units.ms 1);
+  check
+    Alcotest.(list int)
+    "every held call NACKed, in ascending id order"
+    (List.sort Int.compare ids) (List.rev !nacks)
+
 let test_stack_recycled_slots_keep_their_frames () =
   let engine = Sim.Engine.create () in
   let answers = ref [] in
@@ -771,8 +818,8 @@ let test_stack_recycled_slots_keep_their_frames () =
   let client_port id = 40_000 + id in
   let send id ~svc size () =
     let body = Bytes.init size (fun i -> Char.chr (((id * 31) + i) land 0xff)) in
-    Hashtbl.replace sent (Int64.of_int id) (svc, body);
-    Harness.Traffic.inject recorder driver ~rpc_id:(Int64.of_int id)
+    Hashtbl.replace sent id (svc, body);
+    Harness.Traffic.inject recorder driver ~rpc_id:id
       ~service_id:svc ~method_id:0 ~port:(7000 + svc)
       ~client:
         { (Harness.Traffic.client_endpoint ()) with
@@ -798,7 +845,7 @@ let test_stack_recycled_slots_keep_their_frames () =
   Sim.Engine.run engine ~until:(Sim.Units.ms 5);
   let in_egress_order = List.rev !answers in
   let ids =
-    List.map (fun (_, w) -> Int64.to_int w.Rpc.Wire_format.rpc_id)
+    List.map (fun (_, w) -> w.Rpc.Wire_format.rpc_id)
       in_egress_order
   in
   checki "no request answered twice" (List.length ids)
@@ -812,11 +859,10 @@ let test_stack_recycled_slots_keep_their_frames () =
       let svc, body =
         match Hashtbl.find_opt sent id with
         | Some s -> s
-        | None -> Alcotest.failf "answer to rpc %Ld, never sent" id
+        | None -> Alcotest.failf "answer to rpc %d, never sent" id
       in
-      let name = Printf.sprintf "rpc %Ld" id in
-      checki (name ^ ": to its own client port")
-        (client_port (Int64.to_int id)) dst_port;
+      let name = Printf.sprintf "rpc %d" id in
+      checki (name ^ ": to its own client port") (client_port id) dst_port;
       checki (name ^ ": its own service") svc w.Rpc.Wire_format.service_id;
       checki (name ^ ": its own method") 0 w.Rpc.Wire_format.method_id;
       match w.Rpc.Wire_format.kind with
@@ -892,20 +938,20 @@ let test_stack_late_context_reaches_the_reply () =
   in
   let ctx = Bytes.make Rpc.Wire_format.ctx_size 'c' in
   Lauberhorn.Stack.on_handled stack (fun () ->
-      Obs.Tracer.set_context tracer ~rpc:7L ctx);
+      Obs.Tracer.set_context tracer ~rpc:7 ctx);
   let body = Bytes.of_string "late context" in
   let recorder = Harness.Recorder.create engine in
   ignore
     (Sim.Engine.schedule_at engine ~at:(Sim.Units.us 10) (fun () ->
          Harness.Traffic.inject recorder (Lauberhorn.Stack.driver stack)
-           ~rpc_id:7L ~service_id:1 ~method_id:0 ~port:7000
+           ~rpc_id:7 ~service_id:1 ~method_id:0 ~port:7000
            (Rpc.Value.Blob body)));
   Sim.Engine.run engine ~until:(Sim.Units.ms 1);
   match !frames with
   | [ f ] -> (
       match Rpc.Wire_format.decode f.Net.Frame.payload with
       | Ok w ->
-          check Alcotest.int64 "its own id" 7L w.Rpc.Wire_format.rpc_id;
+          check Alcotest.int "its own id" 7 w.Rpc.Wire_format.rpc_id;
           checkb "a response" true
             (w.Rpc.Wire_format.kind = Rpc.Wire_format.Response);
           checkb "the late context" true
@@ -931,7 +977,7 @@ let test_stack_scale_up_under_burst () =
          ~at:(Sim.Units.us 10 + (i * 100))
          (fun () ->
            Harness.Traffic.inject env.recorder env.driver
-             ~rpc_id:(Int64.of_int i) ~service_id:1 ~method_id:0 ~port:7000
+             ~rpc_id:i ~service_id:1 ~method_id:0 ~port:7000
              (Rpc.Value.Blob (Bytes.make 16 'x'))))
   done;
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 10);
@@ -961,7 +1007,7 @@ let test_stack_many_services_share_cores () =
          ~at:(Sim.Units.us 10 + (i * Sim.Units.us 2))
          (fun () ->
            Harness.Traffic.inject env.recorder env.driver
-             ~rpc_id:(Int64.of_int i)
+             ~rpc_id:i
              ~service_id:(Workload.Scenario.service_id_of setup ~service_idx:svc)
              ~method_id:0
              ~port:(Workload.Scenario.port_of setup ~service_idx:svc)
@@ -1008,7 +1054,7 @@ let test_stack_nested_rpc () =
   ignore
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
-         Harness.Traffic.inject env.recorder env.driver ~rpc_id:5L
+         Harness.Traffic.inject env.recorder env.driver ~rpc_id:5
            ~service_id:10 ~method_id:0 ~port:7010 (Rpc.Value.str "k1")));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 5);
   checki "outer completed" 1 (Harness.Recorder.completed env.recorder);
@@ -1042,7 +1088,7 @@ let test_stack_nested_unknown_service () =
   ignore
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
-         Harness.Traffic.inject env.recorder env.driver ~rpc_id:1L
+         Harness.Traffic.inject env.recorder env.driver ~rpc_id:1
            ~service_id:11 ~method_id:0 ~port:7011 Rpc.Value.Unit));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 5);
   checki "completed with fallback reply" 1
@@ -1064,7 +1110,7 @@ let test_stack_retire_and_resume_dispatcher () =
   ignore
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 200)
        (fun () ->
-         Harness.Traffic.inject env.recorder env.driver ~rpc_id:1L
+         Harness.Traffic.inject env.recorder env.driver ~rpc_id:1
            ~service_id:1 ~method_id:0 ~port:7000
            (Rpc.Value.Blob (Bytes.make 16 'r'))));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 2);
@@ -1080,7 +1126,7 @@ let test_stack_retire_and_resume_dispatcher () =
   ignore
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
-         Harness.Traffic.inject env.recorder env.driver ~rpc_id:2L
+         Harness.Traffic.inject env.recorder env.driver ~rpc_id:2
            ~service_id:1 ~method_id:0 ~port:7000
            (Rpc.Value.Blob (Bytes.make 16 's'))));
   Sim.Engine.run env.sengine ~until:(Sim.Engine.now env.sengine + Sim.Units.ms 20);
@@ -1151,7 +1197,7 @@ let test_stack_nested_uses_tx_lines () =
   ignore
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
-         Harness.Traffic.inject env.recorder env.driver ~rpc_id:1L
+         Harness.Traffic.inject env.recorder env.driver ~rpc_id:1
            ~service_id:10 ~method_id:0 ~port:7010 (Rpc.Value.str "k")));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 5);
   checki "completed" 1 (Harness.Recorder.completed env.recorder);
@@ -1226,7 +1272,7 @@ let test_stack_cross_machine_nested () =
   let driver = Lauberhorn.Stack.driver a in
   ignore
     (Sim.Engine.schedule_after engine ~after:(Sim.Units.us 10) (fun () ->
-         Harness.Traffic.inject recorder driver ~rpc_id:1L ~service_id:4
+         Harness.Traffic.inject recorder driver ~rpc_id:1 ~service_id:4
            ~method_id:0 ~port:7100 (Rpc.Value.str "k")));
   Sim.Engine.run engine ~until:(Sim.Units.ms 5);
   checki "outer completed" 1 (Harness.Recorder.completed recorder);
@@ -1261,7 +1307,7 @@ let test_stack_telemetry () =
          ~at:(Sim.Units.us 10 + (i * Sim.Units.us 5))
          (fun () ->
            Harness.Traffic.inject env.recorder env.driver
-             ~rpc_id:(Int64.of_int i) ~service_id:1 ~method_id:0 ~port:7000
+             ~rpc_id:i ~service_id:1 ~method_id:0 ~port:7000
              (Rpc.Value.Blob (Bytes.make 48 't'))))
   done;
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 5);
@@ -1311,7 +1357,7 @@ let test_stack_stats_agree_with_counters () =
   Workload.Arrivals.open_loop env.sengine rng ~rate_per_s:400_000.
     ~until:(Sim.Units.ms 2) (fun ~seq ->
       let id = 1 + Sim.Rng.int rng ~bound:3 in
-      Harness.Traffic.inject env.recorder env.driver ~rpc_id:(Int64.of_int seq)
+      Harness.Traffic.inject env.recorder env.driver ~rpc_id:seq
         ~service_id:id ~method_id:0 ~port:(7000 + id)
         (Rpc.Value.Blob (Bytes.make 32 's')));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 20);
@@ -1350,11 +1396,11 @@ let test_stack_tracing () =
   ignore
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
-         Harness.Traffic.inject env.recorder env.driver ~rpc_id:9L
+         Harness.Traffic.inject env.recorder env.driver ~rpc_id:9
            ~service_id:1 ~method_id:0 ~port:7000
            (Rpc.Value.Blob (Bytes.make 24 'z'))));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 2);
-  let chain = Obs.Tracer.stages_of tracer ~rpc:9L in
+  let chain = Obs.Tracer.stages_of tracer ~rpc:9 in
   check
     (Alcotest.list Alcotest.string)
     "rx to tx stage chain"
@@ -1384,7 +1430,7 @@ let test_stack_kill_restart_lifecycle () =
     ignore
       (Sim.Engine.schedule_after env.sengine ~after:at (fun () ->
            Harness.Traffic.inject env.recorder env.driver
-             ~rpc_id:(Int64.of_int n) ~service_id:1 ~method_id:0 ~port:7000
+             ~rpc_id:n ~service_id:1 ~method_id:0 ~port:7000
              (Rpc.Value.Blob (Bytes.of_string "x"))))
   in
   inject 1 (Sim.Units.us 10);
@@ -1483,7 +1529,7 @@ let run_static_kill ?fault () =
   let driver = Lauberhorn.Stack.driver stack in
   let recorder = Harness.Recorder.create engine in
   let inject n ~svc =
-    Harness.Traffic.inject recorder driver ~rpc_id:(Int64.of_int n)
+    Harness.Traffic.inject recorder driver ~rpc_id:n
       ~service_id:svc ~method_id:0 ~port:(6999 + svc)
       (Rpc.Value.Blob (Bytes.of_string "x"))
   in
@@ -1537,7 +1583,7 @@ let test_stack_stale_fill_keeps_its_bytes () =
   let recorder = Harness.Recorder.create engine in
   let at t f = ignore (Sim.Engine.schedule_at engine ~at:t f) in
   let inject n () =
-    Harness.Traffic.inject recorder driver ~rpc_id:(Int64.of_int n)
+    Harness.Traffic.inject recorder driver ~rpc_id:n
       ~service_id:1 ~method_id:0 ~port:7000
       (Rpc.Value.Blob (Bytes.of_string "x"))
   in
@@ -1556,16 +1602,16 @@ let test_stack_stale_fill_keeps_its_bytes () =
     (stack_metric stack "stale_dispatch_caught");
   let reply_kinds id =
     List.filter_map
-      (fun (rid, kind) -> if Int64.equal rid id then Some kind else None)
+      (fun (rid, kind) -> if Int.equal rid id then Some kind else None)
       !replies
   in
   checkb "rpc 1: one err_dead NACK" true
-    (match reply_kinds 1L with
+    (match reply_kinds 1 with
     | [ Rpc.Wire_format.Error_reply code ] ->
         Int.equal code Rpc.Wire_format.err_dead
     | _ -> false);
   checkb "rpc 2: one response" true
-    (match reply_kinds 2L with
+    (match reply_kinds 2 with
     | [ Rpc.Wire_format.Response ] -> true
     | _ -> false)
 
@@ -1599,8 +1645,7 @@ let test_stack_static_binding () =
      both get err_dead within a transmit delay of the kill. *)
   let nacked_at_once id =
     match
-      List.find_opt (fun (rid, _, _) -> Int64.equal rid (Int64.of_int id))
-        replies
+      List.find_opt (fun (rid, _, _) -> Int.equal rid id) replies
     with
     | Some (_, Rpc.Wire_format.Error_reply code, at) ->
         Int.equal code Rpc.Wire_format.err_dead
@@ -1628,6 +1673,61 @@ let test_stack_static_binding_fault_plan () =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+let minor_words_during f =
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor ();
+  Gc.minor_words () -. before
+
+(* A line's rpc id is read back whole, a negative worker-activation id
+   included, and reading it allocates nothing: 10,240 reads of each
+   kind of line against the same loop without the read. *)
+let test_message_id_readers_allocate_nothing () =
+  let module M = Lauberhorn.Message in
+  let n = 10_240 in
+  let request id =
+    M.encode ~line_bytes:64
+      (M.Kernel_dispatch
+         {
+           M.rpc_id = id;
+           service_id = 1;
+           method_id = 0;
+           code_ptr = 0L;
+           data_ptr = 0L;
+           total_args = 0;
+           inline_args = Net.Slice.empty;
+           aux_count = 0;
+           via_dma = false;
+         })
+  in
+  let response id =
+    M.write_response ~line_bytes:64 ~rpc_id:id ~status:0 ~total_len:0
+      ~aux_count:0 Bytes.empty ~off:0 ~len:0
+  in
+  List.iter
+    (fun id ->
+      check Alcotest.int "request id" id (M.request_rpc_id (request id));
+      check Alcotest.int "response id" id (M.response_rpc_id (response id)))
+    [ 0; 1; max_int; -1; min_int ];
+  let req = request (1 lsl 61) and resp = response (-7) in
+  let loop f () =
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f ()))
+    done
+  in
+  let base = minor_words_during (loop (fun () -> 0)) in
+  List.iter
+    (fun (name, read) ->
+      let words = minor_words_during (loop read) -. base in
+      checkb
+        (Printf.sprintf "%s: %.0f words over %d reads" name words n)
+        true (Float.equal words 0.))
+    [
+      ("request_rpc_id", fun () -> M.request_rpc_id req);
+      ("response_rpc_id", fun () -> M.response_rpc_id resp);
+    ]
+
 (* The allocation budget of one Lauberhorn RPC, set up as perfbench's
    host_64b workload: Config.enzian with a push mirror, 4 cores, up to
    3 workers, 64 B requests at 400k requests/s through
@@ -1647,9 +1747,12 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
    reply was encoded once into its wire payload, it took 198.8, and
    perfbench's host_64b 190.1. Before random draws stopped boxing the
    generator's state and request frames stopped building a server
-   endpoint record, it took 157.5, and perfbench's host_64b 146.2; it
-   now takes 143.5, and perfbench's host_64b 132.2. *)
-let rpc_words_budget = 143.5 *. 1.02
+   endpoint record, it took 157.5, and perfbench's host_64b 146.2.
+   Before rpc ids were immediate ints, with the in-flight table and the
+   recorder's send stamps in [Sim.Int_table]s, it took 143.5, and
+   perfbench's host_64b 132.2; it now takes 120.5, and perfbench's
+   host_64b 115.2. *)
+let rpc_words_budget = 120.5 *. 1.02
 
 let test_rpc_allocation_budget () =
   let setup =
@@ -1700,6 +1803,8 @@ let () =
             test_message_response_roundtrip;
           Alcotest.test_case "capacity enforced" `Quick
             test_message_capacity_enforced;
+          Alcotest.test_case "id readers allocate nothing" `Quick
+            test_message_id_readers_allocate_nothing;
         ]
         @ qsuite [ message_roundtrip_property; line_readers_agree ] );
       ( "endpoint",
@@ -1779,6 +1884,8 @@ let () =
             `Quick test_stack_stale_fill_keeps_its_bytes;
           Alcotest.test_case "recycled slots keep their own frames" `Quick
             test_stack_recycled_slots_keep_their_frames;
+          Alcotest.test_case "kill NACKs in id order" `Quick
+            test_stack_kill_nacks_in_id_order;
           Alcotest.test_case "a late trace context reaches the reply" `Quick
             test_stack_late_context_reaches_the_reply;
         ] );

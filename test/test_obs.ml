@@ -99,7 +99,7 @@ let apply_ops ops =
   List.iter
     (fun (op, rid, dt) ->
       now := !now + dt;
-      let rpc = Int64.of_int rid in
+      let rpc = rid in
       match op with
       | 0 -> Obs.Tracer.rpc_begin tr ~rpc ~track:trk !now
       | 1 -> Obs.Tracer.stage tr ~rpc ~track:trk ~name:"s" !now
@@ -137,7 +137,7 @@ let well_formed tr =
      stages starting at the root's start, ending inside the root. *)
   List.iter
     (fun rid ->
-      let rpc = Int64.of_int rid in
+      let rpc = rid in
       match Obs.Tracer.stages_of tr ~rpc with
       | [] -> ()
       | first :: _ as chain ->
@@ -177,12 +177,12 @@ let prop_export_valid_json =
 let test_disabled_emits_nothing () =
   let tr = Obs.Tracer.create () in
   let trk = Obs.Tracer.track tr "t" in
-  Obs.Tracer.rpc_begin tr ~rpc:1L ~track:trk 0;
-  Obs.Tracer.stage tr ~rpc:1L ~track:trk ~name:"s" 10;
-  Obs.Tracer.rpc_end tr ~rpc:1L 20;
+  Obs.Tracer.rpc_begin tr ~rpc:1 ~track:trk 0;
+  Obs.Tracer.stage tr ~rpc:1 ~track:trk ~name:"s" 10;
+  Obs.Tracer.rpc_end tr ~rpc:1 20;
   checki "no spans while disabled" 0 (Obs.Tracer.span_count tr);
   Obs.Tracer.enable tr;
-  Obs.Tracer.stage tr ~rpc:1L ~track:trk ~name:"s" 30;
+  Obs.Tracer.stage tr ~rpc:1 ~track:trk ~name:"s" 30;
   checki "no cursor carried over from disabled begin" 0
     (Obs.Tracer.span_count tr)
 
@@ -359,14 +359,14 @@ let test_metrics_registry () =
 
 let test_context_roundtrip () =
   let ctx =
-    { Obs.Context.trace = 0x1122334455667788L; parent = 42; origin = 9 }
+    { Obs.Context.trace = 0x1122334455667788; parent = 42; origin = 9 }
   in
   let b = Obs.Context.to_bytes ctx in
   checki "encodes to Context.size bytes" Obs.Context.size (Bytes.length b);
   (match Obs.Context.of_bytes b with
   | Some c ->
       checkb "roundtrips" true
-        (Int64.equal c.Obs.Context.trace ctx.Obs.Context.trace
+        (Int.equal c.Obs.Context.trace ctx.Obs.Context.trace
         && c.Obs.Context.parent = ctx.Obs.Context.parent
         && c.Obs.Context.origin = ctx.Obs.Context.origin)
   | None -> Alcotest.fail "of_bytes rejected its own encoding");
@@ -386,10 +386,10 @@ let test_context_roundtrip () =
 
 let test_wire_ctx () =
   let ctx =
-    Obs.Context.to_bytes { Obs.Context.trace = 7L; parent = 3; origin = 8 }
+    Obs.Context.to_bytes { Obs.Context.trace = 7; parent = 3; origin = 8 }
   in
   let plain =
-    Rpc.Wire_format.request ~rpc_id:7L ~service_id:2 ~method_id:1
+    Rpc.Wire_format.request ~rpc_id:7 ~service_id:2 ~method_id:1
       (Rpc.Value.Blob (Bytes.make 16 'q'))
   in
   let tagged = Rpc.Wire_format.with_ctx plain (Some ctx) in
@@ -444,14 +444,14 @@ let test_skip_to_stitching () =
   Obs.Tracer.enable host;
   let rt = Obs.Tracer.track root "fabric" in
   let ht = Obs.Tracer.track host "stack" in
-  Obs.Tracer.rpc_begin root ~rpc:5L ~track:rt 0;
-  Obs.Tracer.stage root ~rpc:5L ~track:rt ~name:"wire_out" 10;
-  Obs.Tracer.skip_to root ~rpc:5L 30;
-  Obs.Tracer.stage_until root ~rpc:5L ~track:rt ~name:"wire_back" ~stop:40;
-  Obs.Tracer.rpc_end root ~rpc:5L 40;
-  Obs.Tracer.rpc_begin host ~rpc:5L ~track:ht 10;
-  Obs.Tracer.stage host ~rpc:5L ~track:ht ~name:"serve" 30;
-  Obs.Tracer.rpc_end host ~rpc:5L 30;
+  Obs.Tracer.rpc_begin root ~rpc:5 ~track:rt 0;
+  Obs.Tracer.stage root ~rpc:5 ~track:rt ~name:"wire_out" 10;
+  Obs.Tracer.skip_to root ~rpc:5 30;
+  Obs.Tracer.stage_until root ~rpc:5 ~track:rt ~name:"wire_back" ~stop:40;
+  Obs.Tracer.rpc_end root ~rpc:5 40;
+  Obs.Tracer.rpc_begin host ~rpc:5 ~track:ht 10;
+  Obs.Tracer.stage host ~rpc:5 ~track:ht ~name:"serve" 30;
+  Obs.Tracer.rpc_end host ~rpc:5 30;
   (match Obs.Stitch.assemble ~root ~parts:[ ("h0", host) ] with
   | [ s ] ->
       checkb "exact" true (Obs.Stitch.exact s);
@@ -467,11 +467,11 @@ let test_skip_to_stitching () =
   let root2 = Obs.Tracer.create () in
   Obs.Tracer.enable root2;
   let rt2 = Obs.Tracer.track root2 "fabric" in
-  Obs.Tracer.rpc_begin root2 ~rpc:6L ~track:rt2 0;
-  Obs.Tracer.stage root2 ~rpc:6L ~track:rt2 ~name:"a" 10;
-  Obs.Tracer.skip_to root2 ~rpc:6L 30;
-  Obs.Tracer.stage_until root2 ~rpc:6L ~track:rt2 ~name:"b" ~stop:40;
-  Obs.Tracer.rpc_end root2 ~rpc:6L 40;
+  Obs.Tracer.rpc_begin root2 ~rpc:6 ~track:rt2 0;
+  Obs.Tracer.stage root2 ~rpc:6 ~track:rt2 ~name:"a" 10;
+  Obs.Tracer.skip_to root2 ~rpc:6 30;
+  Obs.Tracer.stage_until root2 ~rpc:6 ~track:rt2 ~name:"b" ~stop:40;
+  Obs.Tracer.rpc_end root2 ~rpc:6 40;
   match Obs.Stitch.assemble ~root:root2 ~parts:[] with
   | [ s ] ->
       checkb "unfilled skip breaks contiguity" false s.Obs.Stitch.contiguous;
@@ -522,7 +522,7 @@ let test_multi_export () =
         Obs.Tracer.stage tr ~rpc ~track:trk ~name:"s" 5;
         Obs.Tracer.rpc_end tr ~rpc 5;
         (label, tr))
-      [ ("fabric", 1L); ("host0", 1L); ("host1", 2L) ]
+      [ ("fabric", 1); ("host0", 1); ("host1", 2) ]
   in
   let json = Obs.Export.multi_trace_events planes in
   (match Obs.Json.parse (Obs.Json.to_string json) with

@@ -194,7 +194,7 @@ let write_length_property =
 
 let test_wire_format_roundtrip () =
   let msg =
-    Rpc.Wire_format.request ~rpc_id:99L ~service_id:7 ~method_id:2
+    Rpc.Wire_format.request ~rpc_id:99 ~service_id:7 ~method_id:2
       (Rpc.Value.str "payload")
   in
   (* The value-carrying encoder writes the same bytes as [encode] of
@@ -205,7 +205,7 @@ let test_wire_format_roundtrip () =
         (fun ctx ->
           checkb "encode_value = encode { body = Codec.encode v }" true
             (Bytes.equal
-               (Rpc.Wire_format.encode_value ~kind ?ctx ~rpc_id:99L
+               (Rpc.Wire_format.encode_value ~kind ?ctx ~rpc_id:99
                   ~service_id:7 ~method_id:2 (Rpc.Value.str "payload"))
                (Rpc.Wire_format.encode
                   { (Rpc.Wire_format.with_ctx msg ctx) with kind })))
@@ -213,7 +213,7 @@ let test_wire_format_roundtrip () =
     Rpc.Wire_format.[ Request; Response; Error_reply 0xff02 ];
   match Rpc.Wire_format.decode (Rpc.Wire_format.encode msg) with
   | Ok m ->
-      check Alcotest.int64 "rpc_id" 99L m.Rpc.Wire_format.rpc_id;
+      checki "rpc_id" 99 m.Rpc.Wire_format.rpc_id;
       checki "service" 7 m.Rpc.Wire_format.service_id;
       checki "method" 2 m.Rpc.Wire_format.method_id;
       checkb "kind" true (m.Rpc.Wire_format.kind = Rpc.Wire_format.Request)
@@ -221,11 +221,11 @@ let test_wire_format_roundtrip () =
 
 let test_wire_format_response_preserves_ids () =
   let req =
-    Rpc.Wire_format.request ~rpc_id:5L ~service_id:1 ~method_id:0
+    Rpc.Wire_format.request ~rpc_id:5 ~service_id:1 ~method_id:0
       Rpc.Value.Unit
   in
   let resp = Rpc.Wire_format.response ~of_:req (Rpc.Value.int 3) in
-  check Alcotest.int64 "id" 5L resp.Rpc.Wire_format.rpc_id;
+  checki "id" 5 resp.Rpc.Wire_format.rpc_id;
   checkb "kind" true (resp.Rpc.Wire_format.kind = Rpc.Wire_format.Response)
 
 let test_wire_format_errors () =
@@ -233,7 +233,7 @@ let test_wire_format_errors () =
   | Error Rpc.Wire_format.Truncated -> ()
   | _ -> Alcotest.fail "short buffer accepted");
   let msg =
-    Rpc.Wire_format.request ~rpc_id:1L ~service_id:1 ~method_id:0
+    Rpc.Wire_format.request ~rpc_id:1 ~service_id:1 ~method_id:0
       Rpc.Value.Unit
   in
   let b = Rpc.Wire_format.encode msg in
@@ -255,6 +255,63 @@ let test_wire_format_errors () =
       | _ -> Alcotest.fail "kind tag 3 accepted")
     [ 3; 0x83 ]
 
+(* A wire id is a u64 whose top two bits are clear: [check] rejects
+   every other with [Bad_rpc_id], and 2^62 - 1 (max_int) is read back
+   whole. *)
+let test_wire_format_id_range () =
+  let b =
+    Rpc.Wire_format.encode_value ~kind:Rpc.Wire_format.Request ~rpc_id:max_int
+      ~service_id:1 ~method_id:0 Rpc.Value.Unit
+  in
+  checkb "2^62 - 1 accepted" true (Rpc.Wire_format.check b = Ok ());
+  checki "2^62 - 1 read back" max_int (Rpc.Wire_format.rpc_id b);
+  List.iter
+    (fun id ->
+      Bytes.set_int64_be b 12 id;
+      checkb
+        (Printf.sprintf "id 0x%Lx rejected" id)
+        true
+        (Rpc.Wire_format.check b = Error Rpc.Wire_format.Bad_rpc_id
+        && Rpc.Wire_format.peek b = Error Rpc.Wire_format.Bad_rpc_id))
+    [ Int64.shift_left 1L 62; Int64.min_int; -1L; 0x8000_0000_0000_0001L ];
+  checkb "a negative id is not written" true
+    (match
+       Rpc.Wire_format.encode_value ~kind:Rpc.Wire_format.Request ~rpc_id:(-1)
+         ~service_id:1 ~method_id:0 Rpc.Value.Unit
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* Reading the id allocates nothing: 10,240 reads, whole-buffer and at
+   an offset, against the same loop without the read. *)
+let test_wire_format_id_read_allocates_nothing () =
+  let n = 10_240 in
+  let b =
+    Rpc.Wire_format.encode_value ~kind:Rpc.Wire_format.Response
+      ~rpc_id:(1 lsl 61) ~service_id:1 ~method_id:0 Rpc.Value.Unit
+  in
+  let len = Bytes.length b in
+  let words_of read =
+    Gc.minor ();
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (read ()))
+    done;
+    Gc.minor ();
+    Gc.minor_words () -. before
+  in
+  let base = words_of (fun () -> 0) in
+  List.iter
+    (fun (name, read) ->
+      let words = words_of read -. base in
+      checkb
+        (Printf.sprintf "%s: %.0f words over %d reads" name words n)
+        true (Float.equal words 0.))
+    [
+      ("rpc_id", fun () -> Rpc.Wire_format.rpc_id b);
+      ("rpc_id_sub", fun () -> Rpc.Wire_format.rpc_id_sub b ~off:0 ~len);
+    ]
+
 (* [peek] against [decode] on well-formed frames of every kind, with
    and without a trace context, and on the same frames cut short (often
    below the header size), bit-flipped (often in the header) or replaced
@@ -275,7 +332,7 @@ let readers_agree_with_peek b =
       kind = h.Rpc.Wire_format.kind
       && Bool.equal is_request
            (h.Rpc.Wire_format.kind = Rpc.Wire_format.Request)
-      && Int64.equal rpc_id h.Rpc.Wire_format.rpc_id
+      && Int.equal rpc_id h.Rpc.Wire_format.rpc_id
       && service_id = h.Rpc.Wire_format.service_id
       && method_id = h.Rpc.Wire_format.method_id
       && Option.equal Bytes.equal ctx h.Rpc.Wire_format.ctx
@@ -304,7 +361,7 @@ let cut_agrees ~orig b =
       | Ok m ->
           n >= need
           && m.Rpc.Wire_format.kind = o.Rpc.Wire_format.kind
-          && Int64.equal m.Rpc.Wire_format.rpc_id o.Rpc.Wire_format.rpc_id
+          && Int.equal m.Rpc.Wire_format.rpc_id o.Rpc.Wire_format.rpc_id
           && m.Rpc.Wire_format.service_id = o.Rpc.Wire_format.service_id
           && m.Rpc.Wire_format.method_id = o.Rpc.Wire_format.method_id
           && Option.equal Bytes.equal m.Rpc.Wire_format.ctx
@@ -359,13 +416,15 @@ let writer_encode_body ~kind ?ctx ~rpc_id ~service_id ~method_id body =
     | Rpc.Wire_format.Response -> (1, 0)
     | Rpc.Wire_format.Error_reply c -> (2, c)
   in
+  if rpc_id < 0 then
+    invalid_arg "Wire_format.write_header_into: negative rpc id";
   Net.Buf.write_u16 w 0x4c42;
   Net.Buf.write_u8 w 1;
   Net.Buf.write_u8 w (tag lor if Option.is_some ctx then 0x80 else 0);
   Net.Buf.write_u16 w code;
   Net.Buf.write_u16 w method_id;
   Net.Buf.write_u32 w service_id;
-  Net.Buf.write_u64 w rpc_id;
+  Net.Buf.write_u64 w (Int64.of_int rpc_id);
   Option.iter (Net.Buf.write_bytes w) ctx;
   Net.Buf.write_bytes w body;
   Net.Buf.filled w
@@ -388,8 +447,9 @@ let outcome f =
 (* [write_header_into] over a buffer whose body already sits behind
    [header_room] bytes of reserved room gives exactly [encode_body]'s
    bytes, which are the field-by-field writer's, for every kind, with
-   and without a trace context; on a method id, service id or error
-   code out of range all three raise the same [Invalid_argument]. *)
+   and without a trace context; on a negative rpc id, or a method id,
+   service id or error code out of range, all three raise the same
+   [Invalid_argument]. *)
 let header_in_place_is_encode_body =
   QCheck.Test.make ~name:"in-place header = encode_body" ~count:1000
     QCheck.(int_bound 1_000_000)
@@ -405,7 +465,11 @@ let header_in_place_is_encode_body =
         if Sim.Rng.int rng ~bound:2 = 0 then None
         else Some (Wire_gen.random_wire_bytes rng Rpc.Wire_format.ctx_size)
       in
-      let rpc_id = Sim.Rng.bits64 rng in
+      let rpc_id =
+        let bits = Int64.to_int (Sim.Rng.bits64 rng) in
+        if Sim.Rng.int rng ~bound:6 = 0 then bits lor min_int
+        else bits land max_int
+      in
       let service_id = field rng ~max:0xffff_ffff in
       let method_id = field rng ~max:0xffff in
       let body = Wire_gen.random_wire_bytes rng (Sim.Rng.int rng ~bound:80) in
@@ -444,7 +508,7 @@ let peek_agrees_with_decode =
       match (Rpc.Wire_format.peek b, Rpc.Wire_format.decode b) with
       | Ok h, Ok m ->
           h.Rpc.Wire_format.kind = m.Rpc.Wire_format.kind
-          && Int64.equal h.Rpc.Wire_format.rpc_id m.Rpc.Wire_format.rpc_id
+          && Int.equal h.Rpc.Wire_format.rpc_id m.Rpc.Wire_format.rpc_id
           && h.Rpc.Wire_format.service_id = m.Rpc.Wire_format.service_id
           && h.Rpc.Wire_format.method_id = m.Rpc.Wire_format.method_id
           && Option.equal Bytes.equal h.Rpc.Wire_format.ctx
@@ -739,6 +803,9 @@ let () =
           Alcotest.test_case "response ids" `Quick
             test_wire_format_response_preserves_ids;
           Alcotest.test_case "errors" `Quick test_wire_format_errors;
+          Alcotest.test_case "id range" `Quick test_wire_format_id_range;
+          Alcotest.test_case "id read allocates nothing" `Quick
+            test_wire_format_id_read_allocates_nothing;
         ]
         @ qsuite
             [

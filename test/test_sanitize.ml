@@ -167,7 +167,7 @@ let test_bypass_large_echo_clean () =
   let sent =
     List.mapi
       (fun i size ->
-        ( Int64.of_int (i + 1),
+        ( i + 1,
           Bytes.init size (fun _ -> Char.chr (Sim.Rng.int rng ~bound:256)) ))
       [ 4096; 60 * 1024; 4096; 60 * 1024; 60 * 1024; 4096 ]
   in
@@ -189,7 +189,7 @@ let test_bypass_large_echo_clean () =
           match Rpc.Codec.decode Rpc.Schema.Blob m.Rpc.Wire_format.body with
           | Ok (Rpc.Value.Blob got) ->
               checkb
-                (Printf.sprintf "rpc %Ld: reply blob = request blob"
+                (Printf.sprintf "rpc %d: reply blob = request blob"
                    m.Rpc.Wire_format.rpc_id)
                 true
                 (Bytes.equal got (List.assoc m.Rpc.Wire_format.rpc_id sent))

@@ -705,6 +705,98 @@ let histogram_mean_is_exact =
       in
       Float.abs (Sim.Histogram.mean h -. exact) < 1e-6)
 
+(* ---------- Int_table ---------- *)
+
+(* Interleaved replace, find, remove and length against [Hashtbl], from
+   a table of 8 slots that grows as it fills. The keys come from a
+   small set (with negatives and the extremes beside [min_int]), so
+   probe runs are long and most removals land inside one. *)
+let int_table_matches_hashtbl =
+  let key_of i =
+    match i mod 8 with
+    | 0 -> max_int - (i / 8)
+    | 1 -> -1 - (i / 8)
+    | _ -> i
+  in
+  QCheck.Test.make ~name:"Int_table = Hashtbl on replace/find/remove"
+    ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 400) (pair (int_bound 3) (int_bound 47)))
+    (fun ops ->
+      let t = Sim.Int_table.create ~dummy:(-1) 8 in
+      let h = Hashtbl.create 8 in
+      List.for_all
+        (fun (op, i) ->
+          let k = key_of i in
+          (match op with
+          | 0 ->
+              Sim.Int_table.replace t k i;
+              Hashtbl.replace h k i
+          | 1 | 2 ->
+              Sim.Int_table.remove t k;
+              Hashtbl.remove h k
+          | _ -> ());
+          Sim.Int_table.length t = Hashtbl.length h
+          && Bool.equal (Sim.Int_table.mem t k) (Hashtbl.mem h k)
+          && (match (Sim.Int_table.find t k, Hashtbl.find_opt h k) with
+             | v, Some v' -> v = v'
+             | _, None -> false
+             | exception Not_found -> not (Hashtbl.mem h k))
+          && List.sort compare
+               (Sim.Int_table.fold (fun k v acc -> (k, v) :: acc) t [])
+             = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []))
+        ops)
+
+let test_int_table_edges () =
+  let t = Sim.Int_table.create ~dummy:"" 0 in
+  checkb "min_int is no key" true
+    (match Sim.Int_table.replace t min_int "x" with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  checkb "min_int is never found" false (Sim.Int_table.mem t min_int);
+  Sim.Int_table.replace t max_int "max";
+  Sim.Int_table.replace t (-1) "neg";
+  Sim.Int_table.replace t 0 "zero";
+  Sim.Int_table.replace t 0 "zero'";
+  checki "three keys" 3 (Sim.Int_table.length t);
+  check Alcotest.string "replaced" "zero'" (Sim.Int_table.find t 0);
+  Sim.Int_table.remove t 42;
+  checki "removing an absent key" 3 (Sim.Int_table.length t);
+  checkb "find of an absent key" true
+    (match Sim.Int_table.find t 42 with
+    | _ -> false
+    | exception Not_found -> true)
+
+(* Once grown, the table allocates nothing: 10,240 rounds of replace,
+   find, mem, remove and length over up to 512 live keys, against the
+   same loop without the table. *)
+let test_int_table_allocates_nothing () =
+  let n = 10_240 in
+  let t = Sim.Int_table.create ~dummy:0 16 in
+  for k = 0 to 1023 do
+    Sim.Int_table.replace t k k
+  done;
+  for k = 0 to 1023 do
+    Sim.Int_table.remove t k
+  done;
+  let round i =
+    let k = (i * 7919) land 511 in
+    Sim.Int_table.replace t k i;
+    ignore (Sys.opaque_identity (Sim.Int_table.find t k));
+    ignore (Sys.opaque_identity (Sim.Int_table.mem t (k + 1)));
+    if i land 1 = 0 then Sim.Int_table.remove t k;
+    ignore (Sys.opaque_identity (Sim.Int_table.length t))
+  in
+  let loop f () =
+    for i = 1 to n do
+      f i
+    done
+  in
+  let base = minor_words_during (loop (fun i -> ignore (Sys.opaque_identity i))) in
+  let words = minor_words_during (loop round) -. base in
+  checkb
+    (Printf.sprintf "%.0f words over %d rounds" words n)
+    true (Float.equal words 0.)
+
 (* ---------- Counter ---------- *)
 
 let test_counter_group () =
@@ -805,6 +897,13 @@ let () =
         ]
         @ qsuite [ histogram_quantile_error_bounded; histogram_mean_is_exact ]
       );
+      ( "int_table",
+        [
+          Alcotest.test_case "edges" `Quick test_int_table_edges;
+          Alcotest.test_case "allocates nothing once grown" `Quick
+            test_int_table_allocates_nothing;
+        ]
+        @ qsuite [ int_table_matches_hashtbl ] );
       ( "counter_trace",
         [ Alcotest.test_case "counter group" `Quick test_counter_group ] );
     ]

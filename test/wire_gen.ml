@@ -39,7 +39,7 @@ let frame ?body rng =
   in
   Rpc.Wire_format.encode
     {
-      Rpc.Wire_format.rpc_id = Sim.Rng.bits64 rng;
+      Rpc.Wire_format.rpc_id = Int64.to_int (Sim.Rng.bits64 rng) land max_int;
       service_id = Sim.Rng.int rng ~bound:1_000_000;
       method_id = Sim.Rng.int rng ~bound:0x10000;
       kind;
