@@ -40,7 +40,8 @@ val call_id :
   ?timeout:Sim.Units.duration -> ?retries:int -> ?backoff:float ->
   ?max_timeout:Sim.Units.duration -> ?jitter:float -> t -> service_id:int ->
   method_id:int -> port:int -> Rpc.Value.t -> (Rpc.Value.t -> unit) -> int64
-(** {!call}, returning the wire [rpc_id], with the full retry policy:
+(** {!call}, returning the wire [rpc_id] as an [int64] (boxed once per
+    call), with the full retry policy:
     the [n]th retransmission waits [timeout * backoff^n] (capped at
     [max_timeout]), each wait shrunk by a seeded jitter factor uniform
     in [(1 - jitter, 1]]. Defaults ([backoff = 1], [jitter = 0])

@@ -473,12 +473,8 @@ let oracle_frame ?(port = oracle_port) ~id ~method_id body =
     ~dst:(Harness.Traffic.server_endpoint ~port)
     payload
 
-let draw_body rng schema =
-  let inner =
-    match schema with
-    | Rpc.Schema.Tuple [ s; Rpc.Schema.Blob ] -> s
-    | _ -> assert false
-  in
+(* A value of the drawn schema, padded by a blob to one of the sizes. *)
+let draw_body rng inner =
   let v = Rpc.Schema.arbitrary inner rng ~size_hint:32 in
   let target = oracle_sizes.(Sim.Rng.int rng ~bound:(Array.length oracle_sizes)) in
   let bare =
@@ -498,8 +494,8 @@ let hostile_id rng =
   | 1 -> Int64.logor Int64.min_int small
   | _ -> Int64.logor id_range (Sim.Rng.bits64 rng)
 
-let draw_step rng schema ~id =
-  let body = draw_body rng schema in
+let draw_step rng inner ~id =
+  let body = draw_body rng inner in
   let one ?port ?(method_id = 0) ?(mangle = ignore) ?(id = id) what body =
     let f = oracle_frame ?port ~id ~method_id body in
     mangle f.Net.Frame.payload;
@@ -605,13 +601,11 @@ let run_oracle flavour schema steps =
 
 let oracle_case seed =
   let rng = Sim.Rng.create ~seed in
-  let schema =
-    Rpc.Schema.Tuple [ Wire_gen.schema_of_depth rng; Rpc.Schema.Blob ]
-  in
+  let inner = Wire_gen.schema_of_depth rng in
   let steps =
-    List.init 8 (fun i -> draw_step rng schema ~id:(Int64.of_int (i + 1)))
+    List.init 8 (fun i -> draw_step rng inner ~id:(Int64.of_int (i + 1)))
   in
-  (schema, steps)
+  (Rpc.Schema.Tuple [ inner; Rpc.Schema.Blob ], steps)
 
 (* What every flavour must answer to an id at the edge of the range:
    outside [0, 2^62) a named [rx_bad_rpc] drop that neither raises nor
