@@ -14,21 +14,18 @@ let empty = min_int
 let golden = 0x9E3_779B_97F4_A7C1
 
 let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1)
+let rec pow2_at_least n p = if p >= n then p else pow2_at_least n (2 * p)
 
-let make_slots ~dummy slots =
-  let bits = log2 slots 0 in
+let create ~dummy n =
+  let slots = pow2_at_least n 8 in
   {
     keys = Array.make slots empty;
     vals = Array.make slots dummy;
     mask = slots - 1;
-    shift = 63 - bits;
+    shift = 63 - log2 slots 0;
     count = 0;
     dummy;
   }
-
-let rec pow2_at_least n p = if p >= n then p else pow2_at_least n (2 * p)
-
-let create ~dummy n = make_slots ~dummy (pow2_at_least n 8)
 
 let[@hot_path] home t k = (k * golden) lsr t.shift
 
@@ -47,17 +44,17 @@ let[@hot_path] find t k =
   let i = index t k in
   if i < 0 then raise_notrace Not_found else t.vals.(i)
 
-(* The first free slot of [k]'s probe run; [k] is known absent. *)
+(* The first free slot from [i] on, along a probe run. *)
 let rec free_slot t i =
   if Int.equal t.keys.(i) empty then i else free_slot t ((i + 1) land t.mask)
 
 let grow t =
   let old_keys = t.keys and old_vals = t.vals in
-  let bigger = make_slots ~dummy:t.dummy (2 * Array.length old_keys) in
-  t.keys <- bigger.keys;
-  t.vals <- bigger.vals;
-  t.mask <- bigger.mask;
-  t.shift <- bigger.shift;
+  let slots = 2 * Array.length old_keys in
+  t.keys <- Array.make slots empty;
+  t.vals <- Array.make slots t.dummy;
+  t.mask <- slots - 1;
+  t.shift <- t.shift - 1;
   Array.iteri
     (fun i k ->
       if not (Int.equal k empty) then begin
