@@ -12,7 +12,9 @@ val create :
   ?iotlb_entries:int -> ?hit_cost:Sim.Units.duration ->
   ?walk_cost:Sim.Units.duration -> unit -> t
 (** Defaults: 64-entry IOTLB, 20 ns hit, 250 ns 4-level walk, 4 KiB
-    pages, LRU replacement. *)
+    pages, LRU replacement. The IOTLB keeps its entries in recency
+    order, so a hit, a miss and an eviction each take constant time;
+    {!translate} allocates nothing on a hit or a miss. *)
 
 val map : t -> iova:int -> len:int -> unit
 (** Establish a mapping (driver posting receive buffers). Unmapped
@@ -27,8 +29,8 @@ val translate : t -> iova:int -> Sim.Units.duration
 val hits : t -> int
 val misses : t -> int
 val faults : t -> int
-(** Count of rejected (unmapped) translations observed via
-    {!translate_opt}. *)
+(** Count of rejected (unmapped) accesses: each [None] from
+    {!translate_opt}, and each {!translate} that raised. *)
 
 val translate_opt : t -> iova:int -> Sim.Units.duration option
 (** Like {!translate} but returns [None] on a fault, counting it. *)

@@ -1,9 +1,12 @@
 (* The Toeplitz hash XORs, for every set bit of the input, the 32-bit
-   window of the key that starts at that bit's offset. The windows
-   depend only on the key, so each key's are computed once: [windows.(b)]
-   is the window at bit offset [b], and bits past the key's end have
-   none (their windows are zero). *)
-type t = { windows : int array; indirection : int array }
+   window of the key that starts at that bit's offset. The XOR over a
+   nibble's set bits depends only on the key, the nibble's position and
+   its value, so each key gets one table: [tbl.(16 * n + v)] is the XOR
+   of the windows for the set bits of value [v] at nibble position [n].
+   Hashing is then one lookup per input nibble. The table covers the
+   key's [2 * length] nibble positions; input past the key's end has
+   zero windows and is skipped. *)
+type t = { tbl : int array; indirection : int array }
 
 let default_key =
   "\x6d\x5a\x56\xda\x25\x5b\x0e\xc2\x41\x67\x25\x3d\x43\xa3\x8f\xb0\
@@ -26,25 +29,43 @@ let window key bit =
   in
   (forty lsr (8 - (bit mod 8))) land 0xffff_ffff
 
-let windows_of key = Array.init (8 * String.length key) (window key)
-let default_windows = windows_of default_key
-
-(* XOR into [acc] the window of every set bit of the [width]-bit value
-   [v], whose most significant bit sits at bit offset [bit0]. *)
-let[@hot_path] fold_bits windows acc ~bit0 ~width v =
-  let acc = ref acc in
-  for b = 0 to min width (Array.length windows - bit0) - 1 do
-    if (v lsr (width - 1 - b)) land 1 <> 0 then
-      acc := !acc lxor windows.(bit0 + b)
+(* Bit [b] of a nibble, counted from its most significant bit, adds the
+   window at bit offset [4 * n + b] to every value that has it set. *)
+let table_of key =
+  let tbl = Array.make (32 * String.length key) 0 in
+  for n = 0 to (2 * String.length key) - 1 do
+    for b = 0 to 3 do
+      let w = window key ((4 * n) + b) in
+      for v = 0 to 15 do
+        if v land (8 lsr b) <> 0 then
+          tbl.((16 * n) + v) <- tbl.((16 * n) + v) lxor w
+      done
+    done
   done;
-  !acc
+  tbl
 
-let[@hot_path] hash_bytes windows data ~len =
+(* Built on first use, so a program that never hashes never holds it. *)
+let default_tbl = lazy (table_of default_key)
+
+let tbl_for key =
+  if String.equal key default_key then Lazy.force default_tbl else table_of key
+
+(* XOR into [acc] the entries of the four nibbles of the 16-bit value
+   [v], whose most significant nibble sits at nibble position [n0]. *)
+let[@hot_path] fold16 tbl acc n0 v =
+  let row = 16 * n0 in
+  acc
+  lxor tbl.(row + ((v lsr 12) land 0xf))
+  lxor tbl.(row + 16 + ((v lsr 8) land 0xf))
+  lxor tbl.(row + 32 + ((v lsr 4) land 0xf))
+  lxor tbl.(row + 48 + (v land 0xf))
+
+let[@hot_path] hash_bytes tbl data ~len =
   let acc = ref 0 in
-  for i = 0 to len - 1 do
-    acc :=
-      fold_bits windows !acc ~bit0:(8 * i) ~width:8
-        (Char.code (Bytes.get data i))
+  for i = 0 to min len (Array.length tbl / 32) - 1 do
+    let c = Char.code (Bytes.get data i) in
+    let row = 32 * i in
+    acc := !acc lxor tbl.(row + (c lsr 4)) lxor tbl.(row + 16 + (c land 0xf))
   done;
   !acc
 
@@ -54,32 +75,31 @@ let create ?(key = default_key) ~queues () =
   (* 128-entry indirection table, round-robin initialised (the common
      driver default). *)
   let indirection = Array.init 128 (fun i -> i mod queues) in
-  let windows =
-    if String.equal key default_key then default_windows else windows_of key
-  in
-  { windows; indirection }
+  { tbl = tbl_for key; indirection }
 
 let toeplitz_hash ~key data =
-  let windows =
-    if String.equal key default_key then default_windows else windows_of key
-  in
-  hash_bytes windows data ~len:(Bytes.length data)
+  hash_bytes (tbl_for key) data ~len:(Bytes.length data)
 
-let hash data = hash_bytes default_windows data ~len:(Bytes.length data)
+let hash data =
+  hash_bytes (Lazy.force default_tbl) data ~len:(Bytes.length data)
 
 let hash_prefix data ~len =
   if len < 0 || len > Bytes.length data then
     invalid_arg "Rss.hash_prefix: len out of range";
-  hash_bytes default_windows data ~len
+  hash_bytes (Lazy.force default_tbl) data ~len
 
-(* The input is src_ip, dst_ip, src_port, dst_port, big-endian: 96 bits
-   folded straight from the ints. *)
+(* The input is src_ip, dst_ip, src_port, dst_port, big-endian: 24
+   nibbles read straight from the ints, 16 bits at a time. A key is at
+   least 40 bytes, so its table covers all 24. *)
 let[@hot_path] hash_flow t ~src_ip ~dst_ip ~src_port ~dst_port =
-  let w = t.windows in
-  let acc = fold_bits w 0 ~bit0:0 ~width:32 (Net.Ip_addr.to_int src_ip) in
-  let acc = fold_bits w acc ~bit0:32 ~width:32 (Net.Ip_addr.to_int dst_ip) in
-  let acc = fold_bits w acc ~bit0:64 ~width:16 src_port in
-  fold_bits w acc ~bit0:80 ~width:16 dst_port
+  let tbl = t.tbl in
+  let sip = Net.Ip_addr.to_int src_ip and dip = Net.Ip_addr.to_int dst_ip in
+  let acc = fold16 tbl 0 0 (sip lsr 16) in
+  let acc = fold16 tbl acc 4 sip in
+  let acc = fold16 tbl acc 8 (dip lsr 16) in
+  let acc = fold16 tbl acc 12 dip in
+  let acc = fold16 tbl acc 16 src_port in
+  fold16 tbl acc 20 dst_port
 
 let queue_for t ~src_ip ~dst_ip ~src_port ~dst_port =
   let h = hash_flow t ~src_ip ~dst_ip ~src_port ~dst_port in

@@ -6,12 +6,14 @@
     protocol, as in Microsoft's RSS spec for UDP: src/dst address and
     src/dst port), with the standard 40-byte default key.
 
-    The hash is table-driven: each key's 32-bit windows, one per bit
-    offset, are computed once ({!create} for its key, and once for
-    {!default_key}), so hashing is a fold of table entries over the
-    input's set bits. {!hash_flow}, {!queue_for}, {!queue_of_frame},
-    {!hash} and {!hash_prefix} allocate nothing. Input bits past the
-    key's end contribute nothing, as in the bitwise definition. *)
+    The hash is table-driven. Each key gets one table of 32 entries per
+    key byte, built once ({!create} for its key, and on first use for
+    {!default_key}, 1280 words): entry [16 * n + v] is the XOR of the
+    key's 32-bit windows for the set bits of value [v] at nibble
+    position [n] of the input. Hashing is one lookup per input nibble,
+    24 for a flow. {!hash_flow}, {!queue_for}, {!queue_of_frame},
+    {!hash} and {!hash_prefix} allocate nothing. Input past the key's
+    end contributes nothing, as in the bitwise definition. *)
 
 type t
 
@@ -40,7 +42,8 @@ val hash_flow :
   t -> src_ip:Net.Ip_addr.t -> dst_ip:Net.Ip_addr.t -> src_port:int ->
   dst_port:int -> int
 (** 32-bit flow hash: the Toeplitz hash of src_ip, dst_ip, src_port
-    and dst_port, big-endian, folded straight from the ints. *)
+    and dst_port, big-endian: 24 table lookups, one per nibble, read
+    straight from the ints. *)
 
 val queue_for :
   t -> src_ip:Net.Ip_addr.t -> dst_ip:Net.Ip_addr.t -> src_port:int ->

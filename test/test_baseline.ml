@@ -439,9 +439,10 @@ let test_duplicate_port_rejected () =
    the checksum's seed is a required argument rather than an optional
    one, so a UDP encode and a UDP verify build no [Some], it took
    145.1 (148.0). Since rpc ids are immediate ints and the recorder's
-   send stamps sit in a [Sim.Int_table], it takes 132.1, and
-   perfbench's bypass_4k 141.0. *)
-let bypass_words_budget = 132.1 *. 1.02
+   send stamps sit in a [Sim.Int_table], it took 132.1 (141.0). Since
+   an IOTLB miss relinks a fixed entry instead of adding a [Hashtbl]
+   binding, it takes 128.2, and perfbench's bypass_4k 137.0. *)
+let bypass_words_budget = 128.2 *. 1.02
 
 let test_bypass_rpc_allocation_budget () =
   let setup =

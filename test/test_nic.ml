@@ -99,6 +99,172 @@ let test_iommu_unmap () =
   checkb "other page survives" true
     (Nic.Iommu.translate_opt mmu ~iova:4096 <> None)
 
+(* The IOTLB as a stamp scan: each cached page carries the stamp of its
+   last use, and a miss into a full IOTLB evicts the page with the
+   smallest stamp. [Nic.Iommu] keeps a recency list instead, and must
+   price every access alike and count the same hits, misses and
+   faults. *)
+type iotlb_model = {
+  entries : int;
+  mapped : (int, unit) Hashtbl.t;
+  stamps : (int, int) Hashtbl.t;  (* cached page -> last-use stamp *)
+  mutable stamp : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable faults : int;
+}
+
+let model_hit_cost = 10
+let model_walk_cost = 100
+
+(* The cost of an access, or -1 on a fault. *)
+let model_access m ~page =
+  if not (Hashtbl.mem m.mapped page) then begin
+    m.faults <- m.faults + 1;
+    -1
+  end
+  else begin
+    m.stamp <- m.stamp + 1;
+    if Hashtbl.mem m.stamps page then begin
+      m.hits <- m.hits + 1;
+      Hashtbl.replace m.stamps page m.stamp;
+      model_hit_cost
+    end
+    else begin
+      m.misses <- m.misses + 1;
+      if Hashtbl.length m.stamps >= m.entries then begin
+        let victim, _ =
+          Hashtbl.fold
+            (fun p s (vp, vs) -> if s < vs then (p, s) else (vp, vs))
+            m.stamps (-1, max_int)
+        in
+        Hashtbl.remove m.stamps victim
+      end;
+      Hashtbl.replace m.stamps page m.stamp;
+      model_walk_cost + model_hit_cost
+    end
+  end
+
+type iommu_op =
+  | Map of int * int  (* first page, pages *)
+  | Unmap of int * int
+  | Translate of int  (* iova *)
+  | Translate_opt of int
+
+let show_iommu_op = function
+  | Map (p, n) -> Printf.sprintf "map %d+%d" p n
+  | Unmap (p, n) -> Printf.sprintf "unmap %d+%d" p n
+  | Translate iova -> Printf.sprintf "translate 0x%x" iova
+  | Translate_opt iova -> Printf.sprintf "translate_opt 0x%x" iova
+
+(* IOTLBs of 1 to 4 entries over pages 0 to 7: small enough that
+   evictions, refills of unmapped pages and faults all happen often. *)
+let iommu_case_arb =
+  let open QCheck.Gen in
+  let iova =
+    map2 (fun p off -> (p * 4096) + off) (int_bound 7) (int_bound 4095)
+  in
+  let range = map2 (fun p n -> (p, n)) (int_bound 6) (int_range 1 2) in
+  let op =
+    frequency
+      [
+        (2, map (fun (p, n) -> Map (p, n)) range);
+        (1, map (fun (p, n) -> Unmap (p, n)) range);
+        (4, map (fun a -> Translate a) iova);
+        (2, map (fun a -> Translate_opt a) iova);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (entries, ops) ->
+      Printf.sprintf "%d entries: %s" entries
+        (String.concat "; " (List.map show_iommu_op ops)))
+    (pair (int_range 1 4) (list_size (int_range 0 80) op))
+
+let iommu_matches_stamp_model =
+  QCheck.Test.make ~name:"IOTLB = stamp-scan LRU reference" ~count:500
+    iommu_case_arb
+    (fun (entries, ops) ->
+      let mmu =
+        Nic.Iommu.create ~iotlb_entries:entries ~hit_cost:model_hit_cost
+          ~walk_cost:model_walk_cost ()
+      in
+      let m =
+        {
+          entries;
+          mapped = Hashtbl.create 8;
+          stamps = Hashtbl.create 8;
+          stamp = 0;
+          hits = 0;
+          misses = 0;
+          faults = 0;
+        }
+      in
+      let pages p n f = for q = p to p + n - 1 do f q done in
+      let same_cost cost iova =
+        let want = model_access m ~page:(iova / 4096) in
+        if cost <> want then
+          QCheck.Test.fail_reportf "access 0x%x cost %d, model %d" iova cost
+            want
+      in
+      List.iter
+        (fun op ->
+          match op with
+          | Map (p, n) ->
+              Nic.Iommu.map mmu ~iova:(p * 4096) ~len:(n * 4096);
+              pages p n (fun q -> Hashtbl.replace m.mapped q ())
+          | Unmap (p, n) ->
+              Nic.Iommu.unmap mmu ~iova:(p * 4096) ~len:(n * 4096);
+              pages p n (fun q ->
+                  Hashtbl.remove m.mapped q;
+                  Hashtbl.remove m.stamps q)
+          | Translate iova ->
+              let cost =
+                try Nic.Iommu.translate mmu ~iova with Invalid_argument _ -> -1
+              in
+              same_cost cost iova
+          | Translate_opt iova ->
+              let cost =
+                Option.value (Nic.Iommu.translate_opt mmu ~iova) ~default:(-1)
+              in
+              same_cost cost iova)
+        ops;
+      Nic.Iommu.hits mmu = m.hits
+      && Nic.Iommu.misses mmu = m.misses
+      && Nic.Iommu.faults mmu = m.faults)
+
+(* Minor words over 10k translations of the pages [0, pages), cycled
+   after one warming round. *)
+let translate_words ~entries ~pages =
+  let mmu = Nic.Iommu.create ~iotlb_entries:entries () in
+  Nic.Iommu.map mmu ~iova:0 ~len:(pages * 4096);
+  let round () =
+    for i = 0 to 9_999 do
+      ignore
+        (Sys.opaque_identity
+           (Nic.Iommu.translate mmu ~iova:(i mod pages * 4096)))
+    done
+  in
+  round ();
+  let misses = Nic.Iommu.misses mmu in
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  round ();
+  Gc.minor ();
+  (Gc.minor_words () -. before, Nic.Iommu.misses mmu - misses)
+
+(* The measurement itself may box a float or two. *)
+let test_iommu_hit_allocates_nothing () =
+  let words, misses = translate_words ~entries:4 ~pages:4 in
+  checki "every access hits" 0 misses;
+  checkb (Printf.sprintf "%.0f words over 10k hits" words) true (words <= 64.)
+
+let test_iommu_evicting_miss_allocates_nothing () =
+  let words, misses = translate_words ~entries:4 ~pages:8 in
+  checki "every access misses and evicts" 10_000 misses;
+  checkb
+    (Printf.sprintf "%.0f words over 10k evicting misses" words)
+    true (words <= 64.)
+
 (* ---------- RSS ---------- *)
 
 let flow i =
@@ -475,7 +641,12 @@ let () =
           Alcotest.test_case "hit/miss/fault" `Quick test_iommu_hit_miss_fault;
           Alcotest.test_case "lru eviction" `Quick test_iommu_lru_eviction;
           Alcotest.test_case "unmap" `Quick test_iommu_unmap;
-        ] );
+          Alcotest.test_case "a hit allocates nothing" `Quick
+            test_iommu_hit_allocates_nothing;
+          Alcotest.test_case "an evicting miss allocates nothing" `Quick
+            test_iommu_evicting_miss_allocates_nothing;
+        ]
+        @ qsuite [ iommu_matches_stamp_model ] );
       ( "rss",
         [
           Alcotest.test_case "deterministic" `Quick test_rss_deterministic;

@@ -450,6 +450,14 @@ let test_rss_allocates_nothing () =
   let rss_tbl = Nic.Rss.create ~queues:4 () in
   check_no_alloc "Rss.queue_of_frame" (Nic.Rss.queue_of_frame rss_tbl)
 
+let test_rss_hashes_allocate_nothing () =
+  let rss_tbl = Nic.Rss.create ~queues:4 () in
+  check_no_alloc "Rss.hash_flow" (fun (f : Net.Frame.t) ->
+      Nic.Rss.hash_flow rss_tbl ~src_ip:f.ip.src ~dst_ip:f.ip.dst
+        ~src_port:f.udp.src_port ~dst_port:f.udp.dst_port);
+  check_no_alloc "Rss.hash_prefix" (fun (f : Net.Frame.t) ->
+      Nic.Rss.hash_prefix f.payload ~len:(Bytes.length f.payload))
+
 let test_compiled_programs_allocate_nothing () =
   let rss_tbl = Nic.Rss.create ~queues:4 () in
   let rss = Nic.Rss.queue_of_frame rss_tbl in
@@ -577,6 +585,8 @@ let () =
         [
           Alcotest.test_case "Rss.queue_of_frame allocates nothing" `Quick
             test_rss_allocates_nothing;
+          Alcotest.test_case "Rss.hash_flow and hash_prefix allocate nothing"
+            `Quick test_rss_hashes_allocate_nothing;
           Alcotest.test_case "compiled programs allocate nothing" `Quick
             test_compiled_programs_allocate_nothing;
         ] );
