@@ -220,22 +220,21 @@ let shedding t ~host =
 
 let steerable t ~host = alive t ~host && not (shedding t ~host)
 
+(* A loop, not a local recursive function: picking allocates nothing. *)
 let pick t =
-  if not t.up then None
-  else
-    let n = Array.length t.states in
-    let rec scan tried =
-    if tried >= n then None
-    else
-      let h = (t.cursor + tried) mod n in
+  let n = Array.length t.states in
+  let picked = ref (-1) and tried = ref 0 in
+  if t.up then
+    while !picked < 0 && !tried < n do
+      let h = (t.cursor + !tried) mod n in
       if steerable t ~host:h then begin
         t.cursor <- (h + 1) mod n;
         t.n_steered.(h) <- t.n_steered.(h) + 1;
-        Some h
+        picked := h
       end
-      else scan (tried + 1)
-    in
-    scan 0
+      else incr tried
+    done;
+  !picked
 
 let steered t = Array.copy t.n_steered
 let deaths t = Obs.Metrics.value t.c_deaths

@@ -72,7 +72,7 @@ val ack : ?epoch:int -> t -> host:int -> unit
 
 val crash : t -> unit
 (** The master process dies: probing stops, {!register}/{!ack} fall on
-    the floor, {!pick} answers [None]. Idempotent. Arm only from a
+    the floor, {!pick} answers [-1]. Idempotent. Arm only from a
     {!Fault.Plan}-driven seam ([Fault.Rack_chaos]); simlint's
     [fault-seam] rule flags anything else inside [lib/]. *)
 
@@ -101,9 +101,10 @@ val set_shedding : t -> host:int -> bool -> unit
 
 val alive : t -> host:int -> bool
 
-val pick : t -> int option
-(** The load balancer: the next steerable host, round-robin; [None]
-    when every host is dead, unregistered, or shedding. *)
+val pick : t -> int
+(** The load balancer: the next steerable host, round-robin; [-1]
+    when every host is dead, unregistered, or shedding, or the master
+    is crashed. *)
 
 val steered : t -> int array
 (** Per-host {!pick} counts. *)

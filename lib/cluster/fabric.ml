@@ -1,10 +1,23 @@
 (* Rack glue: engines, the shard lookahead matrix, the switch, and the
-   frame/control-message paths between them. See the interface for the
-   topology; the invariant maintained here is that every cross-shard
-   hand-off goes through Shard_engine.post with exactly the wire
-   latency the lookahead matrix promises, so the conservative windows
-   are as wide as the topology allows and the merge-order determinism
-   contract holds for whole racks. *)
+   wires between them. See the interface for the topology; the
+   invariant maintained here is that every cross-shard hand-off goes
+   through Shard_engine.post with exactly the wire latency the
+   lookahead matrix promises, so the conservative windows are as wide
+   as the topology allows and the merge-order determinism contract
+   holds for whole racks.
+
+   A frame on a wire allocates nothing of its own. Each switch port has
+   two wires, one toward the switch and one away from it (port [hosts]
+   is the uplink), and each wire is a {!Sim.Fifo} of the frames in
+   flight plus one arrival closure built at [create]. A wire has one
+   constant latency, so its arrivals fire in send order (a shard post
+   merges same-time messages from one source in posting order, and the
+   engine breaks same-instant ties by scheduling order): each arrival
+   pops the oldest frame. A host's wires cross shards, through
+   Shard_engine.post with the wire's arrival as the message; a frame is
+   pushed only once the post is accepted, so a wire the fault seam cuts
+   loses the frame without desynchronising its FIFO. The uplink's wires
+   stay on the master shard and are plain engine events. *)
 
 type t = {
   hosts : int;
@@ -15,6 +28,12 @@ type t = {
   uplink_conf : Switch.port_conf;
   host_ingress : (Net.Frame.t -> unit) option array;
   mutable uplink_ingress : (Net.Frame.t -> unit) option;
+  (* per switch port: the frames in flight toward the switch and away
+     from it, and each wire's arrival *)
+  inbound : Net.Frame.t Sim.Fifo.t array;
+  mutable inbound_arrive : (unit -> unit) array;
+  outbound : Net.Frame.t Sim.Fifo.t array;
+  mutable outbound_arrive : (unit -> unit) array;
   mutable n_undeliverable : int;
   mutable n_link_drops : int;  (* wire-fault losses *)
 }
@@ -34,6 +53,42 @@ let default_host_link =
 
 let default_uplink =
   { Switch.latency = Sim.Units.ns 500; tx = Sim.Units.ns 50 }
+
+(* A frame reaches the switch on [port]'s inbound wire. *)
+let[@hot_path] arrive_inbound t port () =
+  Switch.ingress t.switch ~port (Sim.Fifo.pop t.inbound.(port))
+
+(* A frame reaches the device at the far end of [port]'s outbound wire:
+   a host's stack, or the client behind the uplink. *)
+let[@hot_path] arrive_outbound t port () =
+  let frame = Sim.Fifo.pop t.outbound.(port) in
+  let ingress =
+    if port < t.hosts then t.host_ingress.(port) else t.uplink_ingress
+  in
+  match ingress with
+  | Some ingress -> ingress frame
+  | None -> t.n_undeliverable <- t.n_undeliverable + 1
+
+(* Put [frame] on a host's wire, [src] → [dst] across shards. *)
+let[@hot_path] send_across t ~src ~dst ~at wire arrive frame =
+  if Sim.Shard_engine.post t.shard ~src ~dst ~at arrive then
+    Sim.Fifo.push wire frame
+
+(* Put [frame] on one of the uplink's wires, both of whose ends are on
+   the master shard. *)
+let[@hot_path] send_uplink t wire arrive frame =
+  Sim.Fifo.push wire frame;
+  ignore
+    (Sim.Engine.schedule_after t.engines.(t.hosts)
+       ~after:t.uplink_conf.Switch.latency arrive)
+
+(* The switch transmits [frame] out of [port]. *)
+let[@hot_path] send_outbound t ~port frame =
+  if port < t.hosts then
+    send_across t ~src:t.hosts ~dst:port
+      ~at:(Sim.Engine.now t.engines.(t.hosts) + t.links.(port).Switch.latency)
+      t.outbound.(port) t.outbound_arrive.(port) frame
+  else send_uplink t t.outbound.(port) t.outbound_arrive.(port) frame
 
 let create ?(host_link = default_host_link)
     ?(uplink = default_uplink) ?host_links ?cap_in ?cap_out ?metrics
@@ -67,24 +122,11 @@ let create ?(host_link = default_host_link)
   in
   let shard = Sim.Shard_engine.create ~latency engines in
   let master = engines.(hosts) in
-  let host_ingress = Array.make hosts None in
   let t_ref = ref None in
   let deliver ~port frame =
-    let t = match !t_ref with Some t -> t | None -> assert false in
-    if port < hosts then
-      Sim.Shard_engine.post shard ~src:hosts ~dst:port
-        ~at:(Sim.Engine.now master + links.(port).Switch.latency)
-        (fun () ->
-          match t.host_ingress.(port) with
-          | Some ingress -> ingress frame
-          | None -> t.n_undeliverable <- t.n_undeliverable + 1)
-    else
-      ignore
-        (Sim.Engine.schedule_after master ~after:uplink.Switch.latency
-           (fun () ->
-             match t.uplink_ingress with
-             | Some ingress -> ingress frame
-             | None -> t.n_undeliverable <- t.n_undeliverable + 1))
+    match !t_ref with
+    | Some t -> send_outbound t ~port frame
+    | None -> assert false
   in
   (* one option per port, built here so routing allocates nothing *)
   let ports = Array.init n Option.some in
@@ -98,6 +140,7 @@ let create ?(host_link = default_host_link)
       ~ports:(Array.append links [| uplink |])
       ?cap_in ?cap_out ?metrics ~route ~deliver ()
   in
+  let fifos () = Array.init n (fun _ -> Sim.Fifo.create Net.Frame.empty) in
   let t =
     {
       hosts;
@@ -106,12 +149,18 @@ let create ?(host_link = default_host_link)
       switch;
       links;
       uplink_conf = uplink;
-      host_ingress;
+      host_ingress = Array.make hosts None;
       uplink_ingress = None;
+      inbound = fifos ();
+      inbound_arrive = [||];
+      outbound = fifos ();
+      outbound_arrive = [||];
       n_undeliverable = 0;
       n_link_drops = 0;
     }
   in
+  t.inbound_arrive <- Array.init n (arrive_inbound t);
+  t.outbound_arrive <- Array.init n (arrive_outbound t);
   t_ref := Some t;
   t
 
@@ -127,26 +176,25 @@ let connect_host t h ~ingress =
 
 let connect_uplink t ingress = t.uplink_ingress <- Some ingress
 
-let host_egress t h frame =
-  Sim.Shard_engine.post t.shard ~src:h ~dst:t.hosts
+let[@hot_path] host_egress t h frame =
+  send_across t ~src:h ~dst:t.hosts
     ~at:(Sim.Engine.now t.engines.(h) + t.links.(h).Switch.latency)
-    (fun () -> Switch.ingress t.switch ~port:h frame)
+    t.inbound.(h) t.inbound_arrive.(h) frame
 
-let uplink_send t frame =
-  ignore
-    (Sim.Engine.schedule_after (master_engine t)
-       ~after:t.uplink_conf.Switch.latency (fun () ->
-         Switch.ingress t.switch ~port:t.hosts frame))
+let[@hot_path] uplink_send t frame =
+  send_uplink t t.inbound.(t.hosts) t.inbound_arrive.(t.hosts) frame
 
 let post_to_host t ~host fn =
-  Sim.Shard_engine.post t.shard ~src:t.hosts ~dst:host
-    ~at:(Sim.Engine.now (master_engine t) + t.links.(host).Switch.latency)
-    fn
+  ignore
+    (Sim.Shard_engine.post t.shard ~src:t.hosts ~dst:host
+       ~at:(Sim.Engine.now (master_engine t) + t.links.(host).Switch.latency)
+       fn)
 
 let post_to_master t ~host fn =
-  Sim.Shard_engine.post t.shard ~src:host ~dst:t.hosts
-    ~at:(Sim.Engine.now t.engines.(host) + t.links.(host).Switch.latency)
-    fn
+  ignore
+    (Sim.Shard_engine.post t.shard ~src:host ~dst:t.hosts
+       ~at:(Sim.Engine.now t.engines.(host) + t.links.(host).Switch.latency)
+       fn)
 
 (* The per-pair wire fault seam: [cut] (a pure function of shard ids
    and time — in practice a Fault.Plan flap/partition schedule compiled

@@ -21,6 +21,11 @@
       leaves via the {!connect_uplink} callback (switch → client),
       both on the master shard.
 
+    Each of these wires is a FIFO of the frames in flight with one
+    arrival event closure built at {!create}: a wire's latency is
+    constant, so its frames arrive in the order they were sent, and
+    carrying one allocates nothing beyond the shard post itself.
+
     Control-plane messages ({!post_to_host} / {!post_to_master}) cross
     the same wires as closures — spawn, probe, kill and register
     traffic pays the same latency as data. *)

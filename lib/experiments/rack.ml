@@ -270,25 +270,24 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
           if pinned ~slot ~id then begin
             let h = !pin_hosts.(slot) in
             if Cluster.Control.alive r.control ~host:h then h
-            else
+            else begin
               (* pinned host died: re-steer the retry *)
-              match Cluster.Control.pick r.control with
-              | Some h ->
-                  r.resteered <- r.resteered + 1;
-                  pin h ~slot ~id;
-                  h
-              | None -> -1
+              let h = Cluster.Control.pick r.control in
+              if h >= 0 then begin
+                r.resteered <- r.resteered + 1;
+                pin h ~slot ~id
+              end;
+              h
+            end
           end
-          else
+          else begin
             (* first transmission (or a slot recycled from a finished
                call, which is the same thing) *)
-            match Cluster.Control.pick r.control with
-            | Some h ->
-                pin h ~slot ~id;
-                h
-            | None ->
-                r.unsteered <- r.unsteered + 1;
-                -1
+            let h = Cluster.Control.pick r.control in
+            if h >= 0 then pin h ~slot ~id
+            else r.unsteered <- r.unsteered + 1;
+            h
+          end
         in
         (* with no steerable host nothing is sent; the call's retry
            timer will try again *)

@@ -9,6 +9,7 @@ type t = {
          its previous owner (ABA), and a call's timer acts only while
          its slot still holds its epoch *)
   mutable next_epoch : int;
+  calls : call Sim.Slot_pool.t;  (* call records no timer holds *)
   schemas : (int, Rpc.Schema.t) Hashtbl.t;  (* keyed by [schema_key] *)
   rng : Sim.Rng.t;  (* backoff jitter; only drawn when jitter > 0 *)
   mutable sent : int;
@@ -21,18 +22,22 @@ type t = {
 }
 
 (* A call with a timeout: its retry state, and its timer closure,
-   built once and re-armed for every wait. *)
-type call = {
+   built once with the record. A record serves one call at a time and
+   always has exactly one timer armed while it does; it goes back to
+   [calls] only when that timer fires after the call has ended (as a
+   no-op) or abandons it. A timer that outlives its call therefore
+   never finds its record serving a later call. *)
+and call = {
   client : t;
-  cont : int;
-  epoch : int;
-  service_id : int;
-  method_id : int;
-  port : int;
-  args : Rpc.Value.t;
-  backoff : float;
-  max_timeout : Sim.Units.duration;
-  jitter : float;
+  mutable cont : int;
+  mutable epoch : int;
+  mutable service_id : int;
+  mutable method_id : int;
+  mutable port : int;
+  mutable args : Rpc.Value.t;
+  mutable backoff : float;
+  mutable max_timeout : Sim.Units.duration;
+  mutable jitter : float;
   mutable attempts_left : int;
   mutable base : Sim.Units.duration;
   mutable timer : unit -> unit;
@@ -62,6 +67,7 @@ let create engine ~send ?(seed = 0x7e7) ?metrics () =
       continuations = Rpc.Continuation.create ();
       epochs = Array.make 64 0;
       next_epoch = 1;
+      calls = Sim.Slot_pool.create ();
       schemas = Hashtbl.create 16;
       rng = Sim.Rng.create ~seed;
       sent = 0;
@@ -100,39 +106,67 @@ let grow base backoff =
   let next = float_of_int base *. backoff in
   if next > 1e15 then 1_000_000_000_000_000 else int_of_float (Float.round next)
 
-(* Wait out the current base, shrunk by the jitter draw. *)
+(* Wait out the current base, shrunk by the jitter draw: [Rng.float]'s
+   53 bits, drawn here so no float is boxed. *)
 let[@hot_path] arm c =
   let t = c.client in
   let wait =
     if c.jitter > 0. then
-      max 1
-        (int_of_float
-           (float_of_int c.base *. (1. -. (c.jitter *. Sim.Rng.float t.rng))))
+      let u = float_of_int (Sim.Rng.bits53 t.rng) *. 0x1.0p-53 in
+      max 1 (int_of_float (float_of_int c.base *. (1. -. (c.jitter *. u))))
     else c.base
   in
   ignore (Sim.Engine.schedule_after t.engine ~after:wait c.timer)
 
+(* The record's call has ended and its timer has fired: drop the
+   arguments and pool the record. *)
+let[@hot_path] free t c =
+  c.args <- Rpc.Value.Unit;
+  Sim.Slot_pool.release t.calls c
+
 (* A timer of a call whose slot no longer holds its epoch (the call
-   completed or failed) fires as a no-op. *)
+   completed or failed) fires as a no-op that frees the record. *)
 let[@hot_path] on_timer c () =
   let t = c.client in
-  if Int.equal t.epochs.(c.cont) c.epoch then
-    if c.attempts_left > 0 then begin
-      t.retransmits <- t.retransmits + 1;
-      t.send
-        (Traffic.request
-           ~rpc_id:(rpc_id_of ~epoch:c.epoch ~cont:c.cont)
-           ~service_id:c.service_id ~method_id:c.method_id ~port:c.port
-           ~client:t.endpoint c.args);
-      c.attempts_left <- c.attempts_left - 1;
-      c.base <- min c.max_timeout (grow c.base c.backoff);
-      arm c
-    end
-    else begin
-      t.abandoned <- t.abandoned + 1;
-      retire t c.cont;
-      ignore (Rpc.Continuation.cancel t.continuations c.cont)
-    end
+  if not (Int.equal t.epochs.(c.cont) c.epoch) then free t c
+  else if c.attempts_left > 0 then begin
+    t.retransmits <- t.retransmits + 1;
+    t.send
+      (Traffic.request
+         ~rpc_id:(rpc_id_of ~epoch:c.epoch ~cont:c.cont)
+         ~service_id:c.service_id ~method_id:c.method_id ~port:c.port
+         ~client:t.endpoint c.args);
+    c.attempts_left <- c.attempts_left - 1;
+    c.base <- min c.max_timeout (grow c.base c.backoff);
+    arm c
+  end
+  else begin
+    t.abandoned <- t.abandoned + 1;
+    retire t c.cont;
+    ignore (Rpc.Continuation.cancel t.continuations c.cont);
+    free t c
+  end
+
+let new_call t =
+  let c =
+    {
+      client = t;
+      cont = 0;
+      epoch = 0;
+      service_id = 0;
+      method_id = 0;
+      port = 0;
+      args = Rpc.Value.Unit;
+      backoff = 1.;
+      max_timeout = 0;
+      jitter = 0.;
+      attempts_left = 0;
+      base = 0;
+      timer = ignore;
+    }
+  in
+  c.timer <- on_timer c;
+  c
 
 let call_id ?timeout ?(retries = 3) ?(backoff = 1.) ?(max_timeout = max_int)
     ?(jitter = 0.) t ~service_id ~method_id ~port args k =
@@ -161,23 +195,20 @@ let call_id ?timeout ?(retries = 3) ?(backoff = 1.) ?(max_timeout = max_int)
   | Some timeout ->
       if timeout <= 0 then invalid_arg "Client.call: non-positive timeout";
       let c =
-        {
-          client = t;
-          cont;
-          epoch;
-          service_id;
-          method_id;
-          port;
-          args;
-          backoff;
-          max_timeout;
-          jitter;
-          attempts_left = retries;
-          base = timeout;
-          timer = ignore;
-        }
+        if Sim.Slot_pool.is_empty t.calls then new_call t
+        else Sim.Slot_pool.take t.calls
       in
-      c.timer <- on_timer c;
+      c.cont <- cont;
+      c.epoch <- epoch;
+      c.service_id <- service_id;
+      c.method_id <- method_id;
+      c.port <- port;
+      c.args <- args;
+      c.backoff <- backoff;
+      c.max_timeout <- max_timeout;
+      c.jitter <- jitter;
+      c.attempts_left <- retries;
+      c.base <- timeout;
       arm c);
   Int64.of_int rpc_id
 

@@ -20,19 +20,23 @@ let server_address =
 
 let server_endpoint ~port = { server_address with Net.Frame.port }
 
-let request ~rpc_id ~service_id ~method_id ~port ?client args =
-  let client = match client with Some c -> c | None -> default_client in
+let request ~rpc_id ~service_id ~method_id ~port ~client args =
   Net.Frame.make_to_port ~src:client ~dst:server_address ~port
     (Rpc.Wire_format.encode_value ~kind:Rpc.Wire_format.Request ~rpc_id
        ~service_id ~method_id args)
 
+let client_or_default = function Some c -> c | None -> default_client
+
 let request_frame ~rpc_id ~service_id ~method_id ~port ?client args =
   request
     ~rpc_id:(Rpc.Wire_format.rpc_id_of_int64 rpc_id)
-    ~service_id ~method_id ~port ?client args
+    ~service_id ~method_id ~port ~client:(client_or_default client) args
 
 let inject recorder (driver : Driver.t) ~rpc_id ~service_id ~method_id ~port
     ?client args =
-  let frame = request ~rpc_id ~service_id ~method_id ~port ?client args in
+  let frame =
+    request ~rpc_id ~service_id ~method_id ~port
+      ~client:(client_or_default client) args
+  in
   Recorder.stamp recorder ~rpc_id;
   driver.Driver.ingress frame

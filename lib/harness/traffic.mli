@@ -13,15 +13,16 @@ val server_endpoint : port:int -> Net.Frame.endpoint
 
 val request :
   rpc_id:int -> service_id:int -> method_id:int -> port:int ->
-  ?client:Net.Frame.endpoint -> Rpc.Value.t -> Net.Frame.t
-(** A complete request frame from client to server carrying the encoded
-    arguments.
+  client:Net.Frame.endpoint -> Rpc.Value.t -> Net.Frame.t
+(** A complete request frame from [client] to the server carrying the
+    encoded arguments.
     @raise Invalid_argument on a negative rpc id. *)
 
 val request_frame :
   rpc_id:int64 -> service_id:int -> method_id:int -> port:int ->
   ?client:Net.Frame.endpoint -> Rpc.Value.t -> Net.Frame.t
-(** {!request} of an id given as the wire's [int64], converted once.
+(** {!request} of an id given as the wire's [int64], converted once,
+    from [client] or else {!client_endpoint}[ ()].
     @raise Invalid_argument if the id lies outside [[0, 2^62)]. *)
 
 val inject :

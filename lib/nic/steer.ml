@@ -125,12 +125,18 @@ let[@hot_path] rec first_match t rules frame i =
   else if matches frame rules.(i).guard then rules.(i).target
   else first_match t rules frame (i + 1)
 
+(* A program with no rules whose default needs no per-frame work is
+   that default itself: [rss], or a constant queue. *)
 let compile ~rss ?(alive = fun _ -> true) ?(worker_lane = fun w -> w) t =
-  let scratch = Bytes.create (max 1 (max_key_width t)) in
-  let rules = Array.of_list t.rules in
-  fun frame ->
-    resolve ~rss ~alive ~worker_lane ~on_dead:t.on_dead ~scratch frame
-      (first_match t rules frame 0)
+  match (t.rules, t.default) with
+  | [], Some Rss -> rss
+  | [], Some (Queue q) -> fun _ -> q
+  | _ ->
+      let scratch = Bytes.create (max 1 (max_key_width t)) in
+      let rules = Array.of_list t.rules in
+      fun frame ->
+        resolve ~rss ~alive ~worker_lane ~on_dead:t.on_dead ~scratch frame
+          (first_match t rules frame 0)
 
 (* --- shipped programs ------------------------------------------------ *)
 

@@ -91,7 +91,9 @@ val compile :
   Net.Frame.t ->
   int
 (** First-match evaluator used on the NIC hot path.  Equivalent to
-    {!eval} on verified programs (QCheck-tested). *)
+    {!eval} on verified programs (QCheck-tested).  A program with no
+    rules and an [Rss] or [Queue] default compiles to [rss] itself or
+    to a constant. *)
 
 (** {2 Shipped programs} *)
 

@@ -13,7 +13,9 @@ val create : ?initial_capacity:int -> unit -> 'a t
 
 val alloc : 'a t -> ('a -> unit) -> int
 (** Register a callback; returns its continuation id. Ids are recycled
-    after completion, so the table stays dense. *)
+    after completion, last freed first, so the table stays dense. Once
+    the table has grown to its peak, {!alloc}, {!fire} and {!cancel}
+    allocate nothing. *)
 
 val fire : 'a t -> int -> 'a -> bool
 (** Deliver to a continuation and release its id. Returns [false] if

@@ -93,10 +93,11 @@ let windows_run t = t.windows
 let messages_merged t = t.merged
 
 (* Post a closure from shard [src] to run on shard [dst] at absolute
-   time [at]. The conservative contract demands [at] be at least one
-   lookahead past the source's clock; violating it would let a window
-   deliver into its own past, so it is rejected loudly. Must be called
-   from [src]'s own events (or before [run]). *)
+   time [at], and answer whether the wire accepted it. The conservative
+   contract demands [at] be at least one lookahead past the source's
+   clock; violating it would let a window deliver into its own past, so
+   it is rejected loudly. Must be called from [src]'s own events (or
+   before [run]). *)
 let post t ~src ~dst ~at fn =
   let n = Array.length t.engines in
   if src < 0 || src >= n then invalid_arg "Shard_engine.post: bad src";
@@ -118,7 +119,8 @@ let post t ~src ~dst ~at fn =
   let dropped =
     match t.wire_fault with None -> false | Some f -> f ~src ~dst ~at
   in
-  if not dropped then t.outbox.(src) <- { at; src; dst; fn } :: t.outbox.(src)
+  if not dropped then t.outbox.(src) <- { at; src; dst; fn } :: t.outbox.(src);
+  not dropped
 
 (* Deliver every outboxed message, in an order that is a pure function
    of the simulation state: sort by (delivery time, source shard),

@@ -43,11 +43,12 @@ val lookahead : t -> Units.duration
     matrix. *)
 
 val post :
-  t -> src:int -> dst:int -> at:Units.time -> (unit -> unit) -> unit
+  t -> src:int -> dst:int -> at:Units.time -> (unit -> unit) -> bool
 (** Send a closure from shard [src] to run on shard [dst] at absolute
-    time [at]. Call only from [src]'s own events, or before
-    {!run}. Delivery happens at the end of the current window;
-    ordering across all posts is deterministic.
+    time [at]; [false] when the wire-fault seam ({!set_wire_fault})
+    swallowed it, so it will never run. Call only from [src]'s own
+    events, or before {!run}. Delivery happens at the end of the
+    current window; ordering across all posts is deterministic.
 
     @raise Invalid_argument if [at] is earlier than [src]'s clock plus
     the [src]→[dst] entry of the latency matrix (the conservative

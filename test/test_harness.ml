@@ -271,6 +271,66 @@ let test_client_failed_call_stops_its_timer () =
    + Harness.Client.abandoned c);
   checki "nothing outstanding" 0 (Harness.Client.outstanding c)
 
+(* A completed call's timer outlives it. Call A (timeout 100 us, 2
+   retries) is answered at 10 us; call B reuses A's continuation slot
+   at 50 us (timeout 100 us, 1 retry) and is never answered. A's timer
+   still fires at 100 us: it must neither retransmit nor abandon B,
+   whose own timer retransmits at 150 us and abandons at 250 us. *)
+let test_client_stale_timer_leaves_a_reused_slot_alone () =
+  let engine = Sim.Engine.create () in
+  let client = ref None in
+  let first_id = ref 0 in
+  (* the server answers the first call it sees, and nothing else *)
+  let send frame =
+    let req = frame.Net.Frame.payload in
+    let rpc_id = Rpc.Wire_format.rpc_id req in
+    if Int.equal !first_id 0 then first_id := rpc_id;
+    if Int.equal rpc_id !first_id then
+      let reply =
+        Net.Frame.reply_to ~eth:frame.Net.Frame.eth ~ip:frame.Net.Frame.ip
+          ~udp:frame.Net.Frame.udp
+          (Rpc.Wire_format.encode_value ~kind:Rpc.Wire_format.Response
+             ~rpc_id ~service_id:(Rpc.Wire_format.service_id req)
+             ~method_id:(Rpc.Wire_format.method_id req) Rpc.Value.Unit)
+      in
+      ignore
+        (Sim.Engine.schedule_after engine ~after:(Sim.Units.us 10) (fun () ->
+             match !client with
+             | Some c -> Harness.Client.on_reply c reply
+             | None -> ()))
+  in
+  let c = Harness.Client.create engine ~send () in
+  client := Some c;
+  let replied = ref 0 in
+  ignore
+    (Harness.Client.call_id c ~timeout:(Sim.Units.us 100) ~retries:2
+       ~service_id:1 ~method_id:0 ~port:7000 Rpc.Value.Unit (fun _ ->
+         incr replied));
+  let second_id = ref 0 in
+  ignore
+    (Sim.Engine.schedule_at engine ~at:(Sim.Units.us 50) (fun () ->
+         second_id :=
+           Int64.to_int
+             (Harness.Client.call_id c ~timeout:(Sim.Units.us 100) ~retries:1
+                ~service_id:1 ~method_id:0 ~port:7000 Rpc.Value.Unit (fun _ ->
+                  incr replied))));
+  Sim.Engine.run engine ~until:(Sim.Units.us 120);
+  checki "A completed" 1 (Harness.Client.completed c);
+  checki "slot reused" (!first_id land 0xF_FFFF) (!second_id land 0xF_FFFF);
+  checki "A's timer retransmits nothing" 0 (Harness.Client.retransmits c);
+  checki "A's timer abandons nothing" 0 (Harness.Client.abandoned c);
+  checki "B outstanding" 1 (Harness.Client.outstanding c);
+  Sim.Engine.run engine ~until:(Sim.Units.us 200);
+  checki "B retransmitted once, by its own timer" 1
+    (Harness.Client.retransmits c);
+  checki "B still outstanding" 1 (Harness.Client.outstanding c);
+  Sim.Engine.run engine ~until:(Sim.Units.ms 1);
+  checki "B abandoned once" 1 (Harness.Client.abandoned c);
+  checki "one reply" 1 !replied;
+  checki "completed + abandoned = sent" (Harness.Client.sent c)
+    (Harness.Client.completed c + Harness.Client.abandoned c);
+  checki "nothing outstanding" 0 (Harness.Client.outstanding c)
+
 let () =
   Alcotest.run "harness"
     [
@@ -299,5 +359,7 @@ let () =
             test_client_abandons_when_server_unreachable;
           Alcotest.test_case "a failed call stops its timer" `Quick
             test_client_failed_call_stops_its_timer;
+          Alcotest.test_case "a stale timer leaves a reused slot alone" `Quick
+            test_client_stale_timer_leaves_a_reused_slot_alone;
         ] );
     ]

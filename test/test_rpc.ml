@@ -719,6 +719,47 @@ let test_continuation_unknown_ids () =
   checkb "fire negative" false (Rpc.Continuation.fire t (-1) 0);
   checkb "cancel unknown" false (Rpc.Continuation.cancel t 99)
 
+(* Freed ids come back last-freed first, as rpc ids that embed them
+   expect; once the table has grown, allocating, firing and cancelling
+   allocate nothing (10,240 rounds against the same loop without
+   them). *)
+let test_continuation_lifo_and_allocation_free () =
+  let t : int Rpc.Continuation.t = Rpc.Continuation.create () in
+  let k _ = () in
+  let a = Rpc.Continuation.alloc t k in
+  let _b = Rpc.Continuation.alloc t k in
+  let c = Rpc.Continuation.alloc t k in
+  ignore (Rpc.Continuation.cancel t a);
+  ignore (Rpc.Continuation.fire t c 0);
+  checki "last freed first" c (Rpc.Continuation.alloc t k);
+  checki "then the one before" a (Rpc.Continuation.alloc t k);
+  checki "then a fresh id" 3 (Rpc.Continuation.alloc t k);
+  (* grow past the initial capacity, then drain *)
+  let ids = List.init 100 (fun _ -> Rpc.Continuation.alloc t k) in
+  List.iter (fun id -> ignore (Rpc.Continuation.cancel t id)) ids;
+  let n = 10_240 in
+  let words_of round =
+    Gc.minor ();
+    let before = Gc.minor_words () in
+    for i = 1 to n do
+      round i
+    done;
+    Gc.minor ();
+    Gc.minor_words () -. before
+  in
+  let base = words_of (fun i -> ignore (Sys.opaque_identity i)) in
+  let words =
+    words_of (fun i ->
+        let x = Rpc.Continuation.alloc t k in
+        let y = Rpc.Continuation.alloc t k in
+        ignore (Sys.opaque_identity (Rpc.Continuation.fire t x i));
+        ignore (Sys.opaque_identity (Rpc.Continuation.cancel t y)))
+  in
+  checkb
+    (Printf.sprintf "%.0f words over %d rounds" (words -. base) n)
+    true
+    (words -. base <= 64.)
+
 let continuation_matches_reference_model =
   QCheck.Test.make
     ~name:"continuation table behaves like a reference map" ~count:300
@@ -835,6 +876,8 @@ let () =
             test_continuation_fire_and_recycle;
           Alcotest.test_case "growth" `Quick test_continuation_growth;
           Alcotest.test_case "unknown ids" `Quick test_continuation_unknown_ids;
+          Alcotest.test_case "LIFO ids, and no allocation once grown" `Quick
+            test_continuation_lifo_and_allocation_free;
         ]
         @ qsuite [ continuation_matches_reference_model ] );
     ]

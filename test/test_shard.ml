@@ -27,8 +27,9 @@ let test_pingpong () =
   let rec hop s at hops () =
     note logs engines s (Printf.sprintf "hop%d" hops) ();
     if hops < 3 then
-      Sim.Shard_engine.post t ~src:s ~dst:(1 - s) ~at:(at + la)
-        (hop (1 - s) (at + la) (hops + 1))
+      ignore
+        (Sim.Shard_engine.post t ~src:s ~dst:(1 - s) ~at:(at + la)
+           (hop (1 - s) (at + la) (hops + 1)))
   in
   ignore (Sim.Engine.schedule_at engines.(0) ~at:1000 (hop 0 1000 0));
   Sim.Shard_engine.run t ~until:(Sim.Units.ms 1);
@@ -44,12 +45,13 @@ let test_lookahead_violation_raises () =
   let t = uniform engines in
   checkb "post under lookahead rejected" true
     (try
-       Sim.Shard_engine.post t ~src:0 ~dst:1 ~at:(la - 1) (fun () -> ());
+       ignore
+         (Sim.Shard_engine.post t ~src:0 ~dst:1 ~at:(la - 1) (fun () -> ()));
        false
      with Invalid_argument _ -> true);
   checkb "post at exactly lookahead ok" true
     (try
-       Sim.Shard_engine.post t ~src:0 ~dst:1 ~at:la (fun () -> ());
+       ignore (Sim.Shard_engine.post t ~src:0 ~dst:1 ~at:la (fun () -> ()));
        true
      with Invalid_argument _ -> false)
 
@@ -104,20 +106,23 @@ let test_matrix_lookahead () =
      silently model a faster wire than the topology has *)
   checkb "under-latency post on the long link rejected" true
     (try
-       Sim.Shard_engine.post t ~src:0 ~dst:1 ~at:(Sim.Units.us 2)
-         (fun () -> ());
+       ignore
+         (Sim.Shard_engine.post t ~src:0 ~dst:1 ~at:(Sim.Units.us 2)
+            (fun () -> ()));
        false
      with Invalid_argument _ -> true);
   checkb "same delivery time fine on the short link" true
     (try
-       Sim.Shard_engine.post t ~src:1 ~dst:0 ~at:(Sim.Units.us 2)
-         (fun () -> ());
+       ignore
+         (Sim.Shard_engine.post t ~src:1 ~dst:0 ~at:(Sim.Units.us 2)
+            (fun () -> ()));
        true
      with Invalid_argument _ -> false);
   checkb "post at exactly the pair latency ok" true
     (try
-       Sim.Shard_engine.post t ~src:0 ~dst:1 ~at:(Sim.Units.us 10)
-         (fun () -> ());
+       ignore
+         (Sim.Shard_engine.post t ~src:0 ~dst:1 ~at:(Sim.Units.us 10)
+            (fun () -> ()));
        true
      with Invalid_argument _ -> false)
 
@@ -182,8 +187,9 @@ let run_plan ?latency ~shards (plan : op list) : (int * string) list array =
                    match latency with None -> la | Some m -> m.(s).(dst)
                  in
                  let at = Sim.Engine.now engines.(s) + wire + op.delta in
-                 Sim.Shard_engine.post t ~src:s ~dst ~at
-                   (note logs engines dst (Printf.sprintf "msg%d" i)))))
+                 ignore
+                   (Sim.Shard_engine.post t ~src:s ~dst ~at
+                      (note logs engines dst (Printf.sprintf "msg%d" i))))))
     plan;
   Sim.Shard_engine.run t ~until:(Sim.Units.ms 2);
   Array.map List.rev logs

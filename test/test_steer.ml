@@ -210,7 +210,9 @@ let compile_eval_equiv =
           | Ok v ->
               let p = Nic.Steer_verify.program v in
               Nic.Steer.compile ~rss p f = Nic.Steer.eval ~rss p f)
-        Nic.Steer.builtins)
+        (* a rule-less program with a queue default compiles to a
+           constant, as rss_all compiles to [rss] itself *)
+        (prog ~default:(Nic.Steer.Queue 2) "queue_all" [] :: Nic.Steer.builtins))
 
 (* The bitwise Toeplitz hash as the RSS spec defines it, the library's
    implementation before it became table-driven: for every set input
