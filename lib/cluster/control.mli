@@ -1,6 +1,6 @@
 (** The rack's master/worker control plane.
 
-    A master (conventionally co-located with the ToR switch's shard)
+    A master (conventionally behind the ToR switch)
     tracks the lifecycle of [hosts] workers: a host {!register}s when
     it comes up, is health-checked every [probe_period], is marked
     {!Dead} when a probe goes unanswered for a full period, and comes
@@ -11,7 +11,7 @@
     re-registrations immediately.
 
     Probes are sent through the caller-supplied [probe] callback (in a
-    rack, a closure posted across the shard boundary to the host, whose
+    rack, a closure posted across the host's wire, whose
     reply posts {!ack} back), so the control plane itself is pure
     deterministic bookkeeping on the master's engine. *)
 

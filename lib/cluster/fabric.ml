@@ -1,28 +1,22 @@
-(* Rack glue: engines, the shard lookahead matrix, the switch, and the
-   wires between them. See the interface for the topology; the
-   invariant maintained here is that every cross-shard hand-off goes
-   through Shard_engine.post with exactly the wire latency the
-   lookahead matrix promises, so the conservative windows are as wide
-   as the topology allows and the merge-order determinism contract
-   holds for whole racks.
+(* Rack glue: the one engine, the switch, and the wires between them.
+   See the interface for the topology; the invariant maintained here is
+   that every hand-off onto a wire runs exactly that wire's latency
+   later, computed here from the port's configuration.
 
    A frame on a wire allocates nothing of its own. Each switch port has
    two wires, one toward the switch and one away from it (port [hosts]
    is the uplink), and each wire is a {!Sim.Fifo} of the frames in
    flight plus one arrival closure built at [create]. A wire has one
-   constant latency, so its arrivals fire in send order (a shard post
-   merges same-time messages from one source in posting order, and the
-   engine breaks same-instant ties by scheduling order): each arrival
-   pops the oldest frame. A host's wires cross shards, through
-   Shard_engine.post with the wire's arrival as the message; a frame is
-   pushed only once the post is accepted, so a wire the fault seam cuts
-   loses the frame without desynchronising its FIFO. The uplink's wires
-   stay on the master shard and are plain engine events. *)
+   constant latency, so its arrivals fire in send order (the engine
+   breaks same-instant ties by scheduling order): each arrival pops the
+   oldest frame. A host's wire consults the wire-fault seam first; a
+   frame is pushed only once the seam accepts it, so a wire the seam
+   cuts loses the frame without desynchronising its FIFO. The uplink's
+   wires stay outside the seam. *)
 
 type t = {
   hosts : int;
-  engines : Sim.Engine.t array; (* hosts + 1; last = switch/master *)
-  shard : Sim.Shard_engine.t;
+  engine : Sim.Engine.t;
   switch : Switch.t;
   links : Switch.port_conf array; (* per host port *)
   uplink_conf : Switch.port_conf;
@@ -34,6 +28,9 @@ type t = {
   mutable inbound_arrive : (unit -> unit) array;
   outbound : Net.Frame.t Sim.Fifo.t array;
   mutable outbound_arrive : (unit -> unit) array;
+  (* the wire-fault seam; [None] (the default) costs one load-and-branch
+     per hand-off *)
+  mutable link_fault : (src:int -> dst:int -> at:Sim.Units.time -> bool) option;
   mutable n_undeliverable : int;
   mutable n_link_drops : int;  (* wire-fault losses *)
 }
@@ -69,25 +66,37 @@ let[@hot_path] arrive_outbound t port () =
   | Some ingress -> ingress frame
   | None -> t.n_undeliverable <- t.n_undeliverable + 1
 
-(* Put [frame] on a host's wire, [src] → [dst] across shards. *)
-let[@hot_path] send_across t ~src ~dst ~at wire arrive frame =
-  if Sim.Shard_engine.post t.shard ~src ~dst ~at arrive then
-    Sim.Fifo.push wire frame
+(* Hand [fn] onto host [host]'s wire, [src] → [dst] (one of them is the
+   switch, [hosts]): it runs one link latency from now, unless the
+   wire-fault seam cuts it, which is counted. Answers whether the wire
+   accepted it. *)
+let[@hot_path] hand_off t ~host ~src ~dst fn =
+  let at = Sim.Engine.now t.engine + t.links.(host).Switch.latency in
+  let cut =
+    match t.link_fault with
+    | None -> false
+    | Some cut -> cut ~src ~dst ~at
+  in
+  if cut then t.n_link_drops <- t.n_link_drops + 1
+  else ignore (Sim.Engine.schedule_at t.engine ~at fn);
+  not cut
 
-(* Put [frame] on one of the uplink's wires, both of whose ends are on
-   the master shard. *)
+(* Put [frame] on one of host [host]'s wires. *)
+let[@hot_path] send_host t ~host ~src ~dst wire arrive frame =
+  if hand_off t ~host ~src ~dst arrive then Sim.Fifo.push wire frame
+
+(* Put [frame] on one of the uplink's wires. *)
 let[@hot_path] send_uplink t wire arrive frame =
   Sim.Fifo.push wire frame;
   ignore
-    (Sim.Engine.schedule_after t.engines.(t.hosts)
-       ~after:t.uplink_conf.Switch.latency arrive)
+    (Sim.Engine.schedule_after t.engine ~after:t.uplink_conf.Switch.latency
+       arrive)
 
 (* The switch transmits [frame] out of [port]. *)
 let[@hot_path] send_outbound t ~port frame =
   if port < t.hosts then
-    send_across t ~src:t.hosts ~dst:port
-      ~at:(Sim.Engine.now t.engines.(t.hosts) + t.links.(port).Switch.latency)
-      t.outbound.(port) t.outbound_arrive.(port) frame
+    send_host t ~host:port ~src:t.hosts ~dst:port t.outbound.(port)
+      t.outbound_arrive.(port) frame
   else send_uplink t t.outbound.(port) t.outbound_arrive.(port) frame
 
 let create ?(host_link = default_host_link)
@@ -101,27 +110,7 @@ let create ?(host_link = default_host_link)
     | Some _ -> invalid_arg "Fabric.create: host_links size mismatch"
   in
   let n = hosts + 1 in
-  let engines = Array.init n (fun _ -> Sim.Engine.create ()) in
-  let min_link =
-    Array.fold_left
-      (fun acc l -> min acc l.Switch.latency)
-      links.(0).Switch.latency links
-  in
-  (* Per-pair lookahead: host↔switch is the host's wire; host↔host is
-     the two-wire sum (the through-switch lower bound — no direct
-     host↔host posts exist, but the bound is semantically right);
-     diagonals (self-posts, unused) get the shard's own wire. *)
-  let latency =
-    Array.init n (fun i ->
-        Array.init n (fun j ->
-            let l k = links.(k).Switch.latency in
-            if i = j then if i < hosts then l i else min_link
-            else if i < hosts && j < hosts then l i + l j
-            else if i < hosts then l i
-            else l j))
-  in
-  let shard = Sim.Shard_engine.create ~latency engines in
-  let master = engines.(hosts) in
+  let engine = Sim.Engine.create () in
   let t_ref = ref None in
   let deliver ~port frame =
     match !t_ref with
@@ -136,7 +125,7 @@ let create ?(host_link = default_host_link)
     else ports.(hosts) (* everything else exits via the uplink *)
   in
   let switch =
-    Switch.create master
+    Switch.create engine
       ~ports:(Array.append links [| uplink |])
       ?cap_in ?cap_out ?metrics ~route ~deliver ()
   in
@@ -144,8 +133,7 @@ let create ?(host_link = default_host_link)
   let t =
     {
       hosts;
-      engines;
-      shard;
+      engine;
       switch;
       links;
       uplink_conf = uplink;
@@ -155,6 +143,7 @@ let create ?(host_link = default_host_link)
       inbound_arrive = [||];
       outbound = fifos ();
       outbound_arrive = [||];
+      link_fault = None;
       n_undeliverable = 0;
       n_link_drops = 0;
     }
@@ -166,8 +155,9 @@ let create ?(host_link = default_host_link)
 
 let hosts t = t.hosts
 let switch t = t.switch
-let host_engine t h = t.engines.(h)
-let master_engine t = t.engines.(t.hosts)
+let engine t = t.engine
+let host_engine t _ = t.engine
+let master_engine t = t.engine
 let host_endpoint _t host ~port = host_endpoint_ ~host ~port
 
 let connect_host t h ~ingress =
@@ -177,52 +167,27 @@ let connect_host t h ~ingress =
 let connect_uplink t ingress = t.uplink_ingress <- Some ingress
 
 let[@hot_path] host_egress t h frame =
-  send_across t ~src:h ~dst:t.hosts
-    ~at:(Sim.Engine.now t.engines.(h) + t.links.(h).Switch.latency)
-    t.inbound.(h) t.inbound_arrive.(h) frame
+  send_host t ~host:h ~src:h ~dst:t.hosts t.inbound.(h) t.inbound_arrive.(h)
+    frame
 
 let[@hot_path] uplink_send t frame =
   send_uplink t t.inbound.(t.hosts) t.inbound_arrive.(t.hosts) frame
 
 let post_to_host t ~host fn =
-  ignore
-    (Sim.Shard_engine.post t.shard ~src:t.hosts ~dst:host
-       ~at:(Sim.Engine.now (master_engine t) + t.links.(host).Switch.latency)
-       fn)
+  ignore (hand_off t ~host ~src:t.hosts ~dst:host fn)
 
 let post_to_master t ~host fn =
-  ignore
-    (Sim.Shard_engine.post t.shard ~src:host ~dst:t.hosts
-       ~at:(Sim.Engine.now t.engines.(host) + t.links.(host).Switch.latency)
-       fn)
+  ignore (hand_off t ~host ~src:host ~dst:t.hosts fn)
 
-(* The per-pair wire fault seam: [cut] (a pure function of shard ids
-   and time — in practice a Fault.Plan flap/partition schedule compiled
-   by Fault.Rack_chaos) decides, per post, whether the wire eats the
-   message; the fabric counts the loss before swallowing it, so
-   nothing is silent. *)
-let set_link_fault t cut =
-  match cut with
-  | None -> Sim.Shard_engine.set_wire_fault t.shard None
-  | Some cut ->
-      Sim.Shard_engine.set_wire_fault t.shard
-        (Some
-           (fun ~src ~dst ~at ->
-             cut ~src ~dst ~at
-             && begin
-                  t.n_link_drops <- t.n_link_drops + 1;
-                  true
-                end))
-[@@fault_seam]
+(* The wire fault seam: [cut] (a pure function of wire ends and time —
+   in practice a Fault.Plan flap/partition schedule compiled by
+   Fault.Rack_chaos) decides, per hand-off, whether the wire eats it;
+   {!hand_off} counts the loss, so nothing is silent. *)
+let set_link_fault t cut = t.link_fault <- cut [@@fault_seam]
 
 let link_drops_total t = t.n_link_drops
-
-let run t ~until = Sim.Shard_engine.run t.shard ~until
-
+let run t ~until = Sim.Engine.run t.engine ~until
 let undeliverable t = t.n_undeliverable
-
-let windows_run t = Sim.Shard_engine.windows_run t.shard
-let messages_merged t = Sim.Shard_engine.messages_merged t.shard
-
-let events_processed t =
-  Array.fold_left (fun acc e -> acc + Sim.Engine.events_processed e) 0 t.engines
+let windows_run _ = 0
+let messages_merged _ = 0
+let events_processed t = Sim.Engine.events_processed t.engine

@@ -7,20 +7,17 @@
     one head-of-line frame per port per 300 ns, the routed output
     port's finite egress FIFO, and finally that port's transmitter —
     at which point [deliver] fires and the caller carries the frame
-    over the port's wire (e.g. across a {!Sim.Shard_engine} boundary).
+    over the port's wire (as [Fabric] does).
 
     {b Determinism contract}: the delivery order is a pure function of
     each frame's [(arrival time, ingress port)]. Arrivals sharing one
     simulated instant are staged per ingress port and admitted in
     ascending port order, regardless of the event-schedule order that
-    delivered them — this mirrors (and composes with)
-    {!Sim.Shard_engine}'s window merge, which orders same-time
-    cross-shard messages by source shard. Ties never fall back to
-    engine sequence numbers, so the contract survives any
-    event-injection order. The pair is unique per frame on any
-    physical script — a serialized wire delivers at most one frame per
-    instant per port; feeding two same-instant frames into one port
-    falls back to {!ingress} call order.
+    delivered them. Ties never fall back to engine sequence numbers, so
+    the contract survives any event-injection order. The pair is unique
+    per frame on any physical script — a serialized wire delivers at
+    most one frame per instant per port; feeding two same-instant
+    frames into one port falls back to {!ingress} call order.
 
     {b Cost}: a frame's path through the switch allocates nothing. Its
     events are closures built at {!create} (one sweep per instant, one
@@ -37,7 +34,7 @@
 type port_conf = {
   latency : Sim.Units.duration;
       (** Wire latency between this port and its device — exported for
-          the fabric's lookahead matrix; the switch itself does not
+          the fabric's wires; the switch itself does not
           consume it (delivery happens at transmit-complete, the wire
           crossing is the caller's). *)
   tx : Sim.Units.duration;

@@ -18,7 +18,10 @@ type sanitizer_event =
    still travels beside the respawned thread's new one. *)
 
 let no_fill_callback (_ : fill) = ()
-let no_fetch_callback (_ : bytes option) = ()
+let no_fetch_callback (_ : bytes) = ()
+
+(* A fresh block, so no line the CPU stores is physically equal to it. *)
+let no_copy = Bytes.create 0
 let nop () = ()
 
 type line = {
@@ -27,7 +30,8 @@ type line = {
   mutable parked : fill -> unit;  (* [no_fill_callback] when none is *)
   mutable timer : Sim.Engine.handle;  (* the parked load's timeout *)
   mutable timeout_fires : unit -> unit;  (* built once, by [alloc_line] *)
-  mutable cpu_copy : bytes option;  (* last CPU store, until fetched *)
+  mutable cpu_copy : bytes;
+      (* last CPU store, until fetched; [no_copy] when there is none *)
   mutable on_load : (served:bool -> unit) option;
   mutable on_store : (bytes -> unit) option;
   mutable gen : int;
@@ -57,7 +61,7 @@ type t = {
   store_line : int Sim.Fifo.t;
   store_data : bytes Sim.Fifo.t;
   fetch_line : int Sim.Fifo.t;
-  fetch_k : (bytes option -> unit) Sim.Fifo.t;
+  fetch_k : (bytes -> unit) Sim.Fifo.t;
   (* The event closures for each kind, built once by [create]. *)
   mutable request_lands : unit -> unit;
   mutable response_lands : unit -> unit;
@@ -160,7 +164,7 @@ let fetch_lands t () =
   let ln = t.lines.(Sim.Fifo.pop t.fetch_line) in
   let k = Sim.Fifo.pop t.fetch_k in
   let data = ln.cpu_copy in
-  ln.cpu_copy <- None;
+  ln.cpu_copy <- no_copy;
   k data
 
 let create engine prof ?stage_delay ~timeout () =
@@ -211,7 +215,7 @@ let alloc_line t =
       parked = no_fill_callback;
       timer = Sim.Engine.no_handle;
       timeout_fires = nop;
-      cpu_copy = None;
+      cpu_copy = no_copy;
       on_load = None;
       on_store = None;
       gen = 0;
@@ -289,14 +293,14 @@ let reset_line t id =
   if is_parked ln then ignore (unpark t ln : fill -> unit);
   ln.gen <- ln.gen + 1;
   ln.staged <- Tryagain;
-  ln.cpu_copy <- None;
+  ln.cpu_copy <- no_copy;
   match t.sanitizer with
   | None -> ()
   | Some observe -> observe (Reset { line = ln.id; new_gen = ln.gen })
 
 let cpu_store t id data =
   let ln = line t id in
-  ln.cpu_copy <- Some data;
+  ln.cpu_copy <- data;
   Sim.Fifo.push t.store_line ln.id;
   Sim.Fifo.push t.store_data data;
   ignore

@@ -116,10 +116,15 @@ val cpu_store : t -> line_id -> bytes -> unit
 (** CPU writes the line; the device's [on_store] callback fires after
     the store-release latency. *)
 
-val fetch_exclusive : t -> line_id -> (bytes option -> unit) -> unit
+val no_copy : bytes
+(** What {!fetch_exclusive} yields when the CPU holds no copy of the
+    line. Compare with [==]: no line the CPU stores is physically equal
+    to it. *)
+
+val fetch_exclusive : t -> line_id -> (bytes -> unit) -> unit
 (** Device pulls the line from the CPU cache; yields the bytes of the
-    last [cpu_store], or [None] if the CPU never wrote it. The CPU's
-    copy is invalidated. *)
+    last [cpu_store], or {!no_copy} if the CPU never wrote it. The
+    CPU's copy is invalidated. *)
 
 (** {1 Transaction accounting (bus-traffic experiments)} *)
 

@@ -4,7 +4,7 @@ type t = {
   eid : int;
   ctrl : Coherence.Home_agent.line_id array;
   on_response : bytes -> unit;
-  fetched : (bytes option -> unit) array;
+  fetched : (bytes -> unit) array;
       (* the fetch-exclusive callback of each CONTROL line *)
   mutable on_parked : (unit -> unit) option;
   requests : bytes array;  (* the NIC's image of each CONTROL line ... *)
@@ -147,25 +147,22 @@ let finish t line =
    in place and handed on whole. A response held back for its aux lines
    or DMA is copied first: the CPU may write its next response into the
    same image before this one is finished. *)
-let fetched t c data =
-  match data with
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Endpoint %d: fetch-exclusive found no response in line %d" t.eid
-           c)
-  | Some line ->
-      if not (Message.response_ok line) then
-        invalid_arg
-          (Printf.sprintf "Endpoint %d: bad response line in line %d" t.eid c);
-      let delay = extra_response_delay t line in
-      if delay = 0 then finish t line
-      else begin
-        let held = Bytes.copy line in
-        ignore
-          (Sim.Engine.schedule_after (engine t) ~after:delay (fun () ->
-               finish t held))
-      end
+let fetched t c line =
+  if line == Coherence.Home_agent.no_copy then
+    invalid_arg
+      (Printf.sprintf
+         "Endpoint %d: fetch-exclusive found no response in line %d" t.eid c);
+  if not (Message.response_ok line) then
+    invalid_arg
+      (Printf.sprintf "Endpoint %d: bad response line in line %d" t.eid c);
+  let delay = extra_response_delay t line in
+  if delay = 0 then finish t line
+  else begin
+    let held = Bytes.copy line in
+    ignore
+      (Sim.Engine.schedule_after (engine t) ~after:delay (fun () ->
+           finish t held))
+  end
 
 let on_ctrl_load t j ~served =
   let c = t.collect_head in

@@ -97,16 +97,16 @@ let run () =
   let plan = plan () in
   let metrics = Obs.Metrics.create () in
   let rack = Rack.make_rack ~fault:plan ~metrics ~hosts () in
-  let master = Cluster.Fabric.master_engine rack.Rack.fabric in
+  let engine = Cluster.Fabric.engine rack.Rack.fabric in
   let online = Obs.Online.create () in
   (* open-loop arrivals with a retrying client, as in E17's failure
      run, but against the soak's own horizon *)
   let rng = Sim.Rng.create ~seed:1920 in
   let setup = rack.Rack.servers.(0).Common.setup in
   let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
-  Workload.Arrivals.open_loop master rng ~rate_per_s:rate ~until:horizon
+  Workload.Arrivals.open_loop engine rng ~rate_per_s:rate ~until:horizon
     (fun ~seq:_ ->
-      let t0 = Sim.Engine.now master in
+      let t0 = Sim.Engine.now engine in
       ignore
         (Harness.Client.call_id ~timeout:(Sim.Units.us 250) ~retries:8
            ~backoff:1.5 ~max_timeout:(Sim.Units.ms 2) ~jitter:0.25
@@ -114,7 +114,7 @@ let run () =
            ~port:rack.Rack.service_port
            (Rpc.Value.Blob (Bytes.make 64 'w'))
            (fun _ ->
-             let d = Sim.Engine.now master - t0 in
+             let d = Sim.Engine.now engine - t0 in
              Sim.Histogram.record rack.Rack.latencies d;
              Obs.Online.record online d)));
   (* steering bound: once the Master->3 partition is two probe periods
@@ -123,19 +123,19 @@ let run () =
   let steered_at_bound = ref 0 in
   let steered_at_heal = ref 0 in
   ignore
-    (Sim.Engine.schedule_at master
+    (Sim.Engine.schedule_at engine
        ~at:(p3_start + (2 * probe_period))
        (fun () ->
          steered_at_bound := (Cluster.Control.steered rack.Rack.control).(3)));
   ignore
-    (Sim.Engine.schedule_at master ~at:p3_end (fun () ->
+    (Sim.Engine.schedule_at engine ~at:p3_end (fun () ->
          steered_at_heal := (Cluster.Control.steered rack.Rack.control).(3)));
   (* master-restart recovery: by two lease timeouts after the restart
      every worker has re-registered under the new generation *)
   let restart_at = frac 45 + max (Sim.Units.ms 1) (frac 4) in
   let alive_after_restart = ref 0 in
   ignore
-    (Sim.Engine.schedule_at master
+    (Sim.Engine.schedule_at engine
        ~at:(restart_at + (2 * lease_timeout))
        (fun () ->
          for h = 0 to hosts - 1 do

@@ -42,6 +42,19 @@ let sanitize_env_enabled () =
   | Some ("1" | "true" | "yes") -> true
   | Some _ | None -> false
 
+(* The sanitizer session of a caller that owns [engine] and hands it to
+   [make_server]: under LAUBERHORN_SANITIZE, a session with the
+   event-loop watch attached to [engine]. An engine has one monitor, and
+   [make_server] watches only an engine it created itself, so an engine
+   that many servers share (a rack's) is watched once, by its owner. *)
+let engine_sanitizer engine =
+  if sanitize_env_enabled () then begin
+    let z = Sanitize.create engine in
+    Sanitize.Engine_watch.attach z engine;
+    Some z
+  end
+  else None
+
 (* Build a server hosting [setup]'s services under the given flavour.
    [engine]/[egress] default to a private engine recording into the
    server's own recorder; lossy runs supply both (the chaos harness
@@ -50,7 +63,10 @@ let sanitize_env_enabled () =
    baselines, coherence fills for Lauberhorn). [tap] observes every
    frame crossing the server's edge — ingress requests and egress
    responses — e.g. for pcap capture. The server's tracer starts
-   disabled; enable it to collect per-RPC stage spans. *)
+   disabled; enable it to collect per-RPC stage spans. [sanitize]
+   defaults to a session of the server's own under LAUBERHORN_SANITIZE;
+   it watches the event loop only of an engine [make_server] created
+   (see [engine_sanitizer]). *)
 let make_server ?(ncores = 8) ?(min_workers = 1) ?(max_workers = 2) ?engine
     ?(fault = Fault.Plan.none) ?egress ?tap ?metrics ?sanitize ?steering
     flavour setup =
@@ -60,8 +76,10 @@ let make_server ?(ncores = 8) ?(min_workers = 1) ?(max_workers = 2) ?engine
         "Common.make_server: verified steering programs require the Bypass \
          flavour (the poll-mode stack where any lane serves any port)"
   | _ -> ());
-  let engine =
-    match engine with Some e -> e | None -> Sim.Engine.create ()
+  let own_engine, engine =
+    match engine with
+    | Some e -> (false, e)
+    | None -> (true, Sim.Engine.create ())
   in
   let sanitize =
     match sanitize with
@@ -71,8 +89,8 @@ let make_server ?(ncores = 8) ?(min_workers = 1) ?(max_workers = 2) ?engine
         else None
   in
   (match sanitize with
-  | None -> ()
-  | Some z -> Sanitize.Engine_watch.attach z engine);
+  | Some z when own_engine -> Sanitize.Engine_watch.attach z engine
+  | Some _ | None -> ());
   let recorder = Harness.Recorder.create engine in
   let tracer = Obs.Tracer.create () in
   let egress =
@@ -297,6 +315,7 @@ let lossy_run ?(ncores = 4) ?(nservices = 1) ?(min_workers = 1)
   in
   let server =
     make_server ~ncores ~min_workers ~max_workers ~engine ~fault:plan
+      ?sanitize:(engine_sanitizer engine)
       ~egress:(Harness.Chaos.egress chaos) flavour setup
   in
   Harness.Chaos.connect chaos server.driver;

@@ -73,7 +73,10 @@ let run_crash ?sanitize ~server_fault flavour =
   in
   let server =
     Common.make_server ~ncores:4 ~engine ~fault:plan ~metrics
-      ?sanitize:(Option.map (fun f -> f engine) sanitize)
+      ?sanitize:
+        (match sanitize with
+        | Some f -> Some (f engine)
+        | None -> Common.engine_sanitizer engine)
       ~egress:(Harness.Chaos.egress chaos) flavour setup
   in
   Harness.Chaos.connect chaos server.Common.driver;

@@ -9,13 +9,13 @@
    service → reply path — stitches into one causal tree whose stage
    durations sum EXACTLY to the client-observed end-to-end latency.
    The trace context rides inside the frames (Rpc.Wire_format's
-   16-byte extension), each plane traces only on its own shard, and
+   16-byte extension), each plane traces only its own events, and
    Obs.Stitch reassembles post-run; exactness is re-verified in-run
    for every completed RPC.
 
    Alongside, every registry — eight host stacks, the switch, the
    control plane — merges into one rack-wide snapshot in fixed
-   (shard, name) order. Everything printed is a pure function of the
+   (plane, name) order. Everything printed is a pure function of the
    simulation: the whole digest, with tracing armed, is byte-identical
    run to run (scripts/gates.sh double-runs it and re-runs it under
    the sanitizers, artefacts included).
@@ -60,14 +60,14 @@ let traced_run () =
   (* E14-style arrivals, but open-loop across the rack and keeping our
      own (rpc_id, latency) log so the stitched trees can be checked
      against the client's measurement per RPC *)
-  let master = Cluster.Fabric.master_engine rack.Rack.fabric in
+  let engine = Cluster.Fabric.engine rack.Rack.fabric in
   let rng = Sim.Rng.create ~seed in
   let setup = rack.Rack.servers.(0).Common.setup in
   let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
   let completions = ref [] in
-  Workload.Arrivals.open_loop master rng ~rate_per_s:rate ~until:horizon
+  Workload.Arrivals.open_loop engine rng ~rate_per_s:rate ~until:horizon
     (fun ~seq:_ ->
-      let t0 = Sim.Engine.now master in
+      let t0 = Sim.Engine.now engine in
       let id = ref 0 in
       id :=
         Int64.to_int
@@ -75,7 +75,7 @@ let traced_run () =
              ~port:rack.Rack.service_port
              (Rpc.Value.Blob (Bytes.make 64 'w'))
              (fun _ ->
-               let latency = Sim.Engine.now master - t0 in
+               let latency = Sim.Engine.now engine - t0 in
                Sim.Histogram.record rack.Rack.latencies latency;
                completions := (!id, latency) :: !completions)));
   Cluster.Fabric.run rack.Rack.fabric ~until:(horizon + drain);
@@ -229,7 +229,6 @@ let run () =
   Common.note "%d hosts at %s, tracing armed on every shard" hosts
     (Common.rate_str rate);
   let r = traced_run () in
-  Common.note "%s" (Rack.occupancy r.rack);
   Common.note_lines "armed rack" (digest_lines r);
   Common.note "";
   Common.note "exports (to $E18_OUT_DIR, default artifacts/):";

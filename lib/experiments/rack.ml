@@ -1,17 +1,15 @@
 (* E17 — rack-scale cluster: N Lauberhorn hosts behind a ToR switch
    (lib/cluster), a master/worker control plane, and a rack-level load
-   balancer, all mapped one-host-per-shard onto the conservative-PDES
-   engine.
+   balancer, all on the fabric's one engine.
 
-   Topology: shards 0..N-1 each run a full Lauberhorn host (own NIC
-   pipeline, kernel, scheduler mirror); shard N runs the switch, the
+   Topology: each host runs a full Lauberhorn stack (own NIC pipeline,
+   kernel, scheduler mirror) behind its own wire; the switch, the
    master control plane, and the clients hanging off the switch's
-   uplink port. Every frame pays its real path — client → uplink wire →
-   switch (finite per-port queues, crossbar, per-port tx serialization)
-   → host wire → host NIC, and back — and every control message (probe,
-   ack, register, kill) crosses the same wires as closure posts. The
-   shard lookahead is the per-pair wire-latency matrix, so the
-   conservative window width equals the shortest link.
+   uplink port sit at the other ends. Every frame pays its real path —
+   client → uplink wire → switch (finite per-port queues, crossbar,
+   per-port tx serialization) → host wire → host NIC, and back — and
+   every control message (probe, ack, register, kill) crosses the same
+   wires as a closure hand-off.
 
    Part (a), load sweep: an 8-host rack at two rack-wide offered loads,
    then a 16-host point. Each prints per-host handled counts, switch
@@ -28,8 +26,7 @@
    shedding window on host 5 shows the same steering reaction without a
    death.
 
-   Wall-clock never appears on stdout; events/window is the
-   machine-independent window-occupancy measure. *)
+   Wall-clock never appears on stdout. *)
 
 let sweep_hosts = 8
 let big_hosts = 16
@@ -50,7 +47,7 @@ type rack = {
   latencies : Sim.Histogram.t;
   servers : Common.server array;
   handled : int array; (* per-host RPCs handled by the service *)
-  alive : bool array; (* host-shard liveness flags (probe targets) *)
+  alive : bool array; (* per-host liveness flags (probe targets) *)
   service_port : int;
   mutable unsteered : int; (* calls issued while no host was steerable *)
   mutable resteered : int; (* retransmits moved off a dead host *)
@@ -62,26 +59,30 @@ type rack = {
   chaos : Fault.Rack_chaos.t option; (* armed cluster fault driver (E19) *)
   leases : Cluster.Control.Worker_lease.t option array;
       (* per-host master leases, installed only when chaos is armed *)
+  sanitize : Sanitize.t option;
+      (* the session watching the rack's one engine, under
+         LAUBERHORN_SANITIZE; each host's own session watches its pool,
+         coherence and mirror *)
 }
 
 (* Build N Lauberhorn hosts on a fabric, register them with the master,
    and wire a steering client behind the uplink. Deterministic: all
-   cross-shard traffic rides Fabric posts.
+   traffic between hosts and the master crosses Fabric wires.
 
    [obs], when given, arms the cross-fabric tracing plane (E18): the
-   tracer lives on the master shard and records the client-side chain —
+   tracer lives at the master and records the client-side chain —
    uplink wire, switch ingress/crossbar/egress, the wire to the host —
    then skips over the interval the host's own stack tracer covers
    (every host tracer is enabled and records against the same trace id,
    carried in the frames' Wire_format context extension) and resumes on
    the reply path. Obs.Stitch reassembles the per-plane chains into one
-   causal tree per RPC whose stages tile [send, reply] exactly. All
-   emission happens on the owning shard (host tracers on host shards,
-   the master tracer on master-shard events only), so arming changes no
-   timing and breaks no determinism.
+   causal tree per RPC whose stages tile [send, reply] exactly. Each
+   tracer is written only by its own plane's events (a host's by its
+   stack, the master's by the switch hooks and the client), so arming
+   changes no timing and breaks no determinism.
 
-   [domains] is a leftover label: the rack runs in one domain, and any
-   other value is refused. *)
+   [domains] is kept only because perfbench passes [~domains:1]: the
+   rack runs in one domain, and any other value is refused. *)
 let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
   (match domains with
   | None | Some 1 -> ()
@@ -89,7 +90,8 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
       invalid_arg
         (Printf.sprintf "Rack.make_rack: %d domains (only 1 is supported)" d));
   let fabric = Cluster.Fabric.create ~host_link ~uplink ?metrics ~hosts () in
-  let master = Cluster.Fabric.master_engine fabric in
+  let engine = Cluster.Fabric.engine fabric in
+  let sanitize = Common.engine_sanitizer engine in
   let setup = Workload.Scenario.echo_fleet ~n:1 ~handler_time () in
   let service_port = Workload.Scenario.port_of setup ~service_idx:0 in
   let handled = Array.make hosts 0 in
@@ -98,8 +100,7 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
     Array.init hosts (fun h ->
         let server =
           Common.make_server ~ncores:4 ~max_workers:3
-            ~engine:(Cluster.Fabric.host_engine fabric h)
-            ~egress:(Cluster.Fabric.host_egress fabric h)
+            ~engine ~egress:(Cluster.Fabric.host_egress fabric h)
             (Common.Lauberhorn
                (Lauberhorn.Config.enzian, Lauberhorn.Sched_mirror.Push))
             setup
@@ -120,7 +121,7 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
   let rack_ref = ref None in
   let leases = Array.make hosts None in
   let control =
-    Cluster.Control.create master ~hosts ~probe_period
+    Cluster.Control.create engine ~hosts ~probe_period
       ~probe:(fun ~host ->
         (* The epoch rides the probe: the host echoes it back in the
            ack, so an ack minted against a pre-restart registration is
@@ -144,13 +145,13 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
       ~on_dead:(fun ~host ->
         match !rack_ref with
         | Some r ->
-            r.dead_at <- (host, Sim.Engine.now master) :: r.dead_at;
+            r.dead_at <- (host, Sim.Engine.now engine) :: r.dead_at;
             r.steered_at_death <- Cluster.Control.steered r.control
         | None -> ())
       ~on_alive:(fun ~host ->
         match !rack_ref with
         | Some r ->
-            r.alive_at <- (host, Sim.Engine.now master) :: r.alive_at;
+            r.alive_at <- (host, Sim.Engine.now engine) :: r.alive_at;
             r.steered_at_rereg <- Cluster.Control.steered r.control
         | None -> ())
       ?metrics ()
@@ -299,7 +300,7 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
                 (* open the causal root at first transmission and
                    carry the trace context inside the frame, across
                    the switch, to the serving host's tracer *)
-                let now = Sim.Engine.now master in
+                let now = Sim.Engine.now engine in
                 if not (Obs.Tracer.is_open tr ~rpc:id) then
                   Obs.Tracer.rpc_begin tr ~rpc:id
                     ~track:(Obs.Tracer.track tr "client")
@@ -326,7 +327,7 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
             (Net.Frame.redirect frame ~dst:host_eps.(target))
         end
   in
-  let client = Harness.Client.create master ~send ?metrics () in
+  let client = Harness.Client.create engine ~send ?metrics () in
   let uplink_rx frame =
     (match obs with
     | None -> ()
@@ -337,7 +338,7 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
         match Rpc.Wire_format.check reply with
         | Ok () when not (Rpc.Wire_format.is_request reply) ->
             Obs.Tracer.rpc_end tr ~rpc:(Rpc.Wire_format.rpc_id reply)
-              (Sim.Engine.now master)
+              (Sim.Engine.now engine)
         | Ok () | Error _ -> ()));
     Harness.Client.on_reply client frame
   in
@@ -368,8 +369,7 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
     Array.iteri
       (fun h (_ : Common.server) ->
         let l =
-          Cluster.Control.Worker_lease.create
-            (Cluster.Fabric.host_engine fabric h)
+          Cluster.Control.Worker_lease.create engine
             ~timeout:(4 * probe_period)
             ~re_register:(fun () ->
               if alive.(h) then
@@ -399,19 +399,20 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
       steered_at_rereg = Array.make hosts 0;
       chaos;
       leases;
+      sanitize;
     }
   in
   rack_ref := Some rack;
   rack
 
 let setup_arrivals ?(timeout = None) rack ~rate ~seed =
-  let master = Cluster.Fabric.master_engine rack.fabric in
+  let engine = Cluster.Fabric.engine rack.fabric in
   let rng = Sim.Rng.create ~seed in
   let setup = rack.servers.(0).Common.setup in
   let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
-  Workload.Arrivals.open_loop master rng ~rate_per_s:rate ~until:horizon
+  Workload.Arrivals.open_loop engine rng ~rate_per_s:rate ~until:horizon
     (fun ~seq:_ ->
-      let t0 = Sim.Engine.now master in
+      let t0 = Sim.Engine.now engine in
       match timeout with
       | None ->
           Harness.Client.call rack.client ~service_id ~method_id:0
@@ -419,7 +420,7 @@ let setup_arrivals ?(timeout = None) rack ~rate ~seed =
             (Rpc.Value.Blob (Bytes.make 64 'w'))
             (fun _ ->
               Sim.Histogram.record rack.latencies
-                (Sim.Engine.now master - t0))
+                (Sim.Engine.now engine - t0))
       | Some (timeout, retries) ->
           ignore
             (Harness.Client.call_id ~timeout ~retries ~backoff:1.5
@@ -428,9 +429,11 @@ let setup_arrivals ?(timeout = None) rack ~rate ~seed =
                (Rpc.Value.Blob (Bytes.make 64 'w'))
                (fun _ ->
                  Sim.Histogram.record rack.latencies
-                   (Sim.Engine.now master - t0))))
+                   (Sim.Engine.now engine - t0))))
 
-let finish rack = Array.iter Common.close rack.servers
+let finish rack =
+  Array.iter Common.close rack.servers;
+  Option.iter Sanitize.finish rack.sanitize
 
 let quantile rack p =
   if Harness.Client.completed rack.client = 0 then 0
@@ -471,28 +474,18 @@ let load_run ~hosts ~rate ~seed =
   finish rack;
   rack
 
-(* Window occupancy, the machine-independent measure of how much work
-   each conservative window carries. *)
-let occupancy rack =
-  let windows = Cluster.Fabric.windows_run rack.fabric in
-  Printf.sprintf "windows=%d events/window=%d" windows
-    (if windows = 0 then 0
-     else Cluster.Fabric.events_processed rack.fabric / windows)
-
 let run_sweep () =
   List.iter
     (fun rate ->
       Common.note "rack load %s over %d hosts, RR balancer, probes every %s"
         (Common.rate_str rate) sweep_hosts (Common.ns probe_period);
       let rack = load_run ~hosts:sweep_hosts ~rate ~seed:1717 in
-      Common.note "%s" (occupancy rack);
       Common.note_lines "rack" (digest_lines rack))
     rates
 
 let run_big () =
   let rack = load_run ~hosts:big_hosts ~rate:400_000. ~seed:1718 in
-  Common.note "%d-host rack at %s: %s" big_hosts (Common.rate_str 400_000.)
-    (occupancy rack);
+  Common.note "%d-host rack at %s" big_hosts (Common.rate_str 400_000.);
   Common.note_lines "rack" (digest_lines rack)
 
 (* ---------- part (b): host failure, detection, re-steering ---------- *)
@@ -507,23 +500,19 @@ let failure_drain = Sim.Units.ms 30
 
 let run_failure () =
   let rack = make_rack ~hosts:sweep_hosts () in
-  let master = Cluster.Fabric.master_engine rack.fabric in
+  let engine = Cluster.Fabric.engine rack.fabric in
   let setup = rack.servers.(0).Common.setup in
   let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
-  (* the kill and the respawn are host-local events on the victim's
-     shard: the service process crashes where it stands, and the
-     respawn re-registers with the master across the wire *)
+  (* the kill and the respawn are host-local events on the victim: the
+     service process crashes where it stands, and the respawn
+     re-registers with the master across the wire *)
   ignore
-    (Sim.Engine.schedule_at
-       (Cluster.Fabric.host_engine rack.fabric victim)
-       ~at:kill_at
+    (Sim.Engine.schedule_at engine ~at:kill_at
        (fun () ->
          rack.alive.(victim) <- false;
          rack.servers.(victim).Common.kill_service ~service_id));
   ignore
-    (Sim.Engine.schedule_at
-       (Cluster.Fabric.host_engine rack.fabric victim)
-       ~at:respawn_at
+    (Sim.Engine.schedule_at engine ~at:respawn_at
        (fun () ->
          rack.servers.(victim).Common.restart_service ~service_id;
          rack.alive.(victim) <- true;
@@ -532,18 +521,18 @@ let run_failure () =
   (* a shedding window on another host: the admission-control signal
      reaches the master and steering reacts, no death involved *)
   ignore
-    (Sim.Engine.schedule_at master ~at:shed_from (fun () ->
+    (Sim.Engine.schedule_at engine ~at:shed_from (fun () ->
          Cluster.Control.set_shedding rack.control ~host:shed_host true));
   ignore
-    (Sim.Engine.schedule_at master ~at:shed_until (fun () ->
+    (Sim.Engine.schedule_at engine ~at:shed_until (fun () ->
          Cluster.Control.set_shedding rack.control ~host:shed_host false));
   let shed_steered_before = ref 0 in
   let shed_steered_during = ref 0 in
   ignore
-    (Sim.Engine.schedule_at master ~at:shed_from (fun () ->
+    (Sim.Engine.schedule_at engine ~at:shed_from (fun () ->
          shed_steered_before := (Cluster.Control.steered rack.control).(shed_host)));
   ignore
-    (Sim.Engine.schedule_at master ~at:shed_until (fun () ->
+    (Sim.Engine.schedule_at engine ~at:shed_until (fun () ->
          shed_steered_during :=
            (Cluster.Control.steered rack.control).(shed_host)
            - !shed_steered_before));

@@ -218,7 +218,8 @@ let run_rack () =
   let drain = Sim.Units.ms 4 in
   let rate = 200_000. in
   let fabric = Cluster.Fabric.create ~hosts:rack_hosts () in
-  let master = Cluster.Fabric.master_engine fabric in
+  let engine = Cluster.Fabric.engine fabric in
+  let sanitize = Common.engine_sanitizer engine in
   let setup = Workload.Scenario.echo_fleet ~n:1 ~handler_time () in
   let service_port = Workload.Scenario.port_of setup ~service_idx:0 in
   let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
@@ -230,8 +231,7 @@ let run_rack () =
         let verified = verify_or_die ~env prog in
         let server =
           Common.make_server ~ncores:rack_lanes
-            ~engine:(Cluster.Fabric.host_engine fabric h)
-            ~egress:(Cluster.Fabric.host_egress fabric h)
+            ~engine ~egress:(Cluster.Fabric.host_egress fabric h)
             ~metrics:host_metrics.(h) ~steering:verified
             (Common.Bypass Coherence.Interconnect.pcie_enzian)
             setup
@@ -257,10 +257,10 @@ let run_rack () =
     Cluster.Fabric.uplink_send fabric
       (Net.Frame.make ~src ~dst frame.Net.Frame.payload)
   in
-  let client = Harness.Client.create master ~send () in
+  let client = Harness.Client.create engine ~send () in
   Cluster.Fabric.connect_uplink fabric (Harness.Client.on_reply client);
   let rng = Sim.Rng.create ~seed:0xe20b in
-  Workload.Arrivals.open_loop master rng ~rate_per_s:rate ~until:horizon
+  Workload.Arrivals.open_loop engine rng ~rate_per_s:rate ~until:horizon
     (fun ~seq:_ ->
       let key = Workload.Dist.zipf rng ~n:nkeys ~s:zipf_s in
       Harness.Client.call client ~service_id ~method_id:0 ~port:service_port
@@ -268,6 +268,7 @@ let run_rack () =
         (fun _ -> ()));
   Cluster.Fabric.run fabric ~until:(horizon + drain);
   Array.iter Common.close servers;
+  Option.iter Sanitize.finish sanitize;
   Common.note "%d hosts x %d lanes, %s keyed calls via the uplink" rack_hosts
     rack_lanes (Common.rate_str rate);
   let digest = ref 0 in
@@ -289,9 +290,8 @@ let run_rack () =
     (Harness.Client.sent client)
     (Harness.Client.completed client)
     (Harness.Client.outstanding client);
-  Common.note "undeliverable %d, windows %d, lane digest %d"
+  Common.note "undeliverable %d, lane digest %d"
     (Cluster.Fabric.undeliverable fabric)
-    (Cluster.Fabric.windows_run fabric)
     (!digest land 0x3fffffff)
 
 let run () =

@@ -32,7 +32,10 @@ let traced_ping_pong flavour =
   let tap frame =
     Obs.Pcap.add_frame pcap ~time:(Sim.Engine.now engine) frame
   in
-  let server = Common.make_server ~ncores:4 ~engine ~tap flavour setup in
+  let server =
+    Common.make_server ~ncores:4 ~engine ~tap
+      ?sanitize:(Common.engine_sanitizer engine) flavour setup
+  in
   Obs.Tracer.enable server.Common.tracer;
   let completions = ref [] in
   let remaining = ref rtts in

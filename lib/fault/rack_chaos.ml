@@ -7,8 +7,8 @@
    so an armed rack stays byte-identical run to run.
 
    Injection topology:
-   - link flaps and Master-plane partitions cut the per-pair shard
-     wires (Fabric.set_link_fault): a host's wire carries its frames
+   - link flaps and Master-plane partitions cut the host wires
+     (Fabric.set_link_fault): a host's wire carries its frames
      AND its control traffic, so a flapping link eats probes and acks
      exactly like data — the master is attached to the switch, so an
      asymmetric Master<->host partition is a directional cut of that
@@ -18,7 +18,7 @@
      visible;
    - wedges and brownouts are switch-local (Switch.set_port_wedge /
      set_brownout);
-   - the master crash/restart is scheduled on the master engine
+   - the master crash/restart is scheduled on the fabric's engine
      against Control.crash / Control.restart. *)
 
 type t = { c_flaps : Obs.Metrics.counter option }
@@ -41,7 +41,7 @@ let arm ~plan ~fabric ~control ?metrics () =
   if Plan.cluster_is_none cl then { c_flaps = None }
   else begin
     let hosts = Cluster.Fabric.hosts fabric in
-    let master_engine = Cluster.Fabric.master_engine fabric in
+    let engine = Cluster.Fabric.engine fabric in
     let sw = Cluster.Fabric.switch fabric in
     let ports = Cluster.Switch.ports sw in
     (* --- compile the schedules into per-host / per-port lookups --- *)
@@ -121,15 +121,15 @@ let arm ~plan ~fabric ~control ?metrics () =
     (match cl.Plan.master.crash_at with
     | Some at ->
         ignore
-          (Sim.Engine.schedule_at master_engine ~at (fun () ->
+          (Sim.Engine.schedule_at engine ~at (fun () ->
                Cluster.Control.crash control));
         if cl.Plan.master.restart then
           ignore
-            (Sim.Engine.schedule_at master_engine
+            (Sim.Engine.schedule_at engine
                ~at:(at + cl.Plan.master.downtime)
                (fun () -> Cluster.Control.restart control))
     | None -> ());
-    (* --- flap-transition counting: one master-shard event per
+    (* --- flap-transition counting: one event per
        down-edge, a self-rescheduling O(1)-memory chain --- *)
     let c_flaps =
       if cl.Plan.flaps = [] then None
@@ -141,7 +141,7 @@ let arm ~plan ~fabric ~control ?metrics () =
             | Some (seed, f) ->
                 let rec edge cycle =
                   ignore
-                    (Sim.Engine.schedule_at master_engine
+                    (Sim.Engine.schedule_at engine
                        ~at:(Plan.flap_edge ~seed f ~cycle)
                        (fun () ->
                          Obs.Metrics.incr c;

@@ -14,11 +14,11 @@
     Injection topology: a host's flapping link (and an asymmetric
     partition between it and the Master plane — the master sits behind
     the ToR, so the cut is directional on that host's physical wire)
-    is applied at the shard-wire level, eating frames and control
+    is applied on the host's wire, eating frames and control
     closures alike; Host→Host partitions cut at the switch crossbar
     where the (ingress, egress) pair is visible; wedges and brownouts
     are switch-local stall schedules; the master crash/restart is
-    scheduled on the master engine. Every loss lands in a counter
+    scheduled on the fabric's engine. Every loss lands in a counter
     ([fault_link_drops], [switch_port_drops], [switch_partition_drops],
     [ctl_master_restarts], [ctl_epoch_rejections]) — nothing is
     silent, and every predicate is a pure function of simulated time,

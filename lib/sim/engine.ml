@@ -30,7 +30,6 @@ let[@hot_path] schedule_after t ~after f =
 
 let[@hot_path] cancel t h = Event_heap.cancel t.queue h
 let pending t = Event_heap.live_count t.queue
-let next_event_time t = Event_heap.min_time t.queue
 
 let[@hot_path] step t =
   let time = Event_heap.min_time t.queue in

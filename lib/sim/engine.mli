@@ -22,8 +22,8 @@ val create : unit -> t
     queue is an {!Event_heap}. *)
 
 val scheduler_kind : t -> Scheduler.kind
-(** The engine's event queue, always [Heap]; kept for the benchmark
-    ledger, which prints it (see {!Scheduler}). *)
+(** The engine's event queue, always [Heap]. Kept only because
+    perfbench's ledger compiles against it (see {!Scheduler}). *)
 
 val now : t -> Units.time
 (** Current simulated time. *)
@@ -44,12 +44,6 @@ val cancel : t -> handle -> unit
 
 val pending : t -> int
 (** Number of scheduled events not yet fired or cancelled. *)
-
-val next_event_time : t -> Units.time
-(** Timestamp of the earliest pending event, or {!Event_heap.no_time}
-    when the queue is drained. Allocates nothing. The sharded engine
-    uses this to compute the global minimum next-event time that
-    anchors each conservative window. *)
 
 val run : ?until:Units.time -> t -> unit
 (** Process events in time order until the queue drains, or until the

@@ -401,8 +401,7 @@ let obs_hook_diagnosis lid =
    a Fault.Plan) may arm them — a direct call anywhere else in lib/
    is scripted chaos outside the plan, invisible to the determinism
    and conservation contracts. The seam definitions themselves (and
-   any reviewed plumbing, like Fabric.set_link_fault forwarding to the
-   shard engine's slot) carry a [@fault_seam] mark. *)
+   any reviewed plumbing) carry a [@fault_seam] mark. *)
 let fault_seam_diagnosis lid =
   if is_mod_fn lid ~m:"Switch" ~fn:"set_port_wedge" then
     Some "Switch.set_port_wedge"
@@ -412,8 +411,6 @@ let fault_seam_diagnosis lid =
     Some "Switch.set_partition"
   else if is_mod_fn lid ~m:"Fabric" ~fn:"set_link_fault" then
     Some "Fabric.set_link_fault"
-  else if is_mod_fn lid ~m:"Shard_engine" ~fn:"set_wire_fault" then
-    Some "Shard_engine.set_wire_fault"
   else if is_mod_fn lid ~m:"Control" ~fn:"crash" then Some "Control.crash"
   else if is_mod_fn lid ~m:"Control" ~fn:"restart" then Some "Control.restart"
   else None

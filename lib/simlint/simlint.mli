@@ -39,8 +39,8 @@
       user. Experiment/bench/test code is exempt.
     - {b fault-seam} (all of [lib/] except [lib/fault]): calling a
       cluster fault seam — [Switch.set_port_wedge] / [set_brownout] /
-      [set_partition], [Fabric.set_link_fault],
-      [Shard_engine.set_wire_fault], [Control.crash] / [restart] — is
+      [set_partition], [Fabric.set_link_fault], [Control.crash] /
+      [restart] — is
       a finding. Faults belong in a [Fault.Plan] installed by
       [Fault.Rack_chaos], where they stay pure functions of simulated
       time; a direct call is scripted chaos outside the plan,

@@ -339,13 +339,13 @@ let run_chaos_rack ~plan ~seed () =
     Experiments.Rack.make_rack ~fault:plan ~metrics ~hosts:chaos_hosts ()
   in
   let fabric = rack.Experiments.Rack.fabric in
-  let master = Cluster.Fabric.master_engine fabric in
+  let engine = Cluster.Fabric.engine fabric in
   let setup = rack.Experiments.Rack.servers.(0).Experiments.Common.setup in
   let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
   let rng = Sim.Rng.create ~seed in
-  Workload.Arrivals.open_loop master rng ~rate_per_s:120_000.
+  Workload.Arrivals.open_loop engine rng ~rate_per_s:120_000.
     ~until:chaos_horizon (fun ~seq:_ ->
-      let t0 = Sim.Engine.now master in
+      let t0 = Sim.Engine.now engine in
       ignore
         (Harness.Client.call_id ~timeout:(us 200) ~retries:5 ~backoff:1.5
            ~max_timeout:(us 800) ~jitter:0.25 rack.Experiments.Rack.client
@@ -353,7 +353,7 @@ let run_chaos_rack ~plan ~seed () =
            (Rpc.Value.Blob (Bytes.make 32 'c'))
            (fun _ ->
              Sim.Histogram.record rack.Experiments.Rack.latencies
-               (Sim.Engine.now master - t0))));
+               (Sim.Engine.now engine - t0))));
   Cluster.Fabric.run fabric ~until:(chaos_horizon + chaos_drain);
   Experiments.Rack.finish rack;
   let c = rack.Experiments.Rack.client in
@@ -452,11 +452,11 @@ let test_partition_steering_bound () =
       ~hosts:chaos_hosts ()
   in
   let fabric = rack.Experiments.Rack.fabric in
-  let master = Cluster.Fabric.master_engine fabric in
+  let engine = Cluster.Fabric.engine fabric in
   let setup = rack.Experiments.Rack.servers.(0).Experiments.Common.setup in
   let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
   let rng = Sim.Rng.create ~seed:99 in
-  Workload.Arrivals.open_loop master rng ~rate_per_s:120_000.
+  Workload.Arrivals.open_loop engine rng ~rate_per_s:120_000.
     ~until:chaos_horizon (fun ~seq:_ ->
       ignore
         (Harness.Client.call_id ~timeout:(us 200) ~retries:5 ~backoff:1.5
@@ -467,13 +467,13 @@ let test_partition_steering_bound () =
   let probe_period = Experiments.Rack.probe_period in
   let at_bound = ref (-1) and at_end = ref (-1) in
   ignore
-    (Sim.Engine.schedule_at master
+    (Sim.Engine.schedule_at engine
        ~at:(p_start + (2 * probe_period))
        (fun () ->
          at_bound :=
            (Cluster.Control.steered rack.Experiments.Rack.control).(victim)));
   ignore
-    (Sim.Engine.schedule_at master ~at:p_end (fun () ->
+    (Sim.Engine.schedule_at engine ~at:p_end (fun () ->
          at_end :=
            (Cluster.Control.steered rack.Experiments.Rack.control).(victim)));
   Cluster.Fabric.run fabric ~until:(chaos_horizon + chaos_drain);

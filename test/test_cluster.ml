@@ -388,7 +388,7 @@ let test_rack_kill_during_inflight () =
   let respawn_at = Sim.Units.ms 5 in
   ignore
     (Sim.Engine.schedule_at
-       (Cluster.Fabric.host_engine r.Experiments.Rack.fabric victim)
+       (Cluster.Fabric.engine r.Experiments.Rack.fabric)
        ~at:kill_at
        (fun () ->
          r.Experiments.Rack.alive.(victim) <- false;
@@ -396,7 +396,7 @@ let test_rack_kill_during_inflight () =
            ~service_id));
   ignore
     (Sim.Engine.schedule_at
-       (Cluster.Fabric.host_engine r.Experiments.Rack.fabric victim)
+       (Cluster.Fabric.engine r.Experiments.Rack.fabric)
        ~at:respawn_at
        (fun () ->
          r.Experiments.Rack.servers.(victim).Experiments.Common.restart_service
@@ -473,16 +473,15 @@ let run_light_rack ~hosts ~links plan =
     Array.map (fun l -> { Cluster.Switch.latency = l; tx = 100 }) links
   in
   let fabric = Cluster.Fabric.create ~host_links ~hosts () in
-  let master = Cluster.Fabric.master_engine fabric in
+  let engine = Cluster.Fabric.engine fabric in
   let log = ref [] in
   let rx = Array.make hosts 0 in
   for h = 0 to hosts - 1 do
     Cluster.Fabric.connect_host fabric h
       ~ingress:(fun frame ->
         rx.(h) <- rx.(h) + 1;
-        let e = Cluster.Fabric.host_engine fabric h in
         ignore
-          (Sim.Engine.schedule_after e
+          (Sim.Engine.schedule_after engine
              ~after:(200 + (37 * h))
              (fun () ->
                Cluster.Fabric.host_egress fabric h
@@ -493,12 +492,12 @@ let run_light_rack ~hosts ~links plan =
   done;
   Cluster.Fabric.connect_uplink fabric (fun frame ->
       log :=
-        (Sim.Engine.now master, Bytes.to_string frame.Net.Frame.payload)
+        (Sim.Engine.now engine, Bytes.to_string frame.Net.Frame.payload)
         :: !log);
   List.iteri
     (fun i s ->
       ignore
-        (Sim.Engine.schedule_at master ~at:s.t (fun () ->
+        (Sim.Engine.schedule_at engine ~at:s.t (fun () ->
              Cluster.Fabric.uplink_send fabric
                (Net.Frame.make ~src:client_ep
                   ~dst:
@@ -558,7 +557,7 @@ let run_traced_rack ~hosts ~n_rpcs ~seed =
   let obs = Obs.Tracer.create () in
   let rack = Experiments.Rack.make_rack ~obs ~hosts () in
   let fabric = rack.Experiments.Rack.fabric in
-  let master = Cluster.Fabric.master_engine fabric in
+  let engine = Cluster.Fabric.engine fabric in
   let setup = rack.Experiments.Rack.servers.(0).Experiments.Common.setup in
   let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
   let rng = Sim.Rng.create ~seed in
@@ -567,8 +566,8 @@ let run_traced_rack ~hosts ~n_rpcs ~seed =
     (* past the registration window, spread over ~1 ms *)
     let at = Sim.Units.us 50 + Sim.Rng.int rng ~bound:(Sim.Units.ms 1) in
     ignore
-      (Sim.Engine.schedule_at master ~at (fun () ->
-           let t0 = Sim.Engine.now master in
+      (Sim.Engine.schedule_at engine ~at (fun () ->
+           let t0 = Sim.Engine.now engine in
            let id = ref 0 in
            id :=
              Int64.to_int
@@ -576,7 +575,7 @@ let run_traced_rack ~hosts ~n_rpcs ~seed =
                   ~method_id:0 ~port:rack.Experiments.Rack.service_port
                   (Rpc.Value.Blob (Bytes.make 32 'q'))
                   (fun _ ->
-                    let latency = Sim.Engine.now master - t0 in
+                    let latency = Sim.Engine.now engine - t0 in
                     Sim.Histogram.record rack.Experiments.Rack.latencies latency;
                     completions := (!id, latency) :: !completions))))
   done;
@@ -647,7 +646,7 @@ let wires_deliver_or_count ~lats ~windows sends =
       ~uplink:{ Cluster.Switch.latency = uplink_latency; tx = Sim.Units.ns 50 }
       ~hosts ()
   in
-  let master = Cluster.Fabric.master_engine fabric in
+  let engine = Cluster.Fabric.engine fabric in
   Cluster.Fabric.set_link_fault fabric (Some (cut_by windows));
   let logs () = Array.init (hosts + 1) (fun _ -> { put = []; got = [] }) in
   let inbound = logs () and outbound = logs () in
@@ -661,15 +660,12 @@ let wires_deliver_or_count ~lats ~windows sends =
          on_forward = (fun ~port:_ ~dst:_ ~time:_ _ -> ());
          on_transmit = (fun ~port ~time f -> put outbound.(port) time f);
        });
-  let engine d =
-    if d < hosts then Cluster.Fabric.host_engine fabric d else master
-  in
   for h = 0 to hosts - 1 do
     Cluster.Fabric.connect_host fabric h ~ingress:(fun f ->
-        got outbound.(h) (Sim.Engine.now (engine h)) f)
+        got outbound.(h) (Sim.Engine.now engine) f)
   done;
   Cluster.Fabric.connect_uplink fabric (fun f ->
-      got outbound.(hosts) (Sim.Engine.now master) f);
+      got outbound.(hosts) (Sim.Engine.now engine) f);
   let endpoint d =
     if d < hosts then Cluster.Fabric.host_endpoint fabric d ~port:7000
     else Harness.Traffic.client_endpoint ()
@@ -677,12 +673,12 @@ let wires_deliver_or_count ~lats ~windows sends =
   List.iteri
     (fun tag (at, src, dst) ->
       ignore
-        (Sim.Engine.schedule_at (engine src) ~at (fun () ->
+        (Sim.Engine.schedule_at engine ~at (fun () ->
              let frame =
                Net.Frame.make ~src:(endpoint src) ~dst:(endpoint dst)
                  (Bytes.of_string (string_of_int tag))
              in
-             put inbound.(src) (Sim.Engine.now (engine src)) frame;
+             put inbound.(src) (Sim.Engine.now engine) frame;
              if src < hosts then Cluster.Fabric.host_egress fabric src frame
              else Cluster.Fabric.uplink_send fabric frame)))
     sends;
@@ -704,7 +700,7 @@ let wires_deliver_or_count ~lats ~windows sends =
   in
   let ok = ref true in
   for p = 0 to hosts do
-    (* the uplink's wires stay on the master shard: no cut reaches them *)
+    (* the uplink's wires are outside the seam: no cut reaches them *)
     let cuttable = p < hosts in
     let latency = if cuttable then lats.(p) else uplink_latency in
     ok :=
@@ -721,26 +717,61 @@ let wires_deliver_or_count ~lats ~windows sends =
   && Cluster.Fabric.link_drops_total fabric = !cut
   && reached = transmitted
 
-(* A hand-off earlier than its wire's latency raises, even on a wire
-   the schedule cuts; one at exactly the latency is accepted unless
-   cut. *)
-let early_handoff_raises ~lats ~windows ~host =
+(* Control closures cross host [host]'s wire under the same seam: one
+   posted at each of [times], each way, runs one link latency later
+   unless the schedule cuts it, and each cut is counted once. The
+   uplink's wires are outside the seam: with every host wire cut, a
+   frame still crosses the uplink both ways, and no cut is counted. *)
+let posts_cut_uplink_spared ~lats ~windows ~host times =
   let hosts = Array.length lats in
-  let engines = Array.init (hosts + 1) (fun _ -> Sim.Engine.create ()) in
-  let latency =
-    Array.init (hosts + 1) (fun i ->
-        Array.init (hosts + 1) (fun j ->
-            if i < hosts then lats.(i) else if j < hosts then lats.(j)
-            else Sim.Units.ns 500))
+  let fabric =
+    Cluster.Fabric.create
+      ~host_links:
+        (Array.map
+           (fun latency -> { Cluster.Switch.latency; tx = Sim.Units.ns 100 })
+           lats)
+      ~hosts ()
   in
-  let shard = Sim.Shard_engine.create ~latency engines in
-  Sim.Shard_engine.set_wire_fault shard (Some (cut_by windows));
-  let post at = Sim.Shard_engine.post shard ~src:host ~dst:hosts ~at ignore in
-  let lat = lats.(host) in
-  (match post (lat - 1) with
-  | _ -> false
-  | exception Invalid_argument _ -> true)
-  && Bool.equal (post lat) (not (cut_by windows ~src:host ~dst:hosts ~at:lat))
+  let engine = Cluster.Fabric.engine fabric in
+  Cluster.Fabric.set_link_fault fabric (Some (cut_by windows));
+  let ran = ref [] in
+  let ends = [ (host, hosts); (hosts, host) ] in
+  List.iter
+    (fun at ->
+      ignore
+        (Sim.Engine.schedule_at engine ~at (fun () ->
+             List.iter
+               (fun (src, _) ->
+                 let arrive () = ran := (Sim.Engine.now engine, src) :: !ran in
+                 if src = host then
+                   Cluster.Fabric.post_to_master fabric ~host arrive
+                 else Cluster.Fabric.post_to_host fabric ~host arrive)
+               ends)))
+    times;
+  Cluster.Fabric.run fabric ~until:(Sim.Units.ms 1);
+  let landed =
+    List.concat_map
+      (fun at ->
+        List.map (fun (src, dst) -> (src, dst, at + lats.(host))) ends)
+      times
+  in
+  let cut, kept =
+    List.partition (fun (src, dst, at) -> cut_by windows ~src ~dst ~at) landed
+  in
+  let posts_ok =
+    List.sort compare !ran
+    = List.sort compare (List.map (fun (src, _, at) -> (at, src)) kept)
+    && Cluster.Fabric.link_drops_total fabric = List.length cut
+  in
+  let drops = Cluster.Fabric.link_drops_total fabric in
+  let replies = ref 0 in
+  Cluster.Fabric.connect_uplink fabric (fun _ -> incr replies);
+  Cluster.Fabric.set_link_fault fabric (Some (fun ~src:_ ~dst:_ ~at:_ -> true));
+  let client = Harness.Traffic.client_endpoint () in
+  Cluster.Fabric.uplink_send fabric
+    (Net.Frame.make ~src:client ~dst:client (Bytes.of_string "0"));
+  Cluster.Fabric.run fabric ~until:(Sim.Units.ms 2);
+  posts_ok && !replies = 1 && Cluster.Fabric.link_drops_total fabric = drops
 
 let arb_wire_case =
   let open QCheck.Gen in
@@ -780,7 +811,8 @@ let qcheck_wires =
     arb_wire_case
     (fun (lats, windows, sends, host) ->
       wires_deliver_or_count ~lats ~windows sends
-      && early_handoff_raises ~lats ~windows ~host)
+      && posts_cut_uplink_spared ~lats ~windows ~host
+           (List.map (fun (at, _, _) -> at) sends))
 
 let qsuite name t = (name, [ QCheck_alcotest.to_alcotest t ])
 
@@ -803,20 +835,23 @@ let qsuite name t = (name, [ QCheck_alcotest.to_alcotest t ])
    268.4). Before every fabric wire became a FIFO of frames with one
    arrival closure, the client's call records came from a pool and
    continuations, the balancer's pick and the request's client
-   endpoint stopped boxing, it took 245.9 (rack_retry 246.4); it now
-   takes 191.4 (rack_retry 190.5). *)
-let rack_words_budget = 191.4 *. 1.02
+   endpoint stopped boxing, it took 245.9 (rack_retry 246.4). Before
+   the rack ran on one engine instead of conservative windows over one
+   engine per host, and a CPU store stopped boxing its line in an
+   option, it took 191.4 (rack_retry 190.5); it now takes 146.5
+   (rack_retry 146.5). *)
+let rack_words_budget = 146.5 *. 1.02
 
 let test_rack_allocation_budget () =
   let rack = Experiments.Rack.make_rack ~hosts:8 () in
   let fabric = rack.Experiments.Rack.fabric in
-  let master = Cluster.Fabric.master_engine fabric in
+  let engine = Cluster.Fabric.engine fabric in
   let setup = rack.Experiments.Rack.servers.(0).Experiments.Common.setup in
   let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
   let value = Rpc.Value.Blob (Bytes.make 64 'w') in
   let replies = ref 0 in
   let horizon = Sim.Units.ms 3 in
-  Workload.Arrivals.open_loop master (Sim.Rng.create ~seed:1)
+  Workload.Arrivals.open_loop engine (Sim.Rng.create ~seed:1)
     ~rate_per_s:1_600_000. ~until:horizon (fun ~seq:_ ->
       ignore
         (Harness.Client.call_id ~timeout:(Sim.Units.us 200) ~retries:8

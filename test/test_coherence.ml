@@ -159,13 +159,49 @@ let test_ha_store_and_fetch_exclusive () =
   Coherence.Home_agent.fetch_exclusive ha line (fun b -> fetched := Some b);
   Sim.Engine.run e;
   (match !fetched with
-  | Some (Some b) -> check Alcotest.string "fetched" "resp" (Bytes.to_string b)
-  | _ -> Alcotest.fail "fetch failed");
+  | Some b -> check Alcotest.string "fetched" "resp" (Bytes.to_string b)
+  | None -> Alcotest.fail "fetch failed");
   (* The CPU copy is invalidated by the fetch. *)
   let fetched2 = ref None in
   Coherence.Home_agent.fetch_exclusive ha line (fun b -> fetched2 := Some b);
   Sim.Engine.run e;
-  checkb "second fetch empty" true (!fetched2 = Some None)
+  checkb "second fetch empty" true
+    (match !fetched2 with
+    | Some b -> b == Coherence.Home_agent.no_copy
+    | None -> false)
+
+(* Once warm, a store followed by the device's fetch allocates nothing:
+   the CPU's copy is the stored bytes themselves, and "no copy" is a
+   sentinel, not an option. A fetch with no prior store, even of an
+   empty line, still sees no data. *)
+let test_ha_store_fetch_allocates_nothing () =
+  let e, ha = make_ha () in
+  let line = Coherence.Home_agent.alloc_line ha in
+  let data = Bytes.of_string "resp" in
+  let got = ref Bytes.empty in
+  let collect b = got := b in
+  let round () =
+    Coherence.Home_agent.cpu_store ha line data;
+    Coherence.Home_agent.fetch_exclusive ha line collect;
+    Sim.Engine.run e
+  in
+  for _ = 1 to 100 do round () done;
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do round () done;
+  let words = Gc.minor_words () -. before in
+  checkb "fetched the stored bytes" true (!got == data);
+  (* The measurement itself may box a float or two. *)
+  checkb (Printf.sprintf "%.0f words over 1000 rounds" words) true
+    (words < 64.);
+  Coherence.Home_agent.fetch_exclusive ha line collect;
+  Sim.Engine.run e;
+  checkb "no store, no data" true (!got == Coherence.Home_agent.no_copy);
+  Coherence.Home_agent.cpu_store ha line Bytes.empty;
+  Coherence.Home_agent.fetch_exclusive ha line collect;
+  Sim.Engine.run e;
+  checkb "an empty line is data" true
+    (!got != Coherence.Home_agent.no_copy && Bytes.length !got = 0)
 
 let test_ha_double_park_rejected () =
   let e, ha = make_ha () in
@@ -211,6 +247,8 @@ let () =
           Alcotest.test_case "kick" `Quick test_ha_kick;
           Alcotest.test_case "store and fetch-exclusive" `Quick
             test_ha_store_and_fetch_exclusive;
+          Alcotest.test_case "store and fetch allocate nothing" `Quick
+            test_ha_store_fetch_allocates_nothing;
           Alcotest.test_case "double park rejected" `Quick
             test_ha_double_park_rejected;
           Alcotest.test_case "oversized stage rejected" `Quick

@@ -354,9 +354,9 @@ let test_mirror_dead_pid_dispatch_caught () =
 (* --- whole-stack seeded runs --------------------------------------- *)
 
 (* A short lossy open-loop run with every sanitizer attached (the
-   Collect session is passed straight through [make_server], which
-   wires the engine, coherence, mirror and pool watches exactly as
-   LAUBERHORN_SANITIZE=1 does). *)
+   Collect session watches the engine the test owns, and is passed
+   straight through [make_server], which wires the coherence, mirror
+   and pool watches exactly as LAUBERHORN_SANITIZE=1 does). *)
 let sanitized_lossy ~seed ~flavour ?(kill = false) () =
   let plan =
     P.make ~seed
@@ -367,6 +367,7 @@ let sanitized_lossy ~seed ~flavour ?(kill = false) () =
   in
   let engine = Sim.Engine.create () in
   let z = collector engine in
+  Z.Engine_watch.attach z engine;
   let chaos =
     Harness.Chaos.create engine ~plan ~timeout:(us 100) ~retries:60
       ~backoff:1.5 ~max_timeout:(us 500) ~jitter:0.25 ()
@@ -418,6 +419,7 @@ let test_failover_crash_finishes_sanitizer () =
   let session = ref None and finished = ref false in
   let sanitize engine =
     let z = collector engine in
+    Z.Engine_watch.attach z engine;
     Z.on_finish z (fun () -> finished := true);
     session := Some z;
     z
@@ -434,6 +436,36 @@ let test_failover_crash_finishes_sanitizer () =
   match !session with
   | Some z -> assert_clean "E15 lauberhorn crash" z
   | None -> Alcotest.fail "no sanitizer session"
+
+(* A rack's hosts share the fabric's one engine, and an engine has one
+   monitor. Under LAUBERHORN_SANITIZE=1 the rack's own session watches
+   that engine, so its event-loop watch ticks exactly once per fired
+   event, the master's and the client's included, plus once for the
+   heap check at finish. Each host keeps a session of its own for its
+   pool, coherence and mirror watches. *)
+let test_rack_engine_watched_once () =
+  let var = "LAUBERHORN_SANITIZE" in
+  let saved = Option.value (Sys.getenv_opt var) ~default:"" in
+  let rack =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv var saved)
+      (fun () ->
+        Unix.putenv var "1";
+        Experiments.Rack.load_run ~hosts:2 ~rate:100_000. ~seed:5)
+  in
+  let fabric = rack.Experiments.Rack.fabric in
+  checkb "calls completed" true
+    (Harness.Client.completed rack.Experiments.Rack.client > 0);
+  checkb "every host has a session" true
+    (Array.for_all
+       (fun s -> Option.is_some s.C.sanitize)
+       rack.Experiments.Rack.servers);
+  match rack.Experiments.Rack.sanitize with
+  | Some z ->
+      checki "one tick per event, one at finish"
+        (Cluster.Fabric.events_processed fabric + 1)
+        (Z.checks_run z)
+  | None -> Alcotest.fail "the rack's engine has no sanitizer session"
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -459,6 +491,8 @@ let () =
       ( "engine",
         [
           tc "clean run" test_engine_watch_clean_run;
+          tc "a rack's one engine is watched once"
+            test_rack_engine_watched_once;
           q prop_event_heap_valid_under_fuzz;
         ] );
       ( "coherence",

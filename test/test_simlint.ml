@@ -292,16 +292,15 @@ let test_seam_direct_call_flagged () =
 
 let test_seam_all_entry_points () =
   let src =
-    "let chaos sw fb eng ctl f =\n\
+    "let chaos sw fb ctl f =\n\
     \  Cluster.Switch.set_port_wedge sw (Some f);\n\
     \  Cluster.Switch.set_brownout sw None;\n\
     \  Cluster.Switch.set_partition sw None;\n\
     \  Cluster.Fabric.set_link_fault fb None;\n\
-    \  Sim.Shard_engine.set_wire_fault eng None;\n\
     \  Cluster.Control.crash ctl;\n\
     \  Cluster.Control.restart ctl\n"
   in
-  checki "all seven seams flagged" 7
+  checki "all six seams flagged" 6
     (count "fault-seam" (lint ~path:"lib/cluster/boot.ml" src))
 
 let test_seam_fault_dir_exempt () =
@@ -312,11 +311,11 @@ let test_seam_fault_dir_exempt () =
   checki "test/ exempt" 0 (count "fault-seam" (lint ~path:"test/t.ml" src))
 
 let test_seam_attr_escape () =
-  (* Reviewed plumbing — a forwarding wrapper like
-     Fabric.set_link_fault — carries [@fault_seam]. *)
+  (* Reviewed plumbing — a wrapper forwarding to a seam — carries
+     [@fault_seam]. *)
   let fs =
     lint ~path:"lib/cluster/fb.ml"
-      "let[@fault_seam] forward eng p = Sim.Shard_engine.set_wire_fault eng p\n\
+      "let[@fault_seam] forward fb p = Cluster.Fabric.set_link_fault fb p\n\
        let bad ctl = Cluster.Control.crash ctl\n"
   in
   checki "only the unmarked call flagged" 1 (count "fault-seam" fs)
