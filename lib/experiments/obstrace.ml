@@ -211,7 +211,7 @@ let export_and_verify r =
   (* the metrics line reports the entry count; the trace line above
      carries this section's JSON verdict *)
   ignore (Common.write_json ~file:metrics_file (Obs.Metrics.to_json merged));
-  Common.note "%s: %d metrics (merged in fixed shard order)"
+  Common.note "%s: %d metrics (merged by plane: hosts, switch, control)"
     (Filename.basename metrics_file)
     (List.length (Obs.Metrics.to_list ~keep_zero:true merged));
   List.iter
@@ -226,7 +226,8 @@ let export_and_verify r =
 let run () =
   Common.section
     "E18: rack-scale observability — stitched traces, merged metrics";
-  Common.note "%d hosts at %s, tracing armed on every shard" hosts
+  Common.note "%d hosts at %s on one engine, tracing armed on every plane"
+    hosts
     (Common.rate_str rate);
   let r = traced_run () in
   Common.note_lines "armed rack" (digest_lines r);

@@ -6,10 +6,11 @@ type t = {
   mutable epochs : int array;
       (* continuation id -> the epoch of the call holding it, 0 when
          free: a recycled id must not accept a late response meant for
-         its previous owner (ABA), and a call's timer acts only while
-         its slot still holds its epoch *)
+         its previous owner (ABA) *)
   mutable next_epoch : int;
-  calls : call Sim.Slot_pool.t;  (* call records no timer holds *)
+  mutable calls : call option array;
+      (* continuation id -> the record of the timed calls on it, built
+         when the first such call takes the id; grown with [epochs] *)
   schemas : (int, Rpc.Schema.t) Hashtbl.t;  (* keyed by [schema_key] *)
   rng : Sim.Rng.t;  (* backoff jitter; only drawn when jitter > 0 *)
   mutable sent : int;
@@ -21,15 +22,14 @@ type t = {
   mutable rejected : int;
 }
 
-(* A call with a timeout: its retry state, and its timer closure,
-   built once with the record. A record serves one call at a time and
-   always has exactly one timer armed while it does; it goes back to
-   [calls] only when that timer fires after the call has ended (as a
-   no-op) or abandons it. A timer that outlives its call therefore
-   never finds its record serving a later call. *)
+(* A call with a timeout: its retry state, its timer closure, built
+   once with the record, and the handle of its armed timer. One record
+   serves every timed call on its continuation id, one at a time: a
+   call's timer is armed while it is live, and the call's end cancels
+   it, so a timer that fires always finds the call that armed it. *)
 and call = {
   client : t;
-  mutable cont : int;
+  cont : int;
   mutable epoch : int;
   mutable service_id : int;
   mutable method_id : int;
@@ -41,6 +41,7 @@ and call = {
   mutable attempts_left : int;
   mutable base : Sim.Units.duration;
   mutable timer : unit -> unit;
+  mutable armed : Sim.Engine.handle;
 }
 
 (* rpc_id = epoch << 20 | continuation id. *)
@@ -55,8 +56,16 @@ let current t id =
   cont < Array.length t.epochs
   && Int.equal t.epochs.(cont) (id lsr cont_bits)
 
-(* Free [cont]: its call completed, failed or was abandoned. *)
-let retire t cont = t.epochs.(cont) <- 0
+(* Free [cont]: its call completed, failed or was abandoned. Stop the
+   call's timer and drop its arguments. *)
+let[@hot_path] retire t cont =
+  t.epochs.(cont) <- 0;
+  match t.calls.(cont) with
+  | None -> ()
+  | Some c ->
+      Sim.Engine.cancel t.engine c.armed;
+      c.armed <- Sim.Engine.no_handle;
+      c.args <- Rpc.Value.Unit
 
 let create engine ~send ?(seed = 0x7e7) ?metrics () =
   let t =
@@ -67,7 +76,7 @@ let create engine ~send ?(seed = 0x7e7) ?metrics () =
       continuations = Rpc.Continuation.create ();
       epochs = Array.make 64 0;
       next_epoch = 1;
-      calls = Sim.Slot_pool.create ();
+      calls = Array.make 64 None;
       schemas = Hashtbl.create 16;
       rng = Sim.Rng.create ~seed;
       sent = 0;
@@ -116,20 +125,11 @@ let[@hot_path] arm c =
       max 1 (int_of_float (float_of_int c.base *. (1. -. (c.jitter *. u))))
     else c.base
   in
-  ignore (Sim.Engine.schedule_after t.engine ~after:wait c.timer)
+  c.armed <- Sim.Engine.schedule_after t.engine ~after:wait c.timer
 
-(* The record's call has ended and its timer has fired: drop the
-   arguments and pool the record. *)
-let[@hot_path] free t c =
-  c.args <- Rpc.Value.Unit;
-  Sim.Slot_pool.release t.calls c
-
-(* A timer of a call whose slot no longer holds its epoch (the call
-   completed or failed) fires as a no-op that frees the record. *)
 let[@hot_path] on_timer c () =
   let t = c.client in
-  if not (Int.equal t.epochs.(c.cont) c.epoch) then free t c
-  else if c.attempts_left > 0 then begin
+  if c.attempts_left > 0 then begin
     t.retransmits <- t.retransmits + 1;
     t.send
       (Traffic.request
@@ -143,15 +143,14 @@ let[@hot_path] on_timer c () =
   else begin
     t.abandoned <- t.abandoned + 1;
     retire t c.cont;
-    ignore (Rpc.Continuation.cancel t.continuations c.cont);
-    free t c
+    ignore (Rpc.Continuation.cancel t.continuations c.cont)
   end
 
-let new_call t =
+let new_call t cont =
   let c =
     {
       client = t;
-      cont = 0;
+      cont;
       epoch = 0;
       service_id = 0;
       method_id = 0;
@@ -163,9 +162,11 @@ let new_call t =
       attempts_left = 0;
       base = 0;
       timer = ignore;
+      armed = Sim.Engine.no_handle;
     }
   in
   c.timer <- on_timer c;
+  t.calls.(cont) <- Some c;
   c
 
 let call_id ?timeout ?(retries = 3) ?(backoff = 1.) ?(max_timeout = max_int)
@@ -178,9 +179,13 @@ let call_id ?timeout ?(retries = 3) ?(backoff = 1.) ?(max_timeout = max_int)
   if cont >= 1 lsl cont_bits then
     invalid_arg "Client.call: too many outstanding calls";
   if cont >= Array.length t.epochs then begin
-    let bigger = Array.make (max (cont + 1) (2 * Array.length t.epochs)) 0 in
-    Array.blit t.epochs 0 bigger 0 (Array.length t.epochs);
-    t.epochs <- bigger
+    let n = Array.length t.epochs in
+    let size = max (cont + 1) (2 * n) in
+    let epochs = Array.make size 0 and calls = Array.make size None in
+    Array.blit t.epochs 0 epochs 0 n;
+    Array.blit t.calls 0 calls 0 n;
+    t.epochs <- epochs;
+    t.calls <- calls
   end;
   let epoch = t.next_epoch in
   t.next_epoch <- t.next_epoch + 1;
@@ -195,10 +200,8 @@ let call_id ?timeout ?(retries = 3) ?(backoff = 1.) ?(max_timeout = max_int)
   | Some timeout ->
       if timeout <= 0 then invalid_arg "Client.call: non-positive timeout";
       let c =
-        if Sim.Slot_pool.is_empty t.calls then new_call t
-        else Sim.Slot_pool.take t.calls
+        match t.calls.(cont) with Some c -> c | None -> new_call t cont
       in
-      c.cont <- cont;
       c.epoch <- epoch;
       c.service_id <- service_id;
       c.method_id <- method_id;

@@ -33,8 +33,8 @@ val call :
     to [retries] times (default 3) before the call is abandoned. The
     call's timer stops once the call completes, fails ({!errors}) or
     is abandoned; so once nothing is {!outstanding},
-    [completed + errors + abandoned = sent]. A stopped timer's pending
-    event still fires, as a no-op. *)
+    [completed + errors + abandoned = sent]. Its pending event is
+    cancelled then, so a finished call leaves no event on the engine. *)
 
 val call_id :
   ?timeout:Sim.Units.duration -> ?retries:int -> ?backoff:float ->

@@ -50,17 +50,21 @@ let create () =
 let is_empty t = Int.equal t.size 0
 let live_count t = t.size
 
-let[@hot_path] before time seq time' seq' =
+(* [seq] is annotated: left to inference it stays polymorphic, and
+   [seq < seq'] becomes a call to the runtime's structural compare.
+   These three helpers are inlined into the sift loops. *)
+let[@hot_path] [@inline] before time (seq : int) time' seq' =
   time < time' || (Int.equal time time' && seq < seq')
 
-let[@hot_path] set t i time seq slot =
+let[@hot_path] [@inline] set t i time seq slot =
   t.time.(i) <- time;
   t.seq.(i) <- seq;
   t.slot.(i) <- slot;
   t.pos.(slot) <- i
 
 (* Move the entry at heap position [src] to [dst]. *)
-let[@hot_path] move t ~src ~dst = set t dst t.time.(src) t.seq.(src) t.slot.(src)
+let[@hot_path] [@inline] move t ~src ~dst =
+  set t dst t.time.(src) t.seq.(src) t.slot.(src)
 
 (* Settle the entry [(time, seq, slot)] into the hole at [i], moving
    parents down (sift_up) or smaller children up (sift_down). *)

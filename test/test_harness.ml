@@ -271,11 +271,12 @@ let test_client_failed_call_stops_its_timer () =
    + Harness.Client.abandoned c);
   checki "nothing outstanding" 0 (Harness.Client.outstanding c)
 
-(* A completed call's timer outlives it. Call A (timeout 100 us, 2
-   retries) is answered at 10 us; call B reuses A's continuation slot
-   at 50 us (timeout 100 us, 1 retry) and is never answered. A's timer
-   still fires at 100 us: it must neither retransmit nor abandon B,
-   whose own timer retransmits at 150 us and abandons at 250 us. *)
+(* A completed call's timer stops with it. Call A (timeout 100 us, 2
+   retries) is answered at 10 us; call B reuses A's continuation slot,
+   and so its call record, at 50 us (timeout 100 us, 1 retry) and is
+   never answered. A's timer, due at 100 us, must neither retransmit
+   nor abandon B, whose own timer retransmits at 150 us and abandons
+   at 250 us. *)
 let test_client_stale_timer_leaves_a_reused_slot_alone () =
   let engine = Sim.Engine.create () in
   let client = ref None in
@@ -331,6 +332,57 @@ let test_client_stale_timer_leaves_a_reused_slot_alone () =
     (Harness.Client.completed c + Harness.Client.abandoned c);
   checki "nothing outstanding" 0 (Harness.Client.outstanding c)
 
+(* A finished call leaves nothing on the engine. Three calls with a
+   1 ms timeout go out at 0: the server answers the first at 10 us,
+   fails the second with a non-retriable Error_reply 7 at 10 us, and
+   never answers the third, whose 50 us timeout (no retries) abandons
+   it. At 60 us, long before the first two calls' timers were due, no
+   event may be pending. *)
+let test_client_finished_calls_leave_nothing_pending () =
+  let engine = Sim.Engine.create () in
+  let client = ref None in
+  let seen = ref 0 in
+  let send frame =
+    let req = frame.Net.Frame.payload in
+    incr seen;
+    let reply kind =
+      let rpc_id = Rpc.Wire_format.rpc_id req in
+      let reply =
+        Net.Frame.reply_to ~eth:frame.Net.Frame.eth ~ip:frame.Net.Frame.ip
+          ~udp:frame.Net.Frame.udp
+          (Rpc.Wire_format.encode_value ~kind ~rpc_id
+             ~service_id:(Rpc.Wire_format.service_id req)
+             ~method_id:(Rpc.Wire_format.method_id req) Rpc.Value.Unit)
+      in
+      ignore
+        (Sim.Engine.schedule_after engine ~after:(Sim.Units.us 10) (fun () ->
+             match !client with
+             | Some c -> Harness.Client.on_reply c reply
+             | None -> ()))
+    in
+    match !seen with
+    | 1 -> reply Rpc.Wire_format.Response
+    | 2 -> reply (Rpc.Wire_format.Error_reply 7)
+    | _ -> ()
+  in
+  let c = Harness.Client.create engine ~send () in
+  client := Some c;
+  let replied = ref 0 in
+  let call timeout retries =
+    Harness.Client.call c ~timeout ~retries ~service_id:1 ~method_id:0
+      ~port:7000 Rpc.Value.Unit (fun _ -> incr replied)
+  in
+  call (Sim.Units.ms 1) 2;
+  call (Sim.Units.ms 1) 2;
+  call (Sim.Units.us 50) 0;
+  Sim.Engine.run engine ~until:(Sim.Units.us 60);
+  checki "one completed" 1 (Harness.Client.completed c);
+  checki "one failed" 1 (Harness.Client.errors c);
+  checki "one abandoned" 1 (Harness.Client.abandoned c);
+  checki "one reply" 1 !replied;
+  checki "nothing outstanding" 0 (Harness.Client.outstanding c);
+  checki "nothing pending" 0 (Sim.Engine.pending engine)
+
 let () =
   Alcotest.run "harness"
     [
@@ -361,5 +413,7 @@ let () =
             test_client_failed_call_stops_its_timer;
           Alcotest.test_case "a stale timer leaves a reused slot alone" `Quick
             test_client_stale_timer_leaves_a_reused_slot_alone;
+          Alcotest.test_case "finished calls leave nothing pending" `Quick
+            test_client_finished_calls_leave_nothing_pending;
         ] );
     ]
