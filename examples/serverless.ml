@@ -42,6 +42,7 @@ let () =
       | Some true -> Sim.Histogram.record cold latency
       | Some false -> Sim.Histogram.record warm latency
       | None -> ());
+  let zipf = Workload.Dist.Zipf.create ~n:nfunctions ~s:1.4 in
   (* Bursty arrivals: on/off phases of 5 ms at 400k/s and 20k/s. *)
   Workload.Arrivals.step_rates engine rng
     ~steps:
@@ -49,9 +50,7 @@ let () =
          (List.init 10 (fun _ ->
               [ (Sim.Units.ms 5, 400_000.); (Sim.Units.ms 5, 20_000.) ])))
     (fun ~seq ->
-      let pick =
-        Workload.Rpc_mix.zipf_pick rng ~services:nfunctions ~s:1.4
-      in
+      let pick = Workload.Rpc_mix.zipf_pick rng zipf in
       let idx = pick.Workload.Rpc_mix.service_idx in
       let sid = Workload.Scenario.service_id_of setup ~service_idx:idx in
       Hashtbl.replace was_cold (Int64.of_int seq)

@@ -720,7 +720,7 @@ let dispatch_request t sv frame ~rpc_id ~body_off
       arg_bytes > t.cfg.Config.dma_threshold || arg_bytes > window
     in
     let inline_cap = Config.inline_capacity t.cfg in
-    let inline_len = min inline_cap arg_bytes in
+    let inline_len = Int.min inline_cap arg_bytes in
     let aux_count =
       if via_dma then 0
       else
@@ -1116,17 +1116,6 @@ let on_handled t f = t.handled_hook <- Some f
 
 (* ---------- Construction --------------------------------------------- *)
 
-(* Process-wide so every service across every simulated host gets a
-   distinct fake code page. Hosts are built in a fixed order, so the
-   assignment is deterministic. *)
-let next_code_ptr = ref 0x4000_0000
-
-let fresh_code_ptrs n =
-  Array.init n (fun i ->
-      let base = !next_code_ptr in
-      next_code_ptr := base + 0x1000;
-      Int64.add (Int64.of_int base) (Int64.of_int (i * 64)))
-
 (* Dispatcher kernel threads under [Os_integrated]. *)
 let n_dispatchers = 2
 
@@ -1334,11 +1323,16 @@ let create engine ~cfg ~ncores ?(binding = Os_integrated)
         {
           sspec;
           sproc;
+          (* A fake 4 KiB code page per process, as [data_ptr] is a
+             64 KiB data area: one 64-byte entry per method. *)
           code_ptrs =
-            fresh_code_ptrs
+            Array.init
               (List.fold_left
                  (fun acc m -> max acc (m.Rpc.Interface.method_id + 1))
-                 1 svc.Rpc.Interface.methods);
+                 1 svc.Rpc.Interface.methods)
+              (fun i ->
+                Int64.of_int
+                  (0x4000_0000 + (sproc.Osmodel.Proc.pid * 0x1000) + (i * 64)));
           data_ptr =
             Int64.of_int (0x7000_0000 + (sproc.Osmodel.Proc.pid * 0x10000));
           workers = [||];

@@ -283,16 +283,21 @@ let open_loop_run ?(ncores = 8) ?(nservices = 1) ?(min_workers = 1)
   let setup = Workload.Scenario.echo_fleet ~n:nservices ~handler_time () in
   let server = make_server ~ncores ~min_workers ~max_workers flavour setup in
   let rng = Sim.Rng.create ~seed in
+  let zipf =
+    if zipf_s > 0. then
+      Some (Workload.Dist.Zipf.create ~n:nservices ~s:zipf_s)
+    else None
+  in
   Workload.Arrivals.open_loop server.engine rng ~rate_per_s:rate
     ~until:horizon (fun ~seq ->
       let service_idx =
-        if zipf_s > 0. then
-          (Workload.Rpc_mix.zipf_pick rng ~services:nservices ~s:zipf_s)
-            .Workload.Rpc_mix.service_idx
-        else if nservices = 1 then 0
-        else
-          (Workload.Rpc_mix.uniform_pick rng ~services:nservices)
-            .Workload.Rpc_mix.service_idx
+        match zipf with
+        | Some z ->
+            (Workload.Rpc_mix.zipf_pick rng z).Workload.Rpc_mix.service_idx
+        | None when nservices = 1 -> 0
+        | None ->
+            (Workload.Rpc_mix.uniform_pick rng ~services:nservices)
+              .Workload.Rpc_mix.service_idx
       in
       inject_blob server ~seq ~service_idx ~bytes:payload);
   measure ~name:(flavour_name flavour) ~horizon server

@@ -31,10 +31,7 @@ let payload_bytes = 64
    (no ctx extension — tracing is off here) + the codec's varint length
    prefix. Computed, not assumed, so codec changes can't silently
    desynchronize the steering program from the wire format. *)
-let key_off =
-  Rpc.Wire_format.header_size
-  + Bytes.length (Rpc.Codec.encode (Rpc.Value.Blob (Bytes.create payload_bytes)))
-  - payload_bytes
+let key_off = Rpc.Wire_format.header_size + Rpc.Codec.length_size payload_bytes
 
 let steer_env ~queues =
   {
@@ -115,10 +112,7 @@ let run_config ~horizon ~rate prog =
   let model = lane_model ~lanes:nlanes in
   let tap (f : Net.Frame.t) =
     if f.Net.Frame.udp.Net.Udp.dst_port = service_port then
-      let lane =
-        Nic.Steer.eval ~rss:(Nic.Rss.queue_of_frame model_rss) prog f
-        mod nlanes
-      in
+      let lane = Nic.Steer.eval ~rss:model_rss prog f mod nlanes in
       model_touch model ~lane ~key:(key_of_wire f)
   in
   let server =
@@ -128,9 +122,10 @@ let run_config ~horizon ~rate prog =
   in
   let rng = Sim.Rng.create ~seed:0xe20 in
   let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
+  let zipf = Workload.Dist.Zipf.create ~n:nkeys ~s:zipf_s in
   Workload.Arrivals.open_loop server.Common.engine rng ~rate_per_s:rate
     ~until:horizon (fun ~seq ->
-      let key = Workload.Dist.zipf rng ~n:nkeys ~s:zipf_s in
+      let key = Workload.Dist.Zipf.draw zipf rng in
       let flow = Sim.Rng.int rng ~bound:nflows in
       Harness.Traffic.inject server.Common.recorder server.Common.driver
         ~rpc_id:seq ~service_id ~method_id:0 ~port:service_port
@@ -260,9 +255,10 @@ let run_rack () =
   let client = Harness.Client.create engine ~send () in
   Cluster.Fabric.connect_uplink fabric (Harness.Client.on_reply client);
   let rng = Sim.Rng.create ~seed:0xe20b in
+  let zipf = Workload.Dist.Zipf.create ~n:nkeys ~s:zipf_s in
   Workload.Arrivals.open_loop engine rng ~rate_per_s:rate ~until:horizon
     (fun ~seq:_ ->
-      let key = Workload.Dist.zipf rng ~n:nkeys ~s:zipf_s in
+      let key = Workload.Dist.Zipf.draw zipf rng in
       Harness.Client.call client ~service_id ~method_id:0 ~port:service_port
         (key_blob key)
         (fun _ -> ()));

@@ -122,7 +122,8 @@ let[@hot_path] arm c =
   let wait =
     if c.jitter > 0. then
       let u = float_of_int (Sim.Rng.bits53 t.rng) *. 0x1.0p-53 in
-      max 1 (int_of_float (float_of_int c.base *. (1. -. (c.jitter *. u))))
+      Int.max 1
+        (int_of_float (float_of_int c.base *. (1. -. (c.jitter *. u))))
     else c.base
   in
   c.armed <- Sim.Engine.schedule_after t.engine ~after:wait c.timer
@@ -137,7 +138,7 @@ let[@hot_path] on_timer c () =
          ~service_id:c.service_id ~method_id:c.method_id ~port:c.port
          ~client:t.endpoint c.args);
     c.attempts_left <- c.attempts_left - 1;
-    c.base <- min c.max_timeout (grow c.base c.backoff);
+    c.base <- Int.min c.max_timeout (grow c.base c.backoff);
     arm c
   end
   else begin

@@ -219,7 +219,7 @@ let set_steering ?(cost = 0) t f =
   t.steering <- Some f;
   t.steering_cost <- cost
 
-let rss_queue t frame = Rss.queue_of_frame t.rss frame
+let rss t = t.rss
 let nqueues t = Array.length t.queues
 let rx_ring t ~queue:q = (queue t q).ring
 

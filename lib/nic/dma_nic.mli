@@ -62,9 +62,10 @@ val set_steering : ?cost:int -> t -> (Net.Frame.t -> int) -> unit
     go through {!Steer_verify.install} (the verified path) or carry an
     explicit [[@steer_seam]] review annotation. *)
 
-val rss_queue : t -> Net.Frame.t -> int
-(** The queue RSS would pick for this frame (the NIC's own indirection
-    table) — the meaning of a steering program's [Rss] target. *)
+val rss : t -> Rss.t
+(** The NIC's own RSS key table and indirection table: the meaning of
+    a steering program's [Rss] target, and the hash of its [Hash_lane]
+    keys. *)
 
 val nqueues : t -> int
 

@@ -17,38 +17,32 @@ let default_key =
 let key_byte key i =
   if i < String.length key then Char.code (String.get key i) else 0
 
-(* The 32-bit window of [key] starting at bit offset [bit]. *)
-let window key bit =
-  let byte = bit / 8 in
-  let forty =
-    (key_byte key byte lsl 32)
-    lor (key_byte key (byte + 1) lsl 24)
-    lor (key_byte key (byte + 2) lsl 16)
-    lor (key_byte key (byte + 3) lsl 8)
-    lor key_byte key (byte + 4)
-  in
-  (forty lsr (8 - (bit mod 8))) land 0xffff_ffff
-
-(* Bit [b] of a nibble, counted from its most significant bit, adds the
-   window at bit offset [4 * n + b] to every value that has it set. *)
+(* Bit [b] of nibble [n], counted from its most significant bit, has
+   value [m = 8 lsr b] and adds the key's 32-bit window at bit offset
+   [4 * n + b]: bits [8 - k] to [39 - k] of the 40 key bits from byte
+   [n / 2] on, for [k = 4 * (n mod 2) + b]. Row [n] grows a bit at a
+   time, lowest first: with the values below [m] done, value [m + v]
+   is value [v] plus bit [m]'s window. *)
 let table_of key =
   let tbl = Array.make (32 * String.length key) 0 in
   for n = 0 to (2 * String.length key) - 1 do
-    for b = 0 to 3 do
-      let w = window key ((4 * n) + b) in
-      for v = 0 to 15 do
-        if v land (8 lsr b) <> 0 then
-          tbl.((16 * n) + v) <- tbl.((16 * n) + v) lxor w
+    let i = n / 2 in
+    let forty =
+      (key_byte key i lsl 32)
+      lor (key_byte key (i + 1) lsl 24)
+      lor (key_byte key (i + 2) lsl 16)
+      lor (key_byte key (i + 3) lsl 8)
+      lor key_byte key (i + 4)
+    in
+    for b = 3 downto 0 do
+      let m = 8 lsr b in
+      let w = (forty lsr (8 - ((4 * (n mod 2)) + b))) land 0xffff_ffff in
+      for v = 0 to m - 1 do
+        tbl.((16 * n) + m + v) <- tbl.((16 * n) + v) lxor w
       done
     done
   done;
   tbl
-
-(* Built on first use, so a program that never hashes never holds it. *)
-let default_tbl = lazy (table_of default_key)
-
-let tbl_for key =
-  if String.equal key default_key then Lazy.force default_tbl else table_of key
 
 (* XOR into [acc] the entries of the four nibbles of the 16-bit value
    [v], whose most significant nibble sits at nibble position [n0]. *)
@@ -75,18 +69,17 @@ let create ?(key = default_key) ~queues () =
   (* 128-entry indirection table, round-robin initialised (the common
      driver default). *)
   let indirection = Array.init 128 (fun i -> i mod queues) in
-  { tbl = tbl_for key; indirection }
+  { tbl = table_of key; indirection }
 
 let toeplitz_hash ~key data =
-  hash_bytes (tbl_for key) data ~len:(Bytes.length data)
+  hash_bytes (table_of key) data ~len:(Bytes.length data)
 
-let hash data =
-  hash_bytes (Lazy.force default_tbl) data ~len:(Bytes.length data)
+let hash t data = hash_bytes t.tbl data ~len:(Bytes.length data)
 
-let hash_prefix data ~len =
+let hash_prefix t data ~len =
   if len < 0 || len > Bytes.length data then
     invalid_arg "Rss.hash_prefix: len out of range";
-  hash_bytes (Lazy.force default_tbl) data ~len
+  hash_bytes t.tbl data ~len
 
 (* The input is src_ip, dst_ip, src_port, dst_port, big-endian: 24
    nibbles read straight from the ints, 16 bits at a time. A key is at

@@ -6,9 +6,9 @@
     protocol, as in Microsoft's RSS spec for UDP: src/dst address and
     src/dst port), with the standard 40-byte default key.
 
-    The hash is table-driven. Each key gets one table of 32 entries per
-    key byte, built once ({!create} for its key, and on first use for
-    {!default_key}, 1280 words): entry [16 * n + v] is the XOR of the
+    The hash is table-driven. Each {!t} holds one table for its key,
+    32 entries per key byte, built by {!create} (1280 words for
+    {!default_key}): entry [16 * n + v] is the XOR of the
     key's 32-bit windows for the set bits of value [v] at nibble
     position [n] of the input. Hashing is one lookup per input nibble,
     24 for a flow. {!hash_flow}, {!queue_for}, {!queue_of_frame},
@@ -25,17 +25,17 @@ val default_key : string
 (** The de-facto standard Microsoft RSS key. *)
 
 val toeplitz_hash : key:string -> bytes -> int
-(** Raw 32-bit Toeplitz hash of the input bytes under the key. A key
-    other than {!default_key} has its table built on each call. *)
+(** Raw 32-bit Toeplitz hash of the input bytes under the key. The
+    key's table is built on each call. *)
 
-val hash : bytes -> int
-(** [hash data] is [toeplitz_hash ~key:default_key data]: the pure,
-    reusable flow hash.  The steering DSL's key-hash primitive
-    ({!Steer}) is this function, through {!hash_prefix}, so
-    steering-by-key and RSS provably agree on hash values (QCheck-tested). *)
+val hash : t -> bytes -> int
+(** [hash t data] is [toeplitz_hash ~key data] under [t]'s key.  The
+    steering DSL's key-hash primitive ({!Steer}) is this function,
+    through {!hash_prefix} on the NIC's own [t], so steering-by-key and
+    RSS provably agree on hash values (QCheck-tested). *)
 
-val hash_prefix : bytes -> len:int -> int
-(** [hash_prefix b ~len] is [hash (Bytes.sub b 0 len)], without the copy.
+val hash_prefix : t -> bytes -> len:int -> int
+(** [hash_prefix t b ~len] is [hash t (Bytes.sub b 0 len)], uncopied.
     @raise Invalid_argument if [len < 0] or [len > Bytes.length b]. *)
 
 val hash_flow :

@@ -76,10 +76,10 @@ let[@hot_path] rec resolve ~rss ~alive ~worker_lane ~on_dead ~scratch frame
     target =
   match target with
   | Queue q -> q
-  | Rss -> rss frame
+  | Rss -> Rss.queue_of_frame rss frame
   | Hash_lane { key; lanes; base } ->
       let n = gather_key frame key scratch 0 in
-      base + (Rss.hash_prefix scratch ~len:n mod lanes)
+      base + (Rss.hash_prefix rss scratch ~len:n mod lanes)
   | Worker w ->
       if alive w then worker_lane w
       else (
@@ -126,10 +126,10 @@ let[@hot_path] rec first_match t rules frame i =
   else first_match t rules frame (i + 1)
 
 (* A program with no rules whose default needs no per-frame work is
-   that default itself: [rss], or a constant queue. *)
+   that default itself: the RSS lookup, or a constant queue. *)
 let compile ~rss ?(alive = fun _ -> true) ?(worker_lane = fun w -> w) t =
   match (t.rules, t.default) with
-  | [], Some Rss -> rss
+  | [], Some Rss -> Rss.queue_of_frame rss
   | [], Some (Queue q) -> fun _ -> q
   | _ ->
       let scratch = Bytes.create (max 1 (max_key_width t)) in

@@ -43,8 +43,8 @@ type target =
       (** A pinned worker id, resolved through the scheduler mirror;
           requires the program to declare [on_dead]. *)
   | Hash_lane of { key : field list; lanes : int; base : int }
-      (** [base + Rss.hash (gathered key bytes) mod lanes]: key-hash
-          affinity over a contiguous lane window. *)
+      (** [base + Rss.hash rss (gathered key bytes) mod lanes], [rss] as
+          for [Rss]: key-hash affinity over a contiguous lane window. *)
   | Rss  (** Fall back to the NIC's RSS indirection table. *)
 
 type rule = { guard : guard; target : target }
@@ -70,7 +70,7 @@ val pp_field : Format.formatter -> field -> unit
 (** {2 Evaluation} *)
 
 val eval :
-  rss:(Net.Frame.t -> int) ->
+  rss:Rss.t ->
   ?alive:(int -> bool) ->
   ?worker_lane:(int -> int) ->
   t ->
@@ -84,7 +84,7 @@ val eval :
     [worker_lane] maps a worker id to its lane (default: identity). *)
 
 val compile :
-  rss:(Net.Frame.t -> int) ->
+  rss:Rss.t ->
   ?alive:(int -> bool) ->
   ?worker_lane:(int -> int) ->
   t ->
@@ -92,8 +92,8 @@ val compile :
   int
 (** First-match evaluator used on the NIC hot path.  Equivalent to
     {!eval} on verified programs (QCheck-tested).  A program with no
-    rules and an [Rss] or [Queue] default compiles to [rss] itself or
-    to a constant. *)
+    rules and an [Rss] or [Queue] default compiles to the RSS lookup
+    itself or to a constant. *)
 
 (** {2 Shipped programs} *)
 

@@ -332,8 +332,7 @@ let verify ~env (t : Steer.t) =
   | ds -> Error (List.rev ds)
 
 let install ?metrics ?alive ?worker_lane ~nic v =
-  let rss frame = Dma_nic.rss_queue nic frame in
-  let f = Steer.compile ~rss ?alive ?worker_lane v.prog in
+  let f = Steer.compile ~rss:(Dma_nic.rss nic) ?alive ?worker_lane v.prog in
   let f =
     match metrics with
     | None -> f

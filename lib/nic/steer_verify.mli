@@ -67,7 +67,8 @@ val install :
   unit
 (** Compile the certified program and install it on the NIC, charging
     its static cost per packet.  The [Rss] target resolves through the
-    NIC's own indirection table ({!Dma_nic.rss_queue}).
+    NIC's own {!Rss.t} ({!Dma_nic.rss}), which also hashes [Hash_lane]
+    keys.
 
     [metrics] registers per-lane steering counters
     ([steer_lane_<i>], one per NIC queue) and a [steer_decisions]

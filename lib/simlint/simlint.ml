@@ -17,6 +17,7 @@ type rules = {
   obs_gating : bool;
   fault_seam : bool;
   steer_seam : bool;
+  global_state : bool;
 }
 
 (* Path classification is purely textual so the linter behaves the same
@@ -36,6 +37,7 @@ let rules_for_path path =
       obs_gating = false;
       fault_seam = false;
       steer_seam = false;
+      global_state = false;
     }
   else
     let in_lib = has_segment path "lib" in
@@ -63,6 +65,7 @@ let rules_for_path path =
       obs_gating;
       fault_seam;
       steer_seam;
+      global_state = in_lib;
     }
 
 (* ---------- AST helpers ---------- *)
@@ -95,37 +98,34 @@ type ctx = {
   arities : (string, int) Hashtbl.t;
   (* character offsets of =/<> uses exempted by a literal operand *)
   exempt : (int, unit) Hashtbl.t;
-  (* [@nondet_ok] character spans: deliberate, reviewed nondeterminism
-     (wall-clock reporting) *)
-  mutable nondet_ok : (int * int) list;
-  (* spans in which observability hooks may be installed: any
-     if/match whose scrutinee consults a Config, plus explicit
-     [@obs_gated] marks *)
-  mutable obs_gated : (int * int) list;
-  (* [@fault_seam] spans: reviewed cluster-fault plumbing (the seam
-     definitions themselves, and lib/fault's installers) *)
-  mutable fault_seam_ok : (int * int) list;
-  (* [@steer_seam] spans: reviewed raw dispatch-table writes outside
-     lib/nic (legacy port→queue plumbing that predates the verified
-     steering path) *)
-  mutable steer_seam_ok : (int * int) list;
+  (* Character spans of the escape marks, as (mark, start, end):
+     - [nondet_ok]: deliberate, reviewed nondeterminism (wall-clock
+       reporting);
+     - [obs_gated]: where observability hooks may be installed — any
+       if/match whose scrutinee consults a Config, plus explicit marks;
+     - [fault_seam]: reviewed cluster-fault plumbing (the seam
+       definitions themselves, and lib/fault's installers);
+     - [steer_seam]: reviewed raw dispatch-table writes outside lib/nic
+       (legacy port→queue plumbing that predates the verified steering
+       path). *)
+  mutable spans : (string * int * int) list;
 }
 
-let in_nondet_ok ctx (loc : Location.t) =
-  let p = loc.Location.loc_start.Lexing.pos_cnum in
-  List.exists (fun (s, e) -> p >= s && p < e) ctx.nondet_ok
+(* The span marks, each scoping the binding or expression it is on. *)
+let span_marks = [ "nondet_ok"; "obs_gated"; "fault_seam"; "steer_seam" ]
 
-let in_obs_gated ctx (loc : Location.t) =
-  let p = loc.Location.loc_start.Lexing.pos_cnum in
-  List.exists (fun (s, e) -> p >= s && p < e) ctx.obs_gated
+let add_span ctx mark (loc : Location.t) =
+  ctx.spans <-
+    ( mark,
+      loc.Location.loc_start.Lexing.pos_cnum,
+      loc.Location.loc_end.Lexing.pos_cnum )
+    :: ctx.spans
 
-let in_fault_seam_ok ctx (loc : Location.t) =
+let in_span ctx mark (loc : Location.t) =
   let p = loc.Location.loc_start.Lexing.pos_cnum in
-  List.exists (fun (s, e) -> p >= s && p < e) ctx.fault_seam_ok
-
-let in_steer_seam_ok ctx (loc : Location.t) =
-  let p = loc.Location.loc_start.Lexing.pos_cnum in
-  List.exists (fun (s, e) -> p >= s && p < e) ctx.steer_seam_ok
+  List.exists
+    (fun (m, s, e) -> String.equal m mark && p >= s && p < e)
+    ctx.spans
 
 let report ctx ~loc ~rule fmt =
   let pos = loc.Location.loc_start in
@@ -172,7 +172,7 @@ let nondet_diagnosis lid =
 let check_nondet ctx ~loc lid =
   match nondet_diagnosis lid with
   | Some why ->
-      if not (in_nondet_ok ctx loc) then
+      if not (in_span ctx "nondet_ok" loc) then
         report ctx ~loc ~rule:"nondeterminism" "%s" why
   | None -> ()
 
@@ -183,7 +183,7 @@ let check_nondet_apply ctx ~loc lid args =
     | Longident.Lident "create" -> false
     | _ -> is_mod_fn lid ~m:"Hashtbl" ~fn:"create"
   in
-  if is_hashtbl_create && not (in_nondet_ok ctx loc) then
+  if is_hashtbl_create && not (in_span ctx "nondet_ok" loc) then
     List.iter
       (fun (label, (arg : expression)) ->
         match (label, arg.pexp_desc) with
@@ -428,6 +428,111 @@ let steer_seam_diagnosis lid =
     Some "Dma_nic.set_steering"
   else None
 
+(* ---------- rule: global state ---------- *)
+
+(* The constructors of mutable state. Evaluated at a module's top level
+   (a nested module's included), each builds one value for the whole
+   process, which every run in it then shares. *)
+let state_ctors =
+  [
+    ("Hashtbl", [ "create" ]);
+    ("Array", [ "make"; "init" ]);
+    ("Bytes", [ "create"; "make" ]);
+    ("Atomic", [ "make" ]);
+    ("Queue", [ "create" ]);
+    ("Stack", [ "create" ]);
+    ("Buffer", [ "create" ]);
+  ]
+
+let state_ctor lid =
+  match lid with
+  | Longident.Lident "ref" | Longident.Ldot (Longident.Lident "Stdlib", "ref")
+    ->
+      Some "ref"
+  | _ ->
+      List.find_map
+        (fun (m, fns) ->
+          List.find_map
+            (fun fn ->
+              if is_mod_fn lid ~m ~fn then Some (m ^ "." ^ fn) else None)
+            fns)
+        state_ctors
+
+(* The reason of a [[@@global_ok "reason"]] mark: [Some ""] when the
+   mark gives none. *)
+let global_ok_reason attrs =
+  List.find_map
+    (fun a ->
+      if not (String.equal a.attr_name.Location.txt "global_ok") then None
+      else
+        match a.attr_payload with
+        | PStr
+            [
+              {
+                pstr_desc =
+                  Pstr_eval
+                    ( { pexp_desc = Pexp_constant (Pconst_string (r, _, _)); _ },
+                      _ );
+                _;
+              };
+            ] ->
+            Some (String.trim r)
+        | _ -> Some "")
+    attrs
+
+(* Report the state a top-level binding builds when the module is
+   initialised. Function bodies run per call, so the scan stops at
+   them. *)
+let check_global_binding ctx vb =
+  match global_ok_reason vb.pvb_attributes with
+  | Some "" ->
+      report ctx ~loc:vb.pvb_loc ~rule:"global-state"
+        "[@@@@global_ok] needs a reason string"
+  | Some _ -> ()
+  | None ->
+      let flag loc what =
+        report ctx ~loc ~rule:"global-state"
+          "top-level %s is process-wide mutable state, shared by every run \
+           in the process; build it per run or per stack (or mark a \
+           reviewed binding [@@@@global_ok \"reason\"])"
+          what
+      in
+      let expr it (e : expression) =
+        match e.pexp_desc with
+        | Pexp_fun _ | Pexp_function _ -> ()
+        | Pexp_lazy _ -> flag e.pexp_loc "Lazy.t"
+        | Pexp_apply
+            ({ pexp_desc = Pexp_ident { Location.txt = lid; _ }; _ }, _) -> (
+            match state_ctor lid with
+            | Some what -> flag e.pexp_loc what
+            | None -> Ast_iterator.default_iterator.expr it e)
+        | _ -> Ast_iterator.default_iterator.expr it e
+      in
+      let it = { Ast_iterator.default_iterator with expr } in
+      it.expr it vb.pvb_expr
+
+let rec check_global_structure ctx (str : structure) =
+  List.iter
+    (fun item ->
+      match item.pstr_desc with
+      | Pstr_value (_, bindings) ->
+          List.iter (check_global_binding ctx) bindings
+      | Pstr_module mb -> check_global_module ctx mb.pmb_expr
+      | Pstr_recmodule mbs ->
+          List.iter (fun mb -> check_global_module ctx mb.pmb_expr) mbs
+      | Pstr_include incl -> check_global_module ctx incl.pincl_mod
+      | _ -> ())
+    str
+
+(* A functor's body is checked too: applied at the top level, its
+   state is the process's. *)
+and check_global_module ctx (me : module_expr) =
+  match me.pmod_desc with
+  | Pmod_structure str -> check_global_structure ctx str
+  | Pmod_constraint (me, _) | Pmod_functor (_, me) ->
+      check_global_module ctx me
+  | _ -> ()
+
 (* Does the expression consult a [Config] module anywhere (ident or
    record-field access through a Config-qualified label)? *)
 let expr_mentions_config (e : expression) =
@@ -479,78 +584,44 @@ let binding_name vb =
   | _ -> None
 
 let check_structure ctx (str : structure) =
-  (* First pass: top-level function arities for the partial-application
-     heuristic, and [@nondet_ok] spans (the attribute scopes its whole
-     binding or expression) so the nondet rule can honour escapes that
-     appear later in the same traversal. *)
+  (* Before the rules run: top-level function arities for the
+     partial-application heuristic, then every escape-mark span, so a
+     rule honours marks wherever they sit in the file. *)
   List.iter
     (fun item ->
       match item.pstr_desc with
       | Pstr_value (_, bindings) ->
           List.iter
             (fun vb ->
-              (match binding_name vb with
+              match binding_name vb with
               | Some name ->
                   let a = arity_of vb.pvb_expr in
                   if a > 0 then Hashtbl.replace ctx.arities name a
-              | None -> ());
-              if has_attr "nondet_ok" vb.pvb_attributes then
-                ctx.nondet_ok <-
-                  ( vb.pvb_loc.Location.loc_start.Lexing.pos_cnum,
-                    vb.pvb_loc.Location.loc_end.Lexing.pos_cnum )
-                  :: ctx.nondet_ok)
+              | None -> ())
             bindings
       | _ -> ())
     str;
+  let add_marks attrs loc =
+    List.iter
+      (fun mark -> if has_attr mark attrs then add_span ctx mark loc)
+      span_marks
+  in
   let span_collector =
     {
       Ast_iterator.default_iterator with
       expr =
         (fun it (e : expression) ->
-          if has_attr "nondet_ok" e.pexp_attributes then
-            ctx.nondet_ok <-
-              ( e.pexp_loc.Location.loc_start.Lexing.pos_cnum,
-                e.pexp_loc.Location.loc_end.Lexing.pos_cnum )
-              :: ctx.nondet_ok;
-          let span () =
-            ( e.pexp_loc.Location.loc_start.Lexing.pos_cnum,
-              e.pexp_loc.Location.loc_end.Lexing.pos_cnum )
-          in
-          if has_attr "obs_gated" e.pexp_attributes then
-            ctx.obs_gated <- span () :: ctx.obs_gated;
-          if has_attr "fault_seam" e.pexp_attributes then
-            ctx.fault_seam_ok <- span () :: ctx.fault_seam_ok;
-          if has_attr "steer_seam" e.pexp_attributes then
-            ctx.steer_seam_ok <- span () :: ctx.steer_seam_ok;
+          add_marks e.pexp_attributes e.pexp_loc;
           (match e.pexp_desc with
           | Pexp_ifthenelse (cond, _, _) when expr_mentions_config cond ->
-              ctx.obs_gated <- span () :: ctx.obs_gated
+              add_span ctx "obs_gated" e.pexp_loc
           | Pexp_match (scrut, _) when expr_mentions_config scrut ->
-              ctx.obs_gated <- span () :: ctx.obs_gated
+              add_span ctx "obs_gated" e.pexp_loc
           | _ -> ());
           Ast_iterator.default_iterator.expr it e);
       value_binding =
         (fun it vb ->
-          if has_attr "nondet_ok" vb.pvb_attributes then
-            ctx.nondet_ok <-
-              ( vb.pvb_loc.Location.loc_start.Lexing.pos_cnum,
-                vb.pvb_loc.Location.loc_end.Lexing.pos_cnum )
-              :: ctx.nondet_ok;
-          if has_attr "obs_gated" vb.pvb_attributes then
-            ctx.obs_gated <-
-              ( vb.pvb_loc.Location.loc_start.Lexing.pos_cnum,
-                vb.pvb_loc.Location.loc_end.Lexing.pos_cnum )
-              :: ctx.obs_gated;
-          if has_attr "fault_seam" vb.pvb_attributes then
-            ctx.fault_seam_ok <-
-              ( vb.pvb_loc.Location.loc_start.Lexing.pos_cnum,
-                vb.pvb_loc.Location.loc_end.Lexing.pos_cnum )
-              :: ctx.fault_seam_ok;
-          if has_attr "steer_seam" vb.pvb_attributes then
-            ctx.steer_seam_ok <-
-              ( vb.pvb_loc.Location.loc_start.Lexing.pos_cnum,
-                vb.pvb_loc.Location.loc_end.Lexing.pos_cnum )
-              :: ctx.steer_seam_ok;
+          add_marks vb.pvb_attributes vb.pvb_loc;
           Ast_iterator.default_iterator.value_binding it vb);
     }
   in
@@ -563,7 +634,7 @@ let check_structure ctx (str : structure) =
         if ctx.rules.nondet then check_nondet_apply ctx ~loc lid args;
         if ctx.rules.obs_gating then (
           match obs_hook_diagnosis lid with
-          | Some what when not (in_obs_gated ctx loc) ->
+          | Some what when not (in_span ctx "obs_gated" loc) ->
               report ctx ~loc ~rule:"obs-gating"
                 "%s arms an observability hook unconditionally; install only \
                  under a Config-consulting branch (or mark the reviewed path \
@@ -572,7 +643,7 @@ let check_structure ctx (str : structure) =
           | Some _ | None -> ());
         if ctx.rules.fault_seam then (
           match fault_seam_diagnosis lid with
-          | Some what when not (in_fault_seam_ok ctx loc) ->
+          | Some what when not (in_span ctx "fault_seam" loc) ->
               report ctx ~loc ~rule:"fault-seam"
                 "%s mutates cluster fault state outside lib/fault; compile \
                  the fault into a Fault.Plan and let Rack_chaos install it \
@@ -581,7 +652,7 @@ let check_structure ctx (str : structure) =
           | Some _ | None -> ());
         if ctx.rules.steer_seam then (
           match steer_seam_diagnosis lid with
-          | Some what when not (in_steer_seam_ok ctx loc) ->
+          | Some what when not (in_span ctx "steer_seam" loc) ->
               report ctx ~loc ~rule:"steer-seam"
                 "%s writes the NIC dispatch table raw, outside lib/nic; \
                  verify the program (Steer_verify.verify) and install it \
@@ -637,7 +708,8 @@ let check_structure ctx (str : structure) =
     Ast_iterator.default_iterator.structure_item it item
   in
   let it = { Ast_iterator.default_iterator with expr; structure_item } in
-  it.structure it str
+  it.structure it str;
+  if ctx.rules.global_state then check_global_structure ctx str
 
 let check_source ~path source =
   let rules = rules_for_path path in
@@ -655,14 +727,16 @@ let check_source ~path source =
         findings = [];
         arities = Hashtbl.create 16;
         exempt = Hashtbl.create 16;
-        nondet_ok = [];
-        obs_gated = [];
-        fault_seam_ok = [];
-        steer_seam_ok = [];
+        spans = [];
       }
     in
     check_structure ctx str;
-    List.rev ctx.findings
+    List.stable_sort
+      (fun a b ->
+        match Int.compare a.line b.line with
+        | 0 -> Int.compare a.col b.col
+        | c -> c)
+      (List.rev ctx.findings)
   end
 
 let read_file path =

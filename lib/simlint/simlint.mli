@@ -1,6 +1,6 @@
 (** Project-law static analysis over the simulator's sources.
 
-    Seven rules, applied per-file according to its path:
+    Eight rules, applied per-file according to its path:
 
     - {b nondeterminism} (all of [lib/] except [lib/fault]): no ambient
       entropy or wall-clock sources — [Random.*] (the global PRNG and
@@ -55,7 +55,18 @@
       determinism) and installed through [Steer_verify.install], which
       alone charges the proven per-packet cost. Reviewed legacy
       plumbing (the kernel-bypass port→queue table) carries a
-      [[@steer_seam]] mark. Experiment/bench/test code is exempt. *)
+      [[@steer_seam]] mark. Experiment/bench/test code is exempt.
+    - {b global-state} (all of [lib/]): no process-wide mutable state.
+      A top-level binding, in a nested module or functor body too, must
+      not build a [ref], [Hashtbl.create], [Array.make]/[init],
+      [Bytes.create]/[make], [Atomic.make],
+      [Queue]/[Stack]/[Buffer.create] or a suspension ([Lazy.t]) when
+      its module is initialised: every run in the process would share
+      it, so what one run does could change the next. Function bodies
+      are not scanned (they run per call); such state belongs to the
+      run, stack or NIC that uses it. A reviewed binding opts out with
+      [[@@global_ok "reason"]]; the mark without a reason is itself a
+      finding. *)
 
 type finding = {
   file : string;
@@ -64,7 +75,7 @@ type finding = {
   rule : string;
       (** [nondeterminism] | [polymorphic-compare] | [hot-path] |
           [pool-discipline] | [obs-gating] | [fault-seam] |
-          [steer-seam] *)
+          [steer-seam] | [global-state] *)
   msg : string;
 }
 

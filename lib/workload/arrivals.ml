@@ -6,7 +6,7 @@ let open_loop_trace engine rng ~interarrival ~until fire =
   (* One arrival event closure for the whole run, not one per arrival. *)
   let rec next () =
     let gap = Dist.sample_int interarrival rng in
-    let at = Sim.Engine.now engine + max 1 gap in
+    let at = Sim.Engine.now engine + Int.max 1 gap in
     if at <= until then ignore (Sim.Engine.schedule_at engine ~at arrive)
   and arrive () =
     let s = !seq in
@@ -37,7 +37,7 @@ let step_rates engine rng ~steps fire =
           let gap =
             if rate = 0. then seg_end - now + 1
             else
-              max 1
+              Int.max 1
                 (int_of_float
                    (Float.round (Sim.Rng.exponential rng ~mean:(1e9 /. rate))))
           in

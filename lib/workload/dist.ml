@@ -56,39 +56,34 @@ let rec validate = function
       if p < 0. || p > 1. then Error "Bimodal: probability out of [0,1]"
       else ( match validate a with Error _ as e -> e | Ok () -> validate b)
 
-(* Zipf via cached cumulative weights. *)
-let zipf_cache : (int * float, float array) Hashtbl.t = Hashtbl.create 8
+module Zipf = struct
+  (* Cumulative weights, built once per table. *)
+  type t = float array
 
-let zipf_cdf ~n ~s =
-  match Hashtbl.find_opt zipf_cache (n, s) with
-  | Some c -> c
-  | None ->
-      let w = Array.init n (fun i -> 1. /. (float_of_int (i + 1) ** s)) in
-      let total = Array.fold_left ( +. ) 0. w in
-      let acc = ref 0. in
-      let cdf =
-        Array.map
-          (fun x ->
-            acc := !acc +. (x /. total);
-            !acc)
-          w
-      in
-      Hashtbl.replace zipf_cache (n, s) cdf;
-      cdf
+  let create ~n ~s =
+    if n <= 0 then invalid_arg "Dist.Zipf.create: n <= 0";
+    if s < 0. then invalid_arg "Dist.Zipf.create: negative exponent";
+    let w = Array.init n (fun i -> 1. /. (float_of_int (i + 1) ** s)) in
+    let total = Array.fold_left ( +. ) 0. w in
+    let acc = ref 0. in
+    Array.map
+      (fun x ->
+        acc := !acc +. (x /. total);
+        !acc)
+      w
 
-let zipf rng ~n ~s =
-  if n <= 0 then invalid_arg "Dist.zipf: n <= 0";
-  if s < 0. then invalid_arg "Dist.zipf: negative exponent";
-  let cdf = zipf_cdf ~n ~s in
-  let u = Sim.Rng.float rng in
-  (* Binary search for the first index with cdf >= u. *)
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if cdf.(mid) >= u then go lo mid else go (mid + 1) hi
-  in
-  go 0 (n - 1)
+  (* [Rng.float] written out over [Rng.bits53], as in [sample_int], and
+     a binary search for the first index with cdf >= u in a loop: no
+     float is boxed and no closure built. *)
+  let[@hot_path] draw cdf rng =
+    let u = float_of_int (Sim.Rng.bits53 rng) *. 0x1.0p-53 in
+    let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cdf.(mid) >= u then hi := mid else lo := mid + 1
+    done;
+    !lo
+end
 
 let rec pp ppf = function
   | Constant c -> Format.fprintf ppf "const(%g)" c

@@ -18,10 +18,17 @@ val mean : t -> float
 val validate : t -> (unit, string) result
 (** Check parameter sanity (positive means, low < high, ...). *)
 
-val zipf : Sim.Rng.t -> n:int -> s:float -> int
-(** Zipf-distributed rank in [0, n): popularity skew for service
-    selection. [s] is the exponent (1.0 ≈ classic web skew). Uses
-    inverse-CDF over precomputed weights — O(log n) per sample after an
-    O(n) setup cached per (n, s). *)
+(** Zipf-distributed ranks in [[0, n)]: popularity skew for service
+    selection. A run builds its table once and draws from it. *)
+module Zipf : sig
+  type t
+  val create : n:int -> s:float -> t
+  (** The inverse-CDF table over [n] ranks with exponent [s] (1.0 ≈
+      classic web skew): O(n) to build.
+      @raise Invalid_argument if [n <= 0] or [s < 0]. *)
+
+  val draw : t -> Sim.Rng.t -> int
+  (** One rank, by binary search over the table: O(log n). *)
+end
 
 val pp : Format.formatter -> t -> unit

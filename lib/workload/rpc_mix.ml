@@ -14,5 +14,4 @@ let uniform_pick rng ~services =
   if services <= 0 then invalid_arg "Rpc_mix.uniform_pick: services <= 0";
   { service_idx = Sim.Rng.int rng ~bound:services; method_id = 0 }
 
-let zipf_pick rng ~services ~s =
-  { service_idx = Dist.zipf rng ~n:services ~s; method_id = 0 }
+let zipf_pick rng zipf = { service_idx = Dist.Zipf.draw zipf rng; method_id = 0 }

@@ -19,5 +19,6 @@ val sample_args : Sim.Rng.t -> schema:Rpc.Schema.t -> size:Dist.t ->
 type pick = { service_idx : int; method_id : int }
 
 val uniform_pick : Sim.Rng.t -> services:int -> pick
-val zipf_pick : Sim.Rng.t -> services:int -> s:float -> pick
-(** Popularity-skewed service selection (method 0). *)
+val zipf_pick : Sim.Rng.t -> Dist.Zipf.t -> pick
+(** Popularity-skewed service selection (method 0), over the table's
+    ranks. *)

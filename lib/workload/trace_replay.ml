@@ -59,14 +59,18 @@ let synthesize rng ~duration ~rate_per_s ~services ?(zipf_s = 0.) () =
     invalid_arg "Trace_replay.synthesize: rate <= 0";
   if services <= 0 then invalid_arg "Trace_replay.synthesize: services <= 0";
   let mean_gap = 1e9 /. rate_per_s in
+  let zipf =
+    if zipf_s > 0. then Some (Dist.Zipf.create ~n:services ~s:zipf_s) else None
+  in
   let rec go now acc =
     let gap = max 1 (int_of_float (Sim.Rng.exponential rng ~mean:mean_gap)) in
     let now = now + gap in
     if now > duration then List.rev acc
     else
       let service_idx =
-        if zipf_s > 0. then Dist.zipf rng ~n:services ~s:zipf_s
-        else Sim.Rng.int rng ~bound:services
+        match zipf with
+        | Some z -> Dist.Zipf.draw z rng
+        | None -> Sim.Rng.int rng ~bound:services
       in
       let bytes = Dist.sample_int Rpc_mix.small_rpc_sizes rng in
       go now ({ at = now; service_idx; bytes } :: acc)

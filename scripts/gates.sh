@@ -9,6 +9,10 @@
 #            generations, sched-mirror convergence) in fail-fast mode:
 #            zero trips, and the checkers observe without perturbing.
 #
+# One more gate runs two sections in one process, the later one in
+# Sections.all order first, and requires their two snapshots: no run
+# leaves state behind that changes the next one.
+#
 # Then every shipped steering program must pass the static verifier,
 # and every section with a test/baseline snapshot must reproduce it
 # byte for byte.
@@ -62,6 +66,9 @@ same        rack       ""           "$san"
 same        obstrace   ""           "$san"       E18_OUT_DIR
 same        chaossoak  ""           "$san"
 same        steering   ""           "$san"
+# -- one process: both draw Zipf ranks and build stacks
+"$figures" steering dynamic > "$a" 2>/dev/null
+cat test/baseline/steering.txt test/baseline/dynamic.txt | diff - "$a"
 
 "$steer_verify"
 

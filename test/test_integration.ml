@@ -94,12 +94,17 @@ let run_stack ~stack ~ncores ~nservices ~rate ?(payload = 64) ?(zipf_s = 0.)
           Baseline.Bypass_stack.counters s )
   in
   let rng = Sim.Rng.create ~seed:1234 in
+  let zipf =
+    if zipf_s > 0. then
+      Some (Workload.Dist.Zipf.create ~n:nservices ~s:zipf_s)
+    else None
+  in
   Workload.Arrivals.open_loop engine rng ~rate_per_s:rate ~until:horizon
     (fun ~seq ->
       let pick =
-        if zipf_s > 0. then
-          Workload.Rpc_mix.zipf_pick rng ~services:nservices ~s:zipf_s
-        else Workload.Rpc_mix.uniform_pick rng ~services:nservices
+        match zipf with
+        | Some z -> Workload.Rpc_mix.zipf_pick rng z
+        | None -> Workload.Rpc_mix.uniform_pick rng ~services:nservices
       in
       let svc = pick.Workload.Rpc_mix.service_idx in
       Harness.Traffic.inject recorder driver

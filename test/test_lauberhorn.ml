@@ -1456,6 +1456,58 @@ let test_stack_kill_restart_lifecycle () =
   checki "respawn counted" 1 (mv "respawns");
   checki "dead-window arrival refused" 1 (mv "crash_nacks")
 
+(* The code pointer the NIC stages for a fresh stack's first request.
+   The service keeps no resident worker and both kernel dispatchers are
+   retired, so nothing wakes a worker: the request stays staged on its
+   CONTROL line, and the test loads every staged line itself. *)
+let first_staged_code_ptr () =
+  let env =
+    make_stack
+      ~services:[ echo_spec ~min_workers:0 ~max_workers:1 ~port:7000 ~id:1 () ]
+      ()
+  in
+  let ha = Lauberhorn.Stack.home_agent env.stack in
+  Sim.Engine.run env.sengine ~until:(Sim.Units.us 10);
+  for idx = 0 to Lauberhorn.Stack.dispatcher_count env.stack - 1 do
+    checkb "dispatcher retired" true
+      (Lauberhorn.Stack.retire_dispatcher env.stack ~idx)
+  done;
+  Sim.Engine.run env.sengine ~until:(Sim.Units.us 20);
+  Harness.Traffic.inject env.recorder env.driver ~rpc_id:1 ~service_id:1
+    ~method_id:0 ~port:7000
+    (Rpc.Value.Blob (Bytes.of_string "x"));
+  Sim.Engine.run env.sengine ~until:(Sim.Units.us 40);
+  let rec requests id acc =
+    match Coherence.Home_agent.stage_pending ha id with
+    | exception Invalid_argument _ -> acc
+    | false -> requests (id + 1) acc
+    | true ->
+        let fill = ref None in
+        Coherence.Home_agent.cpu_load ha id (fun f -> fill := Some f);
+        while Option.is_none !fill && Sim.Engine.step env.sengine do () done;
+        let acc =
+          match !fill with
+          | Some (Coherence.Home_agent.Data b) -> (
+              match Lauberhorn.Message.decode b with
+              | Ok (Lauberhorn.Message.Request r) -> r :: acc
+              | Ok _ | Error _ -> acc)
+          | Some Coherence.Home_agent.Tryagain | None -> acc
+        in
+        requests (id + 1) acc
+  in
+  match requests 0 [] with
+  | [ r ] ->
+      checki "service" 1 r.Lauberhorn.Message.service_id;
+      r.Lauberhorn.Message.code_ptr
+  | rs -> Alcotest.failf "%d staged requests, expected 1" (List.length rs)
+
+let test_stack_code_ptrs_per_stack () =
+  (* Code pointers derive from the service's process id, so a stack's
+     do not depend on what the process built before it. *)
+  let a = first_staged_code_ptr () in
+  let b = first_staged_code_ptr () in
+  check Alcotest.int64 "same code pointer" a b
+
 let test_stack_reply_echoes_method_id () =
   (* Clients pick the response schema by (service, method): a reply to
      kv method 1 must say method 1, or its Unit body is decoded with
@@ -1888,5 +1940,7 @@ let () =
             test_stack_kill_nacks_in_id_order;
           Alcotest.test_case "a late trace context reaches the reply" `Quick
             test_stack_late_context_reaches_the_reply;
+          Alcotest.test_case "identical stacks stage the same code pointer"
+            `Quick test_stack_code_ptrs_per_stack;
         ] );
     ]

@@ -351,6 +351,60 @@ let test_steer_seam_attr_escape () =
   in
   checki "only the unmarked call flagged" 1 (count "steer-seam" fs)
 
+(* --- global-state ---------------------------------------------------- *)
+
+let global_findings ?(path = "lib/workload/dist.ml") src =
+  count "global-state" (lint ~path src)
+
+(* Each constructor of mutable state, bound at the top level. *)
+let test_global_each_form () =
+  List.iter
+    (fun src -> checki src 1 (global_findings src))
+    [
+      "let next = ref 0\n";
+      "let cache : (int, int) Hashtbl.t = Hashtbl.create 8\n";
+      "let a = Array.make 4 0\n";
+      "let a = Array.init 4 (fun i -> i)\n";
+      "let b = Bytes.create 8\n";
+      "let b = Bytes.make 8 'x'\n";
+      "let t = lazy (Array.length [||])\n";
+      "let c = Atomic.make 0\n";
+      "let q : int Queue.t = Queue.create ()\n";
+      "let s : int Stack.t = Stack.create ()\n";
+      "let buf = Buffer.create 16\n";
+    ]
+
+let test_global_nested_module () =
+  checki "in a nested module" 1
+    (global_findings "module Cache = struct let tbl = Hashtbl.create 8 end\n");
+  checki "in a functor body" 1
+    (global_findings
+       "module Make (X : sig end) = struct let n = ref 0 end\n");
+  checki "captured by a closure" 1
+    (global_findings
+       "let next = let n = ref 0 in fun () -> incr n; !n\n")
+
+let test_global_per_call_and_immutable_clean () =
+  checki "built per call" 0
+    (global_findings
+       "let fresh () = ref 0\nlet table n = Array.make n 0\n");
+  checki "immutable top-level values" 0
+    (global_findings
+       "let weights = [ 1.; 2.; 3. ]\nlet name = \"zipf\"\n\
+        let pair = (1, Some 2)\n");
+  checki "outside lib/" 0
+    (global_findings ~path:"test/t.ml" "let next = ref 0\n")
+
+let test_global_ok_honoured () =
+  checki "reviewed mark honoured" 0
+    (global_findings
+       "let no_copy = Bytes.create 0 [@@global_ok \"empty sentinel\"]\n");
+  checki "a mark without a reason is a finding" 1
+    (global_findings "let no_copy = Bytes.create 0 [@@global_ok]\n");
+  checki "the mark covers its binding only" 1
+    (global_findings
+       "let a = ref 0 [@@global_ok \"reviewed\"]\nlet b = ref 0\n")
+
 (* --- the repo itself is lint-clean --------------------------------- *)
 
 let test_repo_lib_clean () =
@@ -454,6 +508,14 @@ let () =
           tc "raw set_steering flagged" test_steer_seam_flagged;
           tc "lib/nic, test/, bin/ exempt" test_steer_seam_exemptions;
           tc "[@steer_seam] escape" test_steer_seam_attr_escape;
+        ] );
+      ( "global-state",
+        [
+          tc "every constructor of mutable state flagged" test_global_each_form;
+          tc "nested modules, functors and closures" test_global_nested_module;
+          tc "per-call and immutable values clean"
+            test_global_per_call_and_immutable_clean;
+          tc "[@@global_ok] escape" test_global_ok_honoured;
         ] );
       ( "repo",
         [

@@ -197,8 +197,7 @@ let frame_of (sip, dip, sp, dp, len, fill) =
     ~fill:(Char.chr fill) ()
 
 let compile_eval_equiv =
-  let rss_tbl = Nic.Rss.create ~queues:4 () in
-  let rss = Nic.Rss.queue_of_frame rss_tbl in
+  let rss = Nic.Rss.create ~queues:4 () in
   QCheck.Test.make
     ~name:"compiled first-match = declarative match-all on verified programs"
     ~count:500 frame_gen (fun tup ->
@@ -211,7 +210,7 @@ let compile_eval_equiv =
               let p = Nic.Steer_verify.program v in
               Nic.Steer.compile ~rss p f = Nic.Steer.eval ~rss p f)
         (* a rule-less program with a queue default compiles to a
-           constant, as rss_all compiles to [rss] itself *)
+           constant, as rss_all compiles to the RSS lookup itself *)
         (prog ~default:(Nic.Steer.Queue 2) "queue_all" [] :: Nic.Steer.builtins))
 
 (* The bitwise Toeplitz hash as the RSS spec defines it, the library's
@@ -249,11 +248,12 @@ let bytes_arb ~max =
     QCheck.Gen.(map Bytes.of_string (string_size (int_range 0 max)))
 
 let rss_hash_pure =
+  let t = Nic.Rss.create ~queues:4 () in
   QCheck.Test.make ~name:"Rss.hash = toeplitz under the default key"
     ~count:300 (bytes_arb ~max:48)
     (fun b ->
-      Nic.Rss.hash b = bitwise_toeplitz ~key:Nic.Rss.default_key b
-      && Nic.Rss.hash_prefix b ~len:(Bytes.length b) = Nic.Rss.hash b)
+      Nic.Rss.hash t b = bitwise_toeplitz ~key:Nic.Rss.default_key b
+      && Nic.Rss.hash_prefix t b ~len:(Bytes.length b) = Nic.Rss.hash t b)
 
 (* Keys of 40 to 52 bytes and inputs of up to 48, so some inputs run
    past the key's end, where the windows are zero. *)
@@ -301,7 +301,7 @@ let rss_hash_flow_agree =
     (fun (sip, dip, sp, dp) ->
       let src_ip = Net.Ip_addr.of_int sip and dst_ip = Net.Ip_addr.of_int dip in
       Nic.Rss.hash_flow t ~src_ip ~dst_ip ~src_port:sp ~dst_port:dp
-      = Nic.Rss.hash (flow_tuple ~sip ~dip ~sp ~dp))
+      = Nic.Rss.hash t (flow_tuple ~sip ~dip ~sp ~dp))
 
 let rss_hash_flow_bitwise =
   QCheck.Test.make ~name:"hash_flow = bitwise reference under random keys"
@@ -393,8 +393,7 @@ let short_payload_gen =
       ])
 
 let short_payloads_total =
-  let rss_tbl = Nic.Rss.create ~queues:4 () in
-  let rss = Nic.Rss.queue_of_frame rss_tbl in
+  let rss = Nic.Rss.create ~queues:4 () in
   let compiled = List.map (fun p -> (p, Nic.Steer.compile ~rss p)) payload_programs in
   QCheck.Test.make
     ~name:"compiled steering is total and = eval on short or flipped payloads"
@@ -458,11 +457,10 @@ let test_rss_hashes_allocate_nothing () =
       Nic.Rss.hash_flow rss_tbl ~src_ip:f.ip.src ~dst_ip:f.ip.dst
         ~src_port:f.udp.src_port ~dst_port:f.udp.dst_port);
   check_no_alloc "Rss.hash_prefix" (fun (f : Net.Frame.t) ->
-      Nic.Rss.hash_prefix f.payload ~len:(Bytes.length f.payload))
+      Nic.Rss.hash_prefix rss_tbl f.payload ~len:(Bytes.length f.payload))
 
 let test_compiled_programs_allocate_nothing () =
-  let rss_tbl = Nic.Rss.create ~queues:4 () in
-  let rss = Nic.Rss.queue_of_frame rss_tbl in
+  let rss = Nic.Rss.create ~queues:4 () in
   (* rss_all, key_affinity, size_split and priority_lanes *)
   checki "four shipped programs" 4 (List.length Nic.Steer.builtins);
   List.iter
@@ -472,7 +470,7 @@ let test_compiled_programs_allocate_nothing () =
 (* --- eval totality oracle ------------------------------------------ *)
 
 let test_eval_rejects_double_match () =
-  let rss _ = 0 in
+  let rss = Nic.Rss.create ~queues:1 () in
   let p =
     prog ~default:Nic.Steer.Rss "live_dup"
       [ rule [] (Nic.Steer.Queue 0); rule [] (Nic.Steer.Queue 1) ]

@@ -61,8 +61,9 @@ let test_dist_validate () =
 let test_zipf_skew () =
   let rng = Sim.Rng.create ~seed:3 in
   let counts = Array.make 10 0 in
+  let zipf = Workload.Dist.Zipf.create ~n:10 ~s:1.0 in
   for _ = 1 to 100_000 do
-    let r = Workload.Dist.zipf rng ~n:10 ~s:1.0 in
+    let r = Workload.Dist.Zipf.draw zipf rng in
     counts.(r) <- counts.(r) + 1
   done;
   checkb "rank 0 most popular" true (counts.(0) > counts.(1));
@@ -71,6 +72,56 @@ let test_zipf_skew () =
   (* For s=1, n=10: p(0) = 1/H_10 ~ 0.34. *)
   let p0 = float_of_int counts.(0) /. 100_000. in
   checkb "zipf head mass" true (p0 > 0.30 && p0 < 0.38)
+
+(* The first 1,000 ranks of a table at seeds 1 to 3, for (n, s) =
+   (32, 1.6) as in E7, (512, 1.1) as in E20 and (10, 1.0) as above:
+   the first 16 verbatim, and all 1,000 folded into [h <- 31 h + rank]
+   (mod 2^46). Captured from the draws of the cached-CDF sampler the
+   table replaced, so a run's ranks, and every snapshot built on them,
+   stay the same. *)
+let zipf_reference =
+  [
+    (32, 1.6, 1, [ 3; 0; 0; 16; 0; 1; 0; 0; 0; 8; 1; 1; 11; 0; 0; 1 ], 0x1c03c2fb0f9e);
+    (32, 1.6, 2, [ 0; 9; 0; 3; 1; 10; 9; 1; 0; 0; 0; 1; 0; 0; 0; 0 ], 0x2a133f6deae);
+    (32, 1.6, 3, [ 5; 0; 0; 5; 1; 2; 1; 4; 0; 16; 9; 3; 0; 2; 2; 0 ], 0x1cb4c322d0ed);
+    (512, 1.1, 1, [ 57; 3; 5; 330; 1; 17; 6; 0; 2; 172; 10; 11; 247; 1; 0; 12 ], 0x19f8ba67dc78);
+    (512, 1.1, 2, [ 1; 192; 3; 56; 11; 220; 190; 15; 1; 4; 1; 17; 0; 1; 1; 7 ], 0x12b6073584a1);
+    (512, 1.1, 3, [ 97; 5; 4; 105; 20; 45; 9; 78; 1; 318; 205; 64; 4; 40; 31; 2 ], 0x31d51ccac3fd);
+    (10, 1.0, 1, [ 4; 1; 1; 8; 0; 2; 1; 0; 0; 6; 2; 2; 7; 0; 0; 2 ], 0x9079f48b2a5);
+    (10, 1.0, 2, [ 0; 7; 1; 4; 2; 7; 7; 2; 0; 1; 0; 2; 0; 0; 0; 1 ], 0x33fb11f2e1eb);
+    (10, 1.0, 3, [ 5; 1; 1; 5; 2; 4; 1; 5; 0; 8; 7; 4; 1; 3; 3; 0 ], 0x331f5dfea1a5);
+  ]
+
+let test_zipf_reference_ranks () =
+  List.iter
+    (fun (n, s, seed, first, digest) ->
+      let name = Printf.sprintf "n=%d s=%g seed=%d" n s seed in
+      let zipf = Workload.Dist.Zipf.create ~n ~s in
+      let rng = Sim.Rng.create ~seed in
+      let ranks = List.init 1_000 (fun _ -> Workload.Dist.Zipf.draw zipf rng) in
+      Alcotest.(check (list int))
+        (name ^ ": first 16") first
+        (List.filteri (fun i _ -> i < 16) ranks);
+      checki (name ^ ": digest of 1000") digest
+        (List.fold_left (fun h r -> ((h * 31) + r) land 0x3fff_ffff_ffff) 0 ranks))
+    zipf_reference
+
+let test_zipf_draw_allocates_nothing () =
+  let zipf = Workload.Dist.Zipf.create ~n:32 ~s:1.6 in
+  let rng = Sim.Rng.create ~seed:1 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Workload.Dist.Zipf.draw zipf rng))
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb (Printf.sprintf "%.0f words over 10000 draws" words) true
+    (words <= 64.)
+
+let test_zipf_create_rejects () =
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  checkb "n = 0" true (raises (fun () -> Workload.Dist.Zipf.create ~n:0 ~s:1.));
+  checkb "s < 0" true
+    (raises (fun () -> Workload.Dist.Zipf.create ~n:4 ~s:(-1.)))
 
 (* ---------- Arrivals ---------- *)
 
@@ -167,8 +218,9 @@ let test_picks () =
       (p.Workload.Rpc_mix.service_idx >= 0 && p.Workload.Rpc_mix.service_idx < 7)
   done;
   let counts = Array.make 8 0 in
+  let zipf = Workload.Dist.Zipf.create ~n:8 ~s:1.2 in
   for _ = 1 to 10_000 do
-    let p = Workload.Rpc_mix.zipf_pick rng ~services:8 ~s:1.2 in
+    let p = Workload.Rpc_mix.zipf_pick rng zipf in
     counts.(p.Workload.Rpc_mix.service_idx) <-
       counts.(p.Workload.Rpc_mix.service_idx) + 1
   done;
@@ -287,6 +339,12 @@ let () =
           Alcotest.test_case "pareto tail" `Quick test_dist_pareto_tail;
           Alcotest.test_case "validate" `Quick test_dist_validate;
           Alcotest.test_case "zipf skew" `Slow test_zipf_skew;
+          Alcotest.test_case "zipf ranks match the reference" `Quick
+            test_zipf_reference_ranks;
+          Alcotest.test_case "zipf draws allocate nothing" `Quick
+            test_zipf_draw_allocates_nothing;
+          Alcotest.test_case "zipf rejects bad parameters" `Quick
+            test_zipf_create_rejects;
         ] );
       ( "arrivals",
         [
