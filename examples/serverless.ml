@@ -50,8 +50,7 @@ let () =
          (List.init 10 (fun _ ->
               [ (Sim.Units.ms 5, 400_000.); (Sim.Units.ms 5, 20_000.) ])))
     (fun ~seq ->
-      let pick = Workload.Rpc_mix.zipf_pick rng zipf in
-      let idx = pick.Workload.Rpc_mix.service_idx in
+      let idx = Workload.Rpc_mix.zipf_pick rng zipf in
       let sid = Workload.Scenario.service_id_of setup ~service_idx:idx in
       Hashtbl.replace was_cold (Int64.of_int seq)
         (Lauberhorn.Stack.active_workers stack ~service_id:sid = 0);

@@ -25,21 +25,26 @@ type service_stats = {
   mutable bytes_out : int;
 }
 
-type inflight =
-  | App of {
-      mdef : Rpc.Interface.method_def;
-      args : Rpc.Value.t;
-      sv : service_rt;  (* owning service *)
-      request : Net.Frame.t;  (* the reply swaps its headers *)
-      mutable reply : bytes;
-          (* the reply's wire payload: room for its RPC header, then
-             the handler's encoded result from [body_off] on *)
-      mutable body_off : int;
-      arrived : Sim.Units.time;
-      arg_bytes : int;
-      path : path;
-    }
-  | Dispatch_ack of { svc_id : int; widx : int }
+(* A request between dispatch and collection, in the in-flight table
+   by its wire rpc id. Its record is a slot of a per-stack
+   [Sim.Slot_pool], filled at dispatch and released where the request
+   leaves the table: at collection, at a hairpinned nested reply, in
+   the kill sweep, at a limbo NACK and when its endpoint is full. [rpc]
+   is the id the slot holds, [free_rpc] while it is in the pool. *)
+type app = {
+  mutable rpc : int;
+  mutable mdef : Rpc.Interface.method_def;
+  mutable args : Rpc.Value.t;
+  mutable sv : service_rt;  (* owning service *)
+  mutable request : Net.Frame.t;  (* the reply swaps its headers *)
+  mutable reply : bytes;
+      (* the reply's wire payload: room for its RPC header, then the
+         handler's encoded result from [body_off] on *)
+  mutable body_off : int;
+  mutable arrived : Sim.Units.time;
+  mutable arg_bytes : int;
+  mutable path : path;
+}
 
 and worker = {
   widx : int;
@@ -55,11 +60,14 @@ and worker = {
   mutable empty_cycles : int;
   affinity : int option;  (* pinned core (Static binding), kept on respawn *)
   (* The worker loop's continuations, built once per worker (the fill
-     callback once per worker thread), and the state they share: *)
+     and finish callbacks once per worker thread), and the state they
+     share: *)
   mutable fill_th : Osmodel.Proc.thread;  (* the thread [on_fill] judges *)
   mutable on_fill : Coherence.Home_agent.fill -> unit;
-  mutable req_id : int;  (* the rpc id of the request in hand ... *)
-  mutable hand : inflight;  (* ... and its [App] entry *)
+  mutable req_id : int;
+      (* the rpc id of the request in hand when it was taken, or
+         [free_rpc] ... *)
+  mutable hand : app;  (* ... and its slot, which may have moved on *)
   mutable run_handler : unit -> unit;  (* after the handler's CPU time *)
   mutable finish : Rpc.Value.t -> unit;  (* the handler's result *)
   mutable loop : unit -> unit;  (* re-park *)
@@ -82,8 +90,13 @@ and service_rt = {
   stats : service_stats;  (* recorded at response collection *)
 }
 
+(* A worker activation awaiting its dispatcher's ack, in its own table
+   by a negative id, which no wire id is. *)
+type ack = { svc_id : int; widx : int }
+
 let nop () = ()
-let no_hand = Dispatch_ack { svc_id = -1; widx = -1 }
+let no_ack = { svc_id = -1; widx = -1 }
+let free_rpc = -1
 let no_fill (_ : Coherence.Home_agent.fill) = ()
 let no_result (_ : Rpc.Value.t) = ()
 
@@ -116,6 +129,51 @@ let no_frame =
   Net.Frame.make ~src:Harness.Traffic.server_address
     ~dst:Harness.Traffic.server_address Bytes.empty
 
+(* The slot no request holds: what a free cell of the in-flight table
+   and a worker that never took a request hold. It is never in a table
+   nor taken from a pool, so nothing writes to it or to its service,
+   which has no methods, no port and no process the kernel knows. It
+   is shared rather than built per stack because [Array.make] of a
+   value still in the minor heap forces a minor collection. *)
+let idle =
+  let service = Rpc.Interface.service ~id:(-1) ~name:"idle" [] in
+  let sv =
+    {
+      sspec = { service; port = -1; min_workers = 0; max_workers = 0 };
+      sproc = Osmodel.Proc.make_process ~pid:(-1) ~name:"idle";
+      code_ptrs = [||];
+      data_ptr = 0L;
+      workers = [||];
+      active_count = 0;
+      limbo = Queue.create ();
+      gate = Nic_sched.gate ();
+      stats =
+        {
+          latency = Sim.Histogram.create ();
+          fast = 0;
+          queued = 0;
+          cold = 0;
+          bytes_in = 0;
+          bytes_out = 0;
+        };
+    }
+  in
+  {
+    rpc = free_rpc;
+    mdef =
+      Rpc.Interface.method_def ~id:0 ~name:"idle" ~request:Rpc.Schema.Blob
+        ~response:Rpc.Schema.Blob Fun.id;
+    args = Rpc.Value.Unit;
+    sv;
+    request = no_frame;
+    reply = Bytes.empty;
+    body_off = 0;
+    arrived = 0;
+    arg_bytes = 0;
+    path = Cold;
+  }
+[@@global_ok "a sentinel no request holds: nothing writes to it"]
+
 type remote = {
   server : Net.Frame.endpoint;  (* remote machine + service port *)
   response_schema : Rpc.Schema.t;
@@ -131,8 +189,10 @@ type t = {
   by_port : (int, service_rt) Hashtbl.t;  (* the NIC's dispatch table *)
   egress : Net.Frame.t -> unit;
   counters : Sim.Counter.group;
-  inflight : inflight Sim.Int_table.t;
-      (* by rpc id: a wire id, or a negative worker-activation id *)
+  inflight : app Sim.Int_table.t;  (* by wire rpc id *)
+  app_slots : app Sim.Slot_pool.t;
+  mutable apps_made : int;  (* slots built: in the table or the pool *)
+  acks : ack Sim.Int_table.t;  (* by negative worker-activation id *)
   services : (int, service_rt) Hashtbl.t;  (* by service id *)
   mutable dispatchers : dispatcher array;
   parked_eps : (int, Endpoint.t) Hashtbl.t;  (* tid -> endpoint *)
@@ -297,7 +357,8 @@ and park_worker t sv w =
   let th = w.wthread in
   if w.fill_th != th then begin
     w.fill_th <- th;
-    w.on_fill <- worker_fill t sv w th
+    w.on_fill <- worker_fill t sv w th;
+    w.finish <- worker_finish t sv w th
   end;
   Osmodel.Kernel.stall_begin t.kern th;
   Coherence.Home_agent.cpu_load t.ha
@@ -352,10 +413,10 @@ and worker_tryagain t sv w =
 and worker_handle t sv w line =
   let rpc_id = Message.request_rpc_id line in
   match Sim.Int_table.find t.inflight rpc_id with
-  | Dispatch_ack _ | (exception Not_found) ->
+  | exception Not_found ->
       Sim.Counter.incr (ctr t "worker_orphan_request");
       worker_loop t sv w ()
-  | App app as hand ->
+  | app ->
       span_stage t ~rpc:rpc_id "queue";
       let dma_read =
         if Message.request_via_dma line then
@@ -364,48 +425,70 @@ and worker_handle t sv w line =
       in
       let work = app.mdef.Rpc.Interface.handler_time + dma_read in
       w.req_id <- rpc_id;
-      w.hand <- hand;
+      w.hand <- app;
       Osmodel.Kernel.run_for t.kern w.wthread ~kind:Osmodel.Cpu_account.User
         work w.run_handler
 
-(* [w.hand] is always an [App] while a handler runs: only
-   [worker_handle] sets it, and only the continuations it starts read
-   it. *)
-and worker_run_handler t w () =
-  match w.hand with
-  | App app -> (
-      match app.mdef.Rpc.Interface.nested with
-      | None -> w.finish (app.mdef.Rpc.Interface.execute app.args)
-      | Some h ->
-          let call ~service_id ~method_id v k =
-            nested_call t w ~service_id ~method_id v k
-          in
-          h ~call app.args ~done_:w.finish)
-  | Dispatch_ack _ -> invalid_arg "Stack: worker handler without a request"
+(* Whether thread [th] may act on the request in [w]'s hand: [th]
+   lives, the worker holds a request, and its slot still holds the rpc
+   id it held when taken. A slot released since (the request was swept
+   or NACKed) holds [free_rpc], and one refilled holds another
+   request's id: the id is the slot's epoch, as a client's is its
+   call's. A stale hand is counted and left alone. *)
+and hand_current w th =
+  (not (Osmodel.Proc.is_exited th))
+  && w.req_id >= 0
+  && Int.equal w.hand.rpc w.req_id
 
-and worker_finish t sv w result =
-  match w.hand with
-  | App app ->
-      let rpc_id = w.req_id in
-      w.req_id <- 0;
-      w.hand <- no_hand;
-      span_stage t ~rpc:rpc_id "handler";
-      (* The result is encoded once, behind room for the reply's RPC
-         header, which collection writes in place: the buffer is the
-         reply's payload. *)
-      let off =
-        Rpc.Wire_format.header_room
-          (Obs.Tracer.context_of t.tracer ~rpc:rpc_id)
-      in
-      let reply = Rpc.Codec.encode_at off result in
-      app.reply <- reply;
-      app.body_off <- off;
-      respond_line t w ~rpc_id ~status:0 reply ~off;
-      w.cpu_idx <- 1 - w.cpu_idx;
-      Sim.Counter.incr (ctr t "rpcs_handled");
-      (match t.handled_hook with Some f -> f () | None -> ());
+(* The handler's CPU time has run, on the worker's live thread. *)
+and worker_run_handler t sv w () =
+  if not (hand_current w w.wthread) then begin
+    Sim.Counter.incr (ctr t "worker_stale_hand");
+    w.req_id <- free_rpc;
+    worker_loop t sv w ()
+  end
+  else
+    let app = w.hand in
+    match app.mdef.Rpc.Interface.nested with
+    | None -> w.finish (app.mdef.Rpc.Interface.execute app.args)
+    | Some h ->
+        let call ~service_id ~method_id v k =
+          nested_call t w ~service_id ~method_id v k
+        in
+        h ~call app.args ~done_:w.finish
+
+(* The handler's result, for the request that thread [th] took. A
+   nested handler may finish after [th] died with its process: the kill
+   sweep answered that request, and the worker may hold a request of
+   its next thread by now, so nothing of [w] is touched. *)
+and worker_finish t sv w th result =
+  if not (hand_current w th) then begin
+    Sim.Counter.incr (ctr t "worker_stale_hand");
+    if not (Osmodel.Proc.is_exited th) then begin
+      w.req_id <- free_rpc;
       worker_loop t sv w ()
-  | Dispatch_ack _ -> invalid_arg "Stack: worker finished without a request"
+    end
+  end
+  else begin
+    let app = w.hand in
+    let rpc_id = w.req_id in
+    w.req_id <- free_rpc;
+    span_stage t ~rpc:rpc_id "handler";
+    (* The result is encoded once, behind room for the reply's RPC
+       header, which collection writes in place: the buffer is the
+       reply's payload. *)
+    let off =
+      Rpc.Wire_format.header_room (Obs.Tracer.context_of t.tracer ~rpc:rpc_id)
+    in
+    let reply = Rpc.Codec.encode_at off result in
+    app.reply <- reply;
+    app.body_off <- off;
+    respond_line t w ~rpc_id ~status:0 reply ~off;
+    w.cpu_idx <- 1 - w.cpu_idx;
+    Sim.Counter.incr (ctr t "rpcs_handled");
+    (match t.handled_hook with Some f -> f () | None -> ());
+    worker_loop t sv w ()
+  end
 
 (* This machine's own network identity (for outbound nested calls). *)
 and self_address t =
@@ -544,11 +627,11 @@ and park_dispatcher t d idx =
               Osmodel.Kernel.run_for t.kern d.dthread
                 ~kind:Osmodel.Cpu_account.Kernel dispatch_handling_cost
                 (fun () ->
-                  (match Sim.Int_table.find t.inflight r.Message.rpc_id with
-                  | Dispatch_ack { svc_id; widx } ->
+                  (match Sim.Int_table.find t.acks r.Message.rpc_id with
+                  | { svc_id; widx } ->
                       let sv = service_rt t svc_id in
                       activate_worker t sv sv.workers.(widx)
-                  | App _ | (exception Not_found) ->
+                  | exception Not_found ->
                       Sim.Counter.incr (ctr t "dispatcher_orphan"));
                   (* Follow the line protocol: ack into the same line,
                      then monitor the other one. *)
@@ -592,9 +675,8 @@ let request_worker_activation t sv w =
         w.starting <- true;
         let id = t.next_dispatch_id in
         t.next_dispatch_id <- id - 1;
-        Sim.Int_table.replace t.inflight id
-          (Dispatch_ack
-             { svc_id = service_id_of sv; widx = w.widx });
+        Sim.Int_table.replace t.acks id
+          { svc_id = service_id_of sv; widx = w.widx };
         let msg =
           {
             Message.rpc_id = id;
@@ -610,7 +692,7 @@ let request_worker_activation t sv w =
         in
         Sim.Counter.incr (ctr t "slow_path_dispatch");
         if not (Endpoint.deliver ~kernel_dispatch:true d.dep msg) then begin
-          Sim.Int_table.remove t.inflight id;
+          Sim.Int_table.remove t.acks id;
           w.starting <- false;
           Sim.Counter.incr (ctr t "dispatch_dropped")
         end
@@ -699,8 +781,36 @@ let nack t ~rpc_id ~service_id ~request ~code =
   in
   transmit t ~after:tx_mac_delay ~stage:false frame
 
+let new_app () = { idle with rpc = free_rpc }
+
+(* A slot for a request, from the pool or else made. *)
+let[@hot_path] take_app t =
+  let p = t.app_slots in
+  if Sim.Slot_pool.is_empty p then begin
+    t.apps_made <- t.apps_made + 1;
+    new_app ()
+  end
+  else Sim.Slot_pool.take p
+
+(* The request leaves the in-flight table, and its slot goes back to
+   the pool holding nothing the pool would keep alive. Whatever the
+   caller still needs of the slot it reads first. *)
+let[@hot_path] retire_app t app =
+  Sim.Int_table.remove t.inflight app.rpc;
+  app.rpc <- free_rpc;
+  app.args <- Rpc.Value.Unit;
+  app.request <- no_frame;
+  app.reply <- Bytes.empty;
+  Sim.Slot_pool.release t.app_slots app
+
+(* The first inactive worker not already starting, or -1. *)
+let rec idle_worker ws i =
+  if i >= Array.length ws then -1
+  else if (not ws.(i).active) && not ws.(i).starting then i
+  else idle_worker ws (i + 1)
+
 (* The request's body is the frame's payload from [body_off] on. *)
-let dispatch_request t sv frame ~rpc_id ~body_off
+let[@hot_path] dispatch_request t sv frame ~rpc_id ~body_off
     (mdef : Rpc.Interface.method_def) args =
   let service_id = service_id_of sv in
   if Sim.Int_table.mem t.inflight rpc_id then
@@ -732,33 +842,35 @@ let dispatch_request t sv frame ~rpc_id ~body_off
        with it off, the decision is taken after delivery, exactly as
        the pre-admission-control stack did. A Static binding has no
        admission control. *)
-    let early_decision =
+    let early =
       match t.binding with
-      | Os_integrated when t.cfg.Config.shed -> Some (scale_decision t sv)
-      | Os_integrated | Static -> None
+      | Os_integrated -> t.cfg.Config.shed
+      | Static -> false
+    in
+    let early_decision =
+      if early then scale_decision t sv else Nic_sched.Steady
     in
     match early_decision with
-    | Some Nic_sched.Shed ->
+    | Nic_sched.Shed ->
         Obs.Metrics.incr t.m_sheds;
         Obs.Metrics.incr t.m_drop_shed;
         nack t ~rpc_id ~service_id ~request:frame
           ~code:Rpc.Wire_format.err_shed
-    | Some (Nic_sched.Steady | Nic_sched.Add_worker) | None ->
+    | Nic_sched.Steady | Nic_sched.Add_worker ->
     let w = choose_worker sv in
     let path = path_to w in
-    Sim.Int_table.replace t.inflight rpc_id
-      (App
-         {
-           mdef;
-           args;
-           sv;
-           request = frame;
-           reply = Bytes.empty;
-           body_off = 0;
-           arrived = Sim.Engine.now t.engine;
-           arg_bytes;
-           path;
-         });
+    let app = take_app t in
+    app.rpc <- rpc_id;
+    app.mdef <- mdef;
+    app.args <- args;
+    app.sv <- sv;
+    app.request <- frame;
+    app.reply <- Bytes.empty;
+    app.body_off <- 0;
+    app.arrived <- Sim.Engine.now t.engine;
+    app.arg_bytes <- arg_bytes;
+    app.path <- path;
+    Sim.Int_table.replace t.inflight rpc_id app;
     sanitize_dispatch t sv;
     let method_id = mdef.Rpc.Interface.method_id in
     if
@@ -775,24 +887,17 @@ let dispatch_request t sv frame ~rpc_id ~body_off
           request_worker_activation t sv w);
       (* NIC-driven scale-up when queues build. *)
       let decision =
-        match early_decision with
-        | Some d -> d
-        | None -> scale_decision t sv
+        if early then early_decision else scale_decision t sv
       in
       match decision with
-      | Nic_sched.Add_worker -> (
-          let candidate =
-            Array.to_list sv.workers
-            |> List.find_opt (fun w -> (not w.active) && not w.starting)
-          in
-          match candidate with
-          | Some w when sv.active_count < sv.sspec.max_workers ->
-              request_worker_activation t sv w
-          | Some _ | None -> ())
+      | Nic_sched.Add_worker ->
+          let i = idle_worker sv.workers 0 in
+          if i >= 0 && sv.active_count < sv.sspec.max_workers then
+            request_worker_activation t sv sv.workers.(i)
       | Nic_sched.Steady | Nic_sched.Shed -> ()
     end
     else begin
-      Sim.Int_table.remove t.inflight rpc_id;
+      retire_app t app;
       Sim.Counter.incr (ctr t "nic_queue_drop");
       Obs.Metrics.incr t.m_drop_full
     end
@@ -910,16 +1015,16 @@ let nic_rx t frame =
 let on_endpoint_response t line =
   let rpc_id = Message.response_rpc_id line in
   match Sim.Int_table.find t.inflight rpc_id with
-  | exception Not_found -> Sim.Counter.incr (ctr t "orphan_response")
-  | Dispatch_ack _ -> Sim.Int_table.remove t.inflight rpc_id
-  | App app
+  | exception Not_found ->
+      if Sim.Int_table.mem t.acks rpc_id then Sim.Int_table.remove t.acks rpc_id
+      else Sim.Counter.incr (ctr t "orphan_response")
+  | app
     when is_nested rpc_id
          && Net.Ip_addr.equal app.request.Net.Frame.ip.Net.Ipv4.src
               (self_address t).Net.Frame.ip ->
       (* A reply to one of OUR nested calls, hairpinned locally. A
          request from another machine may carry that machine's nested
          tag in its id — those take the normal wire-reply path below. *)
-      Sim.Int_table.remove t.inflight rpc_id;
       let result =
         match
           Rpc.Codec.decode_sub app.mdef.Rpc.Interface.response app.reply
@@ -931,6 +1036,7 @@ let on_endpoint_response t line =
             Sim.Counter.incr (ctr t "nested_bad_reply");
             Rpc.Value.Unit
       in
+      retire_app t app;
       let cont = nested_cont rpc_id in
       (* Reply delivery to the waiting worker's reply end-point: one
          coherent fill. *)
@@ -939,8 +1045,7 @@ let on_endpoint_response t line =
            ~after:(prof t).Coherence.Interconnect.load_response (fun () ->
              if not (Rpc.Continuation.fire t.nested_conts cont result) then
                Sim.Counter.incr (ctr t "nested_orphan_reply")))
-  | App app ->
-      Sim.Int_table.remove t.inflight rpc_id;
+  | app ->
       span_stage t ~rpc:rpc_id "collect";
       (* Fidelity check: the inline prefix collected from the cache
          line must match the response body the handler produced. *)
@@ -982,6 +1087,7 @@ let on_endpoint_response t line =
         Net.Frame.reply_to ~eth:app.request.Net.Frame.eth
           ~ip:app.request.Net.Frame.ip ~udp:app.request.Net.Frame.udp payload
       in
+      retire_app t app;
       transmit t ~after:(tx_mac_delay + crypto_cost t frame) ~stage:true frame
 
 (* ---------- Crash/restart lifecycle ---------------------------------- *)
@@ -1008,42 +1114,43 @@ let sweep_dead_service t sv =
       w.empty_cycles <- 0)
     sv.workers;
   sv.active_count <- 0;
+  (* cold activations of now-dead workers *)
+  Sim.Int_table.fold
+    (fun id a acc -> if Int.equal a.svc_id sid then id :: acc else acc)
+    t.acks []
+  |> List.iter (Sim.Int_table.remove t.acks);
   let doomed =
     Sim.Int_table.fold
-      (fun id entry acc ->
-        match entry with
-        | App { sv = owner; request; _ }
-          when Int.equal (service_id_of owner) sid
-               && not (Sim.Int_table.mem limbo_ids id) ->
-            (id, Some request) :: acc
-        | Dispatch_ack d when Int.equal d.svc_id sid -> (id, None) :: acc
-        | App _ | Dispatch_ack _ -> acc)
+      (fun id app acc ->
+        if
+          Int.equal (service_id_of app.sv) sid
+          && not (Sim.Int_table.mem limbo_ids id)
+        then app :: acc
+        else acc)
       t.inflight []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.sort (fun a b -> Int.compare a.rpc b.rpc)
   in
   List.iter
-    (fun (id, entry) ->
-      Sim.Int_table.remove t.inflight id;
-      match entry with
-      | None -> ()  (* cold activation of a now-dead worker *)
-      | Some request -> (
-          Obs.Metrics.incr t.m_stale;
-          if
-            is_nested id
-            && Net.Ip_addr.equal request.Net.Frame.ip.Net.Ipv4.src
-                 (self_address t).Net.Frame.ip
-          then begin
-            (* Hairpinned nested call into the dead service: unblock
-               the waiting caller rather than NACK our own wire. *)
-            if
-              not
-                (Rpc.Continuation.fire t.nested_conts (nested_cont id)
-                   Rpc.Value.Unit)
-            then Sim.Counter.incr (ctr t "nested_orphan_reply")
-          end
-          else
-            nack t ~rpc_id:id ~service_id:sid ~request
-              ~code:Rpc.Wire_format.err_dead))
+    (fun app ->
+      let id = app.rpc and request = app.request in
+      retire_app t app;
+      Obs.Metrics.incr t.m_stale;
+      if
+        is_nested id
+        && Net.Ip_addr.equal request.Net.Frame.ip.Net.Ipv4.src
+             (self_address t).Net.Frame.ip
+      then begin
+        (* Hairpinned nested call into the dead service: unblock
+           the waiting caller rather than NACK our own wire. *)
+        if
+          not
+            (Rpc.Continuation.fire t.nested_conts (nested_cont id)
+               Rpc.Value.Unit)
+        then Sim.Counter.incr (ctr t "nested_orphan_reply")
+      end
+      else
+        nack t ~rpc_id:id ~service_id:sid ~request
+          ~code:Rpc.Wire_format.err_dead)
     doomed
 
 (* Redeliver the crash survivors once the NIC learns the process is
@@ -1060,11 +1167,12 @@ let drain_limbo t sv =
     else begin
       Obs.Metrics.incr t.m_crash_nacks;
       match Sim.Int_table.find t.inflight msg.Message.rpc_id with
-      | App a ->
-          Sim.Int_table.remove t.inflight msg.Message.rpc_id;
-          nack t ~rpc_id:msg.Message.rpc_id ~service_id:sid ~request:a.request
+      | app ->
+          let request = app.request in
+          retire_app t app;
+          nack t ~rpc_id:msg.Message.rpc_id ~service_id:sid ~request
             ~code:Rpc.Wire_format.err_dead
-      | Dispatch_ack _ | (exception Not_found) -> ()
+      | exception Not_found -> ()
     end
   done
 
@@ -1181,7 +1289,10 @@ let create engine ~cfg ~ncores ?(binding = Os_integrated)
       egress;
       counters = Sim.Counter.group (name_of_binding binding);
       (* two arrays of 2048 words: the footprint of a 4096-bucket Hashtbl *)
-      inflight = Sim.Int_table.create ~dummy:no_hand 2048;
+      inflight = Sim.Int_table.create ~dummy:idle 2048;
+      app_slots = Sim.Slot_pool.create ();
+      apps_made = 0;
+      acks = Sim.Int_table.create ~dummy:no_ack 16;
       services = Hashtbl.create 32;
       dispatchers = [||];
       parked_eps = Hashtbl.create 64;
@@ -1386,16 +1497,16 @@ let create engine ~cfg ~ncores ?(binding = Os_integrated)
                 affinity;
                 fill_th = wthread;
                 on_fill = no_fill;
-                req_id = 0;
-                hand = no_hand;
+                req_id = free_rpc;
+                hand = idle;
                 run_handler = nop;
                 finish = no_result;
                 loop = nop;
               }
             in
             w.on_fill <- worker_fill t sv w wthread;
-            w.run_handler <- worker_run_handler t w;
-            w.finish <- worker_finish t sv w;
+            w.run_handler <- worker_run_handler t sv w;
+            w.finish <- worker_finish t sv w wthread;
             w.loop <- worker_loop t sv w;
             w.wtx <-
               Some
@@ -1475,6 +1586,8 @@ let ingress t frame =
   | Some mac -> Nic.Mac.rx mac frame
   | None -> invalid_arg "Stack.ingress: MAC not initialised"
 
+let slots_made t = t.apps_made
+let in_flight t = t.apps_made - Sim.Slot_pool.length t.app_slots
 let active_workers t ~service_id = (service_rt t service_id).active_count
 
 let service_stats t ~service_id = (service_rt t service_id).stats

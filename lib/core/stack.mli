@@ -114,6 +114,14 @@ val mirror : t -> Sched_mirror.t option
 
 val counters : t -> Sim.Counter.group
 
+val in_flight : t -> int
+(** Requests between dispatch and collection. Each holds one of the
+    stack's recycled in-flight slots: this is the slots made less the
+    free ones, so it is 0 once every request is answered. *)
+
+val slots_made : t -> int
+(** In-flight slots built so far, free or held. *)
+
 val active_workers : t -> service_id:int -> int
 (** Currently active (scheduled or parked) workers of a service. *)
 

@@ -292,12 +292,9 @@ let open_loop_run ?(ncores = 8) ?(nservices = 1) ?(min_workers = 1)
     ~until:horizon (fun ~seq ->
       let service_idx =
         match zipf with
-        | Some z ->
-            (Workload.Rpc_mix.zipf_pick rng z).Workload.Rpc_mix.service_idx
+        | Some z -> Workload.Rpc_mix.zipf_pick rng z
         | None when nservices = 1 -> 0
-        | None ->
-            (Workload.Rpc_mix.uniform_pick rng ~services:nservices)
-              .Workload.Rpc_mix.service_idx
+        | None -> Workload.Rpc_mix.uniform_pick rng ~services:nservices
       in
       inject_blob server ~seq ~service_idx ~bytes:payload);
   measure ~name:(flavour_name flavour) ~horizon server
@@ -329,9 +326,7 @@ let lossy_run ?(ncores = 4) ?(nservices = 1) ?(min_workers = 1)
     (fun ~seq:_ ->
       let service_idx =
         if nservices = 1 then 0
-        else
-          (Workload.Rpc_mix.uniform_pick rng ~services:nservices)
-            .Workload.Rpc_mix.service_idx
+        else Workload.Rpc_mix.uniform_pick rng ~services:nservices
       in
       Harness.Chaos.call chaos
         ~service_id:(Workload.Scenario.service_id_of setup ~service_idx)

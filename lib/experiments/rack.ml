@@ -38,6 +38,74 @@ let horizon = Sim.Units.ms 10
 let sweep_drain = Sim.Units.ms 10
 let rates = [ 200_000.; 600_000. ] (* rack-wide offered load *)
 
+(* ---------- the balancer's routing ---------- *)
+
+(* The client's route: each rpc_id is pinned to a balancer-picked host
+   at first transmission, and a retransmit re-pins only if the master
+   now believes the pinned host is dead (the LB resets the connection).
+   The pick comes before the frame is built, so each transmission is
+   addressed once, to the host's own endpoint, which is what the switch
+   routes on.
+
+   The pins are two [int] arrays indexed by the client's continuation
+   slot (the low bits of the rpc_id), which the client recycles when a
+   call completes, fails or is abandoned — so they are bounded by peak
+   outstanding calls, not total calls issued, and an hours-long soak
+   holds constant memory. [pin_ids] holds the full rpc_id of the slot's
+   pinned call (0, which no rpc_id is, when none) and disambiguates a
+   recycled slot: a stale entry steers exactly like a missing one. *)
+type steering = {
+  control : Cluster.Control.t;
+  routes : Net.Frame.endpoint option array;
+      (* per host, its endpoint on the service port, wrapped once *)
+  mutable pin_ids : int array;
+  mutable pin_hosts : int array;
+  mutable unsteered : int;  (* calls issued while no host was steerable *)
+  mutable resteered : int;  (* retransmits moved off a dead host *)
+}
+
+let grow_pins s ~slot =
+  let len = Int.max (slot + 1) (2 * Array.length s.pin_ids) in
+  let grow a = Array.append a (Array.make (len - Array.length a) 0) in
+  s.pin_ids <- grow s.pin_ids;
+  s.pin_hosts <- grow s.pin_hosts
+
+let[@hot_path] pin s h ~slot ~id =
+  if slot >= Array.length s.pin_ids then grow_pins s ~slot;
+  s.pin_ids.(slot) <- id;
+  s.pin_hosts.(slot) <- h
+
+(* A fresh pick, pinned; -1 when no host is steerable. *)
+let[@hot_path] pick_and_pin s ~slot ~id =
+  let h = Cluster.Control.pick s.control in
+  if h >= 0 then pin s h ~slot ~id;
+  h
+
+let[@hot_path] route s id =
+  let slot = id land 0xF_FFFF in
+  let target =
+    if slot < Array.length s.pin_ids && Int.equal s.pin_ids.(slot) id then begin
+      let h = s.pin_hosts.(slot) in
+      if Cluster.Control.alive s.control ~host:h then h
+      else begin
+        (* pinned host died: re-steer the retry *)
+        let h = pick_and_pin s ~slot ~id in
+        if h >= 0 then s.resteered <- s.resteered + 1;
+        h
+      end
+    end
+    else begin
+      (* first transmission (or a slot recycled from a finished call,
+         which is the same thing) *)
+      let h = pick_and_pin s ~slot ~id in
+      if h < 0 then s.unsteered <- s.unsteered + 1;
+      h
+    end
+  in
+  (* with no steerable host nothing is sent; the call's retry timer
+     will try again *)
+  if target >= 0 then s.routes.(target) else None
+
 (* ---------- one rack instance ---------- *)
 
 type rack = {
@@ -49,8 +117,7 @@ type rack = {
   handled : int array; (* per-host RPCs handled by the service *)
   alive : bool array; (* per-host liveness flags (probe targets) *)
   service_port : int;
-  mutable unsteered : int; (* calls issued while no host was steerable *)
-  mutable resteered : int; (* retransmits moved off a dead host *)
+  steering : steering;
   (* failure timeline, recorded by control-plane callbacks *)
   mutable dead_at : (int * Sim.Units.time) list;
   mutable alive_at : (int * Sim.Units.time) list;
@@ -227,107 +294,53 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
                    end
                  end);
            }));
-  (* The steering send path: pin each rpc_id to a balancer-picked host
-     at first transmission; a retransmit re-pins only if the master now
-     believes the pinned host is dead (the LB resets the connection).
-     The frame is re-addressed to the host's own endpoint, which is
-     what the switch routes on. *)
-  (* The pins are two [int] arrays indexed by the client's continuation
-     slot (the low bits of the rpc_id), which the client recycles when
-     a call completes, fails or is abandoned — so they are bounded by
-     peak outstanding calls, not total calls issued, and an hours-long
-     soak holds constant memory. [pin_ids] holds the full rpc_id of the
-     slot's pinned call (0, which no rpc_id is, when none) and
-     disambiguates a recycled slot: a stale entry steers exactly like
-     a missing one. *)
-  let pin_ids = ref (Array.make 64 0) in
-  let pin_hosts = ref (Array.make 64 0) in
-  let pin h ~slot ~id =
-    if slot >= Array.length !pin_ids then begin
-      let len = max (slot + 1) (2 * Array.length !pin_ids) in
-      let grow a = Array.append a (Array.make (len - Array.length a) 0) in
-      pin_ids := grow !pin_ids;
-      pin_hosts := grow !pin_hosts
-    end;
-    !pin_ids.(slot) <- id;
-    !pin_hosts.(slot) <- h
+  let steering =
+    {
+      control;
+      routes =
+        Array.init hosts (fun h ->
+            Some (Cluster.Fabric.host_endpoint fabric h ~port:service_port));
+      pin_ids = Array.make 64 0;
+      pin_hosts = Array.make 64 0;
+      unsteered = 0;
+      resteered = 0;
+    }
   in
-  let pinned ~slot ~id =
-    slot < Array.length !pin_ids && Int.equal !pin_ids.(slot) id
-  in
-  let host_eps =
-    Array.init hosts (fun h ->
-        Cluster.Fabric.host_endpoint fabric h ~port:service_port)
-  in
+  (* The uplink send path. A request arrives here addressed to its
+     host; with tracing armed, its causal root opens at first
+     transmission and the trace context rides inside the frame, across
+     the switch, to the serving host's tracer. *)
   let send frame =
-    let request = frame.Net.Frame.payload in
-    match Rpc.Wire_format.check request with
-    | Error _ -> ()
-    | Ok () ->
-        let r = match !rack_ref with Some r -> r | None -> assert false in
+    match obs with
+    | None -> Cluster.Fabric.uplink_send fabric frame
+    | Some tr ->
+        let request = frame.Net.Frame.payload in
         let id = Rpc.Wire_format.rpc_id request in
-        let slot = id land 0xF_FFFF in
-        let target =
-          if pinned ~slot ~id then begin
-            let h = !pin_hosts.(slot) in
-            if Cluster.Control.alive r.control ~host:h then h
-            else begin
-              (* pinned host died: re-steer the retry *)
-              let h = Cluster.Control.pick r.control in
-              if h >= 0 then begin
-                r.resteered <- r.resteered + 1;
-                pin h ~slot ~id
-              end;
-              h
-            end
-          end
-          else begin
-            (* first transmission (or a slot recycled from a finished
-               call, which is the same thing) *)
-            let h = Cluster.Control.pick r.control in
-            if h >= 0 then pin h ~slot ~id
-            else r.unsteered <- r.unsteered + 1;
-            h
-          end
+        let now = Sim.Engine.now engine in
+        if not (Obs.Tracer.is_open tr ~rpc:id) then
+          Obs.Tracer.rpc_begin tr ~rpc:id
+            ~track:(Obs.Tracer.track tr "client")
+            now;
+        let parent =
+          match Obs.Tracer.root_of tr ~rpc:id with Some r -> r | None -> 0
         in
-        (* with no steerable host nothing is sent; the call's retry
-           timer will try again *)
-        if target >= 0 then begin
-          let frame =
-            match obs with
-            | None -> frame
-            | Some tr ->
-                (* open the causal root at first transmission and
-                   carry the trace context inside the frame, across
-                   the switch, to the serving host's tracer *)
-                let now = Sim.Engine.now engine in
-                if not (Obs.Tracer.is_open tr ~rpc:id) then
-                  Obs.Tracer.rpc_begin tr ~rpc:id
-                    ~track:(Obs.Tracer.track tr "client")
-                    now;
-                let parent =
-                  match Obs.Tracer.root_of tr ~rpc:id with
-                  | Some r -> r
-                  | None -> 0
-                in
-                let ctx =
-                  Obs.Context.to_bytes
-                    { Obs.Context.trace = id; parent; origin = uplink_port }
-                in
-                (match Rpc.Wire_format.decode request with
-                | Ok msg ->
-                    Net.Frame.make
-                      ~src:(Net.Frame.src_endpoint frame)
-                      ~dst:(Net.Frame.dst_endpoint frame)
-                      (Rpc.Wire_format.encode
-                         (Rpc.Wire_format.with_ctx msg (Some ctx)))
-                | Error _ -> frame)
-          in
-          Cluster.Fabric.uplink_send fabric
-            (Net.Frame.redirect frame ~dst:host_eps.(target))
-        end
+        let ctx =
+          Obs.Context.to_bytes
+            { Obs.Context.trace = id; parent; origin = uplink_port }
+        in
+        Cluster.Fabric.uplink_send fabric
+          (match Rpc.Wire_format.decode request with
+          | Ok msg ->
+              Net.Frame.make
+                ~src:(Net.Frame.src_endpoint frame)
+                ~dst:(Net.Frame.dst_endpoint frame)
+                (Rpc.Wire_format.encode
+                   (Rpc.Wire_format.with_ctx msg (Some ctx)))
+          | Error _ -> frame)
   in
-  let client = Harness.Client.create engine ~send ?metrics () in
+  let client =
+    Harness.Client.create engine ~send ~route:(route steering) ?metrics ()
+  in
   let uplink_rx frame =
     (match obs with
     | None -> ()
@@ -391,8 +404,7 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
       handled;
       alive;
       service_port;
-      unsteered = 0;
-      resteered = 0;
+      steering;
       dead_at = [];
       alive_at = [];
       steered_at_death = Array.make hosts 0;
@@ -597,7 +609,7 @@ let run_failure () =
     (Cluster.Control.acks_received rack.control)
     (Harness.Client.rejected c)
     (Harness.Client.retransmits c)
-    rack.resteered rack.unsteered;
+    rack.steering.resteered rack.steering.unsteered;
   Common.note
     "conservation (done + abandoned = sent, none outstanding): %b; explicit \
      err_dead rejects seen: %b; no silent losses on the path: %b%s"

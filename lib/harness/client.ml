@@ -1,6 +1,7 @@
 type t = {
   engine : Sim.Engine.t;
   send : Net.Frame.t -> unit;
+  route : int -> Net.Frame.endpoint option;
   endpoint : Net.Frame.endpoint;
   continuations : Rpc.Value.t Rpc.Continuation.t;
   mutable epochs : int array;
@@ -67,11 +68,17 @@ let[@hot_path] retire t cont =
       c.armed <- Sim.Engine.no_handle;
       c.args <- Rpc.Value.Unit
 
-let create engine ~send ?(seed = 0x7e7) ?metrics () =
+(* The default route: every transmission goes to the one server. *)
+let to_server = Some Traffic.server_address
+let default_route (_ : int) = to_server
+
+let create engine ~send ?(route = default_route) ?(seed = 0x7e7) ?metrics ()
+    =
   let t =
     {
       engine;
       send;
+      route;
       endpoint = Traffic.client_endpoint ();
       continuations = Rpc.Continuation.create ();
       epochs = Array.make 64 0;
@@ -115,6 +122,17 @@ let grow base backoff =
   let next = float_of_int base *. backoff in
   if next > 1e15 then 1_000_000_000_000_000 else int_of_float (Float.round next)
 
+(* One transmission, first or retry: the route picks the destination
+   before the frame is built, and with no destination nothing is
+   sent. *)
+let[@hot_path] transmit t ~rpc_id ~service_id ~method_id ~port args =
+  match t.route rpc_id with
+  | None -> ()
+  | Some dst ->
+      t.send
+        (Traffic.request ~rpc_id ~service_id ~method_id ~port
+           ~client:t.endpoint ~dst args)
+
 (* Wait out the current base, shrunk by the jitter draw: [Rng.float]'s
    53 bits, drawn here so no float is boxed. *)
 let[@hot_path] arm c =
@@ -132,11 +150,9 @@ let[@hot_path] on_timer c () =
   let t = c.client in
   if c.attempts_left > 0 then begin
     t.retransmits <- t.retransmits + 1;
-    t.send
-      (Traffic.request
-         ~rpc_id:(rpc_id_of ~epoch:c.epoch ~cont:c.cont)
-         ~service_id:c.service_id ~method_id:c.method_id ~port:c.port
-         ~client:t.endpoint c.args);
+    transmit t
+      ~rpc_id:(rpc_id_of ~epoch:c.epoch ~cont:c.cont)
+      ~service_id:c.service_id ~method_id:c.method_id ~port:c.port c.args;
     c.attempts_left <- c.attempts_left - 1;
     c.base <- Int.min c.max_timeout (grow c.base c.backoff);
     arm c
@@ -193,9 +209,7 @@ let call_id ?timeout ?(retries = 3) ?(backoff = 1.) ?(max_timeout = max_int)
   t.epochs.(cont) <- epoch;
   let rpc_id = rpc_id_of ~epoch ~cont in
   t.sent <- t.sent + 1;
-  t.send
-    (Traffic.request ~rpc_id ~service_id ~method_id ~port ~client:t.endpoint
-       args);
+  transmit t ~rpc_id ~service_id ~method_id ~port args;
   (match timeout with
   | None -> ()
   | Some timeout ->
@@ -219,9 +233,22 @@ let call_id ?timeout ?(retries = 3) ?(backoff = 1.) ?(max_timeout = max_int)
 let call ?timeout ?retries t ~service_id ~method_id ~port args k =
   ignore (call_id ?timeout ?retries t ~service_id ~method_id ~port args k)
 
+(* The call on [cont] ends with its value: retired first, as the
+   continuation may issue a call that reuses the slot. *)
+let[@hot_path] complete t cont v =
+  retire t cont;
+  if Rpc.Continuation.fire t.continuations cont v then
+    t.completed <- t.completed + 1
+
+(* The call on [cont] ends in an error. *)
+let[@hot_path] fail t cont =
+  t.errors <- t.errors + 1;
+  retire t cont;
+  ignore (Rpc.Continuation.cancel t.continuations cont)
+
 (* The reply's header is read in place and its body decoded in place,
    from [Wire_format.body_offset] to the end of the payload. *)
-let on_reply t frame =
+let[@hot_path] on_reply t frame =
   let payload = frame.Net.Frame.payload in
   match Rpc.Wire_format.check payload with
   | Error _ -> ()
@@ -240,11 +267,7 @@ let on_reply t frame =
                  client learns immediately instead of burning a
                  timeout. *)
               t.rejected <- t.rejected + 1
-            else begin
-              t.errors <- t.errors + 1;
-              retire t cont;
-              ignore (Rpc.Continuation.cancel t.continuations cont)
-            end
+            else fail t cont
       | Rpc.Wire_format.Response -> (
           if not (current t id) then
             (* A duplicate, or a late response to an abandoned (and
@@ -258,23 +281,16 @@ let on_reply t frame =
                 ~service_id:(Rpc.Wire_format.service_id payload)
                 ~method_id:(Rpc.Wire_format.method_id payload)
             in
-            let value =
-              match Hashtbl.find t.schemas key with
-              | schema -> Rpc.Codec.decode_sub schema payload ~pos ~len
-              | exception Not_found ->
-                  Ok (Rpc.Value.Blob (Bytes.sub payload pos len))
-            in
-            match value with
-            | Ok v ->
-                (* retired first: the continuation may issue a call
-                   that reuses the slot *)
-                retire t cont;
-                if Rpc.Continuation.fire t.continuations cont v then
-                  t.completed <- t.completed + 1
-            | Error _ ->
-                t.errors <- t.errors + 1;
-                retire t cont;
-                ignore (Rpc.Continuation.cancel t.continuations cont)))
+            match Hashtbl.find t.schemas key with
+            | schema -> (
+                match Rpc.Codec.decode_sub schema payload ~pos ~len with
+                | Ok v -> complete t cont v
+                | Error _ -> fail t cont)
+            | exception Not_found ->
+                complete t cont
+                  (Rpc.Value.Blob (Bytes.sub payload pos len)
+                  [@alloc_ok "an untyped reply's body is copied out of the \
+                              frame"])))
 
 let outstanding t = Rpc.Continuation.live t.continuations
 let completed t = t.completed

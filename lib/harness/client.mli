@@ -11,9 +11,18 @@ type t
 
 val create :
   Sim.Engine.t -> send:(Net.Frame.t -> unit) ->
+  ?route:(int -> Net.Frame.endpoint option) ->
   ?seed:int -> ?metrics:Obs.Metrics.t -> unit -> t
-(** Calls come from {!Traffic.client_endpoint}. [seed] feeds the backoff-jitter stream (drawn from only when a call
-    uses [jitter > 0]).
+(** Calls come from {!Traffic.client_endpoint}. [seed] feeds the
+    backoff-jitter stream (drawn from only when a call uses
+    [jitter > 0]).
+
+    [route] picks the destination of each transmission, the first and
+    every retransmit, from the call's wire rpc id, before its frame is
+    built: [send] receives the request already addressed to it. [None]
+    sends nothing that time (a timed call's timer still runs and tries
+    again). A route that returns options built once allocates nothing.
+    The default sends everything to {!Traffic.server_address}.
 
     With [metrics], the client's tallies register as [client_*] derived
     gauges (sent, completed, errors, retransmits, abandoned, rejected,

@@ -20,8 +20,8 @@ let server_address =
 
 let server_endpoint ~port = { server_address with Net.Frame.port }
 
-let request ~rpc_id ~service_id ~method_id ~port ~client args =
-  Net.Frame.make_to_port ~src:client ~dst:server_address ~port
+let request ~rpc_id ~service_id ~method_id ~port ~client ~dst args =
+  Net.Frame.make_to_port ~src:client ~dst ~port
     (Rpc.Wire_format.encode_value ~kind:Rpc.Wire_format.Request ~rpc_id
        ~service_id ~method_id args)
 
@@ -30,13 +30,14 @@ let client_or_default = function Some c -> c | None -> default_client
 let request_frame ~rpc_id ~service_id ~method_id ~port ?client args =
   request
     ~rpc_id:(Rpc.Wire_format.rpc_id_of_int64 rpc_id)
-    ~service_id ~method_id ~port ~client:(client_or_default client) args
+    ~service_id ~method_id ~port ~client:(client_or_default client)
+    ~dst:server_address args
 
 let inject recorder (driver : Driver.t) ~rpc_id ~service_id ~method_id ~port
     ?client args =
   let frame =
     request ~rpc_id ~service_id ~method_id ~port
-      ~client:(client_or_default client) args
+      ~client:(client_or_default client) ~dst:server_address args
   in
   Recorder.stamp recorder ~rpc_id;
   driver.Driver.ingress frame

@@ -13,20 +13,26 @@ val server_endpoint : port:int -> Net.Frame.endpoint
 
 val request :
   rpc_id:int -> service_id:int -> method_id:int -> port:int ->
-  client:Net.Frame.endpoint -> Rpc.Value.t -> Net.Frame.t
-(** A complete request frame from [client] to the server carrying the
-    encoded arguments.
+  client:Net.Frame.endpoint -> dst:Net.Frame.endpoint -> Rpc.Value.t ->
+  Net.Frame.t
+(** A complete request frame from [client] to [dst]'s machine on UDP
+    port [port] ([dst]'s own port is not read), carrying the encoded
+    arguments. The destination is fixed when the frame is built: a
+    sender that steers each transmission picks [dst] first, so no frame
+    is re-addressed on its way out.
     @raise Invalid_argument on a negative rpc id. *)
 
 val request_frame :
   rpc_id:int64 -> service_id:int -> method_id:int -> port:int ->
   ?client:Net.Frame.endpoint -> Rpc.Value.t -> Net.Frame.t
 (** {!request} of an id given as the wire's [int64], converted once,
-    from [client] or else {!client_endpoint}[ ()].
+    from [client] or else {!client_endpoint}[ ()], to
+    {!server_address}.
     @raise Invalid_argument if the id lies outside [[0, 2^62)]. *)
 
 val inject :
   Recorder.t -> Driver.t -> rpc_id:int -> service_id:int ->
   method_id:int -> port:int -> ?client:Net.Frame.endpoint -> Rpc.Value.t ->
   unit
-(** Stamp the recorder and deliver the frame to the driver's ingress. *)
+(** Stamp the recorder and deliver the frame, addressed to
+    {!server_address}, to the driver's ingress. *)

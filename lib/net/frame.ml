@@ -71,19 +71,6 @@ let reply_to ~(eth : Ethernet.t) ~(ip : Ipv4.t) ~(udp : Udp.t) payload : t =
     payload;
   }
 
-(* Only the destination half of the Ethernet and IP headers changes;
-   the IP header's other fields are [f]'s own, which for a frame [make]
-   built are [make]'s constants. *)
-let redirect (f : t) ~dst : t =
-  {
-    eth = { f.eth with Ethernet.dst = dst.mac };
-    ip = { f.ip with Ipv4.dst = dst.ip };
-    udp =
-      (if Int.equal dst.port f.udp.Udp.dst_port then f.udp
-       else { f.udp with Udp.dst_port = dst.port });
-    payload = f.payload;
-  }
-
 let empty =
   let nobody = { mac = Mac_addr.broadcast; ip = Ip_addr.of_int 0; port = 0 } in
   make ~src:nobody ~dst:nobody Bytes.empty

@@ -42,12 +42,6 @@ val reply_to : eth:Ethernet.t -> ip:Ipv4.t -> udp:Udp.t -> bytes -> t
     [make ~src:(dst_endpoint r) ~dst:(src_endpoint r) p], with no
     endpoint record built on the way. *)
 
-val redirect : t -> dst:endpoint -> t
-(** [redirect f ~dst] is [f] re-addressed to [dst]: the frame
-    [make ~src:(src_endpoint f) ~dst f.payload] would be, for an [f]
-    that {!make} built, but sharing [f]'s payload, its source and, when
-    [dst.port] is [f]'s destination port, its UDP header. *)
-
 val empty : t
 (** A frame with zero addresses and no payload: what a vacated slot of
     a {!Sim.Fifo} of frames holds. *)

@@ -3,6 +3,7 @@ type 'a t = { mutable free : 'a array; mutable nfree : int }
 let create () = { free = [||]; nfree = 0 }
 
 let is_empty p = Int.equal p.nfree 0
+let length p = p.nfree
 
 let[@hot_path] take p =
   if Int.equal p.nfree 0 then invalid_arg "Slot_pool.take: empty";

@@ -16,6 +16,9 @@ val create : unit -> 'a t
 val is_empty : 'a t -> bool
 (** No free slot: the caller makes a fresh one. *)
 
+val length : 'a t -> int
+(** Free slots. *)
+
 val take : 'a t -> 'a
 (** The most recently released free slot.
     @raise Invalid_argument if the pool is empty. *)

@@ -8,10 +8,8 @@ let sample_args rng ~schema ~size =
   let target = Dist.sample_int size rng in
   Rpc.Schema.arbitrary schema rng ~size_hint:target
 
-type pick = { service_idx : int; method_id : int }
-
 let uniform_pick rng ~services =
   if services <= 0 then invalid_arg "Rpc_mix.uniform_pick: services <= 0";
-  { service_idx = Sim.Rng.int rng ~bound:services; method_id = 0 }
+  Sim.Rng.int rng ~bound:services
 
-let zipf_pick rng zipf = { service_idx = Dist.Zipf.draw zipf rng; method_id = 0 }
+let zipf_pick rng zipf = Dist.Zipf.draw zipf rng

@@ -16,9 +16,9 @@ val sample_args : Sim.Rng.t -> schema:Rpc.Schema.t -> size:Dist.t ->
 (** A conforming argument value whose encoded size tracks a draw from
     [size]. *)
 
-type pick = { service_idx : int; method_id : int }
+val uniform_pick : Sim.Rng.t -> services:int -> int
+(** A service index drawn uniformly from [[0, services)].
+    @raise Invalid_argument if [services <= 0]. *)
 
-val uniform_pick : Sim.Rng.t -> services:int -> pick
-val zipf_pick : Sim.Rng.t -> Dist.Zipf.t -> pick
-(** Popularity-skewed service selection (method 0), over the table's
-    ranks. *)
+val zipf_pick : Sim.Rng.t -> Dist.Zipf.t -> int
+(** A popularity-skewed service index, over the table's ranks. *)

@@ -445,6 +445,80 @@ let test_rack_kill_during_inflight () =
   checkb "victim alive at the end" true
     (Cluster.Control.alive r.Experiments.Rack.control ~host:victim)
 
+(* ---------- the balancer addresses each request once ---------- *)
+
+(* The client picks each transmission's host before it builds the
+   frame, so every request a host receives is addressed to that host's
+   own endpoint: first sends, and retries re-steered off a host whose
+   service was killed. With every host dead, a call sends nothing and
+   is counted as unsteered. *)
+let test_rack_requests_addressed_once () =
+  let r = Experiments.Rack.make_rack ~hosts:2 () in
+  let fabric = r.Experiments.Rack.fabric in
+  let port = r.Experiments.Rack.service_port in
+  let seen = Hashtbl.create 256 in
+  let misaddressed = ref 0 in
+  Array.iteri
+    (fun h s ->
+      let ingress = s.Experiments.Common.driver.Harness.Driver.ingress in
+      Cluster.Fabric.connect_host fabric h ~ingress:(fun f ->
+          let p = f.Net.Frame.payload in
+          if Rpc.Wire_format.is_request p then begin
+            if Net.Frame.dst_endpoint f <> Cluster.Fabric.host_endpoint fabric h ~port
+            then incr misaddressed;
+            let id = Rpc.Wire_format.rpc_id p in
+            let hosts = Option.value ~default:[] (Hashtbl.find_opt seen id) in
+            if not (List.mem h hosts) then Hashtbl.replace seen id (h :: hosts)
+          end;
+          ingress f))
+    r.Experiments.Rack.servers;
+  let setup = r.Experiments.Rack.servers.(0).Experiments.Common.setup in
+  let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
+  ignore
+    (Sim.Engine.schedule_at (Cluster.Fabric.engine fabric) ~at:(Sim.Units.ms 2)
+       (fun () ->
+         r.Experiments.Rack.alive.(0) <- false;
+         r.Experiments.Rack.servers.(0).Experiments.Common.kill_service
+           ~service_id));
+  Experiments.Rack.setup_arrivals r
+    ~timeout:(Some (Sim.Units.us 200, 20))
+    ~rate:300_000. ~seed:97;
+  Cluster.Fabric.run fabric ~until:(Sim.Units.ms 40);
+  Experiments.Rack.finish r;
+  let c = r.Experiments.Rack.client in
+  checki "every call resolved" (Harness.Client.sent c)
+    (Harness.Client.completed c + Harness.Client.abandoned c);
+  checki "every request addressed to the host that got it" 0 !misaddressed;
+  checkb "requests reached both hosts" true
+    (Hashtbl.fold (fun _ hs acc -> acc || List.mem 1 hs) seen false
+    && Hashtbl.fold (fun _ hs acc -> acc || List.mem 0 hs) seen false);
+  checkb "retries were re-steered" true
+    (r.Experiments.Rack.steering.Experiments.Rack.resteered > 0);
+  checkb "a re-steered call reached both hosts" true
+    (Hashtbl.fold (fun _ hs acc -> acc || List.length hs = 2) seen false);
+  (* every host dead: nothing crosses the uplink *)
+  let r = Experiments.Rack.make_rack ~hosts:2 () in
+  let fabric = r.Experiments.Rack.fabric in
+  Array.iteri (fun h _ -> r.Experiments.Rack.alive.(h) <- false)
+    r.Experiments.Rack.alive;
+  Cluster.Fabric.run fabric ~until:(Sim.Units.ms 2);
+  checkb "every host dead" true
+    (not
+       (Cluster.Control.alive r.Experiments.Rack.control ~host:0
+       || Cluster.Control.alive r.Experiments.Rack.control ~host:1));
+  Harness.Client.call r.Experiments.Rack.client ~service_id ~method_id:0
+    ~port:r.Experiments.Rack.service_port
+    (Rpc.Value.Blob (Bytes.make 8 'd'))
+    (fun _ -> Alcotest.fail "a call to a dead rack completed");
+  Cluster.Fabric.run fabric ~until:(Sim.Units.ms 3);
+  let st = Cluster.Switch.stats (Cluster.Fabric.switch fabric) in
+  checki "nothing crossed the uplink" 0 st.Cluster.Switch.ingressed;
+  checki "the call counted as unsteered" 1
+    r.Experiments.Rack.steering.Experiments.Rack.unsteered;
+  checki "the call still outstanding" 1
+    (Harness.Client.outstanding r.Experiments.Rack.client);
+  Experiments.Rack.finish r
+
 (* ---------- rack determinism and frame conservation ---------- *)
 
 (* A lightweight rack: echo devices (not full Lauberhorn hosts, to keep
@@ -840,9 +914,11 @@ let qsuite name t = (name, [ QCheck_alcotest.to_alcotest t ])
    engine per host, and a CPU store stopped boxing its line in an
    option, it took 191.4 (rack_retry 190.5). Before a finished call
    cancelled its retry timer, whose record waited for it to fire, it
-   took 146.5 (rack_retry 146.5); it now takes 144.9 (rack_retry
-   146.3). *)
-let rack_words_budget = 144.9 *. 1.02
+   took 146.5 (rack_retry 146.5). Before the client addressed each
+   transmission once, an untyped reply stopped boxing an [Ok] and each
+   host's in-flight entries became recycled slots, it took 144.9
+   (rack_retry 146.3); it now takes 115.9 (rack_retry 117.3). *)
+let rack_words_budget = 115.9 *. 1.02
 
 let test_rack_allocation_budget () =
   let rack = Experiments.Rack.make_rack ~hosts:8 () in
@@ -904,6 +980,8 @@ let () =
         [
           Alcotest.test_case "kill during in-flight RPCs" `Quick
             test_rack_kill_during_inflight;
+          Alcotest.test_case "rack requests are addressed once" `Quick
+            test_rack_requests_addressed_once;
         ] );
       ( "allocation",
         [

@@ -101,12 +101,11 @@ let run_stack ~stack ~ncores ~nservices ~rate ?(payload = 64) ?(zipf_s = 0.)
   in
   Workload.Arrivals.open_loop engine rng ~rate_per_s:rate ~until:horizon
     (fun ~seq ->
-      let pick =
+      let svc =
         match zipf with
         | Some z -> Workload.Rpc_mix.zipf_pick rng z
         | None -> Workload.Rpc_mix.uniform_pick rng ~services:nservices
       in
-      let svc = pick.Workload.Rpc_mix.service_idx in
       Harness.Traffic.inject recorder driver
         ~rpc_id:seq
         ~service_id:(Workload.Scenario.service_id_of setup ~service_idx:svc)

@@ -793,6 +793,132 @@ let test_stack_kill_nacks_in_id_order () =
     "every held call NACKed, in ascending id order"
     (List.sort Int.compare ids) (List.rev !nacks)
 
+(* In-flight slots across kills and restarts. Service 1's worker takes
+   requests whose handler finishes on its own, long after its thread
+   started it: "H<us>" finishes that many microseconds later. Each kill
+   NACKs the hold in hand and the request staged on the worker's other
+   CONTROL line, freeing their slots, and sends what still waits in
+   the NIC to limbo. The first dead hold finishes while service 2's
+   slow calls hold the freed slots; the second finishes while the
+   worker's next thread holds a hold of its own, in the slot the dead
+   thread once held. Neither dead thread may touch a slot or the
+   request its worker holds now: every answer carries its own
+   request's body, and every slot ends free. *)
+let test_stack_slots_across_kill_restart () =
+  let engine = Sim.Engine.create () in
+  let answers = ref [] in
+  let egress f =
+    match Rpc.Wire_format.decode f.Net.Frame.payload with
+    | Ok w -> answers := w :: !answers
+    | Error e ->
+        Alcotest.failf "undecodable frame: %a" Rpc.Wire_format.pp_error e
+  in
+  let hold =
+    Rpc.Interface.service ~id:1 ~name:"hold"
+      [
+        Rpc.Interface.method_def ~id:0 ~name:"hold" ~request:Rpc.Schema.Blob
+          ~response:Rpc.Schema.Blob
+          ~nested:(fun ~call:_ v ~done_ ->
+            match v with
+            | Rpc.Value.Blob b when Bytes.length b = 4 && Bytes.get b 0 = 'H'
+              ->
+                let after =
+                  Sim.Units.us (int_of_string (Bytes.sub_string b 1 3))
+                in
+                ignore (Sim.Engine.schedule_after engine ~after (fun () -> done_ v))
+            | _ -> done_ v)
+          Fun.id;
+      ]
+  in
+  let slow =
+    Rpc.Interface.service ~id:2 ~name:"slow"
+      [
+        Rpc.Interface.method_def ~id:0 ~name:"slow" ~request:Rpc.Schema.Blob
+          ~response:Rpc.Schema.Blob ~handler_time:(Sim.Units.us 20) Fun.id;
+      ]
+  in
+  let stack =
+    Lauberhorn.Stack.create engine ~cfg:Lauberhorn.Config.enzian ~ncores:4
+      ~services:
+        [
+          Lauberhorn.Stack.spec ~port:7001 hold;
+          Lauberhorn.Stack.spec ~port:7002 slow;
+        ]
+      ~egress ()
+  in
+  let driver = Lauberhorn.Stack.driver stack in
+  let recorder = Harness.Recorder.create engine in
+  let sent = Hashtbl.create 32 in
+  let send ~at id ~svc body =
+    Hashtbl.replace sent id (svc, body);
+    ignore
+      (Sim.Engine.schedule_at engine ~at:(Sim.Units.us at) (fun () ->
+           Harness.Traffic.inject recorder driver ~rpc_id:id ~service_id:svc
+             ~method_id:0 ~port:(7000 + svc)
+             (Rpc.Value.Blob (Bytes.of_string body))))
+  in
+  let at_us at f =
+    ignore (Sim.Engine.schedule_at engine ~at:(Sim.Units.us at) f)
+  in
+  (* the first life: a hold, then four waiting *)
+  send ~at:10 1 ~svc:1 "H040";
+  List.iter (fun id -> send ~at:(10 + id) id ~svc:1 (Printf.sprintf "wait-%d" id))
+    [ 2; 3; 4; 5 ];
+  at_us 30 (fun () -> Lauberhorn.Stack.kill_service stack ~service_id:1);
+  List.iter (fun id -> send ~at:(30 + id) id ~svc:2 (Printf.sprintf "slow-%d" id))
+    [ 10; 11; 12 ];
+  at_us 100 (fun () -> Lauberhorn.Stack.restart_service stack ~service_id:1);
+  (* the second life: a hold, and one staged behind it *)
+  send ~at:150 20 ~svc:1 "H150";
+  send ~at:151 21 ~svc:1 "wait-21";
+  at_us 200 (fun () -> Lauberhorn.Stack.kill_service stack ~service_id:1);
+  at_us 230 (fun () -> Lauberhorn.Stack.restart_service stack ~service_id:1);
+  (* the third life holds a request when the second's hold finishes *)
+  send ~at:250 30 ~svc:1 "H100";
+  List.iter
+    (fun (id, svc) -> send ~at:(370 + id) id ~svc (Printf.sprintf "late-%d" id))
+    [ (31, 1); (32, 2); (33, 1); (34, 2) ];
+  Sim.Engine.run engine ~until:(Sim.Units.ms 2);
+  let nacked = ref [] in
+  List.iter
+    (fun w ->
+      let id = w.Rpc.Wire_format.rpc_id in
+      let svc, body =
+        match Hashtbl.find_opt sent id with
+        | Some s -> s
+        | None -> Alcotest.failf "answer to rpc %d, never sent" id
+      in
+      let name = Printf.sprintf "rpc %d" id in
+      checki (name ^ ": its own service") svc w.Rpc.Wire_format.service_id;
+      match w.Rpc.Wire_format.kind with
+      | Rpc.Wire_format.Response ->
+          checkb (name ^ ": its own body") true
+            (match Rpc.Codec.decode Rpc.Schema.Blob w.Rpc.Wire_format.body with
+            | Ok (Rpc.Value.Blob b) -> String.equal (Bytes.to_string b) body
+            | Ok _ | Error _ -> false)
+      | Rpc.Wire_format.Error_reply code ->
+          checki (name ^ ": a dead-service NACK") Rpc.Wire_format.err_dead code;
+          nacked := id :: !nacked
+      | Rpc.Wire_format.Request -> Alcotest.failf "%s: a request on egress" name)
+    !answers;
+  check
+    Alcotest.(list int)
+    "every request answered once"
+    (List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) sent []))
+    (List.sort Int.compare (List.map (fun w -> w.Rpc.Wire_format.rpc_id) !answers));
+  check Alcotest.(list int) "the held and staged requests NACKed"
+    [ 1; 2; 20; 21 ]
+    (List.sort Int.compare !nacked);
+  checki "waiting requests redelivered" 3
+    (Obs.Metrics.counter_value (Lauberhorn.Stack.metrics stack) "requeues");
+  checki "both dead threads' late results dropped" 2
+    (Sim.Counter.value
+       (Sim.Counter.counter (Lauberhorn.Stack.counters stack)
+          "worker_stale_hand"));
+  checki "every slot free" 0 (Lauberhorn.Stack.in_flight stack);
+  checkb "slots were reused" true
+    (Lauberhorn.Stack.slots_made stack < Hashtbl.length sent)
+
 let test_stack_recycled_slots_keep_their_frames () =
   let engine = Sim.Engine.create () in
   let answers = ref [] in
@@ -1802,9 +1928,10 @@ let test_message_id_readers_allocate_nothing () =
    endpoint record, it took 157.5, and perfbench's host_64b 146.2.
    Before rpc ids were immediate ints, with the in-flight table and the
    recorder's send stamps in [Sim.Int_table]s, it took 143.5, and
-   perfbench's host_64b 132.2; it now takes 120.5, and perfbench's
-   host_64b 115.2. *)
-let rpc_words_budget = 120.5 *. 1.02
+   perfbench's host_64b 132.2. Before each in-flight entry became a
+   recycled slot, it took 120.5, and perfbench's host_64b 113.2; it
+   now takes 108.5, and perfbench's host_64b 103.2. *)
+let rpc_words_budget = 108.5 *. 1.02
 
 let test_rpc_allocation_budget () =
   let setup =
@@ -1938,6 +2065,8 @@ let () =
             test_stack_recycled_slots_keep_their_frames;
           Alcotest.test_case "kill NACKs in id order" `Quick
             test_stack_kill_nacks_in_id_order;
+          Alcotest.test_case "slots across kill and restart" `Quick
+            test_stack_slots_across_kill_restart;
           Alcotest.test_case "a late trace context reaches the reply" `Quick
             test_stack_late_context_reaches_the_reply;
           Alcotest.test_case "identical stacks stage the same code pointer"

@@ -337,38 +337,6 @@ let reply_to_is_make_swapped =
       in
       a = b && Bytes.equal (Net.Frame.encode a) (Net.Frame.encode b))
 
-(* [redirect] re-addresses a frame as [make] would from its source and
-   the new destination: the same frame, and the same bytes, whether or
-   not the destination port changes. *)
-let redirect_is_make_readdressed =
-  let endpoint =
-    QCheck.Gen.(
-      map3
-        (fun mac ip port ->
-          {
-            Net.Frame.mac = Net.Mac_addr.of_int64 (Int64.of_int mac);
-            ip = Net.Ip_addr.of_int ip;
-            port;
-          })
-        (int_bound 0xffff_ffff_ffff) (int_bound 0xffff_ffff)
-        (int_bound 0xffff))
-  in
-  let payload =
-    QCheck.Gen.(map Bytes.of_string (string_size (int_range 0 200)))
-  in
-  QCheck.Test.make ~name:"redirect is make with the new destination"
-    ~count:300
-    (QCheck.make QCheck.Gen.(quad endpoint endpoint endpoint (pair bool payload)))
-    (fun (src, dst, dst', (same_port, p)) ->
-      let dst' = if same_port then { dst' with port = dst.port } else dst' in
-      let f = Net.Frame.make ~src ~dst p in
-      let a = Net.Frame.redirect f ~dst:dst' in
-      let b = Net.Frame.make ~src ~dst:dst' p in
-      a = b
-      && a.Net.Frame.payload == p
-      && ((not same_port) || a.Net.Frame.udp == f.Net.Frame.udp)
-      && Bytes.equal (Net.Frame.encode a) (Net.Frame.encode b))
-
 let parse_slice_matches_parse =
   QCheck.Test.make ~name:"parse_slice at any offset agrees with parse"
     ~count:200
@@ -697,7 +665,6 @@ let () =
         ]
         @ qsuite
             [ frame_roundtrip_any_payload; reply_to_is_make_swapped;
-              redirect_is_make_readdressed;
               parse_slice_matches_parse; parse_slice_total;
               single_bit_flip_detected ]
       );

@@ -214,15 +214,13 @@ let test_picks () =
   let rng = Sim.Rng.create ~seed:10 in
   for _ = 1 to 1000 do
     let p = Workload.Rpc_mix.uniform_pick rng ~services:7 in
-    checkb "in range" true
-      (p.Workload.Rpc_mix.service_idx >= 0 && p.Workload.Rpc_mix.service_idx < 7)
+    checkb "in range" true (p >= 0 && p < 7)
   done;
   let counts = Array.make 8 0 in
   let zipf = Workload.Dist.Zipf.create ~n:8 ~s:1.2 in
   for _ = 1 to 10_000 do
     let p = Workload.Rpc_mix.zipf_pick rng zipf in
-    counts.(p.Workload.Rpc_mix.service_idx) <-
-      counts.(p.Workload.Rpc_mix.service_idx) + 1
+    counts.(p) <- counts.(p) + 1
   done;
   checkb "skewed" true (counts.(0) > 3 * counts.(7))
 
