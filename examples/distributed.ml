@@ -88,7 +88,7 @@ let () =
   (* Routing by destination IP. *)
   (route_from_a :=
      fun f ->
-       if Net.Ip_addr.equal f.Net.Frame.ip.Net.Ipv4.dst machine_b_addr.Net.Frame.ip
+       if Net.Ip_addr.equal f.Net.Frame.dst.Net.Frame.ip machine_b_addr.Net.Frame.ip
        then Lauberhorn.Stack.ingress b f
        else
          match !client with
@@ -96,7 +96,7 @@ let () =
          | None -> ());
   (route_from_b :=
      fun f ->
-       if Net.Ip_addr.equal f.Net.Frame.ip.Net.Ipv4.dst machine_a_addr.Net.Frame.ip
+       if Net.Ip_addr.equal f.Net.Frame.dst.Net.Frame.ip machine_a_addr.Net.Frame.ip
        then Lauberhorn.Stack.ingress a f
        else
          match !client with

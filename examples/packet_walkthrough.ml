@@ -39,7 +39,7 @@ let () =
     (Rpc.Value.field_count args);
   let frame =
     Harness.Traffic.request_frame ~rpc_id:7L ~service_id:2 ~method_id:0
-      ~port:7002 args
+      ~port:7002 ~client:(Harness.Traffic.client_endpoint ()) args
   in
   let wire_bytes = Net.Frame.encode frame in
   Format.printf "  wire frame (%d bytes incl. Ethernet minimum padding):@."
@@ -47,36 +47,29 @@ let () =
   hex_dump wire_bytes;
 
   Format.printf "@.=== 2. Parse it back, layer by layer ===@.";
-  let r = Net.Buf.reader wire_bytes in
-  let eth = Net.Ethernet.read r in
-  Format.printf "  %a@." Net.Ethernet.pp eth;
-  (match Net.Ipv4.read r with
-  | Error e -> Format.printf "  ipv4 error: %a@." Net.Ipv4.pp_error e
-  | Ok ip -> (
-      Format.printf "  %a  (header checksum verified)@." Net.Ipv4.pp ip;
-      let sub =
-        Net.Buf.sub_reader wire_bytes ~pos:(Net.Buf.reader_pos r)
-          ~len:ip.Net.Ipv4.payload_len
-      in
-      match
-        Net.Udp.read sub ~src_ip:ip.Net.Ipv4.src ~dst_ip:ip.Net.Ipv4.dst
-      with
-      | Error e -> Format.printf "  udp error: %a@." Net.Udp.pp_error e
-      | Ok (udp, payload) -> (
-          Format.printf "  %a  (pseudo-header checksum verified)@."
-            Net.Udp.pp udp;
-          match Rpc.Wire_format.decode payload with
-          | Error e ->
-              Format.printf "  rpc error: %a@." Rpc.Wire_format.pp_error e
-          | Ok msg -> (
-              Format.printf "  %a@." Rpc.Wire_format.pp msg;
-              let schema =
-                Rpc.Schema.Tuple [ Rpc.Schema.Str; Rpc.Schema.Blob ]
-              in
-              match Rpc.Codec.decode schema msg.Rpc.Wire_format.body with
-              | Ok v -> Format.printf "  unmarshaled: %a@." Rpc.Value.pp v
-              | Error e ->
-                  Format.printf "  codec error: %a@." Rpc.Codec.pp_error e))));
+  (match Net.Frame.parse_slice (Net.Slice.of_bytes wire_bytes) with
+  | Error e -> Format.printf "  frame error: %a@." Net.Frame.pp_error e
+  | Ok v -> (
+      let src = v.Net.Frame.src and dst = v.Net.Frame.dst in
+      Format.printf "  eth %a -> %a type=0x%04x@." Net.Mac_addr.pp
+        src.Net.Frame.mac Net.Mac_addr.pp dst.Net.Frame.mac
+        Net.Ethernet.ethertype_ipv4;
+      Format.printf
+        "  ipv4 %a -> %a proto=%d len=%d ttl=64  (header checksum verified)@."
+        Net.Ip_addr.pp src.Net.Frame.ip Net.Ip_addr.pp dst.Net.Frame.ip
+        Net.Ipv4.protocol_udp
+        (Net.Udp.header_size + Net.Slice.length v.Net.Frame.payload);
+      Format.printf "  udp %d -> %d len=%d  (pseudo-header checksum verified)@."
+        src.Net.Frame.port dst.Net.Frame.port
+        (Net.Slice.length v.Net.Frame.payload);
+      match Rpc.Wire_format.decode (Net.Slice.to_bytes v.Net.Frame.payload) with
+      | Error e -> Format.printf "  rpc error: %a@." Rpc.Wire_format.pp_error e
+      | Ok msg -> (
+          Format.printf "  %a@." Rpc.Wire_format.pp msg;
+          let schema = Rpc.Schema.Tuple [ Rpc.Schema.Str; Rpc.Schema.Blob ] in
+          match Rpc.Codec.decode schema msg.Rpc.Wire_format.body with
+          | Ok v -> Format.printf "  unmarshaled: %a@." Rpc.Value.pp v
+          | Error e -> Format.printf "  codec error: %a@." Rpc.Codec.pp_error e)));
 
   Format.printf "@.=== 3. What corruption does ===@.";
   let corrupted = Bytes.copy wire_bytes in
@@ -87,8 +80,6 @@ let () =
   let truncated = Bytes.sub wire_bytes 0 20 in
   (match Net.Frame.parse truncated with
   | Error e -> Format.printf "  20-byte truncation -> %a@." Net.Frame.pp_error e
-  | exception Net.Buf.Out_of_bounds m ->
-      Format.printf "  20-byte truncation -> out of bounds (%s)@." m
   | Ok _ -> Format.printf "  truncation not detected?!@.");
 
   Format.printf "@.=== 4. The NIC hardware pipeline (Figure 3) ===@.";

@@ -323,7 +323,7 @@ let create engine ~profile ~ncores ?pollers ?(fault = Fault.Plan.none)
          reviewed — total (default queue 0), in-range by construction
          (poller index mod npollers), zero per-packet cost charged. *)
       (Nic.Dma_nic.set_steering dnic (fun frame ->
-           match Hashtbl.find t.by_port frame.Net.Frame.udp.Net.Udp.dst_port with
+           match Hashtbl.find t.by_port frame.Net.Frame.dst.Net.Frame.port with
            | b -> b.poller
            | exception Not_found -> 0)
        [@steer_seam]));

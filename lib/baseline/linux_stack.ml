@@ -62,7 +62,7 @@ let datagram t (v : Net.Frame.view) =
   match Rx.decode t.by_port (fun rt -> rt.sspec.service) v with
   | Rx.Request r as rx -> Some (r.Rx.sv, { rx; payload_len })
   | (Rx.Bad_rpc | Rx.Drop _) as rx -> (
-      match Hashtbl.find t.by_port v.Net.Frame.udp.Net.Udp.dst_port with
+      match Hashtbl.find t.by_port v.Net.Frame.dst.Net.Frame.port with
       | rt -> Some (rt, { rx; payload_len })
       | exception Not_found -> None)
 

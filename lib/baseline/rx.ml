@@ -3,9 +3,8 @@ type 'sv request = {
   rpc_id : int;
   service_id : int;
   ctx : bytes option;
-  eth : Net.Ethernet.t;
-  ip : Net.Ipv4.t;
-  udp : Net.Udp.t;
+  src : Net.Frame.endpoint;
+  dst : Net.Frame.endpoint;
   mdef : Rpc.Interface.method_def;
   args : Rpc.Value.t;
   arg_bytes : int;
@@ -24,7 +23,7 @@ let decode by_port service (v : Net.Frame.view) =
   | Error _ -> Bad_rpc
   | Ok () -> (
       let rpc_id = Rpc.Wire_format.rpc_id_sub b ~off ~len in
-      match Hashtbl.find by_port v.udp.Net.Udp.dst_port with
+      match Hashtbl.find by_port v.dst.Net.Frame.port with
       | exception Not_found -> Drop { rpc_id; counter = "rx_no_service" }
       | sv -> (
           match
@@ -47,16 +46,15 @@ let decode by_port service (v : Net.Frame.view) =
                       rpc_id;
                       service_id = Rpc.Wire_format.service_id_sub b ~off ~len;
                       ctx = Rpc.Wire_format.ctx_sub b ~off ~len;
-                      eth = v.eth;
-                      ip = v.ip;
-                      udp = v.udp;
+                      src = v.src;
+                      dst = v.dst;
                       mdef;
                       args;
                       arg_bytes;
                     })))
 
 let reply r result =
-  Net.Frame.reply_to ~eth:r.eth ~ip:r.ip ~udp:r.udp
+  Net.Frame.reply_to ~src:r.src ~dst:r.dst
     (Rpc.Wire_format.encode_value ~kind:Rpc.Wire_format.Response ?ctx:r.ctx
        ~rpc_id:r.rpc_id ~service_id:r.service_id
        ~method_id:r.mdef.Rpc.Interface.method_id result)

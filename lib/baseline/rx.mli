@@ -11,10 +11,9 @@ type 'sv request = {
   rpc_id : int;
   service_id : int;  (** As the header names it; the reply echoes it. *)
   ctx : bytes option;  (** The trace context, for the reply header. *)
-  eth : Net.Ethernet.t;
-  ip : Net.Ipv4.t;
-  udp : Net.Udp.t;
-      (** The request's headers, which the reply swaps. They are the
+  src : Net.Frame.endpoint;
+  dst : Net.Frame.endpoint;
+      (** The request's endpoints, which the reply swaps. They are the
           view's own records and do not alias the buffer. *)
   mdef : Rpc.Interface.method_def;
   args : Rpc.Value.t;
@@ -36,7 +35,7 @@ val decode :
     [service], and decodes the arguments. Never raises. *)
 
 val reply : 'sv request -> Rpc.Value.t -> Net.Frame.t
-(** The response: the request's headers swapped by
+(** The response: the request's endpoints swapped by
     {!Net.Frame.reply_to}, its ids and trace context in the RPC header,
     the result encoded straight into it. *)
 

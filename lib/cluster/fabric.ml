@@ -120,7 +120,7 @@ let create ?(host_link = default_host_link)
   (* one option per port, built here so routing allocates nothing *)
   let ports = Array.init n Option.some in
   let route frame =
-    let ip = Net.Ip_addr.to_int frame.Net.Frame.ip.Net.Ipv4.dst in
+    let ip = Net.Ip_addr.to_int frame.Net.Frame.dst.Net.Frame.ip in
     if ip >= base_ip && ip < base_ip + hosts then ports.(ip - base_ip)
     else ports.(hosts) (* everything else exits via the uplink *)
   in

@@ -773,8 +773,7 @@ let[@hot_path] transmit t ~after ~stage frame =
    silent drop from a timeout. *)
 let nack t ~rpc_id ~service_id ~request ~code =
   let frame =
-    Net.Frame.reply_to ~eth:request.Net.Frame.eth ~ip:request.Net.Frame.ip
-      ~udp:request.Net.Frame.udp
+    Net.Frame.reply_to ~src:request.Net.Frame.src ~dst:request.Net.Frame.dst
       (Rpc.Wire_format.encode_body ~kind:(Rpc.Wire_format.Error_reply code)
          ?ctx:(Obs.Tracer.context_of t.tracer ~rpc:rpc_id)
          ~rpc_id ~service_id ~method_id:0 Bytes.empty)
@@ -960,7 +959,7 @@ let nic_rx t frame =
       if Rpc.Wire_format.is_request payload then begin
         if Obs.Tracer.is_enabled t.tracer then
           span_stage t ~rpc:(Rpc.Wire_format.rpc_id payload) "mac";
-        match Hashtbl.find t.by_port frame.Net.Frame.udp.Net.Udp.dst_port with
+        match Hashtbl.find t.by_port frame.Net.Frame.dst.Net.Frame.port with
         | exception Not_found -> Sim.Counter.incr (ctr t "rx_no_service")
         | sv -> (
             match
@@ -1020,7 +1019,7 @@ let on_endpoint_response t line =
       else Sim.Counter.incr (ctr t "orphan_response")
   | app
     when is_nested rpc_id
-         && Net.Ip_addr.equal app.request.Net.Frame.ip.Net.Ipv4.src
+         && Net.Ip_addr.equal app.request.Net.Frame.src.Net.Frame.ip
               (self_address t).Net.Frame.ip ->
       (* A reply to one of OUR nested calls, hairpinned locally. A
          request from another machine may carry that machine's nested
@@ -1084,8 +1083,8 @@ let on_endpoint_response t line =
             (Bytes.sub reply off (Bytes.length reply - off))
       in
       let frame =
-        Net.Frame.reply_to ~eth:app.request.Net.Frame.eth
-          ~ip:app.request.Net.Frame.ip ~udp:app.request.Net.Frame.udp payload
+        Net.Frame.reply_to ~src:app.request.Net.Frame.src
+          ~dst:app.request.Net.Frame.dst payload
       in
       retire_app t app;
       transmit t ~after:(tx_mac_delay + crypto_cost t frame) ~stage:true frame
@@ -1137,7 +1136,7 @@ let sweep_dead_service t sv =
       Obs.Metrics.incr t.m_stale;
       if
         is_nested id
-        && Net.Ip_addr.equal request.Net.Frame.ip.Net.Ipv4.src
+        && Net.Ip_addr.equal request.Net.Frame.src.Net.Frame.ip
              (self_address t).Net.Frame.ip
       then begin
         (* Hairpinned nested call into the dead service: unblock

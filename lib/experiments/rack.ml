@@ -331,9 +331,8 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
         Cluster.Fabric.uplink_send fabric
           (match Rpc.Wire_format.decode request with
           | Ok msg ->
-              Net.Frame.make
-                ~src:(Net.Frame.src_endpoint frame)
-                ~dst:(Net.Frame.dst_endpoint frame)
+              Net.Frame.make ~src:frame.Net.Frame.src
+                ~dst:frame.Net.Frame.dst
                 (Rpc.Wire_format.encode
                    (Rpc.Wire_format.with_ctx msg (Some ctx)))
           | Error _ -> frame)

@@ -111,7 +111,7 @@ let run_config ~horizon ~rate prog =
   let model_rss = Nic.Rss.create ~queues:nlanes () in
   let model = lane_model ~lanes:nlanes in
   let tap (f : Net.Frame.t) =
-    if f.Net.Frame.udp.Net.Udp.dst_port = service_port then
+    if f.Net.Frame.dst.Net.Frame.port = service_port then
       let lane = Nic.Steer.eval ~rss:model_rss prog f mod nlanes in
       model_touch model ~lane ~key:(key_of_wire f)
   in
@@ -246,7 +246,7 @@ let run_rack () =
     let host = n mod rack_hosts in
     let dst =
       Cluster.Fabric.host_endpoint fabric host
-        ~port:frame.Net.Frame.udp.Net.Udp.dst_port
+        ~port:frame.Net.Frame.dst.Net.Frame.port
     in
     let src = Harness.Traffic.client_endpoint ~idx:(n mod nflows) () in
     Cluster.Fabric.uplink_send fabric

@@ -38,10 +38,11 @@ let create engine ~plan ~rng ~deliver () =
    excluded: flipping it could produce 0x0000, which reads as "checksum
    absent". The redirect target is the UDP length high byte, which a
    flip always drives out of range (Bad_length). *)
-let flip_checksummed rng ~ip_payload_len (s : Net.Slice.t) =
+let flip_checksummed rng ~payload_len (s : Net.Slice.t) =
   let lo = Net.Ethernet.header_size in
   let hi =
-    min (Net.Slice.length s) (lo + Net.Ipv4.header_size + ip_payload_len)
+    min (Net.Slice.length s)
+      (lo + Net.Ipv4.header_size + Net.Udp.header_size + payload_len)
   in
   let i = lo + Sim.Rng.int rng ~bound:(max 1 (hi - lo)) in
   let udp_csum = lo + Net.Ipv4.header_size + 6 in
@@ -71,7 +72,8 @@ let send t frame =
     let size = Net.Frame.wire_size frame in
     if Bytes.length t.scratch < size then t.scratch <- Bytes.create size;
     let s = Net.Frame.encode_into frame t.scratch in
-    flip_checksummed t.rng ~ip_payload_len:frame.Net.Frame.ip.Net.Ipv4.payload_len s;
+    let payload_len = Bytes.length frame.Net.Frame.payload in
+    flip_checksummed t.rng ~payload_len s;
     match Net.Frame.parse_slice s with
     | Error _ -> t.corrupt_rejected <- t.corrupt_rejected + 1
     | Ok v ->

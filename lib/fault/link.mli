@@ -23,8 +23,9 @@ val create :
 
 val send : t -> Net.Frame.t -> unit
 
-val flip_checksummed : Sim.Rng.t -> ip_payload_len:int -> Net.Slice.t -> unit
-(** Flip one byte of an encoded frame within the region the receiver's
+val flip_checksummed : Sim.Rng.t -> payload_len:int -> Net.Slice.t -> unit
+(** Flip one byte of an encoded frame, whose UDP payload is
+    [payload_len] bytes long, within the region the receiver's
     IPv4/UDP checksums cover (never the UDP checksum field itself,
     whose zeroing would read as "checksum absent"), so the existing
     validation rejects the frame deterministically. Shared with the

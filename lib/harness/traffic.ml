@@ -27,11 +27,10 @@ let request ~rpc_id ~service_id ~method_id ~port ~client ~dst args =
 
 let client_or_default = function Some c -> c | None -> default_client
 
-let request_frame ~rpc_id ~service_id ~method_id ~port ?client args =
+let request_frame ~rpc_id ~service_id ~method_id ~port ~client args =
   request
     ~rpc_id:(Rpc.Wire_format.rpc_id_of_int64 rpc_id)
-    ~service_id ~method_id ~port ~client:(client_or_default client)
-    ~dst:server_address args
+    ~service_id ~method_id ~port ~client ~dst:server_address args
 
 let inject recorder (driver : Driver.t) ~rpc_id ~service_id ~method_id ~port
     ?client args =

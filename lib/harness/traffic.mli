@@ -24,10 +24,10 @@ val request :
 
 val request_frame :
   rpc_id:int64 -> service_id:int -> method_id:int -> port:int ->
-  ?client:Net.Frame.endpoint -> Rpc.Value.t -> Net.Frame.t
+  client:Net.Frame.endpoint -> Rpc.Value.t -> Net.Frame.t
 (** {!request} of an id given as the wire's [int64], converted once,
-    from [client] or else {!client_endpoint}[ ()], to
-    {!server_address}.
+    from [client] to {!server_address}. [client] is required rather
+    than optional, so a call boxes no [Some].
     @raise Invalid_argument if the id lies outside [[0, 2^62)]. *)
 
 val inject :

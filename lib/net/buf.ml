@@ -14,7 +14,6 @@ let writer n =
 let writer_over b = { wbuf = b; wpos = 0 }
 
 let writer_pos w = w.wpos
-let writer_bytes w = w.wbuf
 
 let check_write w n =
   if w.wpos + n > Bytes.length w.wbuf then
@@ -57,19 +56,6 @@ let write_string w s =
   Bytes.blit_string s 0 w.wbuf w.wpos n;
   w.wpos <- w.wpos + n
 
-let write_sub w b ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length b then
-    invalid_arg "Buf.write_sub: range outside the source";
-  check_write w len;
-  Bytes.blit b off w.wbuf w.wpos len;
-  w.wpos <- w.wpos + len
-
-let write_slice w s =
-  let n = Slice.length s in
-  check_write w n;
-  Slice.blit s w.wbuf ~dst_off:w.wpos;
-  w.wpos <- w.wpos + n
-
 let write_zeros w n =
   if n < 0 then invalid_arg "Buf.write_zeros: negative length";
   check_write w n;
@@ -90,18 +76,9 @@ let filled w =
       (Bytes.length w.wbuf);
   w.wbuf
 
-let written_slice w = Slice.make w.wbuf ~off:0 ~len:w.wpos
-
 (* Reading *)
 
 let reader b = { rbuf = b; rlimit = Bytes.length b; rpos = 0 }
-
-let reader_of_slice s =
-  {
-    rbuf = s.Slice.base;
-    rlimit = s.Slice.off + s.Slice.len;
-    rpos = s.Slice.off;
-  }
 
 let sub_reader b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
@@ -110,13 +87,7 @@ let sub_reader b ~pos ~len =
   { rbuf = b; rlimit = pos + len; rpos = pos }
 
 let reader_pos r = r.rpos
-let reader_bytes r = r.rbuf
 let remaining r = r.rlimit - r.rpos
-
-let narrow r ~len =
-  if len < 0 || r.rpos + len > r.rlimit then
-    fail "narrow of %d bytes at %d exceeds limit %d" len r.rpos r.rlimit;
-  { rbuf = r.rbuf; rlimit = r.rpos + len; rpos = r.rpos }
 
 (* [n > remaining], not [rpos + n > rlimit]: a wire-supplied [n] near
    [max_int] must not overflow past the check. *)
@@ -154,13 +125,6 @@ let read_bytes r ~len =
   let b = Bytes.sub r.rbuf r.rpos len in
   r.rpos <- r.rpos + len;
   b
-
-let read_slice r ~len =
-  if len < 0 then invalid_arg "Buf.read_slice: negative length";
-  check_read r len;
-  let s = Slice.make r.rbuf ~off:r.rpos ~len in
-  r.rpos <- r.rpos + len;
-  s
 
 let expect_end r =
   if remaining r <> 0 then fail "%d trailing bytes after parse" (remaining r)

@@ -1,5 +1,12 @@
 (** Whole Ethernet/IPv4/UDP frames: the unit the simulated wire and the
-    NIC models exchange. *)
+    NIC models exchange.
+
+    A frame is its two endpoints and its UDP payload. Every other header
+    field is a constant the encoder writes and the parser checks: IPv4
+    EtherType, version 4 with IHL 5, DSCP 0, identification 0,
+    don't-fragment, TTL 64 and protocol UDP. The IPv4 total length and
+    the UDP length follow from the payload. The codec reads and writes
+    each field at its fixed offset, without a cursor or header records. *)
 
 type endpoint = {
   mac : Mac_addr.t;
@@ -9,9 +16,8 @@ type endpoint = {
 (** One side of a UDP flow. *)
 
 type view = {
-  eth : Ethernet.t;
-  ip : Ipv4.t;
-  udp : Udp.t;
+  src : endpoint;
+  dst : endpoint;
   payload : Slice.t;
 }
 (** A parsed frame whose payload is a zero-copy window into the wire
@@ -19,28 +25,25 @@ type view = {
     is (a pooled buffer's view dies at [Pool.release]). *)
 
 type t = {
-  eth : Ethernet.t;
-  ip : Ipv4.t;
-  udp : Udp.t;
+  src : endpoint;
+  dst : endpoint;
   payload : bytes;
 }
 (** An owning frame. Defined after {!view} so unannotated field
     accesses default here. *)
 
 val make : src:endpoint -> dst:endpoint -> bytes -> t
-(** A frame carrying the given UDP payload, with TTL 64 and IP
-    identification 0. *)
+(** The frame carrying the given UDP payload from [src] to [dst]. *)
 
 val make_to_port : src:endpoint -> dst:endpoint -> port:int -> bytes -> t
-(** [make_to_port ~src ~dst ~port p] is [make ~src ~dst:{ dst with port } p],
-    with no endpoint record built: [dst]'s own port is not read. *)
+(** [make_to_port ~src ~dst ~port p] is [make ~src ~dst:{ dst with port } p].
+    When [dst.port] is already [port], [dst] itself is used and only the
+    frame is allocated. *)
 
-val reply_to : eth:Ethernet.t -> ip:Ipv4.t -> udp:Udp.t -> bytes -> t
-(** [reply_to ~eth ~ip ~udp p] is the frame carrying [p] back to the
-    sender of a request with those headers (a frame's or a view's):
-    for a request [r], [reply_to ~eth:r.eth ~ip:r.ip ~udp:r.udp p] is
-    [make ~src:(dst_endpoint r) ~dst:(src_endpoint r) p], with no
-    endpoint record built on the way. *)
+val reply_to : src:endpoint -> dst:endpoint -> bytes -> t
+(** [reply_to ~src ~dst p] is the frame carrying [p] back to the sender
+    of a request from [src] to [dst] (a frame's or a view's endpoints):
+    [make ~src:dst ~dst:src p]. It allocates only the frame. *)
 
 val empty : t
 (** A frame with zero addresses and no payload: what a vacated slot of
@@ -52,10 +55,11 @@ val wire_size : t -> int
 
 val encode_into : t -> bytes -> Slice.t
 (** Serialize into a caller-owned (typically {!Pool}) buffer, padding
-    to the Ethernet minimum frame size, and return the written window.
-    The buffer may be larger than {!wire_size}; its prior contents are
-    irrelevant (padding is written explicitly).
-    @raise Invalid_argument if the buffer is smaller than [wire_size]. *)
+    to the Ethernet minimum frame size, and return the written window,
+    the only allocation. The buffer may be larger than {!wire_size};
+    its prior contents are irrelevant (padding is written explicitly).
+    @raise Invalid_argument if the buffer is smaller than [wire_size],
+    or a port or the IPv4 total length does not fit in 16 bits. *)
 
 val encode : t -> bytes
 (** [encode_into] a fresh exactly-sized buffer. *)
@@ -68,19 +72,21 @@ type error =
   | Udp_error of Udp.error
 
 val parse_slice : Slice.t -> (view, error) result
-(** Parse and validate wire bytes without copying the payload: headers
-    are verified in place and the view's payload aliases the input.
-    Ethernet minimum-size padding is tolerated and stripped (the IP
-    total length is authoritative). Never raises: every malformed input,
-    a runt shorter than the Ethernet header included, is an [Error]. *)
+(** Parse and validate wire bytes without copying the payload. Checked,
+    in this order: runt, EtherType, IPv4 header truncation, version,
+    options, header checksum, total length against the bytes present,
+    protocol, UDP header truncation, UDP length against the IP payload
+    and the UDP checksum (a zero field means "not computed"). The first
+    failing check names the error. Ethernet minimum-size padding, and
+    any IP payload past the UDP length, are stripped: the view's
+    payload is the UDP datagram's and aliases the input. Allocates only
+    the view, its two endpoints, its payload slice and the [Ok]. Never
+    raises. *)
 
 val parse : bytes -> (t, error) result
 (** [parse_slice] + {!of_view}: parse into an owning frame. *)
 
 val of_view : view -> t
 (** Detach a view from its backing buffer by copying the payload. *)
-
-val src_endpoint : t -> endpoint
-val dst_endpoint : t -> endpoint
 
 val pp_error : Format.formatter -> error -> unit

@@ -32,7 +32,5 @@ let in_subnet t ~network ~prefix_len =
     let mask = lnot ((1 lsl (32 - prefix_len)) - 1) land 0xffff_ffff in
     Int.equal (t land mask) (network land mask)
 
-let write w t = Buf.write_u32 w t
-let read r = Buf.read_u32 r
 let equal = Int.equal
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -16,7 +16,5 @@ val to_string : t -> string
 val in_subnet : t -> network:t -> prefix_len:int -> bool
 (** Whether the address falls inside [network/prefix_len]. *)
 
-val write : Buf.writer -> t -> unit
-val read : Buf.reader -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -3,6 +3,12 @@
    allocate on every read/compare without flambda. *)
 type t = int
 
+let of_int v =
+  if v lsr 48 <> 0 then invalid_arg "Mac_addr.of_int: more than 48 bits";
+  v
+
+let to_int t = t
+
 let of_int64 v =
   if Int64.shift_right_logical v 48 <> 0L then
     invalid_arg "Mac_addr.of_int64: more than 48 bits";
@@ -29,15 +35,6 @@ let to_string t =
 let broadcast = 0xffff_ffff_ffff
 let is_broadcast t = Int.equal t broadcast
 let is_multicast t = octet_at t 0 land 1 = 1
-
-let write w t =
-  Buf.write_u16 w (t lsr 32);
-  Buf.write_u32 w (t land 0xffff_ffff)
-
-let read r =
-  let hi = Buf.read_u16 r in
-  let lo = Buf.read_u32 r in
-  (hi lsl 32) lor lo
 
 let equal = Int.equal
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -1,82 +1,6 @@
-type t = { src_port : int; dst_port : int; payload_len : int }
-
 let header_size = 8
 
 type error = Truncated | Bad_length of int | Bad_checksum
-
-let pseudo_header_sum ~src_ip ~dst_ip ~udp_len =
-  let s = Ip_addr.to_int src_ip and d = Ip_addr.to_int dst_ip in
-  (s lsr 16) + (s land 0xffff) + (d lsr 16) + (d land 0xffff)
-  + Ipv4.protocol_udp + udp_len
-
-(* Header and payload are emitted straight into the caller's writer,
-   then the checksum is computed in place over the written region and
-   back-patched — no scratch segment buffer. *)
-let write_slice w t ~src_ip ~dst_ip ~payload =
-  if not (Int.equal (Slice.length payload) t.payload_len) then
-    invalid_arg "Udp.write_slice: payload length mismatch";
-  let udp_len = header_size + t.payload_len in
-  let start = Buf.writer_pos w in
-  Buf.write_u16 w t.src_port;
-  Buf.write_u16 w t.dst_port;
-  Buf.write_u16 w udp_len;
-  let csum_pos = Buf.writer_pos w in
-  Buf.write_u16 w 0;
-  Buf.write_slice w payload;
-  let init = pseudo_header_sum ~src_ip ~dst_ip ~udp_len in
-  let sum =
-    Checksum.ones_complement_sum ~init (Buf.writer_bytes w) ~pos:start
-      ~len:udp_len
-  in
-  let csum =
-    match Checksum.finish sum with
-    | 0 -> 0xffff (* RFC 768: transmitted 0 means "no checksum" *)
-    | c -> c
-  in
-  Buf.patch_u16 w ~pos:csum_pos csum
-
-let write w t ~src_ip ~dst_ip ~payload =
-  if not (Int.equal (Bytes.length payload) t.payload_len) then
-    invalid_arg "Udp.write: payload length mismatch";
-  write_slice w t ~src_ip ~dst_ip ~payload:(Slice.of_bytes payload)
-
-let read_slice r ~src_ip ~dst_ip =
-  if Buf.remaining r < header_size then Error Truncated
-  else begin
-    let base = Buf.reader_bytes r in
-    let start = Buf.reader_pos r in
-    let src_port = Buf.read_u16 r in
-    let dst_port = Buf.read_u16 r in
-    let udp_len = Buf.read_u16 r in
-    let wire_csum = Buf.read_u16 r in
-    if udp_len < header_size || udp_len - header_size > Buf.remaining r then
-      Error (Bad_length udp_len)
-    else begin
-      let payload_len = udp_len - header_size in
-      let payload = Buf.read_slice r ~len:payload_len in
-      if wire_csum = 0 then Ok ({ src_port; dst_port; payload_len }, payload)
-      else begin
-        (* Sum the segment's original wire bytes in place (checksum
-           field included): a valid segment sums to all-ones. *)
-        let init = pseudo_header_sum ~src_ip ~dst_ip ~udp_len in
-        let sum =
-          Checksum.ones_complement_sum ~init base ~pos:start ~len:udp_len
-        in
-        if sum land 0xffff = 0xffff then
-          Ok ({ src_port; dst_port; payload_len }, payload)
-        else Error Bad_checksum
-      end
-    end
-  end
-
-let read r ~src_ip ~dst_ip =
-  match read_slice r ~src_ip ~dst_ip with
-  | Error _ as e -> e
-  | Ok (t, payload) -> Ok (t, Slice.to_bytes payload)
-
-let pp ppf t =
-  Format.fprintf ppf "udp %d -> %d len=%d" t.src_port t.dst_port
-    t.payload_len
 
 let pp_error ppf = function
   | Truncated -> Format.pp_print_string ppf "truncated UDP header"

@@ -1,38 +1,14 @@
-(** UDP headers with pseudo-header checksum. *)
-
-type t = { src_port : int; dst_port : int; payload_len : int }
+(** UDP headers: the size and errors of the frame codec ({!Frame}),
+    which reads and writes the header, and verifies its pseudo-header
+    checksum, in place. *)
 
 val header_size : int
 (** 8 bytes. *)
 
-val write :
-  Buf.writer -> t -> src_ip:Ip_addr.t -> dst_ip:Ip_addr.t -> payload:bytes ->
-  unit
-(** Emits header then payload, with the checksum computed over the IPv4
-    pseudo-header, the UDP header, and the payload. A computed checksum
-    of 0 is transmitted as 0xffff per RFC 768. *)
+type error =
+  | Truncated
+  | Bad_length of int
+      (** The length field is below 8 or past the IP payload. *)
+  | Bad_checksum
 
-val write_slice :
-  Buf.writer -> t -> src_ip:Ip_addr.t -> dst_ip:Ip_addr.t ->
-  payload:Slice.t -> unit
-(** Like {!write} but the payload is a slice; the segment is emitted
-    directly into the writer and the checksum back-patched in place, so
-    no scratch segment buffer is allocated. *)
-
-type error = Truncated | Bad_length of int | Bad_checksum
-
-val read :
-  Buf.reader -> src_ip:Ip_addr.t -> dst_ip:Ip_addr.t ->
-  (t * bytes, error) result
-(** Parses header and payload and verifies the checksum (a zero wire
-    checksum means "not computed" and is accepted). *)
-
-val read_slice :
-  Buf.reader -> src_ip:Ip_addr.t -> dst_ip:Ip_addr.t ->
-  (t * Slice.t, error) result
-(** Like {!read} but the payload is a zero-copy view into the reader's
-    buffer, and the checksum is verified in place over the original
-    wire bytes. *)
-
-val pp : Format.formatter -> t -> unit
 val pp_error : Format.formatter -> error -> unit

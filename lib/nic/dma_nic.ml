@@ -104,7 +104,7 @@ let[@hot_path] rx_dma_done t s =
          memory; the driver's in-place parse (checksums) rejects it at
          [consume]. *)
       Fault.Link.flip_checksummed t.frng
-        ~ip_payload_len:frame.Net.Frame.ip.Net.Ipv4.payload_len slice;
+        ~payload_len:(Bytes.length frame.Net.Frame.payload) slice;
     if Ring.produce q.ring slice then begin
       t.delivered <- t.delivered + 1;
       Msix.raise_event q.msix

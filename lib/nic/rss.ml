@@ -99,7 +99,6 @@ let queue_for t ~src_ip ~dst_ip ~src_port ~dst_port =
   t.indirection.(h land (Array.length t.indirection - 1))
 
 let[@hot_path] queue_of_frame t (f : Net.Frame.t) =
-  queue_for t ~src_ip:f.Net.Frame.ip.Net.Ipv4.src
-    ~dst_ip:f.Net.Frame.ip.Net.Ipv4.dst
-    ~src_port:f.Net.Frame.udp.Net.Udp.src_port
-    ~dst_port:f.Net.Frame.udp.Net.Udp.dst_port
+  let src = f.Net.Frame.src and dst = f.Net.Frame.dst in
+  queue_for t ~src_ip:src.Net.Frame.ip ~dst_ip:dst.Net.Frame.ip
+    ~src_port:src.Net.Frame.port ~dst_port:dst.Net.Frame.port

@@ -39,10 +39,10 @@ let field_width = function
 
 let[@hot_path] field_value (f : Net.Frame.t) field =
   match field with
-  | Src_ip -> Net.Ip_addr.to_int f.Net.Frame.ip.Net.Ipv4.src
-  | Dst_ip -> Net.Ip_addr.to_int f.Net.Frame.ip.Net.Ipv4.dst
-  | Src_port -> f.Net.Frame.udp.Net.Udp.src_port
-  | Dst_port -> f.Net.Frame.udp.Net.Udp.dst_port
+  | Src_ip -> Net.Ip_addr.to_int f.Net.Frame.src.Net.Frame.ip
+  | Dst_ip -> Net.Ip_addr.to_int f.Net.Frame.dst.Net.Frame.ip
+  | Src_port -> f.Net.Frame.src.Net.Frame.port
+  | Dst_port -> f.Net.Frame.dst.Net.Frame.port
   | Length -> Bytes.length f.Net.Frame.payload
   | Payload i ->
       let p = f.Net.Frame.payload in

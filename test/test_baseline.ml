@@ -224,7 +224,7 @@ let stale_scenario ?tracer ?kill_at () =
     in
     answers :=
       ( Rpc.Wire_format.rpc_id payload,
-        f.Net.Frame.udp.Net.Udp.src_port - 7000,
+        f.Net.Frame.src.Net.Frame.port - 7000,
         Sim.Engine.now engine,
         body )
       :: !answers;
@@ -441,8 +441,12 @@ let test_duplicate_port_rejected () =
    145.1 (148.0). Since rpc ids are immediate ints and the recorder's
    send stamps sit in a [Sim.Int_table], it took 132.1 (141.0). Since
    an IOTLB miss relinks a fixed entry instead of adding a [Hashtbl]
-   binding, it takes 128.2, and perfbench's bypass_4k 137.0. *)
-let bypass_words_budget = 128.2 *. 1.02
+   binding, it took 128.2, and perfbench's bypass_4k 137.0. Since a
+   frame is its two endpoints and its payload, and the codec reads and
+   writes its headers at fixed offsets (a parse builds the view, two
+   endpoints and a slice instead of three header records, and a reply
+   only swaps the endpoints), it takes 66.2. *)
+let bypass_words_budget = 66.2 *. 1.02
 
 let test_bypass_rpc_allocation_budget () =
   let setup =

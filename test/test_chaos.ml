@@ -111,7 +111,7 @@ let run_faulty_switch ?cap_in ?cap_out ?wedge ?brownout ?partition ~nports
              { Cluster.Switch.latency = us 1; tx = Sim.Units.ns 100 }))
       ?cap_in ?cap_out
       ~route:(fun f ->
-        let p = f.Net.Frame.udp.Net.Udp.dst_port - 50_000 in
+        let p = f.Net.Frame.dst.Net.Frame.port - 50_000 in
         if p >= 0 && p < nports then Some p else None)
       ~deliver:(fun ~port f ->
         log :=

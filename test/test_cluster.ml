@@ -41,7 +41,7 @@ let run_switch ?cap_in ?cap_out ~nports arrivals =
              }))
       ?cap_in ?cap_out
       ~route:(fun f ->
-        let p = f.Net.Frame.udp.Net.Udp.dst_port - 50_000 in
+        let p = f.Net.Frame.dst.Net.Frame.port - 50_000 in
         if p >= 0 && p < nports then Some p else None)
       ~deliver:(fun ~port f ->
         log :=
@@ -464,7 +464,7 @@ let test_rack_requests_addressed_once () =
       Cluster.Fabric.connect_host fabric h ~ingress:(fun f ->
           let p = f.Net.Frame.payload in
           if Rpc.Wire_format.is_request p then begin
-            if Net.Frame.dst_endpoint f <> Cluster.Fabric.host_endpoint fabric h ~port
+            if f.Net.Frame.dst <> Cluster.Fabric.host_endpoint fabric h ~port
             then incr misaddressed;
             let id = Rpc.Wire_format.rpc_id p in
             let hosts = Option.value ~default:[] (Hashtbl.find_opt seen id) in
@@ -560,8 +560,7 @@ let run_light_rack ~hosts ~links plan =
              (fun () ->
                Cluster.Fabric.host_egress fabric h
                  (Net.Frame.make
-                    ~src:(Net.Frame.dst_endpoint frame)
-                    ~dst:(Net.Frame.src_endpoint frame)
+                    ~src:frame.Net.Frame.dst ~dst:frame.Net.Frame.src
                     frame.Net.Frame.payload))))
   done;
   Cluster.Fabric.connect_uplink fabric (fun frame ->
@@ -917,8 +916,10 @@ let qsuite name t = (name, [ QCheck_alcotest.to_alcotest t ])
    took 146.5 (rack_retry 146.5). Before the client addressed each
    transmission once, an untyped reply stopped boxing an [Ok] and each
    host's in-flight entries became recycled slots, it took 144.9
-   (rack_retry 146.3); it now takes 115.9 (rack_retry 117.3). *)
-let rack_words_budget = 115.9 *. 1.02
+   (rack_retry 146.3). Before a frame was its two endpoints and its
+   payload, with no header records, it took 115.9 (rack_retry 117.3);
+   it now takes 81.9. *)
+let rack_words_budget = 81.9 *. 1.02
 
 let test_rack_allocation_budget () =
   let rack = Experiments.Rack.make_rack ~hosts:8 () in

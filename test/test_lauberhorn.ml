@@ -924,7 +924,7 @@ let test_stack_recycled_slots_keep_their_frames () =
   let answers = ref [] in
   let egress f =
     match Rpc.Wire_format.decode f.Net.Frame.payload with
-    | Ok w -> answers := (f.Net.Frame.udp.Net.Udp.dst_port, w) :: !answers
+    | Ok w -> answers := (f.Net.Frame.dst.Net.Frame.port, w) :: !answers
     | Error e ->
         Alcotest.failf "undecodable frame: %a" Rpc.Wire_format.pp_error e
   in
@@ -1379,7 +1379,7 @@ let test_stack_cross_machine_nested () =
     Lauberhorn.Stack.create engine ~cfg:Lauberhorn.Config.enzian ~ncores:2
       ~services:[ Lauberhorn.Stack.spec ~port:7100 frontend ]
       ~egress:(fun f ->
-        if Net.Ip_addr.equal f.Net.Frame.ip.Net.Ipv4.dst b_ip then
+        if Net.Ip_addr.equal f.Net.Frame.dst.Net.Frame.ip b_ip then
           Lauberhorn.Stack.ingress b f
         else Harness.Recorder.egress recorder f)
       ()
@@ -1929,9 +1929,11 @@ let test_message_id_readers_allocate_nothing () =
    Before rpc ids were immediate ints, with the in-flight table and the
    recorder's send stamps in [Sim.Int_table]s, it took 143.5, and
    perfbench's host_64b 132.2. Before each in-flight entry became a
-   recycled slot, it took 120.5, and perfbench's host_64b 113.2; it
-   now takes 108.5, and perfbench's host_64b 103.2. *)
-let rpc_words_budget = 108.5 *. 1.02
+   recycled slot, it took 120.5, and perfbench's host_64b 113.2. Before
+   a frame was its two endpoints and its payload, with no header
+   records, it took 108.5, and perfbench's host_64b 103.2; it now takes
+   78.5. *)
+let rpc_words_budget = 78.5 *. 1.02
 
 let test_rpc_allocation_budget () =
   let setup =

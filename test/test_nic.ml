@@ -414,7 +414,7 @@ let test_dma_nic_steering_override () =
       ~on_rx_interrupt:(fun ~queue:_ -> ())
       ()
   in
-  Nic.Dma_nic.set_steering nic (fun f -> f.Net.Frame.udp.Net.Udp.dst_port);
+  Nic.Dma_nic.set_steering nic (fun f -> f.Net.Frame.dst.Net.Frame.port);
   Nic.Dma_nic.rx_from_wire nic (sample_frame ~dst_port:2 ());
   Sim.Engine.run e;
   checki "steered to queue 2" 1

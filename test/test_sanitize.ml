@@ -130,7 +130,8 @@ let test_pool_large_class_use_after_release () =
   let w = Z.Pool_watch.attach z (Nic.Dma_nic.pool nic) in
   Nic.Dma_nic.rx_from_wire nic
     (Harness.Traffic.request_frame ~rpc_id:1L ~service_id:1 ~method_id:0
-       ~port:7000 (Rpc.Value.Blob (Bytes.make 9000 'b')));
+       ~port:7000 ~client:(Harness.Traffic.client_endpoint ())
+       (Rpc.Value.Blob (Bytes.make 9000 'b')));
   Sim.Engine.run engine;
   match Nic.Dma_nic.consume nic ~queue:0 (fun v -> v.Net.Frame.payload) with
   | None -> Alcotest.fail "the frame was not delivered"

@@ -368,8 +368,7 @@ let payload_programs =
 
 let payload_frame ~src_port payload =
   let f = mk_frame ~src_port ~len:0 () in
-  Net.Frame.make ~src:(Net.Frame.src_endpoint f) ~dst:(Net.Frame.dst_endpoint f)
-    payload
+  Net.Frame.make ~src:f.Net.Frame.src ~dst:f.Net.Frame.dst payload
 
 (* A payload cut to 0 ... prefix bytes, or a longer one with some bytes
    flipped. *)
@@ -454,8 +453,8 @@ let test_rss_allocates_nothing () =
 let test_rss_hashes_allocate_nothing () =
   let rss_tbl = Nic.Rss.create ~queues:4 () in
   check_no_alloc "Rss.hash_flow" (fun (f : Net.Frame.t) ->
-      Nic.Rss.hash_flow rss_tbl ~src_ip:f.ip.src ~dst_ip:f.ip.dst
-        ~src_port:f.udp.src_port ~dst_port:f.udp.dst_port);
+      Nic.Rss.hash_flow rss_tbl ~src_ip:f.src.ip ~dst_ip:f.dst.ip
+        ~src_port:f.src.port ~dst_port:f.dst.port);
   check_no_alloc "Rss.hash_prefix" (fun (f : Net.Frame.t) ->
       Nic.Rss.hash_prefix rss_tbl f.payload ~len:(Bytes.length f.payload))
 
