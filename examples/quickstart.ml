@@ -21,6 +21,7 @@ let run_stack name make_driver =
     (fun ~seq ->
       let args = Rpc.Value.Blob (Bytes.make 64 'x') in
       Harness.Traffic.inject recorder driver ~rpc_id:seq
+        ~client:Harness.Traffic.default_client
         ~service_id:1 ~method_id:0 ~port args);
   Sim.Engine.run engine ~until:(horizon + Sim.Units.ms 5);
   let h = Harness.Recorder.latencies recorder in

@@ -58,6 +58,7 @@ let () =
         Workload.Dist.sample_int Workload.Rpc_mix.small_rpc_sizes rng
       in
       Harness.Traffic.inject recorder driver ~rpc_id:seq
+        ~client:Harness.Traffic.default_client
         ~service_id:sid ~method_id:0
         ~port:(Workload.Scenario.port_of setup ~service_idx:idx)
         (Rpc.Value.Blob (Bytes.make (min size 60_000) 'f')));

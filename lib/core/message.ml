@@ -62,8 +62,8 @@ let off_total_len = 8
 let off_resp_rpc_id = 12
 
 (* The writers below and the readers after them place each field at
-   these offsets. A writer checks each value's range, as [Net.Buf]'s
-   writers do, and writes the whole line: the inline bytes, then zeros
+   these offsets. A writer checks each value's range and writes the
+   whole line: the inline bytes, then zeros
    to the end, so a reused line keeps nothing of what it held. *)
 let[@hot_path] set_u8 b off v =
   if v < 0 || v > 0xff then invalid_arg "Message: u8 field out of range";

@@ -192,6 +192,7 @@ let make_server ?(ncores = 8) ?(min_workers = 1) ?(max_workers = 2) ?engine
 let inject_blob server ~seq ~service_idx ~bytes =
   let setup = server.setup in
   Harness.Traffic.inject server.recorder server.driver
+    ~client:Harness.Traffic.default_client
     ~rpc_id:seq
     ~service_id:(Workload.Scenario.service_id_of setup ~service_idx)
     ~method_id:0

@@ -27,6 +27,10 @@ let zipf_s = 1.1
 let cache_slots = 32
 let payload_bytes = 64
 
+(* One client endpoint per flow, built once per run. *)
+let flow_clients () =
+  Array.init nflows (fun idx -> Harness.Traffic.client_endpoint ~idx ())
+
 (* Offset of the blob's data bytes inside the wire payload: RPC header
    (no ctx extension — tracing is off here) + the codec's varint length
    prefix. Computed, not assumed, so codec changes can't silently
@@ -123,13 +127,14 @@ let run_config ~horizon ~rate prog =
   let rng = Sim.Rng.create ~seed:0xe20 in
   let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
   let zipf = Workload.Dist.Zipf.create ~n:nkeys ~s:zipf_s in
+  let clients = flow_clients () in
   Workload.Arrivals.open_loop server.Common.engine rng ~rate_per_s:rate
     ~until:horizon (fun ~seq ->
       let key = Workload.Dist.Zipf.draw zipf rng in
       let flow = Sim.Rng.int rng ~bound:nflows in
       Harness.Traffic.inject server.Common.recorder server.Common.driver
         ~rpc_id:seq ~service_id ~method_id:0 ~port:service_port
-        ~client:(Harness.Traffic.client_endpoint ~idx:flow ())
+        ~client:clients.(flow)
         (key_blob key));
   let m =
     Common.measure ~name:prog.Nic.Steer.name ~horizon server
@@ -240,6 +245,7 @@ let run_rack () =
      slots, so ids would skew low) and given a per-flow src endpoint
      so in-host RSS (were it active) would spread by flow. *)
   let next = ref 0 in
+  let clients = flow_clients () in
   let send (frame : Net.Frame.t) =
     let n = !next in
     incr next;
@@ -248,9 +254,8 @@ let run_rack () =
       Cluster.Fabric.host_endpoint fabric host
         ~port:frame.Net.Frame.dst.Net.Frame.port
     in
-    let src = Harness.Traffic.client_endpoint ~idx:(n mod nflows) () in
     Cluster.Fabric.uplink_send fabric
-      (Net.Frame.make ~src ~dst frame.Net.Frame.payload)
+      (Net.Frame.make ~src:clients.(n mod nflows) ~dst frame.Net.Frame.payload)
   in
   let client = Harness.Client.create engine ~send () in
   Cluster.Fabric.connect_uplink fabric (Harness.Client.on_reply client);

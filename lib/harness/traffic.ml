@@ -25,18 +25,16 @@ let request ~rpc_id ~service_id ~method_id ~port ~client ~dst args =
     (Rpc.Wire_format.encode_value ~kind:Rpc.Wire_format.Request ~rpc_id
        ~service_id ~method_id args)
 
-let client_or_default = function Some c -> c | None -> default_client
-
 let request_frame ~rpc_id ~service_id ~method_id ~port ~client args =
   request
     ~rpc_id:(Rpc.Wire_format.rpc_id_of_int64 rpc_id)
     ~service_id ~method_id ~port ~client ~dst:server_address args
 
 let inject recorder (driver : Driver.t) ~rpc_id ~service_id ~method_id ~port
-    ?client args =
+    ~client args =
   let frame =
-    request ~rpc_id ~service_id ~method_id ~port
-      ~client:(client_or_default client) ~dst:server_address args
+    request ~rpc_id ~service_id ~method_id ~port ~client ~dst:server_address
+      args
   in
   Recorder.stamp recorder ~rpc_id;
   driver.Driver.ingress frame

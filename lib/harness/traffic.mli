@@ -3,6 +3,10 @@
 val client_endpoint : ?idx:int -> unit -> Net.Frame.endpoint
 (** A synthetic client NIC identity ([idx] varies MAC/IP/port). *)
 
+val default_client : Net.Frame.endpoint
+(** [client_endpoint ()], built once: the sender of every request that
+    does not name its own. *)
+
 val server_address : Net.Frame.endpoint
 (** The default server identity (MAC 02:00:00:00:00:01, IP 10.0.0.1),
     with port 0. Every server without an address of its own is this
@@ -32,7 +36,9 @@ val request_frame :
 
 val inject :
   Recorder.t -> Driver.t -> rpc_id:int -> service_id:int ->
-  method_id:int -> port:int -> ?client:Net.Frame.endpoint -> Rpc.Value.t ->
+  method_id:int -> port:int -> client:Net.Frame.endpoint -> Rpc.Value.t ->
   unit
-(** Stamp the recorder and deliver the frame, addressed to
-    {!server_address}, to the driver's ingress. *)
+(** Stamp the recorder and deliver the frame from [client], addressed to
+    {!server_address}, to the driver's ingress. [client] is required
+    rather than optional, so a call boxes no [Some]; a sender without an
+    identity of its own passes {!default_client}. *)

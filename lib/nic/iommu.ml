@@ -99,7 +99,7 @@ let[@hot_path] lookup t ~iova =
       -1
   | e when e >= 0 ->
       t.hits <- t.hits + 1;
-      if e <> t.head then begin
+      if not (Int.equal e t.head) then begin
         unlink t e;
         push_head t e
       end;

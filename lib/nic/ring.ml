@@ -33,8 +33,8 @@ let create ~size =
   }
 
 let occupancy t = t.head - t.tail
-let is_empty t = t.head = t.tail
-let is_full t = occupancy t = t.capacity
+let is_empty t = Int.equal t.head t.tail
+let is_full t = Int.equal (occupancy t) t.capacity
 
 let produce t v =
   if is_full t then begin

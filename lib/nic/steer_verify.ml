@@ -25,7 +25,7 @@ let field_equal a b =
   | Dst_port, Dst_port
   | Length, Length ->
       true
-  | Payload i, Payload j -> i = j
+  | Payload i, Payload j -> Int.equal i j
   | _ -> false
 
 (* Intersect the atoms of a guard into a box.  [None] = the guard is

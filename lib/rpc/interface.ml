@@ -23,7 +23,7 @@ type service_def = {
 let service ~id ~name methods =
   let ids = List.map (fun m -> m.method_id) methods in
   let sorted = List.sort_uniq Int.compare ids in
-  if List.length sorted <> List.length ids then
+  if not (Int.equal (List.length sorted) (List.length ids)) then
     invalid_arg ("Interface.service: duplicate method ids in " ^ name);
   { service_id = id; service_name = name; methods }
 

@@ -19,7 +19,8 @@ let rec conforms (v : Value.t) (s : t) =
       true
   | Value.List vs, List elt -> List.for_all (fun v -> conforms v elt) vs
   | Value.Tuple vs, Tuple ss ->
-      List.length vs = List.length ss && List.for_all2 conforms vs ss
+      Int.equal (List.length vs) (List.length ss)
+      && List.for_all2 conforms vs ss
   | ( Value.(Unit | Bool _ | Int _ | Float _ | Str _ | Blob _ | List _
             | Tuple _),
       (Unit | Bool | Int | Float | Str | Blob | List _ | Tuple _) ) ->

@@ -11,7 +11,7 @@ type t =
 let rec equal a b =
   match a, b with
   | Unit, Unit -> true
-  | Bool x, Bool y -> x = y
+  | Bool x, Bool y -> Bool.equal x y
   | Int x, Int y -> Int64.equal x y
   | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
   | Str x, Str y -> String.equal x y

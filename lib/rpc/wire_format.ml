@@ -33,7 +33,7 @@ let ctx_flag = 0x80
 let err_shed = 0xff01
 let err_dead = 0xff02
 let retriable_error = function
-  | c when c = err_shed || c = err_dead -> true
+  | c when Int.equal c err_shed || Int.equal c err_dead -> true
   | _ -> false
 
 let kind_tag = function Request -> 0 | Response -> 1 | Error_reply _ -> 2
@@ -53,13 +53,13 @@ let off_rpc_id = 12
 let header_room = function
   | None -> header_size
   | Some c ->
-      if Bytes.length c <> ctx_size then
+      if not (Int.equal (Bytes.length c) ctx_size) then
         invalid_arg "Wire_format.encode: context must be ctx_size bytes";
       header_size + ctx_size
 
-(* The range checks are [Net.Buf.write_u16]'s and [write_u32]'s, with
-   their messages, so an out-of-range field raises here exactly what it
-   raises through a writer. *)
+(* The range checks and their messages are those of the cursor writer
+   the header was once written through ([write_u16], [write_u32]), so
+   an out-of-range field raises what it always raised. *)
 let[@hot_path] set_u16 b off v =
   if v < 0 || v > 0xffff then invalid_arg "Buf.write_u16: value out of range";
   Bytes.set_uint16_be b off v

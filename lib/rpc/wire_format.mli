@@ -67,8 +67,8 @@ val write_header_into :
     {!encode_body} would lay them out. Allocates nothing.
     @raise Invalid_argument if the buffer is shorter than the room, if
     the context is not {!ctx_size} bytes, on a negative rpc id, or on a method id or error
-    code outside u16 or a service id outside u32, as
-    [Net.Buf.write_u16] and [write_u32] raise. *)
+    code outside u16 or a service id outside u32, with the messages a
+    cursor writer's [write_u16] and [write_u32] raised. *)
 
 val encode : t -> bytes
 (** {!encode_body} of the message's fields. *)

@@ -46,7 +46,8 @@ let rules_for_path path =
       in_lib
       && (has_segment path "core" || has_segment path "coherence"
          || has_segment path "net" || has_segment path "sim"
-         || has_segment path "baseline" || has_segment path "harness")
+         || has_segment path "baseline" || has_segment path "harness"
+         || has_segment path "rpc" || has_segment path "nic")
     in
     let obs_gating =
       in_lib && (has_segment path "sim" || has_segment path "cluster")

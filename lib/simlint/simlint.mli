@@ -7,7 +7,8 @@
       any [self_init]), [Unix.*], [Sys.time], randomized hash tables.
       Seeded randomness belongs in [lib/fault] plans and [Sim.Rng].
     - {b polymorphic-compare} ([lib/core], [lib/coherence], [lib/net],
-      [lib/sim], [lib/baseline], [lib/harness]): no structural [=]/[<>]/[compare]/[Hashtbl.hash], and
+      [lib/sim], [lib/baseline], [lib/harness], [lib/rpc], [lib/nic]): no
+      structural [=]/[<>]/[compare]/[Hashtbl.hash], and
       no [List.mem]/[List.assoc]-family calls that smuggle one in.
       Comparison against a literal constant ([0], ['c'], [1L], [true])
       is exempt — the compiler specializes those to immediate

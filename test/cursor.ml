@@ -1,3 +1,11 @@
+(* A bounded cursor over [bytes], big-endian: the reader and writer
+   records the frame and RPC codecs used before they read and wrote at
+   fixed offsets. The reference parsers and encoders that test_net and
+   test_rpc compare the offset codecs against are written over it, so
+   it keeps their checks and exceptions exactly: an access outside the
+   buffer raises [Out_of_bounds], a value outside its field's range
+   [Invalid_argument]. *)
+
 exception Out_of_bounds of string
 
 type reader = { rbuf : bytes; rlimit : int; mutable rpos : int }
@@ -12,8 +20,6 @@ let writer n =
   { wbuf = Bytes.make n '\000'; wpos = 0 }
 
 let writer_over b = { wbuf = b; wpos = 0 }
-
-let writer_pos w = w.wpos
 
 let check_write w n =
   if w.wpos + n > Bytes.length w.wbuf then
@@ -62,14 +68,9 @@ let write_zeros w n =
   Bytes.fill w.wbuf w.wpos n '\000';
   w.wpos <- w.wpos + n
 
-let patch_u16 w ~pos v =
-  if v < 0 || v > 0xffff then invalid_arg "Buf.patch_u16: value out of range";
-  if pos < 0 || pos + 2 > w.wpos then
-    fail "patch_u16 at %d outside written region [0,%d)" pos w.wpos;
-  Bytes.set_uint16_be w.wbuf pos v
-
 let contents w = Bytes.sub w.wbuf 0 w.wpos
 
+(* The buffer itself, for a writer that filled it exactly. *)
 let filled w =
   if not (Int.equal w.wpos (Bytes.length w.wbuf)) then
     fail "filled: %d bytes written of %d capacity" w.wpos
@@ -77,8 +78,6 @@ let filled w =
   w.wbuf
 
 (* Reading *)
-
-let reader b = { rbuf = b; rlimit = Bytes.length b; rpos = 0 }
 
 let sub_reader b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
@@ -125,6 +124,3 @@ let read_bytes r ~len =
   let b = Bytes.sub r.rbuf r.rpos len in
   r.rpos <- r.rpos + len;
   b
-
-let expect_end r =
-  if remaining r <> 0 then fail "%d trailing bytes after parse" (remaining r)

@@ -107,6 +107,7 @@ let run_stack ~stack ~ncores ~nservices ~rate ?(payload = 64) ?(zipf_s = 0.)
         | None -> Workload.Rpc_mix.uniform_pick rng ~services:nservices
       in
       Harness.Traffic.inject recorder driver
+        ~client:Harness.Traffic.default_client
         ~rpc_id:seq
         ~service_id:(Workload.Scenario.service_id_of setup ~service_idx:svc)
         ~method_id:0

@@ -595,6 +595,7 @@ let test_stack_echo_end_to_end () =
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
          Harness.Traffic.inject env.recorder env.driver ~rpc_id:42
+           ~client:Harness.Traffic.default_client
            ~service_id:1 ~method_id:0 ~port:7000 (Rpc.Value.Blob payload)));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 2);
   (match !seen with
@@ -625,6 +626,7 @@ let test_stack_response_payload_fidelity () =
   let fire v =
     incr next;
     Harness.Traffic.inject env.recorder env.driver
+      ~client:Harness.Traffic.default_client
       ~rpc_id:!next ~service_id:9 ~method_id:0 ~port:7009
       (Rpc.Value.int v)
   in
@@ -654,6 +656,7 @@ let test_stack_cold_start_uses_slow_path () =
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
          Harness.Traffic.inject env.recorder env.driver ~rpc_id:1
+           ~client:Harness.Traffic.default_client
            ~service_id:1 ~method_id:0 ~port:7000
            (Rpc.Value.Blob (Bytes.make 32 'c'))));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 5);
@@ -674,6 +677,7 @@ let test_stack_large_payload_dma_fallback () =
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
          Harness.Traffic.inject env.recorder env.driver ~rpc_id:1
+           ~client:Harness.Traffic.default_client
            ~service_id:1 ~method_id:0 ~port:7000
            (Rpc.Value.Blob (Bytes.make 16_384 'B'))));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 5);
@@ -717,6 +721,7 @@ let test_stack_held_response_survives_line_reuse () =
         (Sim.Engine.schedule_at engine ~at:(Sim.Units.us (10 + after))
            (fun () ->
              Harness.Traffic.inject recorder driver ~rpc_id:n
+               ~client:Harness.Traffic.default_client
                ~service_id:1 ~method_id:0 ~port:7000 (blob size))))
     sizes;
   Sim.Engine.run engine ~until:(Sim.Units.ms 2);
@@ -782,6 +787,7 @@ let test_stack_kill_nacks_in_id_order () =
            ~at:(Sim.Units.us 10 + (i * Sim.Units.ns 100))
            (fun () ->
              Harness.Traffic.inject recorder driver ~rpc_id:id ~service_id:1
+               ~client:Harness.Traffic.default_client
                ~method_id:0 ~port:7000 (Rpc.Value.Blob (Bytes.make 8 'k')))))
     ids;
   ignore
@@ -854,6 +860,7 @@ let test_stack_slots_across_kill_restart () =
     ignore
       (Sim.Engine.schedule_at engine ~at:(Sim.Units.us at) (fun () ->
            Harness.Traffic.inject recorder driver ~rpc_id:id ~service_id:svc
+             ~client:Harness.Traffic.default_client
              ~method_id:0 ~port:(7000 + svc)
              (Rpc.Value.Blob (Bytes.of_string body))))
   in
@@ -1070,6 +1077,7 @@ let test_stack_late_context_reaches_the_reply () =
   ignore
     (Sim.Engine.schedule_at engine ~at:(Sim.Units.us 10) (fun () ->
          Harness.Traffic.inject recorder (Lauberhorn.Stack.driver stack)
+           ~client:Harness.Traffic.default_client
            ~rpc_id:7 ~service_id:1 ~method_id:0 ~port:7000
            (Rpc.Value.Blob body)));
   Sim.Engine.run engine ~until:(Sim.Units.ms 1);
@@ -1103,6 +1111,7 @@ let test_stack_scale_up_under_burst () =
          ~at:(Sim.Units.us 10 + (i * 100))
          (fun () ->
            Harness.Traffic.inject env.recorder env.driver
+             ~client:Harness.Traffic.default_client
              ~rpc_id:i ~service_id:1 ~method_id:0 ~port:7000
              (Rpc.Value.Blob (Bytes.make 16 'x'))))
   done;
@@ -1133,6 +1142,7 @@ let test_stack_many_services_share_cores () =
          ~at:(Sim.Units.us 10 + (i * Sim.Units.us 2))
          (fun () ->
            Harness.Traffic.inject env.recorder env.driver
+             ~client:Harness.Traffic.default_client
              ~rpc_id:i
              ~service_id:(Workload.Scenario.service_id_of setup ~service_idx:svc)
              ~method_id:0
@@ -1181,6 +1191,7 @@ let test_stack_nested_rpc () =
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
          Harness.Traffic.inject env.recorder env.driver ~rpc_id:5
+           ~client:Harness.Traffic.default_client
            ~service_id:10 ~method_id:0 ~port:7010 (Rpc.Value.str "k1")));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 5);
   checki "outer completed" 1 (Harness.Recorder.completed env.recorder);
@@ -1215,6 +1226,7 @@ let test_stack_nested_unknown_service () =
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
          Harness.Traffic.inject env.recorder env.driver ~rpc_id:1
+           ~client:Harness.Traffic.default_client
            ~service_id:11 ~method_id:0 ~port:7011 Rpc.Value.Unit));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 5);
   checki "completed with fallback reply" 1
@@ -1237,6 +1249,7 @@ let test_stack_retire_and_resume_dispatcher () =
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 200)
        (fun () ->
          Harness.Traffic.inject env.recorder env.driver ~rpc_id:1
+           ~client:Harness.Traffic.default_client
            ~service_id:1 ~method_id:0 ~port:7000
            (Rpc.Value.Blob (Bytes.make 16 'r'))));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 2);
@@ -1253,6 +1266,7 @@ let test_stack_retire_and_resume_dispatcher () =
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
          Harness.Traffic.inject env.recorder env.driver ~rpc_id:2
+           ~client:Harness.Traffic.default_client
            ~service_id:1 ~method_id:0 ~port:7000
            (Rpc.Value.Blob (Bytes.make 16 's'))));
   Sim.Engine.run env.sengine ~until:(Sim.Engine.now env.sengine + Sim.Units.ms 20);
@@ -1324,6 +1338,7 @@ let test_stack_nested_uses_tx_lines () =
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
          Harness.Traffic.inject env.recorder env.driver ~rpc_id:1
+           ~client:Harness.Traffic.default_client
            ~service_id:10 ~method_id:0 ~port:7010 (Rpc.Value.str "k")));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 5);
   checki "completed" 1 (Harness.Recorder.completed env.recorder);
@@ -1399,6 +1414,7 @@ let test_stack_cross_machine_nested () =
   ignore
     (Sim.Engine.schedule_after engine ~after:(Sim.Units.us 10) (fun () ->
          Harness.Traffic.inject recorder driver ~rpc_id:1 ~service_id:4
+           ~client:Harness.Traffic.default_client
            ~method_id:0 ~port:7100 (Rpc.Value.str "k")));
   Sim.Engine.run engine ~until:(Sim.Units.ms 5);
   checki "outer completed" 1 (Harness.Recorder.completed recorder);
@@ -1433,6 +1449,7 @@ let test_stack_telemetry () =
          ~at:(Sim.Units.us 10 + (i * Sim.Units.us 5))
          (fun () ->
            Harness.Traffic.inject env.recorder env.driver
+             ~client:Harness.Traffic.default_client
              ~rpc_id:i ~service_id:1 ~method_id:0 ~port:7000
              (Rpc.Value.Blob (Bytes.make 48 't'))))
   done;
@@ -1484,6 +1501,7 @@ let test_stack_stats_agree_with_counters () =
     ~until:(Sim.Units.ms 2) (fun ~seq ->
       let id = 1 + Sim.Rng.int rng ~bound:3 in
       Harness.Traffic.inject env.recorder env.driver ~rpc_id:seq
+        ~client:Harness.Traffic.default_client
         ~service_id:id ~method_id:0 ~port:(7000 + id)
         (Rpc.Value.Blob (Bytes.make 32 's')));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 20);
@@ -1523,6 +1541,7 @@ let test_stack_tracing () =
     (Sim.Engine.schedule_after env.sengine ~after:(Sim.Units.us 10)
        (fun () ->
          Harness.Traffic.inject env.recorder env.driver ~rpc_id:9
+           ~client:Harness.Traffic.default_client
            ~service_id:1 ~method_id:0 ~port:7000
            (Rpc.Value.Blob (Bytes.make 24 'z'))));
   Sim.Engine.run env.sengine ~until:(Sim.Units.ms 2);
@@ -1556,6 +1575,7 @@ let test_stack_kill_restart_lifecycle () =
     ignore
       (Sim.Engine.schedule_after env.sengine ~after:at (fun () ->
            Harness.Traffic.inject env.recorder env.driver
+             ~client:Harness.Traffic.default_client
              ~rpc_id:n ~service_id:1 ~method_id:0 ~port:7000
              (Rpc.Value.Blob (Bytes.of_string "x"))))
   in
@@ -1600,6 +1620,7 @@ let first_staged_code_ptr () =
   done;
   Sim.Engine.run env.sengine ~until:(Sim.Units.us 20);
   Harness.Traffic.inject env.recorder env.driver ~rpc_id:1 ~service_id:1
+    ~client:Harness.Traffic.default_client
     ~method_id:0 ~port:7000
     (Rpc.Value.Blob (Bytes.of_string "x"));
   Sim.Engine.run env.sengine ~until:(Sim.Units.us 40);
@@ -1708,6 +1729,7 @@ let run_static_kill ?fault () =
   let recorder = Harness.Recorder.create engine in
   let inject n ~svc =
     Harness.Traffic.inject recorder driver ~rpc_id:n
+      ~client:Harness.Traffic.default_client
       ~service_id:svc ~method_id:0 ~port:(6999 + svc)
       (Rpc.Value.Blob (Bytes.of_string "x"))
   in
@@ -1762,6 +1784,7 @@ let test_stack_stale_fill_keeps_its_bytes () =
   let at t f = ignore (Sim.Engine.schedule_at engine ~at:t f) in
   let inject n () =
     Harness.Traffic.inject recorder driver ~rpc_id:n
+      ~client:Harness.Traffic.default_client
       ~service_id:1 ~method_id:0 ~port:7000
       (Rpc.Value.Blob (Bytes.of_string "x"))
   in
@@ -1931,9 +1954,11 @@ let test_message_id_readers_allocate_nothing () =
    perfbench's host_64b 132.2. Before each in-flight entry became a
    recycled slot, it took 120.5, and perfbench's host_64b 113.2. Before
    a frame was its two endpoints and its payload, with no header
-   records, it took 108.5, and perfbench's host_64b 103.2; it now takes
-   78.5. *)
-let rpc_words_budget = 78.5 *. 1.02
+   records, it took 108.5, and perfbench's host_64b 103.2. Before the
+   RPC codec read and wrote at offsets, with no cursor per encode or
+   decode, it took 78.5, and perfbench's host_64b 71.2; it now takes
+   68.5. *)
+let rpc_words_budget = 68.5 *. 1.02
 
 let test_rpc_allocation_budget () =
   let setup =

@@ -1,68 +1,10 @@
-(* Tests for the packet substrate: buffers, addresses, checksums,
+(* Tests for the packet substrate: addresses, checksums,
    header codecs, full frames, and the wire model. *)
 
 let check = Alcotest.check
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 let checks = Alcotest.check Alcotest.string
-
-let raises_oob f =
-  try
-    f ();
-    false
-  with Net.Buf.Out_of_bounds _ -> true
-
-(* ---------- Buf ---------- *)
-
-let test_buf_roundtrip () =
-  let w = Net.Buf.writer 32 in
-  Net.Buf.write_u8 w 0xab;
-  Net.Buf.write_u16 w 0xbeef;
-  Net.Buf.write_u32 w 0xdead_beef;
-  Net.Buf.write_u64 w 0x0123_4567_89ab_cdefL;
-  Net.Buf.write_string w "hey";
-  let b = Net.Buf.contents w in
-  checki "length" 18 (Bytes.length b);
-  let r = Net.Buf.reader b in
-  checki "u8" 0xab (Net.Buf.read_u8 r);
-  checki "u16" 0xbeef (Net.Buf.read_u16 r);
-  checki "u32" 0xdead_beef (Net.Buf.read_u32 r);
-  check Alcotest.int64 "u64" 0x0123_4567_89ab_cdefL (Net.Buf.read_u64 r);
-  checks "string" "hey" (Bytes.to_string (Net.Buf.read_bytes r ~len:3));
-  Net.Buf.expect_end r
-
-let test_buf_bounds () =
-  let w = Net.Buf.writer 2 in
-  Net.Buf.write_u8 w 1;
-  checkb "write over capacity" true (raises_oob (fun () ->
-      Net.Buf.write_u32 w 5));
-  let r = Net.Buf.reader (Bytes.make 1 'x') in
-  checkb "read past end" true (raises_oob (fun () ->
-      ignore (Net.Buf.read_u16 r)));
-  checkb "trailing bytes" true (raises_oob (fun () ->
-      Net.Buf.expect_end (Net.Buf.reader (Bytes.make 2 'x'))))
-
-let test_buf_value_ranges () =
-  let w = Net.Buf.writer 8 in
-  checkb "u8 range" true
-    (try Net.Buf.write_u8 w 256; false with Invalid_argument _ -> true);
-  checkb "u16 range" true
-    (try Net.Buf.write_u16 w (-1); false with Invalid_argument _ -> true);
-  checkb "u32 range" true
-    (try Net.Buf.write_u32 w 0x1_0000_0000; false
-     with Invalid_argument _ -> true)
-
-let test_buf_patch_and_sub () =
-  let w = Net.Buf.writer 8 in
-  Net.Buf.write_u16 w 0;
-  Net.Buf.write_u16 w 42;
-  Net.Buf.patch_u16 w ~pos:0 7;
-  let b = Net.Buf.contents w in
-  let r = Net.Buf.sub_reader b ~pos:0 ~len:2 in
-  checki "patched" 7 (Net.Buf.read_u16 r);
-  checki "sub limit" 0 (Net.Buf.remaining r);
-  checkb "patch unwritten" true (raises_oob (fun () ->
-      Net.Buf.patch_u16 w ~pos:6 1))
 
 (* ---------- Addresses ---------- *)
 
@@ -507,7 +449,7 @@ let single_bit_flip_detected =
 (* ---------- The codec against the three-record parser ---------- *)
 
 (* The parser the fixed-offset codec replaced: an Ethernet, an IPv4 and
-   a UDP header record, each read through a [Net.Buf] cursor in turn.
+   a UDP header record, each read through a {!Cursor} in turn.
    It is kept here, verbatim in its checks and their order, as the
    reference [parse_slice] must agree with. *)
 module Reference = struct
@@ -523,56 +465,56 @@ module Reference = struct
   type udp = { src_port : int; dst_port : int }
 
   let read_mac r =
-    let hi = Net.Buf.read_u16 r in
-    let lo = Net.Buf.read_u32 r in
+    let hi = Cursor.read_u16 r in
+    let lo = Cursor.read_u32 r in
     (hi lsl 32) lor lo
 
   let read_eth r =
     let eth_dst = read_mac r in
     let eth_src = read_mac r in
-    let ethertype = Net.Buf.read_u16 r in
+    let ethertype = Cursor.read_u16 r in
     { eth_dst; eth_src; ethertype }
 
   let read_ipv4 base r =
-    if Net.Buf.remaining r < 20 then Error Net.Ipv4.Truncated
+    if Cursor.remaining r < 20 then Error Net.Ipv4.Truncated
     else begin
-      let start = Net.Buf.reader_pos r in
-      let vi = Net.Buf.read_u8 r in
+      let start = Cursor.reader_pos r in
+      let vi = Cursor.read_u8 r in
       let version = vi lsr 4 and ihl = vi land 0xf in
       if version <> 4 then Error (Net.Ipv4.Bad_version version)
       else if ihl <> 5 then Error (Net.Ipv4.Options_unsupported ihl)
       else if not (Net.Checksum.verify base ~pos:start ~len:20) then
         Error Net.Ipv4.Bad_checksum
       else begin
-        let _dscp = Net.Buf.read_u8 r in
-        let total_len = Net.Buf.read_u16 r in
-        let _identification = Net.Buf.read_u16 r in
-        let _flags_frag = Net.Buf.read_u16 r in
-        let _ttl = Net.Buf.read_u8 r in
-        let protocol = Net.Buf.read_u8 r in
-        let _csum = Net.Buf.read_u16 r in
-        let ip_src = Net.Buf.read_u32 r in
-        let ip_dst = Net.Buf.read_u32 r in
+        let _dscp = Cursor.read_u8 r in
+        let total_len = Cursor.read_u16 r in
+        let _identification = Cursor.read_u16 r in
+        let _flags_frag = Cursor.read_u16 r in
+        let _ttl = Cursor.read_u8 r in
+        let protocol = Cursor.read_u8 r in
+        let _csum = Cursor.read_u16 r in
+        let ip_src = Cursor.read_u32 r in
+        let ip_dst = Cursor.read_u32 r in
         let ip_payload_len = total_len - 20 in
-        if ip_payload_len < 0 || ip_payload_len > Net.Buf.remaining r then
+        if ip_payload_len < 0 || ip_payload_len > Cursor.remaining r then
           Error (Net.Ipv4.Bad_length total_len)
         else Ok { protocol; ip_src; ip_dst; ip_payload_len }
       end
     end
 
   let read_udp base r ~src_ip ~dst_ip =
-    if Net.Buf.remaining r < 8 then Error Net.Udp.Truncated
+    if Cursor.remaining r < 8 then Error Net.Udp.Truncated
     else begin
-      let start = Net.Buf.reader_pos r in
-      let src_port = Net.Buf.read_u16 r in
-      let dst_port = Net.Buf.read_u16 r in
-      let udp_len = Net.Buf.read_u16 r in
-      let wire_csum = Net.Buf.read_u16 r in
-      if udp_len < 8 || udp_len - 8 > Net.Buf.remaining r then
+      let start = Cursor.reader_pos r in
+      let src_port = Cursor.read_u16 r in
+      let dst_port = Cursor.read_u16 r in
+      let udp_len = Cursor.read_u16 r in
+      let wire_csum = Cursor.read_u16 r in
+      if udp_len < 8 || udp_len - 8 > Cursor.remaining r then
         Error (Net.Udp.Bad_length udp_len)
       else begin
         let payload =
-          Net.Slice.make base ~off:(Net.Buf.reader_pos r) ~len:(udp_len - 8)
+          Net.Slice.make base ~off:(Cursor.reader_pos r) ~len:(udp_len - 8)
         in
         let init =
           (src_ip lsr 16) + (src_ip land 0xffff) + (dst_ip lsr 16)
@@ -593,7 +535,7 @@ module Reference = struct
     if s.Net.Slice.len < 14 then Error Net.Frame.Runt
     else
       let r =
-        Net.Buf.sub_reader base ~pos:s.Net.Slice.off ~len:s.Net.Slice.len
+        Cursor.sub_reader base ~pos:s.Net.Slice.off ~len:s.Net.Slice.len
       in
       let eth = read_eth r in
       if eth.ethertype <> 0x0800 then Error (Net.Frame.Not_ipv4 eth.ethertype)
@@ -604,7 +546,7 @@ module Reference = struct
             if ip.protocol <> 17 then Error (Net.Frame.Not_udp ip.protocol)
             else
               let sub =
-                Net.Buf.sub_reader base ~pos:(Net.Buf.reader_pos r)
+                Cursor.sub_reader base ~pos:(Cursor.reader_pos r)
                   ~len:ip.ip_payload_len
               in
               match read_udp base sub ~src_ip:ip.ip_src ~dst_ip:ip.ip_dst with
@@ -956,13 +898,6 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 let () =
   Alcotest.run "net"
     [
-      ( "buf",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_buf_roundtrip;
-          Alcotest.test_case "bounds" `Quick test_buf_bounds;
-          Alcotest.test_case "value ranges" `Quick test_buf_value_ranges;
-          Alcotest.test_case "patch and sub" `Quick test_buf_patch_and_sub;
-        ] );
       ( "addresses",
         [
           Alcotest.test_case "mac roundtrip" `Quick test_mac_roundtrip;

@@ -56,24 +56,152 @@ let test_schema_arbitrary_conforms () =
 
 (* ---------- Codec ---------- *)
 
+(* The codec before it read and wrote at offsets: a [Cursor] writer and
+   reader, varints read into an [Int64] or (for lengths) an [int], and
+   every error an exception caught at the top. It is kept here, verbatim
+   in its checks and their order, as the reference the offset codec must
+   agree with. *)
+module Reference = struct
+  exception Decode_error of Rpc.Codec.error
+
+  let zigzag v = Int64.logxor (Int64.shift_left v 1) (Int64.shift_right v 63)
+
+  let unzigzag v =
+    Int64.logxor
+      (Int64.shift_right_logical v 1)
+      (Int64.neg (Int64.logand v 1L))
+
+  let write_varint w v =
+    let rec go v =
+      let low = Int64.to_int (Int64.logand v 0x7fL) in
+      let rest = Int64.shift_right_logical v 7 in
+      if rest = 0L then Cursor.write_u8 w low
+      else begin
+        Cursor.write_u8 w (low lor 0x80);
+        go rest
+      end
+    in
+    go v
+
+  let read_varint r =
+    let rec go acc shift count =
+      if count > 10 then raise (Decode_error Rpc.Codec.Overlong_varint);
+      let b = Cursor.read_u8 r in
+      let acc =
+        Int64.logor acc (Int64.shift_left (Int64.of_int (b land 0x7f)) shift)
+      in
+      if b land 0x80 = 0 then acc else go acc (shift + 7) (count + 1)
+    in
+    go 0L 0 1
+
+  let rec write_length w n =
+    if n < 0x80 then Cursor.write_u8 w n
+    else begin
+      Cursor.write_u8 w (n land 0x7f lor 0x80);
+      write_length w (n lsr 7)
+    end
+
+  let rec read_varint_from r acc shift count =
+    if count > 10 then raise (Decode_error Rpc.Codec.Overlong_varint);
+    let b = Cursor.read_u8 r in
+    let acc = if shift < 63 then acc lor ((b land 0x7f) lsl shift) else acc in
+    if b land 0x80 = 0 then acc
+    else read_varint_from r acc (shift + 7) (count + 1)
+
+  let read_varint_int r = read_varint_from r 0 0 1
+
+  let rec write w (v : Rpc.Value.t) =
+    match v with
+    | Rpc.Value.Unit -> ()
+    | Rpc.Value.Bool b -> Cursor.write_u8 w (if b then 1 else 0)
+    | Rpc.Value.Int i -> write_varint w (zigzag i)
+    | Rpc.Value.Float f -> Cursor.write_u64 w (Int64.bits_of_float f)
+    | Rpc.Value.Str s ->
+        write_length w (String.length s);
+        Cursor.write_string w s
+    | Rpc.Value.Blob b ->
+        write_length w (Bytes.length b);
+        Cursor.write_bytes w b
+    | Rpc.Value.List vs ->
+        write_length w (List.length vs);
+        List.iter (write w) vs
+    | Rpc.Value.Tuple vs -> List.iter (write w) vs
+
+  let encode_at room v =
+    let w =
+      Cursor.writer_over (Bytes.create (room + Rpc.Codec.encoded_size v))
+    in
+    Cursor.write_zeros w room;
+    write w v;
+    Cursor.filled w
+
+  let read_length r =
+    let n = read_varint_int r in
+    if n < 0 then raise (Decode_error Rpc.Codec.Truncated);
+    n
+
+  let rec read_value (s : Rpc.Schema.t) r : Rpc.Value.t =
+    match s with
+    | Rpc.Schema.Unit -> Rpc.Value.Unit
+    | Rpc.Schema.Bool -> Rpc.Value.Bool (Cursor.read_u8 r <> 0)
+    | Rpc.Schema.Int -> Rpc.Value.Int (unzigzag (read_varint r))
+    | Rpc.Schema.Float ->
+        Rpc.Value.Float (Int64.float_of_bits (Cursor.read_u64 r))
+    | Rpc.Schema.Str ->
+        Rpc.Value.Str
+          (Bytes.unsafe_to_string (Cursor.read_bytes r ~len:(read_length r)))
+    | Rpc.Schema.Blob -> Rpc.Value.Blob (Cursor.read_bytes r ~len:(read_length r))
+    | Rpc.Schema.List elt ->
+        let n = read_length r in
+        if n > 16_777_216 then raise (Decode_error Rpc.Codec.Truncated);
+        Rpc.Value.List (List.init n (fun _ -> read_value elt r))
+    | Rpc.Schema.Tuple ss ->
+        Rpc.Value.Tuple (List.map (fun s -> read_value s r) ss)
+
+  let decode_sub s b ~pos ~len =
+    let r = Cursor.sub_reader b ~pos ~len in
+    match read_value s r with
+    | v ->
+        let rest = Cursor.remaining r in
+        if rest = 0 then Ok v else Error (Rpc.Codec.Trailing_bytes rest)
+    | exception Decode_error e -> Error e
+    | exception Cursor.Out_of_bounds _ -> Error Rpc.Codec.Truncated
+
+  let varint_bytes v =
+    let w = Cursor.writer 10 in
+    write_varint w v;
+    Cursor.contents w
+end
+
+let error_testable = Alcotest.testable Rpc.Codec.pp_error ( = )
+
+let result_testable =
+  Alcotest.result value_testable error_testable
+
+(* Varints at the edges of the encoding: an Int whose zigzag is each
+   value encodes to the reference's bytes and decodes back; the same
+   bytes read as a length decode as the reference decodes them,
+   including lengths past [max_int] that land negative as an [int]. *)
 let test_varint_edges () =
-  let roundtrip v =
-    let w = Net.Buf.writer 10 in
-    Rpc.Codec.write_varint w v;
-    Rpc.Codec.read_varint (Net.Buf.reader (Net.Buf.contents w))
-  in
   List.iter
-    (fun v -> check Alcotest.int64 "varint" v (roundtrip v))
-    [ 0L; 1L; 127L; 128L; 300L; Int64.max_int; -1L (* encodes as 2^64-1 *) ];
-  (* The unboxed length path reads the same ints, including values past
-     [max_int] that [Int64.to_int] wraps negative. *)
-  List.iter
-    (fun v ->
-      let w = Net.Buf.writer 10 in
-      Rpc.Codec.write_varint w v;
-      checki "varint as int" (Int64.to_int v)
-        (Rpc.Codec.read_varint_int (Net.Buf.reader (Net.Buf.contents w))))
-    [ 0L; 127L; 128L; Int64.of_int max_int; Int64.max_int; Int64.min_int; -1L ]
+    (fun z ->
+      let bytes = Reference.varint_bytes z in
+      let v = Rpc.Value.Int (Reference.unzigzag z) in
+      checkb (Printf.sprintf "Int with zigzag %Lu encodes" z) true
+        (Bytes.equal bytes (Rpc.Codec.encode v));
+      check result_testable "and decodes back" (Ok v)
+        (Rpc.Codec.decode Rpc.Schema.Int bytes);
+      List.iter
+        (fun schema ->
+          check result_testable "as a length"
+            (Reference.decode_sub schema bytes ~pos:0 ~len:(Bytes.length bytes))
+            (Rpc.Codec.decode schema bytes))
+        Rpc.Schema.[ Blob; Str; List (List Unit) ])
+    [
+      0L; 1L; 127L; 128L; 300L; 16_777_216L; 16_777_217L;
+      Int64.of_int max_int; Int64.max_int; Int64.min_int; -1L
+      (* encodes as 2^64-1 *); -2L (* -2 as an [int] *);
+    ]
 
 let test_codec_roundtrip_known () =
   let s =
@@ -112,9 +240,7 @@ let test_codec_error_cases () =
   | Error e -> Alcotest.failf "wrong error: %a" Rpc.Codec.pp_error e
   | Ok _ -> Alcotest.fail "accepted trailing");
   (* Truncated string length. *)
-  let w = Net.Buf.writer 4 in
-  Rpc.Codec.write_varint w 100L;
-  (match Rpc.Codec.decode Rpc.Schema.Str (Net.Buf.contents w) with
+  (match Rpc.Codec.decode Rpc.Schema.Str (Reference.varint_bytes 100L) with
   | Error Rpc.Codec.Truncated -> ()
   | Error e -> Alcotest.failf "wrong error: %a" Rpc.Codec.pp_error e
   | Ok _ -> Alcotest.fail "accepted truncated string");
@@ -135,7 +261,24 @@ let test_codec_error_cases () =
       (Rpc.Schema.Blob, "ffffffffffffffffff01");
       (Rpc.Schema.Str, "ffffffffffffffff3f");
       (Rpc.Schema.Blob, "ffffffffffffffff3f");
-    ]
+    ];
+  (* Ten continuation bytes are overlong even where the buffer ends:
+     the eleventh byte is refused before it is looked for. Nine are
+     truncated. *)
+  List.iter
+    (fun (n, expect) ->
+      check error_testable
+        (Printf.sprintf "%d continuation bytes" n)
+        expect
+        (match Rpc.Codec.decode Rpc.Schema.Int (Bytes.make n '\x80') with
+        | Error e -> e
+        | Ok _ -> Alcotest.failf "%d continuation bytes decoded" n))
+    [ (9, Rpc.Codec.Truncated); (10, Rpc.Codec.Overlong_varint) ];
+  checkb "a range outside the buffer raises Invalid_argument" true
+    (match Rpc.Codec.decode_sub Rpc.Schema.Unit (Bytes.create 4) ~pos:2 ~len:3
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let codec_roundtrip_property =
   QCheck.Test.make ~name:"codec decode∘encode = id on conforming values"
@@ -148,22 +291,123 @@ let codec_roundtrip_property =
       | Ok v' -> Rpc.Value.equal v v'
       | Error _ -> false)
 
-(* The unboxed length path against the [Int64] one. Inputs are 1-11
-   bytes with every continuation bit set but (usually) the last, so
-   they cover complete varints of each length, truncated ones, the
-   tenth byte at shift 63, values negative after [Int64.to_int], and
-   the overlong eleventh byte. Both paths must give the same value and
-   leave the reader at the same position, or raise the same error. *)
-let read_outcome read b =
-  let r = Net.Buf.reader b in
-  match read r with
-  | n -> Ok (n, Net.Buf.reader_pos r)
-  | exception Rpc.Codec.Decode_error e -> Error (Some e)
-  | exception Net.Buf.Out_of_bounds _ -> Error None
+(* Both decoders on the same range: the same value or the same error,
+   and neither raises. *)
+let decoders_agree s b ~pos ~len =
+  let outcome decode =
+    match decode s b ~pos ~len with
+    | r -> r
+    | exception e ->
+        QCheck.Test.fail_reportf "a decoder raised %s" (Printexc.to_string e)
+  in
+  match
+    (outcome Rpc.Codec.decode_sub, outcome Reference.decode_sub)
+  with
+  | Ok v, Ok v' -> Rpc.Value.equal v v'
+  | Error e, Error e' when e = e' -> true
+  | a, b ->
+      QCheck.Test.fail_reportf "offset codec %a, cursor codec %a"
+        (Alcotest.pp result_testable) a (Alcotest.pp result_testable) b
 
-let varint_int_path_property =
+(* A varint that no conforming value writes: a length of 2^24 + 1 (one
+   past the list cap), one past [max_int], ones that land negative, the
+   largest a varint holds, a length up to 100,000, or ten or more
+   continuation bytes. *)
+let hostile_varint rng =
+  match Sim.Rng.int rng ~bound:7 with
+  | 0 -> Reference.varint_bytes 16_777_217L
+  | 1 -> Reference.varint_bytes (Int64.add (Int64.of_int max_int) 1L)
+  | 2 -> Reference.varint_bytes (Int64.shift_left 3L 62)
+  | 3 -> Reference.varint_bytes (-1L)
+  | 4 -> Reference.varint_bytes (-2L)
+  | 5 -> Reference.varint_bytes (Int64.of_int (Sim.Rng.int rng ~bound:100_000))
+  | _ -> Bytes.make (10 + Sim.Rng.int rng ~bound:3) '\xff'
+
+(* Random schemas and conforming values. The offset encoder writes the
+   reference's bytes, at any header room. The encoding, sitting at an
+   offset inside a larger buffer, is then kept whole, cut, overwritten
+   at random bytes, or has a hostile varint spliced in at a random
+   position; both decoders read the same range. *)
+let offset_codec_agrees =
+  QCheck.Test.make ~name:"offset codec agrees with the cursor codec"
+    ~count:2000 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Sim.Rng.create ~seed in
+      let s = Wire_gen.schema_of_depth rng in
+      let v =
+        Rpc.Schema.arbitrary s rng ~size_hint:(Sim.Rng.int rng ~bound:200)
+      in
+      let room = Sim.Rng.int rng ~bound:40 in
+      let enc = Rpc.Codec.encode_at room v in
+      if not (Bytes.equal enc (Reference.encode_at room v)) then
+        QCheck.Test.fail_reportf "encode_at %d: bytes differ" room;
+      let body = Bytes.sub enc room (Bytes.length enc - room) in
+      let n = Bytes.length body in
+      let body =
+        match Sim.Rng.int rng ~bound:4 with
+        | 0 -> body
+        | 1 -> Bytes.sub body 0 (Sim.Rng.int rng ~bound:(n + 1))
+        | 2 ->
+            if n > 0 then
+              for _ = 0 to Sim.Rng.int rng ~bound:3 do
+                Bytes.set body (Sim.Rng.int rng ~bound:n)
+                  (Char.chr (Sim.Rng.int rng ~bound:256))
+              done;
+            body
+        | _ ->
+            let at = Sim.Rng.int rng ~bound:(n + 1) in
+            Bytes.concat Bytes.empty
+              [ Bytes.sub body 0 at; hostile_varint rng;
+                Bytes.sub body at (n - at) ]
+      in
+      let before = Sim.Rng.int rng ~bound:16 in
+      let after = Sim.Rng.int rng ~bound:16 in
+      let buf =
+        Bytes.cat
+          (Wire_gen.random_wire_bytes rng before)
+          (Bytes.cat body (Wire_gen.random_wire_bytes rng after))
+      in
+      decoders_agree s buf ~pos:before ~len:(Bytes.length body)
+      && decoders_agree s buf ~pos:before
+           ~len:(Bytes.length body + Sim.Rng.int rng ~bound:(after + 1)))
+
+(* Exact minor words per call, against the same loop without the call.
+   A 64-byte blob behind 20 bytes of room is an 85-byte buffer: 11
+   words and its header. Decoding the blob allocates its 64 bytes (10
+   words with the header), the [Blob] (2) and the [Ok] (2). *)
+let words_per_call f =
+  let n = 10_000 in
+  let words_of g =
+    Gc.minor ();
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (g ()))
+    done;
+    Gc.minor ();
+    Gc.minor_words () -. before
+  in
+  (words_of f -. words_of (fun () -> 0)) /. float_of_int n
+
+let blob64 = Rpc.Value.Blob (Bytes.make 64 'b')
+
+let test_encode_at_allocates_only_the_buffer () =
+  check (Alcotest.float 0.) "encode_at 20 (Blob 64 B): words per call" 12.
+    (words_per_call (fun () -> Rpc.Codec.encode_at 20 blob64))
+
+let test_decode_sub_allocates_only_the_value () =
+  let b = Rpc.Codec.encode_at 20 blob64 in
+  check (Alcotest.float 0.) "decode_sub Blob (64 B): words per call" 14.
+    (words_per_call (fun () ->
+         Rpc.Codec.decode_sub Rpc.Schema.Blob b ~pos:20 ~len:65))
+
+(* Length prefixes and Int varints against the reference reader on
+   1-11 bytes with every continuation bit set but (usually) the last:
+   complete varints of each length, truncated ones, the tenth byte at
+   shift 63, lengths negative as an [int], and the overlong eleventh
+   byte. *)
+let varint_prefixes_agree =
   QCheck.Test.make
-    ~name:"read_varint_int = Int64.to_int (read_varint r) on 1-11 bytes"
+    ~name:"varint and length prefixes agree with the cursor reader on 1-11 bytes"
     ~count:2000 QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Sim.Rng.create ~seed in
@@ -176,19 +420,24 @@ let varint_int_path_property =
               (if i < len - 1 || last_continues then x lor 0x80
                else x land 0x7f))
       in
-      read_outcome (fun r -> Int64.to_int (Rpc.Codec.read_varint r)) b
-      = read_outcome Rpc.Codec.read_varint_int b)
+      List.for_all
+        (fun s -> decoders_agree s b ~pos:0 ~len)
+        Rpc.Schema.[ Int; Str; Blob; List Bool; List (List Unit) ])
 
-let write_length_property =
-  QCheck.Test.make ~name:"write_length n = write_varint (Int64.of_int n)"
+(* An Int whose zigzag is [n] encodes to [write_varint n]'s bytes, whose
+   count is [length_size n]; a blob of [n land 0xfff] bytes carries the
+   reference's length prefix. *)
+let length_prefix_property =
+  QCheck.Test.make ~name:"length prefix = write_varint (Int64.of_int n)"
     ~count:1000 QCheck.int
     (fun x ->
       let n = x land max_int in
-      let w64 = Net.Buf.writer 10 and w = Net.Buf.writer 10 in
-      Rpc.Codec.write_varint w64 (Int64.of_int n);
-      Rpc.Codec.write_length w n;
-      Bytes.equal (Net.Buf.contents w64) (Net.Buf.contents w)
-      && Rpc.Codec.length_size n = Net.Buf.writer_pos w)
+      let bytes = Reference.varint_bytes (Int64.of_int n) in
+      let blob = Rpc.Value.Blob (Bytes.make (n land 0xfff) 'x') in
+      Bytes.equal bytes
+        (Rpc.Codec.encode (Rpc.Value.Int (Reference.unzigzag (Int64.of_int n))))
+      && Rpc.Codec.length_size n = Bytes.length bytes
+      && Bytes.equal (Rpc.Codec.encode blob) (Reference.encode_at 0 blob))
 
 (* ---------- Wire format ---------- *)
 
@@ -402,12 +651,12 @@ let encode_body_is_encode =
               Some (Wire_gen.random_wire_bytes rng Rpc.Wire_format.ctx_size);
             ])
 
-(* The header as a [Net.Buf] writer lays it out, field by field:
+(* The header as a {!Cursor} writer lays it out, field by field:
    [encode_body] before the header was written in place. *)
 let writer_encode_body ~kind ?ctx ~rpc_id ~service_id ~method_id body =
   let ctx_bytes = match ctx with Some c -> Bytes.length c | None -> 0 in
   let w =
-    Net.Buf.writer
+    Cursor.writer
       (Rpc.Wire_format.header_size + ctx_bytes + Bytes.length body)
   in
   let tag, code =
@@ -418,16 +667,16 @@ let writer_encode_body ~kind ?ctx ~rpc_id ~service_id ~method_id body =
   in
   if rpc_id < 0 then
     invalid_arg "Wire_format.write_header_into: negative rpc id";
-  Net.Buf.write_u16 w 0x4c42;
-  Net.Buf.write_u8 w 1;
-  Net.Buf.write_u8 w (tag lor if Option.is_some ctx then 0x80 else 0);
-  Net.Buf.write_u16 w code;
-  Net.Buf.write_u16 w method_id;
-  Net.Buf.write_u32 w service_id;
-  Net.Buf.write_u64 w (Int64.of_int rpc_id);
-  Option.iter (Net.Buf.write_bytes w) ctx;
-  Net.Buf.write_bytes w body;
-  Net.Buf.filled w
+  Cursor.write_u16 w 0x4c42;
+  Cursor.write_u8 w 1;
+  Cursor.write_u8 w (tag lor if Option.is_some ctx then 0x80 else 0);
+  Cursor.write_u16 w code;
+  Cursor.write_u16 w method_id;
+  Cursor.write_u32 w service_id;
+  Cursor.write_u64 w (Int64.of_int rpc_id);
+  Option.iter (Cursor.write_bytes w) ctx;
+  Cursor.write_bytes w body;
+  Cursor.filled w
 
 (* A u16 or u32 field value, out of range one time in six. *)
 let field rng ~max =
@@ -831,12 +1080,17 @@ let () =
           Alcotest.test_case "size prediction" `Quick
             test_codec_encoded_size_matches;
           Alcotest.test_case "error cases" `Quick test_codec_error_cases;
+          Alcotest.test_case "encode_at allocates only the buffer" `Quick
+            test_encode_at_allocates_only_the_buffer;
+          Alcotest.test_case "decode_sub allocates only the value" `Quick
+            test_decode_sub_allocates_only_the_value;
         ]
         @ qsuite
             [
               codec_roundtrip_property;
-              varint_int_path_property;
-              write_length_property;
+              varint_prefixes_agree;
+              length_prefix_property;
+              offset_codec_agrees;
             ] );
       ( "wire_format",
         [

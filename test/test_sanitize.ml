@@ -177,6 +177,7 @@ let test_bypass_large_echo_clean () =
       ignore
         (Sim.Engine.schedule_after engine ~after:(us (5 * (i + 1))) (fun () ->
              Harness.Traffic.inject recorder driver ~rpc_id ~service_id:1
+               ~client:Harness.Traffic.default_client
                ~method_id:0 ~port:7000 (Rpc.Value.Blob (Bytes.copy blob)))))
     sent;
   Sim.Engine.run engine ~until:(ms 2);

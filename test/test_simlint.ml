@@ -106,7 +106,7 @@ let test_poly_list_mem () =
 
 let test_poly_scoped_to_core_dirs () =
   (* The poly rule applies to lib/{core,coherence,net,sim,baseline,
-     harness} only. *)
+     harness,rpc,nic} only. *)
   let src = "let same a b = a = b\n" in
   checki "not applied in lib/experiments" 0
     (count "polymorphic-compare" (lint ~path:"lib/experiments/fig2.ml" src));
@@ -114,7 +114,13 @@ let test_poly_scoped_to_core_dirs () =
     (fun path ->
       checki ("applied in " ^ path) 1
         (count "polymorphic-compare" (lint ~path src)))
-    [ "lib/net/frame.ml"; "lib/baseline/linux_stack.ml"; "lib/harness/chaos.ml" ]
+    [
+      "lib/net/frame.ml";
+      "lib/baseline/linux_stack.ml";
+      "lib/harness/chaos.ml";
+      "lib/rpc/codec.ml";
+      "lib/nic/ring.ml";
+    ]
 
 (* --- hot-path allocation discipline -------------------------------- *)
 
