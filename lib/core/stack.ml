@@ -220,8 +220,6 @@ type t = {
   m_crash_nacks : Obs.Metrics.counter;
   m_requeues : Obs.Metrics.counter;
   m_sheds : Obs.Metrics.counter;
-  m_drop_full : Obs.Metrics.counter;
-  m_drop_shed : Obs.Metrics.counter;
   mutable mwatch : Sanitize.Mirror_watch.watch option;
       (* installed after [t] exists (its closures render [t]'s state) *)
 }
@@ -852,7 +850,6 @@ let[@hot_path] dispatch_request t sv frame ~rpc_id ~body_off
     match early_decision with
     | Nic_sched.Shed ->
         Obs.Metrics.incr t.m_sheds;
-        Obs.Metrics.incr t.m_drop_shed;
         nack t ~rpc_id ~service_id ~request:frame
           ~code:Rpc.Wire_format.err_shed
     | Nic_sched.Steady | Nic_sched.Add_worker ->
@@ -897,8 +894,7 @@ let[@hot_path] dispatch_request t sv frame ~rpc_id ~body_off
     end
     else begin
       retire_app t app;
-      Sim.Counter.incr (ctr t "nic_queue_drop");
-      Obs.Metrics.incr t.m_drop_full
+      Sim.Counter.incr (ctr t "nic_queue_drop")
     end
   end
 
@@ -1313,8 +1309,6 @@ let create engine ~cfg ~ncores ?(binding = Os_integrated)
       m_crash_nacks = Obs.Metrics.counter metrics "crash_nacks";
       m_requeues = Obs.Metrics.counter metrics "requeues";
       m_sheds = Obs.Metrics.counter metrics "sheds";
-      m_drop_full = Obs.Metrics.counter metrics "drop_full";
-      m_drop_shed = Obs.Metrics.counter metrics "drop_shed";
       mwatch = None;
     }
   in

@@ -104,19 +104,17 @@ let run () =
   let rng = Sim.Rng.create ~seed:1920 in
   let setup = rack.Rack.servers.(0).Common.setup in
   let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
+  Harness.Client.on_complete rack.Rack.client (fun ~rpc_id:_ ~latency ->
+      Obs.Online.record online latency);
   Workload.Arrivals.open_loop engine rng ~rate_per_s:rate ~until:horizon
     (fun ~seq:_ ->
-      let t0 = Sim.Engine.now engine in
       ignore
         (Harness.Client.call_id ~timeout:(Sim.Units.us 250) ~retries:8
            ~backoff:1.5 ~max_timeout:(Sim.Units.ms 2) ~jitter:0.25
            rack.Rack.client ~service_id ~method_id:0
            ~port:rack.Rack.service_port
            (Rpc.Value.Blob (Bytes.make 64 'w'))
-           (fun _ ->
-             let d = Sim.Engine.now engine - t0 in
-             Sim.Histogram.record rack.Rack.latencies d;
-             Obs.Online.record online d)));
+           ignore));
   (* steering bound: once the Master->3 partition is two probe periods
      old the balancer must never pick host 3 again until the span ends *)
   let p3_start = frac 20 and p3_end = frac 30 in

@@ -223,28 +223,24 @@ let close server =
   server.flush ();
   Option.iter Sanitize.finish server.sanitize
 
-(* Run [server] to [horizon + drain], close it and measure what
-   [recorder] saw: latency quantiles over [horizon]'s completions, the
-   CPU ledger summed over cores, and the stack's counters. *)
-let finish_run ~recorder ~name ~horizon ~drain server =
-  Sim.Engine.run server.engine ~until:(horizon + drain);
-  close server;
-  let h = Harness.Recorder.latencies recorder in
-  let completed = Harness.Recorder.completed recorder in
+(* The measurement of a run run to [horizon + drain] and closed: its
+   ledger's [sent], [completed] and [latencies] over [horizon], the CPU
+   ledger summed over cores, and the stack's counters. *)
+let finish_run ~sent ~completed ~latencies ~name ~horizon ~drain server =
   let acct =
     Osmodel.Cpu_account.merge
       (Osmodel.Kernel.accounts server.driver.Harness.Driver.kernel)
   in
-  let q p = if completed = 0 then 0 else Sim.Histogram.quantile h p in
+  let q p = if completed = 0 then 0 else Sim.Histogram.quantile latencies p in
   {
     name;
-    sent = Harness.Recorder.sent recorder;
+    sent;
     completed;
     p50 = q 0.5;
     p90 = q 0.9;
     p99 = q 0.99;
-    mean = Sim.Histogram.mean h;
-    max = (if completed = 0 then 0 else Sim.Histogram.max_value h);
+    mean = Sim.Histogram.mean latencies;
+    max = (if completed = 0 then 0 else Sim.Histogram.max_value latencies);
     throughput = float_of_int completed /. Sim.Units.to_float_s horizon;
     user_ns = Osmodel.Cpu_account.charged acct Osmodel.Cpu_account.User;
     kernel_ns = Osmodel.Cpu_account.charged acct Osmodel.Cpu_account.Kernel;
@@ -256,21 +252,15 @@ let finish_run ~recorder ~name ~horizon ~drain server =
       @ Obs.Metrics.to_list server.driver.Harness.Driver.metrics;
   }
 
-(* [finish_run] of a run driven through [chaos]: latency as its client
-   saw it, with its stats and timeline digest among the counters. *)
-let finish_chaos_run chaos ~name ~horizon ~drain server =
-  let m =
-    finish_run ~recorder:(Harness.Chaos.recorder chaos) ~name ~horizon ~drain
-      server
-  in
-  let extra =
-    Harness.Chaos.stats chaos
-    @ [ ("timeline_digest", Harness.Chaos.timeline_digest chaos) ]
-  in
-  { m with counters = m.counters @ extra }
-
+(* Run [server] to [horizon + drain], close it and measure what its
+   recorder saw at the NIC's edge. *)
 let measure ?(drain = Sim.Units.ms 10) ~name ~horizon server =
-  finish_run ~recorder:server.recorder ~name ~horizon ~drain server
+  Sim.Engine.run server.engine ~until:(horizon + drain);
+  close server;
+  let r = server.recorder in
+  finish_run ~sent:(Harness.Recorder.sent r)
+    ~completed:(Harness.Recorder.completed r)
+    ~latencies:(Harness.Recorder.latencies r) ~name ~horizon ~drain server
 
 let counter m name =
   match List.assoc_opt name m.counters with Some v -> v | None -> 0
@@ -300,16 +290,30 @@ let open_loop_run ?(ncores = 8) ?(nservices = 1) ?(min_workers = 1)
       inject_blob server ~seq ~service_idx ~bytes:payload);
   measure ~name:(flavour_name flavour) ~horizon server
 
+(* A lossy run's measurement, its chaos harness (for the timeline) and
+   its server-fault injector. *)
+type lossy = {
+  m : measurement;
+  chaos : Harness.Chaos.t;
+  server_fault : Fault.Server_fault.t;
+}
+
 (* A lossy open-loop run: the same echo fleet, but driven through the
    chaos harness — requests and replies cross seeded fault links, the
    client retries with exponential backoff, and latency is measured
-   client-side (so it includes retransmission delays). The plan also
-   arms the stack-side choke points via [make_server ~fault]. *)
+   client-side (so it includes retransmission delays), with the
+   harness's stats and timeline digest among the counters. The plan
+   also arms the stack-side choke points via [make_server ~fault] and
+   crashes the first service by its server fault (on Lauberhorn,
+   handled RPCs drive the count trigger). [sanitize] builds the run's
+   sanitizer session on its engine; by default LAUBERHORN_SANITIZE
+   decides. *)
 let lossy_run ?(ncores = 4) ?(nservices = 1) ?(min_workers = 1)
     ?(max_workers = 2) ?(payload = 64) ?(handler_time = Sim.Units.ns 500)
     ?(seed = 42) ?(horizon = Sim.Units.ms 10) ?(drain = Sim.Units.ms 60)
     ?(timeout = Sim.Units.us 200) ?(retries = 20) ?(backoff = 1.5)
-    ?(max_timeout = Sim.Units.ms 2) ?(jitter = 0.25) ~rate ~plan flavour =
+    ?(max_timeout = Sim.Units.ms 2) ?(jitter = 0.25)
+    ?sanitize ~rate ~plan flavour =
   let setup = Workload.Scenario.echo_fleet ~n:nservices ~handler_time () in
   let engine = Sim.Engine.create () in
   let chaos =
@@ -318,10 +322,23 @@ let lossy_run ?(ncores = 4) ?(nservices = 1) ?(min_workers = 1)
   in
   let server =
     make_server ~ncores ~min_workers ~max_workers ~engine ~fault:plan
-      ?sanitize:(engine_sanitizer engine)
+      ?sanitize:
+        (match sanitize with
+        | Some f -> Some (f engine)
+        | None -> engine_sanitizer engine)
       ~egress:(Harness.Chaos.egress chaos) flavour setup
   in
   Harness.Chaos.connect chaos server.driver;
+  let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
+  let server_fault =
+    Fault.Server_fault.install engine ~plan
+      ~crash:(fun () -> server.kill_service ~service_id)
+      ~restart:(fun () -> server.restart_service ~service_id)
+  in
+  Option.iter
+    (fun s ->
+      Lauberhorn.Stack.on_handled s (Fault.Server_fault.on_handled server_fault))
+    server.lauberhorn;
   let rng = Sim.Rng.create ~seed in
   Workload.Arrivals.open_loop engine rng ~rate_per_s:rate ~until:horizon
     (fun ~seq:_ ->
@@ -334,7 +351,20 @@ let lossy_run ?(ncores = 4) ?(nservices = 1) ?(min_workers = 1)
         ~method_id:0
         ~port:(Workload.Scenario.port_of setup ~service_idx)
         (Rpc.Value.Blob (Bytes.make payload 'w')));
-  finish_chaos_run chaos ~name:(flavour_name flavour) ~horizon ~drain server
+  Sim.Engine.run engine ~until:(horizon + drain);
+  close server;
+  let c = Harness.Chaos.client chaos in
+  let m =
+    finish_run ~sent:(Harness.Client.sent c)
+      ~completed:(Harness.Client.completed c)
+      ~latencies:(Harness.Client.latencies c) ~name:(flavour_name flavour)
+      ~horizon ~drain server
+  in
+  let extra =
+    Harness.Chaos.stats chaos
+    @ [ ("timeline_digest", Harness.Chaos.timeline_digest chaos) ]
+  in
+  { m = { m with counters = m.counters @ extra }; chaos; server_fault }
 
 (* A replayed-trace run over [nservices] echo services. *)
 let replay_run ?(ncores = 8) ?(min_workers = 1) ?(max_workers = 2)

@@ -36,8 +36,6 @@
    `dune build @check`, runs this section twice and requires
    byte-identical output. *)
 
-let service_idx = 0
-
 (* ---------- part (a): crash + restart ---------- *)
 
 let crash_at = Sim.Units.ms 3
@@ -60,45 +58,10 @@ type crash_result = {
 (* [sanitize] builds the run's sanitizer session on its engine; by
    default [LAUBERHORN_SANITIZE] decides, as for every section. *)
 let run_crash ?sanitize ~server_fault flavour =
-  let setup =
-    Workload.Scenario.echo_fleet ~n:1 ~handler_time:(Sim.Units.ns 500) ()
-  in
-  let service_id = Workload.Scenario.service_id_of setup ~service_idx in
-  let plan = Fault.Plan.make ~seed:15 ~server:server_fault () in
-  let engine = Sim.Engine.create () in
-  let metrics = Obs.Metrics.create () in
-  let chaos =
-    Harness.Chaos.create engine ~plan ~timeout:(Sim.Units.us 200) ~retries:20
-      ~backoff:1.5 ~max_timeout:(Sim.Units.ms 2) ~jitter:0.25 ~metrics ()
-  in
-  let server =
-    Common.make_server ~ncores:4 ~engine ~fault:plan ~metrics
-      ?sanitize:
-        (match sanitize with
-        | Some f -> Some (f engine)
-        | None -> Common.engine_sanitizer engine)
-      ~egress:(Harness.Chaos.egress chaos) flavour setup
-  in
-  Harness.Chaos.connect chaos server.Common.driver;
-  let sf =
-    Fault.Server_fault.install engine ~plan
-      ~crash:(fun () -> server.Common.kill_service ~service_id)
-      ~restart:(fun () -> server.Common.restart_service ~service_id)
-  in
-  (* The count trigger (crash_after_rpcs) needs the server to report
-     handled RPCs; only the Lauberhorn stack exposes the hook. *)
-  (match server.Common.lauberhorn with
-  | Some s -> Lauberhorn.Stack.on_handled s (Fault.Server_fault.on_handled sf)
-  | None -> ());
-  let rng = Sim.Rng.create ~seed:42 in
-  Workload.Arrivals.open_loop engine rng ~rate_per_s:rate ~until:horizon
-    (fun ~seq:_ ->
-      Harness.Chaos.call chaos ~service_id ~method_id:0
-        ~port:(Workload.Scenario.port_of setup ~service_idx)
-        (Rpc.Value.Blob (Bytes.make 64 'w')));
-  let m =
-    Common.finish_chaos_run chaos ~name:(Common.flavour_name flavour) ~horizon
-      ~drain server
+  let { Common.m; chaos; server_fault = sf } =
+    Common.lossy_run ?sanitize ~rate ~horizon ~drain
+      ~plan:(Fault.Plan.make ~seed:15 ~server:server_fault ())
+      flavour
   in
   let timeline = Harness.Chaos.timeline chaos in
   let restart_time = crash_at + downtime in
@@ -133,12 +96,13 @@ let overload_horizon = Sim.Units.ms 2
 let overload_drain = Sim.Units.ms 20
 
 let run_overload ~shed ~mult =
-  Common.lossy_run ~ncores:4 ~max_workers:2 ~handler_time:overload_handler
+  (Common.lossy_run ~ncores:4 ~max_workers:2 ~handler_time:overload_handler
     ~horizon:overload_horizon ~drain:overload_drain ~retries:5 ~backoff:2.
     ~rate:(capacity *. mult) ~plan:(Fault.Plan.make ~seed:15 ())
     (Common.Lauberhorn
        ( Lauberhorn.Config.with_shed Lauberhorn.Config.enzian shed,
-         Lauberhorn.Sched_mirror.Push ))
+         Lauberhorn.Sched_mirror.Push )))
+    .Common.m
 
 (* ---------- the report ---------- *)
 
@@ -265,7 +229,7 @@ let run () =
            Printf.sprintf "%.1fx" mult;
            Printf.sprintf "%d/%d" off.Common.completed off.Common.sent;
            Common.ns off.Common.p99;
-           string_of_int (Common.counter off "drop_full");
+           string_of_int (Common.counter off "nic_queue_drop");
            Printf.sprintf "%d/%d" on_.Common.completed on_.Common.sent;
            Common.ns on_.Common.p99;
            string_of_int (Common.counter on_ "sheds");

@@ -39,8 +39,9 @@ let run () =
         ( loss,
           List.map
             (fun flavour ->
-              Common.lossy_run ~ncores:4 ~rate ~horizon ~plan:(plan_of ~loss)
-                flavour)
+              (Common.lossy_run ~ncores:4 ~rate ~horizon ~plan:(plan_of ~loss)
+                 flavour)
+                .Common.m)
             flavours ))
       losses
   in

@@ -65,19 +65,14 @@ let traced_run () =
   let setup = rack.Rack.servers.(0).Common.setup in
   let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
   let completions = ref [] in
+  Harness.Client.on_complete rack.Rack.client (fun ~rpc_id ~latency ->
+      completions := (rpc_id, latency) :: !completions);
   Workload.Arrivals.open_loop engine rng ~rate_per_s:rate ~until:horizon
     (fun ~seq:_ ->
-      let t0 = Sim.Engine.now engine in
-      let id = ref 0 in
-      id :=
-        Int64.to_int
-          (Harness.Client.call_id rack.Rack.client ~service_id ~method_id:0
-             ~port:rack.Rack.service_port
-             (Rpc.Value.Blob (Bytes.make 64 'w'))
-             (fun _ ->
-               let latency = Sim.Engine.now engine - t0 in
-               Sim.Histogram.record rack.Rack.latencies latency;
-               completions := (!id, latency) :: !completions)));
+      Harness.Client.call rack.Rack.client ~service_id ~method_id:0
+        ~port:rack.Rack.service_port
+        (Rpc.Value.Blob (Bytes.make 64 'w'))
+        ignore);
   Cluster.Fabric.run rack.Rack.fabric ~until:(horizon + drain);
   Rack.finish rack;
   (* control-plane track: lifecycle transitions as instants on the

@@ -112,9 +112,8 @@ type rack = {
   fabric : Cluster.Fabric.t;
   control : Cluster.Control.t;
   client : Harness.Client.t;
-  latencies : Sim.Histogram.t;
+      (* the rack's one call ledger: counts and latencies of its calls *)
   servers : Common.server array;
-  handled : int array; (* per-host RPCs handled by the service *)
   alive : bool array; (* per-host liveness flags (probe targets) *)
   service_port : int;
   steering : steering;
@@ -161,7 +160,6 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
   let sanitize = Common.engine_sanitizer engine in
   let setup = Workload.Scenario.echo_fleet ~n:1 ~handler_time () in
   let service_port = Workload.Scenario.port_of setup ~service_idx:0 in
-  let handled = Array.make hosts 0 in
   let alive = Array.make hosts true in
   let servers =
     Array.init hosts (fun h ->
@@ -176,8 +174,6 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
         | Some s ->
             Lauberhorn.Stack.set_address s
               (Cluster.Fabric.host_endpoint fabric h ~port:service_port);
-            Lauberhorn.Stack.on_handled s (fun () ->
-                handled.(h) <- handled.(h) + 1);
             if obs <> None then
               Obs.Tracer.enable (Lauberhorn.Stack.tracer s)
         | None -> ());
@@ -398,9 +394,7 @@ let make_rack ?domains ?obs ?fault ?metrics ~hosts () =
       fabric;
       control;
       client;
-      latencies = Sim.Histogram.create ();
       servers;
-      handled;
       alive;
       service_port;
       steering;
@@ -421,26 +415,19 @@ let setup_arrivals ?(timeout = None) rack ~rate ~seed =
   let rng = Sim.Rng.create ~seed in
   let setup = rack.servers.(0).Common.setup in
   let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
+  let timeout, retries =
+    match timeout with
+    | Some (timeout, retries) -> (Some timeout, Some retries)
+    | None -> (None, None)
+  in
   Workload.Arrivals.open_loop engine rng ~rate_per_s:rate ~until:horizon
     (fun ~seq:_ ->
-      let t0 = Sim.Engine.now engine in
-      match timeout with
-      | None ->
-          Harness.Client.call rack.client ~service_id ~method_id:0
-            ~port:rack.service_port
-            (Rpc.Value.Blob (Bytes.make 64 'w'))
-            (fun _ ->
-              Sim.Histogram.record rack.latencies
-                (Sim.Engine.now engine - t0))
-      | Some (timeout, retries) ->
-          ignore
-            (Harness.Client.call_id ~timeout ~retries ~backoff:1.5
-               ~max_timeout:(Sim.Units.ms 2) ~jitter:0.25 rack.client
-               ~service_id ~method_id:0 ~port:rack.service_port
-               (Rpc.Value.Blob (Bytes.make 64 'w'))
-               (fun _ ->
-                 Sim.Histogram.record rack.latencies
-                   (Sim.Engine.now engine - t0))))
+      ignore
+        (Harness.Client.call_id ?timeout ?retries ~backoff:1.5
+           ~max_timeout:(Sim.Units.ms 2) ~jitter:0.25 rack.client ~service_id
+           ~method_id:0 ~port:rack.service_port
+           (Rpc.Value.Blob (Bytes.make 64 'w'))
+           ignore))
 
 let finish rack =
   Array.iter Common.close rack.servers;
@@ -448,7 +435,11 @@ let finish rack =
 
 let quantile rack p =
   if Harness.Client.completed rack.client = 0 then 0
-  else Sim.Histogram.quantile rack.latencies p
+  else Sim.Histogram.quantile (Harness.Client.latencies rack.client) p
+
+(* RPCs the host's service handled, as its stack counts them. *)
+let handled (s : Common.server) =
+  Sim.Counter.(value (counter s.driver.Harness.Driver.counters "rpcs_handled"))
 
 (* The diffable per-rack digest: everything machine-independent. *)
 let digest_lines rack =
@@ -469,7 +460,8 @@ let digest_lines rack =
       (Cluster.Fabric.undeliverable rack.fabric);
     Printf.sprintf "handled [%s]"
       (String.concat ","
-         (Array.to_list (Array.map string_of_int rack.handled)));
+         (Array.to_list
+            (Array.map (fun s -> string_of_int (handled s)) rack.servers)));
     Printf.sprintf "steered [%s]"
       (String.concat ","
          (Array.to_list

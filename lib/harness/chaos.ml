@@ -1,6 +1,5 @@
 type t = {
   client : Client.t;
-  recorder : Recorder.t;
   forward : Fault.Link.t;
   backward : Fault.Link.t;
   target : (Net.Frame.t -> unit) ref;
@@ -14,8 +13,7 @@ type t = {
 }
 
 let create engine ~plan ?(timeout = Sim.Units.us 200) ?(retries = 20)
-    ?(backoff = 2.) ?(max_timeout = Sim.Units.ms 2) ?(jitter = 0.25)
-    ?metrics () =
+    ?(backoff = 2.) ?(max_timeout = Sim.Units.ms 2) ?(jitter = 0.25) () =
   let target = ref (fun (_ : Net.Frame.t) -> ()) in
   let forward =
     Fault.Link.create engine ~plan:plan.Fault.Plan.wire
@@ -27,7 +25,7 @@ let create engine ~plan ?(timeout = Sim.Units.us 200) ?(retries = 20)
     Client.create engine
       ~send:(fun f -> Fault.Link.send forward f)
       ~seed:(Fault.Plan.derived_seed plan ~salt:2)
-      ?metrics ()
+      ()
   in
   let backward =
     Fault.Link.create engine ~plan:plan.Fault.Plan.wire
@@ -35,11 +33,9 @@ let create engine ~plan ?(timeout = Sim.Units.us 200) ?(retries = 20)
       ~deliver:(fun f -> Client.on_reply client f)
       ()
   in
-  let recorder = Recorder.create engine in
   let t =
     {
       client;
-      recorder;
       forward;
       backward;
       target;
@@ -51,29 +47,21 @@ let create engine ~plan ?(timeout = Sim.Units.us 200) ?(retries = 20)
       timeline_rev = [];
     }
   in
-  Recorder.on_complete recorder (fun ~rpc_id ~latency ->
+  Client.on_complete client (fun ~rpc_id ~latency ->
       t.timeline_rev <-
-        (Sim.Engine.now engine, Int64.to_int rpc_id, latency)
-        :: t.timeline_rev);
+        (Sim.Engine.now engine, rpc_id, latency) :: t.timeline_rev);
   t
 
 let connect t (driver : Driver.t) = t.target := driver.Driver.ingress
 let egress t frame = Fault.Link.send t.backward frame
 
 let call t ~service_id ~method_id ~port args =
-  let id_ref = ref 0 in
-  let rpc_id =
-    Int64.to_int
-      (Client.call_id t.client ~timeout:t.timeout ~retries:t.retries
-         ~backoff:t.backoff ~max_timeout:t.max_timeout ~jitter:t.jitter
-         ~service_id ~method_id ~port args (fun _ ->
-           Recorder.complete_by_id t.recorder ~rpc_id:!id_ref))
-  in
-  id_ref := rpc_id;
-  Recorder.stamp t.recorder ~rpc_id
+  ignore
+    (Client.call_id t.client ~timeout:t.timeout ~retries:t.retries
+       ~backoff:t.backoff ~max_timeout:t.max_timeout ~jitter:t.jitter
+       ~service_id ~method_id ~port args ignore)
 
 let client t = t.client
-let recorder t = t.recorder
 let timeline t = List.rev t.timeline_rev
 
 let timeline_digest t =

@@ -3,7 +3,10 @@
     Wraps a {!Client} (with the full retry policy: exponential backoff,
     seeded jitter, duplicate suppression) behind a pair of
     {!Fault.Link}s — one per direction between the client and the
-    server's MAC — and a {!Recorder} measuring retry-inflated latency.
+    server's MAC. The client is the run's one ledger: its
+    {!Client.sent}, {!Client.completed} and {!Client.latencies} give the
+    retry-inflated latency from first transmission to completion, and
+    its completion observer feeds {!timeline}.
 
     Everything is derived from the {!Fault.Plan}'s seed, so the same
     plan + workload seeds reproduce the same trace; {!timeline_digest}
@@ -20,13 +23,11 @@ val create :
   ?backoff:float ->
   ?max_timeout:Sim.Units.duration ->
   ?jitter:float ->
-  ?metrics:Obs.Metrics.t ->
   unit ->
   t
 (** Defaults: 200 us initial timeout, 20 retries, backoff 2.0 capped at
-    2 ms, jitter 0.25. [metrics] is forwarded to
-    {!Client.create} so the client's tallies export as [client_*]
-    derived gauges alongside the server's. *)
+    2 ms, jitter 0.25. The client's completion observer is taken: it
+    builds {!timeline}. *)
 
 val connect : t -> Driver.t -> unit
 (** Point the forward (request) link at a server's ingress. Frames sent
@@ -40,10 +41,9 @@ val egress : t -> Net.Frame.t -> unit
 val call :
   t -> service_id:int -> method_id:int -> port:int -> Rpc.Value.t -> unit
 (** Issue one echo-style call through the faulty links with the
-    configured retry policy, recording send and completion times. *)
+    configured retry policy; the client times it. *)
 
 val client : t -> Client.t
-val recorder : t -> Recorder.t
 
 val timeline : t -> (Sim.Units.time * int * Sim.Units.duration) list
 (** Completions in order: (completion time, rpc_id, latency). *)

@@ -9,11 +9,16 @@ type t = {
          free: a recycled id must not accept a late response meant for
          its previous owner (ABA) *)
   mutable next_epoch : int;
+  mutable issued : Sim.Units.time array;
+      (* continuation id -> when its call was first transmitted;
+         grown with [epochs] *)
   mutable calls : call option array;
       (* continuation id -> the record of the timed calls on it, built
          when the first such call takes the id; grown with [epochs] *)
   schemas : (int, Rpc.Schema.t) Hashtbl.t;  (* keyed by [schema_key] *)
   rng : Sim.Rng.t;  (* backoff jitter; only drawn when jitter > 0 *)
+  latencies : Sim.Histogram.t;  (* issue to completion, per completed call *)
+  mutable observer : rpc_id:int -> latency:Sim.Units.duration -> unit;
   mutable sent : int;
   mutable completed : int;
   mutable errors : int;
@@ -71,6 +76,7 @@ let[@hot_path] retire t cont =
 (* The default route: every transmission goes to the one server. *)
 let to_server = Some Traffic.server_address
 let default_route (_ : int) = to_server
+let no_observer ~rpc_id:(_ : int) ~latency:(_ : int) = ()
 
 let create engine ~send ?(route = default_route) ?(seed = 0x7e7) ?metrics ()
     =
@@ -83,9 +89,12 @@ let create engine ~send ?(route = default_route) ?(seed = 0x7e7) ?metrics ()
       continuations = Rpc.Continuation.create ();
       epochs = Array.make 64 0;
       next_epoch = 1;
+      issued = Array.make 64 0;
       calls = Array.make 64 None;
       schemas = Hashtbl.create 16;
       rng = Sim.Rng.create ~seed;
+      latencies = Sim.Histogram.create ();
+      observer = no_observer;
       sent = 0;
       completed = 0;
       errors = 0;
@@ -198,15 +207,19 @@ let call_id ?timeout ?(retries = 3) ?(backoff = 1.) ?(max_timeout = max_int)
   if cont >= Array.length t.epochs then begin
     let n = Array.length t.epochs in
     let size = max (cont + 1) (2 * n) in
-    let epochs = Array.make size 0 and calls = Array.make size None in
+    let epochs = Array.make size 0 and issued = Array.make size 0 in
+    let calls = Array.make size None in
     Array.blit t.epochs 0 epochs 0 n;
+    Array.blit t.issued 0 issued 0 n;
     Array.blit t.calls 0 calls 0 n;
     t.epochs <- epochs;
+    t.issued <- issued;
     t.calls <- calls
   end;
   let epoch = t.next_epoch in
   t.next_epoch <- t.next_epoch + 1;
   t.epochs.(cont) <- epoch;
+  t.issued.(cont) <- Sim.Engine.now t.engine;
   let rpc_id = rpc_id_of ~epoch ~cont in
   t.sent <- t.sent + 1;
   transmit t ~rpc_id ~service_id ~method_id ~port args;
@@ -233,12 +246,17 @@ let call_id ?timeout ?(retries = 3) ?(backoff = 1.) ?(max_timeout = max_int)
 let call ?timeout ?retries t ~service_id ~method_id ~port args k =
   ignore (call_id ?timeout ?retries t ~service_id ~method_id ~port args k)
 
-(* The call on [cont] ends with its value: retired first, as the
-   continuation may issue a call that reuses the slot. *)
-let[@hot_path] complete t cont v =
+(* The call [id] on [cont] ends with its value: retired first, as the
+   continuation may issue a call that reuses the slot, and timed from
+   its first transmission only if its continuation fires. *)
+let[@hot_path] complete t ~id cont v =
+  let latency = Sim.Engine.now t.engine - t.issued.(cont) in
   retire t cont;
-  if Rpc.Continuation.fire t.continuations cont v then
-    t.completed <- t.completed + 1
+  if Rpc.Continuation.fire t.continuations cont v then begin
+    t.completed <- t.completed + 1;
+    Sim.Histogram.record t.latencies latency;
+    t.observer ~rpc_id:id ~latency
+  end
 
 (* The call on [cont] ends in an error. *)
 let[@hot_path] fail t cont =
@@ -284,16 +302,18 @@ let[@hot_path] on_reply t frame =
             match Hashtbl.find t.schemas key with
             | schema -> (
                 match Rpc.Codec.decode_sub schema payload ~pos ~len with
-                | Ok v -> complete t cont v
+                | Ok v -> complete t ~id cont v
                 | Error _ -> fail t cont)
             | exception Not_found ->
-                complete t cont
+                complete t ~id cont
                   (Rpc.Value.Blob (Bytes.sub payload pos len)
                   [@alloc_ok "an untyped reply's body is copied out of the \
                               frame"])))
 
 let outstanding t = Rpc.Continuation.live t.continuations
 let completed t = t.completed
+let latencies t = t.latencies
+let on_complete t f = t.observer <- f
 let errors t = t.errors
 
 let sent t = t.sent

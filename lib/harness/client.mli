@@ -5,7 +5,13 @@
     paper's §6 observation that replies need "a dedicated end-point"
     created cheaply per outstanding call: the continuation id is the
     RPC id on the wire, allocated and recycled in O(1) by
-    {!Rpc.Continuation}. *)
+    {!Rpc.Continuation}.
+
+    The client is the ledger of a client-driven run: it counts its calls
+    and times each completed one from its first transmission, so the
+    latency includes every retransmission and backoff. {!Recorder} is
+    the other ledger, the end-system latency at the server NIC's edge,
+    for open-loop runs that inject frames without a client. *)
 
 type t
 
@@ -85,5 +91,18 @@ val on_reply : t -> Net.Frame.t -> unit
 
 val outstanding : t -> int
 val completed : t -> int
+(** Calls whose continuation fired with a value. *)
+
 val errors : t -> int
 (** Responses carrying an application error, or undecodable bodies. *)
+
+val latencies : t -> Sim.Histogram.t
+(** One value per {!completed} call: the simulated time from its first
+    transmission to its completion. Failed and abandoned calls record
+    nothing. *)
+
+val on_complete : t -> (rpc_id:int -> latency:Sim.Units.duration -> unit)
+  -> unit
+(** Set the one completion observer, replacing any earlier one. It sees
+    each completed call's wire rpc id and its {!latencies} value, in
+    completion order, after the call's continuation has run. *)

@@ -22,10 +22,6 @@ val egress : t -> Net.Frame.t -> unit
     request, record its latency. Unmatched or duplicate responses are
     counted, not fatal. *)
 
-val complete_by_id : t -> rpc_id:int -> unit
-(** Record completion without a frame (stacks that hand back decoded
-    responses directly). *)
-
 val latencies : t -> Sim.Histogram.t
 val sent : t -> int
 val completed : t -> int

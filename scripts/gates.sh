@@ -9,8 +9,8 @@
 #            generations, sched-mirror convergence) in fail-fast mode:
 #            zero trips, and the checkers observe without perturbing.
 #
-# One more gate runs two sections in one process, the later one in
-# Sections.all order first, and requires their two snapshots: no run
+# Two more gates each run two sections in one process, the later one in
+# Sections.all order first, and require their two snapshots: no run
 # leaves state behind that changes the next one.
 #
 # Then every shipped steering program must pass the static verifier,
@@ -69,6 +69,9 @@ same        steering   ""           "$san"
 # -- one process: both draw Zipf ranks and build stacks
 "$figures" steering dynamic > "$a" 2>/dev/null
 cat test/baseline/steering.txt test/baseline/dynamic.txt | diff - "$a"
+# -- one process: both build their chaos runs through Common.lossy_run
+"$figures" failover losssweep > "$a" 2>/dev/null
+cat test/baseline/failover.txt test/baseline/losssweep.txt | diff - "$a"
 
 "$steer_verify"
 

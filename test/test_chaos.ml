@@ -345,15 +345,12 @@ let run_chaos_rack ~plan ~seed () =
   let rng = Sim.Rng.create ~seed in
   Workload.Arrivals.open_loop engine rng ~rate_per_s:120_000.
     ~until:chaos_horizon (fun ~seq:_ ->
-      let t0 = Sim.Engine.now engine in
       ignore
         (Harness.Client.call_id ~timeout:(us 200) ~retries:5 ~backoff:1.5
            ~max_timeout:(us 800) ~jitter:0.25 rack.Experiments.Rack.client
            ~service_id ~method_id:0 ~port:rack.Experiments.Rack.service_port
            (Rpc.Value.Blob (Bytes.make 32 'c'))
-           (fun _ ->
-             Sim.Histogram.record rack.Experiments.Rack.latencies
-               (Sim.Engine.now engine - t0))));
+           ignore));
   Cluster.Fabric.run fabric ~until:(chaos_horizon + chaos_drain);
   Experiments.Rack.finish rack;
   let c = rack.Experiments.Rack.client in

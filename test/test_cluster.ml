@@ -635,22 +635,17 @@ let run_traced_rack ~hosts ~n_rpcs ~seed =
   let service_id = Workload.Scenario.service_id_of setup ~service_idx:0 in
   let rng = Sim.Rng.create ~seed in
   let completions = ref [] in
+  Harness.Client.on_complete rack.Experiments.Rack.client
+    (fun ~rpc_id ~latency -> completions := (rpc_id, latency) :: !completions);
   for _ = 1 to n_rpcs do
     (* past the registration window, spread over ~1 ms *)
     let at = Sim.Units.us 50 + Sim.Rng.int rng ~bound:(Sim.Units.ms 1) in
     ignore
       (Sim.Engine.schedule_at engine ~at (fun () ->
-           let t0 = Sim.Engine.now engine in
-           let id = ref 0 in
-           id :=
-             Int64.to_int
-               (Harness.Client.call_id rack.Experiments.Rack.client ~service_id
-                  ~method_id:0 ~port:rack.Experiments.Rack.service_port
-                  (Rpc.Value.Blob (Bytes.make 32 'q'))
-                  (fun _ ->
-                    let latency = Sim.Engine.now engine - t0 in
-                    Sim.Histogram.record rack.Experiments.Rack.latencies latency;
-                    completions := (!id, latency) :: !completions))))
+           Harness.Client.call rack.Experiments.Rack.client ~service_id
+             ~method_id:0 ~port:rack.Experiments.Rack.service_port
+             (Rpc.Value.Blob (Bytes.make 32 'q'))
+             ignore))
   done;
   Cluster.Fabric.run fabric ~until:(Sim.Units.ms 4);
   Experiments.Rack.finish rack;

@@ -22,8 +22,9 @@ let bypass = C.Bypass Coherence.Interconnect.pcie_enzian
 let lossy ?(flavour = bypass) ?(rate = 50_000.) ?(horizon = ms 2)
     ?(drain = ms 100) ?(timeout = us 100) ?(retries = 120) ?(backoff = 1.5)
     ?(max_timeout = us 500) ?(jitter = 0.25) ?(seed = 11) plan =
-  C.lossy_run ~ncores:4 ~rate ~horizon ~drain ~timeout ~retries ~backoff
-    ~max_timeout ~jitter ~seed ~plan flavour
+  (C.lossy_run ~ncores:4 ~rate ~horizon ~drain ~timeout ~retries ~backoff
+     ~max_timeout ~jitter ~seed ~plan flavour)
+    .C.m
 
 (* --- scripted drops ------------------------------------------------ *)
 
@@ -175,7 +176,7 @@ let test_delayed_fills_under_load () =
       ( Lauberhorn.Config.with_timeout Lauberhorn.Config.enzian (us 100),
         Lauberhorn.Sched_mirror.Push )
   in
-  let m =
+  let { C.m; _ } =
     C.lossy_run ~ncores:4 ~rate:20_000. ~horizon:(ms 2) ~drain:(ms 60) ~plan
       flavour
   in

@@ -74,7 +74,7 @@ let test_recorder_observer () =
   Harness.Recorder.on_complete r (fun ~rpc_id ~latency ->
       seen := (rpc_id, latency) :: !seen);
   Harness.Recorder.note_sent r ~rpc_id:3L;
-  Harness.Recorder.complete_by_id r ~rpc_id:3;
+  Harness.Recorder.egress r (response_frame ~rpc_id:3);
   checkb "observer fired" true (!seen = [ (3L, 0) ])
 
 (* Allocation budgets of the harness's per-RPC calls, in minor words
@@ -382,6 +382,121 @@ let test_client_finished_calls_leave_nothing_pending () =
   checki "nothing outstanding" 0 (Harness.Client.outstanding c);
   checki "nothing pending" 0 (Sim.Engine.pending engine)
 
+(* The client's ledger. [ledger_client answer] is a client whose
+   server answers the [n]th transmission it sees, of call [rpc_id],
+   as [answer n rpc_id] says: [Some (after, kind)] replies with [kind]
+   [after] later, [None] drops it. The observer's completions are
+   logged, oldest first. *)
+let ledger_client answer =
+  let engine = Sim.Engine.create () in
+  let client = ref None in
+  let seen = ref 0 in
+  let send frame =
+    let req = frame.Net.Frame.payload in
+    incr seen;
+    let rpc_id = Rpc.Wire_format.rpc_id req in
+    match answer !seen rpc_id with
+    | None -> ()
+    | Some (after, kind) ->
+        let reply =
+          Net.Frame.reply_to ~src:frame.Net.Frame.src ~dst:frame.Net.Frame.dst
+            (Rpc.Wire_format.encode_value ~kind ~rpc_id
+               ~service_id:(Rpc.Wire_format.service_id req)
+               ~method_id:(Rpc.Wire_format.method_id req) Rpc.Value.Unit)
+        in
+        ignore
+          (Sim.Engine.schedule_after engine ~after (fun () ->
+               match !client with
+               | Some c -> Harness.Client.on_reply c reply
+               | None -> ()))
+  in
+  let c = Harness.Client.create engine ~send () in
+  client := Some c;
+  let log = ref [] in
+  Harness.Client.on_complete c (fun ~rpc_id ~latency ->
+      log := (rpc_id, latency) :: !log);
+  (engine, c, fun () -> List.rev !log)
+
+let call_at engine c ~at ?timeout ?(retries = 0) () =
+  let id = ref 0 in
+  ignore
+    (Sim.Engine.schedule_at engine ~at (fun () ->
+         id :=
+           Int64.to_int
+             (Harness.Client.call_id c ?timeout ~retries ~service_id:1
+                ~method_id:0 ~port:7000 Rpc.Value.Unit ignore)));
+  id
+
+let check_ledger_counts c log =
+  let h = Harness.Client.latencies c in
+  checki "observer count = completed" (Harness.Client.completed c)
+    (List.length log);
+  checki "histogram count = completed" (Harness.Client.completed c)
+    (Sim.Histogram.count h)
+
+(* A call whose first transmission is lost and whose retransmission,
+   100 us later, is answered 10 us after that takes 110 us: the latency
+   runs from the first transmission, not the last. *)
+let test_ledger_retransmitted_call_times_from_first_send () =
+  let answer n _ =
+    if n = 1 then None else Some (Sim.Units.us 10, Rpc.Wire_format.Response)
+  in
+  let engine, c, log = ledger_client answer in
+  let id =
+    call_at engine c ~at:(Sim.Units.us 5) ~timeout:(Sim.Units.us 100)
+      ~retries:2 ()
+  in
+  Sim.Engine.run engine ~until:(Sim.Units.ms 1);
+  checki "retransmitted once" 1 (Harness.Client.retransmits c);
+  checkb "observer saw the call from its first transmission" true
+    (log () = [ (!id, Sim.Units.us 110) ]);
+  let h = Harness.Client.latencies c in
+  checki "recorded latency" (Sim.Units.us 110) (Sim.Histogram.max_value h);
+  check_ledger_counts c (log ())
+
+(* Of three calls, one completes (after 10 us), one fails with a
+   non-retriable error reply, and one is never answered and is
+   abandoned: only the completed one is recorded and observed. *)
+let test_ledger_failed_and_abandoned_calls_record_nothing () =
+  let answer n _ =
+    match n with
+    | 1 -> Some (Sim.Units.us 10, Rpc.Wire_format.Response)
+    | 2 -> Some (Sim.Units.us 10, Rpc.Wire_format.Error_reply 7)
+    | _ -> None
+  in
+  let engine, c, log = ledger_client answer in
+  let ok = call_at engine c ~at:0 ~timeout:(Sim.Units.ms 1) () in
+  ignore (call_at engine c ~at:0 ~timeout:(Sim.Units.ms 1) ());
+  ignore (call_at engine c ~at:0 ~timeout:(Sim.Units.us 50) ~retries:1 ());
+  Sim.Engine.run engine ~until:(Sim.Units.ms 1);
+  checki "one completed" 1 (Harness.Client.completed c);
+  checki "one failed" 1 (Harness.Client.errors c);
+  checki "one abandoned" 1 (Harness.Client.abandoned c);
+  checkb "only the completed call observed" true
+    (log () = [ (!ok, Sim.Units.us 10) ]);
+  check_ledger_counts c (log ())
+
+(* Four calls issued 10 us apart and answered after 100, 70, 40 and
+   10 us complete in reverse order; the observer sees each completion's
+   id and latency in that order. *)
+let test_ledger_observer_sees_completion_order () =
+  let delays = [| 100; 70; 40; 10 |] in
+  let answer n _ =
+    Some (Sim.Units.us delays.(n - 1), Rpc.Wire_format.Response)
+  in
+  let engine, c, log = ledger_client answer in
+  let ids =
+    List.init 4 (fun i -> call_at engine c ~at:(Sim.Units.us (10 * i)) ())
+  in
+  Sim.Engine.run engine ~until:(Sim.Units.ms 1);
+  let expected =
+    List.rev
+      (List.mapi (fun i id -> (!id, Sim.Units.us delays.(i))) ids)
+  in
+  checkb "completion order, with latencies" true (log () = expected);
+  checki "nothing outstanding" 0 (Harness.Client.outstanding c);
+  check_ledger_counts c (log ())
+
 let () =
   Alcotest.run "harness"
     [
@@ -414,5 +529,11 @@ let () =
             test_client_stale_timer_leaves_a_reused_slot_alone;
           Alcotest.test_case "finished calls leave nothing pending" `Quick
             test_client_finished_calls_leave_nothing_pending;
+          Alcotest.test_case "latency runs from the first send" `Quick
+            test_ledger_retransmitted_call_times_from_first_send;
+          Alcotest.test_case "failed or abandoned calls record nothing"
+            `Quick test_ledger_failed_and_abandoned_calls_record_nothing;
+          Alcotest.test_case "the observer sees completion order" `Quick
+            test_ledger_observer_sees_completion_order;
         ] );
     ]

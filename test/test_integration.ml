@@ -302,7 +302,7 @@ let test_lossy_runs_complete () =
   in
   List.iter
     (fun flavour ->
-      let m =
+      let { Experiments.Common.m; _ } =
         Experiments.Common.lossy_run ~ncores:4 ~rate:50_000.
           ~horizon:(Sim.Units.ms 5) ~plan flavour
       in
