@@ -1,12 +1,14 @@
-(* Receive path: a poller takes a descriptor from its NIC queue with
-   [Dma_nic.consume] and decodes the request inside the callback with
-   [Rx.decode], straight from the pooled receive buffer, so no copy of
-   the frame is made and the buffer goes back to the pool at once. What
-   survives carries only what the handler and the reply need. The
-   per-packet rx cost then elapses; the counters and the poll_rx span
-   fire after it, as the packet's processing completes on the core. The
-   reply is encoded in one pass, the result written straight into the
-   message buffer. *)
+(* Receive path: a poller takes a packet slot, then a descriptor from
+   its NIC queue with [Dma_nic.consume], whose callback is the slot's
+   own decode closure: [Rx.decode_into] checks and reads the request
+   straight from the pooled receive buffer into the slot's record, so
+   no copy of the frame, view or request record is made and the buffer
+   goes back to the pool at once. What the record keeps is only what
+   the handler and the reply need: the two endpoints and the decoded
+   arguments. An empty ring puts the slot back. The per-packet rx cost
+   then elapses; the counters and the poll_rx span fire after it, as
+   the packet's processing completes on the core. The reply is encoded
+   in one pass, the result written straight into the message buffer. *)
 
 type service_spec = { service : Rpc.Interface.service_def; port : int }
 
@@ -27,7 +29,8 @@ type binding = { service : Rpc.Interface.service_def; poller : int }
    restart it is the new, live one. *)
 type packet = {
   mutable th : Osmodel.Proc.thread;  (* the thread that took the slot *)
-  mutable rx : binding Rx.t;
+  rx : Rx.t;  (* the descriptor [decode] read *)
+  decode : bytes -> unit;  (* the slot's consume callback *)
   mutable result : Rpc.Value.t;  (* the handler's, while it is marshalled *)
   after_rx : unit -> unit;  (* the per-packet rx cost has elapsed *)
   after_handler : unit -> unit;  (* deserialisation and the handler *)
@@ -53,8 +56,6 @@ type t = {
   kern : Osmodel.Kernel.t;
   mutable nic : Nic.Dma_nic.t option;
   by_port : (int, binding) Hashtbl.t;
-  rx_decode : Net.Frame.view -> binding Rx.t;
-      (* built once, applied per descriptor *)
   mutable pollers : poller array;
   mutable proc : Osmodel.Proc.process option;
   egress : Net.Frame.t -> unit;
@@ -87,48 +88,48 @@ let charge_user t p cost =
     (Osmodel.Kernel.account t.kern ~core:p.core)
     Osmodel.Cpu_account.User cost
 
+let binding_service b = b.service
+
 (* Clear a slot and give it back to its poller's pool. *)
 let[@hot_path] free p s =
-  s.rx <- Rx.Bad_rpc;
+  Rx.clear s.rx;
   s.result <- Rpc.Value.Unit;
   Sim.Slot_pool.release p.packets s
-
-let request s =
-  match s.rx with
-  | Rx.Request r -> r
-  | Rx.Bad_rpc | Rx.Drop _ -> invalid_arg "Bypass_stack: no request in slot"
 
 (* Run-to-completion handling of one frame on the poller's core. The
    poller thread owns its core outright, so we charge its ledger
    directly and sequence work with engine delays. *)
 let[@hot_path] rec poll_loop t p =
-  match Nic.Dma_nic.consume (nic t) ~queue:p.pidx t.rx_decode with
-  | Some rx ->
-      let cost = sw.Costs.poll_rx_per_packet + sw.Costs.bypass_demux in
-      charge_user t p cost;
-      let s = take_packet t p in
-      s.rx <- rx;
-      ignore (Sim.Engine.schedule_after t.engine ~after:cost s.after_rx)
-  | None ->
-      (* Park the (simulated) spin: the ring's produce callback resumes
-         us and we back-charge the spin window. *)
-      p.spin_since <- Sim.Engine.now t.engine
+  let s = take_packet t p in
+  if Nic.Dma_nic.consume (nic t) ~queue:p.pidx s.decode then begin
+    let cost = sw.Costs.poll_rx_per_packet + sw.Costs.bypass_demux in
+    charge_user t p cost;
+    ignore (Sim.Engine.schedule_after t.engine ~after:cost s.after_rx)
+  end
+  else begin
+    free p s;
+    (* Park the (simulated) spin: the ring's produce callback resumes
+       us and we back-charge the spin window. *)
+    p.spin_since <- Sim.Engine.now t.engine
+  end
 
 (* The per-packet rx cost has elapsed: DMA delivery + poll-loop spin +
    per-packet rx cost close the poll_rx stage. *)
 and[@hot_path] rx_done t p s =
   if Osmodel.Proc.is_exited s.th then free p s
   else
-    match s.rx with
+    let r = s.rx in
+    match r.Rx.outcome with
     | Rx.Bad_rpc ->
         free p s;
-        drop t p "rx_bad_rpc"
-    | Rx.Drop { rpc_id; counter } ->
+        drop t p (Rx.counter Rx.Bad_rpc)
+    | (Rx.No_service | Rx.No_method | Rx.Bad_args) as outcome ->
+        let rpc_id = r.Rx.rpc_id in
         free p s;
         span_stage t ~rpc:rpc_id "poll_rx";
-        drop t p counter
-    | Rx.Request r ->
-        span_stage t ~rpc:r.rpc_id "poll_rx";
+        drop t p (Rx.counter outcome)
+    | Rx.Request ->
+        span_stage t ~rpc:r.Rx.rpc_id "poll_rx";
         let deser =
           Rpc.Deser_cost.cost Rpc.Deser_cost.software
             ~fields:(Rpc.Value.field_count r.args)
@@ -148,8 +149,8 @@ and[@hot_path] drop t p counter =
 and[@hot_path] handled t p s =
   if Osmodel.Proc.is_exited s.th then free p s
   else begin
-    let r = request s in
-    span_stage t ~rpc:r.rpc_id "app";
+    let r = s.rx in
+    span_stage t ~rpc:r.Rx.rpc_id "app";
     let result = r.mdef.Rpc.Interface.execute r.args in
     let marshal =
       Rpc.Deser_cost.cost Rpc.Deser_cost.software_marshal
@@ -167,17 +168,16 @@ and[@hot_path] handled t p s =
 and[@hot_path] marshalled t p s =
   if Osmodel.Proc.is_exited s.th then free p s
   else begin
-    let r = request s in
-    let result = s.result in
+    let rpc_id = s.rx.Rx.rpc_id in
+    let out = Rx.reply s.rx s.result in
     free p s;
-    let out = Rx.reply r result in
     Sim.Counter.incr (ctr t "tx_frames");
-    span_stage t ~rpc:r.rpc_id "marshal";
+    span_stage t ~rpc:rpc_id "marshal";
     let via =
       if Obs.Tracer.is_enabled t.tracer then
         (fun f ->
-          span_stage t ~rpc:r.rpc_id "tx_dma";
-          Obs.Tracer.rpc_end t.tracer ~rpc:r.rpc_id (Sim.Engine.now t.engine);
+          span_stage t ~rpc:rpc_id "tx_dma";
+          Obs.Tracer.rpc_end t.tracer ~rpc:rpc_id (Sim.Engine.now t.engine);
           t.egress f)
         [@alloc_ok]  (* tracing only *)
       else t.egress
@@ -202,10 +202,12 @@ and[@hot_path] take_packet t p =
   s
 
 and new_packet t p =
+  let rx = Rx.create () in
   let rec s =
     {
       th = p.pthread;
-      rx = Rx.Bad_rpc;
+      rx;
+      decode = (fun b -> Rx.decode_into t.by_port binding_service rx b);
       result = Rpc.Value.Unit;
       after_rx = (fun () -> rx_done t p s);
       after_handler = (fun () -> handled t p s);
@@ -256,14 +258,12 @@ let create engine ~profile ~ncores ?pollers ?(fault = Fault.Plan.none)
   let tracer =
     match tracer with Some tr -> tr | None -> Obs.Tracer.create ()
   in
-  let by_port = Hashtbl.create 64 in
   let t =
     {
       engine;
       kern;
       nic = None;
-      by_port;
-      rx_decode = Rx.decode by_port (fun b -> b.service);
+      by_port = Hashtbl.create 64;
       pollers = [||];
       proc = None;
       egress;

@@ -8,22 +8,23 @@ let spec ?(threads = 2) ~port service =
   if threads < 1 then invalid_arg "Linux_stack.spec: threads < 1";
   { service; port; threads }
 
+(* What the softirq leaves in a socket is one record per packet: the
+   frame as [Rx.decode_into] made it, with the payload length that
+   recvfrom's copy is charged for. *)
 type service_rt = {
   sspec : service_spec;
-  socket : datagram Osmodel.Socket.t;
+  socket : Rx.t Osmodel.Socket.t;
   mutable sproc : Osmodel.Proc.process option;
       (* retained for crash/restart (threads are reachable through it) *)
 }
-
-(* What the softirq leaves in a socket: the frame as [Rx.decode] made
-   it, and the payload length that recvfrom's copy is charged for. *)
-and datagram = { rx : service_rt Rx.t; payload_len : int }
 
 type t = {
   engine : Sim.Engine.t;
   kern : Osmodel.Kernel.t;
   mutable nic : Nic.Dma_nic.t option;
   by_port : (int, service_rt) Hashtbl.t;
+  receive : bytes -> unit;  (* the consume callback, built once *)
+  mutable received : Rx.t;  (* what [receive] decoded last *)
   egress : Net.Frame.t -> unit;
   counters : Sim.Counter.group;
   metrics : Obs.Metrics.t;
@@ -51,53 +52,57 @@ let ctr t name = Sim.Counter.counter t.counters name
 
 let napi_budget = 64
 
-(* The socket a descriptor goes to, and what it carries. The frame is
-   decoded where it lies in the pooled buffer, which is recycled before
-   the softirq delay elapses. A request goes to its service's socket; a
-   frame that is not one still goes to the socket its port is bound
-   to, whose thread drops it after the copy. A frame to an unbound
-   port has no socket. *)
-let datagram t (v : Net.Frame.view) =
-  let payload_len = v.Net.Frame.payload.Net.Slice.len in
-  match Rx.decode t.by_port (fun rt -> rt.sspec.service) v with
-  | Rx.Request r as rx -> Some (r.Rx.sv, { rx; payload_len })
-  | (Rx.Bad_rpc | Rx.Drop _) as rx -> (
-      match Hashtbl.find t.by_port v.Net.Frame.dst.Net.Frame.port with
-      | rt -> Some (rt, { rx; payload_len })
-      | exception Not_found -> None)
+let rt_service rt = rt.sspec.service
+
+(* The consume callback: the frame is decoded where it lies in the
+   pooled buffer, which is recycled before the softirq delay elapses,
+   into a fresh record that the socket will hold. *)
+let receive t b =
+  let d = Rx.create () in
+  Rx.decode_into t.by_port rt_service d b;
+  t.received <- d
+
+(* A decoded frame goes to the socket its port is bound to, a request
+   to its service's; one that is not a request is dropped by the
+   socket's thread after the copy. A frame to an unbound port has no
+   socket. *)
+let deliver t d =
+  match Hashtbl.find t.by_port d.Rx.port with
+  | exception Not_found -> Sim.Counter.incr (ctr t "rx_no_service")
+  | rt ->
+      (* MAC + DMA + interrupt + softirq, attributed at the moment the
+         frame reaches its socket. *)
+      (match d.Rx.outcome with
+      | Rx.Bad_rpc -> ()
+      | Rx.No_service | Rx.No_method | Rx.Bad_args | Rx.Request ->
+          span_stage t ~rpc:d.Rx.rpc_id "nic_irq");
+      Osmodel.Socket.enqueue rt.socket d
 
 (* NAPI poll in softirq context on [core]: drain the ring with a
    budget, charging kernel time per packet; unmask when empty. *)
 let rec napi t ~core ~queue ~budget () =
-  match Nic.Dma_nic.consume (nic t) ~queue (datagram t) with
-  | None -> Nic.Dma_nic.unmask_irq (nic t) ~queue
-  | Some delivery ->
-      let cost = sw.Costs.softirq_per_packet + sw.Costs.socket_demux in
-      Osmodel.Cpu_account.charge
-        (Osmodel.Kernel.account t.kern ~core)
-        Osmodel.Cpu_account.Kernel cost;
-      ignore
-        (Sim.Engine.schedule_after t.engine ~after:cost (fun () ->
-             (match delivery with
-             | None -> Sim.Counter.incr (ctr t "rx_no_service")
-             | Some (rt, d) ->
-                 (* MAC + DMA + interrupt + softirq, attributed at the
-                    moment the frame reaches its socket. *)
-                 (match d.rx with
-                 | Rx.Request { Rx.rpc_id; _ } | Rx.Drop { rpc_id; _ } ->
-                     span_stage t ~rpc:rpc_id "nic_irq"
-                 | Rx.Bad_rpc -> ());
-                 Osmodel.Socket.enqueue rt.socket d);
-             if budget > 1 then napi t ~core ~queue ~budget:(budget - 1) ()
-             else begin
-               (* Budget exhausted: ksoftirqd would take over; model as
-                  continued polling after a reschedule-sized gap. *)
-               Sim.Counter.incr (ctr t "napi_budget_exhausted");
-               ignore
-                 (Sim.Engine.schedule_after t.engine
-                    ~after:(Osmodel.Kernel.costs t.kern).Osmodel.Kernel.syscall
-                    (napi t ~core ~queue ~budget:napi_budget))
-             end))
+  if not (Nic.Dma_nic.consume (nic t) ~queue t.receive) then
+    Nic.Dma_nic.unmask_irq (nic t) ~queue
+  else begin
+    let d = t.received in
+    let cost = sw.Costs.softirq_per_packet + sw.Costs.socket_demux in
+    Osmodel.Cpu_account.charge
+      (Osmodel.Kernel.account t.kern ~core)
+      Osmodel.Cpu_account.Kernel cost;
+    ignore
+      (Sim.Engine.schedule_after t.engine ~after:cost (fun () ->
+           deliver t d;
+           if budget > 1 then napi t ~core ~queue ~budget:(budget - 1) ()
+           else begin
+             (* Budget exhausted: ksoftirqd would take over; model as
+                continued polling after a reschedule-sized gap. *)
+             Sim.Counter.incr (ctr t "napi_budget_exhausted");
+             ignore
+               (Sim.Engine.schedule_after t.engine
+                  ~after:(Osmodel.Kernel.costs t.kern).Osmodel.Kernel.syscall
+                  (napi t ~core ~queue ~budget:napi_budget))
+           end))
+  end
 
 let on_rx_interrupt t ~queue =
   Nic.Dma_nic.mask_irq (nic t) ~queue;
@@ -112,24 +117,24 @@ let rec server_loop t rt th () =
       let copy_cost =
         int_of_float
           (Float.round
-             (sw.Costs.recv_copy_per_byte *. float_of_int d.payload_len))
+             (sw.Costs.recv_copy_per_byte *. float_of_int d.Rx.payload_len))
       in
       Osmodel.Kernel.run_for t.kern th ~kind:Osmodel.Cpu_account.Kernel
         copy_cost (fun () ->
-          match d.rx with
+          match d.Rx.outcome with
           | Rx.Bad_rpc ->
-              Sim.Counter.incr (ctr t "rx_bad_rpc");
+              Sim.Counter.incr (ctr t (Rx.counter Rx.Bad_rpc));
               server_loop t rt th ()
-          | Rx.Drop { rpc_id; counter } ->
+          | (Rx.No_service | Rx.No_method | Rx.Bad_args) as outcome ->
               (* Socket wait + wakeup + recv copy + header decode. *)
-              span_stage t ~rpc:rpc_id "socket";
-              Sim.Counter.incr (ctr t counter);
+              span_stage t ~rpc:d.Rx.rpc_id "socket";
+              Sim.Counter.incr (ctr t (Rx.counter outcome));
               server_loop t rt th ()
-          | Rx.Request r ->
-              span_stage t ~rpc:r.Rx.rpc_id "socket";
-              handle_rpc t rt th r))
+          | Rx.Request ->
+              span_stage t ~rpc:d.Rx.rpc_id "socket";
+              handle_rpc t rt th d))
 
-and handle_rpc t rt th (r : service_rt Rx.request) =
+and handle_rpc t rt th (r : Rx.t) =
   let deser_cost =
     Rpc.Deser_cost.cost Rpc.Deser_cost.software
       ~fields:(Rpc.Value.field_count r.Rx.args)
@@ -241,12 +246,14 @@ let create engine ~profile ~ncores ?(fault = Fault.Plan.none) ?metrics
   let tracer =
     match tracer with Some tr -> tr | None -> Obs.Tracer.create ()
   in
-  let t =
+  let rec t =
     {
       engine;
       kern;
       nic = None;
       by_port = Hashtbl.create 64;
+      receive = (fun b -> receive t b);
+      received = Rx.create ();
       egress;
       counters = Sim.Counter.group "linux";
       metrics;

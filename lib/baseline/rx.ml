@@ -1,36 +1,76 @@
-type 'sv request = {
-  sv : 'sv;
-  rpc_id : int;
-  service_id : int;
-  ctx : bytes option;
-  src : Net.Frame.endpoint;
-  dst : Net.Frame.endpoint;
-  mdef : Rpc.Interface.method_def;
-  args : Rpc.Value.t;
-  arg_bytes : int;
+type outcome = Bad_rpc | No_service | No_method | Bad_args | Request
+
+type t = {
+  mutable outcome : outcome;
+  mutable port : int;
+  mutable payload_len : int;
+  mutable rpc_id : int;
+  mutable service_id : int;
+  mutable ctx : bytes option;
+  mutable src : Net.Frame.endpoint;
+  mutable dst : Net.Frame.endpoint;
+  mutable mdef : Rpc.Interface.method_def;
+  mutable args : Rpc.Value.t;
+  mutable arg_bytes : int;
 }
 
-type 'sv t =
-  | Bad_rpc
-  | Drop of { rpc_id : int; counter : string }
-  | Request of 'sv request
+(* What a cleared record's method points to: no service's. *)
+let no_method =
+  Rpc.Interface.method_def ~id:(-1) ~name:"none" ~request:Rpc.Schema.Unit
+    ~response:Rpc.Schema.Unit Fun.id
 
-let decode by_port service (v : Net.Frame.view) =
-  let b = v.payload.Net.Slice.base
-  and off = v.payload.Net.Slice.off
-  and len = v.payload.Net.Slice.len in
+let nobody = Net.Frame.empty.Net.Frame.src
+
+let create () =
+  {
+    outcome = Bad_rpc;
+    port = 0;
+    payload_len = 0;
+    rpc_id = 0;
+    service_id = 0;
+    ctx = None;
+    src = nobody;
+    dst = nobody;
+    mdef = no_method;
+    args = Rpc.Value.Unit;
+    arg_bytes = 0;
+  }
+
+let[@hot_path] clear r =
+  r.outcome <- Bad_rpc;
+  r.ctx <- None;
+  r.src <- nobody;
+  r.dst <- nobody;
+  r.mdef <- no_method;
+  r.args <- Rpc.Value.Unit
+
+let counter = function
+  | Bad_rpc -> "rx_bad_rpc"
+  | No_service -> "rx_no_service"
+  | No_method -> "rx_no_method"
+  | Bad_args -> "rx_bad_args"
+  | Request -> invalid_arg "Rx.counter: a request is not a drop"
+
+(* The frame starts at byte 0 of [b] and its payload is the RPC
+   message. Each step reads the message where it lies, and the first
+   that fails names the outcome. *)
+let[@hot_path] decode_into by_port service r b =
+  let off = Net.Frame.payload_offset and len = Net.Frame.payload_len b ~off:0 in
+  let port = Net.Frame.dst_port b ~off:0 in
+  r.port <- port;
+  r.payload_len <- len;
   match Rpc.Wire_format.check_sub b ~off ~len with
-  | Error _ -> Bad_rpc
+  | Error _ -> r.outcome <- Bad_rpc
   | Ok () -> (
-      let rpc_id = Rpc.Wire_format.rpc_id_sub b ~off ~len in
-      match Hashtbl.find by_port v.dst.Net.Frame.port with
-      | exception Not_found -> Drop { rpc_id; counter = "rx_no_service" }
+      r.rpc_id <- Rpc.Wire_format.rpc_id_sub b ~off ~len;
+      match Hashtbl.find by_port port with
+      | exception Not_found -> r.outcome <- No_service
       | sv -> (
           match
             Rpc.Interface.method_by_id (service sv)
               (Rpc.Wire_format.method_id_sub b ~off ~len)
           with
-          | exception Not_found -> Drop { rpc_id; counter = "rx_no_method" }
+          | exception Not_found -> r.outcome <- No_method
           | mdef -> (
               let pos = Rpc.Wire_format.body_offset_sub b ~off ~len in
               let arg_bytes = len - pos in
@@ -38,20 +78,16 @@ let decode by_port service (v : Net.Frame.view) =
                 Rpc.Codec.decode_sub mdef.Rpc.Interface.request b
                   ~pos:(off + pos) ~len:arg_bytes
               with
-              | Error _ -> Drop { rpc_id; counter = "rx_bad_args" }
+              | Error _ -> r.outcome <- Bad_args
               | Ok args ->
-                  Request
-                    {
-                      sv;
-                      rpc_id;
-                      service_id = Rpc.Wire_format.service_id_sub b ~off ~len;
-                      ctx = Rpc.Wire_format.ctx_sub b ~off ~len;
-                      src = v.src;
-                      dst = v.dst;
-                      mdef;
-                      args;
-                      arg_bytes;
-                    })))
+                  r.outcome <- Request;
+                  r.service_id <- Rpc.Wire_format.service_id_sub b ~off ~len;
+                  r.ctx <- Rpc.Wire_format.ctx_sub b ~off ~len;
+                  r.src <- Net.Frame.src_endpoint b ~off:0;
+                  r.dst <- Net.Frame.dst_endpoint b ~off:0;
+                  r.mdef <- mdef;
+                  r.args <- args;
+                  r.arg_bytes <- arg_bytes)))
 
 let reply r result =
   Net.Frame.reply_to ~src:r.src ~dst:r.dst

@@ -38,11 +38,10 @@ let create engine ~plan ~rng ~deliver () =
    excluded: flipping it could produce 0x0000, which reads as "checksum
    absent". The redirect target is the UDP length high byte, which a
    flip always drives out of range (Bad_length). *)
-let flip_checksummed rng ~payload_len (s : Net.Slice.t) =
+let flip_checksummed rng ~payload_len b ~len =
   let lo = Net.Ethernet.header_size in
   let hi =
-    min (Net.Slice.length s)
-      (lo + Net.Ipv4.header_size + Net.Udp.header_size + payload_len)
+    min len (lo + Net.Ipv4.header_size + Net.Udp.header_size + payload_len)
   in
   let i = lo + Sim.Rng.int rng ~bound:(max 1 (hi - lo)) in
   let udp_csum = lo + Net.Ipv4.header_size + 6 in
@@ -50,9 +49,7 @@ let flip_checksummed rng ~payload_len (s : Net.Slice.t) =
     if i = udp_csum || i = udp_csum + 1 then lo + Net.Ipv4.header_size + 4
     else i
   in
-  let j = s.Net.Slice.off + i in
-  Bytes.set s.Net.Slice.base j
-    (Char.chr (Char.code (Bytes.get s.Net.Slice.base j) lxor 0xff))
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff))
 
 let extra_delay t =
   let bound = max 1 t.plan.Plan.reorder_delay in
@@ -71,10 +68,10 @@ let send t frame =
   else if p.Plan.corrupt > 0. && Sim.Rng.float t.rng < p.Plan.corrupt then begin
     let size = Net.Frame.wire_size frame in
     if Bytes.length t.scratch < size then t.scratch <- Bytes.create size;
-    let s = Net.Frame.encode_into frame t.scratch in
+    let len = Net.Frame.encode_into frame t.scratch in
     let payload_len = Bytes.length frame.Net.Frame.payload in
-    flip_checksummed t.rng ~payload_len s;
-    match Net.Frame.parse_slice s with
+    flip_checksummed t.rng ~payload_len t.scratch ~len;
+    match Net.Frame.parse_slice (Net.Slice.make t.scratch ~off:0 ~len) with
     | Error _ -> t.corrupt_rejected <- t.corrupt_rejected + 1
     | Ok v ->
         (* Tripwire: flip_checksummed should make this unreachable. *)

@@ -23,9 +23,10 @@ val create :
 
 val send : t -> Net.Frame.t -> unit
 
-val flip_checksummed : Sim.Rng.t -> payload_len:int -> Net.Slice.t -> unit
-(** Flip one byte of an encoded frame, whose UDP payload is
-    [payload_len] bytes long, within the region the receiver's
+val flip_checksummed :
+  Sim.Rng.t -> payload_len:int -> bytes -> len:int -> unit
+(** Flip one byte of the frame encoded at [b[0, len)], whose UDP
+    payload is [payload_len] bytes long, within the region the receiver's
     IPv4/UDP checksums cover (never the UDP checksum field itself,
     whose zeroing would read as "checksum absent"), so the existing
     validation rejects the frame deterministically. Shared with the

@@ -21,13 +21,13 @@ let empty =
    reads and writes each field at its offset within its header. *)
 let ip_off = Ethernet.header_size
 let udp_off = ip_off + Ipv4.header_size
-let payload_off = udp_off + Udp.header_size
+let payload_offset = udp_off + Udp.header_size
 
 (* The largest payload whose IPv4 total length fits in 16 bits. *)
 let max_payload = 0xffff - Ipv4.header_size - Udp.header_size
 
 let wire_size (t : t) =
-  max Ethernet.min_frame_size (payload_off + Bytes.length t.payload)
+  max Ethernet.min_frame_size (payload_offset + Bytes.length t.payload)
 
 let pseudo_header_sum ~src_ip ~dst_ip ~udp_len =
   (src_ip lsr 16) + (src_ip land 0xffff) + (dst_ip lsr 16)
@@ -80,7 +80,7 @@ let[@hot_path] encode_into (t : t) buf =
   Bytes.set_uint16_be buf (udp_off + 2) t.dst.port;
   Bytes.set_uint16_be buf (udp_off + 4) udp_len;
   Bytes.set_uint16_be buf (udp_off + 6) 0;
-  Bytes.blit t.payload 0 buf payload_off len;
+  Bytes.blit t.payload 0 buf payload_offset len;
   let sum =
     Checksum.ones_complement_sum
       ~init:(pseudo_header_sum ~src_ip ~dst_ip ~udp_len)
@@ -89,12 +89,12 @@ let[@hot_path] encode_into (t : t) buf =
   (* RFC 768: a transmitted 0 means "no checksum". *)
   let csum = match Checksum.finish sum with 0 -> 0xffff | c -> c in
   Bytes.set_uint16_be buf (udp_off + 6) csum;
-  Bytes.fill buf (payload_off + len) (size - payload_off - len) '\000';
-  Slice.make buf ~off:0 ~len:size
+  Bytes.fill buf (payload_offset + len) (size - payload_offset - len) '\000';
+  size
 
 let encode t =
   let buf = Bytes.create (wire_size t) in
-  let (_ : Slice.t) = encode_into t buf in
+  let (_ : int) = encode_into t buf in
   buf
 
 type error =
@@ -108,8 +108,7 @@ type error =
    nest, and the first that fails names the error. The IP total length
    bounds the UDP segment, so Ethernet padding is never read as UDP
    data. *)
-let[@hot_path] parse_slice (s : Slice.t) =
-  let b = s.Slice.base and o = s.Slice.off and n = s.Slice.len in
+let[@hot_path] check b ~off:o ~len:n =
   if n < Ethernet.header_size then Error Runt
   else
     let ethertype = Bytes.get_uint16_be b (o + 12) in
@@ -141,40 +140,57 @@ let[@hot_path] parse_slice (s : Slice.t) =
             let udp_len = Bytes.get_uint16_be b (udp + 4) in
             if udp_len < Udp.header_size || udp_len > ip_payload then
               Error (Udp_error (Udp.Bad_length udp_len))
-            else
-              let src_ip = get_u32 b (ip + 12)
-              and dst_ip = get_u32 b (ip + 16) in
+            else if
               (* A zero checksum field means "not computed"; otherwise
                  the segment, its checksum included, sums to all-ones. *)
-              if
-                Bytes.get_uint16_be b (udp + 6) <> 0
-                && not
-                     (Int.equal
-                        (Checksum.ones_complement_sum
-                           ~init:(pseudo_header_sum ~src_ip ~dst_ip ~udp_len)
-                           b ~pos:udp ~len:udp_len)
-                        0xffff)
-              then Error (Udp_error Udp.Bad_checksum)
-              else
-                (Ok
-                   ({
-                      src =
-                        {
-                          mac = get_mac b (o + 6);
-                          ip = Ip_addr.of_int src_ip;
-                          port = Bytes.get_uint16_be b udp;
-                        };
-                      dst =
-                        {
-                          mac = get_mac b o;
-                          ip = Ip_addr.of_int dst_ip;
-                          port = Bytes.get_uint16_be b (udp + 2);
-                        };
-                      payload =
-                        Slice.make b ~off:(o + payload_off)
-                          ~len:(udp_len - Udp.header_size);
-                    }
-                     : view) [@alloc_ok])
+              Bytes.get_uint16_be b (udp + 6) <> 0
+              && not
+                   (Int.equal
+                      (Checksum.ones_complement_sum
+                         ~init:
+                           (pseudo_header_sum
+                              ~src_ip:(get_u32 b (ip + 12))
+                              ~dst_ip:(get_u32 b (ip + 16))
+                              ~udp_len)
+                         b ~pos:udp ~len:udp_len)
+                      0xffff)
+            then Error (Udp_error Udp.Bad_checksum)
+            else Ok ()
+
+(* The readers of a frame [check] accepted, each at its field's fixed
+   offset from the frame's start. *)
+let[@hot_path] dst_port b ~off = Bytes.get_uint16_be b (off + udp_off + 2)
+
+let[@hot_path] payload_len b ~off =
+  Bytes.get_uint16_be b (off + udp_off + 4) - Udp.header_size
+
+let src_endpoint b ~off =
+  {
+    mac = get_mac b (off + 6);
+    ip = Ip_addr.of_int (get_u32 b (off + ip_off + 12));
+    port = Bytes.get_uint16_be b (off + udp_off);
+  }
+
+let dst_endpoint b ~off =
+  {
+    mac = get_mac b off;
+    ip = Ip_addr.of_int (get_u32 b (off + ip_off + 16));
+    port = dst_port b ~off;
+  }
+
+let parse_slice (s : Slice.t) =
+  let b = s.Slice.base and off = s.Slice.off in
+  match check b ~off ~len:s.Slice.len with
+  | Error e -> Error e
+  | Ok () ->
+      Ok
+        ({
+           src = src_endpoint b ~off;
+           dst = dst_endpoint b ~off;
+           payload =
+             Slice.make b ~off:(off + payload_offset) ~len:(payload_len b ~off);
+         }
+          : view)
 
 let of_view (v : view) : t =
   { src = v.src; dst = v.dst; payload = Slice.to_bytes v.payload }

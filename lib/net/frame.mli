@@ -53,11 +53,12 @@ val wire_size : t -> int
 (** Bytes occupying the wire once encoded (after minimum-size padding,
     excluding preamble/FCS/IPG — those are accounted by {!Wire}). *)
 
-val encode_into : t -> bytes -> Slice.t
-(** Serialize into a caller-owned (typically {!Pool}) buffer, padding
-    to the Ethernet minimum frame size, and return the written window,
-    the only allocation. The buffer may be larger than {!wire_size};
-    its prior contents are irrelevant (padding is written explicitly).
+val encode_into : t -> bytes -> int
+(** Serialize into a caller-owned (typically {!Pool}) buffer from its
+    first byte, padding to the Ethernet minimum frame size, and return
+    the number of bytes written, {!wire_size}. Allocates nothing. The
+    buffer may be larger than {!wire_size}; its prior contents are
+    irrelevant (padding is written explicitly).
     @raise Invalid_argument if the buffer is smaller than [wire_size],
     or a port or the IPv4 total length does not fit in 16 bits. *)
 
@@ -71,17 +72,39 @@ type error =
   | Ip_error of Ipv4.error
   | Udp_error of Udp.error
 
-val parse_slice : Slice.t -> (view, error) result
-(** Parse and validate wire bytes without copying the payload. Checked,
-    in this order: runt, EtherType, IPv4 header truncation, version,
+val check : bytes -> off:int -> len:int -> (unit, error) result
+(** Validate the wire bytes [b[off, off+len)] in place. Checked, in
+    this order: runt, EtherType, IPv4 header truncation, version,
     options, header checksum, total length against the bytes present,
     protocol, UDP header truncation, UDP length against the IP payload
     and the UDP checksum (a zero field means "not computed"). The first
-    failing check names the error. Ethernet minimum-size padding, and
-    any IP payload past the UDP length, are stripped: the view's
-    payload is the UDP datagram's and aliases the input. Allocates only
-    the view, its two endpoints, its payload slice and the [Ok]. Never
-    raises. *)
+    failing check names the error. Allocates nothing but an error, and
+    never raises; the range must lie within [b]. *)
+
+(** {2 Readers of a checked frame}
+
+    Each reads one field at its fixed offset from the start [off] of a
+    frame {!check} accepted. Ethernet minimum-size padding, and any IP
+    payload past the UDP length, are outside the payload they name. *)
+
+val payload_offset : int
+(** Where the UDP payload starts, from the frame's start (42). *)
+
+val payload_len : bytes -> off:int -> int
+(** The UDP payload's length. *)
+
+val dst_port : bytes -> off:int -> int
+
+val src_endpoint : bytes -> off:int -> endpoint
+val dst_endpoint : bytes -> off:int -> endpoint
+(** A fresh endpoint record, the readers' one allocation: what outlives
+    the buffer (a reply swaps them). *)
+
+val parse_slice : Slice.t -> (view, error) result
+(** {!check} over the slice, then the view the readers build: its two
+    endpoints, and a payload slice that aliases the input. Allocates
+    only the view, its two endpoints, its payload slice and the [Ok].
+    Never raises. *)
 
 val parse : bytes -> (t, error) result
 (** [parse_slice] + {!of_view}: parse into an owning frame. *)

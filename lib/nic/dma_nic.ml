@@ -18,7 +18,7 @@ let default_config =
   }
 
 type queue = {
-  ring : Net.Slice.t Ring.t;
+  ring : bytes Ring.t;
   msix : Msix.t;
   buf_base : int;  (* synthetic IOVA region for this queue's buffers *)
 }
@@ -54,7 +54,7 @@ type t = {
   frng : Sim.Rng.t;  (* fault stream; drawn from only when faults are on *)
   mutable delivered : int;
   mutable fault_dropped : int;  (* forced completion drops (plan.nic.drop) *)
-  mutable corrupt_dropped : int;  (* descriptors the driver parse rejected *)
+  mutable corrupt_dropped : int;  (* descriptors the driver check rejected *)
   mutable steering : (Net.Frame.t -> int) option;
   mutable steering_cost : int;
       (* statically verified per-packet cost of the installed steering
@@ -75,16 +75,16 @@ let queue t q =
   t.queues.(q)
 
 (* DMA completion: the wire bytes land in a pooled receive buffer of
-   the smallest size class that holds them, and the descriptor carries
-   a view of them — the driver parses in place and returns the buffer
-   at consume. *)
+   the smallest size class that holds them, from its first byte, and
+   the descriptor is the buffer and the frame's length — the driver
+   checks and decodes in place and returns the buffer at consume. *)
 let[@hot_path] rx_dma_done t s =
   let frame = s.rx_frame in
   let q = t.queues.(s.rx_queue) in
   s.rx_frame <- Net.Frame.empty;
   Sim.Slot_pool.release t.rx_slots s;
   let buf = Net.Pool.acquire t.pool ~len:(Net.Frame.wire_size frame) in
-  let slice = Net.Frame.encode_into frame buf in
+  let len = Net.Frame.encode_into frame buf in
   if
     t.fault.Fault.Plan.drop > 0.
     && Sim.Rng.float t.frng < t.fault.Fault.Plan.drop
@@ -101,11 +101,11 @@ let[@hot_path] rx_dma_done t s =
       && Sim.Rng.float t.frng < t.fault.Fault.Plan.corrupt
     then
       (* DMA corruption: the descriptor's bytes are damaged in host
-         memory; the driver's in-place parse (checksums) rejects it at
+         memory; the driver's in-place check (checksums) rejects it at
          [consume]. *)
       Fault.Link.flip_checksummed t.frng
-        ~payload_len:(Bytes.length frame.Net.Frame.payload) slice;
-    if Ring.produce q.ring slice then begin
+        ~payload_len:(Bytes.length frame.Net.Frame.payload) buf ~len;
+    if Ring.produce q.ring buf ~len then begin
       t.delivered <- t.delivered + 1;
       Msix.raise_event q.msix
     end
@@ -226,26 +226,29 @@ let rx_ring t ~queue:q = (queue t q).ring
 let rx_pending t =
   Array.fold_left (fun n q -> n + Ring.occupancy q.ring) 0 t.queues
 
-(* Driver-side receive: parse the oldest descriptor's bytes in place,
-   hand the zero-copy view to [f], then return the buffer to the pool
-   before the view can escape misuse (the view is only valid inside
-   [f]). A descriptor whose bytes fail validation (DMA corruption under
-   a fault plan) is counted, its buffer released, and the next
-   descriptor tried — [None] still means "ring empty", never "bad
-   frame", so NAPI/poll loops cannot stall on a corrupt head. *)
-let rec consume t ~queue:q f =
-  match Ring.consume (queue t q).ring with
-  | None -> None
-  | Some slice -> (
-      match Net.Frame.parse_slice slice with
-      | Ok view ->
-          let result = f view in
-          Net.Pool.release t.pool slice.Net.Slice.base;
-          Some result
-      | Error _ ->
-          t.corrupt_dropped <- t.corrupt_dropped + 1;
-          Net.Pool.release t.pool slice.Net.Slice.base;
-          consume t ~queue:q f)
+(* Driver-side receive: check the oldest descriptor's bytes in place,
+   hand its buffer to [f], then return the buffer to the pool, so
+   nothing [f] keeps may alias it. A descriptor whose bytes fail the
+   check (DMA corruption under a fault plan) is counted, its buffer
+   released, and the next descriptor tried — [false] still means "ring
+   empty", never "bad frame", so NAPI/poll loops cannot stall on a
+   corrupt head. *)
+let[@hot_path] rec consume t ~queue:q f =
+  let ring = (queue t q).ring in
+  if Ring.is_empty ring then false
+  else begin
+    let len = Ring.head_len ring in
+    let buf = Ring.consume ring in
+    match Net.Frame.check buf ~off:0 ~len with
+    | Ok () ->
+        f buf;
+        Net.Pool.release t.pool buf;
+        true
+    | Error _ ->
+        t.corrupt_dropped <- t.corrupt_dropped + 1;
+        Net.Pool.release t.pool buf;
+        consume t ~queue:q f
+  end
 
 let pool t = t.pool
 let mask_irq t ~queue:q = Msix.mask (queue t q).msix

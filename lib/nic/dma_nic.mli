@@ -39,7 +39,7 @@ val create :
     [fault] (default {!Fault.Plan.none}) applies the plan's [nic] link
     at the DMA completion stage: [drop] forces counted completion
     drops (pooled buffer released), [corrupt] flips a byte of the
-    DMA'd bytes so the driver's in-place parse rejects the descriptor
+    DMA'd bytes so the driver's in-place check rejects the descriptor
     at {!consume}. With the default plan no RNG is consumed and
     behaviour is bit-identical to a fault-free NIC. *)
 
@@ -69,27 +69,29 @@ val rss : t -> Rss.t
 
 val nqueues : t -> int
 
-val rx_ring : t -> queue:int -> Net.Slice.t Ring.t
-(** Completed receive descriptors — each a view of the wire bytes DMAed
-    into a receive buffer from {!pool}. Every frame gets a pooled
-    buffer, of the smallest size class that holds it. Prefer
-    {!consume}, which parses in place and recycles the buffer;
+val rx_ring : t -> queue:int -> bytes Ring.t
+(** Completed receive descriptors. Each is a receive buffer from
+    {!pool}, of the smallest size class that holds its frame, and the
+    frame's length; the frame starts at the buffer's first byte. Prefer
+    {!consume}, which checks in place and recycles the buffer;
     consuming the ring directly makes the caller responsible for
-    returning each view's buffer via {!pool}. *)
+    returning each buffer via {!pool}. *)
 
 val rx_pending : t -> int
 (** Completed receive descriptors not yet consumed, over every queue:
     the pool buffers the rings hold. *)
 
-val consume : t -> queue:int -> (Net.Frame.view -> 'a) -> 'a option
-(** Take the oldest completed descriptor, parse its bytes in place, and
-    apply the callback to the zero-copy view. The backing buffer is
-    released back to the pool when the callback returns, so the view
-    (and its payload slice) must not escape the callback: decode or
-    copy what must outlive it inside the callback. [None] when the
-    ring is empty — never "bad frame": descriptors whose bytes fail
-    checksum validation (DMA corruption) are counted
-    ({!rx_corrupt_dropped}), their buffers released, and skipped. *)
+val consume : t -> queue:int -> (bytes -> unit) -> bool
+(** Take the oldest completed descriptor, check its frame in place
+    ({!Net.Frame.check}) and apply the callback to its buffer, where
+    the checked frame starts at byte 0: read it with {!Net.Frame}'s
+    readers at [~off:0]. The buffer goes back to the pool when the
+    callback returns, so nothing that aliases it may escape the
+    callback: decode or copy what must outlive it inside. [false] when
+    the ring is empty — never "bad frame": descriptors whose bytes fail
+    the check (DMA corruption) are counted ({!rx_corrupt_dropped}),
+    their buffers released, and skipped. Allocates nothing beyond what
+    the callback does. *)
 
 val pool : t -> Net.Pool.t
 (** The one receive-buffer pool behind every queue, all size classes

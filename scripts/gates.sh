@@ -59,6 +59,7 @@ same        chaossoak  ""           ""
 same        steering   ""           ""
 # -- sanitize
 same        fig2       ""           "$san"
+same        loadsweep  ""           "$san"
 same        losssweep  ""           "$san"
 same        trace      ""           "$san"       E14_OUT_DIR
 same        failover   ""           "$san"

@@ -452,8 +452,13 @@ let test_duplicate_port_rejected () =
    only swaps the endpoints), it took 66.2, and perfbench's bypass_4k
    73.0. Since the RPC codec reads and writes at offsets, with no cursor
    per encode or decode, and [Traffic.inject] takes its client as a
-   required argument, so passing one boxes no [Some], it takes 54.2. *)
-let bypass_words_budget = 54.2 *. 1.02
+   required argument, so passing one boxes no [Some], it took 54.2
+   (63.0). Since the DMA NIC's receive path checks and decodes in
+   place, into the poller's recycled packet slot (a descriptor is its
+   buffer and length, so a completion builds no slice, and a consume
+   builds no view, slice, option or request record), it takes 24.3,
+   and perfbench's bypass_4k 33.0. *)
+let bypass_words_budget = 24.3 *. 1.02
 
 let test_bypass_rpc_allocation_budget () =
   let setup =
@@ -511,6 +516,85 @@ let test_bypass_rpc_allocation_budget () =
     true
     (per_rpc <= bypass_words_budget)
 
+(* One [Dma_nic.consume] of a valid 4 KiB request, decoding into a
+   recycled [Rx] record, allocates only what outlives the buffer: the
+   two endpoints (8 words) and the argument value ([Blob] 2 and its
+   [Ok] 2; the 4 KiB bytes go straight to the major heap). The ring is
+   filled first, then each loop drains it, against the same loop
+   without the consume. *)
+let test_consume_allocates_only_endpoints_and_value () =
+  let n = 256 in
+  let engine = Sim.Engine.create () in
+  let nic =
+    Nic.Dma_nic.create engine Coherence.Interconnect.pcie_enzian
+      ~config:{ Nic.Dma_nic.default_config with Nic.Dma_nic.nqueues = 1 }
+      ~on_rx_interrupt:(fun ~queue:_ -> ())
+      ()
+  in
+  let by_port = Hashtbl.create 1 in
+  Hashtbl.add by_port 7000 (Rpc.Interface.echo_service ~id:1);
+  let r = Baseline.Rx.create () in
+  let decode b = Baseline.Rx.decode_into by_port Fun.id r b in
+  let fill () =
+    for rpc_id = 1 to n do
+      Nic.Dma_nic.rx_from_wire nic
+        (Harness.Traffic.request_frame ~rpc_id:(Int64.of_int rpc_id)
+           ~service_id:1 ~method_id:0 ~port:7000 ~client:Harness.Traffic.default_client
+           (Rpc.Value.Blob (Bytes.make 4096 'w')))
+    done;
+    Sim.Engine.run engine;
+    checki "the ring holds every request" n (Nic.Dma_nic.rx_pending nic)
+  in
+  let words_of consume =
+    fill ();
+    Gc.minor ();
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (consume ()))
+    done;
+    Gc.minor_words () -. before
+  in
+  let drain () = Nic.Dma_nic.consume nic ~queue:0 decode in
+  (* A first pass grows the pool's large class to hold [n] buffers. *)
+  fill ();
+  for _ = 1 to n do ignore (drain ()) done;
+  let words = words_of drain in
+  checkb "the last one decoded as a request" true
+    (r.Baseline.Rx.outcome = Baseline.Rx.Request);
+  checki "the ring is drained" 0 (Nic.Dma_nic.rx_pending nic);
+  let base = words_of (fun () -> false) in
+  for _ = 1 to n do ignore (drain ()) done;
+  Alcotest.check (Alcotest.float 0.) "words per consume" 12.
+    ((words -. base) /. float_of_int n)
+
+(* A cleared record keeps nothing of the request it held: a parked
+   packet slot must not keep a 4 KiB blob or its endpoints alive. *)
+let test_rx_clear_drops_the_request () =
+  let by_port = Hashtbl.create 1 in
+  Hashtbl.add by_port 7000 (Rpc.Interface.echo_service ~id:1);
+  let frame =
+    Harness.Traffic.request_frame ~rpc_id:5L ~service_id:1 ~method_id:0
+      ~port:7000 ~client:Harness.Traffic.default_client
+      (Rpc.Value.Blob (Bytes.make 4096 'w'))
+  in
+  let r = Baseline.Rx.create () in
+  Baseline.Rx.decode_into by_port Fun.id r (Net.Frame.encode frame);
+  checkb "decoded a request" true (r.Baseline.Rx.outcome = Baseline.Rx.Request);
+  checki "its id" 5 r.Baseline.Rx.rpc_id;
+  checkb "its endpoints" true
+    (r.Baseline.Rx.src = frame.Net.Frame.src
+    && r.Baseline.Rx.dst = frame.Net.Frame.dst);
+  Baseline.Rx.clear r;
+  let blank = Baseline.Rx.create () in
+  checkb "no outcome" true (r.Baseline.Rx.outcome = Baseline.Rx.Bad_rpc);
+  checkb "no argument value" true (r.Baseline.Rx.args == blank.Baseline.Rx.args);
+  checkb "no endpoints" true
+    (r.Baseline.Rx.src == blank.Baseline.Rx.src
+    && r.Baseline.Rx.dst == blank.Baseline.Rx.dst);
+  checkb "no method or context" true
+    (r.Baseline.Rx.mdef == blank.Baseline.Rx.mdef
+    && Option.is_none r.Baseline.Rx.ctx)
+
 let () =
   Alcotest.run "baseline"
     [
@@ -542,5 +626,9 @@ let () =
             test_duplicate_port_rejected;
           Alcotest.test_case "rpc allocation budget" `Quick
             test_bypass_rpc_allocation_budget;
+          Alcotest.test_case "a consume allocates only endpoints and value"
+            `Quick test_consume_allocates_only_endpoints_and_value;
+          Alcotest.test_case "a cleared decode record keeps no request" `Quick
+            test_rx_clear_drops_the_request;
         ] );
     ]

@@ -403,7 +403,9 @@ let single_bit_flip_detected =
       in
       let frame = Net.Frame.make ~src ~dst payload in
       let buf = Net.Pool.acquire pool ~len:(Net.Frame.wire_size frame) in
-      let wire = Net.Frame.encode_into frame buf in
+      let wire =
+        Net.Slice.make buf ~off:0 ~len:(Net.Frame.encode_into frame buf)
+      in
       let udp_len = Net.Udp.header_size + size in
       let may_parse () =
         let flipped_len = Bytes.get_uint16_be buf (udp_off + 4) in
@@ -585,8 +587,8 @@ let parsers_agree sl =
    the IPv4 header checksum refreshed (so a damaged header field gets
    past the checksum to the checks behind it) and the UDP checksum
    zeroed (so a damaged segment gets past its checksum), and the frame
-   cut to any length. *)
-let codec_matches_reference =
+   cut to any length. Each is its buffer and the frame's range in it. *)
+let damaged_frames =
   let endpoint =
     QCheck.Gen.(
       map3
@@ -615,18 +617,53 @@ let codec_matches_reference =
                 (1, string_size (int_range 0 1600)) ]))
         (int_bound 16) damage)
   in
+  QCheck.make
+    (QCheck.Gen.map
+       (fun ((src, dst), payload, lead, (writes, fix_ip, zero_udp, cut)) ->
+         let wire = Net.Frame.encode (Net.Frame.make ~src ~dst payload) in
+         let n = Bytes.length wire in
+         List.iter (fun (i, v) -> Bytes.set_uint8 wire (i mod n) v) writes;
+         if fix_ip then refresh_ip_checksum wire;
+         if zero_udp then Bytes.set_uint16_be wire (udp_off + 6) 0;
+         let len = match cut with None -> n | Some c -> c mod (n + 1) in
+         let buf = Bytes.make (lead + n + 5) '\xaa' in
+         Bytes.blit wire 0 buf lead n;
+         (buf, lead, len))
+       gen)
+
+let codec_matches_reference =
   QCheck.Test.make ~name:"parse_slice agrees with the three-record parser"
-    ~count:2000 (QCheck.make gen)
-    (fun ((src, dst), payload, lead, (writes, fix_ip, zero_udp, cut)) ->
-      let wire = Net.Frame.encode (Net.Frame.make ~src ~dst payload) in
-      let n = Bytes.length wire in
-      List.iter (fun (i, v) -> Bytes.set_uint8 wire (i mod n) v) writes;
-      if fix_ip then refresh_ip_checksum wire;
-      if zero_udp then Bytes.set_uint16_be wire (udp_off + 6) 0;
-      let len = match cut with None -> n | Some c -> c mod (n + 1) in
-      let buf = Bytes.make (lead + n + 5) '\xaa' in
-      Bytes.blit wire 0 buf lead n;
-      parsers_agree (Net.Slice.make buf ~off:lead ~len))
+    ~count:2000 damaged_frames (fun (buf, off, len) ->
+      parsers_agree (Net.Slice.make buf ~off ~len))
+
+(* The in-place check and its readers against [parse_slice], on the
+   same damaged frames: the same verdict and error, and on a frame
+   both accept, the same endpoints and the same payload range. Neither
+   may raise. *)
+let check_and_readers_match_parse_slice =
+  QCheck.Test.make ~name:"check and its readers agree with parse_slice"
+    ~count:2000 damaged_frames (fun (buf, off, len) ->
+      match
+        ( Net.Frame.check buf ~off ~len,
+          Net.Frame.parse_slice (Net.Slice.make buf ~off ~len) )
+      with
+      | Ok (), Ok v ->
+          let p = v.Net.Frame.payload in
+          Net.Frame.src_endpoint buf ~off = v.Net.Frame.src
+          && Net.Frame.dst_endpoint buf ~off = v.Net.Frame.dst
+          && Net.Frame.dst_port buf ~off = v.Net.Frame.dst.Net.Frame.port
+          && p.Net.Slice.base == buf
+          && p.Net.Slice.off = off + Net.Frame.payload_offset
+          && p.Net.Slice.len = Net.Frame.payload_len buf ~off
+      | Error a, Error b -> a = b
+      | Ok (), Error e ->
+          QCheck.Test.fail_reportf "parse_slice rejects (%a), check accepts"
+            Net.Frame.pp_error e
+      | Error e, Ok _ ->
+          QCheck.Test.fail_reportf "check rejects (%a), parse_slice accepts"
+            Net.Frame.pp_error e
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
 (* Every frame's wire bytes as the three-record codec wrote them: the
    first 60 bytes (headers, then payload or padding) and the MD5 of the
@@ -722,16 +759,28 @@ let test_reply_to_allocates_only_the_frame () =
   in
   check (Alcotest.float 0.) "make_to_port to dst's own port" 4. words
 
+(* [parse_slice] builds the view, its two endpoints, its payload slice
+   and the [Ok]; the check, the scalar readers and [encode_into]
+   allocate nothing. *)
 let test_parse_slice_allocates_only_the_view () =
   let frame =
     Net.Frame.make ~src:(ep ~last:1 ()) ~dst:(ep ~last:2 ()) (Bytes.make 64 'p')
   in
-  let s = Net.Slice.of_bytes (Net.Frame.encode frame) in
+  let b = Net.Frame.encode frame in
+  let s = Net.Slice.of_bytes b in
   let words = words_per_call (fun () -> Net.Frame.parse_slice s) in
   check (Alcotest.float 0.) "parse_slice: words per call" 18. words;
+  let len = Bytes.length b in
+  let words = words_per_call (fun () -> Net.Frame.check b ~off:0 ~len) in
+  check (Alcotest.float 0.) "check: words per call" 0. words;
+  let words =
+    words_per_call (fun () ->
+        Net.Frame.dst_port b ~off:0 + Net.Frame.payload_len b ~off:0)
+  in
+  check (Alcotest.float 0.) "scalar readers: words per call" 0. words;
   let buf = Bytes.create 2048 in
   let words = words_per_call (fun () -> Net.Frame.encode_into frame buf) in
-  check (Alcotest.float 0.) "encode_into: words per call (the slice)" 4. words
+  check (Alcotest.float 0.) "encode_into: words per call" 0. words
 
 let test_frame_rejects_non_ipv4 () =
   let f = Net.Frame.make ~src:(ep ()) ~dst:(ep ~last:2 ()) (Bytes.create 4) in
@@ -820,11 +869,11 @@ let test_pool_size_classes () =
 (* The zero-allocation claim of the hot path: a pooled
    encode_into/parse_slice round trip must cost a small fixed number of
    allocated bytes regardless of payload size, and every pool acquire
-   must be matched at drain. The round trip allocates the encoded slice
-   and the parsed view (with its endpoints, slice and [Ok]): 22 words,
-   176 bytes on a 64-bit host, and the budget is that plus 2%. The
-   budget was 512 while the codec built cursors and three header
-   records per frame. *)
+   must be matched at drain. The round trip allocates the slice over
+   the encoded bytes and the parsed view (with its endpoints, slice and
+   [Ok]): 22 words, 176 bytes on a 64-bit host, and the budget is that
+   plus 2%. The budget was 512 while the codec built cursors and three
+   header records per frame. *)
 let alloc_budget_bytes = 176. *. 1.02
 
 let test_pooled_roundtrip_allocation_budget () =
@@ -832,8 +881,8 @@ let test_pooled_roundtrip_allocation_budget () =
   let sink = ref 0 in
   let round frame =
     let buf = Net.Pool.acquire pool ~len:(Net.Frame.wire_size frame) in
-    let s = Net.Frame.encode_into frame buf in
-    (match Net.Frame.parse_slice s with
+    let len = Net.Frame.encode_into frame buf in
+    (match Net.Frame.parse_slice (Net.Slice.make buf ~off:0 ~len) with
     | Ok v -> sink := !sink + Net.Slice.length v.Net.Frame.payload
     | Error _ -> assert false);
     Net.Pool.release pool buf
@@ -935,7 +984,7 @@ let () =
         @ qsuite
             [ frame_roundtrip_any_payload; reply_to_is_make_swapped;
               parse_slice_matches_parse; parse_slice_total;
-              single_bit_flip_detected ]
+              check_and_readers_match_parse_slice; single_bit_flip_detected ]
       );
       ( "codec",
         [

@@ -7,23 +7,30 @@ let checkb = Alcotest.check Alcotest.bool
 
 (* ---------- Ring ---------- *)
 
+(* Each descriptor's length rides with its buffer. *)
 let test_ring_fifo () =
   let r = Nic.Ring.create ~size:4 in
-  checkb "produce" true (Nic.Ring.produce r 1);
-  checkb "produce" true (Nic.Ring.produce r 2);
-  check (Alcotest.option Alcotest.int) "peek" (Some 1) (Nic.Ring.peek r);
-  check (Alcotest.option Alcotest.int) "consume" (Some 1) (Nic.Ring.consume r);
-  check (Alcotest.option Alcotest.int) "consume" (Some 2) (Nic.Ring.consume r);
-  check (Alcotest.option Alcotest.int) "empty" None (Nic.Ring.consume r)
+  checkb "produce" true (Nic.Ring.produce r 1 ~len:10);
+  checkb "produce" true (Nic.Ring.produce r 2 ~len:20);
+  checki "head length" 10 (Nic.Ring.head_len r);
+  checki "consume" 1 (Nic.Ring.consume r);
+  checki "head length" 20 (Nic.Ring.head_len r);
+  checki "consume" 2 (Nic.Ring.consume r);
+  checkb "empty" true (Nic.Ring.is_empty r);
+  checkb "consume on empty raises" true
+    (try
+       ignore (Nic.Ring.consume r);
+       false
+     with Invalid_argument _ -> true)
 
 let test_ring_full_drops () =
   let r = Nic.Ring.create ~size:2 in
-  ignore (Nic.Ring.produce r 1);
-  ignore (Nic.Ring.produce r 2);
-  checkb "full rejects" false (Nic.Ring.produce r 3);
+  ignore (Nic.Ring.produce r 1 ~len:1);
+  ignore (Nic.Ring.produce r 2 ~len:2);
+  checkb "full rejects" false (Nic.Ring.produce r 3 ~len:3);
   checki "drop counted" 1 (Nic.Ring.drops r);
   ignore (Nic.Ring.consume r);
-  checkb "space again" true (Nic.Ring.produce r 3)
+  checkb "space again" true (Nic.Ring.produce r 3 ~len:3)
 
 let test_ring_size_validation () =
   checkb "non power of two" true
@@ -36,8 +43,8 @@ let test_ring_notify () =
   let r = Nic.Ring.create ~size:4 in
   let fired = ref 0 in
   Nic.Ring.on_produce r (fun () -> incr fired);
-  ignore (Nic.Ring.produce r 1);
-  ignore (Nic.Ring.produce r 2);
+  ignore (Nic.Ring.produce r 1 ~len:1);
+  ignore (Nic.Ring.produce r 2 ~len:2);
   checki "notified per produce" 2 !fired
 
 let ring_fifo_property =
@@ -45,22 +52,24 @@ let ring_fifo_property =
     ~count:200
     QCheck.(list (option (int_bound 100)))
     (fun ops ->
-      (* Some v = produce v; None = consume. *)
+      (* Some v = produce v (its length 2v + 1); None = consume. *)
       let r = Nic.Ring.create ~size:8 in
       let model = Queue.create () in
       List.for_all
         (fun op ->
           match op with
           | Some v ->
-              let accepted = Nic.Ring.produce r v in
+              let full = Queue.length model = 8 in
+              let accepted = Nic.Ring.produce r v ~len:((2 * v) + 1) in
               if accepted then Queue.add v model;
-              accepted = (Queue.length model <= 8)
-              || (Queue.length model <= 8)
+              accepted = not full
           | None -> (
-              match Nic.Ring.consume r, Queue.take_opt model with
-              | Some a, Some b -> a = b
-              | None, None -> true
-              | _ -> false))
+              match Queue.take_opt model with
+              | None -> Nic.Ring.is_empty r
+              | Some b ->
+                  let len = Nic.Ring.head_len r in
+                  let a = Nic.Ring.consume r in
+                  a = b && len = (2 * b) + 1))
         ops)
 
 (* ---------- IOMMU ---------- *)
@@ -387,6 +396,25 @@ let sample_frame ?(dst_port = 53) ?(payload_bytes = 64) () =
   in
   Net.Frame.make ~src ~dst (Bytes.make payload_bytes 'x')
 
+(* The frame one [consume] delivers, copied out of its buffer inside the
+   callback: [None] exactly when [consume] answers that the ring is
+   empty. *)
+let consume_frame nic ~queue =
+  let got = ref None in
+  let delivered =
+    Nic.Dma_nic.consume nic ~queue (fun b ->
+        got :=
+          Some
+            (Net.Frame.make
+               ~src:(Net.Frame.src_endpoint b ~off:0)
+               ~dst:(Net.Frame.dst_endpoint b ~off:0)
+               (Bytes.sub b Net.Frame.payload_offset
+                  (Net.Frame.payload_len b ~off:0))))
+  in
+  checkb "consume answers whether it delivered" delivered
+    (Option.is_some !got);
+  !got
+
 let test_dma_nic_rx_to_ring_and_interrupt () =
   let e = Sim.Engine.create () in
   let irqs = ref [] in
@@ -400,7 +428,7 @@ let test_dma_nic_rx_to_ring_and_interrupt () =
   Sim.Engine.run e;
   checki "one interrupt" 1 (List.length !irqs);
   let q = List.hd !irqs in
-  (match Nic.Dma_nic.consume nic ~queue:q Net.Frame.of_view with
+  (match consume_frame nic ~queue:q with
   | Some f -> checki "payload survives" 64 (Bytes.length f.Net.Frame.payload)
   | None -> Alcotest.fail "ring empty");
   checki "delivered" 1 (Nic.Dma_nic.rx_delivered nic);
@@ -460,7 +488,7 @@ let test_dma_nic_ring_overflow_no_leak () =
   checki "tail drops counted" 6 (Nic.Dma_nic.rx_dropped nic);
   checki "only ring occupants outstanding" 4 (Net.Pool.outstanding pool);
   let rec drain n =
-    match Nic.Dma_nic.consume nic ~queue:0 Net.Frame.of_view with
+    match consume_frame nic ~queue:0 with
     | Some _ -> drain (n + 1)
     | None -> n
   in
@@ -470,8 +498,8 @@ let test_dma_nic_ring_overflow_no_leak () =
     (Net.Pool.released pool)
 
 (* With the NIC fault stage corrupting every DMA'd frame, the
-   driver-side parse rejects each descriptor: consume skips them all
-   (returning None, so a poller never stalls on a bad head), counts
+   driver-side check rejects each descriptor: consume skips them all
+   (answering "empty", so a poller never stalls on a bad head), counts
    them, and releases their buffers. *)
 let test_dma_nic_corrupt_descriptors_skipped () =
   let e = Sim.Engine.create () in
@@ -494,11 +522,102 @@ let test_dma_nic_corrupt_descriptors_skipped () =
     Nic.Dma_nic.rx_from_wire nic (sample_frame ())
   done;
   Sim.Engine.run e;
-  (match Nic.Dma_nic.consume nic ~queue:0 Net.Frame.of_view with
+  (match consume_frame nic ~queue:0 with
   | Some _ -> Alcotest.fail "a corrupted descriptor parsed successfully"
   | None -> ());
   checki "all descriptors rejected" 5 (Nic.Dma_nic.rx_corrupt_dropped nic);
   checki "no leaked buffers" 0 (Net.Pool.outstanding (Nic.Dma_nic.pool nic))
+
+(* Half the descriptors corrupt: each [consume] skips the corrupt heads
+   and delivers the next valid descriptor, in ring order. The ring
+   order is read off a twin NIC with the same seed and inputs, drained
+   straight from its ring through [Net.Frame.check]. Each frame carries
+   its index in its payload. *)
+let test_dma_nic_mixed_corrupt_in_ring_order () =
+  let n = 24 in
+  let make () =
+    let e = Sim.Engine.create () in
+    let nic =
+      Nic.Dma_nic.create e Coherence.Interconnect.pcie_modern
+        ~config:
+          {
+            Nic.Dma_nic.default_config with
+            Nic.Dma_nic.nqueues = 1;
+            coalesce_interval = 0;
+          }
+        ~fault:
+          (Fault.Plan.make ~seed:5 ~nic:(Fault.Plan.link ~corrupt:0.5 ()) ())
+        ~on_rx_interrupt:(fun ~queue:_ -> ())
+        ()
+    in
+    for i = 0 to n - 1 do
+      let f = sample_frame () in
+      Bytes.fill f.Net.Frame.payload 0 (Bytes.length f.Net.Frame.payload)
+        (Char.chr i);
+      Nic.Dma_nic.rx_from_wire nic f
+    done;
+    Sim.Engine.run e;
+    nic
+  in
+  (* The twin's ring, oldest first: each descriptor's frame index when
+     it checks, [None] when it is corrupt. *)
+  let ring_order =
+    let twin = make () in
+    let ring = Nic.Dma_nic.rx_ring twin ~queue:0 in
+    let rec go acc =
+      if Nic.Ring.is_empty ring then List.rev acc
+      else begin
+        let len = Nic.Ring.head_len ring in
+        let b = Nic.Ring.consume ring in
+        let entry =
+          match Net.Frame.check b ~off:0 ~len with
+          | Ok () -> Some (Char.code (Bytes.get b Net.Frame.payload_offset))
+          | Error _ -> None
+        in
+        Net.Pool.release (Nic.Dma_nic.pool twin) b;
+        go (entry :: acc)
+      end
+    in
+    go []
+  in
+  let nic = make () in
+  checki "every frame reached the ring" n (List.length ring_order);
+  let valid = List.filter_map Fun.id ring_order in
+  checkb "both kinds present" true
+    (List.length valid > 0 && List.length valid < n);
+  (* Walk the twin's order: before each valid descriptor, the corrupt
+     ones ahead of it; one consume must skip exactly those. *)
+  let skipped_heads = ref 0 and corrupt = ref 0 in
+  let rec walk = function
+    | [] ->
+        checkb "empty once the ring is drained" true
+          (Option.is_none (consume_frame nic ~queue:0))
+    | None :: rest ->
+        incr corrupt;
+        walk rest
+    | Some i :: rest ->
+        let before = Nic.Dma_nic.rx_corrupt_dropped nic in
+        (match consume_frame nic ~queue:0 with
+        | Some f ->
+            checki "the next valid descriptor, in ring order" i
+              (Char.code (Bytes.get f.Net.Frame.payload 0))
+        | None -> Alcotest.fail "a valid descriptor was not delivered");
+        let skipped = Nic.Dma_nic.rx_corrupt_dropped nic - before in
+        if skipped > 0 then incr skipped_heads;
+        checki "the corrupt heads ahead of it skipped" !corrupt
+          (Nic.Dma_nic.rx_corrupt_dropped nic);
+        walk rest
+  in
+  walk ring_order;
+  checkb "some consume skipped a corrupt head" true (!skipped_heads > 0);
+  checki "every corrupt descriptor counted" (n - List.length valid)
+    (Nic.Dma_nic.rx_corrupt_dropped nic);
+  checki "delivered = consumed + rejected" (Nic.Dma_nic.rx_delivered nic)
+    (List.length valid + Nic.Dma_nic.rx_corrupt_dropped nic);
+  let pool = Nic.Dma_nic.pool nic in
+  checki "no leaked buffers" 0 (Net.Pool.outstanding pool);
+  checki "acquired = released" (Net.Pool.acquired pool)
+    (Net.Pool.released pool)
 
 (* Frames larger than the 2048-byte base buffer draw from the pool's
    larger size classes like every other frame: each DMA completion
@@ -529,13 +648,10 @@ let test_dma_nic_large_frames_pooled () =
       let pool = Nic.Dma_nic.pool nic in
       let consumed = ref 0 in
       let rec drain () =
-        match
-          Nic.Dma_nic.consume nic ~queue:0 (fun v ->
-              Net.Slice.length v.Net.Frame.payload)
-        with
-        | Some len ->
+        match consume_frame nic ~queue:0 with
+        | Some f ->
             checkb (label ^ ": payload intact") true
-              (Array.exists (Int.equal len) sizes);
+              (Array.exists (Int.equal (Bytes.length f.Net.Frame.payload)) sizes);
             incr consumed;
             drain ()
         | None -> ()
@@ -673,6 +789,8 @@ let () =
             test_dma_nic_transmit_delay;
           Alcotest.test_case "ring overflow releases buffers" `Quick
             test_dma_nic_ring_overflow_no_leak;
+          Alcotest.test_case "mixed corrupt descriptors skipped in ring order"
+            `Quick test_dma_nic_mixed_corrupt_in_ring_order;
           Alcotest.test_case "corrupt descriptors skipped" `Quick
             test_dma_nic_corrupt_descriptors_skipped;
           Alcotest.test_case "large frames are pooled" `Quick

@@ -116,8 +116,9 @@ let test_pool_poisoning_detects_use_after_release () =
   checkb "use-after-release diagnosed" true (has_detail z "use-after-release")
 
 (* The same for a frame past the 2048-byte base buffer: the DMA NIC
-   takes it into a larger pool class, and a view kept past its
-   [consume] (the misuse [Dma_nic.consume] forbids) reads as poison. *)
+   takes it into a larger pool class, and a slice of its payload kept
+   past its [consume] (the misuse [Dma_nic.consume] forbids) reads as
+   poison. *)
 let test_pool_large_class_use_after_release () =
   let engine = Sim.Engine.create () in
   let z = collector engine in
@@ -133,9 +134,17 @@ let test_pool_large_class_use_after_release () =
        ~port:7000 ~client:(Harness.Traffic.client_endpoint ())
        (Rpc.Value.Blob (Bytes.make 9000 'b')));
   Sim.Engine.run engine;
-  match Nic.Dma_nic.consume nic ~queue:0 (fun v -> v.Net.Frame.payload) with
-  | None -> Alcotest.fail "the frame was not delivered"
-  | Some kept ->
+  let kept = ref Net.Slice.empty in
+  let delivered =
+    Nic.Dma_nic.consume nic ~queue:0 (fun b ->
+        kept :=
+          Net.Slice.make b ~off:Net.Frame.payload_offset
+            ~len:(Net.Frame.payload_len b ~off:0))
+  in
+  match delivered with
+  | false -> Alcotest.fail "the frame was not delivered"
+  | true ->
+      let kept = !kept in
       checkb "held in a large-class buffer" true
         (Bytes.length kept.Net.Slice.base > 2048);
       checki "its buffer went back at consume" 0 (Z.Pool_watch.outstanding w);
