@@ -17,13 +17,13 @@
    is bounded by peak outstanding calls — so E19_HORIZON_MS=7_200_000
    (two hours, millions of RPCs) holds the same footprint.
 
-   The run fails loudly (exit via failwith) if conservation breaks:
-   every issued call must resolve (completed + abandoned + errors =
-   sent, none outstanding) and every lost frame must be counted at the
-   choke point that ate it (wire cuts, crossbar partitions, wedged
-   ports, bounded queues) — zero silent losses. The digest (client
-   shape, switch stats, fault counters, the merged metrics snapshot)
-   is machine-independent; scripts/gates.sh diffs it across a double
+   Its claim, E19.conservation: every issued call resolves (completed
+   + abandoned + errors = sent, none outstanding) and every lost frame
+   is counted at the choke point that ate it (wire cuts, crossbar
+   partitions, wedged ports, bounded queues) — zero silent losses. A
+   violation fails bin/figures.exe, which names the claim. The digest
+   (client shape, switch stats, fault counters, the merged metrics
+   snapshot) is machine-independent; scripts/gates.sh diffs it across a double
    run and with the sanitizers armed. *)
 
 let hosts = 8
@@ -202,18 +202,21 @@ let run () =
       + st.Cluster.Switch.port_drops + st.Cluster.Switch.partition_drops
   in
   let silent_free = Cluster.Fabric.undeliverable rack.Rack.fabric = 0 in
+  let conservation =
+    {
+      Common.id = "E19.conservation";
+      holds = calls_conserved && frames_conserved && silent_free;
+    }
+  in
   Common.note
     "conservation: calls (done %d + abandoned %d + errors %d = sent %d, out \
      %d): %b; frames (in = out + counted drops): %b; undeliverable=0: %b%s"
     completed abandoned errors sent outstanding calls_conserved
     frames_conserved silent_free
-    (if calls_conserved && frames_conserved && silent_free then
-       "  [shape holds]"
-     else "  [SHAPE VIOLATION]");
+    (Common.verdict conservation);
   Common.note
     "paper expectation: hours of faults and not one silent loss — every";
   Common.note
     "drop is a counter, every call resolves, and the whole transcript is";
   Common.note "byte-identical run to run and with the sanitizers armed.";
-  if not (calls_conserved && frames_conserved && silent_free) then
-    failwith "E19: conservation violated"
+  [ conservation ]

@@ -484,3 +484,40 @@ let table ~header rows =
 
 let ns v = Format.asprintf "%a" Sim.Units.pp_duration v
 let rate_str v = Format.asprintf "%a" Sim.Units.pp_rate v
+
+(* The offered-load table of an open-loop sweep: a row per rate of
+   [results], each of [flavours]' p50 and p99, a p99 followed by the
+   number of calls its run lost. *)
+let latency_table flavours results =
+  table
+    ~header:
+      ("offered load"
+      :: List.concat_map
+           (fun f ->
+             let n = flavour_name f in
+             [ n ^ " p50"; n ^ " p99" ])
+           flavours)
+    (List.map
+       (fun (rate, ms) ->
+         rate_str rate
+         :: List.concat_map
+              (fun m ->
+                let loss = m.sent - m.completed in
+                [
+                  ns m.p50;
+                  (ns m.p99
+                  ^ if loss > 0 then Printf.sprintf " (lost %d)" loss else "");
+                ])
+              ms)
+       results)
+
+(* ---------- Paper claims ---------- *)
+
+(* One claim of the paper as a section measured it: [id] names the
+   experiment and what it compares (["E7.tail"]), [holds] whether the
+   measured shape is the paper's. A section prints [verdict c] after
+   the numbers [c] compared and returns its claims; bin/figures.exe
+   exits non-zero naming every claim that does not hold. *)
+type claim = { id : string; holds : bool }
+
+let verdict c = if c.holds then "  [shape holds]" else "  [SHAPE VIOLATION]"

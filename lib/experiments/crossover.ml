@@ -58,9 +58,10 @@ let run () =
   Common.section "E4: cache-line transfer vs DMA — the ~4 KiB crossover";
   let cross = analytic () in
   Common.note "analytic crossover on the Enzian/ECI profile: ~%dB" cross;
-  Common.note "paper expectation: about 4 KiB.%s"
-    (if cross >= 2_048 && cross <= 8_192 then "  [shape holds]"
-     else "  [SHAPE VIOLATION]");
+  let crossover =
+    { Common.id = "E4.crossover"; holds = cross >= 2_048 && cross <= 8_192 }
+  in
+  Common.note "paper expectation: about 4 KiB.%s" (Common.verdict crossover);
   Format.printf "@.";
   (* End-to-end: default threshold (4 KiB fallback) vs always-DMA. *)
   let default_cfg = Lauberhorn.Config.enzian in
@@ -82,4 +83,5 @@ let run () =
   Common.note
     "paper expectation: the line path wins below the threshold, and the";
   Common.note
-    "fallback makes the two configurations converge for large payloads."
+    "fallback makes the two configurations converge for large payloads.";
+  [ crossover ]

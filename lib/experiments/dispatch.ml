@@ -98,12 +98,17 @@ let run () =
   Common.note
     "costs one activation (wake + switch) and still undercuts the Linux";
   Common.note "loop; mirroring beats querying per dispatch.";
-  let ok =
-    hot.Common.p50 < cold.Common.p50
-    && cold.Common.p50 < linux.Common.p50
-    && hot.Common.p50 < query.Common.p50
+  let order =
+    {
+      Common.id = "E3.dispatch_order";
+      holds =
+        hot.Common.p50 < cold.Common.p50
+        && cold.Common.p50 < linux.Common.p50
+        && hot.Common.p50 < query.Common.p50;
+    }
   in
   Common.note "measured: hot %s < cold %s < linux %s; query %s%s"
     (Common.ns hot.Common.p50) (Common.ns cold.Common.p50)
     (Common.ns linux.Common.p50) (Common.ns query.Common.p50)
-    (if ok then "  [shape holds]" else "  [SHAPE VIOLATION]")
+    (Common.verdict order);
+  [ order ]

@@ -12,6 +12,11 @@ let zipf_s = 1.6
 let rates = [ 600_000.; 1_000_000.; 1_300_000. ]
 let horizon = Sim.Units.ms 30
 
+(* E7's claim, on the top rate's runs: sharing every core keeps
+   Lauberhorn's p99 below that of bypass's static binding. *)
+let tail ~lau ~byp =
+  { Common.id = "E7.tail"; holds = lau.Common.p99 < byp.Common.p99 }
+
 let run () =
   Common.section
     "E7: dynamic mix — 32 Zipf-skewed services on 8 cores";
@@ -43,51 +48,29 @@ let run () =
       (fun rate -> (rate, List.map (fun f -> run_one f rate) flavours))
       rates
   in
-  Common.table
-    ~header:
-      ([ "offered load" ]
-      @ List.concat_map
-          (fun f ->
-            let n = Common.flavour_name f in
-            [ n ^ " p50"; n ^ " p99" ])
-          flavours)
-    (List.map
-       (fun (rate, ms) ->
-         Common.rate_str rate
-         :: List.concat_map
-              (fun m ->
-                let loss = m.Common.sent - m.Common.completed in
-                [
-                  Common.ns m.Common.p50;
-                  (Common.ns m.Common.p99
-                  ^ if loss > 0 then Printf.sprintf " (lost %d)" loss else "");
-                ])
-              ms)
-       results);
-  (match List.rev results with
+  Common.latency_table flavours results;
+  match List.rev results with
   | (_, [ byp; _lin; _static; lau ]) :: _ ->
+      let tail = tail ~lau ~byp in
       Common.note
         "paper expectation: static binding collapses when the hot poller";
       Common.note
         "saturates; Lauberhorn keeps the tail bounded by sharing cores.";
       Common.note "measured at the top rate: lauberhorn p99 %s vs bypass %s%s"
         (Common.ns lau.Common.p99) (Common.ns byp.Common.p99)
-        (if lau.Common.p99 < byp.Common.p99 then "  [shape holds]"
-         else "  [SHAPE VIOLATION]");
+        (Common.verdict tail);
       Common.note
         "ablation: the ccnic-static column has Lauberhorn's interconnect";
       Common.note
         "but the traditional split — its p50 matches Lauberhorn while its";
       Common.note
         "tail explodes, isolating the value of OS integration from the";
-      Common.note "value of coherent delivery (paper section 2's critique)."
-  | _ -> ());
-  (* Churn statistics from the top-rate Lauberhorn run. *)
-  match List.rev results with
-  | (_, [ _; _; _; lau ]) :: _ ->
+      Common.note "value of coherent delivery (paper section 2's critique).";
+      (* Churn statistics from the top-rate Lauberhorn run. *)
       Common.note
         "lauberhorn worker churn: %d activations, %d deactivations, %d kernel dispatches"
         (Common.counter lau "worker_activate")
         (Common.counter lau "worker_deactivate")
-        (Common.counter lau "slow_path_dispatch")
-  | _ -> ()
+        (Common.counter lau "slow_path_dispatch");
+      [ tail ]
+  | _ -> []

@@ -17,6 +17,14 @@ let flavours =
     Common.Lauberhorn (Lauberhorn.Config.enzian, Lauberhorn.Sched_mirror.Push);
   ]
 
+(* E8's claim, on a low load's runs: Lauberhorn never spins, while
+   bypass's pollers spin for more than 50 ms of the window. *)
+let spin ~lau ~byp =
+  {
+    Common.id = "E8.spin";
+    holds = lau.Common.spin_ns = 0 && byp.Common.spin_ns > Sim.Units.ms 50;
+  }
+
 let run () =
   Common.section "E8: cycle accounting — useful vs spin vs stall";
   let rows =
@@ -53,21 +61,21 @@ let run () =
   (* Shape: at the lowest load, bypass burns ~all its pollers spinning,
      Lauberhorn spins never. *)
   let find name rate =
-    fst
+    snd
       (fst
          (List.find
-            (fun ((r, m), _) -> r = rate && m.Common.name = name)
-            rows)),
-    snd (fst (List.find (fun ((r, m), _) -> r = rate && m.Common.name = name) rows))
+            (fun ((r, m), _) ->
+              Float.equal r rate && String.equal m.Common.name name)
+            rows))
   in
-  let _, lau = find "lauberhorn/eci-enzian" 20_000. in
-  let _, byp = find "bypass/pcie-enzian" 20_000. in
+  let lau = find "lauberhorn/eci-enzian" 20_000. in
+  let byp = find "bypass/pcie-enzian" 20_000. in
+  let spin = spin ~lau ~byp in
   Common.note
     "paper expectation: bypass wastes its cores spinning at low load;";
   Common.note
     "Lauberhorn parks in stalled loads (low-power) and never spins.";
   Common.note "measured at 20k/s: lauberhorn spin=%s, bypass spin=%s%s"
     (Common.ns lau.Common.spin_ns) (Common.ns byp.Common.spin_ns)
-    (if lau.Common.spin_ns = 0 && byp.Common.spin_ns > Sim.Units.ms 50 then
-       "  [shape holds]"
-     else "  [SHAPE VIOLATION]")
+    (Common.verdict spin);
+  [ spin ]

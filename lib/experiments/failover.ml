@@ -180,13 +180,17 @@ let run () =
   let crash_fired =
     List.for_all (fun r -> r.crashes = 1 && r.restarts = 1) results
   in
+  let recovery =
+    {
+      Common.id = "E15.crash_recovery";
+      holds = conserved && lb_lossless && crash_fired;
+    }
+  in
   Common.note
     "conservation (done + abandoned = sent, none outstanding): %b" conserved;
   Common.note
     "lauberhorn lost nothing (every call completed): %b; all crashes fired: %b%s"
-    lb_lossless crash_fired
-    (if conserved && lb_lossless && crash_fired then "  [shape holds]"
-     else "  [SHAPE VIOLATION]");
+    lb_lossless crash_fired (Common.verdict recovery);
 
   (* The count trigger: crash after the 200th handled RPC instead of at
      a wall-clock instant (only Lauberhorn reports handled RPCs). *)
@@ -254,6 +258,12 @@ let run () =
   let explicit_rejects =
     Common.counter on2 "sheds" > 0 && Common.counter on2 "rejected" > 0
   in
+  let shedding =
+    {
+      Common.id = "E15.shedding";
+      holds = below_identical && tail_bounded && explicit_rejects;
+    }
+  in
   Common.note
     "paper expectation: admission control converts silent SRAM drops into";
   Common.note
@@ -262,7 +272,5 @@ let run () =
     "0.5x same done/sent with/without shed: %b; 2x p99 bounded (%s <= %s): \
      %b; rejects explicit: %b%s"
     below_identical (Common.ns p99_on2) (Common.ns p99_off2) tail_bounded
-    explicit_rejects
-    (if below_identical && tail_bounded && explicit_rejects then
-       "  [shape holds]"
-     else "  [SHAPE VIOLATION]")
+    explicit_rejects (Common.verdict shedding);
+  [ recovery; shedding ]

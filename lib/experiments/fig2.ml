@@ -94,17 +94,25 @@ let run () =
         (Common.ns p50))
     results;
   let get label =
-    let _, _, p50, _ = List.find (fun (l, _, _, _) -> l = label) results in
+    let _, _, p50, _ =
+      List.find (fun (l, _, _, _) -> String.equal l label) results
+    in
     p50
   in
   let eci = get "ECI coherent (Enzian)" in
   let dma_enzian = get "DMA/PCIe poll-mode (Enzian)" in
   let dma_modern = get "DMA/PCIe poll-mode (modern)" in
+  let ordering =
+    {
+      Common.id = "Fig2.ordering";
+      holds = eci < dma_modern && dma_modern < dma_enzian;
+    }
+  in
   Common.note "paper expectation: ECI well below DMA on the same machine,";
   Common.note
     "and below even a modern server's DMA path (Figure 2's ordering).";
   Common.note "measured: ECI/DMA-Enzian speedup %.2fx, ECI/DMA-modern %.2fx%s"
     (float_of_int dma_enzian /. float_of_int eci)
     (float_of_int dma_modern /. float_of_int eci)
-    (if eci < dma_modern && dma_modern < dma_enzian then "  [shape holds]"
-     else "  [SHAPE VIOLATION]")
+    (Common.verdict ordering);
+  [ ordering ]

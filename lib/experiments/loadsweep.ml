@@ -30,40 +30,23 @@ let run () =
             flavours ))
       rates
   in
-  Common.table
-    ~header:
-      ([ "offered load" ]
-      @ List.concat_map
-          (fun f ->
-            let n = Common.flavour_name f in
-            [ n ^ " p50"; n ^ " p99" ])
-          flavours)
-    (List.map
-       (fun (rate, ms) ->
-         Common.rate_str rate
-         :: List.concat_map
-              (fun m ->
-                let loss = m.Common.sent - m.Common.completed in
-                [
-                  Common.ns m.Common.p50;
-                  (Common.ns m.Common.p99
-                  ^ if loss > 0 then Printf.sprintf " (lost %d)" loss else "");
-                ])
-              ms)
-       results);
+  Common.latency_table flavours results;
   (* Shape check at a moderate load point. *)
   let _, at200k = List.nth results 1 in
   match at200k with
   | [ lin; byp; _static; lau ] ->
+      let order =
+        {
+          Common.id = "E6.latency_order";
+          holds =
+            lau.Common.p50 <= byp.Common.p50 && byp.Common.p50 < lin.Common.p50;
+        }
+      in
       Common.note
         "paper expectation: Lauberhorn at or below bypass at every load,";
       Common.note "both far below the kernel stack.";
       Common.note "measured at 200k/s: lauberhorn %s, bypass %s, linux %s%s"
         (Common.ns lau.Common.p50) (Common.ns byp.Common.p50)
-        (Common.ns lin.Common.p50)
-        (if
-           lau.Common.p50 <= byp.Common.p50
-           && byp.Common.p50 < lin.Common.p50
-         then "  [shape holds]"
-         else "  [SHAPE VIOLATION]")
-  | _ -> ()
+        (Common.ns lin.Common.p50) (Common.verdict order);
+      [ order ]
+  | _ -> []

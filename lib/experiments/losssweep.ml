@@ -95,11 +95,14 @@ let run () =
         && Common.counter m10 "retransmits" > 0)
       at0 at10
   in
+  let masked =
+    { Common.id = "E13.loss_masked"; holds = all_complete && rtx_moves }
+  in
   Common.note
     "paper expectation: retry layer masks loss (goodput holds); latency";
   Common.note
     "tails inflate with loss while the fault-free column is untouched.";
   Common.note "every RPC completed: %b; retransmits 0 at loss 0, >0 at 0.1: %b%s"
     all_complete rtx_moves
-    (if all_complete && rtx_moves then "  [shape holds]"
-     else "  [SHAPE VIOLATION]")
+    (Common.verdict masked);
+  [ masked ]

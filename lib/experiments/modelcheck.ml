@@ -26,4 +26,5 @@ let run () =
     "check) deadlocks with a stranded request — the checker finds the";
   Common.note
     "race in ~50 states (see test/test_protocheck.ml and";
-  Common.note "examples/model_check.exe)."
+  Common.note "examples/model_check.exe).";
+  []

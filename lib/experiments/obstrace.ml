@@ -236,4 +236,5 @@ let run () =
   Common.note
     "and the reply path — and the stitched stage durations sum exactly";
   Common.note
-    "to the client-observed latency, with the whole plane deterministic."
+    "to the client-observed latency, with the whole plane deterministic.";
+  []

@@ -601,15 +601,19 @@ let run_failure () =
     (Harness.Client.rejected c)
     (Harness.Client.retransmits c)
     rack.steering.resteered rack.steering.unsteered;
+  let resolved =
+    {
+      Common.id = "E17.host_failure";
+      holds = conserved && Harness.Client.rejected c > 0 && silent_free;
+    }
+  in
   Common.note
     "conservation (done + abandoned = sent, none outstanding): %b; explicit \
      err_dead rejects seen: %b; no silent losses on the path: %b%s"
     conserved
     (Harness.Client.rejected c > 0)
-    silent_free
-    (if conserved && Harness.Client.rejected c > 0 && silent_free then
-       "  [shape holds]"
-     else "  [SHAPE VIOLATION]")
+    silent_free (Common.verdict resolved);
+  resolved
 
 let run () =
   Common.section
@@ -617,10 +621,11 @@ let run () =
   run_sweep ();
   run_big ();
   Common.note "";
-  run_failure ();
+  let resolved = run_failure () in
   Common.note
     "paper expectation: per-host results are a pure function of the seeds;";
   Common.note
     "a host death is detected within a probe period, steered around,";
   Common.note
-    "and every in-flight RPC resolves to a reply or an explicit reject."
+    "and every in-flight RPC resolves to a reply or an explicit reject.";
+  [ resolved ]

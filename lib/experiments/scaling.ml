@@ -58,6 +58,7 @@ let run () =
        !samples);
   let peak = List.fold_left (fun acc (_, w) -> max acc w) 0 !samples in
   let final = match !samples with (_, w) :: _ -> w | [] -> 0 in
+  let scales = { Common.id = "E9.scaling"; holds = peak >= 3 && final <= 2 } in
   Common.note "completed %d/%d; activations %d, deactivations %d"
     m.Common.completed m.Common.sent
     (Common.counter m "worker_activate")
@@ -66,5 +67,5 @@ let run () =
     "paper expectation: workers scale up with the step and retire after.";
   Common.note "measured: peak %d workers, back to %d after the step%s" peak
     final
-    (if peak >= 3 && final <= 2 then "  [shape holds]"
-     else "  [SHAPE VIOLATION]")
+    (Common.verdict scales);
+  [ scales ]

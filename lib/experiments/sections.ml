@@ -1,9 +1,10 @@
 (* Every experiment section by id, in DESIGN.md's index order. The one
    table bin/figures.exe reads: it runs the sections named on its
-   command line, or all of them in this order. Each id has a snapshot
-   in test/baseline. *)
+   command line, or all of them in this order, and fails on any claim
+   a section returns that does not hold. Each id has a snapshot in
+   test/baseline. *)
 
-let all =
+let all : (string * (unit -> Common.claim list)) list =
   [
     ("fig2", Fig2.run);
     ("steps", Steps.run);

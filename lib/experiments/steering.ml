@@ -197,15 +197,21 @@ let run_single () =
   Common.note
     "steering off charges 0 ns/pkt; both programs above carry their \
      statically verified cost";
-  if hit_pct aff_model > hit_pct rss_model then
-    Common.note
-      "[shape holds] key-affinity locality: %s cache hits vs %s under RSS"
-      (pct (hit_pct aff_model))
-      (pct (hit_pct rss_model))
+  let affinity =
+    {
+      Common.id = "E20.affinity";
+      holds = hit_pct aff_model > hit_pct rss_model;
+    }
+  in
+  let aff = pct (hit_pct aff_model) and rss = pct (hit_pct rss_model) in
+  (* The verdict leads this line: it starts with the note's indent. *)
+  if affinity.Common.holds then
+    Format.printf "%s key-affinity locality: %s cache hits vs %s under RSS@."
+      (Common.verdict affinity) aff rss
   else
-    Common.note "[SHAPE VIOLATION] affinity (%s) <= rss (%s) on cache hits"
-      (pct (hit_pct aff_model))
-      (pct (hit_pct rss_model))
+    Format.printf "%s affinity (%s) <= rss (%s) on cache hits@."
+      (Common.verdict affinity) aff rss;
+  affinity
 
 (* ---------- part (b): verified steering on rack hosts ---------- *)
 
@@ -296,5 +302,6 @@ let run_rack () =
     (!digest land 0x3fffffff)
 
 let run () =
-  run_single ();
-  run_rack ()
+  let affinity = run_single () in
+  run_rack ();
+  [ affinity ]

@@ -72,14 +72,16 @@ let run () =
         "spin-ns/rpc" ]
     (List.map (fun (_, row, _) -> row) rows);
   let overhead name =
-    let _, _, o = List.find (fun (n, _, _) -> n = name) rows in
+    let _, _, o = List.find (fun (n, _, _) -> String.equal n name) rows in
     o
   in
   let lau = overhead "lauberhorn/eci-enzian" in
   let lin = overhead "linux/pcie-enzian" in
+  let cost = { Common.id = "E2.dispatch_cost"; holds = lau * 4 < lin } in
   Common.note
     "paper expectation: Lauberhorn software dispatch cost approaches zero;";
   Common.note
     "measured: lauberhorn %dns vs linux %dns per RPC (%.1fx less)%s" lau lin
     (float_of_int lin /. float_of_int (max 1 lau))
-    (if lau * 4 < lin then "  [shape holds]" else "  [SHAPE VIOLATION]")
+    (Common.verdict cost);
+  [ cost ]

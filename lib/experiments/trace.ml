@@ -151,4 +151,5 @@ let run () =
   Common.note
     "open the .trace.json files in Perfetto (ui.perfetto.dev) or";
   Common.note
-    "chrome://tracing; the .pcap files in Wireshark/tcpdump (ns precision)."
+    "chrome://tracing; the .pcap files in Wireshark/tcpdump (ns precision).";
+  []

@@ -69,22 +69,18 @@ let run () =
     ~header:
       [ "timeout"; "tryagains (200ms idle)"; "bus transactions"; "sparse p50" ]
     (List.map (fun (_, _, row) -> row) rows);
-  let t15 =
-    let _, n, _ =
-      List.find (fun (t, _, _) -> t = Sim.Units.ms 15) rows
-    in
+  let tryagains_at timeout =
+    let _, n, _ = List.find (fun (t, _, _) -> Int.equal t timeout) rows in
     n
   in
-  let t100us =
-    let _, n, _ =
-      List.find (fun (t, _, _) -> t = Sim.Units.us 100) rows
-    in
-    n
-  in
+  let t15 = tryagains_at (Sim.Units.ms 15) in
+  let t100us = tryagains_at (Sim.Units.us 100) in
+  let idle = { Common.id = "E5.idle_traffic"; holds = t15 * 10 < t100us } in
   Common.note
     "paper expectation: at 15 ms the dummy-fill traffic is negligible";
   Common.note
     "(vs a spin loop's millions of checks/s) and latency is unaffected.";
   Common.note "measured: 15ms -> %d dummies in 200ms vs %d at 100us%s" t15
     t100us
-    (if t15 * 10 < t100us then "  [shape holds]" else "  [SHAPE VIOLATION]")
+    (Common.verdict idle);
+  [ idle ]

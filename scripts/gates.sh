@@ -17,6 +17,10 @@
 # and every section with a test/baseline snapshot must reproduce it
 # byte for byte.
 #
+# Every run also checks its sections' paper claims: bin/figures.exe
+# exits non-zero when one does not hold and names it on stderr, which
+# stays in the gate log, and set -e makes that exit a gate failure.
+#
 # Usage, from the repository root (or from _build/default, as the
 # @check alias does):
 #   sh scripts/gates.sh _build/default/bin/figures.exe \
@@ -68,15 +72,15 @@ same        obstrace   ""           "$san"       E18_OUT_DIR
 same        chaossoak  ""           "$san"
 same        steering   ""           "$san"
 # -- one process: both draw Zipf ranks and build stacks
-"$figures" steering dynamic > "$a" 2>/dev/null
+"$figures" steering dynamic > "$a"
 cat test/baseline/steering.txt test/baseline/dynamic.txt | diff - "$a"
 # -- one process: both build their chaos runs through Common.lossy_run
-"$figures" failover losssweep > "$a" 2>/dev/null
+"$figures" failover losssweep > "$a"
 cat test/baseline/failover.txt test/baseline/losssweep.txt | diff - "$a"
 
 "$steer_verify"
 
 for f in test/baseline/*.txt; do
-  "$figures" "$(basename "$f" .txt)" > "$a" 2>/dev/null
+  "$figures" "$(basename "$f" .txt)" > "$a"
   diff "$f" "$a"
 done

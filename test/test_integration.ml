@@ -1,326 +1,199 @@
-(* Cross-stack integration tests: the paper's comparative claims, as
-   assertions. Absolute numbers are simulator outputs; the *orderings*
-   are what the paper predicts and what these tests pin down. *)
+(* Cross-stack integration tests. [comparative] re-checks the paper's
+   orderings end to end; absolute numbers are simulator outputs, the
+   orderings are what the paper predicts. Every comparative run is
+   Common.open_loop_run at seed 1234 (30 ms of arrivals, 10 ms of
+   drain) or, for E5, a server from Common.make_server: the stacks are
+   wired only there. A test whose predicate is its section's asserts
+   that section's claim, so the claim is defined once; a test with a
+   stricter or different predicate keeps its own, and every message
+   names the claim id or the test. [robustness] and [oracle] feed every
+   flavour hostile frames, and [sections] pins what bin/figures.exe
+   reads. *)
+
+module C = Experiments.Common
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 
-type run = {
-  recorder : Harness.Recorder.t;
-  kernel : Osmodel.Kernel.t;
-  counters : Sim.Counter.group;
-  horizon : Sim.Units.time;
-}
+let lauberhorn =
+  C.Lauberhorn (Lauberhorn.Config.enzian, Lauberhorn.Sched_mirror.Push)
 
-let horizon = Sim.Units.ms 30
+let linux = C.Linux Coherence.Interconnect.pcie_enzian
+let bypass = C.Bypass Coherence.Interconnect.pcie_enzian
 
-(* Run one stack against an open-loop uniform workload over [nservices]
-   echo services and return the measurements. *)
-let run_stack ~stack ~ncores ~nservices ~rate ?(payload = 64) ?(zipf_s = 0.)
-    ?(min_workers = 1) () =
-  let engine = Sim.Engine.create () in
-  let recorder = Harness.Recorder.create engine in
-  let setup = Workload.Scenario.echo_fleet ~n:nservices () in
-  let egress = Harness.Recorder.egress recorder in
-  let driver, kernel, counters =
-    match stack with
-    | `Lauberhorn mirror_mode ->
-        let s =
-          Lauberhorn.Stack.create engine ~cfg:Lauberhorn.Config.enzian
-            ~ncores ~mirror_mode
-            ~services:
-              (List.mapi
-                 (fun i def ->
-                   Lauberhorn.Stack.spec ~min_workers ~max_workers:2
-                     ~port:setup.Workload.Scenario.ports.(i) def)
-                 setup.Workload.Scenario.defs)
-            ~egress ()
-        in
-        ( Lauberhorn.Stack.driver s,
-          Lauberhorn.Stack.kernel s,
-          Lauberhorn.Stack.counters s )
-    | `Linux ->
-        let s =
-          Baseline.Linux_stack.create engine
-            ~profile:Coherence.Interconnect.pcie_enzian ~ncores
-            ~services:
-              (List.mapi
-                 (fun i def ->
-                   Baseline.Linux_stack.spec
-                     ~port:setup.Workload.Scenario.ports.(i) def)
-                 setup.Workload.Scenario.defs)
-            ~egress ()
-        in
-        ( Baseline.Linux_stack.driver s,
-          Baseline.Linux_stack.kernel s,
-          Baseline.Linux_stack.counters s )
-    | `Static ->
-        let s =
-          Lauberhorn.Stack.create engine ~binding:Lauberhorn.Stack.Static
-            ~cfg:
-              (Lauberhorn.Config.with_timeout Lauberhorn.Config.enzian
-                 (Sim.Units.us 50))
-            ~ncores
-            ~services:
-              (List.mapi
-                 (fun i def ->
-                   Lauberhorn.Stack.spec
-                     ~port:setup.Workload.Scenario.ports.(i) def)
-                 setup.Workload.Scenario.defs)
-            ~egress ()
-        in
-        ( Lauberhorn.Stack.driver s,
-          Lauberhorn.Stack.kernel s,
-          Lauberhorn.Stack.counters s )
-    | `Bypass ->
-        let s =
-          Baseline.Bypass_stack.create engine
-            ~profile:Coherence.Interconnect.pcie_enzian ~ncores
-            ~services:
-              (List.mapi
-                 (fun i def ->
-                   Baseline.Bypass_stack.spec
-                     ~port:setup.Workload.Scenario.ports.(i) def)
-                 setup.Workload.Scenario.defs)
-            ~egress ()
-        in
-        (* Flush idle-spin windows right before the horizon so the
-           ledgers are complete when we read them. *)
-        ignore
-          (Sim.Engine.schedule_at engine ~at:(horizon + Sim.Units.ms 9)
-             (fun () -> Baseline.Bypass_stack.flush_spin s));
-        ( Baseline.Bypass_stack.driver s,
-          Baseline.Bypass_stack.kernel s,
-          Baseline.Bypass_stack.counters s )
-  in
-  let rng = Sim.Rng.create ~seed:1234 in
-  let zipf =
-    if zipf_s > 0. then
-      Some (Workload.Dist.Zipf.create ~n:nservices ~s:zipf_s)
-    else None
-  in
-  Workload.Arrivals.open_loop engine rng ~rate_per_s:rate ~until:horizon
-    (fun ~seq ->
-      let svc =
-        match zipf with
-        | Some z -> Workload.Rpc_mix.zipf_pick rng z
-        | None -> Workload.Rpc_mix.uniform_pick rng ~services:nservices
-      in
-      Harness.Traffic.inject recorder driver
-        ~client:Harness.Traffic.default_client
-        ~rpc_id:seq
-        ~service_id:(Workload.Scenario.service_id_of setup ~service_idx:svc)
-        ~method_id:0
-        ~port:(Workload.Scenario.port_of setup ~service_idx:svc)
-        (Rpc.Value.Blob (Bytes.make payload 'w')));
-  Sim.Engine.run engine ~until:(horizon + Sim.Units.ms 10);
-  { recorder; kernel; counters; horizon = horizon + Sim.Units.ms 10 }
+(* The static split, parked 50 us so colocated pinned services can take
+   turns (as in E7). *)
+let static =
+  C.Static
+    (Lauberhorn.Config.with_timeout Lauberhorn.Config.enzian (Sim.Units.us 50))
 
-let p50 r = Sim.Histogram.quantile (Harness.Recorder.latencies r.recorder) 0.5
-let p99 r = Sim.Histogram.quantile (Harness.Recorder.latencies r.recorder) 0.99
+(* Every flavour at its default configuration, and the counters that
+   name a dropped request on each. *)
+let every_flavour =
+  [ lauberhorn; C.Static Lauberhorn.Config.enzian; linux; bypass ]
 
-let spin_total r =
-  List.fold_left
-    (fun acc a -> acc + Osmodel.Cpu_account.charged a Osmodel.Cpu_account.Spin)
-    0
-    (Osmodel.Kernel.accounts r.kernel)
+let named_drops =
+  [ "rx_bad_rpc"; "rx_no_service"; "rx_no_method"; "rx_bad_args" ]
 
-let stall_total r =
-  List.fold_left
-    (fun acc a ->
-      acc + Osmodel.Cpu_account.charged a Osmodel.Cpu_account.Stall)
-    0
-    (Osmodel.Kernel.accounts r.kernel)
+let run = C.open_loop_run ~seed:1234
+
+(* A comparative test case, handed its own name for its messages. *)
+let comparative name f = Alcotest.test_case name `Slow (fun () -> f name)
+
+let check_claim detail c = checkb (c.C.id ^ ": " ^ detail) true c.C.holds
+
+let check_conserved test m =
+  checki
+    (Printf.sprintf "%s: %s completes every call" test m.C.name)
+    m.C.sent m.C.completed
 
 (* ---------- E6: latency ordering at light-to-moderate load ---------- *)
 
-let test_latency_ordering () =
-  let args = (4, 1, 100_000.) in
-  let ncores, nservices, rate = args in
-  let lau =
-    run_stack ~stack:(`Lauberhorn Lauberhorn.Sched_mirror.Push) ~ncores
-      ~nservices ~rate ()
-  in
-  let lin = run_stack ~stack:`Linux ~ncores ~nservices ~rate () in
-  let byp = run_stack ~stack:`Bypass ~ncores ~nservices ~rate () in
+let test_latency_ordering name =
+  let at = run ~ncores:4 ~rate:100_000. in
+  let lau = at lauberhorn in
+  let lin = at linux in
+  let byp = at bypass in
   checkb
-    (Printf.sprintf "lauberhorn (%d) < bypass (%d)" (p50 lau) (p50 byp))
-    true (p50 lau < p50 byp);
+    (Printf.sprintf "%s: lauberhorn p50 %d < bypass %d" name lau.C.p50
+       byp.C.p50)
+    true (lau.C.p50 < byp.C.p50);
   checkb
-    (Printf.sprintf "bypass (%d) < linux (%d)" (p50 byp) (p50 lin))
-    true (p50 byp < p50 lin);
-  (* Nothing lost anywhere. *)
-  List.iter
-    (fun r ->
-      checki "conservation"
-        (Harness.Recorder.sent r.recorder)
-        (Harness.Recorder.completed r.recorder))
-    [ lau; lin; byp ]
+    (Printf.sprintf "%s: bypass p50 %d < linux %d" name byp.C.p50 lin.C.p50)
+    true (byp.C.p50 < lin.C.p50);
+  List.iter (check_conserved name) [ lau; lin; byp ]
 
 (* ---------- E8: energy (spin vs stall) ---------- *)
 
-let test_energy_no_spinning () =
-  let ncores, nservices, rate = (4, 1, 50_000.) in
-  let lau =
-    run_stack ~stack:(`Lauberhorn Lauberhorn.Sched_mirror.Push) ~ncores
-      ~nservices ~rate ()
-  in
-  let byp = run_stack ~stack:`Bypass ~ncores ~nservices ~rate () in
-  checki "lauberhorn never spins" 0 (spin_total lau);
-  (* Bypass burns most of 4 cores x 40ms spinning at this low load. *)
-  checkb "bypass spins heavily" true (spin_total byp > Sim.Units.ms 50);
+let test_energy_no_spinning name =
+  let at = run ~ncores:4 ~rate:50_000. in
+  let lau = at lauberhorn in
+  let byp = at bypass in
+  check_claim
+    (Printf.sprintf "lauberhorn spins %d ns, bypass %d ns" lau.C.spin_ns
+       byp.C.spin_ns)
+    (Experiments.Energy.spin ~lau ~byp);
   (* Lauberhorn's waiting shows up as stalled loads instead. *)
-  checkb "lauberhorn stalls instead" true (stall_total lau > Sim.Units.ms 10)
+  checkb
+    (Printf.sprintf "%s: lauberhorn stalls %d ns instead" name lau.C.stall_ns)
+    true
+    (lau.C.stall_ns > Sim.Units.ms 10)
 
 (* ---------- E5: TRYAGAIN timeout controls idle bus traffic ---------- *)
 
-let test_tryagain_timeout_monotone () =
+let test_tryagain_timeout_monotone name =
   let tries timeout =
-    let engine = Sim.Engine.create () in
-    let recorder = Harness.Recorder.create engine in
-    let stack =
-      Lauberhorn.Stack.create engine
-        ~cfg:(Lauberhorn.Config.with_timeout Lauberhorn.Config.enzian timeout)
-        ~ncores:4
-        ~services:
-          [ Lauberhorn.Stack.spec ~port:7000 (Rpc.Interface.echo_service ~id:1) ]
-        ~egress:(Harness.Recorder.egress recorder)
-        ()
+    let server =
+      C.make_server ~ncores:4
+        (C.Lauberhorn
+           ( Lauberhorn.Config.with_timeout Lauberhorn.Config.enzian timeout,
+             Lauberhorn.Sched_mirror.Push ))
+        (Workload.Scenario.echo_fleet ~n:1 ())
     in
-    Sim.Engine.run engine ~until:(Sim.Units.ms 60);
-    Coherence.Home_agent.tryagains (Lauberhorn.Stack.home_agent stack)
+    Sim.Engine.run server.C.engine ~until:(Sim.Units.ms 60);
+    Coherence.Home_agent.tryagains
+      (Lauberhorn.Stack.home_agent (Option.get server.C.lauberhorn))
   in
   let fast = tries (Sim.Units.us 100) in
   let mid = tries (Sim.Units.ms 1) in
   let slow = tries (Sim.Units.ms 15) in
   checkb
-    (Printf.sprintf "monotone: %d > %d > %d" fast mid slow)
+    (Printf.sprintf "%s: %d > %d > %d" name fast mid slow)
     true
     (fast > mid && mid > slow);
   (* At the paper's 15ms setting an idle 60ms run has single-digit
      tryagains per parked line: effectively zero polling. *)
-  checkb "15ms is near-zero traffic" true (slow < 40)
+  checkb
+    (Printf.sprintf "%s: 15ms is near-zero traffic (%d)" name slow)
+    true (slow < 40)
 
 (* ---------- E3 ablation: push mirror vs query ---------- *)
 
-let test_mirror_push_beats_query () =
-  let ncores, nservices, rate = (4, 1, 100_000.) in
-  let push =
-    run_stack ~stack:(`Lauberhorn Lauberhorn.Sched_mirror.Push) ~ncores
-      ~nservices ~rate ()
+let test_mirror_push_beats_query name =
+  let at mode =
+    run ~ncores:4 ~rate:100_000.
+      (C.Lauberhorn (Lauberhorn.Config.enzian, mode))
   in
-  let query =
-    run_stack ~stack:(`Lauberhorn Lauberhorn.Sched_mirror.Query) ~ncores
-      ~nservices ~rate ()
-  in
+  let push = at Lauberhorn.Sched_mirror.Push in
+  let query = at Lauberhorn.Sched_mirror.Query in
   (* Querying the host at dispatch time costs an MMIO read on every
      request: ~1.1us extra on the Enzian profile. *)
   checkb
-    (Printf.sprintf "push p50 %d + margin < query p50 %d" (p50 push)
-       (p50 query))
+    (Printf.sprintf "%s: push p50 %d + 800 < query p50 %d" name push.C.p50
+       query.C.p50)
     true
-    (p50 push + 800 < p50 query)
+    (push.C.p50 + 800 < query.C.p50)
 
 (* ---------- E7: dynamic workload, many services, skew ---------- *)
 
-let test_dynamic_skewed_services () =
+let test_dynamic_skewed_services name =
   (* 32 services, strongly Zipf-skewed, on 8 cores, at a rate that
      saturates the bypass poller stuck with the hottest service (static
      binding) while leaving plenty of aggregate capacity. Lauberhorn
      activates workers on demand and shares all cores. *)
-  let ncores, nservices, rate = (8, 32, 1_300_000.) in
-  let lau =
-    run_stack ~stack:(`Lauberhorn Lauberhorn.Sched_mirror.Push) ~ncores
-      ~nservices ~rate ~zipf_s:1.6 ~min_workers:0 ()
-  in
-  let byp =
-    run_stack ~stack:`Bypass ~ncores ~nservices ~rate ~zipf_s:1.6 ()
-  in
-  (* Bypass pins 12 services onto 4 pollers; the hot services share one
-     poller with cold ones and head-of-line block. Lauberhorn shares
-     all cores. *)
-  checkb "lauberhorn completes everything" true
-    (Harness.Recorder.completed lau.recorder
-    = Harness.Recorder.sent lau.recorder);
-  checkb
-    (Printf.sprintf "tail: lauberhorn %d < bypass %d" (p99 lau) (p99 byp))
-    true
-    (p99 lau < p99 byp)
+  let at = run ~ncores:8 ~nservices:32 ~rate:1_300_000. ~zipf_s:1.6 in
+  let lau = at ~min_workers:0 lauberhorn in
+  let byp = at bypass in
+  check_conserved name lau;
+  check_claim
+    (Printf.sprintf "lauberhorn p99 %d < bypass %d" lau.C.p99 byp.C.p99)
+    (Experiments.Dynamic.tail ~lau ~byp)
 
 (* ---------- E4: DMA crossover visible end-to-end ---------- *)
 
-let test_large_payloads_still_complete () =
-  let lau =
-    run_stack ~stack:(`Lauberhorn Lauberhorn.Sched_mirror.Push) ~ncores:4
-      ~nservices:1 ~rate:5_000. ~payload:16_384 ()
-  in
-  checki "conservation"
-    (Harness.Recorder.sent lau.recorder)
-    (Harness.Recorder.completed lau.recorder);
-  checkb "large payloads slower than small band" true
-    (p50 lau > Sim.Units.us 3)
+let test_large_payloads_still_complete name =
+  let lau = run ~ncores:4 ~rate:5_000. ~payload:16_384 lauberhorn in
+  check_conserved name lau;
+  checkb
+    (Printf.sprintf "%s: p50 %d slower than the small band" name lau.C.p50)
+    true
+    (lau.C.p50 > Sim.Units.us 3)
 
 (* ---------- Ablation: coherent interconnect vs OS integration ------- *)
 
-let test_static_ablation () =
+let test_static_ablation name =
   (* Single hot service at low load: the static coherent NIC matches
      Lauberhorn (the interconnect is doing the work). *)
-  let lau_hot =
-    run_stack ~stack:(`Lauberhorn Lauberhorn.Sched_mirror.Push) ~ncores:4
-      ~nservices:1 ~rate:100_000. ()
-  in
-  let static_hot =
-    run_stack ~stack:`Static ~ncores:4 ~nservices:1 ~rate:100_000. ()
-  in
+  let hot = run ~ncores:4 ~rate:100_000. in
+  let lau_hot = hot lauberhorn in
+  let static_hot = hot static in
   checkb
-    (Printf.sprintf "static p50 %d within 20%% of lauberhorn %d"
-       (p50 static_hot) (p50 lau_hot))
+    (Printf.sprintf "%s: static p50 %d within 20%% of lauberhorn %d" name
+       static_hot.C.p50 lau_hot.C.p50)
     true
-    (abs (p50 static_hot - p50 lau_hot) * 5 <= p50 lau_hot);
+    (abs (static_hot.C.p50 - lau_hot.C.p50) * 5 <= lau_hot.C.p50);
   (* Dynamic skewed mix: without OS integration the static split's tail
      explodes even though the fast path is identical. *)
-  let lau_dyn =
-    run_stack ~stack:(`Lauberhorn Lauberhorn.Sched_mirror.Push) ~ncores:8
-      ~nservices:32 ~rate:1_000_000. ~zipf_s:1.6 ~min_workers:0 ()
-  in
-  let static_dyn =
-    run_stack ~stack:`Static ~ncores:8 ~nservices:32 ~rate:1_000_000.
-      ~zipf_s:1.6 ()
-  in
+  let dyn = run ~ncores:8 ~nservices:32 ~rate:1_000_000. ~zipf_s:1.6 in
+  let lau_dyn = dyn ~min_workers:0 lauberhorn in
+  let static_dyn = dyn static in
   checkb
-    (Printf.sprintf "dynamic tail: static %d >> lauberhorn %d"
-       (p99 static_dyn) (p99 lau_dyn))
+    (Printf.sprintf "%s: dynamic tail, static p99 %d > 3 x lauberhorn %d" name
+       static_dyn.C.p99 lau_dyn.C.p99)
     true
-    (p99 static_dyn > 3 * p99 lau_dyn)
+    (static_dyn.C.p99 > 3 * lau_dyn.C.p99)
 
 (* E13: under 5% wire loss in each direction, every stack still
    completes every RPC — the client's retry layer masks the loss — and
    the retransmit counter shows the recovery actually ran. *)
-let test_lossy_runs_complete () =
+let test_lossy_runs_complete name =
   let plan =
     Fault.Plan.make ~seed:9 ~wire:(Fault.Plan.link ~drop:0.05 ()) ()
   in
   List.iter
     (fun flavour ->
-      let { Experiments.Common.m; _ } =
-        Experiments.Common.lossy_run ~ncores:4 ~rate:50_000.
-          ~horizon:(Sim.Units.ms 5) ~plan flavour
+      let { C.m; _ } =
+        C.lossy_run ~ncores:4 ~rate:50_000. ~horizon:(Sim.Units.ms 5) ~plan
+          flavour
       in
-      let name = Experiments.Common.flavour_name flavour in
-      checkb (name ^ ": sent some") true (m.Experiments.Common.sent > 0);
-      checki
-        (name ^ ": all completed")
-        m.Experiments.Common.sent m.Experiments.Common.completed;
+      let name = name ^ ": " ^ C.flavour_name flavour in
+      checkb (name ^ ": sent some") true (m.C.sent > 0);
+      checki (name ^ ": all completed") m.C.sent m.C.completed;
       checkb
         (name ^ ": retransmits nonzero")
         true
-        (Experiments.Common.counter m "retransmits" > 0))
-    [
-      Experiments.Common.Linux Coherence.Interconnect.pcie_enzian;
-      Experiments.Common.Bypass Coherence.Interconnect.pcie_enzian;
-      Experiments.Common.Lauberhorn
-        (Lauberhorn.Config.enzian, Lauberhorn.Sched_mirror.Push);
-    ]
+        (C.counter m "retransmits" > 0))
+    [ linux; bypass; lauberhorn ]
 
 (* Nothing reachable from the wire may raise: every malformed request
    is exactly one named drop, with the same name on every server
@@ -328,16 +201,6 @@ let test_lossy_runs_complete () =
    [Int64.to_int], or max_int so that the end offset overflows) is an
    [rx_bad_args]. *)
 let test_malformed_requests_are_named_drops () =
-  let flavours =
-    [
-      Experiments.Common.Lauberhorn
-        (Lauberhorn.Config.enzian, Lauberhorn.Sched_mirror.Push);
-      Experiments.Common.Static Lauberhorn.Config.enzian;
-      Experiments.Common.Linux Coherence.Interconnect.pcie_enzian;
-      Experiments.Common.Bypass Coherence.Interconnect.pcie_enzian;
-    ]
-  in
-  let drops = [ "rx_bad_rpc"; "rx_no_service"; "rx_no_method"; "rx_bad_args" ] in
   let bad_magic b =
     Bytes.set b 0 '\x00';
     b
@@ -359,7 +222,7 @@ let test_malformed_requests_are_named_drops () =
       List.iter
         (fun (case, expected, port_offset, method_id, body, mangle) ->
           let setup = Workload.Scenario.echo_fleet ~n:1 () in
-          let server = Experiments.Common.make_server ~ncores:4 flavour setup in
+          let server = C.make_server ~ncores:4 flavour setup in
           let wire =
             {
               Rpc.Wire_format.rpc_id = 1;
@@ -380,22 +243,19 @@ let test_malformed_requests_are_named_drops () =
                      + port_offset))
               (mangle (Rpc.Wire_format.encode wire))
           in
-          let driver = server.Experiments.Common.driver in
+          let driver = server.C.driver in
           driver.Harness.Driver.ingress frame;
-          Sim.Engine.run server.Experiments.Common.engine
-            ~until:(Sim.Units.ms 1);
+          Sim.Engine.run server.C.engine ~until:(Sim.Units.ms 1);
           List.iter
             (fun drop ->
               checki
-                (Printf.sprintf "%s, %s: %s"
-                   (Experiments.Common.flavour_name flavour)
-                   case drop)
+                (Printf.sprintf "%s, %s: %s" (C.flavour_name flavour) case drop)
                 (if String.equal drop expected then 1 else 0)
                 (Sim.Counter.value
                    (Sim.Counter.counter driver.Harness.Driver.counters drop)))
-            drops)
+            named_drops)
         cases)
-    flavours
+    every_flavour
 
 (* ---------- the cross-stack differential oracle ----------
 
@@ -409,16 +269,6 @@ let test_malformed_requests_are_named_drops () =
    hostile 64-bit ids straight into the header bytes; [id_edge_holds]
    says what every flavour must answer to those. *)
 
-let oracle_flavours =
-  [
-    Experiments.Common.Lauberhorn
-      (Lauberhorn.Config.enzian, Lauberhorn.Sched_mirror.Push);
-    Experiments.Common.Static Lauberhorn.Config.enzian;
-    Experiments.Common.Linux Coherence.Interconnect.pcie_enzian;
-    Experiments.Common.Bypass Coherence.Interconnect.pcie_enzian;
-  ]
-
-let oracle_drops = [ "rx_bad_rpc"; "rx_no_service"; "rx_no_method"; "rx_bad_args" ]
 let oracle_service = 100
 let oracle_port = 7000
 
@@ -553,7 +403,7 @@ let pp_outcome o =
    is [rx_no_service] there and [rx_bad_rpc] on every other flavour. *)
 let canonical flavour what o =
   match (flavour, what) with
-  | Experiments.Common.Linux _, Bad_unbound ->
+  | C.Linux _, Bad_unbound ->
       {
         o with
         drops =
@@ -566,25 +416,25 @@ let canonical flavour what o =
 let run_oracle flavour schema steps =
   let got = ref [] in
   let server =
-    Experiments.Common.make_server ~ncores:4 ~egress:(fun f -> got := f :: !got)
+    C.make_server ~ncores:4 ~egress:(fun f -> got := f :: !got)
       flavour (oracle_setup schema)
   in
-  let driver = server.Experiments.Common.driver in
-  let engine = server.Experiments.Common.engine in
+  let driver = server.C.driver in
+  let engine = server.C.engine in
   let count d =
     Sim.Counter.value (Sim.Counter.counter driver.Harness.Driver.counters d)
   in
   List.map
     (fun step ->
       got := [];
-      let before = List.map count oracle_drops in
+      let before = List.map count named_drops in
       List.iter driver.Harness.Driver.ingress step.frames;
       Sim.Engine.run engine ~until:(Sim.Engine.now engine + Sim.Units.ms 2);
       let drops =
         List.concat
           (List.map2
              (fun d b -> List.init (count d - b) (fun _ -> d))
-             oracle_drops before)
+             named_drops before)
       in
       let replies =
         List.sort compare
@@ -636,14 +486,14 @@ let qcheck_cross_stack_oracle =
     (fun seed ->
       let schema, steps = oracle_case seed in
       let runs =
-        List.map (fun fl -> (fl, run_oracle fl schema steps)) oracle_flavours
+        List.map (fun fl -> (fl, run_oracle fl schema steps)) every_flavour
       in
       let _, reference = List.hd runs in
       List.iter
         (fun (fl, outcomes) ->
           List.iteri
             (fun i ((step, o), r) ->
-              let name = Experiments.Common.flavour_name fl in
+              let name = C.flavour_name fl in
               if List.length o.replies + List.length o.drops
                  <> List.length step.frames
               then
@@ -658,7 +508,7 @@ let qcheck_cross_stack_oracle =
                 QCheck.Test.fail_reportf
                   "%s, step %d (%s): [%s], but %s answers [%s]" name i
                   (step_name step.what) (pp_outcome o)
-                  (Experiments.Common.flavour_name (List.hd oracle_flavours))
+                  (C.flavour_name (List.hd every_flavour))
                   (pp_outcome r))
             (List.combine (List.combine steps outcomes) reference))
         runs;
@@ -682,27 +532,30 @@ let test_every_section_has_a_snapshot () =
   Alcotest.(check (list string)) "sections = test/baseline snapshots"
     sorted snapshots
 
+(* The verdict a section prints after the numbers a claim compared is
+   the stdout contract every snapshot holds, for either outcome. *)
+let test_claim_verdict () =
+  let verdict holds = C.verdict { C.id = "E0.test"; holds } in
+  Alcotest.(check string) "holds" "  [shape holds]" (verdict true);
+  Alcotest.(check string) "violated" "  [SHAPE VIOLATION]" (verdict false)
+
 let () =
   Alcotest.run "integration"
     [
       ( "comparative",
         [
-          Alcotest.test_case "latency ordering (E6)" `Slow
-            test_latency_ordering;
-          Alcotest.test_case "energy: no spinning (E8)" `Slow
-            test_energy_no_spinning;
-          Alcotest.test_case "tryagain timeout monotone (E5)" `Slow
+          comparative "latency ordering (E6)" test_latency_ordering;
+          comparative "energy: no spinning (E8)" test_energy_no_spinning;
+          comparative "tryagain timeout monotone (E5)"
             test_tryagain_timeout_monotone;
-          Alcotest.test_case "mirror push beats query (E3)" `Slow
+          comparative "mirror push beats query (E3)"
             test_mirror_push_beats_query;
-          Alcotest.test_case "dynamic skewed services (E7)" `Slow
+          comparative "dynamic skewed services (E7)"
             test_dynamic_skewed_services;
-          Alcotest.test_case "large payloads complete (E4)" `Slow
+          comparative "large payloads complete (E4)"
             test_large_payloads_still_complete;
-          Alcotest.test_case "static-split ablation" `Slow
-            test_static_ablation;
-          Alcotest.test_case "lossy runs complete (E13)" `Slow
-            test_lossy_runs_complete;
+          comparative "static-split ablation" test_static_ablation;
+          comparative "lossy runs complete (E13)" test_lossy_runs_complete;
         ] );
       ( "robustness",
         [
@@ -719,5 +572,7 @@ let () =
         [
           Alcotest.test_case "every section has a snapshot" `Quick
             test_every_section_has_a_snapshot;
+          Alcotest.test_case "a claim's verdict, both outcomes" `Quick
+            test_claim_verdict;
         ] );
     ]
